@@ -233,22 +233,6 @@ pub fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
     Ok(Tuple::new(values))
 }
 
-pub fn put_tuples(buf: &mut Vec<u8>, ts: &[Tuple]) {
-    put_u32(buf, ts.len() as u32);
-    for t in ts {
-        put_tuple(buf, t);
-    }
-}
-
-pub fn get_tuples(r: &mut Reader<'_>) -> Result<Vec<Tuple>> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_tuple(r)?);
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------
 // Columnar chunks
 // ---------------------------------------------------------------------
@@ -278,7 +262,7 @@ const DICT_MIN_ROWS: usize = 64;
 /// ```
 ///
 /// Fixed-width columns ship their payload as one contiguous little-endian
-/// slab (no per-value tag bytes — the big win over `put_tuples`); `Int`
+/// slab (no per-value tag bytes — the big win over per-row `put_tuple`); `Int`
 /// columns with few distinct values (hot Zipf keys) switch to dictionary
 /// encoding (`u32 n_dict · i64 dict[] · u8 code_width · code[]`) when that
 /// is strictly smaller. The `blob_len` prefix lets a reader skip or
@@ -731,12 +715,16 @@ mod tests {
     }
 
     #[test]
-    fn tuple_batches_roundtrip() {
+    fn tuples_roundtrip() {
         let ts = vec![tuple![1, "a", 2.5], tuple![], tuple![Value::Null, 7]];
         let mut buf = Vec::new();
-        put_tuples(&mut buf, &ts);
+        for t in &ts {
+            put_tuple(&mut buf, t);
+        }
         let mut r = Reader::new(&buf);
-        assert_eq!(get_tuples(&mut r).unwrap(), ts);
+        for t in &ts {
+            assert_eq!(&get_tuple(&mut r).unwrap(), t);
+        }
         r.finish().unwrap();
     }
 
@@ -797,7 +785,9 @@ mod tests {
         let mut columnar = Vec::new();
         put_chunk(&mut columnar, &chunk);
         let mut rowwise = Vec::new();
-        put_tuples(&mut rowwise, &ts);
+        for t in &ts {
+            put_tuple(&mut rowwise, t);
+        }
         assert!(
             columnar.len() < rowwise.len(),
             "columnar {} bytes should beat row-wise {} bytes",
@@ -857,14 +847,14 @@ mod tests {
 
     #[test]
     fn corrupt_element_count_rejected_before_allocation() {
-        // A 12-byte payload claiming 268M tuples: every element costs at
+        // A 12-byte payload claiming 268M values: every element costs at
         // least one byte, so the count must fail immediately (no
         // multi-gigabyte Vec::with_capacity).
         let mut buf = Vec::new();
         put_u32(&mut buf, 268_435_455);
         buf.extend_from_slice(&[0u8; 8]);
         let mut r = Reader::new(&buf);
-        assert!(matches!(get_tuples(&mut r), Err(SquallError::Codec(_))));
+        assert!(matches!(get_tuple(&mut r), Err(SquallError::Codec(_))));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub enum SquallError {
     MemoryOverflow { machine: usize, stored: usize, budget: usize },
     /// The runtime failed (channel disconnect, worker panic, ...).
     Runtime(String),
-    /// An I/O error (spill store, cluster sockets).
+    /// An I/O error (cluster sockets).
     Io(String),
     /// A wire frame could not be encoded or decoded (TCP transport).
     Codec(String),

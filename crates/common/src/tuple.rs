@@ -68,21 +68,6 @@ impl Tuple {
     pub fn key(&self, cols: &[usize]) -> Vec<Value> {
         cols.iter().map(|&c| self.values[c].clone()).collect()
     }
-
-    /// Approximate heap footprint in bytes, used by memory budgets and the
-    /// spill store. Counts inline enum size plus string payloads.
-    pub fn approx_bytes(&self) -> usize {
-        let inline = self.values.len() * std::mem::size_of::<Value>();
-        let strings: usize = self
-            .values
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => s.len(),
-                _ => 0,
-            })
-            .sum();
-        inline + strings + std::mem::size_of::<Self>()
-    }
 }
 
 impl fmt::Debug for Tuple {
@@ -162,13 +147,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(fx_hash(&a), fx_hash(&b));
         assert_ne!(a, tuple![1, "y"]);
-    }
-
-    #[test]
-    fn approx_bytes_counts_strings() {
-        let short = tuple![1];
-        let long = tuple!["aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"];
-        assert!(long.approx_bytes() > short.approx_bytes());
     }
 
     #[test]

@@ -319,21 +319,21 @@ pub(crate) struct Assembled {
     pub(crate) ctx: RunContext,
 }
 
-/// Translate a multi-way join query into a runnable topology (the
-/// Squall-to-Storm translation of Figure 1), shared by the collect-all,
-/// streaming and distributed execution paths (workers rebuild the very
-/// same topology from a shipped [`crate::cluster::JobSpec`] with empty
-/// data — their spout tasks live on the coordinator).
-pub(crate) fn assemble(
+/// The plan checks both assemblers ([`assemble`] and
+/// [`crate::standing::assemble_standing`]) run before building anything:
+/// one data stream per relation, and a window plan that is bounded and
+/// names an in-range event-time column for every relation. A plan that
+/// fails here would otherwise panic a task inside its bolt factory.
+pub(crate) fn validate_plan(
     spec: &MultiJoinSpec,
-    data: Vec<Vec<Tuple>>,
+    n_streams: usize,
     cfg: &MultiwayConfig,
-) -> Result<Assembled> {
-    if data.len() != spec.n_relations() {
+) -> Result<()> {
+    if n_streams != spec.n_relations() {
         return Err(SquallError::InvalidPlan(format!(
             "{} relations but {} data streams",
             spec.n_relations(),
-            data.len()
+            n_streams
         )));
     }
     if let Some(w) = &cfg.window {
@@ -360,6 +360,20 @@ pub(crate) fn assemble(
             }
         }
     }
+    Ok(())
+}
+
+/// Translate a multi-way join query into a runnable topology (the
+/// Squall-to-Storm translation of Figure 1), shared by the collect-all,
+/// streaming and distributed execution paths (workers rebuild the very
+/// same topology from a shipped [`crate::cluster::JobSpec`] with empty
+/// data — their spout tasks live on the coordinator).
+pub(crate) fn assemble(
+    spec: &MultiJoinSpec,
+    data: Vec<Vec<Tuple>>,
+    cfg: &MultiwayConfig,
+) -> Result<Assembled> {
+    validate_plan(spec, data.len(), cfg)?;
     let scheme: Arc<HypercubeScheme> =
         Arc::new(build_scheme(cfg.scheme, spec, cfg.machines, cfg.seed)?);
     let scheme_description = scheme.describe();
@@ -434,13 +448,7 @@ pub(crate) fn assemble(
                 }
                 bolt
             }
-            None => crate::operators::JoinBolt::new(
-                task,
-                origin_to_rel,
-                local_join,
-                spec_for_bolt.n_relations(),
-                emit,
-            ),
+            None => crate::operators::JoinBolt::new(task, origin_to_rel, local_join, emit),
         };
         if let Some(budget) = budget {
             bolt = bolt.with_budget(budget);
@@ -497,11 +505,7 @@ pub(crate) fn assemble(
             }
             None => {
                 let node = b.add_bolt("agg", agg.parallelism, move |_task| {
-                    Box::new(crate::operators::AggBolt::new(
-                        group_cols.clone(),
-                        aggs.clone(),
-                        false,
-                    ))
+                    Box::new(crate::operators::AggBolt::new(group_cols.clone(), aggs.clone()))
                 });
                 // Group-key partitioning; a global grouping if no keys.
                 let grouping = if agg.group_cols.is_empty() {

@@ -133,9 +133,13 @@ pub enum JoinEmit {
     CountOnly,
 }
 
-/// Exactly-once ownership predicate for range schemes:
-/// `f(relation_of_last_arrival, result) -> keep`.
-pub type OwnerFilter = Box<dyn Fn(usize, &Tuple) -> bool + Send>;
+/// The local join of one task: bare for full-history queries, behind the
+/// event-time window (with each relation's timestamp column, in the bolt's
+/// input coordinates) for windowed ones.
+enum TaskJoin {
+    Full(Box<dyn LocalJoin>),
+    Windowed { join: WindowJoin<Box<dyn LocalJoin>>, ts_cols: Vec<usize> },
+}
 
 /// The distributed join task: one [`LocalJoin`] instance per machine
 /// (task), fed by the partitioning scheme's groupings. With a hypercube
@@ -144,24 +148,16 @@ pub type OwnerFilter = Box<dyn Fn(usize, &Tuple) -> bool + Send>;
 pub struct JoinBolt {
     /// Maps the upstream node that emitted a tuple to its relation index.
     origin_to_rel: FxHashMap<NodeId, usize>,
-    join: WindowJoin<Box<dyn LocalJoin>>,
-    /// `tuple[ts_cols[rel]]` supplies the window timestamp; empty for
-    /// full-history semantics (timestamps then count arrivals).
-    ts_cols: Vec<Option<usize>>,
-    arrivals: u64,
+    join: TaskJoin,
     emit: JoinEmit,
     /// Per-machine stored-tuple budget (the §7.3 memory-overflow
     /// experiments); `None` = unlimited.
     budget: Option<usize>,
-    /// Optional exactly-once ownership filter for range schemes (M-Bucket
-    /// / EWH assign *cells*, so a machine owning several cells of a row
-    /// must keep only the pairs it owns).
-    owner_filter: Option<OwnerFilter>,
     machine: usize,
     buf: Vec<Tuple>,
     wbuf: Vec<(Tuple, i64)>,
     results: u64,
-    /// Event-time mode with a windowed aggregate downstream: forward the
+    /// Windowed join with a windowed aggregate downstream: forward the
     /// bolt's watermark whenever it advances by at least this granule
     /// (plus a final `u64::MAX` at end-of-stream). `None` = no forwarding.
     wm_granule: Option<u64>,
@@ -170,22 +166,17 @@ pub struct JoinBolt {
 }
 
 impl JoinBolt {
-    /// A full-history join bolt.
-    pub fn new(
+    fn with_join(
         machine: usize,
         origin_to_rel: FxHashMap<NodeId, usize>,
-        join: Box<dyn LocalJoin>,
-        n_relations: usize,
+        join: TaskJoin,
         emit: JoinEmit,
     ) -> JoinBolt {
         JoinBolt {
             origin_to_rel,
-            join: WindowJoin::new(join, n_relations, WindowSpec::FullHistory),
-            ts_cols: vec![None; n_relations],
-            arrivals: 0,
+            join,
             emit,
             budget: None,
-            owner_filter: None,
             machine,
             buf: Vec::new(),
             wbuf: Vec::new(),
@@ -193,6 +184,16 @@ impl JoinBolt {
             wm_granule: None,
             next_wm: 0,
         }
+    }
+
+    /// A full-history join bolt.
+    pub fn new(
+        machine: usize,
+        origin_to_rel: FxHashMap<NodeId, usize>,
+        join: Box<dyn LocalJoin>,
+        emit: JoinEmit,
+    ) -> JoinBolt {
+        JoinBolt::with_join(machine, origin_to_rel, TaskJoin::Full(join), emit)
     }
 
     /// A windowed join bolt under *event-time* semantics: `ts_cols[rel]`
@@ -211,21 +212,8 @@ impl JoinBolt {
         ts_cols: Vec<usize>,
         arities: &[usize],
     ) -> JoinBolt {
-        JoinBolt {
-            origin_to_rel,
-            join: WindowJoin::event_time(join, spec, arities, &ts_cols),
-            ts_cols: ts_cols.into_iter().map(Some).collect(),
-            arrivals: 0,
-            emit,
-            budget: None,
-            owner_filter: None,
-            machine,
-            buf: Vec::new(),
-            wbuf: Vec::new(),
-            results: 0,
-            wm_granule: None,
-            next_wm: 0,
-        }
+        let join = WindowJoin::event_time(join, spec, arities, &ts_cols);
+        JoinBolt::with_join(machine, origin_to_rel, TaskJoin::Windowed { join, ts_cols }, emit)
     }
 
     /// Forward this task's event-time watermark downstream whenever it
@@ -233,23 +221,19 @@ impl JoinBolt {
     /// watermark at end-of-stream. Windowed aggregation downstream closes
     /// windows on the minimum forwarded watermark across all join tasks;
     /// the granule throttles how often scatter buffers are flushed for a
-    /// watermark (one window length is the natural choice). Event-time
+    /// watermark (one window length is the natural choice). Windowed
     /// bolts only.
     pub fn with_watermark_forwarding(mut self, granule: u64) -> JoinBolt {
-        assert!(self.join.is_event_time(), "watermark forwarding needs event-time windows");
+        assert!(
+            matches!(self.join, TaskJoin::Windowed { .. }),
+            "watermark forwarding needs event-time windows"
+        );
         self.wm_granule = Some(granule.max(1));
         self
     }
 
     pub fn with_budget(mut self, budget: usize) -> JoinBolt {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Exactly-once filter: `f(relation_of_last_arrival, result)` must
-    /// return true for the bolt to emit (range-scheme cell ownership).
-    pub fn with_owner_filter(mut self, f: OwnerFilter) -> JoinBolt {
-        self.owner_filter = Some(f);
         self
     }
 
@@ -268,40 +252,34 @@ impl JoinBolt {
     /// per-tuple body shared by [`Bolt::execute`] and the chunked path
     /// (which resolves the relation once per chunk).
     fn step(&mut self, rel: usize, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        self.arrivals += 1;
-        let ts = match self.ts_cols[rel] {
-            Some(c) => tuple.get(c).as_int()? as u64,
-            None => self.arrivals,
-        };
-        if self.emit == JoinEmit::CountOnly
-            && self.owner_filter.is_none()
-            && !self.join.is_event_time()
-        {
-            // Weighted fast path: aggregated DBToaster views report
-            // (tuple, multiplicity) deltas without materializing hot-key
-            // outputs (§3.3).
-            self.wbuf.clear();
-            self.join.insert_weighted(rel, ts, &tuple, &mut self.wbuf);
-            self.results += self.wbuf.iter().map(|(_, m)| *m.max(&0) as u64).sum::<u64>();
-        } else {
-            self.buf.clear();
-            self.join.insert(rel, ts, &tuple, &mut self.buf);
-            if let Some(filter) = &self.owner_filter {
-                self.buf.retain(|t| filter(rel, t));
+        self.buf.clear();
+        match &mut self.join {
+            TaskJoin::Full(join) if self.emit == JoinEmit::CountOnly => {
+                // Weighted fast path: aggregated DBToaster views report
+                // (tuple, multiplicity) deltas without materializing hot-key
+                // outputs (§3.3).
+                self.wbuf.clear();
+                join.insert_weighted(rel, &tuple, &mut self.wbuf);
+                self.results += self.wbuf.iter().map(|(_, m)| *m.max(&0) as u64).sum::<u64>();
             }
-            self.results += self.buf.len() as u64;
-            if self.emit == JoinEmit::Results {
-                for t in self.buf.drain(..) {
-                    out.emit(t);
-                }
+            TaskJoin::Full(join) => join.insert(rel, &tuple, &mut self.buf),
+            TaskJoin::Windowed { join, ts_cols } => {
+                let ts = tuple.get(ts_cols[rel]).as_int()? as u64;
+                join.insert(rel, ts, &tuple, &mut self.buf);
             }
         }
-        if let Some(granule) = self.wm_granule {
+        self.results += self.buf.len() as u64;
+        if self.emit == JoinEmit::Results {
+            for t in self.buf.drain(..) {
+                out.emit(t);
+            }
+        }
+        if let (Some(granule), TaskJoin::Windowed { join, .. }) = (self.wm_granule, &self.join) {
             // Watermark forwarding: the results emitted above all carry
             // event time ≥ the bolt's watermark, so promising it downstream
             // is safe; the granule batches promises so buffers are not
             // flushed on every arrival.
-            if let Some(w) = self.join.watermark() {
+            if let Some(w) = join.watermark() {
                 if w >= self.next_wm {
                     out.emit_watermark(w);
                     self.next_wm = w.saturating_add(granule);
@@ -309,7 +287,10 @@ impl JoinBolt {
             }
         }
         if let Some(budget) = self.budget {
-            let stored = self.join.inner().stored();
+            let stored = match &self.join {
+                TaskJoin::Full(join) => join.stored(),
+                TaskJoin::Windowed { join, .. } => join.inner().stored(),
+            };
             if stored > budget {
                 return Err(SquallError::MemoryOverflow { machine: self.machine, stored, budget });
             }
@@ -355,26 +336,21 @@ impl Bolt for JoinBolt {
     }
 }
 
-/// The aggregation task: online (emit the refreshed group row on every
-/// update — full-history IVM semantics) or final (emit the snapshot at
-/// end-of-stream, the mode batch-style tests and benches use).
+/// The aggregation task: folds every join result into its group and emits
+/// the snapshot at end-of-stream.
 pub struct AggBolt {
     agg: GroupByAggregator,
-    online: bool,
 }
 
 impl AggBolt {
-    pub fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>, online: bool) -> AggBolt {
-        AggBolt { agg: GroupByAggregator::new(group_cols, aggs), online }
+    pub fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggBolt {
+        AggBolt { agg: GroupByAggregator::new(group_cols, aggs) }
     }
 }
 
 impl Bolt for AggBolt {
-    fn execute(&mut self, _origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        let row = self.agg.update(&tuple)?;
-        if self.online {
-            out.emit(row);
-        }
+    fn execute(&mut self, _origin: NodeId, tuple: Tuple, _out: &mut OutputCollector) -> Result<()> {
+        self.agg.update(&tuple)?;
         Ok(())
     }
 
@@ -382,23 +358,16 @@ impl Bolt for AggBolt {
         &mut self,
         _origin: NodeId,
         chunk: &Chunk,
-        out: &mut OutputCollector,
+        _out: &mut OutputCollector,
     ) -> Result<()> {
-        if self.online {
-            let mut emit = |row: Tuple| out.emit(row);
-            self.agg.update_chunk(chunk, Some(&mut emit))
-        } else {
-            // Final-mode aggregation never looks at the per-update output
-            // rows, so the chunked path skips building them entirely.
-            self.agg.update_chunk(chunk, None)
-        }
+        // Nothing reads the per-update output rows, so the chunked path
+        // skips building them entirely.
+        self.agg.update_chunk(chunk, None)
     }
 
     fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
-        if !self.online {
-            for row in self.agg.snapshot() {
-                out.emit(row);
-            }
+        for row in self.agg.snapshot() {
+            out.emit(row);
         }
         Ok(())
     }

@@ -150,7 +150,7 @@ pub fn run_pipeline(
                 let mut map = FxHashMap::default();
                 map.insert(prev, 0usize);
                 map.insert(next_src, 1usize);
-                Box::new(JoinBolt::new(task, map, join, 2, emit))
+                Box::new(JoinBolt::new(task, map, join, emit))
             },
         );
         match one_bucket {

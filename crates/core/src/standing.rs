@@ -66,7 +66,7 @@ use crate::checkpoint::{
     ROLE_SINK,
 };
 use crate::cluster::{boot_coordinator, ClusterSpec};
-use crate::driver::{JoinReport, MaintenanceStats, MultiwayConfig};
+use crate::driver::{validate_plan, JoinReport, MaintenanceStats, MultiwayConfig};
 
 /// How long a synchronous checkpoint round waits for all blobs before
 /// proceeding with a partial checkpoint (recovery then falls back to the
@@ -822,27 +822,7 @@ pub fn assemble_standing(
     restore: Option<Arc<RestoreState>>,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
 ) -> Result<(Topology, Vec<Arc<LiveQueue>>, StandingLayout)> {
-    if data.len() != spec.n_relations() {
-        return Err(SquallError::InvalidPlan(format!(
-            "{} relations but {} data streams",
-            spec.n_relations(),
-            data.len()
-        )));
-    }
-    if let Some(w) = &cfg.window {
-        if matches!(w.spec, WindowSpec::FullHistory) {
-            return Err(SquallError::InvalidPlan(
-                "a window plan must be tumbling or sliding (FullHistory = no window)".into(),
-            ));
-        }
-        if w.ts_cols.len() != spec.n_relations() {
-            return Err(SquallError::InvalidPlan(format!(
-                "window plan names {} ts columns for {} relations",
-                w.ts_cols.len(),
-                spec.n_relations()
-            )));
-        }
-    }
+    validate_plan(spec, data.len(), cfg)?;
     let mut b = TopologyBuilder::new().batch_size(cfg.batch_size.max(1));
     if let Some(workers) = cfg.worker_threads {
         b = b.worker_threads(workers);

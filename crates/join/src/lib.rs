@@ -21,15 +21,14 @@
 //! Both implement [`LocalJoin`], so any partitioning scheme can be paired
 //! with either (the separation of concerns behind the HyLD operator,
 //! §3.4). The crate also provides the aggregate operators (SUM / COUNT /
-//! AVG with GROUP BY, §2), window semantics (tumbling and sliding windows
-//! "by adding the window expiration logic on top of the full-history
-//! engine", §2) and the BerkeleyDB-replacement [`spill::SpillStore`].
+//! AVG with GROUP BY, §2) and window semantics (tumbling and sliding
+//! windows "by adding the window expiration logic on top of the
+//! full-history engine", §2).
 
 pub mod agg;
 pub mod dbtoaster;
 pub mod naive;
 pub mod snapshot;
-pub mod spill;
 pub mod traditional;
 pub mod views;
 pub mod window;
@@ -38,7 +37,6 @@ pub use agg::{AggSpec, GroupByAggregator};
 pub use dbtoaster::DBToasterJoin;
 pub use naive::naive_join;
 pub use snapshot::Snapshot;
-pub use spill::SpillStore;
 pub use traditional::TraditionalJoin;
 pub use window::{output_ts_cols, WindowJoin, WindowSpec};
 

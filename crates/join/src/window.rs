@@ -6,26 +6,19 @@
 //! full-history engine." — [`WindowJoin`] wraps any [`LocalJoin`], buffers
 //! `(timestamp, tuple)` pairs per relation, and removes expired state.
 //!
-//! Two modes:
-//!
-//! * **Arrival-order** ([`WindowJoin::new`]) — the classic "expire before
-//!   insert" construction. Correct when insertions carry globally
-//!   non-decreasing timestamps (a single merged in-order stream); results
-//!   are exactly the input combinations co-resident in the window.
-//! * **Event-time** ([`WindowJoin::event_time`]) — the mode the distributed
-//!   planner uses. Each relation's tuples *carry* their timestamp as a
-//!   column, per-relation arrival is timestamp-ordered, but relations may
-//!   interleave arbitrarily (independent spouts). Eviction is driven by the
-//!   *watermark* (the minimum of the per-relation timestamp frontiers), so
-//!   a tuple is only dropped once no future arrival can fall in its window,
-//!   and each emitted result is filtered by the window predicate over its
-//!   constituent timestamps. The produced result set is therefore a pure
-//!   function of the timestamped inputs — deterministic under any
-//!   cross-relation interleaving:
-//!   * sliding `size`: `max(ts) − min(ts) ≤ size`;
-//!   * tumbling `width`: all constituents in the same bucket `⌊ts/width⌋`
-//!     (so a tuple with timestamp exactly `k·width` opens window `k` and
-//!     never joins window `k−1` state).
+//! Semantics are **event-time**: each relation's tuples *carry* their
+//! timestamp as a column, per-relation arrival is timestamp-ordered, but
+//! relations may interleave arbitrarily (independent spouts). Eviction is
+//! driven by the *watermark* (the minimum of the per-relation timestamp
+//! frontiers), so a tuple is only dropped once no future arrival can fall
+//! in its window, and each emitted result is filtered by the window
+//! predicate over its constituent timestamps. The produced result set is
+//! therefore a pure function of the timestamped inputs — deterministic
+//! under any cross-relation interleaving:
+//! * sliding `size`: `max(ts) − min(ts) ≤ size`;
+//! * tumbling `width`: all constituents in the same bucket `⌊ts/width⌋`
+//!   (so a tuple with timestamp exactly `k·width` opens window `k` and
+//!   never joins window `k−1` state).
 
 use std::collections::VecDeque;
 
@@ -72,83 +65,48 @@ pub struct WindowJoin<J: LocalJoin> {
     /// relation, as produced by event-time-ordered spouts and the
     /// runtime's ordered channels).
     live: Vec<VecDeque<(u64, Tuple)>>,
-    /// Arrival-order tumbling only: the current window's index.
-    current_window: u64,
-    /// Event-time mode: the timestamp position of each relation in the
-    /// join *output* tuple (results are concatenated in relation order).
-    out_ts_cols: Option<Vec<usize>>,
-    /// Event-time mode: newest timestamp seen per relation.
+    /// The timestamp position of each relation in the join *output* tuple
+    /// (results are concatenated in relation order).
+    out_ts_cols: Vec<usize>,
+    /// Newest timestamp seen per relation.
     frontier: Vec<Option<u64>>,
     scratch: Vec<Tuple>,
     wscratch: Vec<(Tuple, i64)>,
 }
 
 impl<J: LocalJoin> WindowJoin<J> {
-    /// Arrival-order mode: correct when `insert` timestamps are globally
-    /// non-decreasing across all relations.
-    pub fn new(inner: J, n_relations: usize, spec: WindowSpec) -> WindowJoin<J> {
-        WindowJoin {
-            inner,
-            spec,
-            live: (0..n_relations).map(|_| VecDeque::new()).collect(),
-            current_window: 0,
-            out_ts_cols: None,
-            frontier: Vec::new(),
-            scratch: Vec::new(),
-            wscratch: Vec::new(),
-        }
-    }
-
-    /// Event-time mode: deterministic window semantics for independently
-    /// interleaving relations. `arities[rel]` is each relation's tuple
-    /// width and `ts_cols[rel]` the timestamp column *within* that
-    /// relation; both the inserted tuples and the emitted results must
-    /// carry Int, non-negative timestamps there (the planner validates
-    /// this before execution).
+    /// `arities[rel]` is each relation's tuple width and `ts_cols[rel]`
+    /// the timestamp column *within* that relation; both the inserted
+    /// tuples and the emitted results must carry Int, non-negative
+    /// timestamps there (the planner validates this before execution).
     pub fn event_time(
         inner: J,
         spec: WindowSpec,
         arities: &[usize],
         ts_cols: &[usize],
     ) -> WindowJoin<J> {
-        let out_ts = output_ts_cols(arities, ts_cols);
         WindowJoin {
             inner,
             spec,
             live: (0..arities.len()).map(|_| VecDeque::new()).collect(),
-            current_window: 0,
-            out_ts_cols: Some(out_ts),
+            out_ts_cols: output_ts_cols(arities, ts_cols),
             frontier: vec![None; arities.len()],
             scratch: Vec::new(),
             wscratch: Vec::new(),
         }
     }
 
-    /// Is this join running under event-time (watermark) semantics?
-    pub fn is_event_time(&self) -> bool {
-        self.out_ts_cols.is_some()
-    }
-
-    /// Insert a timestamped tuple; expired state is evicted first and, in
-    /// event-time mode, emitted results are filtered by the window
-    /// predicate — so `out` receives exactly the in-window joins.
-    /// Arrival-order tumbling drops a straggler from an already-closed
-    /// window (it neither joins nor is stored).
+    /// Insert a timestamped tuple; expired state is evicted first and
+    /// emitted results are filtered by the window predicate — so `out`
+    /// receives exactly the in-window joins.
     pub fn insert(&mut self, rel: usize, ts: u64, tuple: &Tuple, out: &mut Vec<Tuple>) {
-        if !self.expire(rel, ts) {
-            return;
-        }
+        self.expire(rel, ts);
         self.live[rel].push_back((ts, tuple.clone()));
-        match &self.out_ts_cols {
-            None => self.inner.insert(rel, tuple, out),
-            Some(cols) => {
-                let mut buf = std::mem::take(&mut self.scratch);
-                buf.clear();
-                self.inner.insert(rel, tuple, &mut buf);
-                out.extend(buf.drain(..).filter(|t| in_window(self.spec, cols, t)));
-                self.scratch = buf;
-            }
-        }
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        self.inner.insert(rel, tuple, &mut buf);
+        out.extend(buf.drain(..).filter(|t| in_window(self.spec, &self.out_ts_cols, t)));
+        self.scratch = buf;
     }
 
     /// Weighted-result variant (see [`LocalJoin::insert_weighted`]).
@@ -159,100 +117,48 @@ impl<J: LocalJoin> WindowJoin<J> {
         tuple: &Tuple,
         out: &mut Vec<(Tuple, i64)>,
     ) {
-        if !self.expire(rel, ts) {
-            return;
-        }
+        self.expire(rel, ts);
         self.live[rel].push_back((ts, tuple.clone()));
-        match &self.out_ts_cols {
-            None => self.inner.insert_weighted(rel, tuple, out),
-            Some(cols) => {
-                let mut buf = std::mem::take(&mut self.wscratch);
-                buf.clear();
-                self.inner.insert_weighted(rel, tuple, &mut buf);
-                out.extend(buf.drain(..).filter(|(t, _)| in_window(self.spec, cols, t)));
-                self.wscratch = buf;
-            }
-        }
+        let mut buf = std::mem::take(&mut self.wscratch);
+        buf.clear();
+        self.inner.insert_weighted(rel, tuple, &mut buf);
+        out.extend(buf.drain(..).filter(|(t, _)| in_window(self.spec, &self.out_ts_cols, t)));
+        self.wscratch = buf;
     }
 
-    /// Evict expired state for an arrival at `now`; returns whether the
-    /// arriving tuple should be processed at all (false only for
-    /// arrival-order tumbling stragglers from an already-closed window).
-    fn expire(&mut self, rel: usize, now: u64) -> bool {
+    /// Advance relation `rel`'s frontier to `now` and evict by the
+    /// watermark — only tuples no *future* arrival (which must carry
+    /// ts ≥ watermark) can co-window with.
+    fn expire(&mut self, rel: usize, now: u64) {
         if matches!(self.spec, WindowSpec::FullHistory) {
-            return true;
+            return;
         }
-        if self.out_ts_cols.is_some() {
-            // Event-time: advance this relation's frontier and evict by
-            // the watermark — only tuples no *future* arrival (which must
-            // carry ts ≥ watermark) can co-window with.
-            self.frontier[rel] = Some(self.frontier[rel].map_or(now, |f| f.max(now)));
-            let Some(watermark) =
-                self.frontier.iter().copied().try_fold(u64::MAX, |m, f| f.map(|f| m.min(f)))
-            else {
-                return true; // some relation unseen: no safe eviction yet
-            };
-            let expired = |ts: u64| match self.spec {
-                WindowSpec::Sliding { size } => ts < watermark.saturating_sub(size),
-                WindowSpec::Tumbling { width } => ts / width < watermark / width,
-                WindowSpec::FullHistory => false,
-            };
-            for r in 0..self.live.len() {
-                while let Some(&(ts, _)) = self.live[r].front() {
-                    if expired(ts) {
-                        let (_, t) = self.live[r].pop_front().expect("front exists");
-                        self.inner.remove(r, &t);
-                    } else {
-                        break;
-                    }
-                }
-            }
-            return true;
-        }
-        // Arrival-order mode: `now` is the newest global timestamp.
-        match self.spec {
-            WindowSpec::FullHistory => {}
-            WindowSpec::Sliding { size } => {
-                let cutoff = now.saturating_sub(size);
-                for r in 0..self.live.len() {
-                    while let Some((ts, _)) = self.live[r].front() {
-                        if *ts < cutoff {
-                            let (_, t) = self.live[r].pop_front().expect("front exists");
-                            self.inner.remove(r, &t);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-            WindowSpec::Tumbling { width } => {
-                let win = now / width;
-                // A straggler from an already-closed window must neither
-                // wipe the current state nor join across the boundary:
-                // its window is gone, so the tuple is dropped.
-                if win < self.current_window {
-                    return false;
-                }
-                if win > self.current_window {
-                    for r in 0..self.live.len() {
-                        while let Some((_, t)) = self.live[r].pop_front() {
-                            self.inner.remove(r, &t);
-                        }
-                    }
-                    self.current_window = win;
+        self.frontier[rel] = Some(self.frontier[rel].map_or(now, |f| f.max(now)));
+        let Some(watermark) = self.watermark() else {
+            return; // some relation unseen: no safe eviction yet
+        };
+        let expired = |ts: u64| match self.spec {
+            WindowSpec::Sliding { size } => ts < watermark.saturating_sub(size),
+            WindowSpec::Tumbling { width } => ts / width < watermark / width,
+            WindowSpec::FullHistory => false,
+        };
+        for r in 0..self.live.len() {
+            while let Some(&(ts, _)) = self.live[r].front() {
+                if expired(ts) {
+                    let (_, t) = self.live[r].pop_front().expect("front exists");
+                    self.inner.remove(r, &t);
+                } else {
+                    break;
                 }
             }
         }
-        true
     }
 
     /// The event-time watermark: the minimum of the per-relation timestamp
     /// frontiers, i.e. the largest `w` such that every future arrival is
     /// guaranteed to carry a timestamp ≥ `w`. `None` until every relation
-    /// has been seen (no promise can be made yet) or in arrival-order /
-    /// full-history mode, which tracks no frontiers.
+    /// has been seen (no promise can be made yet).
     pub fn watermark(&self) -> Option<u64> {
-        self.out_ts_cols.as_ref()?;
         self.frontier.iter().copied().try_fold(u64::MAX, |m, f| f.map(|f| m.min(f)))
     }
 
@@ -274,7 +180,6 @@ impl<J: LocalJoin> Snapshot for WindowJoin<J> {
     /// the runtime's ordered channels make identical across runs of the
     /// same input prefix.
     fn snapshot_state(&self, buf: &mut Vec<u8>) {
-        codec::put_u64(buf, self.current_window);
         codec::put_u32(buf, self.live.len() as u32);
         for q in &self.live {
             codec::put_u32(buf, q.len() as u32);
@@ -296,7 +201,6 @@ impl<J: LocalJoin> Snapshot for WindowJoin<J> {
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        self.current_window = r.u64()?;
         let n_rel = r.len()?;
         let mut discard = Vec::new();
         for rel in 0..n_rel {
@@ -356,18 +260,7 @@ mod tests {
     use squall_common::{tuple, DataType, Schema};
     use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
 
-    fn two_way() -> MultiJoinSpec {
-        MultiJoinSpec::new(
-            vec![
-                RelationDef::new("R", Schema::of(&[("a", DataType::Int)]), 0),
-                RelationDef::new("S", Schema::of(&[("a", DataType::Int)]), 0),
-            ],
-            vec![JoinAtom::eq(0, 0, 1, 0)],
-        )
-        .unwrap()
-    }
-
-    /// Two-way spec where each side is (key, ts) — for event-time tests.
+    /// Two-way spec where each side is (key, ts).
     fn two_way_ts() -> MultiJoinSpec {
         let s = Schema::of(&[("a", DataType::Int), ("ts", DataType::Int)]);
         MultiJoinSpec::new(
@@ -375,118 +268,6 @@ mod tests {
             vec![JoinAtom::eq(0, 0, 1, 0)],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn full_history_never_expires() {
-        let spec = two_way();
-        let mut w = WindowJoin::new(DBToasterJoin::new(&spec), 2, WindowSpec::FullHistory);
-        let mut out = Vec::new();
-        w.insert(0, 0, &tuple![1], &mut out);
-        w.insert(1, 1_000_000, &tuple![1], &mut out);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn sliding_window_expires_old_state() {
-        let spec = two_way();
-        let mut w = WindowJoin::new(DBToasterJoin::new(&spec), 2, WindowSpec::Sliding { size: 10 });
-        let mut out = Vec::new();
-        w.insert(0, 0, &tuple![1], &mut out);
-        // Within the window: matches.
-        w.insert(1, 5, &tuple![1], &mut out);
-        assert_eq!(out.len(), 1);
-        // Far in the future: the R tuple (ts 0) has expired.
-        out.clear();
-        w.insert(1, 100, &tuple![1], &mut out);
-        assert!(out.is_empty(), "expired tuple must not join");
-        // But the ts=5 S tuple expired too; new R at 101 only sees S@100.
-        out.clear();
-        w.insert(0, 101, &tuple![1], &mut out);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn sliding_window_matches_filter_oracle() {
-        // Oracle: (r, s) joins iff |ts_r − ts_s| ≤ size and keys match —
-        // checked over an interleaved stream.
-        let spec = two_way();
-        let size = 8u64;
-        let mut w = WindowJoin::new(TraditionalJoin::new(&spec), 2, WindowSpec::Sliding { size });
-        let mut rng = squall_common::SplitMix64::new(14);
-        let mut events: Vec<(usize, u64, Tuple)> = Vec::new();
-        let mut ts = 0u64;
-        for _ in 0..200 {
-            ts += rng.next_below(4) as u64;
-            events.push((rng.next_below(2), ts, tuple![rng.next_range(0, 5)]));
-        }
-        let mut online = Vec::new();
-        for (rel, ts, t) in &events {
-            w.insert(*rel, *ts, t, &mut online);
-        }
-        // The oracle counts unordered matching pairs within the window.
-        // (The eager eviction at insert time uses a strict cutoff; mirror
-        // it exactly.)
-        let mut expected = 0usize;
-        for (i, (rel_a, ts_a, a)) in events.iter().enumerate() {
-            for (rel_b, ts_b, b) in events.iter().take(i) {
-                if rel_a != rel_b && a == b && ts_a.saturating_sub(size) <= *ts_b {
-                    expected += 1;
-                }
-            }
-        }
-        assert_eq!(online.len(), expected);
-    }
-
-    #[test]
-    fn tumbling_window_resets_state() {
-        let spec = two_way();
-        let mut w =
-            WindowJoin::new(DBToasterJoin::new(&spec), 2, WindowSpec::Tumbling { width: 10 });
-        let mut out = Vec::new();
-        w.insert(0, 1, &tuple![1], &mut out);
-        w.insert(1, 5, &tuple![1], &mut out);
-        assert_eq!(out.len(), 1, "same window joins");
-        out.clear();
-        // ts 12 is in the next window: state was reset.
-        w.insert(1, 12, &tuple![1], &mut out);
-        assert!(out.is_empty());
-        assert_eq!(w.live_tuples(), 1);
-        // Same (new) window still joins.
-        w.insert(0, 13, &tuple![1], &mut out);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn tumbling_boundary_opens_new_window() {
-        // A tuple with timestamp exactly k·width belongs to window k and
-        // must NOT join window k−1 state.
-        let spec = two_way();
-        let mut w =
-            WindowJoin::new(DBToasterJoin::new(&spec), 2, WindowSpec::Tumbling { width: 10 });
-        let mut out = Vec::new();
-        w.insert(0, 9, &tuple![1], &mut out); // window 0
-        w.insert(1, 10, &tuple![1], &mut out); // exactly 1·width → window 1
-        assert!(out.is_empty(), "boundary tuple joined stale window state");
-        assert_eq!(w.live_tuples(), 1, "window-0 state evicted at the boundary");
-        // A second window-1 tuple does join.
-        w.insert(0, 10, &tuple![1], &mut out);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn tumbling_straggler_is_dropped_not_joined() {
-        let spec = two_way();
-        let mut w =
-            WindowJoin::new(DBToasterJoin::new(&spec), 2, WindowSpec::Tumbling { width: 10 });
-        let mut out = Vec::new();
-        w.insert(0, 21, &tuple![1], &mut out); // window 2
-        w.insert(1, 19, &tuple![1], &mut out); // straggler from closed window 1
-        assert!(out.is_empty(), "straggler joined across the window boundary");
-        assert_eq!(w.live_tuples(), 1, "straggler must not be stored");
-        // Window-2 state must have survived the straggler.
-        w.insert(1, 22, &tuple![1], &mut out);
-        assert_eq!(out.len(), 1, "straggler wiped the current window");
     }
 
     #[test]
@@ -616,17 +397,5 @@ mod tests {
         }
         assert!(w.live_tuples() <= 10, "live {} should be ≈ window size", w.live_tuples());
         assert!(w.inner().stored() <= 20, "inner state must stay bounded");
-    }
-
-    #[test]
-    fn window_keeps_inner_state_bounded() {
-        let spec = two_way();
-        let mut w = WindowJoin::new(DBToasterJoin::new(&spec), 2, WindowSpec::Sliding { size: 5 });
-        let mut out = Vec::new();
-        for ts in 0..1000u64 {
-            w.insert((ts % 2) as usize, ts, &tuple![(ts % 7) as i64], &mut out);
-        }
-        assert!(w.live_tuples() <= 8, "live {} should be ≈ window size", w.live_tuples());
-        assert!(w.inner().stored() <= 16, "inner state must stay bounded");
     }
 }

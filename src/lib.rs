@@ -22,7 +22,7 @@
 //! | [`expr`] | scalar expressions, join conditions, multi-way join specs |
 //! | [`runtime`] | the Storm-substitute: topologies, spouts/bolts, groupings |
 //! | [`partition`] | Hash-/Random-/**Hybrid**-Hypercube, 1-Bucket, M-Bucket, EWH, adaptive resizing |
-//! | [`join`] | traditional & DBToaster local joins, aggregates, windows, spill |
+//! | [`join`] | traditional & DBToaster local joins, aggregates, windows |
 //! | [`engine`] | HyLD operator, execution driver, pipelines, recovery |
 //! | [`plan`] | logical plans, optimizer, executor (the functional interface) |
 //! | [`sql`] | the SQL interface |

@@ -484,24 +484,4 @@ proptest! {
             for h in handles { h.join().unwrap(); }
         }
     }
-
-    #[test]
-    fn spill_store_roundtrips(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(-1000i64..1000, 1..5), 0..60),
-        budget in 0usize..2000,
-    ) {
-        use squall::join::SpillStore;
-        let tuples: Vec<Tuple> = rows
-            .iter()
-            .map(|vals| Tuple::new(vals.iter().map(|&v| Value::Int(v)).collect()))
-            .collect();
-        let mut store = SpillStore::new(budget);
-        for t in &tuples {
-            store.push(t.clone()).unwrap();
-        }
-        prop_assert_eq!(store.len(), tuples.len());
-        let back = store.scan().unwrap();
-        prop_assert!(same_multiset(&back, &tuples));
-    }
 }

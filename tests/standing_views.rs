@@ -152,6 +152,43 @@ fn windowed_stream_view_extends_incrementally() {
     s.drop_view("w").unwrap();
 }
 
+#[test]
+fn standing_plan_with_out_of_range_ts_column_is_a_typed_error() {
+    // What a worker assembles from a shipped standing `JobSpec` whose
+    // window names a column its relations do not have (arity 2, column 2).
+    // Unchecked, the `output_ts_cols` assert inside the join bolt factory
+    // panics the task instead of failing the launch.
+    use squall::engine::driver::WindowPlan;
+    use squall::engine::{launch_standing, LocalJoinKind, MultiwayConfig, ViewPlan, ViewShared};
+    use squall::expr::{JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
+    use squall::join::WindowSpec;
+    use squall::partition::optimizer::SchemeKind;
+
+    let schema = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
+    let spec = MultiJoinSpec::new(
+        vec![RelationDef::new("A", schema.clone(), 1), RelationDef::new("B", schema, 1)],
+        vec![JoinAtom::eq(0, 0, 1, 0)],
+    )
+    .unwrap();
+    let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2)
+        .with_window(WindowPlan { spec: WindowSpec::Tumbling { width: 10 }, ts_cols: vec![1, 2] });
+    cfg.standing = true;
+    let view = ViewPlan {
+        group_cols: vec![],
+        aggs: vec![],
+        is_aggregate: false,
+        having: None,
+        finalize: (0..4).map(ScalarExpr::col).collect(),
+        emit_empty_agg: false,
+        windowed: None,
+    };
+    let data = vec![vec![tuple![1, 10]], vec![tuple![1, 11]]];
+    let err = launch_standing(&spec, data, &cfg, view, std::sync::Arc::new(ViewShared::new()))
+        .err()
+        .expect("an out-of-range ts column must be rejected");
+    assert!(matches!(err, squall::common::SquallError::InvalidPlan(_)), "{err}");
+}
+
 /// One random mutation per step: append a random row to R or S, or
 /// retract a random still-present base row. Returns the row so the
 /// shadow tables stay in sync.
