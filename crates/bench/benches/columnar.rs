@@ -1,8 +1,8 @@
 //! Columnar data-plane microbenchmarks: specialized Int key hashing vs
-//! the generic `Value` hasher, the columnar chunk codec vs the row
-//! codec, and the vectorized windowed-aggregation insert kernel vs its
-//! per-row fallback — with regression guards asserting each specialized
-//! path stays at least as fast as its generic counterpart.
+//! the generic `Value` hasher (with a regression guard asserting the
+//! specialized path stays at least as fast), and the columnar chunk codec
+//! vs the row codec. The windowed-aggregation insert kernel is measured
+//! by `squall-bench` (`core.window_insert_tps`).
 
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
@@ -11,8 +11,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use squall_common::codec::{self, Reader};
 use squall_common::hash::{hash_i64_keys, FxHasher};
 use squall_common::{Chunk, SplitMix64, Tuple, Value};
-use squall_core::WindowedAggBolt;
-use squall_join::{AggSpec, WindowSpec};
 
 const KEYS: usize = 1 << 16;
 
@@ -119,77 +117,6 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.finish();
-
-    // Windowed-aggregation insert: the vectorized chunk kernel
-    // (column-at-a-time window bounds, once-per-chunk aggregate inputs,
-    // scratch-buffer group keys) vs the per-row fallback that
-    // materializes a tuple and re-derives everything row by row.
-    let mut ts = 0i64;
-    let rows: Vec<Tuple> = (0..KEYS)
-        .map(|_| {
-            ts += rng.next_range(0, 2);
-            Tuple::new(vec![Value::Int(rng.next_range(0, 64)), Value::Int(ts)])
-        })
-        .collect();
-    let agg_chunks: Vec<Chunk> = rows.chunks(1024).map(Chunk::from_tuples).collect();
-    let make_bolt = || {
-        WindowedAggBolt::new(
-            WindowSpec::Tumbling { width: 512 },
-            vec![1],
-            vec![0],
-            vec![AggSpec::count(), AggSpec::sum_col(1)],
-            1,
-        )
-    };
-    let row_insert = || {
-        let mut agg = make_bolt();
-        for t in &rows {
-            agg.insert_row(t).expect("row insert");
-        }
-        let mut out = Vec::new();
-        agg.close_into(u64::MAX, &mut out);
-        out
-    };
-    let chunk_insert = || {
-        let mut agg = make_bolt();
-        for c in &agg_chunks {
-            agg.insert_chunk(c).expect("chunk insert");
-        }
-        let mut out = Vec::new();
-        agg.close_into(u64::MAX, &mut out);
-        out
-    };
-    assert_eq!(row_insert(), chunk_insert(), "kernel must match the row path exactly");
-
-    let mut g = c.benchmark_group("windowed_agg_insert_64k_rows");
-    g.sample_size(10);
-    g.bench_function("per_row_fallback", |b| b.iter(|| std::hint::black_box(row_insert())));
-    g.bench_function("vectorized_kernel", |b| b.iter(|| std::hint::black_box(chunk_insert())));
-    g.finish();
-
-    // Regression guard: the vectorized windowed-insert kernel must stay
-    // ahead of the per-row fallback (best-of-5, 10% noise headroom).
-    let row_best = (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(row_insert());
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    let chunk_best = (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(chunk_insert());
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    println!("guard: per-row {:?} vs vectorized {:?} over {KEYS} rows", row_best, chunk_best);
-    assert!(
-        chunk_best.as_secs_f64() <= row_best.as_secs_f64() * 1.10,
-        "vectorized windowed insert regressed: {chunk_best:?} vs per-row {row_best:?}"
-    );
 }
 
 criterion_group!(benches, bench);

@@ -27,6 +27,8 @@
 //! [`squall_runtime::plan_placement`].
 
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::Sender;
+use std::time::Duration;
 
 use squall_common::codec::{self, Reader};
 use squall_common::{DataType, Field, Result, Schema, SquallError};
@@ -34,8 +36,12 @@ use squall_expr::join_cond::CmpOp;
 use squall_expr::{AggFunc, BinOp, JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
 use squall_join::{AggSpec, WindowSpec};
 use squall_partition::optimizer::SchemeKind;
-use squall_runtime::{plan_placement, ClusterLinks, Frame, Placement};
+use squall_runtime::{
+    plan_placement, ClusterLinks, ClusterRun, Frame, Placement, RunHandle, RunOutcome, Topology,
+    TransportStats,
+};
 
+use crate::checkpoint::{RestoreState, SnapshotBlobMsg};
 use crate::driver::{assemble, AggPlan, LocalJoinKind, MultiwayConfig, WindowPlan};
 
 /// Cluster membership for a session: the worker processes (listen
@@ -513,12 +519,12 @@ impl JobSpec {
 /// every job (each worker restores its placed tasks) and `readmit`
 /// prefaces each job with a `Readmit` frame carrying the resume epoch, so
 /// workers log the re-admission distinctly from a fresh job.
-pub(crate) fn boot_coordinator(
+fn boot_coordinator(
     layout: (Vec<String>, Vec<usize>, Vec<bool>),
     spec: &MultiJoinSpec,
     cfg: &MultiwayConfig,
     cluster: &ClusterSpec,
-    restore: Option<&crate::checkpoint::RestoreState>,
+    restore: Option<&RestoreState>,
     readmit: Option<u64>,
 ) -> Result<(Placement, ClusterLinks)> {
     if cluster.workers.is_empty() {
@@ -562,6 +568,61 @@ pub(crate) fn boot_coordinator(
         .collect();
     let links = ClusterLinks::coordinator(&listener, &cluster.workers, jobs, readmit)?;
     Ok((placement, links))
+}
+
+/// Failure-detector patience of a run's links: standing topologies beat
+/// (and time peers out) at `heartbeat_timeout_ms`; one-shot runs only fail
+/// on a closed socket. Both ends of a link derive it from the same config.
+fn heartbeat(cfg: &MultiwayConfig) -> Option<Duration> {
+    (cfg.standing && cfg.heartbeat_timeout_ms > 0)
+        .then(|| Duration::from_millis(cfg.heartbeat_timeout_ms))
+}
+
+/// Launch an assembled topology where `cfg` says it runs: on this
+/// process's worker pool, or — with [`MultiwayConfig::cluster`] set — split
+/// across the cluster with this process as coordinator (see
+/// [`boot_coordinator`] for `restore` / `readmit`). `blob_tx` receives the
+/// checkpoint blobs workers ship back.
+pub(crate) fn launch(
+    topology: Topology,
+    spec: &MultiJoinSpec,
+    cfg: &MultiwayConfig,
+    blob_tx: Option<Sender<SnapshotBlobMsg>>,
+    restore: Option<&RestoreState>,
+    readmit: Option<u64>,
+) -> Result<(RunHandle, Option<ClusterRun>)> {
+    let Some(cluster) = &cfg.cluster else {
+        return Ok((topology.launch(), None));
+    };
+    let (placement, mut links) =
+        boot_coordinator(topology.layout(), spec, cfg, cluster, restore, readmit)?;
+    links.blob_tx = blob_tx;
+    links.heartbeat = heartbeat(cfg);
+    let (handle, run) = topology.launch_cluster(placement, links);
+    Ok((handle, Some(run)))
+}
+
+/// Join a launched run: wait for the local pool (every egress queue then
+/// holds its final punctuation), and under a cluster drain the links,
+/// fold the workers' metric snapshots (their local task counters;
+/// everything else zero) into ours and adopt a remote error if we had
+/// none. Returns the wire traffic alongside for clustered runs.
+pub(crate) fn finish(
+    handle: RunHandle,
+    cluster: Option<ClusterRun>,
+) -> (RunOutcome, Option<TransportStats>) {
+    let mut outcome = handle.finish();
+    let transport = cluster.map(|run| {
+        let summary = run.finish(None);
+        for remote in &summary.remote_metrics {
+            outcome.metrics.merge(remote);
+        }
+        if outcome.error.is_none() {
+            outcome.error = summary.remote_error;
+        }
+        summary.transport
+    });
+    (outcome, transport)
 }
 
 // ---------------------------------------------------------------------
@@ -630,7 +691,7 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
             tx
         });
         let restore = (job.resume_epoch > 0).then(|| {
-            std::sync::Arc::new(crate::checkpoint::RestoreState {
+            std::sync::Arc::new(RestoreState {
                 epoch: job.resume_epoch,
                 join: job.restore_join.iter().map(|(t, b)| (*t as usize, b.clone())).collect(),
                 sink: None,
@@ -658,9 +719,7 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
     let placement = plan_placement(&parallelism, &is_spout, job.peers.len());
 
     let mut links = ClusterLinks::worker(listener, job.me, &job.peers, job_conn, hellos)?;
-    if job.cfg.standing && job.cfg.heartbeat_timeout_ms > 0 {
-        links.heartbeat = Some(std::time::Duration::from_millis(job.cfg.heartbeat_timeout_ms));
-    }
+    links.heartbeat = heartbeat(&job.cfg);
     let (mut handle, cluster) = topology.launch_cluster(placement, links);
 
     // Forward checkpoint blobs to the coordinator in the background; the

@@ -19,7 +19,7 @@ use squall_runtime::{
     TopologyBuilder, TransportStats, DEFAULT_BATCH_SIZE,
 };
 
-use crate::cluster::{boot_coordinator, ClusterSpec};
+use crate::cluster::ClusterSpec;
 
 /// Which local join algorithm each machine runs (§3.3 / Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,8 +309,8 @@ pub(crate) struct RunContext {
     scheme_description: String,
     input_count: u64,
     input_counts: Vec<u64>,
-    agg_set: bool,
-    collect_results: bool,
+    /// The sink emits per-task result counters instead of rows.
+    count_only: bool,
 }
 
 /// A validated, ready-to-run topology plus its reporting context.
@@ -530,51 +530,36 @@ pub(crate) fn assemble(
             scheme_description,
             input_count,
             input_counts,
-            agg_set: cfg.agg.is_some(),
-            collect_results: cfg.collect_results,
+            count_only,
         },
     })
 }
 
-/// Build the [`JoinReport`] for a finished run. `streamed_count` carries
-/// the count-only tally when the sink output was consumed by a stream
-/// rather than collected in `outcome.outputs`. For distributed runs the
-/// remote peers' metric snapshots must already be merged into
-/// `outcome.metrics` — the report then measures the whole cluster, and
-/// `loads` is identical to the single-process run.
+/// Build the [`JoinReport`] for a finished, fully streamed run: the rows
+/// went to the stream's consumer, so `results` starts empty, and
+/// `streamed` is the count-only tally of the sink's per-task counters. For
+/// distributed runs the remote peers' metric snapshots must already be
+/// merged into `outcome.metrics` — the report then measures the whole
+/// cluster, and `loads` is identical to the single-process run.
 fn summarize(
     ctx: RunContext,
     outcome: RunOutcome,
-    streamed_count: Option<u64>,
+    streamed: u64,
     transport: Option<TransportStats>,
 ) -> JoinReport {
     let metrics = &outcome.metrics;
     let join_metrics = metrics.node(ctx.join_node);
-    let result_count = match (ctx.agg_set, ctx.collect_results) {
-        (true, _) | (false, true) => join_metrics.total_emitted(),
-        (false, false) => streamed_count.unwrap_or_else(|| {
-            // Count-only: the emitted tuples are per-task counters.
-            outcome.outputs.iter().map(|(_, t)| t.get(0).as_int().unwrap_or(0) as u64).sum()
-        }),
-    };
-    let loads = join_metrics.received.clone();
-    let replication_factor = metrics.replication_factor(ctx.join_node, &ctx.source_nodes);
-    let skew_degree = join_metrics.skew_degree();
+    let result_count = if ctx.count_only { streamed } else { join_metrics.total_emitted() };
     let sinks = [ctx.merge_node.or(ctx.agg_node).unwrap_or(ctx.join_node)];
-    let network_factor = metrics.intermediate_network_factor(&ctx.source_nodes, &sinks);
-    let results = match (ctx.agg_set, ctx.collect_results) {
-        (false, false) => Vec::new(),
-        _ => outcome.outputs.into_iter().map(|(_, t)| t).collect(),
-    };
     JoinReport {
-        results,
+        results: Vec::new(),
         result_count,
         input_count: ctx.input_count,
         input_counts: ctx.input_counts,
-        loads,
-        replication_factor,
-        skew_degree,
-        network_factor,
+        loads: join_metrics.received.clone(),
+        replication_factor: metrics.replication_factor(ctx.join_node, &ctx.source_nodes),
+        skew_degree: join_metrics.skew_degree(),
+        network_factor: metrics.intermediate_network_factor(&ctx.source_nodes, &sinks),
         elapsed: outcome.elapsed,
         scheme_description: ctx.scheme_description,
         scheduler: outcome.metrics.scheduler.clone(),
@@ -584,28 +569,24 @@ fn summarize(
     }
 }
 
-/// Run a multi-way join (optionally + aggregation) end to end.
+/// Run a multi-way join (optionally + aggregation) end to end:
+/// [`run_multiway_stream`], drained — the collected answer is the integral
+/// of the stream, on one process or under a [`MultiwayConfig::cluster`]
+/// split alike.
 ///
 /// `data[rel]` is relation `rel`'s input stream. Deterministic: the same
-/// inputs, config and seed produce the same loads and results — including
-/// under a [`MultiwayConfig::cluster`] split, where the same topology runs
-/// across OS processes over TCP.
+/// inputs, config and seed produce the same loads and results, wherever
+/// the tasks are placed.
 pub fn run_multiway(
     spec: &MultiJoinSpec,
     data: Vec<Vec<Tuple>>,
     cfg: &MultiwayConfig,
 ) -> Result<JoinReport> {
-    if cfg.cluster.is_some() {
-        // The distributed data plane is inherently streaming (remote sink
-        // rows arrive over the wire); collect it.
-        let mut stream = run_multiway_stream(spec, data, cfg)?;
-        let rows: Vec<Tuple> = stream.by_ref().collect();
-        let mut report = stream.finish();
-        report.results = rows;
-        return Ok(report);
-    }
-    let Assembled { topology, ctx } = assemble(spec, data, cfg)?;
-    Ok(summarize(ctx, topology.run(), None, None))
+    let mut stream = run_multiway_stream(spec, data, cfg)?;
+    let rows: Vec<Tuple> = stream.by_ref().collect();
+    let mut report = stream.finish();
+    report.results = rows;
+    Ok(report)
 }
 
 /// Launch a multi-way join and return a handle that yields result tuples
@@ -624,16 +605,8 @@ pub fn run_multiway_stream(
     cfg: &MultiwayConfig,
 ) -> Result<MultiwayStream> {
     let Assembled { topology, ctx } = assemble(spec, data, cfg)?;
-    let count_only = !ctx.agg_set && !ctx.collect_results;
-    let (handle, cluster) = match &cfg.cluster {
-        None => (topology.launch(), None),
-        Some(cluster_spec) => {
-            let (placement, links) =
-                boot_coordinator(topology.layout(), spec, cfg, cluster_spec, None, None)?;
-            let (handle, run) = topology.launch_cluster(placement, links);
-            (handle, Some(run))
-        }
-    };
+    let count_only = ctx.count_only;
+    let (handle, cluster) = crate::cluster::launch(topology, spec, cfg, None, None, None)?;
     Ok(MultiwayStream {
         handle: Some(handle),
         cluster,
@@ -665,12 +638,11 @@ impl MultiwayStream {
 
     /// Stop consuming early: abort the run, discard remaining output and
     /// return the (partial) report.
-    pub fn cancel(mut self) -> JoinReport {
+    pub fn cancel(self) -> JoinReport {
         if let Some(h) = &self.handle {
             h.abort();
         }
-        while self.next().is_some() {}
-        self.report.take().expect("report built on exhaustion")
+        self.finish()
     }
 
     /// Drain any remaining output and return the final report.
@@ -681,25 +653,8 @@ impl MultiwayStream {
 
     fn complete(&mut self) {
         if let (Some(handle), Some(ctx)) = (self.handle.take(), self.ctx.take()) {
-            let streamed = self.count_only.then_some(self.streamed);
-            let mut outcome = handle.finish();
-            let mut transport = None;
-            if let Some(cluster) = self.cluster.take() {
-                // The local pool is joined: every egress queue holds its
-                // final punctuation. Drain the links, fold the workers'
-                // metric snapshots (their local task counters; everything
-                // else zero) into ours, and adopt a remote error if we
-                // had none.
-                let summary = cluster.finish(None);
-                for remote in &summary.remote_metrics {
-                    outcome.metrics.merge(remote);
-                }
-                if outcome.error.is_none() {
-                    outcome.error = summary.remote_error;
-                }
-                transport = Some(summary.transport);
-            }
-            self.report = Some(summarize(ctx, outcome, streamed, transport));
+            let (outcome, transport) = crate::cluster::finish(handle, self.cluster.take());
+            self.report = Some(summarize(ctx, outcome, self.streamed, transport));
         }
     }
 }
@@ -1113,6 +1068,25 @@ mod tests {
             });
         let err = run_multiway(&spec, event_streams(10, 3, 2, 1), &cfg).unwrap_err();
         assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
+    }
+
+    #[test]
+    fn negative_event_time_in_a_windowed_join_is_a_typed_error() {
+        // Cast to u64 a −1 timestamp becomes u64::MAX: it would jump the
+        // watermark and evict every stored tuple without a word.
+        let spec = two_stream_spec();
+        let mut data = event_streams(20, 3, 2, 2);
+        data[0].insert(0, tuple![1, -1]);
+        let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2).with_window(
+            WindowPlan { spec: WindowSpec::Tumbling { width: 8 }, ts_cols: vec![1, 1] },
+        );
+        let report = run_multiway(&spec, data, &cfg).unwrap();
+        match report.error {
+            Some(SquallError::Runtime(msg)) => {
+                assert!(msg.contains("negative event-time timestamp -1"), "{msg}")
+            }
+            other => panic!("expected a typed runtime error, got {other:?}"),
+        }
     }
 
     #[test]

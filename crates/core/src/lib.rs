@@ -21,7 +21,6 @@ pub mod cluster;
 pub mod driver;
 pub mod operators;
 pub mod pipeline;
-pub mod recovery;
 pub mod standing;
 
 pub use checkpoint::{CheckpointStore, RestoreState};

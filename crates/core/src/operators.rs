@@ -9,6 +9,14 @@ use squall_expr::ScalarExpr;
 use squall_join::{AggSpec, GroupByAggregator, LocalJoin, WindowJoin, WindowSpec};
 use squall_runtime::{Bolt, NodeId, OutputCollector};
 
+/// An event-time column value as a timestamp. A negative one is a typed
+/// error at every operator that reads event time (`at` names which): cast
+/// to `u64` it would wrap past every watermark and evict live state.
+pub(crate) fn event_time(ts: i64, at: &str) -> Result<u64> {
+    u64::try_from(ts)
+        .map_err(|_| SquallError::Runtime(format!("negative event-time timestamp {ts} {at}")))
+}
+
 /// Selection + projection in one bolt (Squall co-locates these with the
 /// data source whenever possible, §2; a standalone bolt is used when the
 /// optimizer cannot).
@@ -65,13 +73,6 @@ impl SelectProjectBolt {
 }
 
 impl Bolt for SelectProjectBolt {
-    fn execute(&mut self, _origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        if let Some(t) = self.apply(&tuple)? {
-            out.emit(t);
-        }
-        Ok(())
-    }
-
     fn execute_chunk(
         &mut self,
         _origin: NodeId,
@@ -99,10 +100,11 @@ impl Bolt for SelectProjectBolt {
                         }
                     }
                     Some(exprs) => {
-                        // Compact survivors *before* projecting: the row
-                        // path never evaluates projections on filtered-out
-                        // rows, so neither may we (a projection that only
-                        // fails on dropped rows must stay silent).
+                        // Compact survivors *before* projecting: a
+                        // projection is never evaluated on a filtered-out
+                        // row ([`SelectProjectBolt::apply`] is the
+                        // reference), so one that only fails on dropped
+                        // rows must stay silent.
                         let mut survivors = ChunkBuilder::new();
                         for (i, keep) in mask.iter().enumerate() {
                             if *keep {
@@ -248,9 +250,8 @@ impl JoinBolt {
             .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))
     }
 
-    /// Process one arrival whose relation is already resolved — the
-    /// per-tuple body shared by [`Bolt::execute`] and the chunked path
-    /// (which resolves the relation once per chunk).
+    /// Process one arrival whose relation is already resolved (once per
+    /// chunk: every tuple of a batch shares its origin node).
     fn step(&mut self, rel: usize, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
         self.buf.clear();
         match &mut self.join {
@@ -264,7 +265,7 @@ impl JoinBolt {
             }
             TaskJoin::Full(join) => join.insert(rel, &tuple, &mut self.buf),
             TaskJoin::Windowed { join, ts_cols } => {
-                let ts = tuple.get(ts_cols[rel]).as_int()? as u64;
+                let ts = event_time(tuple.get(ts_cols[rel]).as_int()?, "in windowed join input")?;
                 join.insert(rel, ts, &tuple, &mut self.buf);
             }
         }
@@ -300,20 +301,12 @@ impl JoinBolt {
 }
 
 impl Bolt for JoinBolt {
-    fn execute(&mut self, origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        let rel = self.rel_of(origin)?;
-        self.step(rel, tuple, out)
-    }
-
     fn execute_chunk(
         &mut self,
         origin: NodeId,
         chunk: &Chunk,
         out: &mut OutputCollector,
     ) -> Result<()> {
-        // One relation lookup per chunk: every tuple in a batch shares its
-        // origin node, so the per-row hash-map probe of the row path is
-        // pure overhead here.
         let rel = self.rel_of(origin)?;
         for tuple in chunk.rows() {
             self.step(rel, tuple, out)?;
@@ -349,19 +342,13 @@ impl AggBolt {
 }
 
 impl Bolt for AggBolt {
-    fn execute(&mut self, _origin: NodeId, tuple: Tuple, _out: &mut OutputCollector) -> Result<()> {
-        self.agg.update(&tuple)?;
-        Ok(())
-    }
-
     fn execute_chunk(
         &mut self,
         _origin: NodeId,
         chunk: &Chunk,
         _out: &mut OutputCollector,
     ) -> Result<()> {
-        // Nothing reads the per-update output rows, so the chunked path
-        // skips building them entirely.
+        // Nothing reads the per-update output rows, so skip building them.
         self.agg.update_chunk(chunk, None)
     }
 
@@ -514,19 +501,16 @@ impl WindowedAggBolt {
         Ok((first, last))
     }
 
-    /// Fold one join result row into every window it belongs to (the
-    /// per-row insert path).
-    pub fn insert_row(&mut self, tuple: &Tuple) -> Result<()> {
+    /// Fold one join result row into every window it belongs to, the
+    /// obvious way — the reference [`WindowedAggBolt::insert_chunk`] is
+    /// tested against.
+    #[cfg(test)]
+    fn insert_row(&mut self, tuple: &Tuple) -> Result<()> {
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         for &c in &self.ts_cols {
-            let v = tuple.get(c).as_int()?;
-            if v < 0 {
-                return Err(SquallError::Runtime(format!(
-                    "negative event-time timestamp {v} in aggregate input"
-                )));
-            }
-            lo = lo.min(v as u64);
-            hi = hi.max(v as u64);
+            let v = event_time(tuple.get(c).as_int()?, "in aggregate input")?;
+            lo = lo.min(v);
+            hi = hi.max(v);
         }
         let (first, last) = self.window_range(lo, hi)?;
         for start in first..=last {
@@ -545,8 +529,7 @@ impl WindowedAggBolt {
     /// columns (straight over the i64 slice when fully-valid Int),
     /// aggregate input expressions evaluate once per chunk, and each row
     /// folds into its windows from the resulting arrays via
-    /// [`GroupByAggregator::accumulate`] — the columnar insert kernel that
-    /// replaces per-row `chunk.row(i)` + expression re-evaluation.
+    /// [`GroupByAggregator::accumulate`].
     pub fn insert_chunk(&mut self, chunk: &Chunk) -> Result<()> {
         let rows = chunk.n_rows();
         if rows == 0 {
@@ -562,13 +545,9 @@ impl WindowedAggBolt {
                     Some(vals) => vals[i],
                     None => col.value(i).as_int()?,
                 };
-                if v < 0 {
-                    return Err(SquallError::Runtime(format!(
-                        "negative event-time timestamp {v} in aggregate input"
-                    )));
-                }
-                lo[i] = lo[i].min(v as u64);
-                hi[i] = hi[i].max(v as u64);
+                let v = event_time(v, "in aggregate input")?;
+                lo[i] = lo[i].min(v);
+                hi[i] = hi[i].max(v);
             }
         }
         // Aggregate inputs, column-at-a-time, once per chunk.
@@ -605,10 +584,6 @@ impl WindowedAggBolt {
 }
 
 impl Bolt for WindowedAggBolt {
-    fn execute(&mut self, _origin: NodeId, tuple: Tuple, _out: &mut OutputCollector) -> Result<()> {
-        self.insert_row(&tuple)
-    }
-
     fn execute_chunk(
         &mut self,
         _origin: NodeId,
@@ -755,8 +730,13 @@ impl WindowMergeBolt {
 }
 
 impl Bolt for WindowMergeBolt {
-    fn execute(&mut self, _origin: NodeId, tuple: Tuple, _out: &mut OutputCollector) -> Result<()> {
-        self.push(tuple)
+    fn execute_chunk(
+        &mut self,
+        _origin: NodeId,
+        chunk: &Chunk,
+        _out: &mut OutputCollector,
+    ) -> Result<()> {
+        chunk.rows().try_for_each(|tuple| self.push(tuple))
     }
 
     fn watermark(

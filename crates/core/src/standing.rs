@@ -50,7 +50,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use squall_common::codec::{self, Reader};
-use squall_common::{FxHashMap, FxHashSet, Result, SquallError, Tuple, Value};
+use squall_common::{Chunk, FxHashMap, FxHashSet, Result, SquallError, Tuple, Value};
 use squall_expr::{AggFunc, MultiJoinSpec, ScalarExpr};
 use squall_join::{
     AggSpec, DBToasterJoin, GroupByAggregator, LocalJoin, Snapshot, WindowJoin, WindowSpec,
@@ -65,8 +65,9 @@ use crate::checkpoint::{
     CheckpointStore, RestoreState, SnapshotBlobMsg, JOIN_BLOB_FULL, JOIN_BLOB_WINDOWED, ROLE_JOIN,
     ROLE_SINK,
 };
-use crate::cluster::{boot_coordinator, ClusterSpec};
+use crate::cluster::ClusterSpec;
 use crate::driver::{validate_plan, JoinReport, MaintenanceStats, MultiwayConfig};
+use crate::operators::event_time;
 
 /// How long a synchronous checkpoint round waits for all blobs before
 /// proceeding with a partial checkpoint (recovery then falls back to the
@@ -370,13 +371,10 @@ fn split_delta(tuple: &Tuple) -> Result<(Tuple, i64, i64)> {
     Ok((Tuple::new(tuple.values()[..n - 2].to_vec()), mult, epoch))
 }
 
-impl Bolt for ViewJoinBolt {
-    fn execute(&mut self, origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        let rel = *self
-            .origin_to_rel
-            .get(&origin)
-            .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))?;
-        let (base, mult, epoch) = split_delta(&tuple)?;
+impl ViewJoinBolt {
+    /// Apply one signed delta of relation `rel` and emit its results.
+    fn step(&mut self, rel: usize, tuple: &Tuple, out: &mut OutputCollector) -> Result<()> {
+        let (base, mult, epoch) = split_delta(tuple)?;
         self.wbuf.clear();
         match &mut self.join {
             StandingJoin::Full(j) => j.delta(rel, &base, mult, &mut self.wbuf),
@@ -386,13 +384,9 @@ impl Bolt for ViewJoinBolt {
                         "windowed standing views are append-only (got a weight-{mult} delta)"
                     )));
                 }
-                let ts = base.get(ts_cols[rel]).as_int()?;
-                if ts < 0 {
-                    return Err(SquallError::Runtime(format!(
-                        "negative event-time timestamp {ts} on a windowed standing view"
-                    )));
-                }
-                join.insert_weighted(rel, ts as u64, &base, &mut self.wbuf);
+                let ts =
+                    event_time(base.get(ts_cols[rel]).as_int()?, "on a windowed standing view")?;
+                join.insert_weighted(rel, ts, &base, &mut self.wbuf);
             }
         }
         for (t, m) in self.wbuf.drain(..) {
@@ -411,6 +405,21 @@ impl Bolt for ViewJoinBolt {
             }
         }
         Ok(())
+    }
+}
+
+impl Bolt for ViewJoinBolt {
+    fn execute_chunk(
+        &mut self,
+        origin: NodeId,
+        chunk: &Chunk,
+        out: &mut OutputCollector,
+    ) -> Result<()> {
+        let rel = *self
+            .origin_to_rel
+            .get(&origin)
+            .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))?;
+        chunk.rows().try_for_each(|tuple| self.step(rel, &tuple, out))
     }
 
     fn watermark(
@@ -576,14 +585,9 @@ impl ViewSinkBolt {
     fn windows_of(w: &ViewWindow, row: &Tuple) -> Result<Vec<(u64, u64)>> {
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         for &c in &w.ts_cols {
-            let v = row.get(c).as_int()?;
-            if v < 0 {
-                return Err(SquallError::Runtime(format!(
-                    "negative event-time timestamp {v} in view sink input"
-                )));
-            }
-            lo = lo.min(v as u64);
-            hi = hi.max(v as u64);
+            let v = event_time(row.get(c).as_int()?, "in view sink input")?;
+            lo = lo.min(v);
+            hi = hi.max(v);
         }
         Ok(match w.spec {
             WindowSpec::Tumbling { width } => {
@@ -719,17 +723,24 @@ impl ViewSinkBolt {
 }
 
 impl Bolt for ViewSinkBolt {
-    fn execute(&mut self, _origin: NodeId, tuple: Tuple, _out: &mut OutputCollector) -> Result<()> {
-        let (base, mult, epoch) = split_delta(&tuple)?;
-        let epoch = epoch as u64;
-        if epoch <= self.applied {
-            return Err(SquallError::Runtime(format!(
-                "late delta for already-applied epoch {epoch} (applied {})",
-                self.applied
-            )));
+    fn execute_chunk(
+        &mut self,
+        _origin: NodeId,
+        chunk: &Chunk,
+        _out: &mut OutputCollector,
+    ) -> Result<()> {
+        for tuple in chunk.rows() {
+            let (base, mult, epoch) = split_delta(&tuple)?;
+            let epoch = epoch as u64;
+            if epoch <= self.applied {
+                return Err(SquallError::Runtime(format!(
+                    "late delta for already-applied epoch {epoch} (applied {})",
+                    self.applied
+                )));
+            }
+            self.shared.counters.deltas_in.fetch_add(1, Ordering::Relaxed);
+            self.pending.entry(epoch).or_default().push((base, mult));
         }
-        self.shared.counters.deltas_in.fetch_add(1, Ordering::Relaxed);
-        self.pending.entry(epoch).or_default().push((base, mult));
         Ok(())
     }
 
@@ -966,19 +977,8 @@ pub fn launch_standing(
         None,
         blob_tx.clone(),
     )?;
-    let (handle, cluster) = match &cfg.cluster {
-        None => (topology.launch(), None),
-        Some(cluster_spec) => {
-            let (placement, mut links) =
-                boot_coordinator(topology.layout(), spec, cfg, cluster_spec, None, None)?;
-            links.blob_tx = blob_tx.clone();
-            if cfg.heartbeat_timeout_ms > 0 {
-                links.heartbeat = Some(Duration::from_millis(cfg.heartbeat_timeout_ms));
-            }
-            let (handle, run) = topology.launch_cluster(placement, links);
-            (handle, Some(run))
-        }
-    };
+    let (handle, cluster) =
+        crate::cluster::launch(topology, spec, cfg, blob_tx.clone(), None, None)?;
     let waker = handle.waker();
     let store = CheckpointStore::new(layout.join_tasks);
     Ok(StandingHandle {
@@ -1174,12 +1174,8 @@ impl StandingHandle {
         for t in 0..self.queues.len() {
             self.waker.wake(t);
         }
-        if let Some(mut handle) = self.handle.take() {
-            while handle.recv().is_some() {}
-            let _ = handle.finish();
-        }
-        if let Some(run) = self.cluster.take() {
-            let _ = run.finish(None);
+        if let Some(handle) = self.handle.take() {
+            let _ = crate::cluster::finish(handle, self.cluster.take());
         }
         if let Some(rx) = self.blob_rx.as_ref() {
             // Blobs that arrived after the last checkpoint wait (e.g. a
@@ -1219,23 +1215,17 @@ impl StandingHandle {
             restore.clone(),
             blob_tx.clone(),
         )?;
-        let cluster_spec = self.cfg.cluster.clone().expect("cluster just set");
-        let (placement, mut links) = boot_coordinator(
-            topology.layout(),
+        let (handle, run) = crate::cluster::launch(
+            topology,
             &self.spec,
             &self.cfg,
-            &cluster_spec,
+            blob_tx.clone(),
             restore.as_deref(),
             Some(resume),
         )?;
-        links.blob_tx = blob_tx.clone();
-        if self.cfg.heartbeat_timeout_ms > 0 {
-            links.heartbeat = Some(Duration::from_millis(self.cfg.heartbeat_timeout_ms));
-        }
-        let (handle, run) = topology.launch_cluster(placement, links);
         self.waker = handle.waker();
         self.handle = Some(handle);
-        self.cluster = Some(run);
+        self.cluster = run;
         self.queues = queues;
         self.layout = layout;
         self.blob_rx = blob_tx.is_some().then_some(rx);
@@ -1276,26 +1266,14 @@ impl StandingHandle {
             start,
             ..
         } = self;
-        let mut handle = handle.expect("handle present outside recover()");
+        let handle = handle.expect("handle present outside recover()");
         for q in &queues {
             q.close();
         }
         for t in 0..queues.len() {
             waker.wake(t);
         }
-        while handle.recv().is_some() {}
-        let mut outcome = handle.finish();
-        let mut transport = None;
-        if let Some(cluster) = cluster {
-            let summary = cluster.finish(None);
-            for remote in &summary.remote_metrics {
-                outcome.metrics.merge(remote);
-            }
-            if outcome.error.is_none() {
-                outcome.error = summary.remote_error;
-            }
-            transport = Some(summary.transport);
-        }
+        let (outcome, transport) = crate::cluster::finish(handle, cluster);
         let metrics = &outcome.metrics;
         let join_metrics = metrics.node(layout.join_node);
         let loads = join_metrics.received.clone();

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use squall_common::{DataType, Field, Result, Schema, SquallError, Tuple, Value};
 use squall_core::cluster::ClusterSpec;
 use squall_core::driver::{
-    run_multiway, run_multiway_stream, AggPlan, JoinReport, LocalJoinKind, MultiwayConfig,
-    MultiwayStream, WindowPlan,
+    run_multiway_stream, AggPlan, JoinReport, LocalJoinKind, MultiwayConfig, MultiwayStream,
+    WindowPlan,
 };
 use squall_core::standing::{ViewPlan, ViewWindow};
 use squall_expr::join_cond::CmpOp;
@@ -222,13 +222,23 @@ impl ResultSet {
     }
 
     fn materialize(&mut self) {
-        if let ResultsInner::Stream(stream) = &mut self.inner {
-            let mut rows: Vec<Tuple> = stream.by_ref().collect();
+        if let Some(mut rows) = self.drain_stream() {
             rows.sort();
-            self.report = stream.report.take();
             self.inner = ResultsInner::Rows { rows, cursor: 0 };
-            self.guard = None; // the run is over; release the catalog
         }
+    }
+
+    /// Run a live stream to completion: its rows come back in production
+    /// order, its report lands in `self.report` and the result becomes an
+    /// (empty, until the caller stores the rows) materialized one. `None`
+    /// when there was no live stream.
+    fn drain_stream(&mut self) -> Option<Vec<Tuple>> {
+        let ResultsInner::Stream(stream) = &mut self.inner else { return None };
+        let rows = stream.by_ref().collect();
+        self.report = stream.report.take();
+        self.inner = ResultsInner::Rows { rows: Vec::new(), cursor: 0 };
+        self.guard = None; // the run is over; release the catalog
+        Some(rows)
     }
 }
 
@@ -245,15 +255,11 @@ impl Iterator for ResultSet {
                 *cursor += 1;
                 Some(row)
             }
-            ResultsInner::Stream(stream) => match stream.next() {
-                Some(row) => Some(row),
-                None => {
-                    self.report = stream.report.take();
-                    self.inner = ResultsInner::Rows { rows: Vec::new(), cursor: 0 };
-                    self.guard = None;
-                    None
-                }
-            },
+            ResultsInner::Stream(stream) => stream.next().or_else(|| {
+                // Exhausted: collect the report and stop being a live run.
+                self.drain_stream();
+                None
+            }),
         }
     }
 }
@@ -269,7 +275,6 @@ struct QueryStream {
     /// only applies when the aggregation itself produced nothing, not
     /// when HAVING filtered everything out.
     saw_rows: bool,
-    produced: u64,
     report: Option<JoinReport>,
 }
 
@@ -301,10 +306,7 @@ impl Iterator for QueryStream {
                         }
                     }
                     match self.finalizer.project_final(&row) {
-                        Ok(t) => {
-                            self.produced += 1;
-                            return Some(t);
-                        }
+                        Ok(t) => return Some(t),
                         Err(e) => {
                             self.poison(e);
                             return None;
@@ -317,10 +319,7 @@ impl Iterator for QueryStream {
                     self.report = Some(report);
                     if ok && !self.saw_rows && self.emit_empty_agg {
                         match self.finalizer.empty_agg_row() {
-                            Ok(Some(row)) => {
-                                self.produced += 1;
-                                return Some(row);
-                            }
+                            Ok(Some(row)) => return Some(row),
                             Ok(None) => {}
                             Err(e) => {
                                 // Run already complete; record the
@@ -1117,9 +1116,9 @@ impl PhysicalQuery {
         Ok(out)
     }
 
-    /// How one SELECT item is produced from the engine output (shared by
-    /// the materialized and streaming paths, which both project row by
-    /// row).
+    /// How one SELECT item is produced from the engine output — carried
+    /// by the result stream of distributed queries and used in place by
+    /// the single-table local path.
     fn finalizer(&self) -> Finalizer {
         Finalizer {
             final_items: self.final_items.clone(),
@@ -1154,10 +1153,26 @@ impl PhysicalQuery {
         }
     }
 
+    /// The one relay of session-level knobs (and this plan's window) into a
+    /// topology configuration, for the one-shot and the standing plane
+    /// alike — a knob relayed here reaches both.
+    fn multiway_config(&self, scheme: SchemeKind, cfg: &ExecConfig) -> MultiwayConfig {
+        let mut mcfg = MultiwayConfig::new(scheme, cfg.local, cfg.machines);
+        mcfg.seed = cfg.seed;
+        mcfg.worker_threads = cfg.worker_threads;
+        mcfg.batch_size = cfg.batch_size.max(1);
+        mcfg.cluster = cfg.cluster.clone();
+        mcfg.checkpoint_interval = cfg.checkpoint_interval;
+        mcfg.heartbeat_timeout_ms = cfg.heartbeat_timeout_ms;
+        if let Some(w) = &self.window {
+            mcfg = mcfg.with_window(WindowPlan { spec: w.spec, ts_cols: w.ts_cols.clone() });
+        }
+        mcfg
+    }
+
     /// Source-side work (filter, derive, project — the co-located source
-    /// components of §2), statistics and scheme/config selection: shared
-    /// front half of [`PhysicalQuery::execute`] and
-    /// [`PhysicalQuery::execute_stream`].
+    /// components of §2), statistics and scheme/config selection: the
+    /// front half of every one-shot execution.
     fn prepare_run(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<Prepared> {
         self.validate_atoms()?;
         let mut data: Vec<Vec<Tuple>> = Vec::with_capacity(self.tables.len());
@@ -1216,16 +1231,7 @@ impl PhysicalQuery {
             .scheme
             .or_else(|| self.decision.as_ref().and_then(|d| d.scheme_kind()))
             .unwrap_or(SchemeKind::Hybrid);
-        let mut mcfg = MultiwayConfig::new(scheme, cfg.local, cfg.machines);
-        mcfg.seed = cfg.seed;
-        mcfg.worker_threads = cfg.worker_threads;
-        mcfg.batch_size = cfg.batch_size.max(1);
-        mcfg.cluster = cfg.cluster.clone();
-        mcfg.checkpoint_interval = cfg.checkpoint_interval;
-        mcfg.heartbeat_timeout_ms = cfg.heartbeat_timeout_ms;
-        if let Some(w) = &self.window {
-            mcfg = mcfg.with_window(WindowPlan { spec: w.spec, ts_cols: w.ts_cols.clone() });
-        }
+        let mut mcfg = self.multiway_config(scheme, cfg);
         if self.is_aggregate {
             mcfg = mcfg.with_agg(AggPlan {
                 group_cols: self.group_cols.clone(),
@@ -1291,17 +1297,8 @@ impl PhysicalQuery {
             ));
         }
 
-        let mut mcfg = MultiwayConfig::new(SchemeKind::Hash, cfg.local, cfg.machines);
-        mcfg.seed = cfg.seed;
-        mcfg.worker_threads = cfg.worker_threads;
-        mcfg.batch_size = cfg.batch_size.max(1);
-        mcfg.cluster = cfg.cluster.clone();
-        mcfg.checkpoint_interval = cfg.checkpoint_interval;
-        mcfg.heartbeat_timeout_ms = cfg.heartbeat_timeout_ms;
+        let mut mcfg = self.multiway_config(SchemeKind::Hash, cfg);
         mcfg.standing = true;
-        if let Some(w) = &self.window {
-            mcfg = mcfg.with_window(WindowPlan { spec: w.spec, ts_cols: w.ts_cols.clone() });
-        }
         // No `mcfg.agg`: in a standing topology the view sink aggregates,
         // diffing published rows per epoch.
 
@@ -1393,41 +1390,20 @@ impl PhysicalQuery {
         self.tables.iter().map(|t| (t.name.as_str(), t.alias.as_str())).collect()
     }
 
-    /// Execute against the catalog, materializing every row (sorted).
+    /// Execute against the catalog, materializing every row: the result
+    /// stream of [`PhysicalQuery::execute_stream`] drained, then ORDER BY
+    /// (ties and the unordered case broken by whole-row order) and LIMIT.
+    /// A run or row-finalization failure anywhere in the stream is `Err`.
     pub fn execute(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<ResultSet> {
-        match self.prepare_run(catalog, cfg)? {
-            Prepared::Local(data) => {
-                let rows = self.finalize_local(data)?;
-                Ok(ResultSet::materialized(self.out_schema.clone(), rows, None))
+        let mut rs = self.stream_unordered(catalog, cfg)?;
+        if let Some(mut rows) = rs.drain_stream() {
+            if let Some(e) = rs.error() {
+                return Err(e.clone());
             }
-            Prepared::Distributed(plan) => {
-                let DistributedPlan { spec, data, mcfg } = *plan;
-                let report = run_multiway(&spec, data, &mcfg)?;
-                if let Some(e) = &report.error {
-                    return Err(e.clone());
-                }
-                let finalizer = self.finalizer();
-                let mut rows = Vec::with_capacity(report.results.len());
-                for r in &report.results {
-                    if !finalizer.passes(r)? {
-                        continue;
-                    }
-                    rows.push(finalizer.project_final(r)?);
-                }
-                if report.results.is_empty()
-                    && self.is_aggregate
-                    && self.group_cols.is_empty()
-                    && !self.windowed_agg
-                {
-                    // A per-window global aggregate over zero rows has no
-                    // windows, hence no rows — the synthetic COUNT=0 row
-                    // is a full-history artifact.
-                    rows.extend(finalizer.empty_agg_row()?);
-                }
-                self.finalize_order(&mut rows);
-                Ok(ResultSet::materialized(self.out_schema.clone(), rows, Some(report)))
-            }
+            self.finalize_order(&mut rows);
+            rs.inner = ResultsInner::Rows { rows, cursor: 0 };
         }
+        Ok(rs)
     }
 
     /// Execute against the catalog, streaming result rows while the
@@ -1442,6 +1418,14 @@ impl PhysicalQuery {
         if !self.order_by.is_empty() || self.limit.is_some() {
             return self.execute(catalog, cfg);
         }
+        self.stream_unordered(catalog, cfg)
+    }
+
+    /// The one execution path: launch the distributed run and hand back
+    /// its live, HAVING-filtered, SELECT-projected stream in production
+    /// order (ORDER BY / LIMIT not yet applied). Single-table queries run
+    /// locally and come back materialized and fully finalized.
+    fn stream_unordered(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<ResultSet> {
         match self.prepare_run(catalog, cfg)? {
             Prepared::Local(data) => {
                 let rows = self.finalize_local(data)?;
@@ -1453,11 +1437,13 @@ impl PhysicalQuery {
                 let stream = QueryStream {
                     inner: Some(inner),
                     finalizer: self.finalizer(),
+                    // A per-window global aggregate over zero rows has no
+                    // windows, hence no rows — the synthetic COUNT=0 row
+                    // is a full-history artifact.
                     emit_empty_agg: self.is_aggregate
                         && self.group_cols.is_empty()
                         && !self.windowed_agg,
                     saw_rows: false,
-                    produced: 0,
                     report: None,
                 };
                 Ok(ResultSet::streaming(self.out_schema.clone(), stream))
@@ -2323,6 +2309,34 @@ mod tests {
             p.prepare_standing(&catalog(), &ExecConfig::default()),
             Err(SquallError::PrunedColumnReference { .. })
         ));
+    }
+
+    #[test]
+    fn mid_stream_failures_are_err_materialized_and_error_streaming() {
+        // Every distributed answer is the drained stream, so a failure
+        // inside it — wherever it is raised — has one face per call:
+        // `Err` from `execute`, `ResultSet::error()` from the live stream.
+        let join = |q: Query| q.filter(col("R.a").eq(col("S.a")));
+        // A SELECT item addressing a column past the join output: the
+        // finalizer fails on the first row it projects.
+        let spj = join(Query::from_tables([("R", "R"), ("S", "S")])).select([col("S.c")]);
+        let mut finalizer_fails = PhysicalQuery::plan(&spj, &catalog()).unwrap();
+        finalizer_fails.final_items[0] = FinalItem::JoinExpr(ScalarExpr::col(99));
+        // An aggregate input addressing such a column: the aggregation
+        // bolt fails mid-run, inside the topology.
+        let grouped = join(Query::from_tables([("R", "R"), ("S", "S")]))
+            .group_by([col("R.a")])
+            .select([col("R.a"), agg(AggFunc::Sum, Some(col("S.c")))]);
+        let mut operator_fails = PhysicalQuery::plan(&grouped, &catalog()).unwrap();
+        operator_fails.aggs[0].input = Some(ScalarExpr::col(99));
+
+        for (what, p) in [("finalizer", finalizer_fails), ("operator", operator_fails)] {
+            let err = p.execute(&catalog(), &ExecConfig::default()).expect_err(what);
+            let mut rs = p.execute_stream(&catalog(), &ExecConfig::default()).unwrap();
+            assert!(rs.is_streaming(), "{what}");
+            assert_eq!(rs.by_ref().count(), 0, "{what}: no row survives the failure");
+            assert_eq!(rs.error(), Some(&err), "{what}");
+        }
     }
 
     #[test]

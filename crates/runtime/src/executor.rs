@@ -733,10 +733,6 @@ impl RunHandle {
         while let Some(item) = self.recv() {
             outputs.push(item);
         }
-        self.finish_with(outputs)
-    }
-
-    fn finish_with(mut self, outputs: Vec<(NodeId, Tuple)>) -> RunOutcome {
         for h in self.workers.drain(..) {
             // Worker bodies catch operator panics; a panicking worker is
             // an executor bug but must still not hang the caller.
@@ -762,7 +758,7 @@ impl RunHandle {
 impl Drop for RunHandle {
     fn drop(&mut self) {
         if self.workers.is_empty() {
-            return; // finished via finish_with
+            return; // finished via finish
         }
         self.abort();
         while self.sink_rx.recv().is_ok() {}
@@ -787,14 +783,9 @@ struct Pool {
 
 impl Topology {
     /// Execute the topology to completion and collect sink output, metrics
-    /// and timing.
+    /// and timing: [`Topology::launch`], then [`RunHandle::finish`].
     pub fn run(self) -> RunOutcome {
-        let mut handle = self.launch();
-        let mut outputs = Vec::new();
-        while let Some(item) = handle.recv() {
-            outputs.push(item);
-        }
-        handle.finish_with(outputs)
+        self.launch().finish()
     }
 
     /// Start the worker pool and return a [`RunHandle`] that streams the
@@ -1094,7 +1085,7 @@ mod tests {
     use super::*;
     use crate::grouping::Grouping;
     use crate::topology::{FnBolt, IterSpout, TopologyBuilder};
-    use squall_common::{tuple, Result, Value};
+    use squall_common::{tuple, Chunk, Result, Value};
 
     fn int_spout(lo: i64, hi: i64) -> impl Fn(usize) -> Box<dyn crate::topology::Spout> {
         move |_task| Box::new(IterSpout((lo..hi).map(|i| tuple![i])))
@@ -1201,8 +1192,15 @@ mod tests {
             sum: i64,
         }
         impl crate::topology::Bolt for Summer {
-            fn execute(&mut self, _o: NodeId, t: Tuple, _out: &mut OutputCollector) -> Result<()> {
-                self.sum += t.get(0).as_int()?;
+            fn execute_chunk(
+                &mut self,
+                _o: NodeId,
+                chunk: &Chunk,
+                _out: &mut OutputCollector,
+            ) -> Result<()> {
+                for t in chunk.rows() {
+                    self.sum += t.get(0).as_int()?;
+                }
                 Ok(())
             }
             fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
@@ -1443,6 +1441,57 @@ mod tests {
         let c = run_with(4096);
         assert_eq!(a, b);
         assert_eq!(b, c);
+
+        // The two ways to write a bolt — against `execute_chunk`, or as an
+        // `FnBolt` row closure — observe the same `(origin, row)` sequence
+        // at every batch size. Interleaving across the two senders is
+        // scheduling; per-origin order is the contract.
+        struct ChunkTap;
+        impl crate::topology::Bolt for ChunkTap {
+            fn execute_chunk(
+                &mut self,
+                origin: NodeId,
+                chunk: &Chunk,
+                out: &mut OutputCollector,
+            ) -> Result<()> {
+                for t in chunk.rows() {
+                    out.emit(tuple![origin as i64, t.get(0).as_int()?]);
+                }
+                Ok(())
+            }
+        }
+        let observe = |batch: usize, chunked: bool| -> [Vec<i64>; 2] {
+            let mut b = TopologyBuilder::new().batch_size(batch);
+            let left = b.add_spout("left", 1, int_spout(0, 150));
+            let right = b.add_spout("right", 1, int_spout(1000, 1150));
+            let tap = b.add_bolt("tap", 1, move |_| -> Box<dyn crate::topology::Bolt> {
+                if chunked {
+                    Box::new(ChunkTap)
+                } else {
+                    Box::new(FnBolt(|origin, t: Tuple, out: &mut OutputCollector| {
+                        out.emit(tuple![origin as i64, t.get(0).as_int()?]);
+                        Ok(())
+                    }))
+                }
+            });
+            b.connect(left, tap, Grouping::Global);
+            b.connect(right, tap, Grouping::Global);
+            let outcome = b.build().unwrap().run();
+            assert!(outcome.error.is_none(), "{:?}", outcome.error);
+            [left, right].map(|origin| {
+                outcome
+                    .outputs
+                    .iter()
+                    .filter(|(_, t)| t.get(0) == &Value::Int(origin as i64))
+                    .map(|(_, t)| t.get(1).as_int().unwrap())
+                    .collect()
+            })
+        };
+        let want = observe(1, false);
+        assert_eq!(want, [(0..150).collect::<Vec<_>>(), (1000..1150).collect()]);
+        for (batch, chunked) in [(1, true), (64, false), (64, true)] {
+            assert_eq!(observe(batch, chunked), want, "batch {batch}, chunked {chunked}");
+        }
     }
 
     #[test]
@@ -1453,31 +1502,36 @@ mod tests {
         // Fields-partitioned downstream (watermarks broadcast).
         let mut b = TopologyBuilder::new().batch_size(16);
         let src = b.add_spout("src", 1, int_spout(0, 300));
-        struct Fwd;
-        impl crate::topology::Bolt for Fwd {
-            fn execute(&mut self, _o: NodeId, t: Tuple, out: &mut OutputCollector) -> Result<()> {
+        let mid = b.add_bolt("mid", 1, |_| {
+            Box::new(FnBolt(|_o, t: Tuple, out: &mut OutputCollector| {
                 let v = t.get(0).as_int()? as u64;
                 out.emit(t);
                 out.emit_watermark(v);
                 Ok(())
-            }
-        }
-        let mid = b.add_bolt("mid", 1, |_| Box::new(Fwd));
+            }))
+        });
         struct Check {
             highest_data: i64,
             watermarks: Vec<u64>,
         }
         impl crate::topology::Bolt for Check {
-            fn execute(&mut self, _o: NodeId, t: Tuple, _out: &mut OutputCollector) -> Result<()> {
-                let v = t.get(0).as_int()?;
-                // The watermark contract: no tuple below an already-seen
-                // watermark may arrive after it.
-                if let Some(&w) = self.watermarks.last() {
-                    if (v as u64) < w {
-                        return Err(SquallError::Runtime(format!("late tuple {v} after {w}")));
+            fn execute_chunk(
+                &mut self,
+                _o: NodeId,
+                chunk: &Chunk,
+                _out: &mut OutputCollector,
+            ) -> Result<()> {
+                for t in chunk.rows() {
+                    let v = t.get(0).as_int()?;
+                    // The watermark contract: no tuple below an already-seen
+                    // watermark may arrive after it.
+                    if let Some(&w) = self.watermarks.last() {
+                        if (v as u64) < w {
+                            return Err(SquallError::Runtime(format!("late tuple {v} after {w}")));
+                        }
                     }
+                    self.highest_data = self.highest_data.max(v);
                 }
-                self.highest_data = self.highest_data.max(v);
                 Ok(())
             }
             fn watermark(

@@ -113,19 +113,6 @@ impl LiveSpout {
 }
 
 impl Spout for LiveSpout {
-    fn next(&mut self) -> Option<Tuple> {
-        // Only meaningful for bounded use; the executor drives resident
-        // spouts through `poll`. Watermarks and barriers cannot be
-        // represented here, so skip them and stop on Idle/Eos.
-        loop {
-            match self.queue.pop() {
-                SpoutPoll::Tuple(t) => return Some(t),
-                SpoutPoll::Watermark(_) | SpoutPoll::Barrier(_) => continue,
-                SpoutPoll::Idle | SpoutPoll::Eos => return None,
-            }
-        }
-    }
-
     fn poll(&mut self) -> SpoutPoll {
         self.queue.pop()
     }
@@ -160,15 +147,5 @@ mod tests {
         let mut s = LiveSpout::new(std::sync::Arc::clone(&q));
         assert!(matches!(s.poll(), SpoutPoll::Tuple(_)));
         assert!(matches!(s.poll(), SpoutPoll::Eos));
-    }
-
-    #[test]
-    fn next_skips_watermarks() {
-        let q = std::sync::Arc::new(LiveQueue::new());
-        q.push(LiveItem::Watermark(1));
-        q.push(LiveItem::Delta(tuple![5]));
-        let mut s = LiveSpout::new(std::sync::Arc::clone(&q));
-        assert_eq!(s.next(), Some(tuple![5]));
-        assert_eq!(s.next(), None);
     }
 }

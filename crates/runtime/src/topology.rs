@@ -13,11 +13,11 @@ use crate::message::{Message, NodeId};
 use crate::metrics::TaskCounters;
 use crate::transport::Transport;
 
-/// What a spout produced on one poll. Bounded sources only ever see
-/// [`SpoutPoll::Tuple`] and [`SpoutPoll::Eos`] (the defaulted
-/// [`Spout::poll`] maps `next()` onto them); *resident* sources — standing
-/// materialized views — additionally use [`SpoutPoll::Idle`] to park
-/// without terminating and [`SpoutPoll::Watermark`] to punctuate epochs.
+/// What a spout produced on one poll. Bounded sources only ever report
+/// [`SpoutPoll::Tuple`] and [`SpoutPoll::Eos`]; *resident* sources —
+/// standing materialized views — additionally use [`SpoutPoll::Idle`] to
+/// park without terminating and [`SpoutPoll::Watermark`] /
+/// [`SpoutPoll::Barrier`] to punctuate epochs.
 pub enum SpoutPoll {
     /// One data tuple to emit downstream.
     Tuple(Tuple),
@@ -36,51 +36,28 @@ pub enum SpoutPoll {
 }
 
 /// A data source. Each task of a spout node owns one `Spout` instance and
-/// calls `next` until it returns `None` (bounded streams) or the run is
-/// aborted. Online/unbounded execution is modeled by long streams or, for
-/// resident topologies, by overriding [`Spout::poll`] so the source can
-/// park idle ([`SpoutPoll::Idle`]) instead of ending.
+/// the executor polls it until it reports [`SpoutPoll::Eos`] or the run is
+/// aborted.
 pub trait Spout: Send {
-    fn next(&mut self) -> Option<Tuple>;
-
-    /// Poll the source once. The default delegates to [`Spout::next`]:
-    /// `Some` becomes [`SpoutPoll::Tuple`], `None` becomes
-    /// [`SpoutPoll::Eos`]. Resident sources override this.
-    fn poll(&mut self) -> SpoutPoll {
-        match self.next() {
-            Some(t) => SpoutPoll::Tuple(t),
-            None => SpoutPoll::Eos,
-        }
-    }
+    /// Poll the source once — the only way tuples enter a topology.
+    fn poll(&mut self) -> SpoutPoll;
 }
 
 /// A computation node. Each task owns one `Bolt` instance.
 pub trait Bolt: Send {
-    /// Process one input tuple. `origin` is the upstream node that emitted
-    /// it (joiners dispatch on it to tell their relations apart).
-    fn execute(&mut self, origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()>;
-
-    /// Process one columnar batch of input rows from `origin`.
-    ///
-    /// The default is the row-view fallback: materialize each row via
-    /// [`Chunk::rows`] and call [`Bolt::execute`] — correct for every bolt
-    /// with no migration effort. Hot operators (joins, aggregation)
-    /// override this to resolve per-batch facts once (origin → relation)
-    /// and to read key columns as primitive slices, falling back to rows
-    /// only at their state boundaries. Overrides must be observationally
-    /// identical to the default: same emissions, same errors, in the same
-    /// per-row order.
+    /// Process one columnar batch of input rows — the only way data
+    /// reaches a bolt. `origin` is the upstream node that emitted the
+    /// batch (joiners dispatch on it to tell their relations apart); every
+    /// row of a chunk shares it. Emissions and errors must follow the
+    /// chunk's row order, so results do not depend on how the data plane
+    /// happened to batch the stream. Operators with per-row logic iterate
+    /// [`Chunk::rows`]; [`FnBolt`] does that on behalf of a row closure.
     fn execute_chunk(
         &mut self,
         origin: NodeId,
         chunk: &Chunk,
         out: &mut OutputCollector,
-    ) -> Result<()> {
-        for t in chunk.rows() {
-            self.execute(origin, t, out)?;
-        }
-        Ok(())
-    }
+    ) -> Result<()>;
 
     /// Called once after every upstream task has signalled end-of-stream;
     /// used by blocking-at-the-end operators (final aggregation emission).
@@ -121,8 +98,8 @@ pub trait Bolt: Send {
 pub struct IterSpout<I: Iterator<Item = Tuple> + Send>(pub I);
 
 impl<I: Iterator<Item = Tuple> + Send> Spout for IterSpout<I> {
-    fn next(&mut self) -> Option<Tuple> {
-        self.0.next()
+    fn poll(&mut self) -> SpoutPoll {
+        self.0.next().map_or(SpoutPoll::Eos, SpoutPoll::Tuple)
     }
 }
 
@@ -143,10 +120,14 @@ impl IterSpoutVec {
 }
 
 impl Spout for IterSpoutVec {
-    fn next(&mut self) -> Option<Tuple> {
-        let t = self.data.get(self.pos)?.clone();
-        self.pos += self.stride;
-        Some(t)
+    fn poll(&mut self) -> SpoutPoll {
+        match self.data.get(self.pos) {
+            Some(t) => {
+                self.pos += self.stride;
+                SpoutPoll::Tuple(t.clone())
+            }
+            None => SpoutPoll::Eos,
+        }
     }
 }
 
@@ -171,15 +152,22 @@ pub fn sort_by_event_time(data: &mut [Tuple], ts_col: usize) -> Result<()> {
     Ok(())
 }
 
-/// A bolt defined by a closure (handy in tests and examples).
+/// A bolt defined by a per-row closure (handy in tests and examples) — the
+/// one row adapter: it materializes each row of the chunk and hands it to
+/// the closure, stopping at the first error.
 pub struct FnBolt<F>(pub F);
 
 impl<F> Bolt for FnBolt<F>
 where
     F: FnMut(NodeId, Tuple, &mut OutputCollector) -> Result<()> + Send,
 {
-    fn execute(&mut self, origin: NodeId, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        (self.0)(origin, tuple, out)
+    fn execute_chunk(
+        &mut self,
+        origin: NodeId,
+        chunk: &Chunk,
+        out: &mut OutputCollector,
+    ) -> Result<()> {
+        chunk.rows().try_for_each(|tuple| (self.0)(origin, tuple, out))
     }
 }
 

@@ -852,6 +852,12 @@ mod tests {
         let rows: Vec<Tuple> = rs.rows().to_vec();
         let report = rs.report().expect("distributed run");
         assert_eq!(report.scheduler.workers, 2, "pool size = worker_threads");
+        // The standing plane is configured by the same relay: the knobs
+        // reach a resident view's topology too.
+        let plan =
+            PhysicalQuery::plan(&squall_sql::parse(query).unwrap(), small.catalog()).unwrap();
+        let standing = plan.prepare_standing(small.catalog(), small.config()).unwrap().mcfg;
+        assert_eq!((standing.worker_threads, standing.batch_size), (Some(2), 1));
         // Identical rows under a different pool/batch configuration.
         let mut big = Session::builder().machines(4).worker_threads(8).batch_size(1024).build();
         std::mem::swap(big.catalog_mut(), session().catalog_mut());
