@@ -50,9 +50,10 @@ impl Tuple {
         &self.values
     }
 
-    /// Project onto the given column indexes, producing a new tuple.
+    /// Project onto the given column indexes, producing a new tuple (one
+    /// allocation: the column list's length is known up front).
     pub fn project(&self, cols: &[usize]) -> Tuple {
-        Tuple::new(cols.iter().map(|&c| self.values[c].clone()).collect())
+        cols.iter().map(|&c| self.values[c].clone()).collect()
     }
 
     /// Concatenate two tuples (join output construction).

@@ -27,7 +27,7 @@ use squall_common::{FxHashMap, Result, Tuple, Value};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::MultiJoinSpec;
 
-use crate::views::View;
+use crate::views::{RowId, View};
 use crate::{LocalJoin, Snapshot};
 
 /// How one segment of a ΔV_S tuple is assembled.
@@ -70,14 +70,32 @@ pub struct DBToasterJoin {
     arities: Vec<usize>,
     views: Vec<View>,
     plans: Vec<Vec<SubsetPlan>>,
-    /// Probe-key scratch reused across arrivals (amortizes to zero
-    /// allocations on the per-tuple hot path).
-    scratch_key: Vec<Value>,
-    /// Pooled per-component match buffers; inner vectors keep their
-    /// capacity between arrivals.
-    scratch_matches: Vec<Vec<(Tuple, i64)>>,
+    /// Pooled per-component match buffers (row id in the probed view,
+    /// multiplicity); they keep their capacity between arrivals.
+    scratch_matches: Vec<Vec<(RowId, i64)>>,
     /// Odometer scratch for the cross-combination loop.
     scratch_idx: Vec<usize>,
+    /// Assembly buffer for one ΔV_S row.
+    scratch_values: Vec<Value>,
+}
+
+/// The relations of `mask` reachable from `start` (a member of `mask`)
+/// through atoms between members of `mask`.
+fn reachable(adj: &[u32], mask: u32, start: usize) -> u32 {
+    let mut seen = 1u32 << start;
+    let mut frontier = seen;
+    while frontier != 0 {
+        let mut next = 0u32;
+        let mut f = frontier;
+        while f != 0 {
+            let r = f.trailing_zeros() as usize;
+            f &= f - 1;
+            next |= adj[r] & mask & !seen;
+        }
+        seen |= next;
+        frontier = next;
+    }
+    seen
 }
 
 impl DBToasterJoin {
@@ -90,7 +108,7 @@ impl DBToasterJoin {
         let n = spec.n_relations();
         assert!((1..=30).contains(&n), "unsupported relation count {n}");
         let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
-        let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+        let full: u32 = (1u32 << n) - 1;
 
         // Adjacency from atoms.
         let mut adj = vec![0u32; n];
@@ -99,45 +117,15 @@ impl DBToasterJoin {
             adj[a.right_rel] |= 1 << a.left_rel;
         }
         let connected = |mask: u32| -> bool {
-            if mask == 0 {
-                return false;
-            }
-            let start = mask.trailing_zeros() as usize;
-            let mut seen = 1u32 << start;
-            let mut frontier = seen;
-            while frontier != 0 {
-                let mut next = 0u32;
-                let mut f = frontier;
-                while f != 0 {
-                    let r = f.trailing_zeros() as usize;
-                    f &= f - 1;
-                    next |= adj[r] & mask & !seen;
-                }
-                seen |= next;
-                frontier = next;
-            }
-            seen == mask
+            mask != 0 && reachable(&adj, mask, mask.trailing_zeros() as usize) == mask
         };
         let components = |mask: u32| -> Vec<u32> {
             let mut rest = mask;
             let mut comps = Vec::new();
             while rest != 0 {
-                let start = rest.trailing_zeros() as usize;
-                let mut seen = 1u32 << start;
-                let mut frontier = seen;
-                while frontier != 0 {
-                    let mut next = 0u32;
-                    let mut f = frontier;
-                    while f != 0 {
-                        let r = f.trailing_zeros() as usize;
-                        f &= f - 1;
-                        next |= adj[r] & mask & !seen;
-                    }
-                    seen |= next;
-                    frontier = next;
-                }
-                comps.push(seen);
-                rest &= !seen;
+                let comp = reachable(&adj, mask, rest.trailing_zeros() as usize);
+                comps.push(comp);
+                rest &= !comp;
             }
             comps
         };
@@ -219,9 +207,9 @@ impl DBToasterJoin {
             arities,
             views,
             plans,
-            scratch_key: Vec::new(),
             scratch_matches: Vec::new(),
             scratch_idx: Vec::new(),
+            scratch_values: Vec::new(),
         }
     }
 
@@ -245,88 +233,77 @@ impl DBToasterJoin {
         debug_assert_eq!(tuple.arity(), self.arities[rel], "arity mismatch for relation {rel}");
         // Scratch buffers move out of `self` for the duration of the call
         // so the plan iteration below can still borrow `self.plans`; they
-        // are restored (capacity intact) on every exit path.
-        let mut key_buf = std::mem::take(&mut self.scratch_key);
+        // are restored (capacity intact) on exit.
         let mut match_bufs = std::mem::take(&mut self.scratch_matches);
         let mut idx = std::mem::take(&mut self.scratch_idx);
+        let mut values = std::mem::take(&mut self.scratch_values);
         for plan in &self.plans[rel] {
-            // Probe every component; collect owned matches into pooled
-            // buffers (the views are mutated afterwards).
-            let mut used = 0;
-            let mut dead = false;
-            for cp in &plan.comps {
-                let view = &self.views[cp.view_id];
-                let filter = |t: &Tuple| {
-                    cp.theta.iter().all(|&(mc, op, vc)| op.eval(tuple.get(mc), t.get(vc)))
-                };
-                if match_bufs.len() == used {
-                    match_bufs.push(Vec::new());
+            if plan.view_id.is_none() && matches!(out, Sink::None) {
+                continue; // a result delta nobody reads: not even probed
+            }
+            if plan.comps.is_empty() {
+                // ΔV_{rel} is the arrival itself.
+                match plan.view_id {
+                    Some(vid) => self.views[vid].update(tuple, mult),
+                    None => out.push(tuple.clone(), mult),
                 }
-                let found = &mut match_bufs[used];
+                continue;
+            }
+            // Probe every component. Matches are kept as row ids: the
+            // probed views never contain `rel`, so they do not change
+            // while this plan updates its target.
+            if match_bufs.len() < plan.comps.len() {
+                match_bufs.resize_with(plan.comps.len(), Vec::new);
+            }
+            let matches = &mut match_bufs[..plan.comps.len()];
+            let mut dead = false;
+            for (cp, found) in plan.comps.iter().zip(matches.iter_mut()) {
+                let view = &self.views[cp.view_id];
+                let keep = |id: RowId| {
+                    let (t, m) = view.row(id);
+                    cp.theta
+                        .iter()
+                        .all(|&(mc, op, vc)| op.eval(tuple.get(mc), t.get(vc)))
+                        .then_some((id, m))
+                };
                 found.clear();
                 match cp.index_id {
                     Some(ix) => {
-                        key_buf.clear();
-                        key_buf.extend(cp.my_cols.iter().map(|&c| tuple.get(c).clone()));
-                        found.extend(
-                            view.probe(ix, &key_buf)
-                                .filter(|(t, _)| filter(t))
-                                .map(|(t, m)| (t.clone(), m)),
-                        );
+                        let key = cp.my_cols.iter().map(|&c| tuple.get(c));
+                        found.extend(view.probe_ids(ix, key).filter_map(keep));
                     }
-                    None => found.extend(
-                        view.scan().filter(|(t, _)| filter(t)).map(|(t, m)| (t.clone(), m)),
-                    ),
+                    None => found.extend(view.scan_ids().filter_map(keep)),
                 }
                 if found.is_empty() {
                     dead = true;
                     break;
                 }
-                used += 1;
             }
             if dead {
                 continue;
             }
-            let matches = &match_bufs[..used];
             // Cross-combine the component matches.
             idx.clear();
             idx.resize(matches.len(), 0);
             loop {
-                let mut values = Vec::new();
                 let mut delta_mult = mult;
+                for (c, &i) in idx.iter().enumerate() {
+                    delta_mult *= matches[c][i].1;
+                }
                 for seg in &plan.assembly {
                     match *seg {
                         Segment::Delta => values.extend_from_slice(tuple.values()),
                         Segment::Comp { comp, start, len } => {
-                            let (t, _) = &matches[comp][idx[comp]];
+                            let (t, _) = self.views[plan.comps[comp].view_id]
+                                .row(matches[comp][idx[comp]].0);
                             values.extend_from_slice(&t.values()[start..start + len]);
                         }
                     }
                 }
-                for (c, &i) in idx.iter().enumerate() {
-                    delta_mult *= matches[c][i].1;
-                }
-                let merged = Tuple::new(values);
+                let merged: Tuple = values.drain(..).collect();
                 match plan.view_id {
                     Some(vid) => self.views[vid].update(&merged, delta_mult),
-                    None => match &mut out {
-                        Sink::None => {}
-                        Sink::Expand(v) => {
-                            for _ in 0..delta_mult {
-                                v.push(merged.clone());
-                            }
-                        }
-                        Sink::Weighted(v) => {
-                            if delta_mult > 0 {
-                                v.push((merged.clone(), delta_mult));
-                            }
-                        }
-                        Sink::Signed(v) => {
-                            if delta_mult != 0 {
-                                v.push((merged.clone(), delta_mult));
-                            }
-                        }
-                    },
+                    None => out.push(merged, delta_mult),
                 }
                 // Advance the odometer.
                 let mut c = 0;
@@ -346,9 +323,9 @@ impl DBToasterJoin {
                 }
             }
         }
-        self.scratch_key = key_buf;
         self.scratch_matches = match_bufs;
         self.scratch_idx = idx;
+        self.scratch_values = values;
     }
 }
 
@@ -397,6 +374,18 @@ enum Sink<'a> {
     /// Z-set output: results carry their signed multiplicity, retractions
     /// included (the standing-view delta plane).
     Signed(&'a mut Vec<(Tuple, i64)>),
+}
+
+impl Sink<'_> {
+    fn push(&mut self, result: Tuple, mult: i64) {
+        match self {
+            Sink::None => {}
+            Sink::Expand(v) => v.extend((0..mult).map(|_| result.clone())),
+            Sink::Weighted(v) if mult > 0 => v.push((result, mult)),
+            Sink::Signed(v) if mult != 0 => v.push((result, mult)),
+            Sink::Weighted(_) | Sink::Signed(_) => {}
+        }
+    }
 }
 
 impl LocalJoin for DBToasterJoin {
@@ -453,12 +442,11 @@ impl AggregatedDBToaster {
                 }
             }
         }
-        for (r, cols) in kept.iter_mut().enumerate() {
+        for cols in &mut kept {
             if cols.is_empty() {
                 cols.push(0);
             }
             cols.sort_unstable();
-            let _ = r;
         }
         // Projected spec: schemas narrowed, atoms remapped.
         let relations: Vec<RelationDef> = spec
@@ -469,15 +457,18 @@ impl AggregatedDBToaster {
                 RelationDef::new(def.name.clone(), def.schema.project(&kept[r]), def.est_size)
             })
             .collect();
+        let narrowed = |rel: usize, col: usize| {
+            kept[rel].iter().position(|&c| c == col).expect("kept holds every atom column")
+        };
         let atoms = spec
             .atoms
             .iter()
             .map(|a| squall_expr::JoinAtom {
                 left_rel: a.left_rel,
-                left_col: kept[a.left_rel].iter().position(|&c| c == a.left_col).unwrap(),
+                left_col: narrowed(a.left_rel, a.left_col),
                 op: a.op,
                 right_rel: a.right_rel,
-                right_col: kept[a.right_rel].iter().position(|&c| c == a.right_col).unwrap(),
+                right_col: narrowed(a.right_rel, a.right_col),
             })
             .collect();
         let projected =
@@ -744,6 +735,16 @@ mod tests {
             }
         }
         assert_eq!(j.stored(), 0, "views must be empty after removing all input");
+    }
+
+    #[test]
+    fn join_keys_compare_as_values_do() {
+        let (spec, rels, expected) = crate::naive::mixed_key_join();
+        for seed in 0..4 {
+            let online = run_online(&mut DBToasterJoin::new(&spec), &rels, seed);
+            assert!(same_multiset(&online, &expected), "{online:?}");
+            assert!(same_multiset(&online, &naive_join(&spec, &rels)));
+        }
     }
 
     #[test]

@@ -133,18 +133,20 @@ impl TraditionalJoin {
         TraditionalJoin { n, bases, plans, emit_order }
     }
 
-    fn cascade(
-        &self,
+    /// Bind the relations of `rel`'s cascade from `step` on; `bound` holds
+    /// the stored rows chosen so far, borrowed from the base views.
+    fn cascade<'a>(
+        &'a self,
         rel: usize,
-        tuple: &Tuple,
+        tuple: &'a Tuple,
         step: usize,
-        bound: &mut Vec<(Tuple, i64)>,
+        bound: &mut Vec<(&'a Tuple, i64)>,
         out: &mut Vec<Tuple>,
     ) {
         let steps = &self.plans[rel];
         if step == steps.len() {
             // Emit: one result per multiplicity product.
-            let mut mult: i64 = bound.iter().map(|(_, m)| m).product();
+            let mult: i64 = bound.iter().map(|(_, m)| m).product();
             let mut values = Vec::new();
             for slot in &self.emit_order[rel] {
                 match slot {
@@ -153,46 +155,36 @@ impl TraditionalJoin {
                 }
             }
             let result = Tuple::new(values);
-            while mult > 0 {
-                out.push(result.clone());
-                mult -= 1;
-            }
+            out.extend((0..mult).map(|_| result.clone()));
             return;
         }
         let st = &steps[step];
-        let value_of = |slot: Slot, col: usize, bound: &Vec<(Tuple, i64)>| -> Value {
+        let value_of = |slot: Slot, col: usize, bound: &[(&'a Tuple, i64)]| -> &'a Value {
             match slot {
-                Slot::Delta => tuple.get(col).clone(),
-                Slot::Bound(k) => bound[k].0.get(col).clone(),
+                Slot::Delta => tuple.get(col),
+                Slot::Bound(k) => bound[k].0.get(col),
             }
-        };
-        let passes = |cand: &Tuple, bound: &Vec<(Tuple, i64)>| -> bool {
-            st.theta.iter().all(|&(slot, scol, op, ccol)| {
-                op.eval(&value_of(slot, scol, bound), cand.get(ccol))
-            })
         };
         // The recomputation the paper criticizes: every arrival probes the
-        // base stores and re-derives all partial joins.
-        let candidates: Vec<(Tuple, i64)> = match st.index_id {
-            Some(ix) => {
-                let key: Vec<Value> =
-                    st.key.iter().map(|&(slot, col)| value_of(slot, col, bound)).collect();
-                self.bases[st.rel]
-                    .probe(ix, &key)
-                    .filter(|(t, _)| passes(t, bound))
-                    .map(|(t, m)| (t.clone(), m))
-                    .collect()
+        // base stores and re-derives all partial joins. The key points into
+        // rows that outlive the cascade, so the probe holds no borrow of
+        // `bound` while it grows (empty, and unallocated, for a scan).
+        let key: Vec<&Value> =
+            st.key.iter().map(|&(slot, col)| value_of(slot, col, bound)).collect();
+        let mut bind = |(cand, mult): (&'a Tuple, i64)| {
+            let passes = st.theta.iter().all(|&(slot, scol, op, ccol)| {
+                op.eval(value_of(slot, scol, bound), cand.get(ccol))
+            });
+            if passes {
+                bound.push((cand, mult));
+                self.cascade(rel, tuple, step + 1, bound, out);
+                bound.pop();
             }
-            None => self.bases[st.rel]
-                .scan()
-                .filter(|(t, _)| passes(t, bound))
-                .map(|(t, m)| (t.clone(), m))
-                .collect(),
         };
-        for cand in candidates {
-            bound.push(cand);
-            self.cascade(rel, tuple, step + 1, bound, out);
-            bound.pop();
+        let base = &self.bases[st.rel];
+        match st.index_id {
+            Some(ix) => base.probe(ix, key.iter().copied()).for_each(&mut bind),
+            None => base.scan().for_each(&mut bind),
         }
     }
 }
@@ -361,6 +353,16 @@ mod tests {
         j.insert(1, &tuple![7, 1], &mut out);
         assert_eq!(out.len(), 1, "one R copy left after removal");
         assert_eq!(j.stored(), 2);
+    }
+
+    #[test]
+    fn join_keys_compare_as_values_do() {
+        let (spec, rels, expected) = crate::naive::mixed_key_join();
+        for seed in 0..4 {
+            let online = run_online(&mut TraditionalJoin::new(&spec), &rels, seed);
+            assert!(same_multiset(&online, &expected), "{online:?}");
+            assert!(same_multiset(&online, &naive_join(&spec, &rels)));
+        }
     }
 
     #[test]
