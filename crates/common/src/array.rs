@@ -91,11 +91,6 @@ impl Bitmap {
         self.len == 0
     }
 
-    /// Count of set (valid) bits.
-    pub fn count_valid(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Raw 64-bit words, little-bit-endian within each word (wire layout).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -347,22 +342,6 @@ impl Array {
     pub fn as_i64(&self) -> Option<&I64Array> {
         match self {
             Array::Int(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// The float column, if this is a typed `Float` array.
-    pub fn as_f64(&self) -> Option<&F64Array> {
-        match self {
-            Array::Float(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// The string column, if this is a typed `Str` array.
-    pub fn as_utf8(&self) -> Option<&Utf8Array> {
-        match self {
-            Array::Str(a) => Some(a),
             _ => None,
         }
     }
@@ -679,30 +658,6 @@ impl Chunk {
             self.columns[c].update_hash_states(&mut states);
         }
         states
-    }
-
-    /// Rough in-memory footprint in bytes (for memory budgeting).
-    pub fn approx_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| match c {
-                Array::Int(a) => 8 * a.len(),
-                Array::Float(a) => 8 * a.len(),
-                Array::Date(a) => 4 * a.len(),
-                Array::Str(a) => a.bytes().len() + 4 * (a.len() + 1),
-                Array::Null(_) => 0,
-                Array::Mixed(v) => {
-                    v.len() * std::mem::size_of::<Value>()
-                        + v.iter()
-                            .map(|x| match x {
-                                Value::Str(s) => s.len(),
-                                _ => 0,
-                            })
-                            .sum::<usize>()
-                }
-            })
-            .sum::<usize>()
-            + 16
     }
 }
 

@@ -103,10 +103,6 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Integer accessor.
     pub fn as_int(&self) -> Result<i64> {
         match self {
@@ -134,16 +130,6 @@ impl Value {
             Value::Str(s) => Ok(s),
             other => {
                 Err(SquallError::TypeMismatch { expected: "Str", found: format!("{other:?}") })
-            }
-        }
-    }
-
-    /// Date accessor.
-    pub fn as_date(&self) -> Result<Date> {
-        match self {
-            Value::Date(d) => Ok(*d),
-            other => {
-                Err(SquallError::TypeMismatch { expected: "Date", found: format!("{other:?}") })
             }
         }
     }

@@ -706,7 +706,7 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
         .0;
         (topology, restored)
     } else {
-        (assemble(&job.spec, empty_data, &job.cfg)?.topology, false)
+        (assemble(&job.spec, empty_data, &job.cfg)?.0, false)
     };
     if restored {
         eprintln!(
@@ -1016,6 +1016,28 @@ mod tests {
         let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
         cfg.cluster = Some(ClusterSpec::new(Vec::<String>::new()));
         let err = crate::driver::run_multiway(&spec, rst_data(10, 4, 1), &cfg).unwrap_err();
+        assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
+    }
+
+    #[test]
+    fn zero_width_window_job_is_a_typed_error_on_the_worker() {
+        // A decoded `JobSpec` is wire input: a window no width fits must
+        // fail the job before a task divides by it.
+        let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2).with_window(
+            WindowPlan { spec: WindowSpec::Tumbling { width: 0 }, ts_cols: vec![1, 1, 1] },
+        );
+        let job = JobSpec {
+            me: 1,
+            peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
+            spec: rst_spec(),
+            cfg,
+            resume_epoch: 0,
+            restore_join: Vec::new(),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut coordinator = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        Frame::Job { payload: job.encode() }.write_to(&mut coordinator).unwrap();
+        let err = serve_job(&listener).unwrap_err();
         assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
     }
 

@@ -11,15 +11,17 @@ use std::sync::Arc;
 
 use squall_common::{FxHashMap, Result, SquallError, Tuple};
 use squall_expr::MultiJoinSpec;
-use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowSpec};
+use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowJoin, WindowSpec};
 use squall_partition::optimizer::{build_scheme, SchemeKind};
-use squall_partition::HypercubeScheme;
 use squall_runtime::{
-    ClusterRun, Grouping, IterSpoutVec, NodeId, RunHandle, RunOutcome, SchedulerStats, Topology,
-    TopologyBuilder, TransportStats, DEFAULT_BATCH_SIZE,
+    Bolt, ClusterRun, Grouping, IterSpoutVec, NodeId, RunHandle, RunOutcome, SchedulerStats, Spout,
+    Topology, TopologyBuilder, TransportStats, DEFAULT_BATCH_SIZE,
 };
 
 use crate::cluster::ClusterSpec;
+use crate::operators::{
+    AggBolt, JoinBolt, JoinEmit, JoinState, TaskJoin, WindowMergeBolt, WindowedAggBolt,
+};
 
 /// Which local join algorithm each machine runs (§3.3 / Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,9 +197,9 @@ pub struct JoinReport {
     /// Input tuples fed by the sources.
     pub input_count: u64,
     /// Input tuples per relation, in spec order — the per-step "actual
-    /// rows" column of the planner's estimated-vs-actual explain table.
-    /// Empty on paths that do not track per-relation counts (pipeline
-    /// mode, standing views).
+    /// rows" column of the planner's estimated-vs-actual explain table
+    /// (a standing view's initial load). Empty in pipeline mode, which
+    /// does not track per-relation counts.
     pub input_counts: Vec<u64>,
     /// Per-join-machine received-tuple loads (Table 1).
     pub loads: Vec<u64>,
@@ -298,37 +300,31 @@ fn make_local(kind: LocalJoinKind, spec: &MultiJoinSpec, count_only: bool) -> Bo
     }
 }
 
-/// Everything [`summarize`] needs to turn a finished (or drained) run into
-/// a [`JoinReport`]: node ids, the chosen scheme, and the run mode.
+/// Everything [`summarize`] needs to turn a finished (or drained) run —
+/// one-shot or standing — into a [`JoinReport`]: node ids, the chosen
+/// scheme, and the run mode. [`wire_join_stage`] fills in the join stage;
+/// the assembler adds what it builds behind it.
 pub(crate) struct RunContext {
-    join_node: NodeId,
+    pub(crate) join_node: NodeId,
+    /// Join-task (machine) count — how many join blobs a checkpoint needs.
+    pub(crate) join_tasks: usize,
     source_nodes: Vec<NodeId>,
     agg_node: Option<NodeId>,
     /// The ordered window-merge sink (windowed aggregation only).
     merge_node: Option<NodeId>,
-    scheme_description: String,
-    input_count: u64,
+    pub(crate) scheme_description: String,
+    /// Tuples per relation the run was launched with.
     input_counts: Vec<u64>,
     /// The sink emits per-task result counters instead of rows.
     count_only: bool,
 }
 
-/// A validated, ready-to-run topology plus its reporting context.
-pub(crate) struct Assembled {
-    pub(crate) topology: Topology,
-    pub(crate) ctx: RunContext,
-}
-
-/// The plan checks both assemblers ([`assemble`] and
-/// [`crate::standing::assemble_standing`]) run before building anything:
-/// one data stream per relation, and a window plan that is bounded and
-/// names an in-range event-time column for every relation. A plan that
-/// fails here would otherwise panic a task inside its bolt factory.
-pub(crate) fn validate_plan(
-    spec: &MultiJoinSpec,
-    n_streams: usize,
-    cfg: &MultiwayConfig,
-) -> Result<()> {
+/// The plan checks [`wire_join_stage`] runs before building anything: one
+/// data stream per relation, and a window plan that is bounded, non-empty
+/// and names an in-range event-time column for every relation. A plan that
+/// fails here would otherwise panic a task — inside its bolt factory, or
+/// dividing by a zero window width.
+fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -> Result<()> {
     if n_streams != spec.n_relations() {
         return Err(SquallError::InvalidPlan(format!(
             "{} relations but {} data streams",
@@ -337,13 +333,19 @@ pub(crate) fn validate_plan(
         )));
     }
     if let Some(w) = &cfg.window {
-        if matches!(w.spec, WindowSpec::FullHistory) {
+        match w.spec {
             // FullHistory is the *absence* of a window plan; under an
             // aggregate it would panic inside the per-window bolt, so
             // reject it as the typed planning error it is.
-            return Err(SquallError::InvalidPlan(
-                "a window plan must be tumbling or sliding (FullHistory = no window)".into(),
-            ));
+            WindowSpec::FullHistory => {
+                return Err(SquallError::InvalidPlan(
+                    "a window plan must be tumbling or sliding (FullHistory = no window)".into(),
+                ))
+            }
+            WindowSpec::Tumbling { width: 0 } | WindowSpec::Sliding { size: 0 } => {
+                return Err(SquallError::InvalidPlan("a window's width / size must be > 0".into()))
+            }
+            WindowSpec::Tumbling { .. } | WindowSpec::Sliding { .. } => {}
         }
         if w.ts_cols.len() != spec.n_relations() {
             return Err(SquallError::InvalidPlan(format!(
@@ -363,6 +365,87 @@ pub(crate) fn validate_plan(
     Ok(())
 }
 
+/// One relation's source: its task count and the per-task spout builder.
+pub(crate) type SpoutFactory = (usize, Box<dyn Fn(usize) -> Box<dyn Spout> + Send>);
+
+/// The join stage both planes share — data sources → (partitioning-scheme
+/// groupings) → join component: plan validation, the builder knobs, one
+/// spout node per relation (`spout(rel, tuples)` supplies each), the
+/// upstream-node → relation map, the partitioning scheme, one
+/// [`TaskJoin`] per machine over `local`'s join (windowed and budgeted as
+/// `cfg` says) wrapped by `bolt`, and the scheme's source → join
+/// groupings. Returns the builder for the caller to hang its sink stage on.
+///
+/// A single relation needs no partitioning scheme — a one-relation "join"
+/// emits its input — so it runs on one task behind a global grouping.
+pub(crate) fn wire_join_stage<J: LocalJoin + 'static>(
+    spec: &MultiJoinSpec,
+    data: Vec<Vec<Tuple>>,
+    cfg: &MultiwayConfig,
+    mut spout: impl FnMut(usize, Vec<Tuple>) -> SpoutFactory,
+    local: impl Fn(&MultiJoinSpec) -> J + Send + 'static,
+    bolt: impl Fn(TaskJoin<J>) -> Box<dyn Bolt> + Send + 'static,
+) -> Result<(TopologyBuilder, RunContext)> {
+    validate_plan(spec, data.len(), cfg)?;
+    let n_rel = spec.n_relations();
+    let (machines, scheme) = if n_rel == 1 {
+        (1, None)
+    } else {
+        let machines = cfg.machines.max(1);
+        (machines, Some(Arc::new(build_scheme(cfg.scheme, spec, machines, cfg.seed)?)))
+    };
+    let scheme_description =
+        scheme.as_ref().map_or("single-relation identity".to_string(), |s| s.describe());
+
+    let mut b = TopologyBuilder::new().batch_size(cfg.batch_size.max(1));
+    if let Some(workers) = cfg.worker_threads {
+        b = b.worker_threads(workers);
+    }
+    let input_counts = data.iter().map(|d| d.len() as u64).collect();
+    let mut source_nodes = Vec::with_capacity(n_rel);
+    for (rel, tuples) in data.into_iter().enumerate() {
+        let (parallelism, factory) = spout(rel, tuples);
+        let name = format!("src-{}", spec.relations[rel].name);
+        source_nodes.push(b.add_spout(name, parallelism, factory));
+    }
+
+    let origin_to_rel: FxHashMap<NodeId, usize> =
+        source_nodes.iter().enumerate().map(|(rel, &node)| (node, rel)).collect();
+    let spec_arc = Arc::new(spec.clone());
+    let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
+    let window = cfg.window.clone();
+    let budget = cfg.budget;
+    let join_node = b.add_bolt("join", machines, move |machine| {
+        let join = local(&spec_arc);
+        let state = match &window {
+            Some(w) => JoinState::Windowed {
+                join: WindowJoin::event_time(join, w.spec, &arities, &w.ts_cols),
+                ts_cols: w.ts_cols.clone(),
+            },
+            None => JoinState::Full(join),
+        };
+        bolt(TaskJoin { state, origin_to_rel: origin_to_rel.clone(), machine, budget })
+    });
+    for (rel, &src) in source_nodes.iter().enumerate() {
+        let grouping = match &scheme {
+            Some(s) => Grouping::Custom(Arc::new(s.grouping_for(rel))),
+            None => Grouping::Global,
+        };
+        b.connect(src, join_node, grouping);
+    }
+    let ctx = RunContext {
+        join_node,
+        join_tasks: machines,
+        source_nodes,
+        agg_node: None,
+        merge_node: None,
+        scheme_description,
+        input_counts,
+        count_only: false,
+    };
+    Ok((b, ctx))
+}
+
 /// Translate a multi-way join query into a runnable topology (the
 /// Squall-to-Storm translation of Figure 1), shared by the collect-all,
 /// streaming and distributed execution paths (workers rebuild the very
@@ -372,96 +455,50 @@ pub(crate) fn assemble(
     spec: &MultiJoinSpec,
     data: Vec<Vec<Tuple>>,
     cfg: &MultiwayConfig,
-) -> Result<Assembled> {
-    validate_plan(spec, data.len(), cfg)?;
-    let scheme: Arc<HypercubeScheme> =
-        Arc::new(build_scheme(cfg.scheme, spec, cfg.machines, cfg.seed)?);
-    let scheme_description = scheme.describe();
-    let input_counts: Vec<u64> = data.iter().map(|d| d.len() as u64).collect();
-    let input_count: u64 = input_counts.iter().sum();
-
-    let mut b = TopologyBuilder::new().batch_size(cfg.batch_size.max(1));
-    if let Some(workers) = cfg.worker_threads {
-        b = b.worker_threads(workers);
-    }
-    // One spout per relation, split across source_parallelism tasks.
+) -> Result<(Topology, RunContext)> {
     // Windowed runs pin each relation to one spout task: the watermark
     // eviction contract needs per-relation event-time order at every join
     // task, which strided multi-task spouts would break.
-    let mut source_nodes = Vec::with_capacity(data.len());
-    for (rel, tuples) in data.into_iter().enumerate() {
-        let shared = Arc::new(tuples);
-        let par = if cfg.window.is_some() { 1 } else { cfg.source_parallelism.max(1) };
-        let node = b.add_spout(format!("src-{}", spec.relations[rel].name), par, move |task| {
-            Box::new(IterSpoutVec::strided(Arc::clone(&shared), task, par))
-        });
-        source_nodes.push(node);
-    }
-
-    // The join component.
-    let spec_arc = Arc::new(spec.clone());
-    let origin_map: FxHashMap<usize, usize> =
-        source_nodes.iter().enumerate().map(|(rel, &node)| (node, rel)).collect();
+    let par = if cfg.window.is_some() { 1 } else { cfg.source_parallelism.max(1) };
     let local = cfg.local;
-    let budget = cfg.budget;
     let count_only = cfg.agg.is_none() && !cfg.collect_results;
     // Windowed joins always materialize result tuples inside the bolt
     // (the window predicate reads their event-time columns), so the
     // aggregated count-only views — which elide those columns — are out.
     let minimal_views = count_only && cfg.window.is_none();
-    let emit = if count_only {
-        crate::operators::JoinEmit::CountOnly
-    } else {
-        crate::operators::JoinEmit::Results
-    };
-    let spec_for_bolt = Arc::clone(&spec_arc);
-    let origin_map = Arc::new(origin_map);
-    let window = cfg.window.clone();
+    let emit = if count_only { JoinEmit::CountOnly } else { JoinEmit::Results };
     // Windowed aggregation downstream: the join tasks forward their
     // event-time watermarks (throttled to one per window length) so the
     // aggregate can close windows while the stream is still running.
-    let windowed_agg = cfg.window.is_some() && cfg.agg.is_some();
-    let join_node = b.add_bolt("join", cfg.machines, move |task| {
-        let origin_to_rel: FxHashMap<usize, usize> =
-            origin_map.iter().map(|(&k, &v)| (k, v)).collect();
-        let local_join = make_local(local, &spec_for_bolt, minimal_views);
-        let mut bolt = match &window {
-            Some(w) => {
-                let arities: Vec<usize> =
-                    spec_for_bolt.relations.iter().map(|r| r.schema.arity()).collect();
-                let mut bolt = crate::operators::JoinBolt::new_windowed(
-                    task,
-                    origin_to_rel,
-                    local_join,
-                    emit,
-                    w.spec,
-                    w.ts_cols.clone(),
-                    &arities,
-                );
-                if windowed_agg {
-                    let granule = match w.spec {
-                        WindowSpec::Tumbling { width } => width,
-                        WindowSpec::Sliding { size } => size,
-                        WindowSpec::FullHistory => 1,
-                    };
-                    bolt = bolt.with_watermark_forwarding(granule);
-                }
-                bolt
-            }
-            None => crate::operators::JoinBolt::new(task, origin_to_rel, local_join, emit),
-        };
-        if let Some(budget) = budget {
-            bolt = bolt.with_budget(budget);
-        }
-        Box::new(bolt)
+    let wm_granule = cfg.window.as_ref().filter(|_| cfg.agg.is_some()).map(|w| match w.spec {
+        WindowSpec::Tumbling { width } => width,
+        WindowSpec::Sliding { size } => size,
+        WindowSpec::FullHistory => 1,
     });
-    for (rel, &src) in source_nodes.iter().enumerate() {
-        b.connect(src, join_node, Grouping::Custom(Arc::new(scheme.grouping_for(rel))));
-    }
+    let (mut b, mut ctx) = wire_join_stage(
+        spec,
+        data,
+        cfg,
+        |_rel, tuples| {
+            let shared = Arc::new(tuples);
+            let factory = move |task| -> Box<dyn Spout> {
+                Box::new(IterSpoutVec::strided(Arc::clone(&shared), task, par))
+            };
+            (par, Box::new(factory))
+        },
+        move |spec| make_local(local, spec, minimal_views),
+        move |join| {
+            let bolt = JoinBolt::over(join, emit);
+            Box::new(match wm_granule {
+                Some(granule) => bolt.with_watermark_forwarding(granule),
+                None => bolt,
+            })
+        },
+    )?;
+    ctx.count_only = count_only;
+    let join_node = ctx.join_node;
 
     // Optional aggregation.
-    let mut agg_node = None;
-    let mut merge_node = None;
     if let Some(agg) = &cfg.agg {
         let group_cols = agg.group_cols.clone();
         let aggs = agg.aggs.clone();
@@ -481,10 +518,10 @@ pub(crate) fn assemble(
                 let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
                 let ts_cols = squall_join::output_ts_cols(&arities, &w.ts_cols);
                 let wspec = w.spec;
-                let n_upstream = cfg.machines.max(1);
+                let n_upstream = ctx.join_tasks;
                 let shards = agg.parallelism.max(1);
                 let node = b.add_bolt("agg", shards, move |_task| {
-                    Box::new(crate::operators::WindowedAggBolt::new(
+                    Box::new(WindowedAggBolt::new(
                         wspec,
                         ts_cols.clone(),
                         group_cols.clone(),
@@ -496,16 +533,15 @@ pub(crate) fn assemble(
                 // remaining shards stay idle but still forward watermark
                 // boundaries, so the merge never waits on them.
                 b.connect(join_node, node, Grouping::Fields(agg.group_cols.clone()));
-                let merge = b.add_bolt("agg-merge", 1, move |_task| {
-                    Box::new(crate::operators::WindowMergeBolt::new(shards))
-                });
+                let merge =
+                    b.add_bolt("agg-merge", 1, move |_task| Box::new(WindowMergeBolt::new(shards)));
                 b.connect(node, merge, Grouping::Global);
-                merge_node = Some(merge);
+                ctx.merge_node = Some(merge);
                 node
             }
             None => {
                 let node = b.add_bolt("agg", agg.parallelism, move |_task| {
-                    Box::new(crate::operators::AggBolt::new(group_cols.clone(), aggs.clone()))
+                    Box::new(AggBolt::new(group_cols.clone(), aggs.clone()))
                 });
                 // Group-key partitioning; a global grouping if no keys.
                 let grouping = if agg.group_cols.is_empty() {
@@ -517,31 +553,20 @@ pub(crate) fn assemble(
                 node
             }
         };
-        agg_node = Some(node);
+        ctx.agg_node = Some(node);
     }
 
-    Ok(Assembled {
-        topology: b.build()?,
-        ctx: RunContext {
-            join_node,
-            source_nodes,
-            agg_node,
-            merge_node,
-            scheme_description,
-            input_count,
-            input_counts,
-            count_only,
-        },
-    })
+    Ok((b.build()?, ctx))
 }
 
-/// Build the [`JoinReport`] for a finished, fully streamed run: the rows
-/// went to the stream's consumer, so `results` starts empty, and
-/// `streamed` is the count-only tally of the sink's per-task counters. For
-/// distributed runs the remote peers' metric snapshots must already be
-/// merged into `outcome.metrics` — the report then measures the whole
-/// cluster, and `loads` is identical to the single-process run.
-fn summarize(
+/// Build the [`JoinReport`] of a drained run, one-shot or standing: the
+/// rows went to the stream's consumer (or into the view), so `results`
+/// starts empty, and `streamed` is the count-only tally of the sink's
+/// per-task counters. For distributed runs the remote peers' metric
+/// snapshots must already be merged into `outcome.metrics` — the report
+/// then measures the whole cluster, and `loads` is identical to the
+/// single-process run.
+pub(crate) fn summarize(
     ctx: RunContext,
     outcome: RunOutcome,
     streamed: u64,
@@ -554,7 +579,7 @@ fn summarize(
     JoinReport {
         results: Vec::new(),
         result_count,
-        input_count: ctx.input_count,
+        input_count: ctx.input_counts.iter().sum(),
         input_counts: ctx.input_counts,
         loads: join_metrics.received.clone(),
         replication_factor: metrics.replication_factor(ctx.join_node, &ctx.source_nodes),
@@ -604,17 +629,9 @@ pub fn run_multiway_stream(
     data: Vec<Vec<Tuple>>,
     cfg: &MultiwayConfig,
 ) -> Result<MultiwayStream> {
-    let Assembled { topology, ctx } = assemble(spec, data, cfg)?;
-    let count_only = ctx.count_only;
+    let (topology, ctx) = assemble(spec, data, cfg)?;
     let (handle, cluster) = crate::cluster::launch(topology, spec, cfg, None, None, None)?;
-    Ok(MultiwayStream {
-        handle: Some(handle),
-        cluster,
-        ctx: Some(ctx),
-        report: None,
-        count_only,
-        streamed: 0,
-    })
+    Ok(MultiwayStream { handle: Some(handle), cluster, ctx: Some(ctx), report: None, streamed: 0 })
 }
 
 /// Iterator over a running multi-way join's output tuples. See
@@ -626,7 +643,6 @@ pub struct MultiwayStream {
     cluster: Option<ClusterRun>,
     ctx: Option<RunContext>,
     report: Option<JoinReport>,
-    count_only: bool,
     streamed: u64,
 }
 
@@ -666,7 +682,7 @@ impl Iterator for MultiwayStream {
         loop {
             match self.handle.as_mut()?.recv() {
                 Some((_, tuple)) => {
-                    if self.count_only {
+                    if self.ctx.as_ref().is_some_and(|ctx| ctx.count_only) {
                         // Count-only sink emissions are per-task counters,
                         // not join rows: tally them, never yield them.
                         self.streamed += tuple.get(0).as_int().unwrap_or(0) as u64;
@@ -1057,17 +1073,27 @@ mod tests {
     }
 
     #[test]
-    fn full_history_window_plan_rejected() {
+    fn unbounded_or_empty_window_plan_rejected() {
+        // FullHistory would panic inside the per-window bolt; a zero width
+        // divides by zero at the first eviction, and nothing above
+        // `run_multiway` (the SQL planner has its own check) stands in
+        // the way of either.
         let spec = two_stream_spec();
-        let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2)
-            .with_window(WindowPlan { spec: WindowSpec::FullHistory, ts_cols: vec![1, 1] })
-            .with_agg(AggPlan {
-                group_cols: vec![0],
-                aggs: vec![AggSpec::count()],
-                parallelism: 1,
-            });
-        let err = run_multiway(&spec, event_streams(10, 3, 2, 1), &cfg).unwrap_err();
-        assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
+        for wspec in [
+            WindowSpec::FullHistory,
+            WindowSpec::Tumbling { width: 0 },
+            WindowSpec::Sliding { size: 0 },
+        ] {
+            let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2)
+                .with_window(WindowPlan { spec: wspec, ts_cols: vec![1, 1] })
+                .with_agg(AggPlan {
+                    group_cols: vec![0],
+                    aggs: vec![AggSpec::count()],
+                    parallelism: 1,
+                });
+            let err = run_multiway(&spec, event_streams(10, 3, 2, 1), &cfg).unwrap_err();
+            assert!(matches!(err, SquallError::InvalidPlan(_)), "{wspec:?}: {err}");
+        }
     }
 
     #[test]
@@ -1094,6 +1120,26 @@ mod tests {
         let spec = rst_spec(false);
         let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
         assert!(run_multiway(&spec, vec![vec![], vec![]], &cfg).is_err());
+    }
+
+    #[test]
+    fn single_relation_runs_on_one_identity_task() {
+        // No scheme partitions one relation (Hash has no join key to hash):
+        // the shared join stage runs it on one task, as the standing plane
+        // always did.
+        let schema = Schema::of(&[("a", DataType::Int)]);
+        let spec = MultiJoinSpec::new(vec![RelationDef::new("R", schema, 3)], vec![]).unwrap();
+        let rows = vec![tuple![1], tuple![2], tuple![2]];
+        for scheme in [SchemeKind::Hash, SchemeKind::Random, SchemeKind::Hybrid] {
+            for local in [LocalJoinKind::Traditional, LocalJoinKind::DBToaster] {
+                let cfg = MultiwayConfig::new(scheme, local, 4);
+                let mut report = run_multiway(&spec, vec![rows.clone()], &cfg).unwrap();
+                assert!(report.error.is_none(), "{scheme} {local}: {:?}", report.error);
+                report.results.sort();
+                assert_eq!(report.results, rows, "{scheme} {local}");
+                assert_eq!(report.loads, vec![3], "{scheme} {local}");
+            }
+        }
     }
 
     #[test]

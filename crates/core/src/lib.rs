@@ -30,9 +30,10 @@ pub use driver::{
     run_multiway, run_multiway_stream, AggPlan, JoinReport, LocalJoinKind, MultiwayConfig,
     MultiwayStream,
 };
-pub use operators::{AggBolt, JoinBolt, SelectProjectBolt, WindowMergeBolt, WindowedAggBolt};
+pub use operators::{
+    AggBolt, Finalizer, JoinBolt, SelectProjectBolt, WindowMergeBolt, WindowedAggBolt,
+};
 pub use pipeline::run_pipeline;
 pub use standing::{
-    assemble_standing, launch_standing, ChangeBatch, DeltaRound, StandingHandle, StandingLayout,
-    ViewPlan, ViewShared, ViewWindow,
+    launch_standing, ChangeBatch, DeltaRound, StandingHandle, ViewPlan, ViewShared, ViewWindow,
 };

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use squall_common::array::Array;
 use squall_common::{Chunk, ChunkBuilder, FxHashMap, Result, SquallError, Tuple, Value};
-use squall_expr::ScalarExpr;
+use squall_expr::{AggFunc, ScalarExpr};
 use squall_join::{AggSpec, GroupByAggregator, LocalJoin, WindowJoin, WindowSpec};
 use squall_runtime::{Bolt, NodeId, OutputCollector};
 
@@ -15,6 +15,99 @@ use squall_runtime::{Bolt, NodeId, OutputCollector};
 pub(crate) fn event_time(ts: i64, at: &str) -> Result<u64> {
     u64::try_from(ts)
         .map_err(|_| SquallError::Runtime(format!("negative event-time timestamp {ts} {at}")))
+}
+
+/// How an engine row — a join result, or a raw aggregate row (group keys ++
+/// every aggregate, hidden HAVING-only ones included) — becomes a row of
+/// the query's answer: the HAVING gate, the SELECT projection and SQL's
+/// "a global aggregate over zero rows is one row". The one-shot result
+/// stream, the planner's single-table path and the standing view sink all
+/// finalize through this one definition.
+#[derive(Debug, Clone)]
+pub struct Finalizer {
+    /// HAVING over the raw aggregate row; `None` on non-aggregate queries.
+    pub having: Option<ScalarExpr>,
+    /// The SELECT list, in order, over the engine row.
+    pub project: Vec<ScalarExpr>,
+    /// The aggregate columns of the raw row, in the coordinates of whichever
+    /// operator computes them; the finalizer itself reads only each `func`,
+    /// to shape the zero-rows row. Empty on non-aggregate queries.
+    pub aggs: Vec<AggSpec>,
+    /// A full-history global aggregate: zero input rows still answer with
+    /// one row (`COUNT` = 0, `NULL` sums and averages).
+    pub emit_empty: bool,
+}
+
+impl Finalizer {
+    /// HAVING-gate and project one engine row; `None` when HAVING drops it.
+    pub fn row(&self, raw: &Tuple) -> Result<Option<Tuple>> {
+        if let Some(h) = &self.having {
+            if !h.eval_bool(raw)? {
+                return Ok(None);
+            }
+        }
+        self.select(raw).map(Some)
+    }
+
+    fn select(&self, raw: &Tuple) -> Result<Tuple> {
+        let mut values = Vec::with_capacity(self.project.len());
+        for e in &self.project {
+            values.push(e.eval(raw)?);
+        }
+        Ok(Tuple::new(values))
+    }
+
+    /// The row answering for zero input rows, when this query has one
+    /// ([`Finalizer::emit_empty`]) and HAVING keeps it. A HAVING predicate
+    /// that errors over the synthetic `COUNT` = 0 / `NULL` row drops it —
+    /// SQL's unknown-is-false; a *projection* error over it is a real
+    /// error, exactly like one over a produced row.
+    pub fn empty_row(&self) -> Result<Option<Tuple>> {
+        if !self.emit_empty {
+            return Ok(None);
+        }
+        let raw = Tuple::new(
+            self.aggs
+                .iter()
+                .map(|a| match a.func {
+                    AggFunc::Count => Value::Int(0),
+                    _ => Value::Null,
+                })
+                .collect::<Vec<_>>(),
+        );
+        match &self.having {
+            Some(h) if !h.eval_bool(&raw).unwrap_or(false) => Ok(None),
+            _ => self.select(&raw).map(Some),
+        }
+    }
+}
+
+/// The watermark frontier of an operator with several upstream tasks: the
+/// highest promise per task, the minimum across tasks, and silence until
+/// every task has promised something — before that no minimum means
+/// anything. Event-time watermarks, window-start boundaries and standing
+/// epochs all advance through it, keyed by `(upstream node, task)`.
+pub(crate) struct Frontier {
+    per_task: FxHashMap<(NodeId, usize), u64>,
+    n_upstream: usize,
+}
+
+impl Frontier {
+    pub(crate) fn new(n_upstream: usize) -> Frontier {
+        Frontier { per_task: FxHashMap::default(), n_upstream }
+    }
+
+    /// Record upstream task `(origin, task)`'s promise `ts` (a lower one
+    /// than it already made is ignored) and return the frontier: the
+    /// minimum over all upstream tasks, `None` while any is yet to promise.
+    pub(crate) fn advance(&mut self, origin: NodeId, task: usize, ts: u64) -> Option<u64> {
+        let slot = self.per_task.entry((origin, task)).or_insert(0);
+        *slot = (*slot).max(ts);
+        if self.per_task.len() < self.n_upstream {
+            return None;
+        }
+        self.per_task.values().copied().min()
+    }
 }
 
 /// Selection + projection in one bolt (Squall co-locates these with the
@@ -135,12 +228,100 @@ pub enum JoinEmit {
     CountOnly,
 }
 
-/// The local join of one task: bare for full-history queries, behind the
-/// event-time window (with each relation's timestamp column, in the bolt's
-/// input coordinates) for windowed ones.
-enum TaskJoin {
-    Full(Box<dyn LocalJoin>),
-    Windowed { join: WindowJoin<Box<dyn LocalJoin>>, ts_cols: Vec<usize> },
+/// Full-history or event-time-windowed local join state.
+pub(crate) enum JoinState<J: LocalJoin> {
+    Full(J),
+    /// Behind the event-time window, with each relation's timestamp column
+    /// in the bolt's input coordinates.
+    Windowed {
+        join: WindowJoin<J>,
+        ts_cols: Vec<usize>,
+    },
+}
+
+/// What every join task holds, whichever plane it serves — the one-shot
+/// [`JoinBolt`] over a `Box<dyn LocalJoin>`, the standing view's delta join
+/// over a [`squall_join::DBToasterJoin`]: the local join state (full-history
+/// or windowed), the event-time read in front of a windowed insert, the
+/// upstream-node → relation lookup, and the §7.3 per-machine budget check.
+/// What the planes do *around* an insert (result counts and event-time
+/// watermarks vs delta tags, epochs and checkpoint barriers) stays in their
+/// bolts.
+pub(crate) struct TaskJoin<J: LocalJoin> {
+    pub(crate) state: JoinState<J>,
+    /// Maps the upstream node that emitted a tuple to its relation index.
+    pub(crate) origin_to_rel: FxHashMap<NodeId, usize>,
+    /// The join task (machine) index.
+    pub(crate) machine: usize,
+    /// Per-machine stored-tuple budget (the §7.3 memory-overflow
+    /// experiments); `None` = unlimited.
+    pub(crate) budget: Option<usize>,
+}
+
+impl<J: LocalJoin> TaskJoin<J> {
+    /// The relation fed by upstream node `origin` (once per chunk: every
+    /// tuple of a batch shares its origin node).
+    pub(crate) fn rel_of(&self, origin: NodeId) -> Result<usize> {
+        self.origin_to_rel
+            .get(&origin)
+            .copied()
+            .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))
+    }
+
+    fn event_time_of(ts_cols: &[usize], rel: usize, tuple: &Tuple) -> Result<u64> {
+        event_time(tuple.get(ts_cols[rel]).as_int()?, "in windowed join input")
+    }
+
+    /// Insert one tuple of `rel`, appending the (in-window) results.
+    pub(crate) fn insert(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<Tuple>) -> Result<()> {
+        match &mut self.state {
+            JoinState::Full(join) => join.insert(rel, tuple, out),
+            JoinState::Windowed { join, ts_cols } => {
+                join.insert(rel, Self::event_time_of(ts_cols, rel, tuple)?, tuple, out)
+            }
+        }
+        Ok(())
+    }
+
+    /// [`TaskJoin::insert`] reporting `(result, multiplicity)` pairs (see
+    /// [`LocalJoin::insert_weighted`]).
+    pub(crate) fn insert_weighted(
+        &mut self,
+        rel: usize,
+        tuple: &Tuple,
+        out: &mut Vec<(Tuple, i64)>,
+    ) -> Result<()> {
+        match &mut self.state {
+            JoinState::Full(join) => join.insert_weighted(rel, tuple, out),
+            JoinState::Windowed { join, ts_cols } => {
+                join.insert_weighted(rel, Self::event_time_of(ts_cols, rel, tuple)?, tuple, out)
+            }
+        }
+        Ok(())
+    }
+
+    /// The windowed join's event-time watermark; `None` under full history
+    /// or before every relation has been seen.
+    pub(crate) fn watermark(&self) -> Option<u64> {
+        match &self.state {
+            JoinState::Full(_) => None,
+            JoinState::Windowed { join, .. } => join.watermark(),
+        }
+    }
+
+    /// Fail with [`SquallError::MemoryOverflow`] once the stored tuples
+    /// exceed the budget.
+    pub(crate) fn check_budget(&self) -> Result<()> {
+        let Some(budget) = self.budget else { return Ok(()) };
+        let stored = match &self.state {
+            JoinState::Full(join) => join.stored(),
+            JoinState::Windowed { join, .. } => join.inner().stored(),
+        };
+        if stored > budget {
+            return Err(SquallError::MemoryOverflow { machine: self.machine, stored, budget });
+        }
+        Ok(())
+    }
 }
 
 /// The distributed join task: one [`LocalJoin`] instance per machine
@@ -148,14 +329,8 @@ enum TaskJoin {
 /// grouping and a [`squall_join::DBToasterJoin`] inside, this is the HyLD
 /// operator of §3.4.
 pub struct JoinBolt {
-    /// Maps the upstream node that emitted a tuple to its relation index.
-    origin_to_rel: FxHashMap<NodeId, usize>,
-    join: TaskJoin,
+    join: TaskJoin<Box<dyn LocalJoin>>,
     emit: JoinEmit,
-    /// Per-machine stored-tuple budget (the §7.3 memory-overflow
-    /// experiments); `None` = unlimited.
-    budget: Option<usize>,
-    machine: usize,
     buf: Vec<Tuple>,
     wbuf: Vec<(Tuple, i64)>,
     results: u64,
@@ -168,18 +343,10 @@ pub struct JoinBolt {
 }
 
 impl JoinBolt {
-    fn with_join(
-        machine: usize,
-        origin_to_rel: FxHashMap<NodeId, usize>,
-        join: TaskJoin,
-        emit: JoinEmit,
-    ) -> JoinBolt {
+    pub(crate) fn over(join: TaskJoin<Box<dyn LocalJoin>>, emit: JoinEmit) -> JoinBolt {
         JoinBolt {
-            origin_to_rel,
             join,
             emit,
-            budget: None,
-            machine,
             buf: Vec::new(),
             wbuf: Vec::new(),
             results: 0,
@@ -195,7 +362,8 @@ impl JoinBolt {
         join: Box<dyn LocalJoin>,
         emit: JoinEmit,
     ) -> JoinBolt {
-        JoinBolt::with_join(machine, origin_to_rel, TaskJoin::Full(join), emit)
+        let state = JoinState::Full(join);
+        JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None }, emit)
     }
 
     /// A windowed join bolt under *event-time* semantics: `ts_cols[rel]`
@@ -215,7 +383,8 @@ impl JoinBolt {
         arities: &[usize],
     ) -> JoinBolt {
         let join = WindowJoin::event_time(join, spec, arities, &ts_cols);
-        JoinBolt::with_join(machine, origin_to_rel, TaskJoin::Windowed { join, ts_cols }, emit)
+        let state = JoinState::Windowed { join, ts_cols };
+        JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None }, emit)
     }
 
     /// Forward this task's event-time watermark downstream whenever it
@@ -227,76 +396,41 @@ impl JoinBolt {
     /// bolts only.
     pub fn with_watermark_forwarding(mut self, granule: u64) -> JoinBolt {
         assert!(
-            matches!(self.join, TaskJoin::Windowed { .. }),
+            matches!(self.join.state, JoinState::Windowed { .. }),
             "watermark forwarding needs event-time windows"
         );
         self.wm_granule = Some(granule.max(1));
         self
     }
 
-    pub fn with_budget(mut self, budget: usize) -> JoinBolt {
-        self.budget = Some(budget);
-        self
-    }
-
-    pub fn results(&self) -> u64 {
-        self.results
-    }
-
-    fn rel_of(&self, origin: NodeId) -> Result<usize> {
-        self.origin_to_rel
-            .get(&origin)
-            .copied()
-            .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))
-    }
-
-    /// Process one arrival whose relation is already resolved (once per
-    /// chunk: every tuple of a batch shares its origin node).
+    /// Process one arrival whose relation is already resolved.
     fn step(&mut self, rel: usize, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
-        self.buf.clear();
-        match &mut self.join {
-            TaskJoin::Full(join) if self.emit == JoinEmit::CountOnly => {
-                // Weighted fast path: aggregated DBToaster views report
-                // (tuple, multiplicity) deltas without materializing hot-key
-                // outputs (§3.3).
-                self.wbuf.clear();
-                join.insert_weighted(rel, &tuple, &mut self.wbuf);
-                self.results += self.wbuf.iter().map(|(_, m)| *m.max(&0) as u64).sum::<u64>();
-            }
-            TaskJoin::Full(join) => join.insert(rel, &tuple, &mut self.buf),
-            TaskJoin::Windowed { join, ts_cols } => {
-                let ts = event_time(tuple.get(ts_cols[rel]).as_int()?, "in windowed join input")?;
-                join.insert(rel, ts, &tuple, &mut self.buf);
-            }
-        }
-        self.results += self.buf.len() as u64;
-        if self.emit == JoinEmit::Results {
+        if self.emit == JoinEmit::CountOnly {
+            // Weighted path: aggregated DBToaster views report (tuple,
+            // multiplicity) deltas without materializing hot-key outputs
+            // (§3.3).
+            self.wbuf.clear();
+            self.join.insert_weighted(rel, &tuple, &mut self.wbuf)?;
+            self.results += self.wbuf.iter().map(|(_, m)| *m.max(&0) as u64).sum::<u64>();
+        } else {
+            self.buf.clear();
+            self.join.insert(rel, &tuple, &mut self.buf)?;
+            self.results += self.buf.len() as u64;
             for t in self.buf.drain(..) {
                 out.emit(t);
             }
         }
-        if let (Some(granule), TaskJoin::Windowed { join, .. }) = (self.wm_granule, &self.join) {
+        if let Some(granule) = self.wm_granule {
             // Watermark forwarding: the results emitted above all carry
             // event time ≥ the bolt's watermark, so promising it downstream
             // is safe; the granule batches promises so buffers are not
             // flushed on every arrival.
-            if let Some(w) = join.watermark() {
-                if w >= self.next_wm {
-                    out.emit_watermark(w);
-                    self.next_wm = w.saturating_add(granule);
-                }
+            if let Some(w) = self.join.watermark().filter(|w| *w >= self.next_wm) {
+                out.emit_watermark(w);
+                self.next_wm = w.saturating_add(granule);
             }
         }
-        if let Some(budget) = self.budget {
-            let stored = match &self.join {
-                TaskJoin::Full(join) => join.stored(),
-                TaskJoin::Windowed { join, .. } => join.inner().stored(),
-            };
-            if stored > budget {
-                return Err(SquallError::MemoryOverflow { machine: self.machine, stored, budget });
-            }
-        }
-        Ok(())
+        self.join.check_budget()
     }
 }
 
@@ -307,7 +441,7 @@ impl Bolt for JoinBolt {
         chunk: &Chunk,
         out: &mut OutputCollector,
     ) -> Result<()> {
-        let rel = self.rel_of(origin)?;
+        let rel = self.join.rel_of(origin)?;
         for tuple in chunk.rows() {
             self.step(rel, tuple, out)?;
         }
@@ -400,11 +534,8 @@ pub struct WindowedAggBolt {
     aggs: Vec<AggSpec>,
     /// Open windows by start, each with its own group-by state.
     windows: BTreeMap<u64, GroupByAggregator>,
-    /// Latest watermark per upstream task `(node, task)`.
-    frontiers: FxHashMap<(NodeId, usize), u64>,
-    /// Upstream task count; window closing waits until every task has
-    /// promised a frontier (before that no minimum is meaningful).
-    n_upstream: usize,
+    /// The minimum event-time watermark across the upstream join tasks.
+    frontier: Frontier,
     /// Every window with `start` below this has been emitted; a data row
     /// for such a window would violate the watermark contract.
     closed_before: u64,
@@ -437,20 +568,10 @@ impl WindowedAggBolt {
             group_cols,
             aggs,
             windows: BTreeMap::new(),
-            frontiers: FxHashMap::default(),
-            n_upstream,
+            frontier: Frontier::new(n_upstream),
             closed_before: 0,
             forwarded: 0,
             drain: Vec::new(),
-        }
-    }
-
-    /// Inclusive end of the window starting at `start`.
-    fn window_end(&self, start: u64) -> u64 {
-        match self.spec {
-            WindowSpec::Tumbling { width } => start + width - 1,
-            WindowSpec::Sliding { size } => start + size,
-            WindowSpec::FullHistory => unreachable!("rejected at construction"),
         }
     }
 
@@ -463,7 +584,7 @@ impl WindowedAggBolt {
                 break;
             }
             let (start, agg) = entry.remove_entry();
-            let end = self.window_end(start);
+            let end = self.spec.end_of(start);
             for row in agg.snapshot() {
                 let mut values = Vec::with_capacity(2 + row.arity());
                 values.push(Value::Int(start as i64));
@@ -480,25 +601,19 @@ impl WindowedAggBolt {
         self.windows.len()
     }
 
-    /// The window-start range a result with constituent-timestamp extrema
-    /// `[lo, hi]` folds into (see the type docs), with the late-data check.
-    fn window_range(&self, lo: u64, hi: u64) -> Result<(u64, u64)> {
-        let (first, last) = match self.spec {
-            WindowSpec::Tumbling { width } => {
-                debug_assert_eq!(lo / width, hi / width, "join window predicate violated");
-                let start = hi / width * width;
-                (start, start)
-            }
-            WindowSpec::Sliding { size } => (hi.saturating_sub(size), lo),
-            WindowSpec::FullHistory => unreachable!("rejected at construction"),
-        };
-        if first < self.closed_before {
+    /// The window starts a result with constituent-timestamp extrema
+    /// `[lo, hi]` folds into ([`WindowSpec::window_starts`]), with the
+    /// late-data check.
+    fn fold_range(&self, lo: u64, hi: u64) -> Result<std::ops::RangeInclusive<u64>> {
+        let range = self.spec.window_starts(lo, hi)?;
+        if *range.start() < self.closed_before {
             return Err(SquallError::Runtime(format!(
-                "late join result for closed window {first} (closed below {})",
+                "late join result for closed window {} (closed below {})",
+                range.start(),
                 self.closed_before
             )));
         }
-        Ok((first, last))
+        Ok(range)
     }
 
     /// Fold one join result row into every window it belongs to, the
@@ -512,8 +627,7 @@ impl WindowedAggBolt {
             lo = lo.min(v);
             hi = hi.max(v);
         }
-        let (first, last) = self.window_range(lo, hi)?;
-        for start in first..=last {
+        for start in self.fold_range(lo, hi)? {
             self.windows
                 .entry(start)
                 .or_insert_with(|| {
@@ -561,7 +675,7 @@ impl WindowedAggBolt {
         let mut key: Vec<Value> = Vec::with_capacity(self.group_cols.len());
         let mut vals: Vec<Option<Value>> = Vec::with_capacity(self.aggs.len());
         for i in 0..rows {
-            let (first, last) = self.window_range(lo[i], hi[i])?;
+            let range = self.fold_range(lo[i], hi[i])?;
             key.clear();
             for &c in &self.group_cols {
                 key.push(chunk.column(c).value(i));
@@ -570,7 +684,7 @@ impl WindowedAggBolt {
             for a in &inputs {
                 vals.push(a.as_ref().map(|arr| arr.value(i)));
             }
-            for start in first..=last {
+            for start in range {
                 self.windows
                     .entry(start)
                     .or_insert_with(|| {
@@ -600,20 +714,13 @@ impl Bolt for WindowedAggBolt {
         ts: u64,
         out: &mut OutputCollector,
     ) -> Result<()> {
-        let slot = self.frontiers.entry((origin, from_task)).or_insert(0);
-        *slot = (*slot).max(ts);
-        if self.frontiers.len() < self.n_upstream {
+        let Some(w) = self.frontier.advance(origin, from_task, ts) else {
             return Ok(()); // some upstream task has made no promise yet
-        }
-        let w = self.frontiers.values().copied().min().unwrap_or(0);
+        };
         // Any future result carries max-constituent-ts ≥ w, so its
         // earliest window start is bounded below; everything under that
         // bound is final.
-        let boundary = match self.spec {
-            WindowSpec::Tumbling { width } => w / width * width,
-            WindowSpec::Sliding { size } => w.saturating_sub(size),
-            WindowSpec::FullHistory => unreachable!("rejected at construction"),
-        };
+        let boundary = self.spec.close_boundary(w);
         let mut rows = std::mem::take(&mut self.drain);
         self.close_into(boundary, &mut rows);
         for t in rows.drain(..) {
@@ -667,10 +774,8 @@ impl Bolt for WindowedAggBolt {
 pub struct WindowMergeBolt {
     /// Min-heap of buffered rows keyed on `(window_start, row)`.
     heap: BinaryHeap<Reverse<(u64, Tuple)>>,
-    /// Latest window-start boundary per upstream shard `(node, task)`.
-    frontiers: FxHashMap<(NodeId, usize), u64>,
-    /// Shard count; releasing waits until every shard has promised.
-    n_upstream: usize,
+    /// The minimum window-start boundary across the upstream shards.
+    frontier: Frontier,
     /// Every row below this window start has been released; a later
     /// arrival below it would violate the shard's boundary promise.
     released_below: u64,
@@ -684,8 +789,7 @@ impl WindowMergeBolt {
         assert!(n_upstream > 0);
         WindowMergeBolt {
             heap: BinaryHeap::new(),
-            frontiers: FxHashMap::default(),
-            n_upstream,
+            frontier: Frontier::new(n_upstream),
             released_below: 0,
             drain: Vec::new(),
         }
@@ -746,12 +850,9 @@ impl Bolt for WindowMergeBolt {
         ts: u64,
         out: &mut OutputCollector,
     ) -> Result<()> {
-        let slot = self.frontiers.entry((origin, from_task)).or_insert(0);
-        *slot = (*slot).max(ts);
-        if self.frontiers.len() < self.n_upstream {
+        let Some(boundary) = self.frontier.advance(origin, from_task, ts) else {
             return Ok(()); // some shard has made no promise yet
-        }
-        let boundary = self.frontiers.values().copied().min().unwrap_or(0);
+        };
         let mut rows = std::mem::take(&mut self.drain);
         self.release_below(boundary, &mut rows);
         for t in rows.drain(..) {

@@ -235,12 +235,6 @@ pub fn run_pipeline(
     })
 }
 
-/// Total tuples shuffled over the network by a run — the Figure 6
-/// comparison quantity ("total network transfer due to reshuffling data").
-pub fn total_shuffled(report: &JoinReport) -> u64 {
-    report.loads.iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,14 +51,12 @@ use std::time::{Duration, Instant};
 
 use squall_common::codec::{self, Reader};
 use squall_common::{Chunk, FxHashMap, FxHashSet, Result, SquallError, Tuple, Value};
-use squall_expr::{AggFunc, MultiJoinSpec, ScalarExpr};
-use squall_join::{
-    AggSpec, DBToasterJoin, GroupByAggregator, LocalJoin, Snapshot, WindowJoin, WindowSpec,
-};
+use squall_expr::MultiJoinSpec;
+use squall_join::{DBToasterJoin, GroupByAggregator, Snapshot, WindowSpec};
 use squall_partition::optimizer::build_scheme;
 use squall_runtime::{
     Bolt, ClusterRun, Grouping, LiveItem, LiveQueue, LiveSpout, NodeId, OutputCollector, RunHandle,
-    TaskWaker, Topology, TopologyBuilder,
+    RunOutcome, Spout, TaskWaker, Topology, TransportStats,
 };
 
 use crate::checkpoint::{
@@ -66,8 +64,10 @@ use crate::checkpoint::{
     ROLE_SINK,
 };
 use crate::cluster::ClusterSpec;
-use crate::driver::{validate_plan, JoinReport, MaintenanceStats, MultiwayConfig};
-use crate::operators::event_time;
+use crate::driver::{
+    summarize, wire_join_stage, JoinReport, MaintenanceStats, MultiwayConfig, RunContext,
+};
+use crate::operators::{event_time, Finalizer, Frontier, JoinState, TaskJoin};
 
 /// How long a synchronous checkpoint round waits for all blobs before
 /// proceeding with a partial checkpoint (recovery then falls back to the
@@ -96,18 +96,12 @@ pub struct ViewPlan {
     /// (join-output coordinates; windowed mode prepends
     /// `window_start`/`window_end`, so these are `[0, 1, orig+2…]`).
     pub group_cols: Vec<usize>,
-    /// Aggregate columns, input expressions in sink-input coordinates.
-    pub aggs: Vec<AggSpec>,
-    /// Aggregate view (`true`) or plain projected multiset (`false`).
-    pub is_aggregate: bool,
-    /// HAVING over the raw aggregate row (group keys ++ aggregates,
-    /// hidden ones included).
-    pub having: Option<ScalarExpr>,
-    /// Output projection in SELECT order: over the raw aggregate row in
-    /// aggregate mode, over the join-output row otherwise.
-    pub finalize: Vec<ScalarExpr>,
-    /// SQL semantics: a global aggregate over zero rows is one row.
-    pub emit_empty_agg: bool,
+    /// HAVING, the SELECT projection and the zero-rows row — over the raw
+    /// aggregate row in aggregate mode, over the join-output row
+    /// otherwise. Its `aggs` (input expressions in sink-input coordinates)
+    /// are the aggregate columns the sink maintains; with none the view is
+    /// a plain projected multiset.
+    pub finalizer: Finalizer,
     /// Per-window aggregation (`None` = full-history).
     pub windowed: Option<ViewWindow>,
 }
@@ -180,11 +174,6 @@ impl ViewShared {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ViewState> {
         self.state.lock().expect("view state poisoned")
-    }
-
-    /// Highest fully applied epoch (0 before the initial load lands).
-    pub fn applied_epoch(&self) -> u64 {
-        self.lock().applied
     }
 
     /// Subscribe to the view's change stream: one [`ChangeBatch`] per
@@ -292,28 +281,18 @@ impl ViewShared {
 // The delta join bolt
 // ---------------------------------------------------------------------
 
-enum StandingJoin {
-    /// Full-history: DBToaster's delta processing with signed weights.
-    Full(DBToasterJoin),
-    /// Windowed event-time join; insertions only (windowed standing
-    /// views are append-only).
-    Windowed { join: WindowJoin<DBToasterJoin>, ts_cols: Vec<usize> },
-}
-
 /// One join task of a resident topology: strips the trailing
 /// `[multiplicity, epoch]` columns, applies the signed delta to its
 /// local join state, re-emits each result with the triggering epoch, and
 /// forwards the minimum source-epoch watermark downstream.
 pub struct ViewJoinBolt {
-    origin_to_rel: FxHashMap<NodeId, usize>,
-    join: StandingJoin,
-    /// Latest epoch watermark per source spout node.
-    frontiers: FxHashMap<NodeId, u64>,
-    n_sources: usize,
+    /// Full-history: DBToaster's delta processing with signed weights.
+    /// Windowed: insertions only (windowed standing views are append-only).
+    join: TaskJoin<DBToasterJoin>,
+    /// The minimum epoch watermark across the source spouts.
+    frontier: Frontier,
     /// Last minimum forwarded to the sink.
     forwarded: u64,
-    machine: usize,
-    budget: Option<usize>,
     wbuf: Vec<(Tuple, i64)>,
     /// Checkpoint blob channel (local on the coordinator; forwarded as
     /// `SnapshotBlob` frames by the worker). `None` = checkpoints off.
@@ -322,21 +301,14 @@ pub struct ViewJoinBolt {
 
 impl ViewJoinBolt {
     fn new(
-        machine: usize,
-        origin_to_rel: FxHashMap<NodeId, usize>,
-        join: StandingJoin,
+        join: TaskJoin<DBToasterJoin>,
         n_sources: usize,
-        budget: Option<usize>,
         blob_tx: Option<Sender<SnapshotBlobMsg>>,
     ) -> ViewJoinBolt {
         ViewJoinBolt {
-            origin_to_rel,
             join,
-            frontiers: FxHashMap::default(),
-            n_sources,
+            frontier: Frontier::new(n_sources),
             forwarded: 0,
-            machine,
-            budget,
             wbuf: Vec::new(),
             blob_tx,
         }
@@ -347,14 +319,31 @@ impl ViewJoinBolt {
     fn restore(&mut self, blob: &[u8]) -> Result<()> {
         let mut r = Reader::new(blob);
         let tag = r.u8()?;
-        match (&mut self.join, tag) {
-            (StandingJoin::Full(j), JOIN_BLOB_FULL) => j.restore_state(&mut r)?,
-            (StandingJoin::Windowed { join, .. }, JOIN_BLOB_WINDOWED) => {
-                join.restore_state(&mut r)?
-            }
+        match (&mut self.join.state, tag) {
+            (JoinState::Full(j), JOIN_BLOB_FULL) => j.restore_state(&mut r)?,
+            (JoinState::Windowed { join, .. }, JOIN_BLOB_WINDOWED) => join.restore_state(&mut r)?,
             _ => return Err(SquallError::Codec("join checkpoint blob tag mismatch".into())),
         }
         r.finish()
+    }
+
+    /// Apply one signed delta of relation `rel` and emit its results.
+    fn step(&mut self, rel: usize, tuple: &Tuple, out: &mut OutputCollector) -> Result<()> {
+        let (base, mult, epoch) = split_delta(tuple)?;
+        self.wbuf.clear();
+        match &mut self.join.state {
+            JoinState::Full(j) => j.delta(rel, &base, mult, &mut self.wbuf),
+            JoinState::Windowed { .. } if mult != 1 => {
+                return Err(SquallError::Runtime(format!(
+                    "windowed standing views are append-only (got a weight-{mult} delta)"
+                )))
+            }
+            JoinState::Windowed { .. } => self.join.insert_weighted(rel, &base, &mut self.wbuf)?,
+        }
+        for (t, m) in self.wbuf.drain(..) {
+            out.emit(tag_delta(&t, m, epoch as u64));
+        }
+        self.join.check_budget()
     }
 }
 
@@ -371,43 +360,6 @@ fn split_delta(tuple: &Tuple) -> Result<(Tuple, i64, i64)> {
     Ok((Tuple::new(tuple.values()[..n - 2].to_vec()), mult, epoch))
 }
 
-impl ViewJoinBolt {
-    /// Apply one signed delta of relation `rel` and emit its results.
-    fn step(&mut self, rel: usize, tuple: &Tuple, out: &mut OutputCollector) -> Result<()> {
-        let (base, mult, epoch) = split_delta(tuple)?;
-        self.wbuf.clear();
-        match &mut self.join {
-            StandingJoin::Full(j) => j.delta(rel, &base, mult, &mut self.wbuf),
-            StandingJoin::Windowed { join, ts_cols } => {
-                if mult != 1 {
-                    return Err(SquallError::Runtime(format!(
-                        "windowed standing views are append-only (got a weight-{mult} delta)"
-                    )));
-                }
-                let ts =
-                    event_time(base.get(ts_cols[rel]).as_int()?, "on a windowed standing view")?;
-                join.insert_weighted(rel, ts, &base, &mut self.wbuf);
-            }
-        }
-        for (t, m) in self.wbuf.drain(..) {
-            let mut v = t.values().to_vec();
-            v.push(Value::Int(m));
-            v.push(Value::Int(epoch));
-            out.emit(Tuple::new(v));
-        }
-        if let Some(budget) = self.budget {
-            let stored = match &self.join {
-                StandingJoin::Full(j) => j.stored(),
-                StandingJoin::Windowed { join, .. } => join.inner().stored(),
-            };
-            if stored > budget {
-                return Err(SquallError::MemoryOverflow { machine: self.machine, stored, budget });
-            }
-        }
-        Ok(())
-    }
-}
-
 impl Bolt for ViewJoinBolt {
     fn execute_chunk(
         &mut self,
@@ -415,27 +367,20 @@ impl Bolt for ViewJoinBolt {
         chunk: &Chunk,
         out: &mut OutputCollector,
     ) -> Result<()> {
-        let rel = *self
-            .origin_to_rel
-            .get(&origin)
-            .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))?;
+        let rel = self.join.rel_of(origin)?;
         chunk.rows().try_for_each(|tuple| self.step(rel, &tuple, out))
     }
 
     fn watermark(
         &mut self,
         origin: NodeId,
-        _from_task: usize,
+        from_task: usize,
         ts: u64,
         out: &mut OutputCollector,
     ) -> Result<()> {
-        let slot = self.frontiers.entry(origin).or_insert(0);
-        *slot = (*slot).max(ts);
-        if self.frontiers.len() < self.n_sources {
-            return Ok(());
-        }
-        let w = self.frontiers.values().copied().min().unwrap_or(0);
-        if w > self.forwarded {
+        if let Some(w) =
+            self.frontier.advance(origin, from_task, ts).filter(|w| *w > self.forwarded)
+        {
             self.forwarded = w;
             out.emit_watermark(w);
         }
@@ -450,17 +395,17 @@ impl Bolt for ViewJoinBolt {
     fn barrier(&mut self, epoch: u64, out: &mut OutputCollector) -> Result<()> {
         if let Some(tx) = &self.blob_tx {
             let mut buf = Vec::new();
-            match &self.join {
-                StandingJoin::Full(j) => {
+            match &self.join.state {
+                JoinState::Full(j) => {
                     buf.push(JOIN_BLOB_FULL);
                     j.snapshot_state(&mut buf);
                 }
-                StandingJoin::Windowed { join, .. } => {
+                JoinState::Windowed { join, .. } => {
                     buf.push(JOIN_BLOB_WINDOWED);
                     join.snapshot_state(&mut buf);
                 }
             }
-            let _ = tx.send((ROLE_JOIN, self.machine, epoch, buf));
+            let _ = tx.send((ROLE_JOIN, self.join.machine, epoch, buf));
         }
         out.emit_barrier(epoch);
         Ok(())
@@ -495,9 +440,8 @@ pub struct ViewSinkBolt {
     shared: Arc<ViewShared>,
     /// Deltas awaiting their epoch's release, in epoch order.
     pending: BTreeMap<u64, Vec<(Tuple, i64)>>,
-    /// Latest watermark per upstream join task.
-    frontiers: FxHashMap<(NodeId, usize), u64>,
-    n_upstream: usize,
+    /// The minimum epoch watermark across the upstream join tasks.
+    frontier: Frontier,
     applied: u64,
     state: SinkState,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
@@ -510,9 +454,9 @@ impl ViewSinkBolt {
         n_upstream: usize,
         blob_tx: Option<Sender<SnapshotBlobMsg>>,
     ) -> ViewSinkBolt {
-        let state = if plan.is_aggregate {
+        let state = if !plan.finalizer.aggs.is_empty() {
             SinkState::Agg {
-                agg: GroupByAggregator::new(plan.group_cols.clone(), plan.aggs.clone()),
+                agg: GroupByAggregator::new(plan.group_cols.clone(), plan.finalizer.aggs.clone()),
                 published: FxHashMap::default(),
                 primed: false,
             }
@@ -523,8 +467,7 @@ impl ViewSinkBolt {
             plan,
             shared,
             pending: BTreeMap::new(),
-            frontiers: FxHashMap::default(),
-            n_upstream,
+            frontier: Frontier::new(n_upstream),
             applied: 0,
             state,
             blob_tx,
@@ -558,51 +501,25 @@ impl ViewSinkBolt {
         Ok(())
     }
 
-    /// HAVING-gate and project one raw aggregate row into its published
-    /// form; `None` when HAVING filters it.
-    fn finalize_agg_row(plan: &ViewPlan, raw: &Tuple, synthetic: bool) -> Result<Option<Tuple>> {
-        if let Some(h) = &plan.having {
-            let pass = match h.eval_bool(raw) {
-                Ok(p) => p,
-                // SQL's unknown-is-false over the synthetic NULL row; a
-                // predicate error over a *real* row is a real error.
-                Err(_) if synthetic => false,
-                Err(e) => return Err(e),
-            };
-            if !pass {
-                return Ok(None);
-            }
-        }
-        let mut values = Vec::with_capacity(plan.finalize.len());
-        for e in &plan.finalize {
-            values.push(e.eval(raw)?);
-        }
-        Ok(Some(Tuple::new(values)))
-    }
-
-    /// The windows a join result belongs to, as `(start, end)` pairs
-    /// (mirrors the per-window aggregation bolt).
-    fn windows_of(w: &ViewWindow, row: &Tuple) -> Result<Vec<(u64, u64)>> {
+    /// One windowed-sink input row per window the join result `row` folds
+    /// into: `(window_start, window_end, row…)`.
+    fn window_rows(w: &ViewWindow, row: &Tuple) -> Result<Vec<Tuple>> {
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         for &c in &w.ts_cols {
             let v = event_time(row.get(c).as_int()?, "in view sink input")?;
             lo = lo.min(v);
             hi = hi.max(v);
         }
-        Ok(match w.spec {
-            WindowSpec::Tumbling { width } => {
-                let start = hi / width * width;
-                vec![(start, start + width - 1)]
-            }
-            WindowSpec::Sliding { size } => {
-                (hi.saturating_sub(size)..=lo).map(|s| (s, s + size)).collect()
-            }
-            WindowSpec::FullHistory => {
-                return Err(SquallError::Runtime(
-                    "full-history window on a windowed view sink".into(),
-                ))
-            }
-        })
+        Ok(w.spec
+            .window_starts(lo, hi)?
+            .map(|start| {
+                let mut v = Vec::with_capacity(row.arity() + 2);
+                v.push(Value::Int(start as i64));
+                v.push(Value::Int(w.spec.end_of(start) as i64));
+                v.extend(row.values().iter().cloned());
+                Tuple::new(v)
+            })
+            .collect())
     }
 
     /// Apply one epoch's deltas, returning the net row changes.
@@ -612,34 +529,23 @@ impl ViewSinkBolt {
         match &mut self.state {
             SinkState::Plain => {
                 for (base, m) in &deltas {
-                    let mut values = Vec::with_capacity(plan.finalize.len());
-                    for e in &plan.finalize {
-                        values.push(e.eval(base)?);
+                    if let Some(row) = plan.finalizer.row(base)? {
+                        *net.entry(row).or_insert(0) += m;
                     }
-                    *net.entry(Tuple::new(values)).or_insert(0) += m;
                 }
             }
             SinkState::Agg { agg, published, primed } => {
                 let mut touched: FxHashSet<Vec<Value>> = FxHashSet::default();
                 if !*primed {
                     *primed = true;
-                    if plan.emit_empty_agg {
+                    if plan.finalizer.emit_empty {
                         touched.insert(Vec::new());
                     }
                 }
                 for (base, m) in &deltas {
                     let inputs: Vec<Tuple> = match &plan.windowed {
                         None => vec![base.clone()],
-                        Some(w) => Self::windows_of(w, base)?
-                            .into_iter()
-                            .map(|(s, e)| {
-                                let mut v = Vec::with_capacity(base.arity() + 2);
-                                v.push(Value::Int(s as i64));
-                                v.push(Value::Int(e as i64));
-                                v.extend(base.values().iter().cloned());
-                                Tuple::new(v)
-                            })
-                            .collect(),
+                        Some(w) => Self::window_rows(w, base)?,
                     };
                     for input in &inputs {
                         touched.insert(input.key(&plan.group_cols));
@@ -655,25 +561,12 @@ impl ViewSinkBolt {
                     }
                 }
                 for key in touched {
-                    let (new, synthetic) = match agg.group(&key) {
-                        Some(raw) => (Self::finalize_agg_row(&plan, &raw, false)?, false),
-                        None if plan.emit_empty_agg && key.is_empty() => {
-                            // A global aggregate with no rows still shows
-                            // one row: COUNT = 0, NULL sums/averages.
-                            let raw = Tuple::new(
-                                plan.aggs
-                                    .iter()
-                                    .map(|a| match a.func {
-                                        AggFunc::Count => Value::Int(0),
-                                        _ => Value::Null,
-                                    })
-                                    .collect(),
-                            );
-                            (Self::finalize_agg_row(&plan, &raw, true)?, true)
-                        }
-                        None => (None, false),
+                    let new = match agg.group(&key) {
+                        Some(raw) => plan.finalizer.row(&raw)?,
+                        // A global aggregate with no rows still shows one.
+                        None if key.is_empty() => plan.finalizer.empty_row()?,
+                        None => None,
                     };
-                    let _ = synthetic;
                     let old = published.get(&key).cloned();
                     if old == new {
                         continue;
@@ -751,12 +644,9 @@ impl Bolt for ViewSinkBolt {
         ts: u64,
         _out: &mut OutputCollector,
     ) -> Result<()> {
-        let slot = self.frontiers.entry((origin, from_task)).or_insert(0);
-        *slot = (*slot).max(ts);
-        if self.frontiers.len() < self.n_upstream {
+        let Some(w) = self.frontier.advance(origin, from_task, ts) else {
             return Ok(());
-        }
-        let w = self.frontiers.values().copied().min().unwrap_or(0);
+        };
         self.apply_through(w)
     }
 
@@ -814,112 +704,70 @@ fn tag_delta(row: &Tuple, mult: i64, epoch: u64) -> Tuple {
     Tuple::new(v)
 }
 
-/// Build the resident topology for one standing view: live-queue spouts
-/// (preloaded with the initial data as epoch-1 deltas), the delta join,
-/// and the single view sink. `coordinator` carries the view plan and
-/// shared state on the coordinator; workers pass `None` — their spout
-/// and sink factories are never invoked (spouts and parallelism-1 bolts
-/// are pinned to peer 0 by `plan_placement`).
+/// Build the resident topology for one standing view: the shared join
+/// stage ([`wire_join_stage`]) over live-queue spouts (preloaded with the
+/// initial data as epoch-1 deltas) and the delta join, then the single
+/// view sink. `coordinator` carries the view plan and shared state on the
+/// coordinator; workers pass `None` — their spout and sink factories are
+/// never invoked (spouts and parallelism-1 bolts are pinned to peer 0 by
+/// `plan_placement`).
 ///
 /// `restore` rebuilds every operator from a checkpoint instead of
 /// starting empty (the epoch-1 preload is then suppressed — recovery
 /// replays buffered rounds with their original epochs). `blob_tx` is
 /// where operators ship their checkpoint blobs at barrier alignment.
-pub fn assemble_standing(
+pub(crate) fn assemble_standing(
     spec: &MultiJoinSpec,
     data: Vec<Vec<Tuple>>,
     cfg: &MultiwayConfig,
     coordinator: Option<(Arc<ViewPlan>, Arc<ViewShared>)>,
     restore: Option<Arc<RestoreState>>,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
-) -> Result<(Topology, Vec<Arc<LiveQueue>>, StandingLayout)> {
-    validate_plan(spec, data.len(), cfg)?;
-    let mut b = TopologyBuilder::new().batch_size(cfg.batch_size.max(1));
-    if let Some(workers) = cfg.worker_threads {
-        b = b.worker_threads(workers);
-    }
-
-    // One live queue + one spout task per relation, preloaded with the
-    // initial load as epoch-1 deltas and the epoch-1 watermark.
-    let mut queues = Vec::with_capacity(spec.n_relations());
-    let mut source_nodes = Vec::with_capacity(spec.n_relations());
-    for (rel, tuples) in data.into_iter().enumerate() {
-        let queue = Arc::new(LiveQueue::new());
-        if restore.is_none() {
-            for t in &tuples {
-                queue.push(LiveItem::Delta(tag_delta(t, 1, 1)));
-            }
-            queue.push(LiveItem::Watermark(1));
-        }
-        let q = Arc::clone(&queue);
-        let node = b.add_spout(format!("src-{}", spec.relations[rel].name), 1, move |_task| {
-            Box::new(LiveSpout::new(Arc::clone(&q)))
-        });
-        queues.push(queue);
-        source_nodes.push(node);
-    }
-
-    // The delta join. A single relation needs no partitioning scheme:
-    // DBToaster's n=1 delta emission is the identity, so one task with a
-    // global grouping suffices.
+) -> Result<(Topology, Vec<Arc<LiveQueue>>, RunContext)> {
     let n_rel = spec.n_relations();
-    let machines = if n_rel == 1 { 1 } else { cfg.machines.max(1) };
-    let origin_map: FxHashMap<usize, usize> =
-        source_nodes.iter().enumerate().map(|(rel, &node)| (node, rel)).collect();
-    let origin_map = Arc::new(origin_map);
-    let spec_arc = Arc::new(spec.clone());
-    let window = cfg.window.clone();
-    let budget = cfg.budget;
-    let (scheme, scheme_description) = if n_rel == 1 {
-        (None, "single-relation identity".to_string())
-    } else {
-        let s = Arc::new(build_scheme(cfg.scheme, spec, machines, cfg.seed)?);
-        let d = s.describe();
-        (Some(s), d)
-    };
+    let mut queues = Vec::with_capacity(n_rel);
+    let preload = restore.is_none();
     let join_restore = restore.clone();
     let join_blob_tx = blob_tx.clone();
-    let join_node = b.add_bolt("join", machines, move |task| {
-        let origin_to_rel: FxHashMap<usize, usize> =
-            origin_map.iter().map(|(&k, &v)| (k, v)).collect();
-        let inner = DBToasterJoin::new(&spec_arc);
-        let join = match &window {
-            Some(w) => {
-                let arities: Vec<usize> =
-                    spec_arc.relations.iter().map(|r| r.schema.arity()).collect();
-                StandingJoin::Windowed {
-                    join: WindowJoin::event_time(inner, w.spec, &arities, &w.ts_cols),
-                    ts_cols: w.ts_cols.clone(),
+    let (mut b, ctx) = wire_join_stage(
+        spec,
+        data,
+        cfg,
+        // One live queue + one spout task per relation, preloaded with the
+        // initial load as epoch-1 deltas and the epoch-1 watermark.
+        |_rel, tuples| {
+            let queue = Arc::new(LiveQueue::new());
+            if preload {
+                for t in &tuples {
+                    queue.push(LiveItem::Delta(tag_delta(t, 1, 1)));
                 }
+                queue.push(LiveItem::Watermark(1));
             }
-            None => StandingJoin::Full(inner),
-        };
-        let mut bolt =
-            ViewJoinBolt::new(task, origin_to_rel, join, n_rel, budget, join_blob_tx.clone());
-        if let Some(rs) = &join_restore {
-            if let Some(blob) = rs.join.get(&task) {
+            queues.push(Arc::clone(&queue));
+            let factory =
+                move |_task| -> Box<dyn Spout> { Box::new(LiveSpout::new(Arc::clone(&queue))) };
+            (1, Box::new(factory))
+        },
+        DBToasterJoin::new,
+        move |join| {
+            let task = join.machine;
+            let mut bolt = ViewJoinBolt::new(join, n_rel, join_blob_tx.clone());
+            if let Some(blob) = join_restore.as_ref().and_then(|rs| rs.join.get(&task)) {
                 // Blobs are self-produced (and byte-checked by recovery):
                 // failing to parse one is a bug, not an input error.
                 bolt.restore(blob).expect("restore self-produced join checkpoint blob");
             }
-        }
-        Box::new(bolt)
-    });
-    for (rel, &src) in source_nodes.iter().enumerate() {
-        let grouping = match &scheme {
-            Some(s) => Grouping::Custom(Arc::new(s.grouping_for(rel))),
-            None => Grouping::Global,
-        };
-        b.connect(src, join_node, grouping);
-    }
+            Box::new(bolt)
+        },
+    )?;
 
     // The view sink: one task, pinned to the coordinator.
-    let sink_restore = restore;
+    let machines = ctx.join_tasks;
     let sink_node = b.add_bolt("view", 1, move |_task| match &coordinator {
         Some((plan, shared)) => {
             let mut bolt =
                 ViewSinkBolt::new(Arc::clone(plan), Arc::clone(shared), machines, blob_tx.clone());
-            if let Some(rs) = &sink_restore {
+            if let Some(rs) = &restore {
                 if let Some(blob) = &rs.sink {
                     bolt.restore(rs.epoch, blob)
                         .expect("restore self-produced sink checkpoint blob");
@@ -931,23 +779,96 @@ pub fn assemble_standing(
             "view sink runs at parallelism 1, which plan_placement pins to the coordinator"
         ),
     });
-    b.connect(join_node, sink_node, Grouping::Global);
+    b.connect(ctx.join_node, sink_node, Grouping::Global);
 
-    Ok((
-        b.build()?,
-        queues,
-        StandingLayout { source_nodes, join_node, join_tasks: machines, scheme_description },
-    ))
+    Ok((b.build()?, queues, ctx))
 }
 
-/// Node ids (and the chosen scheme) of an assembled standing topology —
-/// what the shutdown report is computed over.
-pub struct StandingLayout {
-    pub source_nodes: Vec<NodeId>,
-    pub join_node: NodeId,
-    /// Join-task (machine) count — how many join blobs a checkpoint needs.
-    pub join_tasks: usize,
-    pub scheme_description: String,
+/// A launched resident topology: what [`launch_standing`] starts and
+/// [`StandingHandle::recover`] replaces wholesale.
+struct Resident {
+    queues: Vec<Arc<LiveQueue>>,
+    waker: TaskWaker,
+    /// `None` only transiently, inside [`StandingHandle::recover`].
+    handle: Option<RunHandle>,
+    cluster: Option<ClusterRun>,
+    /// Node ids and the chosen scheme — what the shutdown report is
+    /// computed over.
+    layout: RunContext,
+    blob_rx: Option<Receiver<SnapshotBlobMsg>>,
+}
+
+impl Resident {
+    /// Assemble and launch, locally or across `cfg`'s cluster. A recovery
+    /// relaunch passes the checkpoint to rebuild operators from (`restore`)
+    /// and the epoch workers are re-admitted at (`readmit`).
+    fn boot(
+        spec: &MultiJoinSpec,
+        data: Vec<Vec<Tuple>>,
+        cfg: &MultiwayConfig,
+        coordinator: (Arc<ViewPlan>, Arc<ViewShared>),
+        restore: Option<Arc<RestoreState>>,
+        readmit: Option<u64>,
+    ) -> Result<Resident> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let blob_tx = (cfg.checkpoint_interval > 0).then_some(tx);
+        let (topology, queues, layout) = assemble_standing(
+            spec,
+            data,
+            cfg,
+            Some(coordinator),
+            restore.clone(),
+            blob_tx.clone(),
+        )?;
+        let (handle, cluster) = crate::cluster::launch(
+            topology,
+            spec,
+            cfg,
+            blob_tx.clone(),
+            restore.as_deref(),
+            readmit,
+        )?;
+        Ok(Resident {
+            queues,
+            waker: handle.waker(),
+            handle: Some(handle),
+            cluster,
+            layout,
+            blob_rx: blob_tx.is_some().then_some(rx),
+        })
+    }
+
+    /// Wake the (parked) spout tasks — the first nodes added, so their
+    /// task ids are `0..n`.
+    fn wake_sources(&self) {
+        for t in 0..self.queues.len() {
+            self.waker.wake(t);
+        }
+    }
+
+    /// Feed one epoch: payload rows to their relations' queues, the epoch
+    /// watermark to *every* queue.
+    fn feed(&self, epoch: u64, rounds: &[DeltaRound]) {
+        for (rel, rows, mult) in rounds {
+            for row in rows {
+                self.queues[*rel].push(LiveItem::Delta(tag_delta(row, *mult, epoch)));
+            }
+        }
+        for q in &self.queues {
+            q.push(LiveItem::Watermark(epoch));
+        }
+        self.wake_sources();
+    }
+
+    /// Close every source queue and drain the shutdown cascade.
+    fn drain(&mut self) -> Option<(RunOutcome, Option<TransportStats>)> {
+        for q in &self.queues {
+            q.close();
+        }
+        self.wake_sources();
+        let handle = self.handle.take()?;
+        Some(crate::cluster::finish(handle, self.cluster.take()))
+    }
 }
 
 /// Launch a resident topology for one standing view, locally or across
@@ -962,33 +883,16 @@ pub fn launch_standing(
     shared: Arc<ViewShared>,
 ) -> Result<StandingHandle> {
     debug_assert!(cfg.standing, "launch_standing needs cfg.standing");
-    let input_count: u64 = data.iter().map(|d| d.len() as u64).sum();
     let plan = Arc::new(plan);
     // Recovery replays the initial load from scratch when no checkpoint
     // completed yet, so clustered runs keep a copy.
     let initial_data = if cfg.cluster.is_some() { data.clone() } else { Vec::new() };
-    let (blob_tx, blob_rx) = std::sync::mpsc::channel();
-    let blob_tx = (cfg.checkpoint_interval > 0).then_some(blob_tx);
-    let (topology, queues, layout) = assemble_standing(
-        spec,
-        data,
-        cfg,
-        Some((Arc::clone(&plan), Arc::clone(&shared))),
-        None,
-        blob_tx.clone(),
-    )?;
-    let (handle, cluster) =
-        crate::cluster::launch(topology, spec, cfg, blob_tx.clone(), None, None)?;
-    let waker = handle.waker();
-    let store = CheckpointStore::new(layout.join_tasks);
+    let run =
+        Resident::boot(spec, data, cfg, (Arc::clone(&plan), Arc::clone(&shared)), None, None)?;
+    let store = CheckpointStore::new(run.layout.join_tasks);
     Ok(StandingHandle {
-        queues,
+        run,
         shared,
-        waker,
-        handle: Some(handle),
-        cluster,
-        layout,
-        input_count,
         issued: 1,
         start: Instant::now(),
         spec: spec.clone(),
@@ -997,7 +901,6 @@ pub fn launch_standing(
         initial_data,
         replay: Vec::new(),
         store,
-        blob_rx: blob_tx.is_some().then_some(blob_rx),
     })
 }
 
@@ -1008,14 +911,8 @@ pub type DeltaRound = (usize, Vec<Tuple>, i64);
 
 /// The coordinator-side handle of one resident view topology.
 pub struct StandingHandle {
-    queues: Vec<Arc<LiveQueue>>,
+    run: Resident,
     shared: Arc<ViewShared>,
-    waker: TaskWaker,
-    /// `None` only transiently, inside [`StandingHandle::recover`].
-    handle: Option<RunHandle>,
-    cluster: Option<ClusterRun>,
-    layout: StandingLayout,
-    input_count: u64,
     /// Latest issued epoch (initial load = 1).
     issued: u64,
     start: Instant,
@@ -1030,15 +927,9 @@ pub struct StandingHandle {
     /// epochs — the replay log of recovery.
     replay: Vec<(u64, Vec<DeltaRound>)>,
     store: CheckpointStore,
-    blob_rx: Option<Receiver<SnapshotBlobMsg>>,
 }
 
 impl StandingHandle {
-    /// The view's shared state (snapshots, subscriptions, counters).
-    pub fn shared(&self) -> &Arc<ViewShared> {
-        &self.shared
-    }
-
     /// Latest issued epoch.
     pub fn issued_epoch(&self) -> u64 {
         self.issued
@@ -1046,12 +937,12 @@ impl StandingHandle {
 
     /// Number of source relations.
     pub fn n_relations(&self) -> usize {
-        self.queues.len()
+        self.run.queues.len()
     }
 
     /// The partitioning scheme the resident join runs under.
     pub fn scheme_description(&self) -> &str {
-        &self.layout.scheme_description
+        &self.run.layout.scheme_description
     }
 
     /// Feed one round of signed deltas as a new epoch: payload rows go
@@ -1060,35 +951,22 @@ impl StandingHandle {
     /// a subsequent [`StandingHandle::snapshot`] observes it.
     pub fn apply(&mut self, rounds: Vec<DeltaRound>) -> Result<u64> {
         let epoch = self.issued + 1;
+        if let Some((rel, ..)) = rounds.iter().find(|(rel, ..)| *rel >= self.run.queues.len()) {
+            return Err(SquallError::Runtime(format!("relation {rel} out of range")));
+        }
+        self.run.feed(epoch, &rounds);
+        self.issued = epoch;
+        let counters = &self.shared.counters;
+        let round = if rounds.iter().any(|(_, _, mult)| *mult < 0) {
+            &counters.retractions
+        } else {
+            &counters.appends
+        };
+        round.fetch_add(1, Ordering::Relaxed);
         // Clustered runs log every round until a checkpoint covers it —
         // the replay input of recovery.
-        if self.cluster.is_some() && self.cfg.checkpoint_interval > 0 {
-            self.replay.push((epoch, rounds.clone()));
-        }
-        let mut retracts = false;
-        for (rel, rows, mult) in rounds {
-            if rel >= self.queues.len() {
-                return Err(SquallError::Runtime(format!("relation {rel} out of range")));
-            }
-            if mult < 0 {
-                retracts = true;
-            }
-            for row in rows {
-                self.queues[rel].push(LiveItem::Delta(tag_delta(&row, mult, epoch)));
-            }
-        }
-        for q in &self.queues {
-            q.push(LiveItem::Watermark(epoch));
-        }
-        self.issued = epoch;
-        if retracts {
-            self.shared.counters.retractions.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.shared.counters.appends.fetch_add(1, Ordering::Relaxed);
-        }
-        // Spouts are the first nodes added: their task ids are 0..n.
-        for t in 0..self.queues.len() {
-            self.waker.wake(t);
+        if self.run.cluster.is_some() && self.cfg.checkpoint_interval > 0 {
+            self.replay.push((epoch, rounds));
         }
         if self.cfg.checkpoint_interval > 0 && epoch.is_multiple_of(self.cfg.checkpoint_interval) {
             self.checkpoint(epoch);
@@ -1104,19 +982,17 @@ impl StandingHandle {
     /// epoch-`e+1` delta exists anywhere while the epoch-`e` snapshot is
     /// taken, so operator state is exactly the view through `e`.
     fn checkpoint(&mut self, epoch: u64) {
-        let Some(rx) = self.blob_rx.as_ref() else { return };
-        for q in &self.queues {
+        let Some(rx) = self.run.blob_rx.as_ref() else { return };
+        for q in &self.run.queues {
             q.push(LiveItem::Barrier(epoch));
         }
-        for t in 0..self.queues.len() {
-            self.waker.wake(t);
-        }
+        self.run.wake_sources();
         let deadline = Instant::now() + CHECKPOINT_DEADLINE;
         while !self.store.is_complete(epoch) {
             if Instant::now() >= deadline {
                 break;
             }
-            if self.handle.as_ref().and_then(|h| h.error()).is_some() {
+            if self.run.handle.as_ref().and_then(|h| h.error()).is_some() {
                 break; // dead topology: the error surfaces via error()
             }
             match rx.recv_timeout(Duration::from_millis(20)) {
@@ -1147,7 +1023,7 @@ impl StandingHandle {
     /// The error that aborted the resident run, if any — a lost cluster
     /// peer surfaces here as [`SquallError::WorkerLost`].
     pub fn error(&self) -> Option<SquallError> {
-        self.handle.as_ref().and_then(|h| h.error())
+        self.run.handle.as_ref().and_then(|h| h.error())
     }
 
     /// Restart the view on `cluster` after a failure (typically a
@@ -1168,16 +1044,8 @@ impl StandingHandle {
         // Tear the dead run down. The sink must not flush partial epochs
         // into the shared rows while the cascade drains.
         self.shared.recovering.store(true, Ordering::SeqCst);
-        for q in &self.queues {
-            q.close();
-        }
-        for t in 0..self.queues.len() {
-            self.waker.wake(t);
-        }
-        if let Some(handle) = self.handle.take() {
-            let _ = crate::cluster::finish(handle, self.cluster.take());
-        }
-        if let Some(rx) = self.blob_rx.as_ref() {
+        self.run.drain();
+        if let Some(rx) = self.run.blob_rx.as_ref() {
             // Blobs that arrived after the last checkpoint wait (e.g. a
             // straggler completing a previously-partial epoch).
             while let Ok(msg) = rx.try_recv() {
@@ -1190,9 +1058,8 @@ impl StandingHandle {
         // surviving replicas when the partitioning makes that sound (§5).
         let n_rel = self.spec.n_relations();
         if n_rel > 1 {
-            if let Ok(scheme) =
-                build_scheme(self.cfg.scheme, &self.spec, self.layout.join_tasks, self.cfg.seed)
-            {
+            let machines = self.run.layout.join_tasks;
+            if let Ok(scheme) = build_scheme(self.cfg.scheme, &self.spec, machines, self.cfg.seed) {
                 self.store.reconstruct_newest(&scheme, n_rel);
             }
         }
@@ -1205,30 +1072,8 @@ impl StandingHandle {
         self.cfg.cluster = Some(cluster);
         let data =
             if restore.is_some() { vec![Vec::new(); n_rel] } else { self.initial_data.clone() };
-        let (tx, rx) = std::sync::mpsc::channel();
-        let blob_tx = (self.cfg.checkpoint_interval > 0).then_some(tx);
-        let (topology, queues, layout) = assemble_standing(
-            &self.spec,
-            data,
-            &self.cfg,
-            Some((Arc::clone(&self.plan), Arc::clone(&self.shared))),
-            restore.clone(),
-            blob_tx.clone(),
-        )?;
-        let (handle, run) = crate::cluster::launch(
-            topology,
-            &self.spec,
-            &self.cfg,
-            blob_tx.clone(),
-            restore.as_deref(),
-            Some(resume),
-        )?;
-        self.waker = handle.waker();
-        self.handle = Some(handle);
-        self.cluster = run;
-        self.queues = queues;
-        self.layout = layout;
-        self.blob_rx = blob_tx.is_some().then_some(rx);
+        let coordinator = (Arc::clone(&self.plan), Arc::clone(&self.shared));
+        self.run = Resident::boot(&self.spec, data, &self.cfg, coordinator, restore, Some(resume))?;
         self.shared.counters.recoveries.fetch_add(1, Ordering::Relaxed);
 
         // Replay every round after the restored checkpoint with its
@@ -1236,17 +1081,7 @@ impl StandingHandle {
         // the log until a fresh checkpoint covers them.
         self.replay.retain(|(e, _)| *e > resume);
         for (epoch, rounds) in &self.replay {
-            for (rel, rows, mult) in rounds {
-                for row in rows {
-                    self.queues[*rel].push(LiveItem::Delta(tag_delta(row, *mult, *epoch)));
-                }
-            }
-            for q in &self.queues {
-                q.push(LiveItem::Watermark(*epoch));
-            }
-        }
-        for t in 0..self.queues.len() {
-            self.waker.wake(t);
+            self.run.feed(*epoch, rounds);
         }
         Ok(())
     }
@@ -1254,45 +1089,12 @@ impl StandingHandle {
     /// Close every source queue and drain the shutdown cascade,
     /// returning the view's final lifetime report (loads, maintenance
     /// counters, wire traffic under a cluster).
-    pub fn shutdown(self) -> JoinReport {
-        let StandingHandle {
-            queues,
-            shared,
-            waker,
-            handle,
-            cluster,
-            layout,
-            input_count,
-            start,
-            ..
-        } = self;
-        let handle = handle.expect("handle present outside recover()");
-        for q in &queues {
-            q.close();
-        }
-        for t in 0..queues.len() {
-            waker.wake(t);
-        }
-        let (outcome, transport) = crate::cluster::finish(handle, cluster);
-        let metrics = &outcome.metrics;
-        let join_metrics = metrics.node(layout.join_node);
-        let loads = join_metrics.received.clone();
-        JoinReport {
-            results: Vec::new(),
-            result_count: join_metrics.total_emitted(),
-            input_count,
-            input_counts: Vec::new(),
-            loads,
-            replication_factor: metrics.replication_factor(layout.join_node, &layout.source_nodes),
-            skew_degree: metrics.node(layout.join_node).skew_degree(),
-            network_factor: 0.0,
-            elapsed: start.elapsed(),
-            scheme_description: layout.scheme_description,
-            scheduler: outcome.metrics.scheduler.clone(),
-            error: outcome.error,
-            transport,
-            maintenance: Some(shared.stats()),
-        }
+    pub fn shutdown(mut self) -> JoinReport {
+        let (outcome, transport) = self.run.drain().expect("handle present outside recover()");
+        let mut report = summarize(self.run.layout, outcome, 0, transport);
+        report.elapsed = self.start.elapsed();
+        report.maintenance = Some(self.shared.stats());
+        report
     }
 }
 
@@ -1300,7 +1102,8 @@ impl StandingHandle {
 mod tests {
     use super::*;
     use squall_common::{tuple, DataType, Schema};
-    use squall_expr::{JoinAtom, RelationDef};
+    use squall_expr::{JoinAtom, RelationDef, ScalarExpr};
+    use squall_join::AggSpec;
     use squall_partition::optimizer::SchemeKind;
 
     use crate::driver::LocalJoinKind;
@@ -1314,16 +1117,21 @@ mod tests {
         .unwrap()
     }
 
-    fn plain_plan(arity: usize) -> ViewPlan {
+    fn view_plan(group_cols: Vec<usize>, aggs: Vec<AggSpec>, arity: usize) -> ViewPlan {
         ViewPlan {
-            group_cols: vec![],
-            aggs: vec![],
-            is_aggregate: false,
-            having: None,
-            finalize: (0..arity).map(ScalarExpr::col).collect(),
-            emit_empty_agg: false,
+            group_cols,
+            finalizer: Finalizer {
+                having: None,
+                project: (0..arity).map(ScalarExpr::col).collect(),
+                aggs,
+                emit_empty: false,
+            },
             windowed: None,
         }
+    }
+
+    fn plain_plan(arity: usize) -> ViewPlan {
+        view_plan(vec![], vec![], arity)
     }
 
     fn standing_cfg() -> MultiwayConfig {
@@ -1367,15 +1175,7 @@ mod tests {
     fn aggregate_view_diffs_published_groups() {
         let spec = pair_spec();
         // COUNT(*) GROUP BY R.a over the join; finalize = (key, count).
-        let plan = ViewPlan {
-            group_cols: vec![0],
-            aggs: vec![AggSpec::count()],
-            is_aggregate: true,
-            having: None,
-            finalize: vec![ScalarExpr::col(0), ScalarExpr::col(1)],
-            emit_empty_agg: false,
-            windowed: None,
-        };
+        let plan = view_plan(vec![0], vec![AggSpec::count()], 2);
         let data = vec![vec![tuple![1, 10], tuple![2, 20]], vec![tuple![1, 100]]];
         let shared = Arc::new(ViewShared::new());
         // Subscribe before launch so the epoch-1 batch is observed too.

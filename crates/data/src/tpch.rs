@@ -100,10 +100,6 @@ impl TpchGen {
         (200.0 * self.scale_units).max(8.0) as usize
     }
 
-    pub fn n_partsupp(&self) -> usize {
-        self.n_part() * 4
-    }
-
     fn date_string(rng: &mut SplitMix64) -> String {
         let year = 1992 + rng.next_below(7) as i32;
         let month = 1 + rng.next_below(12) as u32;

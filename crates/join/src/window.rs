@@ -23,7 +23,7 @@
 use std::collections::VecDeque;
 
 use squall_common::codec::{self, Reader};
-use squall_common::{Result, Tuple};
+use squall_common::{Result, SquallError, Tuple};
 
 use crate::{LocalJoin, Snapshot};
 
@@ -37,6 +37,76 @@ pub enum WindowSpec {
     Tumbling { width: u64 },
     /// Keep tuples whose timestamp is within `size` of the newest input.
     Sliding { size: u64 },
+}
+
+/// The window geometry, in one place: the join's result predicate and
+/// eviction, the per-window aggregate's fold and close, and the standing
+/// view sink's window expansion all call these. Tumbling windows are
+/// `[k·width, (k+1)·width)`, sliding windows `[s, s+size]` for every
+/// integer start `s ≥ 0`. A zero `width`/`size` is rejected when the plan
+/// is validated, before any of this runs.
+impl WindowSpec {
+    /// Do timestamps with extrema `[lo, hi]` share a window? Sliding:
+    /// `hi − lo ≤ size`; tumbling: same bucket `⌊ts/width⌋`.
+    #[inline]
+    pub fn contains(self, lo: u64, hi: u64) -> bool {
+        match self {
+            WindowSpec::FullHistory => true,
+            WindowSpec::Sliding { size } => hi - lo <= size,
+            WindowSpec::Tumbling { width } => lo / width == hi / width,
+        }
+    }
+
+    /// The starts of every window a result with constituent-timestamp
+    /// extrema `[lo, hi]` (already [`WindowSpec::contains`]-checked) folds
+    /// into: the one bucket under tumbling, `max(hi − size, 0) ..= lo`
+    /// under sliding. A typed error when the last window's inclusive end
+    /// would not fit the `Int` it is reported as.
+    #[inline]
+    pub fn window_starts(self, lo: u64, hi: u64) -> Result<std::ops::RangeInclusive<u64>> {
+        debug_assert!(self.contains(lo, hi), "join window predicate violated");
+        let (first, last, extent) = match self {
+            WindowSpec::Tumbling { width } => {
+                let start = hi / width * width;
+                (start, start, width - 1)
+            }
+            WindowSpec::Sliding { size } => (hi.saturating_sub(size), lo, size),
+            WindowSpec::FullHistory => {
+                return Err(SquallError::Runtime("a full-history join has no windows".into()))
+            }
+        };
+        match last.checked_add(extent) {
+            Some(end) if end <= i64::MAX as u64 => Ok(first..=last),
+            _ => Err(SquallError::Runtime(format!(
+                "window [{last}, {last} + {extent}] ends past the largest Int"
+            ))),
+        }
+    }
+
+    /// Inclusive end of the window starting at `start` (a start
+    /// [`WindowSpec::window_starts`] produced, so the sum fits).
+    #[inline]
+    pub fn end_of(self, start: u64) -> u64 {
+        match self {
+            WindowSpec::Tumbling { width } => start + width - 1,
+            WindowSpec::Sliding { size } => start + size,
+            WindowSpec::FullHistory => u64::MAX,
+        }
+    }
+
+    /// What a watermark `w` (every future timestamp is `≥ w`) makes final:
+    /// stored tuples with a timestamp below the returned boundary can meet
+    /// no future arrival, and windows starting below it can gain no
+    /// further result. Tumbling: the start of `w`'s bucket; sliding:
+    /// `w − size`, clamped at 0.
+    #[inline]
+    pub fn close_boundary(self, watermark: u64) -> u64 {
+        match self {
+            WindowSpec::FullHistory => 0,
+            WindowSpec::Tumbling { width } => watermark / width * width,
+            WindowSpec::Sliding { size } => watermark.saturating_sub(size),
+        }
+    }
 }
 
 /// Positions of each relation's event-time column within a join *output*
@@ -137,19 +207,11 @@ impl<J: LocalJoin> WindowJoin<J> {
         let Some(watermark) = self.watermark() else {
             return; // some relation unseen: no safe eviction yet
         };
-        let expired = |ts: u64| match self.spec {
-            WindowSpec::Sliding { size } => ts < watermark.saturating_sub(size),
-            WindowSpec::Tumbling { width } => ts / width < watermark / width,
-            WindowSpec::FullHistory => false,
-        };
+        let boundary = self.spec.close_boundary(watermark);
         for r in 0..self.live.len() {
-            while let Some(&(ts, _)) = self.live[r].front() {
-                if expired(ts) {
-                    let (_, t) = self.live[r].pop_front().expect("front exists");
-                    self.inner.remove(r, &t);
-                } else {
-                    break;
-                }
+            while self.live[r].front().is_some_and(|&(ts, _)| ts < boundary) {
+                let (_, t) = self.live[r].pop_front().expect("front exists");
+                self.inner.remove(r, &t);
             }
         }
     }
@@ -230,26 +292,20 @@ impl<J: LocalJoin> Snapshot for WindowJoin<J> {
 
 /// The window predicate over a result tuple's constituent timestamps.
 fn in_window(spec: WindowSpec, out_ts_cols: &[usize], result: &Tuple) -> bool {
-    let ts = |c: usize| -> u64 {
-        result.get(c).as_int().expect("window timestamp column must be Int (validated at plan)")
-            as u64
-    };
-    match spec {
-        WindowSpec::FullHistory => true,
-        WindowSpec::Sliding { size } => {
-            let (mut lo, mut hi) = (u64::MAX, 0u64);
-            for &c in out_ts_cols {
-                let v = ts(c);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            hi - lo <= size
-        }
-        WindowSpec::Tumbling { width } => {
-            let first = ts(out_ts_cols[0]) / width;
-            out_ts_cols[1..].iter().all(|&c| ts(c) / width == first)
-        }
+    if matches!(spec, WindowSpec::FullHistory) {
+        return true;
     }
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    for &c in out_ts_cols {
+        let v = result
+            .get(c)
+            .as_int()
+            .expect("window timestamp column must be Int (validated at plan)")
+            as u64;
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    spec.contains(lo, hi)
 }
 
 #[cfg(test)]
@@ -397,5 +453,44 @@ mod tests {
         }
         assert!(w.live_tuples() <= 10, "live {} should be ≈ window size", w.live_tuples());
         assert!(w.inner().stored() <= 20, "inner state must stay bounded");
+    }
+
+    #[test]
+    fn window_geometry_table() {
+        let t = WindowSpec::Tumbling { width: 10 };
+        let s = WindowSpec::Sliding { size: 4 };
+        // (spec, lo, hi) → do they share a window, and if so which starts.
+        let cases = [
+            (t, 10, 19, Some((10, 10))),    // exactly k·width opens window k …
+            (t, 9, 10, None::<(u64, u64)>), // … and never joins window k−1
+            (t, 0, 9, Some((0, 0))),
+            (s, 6, 8, Some((4, 6))), // overlap: every start in [hi−size, lo]
+            (s, 7, 7, Some((3, 7))),
+            (s, 1, 3, Some((0, 1))), // clamped at start 0
+            (s, 2, 6, Some((2, 2))), // hi − lo = size: exactly one window
+            (s, 2, 7, None),
+        ];
+        for (spec, lo, hi, windows) in cases {
+            assert_eq!(spec.contains(lo, hi), windows.is_some(), "{spec:?} [{lo}, {hi}]");
+            if let Some((first, last)) = windows {
+                assert_eq!(
+                    spec.window_starts(lo, hi).unwrap(),
+                    first..=last,
+                    "{spec:?} [{lo}, {hi}]"
+                );
+            }
+        }
+        assert_eq!((t.end_of(10), s.end_of(3)), (19, 7), "inclusive ends");
+        // Close boundary: a watermark inside bucket 2 closes buckets 0 and 1;
+        // sliding closes starts below w − size, nothing while w < size.
+        assert_eq!((t.close_boundary(29), t.close_boundary(30)), (20, 30));
+        assert_eq!((s.close_boundary(9), s.close_boundary(3)), (5, 0));
+        assert_eq!(WindowSpec::FullHistory.close_boundary(u64::MAX), 0, "nothing ever closes");
+        // An inclusive end past the largest Int is a typed error, not a wrap.
+        let top = i64::MAX as u64;
+        assert!(s.window_starts(top - 4, top - 4).is_ok());
+        assert!(s.window_starts(top - 3, top - 3).is_err());
+        assert!(WindowSpec::Tumbling { width: u64::MAX }.window_starts(0, 5).is_err());
+        assert!(WindowSpec::FullHistory.window_starts(0, 5).is_err());
     }
 }

@@ -55,13 +55,6 @@ impl AdaptiveMatrix {
         })
     }
 
-    /// Override the reshape trigger (`> 1`).
-    pub fn with_trigger(mut self, ratio: f64) -> AdaptiveMatrix {
-        assert!(ratio > 1.0);
-        self.trigger_ratio = ratio;
-        self
-    }
-
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }

@@ -13,7 +13,7 @@
 //! never from the sample, so routing is exact: a matching pair always lands
 //! in a candidate cell. The sample only influences *balance*.
 
-use squall_common::{Result, SquallError, Tuple, Value};
+use squall_common::{Result, SquallError, Value};
 use squall_expr::join_cond::CmpOp;
 
 /// The join conditions the range schemes support (integer keys).
@@ -216,14 +216,6 @@ impl RangeGrid {
         let s = self.col_targets.iter().map(|t| t.len()).sum::<usize>() as f64 / self.cols() as f64;
         (r, s)
     }
-}
-
-/// Extract an integer key column from tuples, for sampling.
-pub fn int_keys<'a>(tuples: impl IntoIterator<Item = &'a Tuple>, col: usize) -> Vec<i64> {
-    tuples
-        .into_iter()
-        .map(|t| t.get(col).as_int().expect("range schemes need integer keys"))
-        .collect()
 }
 
 #[cfg(test)]

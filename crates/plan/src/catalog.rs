@@ -196,7 +196,8 @@ impl Catalog {
     /// given row. Streams are append-only (their event-time contract has
     /// no room for retraction); a row that is not present is a typed
     /// error — retracting what was never stored would silently corrupt
-    /// every standing view over the source.
+    /// every standing view over the source — and leaves the table as it
+    /// was (as a multiset; row order is not part of a table).
     pub fn retract(&mut self, name: &str, rows: &[Tuple]) -> Result<()> {
         let src = self
             .sources
@@ -209,12 +210,15 @@ impl Catalog {
             return Err(invalid("streams are append-only; cannot retract".to_string()));
         }
         let data = Arc::make_mut(&mut src.data);
-        for row in rows {
+        for (done, row) in rows.iter().enumerate() {
             match data.iter().position(|t| t == row) {
                 Some(i) => {
                     data.swap_remove(i);
                 }
-                None => return Err(invalid(format!("cannot retract row {row}: not in the table"))),
+                None => {
+                    put_back(data, &rows[..done]);
+                    return Err(invalid(format!("cannot retract row {row}: not in the table")));
+                }
             }
         }
         Ok(())
@@ -259,6 +263,16 @@ impl Catalog {
     pub fn names(&self) -> Vec<&str> {
         self.sources.iter().map(|t| t.name.as_str()).collect()
     }
+}
+
+/// Undo a retraction that met an absent row: the rows before it are gone
+/// already, and no view will hear of the round — all or nothing. Kept out
+/// of line so the scan in [`Catalog::retract`], most of a retraction
+/// epoch's cost, compiles as it did without it.
+#[cold]
+#[inline(never)]
+fn put_back(data: &mut Vec<Tuple>, removed: &[Tuple]) {
+    data.extend_from_slice(removed);
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use squall_core::driver::{
     run_multiway_stream, AggPlan, JoinReport, LocalJoinKind, MultiwayConfig, MultiwayStream,
     WindowPlan,
 };
+use squall_core::operators::Finalizer;
 use squall_core::standing::{ViewPlan, ViewWindow};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::{AggFunc, JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
@@ -269,8 +270,6 @@ impl Iterator for ResultSet {
 struct QueryStream {
     inner: Option<MultiwayStream>,
     finalizer: Finalizer,
-    /// SQL semantics: a global aggregate over zero rows yields one row.
-    emit_empty_agg: bool,
     /// Engine rows seen (pre-HAVING): the synthetic empty-aggregate row
     /// only applies when the aggregation itself produced nothing, not
     /// when HAVING filtered everything out.
@@ -278,59 +277,40 @@ struct QueryStream {
     report: Option<JoinReport>,
 }
 
-impl QueryStream {
-    /// A row-processing error poisons the run: abort it and surface the
-    /// error through the report.
-    fn poison(&mut self, e: SquallError) {
-        let mut report = self.inner.take().expect("stream present").cancel();
-        report.error.get_or_insert(e);
-        self.report = Some(report);
-    }
-}
-
 impl Iterator for QueryStream {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
         loop {
-            let stream = self.inner.as_mut()?;
-            match stream.next() {
+            match self.inner.as_mut()?.next() {
                 Some(row) => {
                     self.saw_rows = true;
-                    match self.finalizer.passes(&row) {
-                        Ok(false) => continue,
-                        Ok(true) => {}
+                    match self.finalizer.row(&row) {
+                        Ok(None) => continue,
+                        Ok(Some(t)) => return Some(t),
                         Err(e) => {
-                            self.poison(e);
-                            return None;
-                        }
-                    }
-                    match self.finalizer.project_final(&row) {
-                        Ok(t) => return Some(t),
-                        Err(e) => {
-                            self.poison(e);
+                            // A row-processing error poisons the run: abort
+                            // it and surface the error through the report.
+                            let mut report = self.inner.take().expect("stream present").cancel();
+                            report.error.get_or_insert(e);
+                            self.report = Some(report);
                             return None;
                         }
                     }
                 }
                 None => {
-                    let report = self.inner.take().expect("stream present").finish();
-                    let ok = report.error.is_none();
-                    self.report = Some(report);
-                    if ok && !self.saw_rows && self.emit_empty_agg {
-                        match self.finalizer.empty_agg_row() {
-                            Ok(Some(row)) => return Some(row),
-                            Ok(None) => {}
-                            Err(e) => {
-                                // Run already complete; record the
-                                // projection error on its report.
-                                if let Some(r) = &mut self.report {
-                                    r.error.get_or_insert(e);
-                                }
-                            }
+                    let mut report = self.inner.take().expect("stream present").finish();
+                    let mut last = None;
+                    if report.error.is_none() && !self.saw_rows {
+                        match self.finalizer.empty_row() {
+                            Ok(row) => last = row,
+                            // Run already complete; record the projection
+                            // error on its report.
+                            Err(e) => report.error = Some(e),
                         }
                     }
-                    return None;
+                    self.report = Some(report);
+                    return last;
                 }
             }
         }
@@ -355,72 +335,6 @@ struct PhysTable {
     /// coordinate space — how plan validation names a column that an atom
     /// references but pruning removed.
     orig_columns: Vec<String>,
-}
-
-/// How one SELECT item is produced from the engine output.
-#[derive(Debug, Clone)]
-enum FinalItem {
-    /// Index into the (group keys ++ agg values) aggregate row.
-    AggRow(usize),
-    /// Expression over the join output row (non-aggregated queries).
-    JoinExpr(ScalarExpr),
-}
-
-/// Per-row projection of engine output into SELECT order — detached from
-/// [`PhysicalQuery`] so the streaming path can carry it into the iterator.
-#[derive(Debug, Clone)]
-struct Finalizer {
-    final_items: Vec<FinalItem>,
-    group_cols_len: usize,
-    aggs: Vec<AggSpec>,
-    /// HAVING predicate over the raw aggregate row (group keys ++ every
-    /// aggregate, hidden ones included); rows failing it are filtered
-    /// before projection.
-    having: Option<ScalarExpr>,
-}
-
-impl Finalizer {
-    fn project_final(&self, row: &Tuple) -> Result<Tuple> {
-        let mut values = Vec::with_capacity(self.final_items.len());
-        for item in &self.final_items {
-            values.push(match item {
-                FinalItem::AggRow(i) => row.get(*i).clone(),
-                FinalItem::JoinExpr(e) => e.eval(row)?,
-            });
-        }
-        Ok(Tuple::new(values))
-    }
-
-    /// Does this raw engine row survive the HAVING predicate?
-    fn passes(&self, row: &Tuple) -> Result<bool> {
-        match &self.having {
-            None => Ok(true),
-            Some(h) => h.eval_bool(row),
-        }
-    }
-
-    /// SQL semantics for a global aggregate over zero rows: one row with
-    /// COUNT = 0 and NULL sums/averages — unless HAVING rejects it (a
-    /// predicate over the NULL/zero synthetic row that errors or is false
-    /// filters the row, SQL's unknown-is-false). A *projection* error
-    /// over the synthetic row is a real error, reported exactly like one
-    /// over a produced row.
-    fn empty_agg_row(&self) -> Result<Option<Tuple>> {
-        debug_assert_eq!(self.group_cols_len, 0, "synthetic row only for global aggregates");
-        let raw = Tuple::new(
-            self.aggs
-                .iter()
-                .map(|a| match a.func {
-                    AggFunc::Count => Value::Int(0),
-                    _ => Value::Null,
-                })
-                .collect(),
-        );
-        if !self.passes(&raw).unwrap_or(false) {
-            return Ok(None);
-        }
-        self.project_final(&raw).map(Some)
-    }
 }
 
 /// An unresolved join atom: `(table, column)` pairs compared by `CmpOp`,
@@ -472,11 +386,13 @@ pub struct PhysicalQuery {
     atoms: Vec<JoinAtom>,
     /// Group-by columns in join-output coordinates.
     group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    /// HAVING over the aggregate row (group keys ++ aggs, hidden ones
-    /// included).
-    having: Option<ScalarExpr>,
-    final_items: Vec<FinalItem>,
+    /// HAVING, the SELECT list and the aggregate columns (inputs in
+    /// join-output coordinates) — over the raw aggregate row (group keys ++
+    /// aggregates, hidden ones included) of an aggregate query, over the
+    /// join output otherwise. Carried by the result stream of distributed
+    /// queries, used in place by the single-table local path, embedded in
+    /// a standing view's [`ViewPlan`].
+    finalizer: Finalizer,
     out_schema: Schema,
     is_aggregate: bool,
     /// Window + aggregation: results are per-window rows with
@@ -900,7 +816,7 @@ impl PhysicalQuery {
                             })?),
                         };
                         aggs.push(spec);
-                        final_items.push(FinalItem::AggRow(group_cols.len() + aggs.len() - 1));
+                        final_items.push(ScalarExpr::col(group_cols.len() + aggs.len() - 1));
                     }
                     Expr::Col(n) => {
                         let (t, c) = resolve(n)?;
@@ -911,7 +827,7 @@ impl PhysicalQuery {
                                     "column {n} must appear in GROUP BY"
                                 ))
                             })?;
-                        final_items.push(FinalItem::AggRow(pos));
+                        final_items.push(ScalarExpr::col(pos));
                     }
                     _ => {
                         return Err(SquallError::InvalidPlan(
@@ -921,7 +837,7 @@ impl PhysicalQuery {
                 }
             } else {
                 let g = scalar.as_ref().expect("non-aggregate item resolved");
-                final_items.push(FinalItem::JoinExpr(g.remap_columns(&remap_global)));
+                final_items.push(g.remap_columns(&remap_global));
             }
         }
         // HAVING: resolved over the aggregate row (group keys ++
@@ -1029,13 +945,11 @@ impl PhysicalQuery {
         // shifts by two.
         let windowed_agg = is_aggregate && window.is_some();
         if windowed_agg {
-            for item in &mut final_items {
-                if let FinalItem::AggRow(i) = item {
-                    *i += 2;
-                }
-            }
-            final_items.insert(0, FinalItem::AggRow(1));
-            final_items.insert(0, FinalItem::AggRow(0));
+            final_items = [0, 1]
+                .into_iter()
+                .map(ScalarExpr::col)
+                .chain(final_items.iter().map(|e| e.remap_columns(&|c| c + 2)))
+                .collect();
             out_fields.insert(0, Field::new("window_end", DataType::Int));
             out_fields.insert(0, Field::new("window_start", DataType::Int));
             having = having.map(|h| h.remap_columns(&|c| c + 2));
@@ -1067,10 +981,16 @@ impl PhysicalQuery {
         Ok(PhysicalQuery {
             tables,
             atoms,
+            // A per-window global aggregate over zero rows has no windows,
+            // hence no rows — the synthetic COUNT=0 row is a full-history
+            // artifact.
+            finalizer: Finalizer {
+                having,
+                project: final_items,
+                aggs,
+                emit_empty: is_aggregate && group_cols.is_empty() && !windowed_agg,
+            },
             group_cols,
-            aggs,
-            having,
-            final_items,
             out_schema: Schema::new(out_fields),
             is_aggregate,
             windowed_agg,
@@ -1116,18 +1036,6 @@ impl PhysicalQuery {
         Ok(out)
     }
 
-    /// How one SELECT item is produced from the engine output — carried
-    /// by the result stream of distributed queries and used in place by
-    /// the single-table local path.
-    fn finalizer(&self) -> Finalizer {
-        Finalizer {
-            final_items: self.final_items.clone(),
-            group_cols_len: self.group_cols.len(),
-            aggs: self.aggs.clone(),
-            having: self.having.clone(),
-        }
-    }
-
     /// The materialized-result ordering contract: ORDER BY keys in
     /// sequence (descending keys reversed), every tie — and the
     /// no-ORDER-BY case — broken by whole-row ascending order so results
@@ -1170,16 +1078,58 @@ impl PhysicalQuery {
         mcfg
     }
 
-    /// Source-side work (filter, derive, project — the co-located source
-    /// components of §2), statistics and scheme/config selection: the
-    /// front half of every one-shot execution.
-    fn prepare_run(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<Prepared> {
+    /// Every source's current contents after its pushed-down work
+    /// (filter, derive, project — the co-located source components of §2),
+    /// behind the atom check both planes start with.
+    fn load_sources(&self, catalog: &Catalog) -> Result<Vec<Vec<Tuple>>> {
         self.validate_atoms()?;
-        let mut data: Vec<Vec<Tuple>> = Vec::with_capacity(self.tables.len());
+        let mut data = Vec::with_capacity(self.tables.len());
         for (t, pt) in self.tables.iter().enumerate() {
             let raw = Arc::clone(&catalog.get(&pt.name)?.data);
             data.push(self.prepare_table(t, &raw)?);
         }
+        Ok(data)
+    }
+
+    /// The join spec over the prepared inputs: one [`RelationDef`] per
+    /// source, sized by its rows, and a connected join graph. `skew` =
+    /// `(machines, slack)` adds the post-selection, sample-based skew
+    /// detection per join-key occurrence (§3.4) that the random-routing
+    /// schemes act on.
+    fn join_spec(&self, data: &[Vec<Tuple>], skew: Option<(usize, f64)>) -> Result<MultiJoinSpec> {
+        let mut rels: Vec<RelationDef> = self
+            .tables
+            .iter()
+            .zip(data)
+            .map(|(pt, d)| RelationDef::new(pt.alias.clone(), pt.schema.clone(), d.len() as u64))
+            .collect();
+        if let Some((machines, slack)) = skew {
+            for a in &self.atoms {
+                for &(t, c) in &[(a.left_rel, a.left_col), (a.right_rel, a.right_col)] {
+                    let sample: Vec<Value> =
+                        data[t].iter().take(20_000).map(|row| row.get(c).clone()).collect();
+                    let est = SkewEstimate::from_sample(sample.iter());
+                    if est.is_skewed(machines, slack) {
+                        let name = rels[t].schema.field(c).name.clone();
+                        rels[t].schema.set_skewed(&name)?;
+                    }
+                }
+            }
+        }
+        let spec = MultiJoinSpec::new(rels, self.atoms.clone())?;
+        if !spec.is_connected() {
+            return Err(SquallError::InvalidPlan(
+                "join graph is disconnected (Cartesian products unsupported)".into(),
+            ));
+        }
+        Ok(spec)
+    }
+
+    /// Source-side work (filter, derive, project — the co-located source
+    /// components of §2), statistics and scheme/config selection: the
+    /// front half of every one-shot execution.
+    fn prepare_run(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<Prepared> {
+        let mut data = self.load_sources(catalog)?;
         if let Some(w) = &self.window {
             // Windowed topologies require spouts that emit in event-time
             // order (the watermark-eviction contract). Streams windowed on
@@ -1197,32 +1147,7 @@ impl PhysicalQuery {
         if self.tables.len() == 1 {
             return Ok(Prepared::Local(std::mem::take(&mut data[0])));
         }
-
-        // Statistics: post-selection skew detection per join-key
-        // occurrence (§3.4).
-        let mut rels: Vec<RelationDef> = self
-            .tables
-            .iter()
-            .zip(&data)
-            .map(|(pt, d)| RelationDef::new(pt.alias.clone(), pt.schema.clone(), d.len() as u64))
-            .collect();
-        for a in &self.atoms {
-            for &(t, c) in &[(a.left_rel, a.left_col), (a.right_rel, a.right_col)] {
-                let sample: Vec<Value> =
-                    data[t].iter().take(20_000).map(|row| row.get(c).clone()).collect();
-                let est = SkewEstimate::from_sample(sample.iter());
-                if est.is_skewed(cfg.machines, cfg.skew_slack) {
-                    let name = rels[t].schema.field(c).name.clone();
-                    rels[t].schema.set_skewed(&name)?;
-                }
-            }
-        }
-        let spec = MultiJoinSpec::new(rels, self.atoms.clone())?;
-        if !spec.is_connected() {
-            return Err(SquallError::InvalidPlan(
-                "join graph is disconnected (Cartesian products unsupported)".into(),
-            ));
-        }
+        let spec = self.join_spec(&data, Some((cfg.machines, cfg.skew_slack)))?;
 
         // Scheme & parallelism selection: an explicit config scheme wins,
         // then the optimizer's cost-based choice, then the Hybrid default
@@ -1235,7 +1160,7 @@ impl PhysicalQuery {
         if self.is_aggregate {
             mcfg = mcfg.with_agg(AggPlan {
                 group_cols: self.group_cols.clone(),
-                aggs: self.aggs.clone(),
+                aggs: self.finalizer.aggs.clone(),
                 parallelism: cfg.agg_parallelism.max(1),
             });
         }
@@ -1254,7 +1179,6 @@ impl PhysicalQuery {
     /// that is the only column whose appends the catalog keeps monotonic,
     /// which the window join's eviction contract depends on.
     pub fn prepare_standing(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<StandingPlan> {
-        self.validate_atoms()?;
         if !self.order_by.is_empty() || self.limit.is_some() {
             return Err(SquallError::InvalidPlan(
                 "ORDER BY / LIMIT are not supported in a materialized view \
@@ -1271,108 +1195,51 @@ impl PhysicalQuery {
                 )));
             }
         }
-        // Source-side work over the initial contents.
-        let mut data: Vec<Vec<Tuple>> = Vec::with_capacity(self.tables.len());
-        for (t, pt) in self.tables.iter().enumerate() {
-            let raw = Arc::clone(&catalog.get(&pt.name)?.data);
-            data.push(self.prepare_table(t, &raw)?);
-        }
-        // Unlike the one-shot path, NO skew sampling and NO random
-        // routing: a retraction's delta must land on the exact machine
-        // holding the matching insert, so every tuple's route has to be a
-        // pure function of its content. The random escape hatch for
-        // skewed keys (§3.4) trades that determinism for balance, which
-        // would strand +1/−1 pairs on different machines and corrupt the
-        // maintained state — standing views always route by key hash.
-        let rels: Vec<RelationDef> = self
-            .tables
-            .iter()
-            .zip(&data)
-            .map(|(pt, d)| RelationDef::new(pt.alias.clone(), pt.schema.clone(), d.len() as u64))
-            .collect();
-        let spec = MultiJoinSpec::new(rels, self.atoms.clone())?;
-        if self.tables.len() > 1 && !spec.is_connected() {
-            return Err(SquallError::InvalidPlan(
-                "join graph is disconnected (Cartesian products unsupported)".into(),
-            ));
-        }
-
+        // Source-side work over the initial contents. Unlike the one-shot
+        // path, NO skew sampling and NO random routing: a retraction's
+        // delta must land on the exact machine holding the matching
+        // insert, so every tuple's route has to be a pure function of its
+        // content. The random escape hatch for skewed keys (§3.4) trades
+        // that determinism for balance, which would strand +1/−1 pairs on
+        // different machines and corrupt the maintained state — standing
+        // views always route by key hash.
+        let data = self.load_sources(catalog)?;
+        let spec = self.join_spec(&data, None)?;
         let mut mcfg = self.multiway_config(SchemeKind::Hash, cfg);
         mcfg.standing = true;
         // No `mcfg.agg`: in a standing topology the view sink aggregates,
         // diffing published rows per epoch.
 
-        let view = self.view_plan(&spec)?;
+        let view = self.view_plan(&spec);
         Ok(StandingPlan { spec, data, mcfg, view })
     }
 
     /// The sink half of [`PhysicalQuery::prepare_standing`]: how signed
     /// join deltas become view rows.
-    fn view_plan(&self, spec: &MultiJoinSpec) -> Result<ViewPlan> {
-        let windowed = if self.windowed_agg {
+    fn view_plan(&self, spec: &MultiJoinSpec) -> ViewPlan {
+        let mut plan = ViewPlan {
+            group_cols: self.group_cols.clone(),
+            finalizer: self.finalizer.clone(),
+            windowed: None,
+        };
+        if self.windowed_agg {
+            // The sink's input rows are (window_start, window_end, join
+            // output…): group keys and aggregate inputs shift by the two
+            // prepended window columns — HAVING and the SELECT items were
+            // already shifted at plan time.
+            plan.group_cols =
+                [0, 1].into_iter().chain(self.group_cols.iter().map(|c| c + 2)).collect();
+            for a in &mut plan.finalizer.aggs {
+                a.input = a.input.as_ref().map(|e| e.remap_columns(&|c| c + 2));
+            }
             let w = self.window.as_ref().expect("windowed_agg implies a window");
             let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
-            Some(ViewWindow {
+            plan.windowed = Some(ViewWindow {
                 spec: w.spec,
                 ts_cols: squall_join::output_ts_cols(&arities, &w.ts_cols),
-            })
-        } else {
-            None
-        };
-        let (group_cols, aggs, finalize) = if self.is_aggregate {
-            let mut finalize = Vec::with_capacity(self.final_items.len());
-            for item in &self.final_items {
-                match item {
-                    FinalItem::AggRow(i) => finalize.push(ScalarExpr::col(*i)),
-                    FinalItem::JoinExpr(_) => {
-                        return Err(SquallError::InvalidPlan(
-                            "aggregate view SELECT items must be group keys or aggregates".into(),
-                        ))
-                    }
-                }
-            }
-            if self.windowed_agg {
-                // The sink's input rows are (window_start, window_end,
-                // join output…): group keys and aggregate inputs shift by
-                // the two prepended window columns — HAVING and the SELECT
-                // items were already shifted at plan time.
-                let group_cols: Vec<usize> =
-                    [0, 1].into_iter().chain(self.group_cols.iter().map(|c| c + 2)).collect();
-                let aggs: Vec<AggSpec> = self
-                    .aggs
-                    .iter()
-                    .map(|a| AggSpec {
-                        func: a.func,
-                        input: a.input.as_ref().map(|e| e.remap_columns(&|c| c + 2)),
-                    })
-                    .collect();
-                (group_cols, aggs, finalize)
-            } else {
-                (self.group_cols.clone(), self.aggs.clone(), finalize)
-            }
-        } else {
-            let mut finalize = Vec::with_capacity(self.final_items.len());
-            for item in &self.final_items {
-                match item {
-                    FinalItem::JoinExpr(e) => finalize.push(e.clone()),
-                    FinalItem::AggRow(_) => {
-                        return Err(SquallError::InvalidPlan(
-                            "aggregate SELECT item in a non-aggregate view".into(),
-                        ))
-                    }
-                }
-            }
-            (Vec::new(), Vec::new(), finalize)
-        };
-        Ok(ViewPlan {
-            group_cols,
-            aggs,
-            is_aggregate: self.is_aggregate,
-            having: self.having.clone(),
-            finalize,
-            emit_empty_agg: self.is_aggregate && self.group_cols.is_empty() && !self.windowed_agg,
-            windowed,
-        })
+            });
+        }
+        plan
     }
 
     /// Apply one source's pushed-down work (filter, derived columns,
@@ -1436,13 +1303,7 @@ impl PhysicalQuery {
                 let inner = run_multiway_stream(&spec, data, &mcfg)?;
                 let stream = QueryStream {
                     inner: Some(inner),
-                    finalizer: self.finalizer(),
-                    // A per-window global aggregate over zero rows has no
-                    // windows, hence no rows — the synthetic COUNT=0 row
-                    // is a full-history artifact.
-                    emit_empty_agg: self.is_aggregate
-                        && self.group_cols.is_empty()
-                        && !self.windowed_agg,
+                    finalizer: self.finalizer.clone(),
                     saw_rows: false,
                     report: None,
                 };
@@ -1452,35 +1313,24 @@ impl PhysicalQuery {
     }
 
     /// Single-table path: aggregate or project locally.
-    fn finalize_local(&self, data: Vec<Tuple>) -> Result<Vec<Tuple>> {
-        let finalizer = self.finalizer();
+    fn finalize_local(&self, mut data: Vec<Tuple>) -> Result<Vec<Tuple>> {
         if self.is_aggregate {
-            let mut agg = GroupByAggregator::new(self.group_cols.clone(), self.aggs.clone());
+            let mut agg =
+                GroupByAggregator::new(self.group_cols.clone(), self.finalizer.aggs.clone());
             for t in &data {
                 agg.update(t)?;
             }
-            let groups = agg.snapshot();
-            let had_groups = !groups.is_empty();
-            let mut rows = Vec::new();
-            for row in groups {
-                if !finalizer.passes(&row)? {
-                    continue;
-                }
-                rows.push(finalizer.project_final(&row)?);
-            }
-            if !had_groups && self.group_cols.is_empty() {
-                rows.extend(finalizer.empty_agg_row()?);
-            }
-            self.finalize_order(&mut rows);
-            Ok(rows)
-        } else {
-            let mut rows = Vec::with_capacity(data.len());
-            for t in &data {
-                rows.push(finalizer.project_final(t)?);
-            }
-            self.finalize_order(&mut rows);
-            Ok(rows)
+            data = agg.snapshot();
         }
+        let mut rows = Vec::with_capacity(data.len());
+        for row in &data {
+            rows.extend(self.finalizer.row(row)?);
+        }
+        if data.is_empty() {
+            rows.extend(self.finalizer.empty_row()?);
+        }
+        self.finalize_order(&mut rows);
+        Ok(rows)
     }
 
     /// Human-readable plan description (the EXPLAIN of the demo UI).
@@ -1508,7 +1358,7 @@ impl PhysicalQuery {
             s.push_str(&format!(
                 "aggregate: group by {:?}, {} agg(s){}\n",
                 self.group_cols,
-                self.aggs.len(),
+                self.finalizer.aggs.len(),
                 if self.windowed_agg {
                     " — per window (window_start, window_end prepended), \
                      group-hash sharded + ordered window merge"
@@ -1517,7 +1367,7 @@ impl PhysicalQuery {
                 }
             ));
         }
-        if let Some(h) = &self.having {
+        if let Some(h) = &self.finalizer.having {
             s.push_str(&format!("having: {h}\n"));
         }
         if !self.order_by.is_empty() || self.limit.is_some() {
@@ -1714,12 +1564,12 @@ impl PhysicalQuery {
         for g in &mut self.group_cols {
             *g = remap(*g);
         }
-        for a in &mut self.aggs {
+        for a in &mut self.finalizer.aggs {
             a.input = a.input.as_ref().map(|e| e.remap_columns(&remap));
         }
-        for item in &mut self.final_items {
-            if let FinalItem::JoinExpr(e) = item {
-                *item = FinalItem::JoinExpr(e.remap_columns(&remap));
+        if !self.is_aggregate {
+            for e in &mut self.finalizer.project {
+                *e = e.remap_columns(&remap);
             }
         }
         if let Some(w) = &mut self.window {
@@ -2321,14 +2171,14 @@ mod tests {
         // finalizer fails on the first row it projects.
         let spj = join(Query::from_tables([("R", "R"), ("S", "S")])).select([col("S.c")]);
         let mut finalizer_fails = PhysicalQuery::plan(&spj, &catalog()).unwrap();
-        finalizer_fails.final_items[0] = FinalItem::JoinExpr(ScalarExpr::col(99));
+        finalizer_fails.finalizer.project[0] = ScalarExpr::col(99);
         // An aggregate input addressing such a column: the aggregation
         // bolt fails mid-run, inside the topology.
         let grouped = join(Query::from_tables([("R", "R"), ("S", "S")]))
             .group_by([col("R.a")])
             .select([col("R.a"), agg(AggFunc::Sum, Some(col("S.c")))]);
         let mut operator_fails = PhysicalQuery::plan(&grouped, &catalog()).unwrap();
-        operator_fails.aggs[0].input = Some(ScalarExpr::col(99));
+        operator_fails.finalizer.aggs[0].input = Some(ScalarExpr::col(99));
 
         for (what, p) in [("finalizer", finalizer_fails), ("operator", operator_fails)] {
             let err = p.execute(&catalog(), &ExecConfig::default()).expect_err(what);

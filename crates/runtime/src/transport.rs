@@ -763,10 +763,6 @@ impl TransportStats {
     pub fn total_batches_sent(&self) -> u64 {
         self.peers.iter().map(|p| p.batches_sent).sum()
     }
-
-    pub fn total_batches_received(&self) -> u64 {
-        self.peers.iter().map(|p| p.batches_received).sum()
-    }
 }
 
 impl std::fmt::Display for TransportStats {

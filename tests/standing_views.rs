@@ -88,6 +88,14 @@ fn chain_view_stays_resident(builder: SessionBuilder) {
     s.retract("S", vec![tuple![30, 200]]).unwrap();
     assert_eq!(view.snapshot().unwrap(), recompute(&s, CHAIN_VIEW), "after round 3");
 
+    // A retraction naming an absent row fails whole — the present row
+    // before it stays in the table the views were never told about — so a
+    // retry of just the present row still finds it.
+    assert!(s.retract("R", vec![tuple![1, 10], tuple![9, 9]]).is_err());
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, CHAIN_VIEW), "after the failed round");
+    s.retract("R", vec![tuple![1, 10]]).unwrap();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, CHAIN_VIEW), "after the retry");
+
     let report = s.drop_view("counts").unwrap();
     let stats = report.maintenance.expect("standing report carries counters");
     assert!(stats.appends >= 3 && stats.retractions >= 2, "{stats}");
@@ -130,26 +138,47 @@ fn snapshots_read_their_writes_without_waiting() {
 
 /// A windowed standing view over streams: post-launch appends extend the
 /// per-window aggregate exactly like a recompute (streams are
-/// append-only, so no retraction arm).
+/// append-only, so no retraction arm) — under tumbling windows and under
+/// overlapping sliding ones, where one join result lands in several
+/// windows and the earliest window is clamped at start 0.
 #[test]
 fn windowed_stream_view_extends_incrementally() {
-    let schema = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
-    let mut s = Session::builder().machines(3).seed(9).build();
-    s.register_stream("A", schema.clone(), vec![tuple![1, 0], tuple![2, 3], tuple![1, 7]], "ts")
-        .unwrap();
-    s.register_stream("B", schema, vec![tuple![1, 1], tuple![2, 4]], "ts").unwrap();
-    let select = "SELECT A.k, COUNT(*) FROM A, B WHERE A.k = B.k \
-                  WINDOW TUMBLING 5 ON ts GROUP BY A.k";
-    let view = s.create_view("w", &squall::sql::parse(select).unwrap()).unwrap();
-    assert_eq!(view.snapshot().unwrap(), recompute(&s, select), "initial");
-    s.append("A", vec![tuple![2, 8], tuple![1, 9]]).unwrap();
-    s.append("B", vec![tuple![1, 8], tuple![2, 9], tuple![1, 12]]).unwrap();
-    assert_eq!(view.snapshot().unwrap(), recompute(&s, select), "after appends");
-    assert!(
-        s.retract("A", vec![tuple![1, 0]]).is_err(),
-        "stream sources stay append-only under a windowed view"
-    );
-    s.drop_view("w").unwrap();
+    for window in ["TUMBLING 5", "SLIDING 3"] {
+        let schema = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
+        let mut s = Session::builder().machines(3).seed(9).build();
+        let a = vec![tuple![1, 0], tuple![2, 3], tuple![1, 7]];
+        s.register_stream("A", schema.clone(), a, "ts").unwrap();
+        s.register_stream("B", schema, vec![tuple![1, 1], tuple![2, 4]], "ts").unwrap();
+        let select = format!(
+            "SELECT A.k, COUNT(*) FROM A, B WHERE A.k = B.k WINDOW {window} ON ts GROUP BY A.k"
+        );
+        let view = s.create_view("w", &squall::sql::parse(&select).unwrap()).unwrap();
+        let initial = view.snapshot().unwrap();
+        assert_eq!(initial, recompute(&s, &select), "{window}: initial");
+        if window == "SLIDING 3" {
+            // (window_start, window_end, k, count): the pair at ts (0, 1)
+            // would open at −2; the pair at ts (3, 4) sits in [1,4], [2,5], [3,6].
+            assert!(initial.contains(&tuple![0, 3, 1, 1]), "clamped at start 0: {initial:?}");
+            let spanned = initial.iter().filter(|t| t.get(2) == &Value::Int(2)).count();
+            assert_eq!(spanned, 3, "one result, three overlapping windows: {initial:?}");
+        }
+        for (stream, rows) in [
+            ("A", vec![tuple![2, 8], tuple![1, 9]]),
+            ("B", vec![tuple![1, 8], tuple![2, 9], tuple![1, 12]]),
+        ] {
+            s.append(stream, rows).unwrap();
+            assert_eq!(
+                view.snapshot().unwrap(),
+                recompute(&s, &select),
+                "{window}: after {stream}"
+            );
+        }
+        assert!(
+            s.retract("A", vec![tuple![1, 0]]).is_err(),
+            "stream sources stay append-only under a windowed view"
+        );
+        s.drop_view("w").unwrap();
+    }
 }
 
 #[test]
@@ -159,7 +188,9 @@ fn standing_plan_with_out_of_range_ts_column_is_a_typed_error() {
     // Unchecked, the `output_ts_cols` assert inside the join bolt factory
     // panics the task instead of failing the launch.
     use squall::engine::driver::WindowPlan;
-    use squall::engine::{launch_standing, LocalJoinKind, MultiwayConfig, ViewPlan, ViewShared};
+    use squall::engine::{
+        launch_standing, Finalizer, LocalJoinKind, MultiwayConfig, ViewPlan, ViewShared,
+    };
     use squall::expr::{JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
     use squall::join::WindowSpec;
     use squall::partition::optimizer::SchemeKind;
@@ -175,11 +206,12 @@ fn standing_plan_with_out_of_range_ts_column_is_a_typed_error() {
     cfg.standing = true;
     let view = ViewPlan {
         group_cols: vec![],
-        aggs: vec![],
-        is_aggregate: false,
-        having: None,
-        finalize: (0..4).map(ScalarExpr::col).collect(),
-        emit_empty_agg: false,
+        finalizer: Finalizer {
+            having: None,
+            project: (0..4).map(ScalarExpr::col).collect(),
+            aggs: vec![],
+            emit_empty: false,
+        },
         windowed: None,
     };
     let data = vec![vec![tuple![1, 10]], vec![tuple![1, 11]]];
