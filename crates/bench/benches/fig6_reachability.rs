@@ -2,8 +2,8 @@
 //! joins.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use squall_bench::run_pipeline;
 use squall_core::driver::{run_multiway, LocalJoinKind, MultiwayConfig};
-use squall_core::pipeline::run_pipeline;
 use squall_data::queries;
 use squall_data::webgraph::WebGraphGen;
 use squall_partition::optimizer::SchemeKind;

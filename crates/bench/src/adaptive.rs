@@ -1,11 +1,16 @@
-//! Executable model of the Adaptive 1-Bucket operator (\[32\], §5
-//! "Hypercube sizes").
+//! Adaptive 1-Bucket (Elseidy et al. \[32\], §5 "Hypercube sizes") — the
+//! controller and an executable model of the operator, read by ablation A3.
 //!
-//! The decision logic lives in [`squall_partition::AdaptiveMatrix`]; this
-//! module adds the *state* side: tuples placed under the old matrix shape
-//! are migrated to their new rows/columns when the controller re-shapes,
-//! without blocking new arrivals (migration work is accounted separately,
-//! as shipped tuples). The simulation verifies the operator's two claims:
+//! In an online system the relative relation sizes change at run time, so a
+//! statically sized 1-Bucket matrix drifts away from the optimum.
+//! [`AdaptiveMatrix`] is the decision logic: it monitors the observed
+//! cardinalities and re-shapes the matrix when the current shape's load is
+//! far enough from the optimal shape's to pay for the state migration.
+//! [`simulate`] adds the *state* side: tuples placed under the old matrix
+//! shape are migrated to their new rows/columns when the controller
+//! re-shapes, without blocking new arrivals (migration work is accounted
+//! separately, as shipped tuples). The simulation verifies the operator's
+//! two claims:
 //!
 //! 1. under drifting `|R| : |S|` ratios the adaptive operator's maximum
 //!    machine load tracks the optimal static shape chosen *in hindsight*;
@@ -13,8 +18,93 @@
 //!    meets on at least one machine, and result ownership stays
 //!    exactly-once.
 
-use squall_common::{SplitMix64, Tuple};
-use squall_partition::AdaptiveMatrix;
+use squall_common::{Result, SplitMix64, Tuple};
+
+use crate::twoway::optimal_matrix;
+
+/// A reshape decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reshape {
+    pub from: (usize, usize),
+    pub to: (usize, usize),
+}
+
+/// Decides *when* to re-shape a 1-Bucket matrix.
+#[derive(Debug, Clone)]
+pub struct AdaptiveMatrix {
+    machines: usize,
+    rows: usize,
+    cols: usize,
+    n_r: u64,
+    n_s: u64,
+    /// Reshape when `current_load / optimal_load` exceeds this factor
+    /// (hysteresis against oscillation; \[32\] uses a similar trigger).
+    trigger_ratio: f64,
+    /// Do not consider reshaping before this many tuples were observed
+    /// (early cardinalities are noise).
+    min_tuples: u64,
+    /// Number of reshapes performed so far.
+    pub reshapes: u64,
+}
+
+impl AdaptiveMatrix {
+    /// Start with the square-ish default shape for `machines` machines.
+    pub fn new(machines: usize) -> Result<AdaptiveMatrix> {
+        let (rows, cols) = optimal_matrix(1, 1, machines)?;
+        Ok(AdaptiveMatrix {
+            machines,
+            rows,
+            cols,
+            n_r: 0,
+            n_s: 0,
+            trigger_ratio: 1.2,
+            min_tuples: 64,
+            reshapes: 0,
+        })
+    }
+
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Record arrivals.
+    pub fn observe_r(&mut self, n: u64) {
+        self.n_r += n;
+    }
+
+    pub fn observe_s(&mut self, n: u64) {
+        self.n_s += n;
+    }
+
+    /// Per-machine load of a shape for the observed cardinalities.
+    fn load_of(&self, rows: usize, cols: usize) -> f64 {
+        self.n_r as f64 / rows as f64 + self.n_s as f64 / cols as f64
+    }
+
+    /// Check whether a reshape is worthwhile; if so, adopt the new shape
+    /// and return it. Deterministic in the observation sequence.
+    pub fn check(&mut self) -> Option<Reshape> {
+        if self.n_r + self.n_s < self.min_tuples {
+            return None;
+        }
+        let (opt_r, opt_c) = optimal_matrix(self.n_r.max(1), self.n_s.max(1), self.machines)
+            .expect("machines > 0 by construction");
+        if (opt_r, opt_c) == (self.rows, self.cols) {
+            return None;
+        }
+        let current = self.load_of(self.rows, self.cols);
+        let optimal = self.load_of(opt_r, opt_c);
+        if current > optimal * self.trigger_ratio {
+            let reshape = Reshape { from: (self.rows, self.cols), to: (opt_r, opt_c) };
+            self.rows = opt_r;
+            self.cols = opt_c;
+            self.reshapes += 1;
+            Some(reshape)
+        } else {
+            None
+        }
+    }
+}
 
 /// Per-machine state of the simulated operator.
 #[derive(Debug, Clone, Default)]
@@ -152,6 +242,69 @@ pub fn drifting_stream(phase1: usize, phase2: usize, ratio: usize, seed: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn starts_square_for_unknown_sizes() {
+        let a = AdaptiveMatrix::new(16).unwrap();
+        assert_eq!(a.shape(), (4, 4));
+    }
+
+    #[test]
+    fn no_reshape_before_min_tuples() {
+        let mut a = AdaptiveMatrix::new(16).unwrap();
+        a.observe_r(10);
+        assert!(a.check().is_none());
+    }
+
+    #[test]
+    fn no_reshape_when_balanced() {
+        let mut a = AdaptiveMatrix::new(16).unwrap();
+        a.observe_r(10_000);
+        a.observe_s(10_000);
+        assert!(a.check().is_none(), "square shape is already optimal");
+    }
+
+    #[test]
+    fn reshapes_under_drift_and_improves_load() {
+        // The [32] scenario: |R| grows 16× past |S|; the static 4×4 load is
+        // far from optimal and the controller must adapt.
+        let mut a = AdaptiveMatrix::new(16).unwrap();
+        a.observe_r(16_000);
+        a.observe_s(1_000);
+        let before = a.load_of(4, 4);
+        let reshape = a.check().expect("drift must trigger a reshape");
+        assert_eq!(reshape.from, (4, 4));
+        let (r, c) = reshape.to;
+        assert!(r > 4, "more rows for the bigger relation, got {r}x{c}");
+        let after = a.load_of(r, c);
+        assert!(after < before / 1.2, "load {before} → {after}");
+    }
+
+    #[test]
+    fn hysteresis_prevents_oscillation() {
+        let mut a = AdaptiveMatrix::new(16).unwrap();
+        a.observe_r(16_000);
+        a.observe_s(1_000);
+        assert!(a.check().is_some());
+        // Immediately after adapting, small drift must NOT reshape again.
+        a.observe_s(200);
+        assert!(a.check().is_none());
+        assert_eq!(a.reshapes, 1);
+    }
+
+    #[test]
+    fn repeated_drift_reshapes_again() {
+        let mut a = AdaptiveMatrix::new(64).unwrap();
+        a.observe_r(10_000);
+        a.observe_s(10_000);
+        assert!(a.check().is_none());
+        a.observe_r(300_000);
+        assert!(a.check().is_some());
+        // Now S floods.
+        a.observe_s(3_000_000);
+        assert!(a.check().is_some());
+        assert_eq!(a.reshapes, 2);
+    }
 
     #[test]
     fn exactly_once_cross_product() {

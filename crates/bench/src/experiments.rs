@@ -1,24 +1,25 @@
 //! The experiments, one function per paper artifact.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use squall_common::{Tuple, Value};
-use squall_core::adaptive_sim;
+use squall_common::{DataType, Tuple, Value};
 use squall_core::driver::{run_multiway, LocalJoinKind, MultiwayConfig};
-use squall_core::pipeline::run_pipeline;
 use squall_data::queries::{self, QueryInstance};
 use squall_data::tpch::TpchGen;
 use squall_data::webgraph::WebGraphGen;
 use squall_data::{crawlcontent, google_cluster, streams};
-use squall_partition::ewh::{output_per_machine, EwhScheme};
-use squall_partition::grid::RangeCond;
+use squall_expr::{BinOp, ScalarExpr};
 use squall_partition::hypercube::{Dimension, HypercubeScheme, PartitionKind};
-use squall_partition::keymap::{hash_assignment_max_keys, KeyMapGrouping};
-use squall_partition::mbucket::MBucketScheme;
-use squall_partition::onebucket::one_bucket;
 use squall_partition::optimizer::SchemeKind;
-use squall_partition::temporal::mean_active_machines;
-use squall_runtime::{Grouping, TopologyBuilder};
+use squall_runtime::{
+    Bolt, FnBolt, Grouping, IterSpoutVec, NodeId, OutputCollector, TopologyBuilder,
+};
+
+use crate::adaptive;
+use crate::pipeline::run_pipeline;
+use crate::skew::{hash_assignment_max_keys, mean_active_machines, KeyMapGrouping};
+use crate::twoway::{ewh, mbucket, one_bucket, output_per_machine, RangeCond};
 
 /// One printable result row.
 #[derive(Debug, Clone)]
@@ -158,36 +159,9 @@ pub fn e0_worked_example() -> Vec<Row> {
 /// (read / +sel(int) / +sel(date) / +network / full join). `scale_units`
 /// sizes the TPC-H generator (1.0 = 6000 lineitems).
 pub fn fig5_bottleneck(scale_units: f64, join_tasks: usize) -> Vec<Row> {
-    use squall_common::DataType;
-    use squall_expr::{BinOp, ScalarExpr};
-
     let data = TpchGen::new(scale_units, 0.0, 42).generate();
-    let customers = std::sync::Arc::new(data.customer.clone());
-    let orders = std::sync::Arc::new(data.orders.clone());
-
-    // A counting sink bolt.
-    fn sink() -> Box<dyn squall_runtime::Bolt> {
-        Box::new(squall_runtime::FnBolt(
-            |_o, _t: Tuple, _out: &mut squall_runtime::OutputCollector| Ok(()),
-        ))
-    }
-    let spouts = |b: &mut TopologyBuilder,
-                  customers: &std::sync::Arc<Vec<Tuple>>,
-                  orders: &std::sync::Arc<Vec<Tuple>>| {
-        let c = {
-            let d = std::sync::Arc::clone(customers);
-            b.add_spout("customer", 1, move |t| {
-                Box::new(squall_runtime::IterSpoutVec::strided(std::sync::Arc::clone(&d), t, 1))
-            })
-        };
-        let o = {
-            let d = std::sync::Arc::clone(orders);
-            b.add_spout("orders", 1, move |t| {
-                Box::new(squall_runtime::IterSpoutVec::strided(std::sync::Arc::clone(&d), t, 1))
-            })
-        };
-        (c, o)
-    };
+    let customers = Arc::new(data.customer.clone());
+    let orders = Arc::new(data.orders.clone());
 
     // Best-of-3 to suppress thread-startup noise.
     let time = |f: &dyn Fn()| -> Duration {
@@ -201,36 +175,19 @@ pub fn fig5_bottleneck(scale_units: f64, join_tasks: usize) -> Vec<Row> {
             .expect("three runs")
     };
 
-    let mut rows = Vec::new();
-
     // 1. ReadFile: sources into a local no-op sink (no repartitioning).
     let rf = time(&|| {
         let mut b = TopologyBuilder::new();
-        let (c, o) = spouts(&mut b, &customers, &orders);
-        let sink_node = b.add_bolt("sink", 1, |_| sink());
+        let (c, o) = fig5_spouts(&mut b, &customers, &orders);
+        let sink_node = b.add_bolt("sink", 1, |_| fig5_sink());
         b.connect(c, sink_node, Grouping::Global);
         b.connect(o, sink_node, Grouping::Global);
         b.build().unwrap().run();
     });
-    rows.push(Row::new("ReadFile (RF)").add("runtime", ms(rf)).add("share of full join", "-"));
-
-    // 2. + no-op selection over an integer field (shippriority >= 0).
-    let sel_int_pred = ScalarExpr::bin(BinOp::Ge, ScalarExpr::col(3), ScalarExpr::lit(0));
+    // 2. + no-op selection over an integer field.
     let sel_int = time(&|| {
-        let mut b = TopologyBuilder::new();
-        let (c, o) = spouts(&mut b, &customers, &orders);
-        let p = sel_int_pred.clone();
-        let sel = b.add_bolt("sel", 1, move |_| {
-            Box::new(squall_core::operators::SelectProjectBolt::select(p.clone()))
-        });
-        let sink_node = b.add_bolt("sink", 1, |_| sink());
-        b.connect(o, sel, Grouping::Global);
-        b.connect(sel, sink_node, Grouping::Global);
-        b.connect(c, sink_node, Grouping::Global);
-        b.build().unwrap().run();
+        fig5_sel_stage(&customers, &orders, &fig5_sel_int(), 1, false);
     });
-    rows.push(Row::new("RF + sel(int)").add("runtime", ms(sel_int)).add("share of full join", "-"));
-
     // 3. + no-op selection over the DATE field — the expensive Str→Date
     //    parse (orderdate >= 1970-01-01 passes everything).
     let sel_date_pred = ScalarExpr::bin(
@@ -239,42 +196,12 @@ pub fn fig5_bottleneck(scale_units: f64, join_tasks: usize) -> Vec<Row> {
         ScalarExpr::lit(Value::Date(squall_common::Date(0))),
     );
     let sel_date = time(&|| {
-        let mut b = TopologyBuilder::new();
-        let (c, o) = spouts(&mut b, &customers, &orders);
-        let p = sel_date_pred.clone();
-        let sel = b.add_bolt("sel", 1, move |_| {
-            Box::new(squall_core::operators::SelectProjectBolt::select(p.clone()))
-        });
-        let sink_node = b.add_bolt("sink", 1, |_| sink());
-        b.connect(o, sel, Grouping::Global);
-        b.connect(sel, sink_node, Grouping::Global);
-        b.connect(c, sink_node, Grouping::Global);
-        b.build().unwrap().run();
+        fig5_sel_stage(&customers, &orders, &sel_date_pred, 1, false);
     });
-    rows.push(
-        Row::new("RF + sel(date)").add("runtime", ms(sel_date)).add("share of full join", "-"),
-    );
-
     // 4. + network: hash repartitioning over `join_tasks` tasks, no join.
     let network = time(&|| {
-        let mut b = TopologyBuilder::new();
-        let (c, o) = spouts(&mut b, &customers, &orders);
-        let p = sel_int_pred.clone();
-        let sel = b.add_bolt("sel", 1, move |_| {
-            Box::new(squall_core::operators::SelectProjectBolt::select(p.clone()))
-        });
-        let sink_node = b.add_bolt("sink", join_tasks, |_| sink());
-        b.connect(o, sel, Grouping::Global);
-        b.connect(sel, sink_node, Grouping::Fields(vec![1]));
-        b.connect(c, sink_node, Grouping::Fields(vec![0]));
-        b.build().unwrap().run();
+        fig5_sel_stage(&customers, &orders, &fig5_sel_int(), join_tasks, true);
     });
-    rows.push(
-        Row::new("RF + sel(int) + network")
-            .add("runtime", ms(network))
-            .add("share of full join", "-"),
-    );
-
     // 5. Full join C ⋈ O (hash partitioned, DBToaster local).
     let q = customer_orders_query(&data);
     let full = time(&|| {
@@ -282,14 +209,77 @@ pub fn fig5_bottleneck(scale_units: f64, join_tasks: usize) -> Vec<Row> {
             .count_only();
         run_multiway(&q.spec, q.data.clone(), &cfg).unwrap();
     });
+
     let share = |d: Duration| format!("{:.0}%", 100.0 * d.as_secs_f64() / full.as_secs_f64());
-    rows.push(Row::new("Full join").add("runtime", ms(full)).add("share of full join", "100%"));
-    // Re-annotate shares now that the full-join time is known.
-    let stages = [rf, sel_int, sel_date, network];
-    for (row, d) in rows.iter_mut().zip(stages) {
-        row.values[1].1 = share(d);
-    }
-    rows
+    [
+        ("ReadFile (RF)", rf),
+        ("RF + sel(int)", sel_int),
+        ("RF + sel(date)", sel_date),
+        ("RF + sel(int) + network", network),
+        ("Full join", full),
+    ]
+    .into_iter()
+    .map(|(label, d)| Row::new(label).add("runtime", ms(d)).add("share of full join", share(d)))
+    .collect()
+}
+
+/// Figure 5's no-op integer selection: `shippriority >= 0`.
+fn fig5_sel_int() -> ScalarExpr {
+    ScalarExpr::bin(BinOp::Ge, ScalarExpr::col(3), ScalarExpr::lit(0))
+}
+
+/// A no-op counting sink.
+fn fig5_sink() -> Box<dyn Bolt> {
+    Box::new(FnBolt(|_o, _t: Tuple, _out: &mut OutputCollector| Ok(())))
+}
+
+fn fig5_spouts(
+    b: &mut TopologyBuilder,
+    customers: &Arc<Vec<Tuple>>,
+    orders: &Arc<Vec<Tuple>>,
+) -> (NodeId, NodeId) {
+    let mut spout = |name: &str, data: &Arc<Vec<Tuple>>| {
+        let d = Arc::clone(data);
+        b.add_spout(name, 1, move |t| Box::new(IterSpoutVec::strided(Arc::clone(&d), t, 1)))
+    };
+    (spout("customer", customers), spout("orders", orders))
+}
+
+/// One selection stage of Figure 5: ORDERS through a `sel` bolt on `pred`
+/// into a no-op sink of `sink_tasks` tasks, CUSTOMER straight into the
+/// sink — hash-repartitioned on the join key when `network`. The selection
+/// is [`ScalarExpr::eval_bool`] row by row, the evaluator every query's
+/// pushed-down predicate runs, so the stage measures the engine's path.
+/// Returns how many rows `sel` passed.
+fn fig5_sel_stage(
+    customers: &Arc<Vec<Tuple>>,
+    orders: &Arc<Vec<Tuple>>,
+    pred: &ScalarExpr,
+    sink_tasks: usize,
+    network: bool,
+) -> u64 {
+    let mut b = TopologyBuilder::new();
+    let (c, o) = fig5_spouts(&mut b, customers, orders);
+    let pred = pred.clone();
+    let sel = b.add_bolt("sel", 1, move |_| {
+        let pred = pred.clone();
+        Box::new(FnBolt(move |_o, t: Tuple, out: &mut OutputCollector| {
+            if pred.eval_bool(&t)? {
+                out.emit(t);
+            }
+            Ok(())
+        }))
+    });
+    let sink_node = b.add_bolt("sink", sink_tasks, |_| fig5_sink());
+    let (from_sel, from_customer) = if network {
+        (Grouping::Fields(vec![1]), Grouping::Fields(vec![0]))
+    } else {
+        (Grouping::Global, Grouping::Global)
+    };
+    b.connect(o, sel, Grouping::Global);
+    b.connect(sel, sink_node, from_sel);
+    b.connect(c, sink_node, from_customer);
+    b.build().unwrap().run().metrics.node(sel).total_emitted()
 }
 
 fn customer_orders_query(data: &squall_data::tpch::TpchData) -> QueryInstance {
@@ -574,9 +564,10 @@ pub fn abl_temporal_skew() -> Vec<Row> {
 
 /// A3 — Adaptive 1-Bucket under drifting |R|:|S| (the \[32\] scenario).
 pub fn abl_adaptive() -> Vec<Row> {
-    let arrivals = adaptive_sim::drifting_stream(500, 20_000, 12, 21);
-    let stat = adaptive_sim::simulate(16, &arrivals, false, 5);
-    let adap = adaptive_sim::simulate(16, &arrivals, true, 5);
+    let arrivals = adaptive::drifting_stream(500, 20_000, 12, 21);
+    let stat = adaptive::simulate(16, &arrivals, false, 5);
+    let adap = adaptive::simulate(16, &arrivals, true, 5);
+    assert_eq!(stat.results, adap.results, "a reshape neither loses nor repeats a pair");
     vec![
         Row::new("static 1-Bucket")
             .add("max load", stat.max_load())
@@ -647,11 +638,8 @@ pub fn abl_band_schemes() -> Vec<Row> {
         );
     }
     for (name, grid) in [
-        (
-            "M-Bucket [54]",
-            MBucketScheme::build(&r_keys, &s_keys, 0, 0, cond, machines, 32).unwrap().grid,
-        ),
-        ("EWH [66]", EwhScheme::build(&r_keys, &s_keys, 0, 0, cond, machines, 32).unwrap().grid),
+        ("M-Bucket [54]", mbucket(&r_keys, &s_keys, cond, machines, 32).unwrap()),
+        ("EWH [66]", ewh(&r_keys, &s_keys, cond, machines, 32).unwrap()),
     ] {
         let out = output_per_machine(&grid, &r_keys, &s_keys);
         let (rr, rs) = grid.avg_replication();
@@ -680,6 +668,27 @@ mod tests {
         assert_eq!(rows[0].values[1].1, "0.688");
         assert_eq!(rows[1].values[1].1, "0.750");
         assert_eq!(rows[2].values[1].1, "0.365");
+    }
+
+    #[test]
+    fn fig5_stages_and_selection_pass_what_eval_bool_passes() {
+        let rows = fig5_bottleneck(0.05, 2);
+        assert_eq!(rows.len(), 5);
+        assert_eq!(rows[1].label, "RF + sel(int)");
+        assert_eq!(rows[4].values[1].1, "100%");
+        // The `sel` stage passes exactly the rows `eval_bool` passes: all of
+        // them under the figure's no-op predicate, the odd keys under a
+        // selective one — locally and hash-repartitioned.
+        let data = TpchGen::new(0.05, 0.0, 42).generate();
+        let customers = Arc::new(data.customer.clone());
+        let orders = Arc::new(data.orders.clone());
+        assert!(!orders.is_empty());
+        let odd_keys = ScalarExpr::bin(BinOp::Mod, ScalarExpr::col(0), ScalarExpr::lit(2));
+        for pred in [fig5_sel_int(), odd_keys] {
+            let expected = orders.iter().filter(|t| pred.eval_bool(t).unwrap()).count() as u64;
+            assert_eq!(fig5_sel_stage(&customers, &orders, &pred, 1, false), expected, "{pred}");
+            assert_eq!(fig5_sel_stage(&customers, &orders, &pred, 3, true), expected, "{pred}");
+        }
     }
 
     #[test]

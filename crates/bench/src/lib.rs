@@ -9,7 +9,24 @@
 //! Scales are laptop-sized: the goal is to reproduce *who wins and by
 //! roughly what factor*, not the absolute numbers from the authors' 120
 //! core cluster (see EXPERIMENTS.md for the paper-vs-measured record).
+//!
+//! What the paper compares the hypercube engine *against* lives here, not
+//! in the library crates — no query a `Session` runs reaches it. Artifact →
+//! module: e0, f5, f7, f8 read only the engine ([`experiments`]); f6 reads
+//! `pipeline` (the left-deep pipeline of 2-way joins, §7.2; also the second
+//! reference of `tests/end_to_end.rs`); a1 and a2 read `skew` (the
+//! round-robin key map and the temporal-skew profile, §5); a3 reads
+//! `adaptive` (the Adaptive 1-Bucket controller of \[32\] and its
+//! simulation); a4 reads `twoway` (1-Bucket, M-Bucket, EWH and the
+//! candidate-cell grid the last two share, §3.1), whose 1-Bucket matrix f6
+//! and a3 also use.
 
+mod adaptive;
 pub mod experiments;
+mod pipeline;
+mod skew;
+mod twoway;
 
 pub use experiments::*;
+pub use pipeline::run_pipeline;
+pub use twoway::{equi_depth_bounds, RangeCond, RangeGrid};

@@ -11,15 +11,15 @@
 use std::sync::Arc;
 
 use squall_common::{FxHashMap, Result, Schema, SquallError, Tuple};
+use squall_core::driver::{JoinReport, LocalJoinKind};
+use squall_core::operators::{JoinBolt, JoinEmit};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
 use squall_join::{DBToasterJoin, LocalJoin, TraditionalJoin};
-use squall_partition::onebucket::matrix_scheme;
 use squall_partition::HypercubeScheme;
 use squall_runtime::{Grouping, IterSpoutVec, TopologyBuilder};
 
-use crate::driver::{JoinReport, LocalJoinKind};
-use crate::operators::{JoinBolt, JoinEmit};
+use crate::twoway::matrix_scheme;
 
 /// Run the left-deep pipeline of 2-way joins for `spec`, joining relations
 /// in the given `order` (must be a permutation of all relations such that
@@ -238,8 +238,8 @@ pub fn run_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_multiway, MultiwayConfig};
     use squall_common::{tuple, DataType, SplitMix64};
+    use squall_core::driver::{run_multiway, MultiwayConfig};
     use squall_join::naive::{naive_join, same_multiset};
     use squall_partition::optimizer::SchemeKind;
 

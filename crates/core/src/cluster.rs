@@ -1022,23 +1022,36 @@ mod tests {
     #[test]
     fn zero_width_window_job_is_a_typed_error_on_the_worker() {
         // A decoded `JobSpec` is wire input: a window no width fits must
-        // fail the job before a task divides by it.
-        let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2).with_window(
-            WindowPlan { spec: WindowSpec::Tumbling { width: 0 }, ts_cols: vec![1, 1, 1] },
-        );
-        let job = JobSpec {
-            me: 1,
-            peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
-            spec: rst_spec(),
-            cfg,
-            resume_epoch: 0,
-            restore_join: Vec::new(),
-        };
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut coordinator = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        Frame::Job { payload: job.encode() }.write_to(&mut coordinator).unwrap();
-        let err = serve_job(&listener).unwrap_err();
-        assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
+        // fail the job before a task divides by it, and a pool of no
+        // threads or an aggregate of no tasks before the topology builder
+        // asserts on it.
+        let base = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
+        let zero_width = base.clone().with_window(WindowPlan {
+            spec: WindowSpec::Tumbling { width: 0 },
+            ts_cols: vec![1, 1, 1],
+        });
+        let mut no_workers = base.clone();
+        no_workers.worker_threads = Some(0);
+        let no_agg_tasks = base.with_agg(AggPlan {
+            group_cols: vec![0],
+            aggs: vec![AggSpec::count()],
+            parallelism: 0,
+        });
+        for cfg in [zero_width, no_workers, no_agg_tasks] {
+            let job = JobSpec {
+                me: 1,
+                peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
+                spec: rst_spec(),
+                cfg,
+                resume_epoch: 0,
+                restore_join: Vec::new(),
+            };
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut coordinator = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            Frame::Job { payload: job.encode() }.write_to(&mut coordinator).unwrap();
+            let err = serve_job(&listener).unwrap_err();
+            assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
+        }
     }
 
     #[test]

@@ -320,10 +320,11 @@ pub(crate) struct RunContext {
 }
 
 /// The plan checks [`wire_join_stage`] runs before building anything: one
-/// data stream per relation, and a window plan that is bounded, non-empty
+/// data stream per relation, a worker pool and an aggregate stage of at
+/// least one thread / task, and a window plan that is bounded, non-empty
 /// and names an in-range event-time column for every relation. A plan that
-/// fails here would otherwise panic a task — inside its bolt factory, or
-/// dividing by a zero window width.
+/// fails here would otherwise panic — in the topology builder's asserts,
+/// inside a bolt factory, or dividing by a zero window width.
 fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -> Result<()> {
     if n_streams != spec.n_relations() {
         return Err(SquallError::InvalidPlan(format!(
@@ -331,6 +332,14 @@ fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -
             spec.n_relations(),
             n_streams
         )));
+    }
+    // Either zero would trip an assert inside the topology builder, and a
+    // decoded `JobSpec` is wire input.
+    if cfg.worker_threads == Some(0) {
+        return Err(SquallError::InvalidPlan("worker_threads must be > 0".into()));
+    }
+    if cfg.agg.as_ref().is_some_and(|agg| agg.parallelism == 0) {
+        return Err(SquallError::InvalidPlan("an aggregate's parallelism must be > 0".into()));
     }
     if let Some(w) = &cfg.window {
         match w.spec {
@@ -519,7 +528,7 @@ pub(crate) fn assemble(
                 let ts_cols = squall_join::output_ts_cols(&arities, &w.ts_cols);
                 let wspec = w.spec;
                 let n_upstream = ctx.join_tasks;
-                let shards = agg.parallelism.max(1);
+                let shards = agg.parallelism;
                 let node = b.add_bolt("agg", shards, move |_task| {
                     Box::new(WindowedAggBolt::new(
                         wspec,
@@ -1093,6 +1102,20 @@ mod tests {
                 });
             let err = run_multiway(&spec, event_streams(10, 3, 2, 1), &cfg).unwrap_err();
             assert!(matches!(err, SquallError::InvalidPlan(_)), "{wspec:?}: {err}");
+        }
+        // A pool of no threads and an aggregate of no tasks would each trip
+        // an assert in the topology builder.
+        let base = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
+        let mut no_workers = base.clone();
+        no_workers.worker_threads = Some(0);
+        let no_agg_tasks = base.with_agg(AggPlan {
+            group_cols: vec![0],
+            aggs: vec![AggSpec::count()],
+            parallelism: 0,
+        });
+        for cfg in [no_workers, no_agg_tasks] {
+            let err = run_multiway(&spec, event_streams(10, 3, 2, 1), &cfg).unwrap_err();
+            assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
         }
     }
 

@@ -1,12 +1,14 @@
 //! # squall-core
 //!
 //! The paper's system assembled: physical operators (join bolts, aggregate
-//! bolts, select/project bolts), the **HyLD** operator (any hypercube
+//! bolts, the window merge), the **HyLD** operator (any hypercube
 //! partitioning scheme × the local DBToaster join, §3.4), the execution
 //! driver that maps a multi-way join query onto a
-//! [`squall_runtime::Topology`], the pipeline-of-2-way-joins comparator
-//! (§7.2), replication-aware peer recovery (§5 "Fault tolerance") and the
-//! Adaptive 1-Bucket simulation (\[32\]).
+//! [`squall_runtime::Topology`], its split across worker processes, the
+//! resident standing-view plane and replication-aware checkpoints (§5
+//! "Fault tolerance"). Selection and projection run at the sources, in the
+//! planner. The pipeline-of-2-way-joins comparator (§7.2) and the Adaptive
+//! 1-Bucket simulation (\[32\]) are figure code: `crates/bench/src`.
 //!
 //! The central design point is *separation of concerns* (§3.4): "Squall
 //! requires no changes in the partitioning scheme and local join when
@@ -15,12 +17,10 @@
 //! join, so each machine simply runs its own [`squall_join::LocalJoin`]
 //! instance. [`driver::run_multiway`] is exactly that composition.
 
-pub mod adaptive_sim;
 pub mod checkpoint;
 pub mod cluster;
 pub mod driver;
 pub mod operators;
-pub mod pipeline;
 pub mod standing;
 
 pub use checkpoint::{CheckpointStore, RestoreState};
@@ -30,10 +30,7 @@ pub use driver::{
     run_multiway, run_multiway_stream, AggPlan, JoinReport, LocalJoinKind, MultiwayConfig,
     MultiwayStream,
 };
-pub use operators::{
-    AggBolt, Finalizer, JoinBolt, SelectProjectBolt, WindowMergeBolt, WindowedAggBolt,
-};
-pub use pipeline::run_pipeline;
+pub use operators::{AggBolt, Finalizer, JoinBolt, WindowMergeBolt, WindowedAggBolt};
 pub use standing::{
     launch_standing, ChangeBatch, DeltaRound, StandingHandle, ViewPlan, ViewShared, ViewWindow,
 };

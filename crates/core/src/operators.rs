@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use squall_common::array::Array;
-use squall_common::{Chunk, ChunkBuilder, FxHashMap, Result, SquallError, Tuple, Value};
+use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::{AggFunc, ScalarExpr};
 use squall_join::{AggSpec, GroupByAggregator, LocalJoin, WindowJoin, WindowSpec};
 use squall_runtime::{Bolt, NodeId, OutputCollector};
@@ -107,112 +107,6 @@ impl Frontier {
             return None;
         }
         self.per_task.values().copied().min()
-    }
-}
-
-/// Selection + projection in one bolt (Squall co-locates these with the
-/// data source whenever possible, §2; a standalone bolt is used when the
-/// optimizer cannot).
-pub struct SelectProjectBolt {
-    /// Optional predicate; tuples failing it are dropped.
-    pub predicate: Option<ScalarExpr>,
-    /// Optional projection expressions; `None` passes tuples through.
-    pub projections: Option<Vec<ScalarExpr>>,
-}
-
-impl SelectProjectBolt {
-    pub fn select(predicate: ScalarExpr) -> SelectProjectBolt {
-        SelectProjectBolt { predicate: Some(predicate), projections: None }
-    }
-
-    pub fn project(projections: Vec<ScalarExpr>) -> SelectProjectBolt {
-        SelectProjectBolt { predicate: None, projections: Some(projections) }
-    }
-
-    /// Apply to one tuple without a runtime (used by tests and the naive
-    /// executor).
-    pub fn apply(&self, tuple: &Tuple) -> Result<Option<Tuple>> {
-        if let Some(p) = &self.predicate {
-            if !p.eval_bool(tuple)? {
-                return Ok(None);
-            }
-        }
-        match &self.projections {
-            None => Ok(Some(tuple.clone())),
-            Some(exprs) => {
-                let mut values = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    values.push(e.eval(tuple)?);
-                }
-                Ok(Some(Tuple::new(values)))
-            }
-        }
-    }
-}
-
-impl SelectProjectBolt {
-    /// Evaluate the projection expressions column-at-a-time over `chunk`
-    /// and emit one output row per input row.
-    fn project_chunk(exprs: &[ScalarExpr], chunk: &Chunk, out: &mut OutputCollector) -> Result<()> {
-        let mut arrays = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            arrays.push(e.eval_chunk(chunk)?);
-        }
-        for i in 0..chunk.n_rows() {
-            out.emit(Tuple::new(arrays.iter().map(|a| a.value(i)).collect::<Vec<_>>()));
-        }
-        Ok(())
-    }
-}
-
-impl Bolt for SelectProjectBolt {
-    fn execute_chunk(
-        &mut self,
-        _origin: NodeId,
-        chunk: &Chunk,
-        out: &mut OutputCollector,
-    ) -> Result<()> {
-        if chunk.n_rows() == 0 {
-            return Ok(());
-        }
-        match (&self.predicate, &self.projections) {
-            (None, None) => {
-                for t in chunk.rows() {
-                    out.emit(t);
-                }
-            }
-            (None, Some(exprs)) => Self::project_chunk(exprs, chunk, out)?,
-            (Some(p), projections) => {
-                let mask = p.eval_bool_chunk(chunk)?;
-                match projections {
-                    None => {
-                        for (i, keep) in mask.iter().enumerate() {
-                            if *keep {
-                                out.emit(chunk.row(i));
-                            }
-                        }
-                    }
-                    Some(exprs) => {
-                        // Compact survivors *before* projecting: a
-                        // projection is never evaluated on a filtered-out
-                        // row ([`SelectProjectBolt::apply`] is the
-                        // reference), so one that only fails on dropped
-                        // rows must stay silent.
-                        let mut survivors = ChunkBuilder::new();
-                        for (i, keep) in mask.iter().enumerate() {
-                            if *keep {
-                                survivors.push(&chunk.row(i));
-                            }
-                        }
-                        let sub = survivors.finish();
-                        if sub.n_rows() > 0 {
-                            Self::project_chunk(exprs, &sub, out)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -879,31 +773,6 @@ mod tests {
     use super::*;
     use squall_common::tuple;
     use squall_expr::{BinOp, ScalarExpr};
-
-    #[test]
-    fn select_project_apply() {
-        let b = SelectProjectBolt {
-            predicate: Some(ScalarExpr::bin(BinOp::Gt, ScalarExpr::col(0), ScalarExpr::lit(3))),
-            projections: Some(vec![ScalarExpr::col(1)]),
-        };
-        assert_eq!(b.apply(&tuple![5, "keep"]).unwrap(), Some(tuple!["keep"]));
-        assert_eq!(b.apply(&tuple![1, "drop"]).unwrap(), None);
-    }
-
-    #[test]
-    fn select_only_passes_through() {
-        let b = SelectProjectBolt::select(ScalarExpr::lit(1));
-        assert_eq!(b.apply(&tuple![9, 9]).unwrap(), Some(tuple![9, 9]));
-    }
-
-    #[test]
-    fn project_only_reshapes() {
-        let b = SelectProjectBolt::project(vec![
-            ScalarExpr::col(1),
-            ScalarExpr::bin(BinOp::Add, ScalarExpr::col(0), ScalarExpr::lit(1)),
-        ]);
-        assert_eq!(b.apply(&tuple![10, 20]).unwrap(), Some(tuple![20, 11]));
-    }
 
     fn windowed_bolt(spec: WindowSpec) -> WindowedAggBolt {
         // Join-output rows (k, ts_a, ts_b): group on k, COUNT + SUM(2·ts_a).

@@ -1,16 +1,14 @@
-//! 2-way join conditions.
+//! The comparison operator of a join atom.
 //!
-//! A condition is a conjunction of *equi pairs* (`L.a = R.b`) and *theta
-//! atoms* (`f(L) op g(R)`, e.g. the paper's `2·R.B < S.C`). The split
-//! matters operationally: equi pairs admit hash partitioning and hash
-//! indexes, theta atoms need 1-Bucket/range partitioning and BTree indexes
-//! (§3.1, §3.3).
+//! The operator decides what an atom admits operationally: `=` admits hash
+//! partitioning and hash indexes, the inequalities need random
+//! partitioning and BTree indexes (§3.1, §3.3).
 
-use squall_common::{Result, Tuple, Value};
+use squall_common::Value;
 
-use crate::scalar::{BinOp, ScalarExpr};
+use crate::scalar::BinOp;
 
-/// Comparison operators allowed in theta atoms.
+/// Comparison operators allowed in join atoms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Eq,
@@ -58,208 +56,9 @@ impl CmpOp {
     }
 }
 
-/// One non-equi conjunct `left_expr(L) op right_expr(R)`, where `left_expr`
-/// is evaluated over the left tuple and `right_expr` over the right tuple.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThetaAtom {
-    pub left: ScalarExpr,
-    pub op: CmpOp,
-    pub right: ScalarExpr,
-}
-
-/// A conjunction of equi pairs and theta atoms.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct JoinCondition {
-    /// `(left column, right column)` equality pairs.
-    pub equi: Vec<(usize, usize)>,
-    /// Non-equi conjuncts.
-    pub theta: Vec<ThetaAtom>,
-}
-
-impl JoinCondition {
-    /// Pure equi-join on the given column pairs.
-    pub fn equi(pairs: Vec<(usize, usize)>) -> JoinCondition {
-        JoinCondition { equi: pairs, theta: vec![] }
-    }
-
-    /// Single-pair equi-join.
-    pub fn on(left: usize, right: usize) -> JoinCondition {
-        JoinCondition::equi(vec![(left, right)])
-    }
-
-    /// Band join `|L.l − R.r| <= width`, expressed as two theta atoms.
-    pub fn band(left: usize, right: usize, width: i64) -> JoinCondition {
-        JoinCondition {
-            equi: vec![],
-            theta: vec![
-                // L.l <= R.r + width
-                ThetaAtom {
-                    left: ScalarExpr::col(left),
-                    op: CmpOp::Le,
-                    right: ScalarExpr::bin(
-                        BinOp::Add,
-                        ScalarExpr::col(right),
-                        ScalarExpr::lit(width),
-                    ),
-                },
-                // L.l >= R.r - width
-                ThetaAtom {
-                    left: ScalarExpr::col(left),
-                    op: CmpOp::Ge,
-                    right: ScalarExpr::bin(
-                        BinOp::Sub,
-                        ScalarExpr::col(right),
-                        ScalarExpr::lit(width),
-                    ),
-                },
-            ],
-        }
-    }
-
-    /// Inequality join `L.l op R.r`.
-    pub fn inequality(left: usize, op: CmpOp, right: usize) -> JoinCondition {
-        JoinCondition {
-            equi: vec![],
-            theta: vec![ThetaAtom {
-                left: ScalarExpr::col(left),
-                op,
-                right: ScalarExpr::col(right),
-            }],
-        }
-    }
-
-    /// Add a theta conjunct.
-    pub fn with_theta(mut self, left: ScalarExpr, op: CmpOp, right: ScalarExpr) -> JoinCondition {
-        self.theta.push(ThetaAtom { left, op, right });
-        self
-    }
-
-    /// True when the condition has no non-equi part (usable with pure hash
-    /// partitioning and hash indexes).
-    pub fn is_equi(&self) -> bool {
-        self.theta.is_empty() && !self.equi.is_empty()
-    }
-
-    /// True when there is no condition at all (cross product).
-    pub fn is_cross(&self) -> bool {
-        self.theta.is_empty() && self.equi.is_empty()
-    }
-
-    /// Evaluate the full conjunction against a `(left, right)` pair.
-    pub fn matches(&self, left: &Tuple, right: &Tuple) -> Result<bool> {
-        for &(l, r) in &self.equi {
-            if left.get(l) != right.get(r) {
-                return Ok(false);
-            }
-        }
-        for atom in &self.theta {
-            let lv = atom.left.eval(left)?;
-            let rv = atom.right.eval(right)?;
-            if !atom.op.eval(&lv, &rv) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The left-side / right-side key columns of the equi part.
-    pub fn left_keys(&self) -> Vec<usize> {
-        self.equi.iter().map(|&(l, _)| l).collect()
-    }
-
-    pub fn right_keys(&self) -> Vec<usize> {
-        self.equi.iter().map(|&(_, r)| r).collect()
-    }
-
-    /// Swap sides: the condition for `R ⋈ L` given the one for `L ⋈ R`.
-    pub fn flipped(&self) -> JoinCondition {
-        JoinCondition {
-            equi: self.equi.iter().map(|&(l, r)| (r, l)).collect(),
-            theta: self
-                .theta
-                .iter()
-                .map(|a| ThetaAtom {
-                    left: a.right.clone(),
-                    op: a.op.flip(),
-                    right: a.left.clone(),
-                })
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use squall_common::tuple;
-
-    #[test]
-    fn equi_matches() {
-        let c = JoinCondition::on(0, 1);
-        assert!(c.matches(&tuple![5, 1], &tuple![9, 5]).unwrap());
-        assert!(!c.matches(&tuple![5, 1], &tuple![9, 6]).unwrap());
-        assert!(c.is_equi());
-    }
-
-    #[test]
-    fn multi_equi() {
-        let c = JoinCondition::equi(vec![(0, 0), (1, 1)]);
-        assert!(c.matches(&tuple![1, 2], &tuple![1, 2]).unwrap());
-        assert!(!c.matches(&tuple![1, 2], &tuple![1, 3]).unwrap());
-    }
-
-    #[test]
-    fn band_join_width() {
-        let c = JoinCondition::band(0, 0, 2);
-        assert!(c.matches(&tuple![10], &tuple![12]).unwrap());
-        assert!(c.matches(&tuple![10], &tuple![8]).unwrap());
-        assert!(!c.matches(&tuple![10], &tuple![13]).unwrap());
-        assert!(!c.is_equi());
-    }
-
-    #[test]
-    fn inequality_join() {
-        let c = JoinCondition::inequality(0, CmpOp::Lt, 0);
-        assert!(c.matches(&tuple![1], &tuple![2]).unwrap());
-        assert!(!c.matches(&tuple![2], &tuple![2]).unwrap());
-    }
-
-    #[test]
-    fn paper_mixed_condition() {
-        // R.A = S.A AND 2·R.B < S.C  with R = [A, B], S = [A, C].
-        let c = JoinCondition::on(0, 0).with_theta(
-            ScalarExpr::bin(BinOp::Mul, ScalarExpr::lit(2), ScalarExpr::col(1)),
-            CmpOp::Lt,
-            ScalarExpr::col(1),
-        );
-        assert!(c.matches(&tuple![7, 3], &tuple![7, 8]).unwrap()); // 6 < 8
-        assert!(!c.matches(&tuple![7, 4], &tuple![7, 8]).unwrap()); // 8 < 8 false
-        assert!(!c.matches(&tuple![6, 3], &tuple![7, 8]).unwrap()); // keys differ
-    }
-
-    #[test]
-    fn flipped_is_symmetric() {
-        let c = JoinCondition::inequality(0, CmpOp::Lt, 1);
-        let f = c.flipped();
-        let l = tuple![1];
-        let r = tuple![0, 2];
-        assert!(c.matches(&l, &r).unwrap());
-        assert!(f.matches(&r, &l).unwrap());
-    }
-
-    #[test]
-    fn cross_product() {
-        let c = JoinCondition::default();
-        assert!(c.is_cross());
-        assert!(c.matches(&tuple![1], &tuple![2]).unwrap());
-    }
-
-    #[test]
-    fn key_columns() {
-        let c = JoinCondition::equi(vec![(0, 2), (3, 1)]);
-        assert_eq!(c.left_keys(), vec![0, 3]);
-        assert_eq!(c.right_keys(), vec![2, 1]);
-    }
 
     #[test]
     fn cmp_op_flip_table() {

@@ -209,24 +209,6 @@ impl ScalarExpr {
         }
     }
 
-    /// Evaluate as a predicate over every row of a chunk. `mask[i]` is the
-    /// truthiness of row `i`.
-    pub fn eval_bool_chunk(&self, chunk: &Chunk) -> Result<Vec<bool>> {
-        let a = self.eval_chunk(chunk)?;
-        // Fully-valid Int predicate output (the common case: comparisons
-        // produce exactly this) needs no per-row Value materialization.
-        if let Some(ints) = a.as_i64() {
-            if ints.validity().is_none() {
-                return Ok(ints.values().iter().map(|&v| v != 0).collect());
-            }
-        }
-        let mut mask = Vec::with_capacity(a.len());
-        for i in 0..a.len() {
-            mask.push(truthy(&a.value(i))?);
-        }
-        Ok(mask)
-    }
-
     /// The set of column indexes this expression reads.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
         match self {
@@ -663,14 +645,6 @@ mod tests {
         let ts = vec![tuple![0], tuple![1]];
         let chunk = Chunk::from_tuples(&ts);
         assert!(e.eval_chunk(&chunk).is_err());
-    }
-
-    #[test]
-    fn eval_bool_chunk_mask() {
-        let ts = vec![tuple![2, 3], tuple![5, 3], tuple![1, 1]];
-        let chunk = Chunk::from_tuples(&ts);
-        let lt = ScalarExpr::bin(BinOp::Lt, ScalarExpr::col(0), ScalarExpr::col(1));
-        assert_eq!(lt.eval_bool_chunk(&chunk).unwrap(), vec![true, false, false]);
     }
 
     #[test]

@@ -11,40 +11,27 @@
 //! | scheme | replication | skew-resilient | conditions |
 //! |---|---|---|---|
 //! | hash / Fields               | none      | no  | equi |
-//! | round-robin key map         | none      | n/a (small domains) | equi |
-//! | M-Bucket range \[54\]         | small     | redistribution skew only | band/inequality |
-//! | EWH histogram \[66\]          | small     | redistribution + join product skew | band/inequality |
-//! | 1-Bucket random \[54\]        | O(√p)     | all skew types | any theta |
 //! | Hash-Hypercube \[8\]          | per-dim   | no  | multi-way equi |
 //! | Random-Hypercube \[74\]       | high      | all | multi-way theta |
 //! | **Hybrid-Hypercube** (ours) | minimal needed | all | multi-way, mixed |
 //!
 //! The [`hypercube`] module holds the shared machinery (dimension vectors,
 //! routing, the analytic load model); [`optimizer`] holds the three §4
-//! optimization algorithms; [`onebucket`]/[`mbucket`]/[`ewh`] the 2-way
-//! schemes; [`adaptive`] the Adaptive 1-Bucket controller of \[32\];
-//! [`stats`] run-time statistics (top-k sketch, skew detection, the
-//! `(L−L_mf)/p + L_mf` cost model of §3.4); [`keymap`] the predefined-key
-//! round-robin assignment that fixes hash-imperfection skew (§5); and
-//! [`temporal`] the temporal-skew analysis (§5).
+//! optimization algorithms and the planner's scheme pricing; [`stats`]
+//! run-time statistics (top-k sketch, skew detection, the
+//! `(L−L_mf)/p + L_mf` cost model of §3.4).
+//!
+//! This crate holds the schemes a query can run under. The 2-way schemes
+//! the paper compares them against (1-Bucket, M-Bucket, EWH), the
+//! round-robin key map, the temporal-skew profile and the Adaptive
+//! 1-Bucket controller live with the figures that read them, in
+//! `crates/bench/src/{twoway, skew, adaptive}.rs`.
 
-pub mod adaptive;
-pub mod ewh;
-pub mod grid;
 pub mod hypercube;
-pub mod keymap;
-pub mod mbucket;
-pub mod onebucket;
 pub mod optimizer;
 pub mod stats;
-pub mod temporal;
 
-pub use adaptive::AdaptiveMatrix;
-pub use ewh::EwhScheme;
 pub use hypercube::{DimRole, Dimension, HypercubeGrouping, HypercubeScheme, PartitionKind};
-pub use keymap::KeyMapGrouping;
-pub use mbucket::MBucketScheme;
-pub use onebucket::one_bucket;
 pub use optimizer::{
     choose_scheme, estimate_scheme_cost, hash_hypercube, hybrid_hypercube, random_hypercube,
     CostCalibration, CostEstimate, SchemeKind,

@@ -190,38 +190,6 @@ pub fn hybrid_hypercube(
     size_dimensions(spec, dims, machines, seed)
 }
 
-/// §3.4's offline chooser, generalized: derive skew flags from measured
-/// top-key frequencies, then build the Hybrid-Hypercube. An attribute
-/// occurrence is marked skewed when the hash-partitioning load estimate
-/// `(L − L_mf)/p + L_mf` exceeds the random-partitioning load `L/p`
-/// by more than `slack` (hash also loses when the key domain is smaller
-/// than the machine count — "hash partitioning assigns work only to a few
-/// machines").
-pub fn hybrid_with_frequencies(
-    spec: &MultiJoinSpec,
-    machines: usize,
-    seed: u64,
-    top_freq: &dyn Fn(usize, usize) -> f64,
-    distinct_keys: &dyn Fn(usize, usize) -> usize,
-    slack: f64,
-) -> Result<HypercubeScheme> {
-    let mut spec = spec.clone();
-    for rel in 0..spec.relations.len() {
-        for col in 0..spec.relations[rel].schema.arity() {
-            let f = top_freq(rel, col);
-            let d = distinct_keys(rel, col);
-            let hash_load = (1.0 - f) / machines as f64 + f;
-            let random_load = 1.0 / machines as f64;
-            let skewed = hash_load > random_load * (1.0 + slack) || d < machines;
-            if skewed {
-                let name = spec.relations[rel].schema.field(col).name.clone();
-                spec.relations[rel].schema.set_skewed(&name)?;
-            }
-        }
-    }
-    hybrid_hypercube(&spec, machines, seed)
-}
-
 /// One scheme's predicted cost on a concrete join spec — the planner's
 /// comparison unit. Built by [`estimate_scheme_cost`] from the analytic
 /// load model of [`HypercubeScheme`]; collapsed to a scalar by
@@ -252,10 +220,7 @@ impl CostEstimate {
     }
 }
 
-/// Weights turning a [`CostEstimate`] into a scalar, with a calibration
-/// hook: [`CostCalibration::fit`] regresses the weights from observed
-/// `(estimate, elapsed)` pairs of past runs, so the model can be tuned to
-/// the deployment's actual compute/network balance.
+/// Weights turning a [`CostEstimate`] into a scalar.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostCalibration {
     /// Weight of the max-per-machine-load (balance / critical path) term.
@@ -269,44 +234,6 @@ impl Default for CostCalibration {
     /// wall-clock; communication is the tie-breaker.
     fn default() -> CostCalibration {
         CostCalibration { balance_weight: 1.0, comm_weight: 0.5 }
-    }
-}
-
-impl CostCalibration {
-    /// Least-squares fit of the two weights to observed wall-clock times:
-    /// each observation pairs a [`CostEstimate`] with the measured seconds
-    /// of the run it predicted. Falls back to the default on a singular or
-    /// degenerate system (fewer than two observations, collinear inputs,
-    /// or non-positive fitted weights).
-    pub fn fit(observations: &[(CostEstimate, f64)]) -> CostCalibration {
-        if observations.len() < 2 {
-            return CostCalibration::default();
-        }
-        // Normal equations for elapsed ≈ w_b·x + w_c·y with
-        // x = max_load, y = total_load / machines.
-        let (mut xx, mut xy, mut yy, mut xt, mut yt) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-        for (e, t) in observations {
-            let x = e.max_load;
-            let y = e.total_load / e.machines_used.max(1) as f64;
-            xx += x * x;
-            xy += x * y;
-            yy += y * y;
-            xt += x * t;
-            yt += y * t;
-        }
-        let det = xx * yy - xy * xy;
-        if det.abs() < 1e-12 {
-            return CostCalibration::default();
-        }
-        let balance_weight = (xt * yy - yt * xy) / det;
-        let comm_weight = (yt * xx - xt * xy) / det;
-        if !(balance_weight.is_finite() && comm_weight.is_finite())
-            || balance_weight <= 0.0
-            || comm_weight < 0.0
-        {
-            return CostCalibration::default();
-        }
-        CostCalibration { balance_weight, comm_weight }
     }
 }
 
@@ -780,47 +707,6 @@ mod tests {
         assert!(used >= 6, "should use ≥6 of 7 machines, used {used}");
     }
 
-    #[test]
-    fn frequency_driven_chooser_marks_hot_keys() {
-        // With a 0.5-frequency top key, hash load (≈0.5) ≫ random load
-        // (1/64): the chooser must go random; with uniform keys it must
-        // stay hash.
-        let spec = rst(100, false);
-        let skewed = hybrid_with_frequencies(
-            &spec,
-            64,
-            1,
-            &|rel, col| if (rel, col) == (1, 1) || (rel, col) == (2, 0) { 0.5 } else { 0.001 },
-            &|_, _| 1_000_000,
-            0.5,
-        )
-        .unwrap();
-        assert!(skewed.dims.iter().any(|d| d.kind == PartitionKind::Random));
-
-        let uniform =
-            hybrid_with_frequencies(&spec, 64, 1, &|_, _| 0.001, &|_, _| 1_000_000, 0.5).unwrap();
-        assert!(uniform.dims.iter().all(|d| d.kind == PartitionKind::Hash));
-    }
-
-    #[test]
-    fn small_domain_forces_random() {
-        // §3.4: "if a relation has only a few distinct join keys, hash
-        // partitioning assigns work only to a few machines ... we consider
-        // the relation as skewed."
-        let spec = rst(100, false);
-        let hy = hybrid_with_frequencies(
-            &spec,
-            64,
-            1,
-            &|_, _| 0.001,
-            &|rel, col| if (rel, col) == (2, 0) { 5 } else { 1_000_000 },
-            0.5,
-        )
-        .unwrap();
-        let t_dim = hy.dims.iter().find(|d| d.members.contains(&(2, 0))).unwrap();
-        assert_eq!(t_dim.kind, PartitionKind::Random);
-    }
-
     /// The documented cost ordering between schemes, table-driven: a model
     /// regression that flips a row fails loudly here instead of silently
     /// picking worse plans.
@@ -903,32 +789,5 @@ mod tests {
             choose_scheme(&spec, 16, 1, &|_, _| 0.0, &CostCalibration::default()).unwrap();
         assert_eq!(ests.len(), 2, "Hash cannot express a theta atom");
         assert!(kind == SchemeKind::Hybrid || kind == SchemeKind::Random);
-    }
-
-    #[test]
-    fn calibration_fit_recovers_weights() {
-        // Synthesize observations from known weights; the fit must recover
-        // them (the calibration hook's correctness contract).
-        let truth = CostCalibration { balance_weight: 2.0, comm_weight: 0.3 };
-        let mk = |ml: f64, tl: f64, p: usize| CostEstimate {
-            kind: SchemeKind::Hybrid,
-            max_load: ml,
-            total_load: tl,
-            machines_used: p,
-            description: String::new(),
-        };
-        let obs: Vec<(CostEstimate, f64)> = [(0.3, 1.0, 4), (0.7, 2.5, 8), (0.1, 1.2, 16)]
-            .into_iter()
-            .map(|(ml, tl, p)| {
-                let e = mk(ml, tl, p);
-                let t = e.cost(&truth);
-                (e, t)
-            })
-            .collect();
-        let fit = CostCalibration::fit(&obs);
-        assert!((fit.balance_weight - 2.0).abs() < 1e-6, "{fit:?}");
-        assert!((fit.comm_weight - 0.3).abs() < 1e-6, "{fit:?}");
-        // Degenerate systems fall back to the default.
-        assert_eq!(CostCalibration::fit(&obs[..1]), CostCalibration::default());
     }
 }

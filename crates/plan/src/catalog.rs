@@ -146,11 +146,12 @@ impl Catalog {
     }
 
     /// Append rows to a registered source (the catalog half of feeding a
-    /// standing view). Arity is validated like at registration; for
-    /// streams, every appended row's event-time must also be ≥ the
-    /// current maximum (spouts promise ascending event time, and appended
-    /// rows are emitted after everything already stored).
-    pub fn append(&mut self, name: &str, rows: Vec<Tuple>) -> Result<()> {
+    /// standing view) and return them as stored — the new tail, which for
+    /// a stream is the batch in event-time order. Arity is validated like
+    /// at registration; for streams, every appended row's event-time must
+    /// also be ≥ the current maximum (spouts promise ascending event time,
+    /// and appended rows are emitted after everything already stored).
+    pub fn append(&mut self, name: &str, mut rows: Vec<Tuple>) -> Result<&[Tuple]> {
         let src = self
             .sources
             .iter_mut()
@@ -166,9 +167,9 @@ impl Catalog {
             )));
         }
         if let SourceKind::Stream { time_col } = src.kind {
-            let floor =
-                src.data.iter().map(|t| t.get(time_col).as_int().unwrap_or(0)).max().unwrap_or(0);
-            let mut rows = rows;
+            // Storage is kept in event-time order, so the watermark is the
+            // last stored row's.
+            let floor = src.data.last().map_or(0, |t| t.get(time_col).as_int().unwrap_or(0));
             for t in &rows {
                 match t.get(time_col) {
                     Value::Int(v) if *v >= floor => {}
@@ -185,11 +186,11 @@ impl Catalog {
                 }
             }
             rows.sort_by_key(|t| t.get(time_col).as_int().expect("validated above"));
-            Arc::make_mut(&mut src.data).extend(rows);
-        } else {
-            Arc::make_mut(&mut src.data).extend(rows);
         }
-        Ok(())
+        let data = Arc::make_mut(&mut src.data);
+        let stored_before = data.len();
+        data.extend(rows);
+        Ok(&data[stored_before..])
     }
 
     /// Remove rows from a registered table, one stored occurrence per

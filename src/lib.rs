@@ -19,11 +19,11 @@
 //! |---|---|
 //! | [`session`] | **the unified API**: `Session`, `QueryBuilder`, `ResultSet` |
 //! | [`common`] | values, tuples, schemas, hashing, RNG, zipf |
-//! | [`expr`] | scalar expressions, join conditions, multi-way join specs |
+//! | [`expr`] | scalar expressions, multi-way join specs |
 //! | [`runtime`] | the Storm-substitute: topologies, spouts/bolts, groupings |
-//! | [`partition`] | Hash-/Random-/**Hybrid**-Hypercube, 1-Bucket, M-Bucket, EWH, adaptive resizing |
+//! | [`partition`] | Hash-/Random-/**Hybrid**-Hypercube schemes, their §4 optimizers and pricing, sampled statistics |
 //! | [`join`] | traditional & DBToaster local joins, aggregates, windows |
-//! | [`engine`] | HyLD operator, execution driver, pipelines, recovery |
+//! | [`engine`] | HyLD operator, execution driver, cluster split, standing views, checkpoints |
 //! | [`plan`] | logical plans, optimizer, executor (the functional interface) |
 //! | [`sql`] | the SQL interface |
 //! | [`data`] | TPC-H / WebGraph / Google-cluster workload generators |

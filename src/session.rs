@@ -513,9 +513,10 @@ impl Session {
     /// subsequent [`crate::views::ViewHandle::snapshot`] observes them
     /// (read-your-writes).
     pub fn append(&mut self, source: &str, rows: Vec<Tuple>) -> Result<&mut Session> {
-        let ordered = self.order_for_source(source, rows)?;
-        self.catalog.append(source, ordered.clone())?;
-        self.views.apply_delta(source, &ordered, 1)?;
+        // Stream appends must reach the resident views in event-time order:
+        // they see the batch as the catalog stored it.
+        let stored = self.catalog.append(source, rows)?;
+        self.views.apply_delta(source, stored, 1)?;
         Ok(self)
     }
 
@@ -528,21 +529,6 @@ impl Session {
         self.catalog.retract(source, &rows)?;
         self.views.apply_delta(source, &rows, -1)?;
         Ok(self)
-    }
-
-    /// Stream appends must reach the resident views in event-time order —
-    /// sort the batch on the declared column up front (the catalog sorts
-    /// its own storage identically).
-    fn order_for_source(&self, source: &str, mut rows: Vec<Tuple>) -> Result<Vec<Tuple>> {
-        let def = self.catalog.get(source)?;
-        if let Some(c) = def.event_time_col() {
-            if rows.iter().any(|t| t.arity() != def.schema.arity()) {
-                // Let the catalog produce its usual arity error.
-                return Ok(rows);
-            }
-            rows.sort_by_key(|t| t.get(c).as_int().unwrap_or(i64::MAX));
-        }
-        Ok(rows)
     }
 
     /// Imperative interface: open a query builder on a first relation

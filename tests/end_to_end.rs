@@ -276,7 +276,7 @@ fn multiway_equals_pipeline_equals_oracle() {
     )
     .unwrap();
     assert!(same_multiset(&multi.results, &oracle));
-    let pipe = squall::engine::run_pipeline(
+    let pipe = squall_bench::run_pipeline(
         &q.spec,
         q.data.clone(),
         &[0, 1, 2],

@@ -14,8 +14,8 @@ use squall::engine::driver::{run_multiway, LocalJoinKind, MultiwayConfig};
 use squall::expr::{JoinAtom, MultiJoinSpec, RelationDef};
 use squall::join::naive::{naive_join, same_multiset};
 use squall::join::{DBToasterJoin, LocalJoin, TraditionalJoin};
-use squall::partition::grid::{equi_depth_bounds, RangeCond, RangeGrid};
 use squall::partition::optimizer::{build_scheme, SchemeKind};
+use squall_bench::{equi_depth_bounds, RangeCond, RangeGrid};
 
 fn rel(name: &str, skewed: bool, size: u64) -> RelationDef {
     let mut schema = Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
