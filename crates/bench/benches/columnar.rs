@@ -1,80 +1,15 @@
-//! Columnar data-plane microbenchmarks: specialized Int key hashing vs
-//! the generic `Value` hasher (with a regression guard asserting the
-//! specialized path stays at least as fast), and the columnar chunk codec
-//! vs the row codec. The windowed-aggregation insert kernel is measured
-//! by `squall-bench` (`core.window_insert_tps`).
-
-use std::hash::{Hash, Hasher};
-use std::time::Instant;
+//! Columnar data-plane microbenchmark: the columnar chunk codec vs the row
+//! codec. The windowed-aggregation insert kernel is measured by
+//! `squall-bench` (`core.window_insert_tps`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use squall_common::codec::{self, Reader};
-use squall_common::hash::{hash_i64_keys, FxHasher};
 use squall_common::{Chunk, SplitMix64, Tuple, Value};
 
 const KEYS: usize = 1 << 16;
 
-fn generic_hash(values: &[Value]) -> u64 {
-    let mut acc = 0u64;
-    for v in values {
-        let mut h = FxHasher::default();
-        v.hash(&mut h);
-        acc ^= h.finish();
-    }
-    acc
-}
-
-fn specialized_hash(keys: &[i64], states: &mut [u64]) -> u64 {
-    states.iter_mut().for_each(|s| *s = 0);
-    hash_i64_keys(keys, states);
-    states.iter().fold(0, |a, s| a ^ s)
-}
-
 fn bench(c: &mut Criterion) {
     let mut rng = SplitMix64::new(7);
-    let keys: Vec<i64> = (0..KEYS).map(|_| rng.next_range(0, 1 << 20)).collect();
-    let values: Vec<Value> = keys.iter().map(|&k| Value::Int(k)).collect();
-    let mut states = vec![0u64; KEYS];
-
-    let mut g = c.benchmark_group("int_key_hashing");
-    g.sample_size(20);
-    g.bench_function("generic_value_hasher_64k", |b| {
-        b.iter(|| std::hint::black_box(generic_hash(&values)))
-    });
-    g.bench_function("specialized_i64_64k", |b| {
-        b.iter(|| std::hint::black_box(specialized_hash(&keys, &mut states)))
-    });
-    g.finish();
-
-    // Regression guard: the specialized per-column path must not fall
-    // behind the generic hasher (best-of-5, 10% noise headroom). The two
-    // produce identical hashes — that equivalence is unit-tested in
-    // squall-common — so this guards speed only.
-    let generic_best = (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(generic_hash(&values));
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    let specialized_best = (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(specialized_hash(&keys, &mut states));
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    println!(
-        "guard: generic {:?} vs specialized {:?} over {KEYS} keys",
-        generic_best, specialized_best
-    );
-    assert!(
-        specialized_best.as_secs_f64() <= generic_best.as_secs_f64() * 1.10,
-        "specialized Int hashing regressed: {specialized_best:?} vs generic {generic_best:?}"
-    );
-
     // Codec: 64-row batches of (Int, Int) tuples, encode + decode.
     let tuples: Vec<Tuple> = (0..KEYS)
         .map(|_| {

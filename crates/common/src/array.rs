@@ -5,24 +5,16 @@
 //! codec — through one `Value` enum dispatch per cell. A [`Chunk`] stores the
 //! same rows as *columns*: each column is a typed array ([`I64Array`],
 //! [`Utf8Array`], …) holding primitive values contiguously, with an optional
-//! [`Bitmap`] marking NULL rows. Hot paths (key hashing, scalar expressions,
-//! the codec) then run tight loops over primitive slices; cold paths use the
+//! [`Bitmap`] marking NULL rows. Hot paths (scalar expressions, the codec)
+//! then run tight loops over primitive slices; cold paths use the
 //! [`Chunk::rows`] adapter, which rebuilds row [`Tuple`]s on demand.
 //!
-//! Two invariants matter for correctness:
-//!
-//! 1. **Round-trip exactness.** `Chunk::from_tuples(&ts).to_tuples() == ts`
-//!    with the *same `Value` variants* — an `Int(3)` must never come back as
-//!    `Float(3.0)` even though the two compare equal. Builders therefore
-//!    degrade a column to the [`Array::Mixed`] fallback on any variant
-//!    conflict instead of coercing.
-//! 2. **Hash exactness.** [`Chunk::key_hashes`] produces bit-identical
-//!    hashes to feeding each row's key values through
-//!    [`FxHasher`](crate::hash::FxHasher) — so partitioning, per-machine
-//!    loads, and join results are byte-identical whether a batch travels as
-//!    rows or columns.
+//! One invariant matters for correctness — **round-trip exactness**:
+//! `Chunk::from_tuples(&ts).to_tuples() == ts` with the *same `Value`
+//! variants* — an `Int(3)` must never come back as `Float(3.0)` even though
+//! the two compare equal. Builders therefore degrade a column to the
+//! [`Array::Mixed`] fallback on any variant conflict instead of coercing.
 
-use crate::hash::{fx_mix, fx_write, hash_i64_keys};
 use crate::tuple::Tuple;
 use crate::value::{Date, Value};
 
@@ -47,7 +39,7 @@ impl Bitmap {
     }
 
     /// A bitmap of `len` bits, all set.
-    pub fn all_valid(len: usize) -> Bitmap {
+    fn all_valid(len: usize) -> Bitmap {
         let mut b = Bitmap { words: vec![u64::MAX; len.div_ceil(64)], len };
         b.mask_tail();
         b
@@ -160,7 +152,7 @@ impl<T: Copy + Default> PrimitiveArray<T> {
 
     /// Whether row `i` is valid (non-NULL).
     #[inline]
-    pub fn is_valid(&self, i: usize) -> bool {
+    fn is_valid(&self, i: usize) -> bool {
         self.validity.as_ref().is_none_or(|v| v.get(i))
     }
 
@@ -250,7 +242,7 @@ impl Utf8Array {
 
     /// Whether row `i` is valid (non-NULL).
     #[inline]
-    pub fn is_valid(&self, i: usize) -> bool {
+    fn is_valid(&self, i: usize) -> bool {
         self.validity.as_ref().is_none_or(|v| v.get(i))
     }
 
@@ -343,80 +335,6 @@ impl Array {
         match self {
             Array::Int(a) => Some(a),
             _ => None,
-        }
-    }
-
-    /// Fold every row of this column into the per-row hasher `states`,
-    /// reproducing `Value::hash` through `FxHasher` bit-for-bit.
-    ///
-    /// Hot case — a fully valid `Int` column — runs the pre-specialized
-    /// [`hash_i64_keys`] loop over the primitive slice with no per-row
-    /// dispatch. The float path mirrors `Value`'s cross-type rule: an
-    /// integral finite float hashes as the equal `Int` would.
-    pub fn update_hash_states(&self, states: &mut [u64]) {
-        assert_eq!(states.len(), self.len(), "hash state count mismatch");
-        match self {
-            Array::Int(a) => match a.validity() {
-                None => hash_i64_keys(a.values(), states),
-                Some(bits) => {
-                    for (i, s) in states.iter_mut().enumerate() {
-                        *s = if bits.get(i) {
-                            fx_mix(fx_mix(*s, 1), a.values()[i] as u64)
-                        } else {
-                            fx_mix(*s, 0)
-                        };
-                    }
-                }
-            },
-            Array::Float(a) => {
-                for (i, s) in states.iter_mut().enumerate() {
-                    *s = match a.get(i) {
-                        Some(f) => {
-                            // Same predicate as Value::hash: integral finite
-                            // floats hash like the equal Int.
-                            if f.fract() == 0.0
-                                && f.is_finite()
-                                && f >= i64::MIN as f64
-                                && f <= i64::MAX as f64
-                            {
-                                fx_mix(fx_mix(*s, 1), (f as i64) as u64)
-                            } else {
-                                fx_mix(fx_mix(*s, 2), f.to_bits())
-                            }
-                        }
-                        None => fx_mix(*s, 0),
-                    };
-                }
-            }
-            Array::Str(a) => {
-                for (i, s) in states.iter_mut().enumerate() {
-                    *s = match a.get(i) {
-                        Some(txt) => fx_write(fx_mix(*s, 3), txt.as_bytes()),
-                        None => fx_mix(*s, 0),
-                    };
-                }
-            }
-            Array::Date(a) => {
-                for (i, s) in states.iter_mut().enumerate() {
-                    *s = match a.get(i) {
-                        Some(d) => fx_mix(fx_mix(*s, 4), (d as u32) as u64),
-                        None => fx_mix(*s, 0),
-                    };
-                }
-            }
-            Array::Null(_) => {
-                for s in states.iter_mut() {
-                    *s = fx_mix(*s, 0);
-                }
-            }
-            Array::Mixed(vals) => {
-                use std::hash::{Hash, Hasher};
-                for (v, s) in vals.iter().zip(states.iter_mut()) {
-                    let mut h = crate::hash::FxHasher::from_state(*s);
-                    v.hash(&mut h);
-                    *s = h.finish();
-                }
-            }
         }
     }
 }
@@ -645,20 +563,6 @@ impl Chunk {
     pub fn to_tuples(&self) -> Vec<Tuple> {
         self.rows().collect()
     }
-
-    /// Hash the given key columns of every row, column-at-a-time.
-    ///
-    /// Bit-identical to hashing `tuple.get(c)` for `c in cols` through one
-    /// [`FxHasher`](crate::hash::FxHasher) per row — the exact computation
-    /// `Grouping::Fields` performs — so partition decisions match the
-    /// row-at-a-time path.
-    pub fn key_hashes(&self, cols: &[usize]) -> Vec<u64> {
-        let mut states = vec![0u64; self.rows];
-        for &c in cols {
-            self.columns[c].update_hash_states(&mut states);
-        }
-        states
-    }
 }
 
 /// Iterator over a [`Chunk`]'s rows as materialized [`Tuple`]s.
@@ -757,9 +661,7 @@ impl ChunkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::{fx_hash, FxHasher};
     use crate::tuple;
-    use std::hash::{Hash, Hasher};
 
     fn sample_tuples() -> Vec<Tuple> {
         vec![
@@ -812,37 +714,6 @@ mod tests {
         let c = Chunk::from_tuples(&ts);
         assert!(matches!(c.column(0), Array::Int(_)));
         assert_eq!(c.to_tuples(), ts);
-    }
-
-    #[test]
-    fn key_hashes_match_row_hasher() {
-        let ts = vec![
-            tuple![5i64, "k", 1.0f64],
-            tuple![Value::Null, "longer string over eight bytes", 2.5f64],
-            tuple![-9i64, Value::Null, f64::NAN],
-            tuple![7i64, "x", 3.0f64],
-        ];
-        let c = Chunk::from_tuples(&ts);
-        for cols in [vec![0usize], vec![1], vec![2], vec![0, 1, 2], vec![2, 0]] {
-            let got = c.key_hashes(&cols);
-            for (i, t) in ts.iter().enumerate() {
-                let mut h = FxHasher::default();
-                for &col in &cols {
-                    t.get(col).hash(&mut h);
-                }
-                assert_eq!(got[i], h.finish(), "row {i} cols {cols:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn specialized_int_hash_matches_generic() {
-        let vals: Vec<i64> = vec![0, 1, -1, i64::MAX, i64::MIN, 42424242];
-        let mut states = vec![0u64; vals.len()];
-        hash_i64_keys(&vals, &mut states);
-        for (s, v) in states.iter().zip(&vals) {
-            assert_eq!(*s, fx_hash(&Value::Int(*v)));
-        }
     }
 
     #[test]

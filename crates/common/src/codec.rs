@@ -24,7 +24,7 @@ use crate::value::{Date, Value};
 /// Upper bound on one frame's payload. A length prefix beyond this is
 /// treated as stream corruption and fails fast instead of attempting a
 /// multi-gigabyte allocation.
-pub const MAX_FRAME_BYTES: usize = 256 << 20;
+const MAX_FRAME_BYTES: usize = 256 << 20;
 
 // ---------------------------------------------------------------------
 // Primitive writers (append to a byte buffer)
@@ -46,7 +46,7 @@ pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_i32(buf: &mut Vec<u8>, v: i32) {
+fn put_i32(buf: &mut Vec<u8>, v: i32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -134,7 +134,7 @@ impl<'a> Reader<'a> {
 
     /// Borrowed string view — validates in place, no allocation (the
     /// per-tuple hot path builds `Arc<str>` straight from this).
-    pub fn str_ref(&mut self) -> Result<&'a str> {
+    fn str_ref(&mut self) -> Result<&'a str> {
         let n = self.u32()? as usize;
         let raw = self.need(n)?;
         std::str::from_utf8(raw).map_err(|_| SquallError::Codec("invalid utf-8 in string".into()))

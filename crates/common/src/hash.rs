@@ -11,54 +11,6 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 const SEED64: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
 
-/// One Fx mixing step: fold `word` into `state`.
-///
-/// This is the exact transition [`FxHasher`] applies per written word,
-/// exposed as a free function so column-at-a-time key hashing (see
-/// [`crate::array::Chunk::key_hashes`]) can run over primitive slices
-/// without constructing a hasher or dispatching on [`crate::Value`]
-/// variants per row — while producing bit-identical hashes, which keeps
-/// partitioning decisions (and therefore per-machine loads) byte-identical
-/// to the row-at-a-time path.
-#[inline]
-pub fn fx_mix(state: u64, word: u64) -> u64 {
-    (state.rotate_left(ROTATE) ^ word).wrapping_mul(SEED64)
-}
-
-/// Fold a byte slice into `state` exactly as [`FxHasher::write`] does:
-/// 8-byte little-endian words, with the remainder zero-padded and
-/// length-mixed. Used for string columns in columnar key hashing.
-#[inline]
-pub fn fx_write(mut state: u64, bytes: &[u8]) -> u64 {
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        state = fx_mix(state, u64::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let mut word = [0u8; 8];
-        word[..rest.len()].copy_from_slice(rest);
-        // Mix in the length so "a" and "a\0" differ.
-        word[7] = rest.len() as u8;
-        state = fx_mix(state, u64::from_le_bytes(word));
-    }
-    state
-}
-
-/// Pre-specialized column hash for `Int` join keys: fold each `values[i]`
-/// into `states[i]` exactly as hashing `Value::Int(values[i])` through
-/// [`FxHasher`] would (tag word then payload word), without the generic
-/// `Value` hasher's per-row enum dispatch. The tight two-multiply loop is
-/// the hot path of `Fields` groupings and hash aggregation over integer
-/// keys.
-#[inline]
-pub fn hash_i64_keys(values: &[i64], states: &mut [u64]) {
-    debug_assert_eq!(values.len(), states.len());
-    for (s, &v) in states.iter_mut().zip(values) {
-        *s = fx_mix(fx_mix(*s, 1), v as u64);
-    }
-}
-
 /// An Fx-style hasher: `state = (state.rotate_left(5) ^ word) * SEED`.
 ///
 /// Extremely fast for the short integer/string keys used as join keys, at
@@ -71,17 +23,6 @@ pub struct FxHasher {
 }
 
 impl FxHasher {
-    /// Resume hashing from a previously captured state.
-    ///
-    /// Used by column-at-a-time key hashing to continue a per-row running
-    /// state through a heterogeneous (`Mixed`) column via the generic
-    /// `Value` hash, without losing bit-compatibility with the
-    /// row-at-a-time path.
-    #[inline]
-    pub fn from_state(state: u64) -> FxHasher {
-        FxHasher { state }
-    }
-
     #[inline]
     fn add_word(&mut self, word: u64) {
         self.state = (self.state.rotate_left(ROTATE) ^ word).wrapping_mul(SEED64);
@@ -137,7 +78,7 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Drop-in `HashMap` replacement with the fast hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;

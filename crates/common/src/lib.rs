@@ -24,7 +24,7 @@ pub mod zipf;
 
 pub use array::{Array, ArrayBuilder, Bitmap, Chunk, ChunkBuilder};
 pub use error::{Result, SquallError};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use hash::{FxHashMap, FxHashSet};
 pub use rng::SplitMix64;
 pub use schema::{DataType, Field, Schema};
 pub use tuple::Tuple;

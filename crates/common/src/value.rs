@@ -25,7 +25,7 @@ impl Date {
     ///
     /// Uses the classic days-from-civil algorithm (Howard Hinnant), valid for
     /// all Gregorian dates.
-    pub fn from_ymd(year: i32, month: u32, day: u32) -> Result<Date> {
+    fn from_ymd(year: i32, month: u32, day: u32) -> Result<Date> {
         if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
             return Err(SquallError::Parse(format!("invalid date {year}-{month}-{day}")));
         }
@@ -62,7 +62,7 @@ impl Date {
     }
 
     /// Convert back to (year, month, day).
-    pub fn to_ymd(self) -> (i32, u32, u32) {
+    fn to_ymd(self) -> (i32, u32, u32) {
         let z = self.0 as i64 + 719_468;
         let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
         let doe = z - era * 146_097;

@@ -64,7 +64,8 @@ impl Zipf {
     }
 
     /// Probability mass of a rank (0-based).
-    pub fn pmf(&self, rank: usize) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, rank: usize) -> f64 {
         if rank == 0 {
             self.cdf[0]
         } else {

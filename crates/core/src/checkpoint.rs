@@ -20,8 +20,9 @@
 
 use std::collections::BTreeMap;
 
-use squall_common::codec::{self, Reader};
+use squall_common::codec::Reader;
 use squall_common::{FxHashMap, Result, SplitMix64, Tuple};
+use squall_join::Snapshot;
 use squall_partition::hypercube::DimRole;
 use squall_partition::HypercubeScheme;
 
@@ -43,11 +44,11 @@ pub type SnapshotBlobMsg = (u8, usize, u64, Vec<u8>);
 
 /// The blobs collected for one checkpoint epoch.
 #[derive(Debug, Default, Clone)]
-pub struct EpochBlobs {
+struct EpochBlobs {
     /// Join-task id → serialized join state (tag byte + snapshot bytes).
-    pub join: FxHashMap<usize, Vec<u8>>,
+    join: FxHashMap<usize, Vec<u8>>,
     /// The view sink's serialized state.
-    pub sink: Option<Vec<u8>>,
+    sink: Option<Vec<u8>>,
 }
 
 /// Everything needed to restart a standing view from a checkpoint.
@@ -180,7 +181,7 @@ impl CheckpointStore {
 
         let mut rebuilt: Vec<(usize, Vec<u8>)> = Vec::new();
         for &task in &missing {
-            let mut rows: Vec<FxHashMap<Tuple, i64>> = vec![FxHashMap::default(); n_rels];
+            let mut rows: Vec<Vec<(Tuple, i64)>> = vec![Vec::new(); n_rels];
             if task < routed {
                 let plan = tracker.plan_recovery(task);
                 if !plan.unrecoverable.is_empty() {
@@ -188,10 +189,14 @@ impl CheckpointStore {
                 }
                 for r in plan.recovered {
                     let mult = *stored.get(&(r.rel, r.tuple.clone()))?;
-                    rows[r.rel].insert(r.tuple, mult);
+                    rows[r.rel].push((r.tuple, mult));
                 }
             }
-            rebuilt.push((task, serialize_full_blob(&rows)));
+            // Byte-identical to what the lost join task itself would have
+            // produced: the tag, then the same base-rows snapshot.
+            let mut blob = vec![JOIN_BLOB_FULL];
+            rows.snapshot_state(&mut blob);
+            rebuilt.push((task, blob));
         }
         let slot = self.epochs.get_mut(&epoch)?;
         for (task, blob) in rebuilt {
@@ -305,47 +310,18 @@ fn coords(scheme: &HypercubeScheme, machine: usize) -> Vec<usize> {
     scheme.dims.iter().zip(&strides).map(|(dim, stride)| (machine / stride) % dim.size).collect()
 }
 
-/// Parse a full-history join blob (tag byte + the
-/// [`squall_join::DBToasterJoin`] snapshot format) into per-relation
+/// Parse a full-history join blob (tag byte + the base rows a
+/// [`squall_join::DBToasterJoin`] snapshots) into per-relation
 /// `(tuple, multiplicity)` rows.
-pub fn parse_full_blob(blob: &[u8]) -> Result<Vec<Vec<(Tuple, i64)>>> {
+fn parse_full_blob(blob: &[u8]) -> Result<Vec<Vec<(Tuple, i64)>>> {
     let mut r = Reader::new(blob);
-    let tag = r.u8()?;
-    if tag != JOIN_BLOB_FULL {
+    if r.u8()? != JOIN_BLOB_FULL {
         return Err(squall_common::SquallError::Codec("not a full-history join blob".into()));
     }
-    let n_rels = r.len()?;
-    let mut rels = Vec::with_capacity(n_rels);
-    for _ in 0..n_rels {
-        let n = r.len()?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = codec::get_tuple(&mut r)?;
-            let m = r.i64()?;
-            rows.push((t, m));
-        }
-        rels.push(rows);
-    }
+    let mut rels = Vec::new();
+    rels.restore_state(&mut r)?;
     r.finish()?;
     Ok(rels)
-}
-
-/// Serialize per-relation stores into a full-history join blob,
-/// byte-identical to what the lost join task itself would have produced
-/// (rows sorted, [`squall_join::DBToasterJoin`] snapshot format).
-pub fn serialize_full_blob(rels: &[FxHashMap<Tuple, i64>]) -> Vec<u8> {
-    let mut buf = vec![JOIN_BLOB_FULL];
-    codec::put_u32(&mut buf, rels.len() as u32);
-    for rows in rels {
-        let mut sorted: Vec<(&Tuple, i64)> = rows.iter().map(|(t, &m)| (t, m)).collect();
-        sorted.sort_by(|a, b| a.0.cmp(b.0));
-        codec::put_u32(&mut buf, sorted.len() as u32);
-        for (t, m) in sorted {
-            codec::put_tuple(&mut buf, t);
-            codec::put_i64(&mut buf, m);
-        }
-    }
-    buf
 }
 
 #[cfg(test)]
@@ -354,7 +330,7 @@ mod tests {
     use proptest::{prop_assert, prop_assert_eq, prop_assert_ne};
     use squall_common::{tuple, DataType, Schema};
     use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
-    use squall_join::{DBToasterJoin, Snapshot};
+    use squall_join::DBToasterJoin;
     use squall_partition::hypercube::{Dimension, PartitionKind};
 
     fn chain3() -> MultiJoinSpec {
@@ -450,9 +426,14 @@ mod tests {
         }
         let blob = join_blob(&j);
         let rels = parse_full_blob(&blob).unwrap();
+        // Through hash maps and back: row order within a relation is lost.
         let maps: Vec<FxHashMap<Tuple, i64>> =
             rels.into_iter().map(|rows| rows.into_iter().collect()).collect();
-        assert_eq!(serialize_full_blob(&maps), blob, "byte-identical re-serialization");
+        let rels: Vec<Vec<(Tuple, i64)>> =
+            maps.into_iter().map(|rows| rows.into_iter().collect()).collect();
+        let mut again = vec![JOIN_BLOB_FULL];
+        rels.snapshot_state(&mut again);
+        assert_eq!(again, blob, "byte-identical re-serialization");
     }
 
     #[test]

@@ -359,7 +359,6 @@ impl JobSpec {
         codec::put_u64(&mut buf, cfg.machines as u64);
         codec::put_u64(&mut buf, cfg.seed);
         put_opt_u64(&mut buf, cfg.budget.map(|b| b as u64));
-        codec::put_u64(&mut buf, cfg.source_parallelism as u64);
         match &cfg.agg {
             None => codec::put_u8(&mut buf, 0),
             Some(agg) => {
@@ -419,6 +418,14 @@ impl JobSpec {
         for _ in 0..n_peers {
             peers.push(r.str()?);
         }
+        // Peer 0 is the coordinator and `me` indexes `peers`: any other
+        // value would trip the link handshake's assert and take a
+        // persistent worker down with one frame.
+        if me == 0 || me >= n_peers {
+            return Err(SquallError::Codec(format!(
+                "job addresses worker {me} of {n_peers} peers (workers are 1..{n_peers})"
+            )));
+        }
         let n_rels = r.len()?;
         let mut relations = Vec::with_capacity(n_rels);
         for _ in 0..n_rels {
@@ -453,7 +460,6 @@ impl JobSpec {
         let mut cfg = MultiwayConfig::new(scheme, local, r.u64()? as usize);
         cfg.seed = r.u64()?;
         cfg.budget = get_opt_u64(&mut r)?.map(|b| b as usize);
-        cfg.source_parallelism = r.u64()? as usize;
         cfg.agg = match r.u8()? {
             0 => None,
             _ => {
@@ -809,7 +815,6 @@ mod tests {
         let mut cfg = MultiwayConfig::new(SchemeKind::Hybrid, LocalJoinKind::DBToaster, 8);
         cfg.seed = 77;
         cfg.budget = Some(1234);
-        cfg.source_parallelism = 2;
         cfg.batch_size = 17;
         cfg.worker_threads = Some(3);
         cfg.collect_results = false;
@@ -842,7 +847,6 @@ mod tests {
         assert_eq!(decoded.cfg.machines, 8);
         assert_eq!(decoded.cfg.seed, 77);
         assert_eq!(decoded.cfg.budget, Some(1234));
-        assert_eq!(decoded.cfg.source_parallelism, 2);
         assert_eq!(decoded.cfg.batch_size, 17);
         assert_eq!(decoded.cfg.worker_threads, Some(3));
         assert!(!decoded.cfg.collect_results);
@@ -983,23 +987,21 @@ mod tests {
         assert!(dist.input_count > 0, "partial metrics for extrapolation");
     }
 
-    #[test]
-    fn persistent_worker_survives_garbage_connections() {
-        // A long-lived worker must shrug off a port-scan-style connection
-        // (connect + disconnect without a frame) and still serve the next
-        // real job.
+    /// A `run_worker(.., once = false, ..)` on its own thread (it runs
+    /// forever; the thread is abandoned when the test binary exits).
+    fn spawn_persistent_worker() -> String {
         let (addr_tx, addr_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            // Runs forever; the thread is abandoned when the test binary
-            // exits.
             let _ = run_worker("127.0.0.1:0", false, move |addr| {
                 addr_tx.send(addr.to_string()).unwrap();
             });
         });
-        let addr = addr_rx.recv().unwrap();
-        // Garbage: connect and hang up without sending anything.
-        drop(TcpStream::connect(&addr).unwrap());
-        // The worker logs the failed handshake and keeps serving.
+        addr_rx.recv().unwrap()
+    }
+
+    /// The worker at `addr` is still serving: a real job split with it
+    /// runs clean and loads match the single-process run.
+    fn assert_serves_a_good_job(addr: String) {
         let spec = rst_spec();
         let data = rst_data(60, 8, 3);
         let mut cfg = MultiwayConfig::new(SchemeKind::Hybrid, LocalJoinKind::DBToaster, 4);
@@ -1008,6 +1010,16 @@ mod tests {
         let dist = crate::driver::run_multiway(&spec, data, &cfg).unwrap();
         assert!(dist.error.is_none(), "{:?}", dist.error);
         assert_eq!(local.loads, dist.loads);
+    }
+
+    #[test]
+    fn persistent_worker_survives_garbage_connections() {
+        // A long-lived worker must shrug off a port-scan-style connection
+        // (connect + disconnect without a frame) and still serve the next
+        // real job.
+        let addr = spawn_persistent_worker();
+        drop(TcpStream::connect(&addr).unwrap());
+        assert_serves_a_good_job(addr);
     }
 
     #[test]
@@ -1056,16 +1068,28 @@ mod tests {
 
     #[test]
     fn corrupt_job_is_a_typed_error() {
-        let job = JobSpec {
-            me: 1,
+        let job = |me: usize| JobSpec {
+            me,
             peers: vec!["a".into(), "b".into()],
             spec: rst_spec(),
             cfg: MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::Traditional, 2),
             resume_epoch: 0,
             restore_join: Vec::new(),
         };
-        let mut bytes = job.encode();
+        let mut bytes = job(1).encode();
         bytes.truncate(bytes.len() - 3);
         assert!(matches!(JobSpec::decode(&bytes), Err(SquallError::Codec(_))));
+
+        // A job addressed to the coordinator's slot or past the peer list
+        // fails that one job on a persistent worker, which then serves the
+        // next good one.
+        let addr = spawn_persistent_worker();
+        for me in [0, 2] {
+            let payload = job(me).encode();
+            assert!(matches!(JobSpec::decode(&payload), Err(SquallError::Codec(_))), "me = {me}");
+            let mut conn = TcpStream::connect(&addr).unwrap();
+            Frame::Job { payload }.write_to(&mut conn).unwrap();
+        }
+        assert_serves_a_good_job(addr);
     }
 }

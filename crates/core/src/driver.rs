@@ -84,8 +84,6 @@ pub struct MultiwayConfig {
     /// Per-machine stored-tuple budget (§7.3 memory overflow); `None` =
     /// unlimited.
     pub budget: Option<usize>,
-    /// Spout tasks per relation.
-    pub source_parallelism: usize,
     /// Aggregate the join output (results are then the aggregate rows).
     pub agg: Option<AggPlan>,
     /// Windowed join semantics; `None` = full history.
@@ -129,7 +127,6 @@ impl MultiwayConfig {
             machines,
             seed: 42,
             budget: None,
-            source_parallelism: 1,
             agg: None,
             window: None,
             collect_results: true,
@@ -374,12 +371,14 @@ fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -
     Ok(())
 }
 
-/// One relation's source: its task count and the per-task spout builder.
-pub(crate) type SpoutFactory = (usize, Box<dyn Fn(usize) -> Box<dyn Spout> + Send>);
+/// One relation's source: the spout builder of its one task.
+pub(crate) type SpoutFactory = Box<dyn Fn(usize) -> Box<dyn Spout> + Send>;
 
 /// The join stage both planes share — data sources → (partitioning-scheme
 /// groupings) → join component: plan validation, the builder knobs, one
-/// spout node per relation (`spout(rel, tuples)` supplies each), the
+/// single-task spout node per relation (`spout(rel, tuples)` supplies each;
+/// one task keeps a relation's arrival order, which windowed joins and
+/// epoch-tagged deltas both need), the
 /// upstream-node → relation map, the partitioning scheme, one
 /// [`TaskJoin`] per machine over `local`'s join (windowed and budgeted as
 /// `cfg` says) wrapped by `bolt`, and the scheme's source → join
@@ -413,9 +412,8 @@ pub(crate) fn wire_join_stage<J: LocalJoin + 'static>(
     let input_counts = data.iter().map(|d| d.len() as u64).collect();
     let mut source_nodes = Vec::with_capacity(n_rel);
     for (rel, tuples) in data.into_iter().enumerate() {
-        let (parallelism, factory) = spout(rel, tuples);
         let name = format!("src-{}", spec.relations[rel].name);
-        source_nodes.push(b.add_spout(name, parallelism, factory));
+        source_nodes.push(b.add_spout(name, 1, spout(rel, tuples)));
     }
 
     let origin_to_rel: FxHashMap<NodeId, usize> =
@@ -465,10 +463,6 @@ pub(crate) fn assemble(
     data: Vec<Vec<Tuple>>,
     cfg: &MultiwayConfig,
 ) -> Result<(Topology, RunContext)> {
-    // Windowed runs pin each relation to one spout task: the watermark
-    // eviction contract needs per-relation event-time order at every join
-    // task, which strided multi-task spouts would break.
-    let par = if cfg.window.is_some() { 1 } else { cfg.source_parallelism.max(1) };
     let local = cfg.local;
     let count_only = cfg.agg.is_none() && !cfg.collect_results;
     // Windowed joins always materialize result tuples inside the bolt
@@ -490,10 +484,9 @@ pub(crate) fn assemble(
         cfg,
         |_rel, tuples| {
             let shared = Arc::new(tuples);
-            let factory = move |task| -> Box<dyn Spout> {
-                Box::new(IterSpoutVec::strided(Arc::clone(&shared), task, par))
-            };
-            (par, Box::new(factory))
+            Box::new(move |_task| -> Box<dyn Spout> {
+                Box::new(IterSpoutVec::strided(Arc::clone(&shared), 0, 1))
+            })
         },
         move |spec| make_local(local, spec, minimal_views),
         move |join| {
@@ -766,17 +759,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_sources_do_not_change_results() {
-        let spec = rst_spec(false);
-        let data = rst_data(90, 10, 6);
-        let oracle = naive_join(&spec, &data);
-        let mut cfg = MultiwayConfig::new(SchemeKind::Hybrid, LocalJoinKind::DBToaster, 6);
-        cfg.source_parallelism = 3;
-        let report = run_multiway(&spec, data, &cfg).unwrap();
-        assert!(same_multiset(&report.results, &oracle));
     }
 
     #[test]

@@ -32,5 +32,5 @@ pub use driver::{
 };
 pub use operators::{AggBolt, Finalizer, JoinBolt, WindowMergeBolt, WindowedAggBolt};
 pub use standing::{
-    launch_standing, ChangeBatch, DeltaRound, StandingHandle, ViewPlan, ViewShared, ViewWindow,
+    launch_standing, ChangeBatch, StandingHandle, ViewPlan, ViewShared, ViewWindow,
 };

@@ -21,8 +21,8 @@ pub(crate) fn event_time(ts: i64, at: &str) -> Result<u64> {
 /// every aggregate, hidden HAVING-only ones included) — becomes a row of
 /// the query's answer: the HAVING gate, the SELECT projection and SQL's
 /// "a global aggregate over zero rows is one row". The one-shot result
-/// stream, the planner's single-table path and the standing view sink all
-/// finalize through this one definition.
+/// stream and the standing view sink both finalize through this one
+/// definition.
 #[derive(Debug, Clone)]
 pub struct Finalizer {
     /// HAVING over the raw aggregate row; `None` on non-aggregate queries.
@@ -490,8 +490,9 @@ impl WindowedAggBolt {
         self.closed_before = self.closed_before.max(boundary);
     }
 
-    /// Open windows (testing / introspection).
-    pub fn open_windows(&self) -> usize {
+    /// Open windows.
+    #[cfg(test)]
+    fn open_windows(&self) -> usize {
         self.windows.len()
     }
 

@@ -229,7 +229,7 @@ impl ViewShared {
     /// (multiplicities expanded, unsorted). `probe` is polled while
     /// waiting so a dead topology surfaces its error instead of a
     /// timeout.
-    pub fn snapshot_rows(
+    fn snapshot_rows(
         &self,
         epoch: u64,
         timeout: Duration,
@@ -285,7 +285,7 @@ impl ViewShared {
 /// `[multiplicity, epoch]` columns, applies the signed delta to its
 /// local join state, re-emits each result with the triggering epoch, and
 /// forwards the minimum source-epoch watermark downstream.
-pub struct ViewJoinBolt {
+struct ViewJoinBolt {
     /// Full-history: DBToaster's delta processing with signed weights.
     /// Windowed: insertions only (windowed standing views are append-only).
     join: TaskJoin<DBToasterJoin>,
@@ -435,7 +435,7 @@ enum SinkState {
 /// deltas per epoch, applies whole epochs once the minimum join-task
 /// watermark releases them, and publishes the netted changes into the
 /// [`ViewShared`] state.
-pub struct ViewSinkBolt {
+struct ViewSinkBolt {
     plan: Arc<ViewPlan>,
     shared: Arc<ViewShared>,
     /// Deltas awaiting their epoch's release, in epoch order.
@@ -744,9 +744,9 @@ pub(crate) fn assemble_standing(
                 queue.push(LiveItem::Watermark(1));
             }
             queues.push(Arc::clone(&queue));
-            let factory =
-                move |_task| -> Box<dyn Spout> { Box::new(LiveSpout::new(Arc::clone(&queue))) };
-            (1, Box::new(factory))
+            Box::new(move |_task| -> Box<dyn Spout> {
+                Box::new(LiveSpout::new(Arc::clone(&queue)))
+            })
         },
         DBToasterJoin::new,
         move |join| {
@@ -907,7 +907,7 @@ pub fn launch_standing(
 /// One signed delta round for [`StandingHandle::apply`]: the relation
 /// index, the (already source-transformed) payload rows, and the weight
 /// (+1 append, −1 retract).
-pub type DeltaRound = (usize, Vec<Tuple>, i64);
+type DeltaRound = (usize, Vec<Tuple>, i64);
 
 /// The coordinator-side handle of one resident view topology.
 pub struct StandingHandle {

@@ -15,7 +15,7 @@
 //! * [`google_cluster`] — JOB_EVENTS / TASK_EVENTS / MACHINE_EVENTS with
 //!   FAIL events, preserving the trace's relative sizes ("the total size
 //!   of Machine_Events and Job_Events is only 14.5% of Task_Events").
-//! * [`streams`] — ordered/shuffled/drifting streams for the §5 ablations.
+//! * [`streams`] — ordered/shuffled streams for the §5 temporal-skew ablation.
 //! * [`queries`] — the paper's evaluation queries as [`MultiJoinSpec`]s
 //!   (3-Reachability, TPCH9-Partial, TPC-H Q3, WebAnalytics, Google
 //!   TaskCount).

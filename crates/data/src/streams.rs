@@ -1,6 +1,6 @@
-//! Ordered and drifting streams for the §5 skew-type ablations.
+//! Ordered and shuffled streams for the §5 temporal-skew ablation.
 
-use squall_common::{SplitMix64, Tuple, Value, Zipf};
+use squall_common::{SplitMix64, Tuple, Value};
 
 /// A sorted-key stream: the temporal-skew workload (§5: "in the case of
 /// sorted tuple arrival ... only one machine will be active at a time").
@@ -18,34 +18,6 @@ pub fn shuffled_stream(n_keys: usize, run_length: usize, seed: u64) -> Vec<Tuple
     let mut v = sorted_stream(n_keys, run_length);
     SplitMix64::new(seed).shuffle(&mut v);
     v
-}
-
-/// Zipf-keyed stream (data skew).
-pub fn zipf_stream(n: usize, domain: usize, theta: f64, seed: u64) -> Vec<Tuple> {
-    let z = Zipf::new(domain, theta);
-    let mut rng = SplitMix64::new(seed);
-    (0..n).map(|_| Tuple::new(vec![Value::Int(z.sample(&mut rng) as i64)])).collect()
-}
-
-/// A stream whose key distribution *changes mid-stream* (skew
-/// fluctuations, §5): first half hot key `hot_a`, second half hot key
-/// `hot_b` — the adversarial pattern that defeats range partitioning.
-pub fn fluctuating_stream(
-    n: usize,
-    domain: usize,
-    hot_a: i64,
-    hot_b: i64,
-    hot_share: f64,
-    seed: u64,
-) -> Vec<Tuple> {
-    let mut rng = SplitMix64::new(seed);
-    (0..n)
-        .map(|i| {
-            let hot = if i < n / 2 { hot_a } else { hot_b };
-            let k = if rng.next_f64() < hot_share { hot } else { rng.next_below(domain) as i64 };
-            Tuple::new(vec![Value::Int(k)])
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -68,24 +40,5 @@ mod tests {
         assert_ne!(a, b, "order must differ");
         b.sort();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fluctuating_stream_switches_hot_key() {
-        let s = fluctuating_stream(10_000, 100, 7, 42, 0.6, 3);
-        let first_half = &s[..5000];
-        let second_half = &s[5000..];
-        let count =
-            |xs: &[Tuple], k: i64| xs.iter().filter(|t| t.get(0).as_int().unwrap() == k).count();
-        assert!(count(first_half, 7) > 2500);
-        assert!(count(second_half, 42) > 2500);
-        assert!(count(first_half, 42) < 200);
-    }
-
-    #[test]
-    fn zipf_stream_has_hot_head() {
-        let s = zipf_stream(10_000, 1000, 2.0, 1);
-        let hot = s.iter().filter(|t| t.get(0).as_int().unwrap() == 0).count();
-        assert!(hot > 5000);
     }
 }

@@ -84,19 +84,19 @@ impl TpchGen {
         TpchGen { scale_units, partkey_theta, seed }
     }
 
-    pub fn n_lineitem(&self) -> usize {
+    fn n_lineitem(&self) -> usize {
         (6000.0 * self.scale_units) as usize
     }
 
-    pub fn n_orders(&self) -> usize {
+    fn n_orders(&self) -> usize {
         (1500.0 * self.scale_units) as usize
     }
 
-    pub fn n_customer(&self) -> usize {
+    fn n_customer(&self) -> usize {
         (150.0 * self.scale_units).max(10.0) as usize
     }
 
-    pub fn n_part(&self) -> usize {
+    fn n_part(&self) -> usize {
         (200.0 * self.scale_units).max(8.0) as usize
     }
 

@@ -113,27 +113,14 @@ impl MultiJoinSpec {
         self.relations.len()
     }
 
-    /// Find a relation index by name.
-    pub fn relation_index(&self, name: &str) -> Result<usize> {
-        self.relations
-            .iter()
-            .position(|r| r.name == name)
-            .ok_or_else(|| SquallError::UnknownRelation(name.to_string()))
-    }
-
     /// Equality atoms only.
-    pub fn equi_atoms(&self) -> impl Iterator<Item = &JoinAtom> {
+    fn equi_atoms(&self) -> impl Iterator<Item = &JoinAtom> {
         self.atoms.iter().filter(|a| a.op == CmpOp::Eq)
     }
 
     /// Non-equality atoms only.
     pub fn theta_atoms(&self) -> impl Iterator<Item = &JoinAtom> {
         self.atoms.iter().filter(|a| a.op != CmpOp::Eq)
-    }
-
-    /// Whether all atoms are equalities.
-    pub fn is_equi_join(&self) -> bool {
-        self.atoms.iter().all(|a| a.op == CmpOp::Eq)
     }
 
     /// Compute the join-key equivalence classes via union-find over
@@ -206,11 +193,6 @@ impl MultiJoinSpec {
             out = out.concat(&r.schema.qualified(&r.name));
         }
         out
-    }
-
-    /// Column offset of relation `rel` inside the concatenated output.
-    pub fn output_offset(&self, rel: usize) -> usize {
-        self.relations[..rel].iter().map(|r| r.schema.arity()).sum()
     }
 
     /// Reference oracle: do the given tuples (one per relation, in relation
@@ -369,7 +351,6 @@ mod tests {
             vec![JoinAtom { left_rel: 0, left_col: 0, op: CmpOp::Lt, right_rel: 1, right_col: 0 }],
         )
         .unwrap();
-        assert!(!spec.is_equi_join());
         assert_eq!(spec.theta_atoms().count(), 1);
         assert_eq!(spec.key_classes().len(), 0);
     }
@@ -410,22 +391,12 @@ mod tests {
     }
 
     #[test]
-    fn output_schema_and_offsets() {
+    fn output_schema_concatenates_qualified_relations() {
         let spec = rst(1);
         let out = spec.output_schema();
         assert_eq!(out.arity(), 6);
         assert_eq!(out.index_of("R.x").unwrap(), 0);
         assert_eq!(out.index_of("S.z").unwrap(), 3);
         assert_eq!(out.index_of("T.t").unwrap(), 5);
-        assert_eq!(spec.output_offset(0), 0);
-        assert_eq!(spec.output_offset(1), 2);
-        assert_eq!(spec.output_offset(2), 4);
-    }
-
-    #[test]
-    fn relation_lookup() {
-        let spec = rst(1);
-        assert_eq!(spec.relation_index("S").unwrap(), 1);
-        assert!(spec.relation_index("Z").is_err());
     }
 }

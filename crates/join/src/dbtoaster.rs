@@ -22,7 +22,7 @@
 //! never a recomputation. The delta for the full relation set is the
 //! emitted result.
 
-use squall_common::codec::{self, Reader};
+use squall_common::codec::Reader;
 use squall_common::{FxHashMap, Result, Tuple, Value};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::MultiJoinSpec;
@@ -213,8 +213,9 @@ impl DBToasterJoin {
         }
     }
 
-    /// Stored tuples in a specific intermediate view (diagnostics).
-    pub fn view_sizes(&self) -> Vec<(Vec<usize>, usize)> {
+    /// Stored tuples per intermediate view.
+    #[cfg(test)]
+    fn view_sizes(&self) -> Vec<(Vec<usize>, usize)> {
         self.views.iter().map(|v| (v.members.clone(), v.len())).collect()
     }
 
@@ -332,33 +333,25 @@ impl DBToasterJoin {
 impl Snapshot for DBToasterJoin {
     /// Base relations only: every intermediate view is a pure function of
     /// the singleton views, so restore replays the bases through the
-    /// delta path. Rows are sorted so equal state means equal bytes.
+    /// delta path. The bytes are the base-rows blob of
+    /// [`crate::snapshot`].
     fn snapshot_state(&self, buf: &mut Vec<u8>) {
-        codec::put_u32(buf, self.arities.len() as u32);
-        for rel in 0..self.arities.len() {
-            let base = self.views.iter().find(|v| v.members.as_slice() == [rel]);
-            let mut rows: Vec<(&Tuple, i64)> = match base {
-                Some(v) => v.scan().collect(),
+        let bases: Vec<Vec<(Tuple, i64)>> = (0..self.arities.len())
+            .map(|rel| match self.views.iter().find(|v| v.members.as_slice() == [rel]) {
+                Some(v) => v.scan().map(|(t, m)| (t.clone(), m)).collect(),
                 None => Vec::new(), // single-relation join: stateless
-            };
-            rows.sort_by(|a, b| a.0.cmp(b.0));
-            codec::put_u32(buf, rows.len() as u32);
-            for (t, m) in rows {
-                codec::put_tuple(buf, t);
-                codec::put_i64(buf, m);
-            }
-        }
+            })
+            .collect();
+        bases.snapshot_state(buf);
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        let n = r.len()?;
+        let mut bases: Vec<Vec<(Tuple, i64)>> = Vec::new();
+        bases.restore_state(r)?;
         let mut discard = Vec::new();
-        for rel in 0..n {
-            let rows = r.len()?;
-            for _ in 0..rows {
-                let t = codec::get_tuple(r)?;
-                let m = r.i64()?;
-                self.delta(rel, &t, m, &mut discard);
+        for (rel, rows) in bases.iter().enumerate() {
+            for (t, m) in rows {
+                self.delta(rel, t, *m, &mut discard);
                 discard.clear();
             }
         }

@@ -20,8 +20,8 @@
 //! * [`crate::GroupByAggregator`] writes its raw accumulators — AVG is not
 //!   invertible from the published rows, so group state ships as-is.
 
-use squall_common::codec::Reader;
-use squall_common::Result;
+use squall_common::codec::{self, Reader};
+use squall_common::{Result, Tuple};
 
 /// Serialize/restore an operator's state for checkpointing.
 ///
@@ -36,6 +36,41 @@ pub trait Snapshot {
     /// Rebuild state from a reader positioned at bytes written by
     /// [`Snapshot::snapshot_state`] on an operator of the same shape.
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()>;
+}
+
+/// The full-history join blob — per relation, its signed base rows:
+/// `u32 n_rels · (u32 n · (tuple, i64 multiplicity)*)*`, each relation's
+/// rows written in tuple order so equal state means equal bytes. What a
+/// [`crate::DBToasterJoin`] snapshot is, and what the checkpoint store
+/// reads and rewrites when it rebuilds a lost task's blob from its peers.
+impl Snapshot for Vec<Vec<(Tuple, i64)>> {
+    fn snapshot_state(&self, buf: &mut Vec<u8>) {
+        codec::put_u32(buf, self.len() as u32);
+        for rows in self {
+            let mut sorted: Vec<&(Tuple, i64)> = rows.iter().collect();
+            sorted.sort_by(|a, b| a.0.cmp(&b.0));
+            codec::put_u32(buf, sorted.len() as u32);
+            for (t, m) in sorted {
+                codec::put_tuple(buf, t);
+                codec::put_i64(buf, *m);
+            }
+        }
+    }
+
+    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        let n_rels = r.len()?;
+        self.reserve(n_rels);
+        for _ in 0..n_rels {
+            let n = r.len()?;
+            let mut rows = Vec::with_capacity(n);
+            for _ in 0..n {
+                let t = codec::get_tuple(r)?;
+                rows.push((t, r.i64()?));
+            }
+            self.push(rows);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

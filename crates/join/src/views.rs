@@ -118,8 +118,7 @@ impl Index {
 }
 
 /// Fold key values exactly as hashing them one after the other through
-/// [`FxHasher`] does (for `Int` keys: what
-/// [`squall_common::hash::hash_i64_keys`] computes).
+/// [`FxHasher`] does.
 fn key_hash<'k>(key: impl Iterator<Item = &'k Value>) -> u64 {
     #[cfg(test)]
     if tests::ALL_KEYS_COLLIDE.with(std::cell::Cell::get) {
@@ -311,7 +310,8 @@ impl View {
     }
 
     /// Distinct stored rows.
-    pub fn distinct_rows(&self) -> usize {
+    #[cfg(test)]
+    fn distinct_rows(&self) -> usize {
         self.rows.len() - self.free.len()
     }
 }

@@ -44,7 +44,7 @@ pub struct Dimension {
 
 impl Dimension {
     /// The column of `rel` partitioned on this dimension, if any.
-    pub fn member_col(&self, rel: usize) -> Option<usize> {
+    fn member_col(&self, rel: usize) -> Option<usize> {
         self.members.iter().find(|&&(r, _)| r == rel).map(|&(_, c)| c)
     }
 }
@@ -198,7 +198,7 @@ impl HypercubeScheme {
 
     /// The runtime grouping for one relation's edge into the join
     /// component.
-    pub fn grouping_for(self: &Arc<Self>, rel: usize) -> HypercubeGrouping {
+    pub fn grouping_for(self: &Arc<Self>, rel: usize) -> impl CustomGrouping {
         HypercubeGrouping { scheme: Arc::clone(self), rel }
     }
 
@@ -225,7 +225,7 @@ impl HypercubeScheme {
 /// [`CustomGrouping`] adapter: routes one relation's tuples through the
 /// scheme. Deterministic: random coordinates derive from
 /// `(scheme.seed, relation, sender_task, seq)`.
-pub struct HypercubeGrouping {
+struct HypercubeGrouping {
     scheme: Arc<HypercubeScheme>,
     rel: usize,
 }

@@ -31,9 +31,9 @@ pub mod hypercube;
 pub mod optimizer;
 pub mod stats;
 
-pub use hypercube::{DimRole, Dimension, HypercubeGrouping, HypercubeScheme, PartitionKind};
+pub use hypercube::{DimRole, Dimension, HypercubeScheme, PartitionKind};
 pub use optimizer::{
-    choose_scheme, estimate_scheme_cost, hash_hypercube, hybrid_hypercube, random_hypercube,
-    CostCalibration, CostEstimate, SchemeKind,
+    choose_scheme, estimate_scheme_cost, hybrid_hypercube, CostCalibration, CostEstimate,
+    SchemeKind,
 };
-pub use stats::{collect_table_stats, ColumnStats, SkewEstimate, SpaceSaving, TableStats};
+pub use stats::{collect_table_stats, ColumnStats, SkewEstimate, TableStats};

@@ -61,7 +61,7 @@ pub fn build_scheme(
 /// Hash-Hypercube \[8\]: dimensions are the join-key equivalence classes,
 /// hash partitioned. Rejects non-equi joins (the scheme cannot express
 /// them, §3.1).
-pub fn hash_hypercube(spec: &MultiJoinSpec, machines: usize, seed: u64) -> Result<HypercubeScheme> {
+fn hash_hypercube(spec: &MultiJoinSpec, machines: usize, seed: u64) -> Result<HypercubeScheme> {
     if spec.theta_atoms().next().is_some() {
         return Err(SquallError::InvalidPartitioning(
             "Hash-Hypercube supports only equi-joins".into(),
@@ -91,11 +91,7 @@ pub fn hash_hypercube(spec: &MultiJoinSpec, machines: usize, seed: u64) -> Resul
 /// Random-Hypercube \[74\] via the paper's quasi-attribute reduction: one
 /// fresh dimension per relation, randomly partitioned. Supports any
 /// condition (the condition is evaluated locally).
-pub fn random_hypercube(
-    spec: &MultiJoinSpec,
-    machines: usize,
-    seed: u64,
-) -> Result<HypercubeScheme> {
+fn random_hypercube(spec: &MultiJoinSpec, machines: usize, seed: u64) -> Result<HypercubeScheme> {
     let dims: Vec<Dimension> = spec
         .relations
         .iter()

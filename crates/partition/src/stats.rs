@@ -4,7 +4,7 @@
 //! skew-free (§3.4); this module estimates that from samples or from the
 //! live stream:
 //!
-//! * [`SpaceSaving`] — the classic top-k heavy-hitter sketch, used to
+//! * `SpaceSaving` — the classic top-k heavy-hitter sketch, used to
 //!   estimate the most-frequent-key share `L_mf / L`;
 //! * [`SkewEstimate`] — the top-frequency + distinct-count summary feeding
 //!   the §3.4 cost comparison `(L − L_mf)/p + L_mf` vs `L/p`.
@@ -15,20 +15,20 @@ use squall_common::{FxHashMap, FxHashSet, SplitMix64, Tuple, Value};
 /// most `capacity` counters; the most frequent keys' counts are
 /// overestimated by at most the smallest counter.
 #[derive(Debug, Clone)]
-pub struct SpaceSaving {
+struct SpaceSaving {
     capacity: usize,
     counters: FxHashMap<Value, u64>,
     total: u64,
 }
 
 impl SpaceSaving {
-    pub fn new(capacity: usize) -> SpaceSaving {
+    fn new(capacity: usize) -> SpaceSaving {
         assert!(capacity > 0);
         SpaceSaving { capacity, counters: FxHashMap::default(), total: 0 }
     }
 
     /// Observe one key.
-    pub fn offer(&mut self, key: &Value) {
+    fn offer(&mut self, key: &Value) {
         self.total += 1;
         if let Some(c) = self.counters.get_mut(key) {
             *c += 1;
@@ -49,13 +49,9 @@ impl SpaceSaving {
         self.counters.insert(key.clone(), min_count + 1);
     }
 
-    /// Total keys observed.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Top keys with (over-)estimated counts, descending.
-    pub fn top(&self, k: usize) -> Vec<(Value, u64)> {
+    #[cfg(test)]
+    fn top(&self, k: usize) -> Vec<(Value, u64)> {
         let mut v: Vec<(Value, u64)> = self.counters.iter().map(|(k, &c)| (k.clone(), c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v.truncate(k);
@@ -64,7 +60,7 @@ impl SpaceSaving {
 
     /// Estimated frequency (share of the stream) of the most popular key —
     /// the `L_mf/L` input of the §3.4 cost model.
-    pub fn top_frequency(&self) -> f64 {
+    fn top_frequency(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -107,7 +103,7 @@ impl SkewEstimate {
     /// §3.4 offline chooser: estimated max load per machine under hash
     /// partitioning, `(L − L_mf)/p + L_mf`, normalized by `L` (so the
     /// result is the *fraction* of the relation on the hottest machine).
-    pub fn hash_load_fraction(&self, machines: usize) -> f64 {
+    fn hash_load_fraction(&self, machines: usize) -> f64 {
         let f = self.top_frequency;
         // Fewer distinct keys than machines leaves machines idle: the
         // effective parallelism is the distinct count.
@@ -116,7 +112,7 @@ impl SkewEstimate {
     }
 
     /// Max-load fraction under random partitioning: `1/p`.
-    pub fn random_load_fraction(&self, machines: usize) -> f64 {
+    fn random_load_fraction(&self, machines: usize) -> f64 {
         1.0 / machines as f64
     }
 
@@ -137,7 +133,7 @@ impl SkewEstimate {
 /// the distinct count is estimated by inverting the expected
 /// distinct-in-sample curve `E[d] = D·(1 − (1 − 1/D)^s)` of a uniform
 /// domain (exact when the sample covers the relation), and the top-key
-/// frequency comes from a [`SpaceSaving`] sketch over the sample.
+/// frequency comes from a Space-Saving sketch over the sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Estimated distinct values in the *full* relation (exact when the
@@ -283,7 +279,7 @@ mod tests {
         let top = s.top(3);
         assert_eq!(top[0], (Value::Int(9), 10));
         assert_eq!(top[1], (Value::Int(8), 9));
-        assert_eq!(s.total(), 55);
+        assert_eq!(s.total, 55);
         assert!((s.top_frequency() - 10.0 / 55.0).abs() < 1e-12);
     }
 

@@ -39,7 +39,7 @@ impl SourceDef {
         }
     }
 
-    pub fn is_stream(&self) -> bool {
+    fn is_stream(&self) -> bool {
         matches!(self.kind, SourceKind::Stream { .. })
     }
 }

@@ -43,7 +43,7 @@ use squall_partition::{choose_scheme, CostCalibration, CostEstimate};
 use crate::catalog::Catalog;
 use crate::physical::{ExecConfig, PhysicalQuery};
 
-/// How much plan search the session performs per distributed query.
+/// How much plan search the session performs per query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptimizerMode {
     /// No search: the written FROM order runs, the scheme falls back to
@@ -332,15 +332,16 @@ fn exhaustive_best_order(
 /// place: pick a join order, apply it, pick a scheme (unless the config
 /// forces one) and record the [`OptimizerDecision`] for `explain`.
 ///
-/// A no-op for [`OptimizerMode::Off`] and for single-table (local)
-/// plans. Standing views are never reordered — their delta routing must
-/// stay stable across the view's lifetime — so the session only calls
-/// this on the one-shot query paths.
+/// A no-op for [`OptimizerMode::Off`] and for a plan of fewer than two
+/// relations, which has no join to order and no scheme to choose.
+/// Standing views are never reordered — their delta routing must stay
+/// stable across the view's lifetime — so the session only calls this on
+/// the one-shot query paths.
 pub fn optimize(plan: &mut PhysicalQuery, catalog: &Catalog, cfg: &ExecConfig) -> Result<()> {
-    if cfg.optimizer == OptimizerMode::Off || !plan.is_distributed() {
+    let n = plan.n_relations();
+    if cfg.optimizer == OptimizerMode::Off || n < 2 {
         return Ok(());
     }
-    let n = plan.n_relations();
     let atoms: Vec<JoinAtom> = plan.join_atoms().to_vec();
     let mut sizes = Vec::with_capacity(n);
     for t in 0..n {

@@ -19,8 +19,7 @@ use squall_core::operators::Finalizer;
 use squall_core::standing::{ViewPlan, ViewWindow};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::{AggFunc, JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
-use squall_join::WindowSpec;
-use squall_join::{AggSpec, GroupByAggregator};
+use squall_join::{AggSpec, WindowSpec};
 use squall_partition::optimizer::SchemeKind;
 use squall_partition::SkewEstimate;
 
@@ -50,9 +49,9 @@ pub struct ExecConfig {
     /// knob only: routing stays per-tuple, so results and per-machine
     /// loads do not depend on it.
     pub batch_size: usize,
-    /// Split every distributed query across these worker processes over
+    /// Split every query's topology across these worker processes over
     /// TCP (`None` = single process). Results and per-machine loads are
-    /// placement-independent; single-table queries still run locally.
+    /// placement-independent.
     pub cluster: Option<ClusterSpec>,
     /// Checkpoint a standing view's operator state every this many
     /// epochs (`0` disables). One-shot queries ignore it.
@@ -95,8 +94,7 @@ impl Default for ExecConfig {
 ///   with [`PhysicalQuery::execute_stream`] the rows are yielded *while
 ///   the topology runs*, in production order, without buffering them.
 ///
-/// [`ResultSet::report`] exposes the distributed run's [`JoinReport`]
-/// (None for single-table queries, which run locally); on a streaming
+/// [`ResultSet::report`] exposes the run's [`JoinReport`]; on a streaming
 /// result it first waits for the run to finish. In both modes
 /// [`ResultSet::rows`] returns the rows the iterator has *not yet
 /// yielded*, without consuming them — a peek at the remainder.
@@ -128,7 +126,7 @@ impl Default for ExecConfig {
 /// let mut rs = execute_query(&q, &catalog, &ExecConfig::default()).unwrap();
 /// assert_eq!(rs.schema().arity(), 2);
 /// assert_eq!(rs.rows(), vec![tuple![20, 7]]);
-/// assert!(rs.report().is_some(), "distributed runs report metrics");
+/// assert!(rs.report().is_some(), "every query's run reports metrics");
 /// ```
 pub struct ResultSet {
     schema: Schema,
@@ -200,9 +198,9 @@ impl ResultSet {
         }
     }
 
-    /// The distributed join's run report (§6 monitoring quantities). On a
-    /// streaming result this waits for the run to finish. `None` for
-    /// single-table queries.
+    /// The run report (§6 monitoring quantities). On a streaming result
+    /// this waits for the run to finish. `None` only on a view-lifecycle
+    /// result built without one ([`ResultSet::materialized`]).
     pub fn report(&mut self) -> Option<&JoinReport> {
         self.materialize();
         self.report.as_ref()
@@ -265,8 +263,8 @@ impl Iterator for ResultSet {
     }
 }
 
-/// Live result stream: the distributed run's sink output, filtered by
-/// HAVING and projected into SELECT order tuple by tuple.
+/// Live result stream: the run's sink output, filtered by HAVING and
+/// projected into SELECT order tuple by tuple.
 struct QueryStream {
     inner: Option<MultiwayStream>,
     finalizer: Finalizer,
@@ -341,20 +339,6 @@ struct PhysTable {
 /// where a column id past the table's arity addresses a derived column.
 type RawAtom = ((usize, usize), CmpOp, (usize, usize));
 
-/// Outcome of the shared planning front half: either a locally-runnable
-/// single-table input or a distributed multi-way join configuration
-/// (boxed: the config dwarfs the local variant).
-enum Prepared {
-    Local(Vec<Tuple>),
-    Distributed(Box<DistributedPlan>),
-}
-
-struct DistributedPlan {
-    spec: MultiJoinSpec,
-    data: Vec<Vec<Tuple>>,
-    mcfg: MultiwayConfig,
-}
-
 /// Everything needed to launch a query as a resident materialized view:
 /// the join spec and prepared initial load, the (standing-flagged)
 /// topology configuration, and the view-maintenance plan the sink runs.
@@ -375,7 +359,7 @@ struct PhysWindow {
     ts_cols: Vec<usize>,
     /// Relations whose window column is the stream's declared event-time
     /// column: their data is already validated and event-time-ordered at
-    /// registration, so `prepare_run` skips the per-run sort.
+    /// registration, so a run skips the per-run sort.
     presorted: Vec<bool>,
 }
 
@@ -389,9 +373,8 @@ pub struct PhysicalQuery {
     /// HAVING, the SELECT list and the aggregate columns (inputs in
     /// join-output coordinates) — over the raw aggregate row (group keys ++
     /// aggregates, hidden ones included) of an aggregate query, over the
-    /// join output otherwise. Carried by the result stream of distributed
-    /// queries, used in place by the single-table local path, embedded in
-    /// a standing view's [`ViewPlan`].
+    /// join output otherwise. Carried by a one-shot query's result stream,
+    /// embedded in a standing view's [`ViewPlan`].
     finalizer: Finalizer,
     out_schema: Schema,
     is_aggregate: bool,
@@ -403,7 +386,7 @@ pub struct PhysicalQuery {
     order_by: Vec<(usize, bool)>,
     limit: Option<usize>,
     /// What the cost-based optimizer decided for this plan, when it ran —
-    /// feeds scheme selection in `prepare_run` and the explain table.
+    /// feeds scheme selection at launch and the explain table.
     decision: Option<OptimizerDecision>,
 }
 
@@ -788,80 +771,25 @@ impl PhysicalQuery {
             presorted,
         });
 
-        // SELECT items → aggregate specs / final projection.
-        let mut aggs: Vec<AggSpec> = Vec::new();
-        let mut final_items = Vec::with_capacity(q.select.len());
-        let mut out_fields = Vec::with_capacity(q.select.len());
-        for ((e, name), scalar) in q.select.iter().zip(&select_scalars) {
-            let out_name = name.clone().unwrap_or_else(|| display_name(e));
-            let dtype = DataType::Float; // nominal; results carry real types
-            out_fields.push(Field::new(out_name, dtype));
-            if is_aggregate {
-                match e {
-                    Expr::Agg { func, arg } => {
-                        let input = match arg {
-                            Some(a) => {
-                                let g = to_scalar(a, &resolve_fn, &offsets)?;
-                                Some(g.remap_columns(&remap_global))
-                            }
-                            None => None,
-                        };
-                        let spec = match func {
-                            AggFunc::Count => AggSpec::count(),
-                            AggFunc::Sum => AggSpec::sum(input.ok_or_else(|| {
-                                SquallError::InvalidPlan("SUM needs an argument".into())
-                            })?),
-                            AggFunc::Avg => AggSpec::avg(input.ok_or_else(|| {
-                                SquallError::InvalidPlan("AVG needs an argument".into())
-                            })?),
-                        };
-                        aggs.push(spec);
-                        final_items.push(ScalarExpr::col(group_cols.len() + aggs.len() - 1));
-                    }
-                    Expr::Col(n) => {
-                        let (t, c) = resolve(n)?;
-                        let join_col = remap_global(offsets[t] + c);
-                        let pos =
-                            group_cols.iter().position(|&g| g == join_col).ok_or_else(|| {
-                                SquallError::InvalidPlan(format!(
-                                    "column {n} must appear in GROUP BY"
-                                ))
-                            })?;
-                        final_items.push(ScalarExpr::col(pos));
-                    }
-                    _ => {
-                        return Err(SquallError::InvalidPlan(
-                            "aggregate queries select columns or aggregates".into(),
-                        ))
-                    }
-                }
-            } else {
-                let g = scalar.as_ref().expect("non-aggregate item resolved");
-                final_items.push(g.remap_columns(&remap_global));
-            }
-        }
-        // HAVING: resolved over the aggregate row (group keys ++
-        // aggregates). Aggregate calls not present in SELECT are appended
-        // as *hidden* aggregate columns — computed and filtered on, never
-        // projected.
-        fn having_scalar(
+        // An expression over the aggregate row (group keys ++ aggregates),
+        // for SELECT items and HAVING alike: a bare column must be a GROUP
+        // BY key; an aggregate call is its column of the row — an equal
+        // aggregate already in `aggs`, else a new one appended (from HAVING
+        // alone that makes a *hidden* column: computed and filtered on,
+        // never projected). `join_scalar` lowers an aggregate-free
+        // expression to join-output coordinates.
+        fn agg_row_scalar(
             e: &Expr,
-            resolve: &dyn Fn(&str) -> Result<(usize, usize)>,
-            offsets: &[usize],
-            remap_global: &dyn Fn(usize) -> usize,
+            join_scalar: &dyn Fn(&Expr) -> Result<ScalarExpr>,
             group_cols: &[usize],
             aggs: &mut Vec<AggSpec>,
         ) -> Result<ScalarExpr> {
             Ok(match e {
                 Expr::Agg { func, arg } => {
-                    // COUNT ignores its argument, matching the SELECT
-                    // path's AggSpec::count().
+                    let arg = arg.as_deref().map(join_scalar).transpose()?;
                     let input = match (func, arg) {
-                        (AggFunc::Count, _) => None,
-                        (_, Some(a)) => {
-                            let g = to_scalar(a, resolve, offsets)?;
-                            Some(g.remap_columns(remap_global))
-                        }
+                        (AggFunc::Count, _) => None, // COUNT ignores its argument
+                        (_, Some(a)) => Some(a),
                         (f, None) => {
                             return Err(SquallError::InvalidPlan(format!("{f} needs an argument")))
                         }
@@ -876,44 +804,47 @@ impl PhysicalQuery {
                     ScalarExpr::Column(group_cols.len() + idx)
                 }
                 Expr::Col(n) => {
-                    let (t, c) = resolve(n)?;
-                    let join_col = remap_global(offsets[t] + c);
-                    let pos = group_cols.iter().position(|&g| g == join_col).ok_or_else(|| {
+                    let c = join_scalar(e)?;
+                    let pos = group_cols.iter().position(|&g| ScalarExpr::Column(g) == c);
+                    ScalarExpr::Column(pos.ok_or_else(|| {
                         SquallError::InvalidPlan(format!(
-                            "HAVING column {n} must appear in GROUP BY (or inside an aggregate)"
+                            "column {n} must appear in GROUP BY (or inside an aggregate)"
                         ))
-                    })?;
-                    ScalarExpr::Column(pos)
+                    })?)
                 }
                 Expr::Lit(v) => ScalarExpr::Literal(v.clone()),
                 Expr::Bin { op, lhs, rhs } => ScalarExpr::Bin {
                     op: *op,
-                    lhs: Box::new(having_scalar(
-                        lhs,
-                        resolve,
-                        offsets,
-                        remap_global,
-                        group_cols,
-                        aggs,
-                    )?),
-                    rhs: Box::new(having_scalar(
-                        rhs,
-                        resolve,
-                        offsets,
-                        remap_global,
-                        group_cols,
-                        aggs,
-                    )?),
+                    lhs: Box::new(agg_row_scalar(lhs, join_scalar, group_cols, aggs)?),
+                    rhs: Box::new(agg_row_scalar(rhs, join_scalar, group_cols, aggs)?),
                 },
-                Expr::Not(x) => ScalarExpr::Not(Box::new(having_scalar(
-                    x,
-                    resolve,
-                    offsets,
-                    remap_global,
-                    group_cols,
-                    aggs,
-                )?)),
+                Expr::Not(x) => {
+                    ScalarExpr::Not(Box::new(agg_row_scalar(x, join_scalar, group_cols, aggs)?))
+                }
             })
+        }
+        let join_scalar = |e: &Expr| -> Result<ScalarExpr> {
+            Ok(to_scalar(e, &resolve_fn, &offsets)?.remap_columns(&remap_global))
+        };
+
+        // SELECT items → aggregate specs / final projection.
+        let mut aggs: Vec<AggSpec> = Vec::new();
+        let mut final_items = Vec::with_capacity(q.select.len());
+        let mut out_fields = Vec::with_capacity(q.select.len());
+        for ((e, name), scalar) in q.select.iter().zip(&select_scalars) {
+            let out_name = name.clone().unwrap_or_else(|| display_name(e));
+            let dtype = DataType::Float; // nominal; results carry real types
+            out_fields.push(Field::new(out_name, dtype));
+            final_items.push(if !is_aggregate {
+                let g = scalar.as_ref().expect("non-aggregate item resolved");
+                g.remap_columns(&remap_global)
+            } else if matches!(e, Expr::Agg { .. } | Expr::Col(_)) {
+                agg_row_scalar(e, &join_scalar, &group_cols, &mut aggs)?
+            } else {
+                return Err(SquallError::InvalidPlan(
+                    "aggregate queries select columns or aggregates".into(),
+                ));
+            });
         }
         let mut having: Option<ScalarExpr> = None;
         if !q.having.is_empty() {
@@ -923,8 +854,7 @@ impl PhysicalQuery {
                 ));
             }
             for e in &q.having {
-                let s =
-                    having_scalar(e, &resolve_fn, &offsets, &remap_global, &group_cols, &mut aggs)?;
+                let s = agg_row_scalar(e, &join_scalar, &group_cols, &mut aggs)?;
                 having = Some(match having {
                     None => s,
                     Some(prev) => ScalarExpr::and(prev, s),
@@ -1125,48 +1055,6 @@ impl PhysicalQuery {
         Ok(spec)
     }
 
-    /// Source-side work (filter, derive, project — the co-located source
-    /// components of §2), statistics and scheme/config selection: the
-    /// front half of every one-shot execution.
-    fn prepare_run(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<Prepared> {
-        let mut data = self.load_sources(catalog)?;
-        if let Some(w) = &self.window {
-            // Windowed topologies require spouts that emit in event-time
-            // order (the watermark-eviction contract). Streams windowed on
-            // their declared column were sorted and validated once at
-            // registration (selection/projection preserve order); only
-            // explicit `ON` over other columns pays a per-run sort.
-            for (t, d) in data.iter_mut().enumerate() {
-                if !w.presorted[t] {
-                    squall_runtime::sort_by_event_time(d, w.ts_cols[t])?;
-                }
-            }
-        }
-
-        // Single-table queries run locally (no distribution needed).
-        if self.tables.len() == 1 {
-            return Ok(Prepared::Local(std::mem::take(&mut data[0])));
-        }
-        let spec = self.join_spec(&data, Some((cfg.machines, cfg.skew_slack)))?;
-
-        // Scheme & parallelism selection: an explicit config scheme wins,
-        // then the optimizer's cost-based choice, then the Hybrid default
-        // (it subsumes the others, §3.1).
-        let scheme = cfg
-            .scheme
-            .or_else(|| self.decision.as_ref().and_then(|d| d.scheme_kind()))
-            .unwrap_or(SchemeKind::Hybrid);
-        let mut mcfg = self.multiway_config(scheme, cfg);
-        if self.is_aggregate {
-            mcfg = mcfg.with_agg(AggPlan {
-                group_cols: self.group_cols.clone(),
-                aggs: self.finalizer.aggs.clone(),
-                parallelism: cfg.agg_parallelism.max(1),
-            });
-        }
-        Ok(Prepared::Distributed(Box::new(DistributedPlan { spec, data, mcfg })))
-    }
-
     /// Plan this query as a **standing view**: the same source-side work
     /// and scheme selection as [`PhysicalQuery::execute`], but producing a
     /// resident-topology configuration plus the [`ViewPlan`] the
@@ -1278,9 +1166,9 @@ impl PhysicalQuery {
     /// order through its [`Iterator`] impl without buffering them;
     /// [`ResultSet::report`] becomes available once the stream is
     /// exhausted. A run that fails mid-way ends the stream early —
-    /// check [`ResultSet::error`] after exhaustion. Single-table queries
-    /// (which run locally) come back materialized, and so do queries with
-    /// an ORDER BY or LIMIT — a total order needs every row first.
+    /// check [`ResultSet::error`] after exhaustion. Queries with an
+    /// ORDER BY or LIMIT come back materialized — a total order needs
+    /// every row first.
     pub fn execute_stream(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<ResultSet> {
         if !self.order_by.is_empty() || self.limit.is_some() {
             return self.execute(catalog, cfg);
@@ -1288,49 +1176,48 @@ impl PhysicalQuery {
         self.stream_unordered(catalog, cfg)
     }
 
-    /// The one execution path: launch the distributed run and hand back
-    /// its live, HAVING-filtered, SELECT-projected stream in production
-    /// order (ORDER BY / LIMIT not yet applied). Single-table queries run
-    /// locally and come back materialized and fully finalized.
+    /// The one execution path, one relation or six: source-side work,
+    /// statistics, scheme/config selection, then launch the topology and
+    /// hand back its live, HAVING-filtered, SELECT-projected stream in
+    /// production order (ORDER BY / LIMIT not yet applied).
     fn stream_unordered(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<ResultSet> {
-        match self.prepare_run(catalog, cfg)? {
-            Prepared::Local(data) => {
-                let rows = self.finalize_local(data)?;
-                Ok(ResultSet::materialized(self.out_schema.clone(), rows, None))
-            }
-            Prepared::Distributed(plan) => {
-                let DistributedPlan { spec, data, mcfg } = *plan;
-                let inner = run_multiway_stream(&spec, data, &mcfg)?;
-                let stream = QueryStream {
-                    inner: Some(inner),
-                    finalizer: self.finalizer.clone(),
-                    saw_rows: false,
-                    report: None,
-                };
-                Ok(ResultSet::streaming(self.out_schema.clone(), stream))
+        let mut data = self.load_sources(catalog)?;
+        if let Some(w) = &self.window {
+            // Windowed topologies require spouts that emit in event-time
+            // order (the watermark-eviction contract). Streams windowed on
+            // their declared column were sorted and validated once at
+            // registration (selection/projection preserve order); only
+            // explicit `ON` over other columns pays a per-run sort.
+            for (t, d) in data.iter_mut().enumerate() {
+                if !w.presorted[t] {
+                    squall_runtime::sort_by_event_time(d, w.ts_cols[t])?;
+                }
             }
         }
-    }
+        let spec = self.join_spec(&data, Some((cfg.machines, cfg.skew_slack)))?;
 
-    /// Single-table path: aggregate or project locally.
-    fn finalize_local(&self, mut data: Vec<Tuple>) -> Result<Vec<Tuple>> {
+        // Scheme & parallelism selection: an explicit config scheme wins,
+        // then the optimizer's cost-based choice, then the Hybrid default
+        // (it subsumes the others, §3.1).
+        let scheme = cfg
+            .scheme
+            .or_else(|| self.decision.as_ref().and_then(|d| d.scheme_kind()))
+            .unwrap_or(SchemeKind::Hybrid);
+        let mut mcfg = self.multiway_config(scheme, cfg);
         if self.is_aggregate {
-            let mut agg =
-                GroupByAggregator::new(self.group_cols.clone(), self.finalizer.aggs.clone());
-            for t in &data {
-                agg.update(t)?;
-            }
-            data = agg.snapshot();
+            mcfg = mcfg.with_agg(AggPlan {
+                group_cols: self.group_cols.clone(),
+                aggs: self.finalizer.aggs.clone(),
+                parallelism: cfg.agg_parallelism.max(1),
+            });
         }
-        let mut rows = Vec::with_capacity(data.len());
-        for row in &data {
-            rows.extend(self.finalizer.row(row)?);
-        }
-        if data.is_empty() {
-            rows.extend(self.finalizer.empty_row()?);
-        }
-        self.finalize_order(&mut rows);
-        Ok(rows)
+        let stream = QueryStream {
+            inner: Some(run_multiway_stream(&spec, data, &mcfg)?),
+            finalizer: self.finalizer.clone(),
+            saw_rows: false,
+            report: None,
+        };
+        Ok(ResultSet::streaming(self.out_schema.clone(), stream))
     }
 
     /// Human-readable plan description (the EXPLAIN of the demo UI).
@@ -1391,16 +1278,11 @@ impl PhysicalQuery {
         &self.out_schema
     }
 
-    /// Does this plan run as a distributed topology (as opposed to the
-    /// local single-table path)?
-    pub fn is_distributed(&self) -> bool {
-        self.tables.len() > 1
-    }
-
     /// The topology layout this plan executes as under `cfg` —
     /// `(names, parallelism, is_spout)` per node, mirroring the driver's
-    /// assembly: one spout per relation, the join component, and the
-    /// aggregation component if present. This is what task→peer placement
+    /// assembly: one spout per relation, the join component (one identity
+    /// task when there is a single relation and so nothing to partition),
+    /// and the aggregation component if present. This is what task→peer placement
     /// ([`squall_runtime::plan_placement`]) is computed over when the
     /// session runs on a cluster.
     pub fn node_layout(&self, cfg: &ExecConfig) -> (Vec<String>, Vec<usize>, Vec<bool>) {
@@ -1409,7 +1291,7 @@ impl PhysicalQuery {
         let mut parallelism = vec![1usize; self.tables.len()];
         let mut is_spout = vec![true; self.tables.len()];
         names.push("join".into());
-        parallelism.push(cfg.machines.max(1));
+        parallelism.push(if self.tables.len() == 1 { 1 } else { cfg.machines.max(1) });
         is_spout.push(false);
         if self.is_aggregate {
             names.push("agg".into());
@@ -1744,14 +1626,38 @@ mod tests {
     }
 
     #[test]
-    fn single_table_query_runs_locally() {
+    fn single_table_query_runs_as_a_one_relation_topology() {
         let q = Query::from_tables([("R", "R")])
             .filter(col("R.b").gt(lit(15)))
             .group_by([col("R.a")])
             .select([col("R.a"), agg(AggFunc::Count, None)]);
-        let mut res = execute_query(&q, &catalog(), &ExecConfig::default()).unwrap();
-        assert_eq!(res.rows(), vec![tuple![2, 2], tuple![3, 1]]);
-        assert!(res.report().is_none());
+        for local in [LocalJoinKind::DBToaster, LocalJoinKind::Traditional] {
+            let cfg = ExecConfig { local, ..ExecConfig::default() };
+            let mut res = execute_query(&q, &catalog(), &cfg).unwrap();
+            assert_eq!(res.rows(), vec![tuple![2, 2], tuple![3, 1]], "{local}");
+            let report = res.report().expect("a single table runs as a topology too");
+            assert_eq!(report.input_count, 3, "{local}: R's rows after b > 15");
+            assert_eq!(report.loads, vec![3], "{local}: one identity join task");
+        }
+    }
+
+    #[test]
+    fn single_table_global_aggregate_over_zero_rows_is_one_row() {
+        // The filter passes nothing: no engine row reaches the sink, so the
+        // synthetic COUNT = 0 / NULL-sum row must appear — exactly once,
+        // however many aggregate tasks sat idle.
+        let q = Query::from_tables([("R", "R")])
+            .filter(col("R.b").gt(lit(1000)))
+            .select([agg(AggFunc::Count, None), agg(AggFunc::Sum, Some(col("R.b")))]);
+        for agg_parallelism in [1, 3] {
+            let cfg = ExecConfig { agg_parallelism, ..ExecConfig::default() };
+            let mut res = execute_query(&q, &catalog(), &cfg).unwrap();
+            assert_eq!(res.rows(), vec![Tuple::new(vec![Value::Int(0), Value::Null])]);
+            assert_eq!(res.report().expect("report").input_count, 0);
+            let streamed: Vec<Tuple> =
+                execute_query_stream(&q, &catalog(), &cfg).unwrap().collect();
+            assert_eq!(streamed.len(), 1, "streaming yields the synthetic row once");
+        }
     }
 
     #[test]
@@ -1996,7 +1902,7 @@ mod tests {
     }
 
     #[test]
-    fn having_group_columns_and_single_table_local_path() {
+    fn having_group_columns_on_a_single_table() {
         let q = Query::from_tables([("R", "R")])
             .group_by([col("R.a")])
             .select([col("R.a"), agg(AggFunc::Count, None)])
@@ -2004,7 +1910,7 @@ mod tests {
         let mut res = execute_query(&q, &catalog(), &ExecConfig::default()).unwrap();
         // R.a groups: 1→1, 2→2, 3→1; a>1 AND count>1 keeps only (2, 2).
         assert_eq!(res.rows(), vec![tuple![2, 2]]);
-        assert!(res.report().is_none(), "single-table stays local");
+        assert_eq!(res.report().expect("report").input_count, 4, "all of R, unfiltered");
     }
 
     #[test]
@@ -2089,16 +1995,30 @@ mod tests {
     }
 
     #[test]
-    fn limit_applies_to_single_table_local_path() {
+    fn order_by_and_limit_apply_to_a_single_table_query() {
         let q = Query::from_tables([("R", "R")])
             .select([col("R.a"), col("R.b")])
             .order_by("R.b", true)
             .limit(2);
         let mut res = execute_query(&q, &catalog(), &ExecConfig::default()).unwrap();
         assert_eq!(res.rows(), vec![tuple![3, 30], tuple![2, 25]]);
+        assert_eq!(res.report().expect("report").input_count, 4);
         let q0 = Query::from_tables([("R", "R")]).select([col("R.a")]).limit(0);
         let mut res = execute_query(&q0, &catalog(), &ExecConfig::default()).unwrap();
         assert!(res.rows().is_empty(), "LIMIT 0 yields no rows");
+        assert_eq!(res.report().expect("report").input_count, 4);
+    }
+
+    #[test]
+    fn single_table_queries_really_stream() {
+        let q = Query::from_tables([("R", "R")]).select([col("R.b")]);
+        let p = PhysicalQuery::plan(&q, &catalog()).unwrap();
+        let mut res = p.execute_stream(&catalog(), &ExecConfig::default()).unwrap();
+        assert!(res.is_streaming(), "a live run, not a materialized buffer");
+        let mut rows: Vec<Tuple> = res.by_ref().collect();
+        rows.sort();
+        assert_eq!(rows, vec![tuple![10], tuple![20], tuple![25], tuple![30]]);
+        assert_eq!(res.report().expect("report after exhaustion").result_count, 4);
     }
 
     #[test]

@@ -57,8 +57,7 @@ pub use topology::{
     Topology, TopologyBuilder, DEFAULT_BATCH_SIZE,
 };
 pub use transport::{
-    accept_with_deadline, connect_with_retry, describe_placement, plan_placement,
-    read_frame_deadline, ClusterLinks, ClusterRun, ClusterSummary, Frame, FrameSender,
-    LocalTransport, PeerWireStats, Placement, TcpTransport, Transport, TransportStats,
-    HANDSHAKE_TIMEOUT,
+    describe_placement, plan_placement, read_frame_deadline, ClusterLinks, ClusterRun,
+    ClusterSummary, Frame, FrameSender, LocalTransport, PeerWireStats, Placement, TcpTransport,
+    Transport, TransportStats, HANDSHAKE_TIMEOUT,
 };

@@ -160,7 +160,7 @@ impl NodeMetrics {
     }
 
     /// Total downstream deliveries.
-    pub fn total_sent(&self) -> u64 {
+    fn total_sent(&self) -> u64 {
         self.sent.iter().sum()
     }
 

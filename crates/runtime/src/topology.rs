@@ -197,6 +197,9 @@ pub(crate) struct Edge {
 pub struct TopologyBuilder {
     pub(crate) nodes: Vec<NodeDef>,
     pub(crate) edges: Vec<Edge>,
+    /// Bound on each task's input queue, in *messages* (batches). A sender
+    /// whose flush overfills a downstream inbox parks until the consumer
+    /// drains it — backpressure by yielding, not by blocking a thread.
     pub(crate) channel_capacity: usize,
     pub(crate) worker_threads: Option<usize>,
     pub(crate) batch_size: usize,
@@ -223,10 +226,9 @@ impl TopologyBuilder {
         }
     }
 
-    /// Bound on each task's input queue, in *messages* (batches). A sender
-    /// whose flush overfills a downstream inbox parks until the consumer
-    /// drains it — backpressure by yielding, not by blocking a thread.
-    pub fn channel_capacity(mut self, cap: usize) -> TopologyBuilder {
+    /// Shrink the inbox bound so a test can force backpressure.
+    #[cfg(test)]
+    pub(crate) fn channel_capacity(mut self, cap: usize) -> TopologyBuilder {
         assert!(cap > 0);
         self.channel_capacity = cap;
         self

@@ -123,13 +123,6 @@ pub struct Placement {
     pub peer_of_task: Vec<usize>,
 }
 
-impl Placement {
-    /// Tasks hosted by `peer`.
-    pub fn tasks_of(&self, peer: usize) -> usize {
-        self.peer_of_task.iter().filter(|&&p| p == peer).count()
-    }
-}
-
 /// Compute the canonical task → peer assignment, identically on every
 /// peer (it is a pure function of the topology shape and the peer
 /// count):
@@ -431,7 +424,7 @@ impl Frame {
     }
 
     /// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
-    pub fn read_from(r: &mut impl std::io::Read) -> Result<Option<(Frame, usize)>> {
+    fn read_from(r: &mut impl std::io::Read) -> Result<Option<(Frame, usize)>> {
         match codec::read_frame(r)? {
             None => Ok(None),
             Some(payload) => {
@@ -552,7 +545,7 @@ pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Accept one connection, giving up at `deadline` (the listener polls in
 /// non-blocking mode and is restored to blocking either way).
-pub fn accept_with_deadline(listener: &TcpListener, deadline: Instant) -> Result<TcpStream> {
+fn accept_with_deadline(listener: &TcpListener, deadline: Instant) -> Result<TcpStream> {
     listener.set_nonblocking(true).map_err(SquallError::from)?;
     let outcome = loop {
         match listener.accept() {
@@ -592,7 +585,7 @@ pub fn read_frame_deadline(
 
 /// Dial `addr`, retrying while the listener comes up (worker processes
 /// race the coordinator at startup).
-pub fn connect_with_retry(addr: &str, timeout: Duration) -> Result<TcpStream> {
+fn connect_with_retry(addr: &str, timeout: Duration) -> Result<TcpStream> {
     let start = Instant::now();
     loop {
         match TcpStream::connect(addr) {
@@ -1363,7 +1356,7 @@ mod tests {
         assert_eq!(&p.peer_of_task[2..10], &[0, 0, 0, 1, 1, 1, 2, 2]);
         // Agg tasks 0..3 → one per peer.
         assert_eq!(&p.peer_of_task[10..], &[0, 1, 2]);
-        assert_eq!(p.tasks_of(0) + p.tasks_of(1) + p.tasks_of(2), 13);
+        assert_eq!(p.peer_of_task.len(), 13);
         // Single peer degenerates to everything-local.
         let solo = plan_placement(&[1, 8], &[true, false], 1);
         assert!(solo.peer_of_task.iter().all(|&p| p == 0));

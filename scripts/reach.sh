@@ -6,10 +6,19 @@
 # perfbench/tests mentions. A crate's lib.rs re-exporting an item does not
 # count as reading it. Matching is by bare name, so a method called `new`
 # is never listed (some other file says `new`) — the list has no false
-# alarms about items that are read, but it is not exhaustive. Informational:
-# an entry is a candidate for deletion or for losing its `pub`, not an error.
+# alarms about items that are read, but it is not exhaustive. An entry is a
+# candidate for deletion or for losing its `pub`; `--max N` makes the list a
+# gate: exit non-zero when it holds more than N items. What is left at the
+# floor are types other crates use without naming (a pub fn's return type,
+# a pub field's type) and facade methods only this package's own files call.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+max=
+if [ "${1:-}" = "--max" ]; then
+    max=${2:?--max needs a count}
+fi
+export REACH_MAX=$max
 
 find crates src tests examples perfbench/src perfbench/tests -name '*.rs' | sort | perl -e '
     my (%readers, %text);
@@ -35,4 +44,9 @@ find crates src tests examples perfbench/src perfbench/tests -name '*.rs' | sort
         }
     }
     print "$unread public item(s) named by no other file\n";
+    my $max = $ENV{REACH_MAX};
+    if ($max ne "" && $unread > $max) {
+        print "over the gate: at most $max allowed — delete the new item, drop its `pub`, or give it a reader\n";
+        exit 1;
+    }
 '

@@ -9,7 +9,7 @@
 //!   paths hit one optimizer and one runtime.
 //!
 //! Either path returns a [`ResultSet`] — materialized rows, a streaming
-//! row iterator, and the distributed run's [`JoinReport`] metrics — and
+//! row iterator, and the run's [`JoinReport`] metrics — and
 //! [`Session::explain`] / [`QueryBuilder::explain`] expose the optimized
 //! physical plan as text.
 //!
@@ -153,7 +153,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Split every distributed query across these `squall-worker`
+    /// Split every query's topology across these `squall-worker`
     /// processes (listen addresses) over TCP. The driving process is the
     /// cluster's *coordinator*: it keeps the catalog, hosts the spout
     /// tasks and its share of the join/aggregation machines, and collects
@@ -171,7 +171,7 @@ impl SessionBuilder {
         S: Into<String>,
     {
         // An empty worker list is a misconfiguration; it surfaces as a
-        // typed InvalidPlan when a distributed query runs (no panics in
+        // typed InvalidPlan when a query runs (no panics in
         // the builder).
         self.config.cluster = Some(ClusterSpec::new(workers));
         self
@@ -199,7 +199,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Cost-based plan search per distributed query (default
+    /// Cost-based plan search per query (default
     /// [`OptimizerMode::On`]): join ordering by subset dynamic
     /// programming over [`Session::analyze`] statistics, plus per-scheme
     /// cost-model selection when no scheme is forced.
@@ -468,22 +468,18 @@ impl Session {
             self.config.machines, workers, self.config.batch_size
         ));
         if let Some(cluster) = &self.config.cluster {
-            if plan.is_distributed() {
-                let (names, parallelism, is_spout) = plan.node_layout(&self.config);
-                text.push_str(&format!(
-                    "cluster: {} peers over TCP (coordinator + {} workers)\n",
-                    cluster.workers.len() + 1,
-                    cluster.workers.len()
-                ));
-                text.push_str(&squall_runtime::describe_placement(
-                    &names,
-                    &parallelism,
-                    &is_spout,
-                    &cluster.peer_labels(),
-                ));
-            } else {
-                text.push_str("cluster: single-table query runs locally on the coordinator\n");
-            }
+            let (names, parallelism, is_spout) = plan.node_layout(&self.config);
+            text.push_str(&format!(
+                "cluster: {} peers over TCP (coordinator + {} workers)\n",
+                cluster.workers.len() + 1,
+                cluster.workers.len()
+            ));
+            text.push_str(&squall_runtime::describe_placement(
+                &names,
+                &parallelism,
+                &is_spout,
+                &cluster.peer_labels(),
+            ));
         }
         text.push_str(&self.views.describe(&self.config));
         Ok(text)

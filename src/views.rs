@@ -231,14 +231,6 @@ impl Session {
         }
     }
 
-    /// Names of the session's resident views, sorted.
-    pub fn view_names(&self) -> Vec<String> {
-        let views = self.views.lock();
-        let mut names: Vec<String> = views.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Tear a resident view down — `DROP MATERIALIZED VIEW <name>`. The
     /// live source queues close, the topology drains its shutdown
     /// cascade (locally and on cluster workers alike), and the view's

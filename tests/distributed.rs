@@ -147,6 +147,31 @@ fn distributed_aggregate_with_having_matches_local() {
     assert_reports_match(local_rs.report().unwrap(), dist_rs.report().unwrap());
 }
 
+#[test]
+fn single_table_aggregate_split_across_processes_matches_local() {
+    // One relation, no join to partition: the identity join task and the
+    // three aggregate shards are placed across the peers all the same.
+    let sql = "SELECT R.a, COUNT(*), SUM(R.b) FROM R WHERE R.b > 4 GROUP BY R.a";
+    let base = || Session::builder().machines(6).agg_parallelism(3).seed(11);
+    let mut local = rst_session(base());
+    let mut local_rs = local.sql(sql).unwrap();
+    let local_rows = local_rs.rows().to_vec();
+    assert!(local_rows.len() > 3);
+
+    let workers = spawn_workers(2);
+    let mut dist = rst_session(base().cluster(worker_addrs(&workers)));
+    std::mem::swap(dist.catalog_mut(), local.catalog_mut());
+    let mut dist_rs = dist.sql(sql).unwrap();
+    assert_eq!(dist_rs.rows(), local_rows);
+    for w in workers {
+        w.join();
+    }
+    let (local_report, dist_report) = (local_rs.report().unwrap(), dist_rs.report().unwrap());
+    assert_reports_match(local_report, dist_report);
+    assert_eq!(dist_report.loads.len(), 1, "one load counter: the identity join task");
+    assert!(dist_report.transport.is_some(), "a placed run reports its wire traffic");
+}
+
 /// Two ad-event streams for the windowed scenario.
 fn stream_session(builder: SessionBuilder) -> Session {
     let schema = Schema::of(&[("ad_id", DataType::Int), ("ts", DataType::Int)]);
@@ -347,9 +372,12 @@ fn explain_prints_cluster_placement_without_contacting_workers() {
     assert!(text.contains("@127.0.0.1:7401"), "{text}");
     assert!(text.contains("join:"), "{text}");
     assert!(text.contains("agg:"), "{text}");
-    // Single-table queries stay local and say so.
+    // A single-table query is a topology like any other: its one
+    // identity join task is placed, not special-cased.
     let text = s.explain("SELECT R.a FROM R").unwrap();
-    assert!(text.contains("runs locally on the coordinator"), "{text}");
+    assert!(text.contains("src-R: task 0 @coordinator"), "{text}");
+    assert!(text.contains("join: task 0 @"), "{text}");
+    assert!(!text.contains("runs locally"), "{text}");
 
     // Windowed aggregates place group-hash shards plus the ordered
     // merge sink — both must show up in the task→peer map.
