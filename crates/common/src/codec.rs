@@ -11,7 +11,7 @@
 //! Layering: this module knows [`Value`], [`Tuple`] and [`SquallError`]
 //! (the common types every message is made of). The runtime's transport
 //! layer composes these primitives into its own frame vocabulary
-//! (`Data` / `Eos` / `Abort` / …).
+//! (`Deliver` / `Abort` / …).
 
 use std::io::{Read, Write};
 use std::sync::Arc;

@@ -14,7 +14,7 @@
 //!  accept one Hello link per worker  ◀────── spouts live here), dial
 //!                                            every peer with Hello
 //!  launch_cluster(slice 0)                   launch_cluster(slice i)
-//!  … Data/Eos/Abort frames flow both ways, SinkRow/Done flow to the
+//!  … Deliver/Abort frames flow both ways, SinkRow/Done flow to the
 //!    coordinator; see squall_runtime::transport for the data plane …
 //! ```
 //!
@@ -1068,15 +1068,16 @@ mod tests {
 
     #[test]
     fn corrupt_job_is_a_typed_error() {
-        let job = |me: usize| JobSpec {
+        let base = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::Traditional, 2);
+        let job = |me: usize, cfg: &MultiwayConfig| JobSpec {
             me,
             peers: vec!["a".into(), "b".into()],
             spec: rst_spec(),
-            cfg: MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::Traditional, 2),
+            cfg: cfg.clone(),
             resume_epoch: 0,
             restore_join: Vec::new(),
         };
-        let mut bytes = job(1).encode();
+        let mut bytes = job(1, &base).encode();
         bytes.truncate(bytes.len() - 3);
         assert!(matches!(JobSpec::decode(&bytes), Err(SquallError::Codec(_))));
 
@@ -1085,8 +1086,28 @@ mod tests {
         // next good one.
         let addr = spawn_persistent_worker();
         for me in [0, 2] {
-            let payload = job(me).encode();
+            let payload = job(me, &base).encode();
             assert!(matches!(JobSpec::decode(&payload), Err(SquallError::Codec(_))), "me = {me}");
+            let mut conn = TcpStream::connect(&addr).unwrap();
+            Frame::Job { payload }.write_to(&mut conn).unwrap();
+        }
+        // So does a plan that decodes but cannot run: a group-by column the
+        // join output does not have (an index panic on a join task), a task
+        // count that sizing anything by would never return from.
+        let bad_group = base.clone().with_agg(AggPlan {
+            group_cols: vec![99],
+            aggs: vec![AggSpec::count()],
+            parallelism: 1,
+        });
+        let mut too_many = base.clone();
+        too_many.machines = 1 << 33;
+        for cfg in [bad_group, too_many] {
+            let payload = job(1, &cfg).encode();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut conn = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            Frame::Job { payload: payload.clone() }.write_to(&mut conn).unwrap();
+            let err = serve_job(&listener).unwrap_err();
+            assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
             let mut conn = TcpStream::connect(&addr).unwrap();
             Frame::Job { payload }.write_to(&mut conn).unwrap();
         }

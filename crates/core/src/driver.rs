@@ -316,12 +316,18 @@ pub(crate) struct RunContext {
     count_only: bool,
 }
 
+/// The most tasks a plan may ask of one component — the join's machines,
+/// an aggregate's shards, the worker pool's threads: low enough that a plan
+/// at the bound on every count still launches in seconds.
+const MAX_TASKS: usize = 1024;
+
 /// The plan checks [`wire_join_stage`] runs before building anything: one
-/// data stream per relation, a worker pool and an aggregate stage of at
-/// least one thread / task, and a window plan that is bounded, non-empty
-/// and names an in-range event-time column for every relation. A plan that
-/// fails here would otherwise panic — in the topology builder's asserts,
-/// inside a bolt factory, or dividing by a zero window width.
+/// data stream per relation, every task count in `1..=MAX_TASKS`, group-by
+/// columns the join output has, and a window plan that is bounded,
+/// non-empty and names an in-range event-time column for every relation. A
+/// plan that fails here would otherwise panic — in the topology builder's
+/// asserts, inside a bolt factory, routing by a missing column, or dividing
+/// by a zero window width — or never finish sizing its task tables.
 fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -> Result<()> {
     if n_streams != spec.n_relations() {
         return Err(SquallError::InvalidPlan(format!(
@@ -330,13 +336,24 @@ fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -
             n_streams
         )));
     }
-    // Either zero would trip an assert inside the topology builder, and a
-    // decoded `JobSpec` is wire input.
-    if cfg.worker_threads == Some(0) {
-        return Err(SquallError::InvalidPlan("worker_threads must be > 0".into()));
+    // A decoded `JobSpec` is wire input.
+    let counts = [
+        ("machines", Some(cfg.machines.max(1))),
+        ("worker_threads", cfg.worker_threads),
+        ("an aggregate's parallelism", cfg.agg.as_ref().map(|agg| agg.parallelism)),
+    ];
+    for (what, n) in counts {
+        if n.is_some_and(|n| n == 0 || n > MAX_TASKS) {
+            return Err(SquallError::InvalidPlan(format!("{what} must be in 1..={MAX_TASKS}")));
+        }
     }
-    if cfg.agg.as_ref().is_some_and(|agg| agg.parallelism == 0) {
-        return Err(SquallError::InvalidPlan("an aggregate's parallelism must be > 0".into()));
+    if let Some(agg) = &cfg.agg {
+        let arity: usize = spec.relations.iter().map(|r| r.schema.arity()).sum();
+        if let Some(c) = agg.group_cols.iter().find(|&&c| c >= arity) {
+            return Err(SquallError::InvalidPlan(format!(
+                "group-by column {c} out of range for a join output of {arity} columns"
+            )));
+        }
     }
     if let Some(w) = &cfg.window {
         match w.spec {
@@ -1090,14 +1107,24 @@ mod tests {
         let base = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
         let mut no_workers = base.clone();
         no_workers.worker_threads = Some(0);
-        let no_agg_tasks = base.with_agg(AggPlan {
-            group_cols: vec![0],
-            aggs: vec![AggSpec::count()],
-            parallelism: 0,
-        });
-        for cfg in [no_workers, no_agg_tasks] {
+        // Nor a count so large that sizing anything by it never returns, nor
+        // a group-by column the join output does not have (an index panic on
+        // the join task that routes by it).
+        let mut too_many = base.clone();
+        too_many.machines = 1 << 33;
+        let count = |group_cols, parallelism| {
+            base.clone().with_agg(AggPlan { group_cols, aggs: vec![AggSpec::count()], parallelism })
+        };
+        for cfg in [no_workers, count(vec![0], 0), too_many, count(vec![0], 1 << 33)] {
             let err = run_multiway(&spec, event_streams(10, 3, 2, 1), &cfg).unwrap_err();
             assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
+        }
+        let err = run_multiway(&spec, event_streams(10, 3, 2, 1), &count(vec![99], 1)).unwrap_err();
+        match err {
+            SquallError::InvalidPlan(m) => {
+                assert!(m.contains("99") && m.contains("4 columns"), "{m}")
+            }
+            other => panic!("expected InvalidPlan, got {other}"),
         }
     }
 

@@ -55,8 +55,8 @@ use squall_expr::MultiJoinSpec;
 use squall_join::{DBToasterJoin, GroupByAggregator, Snapshot, WindowSpec};
 use squall_partition::optimizer::build_scheme;
 use squall_runtime::{
-    Bolt, ClusterRun, Grouping, LiveItem, LiveQueue, LiveSpout, NodeId, OutputCollector, RunHandle,
-    RunOutcome, Spout, TaskWaker, Topology, TransportStats,
+    Bolt, ClusterRun, Grouping, LiveQueue, LiveSpout, NodeId, OutputCollector, RunHandle,
+    RunOutcome, Spout, SpoutPoll, TaskWaker, Topology, TransportStats,
 };
 
 use crate::checkpoint::{
@@ -739,9 +739,9 @@ pub(crate) fn assemble_standing(
             let queue = Arc::new(LiveQueue::new());
             if preload {
                 for t in &tuples {
-                    queue.push(LiveItem::Delta(tag_delta(t, 1, 1)));
+                    queue.push(SpoutPoll::Tuple(tag_delta(t, 1, 1)));
                 }
-                queue.push(LiveItem::Watermark(1));
+                queue.push(SpoutPoll::Watermark(1));
             }
             queues.push(Arc::clone(&queue));
             Box::new(move |_task| -> Box<dyn Spout> {
@@ -851,11 +851,11 @@ impl Resident {
     fn feed(&self, epoch: u64, rounds: &[DeltaRound]) {
         for (rel, rows, mult) in rounds {
             for row in rows {
-                self.queues[*rel].push(LiveItem::Delta(tag_delta(row, *mult, epoch)));
+                self.queues[*rel].push(SpoutPoll::Tuple(tag_delta(row, *mult, epoch)));
             }
         }
         for q in &self.queues {
-            q.push(LiveItem::Watermark(epoch));
+            q.push(SpoutPoll::Watermark(epoch));
         }
         self.wake_sources();
     }
@@ -984,7 +984,7 @@ impl StandingHandle {
     fn checkpoint(&mut self, epoch: u64) {
         let Some(rx) = self.run.blob_rx.as_ref() else { return };
         for q in &self.run.queues {
-            q.push(LiveItem::Barrier(epoch));
+            q.push(SpoutPoll::Barrier(epoch));
         }
         self.run.wake_sources();
         let deadline = Instant::now() + CHECKPOINT_DEADLINE;

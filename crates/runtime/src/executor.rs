@@ -25,10 +25,13 @@
 //! it fills, keeping the pipeline latency argument of §8.1 intact.
 //!
 //! ## Backpressure by yielding
-//! Inboxes have a capacity measured in messages. A sender whose flush
-//! pushes a target inbox over capacity does not block its worker thread:
-//! it registers itself on that inbox's waiter list and *parks* (returns
-//! control to the scheduler). When the consumer drains the inbox back to
+//! There is one queue on the data plane, `GateQueue`: a bolt task's
+//! inbox holds [`Message`]s, a peer link's egress queue (see
+//! [`crate::transport`]) holds frames, and both gate their producers the
+//! same way. The capacity is soft and measured in items. A sender whose
+//! flush pushes a queue over capacity does not block its worker thread: it
+//! registers itself on that queue's waiter list and *parks* (returns
+//! control to the scheduler). When the consumer drains the queue back to
 //! capacity it wakes the registered senders. A parked task consumes no
 //! worker; the pool keeps running everything else.
 //!
@@ -109,64 +112,78 @@ enum Poll {
 }
 
 // ---------------------------------------------------------------------
-// Inbox: bounded-by-yield MPSC queue
+// The gate queue: bounded-by-yield MPSC
 // ---------------------------------------------------------------------
 
-struct InboxInner {
-    queue: VecDeque<Message>,
-    /// Sender tasks parked until this inbox drains back to capacity.
+struct GateInner<T> {
+    queue: VecDeque<T>,
+    /// Sender tasks parked until this queue drains back to capacity.
     waiting_senders: Vec<TaskId>,
-    /// The owning task died without draining (operator panic): the
-    /// capacity gate is permanently open so senders can never park on a
-    /// queue nobody will ever pop.
+    /// The consumer is blocked in [`GateQueue::pop_wait`] (so `push` only
+    /// pays for a condvar wakeup when somebody is listening).
+    consumer_waiting: bool,
+    /// The consumer died without draining (operator panic): the capacity
+    /// gate is permanently open so senders can never park on a queue
+    /// nobody will ever pop.
     closed: bool,
 }
 
-/// A task's input queue. Pushes never block (the capacity bound is
-/// enforced by senders *yielding*, see the module docs), so punctuation
-/// and abort-draining can always make progress.
-pub(crate) struct Inbox {
-    inner: Mutex<InboxInner>,
-    /// Messages currently queued (mirror of `queue.len()` for lock-free
-    /// gate checks by senders).
+/// The one queue of the data plane (module docs, "Backpressure by
+/// yielding"). Pushes never block, so punctuation and abort-draining can
+/// always make progress. The single consumer either polls
+/// ([`GateQueue::pop`], a task) or blocks with a timeout
+/// ([`GateQueue::pop_wait`], a pump thread).
+pub(crate) struct GateQueue<T> {
+    inner: Mutex<GateInner<T>>,
+    cv: Condvar,
+    /// Items currently queued (mirror of `queue.len()` for lock-free gate
+    /// checks by senders).
     len: AtomicUsize,
     capacity: usize,
 }
 
-impl Inbox {
-    fn new(capacity: usize) -> Inbox {
+/// A task's input queue.
+pub(crate) type Inbox = GateQueue<Message>;
+
+impl<T> GateQueue<T> {
+    pub(crate) fn new(capacity: usize) -> GateQueue<T> {
         assert!(capacity > 0);
-        Inbox {
-            inner: Mutex::new(InboxInner {
+        GateQueue {
+            inner: Mutex::new(GateInner {
                 queue: VecDeque::new(),
                 waiting_senders: Vec::new(),
+                consumer_waiting: false,
                 closed: false,
             }),
+            cv: Condvar::new(),
             len: AtomicUsize::new(0),
             capacity,
         }
     }
 
-    /// Queue a message; returns the new depth. Never blocks.
-    pub(crate) fn push(&self, msg: Message) -> usize {
-        let mut inner = self.inner.lock().expect("inbox poisoned");
-        inner.queue.push_back(msg);
+    /// Queue an item; returns the new depth. Never blocks.
+    pub(crate) fn push(&self, item: T) -> usize {
+        let mut inner = self.inner.lock().expect("gate queue poisoned");
+        inner.queue.push_back(item);
         let depth = inner.queue.len();
         self.len.store(depth, Ordering::Release);
+        if inner.consumer_waiting {
+            self.cv.notify_one();
+        }
         depth
     }
 
-    /// True when the inbox is over its soft capacity (senders should park).
+    /// True when the queue is over its soft capacity (senders should park).
     pub(crate) fn over_capacity(&self) -> bool {
         self.len.load(Ordering::Acquire) > self.capacity
     }
 
-    /// Register `sender` to be woken when this inbox drains, *if* it is
+    /// Register `sender` to be woken when this queue drains, *if* it is
     /// still over capacity (checked under the lock so a concurrent drain
     /// cannot strand the sender). Returns whether it registered. A closed
-    /// inbox never registers anyone.
+    /// queue never registers anyone.
     pub(crate) fn register_waiter(&self, sender: TaskId) -> bool {
-        let mut inner = self.inner.lock().expect("inbox poisoned");
+        let mut inner = self.inner.lock().expect("gate queue poisoned");
         if inner.closed || inner.queue.len() <= self.capacity {
             return false;
         }
@@ -176,26 +193,36 @@ impl Inbox {
         true
     }
 
-    /// Permanently open the capacity gate (the owner died without
+    /// Permanently open the capacity gate (the consumer died without
     /// draining) and hand back every parked sender for the caller to wake.
-    fn close(&self) -> Vec<TaskId> {
-        let mut inner = self.inner.lock().expect("inbox poisoned");
+    pub(crate) fn close(&self) -> Vec<TaskId> {
+        let mut inner = self.inner.lock().expect("gate queue poisoned");
         inner.closed = true;
         std::mem::take(&mut inner.waiting_senders)
     }
 
-    /// Dequeue one message. When the pop brings the depth back to
-    /// capacity, the parked senders are drained into `wake` for the caller
-    /// to notify (outside the lock).
-    fn pop(&self, wake: &mut Vec<TaskId>) -> Option<Message> {
-        let mut inner = self.inner.lock().expect("inbox poisoned");
-        let msg = inner.queue.pop_front()?;
+    /// Dequeue one item without waiting. When the pop brings the depth
+    /// back to capacity, the parked senders are drained into `wake` for
+    /// the caller to notify (outside the lock).
+    pub(crate) fn pop(&self, wake: &mut Vec<TaskId>) -> Option<T> {
+        self.pop_wait(Duration::ZERO, wake)
+    }
+
+    /// [`GateQueue::pop`], waiting up to `timeout` for an item to arrive.
+    pub(crate) fn pop_wait(&self, timeout: Duration, wake: &mut Vec<TaskId>) -> Option<T> {
+        let mut inner = self.inner.lock().expect("gate queue poisoned");
+        if inner.queue.is_empty() && !timeout.is_zero() {
+            inner.consumer_waiting = true;
+            inner = self.cv.wait_timeout(inner, timeout).expect("gate queue poisoned").0;
+            inner.consumer_waiting = false;
+        }
+        let item = inner.queue.pop_front()?;
         let depth = inner.queue.len();
         self.len.store(depth, Ordering::Release);
         if depth <= self.capacity && !inner.waiting_senders.is_empty() {
             wake.append(&mut inner.waiting_senders);
         }
-        Some(msg)
+        Some(item)
     }
 }
 
@@ -235,7 +262,7 @@ impl Sched {
     /// `local` is the set of task ids this process hosts: they start
     /// queued; everything else is born `Done` (it lives on another peer —
     /// a stray wakeup for it is a no-op).
-    fn new(
+    pub(crate) fn new(
         n_tasks: usize,
         n_workers: usize,
         counters: Arc<SchedCounters>,
@@ -342,18 +369,20 @@ impl Sched {
 /// The operator half of a task cell.
 enum OperatorState {
     Spout(Box<dyn Spout>),
-    Bolt {
-        bolt: Box<dyn crate::topology::Bolt>,
-        inbox: Arc<Inbox>,
-        expected_eos: usize,
-        eos_seen: usize,
-        /// Checkpoint barriers seen per epoch; a bolt *aligns* on an epoch
-        /// once it has one barrier per upstream task (the same count as
-        /// `expected_eos`), then snapshots and forwards it.
-        barriers: BTreeMap<u64, usize>,
-        /// The bolt errored; keep draining, stop executing.
-        failed: bool,
-    },
+    Bolt(BoltState),
+}
+
+struct BoltState {
+    bolt: Box<dyn crate::topology::Bolt>,
+    inbox: Arc<Inbox>,
+    expected_eos: usize,
+    eos_seen: usize,
+    /// Checkpoint barriers seen per epoch; a bolt *aligns* on an epoch
+    /// once it has one barrier per upstream task (the same count as
+    /// `expected_eos`), then snapshots and forwards it.
+    barriers: BTreeMap<u64, usize>,
+    /// The bolt errored; keep draining, stop executing.
+    failed: bool,
 }
 
 /// One topology task as a pollable state machine: operator state, inbox
@@ -380,20 +409,8 @@ impl TaskCell {
             OperatorState::Spout(spout) => {
                 Self::poll_spout(spout, &mut self.out, self.id, self.budget, &self.shared)
             }
-            OperatorState::Bolt { bolt, inbox, expected_eos, eos_seen, barriers, failed } => {
-                Self::poll_bolt(
-                    bolt,
-                    inbox,
-                    expected_eos,
-                    eos_seen,
-                    barriers,
-                    failed,
-                    &mut self.out,
-                    self.id,
-                    self.budget,
-                    &self.shared,
-                    sched,
-                )
+            OperatorState::Bolt(b) => {
+                Self::poll_bolt(b, &mut self.out, self.id, self.budget, &self.shared, sched)
             }
         }
     }
@@ -412,43 +429,16 @@ impl TaskCell {
                 return Poll::Done;
             }
             match spout.poll() {
-                SpoutPoll::Tuple(t) => {
-                    out.emit(t);
-                    produced += 1;
-                    if out.park_if_gated(id) {
-                        return Poll::Park;
-                    }
-                    if produced >= budget {
-                        return Poll::Yield;
-                    }
-                }
-                SpoutPoll::Watermark(ts) => {
-                    out.emit_watermark(ts);
-                    produced += 1;
-                    if out.park_if_gated(id) {
-                        return Poll::Park;
-                    }
-                    if produced >= budget {
-                        return Poll::Yield;
-                    }
-                }
-                SpoutPoll::Barrier(epoch) => {
-                    out.emit_barrier(epoch);
-                    produced += 1;
-                    if out.park_if_gated(id) {
-                        return Poll::Park;
-                    }
-                    if produced >= budget {
-                        return Poll::Yield;
-                    }
-                }
+                SpoutPoll::Tuple(t) => out.emit(t),
+                SpoutPoll::Watermark(ts) => out.emit_watermark(ts),
+                SpoutPoll::Barrier(epoch) => out.emit_barrier(epoch),
                 SpoutPoll::Idle => {
                     // Resident source with nothing pending: ship any
                     // half-full batches so no delta waits on a sleeping
                     // task, then park until a writer wakes us. (If the
                     // flush overfilled a downstream, also register on its
                     // waiter list — parking is correct either way.)
-                    out.flush_buffers();
+                    out.flush_all(None);
                     let _ = out.park_if_gated(id);
                     return Poll::Park;
                 }
@@ -457,17 +447,18 @@ impl TaskCell {
                     return Poll::Done;
                 }
             }
+            produced += 1;
+            if out.park_if_gated(id) {
+                return Poll::Park;
+            }
+            if produced >= budget {
+                return Poll::Yield;
+            }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn poll_bolt(
-        bolt: &mut Box<dyn crate::topology::Bolt>,
-        inbox: &Arc<Inbox>,
-        expected_eos: &usize,
-        eos_seen: &mut usize,
-        barriers: &mut BTreeMap<u64, usize>,
-        failed: &mut bool,
+        b: &mut BoltState,
         out: &mut OutputCollector,
         id: TaskId,
         budget: usize,
@@ -477,83 +468,66 @@ impl TaskCell {
         let mut processed = 0usize;
         let mut wake = Vec::new();
         loop {
-            let msg = inbox.pop(&mut wake);
+            let msg = b.inbox.pop(&mut wake);
             for w in wake.drain(..) {
                 sched.notify(w);
             }
-            match msg {
-                None => {
-                    // All punctuation in: the stream is complete (the
-                    // inbox is a single FIFO, so every data message
-                    // preceded the final Eos).
-                    debug_assert!(*eos_seen < *expected_eos || *expected_eos == 0);
-                    if *eos_seen >= *expected_eos {
-                        Self::finish_bolt(bolt, out, failed, shared);
-                        return Poll::Done;
-                    }
-                    return Poll::Park; // woken by the next push
+            let Some(msg) = msg else {
+                // With all punctuation in, the stream is complete (the
+                // inbox is a single FIFO, so every data message preceded
+                // the final Eos).
+                if b.eos_seen >= b.expected_eos {
+                    Self::finish_bolt(b, out, shared);
+                    return Poll::Done;
                 }
-                Some(Message::Batch { origin, chunk }) => {
+                return Poll::Park; // woken by the next push
+            };
+            // A failed or aborted task drains and discards, so upstreams
+            // still terminate.
+            let live = !b.failed && !shared.abort.load(Ordering::Relaxed);
+            let mut result = Ok(());
+            match msg {
+                Message::Batch { origin, chunk } => {
                     out.counters().received.fetch_add(chunk.n_rows() as u64, Ordering::Relaxed);
                     processed += chunk.n_rows();
-                    if !*failed && !shared.abort.load(Ordering::Relaxed) {
-                        if let Err(e) = bolt.execute_chunk(origin, &chunk, out) {
-                            shared.raise(e);
-                            *failed = true;
-                        }
-                    } // else: drain-and-discard so upstreams terminate
-                    if out.park_if_gated(id) {
-                        return Poll::Park;
-                    }
-                    if processed >= budget {
-                        return Poll::Yield;
+                    if live {
+                        result = b.bolt.execute_chunk(origin, &chunk, out);
                     }
                 }
-                Some(Message::Watermark { origin, from_task, ts }) => {
+                Message::Watermark { origin, from_task, ts } => {
                     processed += 1;
-                    if !*failed && !shared.abort.load(Ordering::Relaxed) {
-                        if let Err(e) = bolt.watermark(origin, from_task, ts, out) {
-                            shared.raise(e);
-                            *failed = true;
-                        }
-                    }
-                    if out.park_if_gated(id) {
-                        return Poll::Park;
-                    }
-                    if processed >= budget {
-                        return Poll::Yield;
+                    if live {
+                        result = b.bolt.watermark(origin, from_task, ts, out);
                     }
                 }
-                Some(Message::Barrier { epoch }) => {
+                Message::Barrier { epoch } => {
                     processed += 1;
-                    let seen = barriers.entry(epoch).or_insert(0);
+                    let seen = b.barriers.entry(epoch).or_insert(0);
                     *seen += 1;
-                    if *seen >= *expected_eos {
+                    if *seen >= b.expected_eos {
                         // Aligned: one barrier per upstream task is in, so
                         // operator state reflects exactly epochs ≤ `epoch`.
-                        barriers.remove(&epoch);
-                        if !*failed && !shared.abort.load(Ordering::Relaxed) {
-                            if let Err(e) = bolt.barrier(epoch, out) {
-                                shared.raise(e);
-                                *failed = true;
-                            }
+                        b.barriers.remove(&epoch);
+                        if live {
+                            result = b.bolt.barrier(epoch, out);
                         }
                         shared.epoch.fetch_max(epoch, Ordering::Relaxed);
                     }
-                    if out.park_if_gated(id) {
-                        return Poll::Park;
-                    }
-                    if processed >= budget {
-                        return Poll::Yield;
-                    }
                 }
-                Some(Message::Eos) => {
-                    *eos_seen += 1;
-                    if *eos_seen >= *expected_eos {
-                        Self::finish_bolt(bolt, out, failed, shared);
-                        return Poll::Done;
-                    }
+                Message::Eos => {
+                    b.eos_seen += 1;
+                    continue; // the last one leaves the inbox empty: finished above
                 }
+            }
+            if let Err(e) = result {
+                shared.raise(e);
+                b.failed = true;
+            }
+            if out.park_if_gated(id) {
+                return Poll::Park;
+            }
+            if processed >= budget {
+                return Poll::Yield;
             }
         }
     }
@@ -565,18 +539,13 @@ impl TaskCell {
     fn poison(&mut self) -> Vec<TaskId> {
         match &self.op {
             OperatorState::Spout(_) => Vec::new(),
-            OperatorState::Bolt { inbox, .. } => inbox.close(),
+            OperatorState::Bolt(b) => b.inbox.close(),
         }
     }
 
-    fn finish_bolt(
-        bolt: &mut Box<dyn crate::topology::Bolt>,
-        out: &mut OutputCollector,
-        failed: &bool,
-        shared: &Shared,
-    ) {
-        if !*failed && !shared.abort.load(Ordering::Relaxed) {
-            if let Err(e) = bolt.finish(out) {
+    fn finish_bolt(b: &mut BoltState, out: &mut OutputCollector, shared: &Shared) {
+        if !b.failed && !shared.abort.load(Ordering::Relaxed) {
+            if let Err(e) = b.bolt.finish(out) {
                 shared.raise(e);
             }
         }
@@ -599,6 +568,15 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    pub(crate) fn new() -> Shared {
+        Shared {
+            abort: AtomicBool::new(false),
+            epoch: AtomicU64::new(0),
+            error: Mutex::new(None),
+            finished_at: Mutex::new(None),
+        }
+    }
+
     pub(crate) fn raise(&self, e: SquallError) {
         let mut slot = self.error.lock().expect("error slot poisoned");
         if slot.is_none() {
@@ -826,12 +804,7 @@ impl Topology {
         let batch_size = self.batch_size.max(1);
         let budget = poll_budget(batch_size);
 
-        let shared = Arc::new(Shared {
-            abort: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
-            error: Mutex::new(None),
-            finished_at: Mutex::new(None),
-        });
+        let shared = Arc::new(Shared::new());
 
         // Dense task ids: tasks of node 0, then node 1, …
         let mut first_task: Vec<TaskId> = Vec::with_capacity(n_nodes);
@@ -858,7 +831,6 @@ impl Topology {
         }
 
         let (sink_tx, sink_rx) = channel::<(NodeId, Tuple)>();
-        let sinks = self.sinks();
 
         // Expected EOS per node = total upstream tasks — a *global* count:
         // remote upstreams punctuate over the wire, so termination counts
@@ -917,7 +889,6 @@ impl Topology {
         let start = Instant::now();
         let mut cells: Vec<Mutex<Option<TaskCell>>> = Vec::with_capacity(total_tasks);
         for (node_id, node) in self.nodes.into_iter().enumerate() {
-            let is_sink = sinks.contains(&node_id);
             for task in 0..node.parallelism {
                 let id = first_task[node_id] + task;
                 if !is_local(id) {
@@ -945,7 +916,6 @@ impl Topology {
                     task,
                     edges,
                     sink_tx.clone(),
-                    is_sink,
                     counters,
                     batch_size,
                     Arc::clone(&sched),
@@ -953,14 +923,14 @@ impl Topology {
                 );
                 let op = match &node.kind {
                     NodeKind::Spout(factory) => OperatorState::Spout(factory(task)),
-                    NodeKind::Bolt(factory) => OperatorState::Bolt {
+                    NodeKind::Bolt(factory) => OperatorState::Bolt(BoltState {
                         bolt: factory(task),
                         inbox: Arc::clone(inboxes[id].as_ref().expect("bolt inbox")),
                         expected_eos: expected_eos[node_id],
                         eos_seen: 0,
                         barriers: BTreeMap::new(),
                         failed: false,
-                    },
+                    }),
                 };
                 cells.push(Mutex::new(Some(TaskCell {
                     id,
@@ -1082,6 +1052,109 @@ mod tests {
 
     fn int_spout(lo: i64, hi: i64) -> impl Fn(usize) -> Box<dyn crate::topology::Spout> {
         move |_task| Box::new(IterSpout((lo..hi).map(|i| tuple![i])))
+    }
+
+    /// One step of a gate-queue schedule.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push,
+        Pop,
+        PopWait,
+        Register(TaskId),
+        Close,
+    }
+
+    /// Drive a `GateQueue` and a `VecDeque` model through `ops`, checking
+    /// after every step that the queue is FIFO, that a sender registers
+    /// only while the queue is over capacity and open, and that every
+    /// registered sender is handed back exactly once — by the pop that
+    /// brings the depth back to capacity, or by `close` — never stranded.
+    fn check_gate_queue(capacity: usize, ops: impl IntoIterator<Item = Op>) {
+        let q = GateQueue::new(capacity);
+        let mut model = VecDeque::new();
+        let (mut parked, mut closed, mut next) = (Vec::new(), false, 0u64);
+        for op in ops {
+            // What the step hands back, and what the model says it should.
+            let (mut woken, mut expected) = (Vec::new(), Vec::new());
+            match op {
+                Op::Push => {
+                    model.push_back(next);
+                    assert_eq!(q.push(next), model.len());
+                    next += 1;
+                }
+                Op::Pop | Op::PopWait => {
+                    let got = match op {
+                        Op::Pop => q.pop(&mut woken),
+                        _ => q.pop_wait(Duration::from_micros(50), &mut woken),
+                    };
+                    assert_eq!(got, model.pop_front());
+                    if got.is_some() && model.len() <= capacity {
+                        expected = std::mem::take(&mut parked);
+                    }
+                }
+                Op::Register(sender) => {
+                    let over = !closed && model.len() > capacity;
+                    assert_eq!(q.register_waiter(sender), over, "{op:?} at depth {}", model.len());
+                    if over && !parked.contains(&sender) {
+                        parked.push(sender);
+                    }
+                }
+                Op::Close => {
+                    closed = true;
+                    woken = q.close();
+                    expected = std::mem::take(&mut parked);
+                }
+            }
+            assert_eq!(woken, expected, "{op:?} at depth {}", model.len());
+            assert!(
+                parked.is_empty() || (model.len() > capacity && !closed),
+                "stranded {parked:?}"
+            );
+            assert_eq!(q.over_capacity(), model.len() > capacity);
+        }
+    }
+
+    #[test]
+    fn gate_queue_matches_model_on_seeded_schedules() {
+        // The egress-queue script: overfill, park a sender, the pop back to
+        // capacity releases it, and below capacity registration declines.
+        use Op::*;
+        check_gate_queue(2, [Push, Push, Push, Register(7), PopWait, Register(7)]);
+        for seed in 0..200u64 {
+            let mut rng = squall_common::SplitMix64::new(seed);
+            let capacity = 1 + rng.next_below(4);
+            // Bias towards pushes early and pops late so schedules cross the
+            // capacity line in both directions; close at most once, late.
+            let ops: Vec<Op> = (0..300)
+                .map(|i| match rng.next_below(20) {
+                    0..=7 if i < 150 => Push,
+                    0..=4 => Push,
+                    5..=11 => Pop,
+                    12 => PopWait,
+                    13 if i > 250 && seed % 3 == 0 => Close,
+                    _ => Register(rng.next_below(5)),
+                })
+                .collect();
+            check_gate_queue(capacity, ops);
+        }
+    }
+
+    #[test]
+    fn gate_queue_push_wakes_a_waiting_consumer() {
+        let q = Arc::new(GateQueue::new(1));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop_wait(Duration::from_secs(30), &mut Vec::new()))
+        };
+        // Push only once the consumer is blocked (it raises the flag under
+        // the lock its wait then releases), so the wakeup is what is tested.
+        while !q.inner.lock().unwrap().consumer_waiting {
+            std::thread::yield_now();
+        }
+        let start = Instant::now();
+        q.push(5u64);
+        assert_eq!(consumer.join().unwrap(), Some(5));
+        assert!(start.elapsed() < Duration::from_secs(10), "push did not wake the consumer");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod transport;
 
 pub use executor::{RunHandle, RunOutcome, TaskId, TaskWaker};
 pub use grouping::{CustomGrouping, Grouping};
-pub use live::{LiveItem, LiveQueue, LiveSpout};
+pub use live::{LiveQueue, LiveSpout};
 pub use message::NodeId;
 pub use metrics::{MetricsSnapshot, NodeMetrics, SchedulerStats};
 pub use topology::{

@@ -1,10 +1,13 @@
 //! Live, externally-fed sources for **resident** topologies.
 //!
 //! A standing materialized view keeps its topology up after the initial
-//! load: each source relation is backed by a [`LiveQueue`] that an
-//! external writer (the session's `append`/`retract` path) pushes
-//! [`LiveItem`]s into, and a [`LiveSpout`] that drains the queue from
-//! inside the worker pool. When the queue is empty the spout reports
+//! load: each source relation is backed by a [`LiveQueue`], which holds the
+//! very [`SpoutPoll`] items its spout will report, pushed by an external
+//! writer (the session's `append`/`retract` path) — `Tuple` deltas (the
+//! tuple already carries its trailing multiplicity/epoch bookkeeping
+//! columns; the live data plane is payload-agnostic), epoch `Watermark`s
+//! and checkpoint `Barrier`s — and by a [`LiveSpout`] that drains the queue
+//! from inside the worker pool. When the queue is empty the spout reports
 //! [`SpoutPoll::Idle`] and its task parks — no Eos, no busy loop — until
 //! the writer wakes it through a [`crate::executor::TaskWaker`]. Closing
 //! the queue (`DROP MATERIALIZED VIEW`) turns the next poll into
@@ -14,27 +17,10 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use squall_common::Tuple;
-
 use crate::topology::{Spout, SpoutPoll};
 
-/// One item queued on a live source.
-#[derive(Debug, Clone)]
-pub enum LiveItem {
-    /// A data delta: the tuple already carries its trailing
-    /// multiplicity/epoch bookkeeping columns (the live data plane is
-    /// payload-agnostic).
-    Delta(Tuple),
-    /// An epoch watermark to broadcast downstream after the deltas that
-    /// precede it in the queue.
-    Watermark(u64),
-    /// A checkpoint barrier to broadcast downstream after the epoch
-    /// watermark it seals (see [`crate::message::Message::Barrier`]).
-    Barrier(u64),
-}
-
 struct LiveState {
-    queue: VecDeque<LiveItem>,
+    queue: VecDeque<SpoutPoll>,
     closed: bool,
 }
 
@@ -62,7 +48,7 @@ impl LiveQueue {
 
     /// Queue one item. Pushes to a closed queue are dropped silently (the
     /// view is shutting down; the topology will never poll them).
-    pub fn push(&self, item: LiveItem) {
+    pub fn push(&self, item: SpoutPoll) {
         let mut inner = self.inner.lock().expect("live queue poisoned");
         if !inner.closed {
             inner.queue.push_back(item);
@@ -76,25 +62,10 @@ impl LiveQueue {
         self.inner.lock().expect("live queue poisoned").closed = true;
     }
 
-    /// Items currently queued (diagnostics).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("live queue poisoned").queue.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn pop(&self) -> SpoutPoll {
         let mut inner = self.inner.lock().expect("live queue poisoned");
-        match inner.queue.pop_front() {
-            Some(LiveItem::Delta(t)) => SpoutPoll::Tuple(t),
-            Some(LiveItem::Watermark(ts)) => SpoutPoll::Watermark(ts),
-            Some(LiveItem::Barrier(epoch)) => SpoutPoll::Barrier(epoch),
-            None if inner.closed => SpoutPoll::Eos,
-            None => SpoutPoll::Idle,
-        }
+        let dry = if inner.closed { SpoutPoll::Eos } else { SpoutPoll::Idle };
+        inner.queue.pop_front().unwrap_or(dry)
     }
 }
 
@@ -126,13 +97,13 @@ mod tests {
     #[test]
     fn pops_in_order_and_idles_when_dry() {
         let q = std::sync::Arc::new(LiveQueue::new());
-        q.push(LiveItem::Delta(tuple![1]));
-        q.push(LiveItem::Watermark(7));
+        q.push(SpoutPoll::Tuple(tuple![1]));
+        q.push(SpoutPoll::Watermark(7));
         let mut s = LiveSpout::new(std::sync::Arc::clone(&q));
         assert!(matches!(s.poll(), SpoutPoll::Tuple(_)));
         assert!(matches!(s.poll(), SpoutPoll::Watermark(7)));
         assert!(matches!(s.poll(), SpoutPoll::Idle));
-        q.push(LiveItem::Delta(tuple![2]));
+        q.push(SpoutPoll::Tuple(tuple![2]));
         assert!(matches!(s.poll(), SpoutPoll::Tuple(_)));
         q.close();
         assert!(matches!(s.poll(), SpoutPoll::Eos));
@@ -141,9 +112,9 @@ mod tests {
     #[test]
     fn close_delivers_queued_items_first() {
         let q = std::sync::Arc::new(LiveQueue::new());
-        q.push(LiveItem::Delta(tuple![1]));
+        q.push(SpoutPoll::Tuple(tuple![1]));
         q.close();
-        q.push(LiveItem::Delta(tuple![2])); // dropped: queue already closed
+        q.push(SpoutPoll::Tuple(tuple![2])); // dropped: queue already closed
         let mut s = LiveSpout::new(std::sync::Arc::clone(&q));
         assert!(matches!(s.poll(), SpoutPoll::Tuple(_)));
         assert!(matches!(s.poll(), SpoutPoll::Eos));

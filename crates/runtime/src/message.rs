@@ -1,4 +1,7 @@
-//! Messages exchanged between tasks.
+//! The one message exchanged between tasks: what a bolt's inbox queues,
+//! what [`crate::Transport::send`] takes, and — behind a target task id, as
+//! [`crate::Frame::Deliver`] — what crosses the wire (its byte layout lives
+//! beside the frame's, in [`crate::transport`]).
 
 use squall_common::Chunk;
 
@@ -6,7 +9,7 @@ use squall_common::Chunk;
 /// addressed as `(NodeId, task_index)`.
 pub type NodeId = usize;
 
-/// A message on a task's inbox.
+/// A task-to-task message.
 ///
 /// The data plane is *batched and columnar*: senders route tuples per-row
 /// into per-target [`ChunkBuilder`](squall_common::ChunkBuilder) scatter

@@ -15,9 +15,10 @@ use crate::transport::Transport;
 
 /// What a spout produced on one poll. Bounded sources only ever report
 /// [`SpoutPoll::Tuple`] and [`SpoutPoll::Eos`]; *resident* sources —
-/// standing materialized views — additionally use [`SpoutPoll::Idle`] to
-/// park without terminating and [`SpoutPoll::Watermark`] /
-/// [`SpoutPoll::Barrier`] to punctuate epochs.
+/// standing materialized views, whose [`crate::LiveQueue`] holds these
+/// items as pushed — additionally use [`SpoutPoll::Idle`] to park without
+/// terminating and [`SpoutPoll::Watermark`] / [`SpoutPoll::Barrier`] to
+/// punctuate epochs.
 pub enum SpoutPoll {
     /// One data tuple to emit downstream.
     Tuple(Tuple),
@@ -432,7 +433,6 @@ pub struct OutputCollector {
     task: usize,
     edges: Vec<EdgeOut>,
     sink: Sender<(NodeId, Tuple)>,
-    is_sink: bool,
     counters: Arc<TaskCounters>,
     scratch: Vec<usize>,
     batch_size: usize,
@@ -468,7 +468,6 @@ impl OutputCollector {
         task: usize,
         edges: Vec<EdgeOut>,
         sink: Sender<(NodeId, Tuple)>,
-        is_sink: bool,
         counters: Arc<TaskCounters>,
         batch_size: usize,
         sched: Arc<Sched>,
@@ -479,7 +478,6 @@ impl OutputCollector {
             task,
             edges,
             sink,
-            is_sink,
             counters,
             scratch: Vec::with_capacity(8),
             batch_size,
@@ -492,9 +490,10 @@ impl OutputCollector {
     /// Emit one tuple downstream (or to the query output for sinks).
     pub fn emit(&mut self, tuple: Tuple) {
         self.counters.emitted.fetch_add(1, Ordering::Relaxed);
-        if self.is_sink {
-            // Output channel is unbounded; ignore disconnects (the caller
-            // may have stopped listening after an abort).
+        if self.edges.is_empty() {
+            // A sink node. The output channel is unbounded; ignore
+            // disconnects (the caller may have stopped listening after an
+            // abort).
             let _ = self.sink.send((self.node, tuple));
             return;
         }
@@ -524,46 +523,32 @@ impl OutputCollector {
     /// about all future emissions, so every consumer needs it). Each
     /// target's scatter buffer is flushed first, which keeps the
     /// data-before-watermark order that windowed aggregation relies on.
-    /// No-op on sink nodes — the query output channel carries rows only.
+    /// No-op on sink nodes (no outgoing edges) — the query output channel
+    /// carries rows only.
     pub fn emit_watermark(&mut self, ts: u64) {
-        if self.is_sink {
-            return;
-        }
-        for edge in &mut self.edges {
-            for target in &mut edge.targets {
-                flush_target(self.node, target, &*self.transport, &mut self.gated);
-                self.transport.send(
-                    target.task,
-                    Message::Watermark { origin: self.node, from_task: self.task, ts },
-                );
-            }
-        }
+        self.flush_all(Some(Message::Watermark { origin: self.node, from_task: self.task, ts }));
     }
 
     /// Broadcast a checkpoint barrier to *every* downstream task of every
     /// outgoing edge, exactly like [`OutputCollector::emit_watermark`]:
     /// scatter buffers flush first, so the barrier follows all of this
     /// task's earlier data (the FIFO ordering that makes alignment exact).
-    /// No-op on sink nodes.
     pub fn emit_barrier(&mut self, epoch: u64) {
-        if self.is_sink {
-            return;
-        }
-        for edge in &mut self.edges {
-            for target in &mut edge.targets {
-                flush_target(self.node, target, &*self.transport, &mut self.gated);
-                self.transport.send(target.task, Message::Barrier { epoch });
-            }
-        }
+        self.flush_all(Some(Message::Barrier { epoch }));
     }
 
-    /// Flush every scatter buffer without punctuating. Resident spouts call
-    /// this before parking idle so no delta sits in a half-full batch while
-    /// the task sleeps.
-    pub(crate) fn flush_buffers(&mut self) {
+    /// The one flush-then-send loop: ship every target's scatter buffer
+    /// and, behind it, that target's copy of `punctuation` if there is
+    /// one. With `None` it only flushes — resident spouts do that before
+    /// parking idle, so no delta sits in a half-full batch while the task
+    /// sleeps.
+    pub(crate) fn flush_all(&mut self, punctuation: Option<Message>) {
         for edge in &mut self.edges {
             for target in &mut edge.targets {
                 flush_target(self.node, target, &*self.transport, &mut self.gated);
+                if let Some(msg) = &punctuation {
+                    self.transport.send(target.task, msg.clone());
+                }
             }
         }
     }
@@ -572,13 +557,7 @@ impl OutputCollector {
     /// one `Eos`. Punctuation ignores capacity — termination must always
     /// make progress.
     pub(crate) fn flush_and_punctuate(&mut self) {
-        let mut ignored = false;
-        for edge in &mut self.edges {
-            for target in &mut edge.targets {
-                flush_target(self.node, target, &*self.transport, &mut ignored);
-                self.transport.send(target.task, Message::Eos);
-            }
-        }
+        self.flush_all(Some(Message::Eos));
         self.gated = false;
     }
 

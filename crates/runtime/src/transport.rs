@@ -8,41 +8,44 @@
 //!   inbox push plus a scheduler wakeup (exactly the pre-transport
 //!   behaviour, and the default for [`crate::Topology::launch`]);
 //! * [`TcpTransport`] — tasks are partitioned across peer processes by a
-//!   [`Placement`]; a local target is an inbox push, a remote target is
-//!   routed into that peer's bounded **egress queue**, from which a send
-//!   pump thread writes length-prefixed [`Frame`]s onto an established
-//!   TCP stream. A recv pump per inbound stream pushes arriving batches
-//!   into local inboxes.
+//!   [`Placement`]; a local target is an inbox push, a remote target's
+//!   message is wrapped as [`Frame::Deliver`] and pushed onto that peer's
+//!   bounded **egress queue** — the same `GateQueue` a local inbox is —
+//!   from which a send pump thread writes length-prefixed [`Frame`]s onto
+//!   an established TCP stream. A recv pump per inbound stream unwraps
+//!   each arriving `Deliver` and hands its message to the local backend.
 //!
 //! Backpressure composes across the wire: a task that overfills an egress
-//! queue parks exactly like one that overfills a local inbox; the send
-//! pump blocks on the socket when the peer falls behind; the peer's recv
-//! pump stops reading while the destination inbox is over capacity. The
-//! topology is a DAG, so each wait chain points strictly downstream and
-//! terminates at a sink — no distributed cycle can form.
+//! queue parks exactly like one that overfills a local inbox (it is the
+//! same queue); the send pump blocks on the socket when the peer falls
+//! behind; the peer's recv pump stops reading while the destination inbox
+//! is over capacity. The topology is a DAG, so each wait chain points
+//! strictly downstream and terminates at a sink — no distributed cycle
+//! can form.
 //!
-//! Termination and failure punctuation travel the same path as data:
-//! `Eos` and `Watermark` frames are forwarded per (sender task → target
-//! task) edge — ordered after that sender's earlier data — so a bolt's
-//! end-of-stream count and a windowed aggregate's window-closing decisions
-//! are identical to a single-process run, and a
-//! raised abort (e.g. [`SquallError::MemoryOverflow`]) is broadcast as an
-//! `Abort` frame by every send pump, so remote spouts stop and every
-//! slice drains exactly like the local abort path.
+//! There is one task-to-task message, [`Message`], and one frame that
+//! carries it, so termination and progress punctuation travel the same
+//! path as data: a sender's `Eos`, `Watermark` and `Barrier` are delivered
+//! per (sender task → target task) edge, ordered after that sender's
+//! earlier data, so a bolt's end-of-stream count, a windowed aggregate's
+//! window-closing decisions and barrier alignment are identical to a
+//! single-process run. A raised abort (e.g.
+//! [`SquallError::MemoryOverflow`]) is broadcast as an `Abort` frame by
+//! every send pump, so remote spouts stop and every slice drains exactly
+//! like the local abort path.
 
-use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use squall_common::codec::{self, Reader};
-use squall_common::{Chunk, Result, SquallError, Tuple};
+use squall_common::{Result, SquallError, Tuple};
 
-use crate::executor::{Inbox, Sched, Shared, TaskId};
+use crate::executor::{GateQueue, Inbox, Sched, Shared, TaskId};
 use crate::message::{Message, NodeId};
 use crate::metrics::{MetricsSnapshot, NodeMetrics, SchedulerStats};
 
@@ -87,6 +90,11 @@ pub struct LocalTransport {
 impl LocalTransport {
     pub(crate) fn new(inboxes: Vec<Option<Arc<Inbox>>>, sched: Arc<Sched>) -> LocalTransport {
         LocalTransport { inboxes, sched }
+    }
+
+    /// Does task `to` have an inbox in this process?
+    fn hosts(&self, to: TaskId) -> bool {
+        self.inboxes.get(to).is_some_and(|i| i.is_some())
     }
 
     fn inbox(&self, to: TaskId) -> &Arc<Inbox> {
@@ -209,22 +217,14 @@ pub enum Frame {
     Hello { peer: usize },
     /// Coordinator → worker: the serialized query plan slice.
     Job { payload: Vec<u8> },
-    /// A routed batch for one target task, shipped in the columnar chunk
-    /// layout (one length-prefixed column blob per field — see
-    /// [`codec::put_chunk`]).
-    Data { to_task: TaskId, origin: NodeId, chunk: Chunk },
-    /// One upstream task's end-of-stream punctuation for one target task.
-    Eos { to_task: TaskId },
-    /// One upstream task's event-time watermark for one target task: every
-    /// later `Data` tuple from `(origin, from_task)` carries event time ≥
-    /// `ts`. Ordered after that sender's earlier data on the link, exactly
-    /// like `Eos` — windowed aggregation closes windows on it.
-    Watermark { to_task: TaskId, origin: NodeId, from_task: usize, ts: u64 },
-    /// One upstream task's checkpoint barrier for one target task. Ordered
-    /// after that sender's earlier data on the link, exactly like `Eos`
-    /// and `Watermark` — barrier alignment across the wire is identical to
-    /// a single-process run.
-    Barrier { to_task: TaskId, epoch: u64 },
+    /// One task-to-task [`Message`] for task `to_task` — the whole data
+    /// plane: a routed batch (shipped in the columnar chunk layout, one
+    /// length-prefixed column blob per field — see [`codec::put_chunk`]),
+    /// or one upstream task's `Eos` / `Watermark` / `Barrier` punctuation.
+    /// A link is FIFO, so punctuation stays ordered after its sender's
+    /// earlier data and end-of-stream counts, window closing and barrier
+    /// alignment across the wire are identical to a single-process run.
+    Deliver { to_task: TaskId, msg: Message },
     /// Liveness beacon: the sender is alive and its bolts have aligned on
     /// checkpoint epochs up to `epoch`. Sent on otherwise-idle links when
     /// the failure detector is armed; receiving one refreshes the link's
@@ -296,6 +296,56 @@ fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot> {
     Ok(MetricsSnapshot { nodes, scheduler })
 }
 
+/// The one place a [`Message`] meets the wire: its frame tag, the target
+/// task, then the kind's own fields.
+impl Message {
+    fn put(&self, to_task: TaskId, buf: &mut Vec<u8>) {
+        let mut head = |tag: u8| {
+            codec::put_u8(buf, tag);
+            codec::put_u32(buf, to_task as u32);
+        };
+        match self {
+            Message::Batch { origin, chunk } => {
+                head(FRAME_DATA);
+                codec::put_u32(buf, *origin as u32);
+                codec::put_chunk(buf, chunk);
+            }
+            Message::Eos => head(FRAME_EOS),
+            Message::Watermark { origin, from_task, ts } => {
+                head(FRAME_WATERMARK);
+                codec::put_u32(buf, *origin as u32);
+                codec::put_u32(buf, *from_task as u32);
+                codec::put_u64(buf, *ts);
+            }
+            Message::Barrier { epoch } => {
+                head(FRAME_BARRIER);
+                codec::put_u64(buf, *epoch);
+            }
+        }
+    }
+
+    /// Decode the message behind frame tag `tag`, and its target task.
+    fn get(tag: u8, r: &mut Reader<'_>) -> Result<(TaskId, Message)> {
+        Ok(match tag {
+            FRAME_DATA => (
+                r.u32()? as TaskId,
+                Message::Batch { origin: r.u32()? as NodeId, chunk: codec::get_chunk(r)? },
+            ),
+            FRAME_EOS => (r.u32()? as TaskId, Message::Eos),
+            FRAME_WATERMARK => (
+                r.u32()? as TaskId,
+                Message::Watermark {
+                    origin: r.u32()? as NodeId,
+                    from_task: r.u32()? as usize,
+                    ts: r.u64()?,
+                },
+            ),
+            FRAME_BARRIER => (r.u32()? as TaskId, Message::Barrier { epoch: r.u64()? }),
+            tag => return Err(SquallError::Codec(format!("unknown frame tag {tag}"))),
+        })
+    }
+}
+
 impl Frame {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -308,28 +358,7 @@ impl Frame {
                 codec::put_u8(&mut buf, FRAME_JOB);
                 codec::put_bytes(&mut buf, payload);
             }
-            Frame::Data { to_task, origin, chunk } => {
-                codec::put_u8(&mut buf, FRAME_DATA);
-                codec::put_u32(&mut buf, *to_task as u32);
-                codec::put_u32(&mut buf, *origin as u32);
-                codec::put_chunk(&mut buf, chunk);
-            }
-            Frame::Eos { to_task } => {
-                codec::put_u8(&mut buf, FRAME_EOS);
-                codec::put_u32(&mut buf, *to_task as u32);
-            }
-            Frame::Watermark { to_task, origin, from_task, ts } => {
-                codec::put_u8(&mut buf, FRAME_WATERMARK);
-                codec::put_u32(&mut buf, *to_task as u32);
-                codec::put_u32(&mut buf, *origin as u32);
-                codec::put_u32(&mut buf, *from_task as u32);
-                codec::put_u64(&mut buf, *ts);
-            }
-            Frame::Barrier { to_task, epoch } => {
-                codec::put_u8(&mut buf, FRAME_BARRIER);
-                codec::put_u32(&mut buf, *to_task as u32);
-                codec::put_u64(&mut buf, *epoch);
-            }
+            Frame::Deliver { to_task, msg } => msg.put(*to_task, &mut buf),
             Frame::Heartbeat { epoch } => {
                 codec::put_u8(&mut buf, FRAME_HEARTBEAT);
                 codec::put_u64(&mut buf, *epoch);
@@ -376,19 +405,6 @@ impl Frame {
         let frame = match r.u8()? {
             FRAME_HELLO => Frame::Hello { peer: r.u32()? as usize },
             FRAME_JOB => Frame::Job { payload: r.bytes()? },
-            FRAME_DATA => Frame::Data {
-                to_task: r.u32()? as TaskId,
-                origin: r.u32()? as NodeId,
-                chunk: codec::get_chunk(&mut r)?,
-            },
-            FRAME_EOS => Frame::Eos { to_task: r.u32()? as TaskId },
-            FRAME_WATERMARK => Frame::Watermark {
-                to_task: r.u32()? as TaskId,
-                origin: r.u32()? as NodeId,
-                from_task: r.u32()? as usize,
-                ts: r.u64()?,
-            },
-            FRAME_BARRIER => Frame::Barrier { to_task: r.u32()? as TaskId, epoch: r.u64()? },
             FRAME_HEARTBEAT => Frame::Heartbeat { epoch: r.u64()? },
             FRAME_SNAPSHOT_BLOB => Frame::SnapshotBlob {
                 role: r.u8()?,
@@ -410,7 +426,11 @@ impl Frame {
                 Frame::Done { metrics, error }
             }
             FRAME_GOODBYE => Frame::Goodbye,
-            tag => return Err(SquallError::Codec(format!("unknown frame tag {tag}"))),
+            // Every other tag is a message's, or nobody's.
+            tag => {
+                let (to_task, msg) = Message::get(tag, &mut r)?;
+                Frame::Deliver { to_task, msg }
+            }
         };
         r.finish()?;
         Ok(frame)
@@ -439,77 +459,12 @@ impl Frame {
 // Egress queues
 // ---------------------------------------------------------------------
 
-pub(crate) enum EgressItem {
-    Frame(Frame),
-    /// All local producers are done; drain and close the stream.
-    Close,
-}
-
-struct EgressInner {
-    queue: VecDeque<EgressItem>,
-    waiting_senders: Vec<TaskId>,
-}
-
-/// The bounded per-peer outbound queue. Producer tasks push without
-/// blocking (parking cooperatively when over capacity, exactly like a
-/// local inbox); the single consumer is the peer's send pump thread,
-/// which *does* block — it has nothing else to do.
-pub(crate) struct EgressQueue {
-    inner: Mutex<EgressInner>,
-    cv: Condvar,
-    len: AtomicUsize,
-    capacity: usize,
-}
-
-impl EgressQueue {
-    fn new(capacity: usize) -> EgressQueue {
-        assert!(capacity > 0);
-        EgressQueue {
-            inner: Mutex::new(EgressInner { queue: VecDeque::new(), waiting_senders: Vec::new() }),
-            cv: Condvar::new(),
-            len: AtomicUsize::new(0),
-            capacity,
-        }
-    }
-
-    pub(crate) fn push(&self, item: EgressItem) {
-        let mut inner = self.inner.lock().expect("egress poisoned");
-        inner.queue.push_back(item);
-        self.len.store(inner.queue.len(), Ordering::Release);
-        self.cv.notify_one();
-    }
-
-    fn over_capacity(&self) -> bool {
-        self.len.load(Ordering::Acquire) > self.capacity
-    }
-
-    fn register_waiter(&self, sender: TaskId) -> bool {
-        let mut inner = self.inner.lock().expect("egress poisoned");
-        if inner.queue.len() <= self.capacity {
-            return false;
-        }
-        if !inner.waiting_senders.contains(&sender) {
-            inner.waiting_senders.push(sender);
-        }
-        true
-    }
-
-    /// Pop the next item, waiting up to `timeout`. Parked producers that
-    /// the pop released are handed back in `wake`.
-    fn pop_wait(&self, timeout: Duration, wake: &mut Vec<TaskId>) -> Option<EgressItem> {
-        let mut inner = self.inner.lock().expect("egress poisoned");
-        if inner.queue.is_empty() {
-            let (guard, _) = self.cv.wait_timeout(inner, timeout).expect("egress cv poisoned");
-            inner = guard;
-        }
-        let item = inner.queue.pop_front()?;
-        self.len.store(inner.queue.len(), Ordering::Release);
-        if inner.queue.len() <= self.capacity && !inner.waiting_senders.is_empty() {
-            wake.append(&mut inner.waiting_senders);
-        }
-        Some(item)
-    }
-}
+/// The bounded per-peer outbound queue: the same [`GateQueue`] as a local
+/// inbox. Producer tasks push without blocking (parking cooperatively
+/// when over capacity); the single consumer is the peer's send pump
+/// thread, which *does* block ([`GateQueue::pop_wait`]) — it has nothing
+/// else to do.
+type Egress = GateQueue<Frame>;
 
 // ---------------------------------------------------------------------
 // TCP backend
@@ -603,6 +558,37 @@ fn connect_with_retry(addr: &str, timeout: Duration) -> Result<TcpStream> {
     }
 }
 
+/// Accept `Hello`-opened inbound links until every peer but `me` has one
+/// (on the coordinator: one per worker; on a worker: the other workers
+/// dialing us — the coordinator's job connection is already in place).
+fn accept_hellos(
+    listener: &TcpListener,
+    me: usize,
+    inbound: &mut [Option<TcpStream>],
+) -> Result<()> {
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+    while inbound.iter().enumerate().any(|(p, s)| p != me && s.is_none()) {
+        let stream = accept_with_deadline(listener, deadline)?;
+        // Read the handshake frame straight off the stream (exact reads,
+        // no buffering): frames racing in behind the Hello must stay in
+        // the socket for the recv pump.
+        match read_frame_deadline(&stream, deadline)? {
+            Some((Frame::Hello { peer }, _)) if peer < inbound.len() && peer != me => {
+                if inbound[peer].is_some() {
+                    return Err(SquallError::Runtime(format!("duplicate hello from {peer}")));
+                }
+                inbound[peer] = Some(stream);
+            }
+            other => {
+                return Err(SquallError::Runtime(format!(
+                    "expected Hello during cluster handshake, got {other:?}"
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
 impl ClusterLinks {
     /// Coordinator-side handshake: dial every worker, send its `Job`
     /// frame on the stream that then becomes our outbound data link, and
@@ -632,26 +618,7 @@ impl ClusterLinks {
             Frame::Job { payload: job }.write_to(&mut stream)?;
             outbound[i + 1] = Some(stream);
         }
-        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        for _ in 0..worker_addrs.len() {
-            let stream = accept_with_deadline(listener, deadline)?;
-            // Read the handshake frame straight off the stream (exact
-            // reads, no buffering): frames racing in behind the Hello
-            // must stay in the socket for the recv pump.
-            match read_frame_deadline(&stream, deadline)? {
-                Some((Frame::Hello { peer }, _)) if peer >= 1 && peer < n_peers => {
-                    if inbound[peer].is_some() {
-                        return Err(SquallError::Runtime(format!("duplicate hello from {peer}")));
-                    }
-                    inbound[peer] = Some(stream);
-                }
-                other => {
-                    return Err(SquallError::Runtime(format!(
-                        "expected Hello during cluster handshake, got {other:?}"
-                    )))
-                }
-            }
-        }
+        accept_hellos(listener, 0, &mut inbound)?;
         let mut peer_labels = vec!["coordinator".to_string()];
         peer_labels.extend(worker_addrs.iter().cloned());
         Ok(ClusterLinks { me: 0, peer_labels, blob_tx: None, heartbeat: None, outbound, inbound })
@@ -688,25 +655,7 @@ impl ClusterLinks {
             Frame::Hello { peer: me }.write_to(&mut stream)?;
             outbound[peer] = Some(stream);
         }
-        // Accept the remaining inbound hellos (other workers dialing us).
-        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        while inbound.iter().enumerate().any(|(p, s)| p != me && s.is_none()) {
-            let stream = accept_with_deadline(listener, deadline)?;
-            // Exact reads only — see ClusterLinks::coordinator.
-            match read_frame_deadline(&stream, deadline)? {
-                Some((Frame::Hello { peer }, _)) if peer < n_peers && peer != me => {
-                    if inbound[peer].is_some() {
-                        return Err(SquallError::Runtime(format!("duplicate hello from {peer}")));
-                    }
-                    inbound[peer] = Some(stream);
-                }
-                other => {
-                    return Err(SquallError::Runtime(format!(
-                        "expected Hello during cluster handshake, got {other:?}"
-                    )))
-                }
-            }
-        }
+        accept_hellos(listener, me, &mut inbound)?;
         let mut peer_labels: Vec<String> = peer_addrs.to_vec();
         peer_labels[0] = "coordinator".to_string();
         Ok(ClusterLinks { me, peer_labels, blob_tx: None, heartbeat: None, outbound, inbound })
@@ -726,8 +675,9 @@ pub(crate) struct PeerWire {
 }
 
 /// Frozen per-peer wire traffic for one run (the distributed analog of
-/// the paper's network-factor monitoring): batches are `Data` frames;
-/// bytes count every frame on the link, punctuation included.
+/// the paper's network-factor monitoring): batches are `Deliver` frames
+/// carrying a `Batch`; bytes count every frame on the link, punctuation
+/// included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerWireStats {
     pub peer: usize,
@@ -777,7 +727,7 @@ pub struct TcpTransport {
     local: LocalTransport,
     me: usize,
     peer_of_task: Vec<usize>,
-    egress: Vec<Option<Arc<EgressQueue>>>,
+    egress: Vec<Option<Arc<Egress>>>,
 }
 
 impl Transport for TcpTransport {
@@ -787,15 +737,7 @@ impl Transport for TcpTransport {
             return self.local.send(to, msg);
         }
         let q = self.egress[peer].as_ref().expect("no link to peer");
-        let frame = match msg {
-            Message::Batch { origin, chunk } => Frame::Data { to_task: to, origin, chunk },
-            Message::Eos => Frame::Eos { to_task: to },
-            Message::Watermark { origin, from_task, ts } => {
-                Frame::Watermark { to_task: to, origin, from_task, ts }
-            }
-            Message::Barrier { epoch } => Frame::Barrier { to_task: to, epoch },
-        };
-        q.push(EgressItem::Frame(frame));
+        q.push(Frame::Deliver { to_task: to, msg });
     }
 
     fn congested(&self, to: TaskId) -> bool {
@@ -847,7 +789,7 @@ pub struct ClusterSummary {
 pub struct ClusterRun {
     me: usize,
     peer_labels: Vec<String>,
-    egress: Vec<Option<Arc<EgressQueue>>>,
+    egress: Vec<Option<Arc<Egress>>>,
     send_pumps: Vec<JoinHandle<()>>,
     recv_pumps: Vec<JoinHandle<()>>,
     remote: Arc<Mutex<RemoteState>>,
@@ -861,13 +803,13 @@ pub struct ClusterRun {
 /// ordered after everything already queued on the link.
 #[derive(Clone)]
 pub struct FrameSender {
-    q: Arc<EgressQueue>,
+    q: Arc<Egress>,
 }
 
 impl FrameSender {
     /// Queue `frame` for the link's send pump.
     pub fn send(&self, frame: Frame) {
-        self.q.push(EgressItem::Frame(frame));
+        self.q.push(frame);
     }
 }
 
@@ -882,7 +824,7 @@ impl ClusterRun {
     pub fn forward_sink(&self, node: NodeId, tuple: Tuple) {
         debug_assert_ne!(self.me, 0, "the coordinator collects sinks directly");
         if let Some(q) = self.egress[0].as_ref() {
-            q.push(EgressItem::Frame(Frame::SinkRow { node, tuple }));
+            q.push(Frame::SinkRow { node, tuple });
         }
     }
 
@@ -900,7 +842,7 @@ impl ClusterRun {
     ) -> ClusterSummary {
         if let Some((metrics, error)) = done {
             if let Some(q) = self.egress[0].as_ref() {
-                q.push(EgressItem::Frame(Frame::Done { metrics, error }));
+                q.push(Frame::Done { metrics, error });
             }
         }
         self.shutdown();
@@ -929,7 +871,7 @@ impl ClusterRun {
 
     fn shutdown(&mut self) {
         for q in self.egress.iter().flatten() {
-            q.push(EgressItem::Close);
+            q.push(Frame::Goodbye);
         }
         for h in self.send_pumps.drain(..) {
             let _ = h.join();
@@ -977,11 +919,11 @@ pub(crate) fn spawn_cluster(
     let wire: Arc<Vec<PeerWire>> = Arc::new((0..n_peers).map(|_| PeerWire::default()).collect());
     let remote: Arc<Mutex<RemoteState>> = Arc::new(Mutex::new(RemoteState::default()));
 
-    let mut egress: Vec<Option<Arc<EgressQueue>>> = (0..n_peers).map(|_| None).collect();
+    let mut egress: Vec<Option<Arc<Egress>>> = (0..n_peers).map(|_| None).collect();
     let mut send_pumps = Vec::new();
     for (peer, stream) in outbound.into_iter().enumerate() {
         let Some(stream) = stream else { continue };
-        let q = Arc::new(EgressQueue::new(wiring.channel_capacity));
+        let q = Arc::new(Egress::new(wiring.channel_capacity));
         egress[peer] = Some(Arc::clone(&q));
         let sched = Arc::clone(&wiring.sched);
         let shared = Arc::clone(&wiring.shared);
@@ -997,33 +939,25 @@ pub(crate) fn spawn_cluster(
     let mut recv_pumps = Vec::new();
     for (peer, stream) in inbound.into_iter().enumerate() {
         let Some(stream) = stream else { continue };
-        let inboxes = wiring.inboxes.clone();
-        let sched = Arc::clone(&wiring.sched);
+        let pump = RecvPump {
+            stream,
+            peer,
+            peer_label: peer_labels[peer].clone(),
+            local: LocalTransport::new(wiring.inboxes.clone(), Arc::clone(&wiring.sched)),
+            // Only the coordinator collects remote sink rows into the run's
+            // output channel; worker-held clones would keep it open forever.
+            sink_tx: (me == 0).then(|| wiring.sink_tx.clone()),
+            blob_tx: blob_tx.clone(),
+            heartbeat,
+            eos_owed: wiring.eos_owed[peer].clone(),
+        };
         let shared = Arc::clone(&wiring.shared);
         let remote = Arc::clone(&remote);
         let wire = Arc::clone(&wire);
-        // Only the coordinator collects remote sink rows into the run's
-        // output channel; worker-held clones would keep it open forever.
-        let sink_tx = (me == 0).then(|| wiring.sink_tx.clone());
-        let blob_tx = blob_tx.clone();
-        let eos_owed = wiring.eos_owed[peer].clone();
-        let peer_label = peer_labels[peer].clone();
         recv_pumps.push(
             std::thread::Builder::new()
                 .name(format!("squall-recv-{me}-{peer}"))
-                .spawn(move || {
-                    RecvPump {
-                        stream,
-                        peer,
-                        peer_label,
-                        inboxes,
-                        sink_tx,
-                        blob_tx,
-                        heartbeat,
-                        eos_owed,
-                    }
-                    .run(&sched, &shared, &remote, &wire)
-                })
+                .spawn(move || pump.run(&shared, &remote, &wire))
                 .expect("spawn recv pump"),
         );
     }
@@ -1051,7 +985,7 @@ pub(crate) fn spawn_cluster(
 fn send_pump(
     stream: TcpStream,
     peer: usize,
-    q: &EgressQueue,
+    q: &Egress,
     sched: &Sched,
     shared: &Shared,
     wire: &[PeerWire],
@@ -1063,6 +997,12 @@ fn send_pump(
     let mut last_beat = Instant::now();
     let mut w = BufWriter::new(stream);
     let counters = &wire[peer];
+    // Every frame this pump writes is counted on the link.
+    let write = |frame: &Frame, w: &mut BufWriter<TcpStream>| -> Result<()> {
+        let n = frame.write_to(w)?;
+        counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(())
+    };
     let mut abort_sent = false;
     let mut broken = false;
     let mut wake = Vec::new();
@@ -1071,47 +1011,37 @@ fn send_pump(
             let error =
                 shared.error_clone().unwrap_or_else(|| SquallError::Runtime("aborted".into()));
             abort_sent = true;
-            let wrote = (Frame::Abort { error }).write_to(&mut w).and_then(|n| {
-                w.flush()?;
-                Ok(n)
-            });
-            match wrote {
-                Ok(n) => {
-                    counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                }
-                Err(_) => broken = true,
-            }
+            broken = write(&Frame::Abort { error }, &mut w).is_err() || w.flush().is_err();
         }
-        let item = q.pop_wait(Duration::from_millis(20), &mut wake);
+        let frame = q.pop_wait(Duration::from_millis(20), &mut wake);
         for t in wake.drain(..) {
             sched.notify(t);
         }
-        match item {
-            Some(EgressItem::Frame(frame)) => {
-                if broken {
-                    continue; // keep draining so producers never park forever
-                }
-                let is_batch = matches!(frame, Frame::Data { .. });
-                match frame.write_to(&mut w) {
-                    Ok(n) => {
-                        counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                        if is_batch {
-                            counters.batches_sent.fetch_add(1, Ordering::Relaxed);
+        match frame {
+            Some(frame) => {
+                // `Goodbye` is queued by `ClusterRun::shutdown` once all
+                // local producers are done: it ends the stream, and failing
+                // to write it to a peer that is gone fails nothing.
+                let last = matches!(frame, Frame::Goodbye);
+                // A broken link keeps draining so producers never park
+                // forever.
+                if !broken {
+                    match write(&frame, &mut w) {
+                        Ok(()) => {
+                            if matches!(frame, Frame::Deliver { msg: Message::Batch { .. }, .. }) {
+                                counters.batches_sent.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        Err(_) if last => {}
+                        Err(e) => {
+                            broken = true;
+                            shared.raise(SquallError::Io(format!("send to peer {peer}: {e}")));
                         }
                     }
-                    Err(e) => {
-                        broken = true;
-                        shared.raise(SquallError::Io(format!("send to peer {peer}: {e}")));
-                    }
                 }
-            }
-            Some(EgressItem::Close) => {
-                if !broken {
-                    if let Ok(n) = Frame::Goodbye.write_to(&mut w) {
-                        counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                    }
+                if last {
+                    break;
                 }
-                break;
             }
             None => {
                 // Idle: push buffered bytes onto the wire so a quiet link
@@ -1122,12 +1052,7 @@ fn send_pump(
                     if !broken && last_beat.elapsed() >= every {
                         last_beat = Instant::now();
                         let epoch = shared.epoch.load(Ordering::Relaxed);
-                        match (Frame::Heartbeat { epoch }).write_to(&mut w) {
-                            Ok(n) => {
-                                counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                            }
-                            Err(_) => broken = true,
-                        }
+                        broken = write(&Frame::Heartbeat { epoch }, &mut w).is_err();
                     }
                 }
                 if !broken && w.flush().is_err() {
@@ -1146,7 +1071,9 @@ struct RecvPump {
     stream: TcpStream,
     peer: usize,
     peer_label: String,
-    inboxes: Vec<Option<Arc<Inbox>>>,
+    /// Delivery to this process's inboxes: an arriving message takes the
+    /// same push-and-wake path as one sent by a local task.
+    local: LocalTransport,
     sink_tx: Option<Sender<(NodeId, Tuple)>>,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
     heartbeat: Option<Duration>,
@@ -1154,8 +1081,8 @@ struct RecvPump {
 }
 
 impl RecvPump {
-    fn run(self, sched: &Sched, shared: &Shared, remote: &Mutex<RemoteState>, wire: &[PeerWire]) {
-        let RecvPump { stream, peer, peer_label, inboxes, sink_tx, blob_tx, heartbeat, eos_owed } =
+    fn run(self, shared: &Shared, remote: &Mutex<RemoteState>, wire: &[PeerWire]) {
+        let RecvPump { stream, peer, peer_label, local, sink_tx, blob_tx, heartbeat, eos_owed } =
             self;
         // Arm the failure detector: a link silent for the heartbeat
         // timeout fails the read (peers beat at a quarter of it, so only
@@ -1171,50 +1098,31 @@ impl RecvPump {
                 Ok(Some((frame, n))) => {
                     counters.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
                     match frame {
-                        Frame::Data { to_task, origin, chunk } => {
-                            counters.batches_received.fetch_add(1, Ordering::Relaxed);
-                            let Some(inbox) = inboxes.get(to_task).and_then(|i| i.as_ref()) else {
+                        Frame::Deliver { to_task, msg } => {
+                            let is_batch = matches!(msg, Message::Batch { .. });
+                            if is_batch {
+                                counters.batches_received.fetch_add(1, Ordering::Relaxed);
+                            }
+                            // Data or punctuation, a message this peer has
+                            // no task for would otherwise be waited on
+                            // forever: fail the run.
+                            if !local.hosts(to_task) {
                                 shared.raise(SquallError::Runtime(format!(
                                     "peer {peer} addressed non-local task {to_task}"
                                 )));
                                 continue;
-                            };
+                            }
                             // Stop reading while the destination is over
                             // capacity: TCP flow control then pushes back on
                             // the sending peer. Abort lifts the gate so
-                            // drain-to-terminate always progresses.
-                            while inbox.over_capacity() && !shared.is_aborted() {
+                            // drain-to-terminate always progresses, and
+                            // punctuation never waits (the pump reads
+                            // sequentially, so it still lands after the
+                            // sender's earlier data).
+                            while is_batch && local.congested(to_task) && !shared.is_aborted() {
                                 std::thread::sleep(Duration::from_micros(200));
                             }
-                            let depth = inbox.push(Message::Batch { origin, chunk });
-                            sched.record_depth(depth);
-                            sched.notify(to_task);
-                        }
-                        Frame::Eos { to_task } => {
-                            let Some(inbox) = inboxes.get(to_task).and_then(|i| i.as_ref()) else {
-                                continue;
-                            };
-                            inbox.push(Message::Eos);
-                            sched.notify(to_task);
-                        }
-                        Frame::Watermark { to_task, origin, from_task, ts } => {
-                            // Punctuation, like Eos: pushed without the
-                            // capacity wait (the pump reads sequentially, so
-                            // it still lands after the sender's earlier data).
-                            let Some(inbox) = inboxes.get(to_task).and_then(|i| i.as_ref()) else {
-                                continue;
-                            };
-                            inbox.push(Message::Watermark { origin, from_task, ts });
-                            sched.notify(to_task);
-                        }
-                        Frame::Barrier { to_task, epoch } => {
-                            // Punctuation, like Watermark: alignment counts
-                            // stay identical to a single-process run.
-                            let Some(inbox) = inboxes.get(to_task).and_then(|i| i.as_ref()) else {
-                                continue;
-                            };
-                            inbox.push(Message::Barrier { epoch });
-                            sched.notify(to_task);
+                            local.send(to_task, msg);
                         }
                         Frame::Heartbeat { epoch } => {
                             counters.last_epoch.fetch_max(epoch, Ordering::Relaxed);
@@ -1272,11 +1180,8 @@ impl RecvPump {
             let last_epoch = counters.last_epoch.load(Ordering::Relaxed);
             shared.raise(SquallError::WorkerLost { addr: peer_label, last_epoch });
             for (task, count) in eos_owed {
-                if let Some(inbox) = inboxes.get(task).and_then(|i| i.as_ref()) {
-                    for _ in 0..count {
-                        inbox.push(Message::Eos);
-                    }
-                    sched.notify(task);
+                for _ in 0..count {
+                    local.send(task, Message::Eos);
                 }
             }
         }
@@ -1287,21 +1192,34 @@ impl RecvPump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use squall_common::tuple;
+    use squall_common::{tuple, Chunk};
 
-    #[test]
-    fn frames_roundtrip() {
-        let frames = vec![
-            Frame::Hello { peer: 3 },
-            Frame::Job { payload: vec![1, 2, 3] },
-            Frame::Data {
-                to_task: 7,
+    /// A connected loopback link: `(dialing end, accepted end)`.
+    fn loopback() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(1);
+        (dialer, accept_with_deadline(&listener, deadline).unwrap())
+    }
+
+    /// One message of every kind.
+    fn every_kind() -> [Message; 4] {
+        [
+            Message::Batch {
                 origin: 2,
                 chunk: Chunk::from_tuples(&[tuple![1, "x"], tuple![2, "y"]]),
             },
-            Frame::Eos { to_task: 9 },
-            Frame::Watermark { to_task: 11, origin: 2, from_task: 3, ts: 12345 },
-            Frame::Barrier { to_task: 5, epoch: 9 },
+            Message::Eos,
+            Message::Watermark { origin: 2, from_task: 3, ts: 12345 },
+            Message::Barrier { epoch: 9 },
+        ]
+    }
+
+    #[test]
+    fn frames_roundtrip() {
+        let mut frames = vec![
+            Frame::Hello { peer: 3 },
+            Frame::Job { payload: vec![1, 2, 3] },
             Frame::Heartbeat { epoch: 17 },
             Frame::SnapshotBlob { role: 1, task: 3, epoch: 9, payload: vec![9, 8, 7] },
             Frame::Readmit { peer: 2, epoch: 4 },
@@ -1311,10 +1229,53 @@ mod tests {
             },
             Frame::Goodbye,
         ];
+        frames.extend(every_kind().map(|msg| Frame::Deliver { to_task: 7, msg }));
         for f in frames {
             let encoded = f.encode();
             let decoded = Frame::decode(&encoded).unwrap();
             assert_eq!(format!("{f:?}"), format!("{decoded:?}"));
+            // A frame cut short anywhere is a typed error, never a panic.
+            for cut in 0..encoded.len() {
+                match Frame::decode(&encoded[..cut]) {
+                    Err(SquallError::Codec(_)) => {}
+                    other => panic!("{f:?} cut at {cut}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn misaddressed_messages_fail_the_run() {
+        // Data or punctuation for a task this peer does not host is lost
+        // input somebody downstream would wait on: every kind must raise.
+        for msg in every_kind() {
+            let (mut dialer, stream) = loopback();
+            Frame::Deliver { to_task: 1, msg: msg.clone() }.write_to(&mut dialer).unwrap();
+            Frame::Goodbye.write_to(&mut dialer).unwrap();
+            let counters = crate::metrics::MetricsRegistry::new(vec!["n".into()], &[2]).sched();
+            let shared = Shared::new();
+            RecvPump {
+                stream,
+                peer: 1,
+                peer_label: "worker".into(),
+                local: LocalTransport::new(
+                    vec![None, None],
+                    Arc::new(Sched::new(2, 1, counters, &[])),
+                ),
+                sink_tx: None,
+                blob_tx: None,
+                heartbeat: None,
+                eos_owed: Vec::new(),
+            }
+            .run(
+                &shared,
+                &Mutex::new(RemoteState::default()),
+                &[PeerWire::default(), PeerWire::default()],
+            );
+            match shared.error_clone() {
+                Some(SquallError::Runtime(m)) if m.contains("non-local task 1") => {}
+                other => panic!("{msg:?} to a non-local task raised {other:?}"),
+            }
         }
     }
 
@@ -1406,15 +1367,12 @@ mod tests {
         // Barriers and blobs ride the same FIFO stream as data, so
         // alignment across the wire sees them strictly after the sender's
         // earlier frames — exactly the Eos/Watermark ordering contract.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut dialer = TcpStream::connect(addr).unwrap();
-        let accepted =
-            accept_with_deadline(&listener, Instant::now() + Duration::from_secs(1)).unwrap();
+        let (mut dialer, accepted) = loopback();
+        let deliver = |msg| Frame::Deliver { to_task: 1, msg };
         let sent = vec![
-            Frame::Data { to_task: 1, origin: 0, chunk: Chunk::from_tuples(&[tuple![1]]) },
-            Frame::Watermark { to_task: 1, origin: 0, from_task: 0, ts: 4 },
-            Frame::Barrier { to_task: 1, epoch: 4 },
+            deliver(Message::Batch { origin: 0, chunk: Chunk::from_tuples(&[tuple![1]]) }),
+            deliver(Message::Watermark { origin: 0, from_task: 0, ts: 4 }),
+            deliver(Message::Barrier { epoch: 4 }),
             Frame::Heartbeat { epoch: 4 },
             Frame::SnapshotBlob { role: 0, task: 1, epoch: 4, payload: vec![1, 2] },
             Frame::Goodbye,
@@ -1427,22 +1385,5 @@ mod tests {
             let (got, _) = Frame::read_from(&mut r).unwrap().expect("frame");
             assert_eq!(format!("{got:?}"), format!("{f:?}"));
         }
-    }
-
-    #[test]
-    fn egress_queue_gates_and_wakes() {
-        let q = EgressQueue::new(2);
-        assert!(!q.over_capacity());
-        for _ in 0..3 {
-            q.push(EgressItem::Frame(Frame::Goodbye));
-        }
-        assert!(q.over_capacity());
-        assert!(q.register_waiter(7));
-        let mut wake = Vec::new();
-        // Popping back to capacity releases the waiter.
-        assert!(q.pop_wait(Duration::from_millis(1), &mut wake).is_some());
-        assert_eq!(wake, vec![7]);
-        // Below capacity, registration declines.
-        assert!(!q.register_waiter(7));
     }
 }
