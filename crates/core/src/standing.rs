@@ -850,9 +850,8 @@ impl Resident {
     /// watermark to *every* queue.
     fn feed(&self, epoch: u64, rounds: &[DeltaRound]) {
         for (rel, rows, mult) in rounds {
-            for row in rows {
-                self.queues[*rel].push(SpoutPoll::Tuple(tag_delta(row, *mult, epoch)));
-            }
+            let tagged = rows.iter().map(|row| SpoutPoll::Tuple(tag_delta(row, *mult, epoch)));
+            self.queues[*rel].push_all(tagged);
         }
         for q in &self.queues {
             q.push(SpoutPoll::Watermark(epoch));
@@ -907,7 +906,7 @@ pub fn launch_standing(
 /// One signed delta round for [`StandingHandle::apply`]: the relation
 /// index, the (already source-transformed) payload rows, and the weight
 /// (+1 append, −1 retract).
-type DeltaRound = (usize, Vec<Tuple>, i64);
+pub type DeltaRound = (usize, Vec<Tuple>, i64);
 
 /// The coordinator-side handle of one resident view topology.
 pub struct StandingHandle {

@@ -51,28 +51,34 @@ struct Row {
 #[derive(Debug)]
 struct Index {
     cols: Vec<usize>,
+    postings: Postings,
+}
+
+/// A posting table: hash → the ids filed under it. Unequal keys may share
+/// a hash, so a reader checks each id it gets against what it names. The
+/// indexes of a [`View`] are posting tables over row ids; the catalog
+/// keeps one over a table's stored positions.
+#[derive(Debug, Clone, Default)]
+pub struct Postings {
     /// 16-byte entries: on a near-unique key domain the whole index.
     map: FxHashMap<u64, Ids>,
     /// The lists [`Ids::Many`] points into.
-    lists: Vec<Vec<RowId>>,
+    lists: Vec<Vec<u32>>,
     /// Lists no hash uses any more, kept for their capacity.
     spare: Vec<u32>,
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Ids {
-    One(RowId),
+    One(u32),
     /// Once a second row shares the hash: the position of their list in
-    /// `Index::lists`.
+    /// `Postings::lists`.
     Many(u32),
 }
 
-impl Index {
-    fn new(cols: Vec<usize>) -> Index {
-        Index { cols, map: FxHashMap::default(), lists: Vec::new(), spare: Vec::new() }
-    }
-
-    fn get(&self, hash: u64) -> &[RowId] {
+impl Postings {
+    /// The ids filed under `hash`.
+    pub fn get(&self, hash: u64) -> &[u32] {
         match self.map.get(&hash) {
             None => &[],
             Some(Ids::One(id)) => std::slice::from_ref(id),
@@ -80,7 +86,8 @@ impl Index {
         }
     }
 
-    fn insert(&mut self, hash: u64, id: RowId) {
+    /// File `id` under `hash`.
+    pub fn insert(&mut self, hash: u64, id: u32) {
         match self.map.entry(hash) {
             Entry::Vacant(e) => {
                 e.insert(Ids::One(id));
@@ -100,7 +107,7 @@ impl Index {
     }
 
     /// Swap `id` (listed under `hash` exactly once) out of its posting.
-    fn remove(&mut self, hash: u64, id: RowId) {
+    pub fn remove(&mut self, hash: u64, id: u32) {
         let Entry::Occupied(e) = self.map.entry(hash) else {
             unreachable!("a stored row is listed under its key hash");
         };
@@ -119,7 +126,7 @@ impl Index {
 
 /// Fold key values exactly as hashing them one after the other through
 /// [`FxHasher`] does.
-fn key_hash<'k>(key: impl Iterator<Item = &'k Value>) -> u64 {
+pub fn key_hash<'k>(key: impl Iterator<Item = &'k Value>) -> u64 {
     #[cfg(test)]
     if tests::ALL_KEYS_COLLIDE.with(std::cell::Cell::get) {
         return 0;
@@ -167,7 +174,7 @@ impl View {
             offsets.push(off);
             off += arities[m];
         }
-        let identity = Index::new((0..off).collect());
+        let identity = Index { cols: (0..off).collect(), postings: Postings::default() };
         View {
             members,
             offsets,
@@ -190,14 +197,14 @@ impl View {
             return i;
         }
         debug_assert!(self.rows.is_empty(), "indexes are created before data arrives");
-        self.indexes.push(Index::new(cols));
+        self.indexes.push(Index { cols, postings: Postings::default() });
         self.indexes.len() - 1
     }
 
     /// Slot of the stored row equal to `tuple`, whose all-column hash is
     /// `hash`.
     fn find(&self, tuple: &Tuple, hash: u64) -> Option<RowId> {
-        let ids = self.indexes[0].get(hash);
+        let ids = self.indexes[0].postings.get(hash);
         ids.iter().copied().find(|&id| live(&self.rows, id).tuple == *tuple)
     }
 
@@ -223,7 +230,7 @@ impl View {
                     self.rows[id as usize] = None;
                     self.free.push(id);
                     for (i, ix) in self.indexes.iter_mut().enumerate() {
-                        ix.remove(hash_of(ix, i), id);
+                        ix.postings.remove(hash_of(ix, i), id);
                     }
                 }
             }
@@ -236,7 +243,7 @@ impl View {
                 self.rows[id as usize] = Some(Row { tuple: tuple.clone(), mult });
                 self.count += mult;
                 for (i, ix) in self.indexes.iter_mut().enumerate() {
-                    ix.insert(hash_of(ix, i), id);
+                    ix.postings.insert(hash_of(ix, i), id);
                 }
             }
             None => {} // retracting a row that is not stored changes nothing
@@ -259,7 +266,7 @@ impl View {
         ProbeIds {
             rows: &self.rows,
             cols: &ix.cols,
-            candidates: ix.get(key_hash(key.clone())).iter(),
+            candidates: ix.postings.get(key_hash(key.clone())).iter(),
             key,
         }
     }

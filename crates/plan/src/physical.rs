@@ -16,7 +16,7 @@ use squall_core::driver::{
     WindowPlan,
 };
 use squall_core::operators::Finalizer;
-use squall_core::standing::{ViewPlan, ViewWindow};
+use squall_core::standing::{DeltaRound, ViewPlan, ViewWindow};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::{AggFunc, JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
 use squall_join::{AggSpec, WindowSpec};
@@ -1130,19 +1130,21 @@ impl PhysicalQuery {
         plan
     }
 
-    /// Apply one source's pushed-down work (filter, derived columns,
-    /// projection) to externally supplied rows — the transformation the
-    /// session's `append`/`retract` path must run before feeding deltas
-    /// to a resident view, since the view's join sees post-pushdown rows.
-    pub fn transform_source_rows(&self, t: usize, rows: &[Tuple]) -> Result<Vec<Tuple>> {
-        self.prepare_table(t, rows)
-    }
-
-    /// The `(source name, alias)` pairs of this query's FROM clause, in
-    /// relation order — how the session maps a mutated source to the
-    /// relation indices of a resident view.
-    pub fn source_tables(&self) -> Vec<(&str, &str)> {
-        self.tables.iter().map(|t| (t.name.as_str(), t.alias.as_str())).collect()
+    /// What a signed batch of `source`'s rows is to a resident view of
+    /// this query: per alias of the source in the FROM clause (a self-join
+    /// has several), `(relation, rows after that alias's pushed-down
+    /// filter, derived columns and projection, mult)` — the view's join
+    /// sees post-pushdown rows. Aliases whose filter keeps no row are left
+    /// out. Pure: the session runs it before it commits the batch.
+    pub fn delta_rounds(&self, source: &str, rows: &[Tuple], mult: i64) -> Result<Vec<DeltaRound>> {
+        let mut rounds = Vec::new();
+        for t in (0..self.tables.len()).filter(|&t| self.tables[t].name == source) {
+            let transformed = self.prepare_table(t, rows)?;
+            if !transformed.is_empty() {
+                rounds.push((t, transformed, mult));
+            }
+        }
+        Ok(rounds)
     }
 
     /// Execute against the catalog, materializing every row: the result

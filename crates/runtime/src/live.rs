@@ -49,9 +49,14 @@ impl LiveQueue {
     /// Queue one item. Pushes to a closed queue are dropped silently (the
     /// view is shutting down; the topology will never poll them).
     pub fn push(&self, item: SpoutPoll) {
+        self.push_all([item]);
+    }
+
+    /// Queue a round of items, in order, under one lock.
+    pub fn push_all(&self, items: impl IntoIterator<Item = SpoutPoll>) {
         let mut inner = self.inner.lock().expect("live queue poisoned");
         if !inner.closed {
-            inner.queue.push_back(item);
+            inner.queue.extend(items);
         }
     }
 

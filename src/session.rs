@@ -507,23 +507,30 @@ impl Session {
     /// non-regressing event time) and every resident materialized view
     /// reading the source incorporates the rows incrementally — a
     /// subsequent [`crate::views::ViewHandle::snapshot`] observes them
-    /// (read-your-writes).
+    /// (read-your-writes). All or nothing: on an error the catalog and
+    /// every view are as they were.
     pub fn append(&mut self, source: &str, rows: Vec<Tuple>) -> Result<&mut Session> {
-        // Stream appends must reach the resident views in event-time order:
-        // they see the batch as the catalog stored it.
-        let stored = self.catalog.append(source, rows)?;
-        self.views.apply_delta(source, stored, 1)?;
-        Ok(self)
+        self.write(source, rows, 1)
     }
 
     /// Remove rows from a registered table, one stored occurrence per
     /// given row (streams are append-only; rows that are not stored are a
     /// typed error). Every resident materialized view reading the table
     /// retracts the rows incrementally — aggregates decrease, join
-    /// results disappear.
+    /// results disappear. All or nothing, like [`Session::append`].
     pub fn retract(&mut self, source: &str, rows: Vec<Tuple>) -> Result<&mut Session> {
-        self.catalog.retract(source, &rows)?;
-        self.views.apply_delta(source, &rows, -1)?;
+        self.write(source, rows, -1)
+    }
+
+    /// One signed write: the catalog validates the batch, every view
+    /// transforms it as it will be stored (pure), the catalog commits, the
+    /// views are fed — an error from either of the first two changes nothing.
+    fn write(&mut self, source: &str, rows: Vec<Tuple>, sign: i64) -> Result<&mut Session> {
+        let views = &self.views;
+        let staged = self
+            .catalog
+            .update(source, rows, sign, |rows| views.stage_delta(source, rows, sign))?;
+        self.views.feed(staged)?;
         Ok(self)
     }
 

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use squall_common::{FxHashMap, Result, Schema, SquallError, Tuple};
-use squall_core::standing::{launch_standing, ChangeBatch, StandingHandle, ViewShared};
+use squall_core::standing::{launch_standing, ChangeBatch, DeltaRound, StandingHandle, ViewShared};
 use squall_plan::physical::{ExecConfig, PhysicalQuery, StandingPlan};
 
 use crate::session::{JoinReport, Query, Session};
@@ -71,6 +71,9 @@ impl Drop for ResidentView {
     }
 }
 
+/// One source mutation as each resident view reading the source sees it.
+pub(crate) type Staged = Vec<(Arc<ResidentView>, Vec<DeltaRound>)>;
+
 /// Resident views of a session, shared across session clones.
 #[derive(Clone, Default)]
 pub(crate) struct ViewRegistry {
@@ -96,30 +99,27 @@ impl ViewRegistry {
         self.lock().values().any(|v| v.sources.iter().any(|s| s == name))
     }
 
-    /// Propagate one signed source mutation (already catalog-validated)
-    /// into every resident view reading the source. Each view transforms
-    /// the rows through its own pushed-down plan, once per alias of the
-    /// source in its FROM clause (a self-join gets one delta per alias).
-    pub(crate) fn apply_delta(&self, source: &str, rows: &[Tuple], mult: i64) -> Result<()> {
-        let views: Vec<Arc<ResidentView>> = self.lock().values().cloned().collect();
-        for view in views {
-            let tables = view.plan.source_tables();
-            let mut rounds = Vec::new();
-            for (t, (name, _alias)) in tables.iter().enumerate() {
-                if *name != source {
-                    continue;
-                }
-                let transformed = view.plan.transform_source_rows(t, rows)?;
-                if !transformed.is_empty() {
-                    rounds.push((t, transformed, mult));
-                }
+    /// The pure half of one signed source mutation: every resident view
+    /// reading the source turns the (catalog-validated) rows into its
+    /// rounds. Nothing is fed yet, so an expression error on any row of
+    /// any view leaves them all untouched.
+    pub(crate) fn stage_delta(&self, source: &str, rows: &[Tuple], mult: i64) -> Result<Staged> {
+        let mut staged = Vec::new();
+        for view in self.lock().values() {
+            let rounds = view.plan.delta_rounds(source, rows, mult)?;
+            if !rounds.is_empty() {
+                staged.push((Arc::clone(view), rounds));
             }
-            if rounds.is_empty() {
-                continue;
+        }
+        Ok(staged)
+    }
+
+    /// Feed staged rounds to their views, one new epoch each.
+    pub(crate) fn feed(&self, staged: Staged) -> Result<()> {
+        for (view, rounds) in staged {
+            if let Some(h) = view.handle.lock().expect("view handle poisoned").as_mut() {
+                h.apply(rounds)?;
             }
-            let mut handle = view.handle.lock().expect("view handle poisoned");
-            let Some(h) = handle.as_mut() else { continue };
-            h.apply(rounds)?;
         }
         Ok(())
     }

@@ -136,6 +136,55 @@ fn snapshots_read_their_writes_without_waiting() {
     s.drop_view("rs").unwrap();
 }
 
+/// A write is all or nothing across the catalog *and* the views: when a
+/// row of the batch fails a view's pushed-down expression (`'x' + 1`), the
+/// call is an error and the catalog, both views and their epochs are as
+/// they were — the first view too, whose own transform had succeeded. A
+/// later good append and retraction of the batch's good row then keep
+/// snapshot and recompute equal (fed half a batch, the view would go to
+/// multiplicity −1 and silently lose a row).
+#[test]
+fn a_failed_write_changes_neither_the_catalog_nor_any_view() {
+    let mut s = Session::builder().machines(2).seed(3).build();
+    let schema = Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
+    s.register("R", schema.clone(), vec![tuple![1, 10]]).unwrap();
+    s.register("S", schema, vec![tuple![1, 7]]).unwrap();
+    let plain = "SELECT R.b, S.b FROM R, S WHERE R.a = S.a";
+    let picky = "SELECT R.b, S.b FROM R, S WHERE R.a = S.a AND R.b + 1 > 5";
+    let views = [("plain", plain), ("picky", picky)].map(|(name, select)| {
+        (s.create_view(name, &squall::sql::parse(select).unwrap()).unwrap(), select)
+    });
+    let epochs = views.iter().map(|(v, _)| v.epoch()).collect::<Vec<_>>();
+    let agree = |s: &Session, when: &str| {
+        for (view, select) in &views {
+            assert_eq!(view.snapshot().unwrap(), recompute(s, select), "{} {when}", view.name());
+        }
+    };
+
+    let failed = s.append("R", vec![tuple![1, 20], tuple![1, "x"]]).map(|_| ());
+    assert!(matches!(failed, Err(squall::common::SquallError::TypeMismatch { .. })), "{failed:?}");
+    assert_eq!(s.catalog().get("R").unwrap().data.len(), 1, "the catalog kept no row");
+    assert_eq!(views.iter().map(|(v, _)| v.epoch()).collect::<Vec<_>>(), epochs, "no epoch");
+    agree(&s, "after the failed append");
+
+    let failed = s.retract("R", vec![tuple![1, 10], tuple![1, 99]]).map(|_| ());
+    assert!(matches!(failed, Err(squall::common::SquallError::InvalidSource { .. })), "{failed:?}");
+    assert_eq!(s.catalog().get("R").unwrap().data.len(), 1, "the catalog lost no row");
+    assert_eq!(views.iter().map(|(v, _)| v.epoch()).collect::<Vec<_>>(), epochs, "no epoch");
+
+    s.append("R", vec![tuple![1, 20]]).unwrap();
+    agree(&s, "after the good append");
+    s.retract("R", vec![tuple![1, 20]]).unwrap();
+    agree(&s, "after the retraction");
+    s.append("R", vec![tuple![1, 20]]).unwrap();
+    agree(&s, "after the re-append");
+    for (view, _) in views {
+        let name = view.name().to_string();
+        drop(view);
+        s.drop_view(&name).unwrap();
+    }
+}
+
 /// A windowed standing view over streams: post-launch appends extend the
 /// per-window aggregate exactly like a recompute (streams are
 /// append-only, so no retraction arm) — under tumbling windows and under
