@@ -14,8 +14,8 @@
 //! assert_eq!(q.tables.len(), 2);
 //! ```
 
-use squall_common::Value;
-use squall_expr::{AggFunc, BinOp};
+use squall_common::{Result, Value};
+use squall_expr::{AggFunc, BinOp, ScalarExpr};
 
 /// An unresolved (name-based) expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +88,25 @@ impl Expr {
             Expr::Not(e) => e.has_agg(),
             _ => false,
         }
+    }
+
+    /// Lower to a positional expression: literals, operators and negation
+    /// map one to one; `col` lowers each column reference and `agg` each
+    /// aggregate call.
+    pub(crate) fn lower(
+        &self,
+        col: &mut dyn FnMut(&str) -> Result<ScalarExpr>,
+        agg: &mut dyn FnMut(AggFunc, Option<&Expr>) -> Result<ScalarExpr>,
+    ) -> Result<ScalarExpr> {
+        Ok(match self {
+            Expr::Col(n) => col(n)?,
+            Expr::Agg { func, arg } => agg(*func, arg.as_deref())?,
+            Expr::Lit(v) => ScalarExpr::Literal(v.clone()),
+            Expr::Bin { op, lhs, rhs } => {
+                ScalarExpr::bin(*op, lhs.lower(col, agg)?, rhs.lower(col, agg)?)
+            }
+            Expr::Not(x) => ScalarExpr::Not(Box::new(x.lower(col, agg)?)),
+        })
     }
 }
 

@@ -30,13 +30,12 @@
 //! coordinate; result sets are byte-identical across orders and schemes
 //! (the `plan_equivalence` proptest harness enforces this), so the
 //! optimizer can only change *performance*, never answers. Decisions are
-//! recorded as an [`OptimizerDecision`] and surfaced by `explain` as an
-//! estimated-vs-actual table once a [`JoinReport`] provides the run's
-//! per-relation counters.
+//! recorded as an [`OptimizerDecision`] and surfaced by the join node's
+//! explain lines as an estimated-vs-actual table once a finished run's
+//! `JoinReport` provides the per-relation counters.
 
 use squall_common::Result;
-use squall_core::driver::JoinReport;
-use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
+use squall_expr::JoinAtom;
 use squall_partition::optimizer::SchemeKind;
 use squall_partition::{choose_scheme, CostCalibration, CostEstimate};
 
@@ -117,54 +116,6 @@ impl OptimizerDecision {
     /// The scheme the decision selects, if it made one.
     pub fn scheme_kind(&self) -> Option<SchemeKind> {
         self.scheme.as_ref().map(|s| s.kind)
-    }
-
-    /// Render the decision as the explain block: the chosen order, the
-    /// per-step estimated-vs-actual table (actual columns dashed until a
-    /// [`JoinReport`] from the run is supplied) and the scheme candidates.
-    pub fn render(&self, actual: Option<&JoinReport>) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "optimizer: mode={}, orders considered={}, est cost {:.0} (written order {:.0})\n",
-            self.mode, self.orders_considered, self.est_cost, self.written_cost
-        ));
-        let order: Vec<&str> = self.steps.iter().map(|st| st.relation.as_str()).collect();
-        s.push_str(&format!("join order: {}\n", order.join(" ⋈ ")));
-        s.push_str("  step  relation      est rows  est cumulative  actual rows\n");
-        let counts = actual.map(|r| r.input_counts.as_slice()).unwrap_or(&[]);
-        for (k, st) in self.steps.iter().enumerate() {
-            let act = counts.get(k).map(|&c| c.to_string()).unwrap_or_else(|| "—".into());
-            s.push_str(&format!(
-                "  {:<5} {:<12} {:>9.0} {:>15.0}  {:>10}\n",
-                k + 1,
-                st.relation,
-                st.est_rows,
-                st.est_cumulative,
-                act
-            ));
-        }
-        if let Some(r) = actual {
-            s.push_str(&format!(
-                "  actual: {} result rows, replication {:.2}, skew degree {:.2}\n",
-                r.result_count, r.replication_factor, r.skew_degree
-            ));
-        }
-        match &self.scheme {
-            Some(sc) => {
-                let costs: Vec<String> = sc
-                    .candidates
-                    .iter()
-                    .map(|c| format!("{:?} {:.3}", c.kind, c.cost(&sc.calibration)))
-                    .collect();
-                s.push_str(&format!(
-                    "scheme: {:?} chosen by cost [{}]\n",
-                    sc.kind,
-                    costs.join(", ")
-                ));
-            }
-            None => s.push_str("scheme: forced by config\n"),
-        }
-        s
     }
 }
 
@@ -338,23 +289,18 @@ fn exhaustive_best_order(
 /// stable across the view's lifetime — so the session only calls this on
 /// the one-shot query paths.
 pub fn optimize(plan: &mut PhysicalQuery, catalog: &Catalog, cfg: &ExecConfig) -> Result<()> {
-    let n = plan.n_relations();
+    let n = plan.scans.len();
     if cfg.optimizer == OptimizerMode::Off || n < 2 {
         return Ok(());
     }
-    let atoms: Vec<JoinAtom> = plan.join_atoms().to_vec();
-    let mut sizes = Vec::with_capacity(n);
-    for t in 0..n {
-        sizes.push(plan.estimated_base_rows(t, catalog)?);
-    }
+    let atoms = plan.join.local_atoms(&plan.scans)?;
+    let sizes =
+        plan.scans.iter().map(|s| s.estimated_rows(catalog)).collect::<Result<Vec<f64>>>()?;
     // Per-column distinct counts from ANALYZE stats; System-R fallback
     // V(R,a) = |R| when the table was never analyzed (or the column is
     // derived, which no stats cover).
     let distinct = |t: usize, local: usize| -> f64 {
-        plan.source_column(t, local)
-            .and_then(|orig| catalog.stats(plan.source_name(t))?.column(orig))
-            .map(|cs| cs.distinct as f64)
-            .unwrap_or(sizes[t])
+        plan.scans[t].column_stats(catalog, local).map_or(sizes[t], |cs| cs.distinct as f64)
     };
     let sels: Vec<f64> = atoms.iter().map(|a| atom_selectivity(a, &distinct)).collect();
     let written: Vec<usize> = (0..n).collect();
@@ -371,7 +317,7 @@ pub fn optimize(plan: &mut PhysicalQuery, catalog: &Catalog, cfg: &ExecConfig) -
             .map(|&t| {
                 mask |= 1 << t;
                 JoinStep {
-                    relation: plan.alias(t).to_string(),
+                    relation: plan.scans[t].alias.clone(),
                     est_rows: sizes[t],
                     est_cumulative: mask_cardinality(mask, &sizes, &atoms, &sels),
                 }
@@ -385,38 +331,15 @@ pub fn optimize(plan: &mut PhysicalQuery, catalog: &Catalog, cfg: &ExecConfig) -
     // scheme wins; estimation failure falls back to the config default
     // rather than failing the query.
     let scheme = if cfg.scheme.is_none() {
-        let top_freq_of = |t: usize, c: usize| -> f64 {
-            plan.source_column(t, c)
-                .and_then(|orig| catalog.stats(plan.source_name(t))?.column(orig))
-                .map(|cs| cs.top_frequency)
-                .unwrap_or(0.0)
-        };
-        let mut rels: Vec<RelationDef> = Vec::with_capacity(n);
-        for t in 0..n {
-            let mut schema = plan.relation_schema(t).clone();
-            for a in plan.join_atoms() {
-                for &(rt, rc) in &[(a.left_rel, a.left_col), (a.right_rel, a.right_col)] {
-                    if rt != t {
-                        continue;
-                    }
-                    if let Some(orig) = plan.source_column(t, rc) {
-                        if let Some(cs) =
-                            catalog.stats(plan.source_name(t)).and_then(|s| s.column(orig))
-                        {
-                            if cs.skew().is_skewed(cfg.machines, cfg.skew_slack) {
-                                let name = schema.field(rc).name.clone();
-                                schema.set_skewed(&name)?;
-                            }
-                        }
-                    }
-                }
-            }
-            // `sizes` is indexed by written order; `t` is post-reorder.
-            let est = sizes[order[t]];
-            rels.push(RelationDef::new(plan.alias(t).to_string(), schema, est as u64));
-        }
+        let stats = |t: usize, c: usize| plan.scans[t].column_stats(catalog, c);
+        let top_freq_of = |t, c| stats(t, c).map(|cs| cs.top_frequency).unwrap_or(0.0);
+        let skewed =
+            |t, c| stats(t, c).is_some_and(|cs| cs.skew().is_skewed(cfg.machines, cfg.skew_slack));
+        // `sizes` is indexed by written order; `t` is post-reorder.
+        let rows = |t: usize| sizes[order[t]] as u64;
         let calibration = CostCalibration::default();
-        MultiJoinSpec::new(rels, plan.join_atoms().to_vec())
+        plan.join
+            .spec(&plan.scans, &rows, &skewed)
             .ok()
             .and_then(|spec| {
                 choose_scheme(&spec, cfg.machines, cfg.seed, &top_freq_of, &calibration).ok()
@@ -426,7 +349,7 @@ pub fn optimize(plan: &mut PhysicalQuery, catalog: &Catalog, cfg: &ExecConfig) -
         None
     };
 
-    plan.set_decision(OptimizerDecision {
+    plan.decision = Some(OptimizerDecision {
         mode: cfg.optimizer,
         order,
         orders_considered,

@@ -319,10 +319,31 @@ impl Sched {
             }
             _ => self.injector.lock().expect("injector poisoned").push_back(task),
         }
-        if self.sleepers.load(Ordering::Acquire) > 0 {
+        // SeqCst pairs with `park`'s registration: either this load sees
+        // the sleeper, or the sleeper's re-check sees the task just queued.
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.idle_mx.lock().expect("idle mutex poisoned");
             self.idle_cv.notify_one();
         }
+    }
+
+    /// Idle worker `me` sleeps until a wakeup (the eventcount pattern):
+    /// register as a sleeper first, then re-check the queues under
+    /// `idle_mx`, and only then wait — so a task pushed after the caller
+    /// found nothing is either seen here or signalled to the wait. The wait
+    /// is timed all the same: a backstop that costs a tick, never a hang.
+    fn park(&self, me: usize) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let guard = self.idle_mx.lock().expect("idle mutex poisoned");
+        let queued = !self.deques[me].lock().expect("deque poisoned").is_empty()
+            || !self.injector.lock().expect("injector poisoned").is_empty();
+        if !queued && !self.all_done() {
+            let _ = self
+                .idle_cv
+                .wait_timeout(guard, Duration::from_millis(1))
+                .expect("idle cv poisoned");
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Next runnable task for worker `me`: own deque front → injector →
@@ -966,20 +987,8 @@ fn worker_loop(me: usize, pool: &Pool, shared: &Shared, counters: &SchedCounters
     loop {
         match sched.next_task(me) {
             Some(task) => run_task(task, pool, shared, counters),
-            None => {
-                if sched.all_done() {
-                    break;
-                }
-                // Park until a wakeup (timed: a missed notify can only
-                // cost one tick, never a hang).
-                sched.sleepers.fetch_add(1, Ordering::AcqRel);
-                let guard = sched.idle_mx.lock().expect("idle mutex poisoned");
-                let _ = sched
-                    .idle_cv
-                    .wait_timeout(guard, Duration::from_millis(1))
-                    .expect("idle cv poisoned");
-                sched.sleepers.fetch_sub(1, Ordering::AcqRel);
-            }
+            None if sched.all_done() => break,
+            None => sched.park(me),
         }
     }
     WORKER_INDEX.with(|w| w.set(None));
@@ -1052,6 +1061,21 @@ mod tests {
 
     fn int_spout(lo: i64, hi: i64) -> impl Fn(usize) -> Box<dyn crate::topology::Spout> {
         move |_task| Box::new(IterSpout((lo..hi).map(|i| tuple![i])))
+    }
+
+    /// The lost wakeup: a push that lands after a worker's last empty
+    /// `next_task` but before it registers as a sleeper signals nobody.
+    /// Here the task is queued and nothing will ever signal; `park`'s
+    /// re-check must see it instead of sleeping out its tick.
+    #[test]
+    fn park_sees_a_task_queued_before_it_registered() {
+        let sched = Sched::new(1, 1, Arc::new(SchedCounters::default()), &[0]);
+        let start = Instant::now();
+        for _ in 0..200 {
+            sched.park(0);
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(100), "200 parks took {elapsed:?}");
     }
 
     /// One step of a gate-queue schedule.

@@ -433,56 +433,28 @@ impl Session {
         Ok(rs)
     }
 
-    /// The optimized physical plan for a SQL query, as text: selection
-    /// pushdown, output-scheme pruning, join atoms, aggregation shape.
+    /// The optimized physical plan for a SQL query, as text: the plan tree
+    /// (pushdown, pruning, join atoms, the optimizer's decision,
+    /// aggregation shape), the executor configuration the session would
+    /// run it with — including the task→peer placement on a cluster — and
+    /// the resident views.
     pub fn explain(&self, text: &str) -> Result<String> {
-        self.explain_query(&squall_sql::parse(text)?)
+        self.explain_plan(&squall_sql::parse(text)?, None)
     }
 
-    /// The optimized physical plan for a SQL query *plus the run's
-    /// actuals*: the optimizer's estimated-vs-actual cardinality table is
-    /// filled from the supplied [`JoinReport`]'s per-relation task
-    /// counters (take it from [`ResultSet::report`] after executing the
-    /// same statement on this session).
+    /// [`Session::explain`] *plus the run's actuals*: the optimizer's
+    /// estimated-vs-actual cardinality table is filled from the supplied
+    /// [`JoinReport`]'s per-relation task counters (take it from
+    /// [`ResultSet::report`] after executing the same statement on this
+    /// session).
     pub fn explain_with(&self, text: &str, report: &JoinReport) -> Result<String> {
-        let query = squall_sql::parse(text)?;
-        let mut plan = PhysicalQuery::plan(&query, &self.catalog)?;
-        squall_plan::optimizer::optimize(&mut plan, &self.catalog, &self.config)?;
-        Ok(plan.explain_with_actuals(Some(report)))
+        self.explain_plan(&squall_sql::parse(text)?, Some(report))
     }
 
-    /// The optimized physical plan for a logical query block, as text,
-    /// followed by the executor configuration the session would run it
-    /// with — including the task→peer placement when the session runs on
-    /// a cluster.
-    pub fn explain_query(&self, query: &Query) -> Result<String> {
+    fn explain_plan(&self, query: &Query, report: Option<&JoinReport>) -> Result<String> {
         let mut plan = PhysicalQuery::plan(query, &self.catalog)?;
         squall_plan::optimizer::optimize(&mut plan, &self.catalog, &self.config)?;
-        let mut text = plan.explain_with_actuals(None);
-        let workers = match self.config.worker_threads {
-            Some(n) => n.to_string(),
-            None => "auto".to_string(),
-        };
-        text.push_str(&format!(
-            "executor: {} machines, {} worker threads, batch size {}\n",
-            self.config.machines, workers, self.config.batch_size
-        ));
-        if let Some(cluster) = &self.config.cluster {
-            let (names, parallelism, is_spout) = plan.node_layout(&self.config);
-            text.push_str(&format!(
-                "cluster: {} peers over TCP (coordinator + {} workers)\n",
-                cluster.workers.len() + 1,
-                cluster.workers.len()
-            ));
-            text.push_str(&squall_runtime::describe_placement(
-                &names,
-                &parallelism,
-                &is_spout,
-                &cluster.peer_labels(),
-            ));
-        }
-        text.push_str(&self.views.describe(&self.config));
-        Ok(text)
+        Ok(plan.explain(&self.config, report) + &self.views.describe(&self.config))
     }
 
     /// Collect sampling-based statistics for a registered source: row
@@ -755,10 +727,10 @@ impl QueryBuilder<'_> {
         session.run_stream(&self.build())
     }
 
-    /// The optimized physical plan, as text.
+    /// The optimized physical plan, as text (see [`Session::explain`]).
     pub fn explain(self) -> Result<String> {
         let session = self.session;
-        session.explain_query(&self.build())
+        session.explain_plan(&self.build(), None)
     }
 
     /// Build and launch as a resident materialized view — the imperative

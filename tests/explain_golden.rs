@@ -1,6 +1,7 @@
-//! Golden-file tests for the explain surface: the optimizer block (join
-//! order, estimated-vs-actual cardinality table, scheme candidates) is
-//! part of the user-facing contract, so its exact rendering is pinned.
+//! Golden-file tests for the explain surface: the plan tree — every node's
+//! line, the optimizer block (join order, estimated-vs-actual cardinality
+//! table, scheme candidates) and the cluster placement — is part of the
+//! user-facing contract, so its exact rendering is pinned.
 //!
 //! The goldens are deterministic: fixed data, fixed seed, fixed machine
 //! count — the only normalization is trailing-whitespace trimming. If you
@@ -72,4 +73,30 @@ fn forced_scheme_renders_as_forced() {
     s.config_mut().scheme = Some(SchemeKind::Random);
     let text = s.explain(SQL).unwrap();
     assert!(text.contains("scheme: forced by config"), "{text}");
+}
+
+/// Every node at once — a windowed aggregate (group-hash shards and the
+/// ordered merge), HAVING, ORDER BY / LIMIT — placed on two workers.
+/// Explain is pure planning: the worker addresses are never contacted.
+#[test]
+fn windowed_cluster_explain_matches_golden() {
+    let mut s = Session::builder()
+        .machines(4)
+        .seed(42)
+        .agg_parallelism(3)
+        .cluster(["127.0.0.1:7401", "127.0.0.1:7402"])
+        .build();
+    let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int), ("ts", DataType::Int)]);
+    s.register_stream("A", schema.clone(), (0..30).map(|i| tuple![i % 5, i, i]).collect(), "ts")
+        .unwrap();
+    s.register_stream("B", schema, (0..30).map(|i| tuple![i % 3, i, 2 * i]).collect(), "ts")
+        .unwrap();
+    let text = s
+        .explain(
+            "SELECT A.k, SUM(B.v) AS total FROM A, B WHERE A.k = B.k AND B.v > 3 \
+             WINDOW TUMBLING 10 GROUP BY A.k HAVING COUNT(*) > 1 ORDER BY total DESC LIMIT 5",
+        )
+        .unwrap();
+    let golden = include_str!("golden/explain_windowed_cluster.golden");
+    assert_eq!(normalize(&text), normalize(golden), "\n--- got ---\n{text}");
 }
