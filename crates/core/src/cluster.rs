@@ -1023,6 +1023,32 @@ mod tests {
     }
 
     #[test]
+    fn garbage_restore_blob_is_a_typed_error_and_the_worker_serves_on() {
+        // A `Job` frame's restore blobs are wire input: a truncated one
+        // fails the job before any bolt is built from it, and the same
+        // listener then serves a valid job.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
+        cfg.standing = true;
+        let job = JobSpec {
+            me: 1,
+            peers: vec!["127.0.0.1:1".into(), addr.clone()],
+            spec: rst_spec(),
+            cfg,
+            resume_epoch: 1,
+            restore_join: vec![(0, vec![0, 1, 2])],
+        };
+        let mut coordinator = TcpStream::connect(&addr).unwrap();
+        Frame::Job { payload: job.encode() }.write_to(&mut coordinator).unwrap();
+        let err = serve_job(&listener).unwrap_err();
+        assert!(matches!(err, SquallError::Codec(_)), "{err}");
+        let worker = std::thread::spawn(move || serve_job(&listener));
+        assert_serves_a_good_job(addr);
+        worker.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn empty_cluster_is_a_typed_error() {
         let spec = rst_spec();
         let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);

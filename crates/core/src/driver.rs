@@ -245,6 +245,9 @@ pub struct MaintenanceStats {
     pub snapshots: u64,
     /// Completed checkpoints (all operator blobs stored).
     pub checkpoints: u64,
+    /// Checkpoint blob bytes the coordinator's store received, join and
+    /// sink blobs alike.
+    pub checkpoint_bytes: u64,
     /// Recoveries performed after a lost worker.
     pub recoveries: u64,
     /// Epochs replayed after recovery and deduplicated at the view sink
@@ -257,7 +260,7 @@ impl std::fmt::Display for MaintenanceStats {
         write!(
             f,
             "appends {} retractions {} deltas-in {} epochs {} row-changes {} snapshots {} \
-             checkpoints {} recoveries {} replayed-epochs {}",
+             checkpoints {} checkpoint-bytes {} recoveries {} replayed-epochs {}",
             self.appends,
             self.retractions,
             self.deltas_in,
@@ -265,6 +268,7 @@ impl std::fmt::Display for MaintenanceStats {
             self.rows_changed,
             self.snapshots,
             self.checkpoints,
+            self.checkpoint_bytes,
             self.recoveries,
             self.replayed_epochs
         )

@@ -527,7 +527,7 @@ impl TaskCell {
                     *seen += 1;
                     if *seen >= b.expected_eos {
                         // Aligned: one barrier per upstream task is in, so
-                        // operator state reflects exactly epochs ≤ `epoch`.
+                        // every delta of an epoch ≤ `epoch` has arrived.
                         b.barriers.remove(&epoch);
                         if live {
                             result = b.bolt.barrier(epoch, out);

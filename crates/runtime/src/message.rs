@@ -61,11 +61,13 @@ pub enum Message {
     /// watermark; barriers are broadcast downstream exactly like
     /// watermarks (flushed after the sender's earlier data, one per
     /// upstream task). A task *aligns* once it has received one barrier
-    /// for `epoch` from every upstream task; at that instant its operator
-    /// state reflects precisely the deltas of epochs ≤ `epoch`, so the
-    /// aligned task snapshots its state and forwards the barrier. Because
-    /// every channel is FIFO and each task applies input single-threadedly,
-    /// alignment needs no channel capture and never stalls the pipeline.
+    /// for `epoch` from every upstream task; at that instant every delta
+    /// of an epoch ≤ `epoch` has arrived, so the aligned task snapshots its
+    /// state and forwards the barrier. Alignment holds no upstream back: one
+    /// whose barrier came early may already have delivered later epochs'
+    /// data, which a snapshot must leave out. Because every channel is FIFO
+    /// and each task applies input single-threadedly, alignment needs no
+    /// channel capture and never stalls the pipeline.
     Barrier {
         /// The checkpoint epoch this barrier seals.
         epoch: u64,

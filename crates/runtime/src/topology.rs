@@ -85,8 +85,8 @@ pub trait Bolt: Send {
 
     /// Called once per checkpoint epoch, at the instant barriers for
     /// `epoch` have *aligned* — one received from every upstream task, so
-    /// this task's state reflects exactly the deltas of epochs ≤ `epoch`
-    /// (see [`crate::message::Message::Barrier`]). Snapshot-capable
+    /// every delta of an epoch ≤ `epoch` has arrived, possibly with some of
+    /// later epochs (see [`crate::message::Message::Barrier`]). Snapshot-capable
     /// operators serialize their state here before forwarding; the default
     /// is stateless and just forwards the barrier downstream.
     fn barrier(&mut self, epoch: u64, out: &mut OutputCollector) -> Result<()> {

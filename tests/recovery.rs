@@ -194,6 +194,59 @@ fn failure_before_first_checkpoint_replays_from_initial_load() {
     assert!(stats.replayed_epochs >= 1, "replay was deduplicated at the sink: {stats}");
 }
 
+/// A long delta chain: with a checkpoint every epoch, 72 rounds of appends
+/// and retractions fold into the coordinator's store before a worker dies;
+/// the view restored from the folded state equals the recompute, keeps
+/// maintaining, and prints how long `recover` took.
+#[test]
+fn recovery_after_a_long_delta_chain_matches_the_recompute() {
+    let mut w0 = Worker::spawn();
+    let w1 = Worker::spawn();
+    let mut s = chain_session(
+        Session::builder()
+            .machines(4)
+            .seed(5)
+            .cluster([w0.addr.clone(), w1.addr.clone()])
+            .checkpoint_interval(1)
+            .heartbeat_timeout_ms(400),
+    );
+    s.sql(&format!("CREATE MATERIALIZED VIEW counts AS {CHAIN_VIEW}")).unwrap();
+    let view = s.view("counts").unwrap();
+    let mut rng = SplitMix64::new(3);
+    let mut added: Vec<(&str, Tuple)> = Vec::new();
+    for round in 0..72 {
+        if round % 4 == 3 {
+            let (name, row) = added.swap_remove(rng.next_below(added.len()));
+            s.retract(name, vec![row]).unwrap();
+        } else {
+            let (name, row) = match rng.next_below(3) {
+                0 => ("R", tuple![rng.next_range(0, 9), 10 * rng.next_range(1, 3)]),
+                1 => ("S", tuple![10 * rng.next_range(1, 3), 100 * rng.next_range(1, 2)]),
+                _ => ("T", tuple![100 * rng.next_range(1, 2), rng.next_range(0, 9)]),
+            };
+            s.append(name, vec![row.clone()]).unwrap();
+            added.push((name, row));
+        }
+    }
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, CHAIN_VIEW), "before failure");
+
+    w0.kill();
+    assert!(matches!(await_worker_lost(&view), SquallError::WorkerLost { .. }));
+    let w2 = Worker::spawn();
+    let start = Instant::now();
+    view.recover([w2.addr.clone(), w1.addr.clone()]).unwrap();
+    let recovered = start.elapsed();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, CHAIN_VIEW), "post-recovery snapshot");
+    eprintln!("recover() after a 72-round delta chain: {:.1} ms", recovered.as_secs_f64() * 1e3);
+
+    s.append("R", vec![tuple![5, 20]]).unwrap();
+    s.retract("T", vec![tuple![100, 7]]).unwrap();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, CHAIN_VIEW), "after post-recovery rounds");
+    let stats = s.drop_view("counts").unwrap().maintenance.expect("standing report");
+    assert!(stats.checkpoints >= 64, "a checkpoint per round: {stats}");
+    assert_eq!(stats.recoveries, 1, "{stats}");
+}
+
 /// One random mutation per step: append a random row to R or S, or
 /// retract a random still-present base row.
 fn random_step(rng: &mut SplitMix64, s: &mut Session, shadow: &mut [Vec<Tuple>; 2], dom: i64) {
