@@ -18,8 +18,8 @@
 //! The [`hypercube`] module holds the shared machinery (dimension vectors,
 //! routing, the analytic load model); [`optimizer`] holds the three §4
 //! optimization algorithms and the planner's scheme pricing; [`stats`]
-//! run-time statistics (top-k sketch, skew detection, the
-//! `(L−L_mf)/p + L_mf` cost model of §3.4).
+//! run-time statistics (exact key counts over a bounded sample, skew
+//! detection, the `(L−L_mf)/p + L_mf` cost model of §3.4).
 //!
 //! This crate holds the schemes a query can run under. The 2-way schemes
 //! the paper compares them against (1-Bucket, M-Bucket, EWH), the

@@ -1,101 +1,45 @@
 //! Run-time statistics for partitioning decisions.
 //!
 //! The Hybrid-Hypercube only needs to know whether each join key is
-//! skew-free (§3.4); this module estimates that from samples or from the
-//! live stream:
+//! skew-free (§3.4); this module decides that from a sample of the key
+//! column. The planner's samples are bounded (the launch-time probe takes
+//! 20 000 rows, `Session::analyze` 10 000), so the counts are exact: one
+//! pass holding one counter per sampled key. A heavy-hitter sketch would
+//! save nothing at that size and would overestimate the hottest key.
 //!
-//! * `SpaceSaving` — the classic top-k heavy-hitter sketch, used to
-//!   estimate the most-frequent-key share `L_mf / L`;
 //! * [`SkewEstimate`] — the top-frequency + distinct-count summary feeding
-//!   the §3.4 cost comparison `(L − L_mf)/p + L_mf` vs `L/p`.
+//!   the §3.4 cost comparison `(L − L_mf)/p + L_mf` vs `L/p`;
+//! * [`ColumnStats`] — the same counts scaled to the full relation, the
+//!   planner's cardinality input.
 
-use squall_common::{FxHashMap, FxHashSet, SplitMix64, Tuple, Value};
-
-/// The Space-Saving heavy hitter sketch (Metwally et al.): maintains at
-/// most `capacity` counters; the most frequent keys' counts are
-/// overestimated by at most the smallest counter.
-#[derive(Debug, Clone)]
-struct SpaceSaving {
-    capacity: usize,
-    counters: FxHashMap<Value, u64>,
-    total: u64,
-}
-
-impl SpaceSaving {
-    fn new(capacity: usize) -> SpaceSaving {
-        assert!(capacity > 0);
-        SpaceSaving { capacity, counters: FxHashMap::default(), total: 0 }
-    }
-
-    /// Observe one key.
-    fn offer(&mut self, key: &Value) {
-        self.total += 1;
-        if let Some(c) = self.counters.get_mut(key) {
-            *c += 1;
-            return;
-        }
-        if self.counters.len() < self.capacity {
-            self.counters.insert(key.clone(), 1);
-            return;
-        }
-        // Evict the minimum counter and inherit its count (+1).
-        let (min_key, min_count) = self
-            .counters
-            .iter()
-            .min_by_key(|(_, &c)| c)
-            .map(|(k, &c)| (k.clone(), c))
-            .expect("capacity > 0");
-        self.counters.remove(&min_key);
-        self.counters.insert(key.clone(), min_count + 1);
-    }
-
-    /// Top keys with (over-)estimated counts, descending.
-    #[cfg(test)]
-    fn top(&self, k: usize) -> Vec<(Value, u64)> {
-        let mut v: Vec<(Value, u64)> = self.counters.iter().map(|(k, &c)| (k.clone(), c)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
-    }
-
-    /// Estimated frequency (share of the stream) of the most popular key —
-    /// the `L_mf/L` input of the §3.4 cost model.
-    fn top_frequency(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let max = self.counters.values().copied().max().unwrap_or(0);
-        max as f64 / self.total as f64
-    }
-}
+use squall_common::{FxHashMap, SplitMix64, Tuple, Value};
 
 /// Skew summary of one attribute, built from a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewEstimate {
     /// Share of the hottest key.
     pub top_frequency: f64,
-    /// Distinct keys seen (capped by the sketch capacity — a lower bound).
+    /// Distinct keys in the sample.
     pub distinct: usize,
     /// Sample size.
     pub sample_size: u64,
 }
 
 impl SkewEstimate {
-    /// Summarize a value sample.
+    /// Summarize a value sample in one exact counting pass. Keys are
+    /// borrowed from the sample, so no value is cloned.
     pub fn from_sample<'a>(values: impl IntoIterator<Item = &'a Value>) -> SkewEstimate {
-        let mut sketch = SpaceSaving::new(256);
-        let mut distinct: FxHashSet<Value> = FxHashSet::default();
-        let mut n = 0u64;
+        let mut counts: FxHashMap<&Value, u64> = FxHashMap::default();
+        let (mut n, mut top) = (0u64, 0u64);
         for v in values {
-            sketch.offer(v);
-            if distinct.len() < 100_000 {
-                distinct.insert(v.clone());
-            }
+            let c = counts.entry(v).or_insert(0);
+            *c += 1;
+            top = top.max(*c);
             n += 1;
         }
         SkewEstimate {
-            top_frequency: sketch.top_frequency(),
-            distinct: distinct.len(),
+            top_frequency: if n == 0 { 0.0 } else { top as f64 / n as f64 },
+            distinct: counts.len(),
             sample_size: n,
         }
     }
@@ -133,7 +77,7 @@ impl SkewEstimate {
 /// the distinct count is estimated by inverting the expected
 /// distinct-in-sample curve `E[d] = D·(1 − (1 − 1/D)^s)` of a uniform
 /// domain (exact when the sample covers the relation), and the top-key
-/// frequency comes from a Space-Saving sketch over the sample.
+/// frequency is the sample's, counted exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Estimated distinct values in the *full* relation (exact when the
@@ -153,20 +97,11 @@ impl ColumnStats {
         values: impl IntoIterator<Item = &'a Value>,
         total_rows: u64,
     ) -> ColumnStats {
-        let mut sketch = SpaceSaving::new(256);
-        let mut seen: FxHashSet<Value> = FxHashSet::default();
-        let mut n = 0u64;
-        for v in values {
-            sketch.offer(v);
-            if seen.len() < 1_000_000 {
-                seen.insert(v.clone());
-            }
-            n += 1;
-        }
+        let sample = SkewEstimate::from_sample(values);
         ColumnStats {
-            distinct: estimate_distinct(seen.len() as u64, n, total_rows),
-            top_frequency: sketch.top_frequency(),
-            sample_size: n,
+            distinct: estimate_distinct(sample.distinct as u64, sample.sample_size, total_rows),
+            top_frequency: sample.top_frequency,
+            sample_size: sample.sample_size,
             total_rows,
         }
     }
@@ -265,40 +200,67 @@ fn estimate_distinct(d_s: u64, s: u64, n: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use squall_common::{tuple, SplitMix64, Zipf};
 
-    #[test]
-    fn space_saving_exact_when_under_capacity() {
-        let mut s = SpaceSaving::new(16);
-        for i in 0..10i64 {
-            for _ in 0..=i {
-                s.offer(&Value::Int(i));
-            }
+    /// A seeded sample mixing ints, integral floats equal to some of them,
+    /// strings and NULLs over a seed-dependent domain.
+    fn mixed_sample(seed: u64, n: usize) -> Vec<Value> {
+        let mut rng = SplitMix64::new(seed);
+        let domain = 1 + seed as usize % 60;
+        (0..n)
+            .map(|_| {
+                let k = rng.next_below(domain) as i64;
+                match rng.next_below(5) {
+                    0 | 1 => Value::Int(k),
+                    2 => Value::Float(k as f64),
+                    3 => Value::str(format!("s{k}")),
+                    _ => Value::Null,
+                }
+            })
+            .collect()
+    }
+
+    /// Brute force by ordered map: (distinct keys, the hottest key's count).
+    fn brute_counts(values: &[Value]) -> (usize, u64) {
+        let mut counts: BTreeMap<&Value, u64> = BTreeMap::new();
+        for v in values {
+            *counts.entry(v).or_default() += 1;
         }
-        let top = s.top(3);
-        assert_eq!(top[0], (Value::Int(9), 10));
-        assert_eq!(top[1], (Value::Int(8), 9));
-        assert_eq!(s.total, 55);
-        assert!((s.top_frequency() - 10.0 / 55.0).abs() < 1e-12);
+        (counts.len(), counts.values().copied().max().unwrap_or(0))
     }
 
     #[test]
-    fn space_saving_finds_heavy_hitter_beyond_capacity() {
-        let mut s = SpaceSaving::new(8);
-        let mut rng = SplitMix64::new(5);
-        // 50% of the stream is key 0; the rest spread over 10k keys.
-        for _ in 0..20_000 {
-            if rng.next_f64() < 0.5 {
-                s.offer(&Value::Int(0));
-            } else {
-                s.offer(&Value::Int(1 + rng.next_below(10_000) as i64));
-            }
+    fn skew_estimate_counts_exactly() {
+        let one = SkewEstimate::from_sample([Value::Int(3), Value::Float(3.0)].iter());
+        assert_eq!((one.distinct, one.top_frequency), (1, 1.0), "Int(3) = Float(3.0): one key");
+        let empty = SkewEstimate::from_sample([].iter());
+        assert_eq!((empty.distinct, empty.top_frequency, empty.sample_size), (0, 0.0, 0));
+        for seed in 0..100 {
+            let values = mixed_sample(seed, 1 + seed as usize * 53);
+            let (distinct, top) = brute_counts(&values);
+            let est = SkewEstimate::from_sample(values.iter());
+            assert_eq!(est.distinct, distinct, "seed {seed}");
+            assert_eq!(est.top_frequency, top as f64 / values.len() as f64, "seed {seed}");
+            assert_eq!(est.sample_size, values.len() as u64, "seed {seed}");
         }
-        let top = s.top(1);
-        assert_eq!(top[0].0, Value::Int(0));
-        let f = s.top_frequency();
-        assert!((f - 0.5).abs() < 0.1, "estimated top frequency {f}");
+    }
+
+    #[test]
+    fn column_stats_are_exact_when_the_sample_is_the_table() {
+        for seed in 0..30 {
+            let values = mixed_sample(seed, 200 + seed as usize * 97);
+            let (distinct, top) = brute_counts(&values);
+            let rows: Vec<Tuple> = values.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
+            let n = rows.len() as u64;
+            let st = collect_table_stats(&rows, 1, rows.len(), seed);
+            let cs = &st.columns[0];
+            assert_eq!((st.sample_size, cs.sample_size, cs.total_rows), (n, n, n), "seed {seed}");
+            assert_eq!(cs.distinct, distinct as u64, "seed {seed}");
+            assert_eq!(cs.top_frequency, top as f64 / n as f64, "seed {seed}");
+        }
     }
 
     #[test]
@@ -316,12 +278,17 @@ mod tests {
 
     #[test]
     fn uniform_is_not_skewed() {
+        // The launch-time probe's sample size. A top-256 sketch would
+        // overestimate the hottest count by up to n/256 here — enough to
+        // flag these keys skewed from 128 machines up.
         let mut rng = SplitMix64::new(9);
         let values: Vec<Value> =
-            (0..30_000).map(|_| Value::Int(rng.next_below(100_000) as i64)).collect();
+            (0..20_000).map(|_| Value::Int(rng.next_below(100_000) as i64)).collect();
         let est = SkewEstimate::from_sample(values.iter());
         assert!(est.top_frequency < 0.01);
-        assert!(!est.is_skewed(8, 0.5));
+        for p in [8, 128, 256, 1024] {
+            assert!(!est.is_skewed(p, 0.5), "uniform keys flagged skewed on {p} machines");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   needed downstream ("each component decides on its output scheme based
 //!   on the fields/expressions that are needed downstream");
 //! * **statistics & skew detection** — post-selection join-key samples are
-//!   sketched ([`squall_partition::SkewEstimate`]) to set the skew flags
-//!   the Hybrid-Hypercube needs (§3.4);
+//!   counted exactly ([`squall_partition::SkewEstimate`]) to set the skew
+//!   flags the Hybrid-Hypercube needs (§3.4);
 //! * **scheme & parallelism selection** — Hybrid-Hypercube by default
 //!   (it subsumes Hash and Random, §3.1), with the join parallelism from
 //!   the execution config.

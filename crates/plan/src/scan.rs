@@ -99,6 +99,8 @@ impl Scan {
 
     /// Apply the pushed filter, derived columns and projection.
     pub(crate) fn prepare(&self, data: &[Tuple]) -> Result<Vec<Tuple>> {
+        // Keeping every original column and deriving none: the row as is.
+        let whole = self.derived.is_empty() && self.kept.len() == self.columns.len();
         let mut out = Vec::with_capacity(data.len());
         for tuple in data {
             if let Some(f) = &self.filter {
@@ -106,10 +108,14 @@ impl Scan {
                     continue;
                 }
             }
+            if whole {
+                out.push(tuple.clone());
+                continue;
+            }
             let arity = tuple.arity();
             let derived = self.derived.iter().map(|d| d.eval(tuple)).collect::<Result<Vec<_>>>()?;
             let value = |c: usize| if c < arity { tuple.get(c) } else { &derived[c - arity] };
-            out.push(Tuple::new(self.kept.iter().map(|&c| value(c).clone()).collect()));
+            out.push(self.kept.iter().map(|&c| value(c).clone()).collect());
         }
         Ok(out)
     }
