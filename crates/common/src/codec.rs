@@ -8,10 +8,12 @@
 //! any build of this workspace decodes identically in any other. No
 //! registry dependencies, no reflection: the codec is the contract.
 //!
-//! Layering: this module knows [`Value`], [`Tuple`] and [`SquallError`]
-//! (the common types every message is made of). The runtime's transport
-//! layer composes these primitives into its own frame vocabulary
-//! (`Deliver` / `Abort` / …).
+//! Everything but the data plane and the checkpoint blobs (laid out by hand
+//! with the `put_*` / [`Reader`] primitives) crosses through one trait,
+//! [`Wire`]: the primitives, containers, [`Value`], [`Tuple`] and [`Chunk`]
+//! implement it here; every other wire type — the plan, the control frames,
+//! the metrics, [`SquallError`] — gets its impl from one table beside the
+//! type, [`wire_struct!`](crate::wire_struct) or [`wire_tags!`](crate::wire_tags).
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -63,7 +65,7 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_u32(buf, b.len() as u32);
     buf.extend_from_slice(b);
 }
@@ -72,19 +74,26 @@ pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
 // Primitive reader
 // ---------------------------------------------------------------------
 
+/// How deep [`Box`]ed values may nest in one payload: far above any
+/// expression the planner ships, and within half a default 2 MiB thread
+/// stack even in an unoptimized build (≈ 3 KB per level there).
+const MAX_NESTING: u32 = 256;
+
 /// A cursor over an encoded payload. Every accessor bounds-checks and
 /// returns [`SquallError::Codec`] on a short or malformed buffer, so a
 /// corrupted frame surfaces as a typed error instead of a panic.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Boxes being decoded around the cursor (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 // `len` reads a length prefix off the wire; it is not a container size.
 #[allow(clippy::len_without_is_empty)]
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+        Reader { buf, pos: 0, depth: 0 }
     }
 
     fn need(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -175,62 +184,288 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------
+// The wire vocabulary
+// ---------------------------------------------------------------------
+
+/// A type with one wire encoding: `put` appends it, `get` reads it back or
+/// fails with a typed error. A `usize` crosses as eight bytes; a `Vec` as a
+/// `u32` count (checked by [`Reader::len`] before anything is allocated)
+/// and its elements; an `Option` as a `0` / `1` byte and the value.
+pub trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+
+    fn get(r: &mut Reader<'_>) -> Result<Self>;
+
+    /// The whole encoding of `self` as one payload.
+    fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.put(&mut buf);
+        buf
+    }
+
+    /// Decode one payload that must hold exactly one value.
+    fn decode(payload: &[u8]) -> Result<Self> {
+        let mut r = Reader::new(payload);
+        let v = Self::get(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
+    /// A counted run of values — element by element, unless the type lays
+    /// out a run more cheaply itself (`u8`: one byte slice).
+    fn put_run(items: &[Self], buf: &mut Vec<u8>) {
+        put_u32(buf, items.len() as u32);
+        for x in items {
+            x.put(buf);
+        }
+    }
+
+    fn get_run(r: &mut Reader<'_>) -> Result<Vec<Self>> {
+        let n = r.len()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(Self::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Types whose encoding is one writer and one reader.
+macro_rules! wire_via {
+    ($($t:ty: $put:expr, $get:expr;)*) => {$(
+        impl Wire for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $put(buf, self)
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                $get(r)
+            }
+        }
+    )*};
+}
+
+wire_via! {
+    u32: |b, v: &u32| put_u32(b, *v), Reader::u32;
+    u64: |b, v: &u64| put_u64(b, *v), Reader::u64;
+    i64: |b, v: &i64| put_i64(b, *v), Reader::i64;
+    f64: |b, v: &f64| put_f64(b, *v), Reader::f64;
+    bool: |b, v: &bool| put_bool(b, *v), Reader::bool;
+    usize: |b, v: &usize| put_u64(b, *v as u64), get_usize;
+    String: |b, v: &String| put_str(b, v), Reader::str;
+    Arc<str>: |b, v: &Arc<str>| put_str(b, v), |r: &mut Reader<'_>| r.str_ref().map(Arc::from);
+    Date: |b, v: &Date| put_i32(b, v.0), |r: &mut Reader<'_>| r.i32().map(Date);
+    Tuple: put_tuple, get_tuple;
+    Chunk: put_chunk, get_chunk;
+}
+
+fn get_usize(r: &mut Reader<'_>) -> Result<usize> {
+    let v = r.u64()?;
+    usize::try_from(v).map_err(|_| SquallError::Codec(format!("{v} does not fit a usize")))
+}
+
+impl Wire for u8 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u8(buf, *self)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        r.u8()
+    }
+
+    fn put_run(items: &[u8], buf: &mut Vec<u8>) {
+        put_bytes(buf, items)
+    }
+
+    fn get_run(r: &mut Reader<'_>) -> Result<Vec<u8>> {
+        r.bytes()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        T::put_run(self, buf)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        T::get_run(r)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u8(buf, self.is_some() as u8);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => T::get(r).map(Some),
+            tag => Err(unknown_tag("Option", tag)),
+        }
+    }
+}
+
+/// Every recursive wire type recurses through a `Box`, so this is where
+/// nesting is bounded: a payload nesting deeper than 256 boxes is a typed
+/// error, not a stack overflow.
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        T::put(self, buf)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        if r.depth == MAX_NESTING {
+            return Err(SquallError::Codec(format!("values nest deeper than {MAX_NESTING}")));
+        }
+        r.depth += 1;
+        let v = T::get(r);
+        r.depth -= 1;
+        Ok(Box::new(v?))
+    }
+}
+
+/// The error for a tag byte no variant of `ty` has.
+#[doc(hidden)]
+#[cold]
+pub fn unknown_tag(ty: &str, tag: u8) -> SquallError {
+    SquallError::Codec(format!("unknown {ty} tag {tag}"))
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A struct's wire encoding, written once beside the struct: its fields in
+/// the order listed (`field as u32` narrows a `usize` to four bytes,
+/// saturating, so an oversized value stays out of range rather than wrap
+/// into it). The encoder destructures the struct exhaustively: a field the
+/// table does not list fails to compile, unless `skip { field }` names it
+/// (it never crosses; decoded as its `Default`). `check f` runs `f(&value)?`
+/// on each decoded value.
+///
+/// ```
+/// # use squall_common::codec::Wire;
+/// #[derive(Debug, PartialEq)]
+/// struct Probe { id: usize, name: String, hint: Option<u64> }
+/// squall_common::wire_struct! { Probe { id as u32, name, hint } }
+/// let p = Probe { id: 7, name: "x".into(), hint: Some(3) };
+/// assert_eq!(p.encode().len(), 4 + (4 + 1) + (1 + 8));
+/// assert_eq!(Probe::decode(&p.encode()).unwrap(), p);
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($f:ident $(as $n:ident)?),* $(,)? }
+     $(skip { $($skip:ident),* $(,)? })? $(check $check:path)?) => {
+        impl $crate::codec::Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let $ty { $($f,)* $($($skip: _,)*)? } = self;
+                $($crate::wire_field!(put $f $(as $n)?, buf);)*
+            }
+
+            fn get(r: &mut $crate::codec::Reader<'_>) -> $crate::Result<Self> {
+                let v = $ty {
+                    $($f: $crate::wire_field!(get $f $(as $n)?, r),)*
+                    $($($skip: Default::default(),)*)?
+                };
+                $($check(&v)?;)?
+                Ok(v)
+            }
+        }
+    };
+}
+
+/// An enum's wire encoding, written once beside the enum: each variant ↔
+/// its tag byte, then its fields as in [`wire_struct!`](crate::wire_struct)
+/// (a tuple variant names its fields for the table). An unknown tag is a
+/// [`SquallError::Codec`]; a tag listed twice is an unreachable arm, which
+/// the workspace's lints reject. An `else` block adds one raw `match` arm
+/// each way — over the value for `put`, over the tag for `get`, with the
+/// buffer and the reader named in parentheses — for what the table cannot
+/// spell: a variant laying out its own tag, or variants sharing one.
+///
+/// ```
+/// # use squall_common::codec::Wire;
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Dot, Circle(u64), Rect { w: u64, h: u64 } }
+/// squall_common::wire_tags! { Shape { 0 => Dot, 1 => Circle(r), 7 => Rect { w, h } } }
+/// assert_eq!(Shape::Circle(2).encode(), [1, 2, 0, 0, 0, 0, 0, 0, 0]);
+/// assert!(matches!(Shape::decode(&[3]), Err(squall_common::SquallError::Codec(_))));
+/// ```
+#[macro_export]
+macro_rules! wire_tags {
+    ($ty:ident { $($table:tt)* }) => {
+        $crate::wire_tags! { $ty (buf, r) { $($table)* } }
+    };
+    ($ty:ident ($buf:ident, $r:ident) {
+        $($tag:literal => $var:ident
+            $(($($t:ident $(as $tn:ident)?),* $(,)?))?
+            $({ $($f:ident $(as $fn_:ident)?),* $(,)? })?),* $(,)?
+    } $(else { $opat:pat => $oput:expr, $gpat:pat => $oget:expr $(,)? })?) => {
+        impl $crate::codec::Wire for $ty {
+            fn put(&self, $buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$var $(($($t),*))? $({ $($f),* })? => {
+                        $crate::codec::put_u8($buf, $tag);
+                        $($($crate::wire_field!(put $t $(as $tn)?, $buf);)*)?
+                        $($($crate::wire_field!(put $f $(as $fn_)?, $buf);)*)?
+                    })*
+                    $($opat => $oput,)?
+                }
+            }
+
+            fn get($r: &mut $crate::codec::Reader<'_>) -> $crate::Result<Self> {
+                Ok(match $r.u8()? {
+                    $($tag => $ty::$var
+                        $(($($crate::wire_field!(get $t $(as $tn)?, $r)),*))?
+                        $({ $($f: $crate::wire_field!(get $f $(as $fn_)?, $r)),* })?,)*
+                    $($gpat => $oget,)?
+                    tag => return Err($crate::codec::unknown_tag(stringify!($ty), tag)),
+                })
+            }
+        }
+    };
+}
+
+/// One field of a [`wire_struct!`](crate::wire_struct) /
+/// [`wire_tags!`](crate::wire_tags) table.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! wire_field {
+    (put $v:ident, $buf:ident) => {
+        $crate::codec::Wire::put($v, $buf)
+    };
+    (put $v:ident as u32, $buf:ident) => {
+        $crate::codec::put_u32($buf, u32::try_from(*$v).unwrap_or(u32::MAX))
+    };
+    (get $v:ident, $r:ident) => {
+        $crate::codec::Wire::get($r)?
+    };
+    (get $v:ident as u32, $r:ident) => {
+        $r.u32()? as usize
+    };
+}
+
+// ---------------------------------------------------------------------
 // Value / Tuple
 // ---------------------------------------------------------------------
 
-const VAL_NULL: u8 = 0;
-const VAL_INT: u8 = 1;
-const VAL_FLOAT: u8 = 2;
-const VAL_STR: u8 = 3;
-const VAL_DATE: u8 = 4;
-
-pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(buf, VAL_NULL),
-        Value::Int(i) => {
-            put_u8(buf, VAL_INT);
-            put_i64(buf, *i);
-        }
-        Value::Float(f) => {
-            put_u8(buf, VAL_FLOAT);
-            put_f64(buf, *f);
-        }
-        Value::Str(s) => {
-            put_u8(buf, VAL_STR);
-            put_str(buf, s);
-        }
-        Value::Date(d) => {
-            put_u8(buf, VAL_DATE);
-            put_i32(buf, d.0);
-        }
-    }
-}
-
-pub fn get_value(r: &mut Reader<'_>) -> Result<Value> {
-    Ok(match r.u8()? {
-        VAL_NULL => Value::Null,
-        VAL_INT => Value::Int(r.i64()?),
-        VAL_FLOAT => Value::Float(r.f64()?),
-        VAL_STR => Value::Str(Arc::from(r.str_ref()?)),
-        VAL_DATE => Value::Date(Date(r.i32()?)),
-        tag => return Err(SquallError::Codec(format!("unknown value tag {tag}"))),
-    })
-}
-
 pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
-    put_u32(buf, t.arity() as u32);
-    for v in t.values() {
-        put_value(buf, v);
-    }
+    Value::put_run(t.values(), buf)
 }
 
 pub fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple> {
-    let n = r.len()?;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(get_value(r)?);
-    }
-    Ok(Tuple::new(values))
+    Value::get_run(r).map(Tuple::new)
 }
 
 // ---------------------------------------------------------------------
@@ -319,7 +554,7 @@ pub fn put_chunk(buf: &mut Vec<u8>, chunk: &Chunk) {
             }
             Array::Mixed(vals) => {
                 for v in vals {
-                    put_value(buf, v);
+                    v.put(buf);
                 }
             }
         }
@@ -415,7 +650,7 @@ pub fn get_chunk(r: &mut Reader<'_>) -> Result<Chunk> {
         }
         let before = r.remaining();
         let validity = if has_validity {
-            let n_words = rows.div_ceil(64);
+            let n_words = plausible(r, rows.div_ceil(64), 8)?;
             let mut words = Vec::with_capacity(n_words);
             for _ in 0..n_words {
                 words.push(r.u64()?);
@@ -471,7 +706,7 @@ pub fn get_chunk(r: &mut Reader<'_>) -> Result<Chunk> {
             (COL_MIXED, ENC_PLAIN) => {
                 let mut vals = Vec::with_capacity(plausible(r, rows, 1)?);
                 for _ in 0..rows {
-                    vals.push(get_value(r)?);
+                    vals.push(Value::get(r)?);
                 }
                 Array::Mixed(vals)
             }
@@ -533,99 +768,6 @@ fn get_int_dict(r: &mut Reader<'_>, rows: usize) -> Result<Vec<i64>> {
         vals.push(*v);
     }
     Ok(vals)
-}
-
-// ---------------------------------------------------------------------
-// Errors on the wire
-// ---------------------------------------------------------------------
-
-// Variants that must survive a process boundary exactly (the run-abort
-// protocol forwards the failing peer's error to the coordinator, and
-// `MemoryOverflow` semantics are part of the paper's methodology). Less
-// structured variants round-trip as their display text.
-const ERR_MEMORY_OVERFLOW: u8 = 0;
-const ERR_RUNTIME: u8 = 1;
-const ERR_INVALID_PLAN: u8 = 2;
-const ERR_PARSE: u8 = 3;
-const ERR_UNKNOWN_COLUMN: u8 = 4;
-const ERR_UNKNOWN_RELATION: u8 = 5;
-const ERR_INVALID_PARTITIONING: u8 = 6;
-const ERR_IO: u8 = 7;
-const ERR_CODEC: u8 = 8;
-const ERR_OTHER: u8 = 9;
-const ERR_WORKER_LOST: u8 = 10;
-
-pub fn put_error(buf: &mut Vec<u8>, e: &SquallError) {
-    match e {
-        SquallError::MemoryOverflow { machine, stored, budget } => {
-            put_u8(buf, ERR_MEMORY_OVERFLOW);
-            put_u64(buf, *machine as u64);
-            put_u64(buf, *stored as u64);
-            put_u64(buf, *budget as u64);
-        }
-        SquallError::Runtime(m) => {
-            put_u8(buf, ERR_RUNTIME);
-            put_str(buf, m);
-        }
-        SquallError::InvalidPlan(m) => {
-            put_u8(buf, ERR_INVALID_PLAN);
-            put_str(buf, m);
-        }
-        SquallError::Parse(m) => {
-            put_u8(buf, ERR_PARSE);
-            put_str(buf, m);
-        }
-        SquallError::UnknownColumn(m) => {
-            put_u8(buf, ERR_UNKNOWN_COLUMN);
-            put_str(buf, m);
-        }
-        SquallError::UnknownRelation(m) => {
-            put_u8(buf, ERR_UNKNOWN_RELATION);
-            put_str(buf, m);
-        }
-        SquallError::InvalidPartitioning(m) => {
-            put_u8(buf, ERR_INVALID_PARTITIONING);
-            put_str(buf, m);
-        }
-        SquallError::Io(m) => {
-            put_u8(buf, ERR_IO);
-            put_str(buf, m);
-        }
-        SquallError::Codec(m) => {
-            put_u8(buf, ERR_CODEC);
-            put_str(buf, m);
-        }
-        SquallError::WorkerLost { addr, last_epoch } => {
-            put_u8(buf, ERR_WORKER_LOST);
-            put_str(buf, addr);
-            put_u64(buf, *last_epoch);
-        }
-        other => {
-            put_u8(buf, ERR_OTHER);
-            put_str(buf, &other.to_string());
-        }
-    }
-}
-
-pub fn get_error(r: &mut Reader<'_>) -> Result<SquallError> {
-    Ok(match r.u8()? {
-        ERR_MEMORY_OVERFLOW => SquallError::MemoryOverflow {
-            machine: r.u64()? as usize,
-            stored: r.u64()? as usize,
-            budget: r.u64()? as usize,
-        },
-        ERR_RUNTIME => SquallError::Runtime(r.str()?),
-        ERR_INVALID_PLAN => SquallError::InvalidPlan(r.str()?),
-        ERR_PARSE => SquallError::Parse(r.str()?),
-        ERR_UNKNOWN_COLUMN => SquallError::UnknownColumn(r.str()?),
-        ERR_UNKNOWN_RELATION => SquallError::UnknownRelation(r.str()?),
-        ERR_INVALID_PARTITIONING => SquallError::InvalidPartitioning(r.str()?),
-        ERR_IO => SquallError::Io(r.str()?),
-        ERR_CODEC => SquallError::Codec(r.str()?),
-        ERR_OTHER => SquallError::Runtime(r.str()?),
-        ERR_WORKER_LOST => SquallError::WorkerLost { addr: r.str()?, last_epoch: r.u64()? },
-        tag => return Err(SquallError::Codec(format!("unknown error tag {tag}"))),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -703,11 +845,11 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for v in &values {
-            put_value(&mut buf, v);
+            v.put(&mut buf);
         }
         let mut r = Reader::new(&buf);
         for v in &values {
-            let got = get_value(&mut r).unwrap();
+            let got = Value::get(&mut r).unwrap();
             // NaN compares equal under Value's total order semantics.
             assert_eq!(&got, v, "{v:?}");
         }
@@ -809,16 +951,64 @@ mod tests {
 
     #[test]
     fn error_roundtrip_preserves_memory_overflow_exactly() {
-        let e = SquallError::MemoryOverflow { machine: 3, stored: 1001, budget: 1000 };
-        let mut buf = Vec::new();
-        put_error(&mut buf, &e);
-        let mut r = Reader::new(&buf);
-        assert_eq!(get_error(&mut r).unwrap(), e);
+        let tagged = [
+            SquallError::MemoryOverflow { machine: 3, stored: 1001, budget: 1000 },
+            SquallError::Runtime("task panicked".into()),
+            SquallError::InvalidPlan("p".into()),
+            SquallError::Parse("q".into()),
+            SquallError::UnknownColumn("c".into()),
+            SquallError::UnknownRelation("r".into()),
+            SquallError::InvalidPartitioning("h".into()),
+            SquallError::Io("i".into()),
+            SquallError::Codec("k".into()),
+            SquallError::WorkerLost { addr: "w:1".into(), last_epoch: 4 },
+        ];
+        for e in tagged {
+            assert_eq!(SquallError::decode(&e.encode()).unwrap(), e);
+        }
+        // A variant without a tag of its own arrives as its display text.
+        let e = SquallError::ViewInUse { view: "v".into() };
+        assert_eq!(SquallError::decode(&e.encode()).unwrap(), SquallError::Runtime(e.to_string()));
+        assert!(matches!(SquallError::decode(&[11]), Err(SquallError::Codec(_))));
+    }
 
-        let e2 = SquallError::Runtime("task panicked".into());
+    /// A recursive wire type, nested through `Box` as the plan's
+    /// expressions are.
+    #[derive(Debug, PartialEq)]
+    enum Nest {
+        Leaf(u64),
+        Wrap(Box<Nest>),
+    }
+    crate::wire_tags! { Nest { 0 => Leaf(v), 1 => Wrap(inner) } }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let nested = |depth: usize| {
+            let mut bytes = vec![1u8; depth];
+            bytes.push(0);
+            bytes.extend_from_slice(&5u64.to_le_bytes());
+            bytes
+        };
+        let mut at_cap = Nest::Leaf(5);
+        for _ in 0..MAX_NESTING {
+            at_cap = Nest::Wrap(Box::new(at_cap));
+        }
+        assert_eq!(Nest::decode(&nested(MAX_NESTING as usize)).unwrap(), at_cap);
+        let past = Nest::decode(&nested(MAX_NESTING as usize + 1)).unwrap_err();
+        assert!(matches!(&past, SquallError::Codec(m) if m.contains("nest deeper")), "{past}");
+    }
+
+    #[test]
+    fn options_and_counts_reject_what_no_encoder_writes() {
+        assert_eq!(Option::<u64>::decode(&Some(9u64).encode()).unwrap(), Some(9));
+        assert!(matches!(Option::<u64>::decode(&[2]), Err(SquallError::Codec(_))));
+        // A count beyond the remaining bytes fails before any allocation.
         let mut buf = Vec::new();
-        put_error(&mut buf, &e2);
-        assert_eq!(get_error(&mut Reader::new(&buf)).unwrap(), e2);
+        put_u32(&mut buf, u32::MAX);
+        assert!(matches!(Vec::<u64>::decode(&buf), Err(SquallError::Codec(_))));
+        // Byte runs are one length-prefixed slice, as `put_bytes` lays them.
+        assert_eq!(vec![1u8, 2, 3].encode(), [3, 0, 0, 0, 1, 2, 3]);
+        assert_eq!(Vec::<u8>::decode(&[2, 0, 0, 0, 7, 8]).unwrap(), vec![7, 8]);
     }
 
     #[test]

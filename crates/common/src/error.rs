@@ -108,6 +108,29 @@ impl From<std::io::Error> for SquallError {
     }
 }
 
+// The variants that must survive a process boundary exactly (the run-abort
+// protocol forwards the failing peer's error to the coordinator, and
+// `MemoryOverflow` semantics are part of the paper's methodology). The rest
+// cross as their display text and arrive as `Runtime`.
+crate::wire_tags! { SquallError (buf, r) {
+    0 => MemoryOverflow { machine, stored, budget },
+    1 => Runtime(m),
+    2 => InvalidPlan(m),
+    3 => Parse(m),
+    4 => UnknownColumn(m),
+    5 => UnknownRelation(m),
+    6 => InvalidPartitioning(m),
+    7 => Io(m),
+    8 => Codec(m),
+    10 => WorkerLost { addr, last_epoch },
+} else {
+    other => {
+        crate::codec::put_u8(buf, 9);
+        crate::codec::put_str(buf, &other.to_string())
+    },
+    9 => SquallError::Runtime(r.str()?),
+}}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,6 +29,8 @@ impl fmt::Display for DataType {
     }
 }
 
+crate::wire_tags! { DataType { 0 => Int, 1 => Float, 2 => Str, 3 => Date } }
+
 /// One column of a schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
@@ -53,11 +55,15 @@ impl Field {
     }
 }
 
+crate::wire_struct! { Field { name, data_type, skew_free } }
+
 /// An ordered list of fields.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     fields: Vec<Field>,
 }
+
+crate::wire_struct! { Schema { fields } }
 
 impl Schema {
     pub fn new(fields: Vec<Field>) -> Schema {

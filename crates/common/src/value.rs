@@ -236,6 +236,8 @@ impl fmt::Display for Value {
     }
 }
 
+crate::wire_tags! { Value { 0 => Null, 1 => Int(i), 2 => Float(f), 3 => Str(s), 4 => Date(d) } }
+
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)

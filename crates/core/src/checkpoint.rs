@@ -35,6 +35,7 @@ use squall_common::{FxHashMap, Result, SplitMix64, SquallError, Tuple};
 use squall_join::Snapshot;
 use squall_partition::hypercube::DimRole;
 use squall_partition::HypercubeScheme;
+use squall_runtime::transport::SnapshotBlobMsg;
 
 /// Blob role byte: a join bolt's state.
 pub const ROLE_JOIN: u8 = 0;
@@ -52,10 +53,6 @@ pub const JOIN_BLOB_WINDOWED: u8 = 1;
 /// the epoch the task was restored at, or 0 for an empty start), then a
 /// full blob's row grammar, unsorted. Only the store reads it.
 pub const JOIN_BLOB_DELTA: u8 = 3;
-
-/// One snapshot blob in flight from an operator to the coordinator:
-/// `(role, task, epoch, payload)`.
-pub type SnapshotBlobMsg = (u8, usize, u64, Vec<u8>);
 
 /// A full-history join task's half of the delta chain: the signed base
 /// rows it applied since its last barrier, each with its epoch.

@@ -30,19 +30,17 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::Sender;
 use std::time::Duration;
 
-use squall_common::codec::{self, Reader};
-use squall_common::{DataType, Field, Result, Schema, SquallError};
-use squall_expr::join_cond::CmpOp;
-use squall_expr::{AggFunc, BinOp, JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
-use squall_join::{AggSpec, WindowSpec};
-use squall_partition::optimizer::SchemeKind;
+use squall_common::codec::Wire;
+use squall_common::{Result, SquallError};
+use squall_expr::MultiJoinSpec;
+use squall_runtime::transport::SnapshotBlobMsg;
 use squall_runtime::{
     plan_placement, ClusterLinks, ClusterRun, Frame, Placement, RunHandle, RunOutcome, Topology,
     TransportStats,
 };
 
-use crate::checkpoint::{RestoreState, SnapshotBlobMsg};
-use crate::driver::{assemble, AggPlan, LocalJoinKind, MultiwayConfig, WindowPlan};
+use crate::checkpoint::RestoreState;
+use crate::driver::{assemble, MultiwayConfig};
 
 /// Cluster membership for a session: the worker processes (listen
 /// addresses) that distributed runs split their topologies across. The
@@ -110,406 +108,23 @@ pub struct JobSpec {
     pub restore_join: Vec<(u32, Vec<u8>)>,
 }
 
-// ---------------------------------------------------------------------
-// Plan codec (hand-rolled, mirroring squall_common::codec's style)
-// ---------------------------------------------------------------------
-
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => codec::put_u8(buf, 0),
-        Some(x) => {
-            codec::put_u8(buf, 1);
-            codec::put_u64(buf, x);
-        }
-    }
-}
-
-fn get_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>> {
-    Ok(match r.u8()? {
-        0 => None,
-        _ => Some(r.u64()?),
-    })
-}
-
-fn dtype_tag(d: DataType) -> u8 {
-    match d {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
-        DataType::Date => 3,
-    }
-}
-
-fn dtype_from(tag: u8) -> Result<DataType> {
-    Ok(match tag {
-        0 => DataType::Int,
-        1 => DataType::Float,
-        2 => DataType::Str,
-        3 => DataType::Date,
-        t => return Err(SquallError::Codec(format!("unknown data type tag {t}"))),
-    })
-}
-
-fn put_schema(buf: &mut Vec<u8>, s: &Schema) {
-    codec::put_u32(buf, s.arity() as u32);
-    for f in s.fields() {
-        codec::put_str(buf, &f.name);
-        codec::put_u8(buf, dtype_tag(f.data_type));
-        codec::put_bool(buf, f.skew_free);
-    }
-}
-
-fn get_schema(r: &mut Reader<'_>) -> Result<Schema> {
-    let n = r.len()?;
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str()?;
-        let data_type = dtype_from(r.u8()?)?;
-        let skew_free = r.bool()?;
-        let mut f = Field::new(name, data_type);
-        if !skew_free {
-            f = f.skewed();
-        }
-        fields.push(f);
-    }
-    Ok(Schema::new(fields))
-}
-
-fn binop_tag(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Mod => 4,
-        BinOp::Eq => 5,
-        BinOp::Ne => 6,
-        BinOp::Lt => 7,
-        BinOp::Le => 8,
-        BinOp::Gt => 9,
-        BinOp::Ge => 10,
-        BinOp::And => 11,
-        BinOp::Or => 12,
-    }
-}
-
-fn binop_from(tag: u8) -> Result<BinOp> {
-    Ok(match tag {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Mod,
-        5 => BinOp::Eq,
-        6 => BinOp::Ne,
-        7 => BinOp::Lt,
-        8 => BinOp::Le,
-        9 => BinOp::Gt,
-        10 => BinOp::Ge,
-        11 => BinOp::And,
-        12 => BinOp::Or,
-        t => return Err(SquallError::Codec(format!("unknown binop tag {t}"))),
-    })
-}
-
-fn cmp_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    }
-}
-
-fn cmp_from(tag: u8) -> Result<CmpOp> {
-    Ok(match tag {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        t => return Err(SquallError::Codec(format!("unknown cmp tag {t}"))),
-    })
-}
-
-fn put_scalar(buf: &mut Vec<u8>, e: &ScalarExpr) {
-    match e {
-        ScalarExpr::Column(i) => {
-            codec::put_u8(buf, 0);
-            codec::put_u64(buf, *i as u64);
-        }
-        ScalarExpr::Literal(v) => {
-            codec::put_u8(buf, 1);
-            codec::put_value(buf, v);
-        }
-        ScalarExpr::Bin { op, lhs, rhs } => {
-            codec::put_u8(buf, 2);
-            codec::put_u8(buf, binop_tag(*op));
-            put_scalar(buf, lhs);
-            put_scalar(buf, rhs);
-        }
-        ScalarExpr::Not(x) => {
-            codec::put_u8(buf, 3);
-            put_scalar(buf, x);
-        }
-        ScalarExpr::Cast { expr, to } => {
-            codec::put_u8(buf, 4);
-            put_scalar(buf, expr);
-            codec::put_u8(buf, dtype_tag(*to));
-        }
-    }
-}
-
-fn get_scalar(r: &mut Reader<'_>) -> Result<ScalarExpr> {
-    Ok(match r.u8()? {
-        0 => ScalarExpr::Column(r.u64()? as usize),
-        1 => ScalarExpr::Literal(codec::get_value(r)?),
-        2 => {
-            let op = binop_from(r.u8()?)?;
-            let lhs = get_scalar(r)?;
-            let rhs = get_scalar(r)?;
-            ScalarExpr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
-        }
-        3 => ScalarExpr::Not(Box::new(get_scalar(r)?)),
-        4 => {
-            let expr = get_scalar(r)?;
-            let to = dtype_from(r.u8()?)?;
-            ScalarExpr::Cast { expr: Box::new(expr), to }
-        }
-        t => return Err(SquallError::Codec(format!("unknown scalar tag {t}"))),
-    })
-}
-
-fn put_agg_spec(buf: &mut Vec<u8>, a: &AggSpec) {
-    codec::put_u8(
-        buf,
-        match a.func {
-            AggFunc::Count => 0,
-            AggFunc::Sum => 1,
-            AggFunc::Avg => 2,
-        },
-    );
-    match &a.input {
-        None => codec::put_u8(buf, 0),
-        Some(e) => {
-            codec::put_u8(buf, 1);
-            put_scalar(buf, e);
-        }
-    }
-}
-
-fn get_agg_spec(r: &mut Reader<'_>) -> Result<AggSpec> {
-    let func = match r.u8()? {
-        0 => AggFunc::Count,
-        1 => AggFunc::Sum,
-        2 => AggFunc::Avg,
-        t => return Err(SquallError::Codec(format!("unknown agg tag {t}"))),
-    };
-    let input = match r.u8()? {
-        0 => None,
-        _ => Some(get_scalar(r)?),
-    };
-    Ok(AggSpec { func, input })
+squall_common::wire_struct! {
+    JobSpec { me as u32, peers, spec, cfg, resume_epoch, restore_join } check JobSpec::addressed
 }
 
 impl JobSpec {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        codec::put_u32(&mut buf, self.me as u32);
-        codec::put_u32(&mut buf, self.peers.len() as u32);
-        for p in &self.peers {
-            codec::put_str(&mut buf, p);
-        }
-        // MultiJoinSpec.
-        codec::put_u32(&mut buf, self.spec.relations.len() as u32);
-        for rel in &self.spec.relations {
-            codec::put_str(&mut buf, &rel.name);
-            put_schema(&mut buf, &rel.schema);
-            codec::put_u64(&mut buf, rel.est_size);
-        }
-        codec::put_u32(&mut buf, self.spec.atoms.len() as u32);
-        for a in &self.spec.atoms {
-            codec::put_u32(&mut buf, a.left_rel as u32);
-            codec::put_u32(&mut buf, a.left_col as u32);
-            codec::put_u8(&mut buf, cmp_tag(a.op));
-            codec::put_u32(&mut buf, a.right_rel as u32);
-            codec::put_u32(&mut buf, a.right_col as u32);
-        }
-        // MultiwayConfig (cluster membership itself is not shipped — a
-        // worker never re-distributes).
-        let cfg = &self.cfg;
-        codec::put_u8(
-            &mut buf,
-            match cfg.scheme {
-                SchemeKind::Hash => 0,
-                SchemeKind::Random => 1,
-                SchemeKind::Hybrid => 2,
-            },
-        );
-        codec::put_u8(
-            &mut buf,
-            match cfg.local {
-                LocalJoinKind::Traditional => 0,
-                LocalJoinKind::DBToaster => 1,
-            },
-        );
-        codec::put_u64(&mut buf, cfg.machines as u64);
-        codec::put_u64(&mut buf, cfg.seed);
-        put_opt_u64(&mut buf, cfg.budget.map(|b| b as u64));
-        match &cfg.agg {
-            None => codec::put_u8(&mut buf, 0),
-            Some(agg) => {
-                codec::put_u8(&mut buf, 1);
-                codec::put_u32(&mut buf, agg.group_cols.len() as u32);
-                for &c in &agg.group_cols {
-                    codec::put_u64(&mut buf, c as u64);
-                }
-                codec::put_u32(&mut buf, agg.aggs.len() as u32);
-                for a in &agg.aggs {
-                    put_agg_spec(&mut buf, a);
-                }
-                codec::put_u64(&mut buf, agg.parallelism as u64);
-            }
-        }
-        match &cfg.window {
-            None => codec::put_u8(&mut buf, 0),
-            Some(w) => {
-                codec::put_u8(&mut buf, 1);
-                match w.spec {
-                    WindowSpec::FullHistory => codec::put_u8(&mut buf, 0),
-                    WindowSpec::Tumbling { width } => {
-                        codec::put_u8(&mut buf, 1);
-                        codec::put_u64(&mut buf, width);
-                    }
-                    WindowSpec::Sliding { size } => {
-                        codec::put_u8(&mut buf, 2);
-                        codec::put_u64(&mut buf, size);
-                    }
-                }
-                codec::put_u32(&mut buf, w.ts_cols.len() as u32);
-                for &c in &w.ts_cols {
-                    codec::put_u64(&mut buf, c as u64);
-                }
-            }
-        }
-        codec::put_bool(&mut buf, cfg.collect_results);
-        put_opt_u64(&mut buf, cfg.worker_threads.map(|w| w as u64));
-        codec::put_u64(&mut buf, cfg.batch_size as u64);
-        codec::put_bool(&mut buf, cfg.standing);
-        codec::put_u64(&mut buf, cfg.checkpoint_interval);
-        codec::put_u64(&mut buf, cfg.heartbeat_timeout_ms);
-        codec::put_u64(&mut buf, self.resume_epoch);
-        codec::put_u32(&mut buf, self.restore_join.len() as u32);
-        for (task, blob) in &self.restore_join {
-            codec::put_u32(&mut buf, *task);
-            codec::put_bytes(&mut buf, blob);
-        }
-        buf
-    }
-
-    pub fn decode(payload: &[u8]) -> Result<JobSpec> {
-        let mut r = Reader::new(payload);
-        let me = r.u32()? as usize;
-        let n_peers = r.len()?;
-        let mut peers = Vec::with_capacity(n_peers);
-        for _ in 0..n_peers {
-            peers.push(r.str()?);
-        }
-        // Peer 0 is the coordinator and `me` indexes `peers`: any other
-        // value would trip the link handshake's assert and take a
-        // persistent worker down with one frame.
-        if me == 0 || me >= n_peers {
+    /// Peer 0 is the coordinator and `me` indexes `peers`: any other value
+    /// would trip the link handshake's assert and take a persistent worker
+    /// down with one frame.
+    fn addressed(&self) -> Result<()> {
+        let n_peers = self.peers.len();
+        if self.me == 0 || self.me >= n_peers {
             return Err(SquallError::Codec(format!(
-                "job addresses worker {me} of {n_peers} peers (workers are 1..{n_peers})"
+                "job addresses worker {} of {n_peers} peers (workers are 1..{n_peers})",
+                self.me
             )));
         }
-        let n_rels = r.len()?;
-        let mut relations = Vec::with_capacity(n_rels);
-        for _ in 0..n_rels {
-            let name = r.str()?;
-            let schema = get_schema(&mut r)?;
-            let est_size = r.u64()?;
-            relations.push(RelationDef::new(name, schema, est_size));
-        }
-        let n_atoms = r.len()?;
-        let mut atoms = Vec::with_capacity(n_atoms);
-        for _ in 0..n_atoms {
-            atoms.push(JoinAtom {
-                left_rel: r.u32()? as usize,
-                left_col: r.u32()? as usize,
-                op: cmp_from(r.u8()?)?,
-                right_rel: r.u32()? as usize,
-                right_col: r.u32()? as usize,
-            });
-        }
-        let spec = MultiJoinSpec::new(relations, atoms)?;
-        let scheme = match r.u8()? {
-            0 => SchemeKind::Hash,
-            1 => SchemeKind::Random,
-            2 => SchemeKind::Hybrid,
-            t => return Err(SquallError::Codec(format!("unknown scheme tag {t}"))),
-        };
-        let local = match r.u8()? {
-            0 => LocalJoinKind::Traditional,
-            1 => LocalJoinKind::DBToaster,
-            t => return Err(SquallError::Codec(format!("unknown local join tag {t}"))),
-        };
-        let mut cfg = MultiwayConfig::new(scheme, local, r.u64()? as usize);
-        cfg.seed = r.u64()?;
-        cfg.budget = get_opt_u64(&mut r)?.map(|b| b as usize);
-        cfg.agg = match r.u8()? {
-            0 => None,
-            _ => {
-                let n = r.len()?;
-                let mut group_cols = Vec::with_capacity(n);
-                for _ in 0..n {
-                    group_cols.push(r.u64()? as usize);
-                }
-                let n = r.len()?;
-                let mut aggs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    aggs.push(get_agg_spec(&mut r)?);
-                }
-                let parallelism = r.u64()? as usize;
-                Some(AggPlan { group_cols, aggs, parallelism })
-            }
-        };
-        cfg.window = match r.u8()? {
-            0 => None,
-            _ => {
-                let spec = match r.u8()? {
-                    0 => WindowSpec::FullHistory,
-                    1 => WindowSpec::Tumbling { width: r.u64()? },
-                    2 => WindowSpec::Sliding { size: r.u64()? },
-                    t => return Err(SquallError::Codec(format!("unknown window tag {t}"))),
-                };
-                let n = r.len()?;
-                let mut ts_cols = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ts_cols.push(r.u64()? as usize);
-                }
-                Some(WindowPlan { spec, ts_cols })
-            }
-        };
-        cfg.collect_results = r.bool()?;
-        cfg.worker_threads = get_opt_u64(&mut r)?.map(|w| w as usize);
-        cfg.batch_size = r.u64()? as usize;
-        cfg.standing = r.bool()?;
-        cfg.checkpoint_interval = r.u64()?;
-        cfg.heartbeat_timeout_ms = r.u64()?;
-        let resume_epoch = r.u64()?;
-        let n_blobs = r.len()?;
-        let mut restore_join = Vec::with_capacity(n_blobs);
-        for _ in 0..n_blobs {
-            let task = r.u32()?;
-            let blob = r.bytes()?;
-            restore_join.push((task, blob));
-        }
-        r.finish()?;
-        Ok(JobSpec { me, peers, spec, cfg, resume_epoch, restore_join })
+        Ok(())
     }
 }
 
@@ -548,8 +163,6 @@ fn boot_coordinator(
     let (_, parallelism, is_spout) = layout;
     let placement = plan_placement(&parallelism, &is_spout, peers.len());
 
-    let mut shipped_cfg = cfg.clone();
-    shipped_cfg.cluster = None; // a worker never re-distributes its slice
     let (resume_epoch, restore_join) = match restore {
         None => (0, Vec::new()),
         Some(rs) => {
@@ -565,7 +178,7 @@ fn boot_coordinator(
                 me,
                 peers: peers.clone(),
                 spec: spec.clone(),
-                cfg: shipped_cfg.clone(),
+                cfg: cfg.clone(),
                 resume_epoch,
                 restore_join: restore_join.clone(),
             }
@@ -611,8 +224,9 @@ pub(crate) fn launch(
 /// Join a launched run: wait for the local pool (every egress queue then
 /// holds its final punctuation), and under a cluster drain the links,
 /// fold the workers' metric snapshots (their local task counters;
-/// everything else zero) into ours and adopt a remote error if we had
-/// none. Returns the wire traffic alongside for clustered runs.
+/// everything else zero) into ours and adopt a remote error — or a
+/// snapshot that does not fit our topology — if we had none. Returns the
+/// wire traffic alongside for clustered runs.
 pub(crate) fn finish(
     handle: RunHandle,
     cluster: Option<ClusterRun>,
@@ -620,11 +234,10 @@ pub(crate) fn finish(
     let mut outcome = handle.finish();
     let transport = cluster.map(|run| {
         let summary = run.finish(None);
-        for remote in &summary.remote_metrics {
-            outcome.metrics.merge(remote);
-        }
+        let merged: Result<()> =
+            summary.remote_metrics.iter().try_for_each(|remote| outcome.metrics.merge(remote));
         if outcome.error.is_none() {
-            outcome.error = summary.remote_error;
+            outcome.error = summary.remote_error.or(merged.err());
         }
         summary.transport
     });
@@ -786,7 +399,11 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{AggPlan, LocalJoinKind, WindowPlan};
     use squall_common::{DataType, Schema};
+    use squall_expr::{JoinAtom, RelationDef, ScalarExpr};
+    use squall_join::{AggSpec, WindowSpec};
+    use squall_partition::optimizer::SchemeKind;
 
     fn rst_spec() -> MultiJoinSpec {
         let mut s = Schema::of(&[("y", DataType::Int), ("z", DataType::Int)]);
@@ -1138,5 +755,311 @@ mod tests {
             Frame::Job { payload }.write_to(&mut conn).unwrap();
         }
         assert_serves_a_good_job(addr);
+    }
+
+    /// Jobs that between them use every variant of every tag table a plan
+    /// carries — scheme, local join, window shape, aggregate function,
+    /// expression kind, binary and comparison operator, data type, literal
+    /// kind — and both arms of every option.
+    fn corpus_jobs() -> Vec<JobSpec> {
+        use squall_common::{Date, Value};
+        use squall_expr::{BinOp, CmpOp};
+        let types = [DataType::Int, DataType::Float, DataType::Str, DataType::Date];
+        let schema = |t: DataType| Schema::of(&[("k", DataType::Int), ("v", t)]);
+        let mut skewed = schema(DataType::Str);
+        skewed.set_skewed("k").unwrap();
+        let relations = vec![
+            RelationDef::new("R", schema(DataType::Float), 10),
+            RelationDef::new("S", skewed, 20),
+            RelationDef::new("T", schema(DataType::Date), 30),
+        ];
+        let equi = vec![JoinAtom::eq(0, 0, 1, 0), JoinAtom::eq(1, 0, 2, 0)];
+        let mut theta = equi.clone();
+        for op in [CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            theta.push(JoinAtom { left_rel: 0, left_col: 1, op, right_rel: 2, right_col: 1 });
+        }
+        let literals =
+            [Value::Null, Value::Int(-3), Value::Float(0.5), Value::str("x"), Value::Date(Date(9))];
+        let ops = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Mod,
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+            BinOp::And,
+            BinOp::Or,
+        ];
+        let mut expr = ScalarExpr::col(1);
+        for (i, op) in ops.into_iter().enumerate() {
+            let lit = ScalarExpr::Literal(literals[i % literals.len()].clone());
+            expr = ScalarExpr::bin(op, expr, ScalarExpr::cast(lit, types[i % types.len()]));
+        }
+        let expr = ScalarExpr::Not(Box::new(expr));
+        let job = |scheme, local, atoms: &[JoinAtom], agg, window| {
+            let mut cfg = MultiwayConfig::new(scheme, local, 4);
+            cfg.agg = Some(agg);
+            cfg.window = window;
+            JobSpec {
+                me: 1,
+                peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
+                spec: MultiJoinSpec::new(relations.clone(), atoms.to_vec()).unwrap(),
+                cfg,
+                resume_epoch: 0,
+                restore_join: Vec::new(),
+            }
+        };
+        let agg = |aggs| AggPlan { group_cols: vec![0, 5], aggs, parallelism: 2 };
+        let window = |spec| Some(WindowPlan { spec, ts_cols: vec![0, 0, 0] });
+        let hash = job(
+            SchemeKind::Hash,
+            LocalJoinKind::Traditional,
+            &equi,
+            agg(vec![AggSpec::count()]),
+            window(WindowSpec::Tumbling { width: 8 }),
+        );
+        let mut random = job(
+            SchemeKind::Random,
+            LocalJoinKind::DBToaster,
+            &equi,
+            agg(vec![AggSpec::sum(expr.clone())]),
+            window(WindowSpec::Sliding { size: 5 }),
+        );
+        random.cfg.budget = Some(1000);
+        random.cfg.worker_threads = Some(2);
+        let mut hybrid = job(
+            SchemeKind::Hybrid,
+            LocalJoinKind::DBToaster,
+            &theta,
+            agg(vec![AggSpec::avg(expr), AggSpec::count()]),
+            window(WindowSpec::FullHistory),
+        );
+        hybrid.cfg.standing = true;
+        hybrid.resume_epoch = 3;
+        hybrid.restore_join = vec![(0, vec![1, 2, 3]), (1, Vec::new())];
+        let mut plain =
+            job(SchemeKind::Hash, LocalJoinKind::DBToaster, &equi, agg(Vec::new()), None);
+        plain.cfg.agg = None;
+        vec![hash, random, hybrid, plain]
+    }
+
+    /// One frame of every kind, a job frame carrying a corpus job, and a
+    /// data frame of every message kind (batches with dictionary, plain,
+    /// validity-bearing, mixed and null columns).
+    fn corpus_frames() -> Vec<Frame> {
+        use squall_common::{tuple, Chunk, Date, Tuple, Value};
+        use squall_runtime::message::Message;
+        use squall_runtime::{MetricsSnapshot, NodeMetrics, SchedulerStats};
+        let metrics = MetricsSnapshot {
+            nodes: vec![NodeMetrics {
+                node: 1,
+                name: "join".into(),
+                received: vec![1, 2],
+                sent: vec![3],
+                emitted: Vec::new(),
+            }],
+            scheduler: SchedulerStats {
+                workers: 2,
+                steals: 1,
+                yields: 0,
+                blocked: 4,
+                max_queue_depth: 9,
+            },
+        };
+        let dict: Vec<Tuple> = (0..64i64).map(|i| tuple![i % 3, Value::Null]).collect();
+        // A validity-bearing column first (its bitmap is the first thing
+        // sized by the row count), then a mixed Int / Float one.
+        let plain = [tuple!["ab", 7, 0.5, Date(3)], tuple![Value::Null, 2.5, 2.0, Date(-4)]];
+        let mut frames = vec![
+            Frame::Hello { peer: 2 },
+            Frame::Job { payload: corpus_jobs()[1].encode() },
+            Frame::Heartbeat { epoch: 5 },
+            Frame::SnapshotBlob { role: 0, task: 3, epoch: 5, payload: vec![4, 5, 6] },
+            Frame::Readmit { peer: 1, epoch: 5 },
+            Frame::SinkRow { node: 2, tuple: tuple![1, "x", 2.5, Value::Null, Date(6)] },
+            Frame::Abort {
+                error: SquallError::MemoryOverflow { machine: 1, stored: 9, budget: 8 },
+            },
+            Frame::Abort { error: SquallError::ViewInUse { view: "v".into() } },
+            Frame::Done { metrics: metrics.clone(), error: None },
+            Frame::Done {
+                metrics,
+                error: Some(SquallError::WorkerLost { addr: "w".into(), last_epoch: 2 }),
+            },
+            Frame::Goodbye,
+        ];
+        let messages = [
+            Message::Batch { origin: 1, chunk: Chunk::from_tuples(&dict) },
+            Message::Batch { origin: 0, chunk: Chunk::from_tuples(&plain) },
+            Message::Eos,
+            Message::Watermark { origin: 1, from_task: 2, ts: 77 },
+            Message::Barrier { epoch: 5 },
+        ];
+        frames.extend(messages.map(|msg| Frame::Deliver { to_task: 3, msg }));
+        frames
+    }
+
+    /// A decode-fuzz case: a corpus entry cut at `at` (whole at its
+    /// length), or single-byte flipped by a seed.
+    #[derive(Clone, Copy, Debug)]
+    #[allow(dead_code)] // the fields are read by `Debug`, in failure messages
+    enum Case {
+        Cut { entry: usize, at: usize },
+        Flip { seed: u64, entry: usize },
+    }
+
+    thread_local! {
+        /// The case decoding on this thread and the most bytes one
+        /// allocation may take while it does.
+        static BOUND: std::cell::Cell<Option<(Case, usize)>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// Fails an allocation past the bound armed on its thread, naming the
+    /// case first (the failed allocation then aborts the test binary) — how
+    /// the decode fuzz checks that no count read off the wire sizes an
+    /// allocation beyond what its input could hold.
+    struct BoundedAlloc;
+
+    fn within_bound(size: usize) -> bool {
+        match BOUND.with(|b| b.get()) {
+            Some((case, bound)) if size > bound => {
+                BOUND.with(|b| b.set(None));
+                // Straight to the stream: the test harness's captured
+                // output dies with the process.
+                let line = format_args!("wire decode fuzz: {case:?} allocates {size} bytes\n");
+                let _ = std::io::Write::write_fmt(&mut std::io::stderr(), line);
+                false
+            }
+            _ => true,
+        }
+    }
+
+    // SAFETY: each call goes to `System` unchanged, or fails with a null
+    // pointer — which `GlobalAlloc` allows of any allocation, `realloc`
+    // then leaving the old block as it was. The bound lives in a
+    // const-initialized thread-local, so reading it allocates nothing.
+    unsafe impl std::alloc::GlobalAlloc for BoundedAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            match within_bound(layout.size()) {
+                true => std::alloc::System.alloc(layout),
+                false => std::ptr::null_mut(),
+            }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, size: usize) -> *mut u8 {
+            match within_bound(size) {
+                true => std::alloc::System.realloc(ptr, layout, size),
+                false => std::ptr::null_mut(),
+            }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: BoundedAlloc = BoundedAlloc;
+
+    /// What a fuzz input is decoded as.
+    #[derive(Clone, Copy)]
+    enum Decoded {
+        Frame,
+        Job,
+    }
+
+    /// Decode `bytes` as `what` the way a peer does — a frame through
+    /// `Frame::decode`, a job through `JobSpec::decode` — with every
+    /// allocation bounded by the input's length: each decoded element is
+    /// under 128 bytes and `Reader::len` admits at most one per remaining
+    /// byte (the slack covers an error message).
+    fn decode_as(case: Case, what: Decoded, bytes: &[u8]) -> Result<Option<JobSpec>> {
+        BOUND.with(|b| b.set(Some((case, 128 * bytes.len() + 256))));
+        let decoded = match what {
+            Decoded::Job => JobSpec::decode(bytes).map(Some),
+            Decoded::Frame => match Frame::decode(bytes) {
+                Ok(Frame::Job { payload }) => JobSpec::decode(&payload).map(Some),
+                other => other.map(|_| None),
+            },
+        };
+        BOUND.with(|b| b.set(None));
+        decoded
+    }
+
+    /// What a worker does with a decoded job before any task runs: check
+    /// the plan and build its topology slice.
+    fn build(job: &JobSpec) -> Result<()> {
+        let data = vec![Vec::new(); job.spec.n_relations()];
+        if job.cfg.standing {
+            crate::standing::assemble_standing(&job.spec, data, &job.cfg, None, None, None)
+                .map(drop)
+        } else {
+            assemble(&job.spec, data, &job.cfg).map(drop)
+        }
+    }
+
+    /// The corpus: every frame kind and every corpus job, as encoded bytes.
+    fn corpus() -> Vec<(Decoded, Vec<u8>)> {
+        let frames = corpus_frames().into_iter().map(|f| (Decoded::Frame, f.encode()));
+        frames.chain(corpus_jobs().into_iter().map(|j| (Decoded::Job, j.encode()))).collect()
+    }
+
+    /// Names the case a panic happened in, so it replays (a flip with
+    /// `fuzz_seed(&corpus(), seed)`).
+    struct Replay(Case);
+
+    impl Drop for Replay {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("wire decode fuzz failed at {:?}", self.0);
+            }
+        }
+    }
+
+    /// One seeded case: one single-byte flip of every corpus entry. Each
+    /// must decode to a value or a typed error (`Codec`, or `InvalidPlan`
+    /// from the join spec's checks) within its allocation bound, and a
+    /// decoded job must build or fail a plan check with a typed error.
+    fn fuzz_seed(corpus: &[(Decoded, Vec<u8>)], seed: u64) {
+        let mut rng = squall_common::SplitMix64::new(seed);
+        for (entry, (what, bytes)) in corpus.iter().enumerate() {
+            let case = Case::Flip { seed, entry };
+            let _replay = Replay(case);
+            let mut flipped = bytes.clone();
+            let at = rng.next_below(flipped.len());
+            flipped[at] ^= 1 + rng.next_below(255) as u8;
+            match decode_as(case, *what, &flipped).map(|job| job.map_or(Ok(()), |j| build(&j))) {
+                Ok(Ok(()))
+                | Err(SquallError::Codec(_) | SquallError::InvalidPlan(_))
+                | Ok(Err(SquallError::InvalidPlan(_) | SquallError::InvalidPartitioning(_))) => {}
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn wire_decode_fuzz_truncations_and_flips() {
+        let corpus = corpus();
+        // Every entry decodes whole, and a cut anywhere is a codec error.
+        for (entry, (what, bytes)) in corpus.iter().enumerate() {
+            for at in 0..=bytes.len() {
+                let case = Case::Cut { entry, at };
+                let decoded = decode_as(case, *what, &bytes[..at]);
+                let ok = match decoded {
+                    Err(SquallError::Codec(_)) => at < bytes.len(),
+                    _ => at == bytes.len() && decoded.is_ok(),
+                };
+                assert!(ok, "{case:?}: {:?}", decoded.map(drop));
+            }
+        }
+        // More seeds in a release build (CI's fuzz step), where a case costs
+        // microseconds.
+        let seeds = if cfg!(debug_assertions) { 200 } else { 20_000 };
+        (0..seeds).for_each(|seed| fuzz_seed(&corpus, seed));
     }
 }

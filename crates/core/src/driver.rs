@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use squall_common::{FxHashMap, Result, SquallError, Tuple};
+use squall_common::{FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::MultiJoinSpec;
 use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowJoin, WindowSpec};
 use squall_partition::optimizer::{build_scheme, SchemeKind};
@@ -29,6 +29,8 @@ pub enum LocalJoinKind {
     Traditional,
     DBToaster,
 }
+
+squall_common::wire_tags! { LocalJoinKind { 0 => Traditional, 1 => DBToaster } }
 
 impl std::fmt::Display for LocalJoinKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -52,6 +54,8 @@ pub struct WindowPlan {
     pub ts_cols: Vec<usize>,
 }
 
+squall_common::wire_struct! { WindowPlan { spec, ts_cols } }
+
 /// Optional aggregation stage after the join.
 ///
 /// With [`MultiwayConfig::window`] also set, the stage aggregates **per
@@ -72,6 +76,8 @@ pub struct AggPlan {
     /// Task count of the aggregation component.
     pub parallelism: usize,
 }
+
+squall_common::wire_struct! { AggPlan { group_cols, aggs, parallelism } }
 
 /// Configuration of one multi-way join execution.
 #[derive(Debug, Clone)]
@@ -117,6 +123,15 @@ pub struct MultiwayConfig {
     /// standing views only; `0` disables liveness timeouts). Peers beat at
     /// a quarter of this interval when idle.
     pub heartbeat_timeout_ms: u64,
+}
+
+// What a worker rebuilds its slice from. Cluster membership stays home: a
+// worker never re-distributes.
+squall_common::wire_struct! {
+    MultiwayConfig {
+        scheme, local, machines, seed, budget, agg, window, collect_results, worker_threads,
+        batch_size, standing, checkpoint_interval, heartbeat_timeout_ms,
+    } skip { cluster }
 }
 
 impl MultiwayConfig {
@@ -284,7 +299,7 @@ impl JoinReport {
         if self.loads.is_empty() {
             0.0
         } else {
-            self.loads.iter().sum::<u64>() as f64 / self.loads.len() as f64
+            self.loads.iter().map(|&l| l as f64).sum::<f64>() / self.loads.len() as f64
         }
     }
 }
@@ -654,7 +669,14 @@ pub fn run_multiway_stream(
 ) -> Result<MultiwayStream> {
     let (topology, ctx) = assemble(spec, data, cfg)?;
     let (handle, cluster) = crate::cluster::launch(topology, spec, cfg, None, None, None)?;
-    Ok(MultiwayStream { handle: Some(handle), cluster, ctx: Some(ctx), report: None, streamed: 0 })
+    Ok(MultiwayStream {
+        handle: Some(handle),
+        cluster,
+        ctx: Some(ctx),
+        report: None,
+        streamed: 0,
+        malformed: None,
+    })
 }
 
 /// Iterator over a running multi-way join's output tuples. See
@@ -667,6 +689,9 @@ pub struct MultiwayStream {
     ctx: Option<RunContext>,
     report: Option<JoinReport>,
     streamed: u64,
+    /// A count-only sink row that was not a counter (a peer's `SinkRow` is
+    /// wire input): the run's error if it has no other.
+    malformed: Option<SquallError>,
 }
 
 impl MultiwayStream {
@@ -692,7 +717,8 @@ impl MultiwayStream {
 
     fn complete(&mut self) {
         if let (Some(handle), Some(ctx)) = (self.handle.take(), self.ctx.take()) {
-            let (outcome, transport) = crate::cluster::finish(handle, self.cluster.take());
+            let (mut outcome, transport) = crate::cluster::finish(handle, self.cluster.take());
+            outcome.error = outcome.error.or(self.malformed.take());
             self.report = Some(summarize(ctx, outcome, self.streamed, transport));
         }
     }
@@ -708,7 +734,16 @@ impl Iterator for MultiwayStream {
                     if self.ctx.as_ref().is_some_and(|ctx| ctx.count_only) {
                         // Count-only sink emissions are per-task counters,
                         // not join rows: tally them, never yield them.
-                        self.streamed += tuple.get(0).as_int().unwrap_or(0) as u64;
+                        match tuple.values() {
+                            [Value::Int(n)] if *n >= 0 => {
+                                self.streamed = self.streamed.saturating_add(*n as u64)
+                            }
+                            _ => {
+                                self.malformed.get_or_insert(SquallError::Runtime(format!(
+                                    "count-only sink row {tuple:?} is not a result counter"
+                                )));
+                            }
+                        }
                         continue;
                     }
                     self.streamed += 1;
@@ -1193,6 +1228,43 @@ mod tests {
         assert_eq!(report.result_count, oracle.len() as u64);
         assert!(same_multiset(&streamed, &oracle));
         assert!(report.loads.iter().sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn malformed_count_only_rows_are_a_typed_run_error() {
+        // A peer's `SinkRow` is wire input. A count-only consumer fed an
+        // empty row and a negative counter beside good ones tallies the
+        // good ones and fails the run, instead of indexing past the row or
+        // wrapping the sign into a huge count.
+        let rows = Arc::new(vec![tuple![3], tuple![], tuple![-5], tuple![4]]);
+        let mut b = TopologyBuilder::new();
+        let src = b.add_spout("src", 1, move |_| -> Box<dyn Spout> {
+            Box::new(IterSpoutVec::strided(Arc::clone(&rows), 0, 1))
+        });
+        let ctx = RunContext {
+            join_node: src,
+            join_tasks: 1,
+            source_nodes: vec![src],
+            agg_node: None,
+            merge_node: None,
+            scheme_description: String::new(),
+            input_counts: vec![4],
+            count_only: true,
+        };
+        let stream = MultiwayStream {
+            handle: Some(b.build().unwrap().launch()),
+            cluster: None,
+            ctx: Some(ctx),
+            report: None,
+            streamed: 0,
+            malformed: None,
+        };
+        let report = stream.finish();
+        assert_eq!(report.result_count, 7);
+        match report.error {
+            Some(SquallError::Runtime(m)) => assert!(m.contains("not a result counter"), "{m}"),
+            other => panic!("expected a typed run error, got {other:?}"),
+        }
     }
 
     #[test]

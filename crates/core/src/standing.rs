@@ -54,14 +54,15 @@ use squall_common::{Chunk, FxHashMap, FxHashSet, Result, SquallError, Tuple, Val
 use squall_expr::MultiJoinSpec;
 use squall_join::{DBToasterJoin, GroupByAggregator, Snapshot, WindowSpec};
 use squall_partition::optimizer::build_scheme;
+use squall_runtime::transport::SnapshotBlobMsg;
 use squall_runtime::{
     Bolt, ClusterRun, Grouping, LiveQueue, LiveSpout, NodeId, OutputCollector, RunHandle,
     RunOutcome, Spout, SpoutPoll, TaskWaker, Topology, TransportStats,
 };
 
 use crate::checkpoint::{
-    check_join_blob, CheckpointStore, DeltaLog, RestoreState, SnapshotBlobMsg, JOIN_BLOB_FULL,
-    JOIN_BLOB_WINDOWED, ROLE_JOIN, ROLE_SINK,
+    check_join_blob, CheckpointStore, DeltaLog, RestoreState, JOIN_BLOB_FULL, JOIN_BLOB_WINDOWED,
+    ROLE_JOIN, ROLE_SINK,
 };
 use crate::cluster::ClusterSpec;
 use crate::driver::{

@@ -19,6 +19,8 @@ pub enum CmpOp {
     Ge,
 }
 
+squall_common::wire_tags! { CmpOp { 0 => Eq, 1 => Ne, 2 => Lt, 3 => Le, 4 => Gt, 5 => Ge } }
+
 impl CmpOp {
     pub fn eval(self, l: &Value, r: &Value) -> bool {
         let ord = l.cmp(r);

@@ -23,6 +23,8 @@ pub struct RelationDef {
     pub est_size: u64,
 }
 
+squall_common::wire_struct! { RelationDef { name, schema, est_size } }
+
 impl RelationDef {
     pub fn new(name: impl Into<String>, schema: Schema, est_size: u64) -> RelationDef {
         RelationDef { name: name.into(), schema, est_size }
@@ -38,6 +40,10 @@ pub struct JoinAtom {
     pub op: CmpOp,
     pub right_rel: usize,
     pub right_col: usize,
+}
+
+squall_common::wire_struct! {
+    JoinAtom { left_rel as u32, left_col as u32, op, right_rel as u32, right_col as u32 }
 }
 
 impl JoinAtom {
@@ -75,6 +81,9 @@ pub struct MultiJoinSpec {
     pub relations: Vec<RelationDef>,
     pub atoms: Vec<JoinAtom>,
 }
+
+// A decoded spec is wire input: it passes the checks `new` makes.
+squall_common::wire_struct! { MultiJoinSpec { relations, atoms } check MultiJoinSpec::validate }
 
 impl MultiJoinSpec {
     pub fn new(relations: Vec<RelationDef>, atoms: Vec<JoinAtom>) -> Result<MultiJoinSpec> {

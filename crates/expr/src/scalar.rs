@@ -23,6 +23,12 @@ pub enum BinOp {
     Or,
 }
 
+squall_common::wire_tags! { BinOp {
+    0 => Add, 1 => Sub, 2 => Mul, 3 => Div, 4 => Mod,
+    5 => Eq, 6 => Ne, 7 => Lt, 8 => Le, 9 => Gt, 10 => Ge,
+    11 => And, 12 => Or,
+} }
+
 impl BinOp {
     pub fn is_comparison(self) -> bool {
         matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
@@ -59,6 +65,8 @@ pub enum AggFunc {
     Avg,
 }
 
+squall_common::wire_tags! { AggFunc { 0 => Count, 1 => Sum, 2 => Avg } }
+
 impl fmt::Display for AggFunc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -85,6 +93,15 @@ pub enum ScalarExpr {
     /// of Figure 5.
     Cast { expr: Box<ScalarExpr>, to: DataType },
 }
+
+// Nesting crosses through `Box`, whose decoder bounds it.
+squall_common::wire_tags! { ScalarExpr {
+    0 => Column(i),
+    1 => Literal(v),
+    2 => Bin { op, lhs, rhs },
+    3 => Not(x),
+    4 => Cast { expr, to },
+} }
 
 impl ScalarExpr {
     pub fn col(idx: usize) -> ScalarExpr {
@@ -645,6 +662,24 @@ mod tests {
         let ts = vec![tuple![0], tuple![1]];
         let chunk = Chunk::from_tuples(&ts);
         assert!(e.eval_chunk(&chunk).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_payload_is_a_typed_error_not_a_stack_overflow() {
+        use squall_common::codec::Wire;
+        // A million `Not` tags around one column: one recursion per tag
+        // would overflow any thread's stack before a plan check could run.
+        let mut bytes = vec![3u8; 1_000_000];
+        bytes.push(0);
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        let decoded = std::thread::spawn(move || ScalarExpr::decode(&bytes)).join().unwrap();
+        assert!(matches!(decoded, Err(SquallError::Codec(_))), "{decoded:?}");
+        // Every expression the planner builds round-trips.
+        let e = ScalarExpr::and(
+            ScalarExpr::Not(Box::new(ScalarExpr::cast(ScalarExpr::col(2), DataType::Date))),
+            ScalarExpr::bin(BinOp::Mod, ScalarExpr::lit("x"), ScalarExpr::lit(2.5)),
+        );
+        assert_eq!(ScalarExpr::decode(&e.encode()).unwrap(), e);
     }
 
     #[test]

@@ -21,6 +21,8 @@ pub struct AggSpec {
     pub input: Option<ScalarExpr>,
 }
 
+squall_common::wire_struct! { AggSpec { func, input } }
+
 impl AggSpec {
     pub fn count() -> AggSpec {
         AggSpec { func: AggFunc::Count, input: None }

@@ -39,6 +39,8 @@ pub enum WindowSpec {
     Sliding { size: u64 },
 }
 
+squall_common::wire_tags! { WindowSpec { 0 => FullHistory, 1 => Tumbling { width }, 2 => Sliding { size } } }
+
 /// The window geometry, in one place: the join's result predicate and
 /// eviction, the per-window aggregate's fold and close, and the standing
 /// view sink's window expansion all call these. Tumbling windows are

@@ -34,6 +34,8 @@ pub enum SchemeKind {
     Hybrid,
 }
 
+squall_common::wire_tags! { SchemeKind { 0 => Hash, 1 => Random, 2 => Hybrid } }
+
 impl std::fmt::Display for SchemeKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -16,6 +16,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use squall_common::{Result, SquallError};
+
 use crate::message::NodeId;
 
 /// Live counters for one task.
@@ -77,6 +79,8 @@ pub struct SchedulerStats {
     pub max_queue_depth: u64,
 }
 
+squall_common::wire_struct! { SchedulerStats { workers, steals, yields, blocked, max_queue_depth } }
+
 /// Live metrics registry shared by all tasks of a running topology.
 #[derive(Debug)]
 pub struct MetricsRegistry {
@@ -134,6 +138,8 @@ pub struct NodeMetrics {
     pub emitted: Vec<u64>,
 }
 
+squall_common::wire_struct! { NodeMetrics { node, name, received, sent, emitted } }
+
 impl NodeMetrics {
     /// Maximum load per machine (Table 1, "Maximum").
     pub fn max_load(&self) -> u64 {
@@ -151,17 +157,17 @@ impl NodeMetrics {
 
     /// Total tuples received by the component.
     pub fn total_received(&self) -> u64 {
-        self.received.iter().sum()
+        saturating_sum(&self.received)
     }
 
     /// Total tuples emitted by user logic.
     pub fn total_emitted(&self) -> u64 {
-        self.emitted.iter().sum()
+        saturating_sum(&self.emitted)
     }
 
     /// Total downstream deliveries.
     fn total_sent(&self) -> u64 {
-        self.sent.iter().sum()
+        saturating_sum(&self.sent)
     }
 
     /// Skew degree: largest partition ÷ average partition (§6).
@@ -175,6 +181,11 @@ impl NodeMetrics {
     }
 }
 
+/// Counters merged from peers' reports saturate rather than overflow.
+fn saturating_sum(counts: &[u64]) -> u64 {
+    counts.iter().fold(0, |a, &b| a.saturating_add(b))
+}
+
 /// All nodes' frozen metrics for one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -183,6 +194,8 @@ pub struct MetricsSnapshot {
     /// depth) — see [`SchedulerStats`].
     pub scheduler: SchedulerStats,
 }
+
+squall_common::wire_struct! { MetricsSnapshot { nodes, scheduler } }
 
 impl MetricsSnapshot {
     pub fn node(&self, id: NodeId) -> &NodeMetrics {
@@ -194,27 +207,33 @@ impl MetricsSnapshot {
     /// topology with non-local task counters at zero, so an element-wise
     /// sum reconstructs exactly the counters a single-process run would
     /// have produced. Scheduler counters sum (each peer ran its own
-    /// pool); queue depth takes the max.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        assert_eq!(self.nodes.len(), other.nodes.len(), "snapshots of different topologies");
-        for (a, b) in self.nodes.iter_mut().zip(&other.nodes) {
-            assert_eq!(a.received.len(), b.received.len(), "parallelism mismatch in merge");
-            for (x, y) in a.received.iter_mut().zip(&b.received) {
-                *x += y;
-            }
-            for (x, y) in a.sent.iter_mut().zip(&b.sent) {
-                *x += y;
-            }
-            for (x, y) in a.emitted.iter_mut().zip(&b.emitted) {
-                *x += y;
-            }
+    /// pool); queue depth takes the max. `other` is decoded wire input: a
+    /// snapshot of another shape is a typed error and merges nothing, and
+    /// counters saturate instead of overflowing.
+    pub fn merge(&mut self, other: &MetricsSnapshot) -> Result<()> {
+        let shape = |m: &MetricsSnapshot| -> Vec<[usize; 3]> {
+            m.nodes.iter().map(|n| [n.received.len(), n.sent.len(), n.emitted.len()]).collect()
+        };
+        if shape(self) != shape(other) {
+            return Err(SquallError::Runtime("a peer's metrics are of another topology".into()));
         }
-        self.scheduler.workers += other.scheduler.workers;
-        self.scheduler.steals += other.scheduler.steals;
-        self.scheduler.yields += other.scheduler.yields;
-        self.scheduler.blocked += other.scheduler.blocked;
-        self.scheduler.max_queue_depth =
-            self.scheduler.max_queue_depth.max(other.scheduler.max_queue_depth);
+        let sum = |xs: &mut [u64], ys: &[u64]| {
+            for (x, y) in xs.iter_mut().zip(ys) {
+                *x = x.saturating_add(*y);
+            }
+        };
+        for (a, b) in self.nodes.iter_mut().zip(&other.nodes) {
+            sum(&mut a.received, &b.received);
+            sum(&mut a.sent, &b.sent);
+            sum(&mut a.emitted, &b.emitted);
+        }
+        let (s, o) = (&mut self.scheduler, &other.scheduler);
+        s.workers = s.workers.saturating_add(o.workers);
+        s.steals = s.steals.saturating_add(o.steals);
+        s.yields = s.yields.saturating_add(o.yields);
+        s.blocked = s.blocked.saturating_add(o.blocked);
+        s.max_queue_depth = s.max_queue_depth.max(o.max_queue_depth);
+        Ok(())
     }
 
     pub fn by_name(&self, name: &str) -> Option<&NodeMetrics> {
@@ -225,11 +244,11 @@ impl MetricsSnapshot {
     /// divided by the total tuples *emitted* by the given upstream nodes.
     pub fn replication_factor(&self, component: NodeId, upstream: &[NodeId]) -> f64 {
         let input = self.node(component).total_received() as f64;
-        let produced: u64 = upstream.iter().map(|&u| self.node(u).total_emitted()).sum();
-        if produced == 0 {
+        let produced: f64 = upstream.iter().map(|&u| self.node(u).total_emitted() as f64).sum();
+        if produced == 0.0 {
             0.0
         } else {
-            input / produced as f64
+            input / produced
         }
     }
 
@@ -237,14 +256,16 @@ impl MetricsSnapshot {
     /// component task's input and output divided by (query input + query
     /// output). `sources` are the spout nodes, `sinks` the final nodes.
     pub fn intermediate_network_factor(&self, sources: &[NodeId], sinks: &[NodeId]) -> f64 {
-        let all_io: u64 = self.nodes.iter().map(|n| n.total_received() + n.total_sent()).sum();
-        let query_in: u64 = sources.iter().map(|&s| self.node(s).total_emitted()).sum();
-        let query_out: u64 = sinks.iter().map(|&s| self.node(s).total_emitted()).sum();
-        let denom = query_in + query_out;
-        if denom == 0 {
+        let all_io: f64 =
+            self.nodes.iter().map(|n| n.total_received() as f64 + n.total_sent() as f64).sum();
+        let emitted = |nodes: &[NodeId]| -> f64 {
+            nodes.iter().map(|&n| self.node(n).total_emitted() as f64).sum()
+        };
+        let denom = emitted(sources) + emitted(sinks);
+        if denom == 0.0 {
             0.0
         } else {
-            all_io as f64 / denom as f64
+            all_io / denom
         }
     }
 }
@@ -308,6 +329,37 @@ mod tests {
         assert!(s.by_name("zzz").is_none());
         assert_eq!(s.scheduler.steals, 2);
         assert_eq!(s.scheduler.max_queue_depth, 9);
+    }
+
+    #[test]
+    fn merge_sums_a_peer_snapshot_and_rejects_another_shape() {
+        let mut ours = snap(vec![vec![1, 2]], vec![vec![0, 3]]);
+        ours.scheduler.steals = u64::MAX;
+        let mut theirs = snap(vec![vec![4, 5]], vec![vec![6, 0]]);
+        theirs.scheduler.steals = 2;
+        theirs.scheduler.max_queue_depth = 9;
+        ours.merge(&theirs).unwrap();
+        assert_eq!(ours.node(0).received, vec![5, 7]);
+        assert_eq!(ours.node(0).emitted, vec![6, 3]);
+        assert_eq!(ours.scheduler.steals, u64::MAX, "counters saturate");
+        assert_eq!(ours.scheduler.max_queue_depth, 9);
+        ours.merge(&snap(vec![vec![u64::MAX, 0]], vec![vec![u64::MAX, 0]])).unwrap();
+        assert_eq!(ours.node(0).total_received(), u64::MAX);
+        assert!(ours.replication_factor(0, &[0]) > 0.0);
+        assert!(ours.intermediate_network_factor(&[0], &[0]) > 0.0);
+        // A snapshot decoded off the wire with another node count, another
+        // parallelism or a short counter vector merges nothing.
+        let before = ours.clone();
+        let mut short = snap(vec![vec![1, 1]], vec![vec![1, 1]]);
+        short.nodes[0].sent.pop();
+        for other in [
+            snap(vec![vec![1, 1], vec![1]], vec![vec![1, 1], vec![1]]),
+            snap(vec![vec![1, 1, 1]], vec![vec![1, 1, 1]]),
+            short,
+        ] {
+            assert!(matches!(ours.merge(&other), Err(SquallError::Runtime(_))));
+            assert_eq!(ours, before);
+        }
     }
 
     #[test]

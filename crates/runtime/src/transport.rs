@@ -42,12 +42,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use squall_common::codec::{self, Reader};
+use squall_common::codec::{self, Reader, Wire};
 use squall_common::{Result, SquallError, Tuple};
 
 use crate::executor::{GateQueue, Inbox, Sched, Shared, TaskId};
 use crate::message::{Message, NodeId};
-use crate::metrics::{MetricsSnapshot, NodeMetrics, SchedulerStats};
+use crate::metrics::MetricsSnapshot;
 
 // ---------------------------------------------------------------------
 // The trait
@@ -189,20 +189,6 @@ pub fn describe_placement(
 // Wire frames
 // ---------------------------------------------------------------------
 
-const FRAME_HELLO: u8 = 0;
-const FRAME_JOB: u8 = 1;
-const FRAME_DATA: u8 = 2;
-const FRAME_EOS: u8 = 3;
-const FRAME_SINK_ROW: u8 = 4;
-const FRAME_ABORT: u8 = 5;
-const FRAME_DONE: u8 = 6;
-const FRAME_GOODBYE: u8 = 7;
-const FRAME_WATERMARK: u8 = 8;
-const FRAME_BARRIER: u8 = 9;
-const FRAME_HEARTBEAT: u8 = 10;
-const FRAME_SNAPSHOT_BLOB: u8 = 11;
-const FRAME_READMIT: u8 = 12;
-
 /// One operator checkpoint blob as delivered to the coordinator's
 /// collector channel: `(role, task, epoch, payload)` — the fields of
 /// [`Frame::SnapshotBlob`].
@@ -251,53 +237,33 @@ pub enum Frame {
     Goodbye,
 }
 
-fn put_metrics(buf: &mut Vec<u8>, m: &MetricsSnapshot) {
-    codec::put_u32(buf, m.nodes.len() as u32);
-    for n in &m.nodes {
-        codec::put_u64(buf, n.node as u64);
-        codec::put_str(buf, &n.name);
-        for counts in [&n.received, &n.sent, &n.emitted] {
-            codec::put_u32(buf, counts.len() as u32);
-            for &c in counts.iter() {
-                codec::put_u64(buf, c);
-            }
-        }
-    }
-    let s = &m.scheduler;
-    for v in [s.workers, s.steals, s.yields, s.blocked, s.max_queue_depth] {
-        codec::put_u64(buf, v);
-    }
-}
+// Every control frame's tag, once. A data frame is a `Message`'s: its kind's
+// tag, then the target task (see `Message::put`).
+squall_common::wire_tags! { Frame (buf, r) {
+    0 => Hello { peer as u32 },
+    1 => Job { payload },
+    4 => SinkRow { node as u32, tuple },
+    5 => Abort { error },
+    6 => Done { metrics, error },
+    7 => Goodbye,
+    10 => Heartbeat { epoch },
+    11 => SnapshotBlob { role, task as u32, epoch, payload },
+    12 => Readmit { peer as u32, epoch },
+} else {
+    Frame::Deliver { to_task, msg } => msg.put(*to_task, buf),
+    tag @ (MSG_BATCH | MSG_EOS | MSG_WATERMARK | MSG_BARRIER) => {
+        Frame::Deliver { to_task: r.u32()? as TaskId, msg: Message::get(tag, r)? }
+    },
+}}
 
-fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot> {
-    let n_nodes = r.len()?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        let node = r.u64()? as usize;
-        let name = r.str()?;
-        let mut vecs: [Vec<u64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for v in vecs.iter_mut() {
-            let n = r.len()?;
-            v.reserve(n);
-            for _ in 0..n {
-                v.push(r.u64()?);
-            }
-        }
-        let [received, sent, emitted] = vecs;
-        nodes.push(NodeMetrics { node, name, received, sent, emitted });
-    }
-    let scheduler = SchedulerStats {
-        workers: r.u64()?,
-        steals: r.u64()?,
-        yields: r.u64()?,
-        blocked: r.u64()?,
-        max_queue_depth: r.u64()?,
-    };
-    Ok(MetricsSnapshot { nodes, scheduler })
-}
+// The data plane's tags.
+const MSG_BATCH: u8 = 2;
+const MSG_EOS: u8 = 3;
+const MSG_WATERMARK: u8 = 8;
+const MSG_BARRIER: u8 = 9;
 
-/// The one place a [`Message`] meets the wire: its frame tag, the target
-/// task, then the kind's own fields.
+/// The one place a [`Message`] meets the wire: its tag, the target task,
+/// then the kind's own fields — laid out by hand, the data plane's bytes.
 impl Message {
     fn put(&self, to_task: TaskId, buf: &mut Vec<u8>) {
         let mut head = |tag: u8| {
@@ -306,136 +272,41 @@ impl Message {
         };
         match self {
             Message::Batch { origin, chunk } => {
-                head(FRAME_DATA);
+                head(MSG_BATCH);
                 codec::put_u32(buf, *origin as u32);
                 codec::put_chunk(buf, chunk);
             }
-            Message::Eos => head(FRAME_EOS),
+            Message::Eos => head(MSG_EOS),
             Message::Watermark { origin, from_task, ts } => {
-                head(FRAME_WATERMARK);
+                head(MSG_WATERMARK);
                 codec::put_u32(buf, *origin as u32);
                 codec::put_u32(buf, *from_task as u32);
                 codec::put_u64(buf, *ts);
             }
             Message::Barrier { epoch } => {
-                head(FRAME_BARRIER);
+                head(MSG_BARRIER);
                 codec::put_u64(buf, *epoch);
             }
         }
     }
 
-    /// Decode the message behind frame tag `tag`, and its target task.
-    fn get(tag: u8, r: &mut Reader<'_>) -> Result<(TaskId, Message)> {
+    /// Decode the fields of the message kind behind `tag`.
+    fn get(tag: u8, r: &mut Reader<'_>) -> Result<Message> {
         Ok(match tag {
-            FRAME_DATA => (
-                r.u32()? as TaskId,
-                Message::Batch { origin: r.u32()? as NodeId, chunk: codec::get_chunk(r)? },
-            ),
-            FRAME_EOS => (r.u32()? as TaskId, Message::Eos),
-            FRAME_WATERMARK => (
-                r.u32()? as TaskId,
-                Message::Watermark {
-                    origin: r.u32()? as NodeId,
-                    from_task: r.u32()? as usize,
-                    ts: r.u64()?,
-                },
-            ),
-            FRAME_BARRIER => (r.u32()? as TaskId, Message::Barrier { epoch: r.u64()? }),
-            tag => return Err(SquallError::Codec(format!("unknown frame tag {tag}"))),
+            MSG_BATCH => Message::Batch { origin: r.u32()? as NodeId, chunk: codec::get_chunk(r)? },
+            MSG_EOS => Message::Eos,
+            MSG_WATERMARK => Message::Watermark {
+                origin: r.u32()? as NodeId,
+                from_task: r.u32()? as usize,
+                ts: r.u64()?,
+            },
+            MSG_BARRIER => Message::Barrier { epoch: r.u64()? },
+            tag => return Err(codec::unknown_tag("Message", tag)),
         })
     }
 }
 
 impl Frame {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        match self {
-            Frame::Hello { peer } => {
-                codec::put_u8(&mut buf, FRAME_HELLO);
-                codec::put_u32(&mut buf, *peer as u32);
-            }
-            Frame::Job { payload } => {
-                codec::put_u8(&mut buf, FRAME_JOB);
-                codec::put_bytes(&mut buf, payload);
-            }
-            Frame::Deliver { to_task, msg } => msg.put(*to_task, &mut buf),
-            Frame::Heartbeat { epoch } => {
-                codec::put_u8(&mut buf, FRAME_HEARTBEAT);
-                codec::put_u64(&mut buf, *epoch);
-            }
-            Frame::SnapshotBlob { role, task, epoch, payload } => {
-                codec::put_u8(&mut buf, FRAME_SNAPSHOT_BLOB);
-                codec::put_u8(&mut buf, *role);
-                codec::put_u32(&mut buf, *task as u32);
-                codec::put_u64(&mut buf, *epoch);
-                codec::put_bytes(&mut buf, payload);
-            }
-            Frame::Readmit { peer, epoch } => {
-                codec::put_u8(&mut buf, FRAME_READMIT);
-                codec::put_u32(&mut buf, *peer as u32);
-                codec::put_u64(&mut buf, *epoch);
-            }
-            Frame::SinkRow { node, tuple } => {
-                codec::put_u8(&mut buf, FRAME_SINK_ROW);
-                codec::put_u32(&mut buf, *node as u32);
-                codec::put_tuple(&mut buf, tuple);
-            }
-            Frame::Abort { error } => {
-                codec::put_u8(&mut buf, FRAME_ABORT);
-                codec::put_error(&mut buf, error);
-            }
-            Frame::Done { metrics, error } => {
-                codec::put_u8(&mut buf, FRAME_DONE);
-                put_metrics(&mut buf, metrics);
-                match error {
-                    None => codec::put_u8(&mut buf, 0),
-                    Some(e) => {
-                        codec::put_u8(&mut buf, 1);
-                        codec::put_error(&mut buf, e);
-                    }
-                }
-            }
-            Frame::Goodbye => codec::put_u8(&mut buf, FRAME_GOODBYE),
-        }
-        buf
-    }
-
-    pub fn decode(payload: &[u8]) -> Result<Frame> {
-        let mut r = Reader::new(payload);
-        let frame = match r.u8()? {
-            FRAME_HELLO => Frame::Hello { peer: r.u32()? as usize },
-            FRAME_JOB => Frame::Job { payload: r.bytes()? },
-            FRAME_HEARTBEAT => Frame::Heartbeat { epoch: r.u64()? },
-            FRAME_SNAPSHOT_BLOB => Frame::SnapshotBlob {
-                role: r.u8()?,
-                task: r.u32()? as usize,
-                epoch: r.u64()?,
-                payload: r.bytes()?,
-            },
-            FRAME_READMIT => Frame::Readmit { peer: r.u32()? as usize, epoch: r.u64()? },
-            FRAME_SINK_ROW => {
-                Frame::SinkRow { node: r.u32()? as NodeId, tuple: codec::get_tuple(&mut r)? }
-            }
-            FRAME_ABORT => Frame::Abort { error: codec::get_error(&mut r)? },
-            FRAME_DONE => {
-                let metrics = get_metrics(&mut r)?;
-                let error = match r.u8()? {
-                    0 => None,
-                    _ => Some(codec::get_error(&mut r)?),
-                };
-                Frame::Done { metrics, error }
-            }
-            FRAME_GOODBYE => Frame::Goodbye,
-            // Every other tag is a message's, or nobody's.
-            tag => {
-                let (to_task, msg) = Message::get(tag, &mut r)?;
-                Frame::Deliver { to_task, msg }
-            }
-        };
-        r.finish()?;
-        Ok(frame)
-    }
-
     /// Write this frame, length-prefixed. Returns the bytes written.
     pub fn write_to(&self, w: &mut impl Write) -> Result<usize> {
         let payload = self.encode();
@@ -1192,6 +1063,7 @@ impl RecvPump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{NodeMetrics, SchedulerStats};
     use squall_common::{tuple, Chunk};
 
     /// A connected loopback link: `(dialing end, accepted end)`.
@@ -1241,6 +1113,122 @@ mod tests {
                     other => panic!("{f:?} cut at {cut}: {other:?}"),
                 }
             }
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn deliver_frames_match_golden_bytes() {
+        // The data plane's bytes are a contract between builds: a batch with
+        // a dictionary-coded Int column beside a Null one, a batch of plain
+        // Int / Str (with a validity bitmap) / Float / Date columns, and
+        // each punctuation kind, all to task 7.
+        use squall_common::{Date, Value};
+        let dict: Vec<Tuple> = (0..64i64).map(|i| tuple![i % 3, Value::Null]).collect();
+        let plain = [tuple![7, "ab", 0.5, Date(3)], tuple![-1, Value::Null, 2.0, Date(-4)]];
+        let golden = [
+            (
+                Message::Batch { origin: 2, chunk: Chunk::from_tuples(&dict) },
+                concat!(
+                    "02070000000200000040000000020000000101005d000000030000000000000000000000",
+                    "010000000000000002000000000000000100010200010200010200010200010200010200",
+                    "010200010200010200010200010200010200010200010200010200010200010200010200",
+                    "01020001020001020000000000000000",
+                ),
+            ),
+            (
+                Message::Batch { origin: 1, chunk: Chunk::from_tuples(&plain) },
+                concat!(
+                    "0207000000010000000200000004000000010000100000000700000000000000ffffffff",
+                    "ffffffff0300011600000001000000000000000200000061620200000002000000020000",
+                    "10000000000000000000e03f00000000000000400400000800000003000000fcffffff",
+                ),
+            ),
+            (Message::Eos, "0307000000"),
+            (
+                Message::Watermark { origin: 2, from_task: 3, ts: 12345 },
+                "080700000002000000030000003930000000000000",
+            ),
+            (Message::Barrier { epoch: 9 }, "09070000000900000000000000"),
+        ];
+        for (msg, want) in golden {
+            let got = hex(&Frame::Deliver { to_task: 7, msg: msg.clone() }.encode());
+            assert_eq!(got, want, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn control_frames_match_golden_bytes() {
+        let metrics = MetricsSnapshot {
+            nodes: vec![NodeMetrics {
+                node: 1,
+                name: "j".into(),
+                received: vec![5],
+                sent: vec![],
+                emitted: vec![6, 7],
+            }],
+            scheduler: SchedulerStats {
+                workers: 2,
+                steals: 3,
+                yields: 4,
+                blocked: 5,
+                max_queue_depth: 6,
+            },
+        };
+        let golden = [
+            (Frame::Hello { peer: 3 }, "0003000000"),
+            (Frame::Job { payload: vec![1, 2, 3] }, "0103000000010203"),
+            (Frame::Heartbeat { epoch: 17 }, "0a1100000000000000"),
+            (
+                Frame::SnapshotBlob { role: 1, task: 3, epoch: 9, payload: vec![9, 8, 7] },
+                "0b0103000000090000000000000003000000090807",
+            ),
+            (Frame::Readmit { peer: 2, epoch: 4 }, "0c020000000400000000000000"),
+            (
+                Frame::SinkRow { node: 4, tuple: tuple![42, "x"] },
+                "040400000002000000012a00000000000000030100000078",
+            ),
+            (
+                Frame::Abort {
+                    error: SquallError::MemoryOverflow { machine: 1, stored: 10, budget: 5 },
+                },
+                "050001000000000000000a000000000000000500000000000000",
+            ),
+            (
+                Frame::Abort { error: SquallError::WorkerLost { addr: "w".into(), last_epoch: 8 } },
+                "050a01000000770800000000000000",
+            ),
+            // A variant without a tag of its own crosses as its display text.
+            (
+                Frame::Abort { error: SquallError::DuplicateSource("R".into()) },
+                concat!(
+                    "05093f000000736f75726365205220697320616c72656164792072656769737465726564",
+                    "20286465726567697374657220697420666972737420746f207265706c61636529",
+                ),
+            ),
+            (
+                Frame::Done { metrics: metrics.clone(), error: Some(SquallError::Io("x".into())) },
+                concat!(
+                    "06010000000100000000000000010000006a010000000500000000000000000000000200",
+                    "000006000000000000000700000000000000020000000000000003000000000000000400",
+                    "0000000000000500000000000000060000000000000001070100000078",
+                ),
+            ),
+            (
+                Frame::Done { metrics, error: None },
+                concat!(
+                    "06010000000100000000000000010000006a010000000500000000000000000000000200",
+                    "000006000000000000000700000000000000020000000000000003000000000000000400",
+                    "0000000000000500000000000000060000000000000000",
+                ),
+            ),
+            (Frame::Goodbye, "07"),
+        ];
+        for (frame, want) in golden {
+            assert_eq!(hex(&frame.encode()), want, "{frame:?}");
         }
     }
 
