@@ -553,6 +553,14 @@ impl Chunk {
         self.columns.iter().map(|c| c.value(i)).collect()
     }
 
+    /// Row `i`'s values into `buf`, replacing what it held: [`Chunk::row`]
+    /// for a caller that only borrows the row.
+    pub fn row_into(&self, i: usize, buf: &mut Vec<Value>) {
+        assert!(i < self.rows, "row {i} out of range {}", self.rows);
+        buf.clear();
+        buf.extend(self.columns.iter().map(|c| c.value(i)));
+    }
+
     /// Iterate rows as freshly materialized [`Tuple`]s. Cold-path adapter:
     /// operators that want columns should read them directly.
     pub fn rows(&self) -> Rows<'_> {

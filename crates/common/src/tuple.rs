@@ -96,6 +96,24 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+impl From<&[Value]> for Tuple {
+    /// Copy borrowed values into a new tuple (one allocation).
+    fn from(values: &[Value]) -> Self {
+        Tuple { values: values.into() }
+    }
+}
+
+/// A tuple is its row of values: `&Tuple` goes wherever a borrowed row
+/// `&[Value]` is asked for.
+impl std::ops::Deref for Tuple {
+    type Target = [Value];
+
+    #[inline]
+    fn deref(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 /// Convenience macro: `tuple![1, 2.5, "x"]`.
 #[macro_export]
 macro_rules! tuple {

@@ -884,6 +884,86 @@ mod tests {
         assert_eq!(rs.sink, Some(vec![2]));
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One join task after a fixed signed sequence over the chain —
+    /// duplicates, `Int(1)` merged with `Float(1.0)`, a row retracted to
+    /// zero and another taking its slot, an over-retraction and one of an
+    /// absent row, strings and `NULL`s in the payload columns — with every
+    /// delta logged at epoch 1.
+    fn fixed_task() -> (DBToasterJoin, DeltaLog) {
+        let (mut join, mut log) = (DBToasterJoin::new(&chain3()), DeltaLog::new(3, 0));
+        let null = || Value::Null;
+        let deltas = [
+            (0, tuple!["x", 1], 1),
+            (0, tuple!["x", 1], 1),
+            (0, tuple![null(), 1.0], 1),
+            (1, tuple![1, 2], 2),
+            (1, tuple![1.0, 2], 1),
+            (1, tuple![1.0, 3], 1),
+            (2, tuple![2, 2.5], 1),
+            (2, tuple![3, "y"], 1),
+            (0, tuple!["x", 1], -1),
+            (2, tuple![2, 2.5], -3),
+            (2, tuple![3, null()], 1),
+            (1, tuple![4, 4], -1),
+            (0, tuple!["z", 1], 1),
+        ];
+        let mut discard = Vec::new();
+        for (rel, t, m) in deltas {
+            join.delta(rel, &t, m, &mut discard);
+            log.push(rel, t, m, 1);
+        }
+        (join, log)
+    }
+
+    #[test]
+    fn join_blob_full_matches_golden_bytes_and_restores() {
+        // The full-history join blob is a contract between builds: what a
+        // task's snapshot and the store's integral write, and what a
+        // restore reads.
+        let (mut join, mut log) = fixed_task();
+        let blob = join_blob(&join);
+        assert_eq!(
+            hex(&blob),
+            concat!(
+                "000300000003000000020000000002000000000000f03f01000000000000000200000003",
+                "010000007801010000000000000001000000000000000200000003010000007a01010000",
+                "000000000001000000000000000200000002000000010100000000000000010200000000",
+                "00000003000000000000000200000002000000000000f03f010300000000000000010000",
+                "000000000002000000020000000103000000000000000001000000000000000200000001",
+                "03000000000000000301000000790100000000000000",
+            ),
+        );
+        let mut store = CheckpointStore::new(1);
+        store.insert((ROLE_JOIN, 0, 1, log.seal(1)));
+        store.insert((ROLE_SINK, 0, 1, vec![1]));
+        assert_eq!(store.restore_state(1).unwrap().join[&0], blob, "the store's integral");
+
+        let mut restored = DBToasterJoin::new(&chain3());
+        let mut r = Reader::new(&blob);
+        assert_eq!(r.u8().unwrap(), JOIN_BLOB_FULL);
+        restored.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(join_blob(&restored), blob);
+        assert_eq!(
+            squall_join::LocalJoin::stored(&restored),
+            squall_join::LocalJoin::stored(&join)
+        );
+        for (rel, t) in
+            [(1, tuple![1, 2]), (0, tuple!["w", 1.0]), (2, tuple![2, 0]), (1, tuple![1, 3])]
+        {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            join.delta(rel, &t, 1, &mut a);
+            restored.delta(rel, &t, 1, &mut b);
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "{t:?}");
+        }
+    }
+
     /// Prints the seed of a chain model-check case that panics, so it
     /// replays with `check_chain_seed(seed)`.
     struct Replay(u64);

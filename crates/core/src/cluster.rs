@@ -710,6 +710,38 @@ mod tests {
     }
 
     #[test]
+    fn dbtoaster_join_past_its_relation_limit_is_a_typed_error_on_the_worker() {
+        // A `Job` frame for a 31-relation DBToaster join — a batch one, or a
+        // standing one, which runs DBToaster whatever its local kind — must
+        // fail the job, not panic the worker building the join's views.
+        let n = squall_join::dbtoaster::MAX_RELATIONS + 1;
+        let rel = |i: usize| {
+            let schema = Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
+            RelationDef::new(format!("R{i}"), schema, 1)
+        };
+        let atoms = (1..n).map(|i| JoinAtom::eq(i - 1, 1, i, 0)).collect();
+        let spec = MultiJoinSpec::new((0..n).map(rel).collect(), atoms).unwrap();
+        let batch = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
+        let mut standing = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::Traditional, 2);
+        standing.standing = true;
+        for cfg in [batch, standing] {
+            let job = JobSpec {
+                me: 1,
+                peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
+                spec: spec.clone(),
+                cfg,
+                resume_epoch: 0,
+                restore_join: Vec::new(),
+            };
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut coordinator = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            Frame::Job { payload: job.encode() }.write_to(&mut coordinator).unwrap();
+            let err = serve_job(&listener).unwrap_err();
+            assert!(matches!(err, SquallError::InvalidPlan(_)), "{err}");
+        }
+    }
+
+    #[test]
     fn corrupt_job_is_a_typed_error() {
         let base = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::Traditional, 2);
         let job = |me: usize, cfg: &MultiwayConfig| JobSpec {

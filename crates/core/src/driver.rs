@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use squall_common::{FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::MultiJoinSpec;
+use squall_join::dbtoaster::MAX_RELATIONS;
 use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowJoin, WindowSpec};
 use squall_partition::optimizer::{build_scheme, SchemeKind};
 use squall_runtime::{
@@ -341,8 +342,9 @@ pub(crate) struct RunContext {
 const MAX_TASKS: usize = 1024;
 
 /// The plan checks [`wire_join_stage`] runs before building anything: one
-/// data stream per relation, every task count in `1..=MAX_TASKS`, group-by
-/// columns the join output has, and a window plan that is bounded,
+/// data stream per relation, no more relations than a DBToaster join (which
+/// every standing view runs) holds, every task count in `1..=MAX_TASKS`,
+/// group-by columns the join output has, and a window plan that is bounded,
 /// non-empty and names an in-range event-time column for every relation. A
 /// plan that fails here would otherwise panic — in the topology builder's
 /// asserts, inside a bolt factory, routing by a missing column, or dividing
@@ -353,6 +355,13 @@ fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -
             "{} relations but {} data streams",
             spec.n_relations(),
             n_streams
+        )));
+    }
+    let dbtoaster = cfg.local == LocalJoinKind::DBToaster || cfg.standing;
+    if dbtoaster && spec.n_relations() > MAX_RELATIONS {
+        return Err(SquallError::InvalidPlan(format!(
+            "a DBToaster join holds at most {MAX_RELATIONS} relations, not {}",
+            spec.n_relations()
         )));
     }
     // A decoded `JobSpec` is wire input.
@@ -1184,6 +1193,32 @@ mod tests {
             }
             other => panic!("expected a typed runtime error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn dbtoaster_join_past_its_relation_limit_is_a_typed_error() {
+        // Relation sets are `u32` masks: a longer DBToaster join panicked
+        // building its views inside the launch. Traditional has no such
+        // limit and answers the same plan.
+        let n = MAX_RELATIONS + 1;
+        let rel = |i: usize| {
+            let schema = Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
+            RelationDef::new(format!("R{i}"), schema, 1)
+        };
+        let atoms = (1..n).map(|i| JoinAtom::eq(i - 1, 1, i, 0)).collect();
+        let spec = MultiJoinSpec::new((0..n).map(rel).collect(), atoms).unwrap();
+        let data = vec![vec![tuple![1, 1]]; n];
+        let base = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
+        for cfg in [base.clone(), base.count_only()] {
+            match run_multiway(&spec, data.clone(), &cfg) {
+                Err(SquallError::InvalidPlan(m)) => assert!(m.contains("31"), "{m}"),
+                other => panic!("expected InvalidPlan, got {other:?}"),
+            }
+        }
+        let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::Traditional, 2);
+        let report = run_multiway(&spec, data, &cfg).unwrap();
+        assert!(report.error.is_none(), "{:?}", report.error);
+        assert_eq!(report.results, vec![Tuple::new(vec![Value::Int(1); 2 * n])]);
     }
 
     #[test]

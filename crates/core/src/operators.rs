@@ -162,16 +162,17 @@ impl<J: LocalJoin> TaskJoin<J> {
             .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))
     }
 
-    fn event_time_of(ts_cols: &[usize], rel: usize, tuple: &Tuple) -> Result<u64> {
-        event_time(tuple.get(ts_cols[rel]).as_int()?, "in windowed join input")
+    fn event_time_of(ts_cols: &[usize], rel: usize, row: &[Value]) -> Result<u64> {
+        event_time(row[ts_cols[rel]].as_int()?, "in windowed join input")
     }
 
-    /// Insert one tuple of `rel`, appending the (in-window) results.
-    pub(crate) fn insert(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<Tuple>) -> Result<()> {
+    /// Insert one row of `rel`, appending the (in-window) results. The
+    /// windowed join keeps its arrivals, so only it builds the row's tuple.
+    pub(crate) fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) -> Result<()> {
         match &mut self.state {
-            JoinState::Full(join) => join.insert(rel, tuple, out),
+            JoinState::Full(join) => join.insert(rel, row, out),
             JoinState::Windowed { join, ts_cols } => {
-                join.insert(rel, Self::event_time_of(ts_cols, rel, tuple)?, tuple, out)
+                join.insert(rel, Self::event_time_of(ts_cols, rel, row)?, &Tuple::from(row), out)
             }
         }
         Ok(())
@@ -182,13 +183,14 @@ impl<J: LocalJoin> TaskJoin<J> {
     pub(crate) fn insert_weighted(
         &mut self,
         rel: usize,
-        tuple: &Tuple,
+        row: &[Value],
         out: &mut Vec<(Tuple, i64)>,
     ) -> Result<()> {
         match &mut self.state {
-            JoinState::Full(join) => join.insert_weighted(rel, tuple, out),
+            JoinState::Full(join) => join.insert_weighted(rel, row, out),
             JoinState::Windowed { join, ts_cols } => {
-                join.insert_weighted(rel, Self::event_time_of(ts_cols, rel, tuple)?, tuple, out)
+                let ts = Self::event_time_of(ts_cols, rel, row)?;
+                join.insert_weighted(rel, ts, &Tuple::from(row), out)
             }
         }
         Ok(())
@@ -225,6 +227,8 @@ impl<J: LocalJoin> TaskJoin<J> {
 pub struct JoinBolt {
     join: TaskJoin<Box<dyn LocalJoin>>,
     emit: JoinEmit,
+    /// The chunk row being inserted, reused from row to row.
+    row: Vec<Value>,
     buf: Vec<Tuple>,
     wbuf: Vec<(Tuple, i64)>,
     results: u64,
@@ -241,6 +245,7 @@ impl JoinBolt {
         JoinBolt {
             join,
             emit,
+            row: Vec::new(),
             buf: Vec::new(),
             wbuf: Vec::new(),
             results: 0,
@@ -297,18 +302,18 @@ impl JoinBolt {
         self
     }
 
-    /// Process one arrival whose relation is already resolved.
-    fn step(&mut self, rel: usize, tuple: Tuple, out: &mut OutputCollector) -> Result<()> {
+    /// Process the arrival in `self.row`, whose relation is already resolved.
+    fn step(&mut self, rel: usize, out: &mut OutputCollector) -> Result<()> {
         if self.emit == JoinEmit::CountOnly {
             // Weighted path: aggregated DBToaster views report (tuple,
             // multiplicity) deltas without materializing hot-key outputs
             // (§3.3).
             self.wbuf.clear();
-            self.join.insert_weighted(rel, &tuple, &mut self.wbuf)?;
+            self.join.insert_weighted(rel, &self.row, &mut self.wbuf)?;
             self.results += self.wbuf.iter().map(|(_, m)| *m.max(&0) as u64).sum::<u64>();
         } else {
             self.buf.clear();
-            self.join.insert(rel, &tuple, &mut self.buf)?;
+            self.join.insert(rel, &self.row, &mut self.buf)?;
             self.results += self.buf.len() as u64;
             for t in self.buf.drain(..) {
                 out.emit(t);
@@ -336,8 +341,9 @@ impl Bolt for JoinBolt {
         out: &mut OutputCollector,
     ) -> Result<()> {
         let rel = self.join.rel_of(origin)?;
-        for tuple in chunk.rows() {
-            self.step(rel, tuple, out)?;
+        for i in 0..chunk.n_rows() {
+            chunk.row_into(i, &mut self.row);
+            self.step(rel, out)?;
         }
         Ok(())
     }

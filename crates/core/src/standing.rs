@@ -337,10 +337,11 @@ impl ViewJoinBolt {
         r.finish()
     }
 
-    /// Apply one signed delta of relation `rel`, leaving its results in
-    /// `wbuf`; returns the delta's epoch.
-    fn apply(&mut self, rel: usize, tuple: &Tuple) -> Result<u64> {
-        let (base, mult, epoch) = split_delta(tuple)?;
+    /// Apply the signed delta in row `i` of a chunk of relation `rel`,
+    /// leaving its results in `wbuf`; returns the delta's epoch. The base
+    /// row is built once and moves into the delta log.
+    fn apply(&mut self, rel: usize, chunk: &Chunk, i: usize) -> Result<u64> {
+        let (base, mult, epoch) = split_delta(chunk, i)?;
         let epoch = epoch as u64;
         self.wbuf.clear();
         match &mut self.join.state {
@@ -377,17 +378,18 @@ impl ViewJoinBolt {
     }
 }
 
-/// Split a delta-plane tuple into `(payload, multiplicity, epoch)`.
-fn split_delta(tuple: &Tuple) -> Result<(Tuple, i64, i64)> {
-    let n = tuple.arity();
+/// Row `i` of a delta-plane chunk as `(payload, multiplicity, epoch)`, the
+/// payload tuple built straight from the chunk's payload columns.
+fn split_delta(chunk: &Chunk, i: usize) -> Result<(Tuple, i64, i64)> {
+    let n = chunk.n_cols();
     if n < 2 {
         return Err(SquallError::Runtime(format!(
             "delta-plane tuple too narrow ({n} columns; needs payload + mult + epoch)"
         )));
     }
-    let mult = tuple.get(n - 2).as_int()?;
-    let epoch = tuple.get(n - 1).as_int()?;
-    Ok((Tuple::new(tuple.values()[..n - 2].to_vec()), mult, epoch))
+    let (payload, tags) = chunk.columns().split_at(n - 2);
+    let (mult, epoch) = (tags[0].value(i).as_int()?, tags[1].value(i).as_int()?);
+    Ok((payload.iter().map(|c| c.value(i)).collect(), mult, epoch))
 }
 
 impl Bolt for ViewJoinBolt {
@@ -398,8 +400,8 @@ impl Bolt for ViewJoinBolt {
         out: &mut OutputCollector,
     ) -> Result<()> {
         let rel = self.join.rel_of(origin)?;
-        chunk.rows().try_for_each(|tuple| {
-            let epoch = self.apply(rel, &tuple)?;
+        (0..chunk.n_rows()).try_for_each(|i| {
+            let epoch = self.apply(rel, chunk, i)?;
             for (t, m) in self.wbuf.drain(..) {
                 out.emit(tag_delta(&t, m, epoch));
             }
@@ -645,8 +647,8 @@ impl Bolt for ViewSinkBolt {
         chunk: &Chunk,
         _out: &mut OutputCollector,
     ) -> Result<()> {
-        for tuple in chunk.rows() {
-            let (base, mult, epoch) = split_delta(&tuple)?;
+        for i in 0..chunk.n_rows() {
+            let (base, mult, epoch) = split_delta(chunk, i)?;
             let epoch = epoch as u64;
             if epoch <= self.applied {
                 return Err(SquallError::Runtime(format!(
@@ -1281,9 +1283,10 @@ mod tests {
         };
         let (tx, rx) = std::sync::mpsc::channel();
         let mut bolt = ViewJoinBolt::new(join, 2, Some(tx), 0);
-        bolt.apply(R, &tag_delta(&tuple![1, 10], 1, 16)).unwrap();
-        bolt.apply(S, &tag_delta(&tuple![1, 100], 1, 16)).unwrap();
-        bolt.apply(R, &tag_delta(&tuple![2, 20], 1, 17)).unwrap();
+        let delta = |row: Tuple, epoch| Chunk::from_tuples(&[tag_delta(&row, 1, epoch)]);
+        bolt.apply(R, &delta(tuple![1, 10], 16), 0).unwrap();
+        bolt.apply(S, &delta(tuple![1, 100], 16), 0).unwrap();
+        bolt.apply(R, &delta(tuple![2, 20], 17), 0).unwrap();
         bolt.ship(16);
         bolt.ship(32);
         let blobs: Vec<SnapshotBlobMsg> = rx.try_iter().collect();

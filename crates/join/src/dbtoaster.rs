@@ -75,7 +75,8 @@ pub struct DBToasterJoin {
     scratch_matches: Vec<Vec<(RowId, i64)>>,
     /// Odometer scratch for the cross-combination loop.
     scratch_idx: Vec<usize>,
-    /// Assembly buffer for one ΔV_S row.
+    /// Assembly buffer for one ΔV_S row: handed to [`View::update`] as a
+    /// borrowed row, built into a [`Tuple`] only for an emitted result.
     scratch_values: Vec<Value>,
 }
 
@@ -98,15 +99,19 @@ fn reachable(adj: &[u32], mask: u32, start: usize) -> u32 {
     seen
 }
 
+/// The most relations a [`DBToasterJoin`] joins: relation sets are `u32`
+/// masks. Plans are checked against it before a join is built.
+pub const MAX_RELATIONS: usize = 30;
+
 impl DBToasterJoin {
     /// Precompute views, indexes and delta plans for the join.
     ///
     /// Supports acyclic (and, conservatively, cyclic — extra atoms become
-    /// filters on the probes) connected join graphs over up to 30
-    /// relations (masks are `u32`); practical queries use 2–6.
+    /// filters on the probes) connected join graphs over up to
+    /// [`MAX_RELATIONS`] relations; practical queries use 2–6.
     pub fn new(spec: &MultiJoinSpec) -> DBToasterJoin {
         let n = spec.n_relations();
-        assert!((1..=30).contains(&n), "unsupported relation count {n}");
+        assert!((1..=MAX_RELATIONS).contains(&n), "unsupported relation count {n}");
         let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
         let full: u32 = (1u32 << n) - 1;
 
@@ -219,19 +224,19 @@ impl DBToasterJoin {
         self.views.iter().map(|v| (v.members.clone(), v.len())).collect()
     }
 
-    /// Apply a **signed** delta `(tuple, mult)` to relation `rel` and push
+    /// Apply a **signed** delta `(row, mult)` to relation `rel` and push
     /// the resulting signed result deltas into `out` — the Z-set face of
     /// the operator used by standing materialized views: `mult = +1`
     /// inserts, `mult = -1` retracts, and emitted multiplicities carry the
     /// sign through (a retraction of a stored match emits a negative
     /// delta). Intermediate views are maintained exactly as for
     /// [`LocalJoin::insert`]/[`LocalJoin::remove`].
-    pub fn delta(&mut self, rel: usize, tuple: &Tuple, mult: i64, out: &mut Vec<(Tuple, i64)>) {
-        self.apply_delta(rel, tuple, mult, Sink::Signed(out));
+    pub fn delta(&mut self, rel: usize, row: &[Value], mult: i64, out: &mut Vec<(Tuple, i64)>) {
+        self.apply_delta(rel, row, mult, Sink::Signed(out));
     }
 
-    fn apply_delta(&mut self, rel: usize, tuple: &Tuple, mult: i64, mut out: Sink<'_>) {
-        debug_assert_eq!(tuple.arity(), self.arities[rel], "arity mismatch for relation {rel}");
+    fn apply_delta(&mut self, rel: usize, row: &[Value], mult: i64, mut out: Sink<'_>) {
+        debug_assert_eq!(row.len(), self.arities[rel], "arity mismatch for relation {rel}");
         // Scratch buffers move out of `self` for the duration of the call
         // so the plan iteration below can still borrow `self.plans`; they
         // are restored (capacity intact) on exit.
@@ -245,8 +250,8 @@ impl DBToasterJoin {
             if plan.comps.is_empty() {
                 // ΔV_{rel} is the arrival itself.
                 match plan.view_id {
-                    Some(vid) => self.views[vid].update(tuple, mult),
-                    None => out.push(tuple.clone(), mult),
+                    Some(vid) => self.views[vid].update(row, mult),
+                    None => out.push(row, mult),
                 }
                 continue;
             }
@@ -264,13 +269,13 @@ impl DBToasterJoin {
                     let (t, m) = view.row(id);
                     cp.theta
                         .iter()
-                        .all(|&(mc, op, vc)| op.eval(tuple.get(mc), t.get(vc)))
+                        .all(|&(mc, op, vc)| op.eval(&row[mc], &t[vc]))
                         .then_some((id, m))
                 };
                 found.clear();
                 match cp.index_id {
                     Some(ix) => {
-                        let key = cp.my_cols.iter().map(|&c| tuple.get(c));
+                        let key = cp.my_cols.iter().map(|&c| &row[c]);
                         found.extend(view.probe_ids(ix, key).filter_map(keep));
                     }
                     None => found.extend(view.scan_ids().filter_map(keep)),
@@ -291,20 +296,20 @@ impl DBToasterJoin {
                 for (c, &i) in idx.iter().enumerate() {
                     delta_mult *= matches[c][i].1;
                 }
+                values.clear();
                 for seg in &plan.assembly {
                     match *seg {
-                        Segment::Delta => values.extend_from_slice(tuple.values()),
+                        Segment::Delta => values.extend_from_slice(row),
                         Segment::Comp { comp, start, len } => {
                             let (t, _) = self.views[plan.comps[comp].view_id]
                                 .row(matches[comp][idx[comp]].0);
-                            values.extend_from_slice(&t.values()[start..start + len]);
+                            values.extend_from_slice(&t[start..start + len]);
                         }
                     }
                 }
-                let merged: Tuple = values.drain(..).collect();
                 match plan.view_id {
-                    Some(vid) => self.views[vid].update(&merged, delta_mult),
-                    None => out.push(merged, delta_mult),
+                    Some(vid) => self.views[vid].update(&values, delta_mult),
+                    None => out.push(&values, delta_mult),
                 }
                 // Advance the odometer.
                 let mut c = 0;
@@ -338,7 +343,7 @@ impl Snapshot for DBToasterJoin {
     fn snapshot_state(&self, buf: &mut Vec<u8>) {
         let bases: Vec<Vec<(Tuple, i64)>> = (0..self.arities.len())
             .map(|rel| match self.views.iter().find(|v| v.members.as_slice() == [rel]) {
-                Some(v) => v.scan().map(|(t, m)| (t.clone(), m)).collect(),
+                Some(v) => v.scan().map(|(t, m)| (Tuple::from(t), m)).collect(),
                 None => Vec::new(), // single-relation join: stateless
             })
             .collect();
@@ -370,32 +375,35 @@ enum Sink<'a> {
 }
 
 impl Sink<'_> {
-    fn push(&mut self, result: Tuple, mult: i64) {
+    /// Keep one result delta; its [`Tuple`] is built only if it is kept.
+    fn push(&mut self, result: &[Value], mult: i64) {
         match self {
-            Sink::None => {}
-            Sink::Expand(v) => v.extend((0..mult).map(|_| result.clone())),
-            Sink::Weighted(v) if mult > 0 => v.push((result, mult)),
-            Sink::Signed(v) if mult != 0 => v.push((result, mult)),
-            Sink::Weighted(_) | Sink::Signed(_) => {}
+            Sink::Expand(v) if mult > 0 => {
+                let result = Tuple::from(result);
+                v.extend((0..mult).map(|_| result.clone()));
+            }
+            Sink::Weighted(v) if mult > 0 => v.push((result.into(), mult)),
+            Sink::Signed(v) if mult != 0 => v.push((result.into(), mult)),
+            _ => {}
         }
     }
 }
 
 impl LocalJoin for DBToasterJoin {
-    fn insert(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<Tuple>) {
-        self.apply_delta(rel, tuple, 1, Sink::Expand(out));
+    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
+        self.apply_delta(rel, row, 1, Sink::Expand(out));
     }
 
-    fn remove(&mut self, rel: usize, tuple: &Tuple) {
-        self.apply_delta(rel, tuple, -1, Sink::None);
+    fn remove(&mut self, rel: usize, row: &[Value]) {
+        self.apply_delta(rel, row, -1, Sink::None);
     }
 
     fn stored(&self) -> usize {
         self.views.iter().map(|v| v.len()).sum()
     }
 
-    fn insert_weighted(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<(Tuple, i64)>) {
-        self.apply_delta(rel, tuple, 1, Sink::Weighted(out));
+    fn insert_weighted(&mut self, rel: usize, row: &[Value], out: &mut Vec<(Tuple, i64)>) {
+        self.apply_delta(rel, row, 1, Sink::Weighted(out));
     }
 }
 
@@ -410,6 +418,8 @@ pub struct AggregatedDBToaster {
     inner: DBToasterJoin,
     /// Per relation: the original columns retained (sorted).
     kept: Vec<Vec<usize>>,
+    /// The arrival projected onto its kept columns.
+    projected: Vec<Value>,
 }
 
 impl AggregatedDBToaster {
@@ -466,12 +476,19 @@ impl AggregatedDBToaster {
             .collect();
         let projected =
             MultiJoinSpec::new(relations, atoms).expect("projection preserves validity");
-        AggregatedDBToaster { inner: DBToasterJoin::new(&projected), kept }
+        AggregatedDBToaster { inner: DBToasterJoin::new(&projected), kept, projected: Vec::new() }
     }
 
     /// Join-keys-only variant (COUNT(*) queries).
     pub fn minimal(spec: &MultiJoinSpec) -> AggregatedDBToaster {
         AggregatedDBToaster::new(spec, &vec![Vec::new(); spec.n_relations()])
+    }
+
+    /// The inner join, and `row` of `rel` projected into the reused buffer.
+    fn project(&mut self, rel: usize, row: &[Value]) -> (&mut DBToasterJoin, &[Value]) {
+        self.projected.clear();
+        self.projected.extend(self.kept[rel].iter().map(|&c| row[c].clone()));
+        (&mut self.inner, &self.projected)
     }
 }
 
@@ -488,20 +505,23 @@ impl Snapshot for AggregatedDBToaster {
 }
 
 impl LocalJoin for AggregatedDBToaster {
-    fn insert(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<Tuple>) {
-        self.inner.insert(rel, &tuple.project(&self.kept[rel]), out)
+    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
+        let (inner, row) = self.project(rel, row);
+        inner.insert(rel, row, out)
     }
 
-    fn remove(&mut self, rel: usize, tuple: &Tuple) {
-        self.inner.remove(rel, &tuple.project(&self.kept[rel]))
+    fn remove(&mut self, rel: usize, row: &[Value]) {
+        let (inner, row) = self.project(rel, row);
+        inner.remove(rel, row)
     }
 
     fn stored(&self) -> usize {
         self.inner.stored()
     }
 
-    fn insert_weighted(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<(Tuple, i64)>) {
-        self.inner.insert_weighted(rel, &tuple.project(&self.kept[rel]), out)
+    fn insert_weighted(&mut self, rel: usize, row: &[Value], out: &mut Vec<(Tuple, i64)>) {
+        let (inner, row) = self.project(rel, row);
+        inner.insert_weighted(rel, row, out)
     }
 }
 
@@ -737,6 +757,87 @@ mod tests {
             let online = run_online(&mut DBToasterJoin::new(&spec), &rels, seed);
             assert!(same_multiset(&online, &expected), "{online:?}");
             assert!(same_multiset(&online, &naive_join(&spec, &rels)));
+        }
+    }
+
+    #[test]
+    fn row_slice_joins_agree_with_naive_join_on_seeded_inputs() {
+        // Every arrival reaches the joins as a borrowed row cut from one flat
+        // buffer per relation, over keys mixing `Int` and `Float` (equal
+        // values meet) and payloads of every kind. DBToaster, both
+        // aggregated-view variants and Traditional must answer what the
+        // nested loop does; DBToaster's signed deltas must also integrate to
+        // the nested loop over what is left after retractions.
+        use crate::traditional::TraditionalJoin;
+        use std::collections::BTreeMap;
+        let spec = chain3();
+        for seed in 0..24 {
+            let mut rng = SplitMix64::new(seed);
+            let mut value = |key: bool| match rng.next_below(if key { 2 } else { 5 }) {
+                0 => Value::Int(rng.next_range(0, 4)),
+                1 => Value::Float(rng.next_range(0, 4) as f64),
+                2 => Value::Null,
+                3 => Value::str(["p", "q"][rng.next_below(2)]),
+                _ => Value::Float(0.5),
+            };
+            // R(payload, key) ⋈ S(key, key) ⋈ T(key, payload).
+            let flat: Vec<Vec<Value>> = [[false, true], [true, true], [true, false]]
+                .iter()
+                .map(|keys| (0..12).flat_map(|_| keys.map(&mut value)).collect())
+                .collect();
+            let row = |rel: usize, i: usize| &flat[rel][2 * i..2 * i + 2];
+            let tuples = |live: &[Vec<bool>]| -> Vec<Vec<Tuple>> {
+                (0..3)
+                    .map(|r| (0..12).filter(|&i| live[r][i]).map(|i| row(r, i).into()).collect())
+                    .collect()
+            };
+            let mut arrivals: Vec<(usize, usize)> =
+                (0..3).flat_map(|r| (0..12).map(move |i| (r, i))).collect();
+            rng.shuffle(&mut arrivals);
+            let oracle =
+                naive_join(&spec, &tuples(&[vec![true; 12], vec![true; 12], vec![true; 12]]));
+
+            let mut dbtoaster = DBToasterJoin::new(&spec);
+            let mut traditional = TraditionalJoin::new(&spec);
+            let mut full = AggregatedDBToaster::new(&spec, &[vec![0, 1], vec![0, 1], vec![0, 1]]);
+            let mut minimal = AggregatedDBToaster::minimal(&spec);
+            let (mut a, mut b, mut c, mut d) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for &(rel, i) in &arrivals {
+                dbtoaster.insert(rel, row(rel, i), &mut a);
+                traditional.insert(rel, row(rel, i), &mut b);
+                full.insert_weighted(rel, row(rel, i), &mut c);
+                minimal.insert_weighted(rel, row(rel, i), &mut d);
+            }
+            let expand = |w: &[(Tuple, i64)]| -> Vec<Tuple> {
+                w.iter().flat_map(|(t, m)| (0..*m).map(move |_| t.clone())).collect()
+            };
+            assert!(same_multiset(&a, &oracle), "seed {seed}: DBToaster");
+            assert!(same_multiset(&b, &oracle), "seed {seed}: Traditional");
+            assert!(same_multiset(&expand(&c), &oracle), "seed {seed}: aggregated views");
+            let count: i64 = d.iter().map(|(_, m)| m).sum();
+            assert_eq!(count, oracle.len() as i64, "seed {seed}: minimal views");
+
+            // Retract a third of the rows; the signed result deltas, summed
+            // with the inserts', are the nested loop over the rest.
+            let mut integral: BTreeMap<Tuple, i64> = BTreeMap::new();
+            for t in oracle {
+                *integral.entry(t).or_insert(0) += 1;
+            }
+            let mut live = vec![vec![true; 12]; 3];
+            let mut signed = Vec::new();
+            for &(rel, i) in arrivals.iter().step_by(3) {
+                live[rel][i] = false;
+                dbtoaster.delta(rel, row(rel, i), -1, &mut signed);
+            }
+            for (t, m) in signed {
+                *integral.entry(t).or_insert(0) += m;
+            }
+            integral.retain(|_, m| *m != 0);
+            let mut rest: BTreeMap<Tuple, i64> = BTreeMap::new();
+            for t in naive_join(&spec, &tuples(&live)) {
+                *rest.entry(t).or_insert(0) += 1;
+            }
+            assert_eq!(integral, rest, "seed {seed}: signed deltas");
         }
     }
 

@@ -40,20 +40,21 @@ pub use snapshot::Snapshot;
 pub use traditional::TraditionalJoin;
 pub use window::{output_ts_cols, WindowJoin, WindowSpec};
 
-use squall_common::Tuple;
+use squall_common::{Tuple, Value};
 
-/// A local online multi-way join: tuple in, (possibly several) join results
-/// out, state updated.
+/// A local online multi-way join: row in, (possibly several) join results
+/// out, state updated. Arrivals are borrowed rows — a `&Tuple` is one — and
+/// only the results a join emits are built as [`Tuple`]s.
 pub trait LocalJoin: Send {
-    /// Insert one tuple of relation `rel`; append every join result this
+    /// Insert one row of relation `rel`; append every join result this
     /// arrival completes (concatenated in relation order, matching
     /// [`squall_expr::MultiJoinSpec::output_schema`]) to `out`.
-    fn insert(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<Tuple>);
+    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>);
 
-    /// Remove one stored instance of `tuple` from `rel` (window
+    /// Remove one stored instance of `row` from `rel` (window
     /// expiration). No retractions are emitted: results already produced
     /// were valid when their inputs co-existed in the window.
-    fn remove(&mut self, rel: usize, tuple: &Tuple);
+    fn remove(&mut self, rel: usize, row: &[Value]);
 
     /// Stored tuples across all relations/views (memory accounting; drives
     /// the per-machine memory budget of §7.3).
@@ -64,27 +65,27 @@ pub trait LocalJoin: Send {
     /// SUM queries) only need the weights, which lets DBToaster's
     /// aggregated views skip materializing hot-key outputs entirely — the
     /// source of its §3.3 advantage. The default expands.
-    fn insert_weighted(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<(Tuple, i64)>) {
+    fn insert_weighted(&mut self, rel: usize, row: &[Value], out: &mut Vec<(Tuple, i64)>) {
         let mut buf = Vec::new();
-        self.insert(rel, tuple, &mut buf);
+        self.insert(rel, row, &mut buf);
         out.extend(buf.into_iter().map(|t| (t, 1)));
     }
 }
 
 impl<J: LocalJoin + ?Sized> LocalJoin for Box<J> {
-    fn insert(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<Tuple>) {
-        (**self).insert(rel, tuple, out)
+    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
+        (**self).insert(rel, row, out)
     }
 
-    fn remove(&mut self, rel: usize, tuple: &Tuple) {
-        (**self).remove(rel, tuple)
+    fn remove(&mut self, rel: usize, row: &[Value]) {
+        (**self).remove(rel, row)
     }
 
     fn stored(&self) -> usize {
         (**self).stored()
     }
 
-    fn insert_weighted(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<(Tuple, i64)>) {
-        (**self).insert_weighted(rel, tuple, out)
+    fn insert_weighted(&mut self, rel: usize, row: &[Value], out: &mut Vec<(Tuple, i64)>) {
+        (**self).insert_weighted(rel, row, out)
     }
 }

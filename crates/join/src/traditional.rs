@@ -138,9 +138,9 @@ impl TraditionalJoin {
     fn cascade<'a>(
         &'a self,
         rel: usize,
-        tuple: &'a Tuple,
+        row: &'a [Value],
         step: usize,
-        bound: &mut Vec<(&'a Tuple, i64)>,
+        bound: &mut Vec<(&'a [Value], i64)>,
         out: &mut Vec<Tuple>,
     ) {
         let steps = &self.plans[rel];
@@ -150,8 +150,8 @@ impl TraditionalJoin {
             let mut values = Vec::new();
             for slot in &self.emit_order[rel] {
                 match slot {
-                    Slot::Delta => values.extend_from_slice(tuple.values()),
-                    Slot::Bound(k) => values.extend_from_slice(bound[*k].0.values()),
+                    Slot::Delta => values.extend_from_slice(row),
+                    Slot::Bound(k) => values.extend_from_slice(bound[*k].0),
                 }
             }
             let result = Tuple::new(values);
@@ -159,10 +159,10 @@ impl TraditionalJoin {
             return;
         }
         let st = &steps[step];
-        let value_of = |slot: Slot, col: usize, bound: &[(&'a Tuple, i64)]| -> &'a Value {
+        let value_of = |slot: Slot, col: usize, bound: &[(&'a [Value], i64)]| -> &'a Value {
             match slot {
-                Slot::Delta => tuple.get(col),
-                Slot::Bound(k) => bound[k].0.get(col),
+                Slot::Delta => &row[col],
+                Slot::Bound(k) => &bound[k].0[col],
             }
         };
         // The recomputation the paper criticizes: every arrival probes the
@@ -171,13 +171,14 @@ impl TraditionalJoin {
         // `bound` while it grows (empty, and unallocated, for a scan).
         let key: Vec<&Value> =
             st.key.iter().map(|&(slot, col)| value_of(slot, col, bound)).collect();
-        let mut bind = |(cand, mult): (&'a Tuple, i64)| {
-            let passes = st.theta.iter().all(|&(slot, scol, op, ccol)| {
-                op.eval(value_of(slot, scol, bound), cand.get(ccol))
-            });
+        let mut bind = |(cand, mult): (&'a [Value], i64)| {
+            let passes = st
+                .theta
+                .iter()
+                .all(|&(slot, scol, op, ccol)| op.eval(value_of(slot, scol, bound), &cand[ccol]));
             if passes {
                 bound.push((cand, mult));
-                self.cascade(rel, tuple, step + 1, bound, out);
+                self.cascade(rel, row, step + 1, bound, out);
                 bound.pop();
             }
         };
@@ -190,20 +191,20 @@ impl TraditionalJoin {
 }
 
 impl LocalJoin for TraditionalJoin {
-    fn insert(&mut self, rel: usize, tuple: &Tuple, out: &mut Vec<Tuple>) {
+    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
         // Produce results completed by this arrival (against stored state),
-        // then store the tuple.
+        // then store the row.
         if self.n == 1 {
-            out.push(tuple.clone());
+            out.push(row.into());
         } else {
             let mut bound = Vec::with_capacity(self.n - 1);
-            self.cascade(rel, tuple, 0, &mut bound, out);
+            self.cascade(rel, row, 0, &mut bound, out);
         }
-        self.bases[rel].update(tuple, 1);
+        self.bases[rel].update(row, 1);
     }
 
-    fn remove(&mut self, rel: usize, tuple: &Tuple) {
-        self.bases[rel].update(tuple, -1);
+    fn remove(&mut self, rel: usize, row: &[Value]) {
+        self.bases[rel].update(row, -1);
     }
 
     fn stored(&self) -> usize {

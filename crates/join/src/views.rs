@@ -6,45 +6,47 @@
 //! deletions (negative deltas) are exact.
 //!
 //! Every distinct row is stored **once**, in a slab slot named by a `u32`
-//! row id. Each hash index — one per distinct probe-key column set, plus
-//! the identity index over all columns that answers "is this row stored?" —
-//! is a posting table: key hash → the ids of the rows under it. The hash is
-//! folded straight from the key columns (no key is ever built), and because
-//! unequal keys may share a hash, every probe checks the key against the
-//! slab row. A probe's matches come out in posting order, a pure function
-//! of the update sequence. Probes with no equi columns scan the slab.
+//! row id. The slab is one flat, arity-strided `Vec<Value>` — row `id` is
+//! `vals[id * width..][..width]` — beside a `Vec<i64>` of multiplicities,
+//! so storing a row copies its values in and allocates nothing per row
+//! (rows arrive and leave as borrowed `&[Value]`). Each hash index — one
+//! per distinct probe-key column set, plus the identity index over all
+//! columns that answers "is this row stored?" — is a posting table: key
+//! hash → the ids of the rows under it. The hash is folded straight from
+//! the key columns (no key is ever built), and because unequal keys may
+//! share a hash, every probe checks the key against the slab row. A
+//! probe's matches come out in posting order, a pure function of the
+//! update sequence. Probes with no equi columns scan the slab.
 
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
 use squall_common::hash::FxHasher;
-use squall_common::{FxHashMap, Tuple, Value};
+use squall_common::{FxHashMap, Value};
 
 /// Names one stored row of one [`View`]. Stable until that row's
 /// multiplicity reaches zero; the slot is then reused.
 pub(crate) type RowId = u32;
 
-/// A multiset of tuples with optional hash indexes.
+/// A multiset of rows with optional hash indexes.
 #[derive(Debug)]
 pub struct View {
     /// Relations whose concatenation forms this view's rows (sorted).
     pub members: Vec<usize>,
     /// Column offset of each member inside a row.
     pub offsets: Vec<usize>,
-    /// The slab: `None` slots are listed in `free`.
-    rows: Vec<Option<Row>>,
+    /// Columns per row.
+    width: usize,
+    /// The slab: row `id`'s values at `vals[id * width..][..width]`.
+    vals: Vec<Value>,
+    /// Row `id`'s multiplicity — always positive for a stored row; 0 marks
+    /// a free slot (listed in `free`), whose stale values nothing indexes.
+    mults: Vec<i64>,
     free: Vec<RowId>,
     /// `indexes[0]` is the identity index (all columns, in order).
     indexes: Vec<Index>,
     /// Σ multiplicities (stored tuple count).
     count: i64,
-}
-
-#[derive(Debug)]
-struct Row {
-    tuple: Tuple,
-    /// Always positive: a row retracted to zero leaves the slab.
-    mult: i64,
 }
 
 /// One hash index: key hash → ids of the rows whose `cols` have that hash.
@@ -138,14 +140,10 @@ pub fn key_hash<'k>(key: impl Iterator<Item = &'k Value>) -> u64 {
     h.finish()
 }
 
-fn live(rows: &[Option<Row>], id: RowId) -> &Row {
-    rows[id as usize].as_ref().expect("postings list live rows only")
-}
-
 /// The rows of one index whose key columns equal a probe key; see
 /// [`View::probe_ids`].
 pub(crate) struct ProbeIds<'a, K> {
-    rows: &'a [Option<Row>],
+    view: &'a View,
     cols: &'a [usize],
     candidates: std::slice::Iter<'a, RowId>,
     key: K,
@@ -155,10 +153,10 @@ impl<'k, K: Iterator<Item = &'k Value> + Clone> Iterator for ProbeIds<'_, K> {
     type Item = RowId;
 
     fn next(&mut self) -> Option<RowId> {
-        let (rows, cols, key) = (self.rows, self.cols, &self.key);
+        let (view, cols, key) = (self.view, self.cols, &self.key);
         self.candidates.by_ref().copied().find(|&id| {
-            let tuple = &live(rows, id).tuple;
-            cols.iter().map(|&c| tuple.get(c)).eq(key.clone())
+            let row = view.slot(id);
+            cols.iter().map(|&c| &row[c]).eq(key.clone())
         })
     }
 }
@@ -178,7 +176,9 @@ impl View {
         View {
             members,
             offsets,
-            rows: Vec::new(),
+            width: off,
+            vals: Vec::new(),
+            mults: Vec::new(),
             free: Vec::new(),
             indexes: vec![identity],
             count: 0,
@@ -196,38 +196,45 @@ impl View {
         if let Some(i) = self.indexes.iter().position(|ix| ix.cols == cols) {
             return i;
         }
-        debug_assert!(self.rows.is_empty(), "indexes are created before data arrives");
+        debug_assert!(self.mults.is_empty(), "indexes are created before data arrives");
         self.indexes.push(Index { cols, postings: Postings::default() });
         self.indexes.len() - 1
     }
 
-    /// Slot of the stored row equal to `tuple`, whose all-column hash is
-    /// `hash`.
-    fn find(&self, tuple: &Tuple, hash: u64) -> Option<RowId> {
-        let ids = self.indexes[0].postings.get(hash);
-        ids.iter().copied().find(|&id| live(&self.rows, id).tuple == *tuple)
+    /// The values in slot `id`, live or free.
+    #[inline]
+    fn slot(&self, id: RowId) -> &[Value] {
+        &self.vals[id as usize * self.width..][..self.width]
     }
 
-    /// Apply a delta: multiplicity `mult` (±) for `tuple`. A retraction
-    /// takes away at most what is stored.
-    pub fn update(&mut self, tuple: &Tuple, mult: i64) {
+    /// Slot of the stored row equal to `row`, whose all-column hash is
+    /// `hash`.
+    fn find(&self, row: &[Value], hash: u64) -> Option<RowId> {
+        let ids = self.indexes[0].postings.get(hash);
+        ids.iter().copied().find(|&id| self.slot(id) == row)
+    }
+
+    /// Apply a delta: multiplicity `mult` (±) for `row`. A retraction
+    /// takes away at most what is stored. A new row's values are copied
+    /// into the slab — into a freed slot when there is one.
+    pub fn update(&mut self, row: &[Value], mult: i64) {
+        debug_assert_eq!(row.len(), self.width, "row width");
         if mult == 0 {
             return;
         }
-        let hash = key_hash(tuple.values().iter());
+        let hash = key_hash(row.iter());
         // The identity hash is in hand; every other index folds its own.
         let hash_of = |ix: &Index, i: usize| match i {
             0 => hash,
-            _ => key_hash(ix.cols.iter().map(|&c| tuple.get(c))),
+            _ => key_hash(ix.cols.iter().map(|&c| &row[c])),
         };
-        match self.find(tuple, hash) {
+        match self.find(row, hash) {
             Some(id) => {
-                let row = self.rows[id as usize].as_mut().expect("postings list live rows only");
-                let applied = mult.max(-row.mult);
-                row.mult += applied;
+                let stored = &mut self.mults[id as usize];
+                let applied = mult.max(-*stored);
+                *stored += applied;
                 self.count += applied;
-                if row.mult == 0 {
-                    self.rows[id as usize] = None;
+                if *stored == 0 {
                     self.free.push(id);
                     for (i, ix) in self.indexes.iter_mut().enumerate() {
                         ix.postings.remove(hash_of(ix, i), id);
@@ -235,12 +242,21 @@ impl View {
                 }
             }
             None if mult > 0 => {
-                let id = self.free.pop().unwrap_or_else(|| {
-                    self.rows.push(None);
-                    RowId::try_from(self.rows.len() - 1)
-                        .expect("a view holds fewer than 2^32 distinct rows")
-                });
-                self.rows[id as usize] = Some(Row { tuple: tuple.clone(), mult });
+                let id = match self.free.pop() {
+                    Some(id) => {
+                        let at = id as usize * self.width;
+                        self.vals[at..at + self.width].clone_from_slice(row);
+                        self.mults[id as usize] = mult;
+                        id
+                    }
+                    None => {
+                        let id = RowId::try_from(self.mults.len())
+                            .expect("a view holds fewer than 2^32 distinct rows");
+                        self.vals.extend_from_slice(row);
+                        self.mults.push(mult);
+                        id
+                    }
+                };
                 self.count += mult;
                 for (i, ix) in self.indexes.iter_mut().enumerate() {
                     ix.postings.insert(hash_of(ix, i), id);
@@ -264,19 +280,19 @@ impl View {
         let ix = &self.indexes[index_id];
         let key = key.into_iter();
         ProbeIds {
-            rows: &self.rows,
+            view: self,
             cols: &ix.cols,
             candidates: ix.postings.get(key_hash(key.clone())).iter(),
             key,
         }
     }
 
-    /// Probe by index id and key; yields `(tuple, multiplicity)`.
+    /// Probe by index id and key; yields `(row, multiplicity)`.
     pub fn probe<'a, 'k, K>(
         &'a self,
         index_id: usize,
         key: K,
-    ) -> impl Iterator<Item = (&'a Tuple, i64)>
+    ) -> impl Iterator<Item = (&'a [Value], i64)>
     where
         K: IntoIterator<Item = &'k Value>,
         K::IntoIter: Clone,
@@ -287,24 +303,26 @@ impl View {
     /// Ids of all stored rows, in slab order (used when no equi atoms
     /// connect the probing relation).
     pub(crate) fn scan_ids(&self) -> impl Iterator<Item = RowId> + '_ {
-        (0..self.rows.len()).filter(|&i| self.rows[i].is_some()).map(|i| i as RowId)
+        (0..self.mults.len()).filter(|&i| self.mults[i] != 0).map(|i| i as RowId)
     }
 
-    /// Full scan; yields `(tuple, multiplicity)`.
-    pub fn scan(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.rows.iter().flatten().map(|r| (&r.tuple, r.mult))
+    /// Full scan; yields `(row, multiplicity)`.
+    pub fn scan(&self) -> impl Iterator<Item = (&[Value], i64)> {
+        self.scan_ids().map(|id| self.row(id))
     }
 
     /// The stored row behind an id a probe or scan of this view yielded.
-    pub(crate) fn row(&self, id: RowId) -> (&Tuple, i64) {
-        let row = live(&self.rows, id);
-        (&row.tuple, row.mult)
+    #[inline]
+    pub(crate) fn row(&self, id: RowId) -> (&[Value], i64) {
+        let mult = self.mults[id as usize];
+        debug_assert!(mult > 0, "postings list live rows only");
+        (self.slot(id), mult)
     }
 
-    /// Multiplicity of one tuple.
-    pub fn multiplicity(&self, tuple: &Tuple) -> i64 {
-        let id = self.find(tuple, key_hash(tuple.values().iter()));
-        id.map_or(0, |id| live(&self.rows, id).mult)
+    /// Multiplicity of one row.
+    pub fn multiplicity(&self, row: &[Value]) -> i64 {
+        let id = self.find(row, key_hash(row.iter()));
+        id.map_or(0, |id| self.mults[id as usize])
     }
 
     /// Σ multiplicities.
@@ -319,7 +337,7 @@ impl View {
     /// Distinct stored rows.
     #[cfg(test)]
     fn distinct_rows(&self) -> usize {
-        self.rows.len() - self.free.len()
+        self.mults.len() - self.free.len()
     }
 }
 
@@ -327,7 +345,7 @@ impl View {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use squall_common::tuple;
+    use squall_common::{tuple, Tuple};
     use std::cell::Cell;
     use std::collections::BTreeMap;
 
@@ -360,7 +378,7 @@ mod tests {
         v.update(&tuple![5], -1);
         assert_eq!(v.multiplicity(&tuple![5]), 1);
         let hits: Vec<_> = v.probe(ix, &[Value::Int(5)]).collect();
-        assert_eq!(hits, vec![(&tuple![5], 1)]);
+        assert_eq!(hits, vec![(&[Value::Int(5)][..], 1)]);
         v.update(&tuple![5], -1);
         assert!(v.is_empty());
         assert!(v.probe(ix, &[Value::Int(5)]).next().is_none());
@@ -408,22 +426,65 @@ mod tests {
     }
 
     /// Sorted `(row, multiplicity)` pairs: the multiset an iterator yields.
-    fn multiset<'a>(rows: impl Iterator<Item = (&'a Tuple, i64)>) -> Vec<(Tuple, i64)> {
-        let mut rows: Vec<(Tuple, i64)> = rows.map(|(t, m)| (t.clone(), m)).collect();
+    fn multiset<'a>(rows: impl Iterator<Item = (&'a [Value], i64)>) -> Vec<(Tuple, i64)> {
+        let mut rows: Vec<(Tuple, i64)> = rows.map(|(t, m)| (Tuple::from(t), m)).collect();
         rows.sort();
         rows
     }
 
-    /// Random signed updates over a 4 × 3 × 2 row domain — small enough
-    /// that duplicates, retractions to zero and re-inserts into freed slots
-    /// all happen — checked after every step against a `BTreeMap` model.
-    fn check_against_model(steps: &[(i64, i64, i64, i64)]) {
-        let mut view = View::new(vec![0], &[3]);
-        let indexes =
-            [vec![0], vec![1], vec![0, 2]].map(|cols| (view.ensure_index(cols.clone()), cols));
+    #[test]
+    fn a_freed_slot_reused_by_another_row_answers_for_that_row_only() {
+        for collide in [false, true] {
+            ALL_KEYS_COLLIDE.with(|c| c.set(collide));
+            let mut v = View::new(vec![0], &[2]);
+            let ix = v.ensure_index(vec![0]);
+            v.update(&tuple!["a", 1], 1);
+            v.update(&tuple![2, 2.5], 1);
+            v.update(&tuple!["a", 1], -1); // frees the first slot ...
+            v.update(&tuple![Value::Null, "b"], 2); // ... which this row takes
+            assert_eq!((v.len(), v.distinct_rows()), (3, 2));
+            assert!(v.probe(ix, &[Value::str("a")]).next().is_none(), "a stale row answered");
+            assert_eq!(v.multiplicity(&tuple!["a", 1]), 0);
+            let nulls = multiset(v.probe(ix, &[Value::Null]));
+            assert_eq!(nulls, vec![(tuple![Value::Null, "b"], 2)]);
+            assert_eq!(
+                multiset(v.scan()),
+                vec![(tuple![Value::Null, "b"], 2), (tuple![2, 2.5], 1)]
+            );
+            ALL_KEYS_COLLIDE.with(|c| c.set(false));
+        }
+    }
+
+    /// One column value of the model's domain: every `Value` kind, with
+    /// `Int(1)` and `Float(1.0)` — equal values, so one key to a view.
+    fn cell(i: usize) -> Value {
+        match i % 6 {
+            0 => Value::Null,
+            1 => Value::Int(1),
+            2 => Value::Float(1.0),
+            3 => Value::Float(2.5),
+            4 => Value::str("k"),
+            _ => Value::Int(7),
+        }
+    }
+
+    /// Row `r` of the model's 24-row domain at `width` columns.
+    fn domain_row(r: usize, width: usize) -> Tuple {
+        (0..width).map(|c| cell((r >> c) + c)).collect()
+    }
+
+    /// Random signed updates of `width`-column rows drawn from a 24-row
+    /// domain — small enough that duplicates, retractions to zero and
+    /// re-inserts of *other* rows into freed slots all happen — checked
+    /// after every step against a `BTreeMap` model (whose keys compare as
+    /// values do, like the view's).
+    fn check_against_model(width: usize, steps: &[(usize, i64)]) {
+        let mut view = View::new(vec![0], &[width]);
+        let indexes = [vec![0], vec![width - 1], vec![width - 1, 0]]
+            .map(|cols| (view.ensure_index(cols.clone()), cols));
         let mut model: BTreeMap<Tuple, i64> = BTreeMap::new();
-        for &(a, b, c, mult) in steps {
-            let t = tuple![a, b, c];
+        for &(r, mult) in steps {
+            let t = domain_row(r, width);
             view.update(&t, mult);
             let m = model.entry(t.clone()).or_insert(0);
             *m = (*m + mult).max(0);
@@ -439,7 +500,7 @@ mod tests {
             assert_eq!(multiset(view.scan()), all);
             assert_eq!(multiset(view.scan_ids().map(|id| view.row(id))), all);
             for (ix, cols) in &indexes {
-                for probe in [&t, &tuple![a + 1, b, c], &tuple![a, b + 1, c + 1]] {
+                for probe in [t.clone(), domain_row(r + 1, width), domain_row(r + 7, width)] {
                     let key = probe.key(cols);
                     let expected: Vec<(Tuple, i64)> =
                         all.iter().filter(|(row, _)| row.key(cols) == key).cloned().collect();
@@ -450,22 +511,25 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        // More cases in a release build (CI's "view model check" step).
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(debug_assertions) { 200 } else { 5_000 },
+            ..ProptestConfig::default()
+        })]
 
         #[test]
         fn view_agrees_with_btreemap_model(
-            steps in proptest::collection::vec(0u32..(4 * 3 * 2 * 5), 1..80),
+            steps in proptest::collection::vec(0usize..(24 * 5), 1..120),
+            width in 1usize..5,
             collide in 0u8..2,
         ) {
             // With the degenerate hash every key shares one posting, and
             // nothing observable may change: probes filter by key equality,
             // the hash only narrows the candidates.
             ALL_KEYS_COLLIDE.with(|c| c.set(collide == 1));
-            let steps: Vec<(i64, i64, i64, i64)> = steps
-                .iter()
-                .map(|&s| ((s % 4) as i64, (s / 4 % 3) as i64, (s / 12 % 2) as i64, (s / 24) as i64 - 2))
-                .collect();
-            check_against_model(&steps);
+            let steps: Vec<(usize, i64)> =
+                steps.iter().map(|&s| (s % 24, (s / 24) as i64 - 2)).collect();
+            check_against_model(width, &steps);
             ALL_KEYS_COLLIDE.with(|c| c.set(false));
         }
     }
