@@ -9,16 +9,16 @@
 //! *complete* (every join task plus the view sink reported), and hands a
 //! [`RestoreState`] to recovery.
 //!
-//! A full-history join task does not ship its state: it ships a
-//! [`JOIN_BLOB_DELTA`] — the signed base rows it applied since its previous
-//! barrier (`DeltaLog`) — and the store keeps each task's *integral*, the
-//! fold of its blobs in epoch order (DBSP: state is the integral of its
-//! Z-set deltas). A checkpoint round therefore costs O(batch), not
-//! O(history). Canonical [`JOIN_BLOB_FULL`] bytes — byte-identical to what
-//! the task's own [`squall_join::Snapshot`] would write — exist only where
-//! they are read: [`CheckpointStore::restore_state`] and
-//! [`CheckpointStore::reconstruct_newest`]. Windowed join blobs and the
-//! sink's blob stay opaque and latest-wins.
+//! A join task does not ship its state: it ships a [`JOIN_BLOB_DELTA`] —
+//! the signed base rows it applied since its previous barrier (`DeltaLog`;
+//! a row a windowed task's window evicts is a −1) — and the store keeps
+//! each task's *integral*, the fold of its blobs in epoch order (DBSP:
+//! state is the integral of its Z-set deltas). A checkpoint round therefore
+//! costs O(batch), not O(history). Canonical [`JOIN_BLOB_FULL`] bytes —
+//! byte-identical to what the task's own [`squall_join::Snapshot`] would
+//! write — exist only where they are read: [`CheckpointStore::restore_state`]
+//! and [`CheckpointStore::reconstruct_newest`]. The sink's blob is kept as
+//! shipped, latest-wins.
 //!
 //! It also implements the paper's §5 observation as a store feature: "if
 //! the partitioning scheme replicates tuples, a failed node can recover its
@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 
 use squall_common::codec::{self, Reader};
-use squall_common::{FxHashMap, Result, SplitMix64, SquallError, Tuple};
+use squall_common::{FxHashMap, Result, SplitMix64, SquallError, Tuple, Value};
 use squall_join::Snapshot;
 use squall_partition::hypercube::DimRole;
 use squall_partition::HypercubeScheme;
@@ -42,20 +42,17 @@ pub const ROLE_JOIN: u8 = 0;
 /// Blob role byte: the view sink's state.
 pub const ROLE_SINK: u8 = 1;
 
-/// Join-blob tag byte: full-history join (base relations only — the format
-/// peer reconstruction understands).
+/// Join-blob tag byte: a join task's whole state, its base rows per
+/// relation — what a restore and peer reconstruction read.
 pub const JOIN_BLOB_FULL: u8 = 0;
-/// Join-blob tag byte: windowed join (opaque buffers; restorable but not
-/// peer-reconstructable).
-pub const JOIN_BLOB_WINDOWED: u8 = 1;
-/// Join-blob tag byte: the signed base rows a full-history join task
-/// applied since its previous barrier — `u64 since` (that barrier's epoch,
-/// the epoch the task was restored at, or 0 for an empty start), then a
-/// full blob's row grammar, unsorted. Only the store reads it.
+/// Join-blob tag byte: the signed base rows a join task applied since its
+/// previous barrier — `u64 since` (that barrier's epoch, the epoch the task
+/// was restored at, or 0 for an empty start), then a full blob's row
+/// grammar, unsorted. Only the store reads it.
 pub const JOIN_BLOB_DELTA: u8 = 3;
 
-/// A full-history join task's half of the delta chain: the signed base
-/// rows it applied since its last barrier, each with its epoch.
+/// A join task's half of the delta chain: the signed base rows it applied
+/// since its last barrier, each with its epoch.
 pub(crate) struct DeltaLog {
     /// The epoch the next blob continues from.
     since: u64,
@@ -100,75 +97,55 @@ impl DeltaLog {
     }
 }
 
-/// A join blob as the store files it.
+/// A join blob as the store files it: a task's signed base rows per
+/// relation — its whole state (`since: None`, a [`JOIN_BLOB_FULL`]) or what
+/// it applied since epoch `since` (a [`JOIN_BLOB_DELTA`]).
 #[derive(Debug)]
-enum JoinBlob {
-    /// A full-history task's signed base rows per relation: its whole state
-    /// (`since: None`, a [`JOIN_BLOB_FULL`]) or what it applied since epoch
-    /// `since` (a [`JOIN_BLOB_DELTA`]).
-    Rows { since: Option<u64>, rels: Vec<Vec<(Tuple, i64)>> },
-    /// A blob the store cannot fold — a windowed join's buffers — kept as
-    /// shipped.
-    Opaque(Vec<u8>),
+struct JoinBlob {
+    since: Option<u64>,
+    rels: Vec<Vec<(Tuple, i64)>>,
 }
 
 impl JoinBlob {
-    /// `None` for a full or delta blob that does not parse: the task's
-    /// chain then has a gap at this epoch.
-    fn parse(payload: Vec<u8>) -> Option<JoinBlob> {
-        let mut r = Reader::new(&payload);
-        let since = match r.u8() {
-            Ok(JOIN_BLOB_FULL) => None,
-            Ok(JOIN_BLOB_DELTA) => Some(r.u64().ok()?),
-            _ => return Some(JoinBlob::Opaque(payload)),
+    /// A typed error for a payload of neither grammar or one that does not
+    /// parse to its end; the store files no blob for it, so the task's
+    /// chain has a gap at its epoch.
+    fn parse(payload: &[u8]) -> Result<JoinBlob> {
+        let mut r = Reader::new(payload);
+        let since = match r.u8()? {
+            JOIN_BLOB_FULL => None,
+            JOIN_BLOB_DELTA => Some(r.u64()?),
+            tag => return Err(SquallError::Codec(format!("unknown join blob tag {tag}"))),
         };
         let mut rels = Vec::new();
-        rels.restore_state(&mut r).ok()?;
-        r.finish().ok()?;
-        Some(JoinBlob::Rows { since, rels })
+        rels.restore_state(&mut r)?;
+        r.finish()?;
+        Ok(JoinBlob { since, rels })
     }
 
     /// Whether this blob continues a chain that reached epoch `at`: a delta
     /// must start where the chain ends; a whole state starts anywhere.
     fn continues(&self, at: u64) -> bool {
-        !matches!(self, JoinBlob::Rows { since: Some(s), .. } if *s != at)
+        self.since.is_none_or(|s| s == at)
     }
 }
 
-/// One join task's state as the store holds it.
-#[derive(Debug, Clone)]
-enum TaskState {
-    /// Per relation, base row → multiplicity, no zero entries: the integral
-    /// of the task's blobs.
-    Rows(Vec<FxHashMap<Tuple, i64>>),
-    /// The newest opaque blob.
-    Opaque(Vec<u8>),
-}
-
-impl Default for TaskState {
-    fn default() -> Self {
-        TaskState::Rows(Vec::new())
-    }
-}
+/// One join task's state as the store holds it: per relation, base row →
+/// multiplicity, no zero entries — the integral of the task's blobs.
+#[derive(Debug, Clone, Default)]
+struct TaskState(Vec<FxHashMap<Tuple, i64>>);
 
 impl TaskState {
     /// Fold the next blob of the task's chain in.
     fn fold(&mut self, blob: &JoinBlob) {
-        let (since, rels) = match blob {
-            JoinBlob::Opaque(bytes) => {
-                *self = TaskState::Opaque(bytes.clone());
-                return;
-            }
-            JoinBlob::Rows { since, rels } => (since, rels),
-        };
-        if since.is_none() || matches!(self, TaskState::Opaque(_)) {
-            *self = TaskState::default();
+        let integral = &mut self.0;
+        if blob.since.is_none() {
+            integral.clear();
         }
-        let TaskState::Rows(integral) = self else { return };
-        if integral.len() < rels.len() {
-            integral.resize_with(rels.len(), FxHashMap::default);
+        if integral.len() < blob.rels.len() {
+            integral.resize_with(blob.rels.len(), FxHashMap::default);
         }
-        for (acc, rows) in integral.iter_mut().zip(rels) {
+        for (acc, rows) in integral.iter_mut().zip(&blob.rels) {
             for (tuple, d) in rows {
                 // `View::update`'s rule: a retraction takes away at most
                 // what is stored, and a row at zero is not kept.
@@ -188,21 +165,13 @@ impl TaskState {
         }
     }
 
-    /// The blob a restore reads: canonical [`JOIN_BLOB_FULL`] bytes for an
-    /// integral, the stored bytes for an opaque state.
+    /// The canonical [`JOIN_BLOB_FULL`] bytes a restore reads.
     fn blob(&self) -> Vec<u8> {
-        match self {
-            TaskState::Opaque(bytes) => bytes.clone(),
-            TaskState::Rows(integral) => {
-                let rels: Vec<Vec<(Tuple, i64)>> = integral
-                    .iter()
-                    .map(|rows| rows.iter().map(|(t, &m)| (t.clone(), m)).collect())
-                    .collect();
-                let mut buf = vec![JOIN_BLOB_FULL];
-                rels.snapshot_state(&mut buf);
-                buf
-            }
-        }
+        let rels: Vec<Vec<(Tuple, i64)>> =
+            self.0.iter().map(|rows| rows.iter().map(|(t, &m)| (t.clone(), m)).collect()).collect();
+        let mut buf = vec![JOIN_BLOB_FULL];
+        rels.snapshot_state(&mut buf);
+        buf
     }
 }
 
@@ -267,7 +236,7 @@ impl CheckpointStore {
         match role {
             ROLE_JOIN => {
                 slot.join.remove(&task);
-                if let Some(blob) = JoinBlob::parse(payload) {
+                if let Ok(blob) = JoinBlob::parse(&payload) {
                     slot.join.insert(task, blob);
                 }
             }
@@ -378,14 +347,17 @@ impl CheckpointStore {
     /// an older epoch. Returns the completed epoch when reconstruction was
     /// sound and succeeded.
     ///
-    /// Soundness requires that routing is reproducible (no
+    /// One routing pass: the union of the present tasks' integrals goes
+    /// through the scheme, and each row lands in every missing task on its
+    /// route. Soundness requires that every replica of a row holds it (a
+    /// windowed view's replicas evict on their own watermarks, so its
+    /// caller never asks), that routing is reproducible (no
     /// [`DimRole::Random`] axes — standing views pin the Hash scheme, which
-    /// guarantees this), every present join task is a full-history one,
-    /// the sink blob arrived (the sink lives on the coordinator), and every
-    /// *replica group* (machines agreeing on all non-Spread coordinates)
-    /// that lost a member kept at least one member whose chain reaches the
-    /// epoch — otherwise some tuples are unrecoverable from peers and an
-    /// older complete checkpoint must be used instead.
+    /// guarantees this), that the sink blob arrived (the sink lives on the
+    /// coordinator), and that every *replica group* (machines agreeing on
+    /// all non-Spread coordinates) that lost a member kept one whose chain
+    /// reaches the epoch — otherwise some tuples are unrecoverable from
+    /// peers and an older complete checkpoint must be used instead.
     pub fn reconstruct_newest(&mut self, scheme: &HypercubeScheme, n_rels: usize) -> Option<u64> {
         let epoch = self.newest()?;
         if self.is_complete(epoch) {
@@ -396,175 +368,75 @@ impl CheckpointStore {
             return None; // routing not reproducible offline
         }
         // A present task is one whose chain reaches the epoch: its base
-        // plus the deltas since.
-        let mut present: FxHashMap<usize, Vec<FxHashMap<Tuple, i64>>> = FxHashMap::default();
+        // plus the deltas since. Each missing one is rebuilt as its whole
+        // state at the epoch, so its restore bytes are exactly what the
+        // lost join task itself would have produced.
+        let mut present = Vec::new();
+        let mut rebuilt: FxHashMap<usize, Vec<Vec<(Tuple, i64)>>> = FxHashMap::default();
         for task in 0..self.n_join_tasks {
             match self.state_at(task, epoch) {
-                Some(TaskState::Rows(rels)) => {
-                    present.insert(task, rels);
+                Some(state) => present.push((task, state)),
+                None => {
+                    rebuilt.insert(task, vec![Vec::new(); n_rels]);
                 }
-                Some(TaskState::Opaque(_)) => return None, // windowed state is opaque to peers
-                None => {}
             }
         }
-        let routed = scheme.machines();
-        let missing: Vec<usize> =
-            (0..self.n_join_tasks).filter(|t| !present.contains_key(t)).collect();
-        for rel in 0..n_rels {
-            if !replica_groups_covered(scheme, rel, &missing, present.keys().copied()) {
-                return None;
-            }
+        let missing: Vec<usize> = rebuilt.keys().copied().collect();
+        let survivors = || present.iter().map(|(task, _)| *task);
+        if !(0..n_rels).all(|rel| replica_groups_covered(scheme, rel, &missing, survivors())) {
+            return None;
         }
-
-        // Union the surviving stores and re-derive every tuple's placement
-        // with the scheme's (deterministic) routing.
-        let mut stored: FxHashMap<(usize, Tuple), i64> = FxHashMap::default();
-        for (_, rels) in present.iter().filter(|(&task, _)| task < routed) {
-            for (rel, rows) in rels.iter().enumerate() {
+        let mut union: FxHashMap<(usize, &Tuple), i64> = FxHashMap::default();
+        for (_, state) in &present {
+            for (rel, rows) in state.0.iter().enumerate().take(n_rels) {
                 for (tuple, &mult) in rows {
-                    stored.entry((rel, tuple.clone())).or_insert(mult);
+                    union.entry((rel, tuple)).or_insert(mult);
                 }
             }
         }
-        let mut tracker = PlacementTracker::default();
-        let mut rng = SplitMix64::new(0);
-        let mut out = Vec::new();
-        for (rel, tuple) in stored.keys() {
-            scheme.route(*rel, tuple, &mut rng, &mut out);
-            tracker.record(*rel, tuple, &out);
-        }
-
-        // Each rebuilt state is filed as the lost task's whole state at the
-        // epoch, so its restore bytes are exactly what the lost join task
-        // itself would have produced.
-        let mut rebuilt: Vec<(usize, JoinBlob)> = Vec::new();
-        for &task in &missing {
-            let mut rows: Vec<Vec<(Tuple, i64)>> = vec![Vec::new(); n_rels];
-            if task < routed {
-                let plan = tracker.plan_recovery(task);
-                if !plan.unrecoverable.is_empty() {
-                    return None;
-                }
-                for r in plan.recovered {
-                    let mult = *stored.get(&(r.rel, r.tuple.clone()))?;
-                    rows[r.rel].push((r.tuple, mult));
+        let (mut rng, mut route) = (SplitMix64::new(0), Vec::new());
+        for ((rel, tuple), mult) in union {
+            scheme.route(rel, tuple, &mut rng, &mut route);
+            for task in &route {
+                if let Some(rels) = rebuilt.get_mut(task) {
+                    rels[rel].push((tuple.clone(), mult));
                 }
             }
-            rebuilt.push((task, JoinBlob::Rows { since: None, rels: rows }));
         }
-        self.pending.get_mut(&epoch)?.join.extend(rebuilt);
+        let blobs = rebuilt.into_iter().map(|(task, rels)| (task, JoinBlob { since: None, rels }));
+        self.pending.get_mut(&epoch)?.join.extend(blobs);
         Some(epoch)
     }
 }
 
 /// Refuse a join blob that cannot restore a task of a join with relation
 /// `arities` before any operator is built from it — a `Job` frame carries
-/// these blobs off the wire. The tag must be the one the task's kind of join
-/// writes ([`JOIN_BLOB_WINDOWED`] for a windowed join, [`JOIN_BLOB_FULL`]
-/// otherwise), the body must parse to its end, and the relation count and
-/// every row's arity must be the join's.
-pub(crate) fn check_join_blob(blob: &[u8], arities: &[usize], windowed: bool) -> Result<()> {
-    let mut rels: Vec<Vec<Tuple>> = Vec::new();
-    let mut frontiers = arities.len();
-    if windowed {
-        // `WindowJoin`'s grammar: per relation its live `(ts, row)`
-        // buffer, then one optional frontier per relation.
-        let mut r = Reader::new(blob);
-        if r.u8()? != JOIN_BLOB_WINDOWED {
-            return Err(SquallError::Codec("not a windowed join blob".into()));
-        }
-        for _ in 0..r.len()? {
-            let n = r.len()?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                r.u64()?;
-                rows.push(codec::get_tuple(&mut r)?);
-            }
-            rels.push(rows);
-        }
-        frontiers = r.len()?;
-        for _ in 0..frontiers {
-            if r.u8()? != 0 {
-                r.u64()?;
-            }
-        }
-        r.finish()?;
-    } else {
-        for rows in parse_full_blob(blob)? {
-            rels.push(rows.into_iter().map(|(t, _)| t).collect());
-        }
-    }
+/// these blobs off the wire. It must be a [`JOIN_BLOB_FULL`] that parses to
+/// its end, with the join's relation count and every row of its relation's
+/// arity. A windowed join's restore orders its rows by event time, so with
+/// `ts_cols` (one per relation) every row must carry a non-negative `Int`
+/// there.
+pub(crate) fn check_join_blob(
+    blob: &[u8],
+    arities: &[usize],
+    ts_cols: Option<&[usize]>,
+) -> Result<()> {
+    let rels = match JoinBlob::parse(blob)? {
+        JoinBlob { since: None, rels } => rels,
+        _ => return Err(SquallError::Codec("not a full join checkpoint blob".into())),
+    };
     let fits = rels.len() == arities.len()
-        && frontiers == arities.len()
-        && rels.iter().zip(arities).all(|(rows, &a)| rows.iter().all(|t| t.arity() == a));
+        && rels.iter().zip(arities).all(|(rows, &a)| rows.iter().all(|(t, _)| t.arity() == a));
     if !fits {
-        return Err(SquallError::Codec(
-            "join checkpoint blob does not fit the join's relations".into(),
-        ));
+        return Err(SquallError::Codec("join checkpoint blob does not fit the join".into()));
+    }
+    let timed = |(rows, &c): (&Vec<(Tuple, i64)>, &usize)| {
+        rows.iter().all(|(t, _)| matches!(t.values().get(c), Some(&Value::Int(ts)) if ts >= 0))
+    };
+    if ts_cols.is_some_and(|cols| !rels.iter().zip(cols).all(timed)) {
+        return Err(SquallError::Codec("windowed join checkpoint row: no event time".into()));
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// §5 peer-recovery planning
-// ---------------------------------------------------------------------
-
-/// Where one lost tuple can be re-fetched from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RecoveredTuple {
-    rel: usize,
-    tuple: Tuple,
-    /// A peer machine holding a replica.
-    from_peer: usize,
-}
-
-/// The outcome of planning recovery for one failed machine. §5: "if a
-/// machine with coordinates {1,1,1} fails, we can recover its state from
-/// any machine {1,*,*} (for R), {*,1,*} (for S) and {*,*,1} (for T)."
-#[derive(Debug, Default)]
-struct RecoveryPlan {
-    /// Tuples recoverable from peers, with a chosen donor each.
-    recovered: Vec<RecoveredTuple>,
-    /// Tuples stored only on the failed machine (peer recovery
-    /// impossible; an older complete checkpoint is needed — the §5
-    /// trade-off).
-    unrecoverable: Vec<(usize, Tuple)>,
-}
-
-/// Where every routed tuple lives, exactly as the scheme placed it.
-#[derive(Debug, Default)]
-struct PlacementTracker {
-    /// `(rel, tuple)` → machines holding a replica.
-    placements: FxHashMap<(usize, Tuple), Vec<usize>>,
-}
-
-impl PlacementTracker {
-    /// Record one routing decision (the target list a scheme produced).
-    fn record(&mut self, rel: usize, tuple: &Tuple, machines: &[usize]) {
-        self.placements.entry((rel, tuple.clone())).or_default().extend_from_slice(machines);
-    }
-
-    /// Plan recovery of `failed`: every lost tuple is sourced from the
-    /// lowest-numbered surviving replica.
-    fn plan_recovery(&self, failed: usize) -> RecoveryPlan {
-        let mut plan = RecoveryPlan::default();
-        for ((rel, tuple), machines) in &self.placements {
-            if !machines.contains(&failed) {
-                continue;
-            }
-            match machines.iter().copied().filter(|&m| m != failed).min() {
-                Some(peer) => plan.recovered.push(RecoveredTuple {
-                    rel: *rel,
-                    tuple: tuple.clone(),
-                    from_peer: peer,
-                }),
-                None => plan.unrecoverable.push((*rel, tuple.clone())),
-            }
-        }
-        plan.recovered.sort_by(|a, b| (a.rel, &a.tuple).cmp(&(b.rel, &b.tuple)));
-        plan.unrecoverable.sort();
-        plan
-    }
 }
 
 /// True when, for `rel`, every replica group containing a missing task also
@@ -609,27 +481,13 @@ fn coords(scheme: &HypercubeScheme, machine: usize) -> Vec<usize> {
     scheme.dims.iter().zip(&strides).map(|(dim, stride)| (machine / stride) % dim.size).collect()
 }
 
-/// Parse a full-history join blob (tag byte + the base rows a
-/// [`squall_join::DBToasterJoin`] snapshots) into per-relation
-/// `(tuple, multiplicity)` rows.
-fn parse_full_blob(blob: &[u8]) -> Result<Vec<Vec<(Tuple, i64)>>> {
-    let mut r = Reader::new(blob);
-    if r.u8()? != JOIN_BLOB_FULL {
-        return Err(SquallError::Codec("not a full-history join blob".into()));
-    }
-    let mut rels = Vec::new();
-    rels.restore_state(&mut r)?;
-    r.finish()?;
-    Ok(rels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::{prop_assert, prop_assert_eq, prop_assert_ne};
-    use squall_common::{tuple, DataType, Schema, Value};
+    use proptest::{prop_assert, prop_assert_eq};
+    use squall_common::{tuple, DataType, Schema};
     use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
-    use squall_join::DBToasterJoin;
+    use squall_join::{DBToasterJoin, WindowJoin, WindowSpec};
     use squall_partition::hypercube::{Dimension, PartitionKind};
 
     fn chain3() -> MultiJoinSpec {
@@ -708,18 +566,19 @@ mod tests {
 
     #[test]
     fn store_tracks_completeness_and_trims() {
+        let blobs = routed_blobs(&hash_cube(), 10);
         let mut store = CheckpointStore::new(2);
-        store.insert((ROLE_JOIN, 0, 4, vec![1]));
-        store.insert((ROLE_JOIN, 1, 4, vec![2]));
+        store.insert((ROLE_JOIN, 0, 4, blobs[0].clone()));
+        store.insert((ROLE_JOIN, 1, 4, blobs[1].clone()));
         assert!(!store.is_complete(4), "sink blob still missing");
         store.insert((ROLE_SINK, 0, 4, vec![3]));
         assert!(store.is_complete(4));
-        store.insert((ROLE_JOIN, 0, 8, vec![4]));
+        store.insert((ROLE_JOIN, 0, 8, blobs[2].clone()));
         assert_eq!(store.latest_complete(), Some(4));
         assert_eq!(store.newest(), Some(8));
         let rs = store.restore_state(4).unwrap();
         assert_eq!(rs.epoch, 4);
-        assert_eq!(rs.join[&1], vec![2]);
+        assert_eq!(rs.join[&1], blobs[1]);
         assert_eq!(rs.sink, Some(vec![3]));
         store.trim_below(8);
         assert_eq!(store.latest_complete(), None);
@@ -736,7 +595,7 @@ mod tests {
             discard.clear();
         }
         let blob = join_blob(&j);
-        let rels = parse_full_blob(&blob).unwrap();
+        let rels = JoinBlob::parse(&blob).unwrap().rels;
         // Through hash maps and back: row order within a relation is lost.
         let maps: Vec<FxHashMap<Tuple, i64>> =
             rels.into_iter().map(|rows| rows.into_iter().collect()).collect();
@@ -817,19 +676,37 @@ mod tests {
         let mut discard = Vec::new();
         for ts in 0..30u64 {
             let rel = (ts % 3) as usize;
-            window.insert_weighted(rel, ts, &tuple![ts as i64 % 4, ts as i64], &mut discard);
+            let row = tuple![ts as i64 % 4, ts as i64];
+            window.insert_weighted(rel, ts, &row, &mut discard, |_, _| {});
         }
-        let mut windowed = vec![JOIN_BLOB_WINDOWED];
+        let mut windowed = vec![JOIN_BLOB_FULL];
         window.snapshot_state(&mut windowed);
-        for (blob, kind) in [(&full, false), (&windowed, true)] {
-            check_join_blob(blob, &[2, 2, 2], kind).unwrap();
+        let ts_cols = Some(&[1, 1, 1][..]);
+        for (blob, ts_cols) in [(&full, None), (&full, ts_cols), (&windowed, ts_cols)] {
+            check_join_blob(blob, &[2, 2, 2], ts_cols).unwrap();
             for cut in 0..blob.len() {
-                assert!(check_join_blob(&blob[..cut], &[2, 2, 2], kind).is_err(), "cut {cut}");
+                assert!(check_join_blob(&blob[..cut], &[2, 2, 2], ts_cols).is_err(), "cut {cut}");
             }
             for arities in [&[2, 2][..], &[2, 3, 2], &[2, 2, 2, 2]] {
-                assert!(check_join_blob(blob, arities, kind).is_err(), "{arities:?}");
+                assert!(check_join_blob(blob, arities, ts_cols).is_err(), "{arities:?}");
             }
-            assert!(check_join_blob(blob, &[2, 2, 2], !kind).is_err(), "the other kind's tag");
+        }
+        let mut delta = DeltaLog::new(3, 0);
+        delta.push(0, tuple![1, 1], 1, 1);
+        assert!(
+            check_join_blob(&delta.seal(1), &[2, 2, 2], None).is_err(),
+            "a delta restores nothing"
+        );
+
+        // A windowed restore orders rows by event time: a row without a
+        // non-negative `Int` there is refused, typed, before a bolt is built.
+        for ts in [Value::Str("late".into()), Value::Int(-1)] {
+            let rels = vec![vec![], vec![(Tuple::new(vec![Value::Int(1), ts]), 1)], vec![]];
+            let mut blob = vec![JOIN_BLOB_FULL];
+            rels.snapshot_state(&mut blob);
+            check_join_blob(&blob, &[2, 2, 2], None).unwrap();
+            let err = check_join_blob(&blob, &[2, 2, 2], ts_cols).unwrap_err();
+            assert!(matches!(err, SquallError::Codec(_)), "{err}");
         }
     }
 
@@ -882,6 +759,26 @@ mod tests {
             assert_eq!(rs.join[&task], join_blob(join), "task {task}");
         }
         assert_eq!(rs.sink, Some(vec![2]));
+    }
+
+    #[test]
+    fn a_join_blob_of_no_known_grammar_is_a_gap() {
+        // An empty or one-byte payload off a peer's `SnapshotBlob` frame
+        // must not complete its epoch, nor reset the task's integral under
+        // the delta that continues from it.
+        for garbage in [vec![], vec![7]] {
+            let (join, mut log) = fixed_task();
+            let mut store = CheckpointStore::new(1);
+            store.insert((ROLE_JOIN, 0, 1, log.seal(1)));
+            store.insert((ROLE_SINK, 0, 1, vec![1]));
+            assert_eq!(store.latest_complete(), Some(1));
+            store.insert((ROLE_JOIN, 0, 2, garbage));
+            store.insert((ROLE_SINK, 0, 2, vec![2]));
+            store.insert((ROLE_JOIN, 0, 3, DeltaLog::new(3, 2).seal(3)));
+            store.insert((ROLE_SINK, 0, 3, vec![3]));
+            assert_eq!(store.latest_complete(), Some(1), "the garbage blob is a gap");
+            assert_eq!(store.restore_state(1).unwrap().join[&0], join_blob(&join));
+        }
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -1007,43 +904,125 @@ mod tests {
         }
     }
 
-    /// One seeded run of the delta-chain protocol: per-task
-    /// [`DBToasterJoin`]s apply random signed deltas (retractions of rows a
-    /// task may not hold, and rows equal as values but not as bytes,
-    /// included) and log them; barriers fall on random
-    /// epochs, sometimes after a task already applied a delta of the next
-    /// epoch; blobs reach the store on time, late or never, and the sink
-    /// blob sometimes never; now and then the run recovers. The store must
-    /// report exactly the complete epochs the model computes, and every
-    /// complete epoch must restore to each task's own snapshot bytes.
+    /// `chain3` with an event-time column: R(a, b, ts), S(a, b, ts),
+    /// T(a, b, ts).
+    fn timed_chain3() -> MultiJoinSpec {
+        let mk = |n: &str| {
+            let cols = [("a", DataType::Int), ("b", DataType::Int), ("ts", DataType::Int)];
+            RelationDef::new(n, Schema::of(&cols), 0)
+        };
+        MultiJoinSpec::new(
+            vec![mk("R"), mk("S"), mk("T")],
+            vec![JoinAtom::eq(0, 1, 1, 0), JoinAtom::eq(1, 1, 2, 0)],
+        )
+        .unwrap()
+    }
+
+    /// One task of the chain model: a full-history join taking random
+    /// signed deltas, or a windowed one taking arrivals whose event time
+    /// never falls within a relation (`clock`).
+    enum ModelTask {
+        Full(DBToasterJoin),
+        Windowed { join: WindowJoin<DBToasterJoin>, window: WindowSpec, clock: [u64; 3] },
+    }
+
+    impl ModelTask {
+        /// A full-history, tumbling or sliding task; windows span 1–4 units.
+        fn random(rng: &mut SplitMix64) -> ModelTask {
+            let n = 1 + rng.next_below(4) as u64;
+            match rng.next_below(3) {
+                0 => ModelTask::Full(DBToasterJoin::new(&chain3())),
+                1 => ModelTask::windowed(WindowSpec::Tumbling { width: n }, [0; 3]),
+                _ => ModelTask::windowed(WindowSpec::Sliding { size: n }, [0; 3]),
+            }
+        }
+
+        fn windowed(window: WindowSpec, clock: [u64; 3]) -> ModelTask {
+            let inner = DBToasterJoin::new(&timed_chain3());
+            let join = WindowJoin::event_time(inner, window, &[3, 3, 3], &[2, 2, 2]);
+            ModelTask::Windowed { join, window, clock }
+        }
+
+        /// The task after a recovery: empty, or restored from `blob`. A
+        /// windowed task's clock runs on.
+        fn restart(&self, blob: Option<&[u8]>) -> ModelTask {
+            let mut task = match self {
+                ModelTask::Full(_) => ModelTask::Full(DBToasterJoin::new(&chain3())),
+                ModelTask::Windowed { window, clock, .. } => ModelTask::windowed(*window, *clock),
+            };
+            if let Some(blob) = blob {
+                let mut r = Reader::new(blob);
+                assert_eq!(r.u8().unwrap(), JOIN_BLOB_FULL);
+                match &mut task {
+                    ModelTask::Full(join) => join.restore_state(&mut r),
+                    ModelTask::Windowed { join, .. } => join.restore_state(&mut r),
+                }
+                .unwrap();
+                r.finish().unwrap();
+            }
+            task
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            let mut buf = vec![JOIN_BLOB_FULL];
+            match self {
+                ModelTask::Full(join) => join.snapshot_state(&mut buf),
+                ModelTask::Windowed { join, .. } => join.snapshot_state(&mut buf),
+            }
+            buf
+        }
+
+        /// Apply one random delta and log it at `epoch`: a signed row (a
+        /// retraction of a row the task may not hold included), or an
+        /// arrival logged after the −1 of each row it evicts.
+        fn delta(&mut self, rng: &mut SplitMix64, log: &mut DeltaLog, epoch: u64) {
+            let rel = rng.next_below(3);
+            // `Int(1)` and `Float(1.0)` are one row to the join and must be
+            // one row to the integral too.
+            let b = rng.next_range(0, 2);
+            let b = if rng.next_below(4) == 0 { Value::Float(b as f64) } else { Value::Int(b) };
+            let mut row = vec![Value::Int(rng.next_range(0, 2)), b];
+            let mut discard = Vec::new();
+            match self {
+                ModelTask::Full(join) => {
+                    let (t, m) = (Tuple::new(row), [1, 1, 2, -1, -1, -2][rng.next_below(6)]);
+                    join.delta(rel, &t, m, &mut discard);
+                    log.push(rel, t, m, epoch);
+                }
+                ModelTask::Windowed { join, clock, .. } => {
+                    clock[rel] += rng.next_below(3) as u64;
+                    row.push(Value::Int(clock[rel] as i64));
+                    let t = Tuple::new(row);
+                    join.insert_weighted(rel, clock[rel], &t, &mut discard, |r, gone| {
+                        log.push(r, gone, -1, epoch)
+                    });
+                    log.push(rel, t, 1, epoch);
+                }
+            }
+        }
+    }
+
+    /// One seeded run of the delta-chain protocol: a mix of full-history
+    /// and windowed tasks apply random deltas and log them; barriers fall
+    /// on random epochs, sometimes after a task already applied a delta of
+    /// the next epoch; blobs reach the store on time, late or never, and
+    /// the sink blob sometimes never; now and then the run recovers. The
+    /// store must report exactly the complete epochs the model computes,
+    /// and every complete epoch must restore to each task's own snapshot
+    /// bytes.
     fn check_chain_seed(seed: u64) {
         let _replay = Replay(seed);
         let mut rng = SplitMix64::new(seed);
-        let spec = chain3();
         let n_tasks = 1 + rng.next_below(3);
-        let mut joins: Vec<DBToasterJoin> =
-            (0..n_tasks).map(|_| DBToasterJoin::new(&spec)).collect();
+        let mut tasks: Vec<ModelTask> = (0..n_tasks).map(|_| ModelTask::random(&mut rng)).collect();
         let mut logs: Vec<DeltaLog> = (0..n_tasks).map(|_| DeltaLog::new(3, 0)).collect();
         let mut store = CheckpointStore::new(n_tasks);
         let mut model = ChainModel { delivered: vec![Vec::new(); n_tasks], ..Default::default() };
-        let (mut late, mut discard) = (Vec::<SnapshotBlobMsg>::new(), Vec::new());
-        let mut delta =
-            |rng: &mut SplitMix64, join: &mut DBToasterJoin, log: &mut DeltaLog, epoch| {
-                let rel = rng.next_below(3);
-                // `Int(1)` and `Float(1.0)` are one row to the join and must
-                // be one row to the integral too.
-                let b = rng.next_range(0, 2);
-                let b = if rng.next_below(4) == 0 { Value::Float(b as f64) } else { Value::Int(b) };
-                let t = Tuple::new(vec![Value::Int(rng.next_range(0, 2)), b]);
-                let m = [1, 1, 2, -1, -1, -2][rng.next_below(6)];
-                join.delta(rel, &t, m, &mut discard);
-                discard.clear();
-                log.push(rel, t, m, epoch);
-            };
+        let mut late = Vec::<SnapshotBlobMsg>::new();
         for epoch in 1..=4 + rng.next_below(24) as u64 {
-            for (join, log) in joins.iter_mut().zip(&mut logs) {
+            for (task, log) in tasks.iter_mut().zip(&mut logs) {
                 for _ in 0..rng.next_below(6) {
-                    delta(&mut rng, join, log, epoch);
+                    task.delta(&mut rng, log, epoch);
                 }
             }
             if rng.next_below(3) != 0 {
@@ -1052,13 +1031,13 @@ mod tests {
             // Barrier `epoch`; a task whose aligning barrier comes last may
             // already hold a delta of the next epoch.
             model.barriers.push(epoch);
-            model.snapshots.insert(epoch, joins.iter().map(join_blob).collect());
+            model.snapshots.insert(epoch, tasks.iter().map(ModelTask::snapshot).collect());
             let mut msgs = Vec::new();
-            for (task, (join, log)) in joins.iter_mut().zip(&mut logs).enumerate() {
+            for (id, (task, log)) in tasks.iter_mut().zip(&mut logs).enumerate() {
                 if rng.next_below(3) == 0 {
-                    delta(&mut rng, join, log, epoch + 1);
+                    task.delta(&mut rng, log, epoch + 1);
                 }
-                msgs.push((ROLE_JOIN, task, epoch, log.seal(epoch)));
+                msgs.push((ROLE_JOIN, id, epoch, log.seal(epoch)));
             }
             msgs.push((ROLE_SINK, 0, epoch, epoch.to_le_bytes().to_vec()));
             let held = std::mem::take(&mut late);
@@ -1094,13 +1073,8 @@ mod tests {
                 let resume = expect.unwrap_or(0);
                 let restore = store.restore_state(resume);
                 store.restart_at(resume);
-                for (task, (join, log)) in joins.iter_mut().zip(&mut logs).enumerate() {
-                    *join = DBToasterJoin::new(&spec);
-                    if let Some(rs) = &restore {
-                        let mut r = Reader::new(&rs.join[&task]);
-                        assert_eq!(r.u8().unwrap(), JOIN_BLOB_FULL);
-                        join.restore_state(&mut r).unwrap();
-                    }
+                for (id, (task, log)) in tasks.iter_mut().zip(&mut logs).enumerate() {
+                    *task = task.restart(restore.as_ref().map(|rs| rs.join[&id].as_slice()));
                     *log = DeltaLog::new(3, resume);
                 }
                 late.clear();
@@ -1109,7 +1083,7 @@ mod tests {
                     model.barriers.push(resume);
                     model.sinks.push(resume);
                     model.delivered.iter_mut().for_each(|d| d.push(resume));
-                    model.snapshots.insert(resume, joins.iter().map(join_blob).collect());
+                    model.snapshots.insert(resume, tasks.iter().map(ModelTask::snapshot).collect());
                 }
             }
         }
@@ -1123,126 +1097,31 @@ mod tests {
         (0..seeds).for_each(check_chain_seed);
     }
 
-    /// Fig. 2b Random-Hypercube 2×2×2 (8 machines) — every relation
-    /// replicated 4×.
-    fn random_cube() -> HypercubeScheme {
-        let dim = |name: &str, rel: usize| Dimension {
-            name: name.into(),
-            size: 2,
-            kind: PartitionKind::Random,
-            members: vec![(rel, 0)],
-        };
-        HypercubeScheme::new(3, vec![dim("~R", 0), dim("~S", 1), dim("~T", 2)], 3)
-    }
-
-    fn place(scheme: &HypercubeScheme, n: usize) -> PlacementTracker {
-        let mut tracker = PlacementTracker::default();
-        let mut rng = SplitMix64::new(7);
-        let mut out = vec![];
-        for rel in 0..3 {
-            for i in 0..n {
-                let t = tuple![i as i64, (i * 31 % 17) as i64];
-                scheme.route(rel, &t, &mut rng, &mut out);
-                tracker.record(rel, &t, &out);
-            }
-        }
-        tracker
-    }
-
-    /// The `(rel, tuple)` pairs `machine` holds, sorted.
-    fn lost_on(tracker: &PlacementTracker, machine: usize) -> Vec<(usize, Tuple)> {
-        let mut out: Vec<(usize, Tuple)> = tracker
-            .placements
-            .iter()
-            .filter(|(_, ms)| ms.contains(&machine))
-            .map(|(key, _)| key.clone())
-            .collect();
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn random_hypercube_fully_peer_recoverable() {
-        // §5: "if a machine with coordinates {1,1,1} fails, we can recover
-        // its state from any machine {1,*,*} (for R), {*,1,*} (for S) ..."
-        let scheme = random_cube();
-        let tracker = place(&scheme, 50);
-        for failed in 0..scheme.machines() {
-            let plan = tracker.plan_recovery(failed);
-            assert!(
-                plan.unrecoverable.is_empty(),
-                "machine {failed}: {} unrecoverable",
-                plan.unrecoverable.len()
-            );
-            let lost = lost_on(&tracker, failed).len();
-            assert_eq!(plan.recovered.len(), lost, "all lost tuples recovered");
-            for r in &plan.recovered {
-                assert_ne!(r.from_peer, failed);
-            }
-        }
-    }
-
-    #[test]
-    fn hash_hypercube_partitioned_relation_needs_checkpoint() {
-        // S is hashed on both dimensions → stored on exactly one machine:
-        // peer recovery cannot restore it. R and T (replicated across one
-        // axis) are recoverable.
-        let scheme = hash_cube();
-        let tracker = place(&scheme, 50);
-        let mut s_unrecoverable = 0;
-        let mut rt_unrecoverable = 0;
-        for failed in 0..scheme.machines() {
-            let plan = tracker.plan_recovery(failed);
-            for (rel, _) in &plan.unrecoverable {
-                if *rel == 1 {
-                    s_unrecoverable += 1;
-                } else {
-                    rt_unrecoverable += 1;
-                }
-            }
-        }
-        assert_eq!(rt_unrecoverable, 0, "replicated relations are peer-recoverable");
-        assert_eq!(s_unrecoverable, 50, "every S tuple lives on exactly one machine");
-    }
-
-    #[test]
-    fn donor_is_a_true_replica() {
-        let scheme = random_cube();
-        let tracker = place(&scheme, 30);
-        let plan = tracker.plan_recovery(3);
-        for r in &plan.recovered {
-            let machines = &tracker.placements[&(r.rel, r.tuple.clone())];
-            assert!(machines.contains(&r.from_peer));
-            assert!(machines.contains(&3));
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig {
-            cases: 32,
+            cases: 64,
             ..proptest::test_runner::ProptestConfig::default()
         })]
 
-        /// §5 invariant over arbitrary hypercube shapes — replicating,
-        /// partitioning and Spread dimensions alike: `plan_recovery`
-        /// splits the failed machine's placement into `recovered` and
-        /// `unrecoverable` with no tuple missing, duplicated, or
-        /// invented, and every donor is a surviving machine.
+        /// §5 over arbitrary hypercube shapes — replicating, partitioning
+        /// and Spread dimensions alike: with every task but one present,
+        /// the routing pass rebuilds the missing task's blob byte for
+        /// byte, exactly when its replica groups are covered and no axis
+        /// routes at random; otherwise the store falls back.
         #[test]
-        fn plan_exactly_partitions_lost_state(
+        fn rebuilding_each_task_from_the_others_reproduces_its_blob(
             dim_codes in proptest::collection::vec(0u64..1000, 1..4),
             seed in 0u64..1000,
-            failed_sel in 0u64..1000,
         ) {
             // Each code decodes one dimension: size 1..=3, Hash or
-            // Random, and a member relation — or none, which
-            // `HypercubeScheme::new` turns into a Spread (replicating)
-            // role for every relation.
+            // Random, and a member relation — or, two times in five, none,
+            // which `HypercubeScheme::new` turns into a Spread
+            // (replicating) role for every relation.
             let dims: Vec<Dimension> = dim_codes
                 .iter()
                 .enumerate()
                 .map(|(i, &c)| {
-                    let rel = ((c / 6) % 4) as usize;
+                    let rel = ((c / 6) % 5) as usize;
                     Dimension {
                         name: format!("d{i}"),
                         size: 1 + (c % 3) as usize,
@@ -1256,25 +1135,25 @@ mod tests {
                 })
                 .collect();
             let scheme = HypercubeScheme::new(3, dims, seed);
-            let tracker = place(&scheme, 40);
-            let failed = (failed_sel as usize) % scheme.machines();
-
-            let lost = lost_on(&tracker, failed);
-            let plan = tracker.plan_recovery(failed);
-            let mut covered: Vec<(usize, Tuple)> = plan
-                .recovered
-                .iter()
-                .map(|r| (r.rel, r.tuple.clone()))
-                .chain(plan.unrecoverable.iter().cloned())
-                .collect();
-            covered.sort();
-            // Union == lost state; lengths match, so with unique
-            // placement keys the two halves are also disjoint.
-            prop_assert_eq!(covered, lost);
-            for r in &plan.recovered {
-                prop_assert_ne!(r.from_peer, failed);
-                let machines = &tracker.placements[&(r.rel, r.tuple.clone())];
-                prop_assert!(machines.contains(&r.from_peer), "donor holds a replica");
+            let random = scheme.roles.iter().flatten().any(|r| matches!(r, DimRole::Random));
+            let machines = scheme.machines();
+            let blobs = routed_blobs(&scheme, 40);
+            for lost in 0..machines {
+                let mut store = CheckpointStore::new(machines);
+                for (task, blob) in blobs.iter().enumerate().filter(|(task, _)| *task != lost) {
+                    store.insert((ROLE_JOIN, task, 1, blob.clone()));
+                }
+                store.insert((ROLE_SINK, 0, 1, vec![1]));
+                let others = (0..machines).filter(|&m| m != lost);
+                let covered = (0..3).all(|rel| {
+                    replica_groups_covered(&scheme, rel, &[lost], others.clone())
+                });
+                let rebuilt = store.reconstruct_newest(&scheme, 3);
+                prop_assert_eq!(rebuilt.is_some(), covered && !random, "task {}", lost);
+                if rebuilt.is_some() {
+                    let rs = store.restore_state(1).unwrap();
+                    prop_assert!(rs.join[&lost] == blobs[lost], "task {} rebuilt", lost);
+                }
             }
         }
     }

@@ -179,18 +179,20 @@ impl<J: LocalJoin> TaskJoin<J> {
     }
 
     /// [`TaskJoin::insert`] reporting `(result, multiplicity)` pairs (see
-    /// [`LocalJoin::insert_weighted`]).
+    /// [`LocalJoin::insert_weighted`]); a windowed join hands each row the
+    /// arrival evicts to `evicted`.
     pub(crate) fn insert_weighted(
         &mut self,
         rel: usize,
         row: &[Value],
         out: &mut Vec<(Tuple, i64)>,
+        evicted: impl FnMut(usize, Tuple),
     ) -> Result<()> {
         match &mut self.state {
             JoinState::Full(join) => join.insert_weighted(rel, row, out),
             JoinState::Windowed { join, ts_cols } => {
                 let ts = Self::event_time_of(ts_cols, rel, row)?;
-                join.insert_weighted(rel, ts, &Tuple::from(row), out)
+                join.insert_weighted(rel, ts, &Tuple::from(row), out, evicted)
             }
         }
         Ok(())
@@ -309,7 +311,7 @@ impl JoinBolt {
             // multiplicity) deltas without materializing hot-key outputs
             // (§3.3).
             self.wbuf.clear();
-            self.join.insert_weighted(rel, &self.row, &mut self.wbuf)?;
+            self.join.insert_weighted(rel, &self.row, &mut self.wbuf, |_, _| {})?;
             self.results += self.wbuf.iter().map(|(_, m)| *m.max(&0) as u64).sum::<u64>();
         } else {
             self.buf.clear();

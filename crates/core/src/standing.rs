@@ -61,8 +61,7 @@ use squall_runtime::{
 };
 
 use crate::checkpoint::{
-    check_join_blob, CheckpointStore, DeltaLog, RestoreState, JOIN_BLOB_FULL, JOIN_BLOB_WINDOWED,
-    ROLE_JOIN, ROLE_SINK,
+    check_join_blob, CheckpointStore, DeltaLog, RestoreState, JOIN_BLOB_FULL, ROLE_JOIN, ROLE_SINK,
 };
 use crate::cluster::ClusterSpec;
 use crate::driver::{
@@ -300,8 +299,9 @@ struct ViewJoinBolt {
     /// Checkpoint blob channel (local on the coordinator; forwarded as
     /// `SnapshotBlob` frames by the worker). `None` = checkpoints off.
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
-    /// Full-history state with checkpoints on: the deltas applied since
-    /// the last barrier — the next checkpoint blob.
+    /// With checkpoints on: the signed base rows applied since the last
+    /// barrier — the next checkpoint blob. A windowed task logs each
+    /// arrival as +1 and each row its window evicts as −1.
     log: DeltaLog,
 }
 
@@ -324,57 +324,54 @@ impl ViewJoinBolt {
         }
     }
 
-    /// Rebuild join state from a checkpoint blob (tag byte + the wrapped
-    /// operator's [`Snapshot`] bytes).
+    /// Rebuild join state from a [`JOIN_BLOB_FULL`] checkpoint blob.
     fn restore(&mut self, blob: &[u8]) -> Result<()> {
         let mut r = Reader::new(blob);
-        let tag = r.u8()?;
-        match (&mut self.join.state, tag) {
-            (JoinState::Full(j), JOIN_BLOB_FULL) => j.restore_state(&mut r)?,
-            (JoinState::Windowed { join, .. }, JOIN_BLOB_WINDOWED) => join.restore_state(&mut r)?,
-            _ => return Err(SquallError::Codec("join checkpoint blob tag mismatch".into())),
+        if r.u8()? != JOIN_BLOB_FULL {
+            return Err(SquallError::Codec("not a full join checkpoint blob".into()));
+        }
+        match &mut self.join.state {
+            JoinState::Full(j) => j.restore_state(&mut r)?,
+            JoinState::Windowed { join, .. } => join.restore_state(&mut r)?,
         }
         r.finish()
     }
 
     /// Apply the signed delta in row `i` of a chunk of relation `rel`,
     /// leaving its results in `wbuf`; returns the delta's epoch. The base
-    /// row is built once and moves into the delta log.
+    /// row is built once and moves into the delta log, after the rows
+    /// its arrival evicted, which are logged with its epoch.
     fn apply(&mut self, rel: usize, chunk: &Chunk, i: usize) -> Result<u64> {
         let (base, mult, epoch) = split_delta(chunk, i)?;
         let epoch = epoch as u64;
+        let logged = self.blob_tx.is_some();
         self.wbuf.clear();
         match &mut self.join.state {
-            JoinState::Full(j) => {
-                j.delta(rel, &base, mult, &mut self.wbuf);
-                if self.blob_tx.is_some() {
-                    self.log.push(rel, base, mult, epoch);
-                }
-            }
+            JoinState::Full(j) => j.delta(rel, &base, mult, &mut self.wbuf),
             JoinState::Windowed { .. } if mult != 1 => {
                 return Err(SquallError::Runtime(format!(
                     "windowed standing views are append-only (got a weight-{mult} delta)"
                 )))
             }
-            JoinState::Windowed { .. } => self.join.insert_weighted(rel, &base, &mut self.wbuf)?,
+            JoinState::Windowed { .. } => {
+                self.join.insert_weighted(rel, &base, &mut self.wbuf, |r, row| {
+                    if logged {
+                        self.log.push(r, row, -1, epoch);
+                    }
+                })?
+            }
+        }
+        if logged {
+            self.log.push(rel, base, mult, epoch);
         }
         Ok(epoch)
     }
 
     /// Ship this task's checkpoint blob for barrier `epoch` toward the
-    /// coordinator's store: a full-history task's deltas of epochs up to
-    /// the barrier's, a windowed task's live buffers.
+    /// coordinator's store: its logged rows of epochs up to the barrier's.
     fn ship(&mut self, epoch: u64) {
         let Some(tx) = &self.blob_tx else { return };
-        let blob = match &self.join.state {
-            JoinState::Full(_) => self.log.seal(epoch),
-            JoinState::Windowed { join, .. } => {
-                let mut buf = vec![JOIN_BLOB_WINDOWED];
-                join.snapshot_state(&mut buf);
-                buf
-            }
-        };
-        let _ = tx.send((ROLE_JOIN, self.join.machine, epoch, blob));
+        let _ = tx.send((ROLE_JOIN, self.join.machine, epoch, self.log.seal(epoch)));
     }
 }
 
@@ -760,8 +757,9 @@ pub(crate) fn assemble_standing(
         // Restore blobs reach a worker inside a `Job` frame: check them all
         // before a bolt factory builds an operator from one.
         let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
+        let ts_cols = cfg.window.as_ref().map(|w| w.ts_cols.as_slice());
         for blob in rs.join.values() {
-            check_join_blob(blob, &arities, cfg.window.is_some())?;
+            check_join_blob(blob, &arities, ts_cols)?;
         }
         if let (Some(blob), Some((plan, shared))) = (&rs.sink, &coordinator) {
             ViewSinkBolt::new(Arc::clone(plan), Arc::clone(shared), 0, None)
@@ -1176,9 +1174,11 @@ impl StandingHandle {
 
         // Prefer the newest checkpoint, completing a partial one from the
         // surviving replicas when the partitioning makes that sound (§5).
+        // Not for a windowed view: each replica evicts on its own
+        // machine's watermark, so replicas of one row need not agree.
         let n_rel = self.spec.n_relations();
         let mut store = self.store.lock();
-        if n_rel > 1 {
+        if n_rel > 1 && self.cfg.window.is_none() {
             let machines = self.run.layout.join_tasks;
             if let Ok(scheme) = build_scheme(self.cfg.scheme, &self.spec, machines, self.cfg.seed) {
                 store.reconstruct_newest(&scheme, n_rel);
@@ -1315,6 +1315,79 @@ mod tests {
         let mut own = vec![JOIN_BLOB_FULL];
         j.snapshot_state(&mut own);
         assert_eq!(store.restore_state(32).unwrap().join[&0], own);
+    }
+
+    #[test]
+    fn a_windowed_tasks_blobs_are_a_delta_chain() {
+        // A windowed task logs each arrival as +1 and each row its window
+        // evicts as −1: a lost blob is a gap like any other task's, and a
+        // whole chain folds to the task's own snapshot, which restores a
+        // task that evicts and joins as the original does.
+        const R: usize = 0;
+        const S: usize = 1;
+        let spec = pair_spec();
+        let windowed = || TaskJoin {
+            state: JoinState::Windowed {
+                join: squall_join::WindowJoin::event_time(
+                    DBToasterJoin::new(&spec),
+                    WindowSpec::Tumbling { width: 10 },
+                    &[2, 2],
+                    &[1, 1],
+                ),
+                ts_cols: vec![1, 1],
+            },
+            origin_to_rel: FxHashMap::default(),
+            machine: 0,
+            budget: None,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut bolt = ViewJoinBolt::new(windowed(), 2, Some(tx), 0);
+        let delta = |row: Tuple, epoch| Chunk::from_tuples(&[tag_delta(&row, 1, epoch)]);
+        let rounds = [
+            vec![(R, tuple![1, 1]), (S, tuple![1, 2])],
+            // S@13 lifts the watermark to 12: bucket [0, 10) closes.
+            vec![(R, tuple![1, 12]), (S, tuple![1, 13])],
+            vec![(R, tuple![2, 14])],
+        ];
+        for (epoch, round) in (1..).zip(rounds) {
+            for (rel, row) in round {
+                bolt.apply(rel, &delta(row, epoch), 0).unwrap();
+            }
+            bolt.ship(epoch);
+        }
+        let blobs: Vec<SnapshotBlobMsg> = rx.try_iter().collect();
+        let sealed = |bolt: &ViewJoinBolt| {
+            let JoinState::Windowed { join, .. } = &bolt.join.state else {
+                unreachable!("built windowed")
+            };
+            let mut own = vec![JOIN_BLOB_FULL];
+            join.snapshot_state(&mut own);
+            own
+        };
+
+        let mut store = CheckpointStore::new(1);
+        for (epoch, blob) in [(1, &blobs[0]), (3, &blobs[2])] {
+            store.insert((ROLE_JOIN, 0, epoch, blob.3.clone()));
+            store.insert((ROLE_SINK, 0, epoch, vec![0]));
+        }
+        assert_eq!(store.latest_complete(), Some(1), "blob 2 is lost: epoch 3 is a gap");
+
+        let mut store = CheckpointStore::new(1);
+        for (epoch, blob) in (1..).zip(&blobs) {
+            store.insert((ROLE_JOIN, 0, epoch, blob.3.clone()));
+            store.insert((ROLE_SINK, 0, epoch, vec![0]));
+        }
+        let restored_blob = store.restore_state(3).unwrap().join[&0].clone();
+        assert_eq!(restored_blob, sealed(&bolt));
+        let mut restored = ViewJoinBolt::new(windowed(), 2, None, 3);
+        restored.restore(&restored_blob).unwrap();
+        // S@25 and R@26 close bucket [10, 20) and join in [20, 30).
+        for (rel, row) in [(S, tuple![1, 25]), (R, tuple![1, 26]), (S, tuple![2, 27])] {
+            bolt.apply(rel, &delta(row.clone(), 4), 0).unwrap();
+            restored.apply(rel, &delta(row, 4), 0).unwrap();
+            assert_eq!(bolt.wbuf, restored.wbuf);
+        }
+        assert_eq!(sealed(&restored), sealed(&bolt));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   tuples; restore replays them through the delta path, rebuilding every
 //!   intermediate view — higher-order views are a pure function of the
 //!   bases.
-//! * [`crate::WindowJoin`] writes only its **live** window buffers plus
-//!   frontiers; the wrapped join's state is exactly the joins of the live
-//!   tuples.
+//! * [`crate::WindowJoin`] writes its wrapped join's blob: the live window
+//!   rows *are* that join's base state. Restore rebuilds the buffers in
+//!   timestamp order and each frontier as the newest live timestamp.
 //! * [`crate::GroupByAggregator`] writes its raw accumulators — AVG is not
 //!   invertible from the published rows, so group state ships as-is.
 
@@ -197,8 +197,8 @@ mod tests {
         )
         .unwrap();
         // Sliding, and tumbling snapshotted mid-window (ts 39 sits inside
-        // bucket [32, 48)): the blob carries live buffers and frontiers
-        // only, so the restored join must find its bucket from those alone.
+        // bucket [32, 48)): the blob carries the live rows only, so the
+        // restored join must find its bucket and frontiers from those alone.
         for wspec in [WindowSpec::Sliding { size: 10 }, WindowSpec::Tumbling { width: 16 }] {
             let mk = || WindowJoin::event_time(DBToasterJoin::new(&spec), wspec, &[2, 2], &[1, 1]);
             let arrival = |ts: u64| ((ts % 2) as usize, tuple![(ts % 3) as i64, ts as i64]);
@@ -206,7 +206,7 @@ mod tests {
             let mut discard = Vec::new();
             for ts in 0..40u64 {
                 let (rel, t) = arrival(ts);
-                w.insert_weighted(rel, ts, &t, &mut discard);
+                w.insert_weighted(rel, ts, &t, &mut discard, |_, _| {});
                 discard.clear();
             }
             let bytes = snap(&w);
@@ -220,8 +220,8 @@ mod tests {
             for ts in 40..60u64 {
                 let (rel, t) = arrival(ts);
                 let (mut a, mut b) = (Vec::new(), Vec::new());
-                w.insert_weighted(rel, ts, &t, &mut a);
-                restored.insert_weighted(rel, ts, &t, &mut b);
+                w.insert_weighted(rel, ts, &t, &mut a, |_, _| {});
+                restored.insert_weighted(rel, ts, &t, &mut b, |_, _| {});
                 a.sort();
                 b.sort();
                 assert_eq!(a, b, "{wspec:?} at ts {ts}");

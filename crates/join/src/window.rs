@@ -22,8 +22,8 @@
 
 use std::collections::VecDeque;
 
-use squall_common::codec::{self, Reader};
-use squall_common::{Result, SquallError, Tuple};
+use squall_common::codec::Reader;
+use squall_common::{Result, SquallError, Tuple, Value};
 
 use crate::{LocalJoin, Snapshot};
 
@@ -137,6 +137,8 @@ pub struct WindowJoin<J: LocalJoin> {
     /// relation, as produced by event-time-ordered spouts and the
     /// runtime's ordered channels).
     live: Vec<VecDeque<(u64, Tuple)>>,
+    /// Each relation's timestamp column within its own rows.
+    ts_cols: Vec<usize>,
     /// The timestamp position of each relation in the join *output* tuple
     /// (results are concatenated in relation order).
     out_ts_cols: Vec<usize>,
@@ -161,6 +163,7 @@ impl<J: LocalJoin> WindowJoin<J> {
             inner,
             spec,
             live: (0..arities.len()).map(|_| VecDeque::new()).collect(),
+            ts_cols: ts_cols.to_vec(),
             out_ts_cols: output_ts_cols(arities, ts_cols),
             frontier: vec![None; arities.len()],
             scratch: Vec::new(),
@@ -172,7 +175,7 @@ impl<J: LocalJoin> WindowJoin<J> {
     /// emitted results are filtered by the window predicate — so `out`
     /// receives exactly the in-window joins.
     pub fn insert(&mut self, rel: usize, ts: u64, tuple: &Tuple, out: &mut Vec<Tuple>) {
-        self.expire(rel, ts);
+        self.expire(rel, ts, |_, _| {});
         self.live[rel].push_back((ts, tuple.clone()));
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
@@ -181,15 +184,17 @@ impl<J: LocalJoin> WindowJoin<J> {
         self.scratch = buf;
     }
 
-    /// Weighted-result variant (see [`LocalJoin::insert_weighted`]).
+    /// Weighted-result variant (see [`LocalJoin::insert_weighted`]) that
+    /// also hands each row the arrival evicts to `evicted` as `(rel, row)`.
     pub fn insert_weighted(
         &mut self,
         rel: usize,
         ts: u64,
         tuple: &Tuple,
         out: &mut Vec<(Tuple, i64)>,
+        evicted: impl FnMut(usize, Tuple),
     ) {
-        self.expire(rel, ts);
+        self.expire(rel, ts, evicted);
         self.live[rel].push_back((ts, tuple.clone()));
         let mut buf = std::mem::take(&mut self.wscratch);
         buf.clear();
@@ -200,8 +205,8 @@ impl<J: LocalJoin> WindowJoin<J> {
 
     /// Advance relation `rel`'s frontier to `now` and evict by the
     /// watermark — only tuples no *future* arrival (which must carry
-    /// ts ≥ watermark) can co-window with.
-    fn expire(&mut self, rel: usize, now: u64) {
+    /// ts ≥ watermark) can co-window with — handing each to `evicted`.
+    fn expire(&mut self, rel: usize, now: u64, mut evicted: impl FnMut(usize, Tuple)) {
         if matches!(self.spec, WindowSpec::FullHistory) {
             return;
         }
@@ -214,6 +219,7 @@ impl<J: LocalJoin> WindowJoin<J> {
             while self.live[r].front().is_some_and(|&(ts, _)| ts < boundary) {
                 let (_, t) = self.live[r].pop_front().expect("front exists");
                 self.inner.remove(r, &t);
+                evicted(r, t);
             }
         }
     }
@@ -236,57 +242,44 @@ impl<J: LocalJoin> WindowJoin<J> {
     }
 }
 
-impl<J: LocalJoin> Snapshot for WindowJoin<J> {
-    /// Live window buffers plus frontiers only: the wrapped join's state
-    /// is exactly the joins of the live tuples, so restore re-inserts them
-    /// (discarding output) instead of shipping inner views. Per-relation
-    /// buffers are already deterministic — they hold arrival order, which
-    /// the runtime's ordered channels make identical across runs of the
-    /// same input prefix.
+/// The full-history join blob of the live rows: they *are* the inner join's
+/// base state, so a windowed task's checkpoint chain is the signed rows it
+/// inserted (+1) and evicted (−1), like any other task's.
+impl<J: LocalJoin + Snapshot> Snapshot for WindowJoin<J> {
     fn snapshot_state(&self, buf: &mut Vec<u8>) {
-        codec::put_u32(buf, self.live.len() as u32);
-        for q in &self.live {
-            codec::put_u32(buf, q.len() as u32);
-            for (ts, t) in q {
-                codec::put_u64(buf, *ts);
-                codec::put_tuple(buf, t);
-            }
-        }
-        codec::put_u32(buf, self.frontier.len() as u32);
-        for f in &self.frontier {
-            match f {
-                None => codec::put_u8(buf, 0),
-                Some(ts) => {
-                    codec::put_u8(buf, 1);
-                    codec::put_u64(buf, *ts);
-                }
-            }
-        }
+        self.inner.snapshot_state(buf);
     }
 
+    /// Rebuild each relation's buffer in timestamp order and its frontier
+    /// as its newest live timestamp. That frontier is exact: eviction
+    /// never takes a relation's newest arrival, whose timestamp is at
+    /// least the watermark, which is at least the close boundary.
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        let n_rel = r.len()?;
-        let mut discard = Vec::new();
-        for rel in 0..n_rel {
-            let n = r.len()?;
-            for _ in 0..n {
-                let ts = r.u64()?;
-                let t = codec::get_tuple(r)?;
-                // Straight into the inner join — no expiry pass: every
-                // serialized tuple was live at the snapshot watermark, so
-                // none can be expired at restore either.
-                self.inner.insert_weighted(rel, &t, &mut discard);
-                discard.clear();
-                self.live[rel].push_back((ts, t));
-            }
+        let mut rels: Vec<Vec<(Tuple, i64)>> = Vec::new();
+        rels.restore_state(r)?;
+        if rels.len() != self.live.len() {
+            return Err(SquallError::Codec("windowed join blob: wrong relation count".into()));
         }
-        let n_front = r.len()?;
-        self.frontier.clear();
-        for _ in 0..n_front {
-            self.frontier.push(match r.u8()? {
-                0 => None,
-                _ => Some(r.u64()?),
-            });
+        let mut discard = Vec::new();
+        for (rel, rows) in rels.into_iter().enumerate() {
+            let mut timed = Vec::with_capacity(rows.len());
+            for (t, m) in rows {
+                let ts = match t.values().get(self.ts_cols[rel]) {
+                    Some(&Value::Int(ts)) if ts >= 0 => ts as u64,
+                    _ => return Err(SquallError::Codec("windowed join row: no event time".into())),
+                };
+                timed.push((ts, t, m));
+            }
+            timed.sort_by_key(|(ts, ..)| *ts);
+            for (ts, t, m) in timed {
+                for _ in 0..m {
+                    // No expiry pass: every row was live at the snapshot.
+                    self.inner.insert_weighted(rel, &t, &mut discard);
+                    discard.clear();
+                    self.live[rel].push_back((ts, t.clone()));
+                    self.frontier[rel] = Some(ts);
+                }
+            }
         }
         Ok(())
     }

@@ -162,6 +162,56 @@ fn three_way_group_by_view_survives_kill_dash_nine() {
     assert_eq!(stats.recoveries, 1, "{stats}");
 }
 
+const WINDOW_VIEW: &str = "SELECT A.k, COUNT(*) FROM A, B WHERE A.k = B.k \
+                           WINDOW TUMBLING 5 ON ts GROUP BY A.k";
+
+/// A windowed view checkpoints like any other: each join task ships the
+/// rows it inserted and the rows its window evicted since its last
+/// barrier. Killed after a checkpoint that folded evictions, the view
+/// restores every task's live window and keeps closing windows.
+#[test]
+fn tumbling_stream_view_survives_kill_dash_nine() {
+    let mut w0 = Worker::spawn();
+    let w1 = Worker::spawn();
+    let mut s = Session::builder()
+        .machines(3)
+        .seed(13)
+        .cluster([w0.addr.clone(), w1.addr.clone()])
+        .checkpoint_interval(2)
+        .heartbeat_timeout_ms(400)
+        .build();
+    let schema = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
+    let a = vec![tuple![1, 0], tuple![2, 3], tuple![1, 7]];
+    s.register_stream("A", schema.clone(), a, "ts").unwrap();
+    s.register_stream("B", schema, vec![tuple![1, 1], tuple![2, 4]], "ts").unwrap();
+    s.sql(&format!("CREATE MATERIALIZED VIEW w AS {WINDOW_VIEW}")).unwrap();
+    let view = s.view("w").unwrap();
+
+    // Epochs 2 and 4 checkpoint; by epoch 4 the watermark has passed 10,
+    // so buckets [0, 5) and [5, 10) are evicted. Epoch 5 exists only in
+    // the replay buffer at failure time.
+    s.append("A", vec![tuple![2, 8], tuple![1, 9]]).unwrap();
+    s.append("B", vec![tuple![1, 8], tuple![2, 11]]).unwrap();
+    s.append("A", vec![tuple![1, 12], tuple![2, 14]]).unwrap();
+    s.append("B", vec![tuple![1, 13], tuple![2, 14]]).unwrap();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, WINDOW_VIEW), "before failure");
+
+    w0.kill();
+    assert!(matches!(await_worker_lost(&view), SquallError::WorkerLost { .. }));
+    let w2 = Worker::spawn();
+    view.recover([w2.addr.clone(), w1.addr.clone()]).unwrap();
+    assert!(view.error().is_none(), "recovered run is healthy");
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, WINDOW_VIEW), "post-recovery snapshot");
+
+    s.append("A", vec![tuple![1, 16], tuple![2, 19]]).unwrap();
+    s.append("B", vec![tuple![1, 17], tuple![2, 21]]).unwrap();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, WINDOW_VIEW), "after post-recovery rounds");
+
+    let stats = s.drop_view("w").unwrap().maintenance.expect("standing report");
+    assert!(stats.checkpoints >= 1, "at least one aligned checkpoint completed: {stats}");
+    assert_eq!(stats.recoveries, 1, "{stats}");
+}
+
 /// A failure *before the first checkpoint completes* falls back to the
 /// initial load + full replay path (no complete checkpoint exists yet)
 /// and still converges to the oracle.
