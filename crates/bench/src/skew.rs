@@ -63,11 +63,11 @@ impl CustomGrouping for KeyMapGrouping {
         &self,
         _sender: usize,
         _seq: u64,
-        tuple: &Tuple,
+        row: &[Value],
         n_targets: usize,
         out: &mut Vec<usize>,
     ) {
-        let key = tuple.get(self.column);
+        let key = &row[self.column];
         let m = match self.map.get(key) {
             Some(&m) => m % n_targets,
             None => partition_of(fx_hash(key), n_targets),

@@ -351,6 +351,9 @@ impl Array {
 #[derive(Debug, Default)]
 pub struct ArrayBuilder {
     kind: BuilderKind,
+    /// Rows the column reserves when it adopts its type: as many as the
+    /// builder's previous column reached.
+    reserve: usize,
 }
 
 #[derive(Debug, Default)]
@@ -369,7 +372,7 @@ enum BuilderKind {
 impl ArrayBuilder {
     /// A fresh, empty builder.
     pub fn new() -> ArrayBuilder {
-        ArrayBuilder { kind: BuilderKind::Untyped }
+        ArrayBuilder::default()
     }
 
     /// Number of rows pushed so far.
@@ -418,12 +421,16 @@ impl ArrayBuilder {
                 self.kind = BuilderKind::Nulls(n + 1);
             }
             (BuilderKind::Untyped | BuilderKind::Nulls(_), _) => {
-                let nulls = self.len();
+                let (nulls, n) = (self.len(), self.reserve);
                 let mut kind = match v {
-                    Value::Int(_) => BuilderKind::Int(I64Array::from_values(Vec::new())),
-                    Value::Float(_) => BuilderKind::Float(F64Array::from_values(Vec::new())),
+                    Value::Int(_) => BuilderKind::Int(I64Array::from_values(Vec::with_capacity(n))),
+                    Value::Float(_) => {
+                        BuilderKind::Float(F64Array::from_values(Vec::with_capacity(n)))
+                    }
                     Value::Str(_) => BuilderKind::Str(Utf8Array::new()),
-                    Value::Date(_) => BuilderKind::Date(DateArray::from_values(Vec::new())),
+                    Value::Date(_) => {
+                        BuilderKind::Date(DateArray::from_values(Vec::with_capacity(n)))
+                    }
                     Value::Null => unreachable!(),
                 };
                 match &mut kind {
@@ -468,6 +475,7 @@ impl ArrayBuilder {
 
     /// Finish the column and reset the builder.
     pub fn finish(&mut self) -> Array {
+        self.reserve = self.len();
         match std::mem::take(&mut self.kind) {
             BuilderKind::Untyped => Array::Null(0),
             BuilderKind::Nulls(n) => Array::Null(n),
@@ -604,14 +612,15 @@ impl ExactSizeIterator for Rows<'_> {}
 // ChunkBuilder
 // ---------------------------------------------------------------------------
 
-/// Accumulates row tuples into a [`Chunk`] — the per-target scatter buffer of
-/// the batched data plane.
+/// Accumulates rows into a [`Chunk`] — the per-target scatter buffer of the
+/// batched data plane.
 ///
-/// The builder is arity-locked to its first tuple; callers must check
+/// The builder is arity-locked to its first row; callers must check
 /// [`ChunkBuilder::accepts`] and flush on a mismatch so ragged streams (e.g.
 /// punctuation-adjacent control rows) split into uniform chunks. Splitting at
 /// an arbitrary boundary never changes results: routing happens per row
-/// before buffering, and consumers only see row multisets.
+/// before buffering, and consumers only see row multisets. Each chunk's
+/// columns are allocated once, at the row count the previous chunk reached.
 #[derive(Debug, Default)]
 pub struct ChunkBuilder {
     builders: Vec<ArrayBuilder>,
@@ -635,21 +644,21 @@ impl ChunkBuilder {
         self.rows == 0
     }
 
-    /// Whether `t` can be appended without an arity flush.
-    pub fn accepts(&self, t: &Tuple) -> bool {
-        self.arity.is_none_or(|a| a == t.arity())
+    /// Whether `row` can be appended without an arity flush.
+    pub fn accepts(&self, row: &[Value]) -> bool {
+        self.arity.is_none_or(|a| a == row.len())
     }
 
     /// Append one row (panics on arity mismatch — check [`Self::accepts`]).
-    pub fn push(&mut self, t: &Tuple) {
+    pub fn push(&mut self, row: &[Value]) {
         match self.arity {
             None => {
-                self.arity = Some(t.arity());
-                self.builders = (0..t.arity()).map(|_| ArrayBuilder::new()).collect();
+                self.arity = Some(row.len());
+                self.builders.resize_with(row.len(), ArrayBuilder::new);
             }
-            Some(a) => assert_eq!(a, t.arity(), "ragged arity pushed into ChunkBuilder"),
+            Some(a) => assert_eq!(a, row.len(), "ragged arity pushed into ChunkBuilder"),
         }
-        for (b, v) in self.builders.iter_mut().zip(t.values()) {
+        for (b, v) in self.builders.iter_mut().zip(row) {
             b.push(v);
         }
         self.rows += 1;
@@ -658,8 +667,8 @@ impl ChunkBuilder {
     /// Finish the buffered rows as a [`Chunk`] and reset.
     pub fn finish(&mut self) -> Chunk {
         let rows = self.rows;
-        let columns = self.builders.iter_mut().map(|b| b.finish()).collect();
-        self.builders.clear();
+        let n = self.arity.unwrap_or(0);
+        let columns = self.builders[..n].iter_mut().map(|b| b.finish()).collect();
         self.rows = 0;
         self.arity = None;
         Chunk { columns, rows }

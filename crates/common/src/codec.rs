@@ -82,6 +82,7 @@ const MAX_NESTING: u32 = 256;
 /// A cursor over an encoded payload. Every accessor bounds-checks and
 /// returns [`SquallError::Codec`] on a short or malformed buffer, so a
 /// corrupted frame surfaces as a typed error instead of a panic.
+#[derive(Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -67,11 +67,12 @@ impl DeltaLog {
         DeltaLog { since, rels: vec![Vec::new(); n_rels] }
     }
 
-    /// Log one delta the task applied. A one-relation DBToaster join keeps
-    /// no base view — its snapshot holds no rows — so it logs nothing.
-    pub(crate) fn push(&mut self, rel: usize, row: Tuple, mult: i64, epoch: u64) {
+    /// Log one delta the task applied, building its row's tuple here. A
+    /// one-relation DBToaster join keeps no base view — its snapshot holds
+    /// no rows — so it logs nothing.
+    pub(crate) fn push(&mut self, rel: usize, row: impl Into<Tuple>, mult: i64, epoch: u64) {
         if self.rels.len() > 1 {
-            self.rels[rel].push((row, mult, epoch));
+            self.rels[rel].push((row.into(), mult, epoch));
         }
     }
 
@@ -425,8 +426,12 @@ pub(crate) fn check_join_blob(
         JoinBlob { since: None, rels } => rels,
         _ => return Err(SquallError::Codec("not a full join checkpoint blob".into())),
     };
+    // No writer of a whole state keeps a row at a multiplicity ≤ 0.
     let fits = rels.len() == arities.len()
-        && rels.iter().zip(arities).all(|(rows, &a)| rows.iter().all(|(t, _)| t.arity() == a));
+        && rels
+            .iter()
+            .zip(arities)
+            .all(|(rows, &a)| rows.iter().all(|(t, m)| t.arity() == a && *m > 0));
     if !fits {
         return Err(SquallError::Codec("join checkpoint blob does not fit the join".into()));
     }
@@ -707,6 +712,21 @@ mod tests {
             check_join_blob(&blob, &[2, 2, 2], None).unwrap();
             let err = check_join_blob(&blob, &[2, 2, 2], ts_cols).unwrap_err();
             assert!(matches!(err, SquallError::Codec(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_full_blob_row_at_multiplicity_zero_or_below_is_refused() {
+        // No writer of a whole state keeps one: refused, typed, before a
+        // bolt is built from the blob.
+        for m in [0, -1, i64::MIN] {
+            let rels = vec![vec![(tuple![1, 1], m)], vec![], vec![]];
+            let mut blob = vec![JOIN_BLOB_FULL];
+            rels.snapshot_state(&mut blob);
+            for ts_cols in [None, Some(&[1, 1, 1][..])] {
+                let err = check_join_blob(&blob, &[2, 2, 2], ts_cols).unwrap_err();
+                assert!(matches!(err, SquallError::Codec(_)), "{err}");
+            }
         }
     }
 

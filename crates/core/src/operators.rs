@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use squall_common::array::Array;
 use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::{AggFunc, ScalarExpr};
-use squall_join::{AggSpec, GroupByAggregator, LocalJoin, WindowJoin, WindowSpec};
+use squall_join::{AggSpec, GroupByAggregator, LocalJoin, RowSink, WindowJoin, WindowSpec};
 use squall_runtime::{Bolt, NodeId, OutputCollector};
 
 /// An event-time column value as a timestamp. A negative one is a typed
@@ -166,33 +166,21 @@ impl<J: LocalJoin> TaskJoin<J> {
         event_time(row[ts_cols[rel]].as_int()?, "in windowed join input")
     }
 
-    /// Insert one row of `rel`, appending the (in-window) results. The
-    /// windowed join keeps its arrivals, so only it builds the row's tuple.
-    pub(crate) fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) -> Result<()> {
-        match &mut self.state {
-            JoinState::Full(join) => join.insert(rel, row, out),
-            JoinState::Windowed { join, ts_cols } => {
-                join.insert(rel, Self::event_time_of(ts_cols, rel, row)?, &Tuple::from(row), out)
-            }
-        }
-        Ok(())
-    }
-
-    /// [`TaskJoin::insert`] reporting `(result, multiplicity)` pairs (see
-    /// [`LocalJoin::insert_weighted`]); a windowed join hands each row the
-    /// arrival evicts to `evicted`.
-    pub(crate) fn insert_weighted(
+    /// Insert one row of `rel`, pushing the (in-window) results into
+    /// `out`; a windowed join hands each row the arrival evicts to
+    /// `evicted` as `(rel, row, multiplicity)`.
+    pub(crate) fn insert_into(
         &mut self,
         rel: usize,
         row: &[Value],
-        out: &mut Vec<(Tuple, i64)>,
-        evicted: impl FnMut(usize, Tuple),
+        out: &mut dyn RowSink,
+        evicted: impl FnMut(usize, &[Value], i64),
     ) -> Result<()> {
         match &mut self.state {
-            JoinState::Full(join) => join.insert_weighted(rel, row, out),
+            JoinState::Full(join) => join.insert_into(rel, row, out),
             JoinState::Windowed { join, ts_cols } => {
                 let ts = Self::event_time_of(ts_cols, rel, row)?;
-                join.insert_weighted(rel, ts, &Tuple::from(row), out, evicted)
+                join.insert_into(rel, ts, row, out, evicted)
             }
         }
         Ok(())
@@ -231,8 +219,6 @@ pub struct JoinBolt {
     emit: JoinEmit,
     /// The chunk row being inserted, reused from row to row.
     row: Vec<Value>,
-    buf: Vec<Tuple>,
-    wbuf: Vec<(Tuple, i64)>,
     results: u64,
     /// Windowed join with a windowed aggregate downstream: forward the
     /// bolt's watermark whenever it advances by at least this granule
@@ -244,16 +230,7 @@ pub struct JoinBolt {
 
 impl JoinBolt {
     pub(crate) fn over(join: TaskJoin<Box<dyn LocalJoin>>, emit: JoinEmit) -> JoinBolt {
-        JoinBolt {
-            join,
-            emit,
-            row: Vec::new(),
-            buf: Vec::new(),
-            wbuf: Vec::new(),
-            results: 0,
-            wm_granule: None,
-            next_wm: 0,
-        }
+        JoinBolt { join, emit, row: Vec::new(), results: 0, wm_granule: None, next_wm: 0 }
     }
 
     /// A full-history join bolt.
@@ -306,21 +283,17 @@ impl JoinBolt {
 
     /// Process the arrival in `self.row`, whose relation is already resolved.
     fn step(&mut self, rel: usize, out: &mut OutputCollector) -> Result<()> {
-        if self.emit == JoinEmit::CountOnly {
-            // Weighted path: aggregated DBToaster views report (tuple,
-            // multiplicity) deltas without materializing hot-key outputs
-            // (§3.3).
-            self.wbuf.clear();
-            self.join.insert_weighted(rel, &self.row, &mut self.wbuf, |_, _| {})?;
-            self.results += self.wbuf.iter().map(|(_, m)| *m.max(&0) as u64).sum::<u64>();
-        } else {
-            self.buf.clear();
-            self.join.insert(rel, &self.row, &mut self.buf)?;
-            self.results += self.buf.len() as u64;
-            for t in self.buf.drain(..) {
-                out.emit(t);
+        // Count-only sums the weights, so aggregated DBToaster views never
+        // materialize hot-key outputs (§3.3); `Results` emits a row per unit.
+        let (results, emit) = (&mut self.results, self.emit == JoinEmit::Results);
+        let mut sink = |row: &[Value], mult: i64| {
+            let n = mult.max(0) as u64;
+            *results += n;
+            if emit {
+                (0..n).for_each(|_| out.emit_row(row));
             }
-        }
+        };
+        self.join.insert_into(rel, &self.row, &mut sink, |_, _, _| {})?;
         if let Some(granule) = self.wm_granule {
             // Watermark forwarding: the results emitted above all carry
             // event time ≥ the bolt's watermark, so promising it downstream

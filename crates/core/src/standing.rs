@@ -295,7 +295,9 @@ struct ViewJoinBolt {
     frontier: Frontier,
     /// Last minimum forwarded to the sink.
     forwarded: u64,
-    wbuf: Vec<(Tuple, i64)>,
+    /// One result delta with its `[multiplicity, epoch]` columns, reused
+    /// from delta to delta.
+    tagged: Vec<Value>,
     /// Checkpoint blob channel (local on the coordinator; forwarded as
     /// `SnapshotBlob` frames by the worker). `None` = checkpoints off.
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
@@ -318,7 +320,7 @@ impl ViewJoinBolt {
             join,
             frontier: Frontier::new(n_sources),
             forwarded: 0,
-            wbuf: Vec::new(),
+            tagged: Vec::new(),
             blob_tx,
             log: DeltaLog::new(n_sources, since),
         }
@@ -338,33 +340,49 @@ impl ViewJoinBolt {
     }
 
     /// Apply the signed delta in row `i` of a chunk of relation `rel`,
-    /// leaving its results in `wbuf`; returns the delta's epoch. The base
-    /// row is built once and moves into the delta log, after the rows
-    /// its arrival evicted, which are logged with its epoch.
-    fn apply(&mut self, rel: usize, chunk: &Chunk, i: usize) -> Result<u64> {
+    /// handing each of its result deltas to `emit` as a row tagged with the
+    /// delta's epoch. The base row is built once and moves into the delta
+    /// log, after the rows its arrival evicted, which are logged with its
+    /// epoch.
+    fn apply(
+        &mut self,
+        rel: usize,
+        chunk: &Chunk,
+        i: usize,
+        emit: &mut dyn FnMut(&[Value]),
+    ) -> Result<()> {
         let (base, mult, epoch) = split_delta(chunk, i)?;
-        let epoch = epoch as u64;
         let logged = self.blob_tx.is_some();
-        self.wbuf.clear();
+        // Each non-zero result delta goes out as its row with
+        // `[multiplicity, epoch]` appended, assembled in one reused buffer.
+        let buf = &mut self.tagged;
+        let mut tagged = |row: &[Value], mult: i64| {
+            if mult != 0 {
+                buf.clear();
+                buf.extend_from_slice(row);
+                buf.extend([Value::Int(mult), Value::Int(epoch)]);
+                emit(buf);
+            }
+        };
         match &mut self.join.state {
-            JoinState::Full(j) => j.delta(rel, &base, mult, &mut self.wbuf),
+            JoinState::Full(j) => j.delta_into(rel, &base, mult, Some(&mut tagged)),
             JoinState::Windowed { .. } if mult != 1 => {
                 return Err(SquallError::Runtime(format!(
                     "windowed standing views are append-only (got a weight-{mult} delta)"
                 )))
             }
             JoinState::Windowed { .. } => {
-                self.join.insert_weighted(rel, &base, &mut self.wbuf, |r, row| {
+                self.join.insert_into(rel, &base, &mut tagged, |r, row, m| {
                     if logged {
-                        self.log.push(r, row, -1, epoch);
+                        self.log.push(r, row, -m, epoch as u64);
                     }
                 })?
             }
         }
         if logged {
-            self.log.push(rel, base, mult, epoch);
+            self.log.push(rel, base, mult, epoch as u64);
         }
-        Ok(epoch)
+        Ok(())
     }
 
     /// Ship this task's checkpoint blob for barrier `epoch` toward the
@@ -398,10 +416,7 @@ impl Bolt for ViewJoinBolt {
     ) -> Result<()> {
         let rel = self.join.rel_of(origin)?;
         (0..chunk.n_rows()).try_for_each(|i| {
-            let epoch = self.apply(rel, chunk, i)?;
-            for (t, m) in self.wbuf.drain(..) {
-                out.emit(tag_delta(&t, m, epoch));
-            }
+            self.apply(rel, chunk, i, &mut |row| out.emit_row(row))?;
             self.join.check_budget()
         })
     }
@@ -1284,9 +1299,10 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut bolt = ViewJoinBolt::new(join, 2, Some(tx), 0);
         let delta = |row: Tuple, epoch| Chunk::from_tuples(&[tag_delta(&row, 1, epoch)]);
-        bolt.apply(R, &delta(tuple![1, 10], 16), 0).unwrap();
-        bolt.apply(S, &delta(tuple![1, 100], 16), 0).unwrap();
-        bolt.apply(R, &delta(tuple![2, 20], 17), 0).unwrap();
+        let discard = &mut |_: &[Value]| {};
+        bolt.apply(R, &delta(tuple![1, 10], 16), 0, discard).unwrap();
+        bolt.apply(S, &delta(tuple![1, 100], 16), 0, discard).unwrap();
+        bolt.apply(R, &delta(tuple![2, 20], 17), 0, discard).unwrap();
         bolt.ship(16);
         bolt.ship(32);
         let blobs: Vec<SnapshotBlobMsg> = rx.try_iter().collect();
@@ -1351,7 +1367,7 @@ mod tests {
         ];
         for (epoch, round) in (1..).zip(rounds) {
             for (rel, row) in round {
-                bolt.apply(rel, &delta(row, epoch), 0).unwrap();
+                bolt.apply(rel, &delta(row, epoch), 0, &mut |_| {}).unwrap();
             }
             bolt.ship(epoch);
         }
@@ -1383,9 +1399,10 @@ mod tests {
         restored.restore(&restored_blob).unwrap();
         // S@25 and R@26 close bucket [10, 20) and join in [20, 30).
         for (rel, row) in [(S, tuple![1, 25]), (R, tuple![1, 26]), (S, tuple![2, 27])] {
-            bolt.apply(rel, &delta(row.clone(), 4), 0).unwrap();
-            restored.apply(rel, &delta(row, 4), 0).unwrap();
-            assert_eq!(bolt.wbuf, restored.wbuf);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            bolt.apply(rel, &delta(row.clone(), 4), 0, &mut |t| a.push(Tuple::from(t))).unwrap();
+            restored.apply(rel, &delta(row, 4), 0, &mut |t| b.push(Tuple::from(t))).unwrap();
+            assert_eq!(a, b);
         }
         assert_eq!(sealed(&restored), sealed(&bolt));
     }

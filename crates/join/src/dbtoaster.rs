@@ -28,7 +28,7 @@ use squall_expr::join_cond::CmpOp;
 use squall_expr::MultiJoinSpec;
 
 use crate::views::{RowId, View};
-use crate::{LocalJoin, Snapshot};
+use crate::{LocalJoin, RowSink, Snapshot};
 
 /// How one segment of a ΔV_S tuple is assembled.
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +75,8 @@ pub struct DBToasterJoin {
     scratch_matches: Vec<Vec<(RowId, i64)>>,
     /// Odometer scratch for the cross-combination loop.
     scratch_idx: Vec<usize>,
-    /// Assembly buffer for one ΔV_S row: handed to [`View::update`] as a
-    /// borrowed row, built into a [`Tuple`] only for an emitted result.
+    /// Assembly buffer for one ΔV_S row: handed to [`View::update`], or to
+    /// the result sink, as a borrowed row.
     scratch_values: Vec<Value>,
 }
 
@@ -232,10 +232,18 @@ impl DBToasterJoin {
     /// delta). Intermediate views are maintained exactly as for
     /// [`LocalJoin::insert`]/[`LocalJoin::remove`].
     pub fn delta(&mut self, rel: usize, row: &[Value], mult: i64, out: &mut Vec<(Tuple, i64)>) {
-        self.apply_delta(rel, row, mult, Sink::Signed(out));
+        self.delta_into(rel, row, mult, Some(out));
     }
 
-    fn apply_delta(&mut self, rel: usize, row: &[Value], mult: i64, mut out: Sink<'_>) {
+    /// [`DBToasterJoin::delta`] into any sink, or into none: a result
+    /// delta nobody reads is not even probed for.
+    pub fn delta_into(
+        &mut self,
+        rel: usize,
+        row: &[Value],
+        mult: i64,
+        mut out: Option<&mut dyn RowSink>,
+    ) {
         debug_assert_eq!(row.len(), self.arities[rel], "arity mismatch for relation {rel}");
         // Scratch buffers move out of `self` for the duration of the call
         // so the plan iteration below can still borrow `self.plans`; they
@@ -244,14 +252,15 @@ impl DBToasterJoin {
         let mut idx = std::mem::take(&mut self.scratch_idx);
         let mut values = std::mem::take(&mut self.scratch_values);
         for plan in &self.plans[rel] {
-            if plan.view_id.is_none() && matches!(out, Sink::None) {
+            if plan.view_id.is_none() && out.is_none() {
                 continue; // a result delta nobody reads: not even probed
             }
             if plan.comps.is_empty() {
                 // ΔV_{rel} is the arrival itself.
-                match plan.view_id {
-                    Some(vid) => self.views[vid].update(row, mult),
-                    None => out.push(row, mult),
+                match (plan.view_id, &mut out) {
+                    (Some(vid), _) => self.views[vid].update(row, mult),
+                    (None, Some(out)) => out.push(row, mult),
+                    (None, None) => {}
                 }
                 continue;
             }
@@ -307,9 +316,10 @@ impl DBToasterJoin {
                         }
                     }
                 }
-                match plan.view_id {
-                    Some(vid) => self.views[vid].update(&values, delta_mult),
-                    None => out.push(&values, delta_mult),
+                match (plan.view_id, &mut out) {
+                    (Some(vid), _) => self.views[vid].update(&values, delta_mult),
+                    (None, Some(out)) => out.push(&values, delta_mult),
+                    (None, None) => {}
                 }
                 // Advance the odometer.
                 let mut c = 0;
@@ -364,46 +374,17 @@ impl Snapshot for DBToasterJoin {
     }
 }
 
-/// Where result deltas go.
-enum Sink<'a> {
-    None,
-    Expand(&'a mut Vec<Tuple>),
-    Weighted(&'a mut Vec<(Tuple, i64)>),
-    /// Z-set output: results carry their signed multiplicity, retractions
-    /// included (the standing-view delta plane).
-    Signed(&'a mut Vec<(Tuple, i64)>),
-}
-
-impl Sink<'_> {
-    /// Keep one result delta; its [`Tuple`] is built only if it is kept.
-    fn push(&mut self, result: &[Value], mult: i64) {
-        match self {
-            Sink::Expand(v) if mult > 0 => {
-                let result = Tuple::from(result);
-                v.extend((0..mult).map(|_| result.clone()));
-            }
-            Sink::Weighted(v) if mult > 0 => v.push((result.into(), mult)),
-            Sink::Signed(v) if mult != 0 => v.push((result.into(), mult)),
-            _ => {}
-        }
-    }
-}
-
 impl LocalJoin for DBToasterJoin {
-    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
-        self.apply_delta(rel, row, 1, Sink::Expand(out));
+    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink) {
+        self.delta_into(rel, row, 1, Some(out));
     }
 
-    fn remove(&mut self, rel: usize, row: &[Value]) {
-        self.apply_delta(rel, row, -1, Sink::None);
+    fn remove(&mut self, rel: usize, row: &[Value], mult: i64) {
+        self.delta_into(rel, row, -mult, None);
     }
 
     fn stored(&self) -> usize {
         self.views.iter().map(|v| v.len()).sum()
-    }
-
-    fn insert_weighted(&mut self, rel: usize, row: &[Value], out: &mut Vec<(Tuple, i64)>) {
-        self.apply_delta(rel, row, 1, Sink::Weighted(out));
     }
 }
 
@@ -505,23 +486,18 @@ impl Snapshot for AggregatedDBToaster {
 }
 
 impl LocalJoin for AggregatedDBToaster {
-    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
+    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink) {
         let (inner, row) = self.project(rel, row);
-        inner.insert(rel, row, out)
+        inner.insert_into(rel, row, out)
     }
 
-    fn remove(&mut self, rel: usize, row: &[Value]) {
+    fn remove(&mut self, rel: usize, row: &[Value], mult: i64) {
         let (inner, row) = self.project(rel, row);
-        inner.remove(rel, row)
+        inner.remove(rel, row, mult)
     }
 
     fn stored(&self) -> usize {
         self.inner.stored()
-    }
-
-    fn insert_weighted(&mut self, rel: usize, row: &[Value], out: &mut Vec<(Tuple, i64)>) {
-        let (inner, row) = self.project(rel, row);
-        inner.insert_weighted(rel, row, out)
     }
 }
 
@@ -529,6 +505,7 @@ impl LocalJoin for AggregatedDBToaster {
 mod tests {
     use super::*;
     use crate::naive::{naive_join, same_multiset};
+    use crate::window::WindowSpec;
     use squall_common::{tuple, DataType, Schema, SplitMix64};
     use squall_expr::{JoinAtom, RelationDef};
 
@@ -719,7 +696,7 @@ mod tests {
         j.insert(0, &tuple![0, 1], &mut out);
         j.insert(1, &tuple![1, 2], &mut out);
         assert!(out.is_empty());
-        j.remove(0, &tuple![0, 1]);
+        j.remove(0, &tuple![0, 1], 1);
         j.insert(2, &tuple![2, 9], &mut out);
         assert!(out.is_empty(), "removed R tuple must not contribute");
         // Re-add: now the triple completes on the T side already present.
@@ -744,7 +721,7 @@ mod tests {
         // Remove everything; all views must drain to empty.
         for (rel, ts) in rels.iter().enumerate() {
             for t in ts {
-                j.remove(rel, t);
+                j.remove(rel, t, 1);
             }
         }
         assert_eq!(j.stored(), 0, "views must be empty after removing all input");
@@ -760,17 +737,47 @@ mod tests {
         }
     }
 
+    /// Results folded into a weighted multiset; a row whose weights cancel
+    /// leaves it.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Weights(std::collections::BTreeMap<Tuple, i64>);
+
+    impl RowSink for Weights {
+        fn push(&mut self, row: &[Value], mult: i64) {
+            let w = self.0.entry(row.into()).or_insert(0);
+            *w += mult;
+            if *w == 0 {
+                self.0.retain(|_, m| *m != 0);
+            }
+        }
+    }
+
+    impl Weights {
+        fn of<'a>(rows: impl IntoIterator<Item = (&'a Tuple, i64)>) -> Weights {
+            let mut w = Weights::default();
+            rows.into_iter().for_each(|(t, m)| w.push(t, m));
+            w
+        }
+
+        fn heaviest(&self) -> i64 {
+            self.0.values().copied().max().unwrap_or(0)
+        }
+    }
+
     #[test]
     fn row_slice_joins_agree_with_naive_join_on_seeded_inputs() {
         // Every arrival reaches the joins as a borrowed row cut from one flat
         // buffer per relation, over keys mixing `Int` and `Float` (equal
-        // values meet) and payloads of every kind. DBToaster, both
-        // aggregated-view variants and Traditional must answer what the
-        // nested loop does; DBToaster's signed deltas must also integrate to
-        // the nested loop over what is left after retractions.
+        // values meet) and payloads of every kind, with repeated rows so
+        // results carry weights above 1. DBToaster, both aggregated-view
+        // variants and Traditional must answer what the nested loop does,
+        // through a sink of their own and through each Vec face alike;
+        // DBToaster's signed deltas must also integrate to the nested loop
+        // over what is left after retractions. The windowed joins below
+        // must answer the window-filtered nested loop the same three ways.
         use crate::traditional::TraditionalJoin;
-        use std::collections::BTreeMap;
         let spec = chain3();
+        let mut heaviest = 0;
         for seed in 0..24 {
             let mut rng = SplitMix64::new(seed);
             let mut value = |key: bool| match rng.next_below(if key { 2 } else { 5 }) {
@@ -780,65 +787,148 @@ mod tests {
                 3 => Value::str(["p", "q"][rng.next_below(2)]),
                 _ => Value::Float(0.5),
             };
-            // R(payload, key) ⋈ S(key, key) ⋈ T(key, payload).
+            // R(payload, key) ⋈ S(key, key) ⋈ T(key, payload); rows 12..16
+            // repeat rows 0..4.
             let flat: Vec<Vec<Value>> = [[false, true], [true, true], [true, false]]
                 .iter()
-                .map(|keys| (0..12).flat_map(|_| keys.map(&mut value)).collect())
+                .map(|keys| {
+                    let mut rows: Vec<Value> = (0..12).flat_map(|_| keys.map(&mut value)).collect();
+                    rows.extend_from_within(..8);
+                    rows
+                })
                 .collect();
+            const N: usize = 16;
             let row = |rel: usize, i: usize| &flat[rel][2 * i..2 * i + 2];
             let tuples = |live: &[Vec<bool>]| -> Vec<Vec<Tuple>> {
                 (0..3)
-                    .map(|r| (0..12).filter(|&i| live[r][i]).map(|i| row(r, i).into()).collect())
+                    .map(|r| (0..N).filter(|&i| live[r][i]).map(|i| row(r, i).into()).collect())
                     .collect()
             };
             let mut arrivals: Vec<(usize, usize)> =
-                (0..3).flat_map(|r| (0..12).map(move |i| (r, i))).collect();
+                (0..3).flat_map(|r| (0..N).map(move |i| (r, i))).collect();
             rng.shuffle(&mut arrivals);
-            let oracle =
-                naive_join(&spec, &tuples(&[vec![true; 12], vec![true; 12], vec![true; 12]]));
-
-            let mut dbtoaster = DBToasterJoin::new(&spec);
-            let mut traditional = TraditionalJoin::new(&spec);
-            let mut full = AggregatedDBToaster::new(&spec, &[vec![0, 1], vec![0, 1], vec![0, 1]]);
-            let mut minimal = AggregatedDBToaster::minimal(&spec);
-            let (mut a, mut b, mut c, mut d) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-            for &(rel, i) in &arrivals {
-                dbtoaster.insert(rel, row(rel, i), &mut a);
-                traditional.insert(rel, row(rel, i), &mut b);
-                full.insert_weighted(rel, row(rel, i), &mut c);
-                minimal.insert_weighted(rel, row(rel, i), &mut d);
-            }
-            let expand = |w: &[(Tuple, i64)]| -> Vec<Tuple> {
-                w.iter().flat_map(|(t, m)| (0..*m).map(move |_| t.clone())).collect()
+            let nested = |live: &[Vec<bool>]| {
+                Weights::of(naive_join(&spec, &tuples(live)).iter().map(|t| (t, 1)))
             };
-            assert!(same_multiset(&a, &oracle), "seed {seed}: DBToaster");
-            assert!(same_multiset(&b, &oracle), "seed {seed}: Traditional");
-            assert!(same_multiset(&expand(&c), &oracle), "seed {seed}: aggregated views");
-            let count: i64 = d.iter().map(|(_, m)| m).sum();
-            assert_eq!(count, oracle.len() as i64, "seed {seed}: minimal views");
+            let oracle = nested(&vec![vec![true; N]; 3]);
+            heaviest = heaviest.max(oracle.heaviest());
+
+            // Each join three times over: into a sink, and through each Vec face.
+            let joins = || -> Vec<Box<dyn LocalJoin>> {
+                vec![
+                    Box::new(DBToasterJoin::new(&spec)),
+                    Box::new(TraditionalJoin::new(&spec)),
+                    Box::new(AggregatedDBToaster::new(
+                        &spec,
+                        &[vec![0, 1], vec![0, 1], vec![0, 1]],
+                    )),
+                    Box::new(AggregatedDBToaster::minimal(&spec)),
+                ]
+            };
+            let (mut into, mut expand, mut weigh) = (joins(), joins(), joins());
+            let mut sunk = vec![Weights::default(); 4];
+            let (mut expanded, mut weighted) = (vec![Vec::new(); 4], vec![Vec::new(); 4]);
+            let mut dbtoaster = DBToasterJoin::new(&spec);
+            let mut signed = Weights::default();
+            for &(rel, i) in &arrivals {
+                for k in 0..4 {
+                    into[k].insert_into(rel, row(rel, i), &mut sunk[k]);
+                    expand[k].insert(rel, row(rel, i), &mut expanded[k]);
+                    weigh[k].insert_weighted(rel, row(rel, i), &mut weighted[k]);
+                }
+                dbtoaster.delta_into(rel, row(rel, i), 1, Some(&mut signed));
+            }
+            for k in 0..4 {
+                let faces = [
+                    Weights::of(expanded[k].iter().map(|t| (t, 1))),
+                    Weights::of(weighted[k].iter().map(|(t, m)| (t, *m))),
+                ];
+                assert_eq!(faces, [sunk[k].clone(), sunk[k].clone()], "seed {seed}: join {k}");
+            }
+            for (k, name) in [(0, "DBToaster"), (1, "Traditional"), (2, "aggregated views")] {
+                assert_eq!(sunk[k], oracle, "seed {seed}: {name}");
+            }
+            let count = |w: &Weights| w.0.values().sum::<i64>();
+            assert_eq!(count(&sunk[3]), count(&oracle), "seed {seed}: minimal views");
+            assert_eq!(signed, oracle, "seed {seed}: signed deltas");
 
             // Retract a third of the rows; the signed result deltas, summed
             // with the inserts', are the nested loop over the rest.
-            let mut integral: BTreeMap<Tuple, i64> = BTreeMap::new();
-            for t in oracle {
-                *integral.entry(t).or_insert(0) += 1;
-            }
-            let mut live = vec![vec![true; 12]; 3];
-            let mut signed = Vec::new();
+            let mut live = vec![vec![true; N]; 3];
+            let mut retractions = Vec::new();
             for &(rel, i) in arrivals.iter().step_by(3) {
                 live[rel][i] = false;
-                dbtoaster.delta(rel, row(rel, i), -1, &mut signed);
+                dbtoaster.delta(rel, row(rel, i), -1, &mut retractions);
             }
-            for (t, m) in signed {
-                *integral.entry(t).or_insert(0) += m;
+            let mut integral = oracle.clone();
+            retractions.iter().for_each(|(t, m)| integral.push(t, *m));
+            assert_eq!(integral, nested(&live), "seed {seed}: signed retractions");
+
+            for (n, window) in [
+                (2, WindowSpec::Tumbling { width: 4 }),
+                (2, WindowSpec::Sliding { size: 3 }),
+                (3, WindowSpec::Tumbling { width: 4 }),
+                (3, WindowSpec::Sliding { size: 3 }),
+            ] {
+                heaviest = heaviest.max(check_window_join(&mut rng, n, window));
             }
-            integral.retain(|_, m| *m != 0);
-            let mut rest: BTreeMap<Tuple, i64> = BTreeMap::new();
-            for t in naive_join(&spec, &tuples(&live)) {
-                *rest.entry(t).or_insert(0) += 1;
-            }
-            assert_eq!(integral, rest, "seed {seed}: signed deltas");
         }
+        assert!(heaviest > 1, "no result weighed more than 1");
+    }
+
+    /// An `n`-way chain of `(key, ts)` relations on the key through
+    /// `window`: into a sink and through both Vec faces, each must be the
+    /// nested loop filtered by the window predicate. Each relation arrives
+    /// in event-time order with a row repeated; relations interleave at
+    /// random. Returns the heaviest result weight.
+    fn check_window_join(rng: &mut SplitMix64, n: usize, window: WindowSpec) -> i64 {
+        use crate::window::{output_ts_cols, WindowJoin};
+        let schema = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
+        let spec = MultiJoinSpec::new(
+            (0..n).map(|r| RelationDef::new(format!("R{r}"), schema.clone(), 0)).collect(),
+            (1..n).map(|r| JoinAtom::eq(r - 1, 0, r, 0)).collect(),
+        )
+        .unwrap();
+        let rels: Vec<Vec<Tuple>> = (0..n)
+            .map(|_| {
+                let mut ts = 0;
+                let mut rows: Vec<Tuple> = (0..14)
+                    .map(|_| {
+                        ts += rng.next_range(0, 3);
+                        tuple![rng.next_range(0, 3), ts]
+                    })
+                    .collect();
+                rows.insert(4, rows[3].clone());
+                rows
+            })
+            .collect();
+        let (arities, ts_cols) = (vec![2; n], vec![1; n]);
+        let out_ts = output_ts_cols(&arities, &ts_cols);
+        let in_window = |t: &&Tuple| {
+            let ts = out_ts.iter().map(|&c| t.get(c).as_int().unwrap() as u64);
+            window.contains(ts.clone().min().unwrap(), ts.max().unwrap())
+        };
+        let oracle = Weights::of(naive_join(&spec, &rels).iter().filter(in_window).map(|t| (t, 1)));
+
+        let mut order: Vec<usize> = (0..n).flat_map(|r| vec![r; rels[r].len()]).collect();
+        rng.shuffle(&mut order);
+        let mk = || WindowJoin::event_time(DBToasterJoin::new(&spec), window, &arities, &ts_cols);
+        let (mut into, mut expand, mut weigh) = (mk(), mk(), mk());
+        let (mut sunk, mut expanded, mut weighted) = (Weights::default(), Vec::new(), Vec::new());
+        let mut next = vec![0; n];
+        for rel in order {
+            let t = &rels[rel][next[rel]];
+            next[rel] += 1;
+            let ts = t.get(1).as_int().unwrap() as u64;
+            into.insert_into(rel, ts, t, &mut sunk, |_, _, _| {});
+            expand.insert(rel, ts, t, &mut expanded);
+            weigh.insert_weighted(rel, ts, t, &mut weighted, |_, _| {});
+        }
+        assert_eq!(sunk, oracle, "{n}-way {window:?}: sink");
+        assert_eq!(Weights::of(expanded.iter().map(|t| (t, 1))), oracle, "{n}-way {window:?}");
+        let weighted = Weights::of(weighted.iter().map(|(t, m)| (t, *m)));
+        assert_eq!(weighted, oracle, "{n}-way {window:?}: weighted");
+        oracle.heaviest()
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!
 //! Both implement [`LocalJoin`], so any partitioning scheme can be paired
 //! with either (the separation of concerns behind the HyLD operator,
-//! §3.4). The crate also provides the aggregate operators (SUM / COUNT /
-//! AVG with GROUP BY, §2) and window semantics (tumbling and sliding
-//! windows "by adding the window expiration logic on top of the
-//! full-history engine", §2).
+//! §3.4). Each hands its results to a [`RowSink`] as borrowed rows with
+//! their multiplicities; none is built as a tuple unless a sink keeps it.
+//! The crate also provides the aggregate operators (SUM / COUNT / AVG with
+//! GROUP BY, §2) and window semantics (tumbling and sliding windows "by
+//! adding the window expiration logic on top of the full-history engine",
+//! §2).
 
 pub mod agg;
 pub mod dbtoaster;
@@ -42,50 +44,85 @@ pub use window::{output_ts_cols, WindowJoin, WindowSpec};
 
 use squall_common::{Tuple, Value};
 
-/// A local online multi-way join: row in, (possibly several) join results
-/// out, state updated. Arrivals are borrowed rows — a `&Tuple` is one — and
-/// only the results a join emits are built as [`Tuple`]s.
-pub trait LocalJoin: Send {
-    /// Insert one row of relation `rel`; append every join result this
-    /// arrival completes (concatenated in relation order, matching
-    /// [`squall_expr::MultiJoinSpec::output_schema`]) to `out`.
-    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>);
+/// Where a local join writes its results: each one a borrowed row — the
+/// join's assembly buffer, valid for the call — with its signed
+/// multiplicity, a `(row, weight)` pair of a Z-set. A sink that keeps a
+/// result copies it; the engine's sinks write it straight into the
+/// outgoing scatter buffers, so a result is never built as a [`Tuple`].
+pub trait RowSink {
+    fn push(&mut self, row: &[Value], mult: i64);
+}
 
-    /// Remove one stored instance of `row` from `rel` (window
+/// A closure over `(row, multiplicity)`.
+impl<F: FnMut(&[Value], i64)> RowSink for F {
+    fn push(&mut self, row: &[Value], mult: i64) {
+        self(row, mult)
+    }
+}
+
+/// Each positive result as `mult` tuples.
+impl RowSink for Vec<Tuple> {
+    fn push(&mut self, row: &[Value], mult: i64) {
+        if mult > 0 {
+            let result = Tuple::from(row);
+            self.extend((0..mult).map(|_| result.clone()));
+        }
+    }
+}
+
+/// Each non-zero result as one `(tuple, multiplicity)` pair, retractions
+/// included.
+impl RowSink for Vec<(Tuple, i64)> {
+    fn push(&mut self, row: &[Value], mult: i64) {
+        if mult != 0 {
+            Vec::push(self, (row.into(), mult));
+        }
+    }
+}
+
+/// A local online multi-way join: row in, (possibly several) join results
+/// out, state updated. Arrivals and results are borrowed rows — a `&Tuple`
+/// is one.
+pub trait LocalJoin: Send {
+    /// Insert one row of relation `rel`; push every join result this
+    /// arrival completes (concatenated in relation order, matching
+    /// [`squall_expr::MultiJoinSpec::output_schema`]) into `out` with its
+    /// multiplicity. Duplicates are not expanded: downstream aggregates
+    /// (the paper's COUNT / SUM queries) only need the weights, which lets
+    /// DBToaster's aggregated views skip materializing hot-key outputs
+    /// entirely — the source of its §3.3 advantage.
+    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink);
+
+    /// Remove `mult` stored instances of `row` from `rel` (window
     /// expiration). No retractions are emitted: results already produced
     /// were valid when their inputs co-existed in the window.
-    fn remove(&mut self, rel: usize, row: &[Value]);
+    fn remove(&mut self, rel: usize, row: &[Value], mult: i64);
 
     /// Stored tuples across all relations/views (memory accounting; drives
     /// the per-machine memory budget of §7.3).
     fn stored(&self) -> usize;
 
-    /// Insert and report results as `(tuple, multiplicity)` pairs instead
-    /// of expanding duplicates. Downstream aggregates (the paper's COUNT /
-    /// SUM queries) only need the weights, which lets DBToaster's
-    /// aggregated views skip materializing hot-key outputs entirely — the
-    /// source of its §3.3 advantage. The default expands.
+    /// [`LocalJoin::insert_into`], each result expanded into tuples.
+    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
+        self.insert_into(rel, row, out)
+    }
+
+    /// [`LocalJoin::insert_into`] as `(tuple, multiplicity)` pairs.
     fn insert_weighted(&mut self, rel: usize, row: &[Value], out: &mut Vec<(Tuple, i64)>) {
-        let mut buf = Vec::new();
-        self.insert(rel, row, &mut buf);
-        out.extend(buf.into_iter().map(|t| (t, 1)));
+        self.insert_into(rel, row, out)
     }
 }
 
 impl<J: LocalJoin + ?Sized> LocalJoin for Box<J> {
-    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
-        (**self).insert(rel, row, out)
+    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink) {
+        (**self).insert_into(rel, row, out)
     }
 
-    fn remove(&mut self, rel: usize, row: &[Value]) {
-        (**self).remove(rel, row)
+    fn remove(&mut self, rel: usize, row: &[Value], mult: i64) {
+        (**self).remove(rel, row, mult)
     }
 
     fn stored(&self) -> usize {
         (**self).stored()
-    }
-
-    fn insert_weighted(&mut self, rel: usize, row: &[Value], out: &mut Vec<(Tuple, i64)>) {
-        (**self).insert_weighted(rel, row, out)
     }
 }

@@ -153,7 +153,7 @@ mod tests {
         for step in 0..300 {
             if step % 3 == 2 {
                 let (rel, t) = live.swap_remove(rng.next_below(live.len()));
-                j.remove(rel, &t);
+                j.remove(rel, &t, 1);
             } else {
                 let rel = rng.next_below(3);
                 let t = tuple![rng.next_range(0, 4), rng.next_range(0, 4)];

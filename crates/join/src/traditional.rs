@@ -9,12 +9,12 @@
 //! amortizes away, and the reason Figure 8 shows an order-of-magnitude gap
 //! that "deepens with the increase in the number of relations".
 
-use squall_common::{Tuple, Value};
+use squall_common::Value;
 use squall_expr::join_cond::CmpOp;
 use squall_expr::MultiJoinSpec;
 
 use crate::views::View;
-use crate::LocalJoin;
+use crate::{LocalJoin, RowSink};
 
 /// Where a probe key / filter operand comes from during the cascade.
 #[derive(Debug, Clone, Copy)]
@@ -46,6 +46,8 @@ pub struct TraditionalJoin {
     /// Precomputed output ordering: for each arrival relation, the cascade
     /// position (or Delta) supplying each output relation.
     emit_order: Vec<Vec<Slot>>,
+    /// Assembly buffer for one result row, handed to the sink borrowed.
+    values: Vec<Value>,
 }
 
 impl TraditionalJoin {
@@ -130,32 +132,32 @@ impl TraditionalJoin {
             plans.push(steps);
             emit_order.push(emits);
         }
-        TraditionalJoin { n, bases, plans, emit_order }
+        TraditionalJoin { n, bases, plans, emit_order, values: Vec::new() }
     }
 
     /// Bind the relations of `rel`'s cascade from `step` on; `bound` holds
-    /// the stored rows chosen so far, borrowed from the base views.
+    /// the stored rows chosen so far, borrowed from the base views, and
+    /// `values` is where a complete binding assembles its result row.
     fn cascade<'a>(
         &'a self,
         rel: usize,
         row: &'a [Value],
         step: usize,
         bound: &mut Vec<(&'a [Value], i64)>,
-        out: &mut Vec<Tuple>,
+        values: &mut Vec<Value>,
+        out: &mut dyn RowSink,
     ) {
         let steps = &self.plans[rel];
         if step == steps.len() {
-            // Emit: one result per multiplicity product.
-            let mult: i64 = bound.iter().map(|(_, m)| m).product();
-            let mut values = Vec::new();
+            // Emit: one result, weighted by the multiplicity product.
+            values.clear();
             for slot in &self.emit_order[rel] {
                 match slot {
                     Slot::Delta => values.extend_from_slice(row),
                     Slot::Bound(k) => values.extend_from_slice(bound[*k].0),
                 }
             }
-            let result = Tuple::new(values);
-            out.extend((0..mult).map(|_| result.clone()));
+            out.push(values, bound.iter().map(|(_, m)| m).product());
             return;
         }
         let st = &steps[step];
@@ -178,7 +180,7 @@ impl TraditionalJoin {
                 .all(|&(slot, scol, op, ccol)| op.eval(value_of(slot, scol, bound), &cand[ccol]));
             if passes {
                 bound.push((cand, mult));
-                self.cascade(rel, row, step + 1, bound, out);
+                self.cascade(rel, row, step + 1, bound, values, out);
                 bound.pop();
             }
         };
@@ -191,20 +193,22 @@ impl TraditionalJoin {
 }
 
 impl LocalJoin for TraditionalJoin {
-    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
+    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink) {
         // Produce results completed by this arrival (against stored state),
         // then store the row.
         if self.n == 1 {
-            out.push(row.into());
+            out.push(row, 1);
         } else {
             let mut bound = Vec::with_capacity(self.n - 1);
-            self.cascade(rel, row, 0, &mut bound, out);
+            let mut values = std::mem::take(&mut self.values);
+            self.cascade(rel, row, 0, &mut bound, &mut values, out);
+            self.values = values;
         }
         self.bases[rel].update(row, 1);
     }
 
-    fn remove(&mut self, rel: usize, row: &[Value]) {
-        self.bases[rel].update(row, -1);
+    fn remove(&mut self, rel: usize, row: &[Value], mult: i64) {
+        self.bases[rel].update(row, -mult);
     }
 
     fn stored(&self) -> usize {
@@ -217,7 +221,7 @@ mod tests {
     use super::*;
     use crate::dbtoaster::DBToasterJoin;
     use crate::naive::{naive_join, same_multiset};
-    use squall_common::{tuple, DataType, Schema, SplitMix64};
+    use squall_common::{tuple, DataType, Schema, SplitMix64, Tuple};
     use squall_expr::{JoinAtom, RelationDef};
 
     fn rand_rel(n: usize, dom: i64, rng: &mut SplitMix64) -> Vec<Tuple> {
@@ -350,7 +354,7 @@ mod tests {
         let mut out = Vec::new();
         j.insert(0, &tuple![0, 7], &mut out);
         j.insert(0, &tuple![0, 7], &mut out);
-        j.remove(0, &tuple![0, 7]);
+        j.remove(0, &tuple![0, 7], 1);
         j.insert(1, &tuple![7, 1], &mut out);
         assert_eq!(out.len(), 1, "one R copy left after removal");
         assert_eq!(j.stored(), 2);

@@ -3,8 +3,10 @@
 //! "Squall provides both full-history and window semantics for its
 //! operators. It implements typical stream primitives, such as tumbling and
 //! sliding windows, by adding the window expiration logic on top of the
-//! full-history engine." — [`WindowJoin`] wraps any [`LocalJoin`], buffers
-//! `(timestamp, tuple)` pairs per relation, and removes expired state.
+//! full-history engine." — [`WindowJoin`] wraps any [`LocalJoin`], keeps
+//! each relation's live rows in one flat buffer beside their timestamps and
+//! multiplicities, and removes expired state. Results reach the caller's
+//! [`RowSink`] through the window predicate, as borrowed rows.
 //!
 //! Semantics are **event-time**: each relation's tuples *carry* their
 //! timestamp as a column, per-relation arrival is timestamp-ordered, but
@@ -20,12 +22,10 @@
 //!   (so a tuple with timestamp exactly `k·width` opens window `k` and
 //!   never joins window `k−1` state).
 
-use std::collections::VecDeque;
-
 use squall_common::codec::Reader;
 use squall_common::{Result, SquallError, Tuple, Value};
 
-use crate::{LocalJoin, Snapshot};
+use crate::{LocalJoin, RowSink, Snapshot};
 
 /// Window shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,23 +129,53 @@ pub fn output_ts_cols(arities: &[usize], ts_cols: &[usize]) -> Vec<usize> {
     out
 }
 
+/// One relation's live arrivals, oldest first: live row `i` is
+/// `vals[i * arity..][..arity]`, and `meta[i]` its timestamp and
+/// multiplicity. Rows before `head` are evicted; their slots are reclaimed
+/// once they are at least half of the buffer.
+struct Live {
+    arity: usize,
+    vals: Vec<Value>,
+    meta: Vec<(u64, i64)>,
+    head: usize,
+}
+
+impl Live {
+    fn push(&mut self, ts: u64, row: &[Value], mult: i64) {
+        self.vals.extend_from_slice(row);
+        self.meta.push((ts, mult));
+    }
+
+    /// Hand every live row older than `boundary` to `evict`, oldest first,
+    /// and drop it.
+    fn evict_below(&mut self, boundary: u64, mut evict: impl FnMut(&[Value], i64)) {
+        while let Some(&(_, m)) = self.meta.get(self.head).filter(|(ts, _)| *ts < boundary) {
+            evict(&self.vals[self.head * self.arity..][..self.arity], m);
+            self.head += 1;
+        }
+        if self.head > 0 && 2 * self.head >= self.meta.len() {
+            self.meta.drain(..self.head);
+            self.vals.drain(..self.head * self.arity);
+            self.head = 0;
+        }
+    }
+}
+
 /// A windowed local join: any full-history [`LocalJoin`] plus expiration.
 pub struct WindowJoin<J: LocalJoin> {
     inner: J,
     spec: WindowSpec,
-    /// Per-relation FIFO of live tuples (timestamps are non-decreasing per
-    /// relation, as produced by event-time-ordered spouts and the
-    /// runtime's ordered channels).
-    live: Vec<VecDeque<(u64, Tuple)>>,
+    /// Per-relation arrivals still in the window (timestamps are
+    /// non-decreasing per relation, as produced by event-time-ordered
+    /// spouts and the runtime's ordered channels).
+    live: Vec<Live>,
     /// Each relation's timestamp column within its own rows.
     ts_cols: Vec<usize>,
-    /// The timestamp position of each relation in the join *output* tuple
+    /// The timestamp position of each relation in the join *output* row
     /// (results are concatenated in relation order).
     out_ts_cols: Vec<usize>,
     /// Newest timestamp seen per relation.
     frontier: Vec<Option<u64>>,
-    scratch: Vec<Tuple>,
-    wscratch: Vec<(Tuple, i64)>,
 }
 
 impl<J: LocalJoin> WindowJoin<J> {
@@ -159,54 +189,62 @@ impl<J: LocalJoin> WindowJoin<J> {
         arities: &[usize],
         ts_cols: &[usize],
     ) -> WindowJoin<J> {
+        let live = |&arity| Live { arity, vals: Vec::new(), meta: Vec::new(), head: 0 };
         WindowJoin {
             inner,
             spec,
-            live: (0..arities.len()).map(|_| VecDeque::new()).collect(),
+            live: arities.iter().map(live).collect(),
             ts_cols: ts_cols.to_vec(),
             out_ts_cols: output_ts_cols(arities, ts_cols),
             frontier: vec![None; arities.len()],
-            scratch: Vec::new(),
-            wscratch: Vec::new(),
         }
     }
 
-    /// Insert a timestamped tuple; expired state is evicted first and
-    /// emitted results are filtered by the window predicate — so `out`
-    /// receives exactly the in-window joins.
-    pub fn insert(&mut self, rel: usize, ts: u64, tuple: &Tuple, out: &mut Vec<Tuple>) {
-        self.expire(rel, ts, |_, _| {});
-        self.live[rel].push_back((ts, tuple.clone()));
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        self.inner.insert(rel, tuple, &mut buf);
-        out.extend(buf.drain(..).filter(|t| in_window(self.spec, &self.out_ts_cols, t)));
-        self.scratch = buf;
+    /// Insert a row stamped `ts`: expired state is evicted first — each
+    /// evicted row goes to `evicted` as `(rel, row, multiplicity)` — and
+    /// results are filtered by the window predicate, so `out` receives
+    /// exactly the in-window joins.
+    pub fn insert_into(
+        &mut self,
+        rel: usize,
+        ts: u64,
+        row: &[Value],
+        out: &mut dyn RowSink,
+        evicted: impl FnMut(usize, &[Value], i64),
+    ) {
+        self.expire(rel, ts, evicted);
+        self.live[rel].push(ts, row, 1);
+        let (spec, out_ts_cols) = (self.spec, &self.out_ts_cols);
+        self.inner.insert_into(rel, row, &mut |result: &[Value], mult| {
+            if in_window(spec, out_ts_cols, result) {
+                out.push(result, mult);
+            }
+        });
     }
 
-    /// Weighted-result variant (see [`LocalJoin::insert_weighted`]) that
-    /// also hands each row the arrival evicts to `evicted` as `(rel, row)`.
+    /// [`WindowJoin::insert_into`], each result expanded into tuples.
+    pub fn insert(&mut self, rel: usize, ts: u64, row: &[Value], out: &mut Vec<Tuple>) {
+        self.insert_into(rel, ts, row, out, |_, _, _| {})
+    }
+
+    /// [`WindowJoin::insert_into`] as `(tuple, multiplicity)` pairs, with
+    /// one `evicted(rel, row)` call per evicted copy: O(multiplicity), so
+    /// the engine evicts through `insert_into`.
     pub fn insert_weighted(
         &mut self,
         rel: usize,
         ts: u64,
-        tuple: &Tuple,
+        row: &[Value],
         out: &mut Vec<(Tuple, i64)>,
-        evicted: impl FnMut(usize, Tuple),
+        mut evicted: impl FnMut(usize, &[Value]),
     ) {
-        self.expire(rel, ts, evicted);
-        self.live[rel].push_back((ts, tuple.clone()));
-        let mut buf = std::mem::take(&mut self.wscratch);
-        buf.clear();
-        self.inner.insert_weighted(rel, tuple, &mut buf);
-        out.extend(buf.drain(..).filter(|(t, _)| in_window(self.spec, &self.out_ts_cols, t)));
-        self.wscratch = buf;
+        self.insert_into(rel, ts, row, out, |r, row, m| (0..m).for_each(|_| evicted(r, row)))
     }
 
     /// Advance relation `rel`'s frontier to `now` and evict by the
-    /// watermark — only tuples no *future* arrival (which must carry
+    /// watermark — only rows no *future* arrival (which must carry
     /// ts ≥ watermark) can co-window with — handing each to `evicted`.
-    fn expire(&mut self, rel: usize, now: u64, mut evicted: impl FnMut(usize, Tuple)) {
+    fn expire(&mut self, rel: usize, now: u64, mut evicted: impl FnMut(usize, &[Value], i64)) {
         if matches!(self.spec, WindowSpec::FullHistory) {
             return;
         }
@@ -215,12 +253,12 @@ impl<J: LocalJoin> WindowJoin<J> {
             return; // some relation unseen: no safe eviction yet
         };
         let boundary = self.spec.close_boundary(watermark);
-        for r in 0..self.live.len() {
-            while self.live[r].front().is_some_and(|&(ts, _)| ts < boundary) {
-                let (_, t) = self.live[r].pop_front().expect("front exists");
-                self.inner.remove(r, &t);
-                evicted(r, t);
-            }
+        let inner = &mut self.inner;
+        for (r, live) in self.live.iter_mut().enumerate() {
+            live.evict_below(boundary, |row, m| {
+                inner.remove(r, row, m);
+                evicted(r, row, m);
+            });
         }
     }
 
@@ -234,7 +272,7 @@ impl<J: LocalJoin> WindowJoin<J> {
 
     /// Tuples currently held in the window (all relations).
     pub fn live_tuples(&self) -> usize {
-        self.live.iter().map(|q| q.len()).sum()
+        self.live.iter().flat_map(|l| &l.meta[l.head..]).map(|&(_, m)| m as usize).sum()
     }
 
     pub fn inner(&self) -> &J {
@@ -250,52 +288,48 @@ impl<J: LocalJoin + Snapshot> Snapshot for WindowJoin<J> {
         self.inner.snapshot_state(buf);
     }
 
-    /// Rebuild each relation's buffer in timestamp order and its frontier
-    /// as its newest live timestamp. That frontier is exact: eviction
-    /// never takes a relation's newest arrival, whose timestamp is at
-    /// least the watermark, which is at least the close boundary.
+    /// Restore the inner join from the blob, and rebuild each relation's
+    /// buffer in timestamp order — one entry per distinct row, carrying its
+    /// multiplicity — and its frontier as its newest live timestamp. That
+    /// frontier is exact: eviction never takes a relation's newest arrival,
+    /// whose timestamp is at least the watermark, which is at least the
+    /// close boundary.
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
         let mut rels: Vec<Vec<(Tuple, i64)>> = Vec::new();
-        rels.restore_state(r)?;
+        rels.restore_state(&mut r.clone())?;
         if rels.len() != self.live.len() {
             return Err(SquallError::Codec("windowed join blob: wrong relation count".into()));
         }
-        let mut discard = Vec::new();
-        for (rel, rows) in rels.into_iter().enumerate() {
+        for (rel, rows) in rels.iter().enumerate() {
             let mut timed = Vec::with_capacity(rows.len());
             for (t, m) in rows {
                 let ts = match t.values().get(self.ts_cols[rel]) {
                     Some(&Value::Int(ts)) if ts >= 0 => ts as u64,
                     _ => return Err(SquallError::Codec("windowed join row: no event time".into())),
                 };
-                timed.push((ts, t, m));
+                if t.arity() != self.live[rel].arity || *m <= 0 {
+                    return Err(SquallError::Codec("windowed join row does not fit".into()));
+                }
+                timed.push((ts, t, *m));
             }
             timed.sort_by_key(|(ts, ..)| *ts);
             for (ts, t, m) in timed {
-                for _ in 0..m {
-                    // No expiry pass: every row was live at the snapshot.
-                    self.inner.insert_weighted(rel, &t, &mut discard);
-                    discard.clear();
-                    self.live[rel].push_back((ts, t.clone()));
-                    self.frontier[rel] = Some(ts);
-                }
+                self.live[rel].push(ts, t, m);
+                self.frontier[rel] = Some(ts);
             }
         }
-        Ok(())
+        self.inner.restore_state(r)
     }
 }
 
-/// The window predicate over a result tuple's constituent timestamps.
-fn in_window(spec: WindowSpec, out_ts_cols: &[usize], result: &Tuple) -> bool {
+/// The window predicate over a result row's constituent timestamps.
+fn in_window(spec: WindowSpec, out_ts_cols: &[usize], result: &[Value]) -> bool {
     if matches!(spec, WindowSpec::FullHistory) {
         return true;
     }
     let (mut lo, mut hi) = (u64::MAX, 0u64);
     for &c in out_ts_cols {
-        let v = result
-            .get(c)
-            .as_int()
-            .expect("window timestamp column must be Int (validated at plan)")
+        let v = result[c].as_int().expect("window timestamp column must be Int (validated at plan)")
             as u64;
         lo = lo.min(v);
         hi = hi.max(v);
@@ -448,6 +482,35 @@ mod tests {
         }
         assert!(w.live_tuples() <= 10, "live {} should be ≈ window size", w.live_tuples());
         assert!(w.inner().stored() <= 20, "inner state must stay bounded");
+    }
+
+    #[test]
+    fn restore_and_eviction_cost_o1_in_multiplicity() {
+        // A restore blob carries each row once with its multiplicity; a
+        // 2^40 there must neither be replayed copy by copy on restore nor
+        // evicted copy by copy later.
+        let m = 1i64 << 40;
+        let mut blob = Vec::new();
+        vec![vec![(tuple![1, 5], m)], vec![]].snapshot_state(&mut blob);
+        let started = std::time::Instant::now();
+        let spec = WindowSpec::Tumbling { width: 10 };
+        let mut w =
+            WindowJoin::event_time(DBToasterJoin::new(&two_way_ts()), spec, &[2, 2], &[1, 1]);
+        let mut r = Reader::new(&blob);
+        w.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!((w.inner().stored(), w.live_tuples()), (m as usize, m as usize));
+        // S@100 then R@100 lift the watermark past bucket [0, 10).
+        let (mut out, mut evicted) = (Vec::<Tuple>::new(), Vec::new());
+        for (rel, row) in [(1, tuple![2, 100]), (0, tuple![3, 100])] {
+            w.insert_into(rel, 100, &row, &mut out, |r, row, m| {
+                evicted.push((r, Tuple::from(row), m))
+            });
+        }
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(evicted, vec![(0, tuple![1, 5], m)]);
+        assert_eq!((w.inner().stored(), w.live_tuples()), (2, 2), "the two arrivals only");
+        assert!(out.is_empty());
     }
 
     #[test]

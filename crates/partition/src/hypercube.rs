@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use squall_common::hash::{fx_hash, partition_of};
-use squall_common::Tuple;
+use squall_common::Value;
 use squall_runtime::grouping::tuple_rng;
 use squall_runtime::CustomGrouping;
 
@@ -98,15 +98,6 @@ impl HypercubeScheme {
         self.dims.iter().map(|d| d.size).product::<usize>().max(1)
     }
 
-    /// Row-major strides for coordinate → machine-id conversion.
-    fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1].size;
-        }
-        strides
-    }
-
     /// Number of machines each tuple of `rel` is sent to — the paper's
     /// per-relation replication (a tuple is replicated across the spread
     /// axes).
@@ -118,24 +109,26 @@ impl HypercubeScheme {
             .product()
     }
 
-    /// Route one tuple of `rel`: the set of target machine ids.
+    /// Route one row of `rel`: the set of target machine ids.
     /// `rand_stream` supplies the random coordinates (callers derive it
     /// deterministically from `(seed, sender, seq)`).
     pub fn route(
         &self,
         rel: usize,
-        tuple: &Tuple,
+        row: &[Value],
         rand_stream: &mut squall_common::SplitMix64,
         out: &mut Vec<usize>,
     ) {
         out.clear();
         out.push(0);
-        let strides = self.strides();
-        for (dim_idx, (role, dim)) in self.roles[rel].iter().zip(&self.dims).enumerate() {
-            let stride = strides[dim_idx];
+        // Machine ids are row-major over the dimensions: a dimension's
+        // stride is the product of the sizes after it.
+        let mut stride: usize = self.dims.iter().map(|d| d.size).product();
+        for (role, dim) in self.roles[rel].iter().zip(&self.dims) {
+            stride /= dim.size;
             match role {
                 DimRole::Hash(col) => {
-                    let coord = partition_of(fx_hash(tuple.get(*col)), dim.size);
+                    let coord = partition_of(fx_hash(&row[*col]), dim.size);
                     for m in out.iter_mut() {
                         *m += coord * stride;
                     }
@@ -235,7 +228,7 @@ impl CustomGrouping for HypercubeGrouping {
         &self,
         sender_task: usize,
         seq: u64,
-        tuple: &Tuple,
+        row: &[Value],
         n_targets: usize,
         out: &mut Vec<usize>,
     ) {
@@ -245,7 +238,7 @@ impl CustomGrouping for HypercubeGrouping {
             self.scheme.machines()
         );
         let mut rng = tuple_rng(self.scheme.seed ^ (self.rel as u64) << 32, sender_task, seq);
-        self.scheme.route(self.rel, tuple, &mut rng, out);
+        self.scheme.route(self.rel, row, &mut rng, out);
     }
 
     fn name(&self) -> &str {
@@ -485,6 +478,67 @@ mod tests {
         assert_eq!(scheme.replication(0), 1, "fact table is partitioned");
         assert_eq!(scheme.replication(2), 8, "dimension table is broadcast");
         assert_eq!(scheme.machines(), 8);
+    }
+
+    #[test]
+    fn routing_matches_the_stride_table_formula() {
+        // The reference: row-major strides from a table built per call,
+        // then the same walk. Random coordinates must be drawn in the same
+        // order, so both routes share one seeded stream per row.
+        fn reference(
+            s: &HypercubeScheme,
+            rel: usize,
+            row: &[Value],
+            rng: &mut SplitMix64,
+        ) -> Vec<usize> {
+            let mut strides = vec![1usize; s.dims.len()];
+            for i in (0..s.dims.len().saturating_sub(1)).rev() {
+                strides[i] = strides[i + 1] * s.dims[i + 1].size;
+            }
+            let mut out = vec![0];
+            for ((role, dim), stride) in s.roles[rel].iter().zip(&s.dims).zip(strides) {
+                let coord = |rng: &mut SplitMix64| match role {
+                    DimRole::Hash(col) => partition_of(fx_hash(&row[*col]), dim.size),
+                    _ => rng.next_below(dim.size),
+                };
+                out = match role {
+                    DimRole::Spread => (0..dim.size)
+                        .flat_map(|c| out.iter().map(move |m| m + c * stride))
+                        .collect(),
+                    _ => {
+                        let c = coord(rng);
+                        out.iter().map(|m| m + c * stride).collect()
+                    }
+                };
+            }
+            out
+        }
+        for seed in 0..1000 {
+            let mut rng = SplitMix64::new(seed);
+            let n_rel = 1 + rng.next_below(4);
+            let dims = (0..1 + rng.next_below(4))
+                .map(|i| Dimension {
+                    name: format!("d{i}"),
+                    size: 1 + rng.next_below(5),
+                    kind: [PartitionKind::Hash, PartitionKind::Random][rng.next_below(2)],
+                    members: (0..n_rel)
+                        .filter_map(|rel| {
+                            let col = rng.next_below(3);
+                            (rng.next_below(2) == 0).then_some((rel, col))
+                        })
+                        .collect(),
+                })
+                .collect();
+            let scheme = HypercubeScheme::new(n_rel, dims, seed);
+            let mut out = Vec::new();
+            for rel in 0..n_rel {
+                let row: Vec<Value> = (0..3).map(|_| Value::Int(rng.next_range(0, 50))).collect();
+                let stream = rng.next_u64();
+                scheme.route(rel, &row, &mut SplitMix64::new(stream), &mut out);
+                let expected = reference(&scheme, rel, &row, &mut SplitMix64::new(stream));
+                assert_eq!(out, expected, "seed {seed}, relation {rel}");
+            }
+        }
     }
 
     #[test]

@@ -1205,6 +1205,60 @@ mod tests {
     }
 
     #[test]
+    fn emit_row_routes_like_emit_and_splits_ragged_arity() {
+        // `mid` emits rows of alternating arity through `emit_row`, so every
+        // arity switch flushes the scatter buffer: twenty one-row chunks.
+        // The sink node hands each row to the output by `emit` and again by
+        // `emit_row`, which must deliver the same tuple.
+        type Shapes = Arc<std::sync::Mutex<Vec<(usize, usize)>>>;
+        struct Echo(Shapes);
+        impl crate::Bolt for Echo {
+            fn execute_chunk(
+                &mut self,
+                _origin: NodeId,
+                chunk: &Chunk,
+                out: &mut OutputCollector,
+            ) -> Result<()> {
+                self.0.lock().unwrap().push((chunk.n_rows(), chunk.n_cols()));
+                let mut row = Vec::new();
+                for i in 0..chunk.n_rows() {
+                    chunk.row_into(i, &mut row);
+                    out.emit(chunk.row(i));
+                    out.emit_row(&row);
+                }
+                Ok(())
+            }
+        }
+        let shapes = Shapes::default();
+        let mut b = TopologyBuilder::new();
+        let src = b.add_spout("src", 1, int_spout(0, 20));
+        let mid = b.add_bolt("mid", 1, |_| {
+            Box::new(FnBolt(|_o, t: Tuple, out: &mut OutputCollector| {
+                match t.get(0).as_int()? % 2 {
+                    0 => out.emit_row(t.values()),
+                    _ => out.emit_row(&[t.get(0).clone(), Value::str("odd")]),
+                }
+                Ok(())
+            }))
+        });
+        let echo = Arc::clone(&shapes);
+        let sink = b.add_bolt("sink", 1, move |_| Box::new(Echo(Arc::clone(&echo))));
+        b.connect(src, mid, Grouping::Global);
+        b.connect(mid, sink, Grouping::Global);
+        let outcome = b.build().unwrap().run();
+        assert!(outcome.error.is_none());
+        let expected: Vec<Tuple> = (0..20)
+            .flat_map(|v| {
+                let t = if v % 2 == 0 { tuple![v] } else { tuple![v, "odd"] };
+                [t.clone(), t]
+            })
+            .collect();
+        assert_eq!(outcome.into_tuples(), expected);
+        let alternating: Vec<(usize, usize)> = (0..20).map(|v| (1, 1 + v % 2)).collect();
+        assert_eq!(*shapes.lock().unwrap(), alternating);
+    }
+
+    #[test]
     fn parallel_bolt_with_fields_grouping_partitions_by_key() {
         let mut b = TopologyBuilder::new();
         let src = b.add_spout("src", 2, |task| {

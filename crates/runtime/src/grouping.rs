@@ -10,22 +10,22 @@
 use std::sync::Arc;
 
 use squall_common::hash::{fx_hash, partition_of};
-use squall_common::{SplitMix64, Tuple};
+use squall_common::{SplitMix64, Value};
 
 /// A routing decision: the set of target task indexes for one tuple.
 /// Replication (the R in the paper's SAR principle) is expressed by
 /// returning more than one target.
 pub trait CustomGrouping: Send + Sync {
-    /// Compute targets for `tuple`, the `seq`-th tuple emitted over this
-    /// edge by `sender_task`. Implementations must be deterministic in
-    /// `(sender_task, seq, tuple)` so that load measurements are exactly
-    /// reproducible; "random" schemes derive their randomness from a seed
-    /// and `(sender_task, seq)`.
+    /// Compute targets for `row`, the `seq`-th row emitted over this edge
+    /// by `sender_task` (a `&Tuple` is a row). Implementations must be
+    /// deterministic in `(sender_task, seq, row)` so that load measurements
+    /// are exactly reproducible; "random" schemes derive their randomness
+    /// from a seed and `(sender_task, seq)`.
     fn route(
         &self,
         sender_task: usize,
         seq: u64,
-        tuple: &Tuple,
+        row: &[Value],
         n_targets: usize,
         out: &mut Vec<usize>,
     );
@@ -66,13 +66,13 @@ impl std::fmt::Debug for Grouping {
 }
 
 impl Grouping {
-    /// Route one tuple. `out` is cleared and filled with target tasks.
+    /// Route one row. `out` is cleared and filled with target tasks.
     #[inline]
     pub fn route(
         &self,
         sender_task: usize,
         seq: u64,
-        tuple: &Tuple,
+        row: &[Value],
         n_targets: usize,
         out: &mut Vec<usize>,
     ) {
@@ -86,13 +86,13 @@ impl Grouping {
                 let mut h = squall_common::hash::FxHasher::default();
                 use std::hash::{Hash, Hasher};
                 for &c in cols {
-                    tuple.get(c).hash(&mut h);
+                    row[c].hash(&mut h);
                 }
                 out.push(partition_of(h.finish(), n_targets));
             }
             Grouping::All => out.extend(0..n_targets),
             Grouping::Global => out.push(0),
-            Grouping::Custom(c) => c.route(sender_task, seq, tuple, n_targets, out),
+            Grouping::Custom(c) => c.route(sender_task, seq, row, n_targets, out),
         }
     }
 }
@@ -165,8 +165,8 @@ mod tests {
     fn custom_grouping_plugs_in() {
         struct Evens;
         impl CustomGrouping for Evens {
-            fn route(&self, _s: usize, _q: u64, t: &Tuple, n: usize, out: &mut Vec<usize>) {
-                let v = t.get(0).as_int().unwrap() as usize;
+            fn route(&self, _s: usize, _q: u64, row: &[Value], n: usize, out: &mut Vec<usize>) {
+                let v = row[0].as_int().unwrap() as usize;
                 out.push(v % n);
             }
         }

@@ -5,7 +5,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use squall_common::{Chunk, ChunkBuilder, Result, SquallError, Tuple};
+use squall_common::{Chunk, ChunkBuilder, Result, SquallError, Tuple, Value};
 
 use crate::executor::{Sched, TaskId};
 use crate::grouping::Grouping;
@@ -402,10 +402,10 @@ impl Topology {
     }
 }
 
-/// One receiving task of an outgoing edge, with its scatter buffer: tuples
+/// One receiving task of an outgoing edge, with its scatter buffer: rows
 /// routed to this target accumulate *columnarly* in a [`ChunkBuilder`] and
 /// ship as one [`Message::Batch`] when `batch_size` rows are reached (or on
-/// punctuation, or when a tuple of a different arity arrives — ragged
+/// punctuation, or when a row of a different arity arrives — ragged
 /// streams split into uniform chunks, which cannot change results because
 /// routing happened per row before buffering). Delivery goes through the
 /// run's [`Transport`] — the emitter neither knows nor cares whether the
@@ -424,10 +424,11 @@ pub(crate) struct EdgeOut {
 
 /// The emission interface handed to spout/bolt tasks.
 ///
-/// `emit` routes a tuple over every outgoing edge according to that edge's
-/// grouping into per-target scatter buffers; buffers flush as batched
-/// messages on size (and on end-of-stream). For sink nodes (no outgoing
-/// edges) the tuple is delivered to the run's output channel instead.
+/// `emit` / `emit_row` route a row over every outgoing edge according to
+/// that edge's grouping into per-target scatter buffers; buffers flush as
+/// batched messages on size (and on end-of-stream). For sink nodes (no
+/// outgoing edges) the row is delivered to the run's output channel
+/// instead.
 pub struct OutputCollector {
     node: NodeId,
     task: usize,
@@ -489,26 +490,35 @@ impl OutputCollector {
 
     /// Emit one tuple downstream (or to the query output for sinks).
     pub fn emit(&mut self, tuple: Tuple) {
-        self.counters.emitted.fetch_add(1, Ordering::Relaxed);
-        if self.edges.is_empty() {
-            // A sink node. The output channel is unbounded; ignore
-            // disconnects (the caller may have stopped listening after an
-            // abort).
-            let _ = self.sink.send((self.node, tuple));
-            return;
+        if !self.edges.is_empty() {
+            return self.emit_row(&tuple);
         }
+        // A sink node. The output channel is unbounded; ignore disconnects
+        // (the caller may have stopped listening after an abort).
+        self.counters.emitted.fetch_add(1, Ordering::Relaxed);
+        let _ = self.sink.send((self.node, tuple));
+    }
+
+    /// Emit one borrowed row: routed straight into the scatter buffers, so
+    /// only a sink node, which hands its output over whole, builds a
+    /// [`Tuple`] of it.
+    pub fn emit_row(&mut self, row: &[Value]) {
+        if self.edges.is_empty() {
+            return self.emit(row.into());
+        }
+        self.counters.emitted.fetch_add(1, Ordering::Relaxed);
         let task = self.task;
         let batch_size = self.batch_size;
         let mut sent = 0u64;
         for edge in &mut self.edges {
-            edge.grouping.route(task, edge.seq, &tuple, edge.targets.len(), &mut self.scratch);
+            edge.grouping.route(task, edge.seq, row, edge.targets.len(), &mut self.scratch);
             edge.seq += 1;
             for &t in &self.scratch {
                 let target = &mut edge.targets[t];
-                if !target.buffer.accepts(&tuple) {
+                if !target.buffer.accepts(row) {
                     flush_target(self.node, target, &*self.transport, &mut self.gated);
                 }
-                target.buffer.push(&tuple);
+                target.buffer.push(row);
                 sent += 1;
                 if target.buffer.len() >= batch_size {
                     flush_target(self.node, target, &*self.transport, &mut self.gated);
