@@ -147,6 +147,21 @@ impl Value {
     }
 }
 
+/// 2^63: the least float above every `i64`.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// `a` against `b` exactly, as numbers, with `Float`'s `total_cmp` order
+/// placing `-0.0` just below `Int(0)` and NaNs beyond both infinities. An
+/// `Int` that rounds to `b` as an `f64` is ordered by its exact value.
+fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    match (a as f64).total_cmp(&b) {
+        // `b` equals a rounded `i64`: a whole number in [-2^63, 2^63].
+        Ordering::Equal if b < TWO_63 => a.cmp(&(b as i64)),
+        Ordering::Equal => Ordering::Less,
+        unequal => unequal,
+    }
+}
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
@@ -154,7 +169,7 @@ impl PartialEq for Value {
             (Value::Int(a), Value::Int(b)) => a == b,
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b) == Ordering::Equal,
             (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => {
-                (*a as f64).total_cmp(b) == Ordering::Equal
+                int_float_cmp(*a, *b) == Ordering::Equal
             }
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Date(a), Value::Date(b)) => a == b,
@@ -180,8 +195,8 @@ impl Ord for Value {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => int_float_cmp(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Date(a), Value::Date(b)) => a.cmp(b),
             _ => self.tag().cmp(&other.tag()),
@@ -200,11 +215,7 @@ impl Hash for Value {
                 state.write_i64(*i);
             }
             Value::Float(f) => {
-                if f.fract() == 0.0
-                    && f.is_finite()
-                    && *f >= i64::MIN as f64
-                    && *f <= i64::MAX as f64
-                {
+                if f.fract() == 0.0 && (-TWO_63..TWO_63).contains(f) {
                     state.write_u8(1);
                     state.write_i64(*f as i64);
                 } else {
@@ -313,6 +324,39 @@ mod tests {
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert_eq!(fx_hash(&Value::Int(3)), fx_hash(&Value::Float(3.0)));
         assert_ne!(Value::Int(3), Value::Float(3.5));
+    }
+
+    #[test]
+    fn ints_and_floats_compare_exactly_and_hash_as_they_compare() {
+        // Where an `i64` rounds as an `f64`: around ±2^53, at ±2^63 (where
+        // `as i64` saturates), at ±0.0 and NaN.
+        let p53 = 1i64 << 53;
+        let mut vals = vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(f64::NAN)];
+        for a in [0, 1, p53 - 1, p53, p53 + 1, p53 + 2, i64::MAX - 1, i64::MAX, i64::MIN] {
+            vals.extend([Value::Int(a), Value::Float(a as f64), Value::Int(a.wrapping_neg())]);
+            vals.extend([Value::Float(-(a as f64)), Value::Float((a as f64).next_up())]);
+        }
+        assert_ne!(Value::Int(p53 + 1), Value::Float(p53 as f64));
+        assert_ne!(Value::Int(i64::MAX), Value::Float(TWO_63));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-TWO_63));
+        assert_ne!(Value::Int(0), Value::Float(-0.0));
+        for a in &vals {
+            for b in &vals {
+                assert_eq!(a == b, a.cmp(b) == Ordering::Equal, "{a:?} vs {b:?}");
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(fx_hash(a), fx_hash(b), "{a:?} == {b:?} hash apart");
+                }
+                for c in &vals {
+                    if a == b && b == c {
+                        assert_eq!(a, c, "{a:?} == {b:?} == {c:?}");
+                    }
+                    if a < b && b < c {
+                        assert!(a < c, "{a:?} < {b:?} < {c:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -148,7 +148,8 @@ pub(crate) struct TaskJoin<J: LocalJoin> {
     /// The join task (machine) index.
     pub(crate) machine: usize,
     /// Per-machine stored-tuple budget (the §7.3 memory-overflow
-    /// experiments); `None` = unlimited.
+    /// experiments); `None` = unlimited. A full-history task checks it once
+    /// per batch, so an overflow is detected at chunk granularity.
     pub(crate) budget: Option<usize>,
 }
 
@@ -166,21 +167,22 @@ impl<J: LocalJoin> TaskJoin<J> {
         event_time(row[ts_cols[rel]].as_int()?, "in windowed join input")
     }
 
-    /// Insert one row of `rel`, pushing the (in-window) results into
-    /// `out`; a windowed join hands each row the arrival evicts to
-    /// `evicted` as `(rel, row, multiplicity)`.
+    /// Insert rows of `rel` — one or more under full history, one under a
+    /// window — pushing the (in-window) results into `out`; a windowed join
+    /// hands each row the arrival evicts to `evicted` as `(rel, row,
+    /// multiplicity)`.
     pub(crate) fn insert_into(
         &mut self,
         rel: usize,
-        row: &[Value],
+        rows: &[Value],
         out: &mut dyn RowSink,
         evicted: impl FnMut(usize, &[Value], i64),
     ) -> Result<()> {
         match &mut self.state {
-            JoinState::Full(join) => join.insert_into(rel, row, out),
+            JoinState::Full(join) => join.insert_into(rel, rows, out),
             JoinState::Windowed { join, ts_cols } => {
-                let ts = Self::event_time_of(ts_cols, rel, row)?;
-                join.insert_into(rel, ts, row, out, evicted)
+                let ts = Self::event_time_of(ts_cols, rel, rows)?;
+                join.insert_into(rel, ts, rows, out, evicted)
             }
         }
         Ok(())
@@ -217,8 +219,9 @@ impl<J: LocalJoin> TaskJoin<J> {
 pub struct JoinBolt {
     join: TaskJoin<Box<dyn LocalJoin>>,
     emit: JoinEmit,
-    /// The chunk row being inserted, reused from row to row.
-    row: Vec<Value>,
+    /// The rows being inserted — a whole chunk under full history, one
+    /// row under a window — reused from chunk to chunk.
+    rows: Vec<Value>,
     results: u64,
     /// Windowed join with a windowed aggregate downstream: forward the
     /// bolt's watermark whenever it advances by at least this granule
@@ -230,7 +233,7 @@ pub struct JoinBolt {
 
 impl JoinBolt {
     pub(crate) fn over(join: TaskJoin<Box<dyn LocalJoin>>, emit: JoinEmit) -> JoinBolt {
-        JoinBolt { join, emit, row: Vec::new(), results: 0, wm_granule: None, next_wm: 0 }
+        JoinBolt { join, emit, rows: Vec::new(), results: 0, wm_granule: None, next_wm: 0 }
     }
 
     /// A full-history join bolt.
@@ -281,7 +284,8 @@ impl JoinBolt {
         self
     }
 
-    /// Process the arrival in `self.row`, whose relation is already resolved.
+    /// Process the arrivals in `self.rows`, whose relation is already
+    /// resolved.
     fn step(&mut self, rel: usize, out: &mut OutputCollector) -> Result<()> {
         // Count-only sums the weights, so aggregated DBToaster views never
         // materialize hot-key outputs (§3.3); `Results` emits a row per unit.
@@ -293,7 +297,7 @@ impl JoinBolt {
                 (0..n).for_each(|_| out.emit_row(row));
             }
         };
-        self.join.insert_into(rel, &self.row, &mut sink, |_, _, _| {})?;
+        self.join.insert_into(rel, &self.rows, &mut sink, |_, _, _| {})?;
         if let Some(granule) = self.wm_granule {
             // Watermark forwarding: the results emitted above all carry
             // event time ≥ the bolt's watermark, so promising it downstream
@@ -316,8 +320,18 @@ impl Bolt for JoinBolt {
         out: &mut OutputCollector,
     ) -> Result<()> {
         let rel = self.join.rel_of(origin)?;
+        // A full-history join takes the chunk whole (a zero-column chunk's
+        // rows would flatten to nothing, so they go one by one); a window
+        // evicts by each arrival's timestamp, so it takes one row at a time.
+        if matches!(self.join.state, JoinState::Full(_)) && chunk.n_cols() > 0 {
+            self.rows.clear();
+            for i in 0..chunk.n_rows() {
+                self.rows.extend(chunk.columns().iter().map(|c| c.value(i)));
+            }
+            return self.step(rel, out);
+        }
         for i in 0..chunk.n_rows() {
-            chunk.row_into(i, &mut self.row);
+            chunk.row_into(i, &mut self.rows);
             self.step(rel, out)?;
         }
         Ok(())

@@ -49,6 +49,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use squall_common::array::Array;
 use squall_common::codec::{self, Reader};
 use squall_common::{Chunk, FxHashMap, FxHashSet, Result, SquallError, Tuple, Value};
 use squall_expr::MultiJoinSpec;
@@ -298,6 +299,10 @@ struct ViewJoinBolt {
     /// One result delta with its `[multiplicity, epoch]` columns, reused
     /// from delta to delta.
     tagged: Vec<Value>,
+    /// The payloads and weights of one run of a chunk's deltas that share
+    /// an epoch, reused from run to run.
+    rows: Vec<Value>,
+    mults: Vec<i64>,
     /// Checkpoint blob channel (local on the coordinator; forwarded as
     /// `SnapshotBlob` frames by the worker). `None` = checkpoints off.
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
@@ -321,6 +326,8 @@ impl ViewJoinBolt {
             frontier: Frontier::new(n_sources),
             forwarded: 0,
             tagged: Vec::new(),
+            rows: Vec::new(),
+            mults: Vec::new(),
             blob_tx,
             log: DeltaLog::new(n_sources, since),
         }
@@ -339,48 +346,67 @@ impl ViewJoinBolt {
         r.finish()
     }
 
-    /// Apply the signed delta in row `i` of a chunk of relation `rel`,
-    /// handing each of its result deltas to `emit` as a row tagged with the
-    /// delta's epoch. The base row is built once and moves into the delta
-    /// log, after the rows its arrival evicted, which are logged with its
-    /// epoch.
-    fn apply(
-        &mut self,
-        rel: usize,
-        chunk: &Chunk,
-        i: usize,
-        emit: &mut dyn FnMut(&[Value]),
-    ) -> Result<()> {
-        let (base, mult, epoch) = split_delta(chunk, i)?;
-        let logged = self.blob_tx.is_some();
-        // Each non-zero result delta goes out as its row with
-        // `[multiplicity, epoch]` appended, assembled in one reused buffer.
-        let buf = &mut self.tagged;
-        let mut tagged = |row: &[Value], mult: i64| {
-            if mult != 0 {
-                buf.clear();
-                buf.extend_from_slice(row);
-                buf.extend([Value::Int(mult), Value::Int(epoch)]);
-                emit(buf);
+    /// Apply the signed deltas of a chunk of relation `rel`, handing each
+    /// of their result deltas to `emit` as a row tagged with its delta's
+    /// epoch. Each run of rows that share an epoch is read into reused
+    /// buffers and applied as one batch: under full history one call to the
+    /// delta body with per-row weights, under a window one insert per row
+    /// (an arrival's evictions depend on its timestamp). A base row enters
+    /// the delta log after the rows its arrival evicted, which are logged
+    /// with its epoch. The §7.3 budget is checked once per run.
+    fn apply(&mut self, rel: usize, chunk: &Chunk, emit: &mut dyn FnMut(&[Value])) -> Result<()> {
+        let (payload, tags) = delta_columns(chunk)?;
+        let (arity, logged) = (payload.len(), self.blob_tx.is_some());
+        let mut next = 0;
+        while next < chunk.n_rows() {
+            let epoch = tags[1].value(next).as_int()?;
+            self.rows.clear();
+            self.mults.clear();
+            while next < chunk.n_rows() && tags[1].value(next).as_int()? == epoch {
+                self.rows.extend(payload.iter().map(|c| c.value(next)));
+                self.mults.push(tags[0].value(next).as_int()?);
+                next += 1;
             }
-        };
-        match &mut self.join.state {
-            JoinState::Full(j) => j.delta_into(rel, &base, mult, Some(&mut tagged)),
-            JoinState::Windowed { .. } if mult != 1 => {
-                return Err(SquallError::Runtime(format!(
-                    "windowed standing views are append-only (got a weight-{mult} delta)"
-                )))
-            }
-            JoinState::Windowed { .. } => {
-                self.join.insert_into(rel, &base, &mut tagged, |r, row, m| {
+            let rows = (0..self.mults.len()).map(|k| &self.rows[k * arity..][..arity]);
+            // Each non-zero result delta goes out as its row with
+            // `[multiplicity, epoch]` appended, assembled in one reused buffer.
+            let buf = &mut self.tagged;
+            let mut tagged = |row: &[Value], mult: i64| {
+                if mult != 0 {
+                    buf.clear();
+                    buf.extend_from_slice(row);
+                    buf.extend([Value::Int(mult), Value::Int(epoch)]);
+                    emit(buf);
+                }
+            };
+            match &mut self.join.state {
+                JoinState::Full(j) => {
+                    j.delta_into(rel, &self.rows, &self.mults, Some(&mut tagged));
                     if logged {
-                        self.log.push(r, row, -m, epoch as u64);
+                        for (row, &mult) in rows.zip(&self.mults) {
+                            self.log.push(rel, row, mult, epoch as u64);
+                        }
                     }
-                })?
+                }
+                JoinState::Windowed { .. } => {
+                    for (row, &mult) in rows.zip(&self.mults) {
+                        if mult != 1 {
+                            return Err(SquallError::Runtime(format!(
+                                "windowed standing views are append-only (got a weight-{mult} delta)"
+                            )));
+                        }
+                        self.join.insert_into(rel, row, &mut tagged, |r, row, m| {
+                            if logged {
+                                self.log.push(r, row, -m, epoch as u64);
+                            }
+                        })?;
+                        if logged {
+                            self.log.push(rel, row, mult, epoch as u64);
+                        }
+                    }
+                }
             }
-        }
-        if logged {
-            self.log.push(rel, base, mult, epoch as u64);
+            self.join.check_budget()?;
         }
         Ok(())
     }
@@ -393,16 +419,22 @@ impl ViewJoinBolt {
     }
 }
 
-/// Row `i` of a delta-plane chunk as `(payload, multiplicity, epoch)`, the
-/// payload tuple built straight from the chunk's payload columns.
-fn split_delta(chunk: &Chunk, i: usize) -> Result<(Tuple, i64, i64)> {
+/// A delta-plane chunk's payload columns, and its `[multiplicity, epoch]`
+/// columns.
+fn delta_columns(chunk: &Chunk) -> Result<(&[Array], &[Array])> {
     let n = chunk.n_cols();
     if n < 2 {
         return Err(SquallError::Runtime(format!(
             "delta-plane tuple too narrow ({n} columns; needs payload + mult + epoch)"
         )));
     }
-    let (payload, tags) = chunk.columns().split_at(n - 2);
+    Ok(chunk.columns().split_at(n - 2))
+}
+
+/// Row `i` of a delta-plane chunk as `(payload, multiplicity, epoch)`, the
+/// payload tuple built straight from the chunk's payload columns.
+fn split_delta(chunk: &Chunk, i: usize) -> Result<(Tuple, i64, i64)> {
+    let (payload, tags) = delta_columns(chunk)?;
     let (mult, epoch) = (tags[0].value(i).as_int()?, tags[1].value(i).as_int()?);
     Ok((payload.iter().map(|c| c.value(i)).collect(), mult, epoch))
 }
@@ -415,10 +447,7 @@ impl Bolt for ViewJoinBolt {
         out: &mut OutputCollector,
     ) -> Result<()> {
         let rel = self.join.rel_of(origin)?;
-        (0..chunk.n_rows()).try_for_each(|i| {
-            self.apply(rel, chunk, i, &mut |row| out.emit_row(row))?;
-            self.join.check_budget()
-        })
+        self.apply(rel, chunk, &mut |row| out.emit_row(row))
     }
 
     fn watermark(
@@ -1300,9 +1329,9 @@ mod tests {
         let mut bolt = ViewJoinBolt::new(join, 2, Some(tx), 0);
         let delta = |row: Tuple, epoch| Chunk::from_tuples(&[tag_delta(&row, 1, epoch)]);
         let discard = &mut |_: &[Value]| {};
-        bolt.apply(R, &delta(tuple![1, 10], 16), 0, discard).unwrap();
-        bolt.apply(S, &delta(tuple![1, 100], 16), 0, discard).unwrap();
-        bolt.apply(R, &delta(tuple![2, 20], 17), 0, discard).unwrap();
+        bolt.apply(R, &delta(tuple![1, 10], 16), discard).unwrap();
+        bolt.apply(S, &delta(tuple![1, 100], 16), discard).unwrap();
+        bolt.apply(R, &delta(tuple![2, 20], 17), discard).unwrap();
         bolt.ship(16);
         bolt.ship(32);
         let blobs: Vec<SnapshotBlobMsg> = rx.try_iter().collect();
@@ -1367,7 +1396,7 @@ mod tests {
         ];
         for (epoch, round) in (1..).zip(rounds) {
             for (rel, row) in round {
-                bolt.apply(rel, &delta(row, epoch), 0, &mut |_| {}).unwrap();
+                bolt.apply(rel, &delta(row, epoch), &mut |_| {}).unwrap();
             }
             bolt.ship(epoch);
         }
@@ -1400,8 +1429,8 @@ mod tests {
         // S@25 and R@26 close bucket [10, 20) and join in [20, 30).
         for (rel, row) in [(S, tuple![1, 25]), (R, tuple![1, 26]), (S, tuple![2, 27])] {
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            bolt.apply(rel, &delta(row.clone(), 4), 0, &mut |t| a.push(Tuple::from(t))).unwrap();
-            restored.apply(rel, &delta(row, 4), 0, &mut |t| b.push(Tuple::from(t))).unwrap();
+            bolt.apply(rel, &delta(row.clone(), 4), &mut |t| a.push(Tuple::from(t))).unwrap();
+            restored.apply(rel, &delta(row, 4), &mut |t| b.push(Tuple::from(t))).unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(sealed(&restored), sealed(&bolt));

@@ -21,13 +21,26 @@
 //! so the join is `k` independent index probes plus a cross-combination,
 //! never a recomputation. The delta for the full relation set is the
 //! emitted result.
+//!
+//! The delta body takes a **batch**: rows of one relation `Rᵢ`, each with
+//! its signed weight — one Z-set `ΔRᵢ` (a single row is a batch of one).
+//! The join is bilinear, and no view a plan for `Rᵢ` probes contains `Rᵢ`,
+//! so `ΔV_S = ΔRᵢ ⋈ V_C₁ ⋈ … ⋈ V_Cₖ` holds for the whole batch against the
+//! views as they stand. The loop is therefore plan-major: for each plan,
+//! one tight pass folds every row's key hash for the first indexed
+//! component and drops the rows with no posting there (a posting only
+//! shares a hash; keys are checked by the probe), then the survivors are
+//! probed, cross-combined and assembled in row order. Every target view
+//! receives its rows in the order the row-at-a-time loop gave them, and
+//! the one result plan emits in row order, so results, posting order and
+//! snapshot bytes are those of feeding the rows one by one.
 
 use squall_common::codec::Reader;
 use squall_common::{FxHashMap, Result, Tuple, Value};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::MultiJoinSpec;
 
-use crate::views::{RowId, View};
+use crate::views::{key_hash, RowId, View};
 use crate::{LocalJoin, RowSink, Snapshot};
 
 /// How one segment of a ΔV_S tuple is assembled.
@@ -78,6 +91,8 @@ pub struct DBToasterJoin {
     /// Assembly buffer for one ΔV_S row: handed to [`View::update`], or to
     /// the result sink, as a borrowed row.
     scratch_values: Vec<Value>,
+    /// The batch rows one plan's screening pass keeps.
+    scratch_rows: Vec<usize>,
 }
 
 /// The relations of `mask` reachable from `start` (a member of `mask`)
@@ -215,6 +230,7 @@ impl DBToasterJoin {
             scratch_matches: Vec::new(),
             scratch_idx: Vec::new(),
             scratch_values: Vec::new(),
+            scratch_rows: Vec::new(),
         }
     }
 
@@ -224,124 +240,150 @@ impl DBToasterJoin {
         self.views.iter().map(|v| (v.members.clone(), v.len())).collect()
     }
 
-    /// Apply a **signed** delta `(row, mult)` to relation `rel` and push
-    /// the resulting signed result deltas into `out` — the Z-set face of
-    /// the operator used by standing materialized views: `mult = +1`
-    /// inserts, `mult = -1` retracts, and emitted multiplicities carry the
-    /// sign through (a retraction of a stored match emits a negative
-    /// delta). Intermediate views are maintained exactly as for
-    /// [`LocalJoin::insert`]/[`LocalJoin::remove`].
-    pub fn delta(&mut self, rel: usize, row: &[Value], mult: i64, out: &mut Vec<(Tuple, i64)>) {
-        self.delta_into(rel, row, mult, Some(out));
+    /// Apply a batch of **signed** deltas, each of `rows` with weight
+    /// `mult`, to relation `rel` and push the resulting signed result
+    /// deltas into `out` — the Z-set face of the operator used by standing
+    /// materialized views: `mult = +1` inserts, `mult = -1` retracts, and
+    /// emitted multiplicities carry the sign through (a retraction of a
+    /// stored match emits a negative delta). `rows` holds one or more rows
+    /// of `rel` back to back (a `&Tuple` is one). Intermediate views are
+    /// maintained exactly as for [`LocalJoin::insert`]/[`LocalJoin::remove`].
+    pub fn delta(&mut self, rel: usize, rows: &[Value], mult: i64, out: &mut Vec<(Tuple, i64)>) {
+        self.delta_into(rel, rows, &[mult], Some(out));
     }
 
-    /// [`DBToasterJoin::delta`] into any sink, or into none: a result
-    /// delta nobody reads is not even probed for.
+    /// [`DBToasterJoin::delta`] into any sink, or into none — a result
+    /// delta nobody reads is not even probed for — with `mults` holding
+    /// one weight per row, or one for every row. This is the operator's one
+    /// delta body: every other entry point forwards a batch to it. (The
+    /// rows of a zero-arity relation are counted by their weights.)
     pub fn delta_into(
         &mut self,
         rel: usize,
-        row: &[Value],
-        mult: i64,
+        rows: &[Value],
+        mults: &[i64],
         mut out: Option<&mut dyn RowSink>,
     ) {
-        debug_assert_eq!(row.len(), self.arities[rel], "arity mismatch for relation {rel}");
-        // Scratch buffers move out of `self` for the duration of the call
-        // so the plan iteration below can still borrow `self.plans`; they
-        // are restored (capacity intact) on exit.
+        let arity = self.arities[rel];
+        let n = match mults.len() {
+            1 => crate::batch_len(rows, arity),
+            n => n,
+        };
+        debug_assert_eq!(rows.len(), n * arity, "rows of relation {rel} are {arity} wide");
+        let row = |i: usize| &rows[i * arity..][..arity];
+        let mult = |i: usize| mults[if mults.len() == 1 { 0 } else { i }];
+        // Scratch buffers move out of `self` once per batch so the plan
+        // iteration below can still borrow `self.plans`; they are restored
+        // (capacity intact) on exit.
         let mut match_bufs = std::mem::take(&mut self.scratch_matches);
         let mut idx = std::mem::take(&mut self.scratch_idx);
         let mut values = std::mem::take(&mut self.scratch_values);
+        let mut screened = std::mem::take(&mut self.scratch_rows);
         for plan in &self.plans[rel] {
             if plan.view_id.is_none() && out.is_none() {
                 continue; // a result delta nobody reads: not even probed
             }
             if plan.comps.is_empty() {
                 // ΔV_{rel} is the arrival itself.
-                match (plan.view_id, &mut out) {
-                    (Some(vid), _) => self.views[vid].update(row, mult),
-                    (None, Some(out)) => out.push(row, mult),
-                    (None, None) => {}
+                for i in 0..n {
+                    match (plan.view_id, &mut out) {
+                        (Some(vid), _) => self.views[vid].update(row(i), mult(i)),
+                        (None, Some(out)) => out.push(row(i), mult(i)),
+                        (None, None) => {}
+                    }
                 }
                 continue;
             }
-            // Probe every component. Matches are kept as row ids: the
-            // probed views never contain `rel`, so they do not change
-            // while this plan updates its target.
+            // Pass 1: keep the rows whose key has a posting in the first
+            // indexed component. A posting is only a shared hash, not an
+            // equal key: pass 2 checks the keys.
+            screened.clear();
+            match plan.comps.iter().find_map(|cp| Some((cp, cp.index_id?))) {
+                Some((cp, ix)) => {
+                    let postings = self.views[cp.view_id].postings(ix);
+                    screened.extend((0..n).filter(|&i| {
+                        let row = row(i);
+                        !postings.get(key_hash(cp.my_cols.iter().map(|&c| &row[c]))).is_empty()
+                    }));
+                }
+                None => screened.extend(0..n),
+            }
+            // Pass 2, in row order: probe every component. Matches are kept
+            // as row ids: the probed views never contain `rel`, so they do
+            // not change while this plan updates its target.
             if match_bufs.len() < plan.comps.len() {
                 match_bufs.resize_with(plan.comps.len(), Vec::new);
             }
             let matches = &mut match_bufs[..plan.comps.len()];
-            let mut dead = false;
-            for (cp, found) in plan.comps.iter().zip(matches.iter_mut()) {
-                let view = &self.views[cp.view_id];
-                let keep = |id: RowId| {
-                    let (t, m) = view.row(id);
-                    cp.theta
-                        .iter()
-                        .all(|&(mc, op, vc)| op.eval(&row[mc], &t[vc]))
-                        .then_some((id, m))
-                };
-                found.clear();
-                match cp.index_id {
-                    Some(ix) => {
-                        let key = cp.my_cols.iter().map(|&c| &row[c]);
-                        found.extend(view.probe_ids(ix, key).filter_map(keep));
+            'rows: for (row, mult) in screened.iter().map(|&i| (row(i), mult(i))) {
+                for (cp, found) in plan.comps.iter().zip(matches.iter_mut()) {
+                    let view = &self.views[cp.view_id];
+                    let keep = |id: RowId| {
+                        let (t, m) = view.row(id);
+                        cp.theta
+                            .iter()
+                            .all(|&(mc, op, vc)| op.eval(&row[mc], &t[vc]))
+                            .then_some((id, m))
+                    };
+                    found.clear();
+                    match cp.index_id {
+                        Some(ix) => {
+                            let key = cp.my_cols.iter().map(|&c| &row[c]);
+                            found.extend(view.probe_ids(ix, key).filter_map(keep));
+                        }
+                        None => found.extend(view.scan_ids().filter_map(keep)),
                     }
-                    None => found.extend(view.scan_ids().filter_map(keep)),
+                    if found.is_empty() {
+                        continue 'rows;
+                    }
                 }
-                if found.is_empty() {
-                    dead = true;
-                    break;
-                }
-            }
-            if dead {
-                continue;
-            }
-            // Cross-combine the component matches.
-            idx.clear();
-            idx.resize(matches.len(), 0);
-            loop {
-                let mut delta_mult = mult;
-                for (c, &i) in idx.iter().enumerate() {
-                    delta_mult *= matches[c][i].1;
-                }
-                values.clear();
-                for seg in &plan.assembly {
-                    match *seg {
-                        Segment::Delta => values.extend_from_slice(row),
-                        Segment::Comp { comp, start, len } => {
-                            let (t, _) = self.views[plan.comps[comp].view_id]
-                                .row(matches[comp][idx[comp]].0);
-                            values.extend_from_slice(&t[start..start + len]);
+                // Cross-combine the component matches.
+                idx.clear();
+                idx.resize(matches.len(), 0);
+                loop {
+                    let mut delta_mult = mult;
+                    for (c, &i) in idx.iter().enumerate() {
+                        delta_mult *= matches[c][i].1;
+                    }
+                    values.clear();
+                    for seg in &plan.assembly {
+                        match *seg {
+                            Segment::Delta => values.extend_from_slice(row),
+                            Segment::Comp { comp, start, len } => {
+                                let (t, _) = self.views[plan.comps[comp].view_id]
+                                    .row(matches[comp][idx[comp]].0);
+                                values.extend_from_slice(&t[start..start + len]);
+                            }
                         }
                     }
-                }
-                match (plan.view_id, &mut out) {
-                    (Some(vid), _) => self.views[vid].update(&values, delta_mult),
-                    (None, Some(out)) => out.push(&values, delta_mult),
-                    (None, None) => {}
-                }
-                // Advance the odometer.
-                let mut c = 0;
-                loop {
+                    match (plan.view_id, &mut out) {
+                        (Some(vid), _) => self.views[vid].update(&values, delta_mult),
+                        (None, Some(out)) => out.push(&values, delta_mult),
+                        (None, None) => {}
+                    }
+                    // Advance the odometer.
+                    let mut c = 0;
+                    loop {
+                        if c == idx.len() {
+                            break;
+                        }
+                        idx[c] += 1;
+                        if idx[c] < matches[c].len() {
+                            break;
+                        }
+                        idx[c] = 0;
+                        c += 1;
+                    }
                     if c == idx.len() {
                         break;
                     }
-                    idx[c] += 1;
-                    if idx[c] < matches[c].len() {
-                        break;
-                    }
-                    idx[c] = 0;
-                    c += 1;
-                }
-                if c == idx.len() {
-                    break;
                 }
             }
         }
         self.scratch_matches = match_bufs;
         self.scratch_idx = idx;
         self.scratch_values = values;
+        self.scratch_rows = screened;
     }
 }
 
@@ -363,24 +405,23 @@ impl Snapshot for DBToasterJoin {
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
         let mut bases: Vec<Vec<(Tuple, i64)>> = Vec::new();
         bases.restore_state(r)?;
-        let mut discard = Vec::new();
-        for (rel, rows) in bases.iter().enumerate() {
-            for (t, m) in rows {
-                self.delta(rel, t, *m, &mut discard);
-                discard.clear();
-            }
+        for (rel, base) in bases.iter().enumerate() {
+            let rows: Vec<Value> =
+                base.iter().flat_map(|(t, _)| t.values().iter().cloned()).collect();
+            let mults: Vec<i64> = base.iter().map(|&(_, m)| m).collect();
+            self.delta_into(rel, &rows, &mults, None);
         }
         Ok(())
     }
 }
 
 impl LocalJoin for DBToasterJoin {
-    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink) {
-        self.delta_into(rel, row, 1, Some(out));
+    fn insert_into(&mut self, rel: usize, rows: &[Value], out: &mut dyn RowSink) {
+        self.delta_into(rel, rows, &[1], Some(out));
     }
 
-    fn remove(&mut self, rel: usize, row: &[Value], mult: i64) {
-        self.delta_into(rel, row, -mult, None);
+    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64) {
+        self.delta_into(rel, rows, &[-mult], None);
     }
 
     fn stored(&self) -> usize {
@@ -397,9 +438,10 @@ impl LocalJoin for DBToasterJoin {
 /// what COUNT/SUM consumers need.
 pub struct AggregatedDBToaster {
     inner: DBToasterJoin,
-    /// Per relation: the original columns retained (sorted).
+    /// Per relation: its arity, and the original columns retained (sorted).
+    arities: Vec<usize>,
     kept: Vec<Vec<usize>>,
-    /// The arrival projected onto its kept columns.
+    /// The arrivals projected onto their kept columns.
     projected: Vec<Value>,
 }
 
@@ -457,7 +499,12 @@ impl AggregatedDBToaster {
             .collect();
         let projected =
             MultiJoinSpec::new(relations, atoms).expect("projection preserves validity");
-        AggregatedDBToaster { inner: DBToasterJoin::new(&projected), kept, projected: Vec::new() }
+        AggregatedDBToaster {
+            inner: DBToasterJoin::new(&projected),
+            arities: spec.relations.iter().map(|r| r.schema.arity()).collect(),
+            kept,
+            projected: Vec::new(),
+        }
     }
 
     /// Join-keys-only variant (COUNT(*) queries).
@@ -465,10 +512,14 @@ impl AggregatedDBToaster {
         AggregatedDBToaster::new(spec, &vec![Vec::new(); spec.n_relations()])
     }
 
-    /// The inner join, and `row` of `rel` projected into the reused buffer.
-    fn project(&mut self, rel: usize, row: &[Value]) -> (&mut DBToasterJoin, &[Value]) {
+    /// The inner join, and the `rows` of `rel` projected into the reused
+    /// buffer.
+    fn project(&mut self, rel: usize, rows: &[Value]) -> (&mut DBToasterJoin, &[Value]) {
+        let (arity, kept) = (self.arities[rel], &self.kept[rel]);
         self.projected.clear();
-        self.projected.extend(self.kept[rel].iter().map(|&c| row[c].clone()));
+        for row in rows.chunks_exact(arity) {
+            self.projected.extend(kept.iter().map(|&c| row[c].clone()));
+        }
         (&mut self.inner, &self.projected)
     }
 }
@@ -486,14 +537,14 @@ impl Snapshot for AggregatedDBToaster {
 }
 
 impl LocalJoin for AggregatedDBToaster {
-    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink) {
-        let (inner, row) = self.project(rel, row);
-        inner.insert_into(rel, row, out)
+    fn insert_into(&mut self, rel: usize, rows: &[Value], out: &mut dyn RowSink) {
+        let (inner, rows) = self.project(rel, rows);
+        inner.insert_into(rel, rows, out)
     }
 
-    fn remove(&mut self, rel: usize, row: &[Value], mult: i64) {
-        let (inner, row) = self.project(rel, row);
-        inner.remove(rel, row, mult)
+    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64) {
+        let (inner, rows) = self.project(rel, rows);
+        inner.remove(rel, rows, mult)
     }
 
     fn stored(&self) -> usize {
@@ -836,7 +887,7 @@ mod tests {
                     expand[k].insert(rel, row(rel, i), &mut expanded[k]);
                     weigh[k].insert_weighted(rel, row(rel, i), &mut weighted[k]);
                 }
-                dbtoaster.delta_into(rel, row(rel, i), 1, Some(&mut signed));
+                dbtoaster.delta_into(rel, row(rel, i), &[1], Some(&mut signed));
             }
             for k in 0..4 {
                 let faces = [
@@ -929,6 +980,115 @@ mod tests {
         let weighted = Weights::of(weighted.iter().map(|(t, m)| (t, *m)));
         assert_eq!(weighted, oracle, "{n}-way {window:?}: weighted");
         oracle.heaviest()
+    }
+
+    /// The shapes the batch model runs: the 3-chain, the star (an `F`
+    /// arrival probes two components), equi plus theta atoms, and the
+    /// scan-only inequality join.
+    fn batch_shapes() -> Vec<MultiJoinSpec> {
+        let rel = |name: &str, arity: usize| {
+            let cols: Vec<(&str, DataType)> =
+                ["a", "b"][..arity].iter().map(|&c| (c, DataType::Int)).collect();
+            RelationDef::new(name, Schema::of(&cols), 0)
+        };
+        let lt = |l, lc, r, rc| JoinAtom {
+            left_rel: l,
+            left_col: lc,
+            op: CmpOp::Lt,
+            right_rel: r,
+            right_col: rc,
+        };
+        [
+            (vec![rel("R", 2), rel("S", 2), rel("T", 2)], chain3().atoms),
+            (
+                vec![rel("F", 2), rel("D1", 1), rel("D2", 1)],
+                vec![JoinAtom::eq(0, 0, 1, 0), JoinAtom::eq(0, 1, 2, 0)],
+            ),
+            (vec![rel("R", 2), rel("S", 2)], vec![JoinAtom::eq(0, 0, 1, 0), lt(0, 1, 1, 1)]),
+            (vec![rel("R", 1), rel("S", 1)], vec![lt(0, 0, 1, 0)]),
+        ]
+        .into_iter()
+        .map(|(rels, atoms)| MultiJoinSpec::new(rels, atoms).unwrap())
+        .collect()
+    }
+
+    /// One seed of the batch model: runs of one relation's rows, of random
+    /// length 1–70, go through the batch body — per-row ±1 weights, one
+    /// weight for the run, or the `LocalJoin` face — while a second join
+    /// takes the same rows one at a time. After every run both must have
+    /// emitted the same results in the same order with the same weights,
+    /// and hold the same state, down to the snapshot bytes; at the end the
+    /// results must integrate to the nested loop over the live rows. Keys
+    /// mix `Int` and equal `Float`s, rows repeat, and a retraction takes
+    /// back a live row.
+    fn check_batches_equal_rows(seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let collide = rng.next_below(2) == 1;
+        crate::views::ALL_KEYS_COLLIDE.with(|c| c.set(collide));
+        let spec = batch_shapes().swap_remove(rng.next_below(4));
+        let (mut batched, mut single) = (DBToasterJoin::new(&spec), DBToasterJoin::new(&spec));
+        let mut live: Vec<Vec<Tuple>> = vec![Vec::new(); spec.n_relations()];
+        let mut integral = Weights::default();
+        for run in 0..rng.next_range(1, 6) {
+            let rel = rng.next_below(spec.n_relations());
+            let arity = spec.relations[rel].schema.arity();
+            // 0: per-row ±1 weights; 1: inserts; 2: retractions under one weight.
+            let form = rng.next_below(3);
+            let (mut rows, mut mults) = (Vec::new(), Vec::new());
+            for _ in 0..rng.next_range(1, 70) {
+                let retract = form == 2 || form == 0 && rng.next_below(3) == 0;
+                let (row, mult) = match live[rel].len() {
+                    0 if form == 2 => break,
+                    n if retract && n > 0 => (live[rel].swap_remove(rng.next_below(n)), -1),
+                    n if n > 0 && rng.next_below(4) == 0 => {
+                        (live[rel][rng.next_below(n)].clone(), 1)
+                    }
+                    _ => {
+                        let mut key = || match rng.next_range(0, 5) {
+                            k if rng.next_below(3) == 0 => Value::Float(k as f64),
+                            k => Value::Int(k),
+                        };
+                        ((0..arity).map(|_| key()).collect(), 1)
+                    }
+                };
+                if mult > 0 {
+                    live[rel].push(row.clone());
+                }
+                rows.extend_from_slice(&row);
+                mults.push(mult);
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut into_a = |row: &[Value], m: i64| a.push((Tuple::from(row), m));
+            match form {
+                0 => batched.delta_into(rel, &rows, &mults, Some(&mut into_a)),
+                1 => batched.insert_into(rel, &rows, &mut into_a),
+                _ => batched.delta_into(rel, &rows, &[-1], Some(&mut into_a)),
+            }
+            let mut into_b = |row: &[Value], m: i64| b.push((Tuple::from(row), m));
+            for (row, &m) in rows.chunks(arity).zip(&mults) {
+                single.delta_into(rel, row, &[m], Some(&mut into_b));
+            }
+            let what =
+                format!("seed {seed} (colliding hash: {collide}), run {run} of relation {rel}");
+            assert_eq!(a, b, "{what}: results");
+            assert_eq!(batched.stored(), single.stored(), "{what}: stored");
+            let (mut sa, mut sb) = (Vec::new(), Vec::new());
+            batched.snapshot_state(&mut sa);
+            single.snapshot_state(&mut sb);
+            assert_eq!(sa, sb, "{what}: snapshot bytes");
+            a.iter().for_each(|(t, m)| integral.push(t, *m));
+        }
+        let nested = Weights::of(naive_join(&spec, &live).iter().map(|t| (t, 1)));
+        assert_eq!(integral, nested, "seed {seed} (colliding hash: {collide}): nested loop");
+        crate::views::ALL_KEYS_COLLIDE.with(|c| c.set(false));
+    }
+
+    #[test]
+    fn batch_delta_model() {
+        // More seeds in a release build (CI's "batch delta model check").
+        for seed in 0..if cfg!(debug_assertions) { 300 } else { 5_000 } {
+            check_batches_equal_rows(seed);
+        }
     }
 
     #[test]

@@ -80,49 +80,57 @@ impl RowSink for Vec<(Tuple, i64)> {
     }
 }
 
-/// A local online multi-way join: row in, (possibly several) join results
-/// out, state updated. Arrivals and results are borrowed rows — a `&Tuple`
-/// is one.
+/// A local online multi-way join: rows in, (possibly several) join results
+/// out, state updated. Arrivals are one or more rows of one relation, back
+/// to back in one borrowed slice — a `&Tuple` is one row — and results are
+/// borrowed rows.
 pub trait LocalJoin: Send {
-    /// Insert one row of relation `rel`; push every join result this
-    /// arrival completes (concatenated in relation order, matching
-    /// [`squall_expr::MultiJoinSpec::output_schema`]) into `out` with its
-    /// multiplicity. Duplicates are not expanded: downstream aggregates
-    /// (the paper's COUNT / SUM queries) only need the weights, which lets
-    /// DBToaster's aggregated views skip materializing hot-key outputs
-    /// entirely — the source of its §3.3 advantage.
-    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink);
+    /// Insert the `rows` of relation `rel`, in order; push every join
+    /// result an arrival completes (concatenated in relation order,
+    /// matching [`squall_expr::MultiJoinSpec::output_schema`]) into `out`
+    /// with its multiplicity. Duplicates are not expanded: downstream
+    /// aggregates (the paper's COUNT / SUM queries) only need the weights,
+    /// which lets DBToaster's aggregated views skip materializing hot-key
+    /// outputs entirely — the source of its §3.3 advantage.
+    fn insert_into(&mut self, rel: usize, rows: &[Value], out: &mut dyn RowSink);
 
-    /// Remove `mult` stored instances of `row` from `rel` (window
+    /// Remove `mult` stored instances of each of `rows` from `rel` (window
     /// expiration). No retractions are emitted: results already produced
     /// were valid when their inputs co-existed in the window.
-    fn remove(&mut self, rel: usize, row: &[Value], mult: i64);
+    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64);
 
     /// Stored tuples across all relations/views (memory accounting; drives
     /// the per-machine memory budget of §7.3).
     fn stored(&self) -> usize;
 
     /// [`LocalJoin::insert_into`], each result expanded into tuples.
-    fn insert(&mut self, rel: usize, row: &[Value], out: &mut Vec<Tuple>) {
-        self.insert_into(rel, row, out)
+    fn insert(&mut self, rel: usize, rows: &[Value], out: &mut Vec<Tuple>) {
+        self.insert_into(rel, rows, out)
     }
 
     /// [`LocalJoin::insert_into`] as `(tuple, multiplicity)` pairs.
-    fn insert_weighted(&mut self, rel: usize, row: &[Value], out: &mut Vec<(Tuple, i64)>) {
-        self.insert_into(rel, row, out)
+    fn insert_weighted(&mut self, rel: usize, rows: &[Value], out: &mut Vec<(Tuple, i64)>) {
+        self.insert_into(rel, rows, out)
     }
 }
 
 impl<J: LocalJoin + ?Sized> LocalJoin for Box<J> {
-    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink) {
-        (**self).insert_into(rel, row, out)
+    fn insert_into(&mut self, rel: usize, rows: &[Value], out: &mut dyn RowSink) {
+        (**self).insert_into(rel, rows, out)
     }
 
-    fn remove(&mut self, rel: usize, row: &[Value], mult: i64) {
-        (**self).remove(rel, row, mult)
+    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64) {
+        (**self).remove(rel, rows, mult)
     }
 
     fn stored(&self) -> usize {
         (**self).stored()
     }
+}
+
+/// The rows in a batch of `arity`-wide rows laid back to back; a batch of
+/// a zero-arity relation is one row.
+fn batch_len(rows: &[Value], arity: usize) -> usize {
+    debug_assert_eq!(rows.len() % arity.max(1), 0, "a batch of {arity}-wide rows");
+    rows.len().checked_div(arity).unwrap_or(1)
 }

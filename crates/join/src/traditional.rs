@@ -39,7 +39,7 @@ struct Step {
 
 /// The traditional indexed symmetric n-way join.
 pub struct TraditionalJoin {
-    n: usize,
+    arities: Vec<usize>,
     bases: Vec<View>,
     /// `plans[i]` = cascade to run when a tuple arrives at relation `i`.
     plans: Vec<Vec<Step>>,
@@ -132,7 +132,7 @@ impl TraditionalJoin {
             plans.push(steps);
             emit_order.push(emits);
         }
-        TraditionalJoin { n, bases, plans, emit_order, values: Vec::new() }
+        TraditionalJoin { arities, bases, plans, emit_order, values: Vec::new() }
     }
 
     /// Bind the relations of `rel`'s cascade from `step` on; `bound` holds
@@ -193,22 +193,29 @@ impl TraditionalJoin {
 }
 
 impl LocalJoin for TraditionalJoin {
-    fn insert_into(&mut self, rel: usize, row: &[Value], out: &mut dyn RowSink) {
-        // Produce results completed by this arrival (against stored state),
-        // then store the row.
-        if self.n == 1 {
-            out.push(row, 1);
-        } else {
-            let mut bound = Vec::with_capacity(self.n - 1);
-            let mut values = std::mem::take(&mut self.values);
-            self.cascade(rel, row, 0, &mut bound, &mut values, out);
-            self.values = values;
+    fn insert_into(&mut self, rel: usize, rows: &[Value], out: &mut dyn RowSink) {
+        // Row by row: produce the results each arrival completes (against
+        // stored state), then store it.
+        let (arity, n) = (self.arities[rel], self.arities.len());
+        let mut values = std::mem::take(&mut self.values);
+        for i in 0..crate::batch_len(rows, arity) {
+            let row = &rows[i * arity..][..arity];
+            if n == 1 {
+                out.push(row, 1);
+            } else {
+                let mut bound = Vec::with_capacity(n - 1);
+                self.cascade(rel, row, 0, &mut bound, &mut values, out);
+            }
+            self.bases[rel].update(row, 1);
         }
-        self.bases[rel].update(row, 1);
+        self.values = values;
     }
 
-    fn remove(&mut self, rel: usize, row: &[Value], mult: i64) {
-        self.bases[rel].update(row, -mult);
+    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64) {
+        let arity = self.arities[rel];
+        for i in 0..crate::batch_len(rows, arity) {
+            self.bases[rel].update(&rows[i * arity..][..arity], -mult);
+        }
     }
 
     fn stored(&self) -> usize {

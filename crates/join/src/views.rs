@@ -17,8 +17,13 @@
 //! share a hash, every probe checks the key against the slab row. A
 //! probe's matches come out in posting order, a pure function of the
 //! update sequence. Probes with no equi columns scan the slab.
+//!
+//! An update looks its row up in the identity postings once: one map entry
+//! both finds a stored equal row (whose multiplicity it moves) and, when
+//! there is none, files the new row's slot — beside any unequal rows that
+//! share the hash. Only the other indexes hash and file the row again.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::hash::{Hash, Hasher};
 
 use squall_common::hash::FxHasher;
@@ -78,6 +83,16 @@ enum Ids {
     Many(u32),
 }
 
+/// What [`Postings::find_or_file`] did.
+enum Filed {
+    /// An id already filed matched.
+    Found(u32),
+    /// None matched, and the new id is filed.
+    New(u32),
+    /// None matched, and there was no new id to file.
+    Absent,
+}
+
 impl Postings {
     /// The ids filed under `hash`.
     pub fn get(&self, hash: u64) -> &[u32] {
@@ -94,17 +109,58 @@ impl Postings {
             Entry::Vacant(e) => {
                 e.insert(Ids::One(id));
             }
-            Entry::Occupied(mut e) => match *e.get() {
-                Ids::Many(list) => self.lists[list as usize].push(id),
-                Ids::One(first) => {
-                    let list = self.spare.pop().unwrap_or_else(|| {
-                        self.lists.push(Vec::new());
-                        (self.lists.len() - 1) as u32
-                    });
-                    self.lists[list as usize].extend([first, id]);
-                    e.insert(Ids::Many(list));
+            Entry::Occupied(e) => Self::file_beside(&mut self.lists, &mut self.spare, e, id),
+        }
+    }
+
+    /// With one map lookup: the id under `hash` that `is_match` accepts,
+    /// or else `new` (if any) filed under `hash`.
+    fn find_or_file(
+        &mut self,
+        hash: u64,
+        is_match: impl Fn(u32) -> bool,
+        new: Option<u32>,
+    ) -> Filed {
+        match self.map.entry(hash) {
+            Entry::Vacant(e) => match new {
+                Some(id) => {
+                    e.insert(Ids::One(id));
+                    Filed::New(id)
                 }
+                None => Filed::Absent,
             },
+            Entry::Occupied(e) => {
+                let ids = match e.get() {
+                    Ids::One(id) => std::slice::from_ref(id),
+                    &Ids::Many(list) => &self.lists[list as usize],
+                };
+                if let Some(&id) = ids.iter().find(|&&id| is_match(id)) {
+                    return Filed::Found(id);
+                }
+                let Some(id) = new else { return Filed::Absent };
+                Self::file_beside(&mut self.lists, &mut self.spare, e, id);
+                Filed::New(id)
+            }
+        }
+    }
+
+    /// File `id` beside the ids `e` already holds.
+    fn file_beside(
+        lists: &mut Vec<Vec<u32>>,
+        spare: &mut Vec<u32>,
+        mut e: OccupiedEntry<'_, u64, Ids>,
+        id: u32,
+    ) {
+        match *e.get() {
+            Ids::Many(list) => lists[list as usize].push(id),
+            Ids::One(first) => {
+                let list = spare.pop().unwrap_or_else(|| {
+                    lists.push(Vec::new());
+                    (lists.len() - 1) as u32
+                });
+                lists[list as usize].extend([first, id]);
+                e.insert(Ids::Many(list));
+            }
         }
     }
 
@@ -126,11 +182,14 @@ impl Postings {
     }
 }
 
+#[cfg(test)]
+pub(crate) use tests::ALL_KEYS_COLLIDE;
+
 /// Fold key values exactly as hashing them one after the other through
 /// [`FxHasher`] does.
 pub fn key_hash<'k>(key: impl Iterator<Item = &'k Value>) -> u64 {
     #[cfg(test)]
-    if tests::ALL_KEYS_COLLIDE.with(std::cell::Cell::get) {
+    if ALL_KEYS_COLLIDE.with(std::cell::Cell::get) {
         return 0;
     }
     let mut h = FxHasher::default();
@@ -228,8 +287,17 @@ impl View {
             0 => hash,
             _ => key_hash(ix.cols.iter().map(|&c| &row[c])),
         };
-        match self.find(row, hash) {
-            Some(id) => {
+        // The slot a new row would take, filed in the same identity lookup
+        // that searches for the row.
+        let new = (mult > 0).then(|| match self.free.last() {
+            Some(&id) => id,
+            None => RowId::try_from(self.mults.len())
+                .expect("a view holds fewer than 2^32 distinct rows"),
+        });
+        let (vals, width) = (&self.vals, self.width);
+        let is_row = |id: RowId| &vals[id as usize * width..][..width] == row;
+        match self.indexes[0].postings.find_or_file(hash, is_row, new) {
+            Filed::Found(id) => {
                 let stored = &mut self.mults[id as usize];
                 let applied = mult.max(-*stored);
                 *stored += applied;
@@ -241,29 +309,28 @@ impl View {
                     }
                 }
             }
-            None if mult > 0 => {
-                let id = match self.free.pop() {
-                    Some(id) => {
-                        let at = id as usize * self.width;
-                        self.vals[at..at + self.width].clone_from_slice(row);
-                        self.mults[id as usize] = mult;
-                        id
-                    }
-                    None => {
-                        let id = RowId::try_from(self.mults.len())
-                            .expect("a view holds fewer than 2^32 distinct rows");
-                        self.vals.extend_from_slice(row);
-                        self.mults.push(mult);
-                        id
-                    }
-                };
+            Filed::New(id) => {
+                if self.free.pop().is_some() {
+                    let at = id as usize * self.width;
+                    self.vals[at..at + self.width].clone_from_slice(row);
+                    self.mults[id as usize] = mult;
+                } else {
+                    self.vals.extend_from_slice(row);
+                    self.mults.push(mult);
+                }
                 self.count += mult;
-                for (i, ix) in self.indexes.iter_mut().enumerate() {
+                for (i, ix) in self.indexes.iter_mut().enumerate().skip(1) {
                     ix.postings.insert(hash_of(ix, i), id);
                 }
             }
-            None => {} // retracting a row that is not stored changes nothing
+            Filed::Absent => {} // retracting a row that is not stored changes nothing
         }
+    }
+
+    /// The posting table of index `index_id`: a key hash with no posting
+    /// there has no match, while one with a posting may still have none.
+    pub(crate) fn postings(&self, index_id: usize) -> &Postings {
+        &self.indexes[index_id].postings
     }
 
     /// Ids of the rows whose `index_id` columns equal `key`, in posting
@@ -351,7 +418,7 @@ mod tests {
 
     thread_local! {
         /// Degenerate hash for the calling test thread: every key hashes to 0.
-        pub(super) static ALL_KEYS_COLLIDE: Cell<bool> = const { Cell::new(false) };
+        pub(crate) static ALL_KEYS_COLLIDE: Cell<bool> = const { Cell::new(false) };
     }
 
     #[test]
