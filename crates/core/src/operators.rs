@@ -17,6 +17,18 @@ pub(crate) fn event_time(ts: i64, at: &str) -> Result<u64> {
         .map_err(|_| SquallError::Runtime(format!("negative event-time timestamp {ts} {at}")))
 }
 
+/// The extrema `(lo, hi)` of a join result's constituent timestamps, read
+/// from its event-time columns `ts_cols`.
+pub(crate) fn event_time_range(row: &[Value], ts_cols: &[usize], at: &str) -> Result<(u64, u64)> {
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    for &c in ts_cols {
+        let ts = event_time(row[c].as_int()?, at)?;
+        lo = lo.min(ts);
+        hi = hi.max(ts);
+    }
+    Ok((lo, hi))
+}
+
 /// How an engine row — a join result, or a raw aggregate row (group keys ++
 /// every aggregate, hidden HAVING-only ones included) — becomes a row of
 /// the query's answer: the HAVING gate, the SELECT projection and SQL's
@@ -114,7 +126,8 @@ impl Frontier {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinEmit {
     /// Emit every result tuple downstream (needed when an aggregate or
-    /// another operator consumes the join).
+    /// another operator consumes the join) — under a windowed aggregate,
+    /// folded into its partials ([`JoinBolt::with_window_aggregate`]).
     Results,
     /// Emit only a per-task `(count)` tuple at end-of-stream — the mode
     /// used for result-count benchmarks where materializing output would
@@ -223,17 +236,14 @@ pub struct JoinBolt {
     /// row under a window — reused from chunk to chunk.
     rows: Vec<Value>,
     results: u64,
-    /// Windowed join with a windowed aggregate downstream: forward the
-    /// bolt's watermark whenever it advances by at least this granule
-    /// (plus a final `u64::MAX` at end-of-stream). `None` = no forwarding.
-    wm_granule: Option<u64>,
-    /// Next watermark value at which a forward is due.
-    next_wm: u64,
+    /// The first phase of a windowed aggregate downstream, which results
+    /// fold into instead of being emitted; `None` without one.
+    partials: Option<WindowPartials>,
 }
 
 impl JoinBolt {
     pub(crate) fn over(join: TaskJoin<Box<dyn LocalJoin>>, emit: JoinEmit) -> JoinBolt {
-        JoinBolt { join, emit, rows: Vec::new(), results: 0, wm_granule: None, next_wm: 0 }
+        JoinBolt { join, emit, rows: Vec::new(), results: 0, partials: None }
     }
 
     /// A full-history join bolt.
@@ -268,19 +278,47 @@ impl JoinBolt {
         JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None }, emit)
     }
 
-    /// Forward this task's event-time watermark downstream whenever it
-    /// advances by at least `granule` time units, plus a final `u64::MAX`
-    /// watermark at end-of-stream. Windowed aggregation downstream closes
-    /// windows on the minimum forwarded watermark across all join tasks;
-    /// the granule throttles how often scatter buffers are flushed for a
-    /// watermark (one window length is the natural choice). Windowed
-    /// bolts only.
-    pub fn with_watermark_forwarding(mut self, granule: u64) -> JoinBolt {
+    /// Run the first phase of a windowed aggregate in this task
+    /// ([`WindowedAggBolt`] runs the second): fold each in-window result,
+    /// with its weight, into a partial aggregate keyed by the result's
+    /// window-start range ([`WindowSpec::window_starts`]) and group,
+    /// instead of emitting it. Whenever the task's event-time watermark `w`
+    /// has moved a window length past the last one forwarded, every partial
+    /// whose first window start lies below `close_boundary(w)` ships — one
+    /// row `(first, last, group…, accumulators…)` per key, see
+    /// [`GroupByAggregator::partial_rows`] — and then `w` itself; at
+    /// end-of-stream all of them, then `u64::MAX`. A shipped key is final:
+    /// every later result has a constituent at or past `w`, so its first
+    /// window start is at least `close_boundary(w)`. Nor is a shipped row
+    /// ever late: a shard closes below the minimum watermark across the
+    /// join tasks, which is at most this task's. `ts_cols` are the
+    /// event-time columns in join-output coordinates. Windowed bolts only.
+    pub fn with_window_aggregate(
+        mut self,
+        spec: WindowSpec,
+        ts_cols: Vec<usize>,
+        group_cols: Vec<usize>,
+        aggs: Vec<AggSpec>,
+    ) -> JoinBolt {
         assert!(
             matches!(self.join.state, JoinState::Windowed { .. }),
-            "watermark forwarding needs event-time windows"
+            "a windowed aggregate needs event-time windows"
         );
-        self.wm_granule = Some(granule.max(1));
+        let granule = match spec {
+            WindowSpec::Tumbling { width } => width,
+            WindowSpec::Sliding { size } => size,
+            WindowSpec::FullHistory => 1,
+        };
+        self.partials = Some(WindowPartials {
+            spec,
+            ts_cols,
+            group_cols,
+            aggs,
+            open: BTreeMap::new(),
+            granule: granule.max(1),
+            next_wm: 0,
+            row: Vec::new(),
+        });
         self
     }
 
@@ -288,24 +326,32 @@ impl JoinBolt {
     /// resolved.
     fn step(&mut self, rel: usize, out: &mut OutputCollector) -> Result<()> {
         // Count-only sums the weights, so aggregated DBToaster views never
-        // materialize hot-key outputs (§3.3); `Results` emits a row per unit.
+        // materialize hot-key outputs (§3.3); partials fold a result once
+        // with its weight; otherwise `Results` emits a row per unit.
         let (results, emit) = (&mut self.results, self.emit == JoinEmit::Results);
+        let (mut partials, mut failed) = (self.partials.as_mut(), None);
         let mut sink = |row: &[Value], mult: i64| {
             let n = mult.max(0) as u64;
             *results += n;
-            if emit {
-                (0..n).for_each(|_| out.emit_row(row));
+            match partials.as_mut() {
+                Some(p) if n > 0 && failed.is_none() => failed = p.fold(row, n as i64).err(),
+                Some(_) => {}
+                None if emit => (0..n).for_each(|_| out.emit_row(row)),
+                None => {}
             }
         };
         self.join.insert_into(rel, &self.rows, &mut sink, |_, _, _| {})?;
-        if let Some(granule) = self.wm_granule {
-            // Watermark forwarding: the results emitted above all carry
-            // event time ≥ the bolt's watermark, so promising it downstream
-            // is safe; the granule batches promises so buffers are not
-            // flushed on every arrival.
-            if let Some(w) = self.join.watermark().filter(|w| *w >= self.next_wm) {
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        if let Some(p) = &mut self.partials {
+            // The granule batches the promises, so buffers are not flushed
+            // on every arrival.
+            if let Some(w) = self.join.watermark().filter(|w| *w >= p.next_wm) {
+                let boundary = p.spec.close_boundary(w);
+                p.flush_below(boundary, out);
                 out.emit_watermark(w);
-                self.next_wm = w.saturating_add(granule);
+                p.next_wm = w.saturating_add(p.granule);
             }
         }
         self.join.check_budget()
@@ -338,17 +384,69 @@ impl Bolt for JoinBolt {
     }
 
     fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
-        if self.wm_granule.is_some() {
-            // This task will never emit again: release downstream windows
-            // unconditionally (a task that saw no data for some relation
-            // never advanced its watermark — without this, windowed
-            // aggregation could only close windows at its own finish).
+        if let Some(p) = &mut self.partials {
+            // This task will never emit again: ship every partial, then
+            // release downstream windows unconditionally (a task that saw
+            // no data for some relation never advanced its watermark —
+            // without this, windowed aggregation could only close windows
+            // at its own finish).
+            p.flush_below(u64::MAX, out);
             out.emit_watermark(u64::MAX);
         }
         if self.emit == JoinEmit::CountOnly {
             out.emit(squall_common::tuple![self.results as i64]);
         }
         Ok(())
+    }
+}
+
+/// The first phase of a windowed aggregate, inside one join task: partial
+/// aggregates keyed by window-start range `(first, last)`, then by group.
+/// Keying by the range rather than by window serves both shapes with one
+/// path: under tumbling windows the range is one window, so a task ships
+/// at most one partial per (window, group); under sliding windows a result
+/// lies in up to `size + 1` windows, so per-window partials could
+/// outnumber the results, while per-range ones never do.
+struct WindowPartials {
+    spec: WindowSpec,
+    /// Each relation's event-time column in join-output coordinates.
+    ts_cols: Vec<usize>,
+    group_cols: Vec<usize>,
+    aggs: Vec<AggSpec>,
+    open: BTreeMap<(u64, u64), GroupByAggregator>,
+    /// Forward the watermark once it has moved this far (one window
+    /// length) past the last forward.
+    granule: u64,
+    /// Next watermark value at which a forward is due.
+    next_wm: u64,
+    /// Scratch for one partial row.
+    row: Vec<Value>,
+}
+
+impl WindowPartials {
+    /// Fold `weight` copies of one in-window result in.
+    fn fold(&mut self, row: &[Value], weight: i64) -> Result<()> {
+        let (lo, hi) = event_time_range(row, &self.ts_cols, "in aggregate input")?;
+        let range = self.spec.window_starts(lo, hi)?;
+        let (group_cols, aggs) = (&self.group_cols, &self.aggs);
+        self.open
+            .entry((*range.start(), *range.end()))
+            .or_insert_with(|| GroupByAggregator::new(group_cols.clone(), aggs.clone()))
+            .fold_row(row, weight)
+    }
+
+    /// Ship every partial whose first window start lies below `boundary`,
+    /// each row counted as the join results it folds.
+    fn flush_below(&mut self, boundary: u64, out: &mut OutputCollector) {
+        while let Some(entry) = self.open.first_entry() {
+            if entry.key().0 >= boundary {
+                break;
+            }
+            let ((first, last), agg) = entry.remove_entry();
+            self.row.clear();
+            self.row.extend([Value::Int(first as i64), Value::Int(last as i64)]);
+            agg.partial_rows(&mut self.row, |row, folded| out.emit_folded(row, folded));
+        }
     }
 }
 
@@ -387,8 +485,8 @@ impl Bolt for AggBolt {
 /// (§2 "window semantics for its operators" — the window applied to the
 /// *aggregate*, not just the join).
 ///
-/// State is keyed by `(window_start, group key)`: each incoming join
-/// result is folded into every window it belongs to —
+/// State is keyed by `(window_start, group key)`: each join result counts
+/// in every window it belongs to —
 ///
 /// * **tumbling `width`** — exactly one window, `[k·width, (k+1)·width)`
 ///   where `k = ⌊ts/width⌋` (the window predicate upstream guarantees all
@@ -398,6 +496,17 @@ impl Bolt for AggBolt {
 ///   constituent timestamps: `s ∈ [max−size, min]`, one window per time
 ///   unit, so adjacent windows overlap.
 ///
+/// The aggregate runs in **two phases** — the paper's aggregated views,
+/// computed on the machine that runs the join (§3.3). Each join task folds
+/// its results into partial aggregates per (window-start range, group) and
+/// ships one row per key once its watermark makes the key final
+/// ([`JoinBolt::with_window_aggregate`]); a hypercube sends each result to
+/// exactly one join task, so the partials add up to the answer (DBSP's
+/// linearity of aggregation). This bolt's face is the second phase: it
+/// merges each partial `(first, last, group…, accumulators…)` into the
+/// windows `first..=last`. [`WindowedAggBolt::insert_chunk`] keeps the
+/// one-phase kernel over raw join results.
+///
 /// A window is **closed** — its rows finalized and emitted, its state
 /// dropped — once the minimum watermark across every upstream join task
 /// guarantees no further result can fall into it (tumbling: watermark
@@ -406,8 +515,8 @@ impl Bolt for AggBolt {
 /// `(window_start, window_end, group…, agg…)` with both bounds inclusive,
 /// and the remaining windows flush — still in order — at end-of-stream.
 ///
-/// The bolt runs **group-hash sharded**: a `Fields` grouping on the group
-/// columns routes every row of a group to one task, so each shard holds
+/// The bolt runs **group-hash sharded**: a `Fields` grouping on the
+/// partial rows' group columns routes every partial of a group to one task, so each shard holds
 /// `(window_start, group)` state for its groups only and closes windows
 /// against its own copy of the cross-task join watermark (watermarks
 /// broadcast, so every shard sees every join task's frontier). After
@@ -433,6 +542,8 @@ pub struct WindowedAggBolt {
     forwarded: u64,
     /// Scratch for closed-window rows between close and emit.
     drain: Vec<Tuple>,
+    /// Scratch for one partial row.
+    partial: Vec<Value>,
 }
 
 impl WindowedAggBolt {
@@ -461,6 +572,7 @@ impl WindowedAggBolt {
             closed_before: 0,
             forwarded: 0,
             drain: Vec::new(),
+            partial: Vec::new(),
         }
     }
 
@@ -496,14 +608,20 @@ impl WindowedAggBolt {
     /// late-data check.
     fn fold_range(&self, lo: u64, hi: u64) -> Result<std::ops::RangeInclusive<u64>> {
         let range = self.spec.window_starts(lo, hi)?;
-        if *range.start() < self.closed_before {
+        self.check_open(*range.start())?;
+        Ok(range)
+    }
+
+    /// Data for the windows from `first` on must not arrive once window
+    /// `first` has closed.
+    fn check_open(&self, first: u64) -> Result<()> {
+        if first < self.closed_before {
             return Err(SquallError::Runtime(format!(
-                "late join result for closed window {} (closed below {})",
-                range.start(),
+                "late join result for closed window {first} (closed below {})",
                 self.closed_before
             )));
         }
-        Ok(range)
+        Ok(())
     }
 
     /// Fold one join result row into every window it belongs to, the
@@ -511,12 +629,7 @@ impl WindowedAggBolt {
     /// tested against.
     #[cfg(test)]
     fn insert_row(&mut self, tuple: &Tuple) -> Result<()> {
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for &c in &self.ts_cols {
-            let v = event_time(tuple.get(c).as_int()?, "in aggregate input")?;
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
+        let (lo, hi) = event_time_range(tuple, &self.ts_cols, "in aggregate input")?;
         for start in self.fold_range(lo, hi)? {
             self.windows
                 .entry(start)
@@ -585,6 +698,51 @@ impl WindowedAggBolt {
         }
         Ok(())
     }
+
+    /// The second phase: merge a chunk of the join tasks' partial rows
+    /// `(first, last, group…, accumulators…)` into the windows
+    /// `first..=last`.
+    fn merge_partials(&mut self, chunk: &Chunk) -> Result<()> {
+        let mut row = std::mem::take(&mut self.partial);
+        for i in 0..chunk.n_rows() {
+            chunk.row_into(i, &mut row);
+            for start in self.partial_range(&row)? {
+                self.windows
+                    .entry(start)
+                    .or_insert_with(|| {
+                        GroupByAggregator::new(self.group_cols.clone(), self.aggs.clone())
+                    })
+                    .merge_partial(&row[2..])?;
+            }
+        }
+        self.partial = row;
+        Ok(())
+    }
+
+    /// The windows a partial row merges into: a range some result's
+    /// [`WindowSpec::window_starts`] can be — the row may come off the
+    /// wire, so any other is a typed error — none of them closed.
+    fn partial_range(&self, row: &[Value]) -> Result<std::ops::RangeInclusive<u64>> {
+        let bound = |i: usize| match row.get(i) {
+            Some(v) => event_time(v.as_int()?, "in a partial aggregate"),
+            None => Err(SquallError::Runtime("a partial aggregate without its windows".into())),
+        };
+        let (first, last) = (bound(0)?, bound(1)?);
+        let shaped = match self.spec {
+            WindowSpec::Tumbling { width } => first == last && first % width == 0,
+            WindowSpec::Sliding { size } => first <= last && last - first <= size,
+            WindowSpec::FullHistory => false,
+        };
+        if !shaped {
+            return Err(SquallError::Runtime(format!(
+                "no join result folds into the windows {first}..={last}"
+            )));
+        }
+        // The last window's end must fit the `Int` it is reported as.
+        self.spec.window_starts(last, last)?;
+        self.check_open(first)?;
+        Ok(first..=last)
+    }
 }
 
 impl Bolt for WindowedAggBolt {
@@ -594,7 +752,7 @@ impl Bolt for WindowedAggBolt {
         chunk: &Chunk,
         _out: &mut OutputCollector,
     ) -> Result<()> {
-        self.insert_chunk(chunk)
+        self.merge_partials(chunk)
     }
 
     fn watermark(

@@ -68,7 +68,7 @@ use crate::cluster::ClusterSpec;
 use crate::driver::{
     summarize, wire_join_stage, JoinReport, MaintenanceStats, MultiwayConfig, RunContext,
 };
-use crate::operators::{event_time, Finalizer, Frontier, JoinState, TaskJoin};
+use crate::operators::{event_time_range, Finalizer, Frontier, JoinState, TaskJoin};
 
 /// How long a synchronous checkpoint round waits for all blobs before
 /// proceeding with a partial checkpoint (recovery then falls back to the
@@ -570,12 +570,7 @@ impl ViewSinkBolt {
     /// One windowed-sink input row per window the join result `row` folds
     /// into: `(window_start, window_end, row…)`.
     fn window_rows(w: &ViewWindow, row: &Tuple) -> Result<Vec<Tuple>> {
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for &c in &w.ts_cols {
-            let v = event_time(row.get(c).as_int()?, "in view sink input")?;
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
+        let (lo, hi) = event_time_range(row, &w.ts_cols, "in view sink input")?;
         Ok(w.spec
             .window_starts(lo, hi)?
             .map(|start| {
@@ -615,15 +610,7 @@ impl ViewSinkBolt {
                     };
                     for input in &inputs {
                         touched.insert(input.key(&plan.group_cols));
-                        if *m >= 0 {
-                            for _ in 0..*m {
-                                agg.update(input)?;
-                            }
-                        } else {
-                            for _ in 0..-*m {
-                                agg.retract(input)?;
-                            }
-                        }
+                        agg.fold_row(input, *m)?;
                     }
                 }
                 for key in touched {

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use squall_common::array::{Array, ArrayBuilder, I64Array, Utf8Array};
-use squall_common::{Chunk, DataType, Date, Result, SquallError, Tuple, Value};
+use squall_common::{Chunk, DataType, Date, Result, SquallError, Value};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,18 +128,15 @@ impl ScalarExpr {
         ScalarExpr::Cast { expr: Box::new(expr), to }
     }
 
-    /// Evaluate against a tuple.
-    pub fn eval(&self, tuple: &Tuple) -> Result<Value> {
+    /// Evaluate against one row (a `&Tuple` passes as its slice).
+    pub fn eval(&self, tuple: &[Value]) -> Result<Value> {
         match self {
-            ScalarExpr::Column(i) => {
-                if *i >= tuple.arity() {
-                    return Err(SquallError::InvalidPlan(format!(
-                        "column {i} out of range for arity {}",
-                        tuple.arity()
-                    )));
-                }
-                Ok(tuple.get(*i).clone())
-            }
+            ScalarExpr::Column(i) => tuple.get(*i).cloned().ok_or_else(|| {
+                SquallError::InvalidPlan(format!(
+                    "column {i} out of range for arity {}",
+                    tuple.len()
+                ))
+            }),
             ScalarExpr::Literal(v) => Ok(v.clone()),
             ScalarExpr::Bin { op, lhs, rhs } => {
                 let l = lhs.eval(tuple)?;
@@ -170,7 +167,7 @@ impl ScalarExpr {
     }
 
     /// Evaluate as a predicate.
-    pub fn eval_bool(&self, tuple: &Tuple) -> Result<bool> {
+    pub fn eval_bool(&self, tuple: &[Value]) -> Result<bool> {
         truthy(&self.eval(tuple)?)
     }
 

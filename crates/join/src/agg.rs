@@ -4,14 +4,28 @@
 //! Squall's aggregates are *online*: every input updates the group state
 //! and the operator can emit the refreshed row immediately (full-history
 //! incremental view maintenance). All three aggregates are also
-//! *subtractable*, which the sliding-window variants exploit.
+//! *subtractable*, which the sliding-window variants exploit, and
+//! *mergeable*: a group's raw accumulators ship as a partial row
+//! ([`GroupByAggregator::partial_rows`]) that another aggregator folds in
+//! ([`GroupByAggregator::merge_partial`]), so an aggregate can be computed
+//! where its inputs are produced and summed downstream (DBSP's linearity of
+//! aggregation). `Int` arithmetic is checked: a count or sum that leaves
+//! `i64` is a typed error, never a wrapped value.
 
 use squall_common::array::Array;
 use squall_common::codec::{self, Reader};
-use squall_common::{Chunk, FxHashMap, Result, Tuple, Value};
+use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::{AggFunc, ScalarExpr};
 
 use crate::Snapshot;
+
+/// Columns one aggregate takes in a partial row: its raw accumulator
+/// `(count, int_sum, float_sum, all_int)`.
+const PARTIAL_WIDTH: usize = 4;
+
+fn overflow() -> SquallError {
+    SquallError::Runtime("integer overflow in a COUNT / SUM / AVG aggregate".into())
+}
 
 /// One aggregate column: the function plus its input expression (COUNT
 /// needs none).
@@ -55,15 +69,29 @@ impl AggState {
         AggState { count: 0, int_sum: 0, float_sum: 0.0, all_int: true }
     }
 
-    fn add(&mut self, v: &Value, sign: i64) -> Result<()> {
-        self.count += sign;
+    /// Fold `weight` copies of one input in (`None`: COUNT reads none).
+    fn add(&mut self, v: Option<&Value>, weight: i64) -> Result<()> {
+        self.count = self.count.checked_add(weight).ok_or_else(overflow)?;
         match v {
-            Value::Int(i) => self.int_sum += sign * i,
-            _ => {
+            None => {}
+            Some(Value::Int(i)) => {
+                let delta = i.checked_mul(weight).ok_or_else(overflow)?;
+                self.int_sum = self.int_sum.checked_add(delta).ok_or_else(overflow)?;
+            }
+            Some(v) => {
                 self.all_int = false;
-                self.float_sum += sign as f64 * v.as_float()?;
+                self.float_sum += weight as f64 * v.as_float()?;
             }
         }
+        Ok(())
+    }
+
+    /// Fold another accumulator of the same aggregate in.
+    fn merge(&mut self, other: &AggState) -> Result<()> {
+        self.count = self.count.checked_add(other.count).ok_or_else(overflow)?;
+        self.int_sum = self.int_sum.checked_add(other.int_sum).ok_or_else(overflow)?;
+        self.float_sum += other.float_sum;
+        self.all_int &= other.all_int;
         Ok(())
     }
 
@@ -90,19 +118,31 @@ impl AggState {
     }
 }
 
+type Groups = FxHashMap<Vec<Value>, Vec<AggState>>;
+
 /// Hash GROUP BY with online updates.
 #[derive(Debug)]
 pub struct GroupByAggregator {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
-    groups: FxHashMap<Vec<Value>, Vec<AggState>>,
+    groups: Groups,
+    /// One row's group key and aggregate inputs, reused from row to row so
+    /// that folding into an existing group allocates nothing.
+    key: Vec<Value>,
+    inputs: Vec<Option<Value>>,
 }
 
 impl GroupByAggregator {
     /// `group_cols` may be empty (a single global group).
     pub fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> GroupByAggregator {
         assert!(!aggs.is_empty(), "at least one aggregate");
-        GroupByAggregator { group_cols, aggs, groups: FxHashMap::default() }
+        GroupByAggregator {
+            group_cols,
+            aggs,
+            groups: FxHashMap::default(),
+            key: Vec::new(),
+            inputs: Vec::new(),
+        }
     }
 
     /// Fold one tuple in and return the group's refreshed output row
@@ -115,6 +155,20 @@ impl GroupByAggregator {
     /// Retract one tuple (sliding windows).
     pub fn retract(&mut self, tuple: &Tuple) -> Result<Tuple> {
         self.apply(tuple, -1)
+    }
+
+    /// Fold `weight` copies of one borrowed row in (a negative weight
+    /// retracts them); a group the fold empties is dropped. The row's key
+    /// and inputs go through reused scratch, so only a new group allocates.
+    pub fn fold_row(&mut self, row: &[Value], weight: i64) -> Result<()> {
+        let GroupByAggregator { group_cols, aggs, groups, key, inputs } = self;
+        key.clear();
+        key.extend(group_cols.iter().map(|&c| row[c].clone()));
+        inputs.clear();
+        for a in aggs.iter() {
+            inputs.push(a.input.as_ref().map(|e| e.eval(row)).transpose()?);
+        }
+        Self::fold(groups, aggs, key, inputs, weight)
     }
 
     /// Fold a whole columnar chunk in. Aggregate input expressions are
@@ -133,34 +187,20 @@ impl GroupByAggregator {
     ) -> Result<()> {
         let mut inputs: Vec<Option<Array>> = Vec::with_capacity(self.aggs.len());
         for a in &self.aggs {
-            inputs.push(match &a.input {
-                Some(e) => Some(e.eval_chunk(chunk)?),
-                None => None,
-            });
+            inputs.push(a.input.as_ref().map(|e| e.eval_chunk(chunk)).transpose()?);
         }
+        let (mut key, mut vals) = (std::mem::take(&mut self.key), std::mem::take(&mut self.inputs));
         for i in 0..chunk.n_rows() {
-            let key: Vec<Value> =
-                self.group_cols.iter().map(|&c| chunk.column(c).value(i)).collect();
-            let states = self
-                .groups
-                .entry(key.clone())
-                .or_insert_with(|| vec![AggState::new(); self.aggs.len()]);
-            for (st, (a, input)) in states.iter_mut().zip(self.aggs.iter().zip(&inputs)) {
-                match a.func {
-                    AggFunc::Count => st.count += 1,
-                    _ => st.add(&input.as_ref().expect("sum/avg need an input").value(i), 1)?,
-                }
-            }
-            // Insertions never empty a group, so no empty-group sweep here
-            // (unlike `apply` with sign = -1).
+            key.clear();
+            key.extend(self.group_cols.iter().map(|&c| chunk.column(c).value(i)));
+            vals.clear();
+            vals.extend(inputs.iter().map(|a| a.as_ref().map(|arr| arr.value(i))));
+            Self::fold(&mut self.groups, &self.aggs, &key, &vals, 1)?;
             if let Some(emit) = on_row.as_mut() {
-                let mut row = key;
-                for (st, a) in states.iter().zip(&self.aggs) {
-                    row.push(st.value(a.func));
-                }
-                emit(Tuple::new(row));
+                emit(self.current_row(&key));
             }
         }
+        (self.key, self.inputs) = (key, vals);
         Ok(())
     }
 
@@ -173,76 +213,129 @@ impl GroupByAggregator {
     pub fn accumulate(&mut self, key: &[Value], inputs: &[Option<Value>]) -> Result<()> {
         debug_assert_eq!(key.len(), self.group_cols.len());
         debug_assert_eq!(inputs.len(), self.aggs.len());
-        // Borrow-first: the owned key Vec is only allocated on the first
-        // row of a new group.
-        let states = match self.groups.get_mut(key) {
+        Self::fold(&mut self.groups, &self.aggs, key, inputs, 1)
+    }
+
+    /// The one fold: `weight` copies of a row, given as its group key and
+    /// one input per aggregate, into its group. Borrow-first, so the owned
+    /// key is only allocated for a new group; a group whose counts all
+    /// reach zero is dropped, so retraction-heavy windows don't leak.
+    fn fold(
+        groups: &mut Groups,
+        aggs: &[AggSpec],
+        key: &[Value],
+        inputs: &[Option<Value>],
+        weight: i64,
+    ) -> Result<()> {
+        let states = match groups.get_mut(key) {
             Some(s) => s,
-            None => self
-                .groups
-                .entry(key.to_vec())
-                .or_insert_with(|| vec![AggState::new(); self.aggs.len()]),
+            None => groups.entry(key.to_vec()).or_insert_with(|| vec![AggState::new(); aggs.len()]),
         };
-        for (st, (a, input)) in states.iter_mut().zip(self.aggs.iter().zip(inputs)) {
-            match a.func {
-                AggFunc::Count => st.count += 1,
-                _ => st.add(input.as_ref().expect("sum/avg need an input"), 1)?,
-            }
+        for (st, (a, input)) in states.iter_mut().zip(aggs.iter().zip(inputs)) {
+            let v = match (a.func, input) {
+                (AggFunc::Count, _) => None,
+                (_, Some(v)) => Some(v),
+                (func, None) => {
+                    return Err(SquallError::InvalidPlan(format!("{func:?} needs an input")))
+                }
+            };
+            st.add(v, weight)?;
+        }
+        if states.iter().all(|s| s.count == 0) {
+            groups.remove(key);
         }
         Ok(())
     }
 
     fn apply(&mut self, tuple: &Tuple, sign: i64) -> Result<Tuple> {
-        let key = tuple.key(&self.group_cols);
-        // Evaluate inputs before borrowing the state mutably.
-        let mut inputs = Vec::with_capacity(self.aggs.len());
-        for a in &self.aggs {
-            inputs.push(match &a.input {
-                Some(e) => Some(e.eval(tuple)?),
-                None => None,
-            });
-        }
-        let states = self
-            .groups
-            .entry(key.clone())
-            .or_insert_with(|| vec![AggState::new(); self.aggs.len()]);
-        for (st, (a, input)) in states.iter_mut().zip(self.aggs.iter().zip(&inputs)) {
-            match a.func {
-                AggFunc::Count => st.count += sign,
-                _ => st.add(input.as_ref().expect("sum/avg need an input"), sign)?,
+        self.fold_row(tuple, sign)?;
+        Ok(self.current_row(&self.key))
+    }
+
+    /// `key`'s output row; a group that does not exist (or a retraction
+    /// emptied) reads as fresh — `COUNT` 0, `NULL` averages.
+    fn current_row(&self, key: &[Value]) -> Tuple {
+        let fresh;
+        let states = match self.groups.get(key) {
+            Some(states) => states,
+            None => {
+                fresh = vec![AggState::new(); self.aggs.len()];
+                &fresh
             }
-        }
-        let mut row = key;
-        for (st, a) in states.iter().zip(&self.aggs) {
-            row.push(st.value(a.func));
-        }
-        // Drop empty groups so retraction-heavy windows don't leak.
-        if states[0].count == 0 && states.iter().all(|s| s.count == 0) {
-            let key2 = tuple.key(&self.group_cols);
-            self.groups.remove(&key2);
-        }
-        Ok(Tuple::new(row))
+        };
+        let mut row = key.to_vec();
+        row.extend(states.iter().zip(&self.aggs).map(|(st, a)| st.value(a.func)));
+        Tuple::new(row)
     }
 
     /// Current value of one group.
     pub fn group(&self, key: &[Value]) -> Option<Tuple> {
-        self.groups.get(key).map(|states| {
-            let mut row: Vec<Value> = key.to_vec();
-            for (st, a) in states.iter().zip(&self.aggs) {
-                row.push(st.value(a.func));
-            }
-            Tuple::new(row)
-        })
+        self.groups.contains_key(key).then(|| self.current_row(key))
     }
 
     /// Snapshot all groups (deterministic order: sorted by key).
     pub fn snapshot(&self) -> Vec<Tuple> {
         let mut keys: Vec<&Vec<Value>> = self.groups.keys().collect();
         keys.sort();
-        keys.into_iter().map(|k| self.group(k).expect("key exists")).collect()
+        keys.into_iter().map(|k| self.current_row(k)).collect()
     }
 
     pub fn n_groups(&self) -> usize {
         self.groups.len()
+    }
+
+    /// Hand each group's partial row to `emit`, with the number of rows the
+    /// group folded. A partial row is `row`'s first columns (the caller's
+    /// prefix, kept), then the group key, then per aggregate its raw
+    /// accumulator `(count, int_sum, float_sum, all_int)` — the fields
+    /// [`Snapshot`] writes. Finished values would not do: AVG merges only
+    /// from its sum and count.
+    pub fn partial_rows(&self, row: &mut Vec<Value>, mut emit: impl FnMut(&[Value], u64)) {
+        let prefix = row.len();
+        for (key, states) in &self.groups {
+            row.truncate(prefix);
+            row.extend_from_slice(key);
+            for st in states {
+                row.extend([
+                    Value::Int(st.count),
+                    Value::Int(st.int_sum),
+                    Value::Float(st.float_sum),
+                    Value::Int(st.all_int.into()),
+                ]);
+            }
+            emit(row, states[0].count.max(0) as u64);
+        }
+    }
+
+    /// Merge one partial row — a [`GroupByAggregator::partial_rows`] row
+    /// without its prefix — into its group, with the same checked `Int`
+    /// arithmetic as a fold. A row of another shape is a typed error (it
+    /// may come off the wire).
+    pub fn merge_partial(&mut self, row: &[Value]) -> Result<()> {
+        let (g, n_aggs) = (self.group_cols.len(), self.aggs.len());
+        if row.len() != g + PARTIAL_WIDTH * n_aggs {
+            return Err(SquallError::Runtime(format!(
+                "a partial aggregate row of {} columns, not {}",
+                row.len(),
+                g + PARTIAL_WIDTH * n_aggs
+            )));
+        }
+        let (key, accs) = row.split_at(g);
+        let states = match self.groups.get_mut(key) {
+            Some(s) => s,
+            None => {
+                self.groups.entry(key.to_vec()).or_insert_with(|| vec![AggState::new(); n_aggs])
+            }
+        };
+        for (st, acc) in states.iter_mut().zip(accs.chunks_exact(PARTIAL_WIDTH)) {
+            st.merge(&AggState {
+                count: acc[0].as_int()?,
+                int_sum: acc[1].as_int()?,
+                float_sum: acc[2].as_float()?,
+                all_int: acc[3].as_int()? != 0,
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -383,5 +476,64 @@ mod tests {
         agg.update(&tuple![4]).unwrap();
         let row = agg.retract(&tuple![4]).unwrap();
         assert_eq!(row, tuple![Value::Null]);
+    }
+
+    #[test]
+    fn merged_partials_equal_one_fold_of_every_row() {
+        // Rows split over three aggregators with weights, shipped as
+        // partials and merged, must equal one aggregator that folded them
+        // all: COUNT, an Int SUM, a Float SUM and an AVG over mixed inputs.
+        let specs = || {
+            vec![
+                AggSpec::count(),
+                AggSpec::sum_col(1),
+                AggSpec::sum(ScalarExpr::bin(BinOp::Mul, ScalarExpr::lit(0.5), ScalarExpr::col(1))),
+                AggSpec::avg(ScalarExpr::col(1)),
+            ]
+        };
+        let rows = [(1, tuple![1, 4], 2), (2, tuple![2, 7], 1), (0, tuple![1, 1.5], 3)];
+        let mut whole = GroupByAggregator::new(vec![0], specs());
+        let mut merged = GroupByAggregator::new(vec![0], specs());
+        let mut parts: Vec<GroupByAggregator> =
+            (0..3).map(|_| GroupByAggregator::new(vec![0], specs())).collect();
+        for (part, row, weight) in &rows {
+            whole.fold_row(row, *weight).unwrap();
+            parts[*part].fold_row(row, *weight).unwrap();
+        }
+        let mut shipped = 0;
+        for part in &parts {
+            let mut row = vec![Value::Int(-1)];
+            part.partial_rows(&mut row, |partial, folded| {
+                assert_eq!(partial[0], Value::Int(-1), "the prefix is kept");
+                shipped += folded;
+                merged.merge_partial(&partial[1..]).unwrap();
+            });
+        }
+        assert_eq!(shipped, 6, "each partial counts the rows it folded");
+        assert_eq!(merged.snapshot(), whole.snapshot());
+        assert_eq!(merged.snapshot()[0], tuple![1, 5, 12.5, 6.25, 2.5]);
+        assert!(merged.merge_partial(&[Value::Int(1)]).is_err(), "a mis-shaped partial");
+    }
+
+    #[test]
+    fn int_overflow_is_a_typed_error() {
+        let overflowed =
+            |r: Result<()>| matches!(r, Err(SquallError::Runtime(m)) if m.contains("overflow"));
+        let sum = || GroupByAggregator::new(vec![], vec![AggSpec::sum_col(0)]);
+        let mut agg = sum();
+        agg.fold_row(&[Value::Int(i64::MAX)], 1).unwrap();
+        assert!(overflowed(agg.fold_row(&[Value::Int(1)], 1)), "a sum past i64::MAX");
+        assert!(overflowed(sum().fold_row(&[Value::Int(i64::MAX)], 2)), "weight × value");
+        assert!(overflowed(sum().fold_row(&[Value::Int(i64::MIN)], -1)), "−1 × i64::MIN");
+        // Merging two partials that each fit.
+        let mut merged = sum();
+        merged
+            .merge_partial(&[Value::Int(1), Value::Int(1), Value::Float(0.0), Value::Int(1)])
+            .unwrap();
+        let mut max = sum();
+        max.fold_row(&[Value::Int(i64::MAX)], 1).unwrap();
+        max.partial_rows(&mut Vec::new(), |row, _| assert!(overflowed(merged.merge_partial(row))));
+        let chunk = Chunk::from_tuples(&[tuple![i64::MAX], tuple![1]]);
+        assert!(overflowed(sum().update_chunk(&chunk, None)), "the columnar path");
     }
 }

@@ -503,10 +503,19 @@ impl OutputCollector {
     /// only a sink node, which hands its output over whole, builds a
     /// [`Tuple`] of it.
     pub fn emit_row(&mut self, row: &[Value]) {
+        self.emit_folded(row, 1)
+    }
+
+    /// [`OutputCollector::emit_row`] for a row that stands for `folded`
+    /// rows — a partial aggregate of that many results: routed once and
+    /// counted as `folded` emitted rows, so a component's emitted count
+    /// stays the number of rows its logic produced.
+    pub fn emit_folded(&mut self, row: &[Value], folded: u64) {
+        self.counters.emitted.fetch_add(folded, Ordering::Relaxed);
         if self.edges.is_empty() {
-            return self.emit(row.into());
+            let _ = self.sink.send((self.node, row.into()));
+            return;
         }
-        self.counters.emitted.fetch_add(1, Ordering::Relaxed);
         let task = self.task;
         let batch_size = self.batch_size;
         let mut sent = 0u64;

@@ -64,11 +64,12 @@ fn streams(seed: u64) -> (Vec<Tuple>, Vec<Tuple>) {
     (a, b)
 }
 
-/// This query makes 0.39 heap allocations per join result. Building each
-/// result as a tuple before copying it into a scatter buffer, keeping each
-/// windowed arrival as a tuple and growing each batch column from empty
-/// cost 2.33. The budget sits between the two.
-const BUDGET_PER_RESULT: f64 = 1.0;
+/// This query makes about 0.30 heap allocations per join result: each join
+/// task folds its results into partial aggregates and ships one row per
+/// (window, group). Emitting every result into a scatter buffer cost 0.39,
+/// and building each result as a tuple first 2.33. The budget sits between
+/// the first two, so per-result emission coming back fails here.
+const BUDGET_PER_RESULT: f64 = 0.35;
 
 #[test]
 fn windowed_aggregation_stays_within_its_allocation_budget() {

@@ -593,6 +593,41 @@ fn windowed_tumbling_counts_match_oracle() {
     assert_eq!(join_rows.rows().len() as i64, total);
 }
 
+/// An `Int` SUM / AVG that leaves `i64` fails the query with a typed error
+/// — it used to wrap silently in release and panic a task in debug —
+/// under full history and per window, grouped or not.
+#[test]
+fn int_aggregate_overflow_is_a_typed_error() {
+    use squall::common::{tuple, DataType, Schema, SquallError};
+
+    let r = Schema::of(&[("a", DataType::Int), ("v", DataType::Int), ("ts", DataType::Int)]);
+    let s = Schema::of(&[("a", DataType::Int), ("ts", DataType::Int)]);
+    let (r_rows, s_rows) = (vec![tuple![1, i64::MAX, 0], tuple![1, 1, 1]], vec![tuple![1, 1]]);
+    let mut session = Session::builder().machines(2).build();
+    session.register("R", r.clone(), r_rows.clone()).unwrap();
+    session.register("S", s.clone(), s_rows.clone()).unwrap();
+    session.register_stream("RS", r, r_rows, "ts").unwrap();
+    session.register_stream("SS", s, s_rows, "ts").unwrap();
+    for agg in ["SUM(R.v)", "AVG(R.v)"] {
+        for (from, window) in [("R, S", ""), ("RS R, SS S", " WINDOW TUMBLING 16 ON ts")] {
+            for (select, group) in [(agg.to_string(), ""), (format!("R.a, {agg}"), " GROUP BY R.a")]
+            {
+                let sql = format!("SELECT {select} FROM {from} WHERE R.a = S.a{window}{group}");
+                // A materialized query returns the run's error, a streamed one
+                // reports it after its rows.
+                let err = match session.sql(&sql) {
+                    Err(e) => e,
+                    Ok(mut rs) => rs.error().cloned().unwrap_or_else(|| panic!("{sql}: no error")),
+                };
+                assert!(
+                    matches!(&err, SquallError::Runtime(m) if m.contains("overflow")),
+                    "{sql}: {err}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn explain_is_identical_across_interfaces() {
     let session = figure1_session();
