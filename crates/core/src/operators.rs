@@ -286,7 +286,7 @@ impl JoinBolt {
     /// has moved a window length past the last one forwarded, every partial
     /// whose first window start lies below `close_boundary(w)` ships — one
     /// row `(first, last, group…, accumulators…)` per key, see
-    /// [`GroupByAggregator::partial_rows`] — and then `w` itself; at
+    /// [`GroupByAggregator::drain_partials`] — and then `w` itself; at
     /// end-of-stream all of them, then `u64::MAX`. A shipped key is final:
     /// every later result has a constituent at or past `w`, so its first
     /// window start is at least `close_boundary(w)`. Nor is a shipped row
@@ -312,12 +312,9 @@ impl JoinBolt {
         self.partials = Some(WindowPartials {
             spec,
             ts_cols,
-            group_cols,
-            aggs,
-            open: BTreeMap::new(),
+            agg: GroupByAggregator::new(group_cols, aggs),
             granule: granule.max(1),
             next_wm: 0,
-            row: Vec::new(),
         });
         self
     }
@@ -401,26 +398,24 @@ impl Bolt for JoinBolt {
 }
 
 /// The first phase of a windowed aggregate, inside one join task: partial
-/// aggregates keyed by window-start range `(first, last)`, then by group.
-/// Keying by the range rather than by window serves both shapes with one
-/// path: under tumbling windows the range is one window, so a task ships
-/// at most one partial per (window, group); under sliding windows a result
-/// lies in up to `size + 1` windows, so per-window partials could
-/// outnumber the results, while per-range ones never do.
+/// aggregates keyed by `(first, last, group…)`, the result's window-start
+/// range and its group. Keying by the range rather than by window serves
+/// both shapes with one path: under tumbling windows the range is one
+/// window, so a task ships at most one partial per (window, group); under
+/// sliding windows a result lies in up to `size + 1` windows, so
+/// per-window partials could outnumber the results, while per-range ones
+/// never do. All keys share one aggregator, so a new range costs one hash
+/// entry, as a new group does.
 struct WindowPartials {
     spec: WindowSpec,
     /// Each relation's event-time column in join-output coordinates.
     ts_cols: Vec<usize>,
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    open: BTreeMap<(u64, u64), GroupByAggregator>,
+    agg: GroupByAggregator,
     /// Forward the watermark once it has moved this far (one window
     /// length) past the last forward.
     granule: u64,
     /// Next watermark value at which a forward is due.
     next_wm: u64,
-    /// Scratch for one partial row.
-    row: Vec<Value>,
 }
 
 impl WindowPartials {
@@ -428,25 +423,19 @@ impl WindowPartials {
     fn fold(&mut self, row: &[Value], weight: i64) -> Result<()> {
         let (lo, hi) = event_time_range(row, &self.ts_cols, "in aggregate input")?;
         let range = self.spec.window_starts(lo, hi)?;
-        let (group_cols, aggs) = (&self.group_cols, &self.aggs);
-        self.open
-            .entry((*range.start(), *range.end()))
-            .or_insert_with(|| GroupByAggregator::new(group_cols.clone(), aggs.clone()))
-            .fold_row(row, weight)
+        // Both bounds fit an `Int`: `first ≤ lo`, and `window_starts`
+        // checks `last`'s window end.
+        let range = [Value::Int(*range.start() as i64), Value::Int(*range.end() as i64)];
+        self.agg.fold_row_under(&range, row, weight)
     }
 
     /// Ship every partial whose first window start lies below `boundary`,
     /// each row counted as the join results it folds.
     fn flush_below(&mut self, boundary: u64, out: &mut OutputCollector) {
-        while let Some(entry) = self.open.first_entry() {
-            if entry.key().0 >= boundary {
-                break;
-            }
-            let ((first, last), agg) = entry.remove_entry();
-            self.row.clear();
-            self.row.extend([Value::Int(first as i64), Value::Int(last as i64)]);
-            agg.partial_rows(&mut self.row, |row, folded| out.emit_folded(row, folded));
-        }
+        self.agg.drain_partials(
+            |key| matches!(key[0], Value::Int(first) if (first as u64) < boundary),
+            |row, folded| out.emit_folded(row, folded),
+        );
     }
 }
 
@@ -706,13 +695,19 @@ impl WindowedAggBolt {
         let mut row = std::mem::take(&mut self.partial);
         for i in 0..chunk.n_rows() {
             chunk.row_into(i, &mut row);
-            for start in self.partial_range(&row)? {
-                self.windows
-                    .entry(start)
-                    .or_insert_with(|| {
+            let range = self.partial_range(&row)?;
+            // Open the missing windows, then walk the range once: a sliding
+            // partial spans up to `size + 1` windows, mostly open already.
+            let span = (range.end() - range.start() + 1) as usize;
+            if self.windows.range(range.clone()).count() != span {
+                for start in range.clone() {
+                    self.windows.entry(start).or_insert_with(|| {
                         GroupByAggregator::new(self.group_cols.clone(), self.aggs.clone())
-                    })
-                    .merge_partial(&row[2..])?;
+                    });
+                }
+            }
+            for agg in self.windows.range_mut(range).map(|(_, agg)| agg) {
+                agg.merge_partial(&row[2..])?;
             }
         }
         self.partial = row;
@@ -971,6 +966,37 @@ mod tests {
             assert!(!a.is_empty());
             assert_eq!(a, b, "{spec:?}");
         }
+    }
+
+    #[test]
+    fn malformed_partials_are_typed_errors() {
+        // A partial row may come off the wire. For `windowed_bolt` it is
+        // (first, last, k, count, int SUM, other SUM); every other shape
+        // is a typed error, and a well-formed row merges.
+        let merge = |spec: WindowSpec, closed: u64, row: Tuple| {
+            let mut bolt = windowed_bolt(spec);
+            bolt.close_into(closed, &mut Vec::new());
+            bolt.merge_partials(&Chunk::from_tuples(&[row]))
+        };
+        let (tumbling, sliding) = (WindowSpec::Tumbling { width: 64 }, WindowSpec::Sliding { size: 5 });
+        let near_max = i64::MAX - 2;
+        for (case, spec, closed, row) in [
+            ("misaligned tumbling first", tumbling, 0, tuple![3, 3, 1, 1, 6, Value::Null]),
+            ("tumbling last ≠ first", tumbling, 0, tuple![0, 64, 1, 1, 6, Value::Null]),
+            ("sliding range past size", sliding, 0, tuple![0, 6, 1, 1, 6, Value::Null]),
+            ("sliding last < first", sliding, 0, tuple![4, 3, 1, 1, 6, Value::Null]),
+            ("window end past Int", sliding, 0, tuple![near_max - 1, near_max, 1, 1, 6, Value::Null]),
+            ("negative first", sliding, 0, tuple![-1, 0, 1, 1, 6, Value::Null]),
+            ("first window closed", sliding, 10, tuple![3, 8, 1, 1, 6, Value::Null]),
+            ("accumulators too narrow", sliding, 0, tuple![0, 0, 1, 1, 6]),
+            ("accumulators too wide", sliding, 0, tuple![0, 0, 1, 1, 6, Value::Null, 0]),
+            ("non-Int count", sliding, 0, tuple![0, 0, 1, 1.5, 6, Value::Null]),
+        ] {
+            let got = merge(spec, closed, row);
+            assert!(matches!(got, Err(SquallError::Runtime(_))), "{case}: {got:?}");
+        }
+        assert!(merge(sliding, 10, tuple![10, 12, 1, 1, 6, Value::Null]).is_ok());
+        assert!(merge(tumbling, 64, tuple![64, 64, 1, 2, 6, 0.5]).is_ok());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! incremental view maintenance). All three aggregates are also
 //! *subtractable*, which the sliding-window variants exploit, and
 //! *mergeable*: a group's raw accumulators ship as a partial row
-//! ([`GroupByAggregator::partial_rows`]) that another aggregator folds in
+//! ([`GroupByAggregator::drain_partials`]) that another aggregator folds in
 //! ([`GroupByAggregator::merge_partial`]), so an aggregate can be computed
 //! where its inputs are produced and summed downstream (DBSP's linearity of
 //! aggregation). `Int` arithmetic is checked: a count or sum that leaves
@@ -18,10 +18,6 @@ use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::{AggFunc, ScalarExpr};
 
 use crate::Snapshot;
-
-/// Columns one aggregate takes in a partial row: its raw accumulator
-/// `(count, int_sum, float_sum, all_int)`.
-const PARTIAL_WIDTH: usize = 4;
 
 fn overflow() -> SquallError {
     SquallError::Runtime("integer overflow in a COUNT / SUM / AVG aggregate".into())
@@ -130,7 +126,13 @@ pub struct GroupByAggregator {
     /// that folding into an existing group allocates nothing.
     key: Vec<Value>,
     inputs: Vec<Option<Value>>,
+    /// The key and states of each group [`GroupByAggregator::drain_partials`]
+    /// shipped, kept for their capacity: a new group takes a pair from here
+    /// before it allocates.
+    spare: Spare,
 }
+
+type Spare = Vec<(Vec<Value>, Vec<AggState>)>;
 
 impl GroupByAggregator {
     /// `group_cols` may be empty (a single global group).
@@ -142,6 +144,7 @@ impl GroupByAggregator {
             groups: FxHashMap::default(),
             key: Vec::new(),
             inputs: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -161,14 +164,23 @@ impl GroupByAggregator {
     /// retracts them); a group the fold empties is dropped. The row's key
     /// and inputs go through reused scratch, so only a new group allocates.
     pub fn fold_row(&mut self, row: &[Value], weight: i64) -> Result<()> {
-        let GroupByAggregator { group_cols, aggs, groups, key, inputs } = self;
+        self.fold_row_under(&[], row, weight)
+    }
+
+    /// [`GroupByAggregator::fold_row`] into the group `prefix ++ group key`:
+    /// one aggregator keeps many sets of groups apart — a join task's
+    /// partials per window-start range — at the cost of one hash entry per
+    /// key, not one aggregator per set.
+    pub fn fold_row_under(&mut self, prefix: &[Value], row: &[Value], weight: i64) -> Result<()> {
+        let GroupByAggregator { group_cols, aggs, groups, key, inputs, spare } = self;
         key.clear();
+        key.extend_from_slice(prefix);
         key.extend(group_cols.iter().map(|&c| row[c].clone()));
         inputs.clear();
         for a in aggs.iter() {
             inputs.push(a.input.as_ref().map(|e| e.eval(row)).transpose()?);
         }
-        Self::fold(groups, aggs, key, inputs, weight)
+        Self::fold(groups, spare, aggs, key, inputs, weight)
     }
 
     /// Fold a whole columnar chunk in. Aggregate input expressions are
@@ -195,7 +207,7 @@ impl GroupByAggregator {
             key.extend(self.group_cols.iter().map(|&c| chunk.column(c).value(i)));
             vals.clear();
             vals.extend(inputs.iter().map(|a| a.as_ref().map(|arr| arr.value(i))));
-            Self::fold(&mut self.groups, &self.aggs, &key, &vals, 1)?;
+            Self::fold(&mut self.groups, &mut self.spare, &self.aggs, &key, &vals, 1)?;
             if let Some(emit) = on_row.as_mut() {
                 emit(self.current_row(&key));
             }
@@ -213,15 +225,17 @@ impl GroupByAggregator {
     pub fn accumulate(&mut self, key: &[Value], inputs: &[Option<Value>]) -> Result<()> {
         debug_assert_eq!(key.len(), self.group_cols.len());
         debug_assert_eq!(inputs.len(), self.aggs.len());
-        Self::fold(&mut self.groups, &self.aggs, key, inputs, 1)
+        Self::fold(&mut self.groups, &mut self.spare, &self.aggs, key, inputs, 1)
     }
 
     /// The one fold: `weight` copies of a row, given as its group key and
     /// one input per aggregate, into its group. Borrow-first, so the owned
-    /// key is only allocated for a new group; a group whose counts all
-    /// reach zero is dropped, so retraction-heavy windows don't leak.
+    /// key is only built for a new group, from `spare` when it has one; a
+    /// group whose counts all reach zero is dropped, so retraction-heavy
+    /// windows don't leak.
     fn fold(
         groups: &mut Groups,
+        spare: &mut Spare,
         aggs: &[AggSpec],
         key: &[Value],
         inputs: &[Option<Value>],
@@ -229,7 +243,14 @@ impl GroupByAggregator {
     ) -> Result<()> {
         let states = match groups.get_mut(key) {
             Some(s) => s,
-            None => groups.entry(key.to_vec()).or_insert_with(|| vec![AggState::new(); aggs.len()]),
+            None => {
+                let (mut owned, mut states) = spare.pop().unwrap_or_default();
+                owned.clear();
+                owned.extend_from_slice(key);
+                states.clear();
+                states.resize(aggs.len(), AggState::new());
+                groups.entry(owned).or_insert(states)
+            }
         };
         for (st, (a, input)) in states.iter_mut().zip(aggs.iter().zip(inputs)) {
             let v = match (a.func, input) {
@@ -284,56 +305,67 @@ impl GroupByAggregator {
         self.groups.len()
     }
 
-    /// Hand each group's partial row to `emit`, with the number of rows the
-    /// group folded. A partial row is `row`'s first columns (the caller's
-    /// prefix, kept), then the group key, then per aggregate its raw
-    /// accumulator `(count, int_sum, float_sum, all_int)` — the fields
-    /// [`Snapshot`] writes. Finished values would not do: AVG merges only
-    /// from its sum and count.
-    pub fn partial_rows(&self, row: &mut Vec<Value>, mut emit: impl FnMut(&[Value], u64)) {
-        let prefix = row.len();
-        for (key, states) in &self.groups {
-            row.truncate(prefix);
-            row.extend_from_slice(key);
-            for st in states {
-                row.extend([
-                    Value::Int(st.count),
-                    Value::Int(st.int_sum),
-                    Value::Float(st.float_sum),
-                    Value::Int(st.all_int.into()),
-                ]);
+    /// Remove every group whose key passes `take` and hand it to `emit` as
+    /// a partial row, with the number of rows the group folded. A partial
+    /// row is the key (a [`GroupByAggregator::fold_row_under`] prefix
+    /// included), the group's row count — every aggregate counts the same
+    /// rows — and for each SUM / AVG its raw sums: the `Int` inputs' sum and
+    /// the other inputs' sum, `NULL` while there were none. These are the
+    /// fields [`Snapshot`] writes; finished values would not do, as AVG
+    /// merges only from its sum and count.
+    pub fn drain_partials(
+        &mut self,
+        mut take: impl FnMut(&[Value]) -> bool,
+        mut emit: impl FnMut(&[Value], u64),
+    ) {
+        let GroupByAggregator { aggs, groups, key: row, spare, .. } = self;
+        for (key, states) in groups.extract_if(|key, _| take(key)) {
+            row.clear();
+            row.extend_from_slice(&key);
+            row.push(Value::Int(states[0].count));
+            for (st, a) in states.iter().zip(aggs.iter()) {
+                if a.func != AggFunc::Count {
+                    let other = if st.all_int { Value::Null } else { Value::Float(st.float_sum) };
+                    row.extend([Value::Int(st.int_sum), other]);
+                }
             }
             emit(row, states[0].count.max(0) as u64);
+            spare.push((key, states));
         }
     }
 
-    /// Merge one partial row — a [`GroupByAggregator::partial_rows`] row
+    /// Merge one partial row — a [`GroupByAggregator::drain_partials`] row
     /// without its prefix — into its group, with the same checked `Int`
     /// arithmetic as a fold. A row of another shape is a typed error (it
     /// may come off the wire).
     pub fn merge_partial(&mut self, row: &[Value]) -> Result<()> {
-        let (g, n_aggs) = (self.group_cols.len(), self.aggs.len());
-        if row.len() != g + PARTIAL_WIDTH * n_aggs {
+        let g = self.group_cols.len();
+        let width = g + 1 + 2 * self.aggs.iter().filter(|a| a.func != AggFunc::Count).count();
+        if row.len() != width {
             return Err(SquallError::Runtime(format!(
-                "a partial aggregate row of {} columns, not {}",
-                row.len(),
-                g + PARTIAL_WIDTH * n_aggs
+                "a partial aggregate row of {} columns, not {width}",
+                row.len()
             )));
         }
-        let (key, accs) = row.split_at(g);
+        let (key, count) = (&row[..g], row[g].as_int()?);
+        let mut sums = row[g + 1..].chunks_exact(2);
         let states = match self.groups.get_mut(key) {
             Some(s) => s,
-            None => {
-                self.groups.entry(key.to_vec()).or_insert_with(|| vec![AggState::new(); n_aggs])
-            }
+            None => self
+                .groups
+                .entry(key.to_vec())
+                .or_insert_with(|| vec![AggState::new(); self.aggs.len()]),
         };
-        for (st, acc) in states.iter_mut().zip(accs.chunks_exact(PARTIAL_WIDTH)) {
-            st.merge(&AggState {
-                count: acc[0].as_int()?,
-                int_sum: acc[1].as_int()?,
-                float_sum: acc[2].as_float()?,
-                all_int: acc[3].as_int()? != 0,
-            })?;
+        for (st, a) in states.iter_mut().zip(&self.aggs) {
+            let mut part = AggState { count, ..AggState::new() };
+            if let Some([int_sum, other]) = (a.func != AggFunc::Count).then(|| sums.next()).flatten()
+            {
+                part.int_sum = int_sum.as_int()?;
+                if *other != Value::Null {
+                    (part.float_sum, part.all_int) = (other.as_float()?, false);
+                }
+            }
+            st.merge(&part)?;
         }
         Ok(())
     }
@@ -498,18 +530,22 @@ mod tests {
             (0..3).map(|_| GroupByAggregator::new(vec![0], specs())).collect();
         for (part, row, weight) in &rows {
             whole.fold_row(row, *weight).unwrap();
-            parts[*part].fold_row(row, *weight).unwrap();
+            parts[*part].fold_row_under(&[Value::Int(-1)], row, *weight).unwrap();
         }
         let mut shipped = 0;
-        for part in &parts {
-            let mut row = vec![Value::Int(-1)];
-            part.partial_rows(&mut row, |partial, folded| {
-                assert_eq!(partial[0], Value::Int(-1), "the prefix is kept");
-                shipped += folded;
-                merged.merge_partial(&partial[1..]).unwrap();
-            });
+        for part in &mut parts {
+            part.drain_partials(
+                |key| key[1] == Value::Int(1),
+                |partial, folded| {
+                    assert_eq!(partial[0], Value::Int(-1), "the prefix is kept");
+                    shipped += folded;
+                    merged.merge_partial(&partial[1..]).unwrap();
+                },
+            );
         }
-        assert_eq!(shipped, 6, "each partial counts the rows it folded");
+        assert_eq!(shipped, 5, "each partial counts the rows it folded");
+        assert_eq!(parts.iter().map(|p| p.n_groups()).sum::<usize>(), 1, "group 2 stays");
+        parts[2].drain_partials(|_| true, |partial, _| merged.merge_partial(&partial[1..]).unwrap());
         assert_eq!(merged.snapshot(), whole.snapshot());
         assert_eq!(merged.snapshot()[0], tuple![1, 5, 12.5, 6.25, 2.5]);
         assert!(merged.merge_partial(&[Value::Int(1)]).is_err(), "a mis-shaped partial");
@@ -527,12 +563,10 @@ mod tests {
         assert!(overflowed(sum().fold_row(&[Value::Int(i64::MIN)], -1)), "−1 × i64::MIN");
         // Merging two partials that each fit.
         let mut merged = sum();
-        merged
-            .merge_partial(&[Value::Int(1), Value::Int(1), Value::Float(0.0), Value::Int(1)])
-            .unwrap();
+        merged.merge_partial(&[Value::Int(1), Value::Int(1), Value::Null]).unwrap();
         let mut max = sum();
         max.fold_row(&[Value::Int(i64::MAX)], 1).unwrap();
-        max.partial_rows(&mut Vec::new(), |row, _| assert!(overflowed(merged.merge_partial(row))));
+        max.drain_partials(|_| true, |row, _| assert!(overflowed(merged.merge_partial(row))));
         let chunk = Chunk::from_tuples(&[tuple![i64::MAX], tuple![1]]);
         assert!(overflowed(sum().update_chunk(&chunk, None)), "the columnar path");
     }

@@ -29,8 +29,10 @@ pub struct TaskCounters {
     /// broadcast of one tuple to 8 tasks counts 8 — this is what the wire
     /// would carry, and what replication measures).
     pub sent: AtomicU64,
-    /// Tuples emitted by the task's user logic before routing (one per
-    /// `emit` call).
+    /// Tuples emitted by the task's user logic before routing: one per
+    /// `emit` / `emit_row` call, and `folded` per `emit_folded` call — a
+    /// row standing for that many (a join task's partial aggregate counts
+    /// as the join results it folds).
     pub emitted: AtomicU64,
 }
 
