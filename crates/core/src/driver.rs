@@ -15,8 +15,8 @@ use squall_join::dbtoaster::MAX_RELATIONS;
 use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowJoin, WindowSpec};
 use squall_partition::optimizer::{build_scheme, SchemeKind};
 use squall_runtime::{
-    Bolt, ClusterRun, Grouping, IterSpoutVec, NodeId, RunHandle, RunOutcome, SchedulerStats, Spout,
-    Topology, TopologyBuilder, TransportStats, DEFAULT_BATCH_SIZE,
+    Bolt, ClusterRun, Grouping, IterSpoutVec, NodeId, RunHandle, RunOutcome, SchedulerStats,
+    Source, Spout, Topology, TopologyBuilder, TransportStats, DEFAULT_BATCH_SIZE,
 };
 
 use crate::cluster::ClusterSpec;
@@ -47,8 +47,7 @@ impl std::fmt::Display for LocalJoinKind {
 ///
 /// The driver then installs event-time [`squall_join::WindowJoin`] bolts
 /// and requires each relation's spout to emit in event-time order (the
-/// planner sorts prepared inputs; see
-/// `squall_runtime::sort_by_event_time`).
+/// planner sorts its sources; see `squall_runtime::Source::sort_by_event_time`).
 #[derive(Debug, Clone)]
 pub struct WindowPlan {
     pub spec: WindowSpec,
@@ -421,7 +420,7 @@ pub(crate) type SpoutFactory = Box<dyn Fn(usize) -> Box<dyn Spout> + Send>;
 
 /// The join stage both planes share — data sources → (partitioning-scheme
 /// groupings) → join component: plan validation, the builder knobs, one
-/// single-task spout node per relation (`spout(rel, tuples)` supplies each;
+/// single-task spout node per relation (`spout(rel, source)` supplies each;
 /// one task keeps a relation's arrival order, which windowed joins and
 /// epoch-tagged deltas both need), the
 /// upstream-node → relation map, the partitioning scheme, one
@@ -433,9 +432,9 @@ pub(crate) type SpoutFactory = Box<dyn Fn(usize) -> Box<dyn Spout> + Send>;
 /// emits its input — so it runs on one task behind a global grouping.
 pub(crate) fn wire_join_stage<J: LocalJoin + 'static>(
     spec: &MultiJoinSpec,
-    data: Vec<Vec<Tuple>>,
+    data: Vec<Source>,
     cfg: &MultiwayConfig,
-    mut spout: impl FnMut(usize, Vec<Tuple>) -> SpoutFactory,
+    mut spout: impl FnMut(usize, Source) -> SpoutFactory,
     local: impl Fn(&MultiJoinSpec) -> J + Send + 'static,
     bolt: impl Fn(TaskJoin<J>) -> Box<dyn Bolt> + Send + 'static,
 ) -> Result<(TopologyBuilder, RunContext)> {
@@ -456,9 +455,9 @@ pub(crate) fn wire_join_stage<J: LocalJoin + 'static>(
     }
     let input_counts = data.iter().map(|d| d.len() as u64).collect();
     let mut source_nodes = Vec::with_capacity(n_rel);
-    for (rel, tuples) in data.into_iter().enumerate() {
+    for (rel, source) in data.into_iter().enumerate() {
         let name = format!("src-{}", spec.relations[rel].name);
-        source_nodes.push(b.add_spout(name, 1, spout(rel, tuples)));
+        source_nodes.push(b.add_spout(name, 1, spout(rel, source)));
     }
 
     let origin_to_rel: FxHashMap<NodeId, usize> =
@@ -505,7 +504,7 @@ pub(crate) fn wire_join_stage<J: LocalJoin + 'static>(
 /// data — their spout tasks live on the coordinator).
 pub(crate) fn assemble(
     spec: &MultiJoinSpec,
-    data: Vec<Vec<Tuple>>,
+    data: Vec<impl Into<Source>>,
     cfg: &MultiwayConfig,
 ) -> Result<(Topology, RunContext)> {
     let local = cfg.local;
@@ -524,12 +523,12 @@ pub(crate) fn assemble(
     let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
     let (mut b, mut ctx) = wire_join_stage(
         spec,
-        data,
+        data.into_iter().map(Into::into).collect(),
         cfg,
-        |_rel, tuples| {
-            let shared = Arc::new(tuples);
+        |_rel, source| {
+            let shared = Arc::new(source);
             Box::new(move |_task| -> Box<dyn Spout> {
-                Box::new(IterSpoutVec::strided(Arc::clone(&shared), 0, 1))
+                Box::new(IterSpoutVec::over(Arc::clone(&shared), 0, 1))
             })
         },
         move |spec| make_local(local, spec, minimal_views),
@@ -677,10 +676,11 @@ pub fn run_multiway(
 /// were handed to the consumer. In count-only mode the stream yields no
 /// rows (the sink's per-task counters are tallied into the report
 /// instead). A run that aborts mid-way ends the stream early; the
-/// report's `error` field records why.
+/// report's `error` field records why. Each relation's input is an owned
+/// `Vec<Tuple>` or a [`Source`] read in place.
 pub fn run_multiway_stream(
     spec: &MultiJoinSpec,
-    data: Vec<Vec<Tuple>>,
+    data: Vec<impl Into<Source>>,
     cfg: &MultiwayConfig,
 ) -> Result<MultiwayStream> {
     let (topology, ctx) = assemble(spec, data, cfg)?;

@@ -978,19 +978,27 @@ mod tests {
             bolt.close_into(closed, &mut Vec::new());
             bolt.merge_partials(&Chunk::from_tuples(&[row]))
         };
-        let (tumbling, sliding) = (WindowSpec::Tumbling { width: 64 }, WindowSpec::Sliding { size: 5 });
+        let (tumbling, sliding) =
+            (WindowSpec::Tumbling { width: 64 }, WindowSpec::Sliding { size: 5 });
         let near_max = i64::MAX - 2;
         for (case, spec, closed, row) in [
             ("misaligned tumbling first", tumbling, 0, tuple![3, 3, 1, 1, 6, Value::Null]),
             ("tumbling last ≠ first", tumbling, 0, tuple![0, 64, 1, 1, 6, Value::Null]),
             ("sliding range past size", sliding, 0, tuple![0, 6, 1, 1, 6, Value::Null]),
             ("sliding last < first", sliding, 0, tuple![4, 3, 1, 1, 6, Value::Null]),
-            ("window end past Int", sliding, 0, tuple![near_max - 1, near_max, 1, 1, 6, Value::Null]),
+            (
+                "window end past Int",
+                sliding,
+                0,
+                tuple![near_max - 1, near_max, 1, 1, 6, Value::Null],
+            ),
             ("negative first", sliding, 0, tuple![-1, 0, 1, 1, 6, Value::Null]),
             ("first window closed", sliding, 10, tuple![3, 8, 1, 1, 6, Value::Null]),
             ("accumulators too narrow", sliding, 0, tuple![0, 0, 1, 1, 6]),
             ("accumulators too wide", sliding, 0, tuple![0, 0, 1, 1, 6, Value::Null, 0]),
             ("non-Int count", sliding, 0, tuple![0, 0, 1, 1.5, 6, Value::Null]),
+            ("non-Int int_sum", sliding, 0, tuple![0, 0, 1, 1, 6.5, Value::Null]),
+            ("Str float sum", sliding, 0, tuple![0, 0, 1, 1, 6, "x"]),
         ] {
             let got = merge(spec, closed, row);
             assert!(matches!(got, Err(SquallError::Runtime(_))), "{case}: {got:?}");

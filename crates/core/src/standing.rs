@@ -58,7 +58,7 @@ use squall_partition::optimizer::build_scheme;
 use squall_runtime::transport::SnapshotBlobMsg;
 use squall_runtime::{
     Bolt, ClusterRun, Grouping, LiveQueue, LiveSpout, NodeId, OutputCollector, RunHandle,
-    RunOutcome, Spout, SpoutPoll, TaskWaker, Topology, TransportStats,
+    RunOutcome, Source, Spout, SpoutPoll, TaskWaker, Topology, TransportStats,
 };
 
 use crate::checkpoint::{
@@ -756,8 +756,8 @@ impl Bolt for ViewSinkBolt {
 
 /// Append the `[multiplicity, epoch]` bookkeeping columns to a payload
 /// row.
-fn tag_delta(row: &Tuple, mult: i64, epoch: u64) -> Tuple {
-    let mut v = row.values().to_vec();
+fn tag_delta(row: &[Value], mult: i64, epoch: u64) -> Tuple {
+    let mut v = row.to_vec();
     v.push(Value::Int(mult));
     v.push(Value::Int(epoch as i64));
     Tuple::new(v)
@@ -777,7 +777,7 @@ fn tag_delta(row: &Tuple, mult: i64, epoch: u64) -> Tuple {
 /// where operators ship their checkpoint blobs at barrier alignment.
 pub(crate) fn assemble_standing(
     spec: &MultiJoinSpec,
-    data: Vec<Vec<Tuple>>,
+    data: Vec<impl Into<Source>>,
     cfg: &MultiwayConfig,
     coordinator: Option<(Arc<ViewPlan>, Arc<ViewShared>)>,
     restore: Option<Arc<RestoreState>>,
@@ -803,15 +803,16 @@ pub(crate) fn assemble_standing(
     let join_blob_tx = blob_tx.clone();
     let (mut b, ctx) = wire_join_stage(
         spec,
-        data,
+        data.into_iter().map(Into::into).collect(),
         cfg,
         // One live queue + one spout task per relation, preloaded with the
         // initial load as epoch-1 deltas and the epoch-1 watermark.
-        |_rel, tuples| {
+        |_rel, source| {
             let queue = Arc::new(LiveQueue::new());
             if preload {
-                for t in &tuples {
-                    queue.push(SpoutPoll::Tuple(tag_delta(t, 1, 1)));
+                let mut buf = Vec::new();
+                for k in 0..source.len() {
+                    queue.push(SpoutPoll::Tuple(tag_delta(source.row(k, &mut buf), 1, 1)));
                 }
                 queue.push(SpoutPoll::Watermark(1));
             }
@@ -875,7 +876,7 @@ impl Resident {
     /// and the epoch workers are re-admitted at (`readmit`).
     fn boot(
         spec: &MultiJoinSpec,
-        data: Vec<Vec<Tuple>>,
+        data: Vec<Source>,
         cfg: &MultiwayConfig,
         coordinator: (Arc<ViewPlan>, Arc<ViewShared>),
         restore: Option<Arc<RestoreState>>,
@@ -947,7 +948,7 @@ impl Resident {
 /// [`StandingHandle::shutdown`]).
 pub fn launch_standing(
     spec: &MultiJoinSpec,
-    data: Vec<Vec<Tuple>>,
+    data: Vec<impl Into<Source>>,
     cfg: &MultiwayConfig,
     plan: ViewPlan,
     shared: Arc<ViewShared>,
@@ -956,6 +957,7 @@ pub fn launch_standing(
     let plan = Arc::new(plan);
     // Recovery replays the initial load from scratch when no checkpoint
     // completed yet, so clustered runs keep a copy.
+    let data: Vec<Source> = data.into_iter().map(Into::into).collect();
     let initial_data = if cfg.cluster.is_some() { data.clone() } else { Vec::new() };
     let mut run =
         Resident::boot(spec, data, cfg, (Arc::clone(&plan), Arc::clone(&shared)), None, None)?;
@@ -1071,7 +1073,7 @@ pub struct StandingHandle {
     plan: Arc<ViewPlan>,
     /// Clustered runs only: the initial load, replayed when no checkpoint
     /// completed before a failure.
-    initial_data: Vec<Vec<Tuple>>,
+    initial_data: Vec<Source>,
     /// Rounds issued since the last complete checkpoint, with their
     /// epochs — the replay log of recovery.
     replay: Vec<(u64, Vec<DeltaRound>)>,
@@ -1224,8 +1226,11 @@ impl StandingHandle {
         // Relaunch on the new cluster, restored; no checkpoint yet means
         // replaying everything from the initial load.
         self.cfg.cluster = Some(cluster);
-        let data =
-            if restore.is_some() { vec![Vec::new(); n_rel] } else { self.initial_data.clone() };
+        let data = if restore.is_some() {
+            vec![Vec::new().into(); n_rel]
+        } else {
+            self.initial_data.clone()
+        };
         let coordinator = (Arc::clone(&self.plan), Arc::clone(&self.shared));
         self.run = Resident::boot(&self.spec, data, &self.cfg, coordinator, restore, Some(resume))?;
         self.filer = Filer::spawn(&mut self.run, &self.store, &self.shared);

@@ -347,7 +347,8 @@ impl GroupByAggregator {
                 row.len()
             )));
         }
-        let (key, count) = (&row[..g], row[g].as_int()?);
+        let typed = |e: SquallError| SquallError::Runtime(e.to_string());
+        let (key, count) = (&row[..g], row[g].as_int().map_err(typed)?);
         let mut sums = row[g + 1..].chunks_exact(2);
         let states = match self.groups.get_mut(key) {
             Some(s) => s,
@@ -358,11 +359,12 @@ impl GroupByAggregator {
         };
         for (st, a) in states.iter_mut().zip(&self.aggs) {
             let mut part = AggState { count, ..AggState::new() };
-            if let Some([int_sum, other]) = (a.func != AggFunc::Count).then(|| sums.next()).flatten()
+            if let Some([int_sum, other]) =
+                (a.func != AggFunc::Count).then(|| sums.next()).flatten()
             {
-                part.int_sum = int_sum.as_int()?;
+                part.int_sum = int_sum.as_int().map_err(typed)?;
                 if *other != Value::Null {
-                    (part.float_sum, part.all_int) = (other.as_float()?, false);
+                    (part.float_sum, part.all_int) = (other.as_float().map_err(typed)?, false);
                 }
             }
             st.merge(&part)?;
@@ -545,7 +547,8 @@ mod tests {
         }
         assert_eq!(shipped, 5, "each partial counts the rows it folded");
         assert_eq!(parts.iter().map(|p| p.n_groups()).sum::<usize>(), 1, "group 2 stays");
-        parts[2].drain_partials(|_| true, |partial, _| merged.merge_partial(&partial[1..]).unwrap());
+        parts[2]
+            .drain_partials(|_| true, |partial, _| merged.merge_partial(&partial[1..]).unwrap());
         assert_eq!(merged.snapshot(), whole.snapshot());
         assert_eq!(merged.snapshot()[0], tuple![1, 5, 12.5, 6.25, 2.5]);
         assert!(merged.merge_partial(&[Value::Int(1)]).is_err(), "a mis-shaped partial");

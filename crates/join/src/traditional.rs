@@ -13,7 +13,7 @@ use squall_common::Value;
 use squall_expr::join_cond::CmpOp;
 use squall_expr::MultiJoinSpec;
 
-use crate::views::View;
+use crate::views::{RowId, View};
 use crate::{LocalJoin, RowSink};
 
 /// Where a probe key / filter operand comes from during the cascade.
@@ -46,7 +46,16 @@ pub struct TraditionalJoin {
     /// Precomputed output ordering: for each arrival relation, the cascade
     /// position (or Delta) supplying each output relation.
     emit_order: Vec<Vec<Slot>>,
-    /// Assembly buffer for one result row, handed to the sink borrowed.
+    scratch: Scratch,
+}
+
+/// Buffers pooled across arrivals: the stored row bound at each cascade step
+/// and each step's matches (as ids into the base views), and the assembly
+/// buffer of one result row, handed to the sink borrowed.
+#[derive(Default)]
+struct Scratch {
+    bound: Vec<(RowId, i64)>,
+    found: Vec<Vec<(RowId, i64)>>,
     values: Vec<Value>,
 }
 
@@ -132,62 +141,63 @@ impl TraditionalJoin {
             plans.push(steps);
             emit_order.push(emits);
         }
-        TraditionalJoin { arities, bases, plans, emit_order, values: Vec::new() }
+        let scratch =
+            Scratch { found: vec![Vec::new(); n.saturating_sub(1)], ..Scratch::default() };
+        TraditionalJoin { arities, bases, plans, emit_order, scratch }
     }
 
-    /// Bind the relations of `rel`'s cascade from `step` on; `bound` holds
-    /// the stored rows chosen so far, borrowed from the base views, and
-    /// `values` is where a complete binding assembles its result row.
-    fn cascade<'a>(
-        &'a self,
+    /// Bind the relations of `rel`'s cascade from `step` on, `sc.bound`
+    /// holding the stored rows chosen so far; a complete binding emits its
+    /// result row.
+    fn cascade(
+        &self,
         rel: usize,
-        row: &'a [Value],
+        row: &[Value],
         step: usize,
-        bound: &mut Vec<(&'a [Value], i64)>,
-        values: &mut Vec<Value>,
+        sc: &mut Scratch,
         out: &mut dyn RowSink,
     ) {
         let steps = &self.plans[rel];
+        let row_of = |slot: Slot, bound: &[(RowId, i64)]| match slot {
+            Slot::Delta => row,
+            Slot::Bound(k) => self.bases[steps[k].rel].row(bound[k].0).0,
+        };
         if step == steps.len() {
             // Emit: one result, weighted by the multiplicity product.
-            values.clear();
-            for slot in &self.emit_order[rel] {
-                match slot {
-                    Slot::Delta => values.extend_from_slice(row),
-                    Slot::Bound(k) => values.extend_from_slice(bound[*k].0),
-                }
+            sc.values.clear();
+            for &slot in &self.emit_order[rel] {
+                sc.values.extend_from_slice(row_of(slot, &sc.bound));
             }
-            out.push(values, bound.iter().map(|(_, m)| m).product());
+            out.push(&sc.values, sc.bound.iter().map(|(_, m)| m).product());
             return;
         }
-        let st = &steps[step];
-        let value_of = |slot: Slot, col: usize, bound: &[(&'a [Value], i64)]| -> &'a Value {
-            match slot {
-                Slot::Delta => &row[col],
-                Slot::Bound(k) => &bound[k].0[col],
-            }
-        };
         // The recomputation the paper criticizes: every arrival probes the
-        // base stores and re-derives all partial joins. The key points into
-        // rows that outlive the cascade, so the probe holds no borrow of
-        // `bound` while it grows (empty, and unallocated, for a scan).
-        let key: Vec<&Value> =
-            st.key.iter().map(|&(slot, col)| value_of(slot, col, bound)).collect();
-        let mut bind = |(cand, mult): (&'a [Value], i64)| {
-            let passes = st
-                .theta
-                .iter()
-                .all(|&(slot, scol, op, ccol)| op.eval(value_of(slot, scol, bound), &cand[ccol]));
-            if passes {
-                bound.push((cand, mult));
-                self.cascade(rel, row, step + 1, bound, values, out);
-                bound.pop();
-            }
-        };
+        // base stores and re-derives all partial joins. A step's matches are
+        // collected before binding: the base views do not change during a
+        // cascade, so this is the order a lazy probe would bind them in.
+        let (st, bound) = (&steps[step], &sc.bound);
+        let value_of = |slot, col: usize| &row_of(slot, bound)[col];
         let base = &self.bases[st.rel];
+        let keep = |id: RowId| {
+            let (cand, mult) = base.row(id);
+            let theta = |&(slot, scol, op, ccol): &(Slot, usize, CmpOp, usize)| {
+                op.eval(value_of(slot, scol), &cand[ccol])
+            };
+            st.theta.iter().all(theta).then_some((id, mult))
+        };
+        let found = &mut sc.found[step];
+        found.clear();
         match st.index_id {
-            Some(ix) => base.probe(ix, key.iter().copied()).for_each(&mut bind),
-            None => base.scan().for_each(&mut bind),
+            Some(ix) => {
+                let key = st.key.iter().map(|&(slot, col)| value_of(slot, col));
+                found.extend(base.probe_ids(ix, key).filter_map(keep));
+            }
+            None => found.extend(base.scan_ids().filter_map(keep)),
+        }
+        for k in 0..sc.found[step].len() {
+            sc.bound.push(sc.found[step][k]);
+            self.cascade(rel, row, step + 1, sc, out);
+            sc.bound.pop();
         }
     }
 }
@@ -196,19 +206,14 @@ impl LocalJoin for TraditionalJoin {
     fn insert_into(&mut self, rel: usize, rows: &[Value], out: &mut dyn RowSink) {
         // Row by row: produce the results each arrival completes (against
         // stored state), then store it.
-        let (arity, n) = (self.arities[rel], self.arities.len());
-        let mut values = std::mem::take(&mut self.values);
+        let arity = self.arities[rel];
+        let mut sc = std::mem::take(&mut self.scratch);
         for i in 0..crate::batch_len(rows, arity) {
             let row = &rows[i * arity..][..arity];
-            if n == 1 {
-                out.push(row, 1);
-            } else {
-                let mut bound = Vec::with_capacity(n - 1);
-                self.cascade(rel, row, 0, &mut bound, &mut values, out);
-            }
+            self.cascade(rel, row, 0, &mut sc, out);
             self.bases[rel].update(row, 1);
         }
-        self.values = values;
+        self.scratch = sc;
     }
 
     fn remove(&mut self, rel: usize, rows: &[Value], mult: i64) {
@@ -388,6 +393,109 @@ mod tests {
         let mut out = Vec::new();
         j.insert(0, &tuple![3], &mut out);
         assert_eq!(out, vec![tuple![3]]);
+    }
+
+    /// The shapes the batch model runs: the 3-chain, the star (an `F`
+    /// arrival cascades through two dimensions), equi plus theta atoms, and
+    /// the scan-only inequality join.
+    fn batch_shapes() -> Vec<MultiJoinSpec> {
+        let rel = |name: &str, arity: usize| {
+            let cols: Vec<(&str, DataType)> =
+                ["a", "b"][..arity].iter().map(|&c| (c, DataType::Int)).collect();
+            RelationDef::new(name, Schema::of(&cols), 0)
+        };
+        let lt = |l, lc, r, rc| JoinAtom {
+            left_rel: l,
+            left_col: lc,
+            op: CmpOp::Lt,
+            right_rel: r,
+            right_col: rc,
+        };
+        [
+            (vec![rel("R", 2), rel("S", 2), rel("T", 2)], chain(3).atoms),
+            (
+                vec![rel("F", 2), rel("D1", 1), rel("D2", 1)],
+                vec![JoinAtom::eq(0, 0, 1, 0), JoinAtom::eq(0, 1, 2, 0)],
+            ),
+            (vec![rel("R", 2), rel("S", 2)], vec![JoinAtom::eq(0, 0, 1, 0), lt(0, 1, 1, 1)]),
+            (vec![rel("R", 1), rel("S", 1)], vec![lt(0, 0, 1, 0)]),
+        ]
+        .into_iter()
+        .map(|(rels, atoms)| MultiJoinSpec::new(rels, atoms).unwrap())
+        .collect()
+    }
+
+    /// One seed of the batch model: runs of one relation's rows, of random
+    /// length 1–70, go through `insert_into` as one batch (or, now and then,
+    /// `remove` under one weight) while a second join takes the same rows one
+    /// at a time. After every run both must have emitted the same results in
+    /// the same order with the same weights, and store the same rows; while
+    /// nothing was removed, the results must integrate to the nested loop.
+    /// Keys mix `Int` and equal `Float`s, and rows repeat.
+    fn check_batches_equal_rows(seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let collide = rng.next_below(2) == 1;
+        crate::views::ALL_KEYS_COLLIDE.with(|c| c.set(collide));
+        let spec = batch_shapes().swap_remove(rng.next_below(4));
+        let (mut batched, mut single) = (TraditionalJoin::new(&spec), TraditionalJoin::new(&spec));
+        let mut live: Vec<Vec<Tuple>> = vec![Vec::new(); spec.n_relations()];
+        let (mut integral, mut removed) = (Vec::new(), false);
+        for run in 0..rng.next_range(1, 8) {
+            let rel = rng.next_below(spec.n_relations());
+            let arity = spec.relations[rel].schema.arity();
+            let remove = !live[rel].is_empty() && rng.next_below(5) == 0;
+            let mut rows = Vec::new();
+            for _ in 0..rng.next_range(1, 70) {
+                let n = live[rel].len();
+                let row: Tuple = match () {
+                    _ if remove && n == 0 => break,
+                    _ if remove => live[rel].swap_remove(rng.next_below(n)),
+                    _ if n > 0 && rng.next_below(4) == 0 => live[rel][rng.next_below(n)].clone(),
+                    _ => (0..arity)
+                        .map(|_| match rng.next_range(0, 5) {
+                            k if rng.next_below(3) == 0 => Value::Float(k as f64),
+                            k => Value::Int(k),
+                        })
+                        .collect(),
+                };
+                if !remove {
+                    live[rel].push(row.clone());
+                }
+                rows.extend_from_slice(&row);
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            if remove {
+                removed = true;
+                batched.remove(rel, &rows, 1);
+                rows.chunks(arity).for_each(|row| single.remove(rel, row, 1));
+            } else {
+                batched
+                    .insert_into(rel, &rows, &mut |row: &[Value], m| a.push((Tuple::from(row), m)));
+                for row in rows.chunks(arity) {
+                    single.insert_into(rel, row, &mut |row: &[Value], m| {
+                        b.push((Tuple::from(row), m))
+                    });
+                }
+            }
+            let what =
+                format!("seed {seed} (colliding hash: {collide}), run {run} of relation {rel}");
+            assert_eq!(a, b, "{what}: results");
+            assert_eq!(batched.stored(), single.stored(), "{what}: stored");
+            integral.extend(a.into_iter().flat_map(|(t, m)| std::iter::repeat_n(t, m as usize)));
+        }
+        if !removed {
+            let what = format!("seed {seed} (colliding hash: {collide}): nested loop");
+            assert!(same_multiset(&integral, &naive_join(&spec, &live)), "{what}");
+        }
+        crate::views::ALL_KEYS_COLLIDE.with(|c| c.set(false));
+    }
+
+    #[test]
+    fn batch_insert_model() {
+        // More seeds in a release build (CI's "traditional batch model check").
+        for seed in 0..if cfg!(debug_assertions) { 300 } else { 5_000 } {
+            check_batches_equal_rows(seed);
+        }
     }
 
     #[test]

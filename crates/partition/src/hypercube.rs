@@ -140,11 +140,14 @@ impl HypercubeScheme {
                     }
                 }
                 DimRole::Spread => {
-                    let base = std::mem::take(out);
-                    out.reserve(base.len() * dim.size);
-                    for coord in 0..dim.size {
-                        for &m in &base {
-                            out.push(m + coord * stride);
+                    // In place, coordinate-major: copy `coord` of the `n`
+                    // machines so far lands at `coord * n..`, copy 0 stays.
+                    let n = out.len();
+                    out.resize(n * dim.size, 0);
+                    for coord in (1..dim.size).rev() {
+                        let (base, copy) = out.split_at_mut(coord * n);
+                        for (m, &b) in copy[..n].iter_mut().zip(&base[..n]) {
+                            *m = b + coord * stride;
                         }
                     }
                 }
@@ -483,8 +486,11 @@ mod tests {
     #[test]
     fn routing_matches_the_stride_table_formula() {
         // The reference: row-major strides from a table built per call,
-        // then the same walk. Random coordinates must be drawn in the same
-        // order, so both routes share one seeded stream per row.
+        // then the same walk, a spread axis building a fresh list of copies.
+        // Random coordinates must be drawn in the same order, so both routes
+        // share one seeded stream per row. `route` spreads in place into a
+        // reused `out` that holds the previous route: it must give the same
+        // machines in the same order.
         fn reference(
             s: &HypercubeScheme,
             rel: usize,
@@ -530,7 +536,7 @@ mod tests {
                 })
                 .collect();
             let scheme = HypercubeScheme::new(n_rel, dims, seed);
-            let mut out = Vec::new();
+            let mut out = vec![usize::MAX; rng.next_below(70)];
             for rel in 0..n_rel {
                 let row: Vec<Value> = (0..3).map(|_| Value::Int(rng.next_range(0, 50))).collect();
                 let stream = rng.next_u64();

@@ -2,12 +2,13 @@
 //! over each scan's original ⊕ derived columns (pruned ones only through
 //! [`Scan::local`]), the spec it launches with and the `join` component.
 
-use squall_common::{DataType, Result, SquallError, Tuple};
+use squall_common::{DataType, Result, SquallError};
 use squall_core::driver::{JoinReport, WindowPlan};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
 use squall_join::WindowSpec;
 use squall_partition::SkewEstimate;
+use squall_runtime::Source;
 
 use crate::catalog::Catalog;
 use crate::logical::{Query, Window, WindowKind};
@@ -156,27 +157,26 @@ impl Join {
         MultiJoinSpec::new(rels, atoms)
     }
 
-    /// The spec a run launches with over its prepared inputs, put in
-    /// event-time order first when windowed (the watermark-eviction
-    /// contract; streams windowed on their declared column were sorted at
-    /// registration). `skew` = `(machines, slack)` adds the sample-based
-    /// skew detection per join-key occurrence (§3.4) that the
-    /// random-routing schemes act on.
+    /// The spec a run launches with over its sources, put in event-time
+    /// order first when windowed (the watermark-eviction contract; streams
+    /// windowed on their declared column were sorted at registration).
+    /// `skew` = `(machines, slack)` adds the sample-based skew detection per
+    /// join-key occurrence (§3.4) that the Hybrid scheme acts on.
     pub(crate) fn launch_spec(
         &self,
         scans: &[Scan],
-        data: &mut [Vec<Tuple>],
+        data: &mut [Source],
         skew: Option<(usize, f64)>,
     ) -> Result<MultiJoinSpec> {
         if let (Some(w), Some(plan)) = (&self.window, self.window_plan(scans)?) {
             for (t, d) in data.iter_mut().enumerate().filter(|(t, _)| !w.presorted[*t]) {
-                squall_runtime::sort_by_event_time(d, plan.ts_cols[t])?;
+                d.sort_by_event_time(plan.ts_cols[t])?;
             }
         }
-        let data: &[Vec<Tuple>] = data;
+        let data: &[Source] = data;
         let skewed = |t: usize, c: usize| {
             skew.is_some_and(|(machines, slack)| {
-                let sample = data[t].iter().take(20_000).map(|row| row.get(c));
+                let sample = (0..data[t].len().min(20_000)).map(|k| data[t].value(k, c));
                 SkewEstimate::from_sample(sample).is_skewed(machines, slack)
             })
         };
@@ -335,10 +335,13 @@ fn lower_window(w: &Window, q: &Query, scope: &Scope, catalog: &Catalog) -> Resu
 
 #[cfg(test)]
 mod tests {
-    use squall_common::{tuple, SquallError};
-    use squall_core::driver::LocalJoinKind;
+    use squall_common::{tuple, DataType, Schema, SplitMix64, SquallError, Tuple};
+    use squall_core::driver::{run_multiway, LocalJoinKind};
     use squall_expr::AggFunc;
+    use squall_partition::optimizer::SchemeKind;
+    use squall_runtime::Source;
 
+    use crate::catalog::Catalog;
     use crate::logical::{agg, col, lit};
     use crate::physical::{execute_query, ExecConfig, PhysicalQuery};
     use crate::tests::{catalog, stream_catalog};
@@ -470,5 +473,52 @@ mod tests {
         for c in &counts {
             assert!(wet.contains(&c.to_string()), "actual {c} rendered: {wet}");
         }
+    }
+
+    /// A Hash launch skips the skew probe and reads its sources in place;
+    /// the run must be the one owned, probed inputs gave: the same result
+    /// rows, per-machine loads, input counts and scheme.
+    #[test]
+    fn hash_launch_runs_as_owned_probed_inputs_did() {
+        let mut rng = SplitMix64::new(3);
+        let int = |a: &'static str, b: &'static str| {
+            Schema::of(&[(a, DataType::Int), (b, DataType::Int)])
+        };
+        // Half of R's keys are 0: the probe flags R.k skewed.
+        let r: Vec<Tuple> = (0..3_000)
+            .map(|i| tuple![(i % 2) * rng.next_range(0, 200), rng.next_range(0, 999)])
+            .collect();
+        let s: Vec<Tuple> =
+            (0..3_000).map(|_| tuple![rng.next_range(0, 200), rng.next_range(0, 999)]).collect();
+        let mut cat = Catalog::new();
+        cat.register("R", int("k", "f"), r).unwrap();
+        cat.register("S", int("k", "g"), s).unwrap();
+        let q = Query::from_tables([("R", "R"), ("S", "S")])
+            .filter(col("R.k").eq(col("S.k")))
+            .filter(col("R.f").lt(lit(900)))
+            .filter(col("S.g").lt(lit(500)))
+            .select([col("R.k"), col("S.k")]);
+        let cfg =
+            ExecConfig { scheme: Some(SchemeKind::Hash), machines: 6, ..ExecConfig::default() };
+        let plan = PhysicalQuery::plan(&q, &cat).unwrap();
+        let mut rs = plan.execute(&cat, &cfg).unwrap();
+        let rows = rs.rows().to_vec();
+        let report = rs.report().expect("a finished run");
+
+        let scans = &plan.scans;
+        let loaded = scans.iter().map(|s| s.source(&cat.get(&s.name).unwrap().data).unwrap());
+        let mut owned: Vec<Source> = loaded.map(|s| Source::from(s.to_tuples())).collect();
+        let probe = Some((cfg.machines, cfg.skew_slack));
+        let spec = plan.join.launch_spec(scans, &mut owned, probe).unwrap();
+        assert!(!spec.is_skew_free(0, 0), "the probe flags R.k");
+        let data = owned.iter().map(Source::to_tuples).collect();
+        let mcfg = plan.multiway_config(SchemeKind::Hash, &cfg).unwrap();
+        let mut before = run_multiway(&spec, data, &mcfg).unwrap();
+        before.results.sort();
+        assert!(rows.len() > 1_000, "{} rows", rows.len());
+        assert_eq!(rows, before.results);
+        assert_eq!(report.loads, before.loads);
+        assert_eq!(report.input_counts, before.input_counts);
+        assert_eq!(report.scheme_description, before.scheme_description);
     }
 }

@@ -5,6 +5,7 @@
 //! explain line — and its execution as a topology.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use squall_common::{Result, Schema, SquallError, Tuple};
 use squall_core::cluster::ClusterSpec;
@@ -13,6 +14,7 @@ use squall_core::operators::Finalizer;
 use squall_core::standing::{DeltaRound, ViewPlan};
 use squall_expr::{JoinAtom, MultiJoinSpec, ScalarExpr};
 use squall_partition::optimizer::SchemeKind;
+use squall_runtime::Source;
 
 use crate::aggregate::Aggregate;
 use crate::catalog::Catalog;
@@ -88,7 +90,7 @@ impl Default for ExecConfig {
 /// [`squall_core::standing::launch_standing`].
 pub struct StandingPlan {
     pub spec: MultiJoinSpec,
-    pub data: Vec<Vec<Tuple>>,
+    pub data: Vec<Source>,
     pub mcfg: MultiwayConfig,
     pub view: ViewPlan,
 }
@@ -218,7 +220,11 @@ impl PhysicalQuery {
     /// The one relay of session-level knobs (and this plan's window) into a
     /// topology configuration, for the one-shot and the standing plane
     /// alike — a knob relayed here reaches both.
-    fn multiway_config(&self, scheme: SchemeKind, cfg: &ExecConfig) -> Result<MultiwayConfig> {
+    pub(crate) fn multiway_config(
+        &self,
+        scheme: SchemeKind,
+        cfg: &ExecConfig,
+    ) -> Result<MultiwayConfig> {
         let mut mcfg = MultiwayConfig::new(scheme, cfg.local, cfg.machines);
         mcfg.seed = cfg.seed;
         mcfg.worker_threads = cfg.worker_threads;
@@ -233,9 +239,10 @@ impl PhysicalQuery {
     }
 
     /// Every source's current contents after its scan's pushed-down work
-    /// (filter, derive, project — the co-located source components of §2).
-    fn load_sources(&self, catalog: &Catalog) -> Result<Vec<Vec<Tuple>>> {
-        self.scans.iter().map(|s| s.prepare(&catalog.get(&s.name)?.data)).collect()
+    /// (filter, derive, project — the co-located source components of §2),
+    /// read in place.
+    fn load_sources(&self, catalog: &Catalog) -> Result<Vec<Source>> {
+        self.scans.iter().map(|s| s.source(&catalog.get(&s.name)?.data)).collect()
     }
 
     fn finalizer(&self) -> Finalizer {
@@ -299,9 +306,9 @@ impl PhysicalQuery {
     /// sees post-pushdown rows. Aliases whose filter keeps no row are left
     /// out. Pure: the session runs it before it commits the batch.
     pub fn delta_rounds(&self, source: &str, rows: &[Tuple], mult: i64) -> Result<Vec<DeltaRound>> {
-        let mut rounds = Vec::new();
+        let (mut rounds, rows) = (Vec::new(), Arc::new(rows.to_vec()));
         for (t, scan) in self.scans.iter().enumerate().filter(|(_, s)| s.name == source) {
-            let transformed = scan.prepare(rows)?;
+            let transformed = scan.source(&rows)?.to_tuples();
             if !transformed.is_empty() {
                 rounds.push((t, transformed, mult));
             }
@@ -337,21 +344,22 @@ impl PhysicalQuery {
         self.stream_unordered(catalog, cfg)
     }
 
-    /// The one execution path, one relation or six: source-side work,
-    /// statistics, scheme/config selection, then launch the topology and
-    /// hand back its live, HAVING-filtered, SELECT-projected stream in
-    /// production order (ORDER BY / LIMIT not yet applied).
+    /// The one execution path, one relation or six: scheme selection,
+    /// source-side work, statistics, then launch the topology and hand back
+    /// its live, HAVING-filtered, SELECT-projected stream in production
+    /// order (ORDER BY / LIMIT not yet applied).
     fn stream_unordered(&self, catalog: &Catalog, cfg: &ExecConfig) -> Result<ResultSet> {
-        let mut data = self.load_sources(catalog)?;
-        let spec =
-            self.join.launch_spec(&self.scans, &mut data, Some((cfg.machines, cfg.skew_slack)))?;
-        // Scheme & parallelism selection: an explicit config scheme wins,
-        // then the optimizer's cost-based choice, then the Hybrid default
-        // (it subsumes the others, §3.1).
+        // An explicit config scheme wins, then the optimizer's cost-based
+        // choice, then the Hybrid default (it subsumes the others, §3.1).
+        // Hybrid is the one scheme that reads skew hints, so only it pays
+        // for the skew probe.
         let scheme = cfg
             .scheme
             .or_else(|| self.decision.as_ref().and_then(|d| d.scheme_kind()))
             .unwrap_or(SchemeKind::Hybrid);
+        let skew = (scheme == SchemeKind::Hybrid).then_some((cfg.machines, cfg.skew_slack));
+        let mut data = self.load_sources(catalog)?;
+        let spec = self.join.launch_spec(&self.scans, &mut data, skew)?;
         let mut mcfg = self.multiway_config(scheme, cfg)?;
         if let Some(a) = &self.aggregate {
             mcfg = mcfg.with_agg(a.agg_plan(cfg));

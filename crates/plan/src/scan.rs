@@ -4,12 +4,20 @@
 //! Its *original ⊕ derived* columns are the table's, then one per derived
 //! expression; [`Scan::local`] is the one way into the pruned ones.
 
-use squall_common::{DataType, Field, Result, Schema, SquallError, Tuple};
+use std::sync::Arc;
+
+use squall_common::{
+    Array, ArrayBuilder, Chunk, DataType, Field, Result, Schema, SquallError, Tuple,
+};
 use squall_expr::ScalarExpr;
 use squall_partition::ColumnStats;
+use squall_runtime::Source;
 
 use crate::catalog::Catalog;
 use crate::physical::Node;
+
+/// Rows per block the pushed filter is evaluated over.
+const BLOCK: usize = 1024;
 
 /// One resolved, optimized source.
 #[derive(Debug, Clone)]
@@ -97,27 +105,57 @@ impl Scan {
         catalog.stats(&self.name)?.column(*self.kept.get(local).filter(source)?)
     }
 
-    /// Apply the pushed filter, derived columns and projection.
-    pub(crate) fn prepare(&self, data: &[Tuple]) -> Result<Vec<Tuple>> {
-        // Keeping every original column and deriving none: the row as is.
+    /// The relation as its spout reads it, in place: the rows of `data` the
+    /// pushed filter keeps, their kept columns and their derived values,
+    /// found in one pass that copies no row. The filter runs
+    /// column-at-a-time over blocks of the columns it reads; a block whose
+    /// outcome is not a NULL-free Int mask, or that fails, is redone row by
+    /// row, so every row's outcome and the first error are the
+    /// row-at-a-time ones.
+    pub(crate) fn source(&self, data: &Arc<Vec<Tuple>>) -> Result<Source> {
         let whole = self.derived.is_empty() && self.kept.len() == self.columns.len();
-        let mut out = Vec::with_capacity(data.len());
-        for tuple in data {
-            if let Some(f) = &self.filter {
-                if !f.eval_bool(tuple)? {
-                    continue;
+        let cols = (!whole).then(|| self.kept.clone());
+        let mut derived = Vec::new();
+        let mut derive = |row: &Tuple| -> Result<()> {
+            for d in &self.derived {
+                derived.push(d.eval(row)?);
+            }
+            Ok(())
+        };
+        let Some(filter) = &self.filter else {
+            data.iter().try_for_each(&mut derive)?;
+            return Ok(Source::select(Arc::clone(data), None, cols, derived));
+        };
+        let mut refs = Vec::new();
+        filter.referenced_columns(&mut refs);
+        let slot = |c: usize| refs.iter().position(|&r| r == c).expect("a column the filter reads");
+        let block_filter = filter.remap_columns(&slot);
+        let mut columns: Vec<ArrayBuilder> = refs.iter().map(|_| ArrayBuilder::new()).collect();
+        let mut ids = Vec::new();
+        for start in (0..data.len()).step_by(BLOCK) {
+            let block = &data[start..data.len().min(start + BLOCK)];
+            let mask = match block.iter().all(|row| refs.iter().all(|&c| c < row.arity())) {
+                true => {
+                    for row in block {
+                        columns.iter_mut().zip(&refs).for_each(|(b, &c)| b.push(&row[c]));
+                    }
+                    let cols = columns.iter_mut().map(ArrayBuilder::finish).collect();
+                    block_filter.eval_chunk(&Chunk::new(cols, block.len()))
+                }
+                false => Ok(Array::Null(0)),
+            };
+            let mask = match &mask {
+                Ok(Array::Int(m)) if m.validity().is_none() => Some(m.values()),
+                _ => None,
+            };
+            for (i, row) in block.iter().enumerate() {
+                if mask.map_or_else(|| filter.eval_bool(row), |m| Ok(m[i] != 0))? {
+                    derive(row)?;
+                    ids.push(start + i);
                 }
             }
-            if whole {
-                out.push(tuple.clone());
-                continue;
-            }
-            let arity = tuple.arity();
-            let derived = self.derived.iter().map(|d| d.eval(tuple)).collect::<Result<Vec<_>>>()?;
-            let value = |c: usize| if c < arity { tuple.get(c) } else { &derived[c - arity] };
-            out.push(self.kept.iter().map(|&c| value(c).clone()).collect());
         }
-        Ok(out)
+        Ok(Source::select(Arc::clone(data), Some(ids), cols, derived))
     }
 
     /// Estimated post-filter rows: the row count scaled by the filter's
@@ -156,8 +194,12 @@ impl Scan {
 
 #[cfg(test)]
 mod tests {
-    use squall_common::{tuple, SquallError};
-    use squall_expr::{AggFunc, BinOp};
+    use std::sync::Arc;
+
+    use squall_common::{tuple, DataType, Result, Schema, SplitMix64, SquallError, Tuple, Value};
+    use squall_expr::{AggFunc, BinOp, ScalarExpr};
+
+    use super::Scan;
 
     use crate::logical::{agg, col, lit};
     use crate::physical::{execute_query, ExecConfig, PhysicalQuery};
@@ -236,5 +278,126 @@ mod tests {
             p.prepare_standing(&catalog(), &ExecConfig::default()),
             Err(SquallError::PrunedColumnReference { .. })
         ));
+    }
+
+    /// What a scan's source must equal: filter → derive → project, one row
+    /// at a time, stopping at the first error.
+    fn naive(scan: &Scan, data: &[Tuple]) -> Result<Vec<Tuple>> {
+        let mut out = Vec::new();
+        for row in data {
+            if let Some(f) = &scan.filter {
+                if !f.eval_bool(row)? {
+                    continue;
+                }
+            }
+            let derived = scan.derived.iter().map(|d| d.eval(row)).collect::<Result<Vec<_>>>()?;
+            let value = |c: usize| row.values().get(c).unwrap_or_else(|| &derived[c - row.arity()]);
+            out.push(scan.kept.iter().map(|&c| value(c).clone()).collect());
+        }
+        Ok(out)
+    }
+
+    /// A random expression over `X(a, b, c, d)`: Int, Float, NULL and Str
+    /// operands, so some rows compare Int with Float, some divide by zero to
+    /// NULL and some do arithmetic on a string, which is an error.
+    fn expr(rng: &mut SplitMix64, depth: usize) -> ScalarExpr {
+        const OPS: [BinOp; 13] = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Mod,
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+            BinOp::And,
+            BinOp::Or,
+        ];
+        match rng.next_below(if depth == 0 { 2 } else { 6 }) {
+            0 => ScalarExpr::col(rng.next_below(4)),
+            1 => ScalarExpr::lit(
+                [Value::Int(rng.next_range(-2, 8)), Value::Float(2.0), Value::Null]
+                    [rng.next_below(3)]
+                .clone(),
+            ),
+            2 => ScalarExpr::Not(Box::new(expr(rng, depth - 1))),
+            _ => {
+                let op = OPS[rng.next_below(OPS.len())];
+                ScalarExpr::bin(op, expr(rng, depth - 1), expr(rng, depth - 1))
+            }
+        }
+    }
+
+    /// `X(a, b, c, d)`: `a` a small Int; `b` Int or an equal Float; `c` Int,
+    /// Float or NULL, sometimes 0; `d` an Int, rarely a string. Enough rows
+    /// to cross a filter block now and then.
+    fn table(rng: &mut SplitMix64) -> Vec<Tuple> {
+        (0..rng.next_below(2_600))
+            .map(|_| {
+                let b = rng.next_range(0, 9);
+                let b = if rng.next_below(4) == 0 { Value::Float(b as f64) } else { Value::Int(b) };
+                let c = match rng.next_below(5) {
+                    0 => Value::Null,
+                    1 => Value::Float(rng.next_f64() * 4.0),
+                    _ => Value::Int(rng.next_range(0, 3)),
+                };
+                let d = match rng.next_below(400) {
+                    0 => Value::str("x"),
+                    _ => Value::Int(rng.next_range(-1, 50)),
+                };
+                Tuple::new(vec![Value::Int(rng.next_range(0, 9)), b, c, d])
+            })
+            .collect()
+    }
+
+    /// A source is the naive filter → derive → project over the same rows:
+    /// the same rows, values and Value variants, or the same first error —
+    /// and sorting it by event time matches sorting the naive rows.
+    #[test]
+    fn sources_match_the_row_at_a_time_scan() {
+        let cols = ["a", "b", "c", "d"].map(|n| (n, DataType::Int));
+        let schema = Schema::of(&cols).qualified("X");
+        let (mut errors, mut kept) = (0, 0);
+        for seed in 0..if cfg!(debug_assertions) { 300 } else { 3_000 } {
+            let mut rng = SplitMix64::new(seed);
+            let pushed = (0..rng.next_below(3)).map(|_| expr(&mut rng, 3)).collect();
+            let derived = (0..rng.next_below(3)).map(|_| expr(&mut rng, 2)).collect();
+            let needed = (0..4).filter(|_| rng.next_below(2) == 0).collect();
+            let scan = Scan::lower(&("X".into(), "X".into()), &schema, pushed, derived, needed);
+            let data = table(&mut rng);
+            let source = scan.source(&Arc::new(data.clone()));
+            let what = format!("seed {seed}: {scan:?}");
+            match (naive(&scan, &data), &source) {
+                (Ok(rows), Ok(src)) => {
+                    assert_eq!(src.to_tuples(), rows, "{what}");
+                    let same = |a: &Tuple, b: &Tuple| {
+                        a.values()
+                            .iter()
+                            .zip(b.values())
+                            .all(|(x, y)| format!("{x:?}") == format!("{y:?}"))
+                    };
+                    assert!(src.to_tuples().iter().zip(&rows).all(|(a, b)| same(a, b)), "{what}");
+                    kept += rows.len();
+                    // A window on a column other than the declared one.
+                    let ts = rng.next_below(scan.kept.len());
+                    let (mut sorted, mut src) = (rows, src.clone());
+                    let (want, got) = (
+                        squall_runtime::sort_by_event_time(&mut sorted, ts),
+                        src.sort_by_event_time(ts),
+                    );
+                    assert_eq!(format!("{want:?}"), format!("{got:?}"), "{what}: sort by {ts}");
+                    assert_eq!(src.to_tuples(), sorted, "{what}: sorted by {ts}");
+                }
+                (Err(want), Err(got)) => {
+                    assert_eq!(format!("{want:?}"), format!("{got:?}"), "{what}");
+                    errors += 1;
+                }
+                (want, got) => panic!("{what}: {want:?} vs {:?}", got.as_ref().map(|s| s.len())),
+            }
+        }
+        assert!(errors > 10 && kept > 10_000, "{errors} erroring scans, {kept} rows kept");
     }
 }

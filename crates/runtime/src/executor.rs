@@ -451,6 +451,7 @@ impl TaskCell {
             }
             match spout.poll() {
                 SpoutPoll::Tuple(t) => out.emit(t),
+                SpoutPoll::Row(row) => out.emit_row(row),
                 SpoutPoll::Watermark(ts) => out.emit_watermark(ts),
                 SpoutPoll::Barrier(epoch) => out.emit_barrier(epoch),
                 SpoutPoll::Idle => {

@@ -53,8 +53,8 @@ pub use live::{LiveQueue, LiveSpout};
 pub use message::NodeId;
 pub use metrics::{MetricsSnapshot, NodeMetrics, SchedulerStats};
 pub use topology::{
-    sort_by_event_time, Bolt, FnBolt, IterSpout, IterSpoutVec, OutputCollector, Spout, SpoutPoll,
-    Topology, TopologyBuilder, DEFAULT_BATCH_SIZE,
+    sort_by_event_time, Bolt, FnBolt, IterSpout, IterSpoutVec, OutputCollector, Source, Spout,
+    SpoutPoll, Topology, TopologyBuilder, DEFAULT_BATCH_SIZE,
 };
 pub use transport::{
     describe_placement, plan_placement, read_frame_deadline, ClusterLinks, ClusterRun,

@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use crate::topology::{Spout, SpoutPoll};
 
 struct LiveState {
-    queue: VecDeque<SpoutPoll>,
+    queue: VecDeque<SpoutPoll<'static>>,
     closed: bool,
 }
 
@@ -48,12 +48,12 @@ impl LiveQueue {
 
     /// Queue one item. Pushes to a closed queue are dropped silently (the
     /// view is shutting down; the topology will never poll them).
-    pub fn push(&self, item: SpoutPoll) {
+    pub fn push(&self, item: SpoutPoll<'static>) {
         self.push_all([item]);
     }
 
     /// Queue a round of items, in order, under one lock.
-    pub fn push_all(&self, items: impl IntoIterator<Item = SpoutPoll>) {
+    pub fn push_all(&self, items: impl IntoIterator<Item = SpoutPoll<'static>>) {
         let mut inner = self.inner.lock().expect("live queue poisoned");
         if !inner.closed {
             inner.queue.extend(items);
@@ -67,7 +67,7 @@ impl LiveQueue {
         self.inner.lock().expect("live queue poisoned").closed = true;
     }
 
-    fn pop(&self) -> SpoutPoll {
+    fn pop(&self) -> SpoutPoll<'static> {
         let mut inner = self.inner.lock().expect("live queue poisoned");
         let dry = if inner.closed { SpoutPoll::Eos } else { SpoutPoll::Idle };
         inner.queue.pop_front().unwrap_or(dry)
@@ -89,7 +89,7 @@ impl LiveSpout {
 }
 
 impl Spout for LiveSpout {
-    fn poll(&mut self) -> SpoutPoll {
+    fn poll(&mut self) -> SpoutPoll<'_> {
         self.queue.pop()
     }
 }

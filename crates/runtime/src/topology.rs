@@ -19,9 +19,12 @@ use crate::transport::Transport;
 /// items as pushed — additionally use [`SpoutPoll::Idle`] to park without
 /// terminating and [`SpoutPoll::Watermark`] / [`SpoutPoll::Barrier`] to
 /// punctuate epochs.
-pub enum SpoutPoll {
+pub enum SpoutPoll<'a> {
     /// One data tuple to emit downstream.
     Tuple(Tuple),
+    /// One row to emit downstream, borrowed from the spout: no [`Tuple`]
+    /// is built to ship it.
+    Row(&'a [Value]),
     /// Broadcast a watermark to every downstream task (epoch / event-time
     /// frontier punctuation).
     Watermark(u64),
@@ -41,7 +44,7 @@ pub enum SpoutPoll {
 /// aborted.
 pub trait Spout: Send {
     /// Poll the source once — the only way tuples enter a topology.
-    fn poll(&mut self) -> SpoutPoll;
+    fn poll(&mut self) -> SpoutPoll<'_>;
 }
 
 /// A computation node. Each task owns one `Bolt` instance.
@@ -99,36 +102,130 @@ pub trait Bolt: Send {
 pub struct IterSpout<I: Iterator<Item = Tuple> + Send>(pub I);
 
 impl<I: Iterator<Item = Tuple> + Send> Spout for IterSpout<I> {
-    fn poll(&mut self) -> SpoutPoll {
+    fn poll(&mut self) -> SpoutPoll<'_> {
         self.0.next().map_or(SpoutPoll::Eos, SpoutPoll::Tuple)
     }
 }
 
-/// A spout over a shared tuple vector: task `start` of `stride` emits
-/// elements `start, start+stride, …` — the standard way to split one
-/// in-memory relation across several spout tasks.
+/// One relation's rows as its spout reads them, in place: the shared
+/// table, the ids of the rows a pushed-down filter keeps (in emission
+/// order), the columns kept of each row ⊕ its derived values, and those
+/// derived values. Building one copies no row.
+#[derive(Debug, Clone)]
+pub struct Source {
+    data: Arc<Vec<Tuple>>,
+    /// The selected rows in emission order; `None` = every row, in order.
+    ids: Option<Vec<usize>>,
+    /// Kept columns of `row ⊕ derived`; `None` = the whole row.
+    cols: Option<Vec<usize>>,
+    /// `width` derived values per selected row, in selection order.
+    derived: Vec<Value>,
+    width: usize,
+}
+
+impl From<Vec<Tuple>> for Source {
+    fn from(rows: Vec<Tuple>) -> Source {
+        Source::select(Arc::new(rows), None, None, Vec::new())
+    }
+}
+
+impl Source {
+    /// Rows `ids` of `data` (all when `None`), each cut to columns `cols`
+    /// of the row followed by its derived values (whole when `None`);
+    /// `derived` holds the same number of values for every selected row.
+    pub fn select(
+        data: Arc<Vec<Tuple>>,
+        ids: Option<Vec<usize>>,
+        cols: Option<Vec<usize>>,
+        derived: Vec<Value>,
+    ) -> Source {
+        let n = ids.as_ref().map_or(data.len(), Vec::len);
+        let width = derived.len().checked_div(n).unwrap_or(0);
+        Source { data, ids, cols, derived, width }
+    }
+
+    /// Selected rows.
+    pub fn len(&self) -> usize {
+        self.ids.as_ref().map_or(self.data.len(), Vec::len)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn id(&self, k: usize) -> usize {
+        self.ids.as_ref().map_or(k, |ids| ids[k])
+    }
+
+    /// Column `c` (of the kept ones) of selected row `k`.
+    pub fn value(&self, k: usize, c: usize) -> &Value {
+        let c = self.cols.as_ref().map_or(c, |cols| cols[c]);
+        let row = &self.data[self.id(k)];
+        row.values().get(c).unwrap_or_else(|| &self.derived[k * self.width + c - row.arity()])
+    }
+
+    /// Selected row `k` as it ships: the stored row itself when whole,
+    /// else its kept columns gathered into `buf`.
+    pub fn row<'a>(&'a self, k: usize, buf: &'a mut Vec<Value>) -> &'a [Value] {
+        let Some(cols) = &self.cols else { return &self.data[self.id(k)] };
+        buf.clear();
+        buf.extend((0..cols.len()).map(|c| self.value(k, c).clone()));
+        buf
+    }
+
+    /// Every selected row as a tuple (a whole row shares the stored one).
+    pub fn to_tuples(&self) -> Vec<Tuple> {
+        let mut buf = Vec::new();
+        let tuple = |k| match self.cols {
+            None => self.data[self.id(k)].clone(),
+            Some(_) => self.row(k, &mut buf).into(),
+        };
+        (0..self.len()).map(tuple).collect()
+    }
+
+    /// Put the selected rows in event-time order (see
+    /// [`sort_by_event_time`]) by permuting their ids, kept column `ts_col`
+    /// the key.
+    pub fn sort_by_event_time(&mut self, ts_col: usize) -> Result<()> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        event_time_order(&mut order, |&k| self.value(k, ts_col).as_int(), ts_col)?;
+        let w = self.width;
+        self.derived = order.iter().flat_map(|&k| &self.derived[k * w..][..w]).cloned().collect();
+        self.ids = Some(order.iter().map(|&k| self.id(k)).collect());
+        Ok(())
+    }
+}
+
+/// A spout over a shared [`Source`]: task `start` of `stride` emits its
+/// selected rows `start, start+stride, …`, each borrowed — the standard way
+/// to split one in-memory relation across several spout tasks.
 pub struct IterSpoutVec {
-    data: std::sync::Arc<Vec<Tuple>>,
+    source: Arc<Source>,
     pos: usize,
     stride: usize,
+    /// Where a projected row is gathered.
+    buf: Vec<Value>,
 }
 
 impl IterSpoutVec {
-    pub fn strided(data: std::sync::Arc<Vec<Tuple>>, start: usize, stride: usize) -> IterSpoutVec {
+    /// Every row of `data`, whole.
+    pub fn strided(data: Arc<Vec<Tuple>>, start: usize, stride: usize) -> IterSpoutVec {
+        IterSpoutVec::over(Arc::new(Source::select(data, None, None, Vec::new())), start, stride)
+    }
+
+    pub fn over(source: Arc<Source>, start: usize, stride: usize) -> IterSpoutVec {
         assert!(stride > 0);
-        IterSpoutVec { data, pos: start, stride }
+        IterSpoutVec { source, pos: start, stride, buf: Vec::new() }
     }
 }
 
 impl Spout for IterSpoutVec {
-    fn poll(&mut self) -> SpoutPoll {
-        match self.data.get(self.pos) {
-            Some(t) => {
-                self.pos += self.stride;
-                SpoutPoll::Tuple(t.clone())
-            }
-            None => SpoutPoll::Eos,
+    fn poll(&mut self) -> SpoutPoll<'_> {
+        if self.pos >= self.source.len() {
+            return SpoutPoll::Eos;
         }
+        self.pos += self.stride;
+        SpoutPoll::Row(self.source.row(self.pos - self.stride, &mut self.buf))
     }
 }
 
@@ -141,15 +238,25 @@ impl Spout for IterSpoutVec {
 /// timestamps, which is what the watermark-based window join needs to
 /// evict state safely.
 pub fn sort_by_event_time(data: &mut [Tuple], ts_col: usize) -> Result<()> {
-    for t in data.iter() {
-        let v = t.get(ts_col).as_int()?;
+    event_time_order(data, |t| t.get(ts_col).as_int(), ts_col)
+}
+
+/// Stable-sort `items` by the event time `ts` reads off each, every one
+/// checked to be a non-negative Int first.
+fn event_time_order<T>(
+    items: &mut [T],
+    ts: impl Fn(&T) -> Result<i64>,
+    ts_col: usize,
+) -> Result<()> {
+    for t in items.iter() {
+        let v = ts(t)?;
         if v < 0 {
             return Err(SquallError::Runtime(format!(
                 "negative event-time timestamp {v} (column {ts_col})"
             )));
         }
     }
-    data.sort_by_key(|t| t.get(ts_col).as_int().expect("validated above"));
+    items.sort_by_key(|t| ts(t).expect("validated above"));
     Ok(())
 }
 
