@@ -16,17 +16,19 @@
 //! state is the integral of its Z-set deltas). A checkpoint round therefore
 //! costs O(batch), not O(history). Canonical [`JOIN_BLOB_FULL`] bytes —
 //! byte-identical to what the task's own [`squall_join::Snapshot`] would
-//! write — exist only where they are read: [`CheckpointStore::restore_state`]
-//! and [`CheckpointStore::reconstruct_newest`]. The sink's blob is kept as
-//! shipped, latest-wins.
+//! write — exist only where they are read: in a [`RestoreState`]. The
+//! sink's blob is kept as shipped, latest-wins; it holds the sink's
+//! integral only (an aggregate view's group-by state), never the view rows
+//! it derives from it.
 //!
 //! It also implements the paper's §5 observation as a store feature: "if
 //! the partitioning scheme replicates tuples, a failed node can recover its
 //! state from some of its peers rather than from a disk checkpoint".
-//! When the newest checkpoint is missing exactly the blobs of a lost
-//! worker, [`CheckpointStore::reconstruct_newest`] rebuilds them from the
-//! surviving replicas' state — provided the scheme's replication makes that
-//! sound — instead of falling back to an older complete checkpoint.
+//! [`CheckpointStore::restart`] hands recovery one restore state: the
+//! newest checkpoint re-routed from the tasks that reached it — one routing
+//! pass of the union of their integrals through the scheme, provided the
+//! scheme's replication makes that sound — else the newest complete one,
+//! else nothing.
 
 use std::collections::BTreeMap;
 
@@ -286,11 +288,6 @@ impl CheckpointStore {
         pending.chain(self.restorable.then_some(self.base)).find(|&e| self.is_complete(e))
     }
 
-    /// The newest epoch any blob arrived for (complete or not).
-    pub fn newest(&self) -> Option<u64> {
-        self.pending.keys().next_back().copied().or((self.base > 0).then_some(self.base))
-    }
-
     /// Assemble the restore state of a complete checkpoint.
     pub fn restore_state(&self, epoch: u64) -> Option<RestoreState> {
         if !self.is_complete(epoch) {
@@ -331,58 +328,58 @@ impl CheckpointStore {
         self.restorable &= self.base >= keep_from;
     }
 
-    /// A relaunch resumes at `epoch` — the checkpoint it restored, or 0
-    /// for the initial load: fold through it and forget every blob above
-    /// it. The old run's chains end there; the new run's continue from
-    /// `epoch`.
-    pub fn restart_at(&mut self, epoch: u64) {
-        self.trim_below(epoch);
-        if self.base != epoch {
-            *self = CheckpointStore::new(self.n_join_tasks);
+    /// What a relaunch restores, and the store put at it: the newest
+    /// checkpoint re-routed through `scheme` when one is given and that is
+    /// sound (`reroute`), else the newest complete one, else nothing (an
+    /// empty start). Every blob is forgotten: the old run's chains end at
+    /// the restore state, and the new run's continue from its epoch.
+    pub fn restart(&mut self, scheme: Option<&HypercubeScheme>) -> Option<RestoreState> {
+        let restore = scheme
+            .and_then(|s| self.reroute(s))
+            .or_else(|| self.latest_complete().and_then(|e| self.restore_state(e)));
+        *self = CheckpointStore::new(self.n_join_tasks);
+        if let Some(rs) = &restore {
+            for (&task, blob) in &rs.join {
+                if let Ok(blob) = JoinBlob::parse(blob) {
+                    self.tasks.entry(task).or_default().fold(&blob);
+                }
+            }
+            (self.base, self.restorable, self.sink) = (rs.epoch, true, rs.sink.clone());
         }
-        self.pending.clear();
+        restore
     }
 
-    /// §5 peer-replica reconstruction: complete the newest (partial)
-    /// checkpoint from surviving replicas' state, without falling back to
-    /// an older epoch. Returns the completed epoch when reconstruction was
-    /// sound and succeeded.
+    /// §5 peer-replica reconstruction as one re-route: the restore state of
+    /// the newest epoch whose sink blob arrived, complete or not, without
+    /// falling back to an older epoch. The union of the integrals of every
+    /// task whose chain reaches the epoch goes through `scheme` once, into
+    /// every task of the cube; a task the routing does not reach is empty.
     ///
-    /// One routing pass: the union of the present tasks' integrals goes
-    /// through the scheme, and each row lands in every missing task on its
-    /// route. Soundness requires that every replica of a row holds it (a
-    /// windowed view's replicas evict on their own watermarks, so its
-    /// caller never asks), that routing is reproducible (no
-    /// [`DimRole::Random`] axes — standing views pin the Hash scheme, which
-    /// guarantees this), that the sink blob arrived (the sink lives on the
-    /// coordinator), and that every *replica group* (machines agreeing on
-    /// all non-Spread coordinates) that lost a member kept one whose chain
-    /// reaches the epoch — otherwise some tuples are unrecoverable from
-    /// peers and an older complete checkpoint must be used instead.
-    pub fn reconstruct_newest(&mut self, scheme: &HypercubeScheme, n_rels: usize) -> Option<u64> {
-        let epoch = self.newest()?;
-        if self.is_complete(epoch) {
-            return Some(epoch);
-        }
-        self.pending.get(&epoch)?.sink.as_ref()?;
+    /// Soundness requires that every replica of a row holds it (a windowed
+    /// view's replicas evict on their own watermarks, so its caller never
+    /// asks), that routing is reproducible (no [`DimRole::Random`] axes —
+    /// standing views pin the Hash scheme, which guarantees this), and that
+    /// every *replica group* (machines agreeing on all non-Spread
+    /// coordinates) that lost a member kept one whose chain reaches the
+    /// epoch — otherwise some tuples are unrecoverable from peers and the
+    /// answer is `None`.
+    fn reroute(&self, scheme: &HypercubeScheme) -> Option<RestoreState> {
+        let with_sink = self.pending.iter().rev().find(|(_, blobs)| blobs.sink.is_some());
+        let (epoch, sink) = match with_sink {
+            Some((&epoch, blobs)) => (epoch, blobs.sink.clone()),
+            None => (self.restorable.then_some(self.base)?, self.sink.clone()),
+        };
         if scheme.roles.iter().flatten().any(|r| matches!(r, DimRole::Random)) {
             return None; // routing not reproducible offline
         }
-        // A present task is one whose chain reaches the epoch: its base
-        // plus the deltas since. Each missing one is rebuilt as its whole
-        // state at the epoch, so its restore bytes are exactly what the
-        // lost join task itself would have produced.
-        let mut present = Vec::new();
-        let mut rebuilt: FxHashMap<usize, Vec<Vec<(Tuple, i64)>>> = FxHashMap::default();
+        let (mut present, mut missing) = (Vec::new(), Vec::new());
         for task in 0..self.n_join_tasks {
             match self.state_at(task, epoch) {
                 Some(state) => present.push((task, state)),
-                None => {
-                    rebuilt.insert(task, vec![Vec::new(); n_rels]);
-                }
+                None => missing.push(task),
             }
         }
-        let missing: Vec<usize> = rebuilt.keys().copied().collect();
+        let n_rels = scheme.roles.len();
         let survivors = || present.iter().map(|(task, _)| *task);
         if !(0..n_rels).all(|rel| replica_groups_covered(scheme, rel, &missing, survivors())) {
             return None;
@@ -395,18 +392,18 @@ impl CheckpointStore {
                 }
             }
         }
+        let mut tasks = vec![TaskState(vec![FxHashMap::default(); n_rels]); self.n_join_tasks];
         let (mut rng, mut route) = (SplitMix64::new(0), Vec::new());
         for ((rel, tuple), mult) in union {
             scheme.route(rel, tuple, &mut rng, &mut route);
-            for task in &route {
-                if let Some(rels) = rebuilt.get_mut(task) {
-                    rels[rel].push((tuple.clone(), mult));
+            for &task in &route {
+                if let Some(state) = tasks.get_mut(task) {
+                    state.0[rel].insert(tuple.clone(), mult);
                 }
             }
         }
-        let blobs = rebuilt.into_iter().map(|(task, rels)| (task, JoinBlob { since: None, rels }));
-        self.pending.get_mut(&epoch)?.join.extend(blobs);
-        Some(epoch)
+        let join = tasks.iter().enumerate().map(|(task, state)| (task, state.blob())).collect();
+        Some(RestoreState { epoch, join, sink })
     }
 }
 
@@ -541,6 +538,11 @@ mod tests {
         HypercubeScheme::new(3, vec![dim("~a"), dim("~b")], 1)
     }
 
+    /// The newest epoch any blob arrived for (complete or not).
+    fn newest(store: &CheckpointStore) -> Option<u64> {
+        store.pending.keys().next_back().copied().or((store.base > 0).then_some(store.base))
+    }
+
     fn join_blob(j: &DBToasterJoin) -> Vec<u8> {
         let mut buf = vec![JOIN_BLOB_FULL];
         j.snapshot_state(&mut buf);
@@ -580,14 +582,14 @@ mod tests {
         assert!(store.is_complete(4));
         store.insert((ROLE_JOIN, 0, 8, blobs[2].clone()));
         assert_eq!(store.latest_complete(), Some(4));
-        assert_eq!(store.newest(), Some(8));
+        assert_eq!(newest(&store), Some(8));
         let rs = store.restore_state(4).unwrap();
         assert_eq!(rs.epoch, 4);
         assert_eq!(rs.join[&1], blobs[1]);
         assert_eq!(rs.sink, Some(vec![3]));
         store.trim_below(8);
         assert_eq!(store.latest_complete(), None);
-        assert_eq!(store.newest(), Some(8));
+        assert_eq!(newest(&store), Some(8));
     }
 
     #[test]
@@ -625,9 +627,8 @@ mod tests {
             }
         }
         store.insert((ROLE_SINK, 0, 4, vec![7]));
-        assert_eq!(
-            store.reconstruct_newest(&scheme, 3),
-            None,
+        assert!(
+            store.reroute(&scheme).is_none(),
             "S is fully partitioned: losing a machine loses S tuples irrecoverably"
         );
 
@@ -646,8 +647,8 @@ mod tests {
             }
         }
         store.insert((ROLE_SINK, 0, 6, vec![9]));
-        assert_eq!(store.reconstruct_newest(&spread, 3), Some(6));
-        let rs = store.restore_state(6).unwrap();
+        let rs = store.reroute(&spread).unwrap();
+        assert_eq!(rs.epoch, 6);
         assert_eq!(rs.join[&2], blobs[2], "rebuilt blob is byte-identical to the lost one");
     }
 
@@ -663,8 +664,8 @@ mod tests {
         }
         store.insert((ROLE_JOIN, 4, 2, join_blob(&DBToasterJoin::new(&chain3()))));
         store.insert((ROLE_SINK, 0, 2, vec![1]));
-        assert_eq!(store.reconstruct_newest(&scheme, 3), Some(2));
-        let rs = store.restore_state(2).unwrap();
+        let rs = store.reroute(&scheme).unwrap();
+        assert_eq!(rs.epoch, 2);
         assert_eq!(rs.join[&5], join_blob(&DBToasterJoin::new(&chain3())));
     }
 
@@ -773,8 +774,8 @@ mod tests {
         }
         store.insert((ROLE_SINK, 0, 2, vec![2]));
         assert!(!store.is_complete(2), "task 2's delta is lost");
-        assert_eq!(store.reconstruct_newest(&scheme, 3), Some(2));
-        let rs = store.restore_state(2).unwrap();
+        let rs = store.reroute(&scheme).unwrap();
+        assert_eq!(rs.epoch, 2);
         for (task, join) in joins.iter().enumerate() {
             assert_eq!(rs.join[&task], join_blob(join), "task {task}");
         }
@@ -912,15 +913,24 @@ mod tests {
             store.insert(msg);
         }
 
+        /// Whether every blob of `task` up to barrier `e` is in.
+        fn reached(&self, task: usize, e: u64) -> bool {
+            self.barriers.iter().filter(|&&b| b <= e).all(|b| self.delivered[task].contains(b))
+        }
+
         /// The newest barrier whose sink blob is in and up to which every
         /// task's blobs all are.
         fn latest_complete(&self) -> Option<u64> {
-            let reached = |task: usize, e: u64| {
-                self.barriers.iter().filter(|&&b| b <= e).all(|b| self.delivered[task].contains(b))
-            };
             self.barriers.iter().rev().copied().find(|&e| {
-                self.sinks.contains(&e) && (0..self.delivered.len()).all(|t| reached(t, e))
+                self.sinks.contains(&e) && (0..self.delivered.len()).all(|t| self.reached(t, e))
             })
+        }
+
+        /// What a re-route of replicated tasks restores: the newest barrier
+        /// whose sink blob is in, if some task's blobs up to it all are.
+        fn rerouted(&self) -> Option<u64> {
+            let newest = self.sinks.iter().max().copied()?;
+            (0..self.delivered.len()).any(|t| self.reached(t, newest)).then_some(newest)
         }
     }
 
@@ -1029,20 +1039,32 @@ mod tests {
     /// the sink blob sometimes never; now and then the run recovers. The
     /// store must report exactly the complete epochs the model computes,
     /// and every complete epoch must restore to each task's own snapshot
-    /// bytes.
+    /// bytes. One seed in four runs full-history replicas — every task
+    /// applies the same deltas, a cube that spreads every relation — whose
+    /// newest barrier sometimes loses some join blobs just before a
+    /// recovery: `restart` must then re-route that barrier from the tasks
+    /// that reached it.
     fn check_chain_seed(seed: u64) {
         let _replay = Replay(seed);
         let mut rng = SplitMix64::new(seed);
         let n_tasks = 1 + rng.next_below(3);
         let mut tasks: Vec<ModelTask> = (0..n_tasks).map(|_| ModelTask::random(&mut rng)).collect();
+        let replicated = seed.is_multiple_of(4);
+        if replicated {
+            tasks.fill_with(|| ModelTask::Full(DBToasterJoin::new(&chain3())));
+        }
         let mut logs: Vec<DeltaLog> = (0..n_tasks).map(|_| DeltaLog::new(3, 0)).collect();
         let mut store = CheckpointStore::new(n_tasks);
         let mut model = ChainModel { delivered: vec![Vec::new(); n_tasks], ..Default::default() };
         let mut late = Vec::<SnapshotBlobMsg>::new();
         for epoch in 1..=4 + rng.next_below(24) as u64 {
+            // Replicas draw their deltas from copies of one generator.
+            let replica = replicated.then(|| SplitMix64::new(rng.next_u64()));
             for (task, log) in tasks.iter_mut().zip(&mut logs) {
-                for _ in 0..rng.next_below(6) {
-                    task.delta(&mut rng, log, epoch);
+                let mut own = replica.clone();
+                let r = own.as_mut().unwrap_or(&mut rng);
+                for _ in 0..r.next_below(6) {
+                    task.delta(r, log, epoch);
                 }
             }
             if rng.next_below(3) != 0 {
@@ -1052,14 +1074,24 @@ mod tests {
             // already hold a delta of the next epoch.
             model.barriers.push(epoch);
             model.snapshots.insert(epoch, tasks.iter().map(ModelTask::snapshot).collect());
+            let replica = replicated.then(|| SplitMix64::new(rng.next_u64()));
             let mut msgs = Vec::new();
             for (id, (task, log)) in tasks.iter_mut().zip(&mut logs).enumerate() {
-                if rng.next_below(3) == 0 {
-                    task.delta(&mut rng, log, epoch + 1);
+                let mut own = replica.clone();
+                let r = own.as_mut().unwrap_or(&mut rng);
+                if r.next_below(3) == 0 {
+                    task.delta(r, log, epoch + 1);
                 }
                 msgs.push((ROLE_JOIN, id, epoch, log.seal(epoch)));
             }
             msgs.push((ROLE_SINK, 0, epoch, epoch.to_le_bytes().to_vec()));
+            // The worker about to be lost takes the join blobs of some
+            // tasks (all of them, at worst) with it.
+            let crash = replicated && rng.next_below(2) == 0;
+            if crash {
+                let kept = rng.next_below(n_tasks);
+                msgs.retain(|msg| msg.0 != ROLE_JOIN || msg.1 < kept);
+            }
             let held = std::mem::take(&mut late);
             rng.shuffle(&mut msgs);
             for msg in msgs {
@@ -1087,12 +1119,29 @@ mod tests {
                 store.trim_below(expect.unwrap_or(0));
             }
 
-            // Now and then a recovery: every task restarts from the newest
-            // complete checkpoint (or empty) and begins a new chain.
-            if rng.next_below(8) == 0 {
-                let resume = expect.unwrap_or(0);
-                let restore = store.restore_state(resume);
-                store.restart_at(resume);
+            // Now and then a recovery: every task restarts from what
+            // `restart` hands the standing view's `recover` (replicas: the
+            // newest barrier re-routed over a cube that spreads every
+            // relation; others: the newest complete checkpoint), or empty,
+            // and begins a new chain.
+            if crash || rng.next_below(8) == 0 {
+                let spread = Dimension {
+                    name: "~".into(),
+                    size: n_tasks,
+                    kind: PartitionKind::Hash,
+                    members: vec![],
+                };
+                let scheme = replicated.then(|| HypercubeScheme::new(3, vec![spread], 0));
+                let want = replicated.then(|| model.rerouted()).flatten().or(expect);
+                let restore = store.restart(scheme.as_ref());
+                assert_eq!(restore.as_ref().map(|rs| rs.epoch), want, "recovery at {epoch}");
+                if let Some(rs) = &restore {
+                    for (task, bytes) in model.snapshots[&rs.epoch].iter().enumerate() {
+                        assert_eq!(&rs.join[&task], bytes, "task {task} restored at {}", rs.epoch);
+                    }
+                    assert_eq!(rs.sink, Some(rs.epoch.to_le_bytes().to_vec()));
+                }
+                let resume = want.unwrap_or(0);
                 for (id, (task, log)) in tasks.iter_mut().zip(&mut logs).enumerate() {
                     *task = task.restart(restore.as_ref().map(|rs| rs.join[&id].as_slice()));
                     *log = DeltaLog::new(3, resume);
@@ -1124,10 +1173,10 @@ mod tests {
         })]
 
         /// §5 over arbitrary hypercube shapes — replicating, partitioning
-        /// and Spread dimensions alike: with every task but one present,
-        /// the routing pass rebuilds the missing task's blob byte for
-        /// byte, exactly when its replica groups are covered and no axis
-        /// routes at random; otherwise the store falls back.
+        /// and Spread dimensions alike: with one or two tasks lost, the
+        /// re-route rebuilds every task's blob byte for byte, the present
+        /// tasks' included, exactly when the lost tasks' replica groups are
+        /// covered and no axis routes at random; otherwise it refuses.
         #[test]
         fn rebuilding_each_task_from_the_others_reproduces_its_blob(
             dim_codes in proptest::collection::vec(0u64..1000, 1..4),
@@ -1158,21 +1207,29 @@ mod tests {
             let random = scheme.roles.iter().flatten().any(|r| matches!(r, DimRole::Random));
             let machines = scheme.machines();
             let blobs = routed_blobs(&scheme, 40);
-            for lost in 0..machines {
-                let mut store = CheckpointStore::new(machines);
-                for (task, blob) in blobs.iter().enumerate().filter(|(task, _)| *task != lost) {
-                    store.insert((ROLE_JOIN, task, 1, blob.clone()));
-                }
-                store.insert((ROLE_SINK, 0, 1, vec![1]));
-                let others = (0..machines).filter(|&m| m != lost);
-                let covered = (0..3).all(|rel| {
-                    replica_groups_covered(&scheme, rel, &[lost], others.clone())
-                });
-                let rebuilt = store.reconstruct_newest(&scheme, 3);
-                prop_assert_eq!(rebuilt.is_some(), covered && !random, "task {}", lost);
-                if rebuilt.is_some() {
-                    let rs = store.restore_state(1).unwrap();
-                    prop_assert!(rs.join[&lost] == blobs[lost], "task {} rebuilt", lost);
+            for first in 0..machines {
+                let second = (first + 1 + seed as usize) % machines;
+                for lost in [vec![first], vec![first, second]] {
+                    let mut store = CheckpointStore::new(machines);
+                    for (task, blob) in blobs.iter().enumerate() {
+                        if !lost.contains(&task) {
+                            store.insert((ROLE_JOIN, task, 1, blob.clone()));
+                        }
+                    }
+                    store.insert((ROLE_SINK, 0, 1, vec![1]));
+                    let others = (0..machines).filter(|m| !lost.contains(m));
+                    let covered = (0..3).all(|rel| {
+                        replica_groups_covered(&scheme, rel, &lost, others.clone())
+                    });
+                    let rebuilt = store.reroute(&scheme);
+                    prop_assert_eq!(rebuilt.is_some(), covered && !random, "tasks {:?}", lost);
+                    if let Some(rs) = rebuilt {
+                        prop_assert_eq!(rs.epoch, 1);
+                        for (task, blob) in blobs.iter().enumerate() {
+                            let own = &rs.join[&task] == blob;
+                            prop_assert!(own, "task {} of {:?} lost", task, lost);
+                        }
+                    }
                 }
             }
         }

@@ -298,7 +298,6 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
 
     // Rebuild the identical topology — without data: every spout task is
     // placed on the coordinator, so the factories are never invoked here.
-    let empty_data: Vec<Vec<squall_common::Tuple>> = vec![Vec::new(); job.spec.n_relations()];
     // Checkpoint plumbing: join bolts on this worker hand snapshot blobs
     // to a local channel; a detached forwarder ships them to the
     // coordinator as `SnapshotBlob` frames once the links are up.
@@ -319,12 +318,11 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
         let restored = restore.is_some();
         // Standing views rebuild the resident topology shape; the live
         // queues and the view sink live on the coordinator only.
-        let topology = crate::standing::assemble_standing(
-            &job.spec, empty_data, &job.cfg, None, restore, blob_tx,
-        )?
-        .0;
+        let topology =
+            crate::standing::assemble_standing(&job.spec, &job.cfg, None, restore, blob_tx)?.0;
         (topology, restored)
     } else {
+        let empty_data = vec![Vec::<squall_common::Tuple>::new(); job.spec.n_relations()];
         (assemble(&job.spec, empty_data, &job.cfg)?.0, false)
     };
     if restored {
@@ -1026,12 +1024,10 @@ mod tests {
     /// What a worker does with a decoded job before any task runs: check
     /// the plan and build its topology slice.
     fn build(job: &JobSpec) -> Result<()> {
-        let data = vec![Vec::new(); job.spec.n_relations()];
         if job.cfg.standing {
-            crate::standing::assemble_standing(&job.spec, data, &job.cfg, None, None, None)
-                .map(drop)
+            crate::standing::assemble_standing(&job.spec, &job.cfg, None, None, None).map(drop)
         } else {
-            assemble(&job.spec, data, &job.cfg).map(drop)
+            assemble(&job.spec, vec![Vec::new(); job.spec.n_relations()], &job.cfg).map(drop)
         }
     }
 

@@ -329,8 +329,9 @@ pub(crate) struct RunContext {
     /// The ordered window-merge sink (windowed aggregation only).
     merge_node: Option<NodeId>,
     pub(crate) scheme_description: String,
-    /// Tuples per relation the run was launched with.
-    input_counts: Vec<u64>,
+    /// Tuples per relation the run was launched with (a standing view's:
+    /// its initial load).
+    pub(crate) input_counts: Vec<u64>,
     /// The sink emits per-task result counters instead of rows.
     count_only: bool,
 }

@@ -16,9 +16,10 @@
 //!   [`DBToasterJoin::delta`], whose output weights are the exact signed
 //!   change of the join result multiset.
 //! * **epoch** — which `append()`/`retract()` round produced the delta.
-//!   The initial load is epoch 1; every later round bumps the counter,
-//!   pushes its deltas to the owning relations' queues and an epoch
-//!   watermark to *all* queues.
+//!   The topology launches empty and the initial load is round 1, fed like
+//!   any other; every later round bumps the counter. A round pushes its
+//!   deltas to the owning relations' queues and an epoch watermark to
+//!   *all* queues.
 //!
 //! Trailing columns are invisible to routing: the partitioning scheme's
 //! groupings only read join-key columns, which sit below the original
@@ -39,10 +40,20 @@
 //! counter; `snapshot()` blocks until the applied epoch catches up with
 //! the last issued one — read-your-writes for every acked append.
 //!
+//! ## Recovery
+//!
+//! A clustered view keeps every round no complete checkpoint covers in its
+//! replay log, round 1 included; with checkpoints off that is every round,
+//! as many rows as the catalog holds. [`StandingHandle::recover`] restores
+//! every operator from one restore state ([`CheckpointStore::restart`]: a
+//! §5 re-route, a complete checkpoint, or nothing) and replays the log
+//! after it.
+//!
 //! `DROP MATERIALIZED VIEW` closes the queues; the spouts report Eos on
 //! their next poll and the ordinary flush/punctuate shutdown cascade
 //! tears the topology down — locally and across cluster workers alike.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -51,7 +62,7 @@ use std::time::{Duration, Instant};
 
 use squall_common::array::Array;
 use squall_common::codec::{self, Reader};
-use squall_common::{Chunk, FxHashMap, FxHashSet, Result, SquallError, Tuple, Value};
+use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::MultiJoinSpec;
 use squall_join::{DBToasterJoin, GroupByAggregator, Snapshot, WindowSpec};
 use squall_partition::optimizer::build_scheme;
@@ -201,7 +212,6 @@ impl ViewShared {
             return false;
         }
         for (row, m) in &changes {
-            use std::collections::hash_map::Entry;
             match st.rows.entry(row.clone()) {
                 Entry::Occupied(mut o) => {
                     *o.get_mut() += m;
@@ -486,13 +496,14 @@ enum SinkState {
     /// Plain projected multiset: nothing to keep locally, changes are
     /// netted per epoch and applied straight into the shared rows.
     Plain,
-    /// Aggregate view: group-by state plus the currently published
-    /// finalized row per group key.
+    /// Aggregate view: the group-by state, the integral of every applied
+    /// epoch. A group's published row is what the finalizer makes of it
+    /// ([`ViewSinkBolt::group_row`]), so the sink keeps no copy of the view.
     Agg {
         agg: GroupByAggregator,
-        published: FxHashMap<Vec<Value>, Tuple>,
-        /// Epoch 1 must evaluate the global-aggregate empty row even if
-        /// the initial load is empty.
+        /// Whether an epoch was applied: before the first, nothing is
+        /// published, and the first evaluates the global-aggregate empty
+        /// row even if its input is empty.
         primed: bool,
     },
 }
@@ -523,7 +534,6 @@ impl ViewSinkBolt {
         let state = if !plan.finalizer.aggs.is_empty() {
             SinkState::Agg {
                 agg: GroupByAggregator::new(plan.group_cols.clone(), plan.finalizer.aggs.clone()),
-                published: FxHashMap::default(),
                 primed: false,
             }
         } else {
@@ -549,15 +559,8 @@ impl ViewSinkBolt {
         let kind = r.u8()?;
         match (&mut self.state, kind) {
             (SinkState::Plain, 0) => {}
-            (SinkState::Agg { agg, published, primed }, 1) => {
+            (SinkState::Agg { agg, primed }, 1) => {
                 agg.restore_state(&mut r)?;
-                published.clear();
-                let n = r.len()?;
-                for _ in 0..n {
-                    let key = codec::get_tuple(&mut r)?.values().to_vec();
-                    let row = codec::get_tuple(&mut r)?;
-                    published.insert(key, row);
-                }
                 *primed = r.bool()?;
             }
             _ => return Err(SquallError::Codec("sink checkpoint blob kind mismatch".into())),
@@ -565,6 +568,20 @@ impl ViewSinkBolt {
         r.finish()?;
         self.applied = epoch;
         Ok(())
+    }
+
+    /// The checkpoint blob [`ViewSinkBolt::restore`] reads: the kind byte,
+    /// then an aggregate view's group-by state and `primed`.
+    fn blob(&self) -> Vec<u8> {
+        match &self.state {
+            SinkState::Plain => vec![0],
+            SinkState::Agg { agg, primed } => {
+                let mut buf = vec![1];
+                agg.snapshot_state(&mut buf);
+                codec::put_bool(&mut buf, *primed);
+                buf
+            }
+        }
     }
 
     /// One windowed-sink input row per window the join result `row` folds
@@ -583,6 +600,16 @@ impl ViewSinkBolt {
             .collect())
     }
 
+    /// The row the view shows for group `key` of `agg`: its finalized
+    /// aggregate, or for a global aggregate with no rows the empty row.
+    fn group_row(plan: &ViewPlan, agg: &GroupByAggregator, key: &[Value]) -> Result<Option<Tuple>> {
+        match agg.group(key) {
+            Some(raw) => plan.finalizer.row(&raw),
+            None if key.is_empty() => plan.finalizer.empty_row(),
+            None => Ok(None),
+        }
+    }
+
     /// Apply one epoch's deltas, returning the net row changes.
     fn apply_epoch(&mut self, deltas: Vec<(Tuple, i64)>) -> Result<Vec<(Tuple, i64)>> {
         let plan = Arc::clone(&self.plan);
@@ -595,13 +622,12 @@ impl ViewSinkBolt {
                     }
                 }
             }
-            SinkState::Agg { agg, published, primed } => {
-                let mut touched: FxHashSet<Vec<Value>> = FxHashSet::default();
-                if !*primed {
-                    *primed = true;
-                    if plan.finalizer.emit_empty {
-                        touched.insert(Vec::new());
-                    }
+            SinkState::Agg { agg, primed } => {
+                // Each touched group's row before the epoch, taken before
+                // its first fold.
+                let mut touched: FxHashMap<Vec<Value>, Option<Tuple>> = FxHashMap::default();
+                if !*primed && plan.finalizer.emit_empty {
+                    touched.insert(Vec::new(), None);
                 }
                 for (base, m) in &deltas {
                     let inputs: Vec<Tuple> = match &plan.windowed {
@@ -609,32 +635,24 @@ impl ViewSinkBolt {
                         Some(w) => Self::window_rows(w, base)?,
                     };
                     for input in &inputs {
-                        touched.insert(input.key(&plan.group_cols));
+                        if let Entry::Vacant(slot) = touched.entry(input.key(&plan.group_cols)) {
+                            let old = match primed {
+                                true => Self::group_row(&plan, agg, slot.key())?,
+                                false => None,
+                            };
+                            slot.insert(old);
+                        }
                         agg.fold_row(input, *m)?;
                     }
                 }
-                for key in touched {
-                    let new = match agg.group(&key) {
-                        Some(raw) => plan.finalizer.row(&raw)?,
-                        // A global aggregate with no rows still shows one.
-                        None if key.is_empty() => plan.finalizer.empty_row()?,
-                        None => None,
-                    };
-                    let old = published.get(&key).cloned();
+                *primed = true;
+                for (key, old) in touched {
+                    let new = Self::group_row(&plan, agg, &key)?;
                     if old == new {
                         continue;
                     }
-                    if let Some(o) = old {
-                        *net.entry(o).or_insert(0) -= 1;
-                    }
-                    match new {
-                        Some(n) => {
-                            *net.entry(n.clone()).or_insert(0) += 1;
-                            published.insert(key, n);
-                        }
-                        None => {
-                            published.remove(&key);
-                        }
+                    for (row, m) in old.into_iter().map(|o| (o, -1)).chain(new.map(|n| (n, 1))) {
+                        *net.entry(row).or_insert(0) += m;
                     }
                 }
             }
@@ -728,23 +746,7 @@ impl Bolt for ViewSinkBolt {
             )));
         }
         if let Some(tx) = &self.blob_tx {
-            let mut buf = Vec::new();
-            match &self.state {
-                SinkState::Plain => buf.push(0u8),
-                SinkState::Agg { agg, published, primed } => {
-                    buf.push(1u8);
-                    agg.snapshot_state(&mut buf);
-                    let mut keys: Vec<&Vec<Value>> = published.keys().collect();
-                    keys.sort();
-                    codec::put_u32(&mut buf, keys.len() as u32);
-                    for key in keys {
-                        codec::put_tuple(&mut buf, &Tuple::new(key.clone()));
-                        codec::put_tuple(&mut buf, &published[key]);
-                    }
-                    codec::put_bool(&mut buf, *primed);
-                }
-            }
-            let _ = tx.send((ROLE_SINK, 0, epoch, buf));
+            let _ = tx.send((ROLE_SINK, 0, epoch, self.blob()));
         }
         Ok(())
     }
@@ -764,20 +766,17 @@ fn tag_delta(row: &[Value], mult: i64, epoch: u64) -> Tuple {
 }
 
 /// Build the resident topology for one standing view: the shared join
-/// stage ([`wire_join_stage`]) over live-queue spouts (preloaded with the
-/// initial data as epoch-1 deltas) and the delta join, then the single
-/// view sink. `coordinator` carries the view plan and shared state on the
-/// coordinator; workers pass `None` — their spout and sink factories are
-/// never invoked (spouts and parallelism-1 bolts are pinned to peer 0 by
-/// `plan_placement`).
+/// stage ([`wire_join_stage`]) over empty live-queue spouts and the delta
+/// join, then the single view sink. `coordinator` carries the view plan and
+/// shared state on the coordinator; workers pass `None` — their spout and
+/// sink factories are never invoked (spouts and parallelism-1 bolts are
+/// pinned to peer 0 by `plan_placement`).
 ///
 /// `restore` rebuilds every operator from a checkpoint instead of
-/// starting empty (the epoch-1 preload is then suppressed — recovery
-/// replays buffered rounds with their original epochs). `blob_tx` is
-/// where operators ship their checkpoint blobs at barrier alignment.
+/// starting empty. `blob_tx` is where operators ship their checkpoint blobs
+/// at barrier alignment.
 pub(crate) fn assemble_standing(
     spec: &MultiJoinSpec,
-    data: Vec<impl Into<Source>>,
     cfg: &MultiwayConfig,
     coordinator: Option<(Arc<ViewPlan>, Arc<ViewShared>)>,
     restore: Option<Arc<RestoreState>>,
@@ -798,24 +797,16 @@ pub(crate) fn assemble_standing(
         }
     }
     let mut queues = Vec::with_capacity(n_rel);
-    let preload = restore.is_none();
     let join_restore = restore.clone();
     let join_blob_tx = blob_tx.clone();
     let (mut b, ctx) = wire_join_stage(
         spec,
-        data.into_iter().map(Into::into).collect(),
+        vec![Vec::new().into(); n_rel],
         cfg,
-        // One live queue + one spout task per relation, preloaded with the
-        // initial load as epoch-1 deltas and the epoch-1 watermark.
-        |_rel, source| {
+        // One live queue + one spout task per relation; every round, the
+        // initial load included, arrives through the queue.
+        |_rel, _source| {
             let queue = Arc::new(LiveQueue::new());
-            if preload {
-                let mut buf = Vec::new();
-                for k in 0..source.len() {
-                    queue.push(SpoutPoll::Tuple(tag_delta(source.row(k, &mut buf), 1, 1)));
-                }
-                queue.push(SpoutPoll::Watermark(1));
-            }
             queues.push(Arc::clone(&queue));
             Box::new(move |_task| -> Box<dyn Spout> {
                 Box::new(LiveSpout::new(Arc::clone(&queue)))
@@ -871,12 +862,12 @@ struct Resident {
 }
 
 impl Resident {
-    /// Assemble and launch, locally or across `cfg`'s cluster. A recovery
-    /// relaunch passes the checkpoint to rebuild operators from (`restore`)
-    /// and the epoch workers are re-admitted at (`readmit`).
+    /// Assemble and launch an empty topology, locally or across `cfg`'s
+    /// cluster. A recovery relaunch passes the checkpoint to rebuild
+    /// operators from (`restore`) and the epoch workers are re-admitted at
+    /// (`readmit`).
     fn boot(
         spec: &MultiJoinSpec,
-        data: Vec<Source>,
         cfg: &MultiwayConfig,
         coordinator: (Arc<ViewPlan>, Arc<ViewShared>),
         restore: Option<Arc<RestoreState>>,
@@ -884,14 +875,8 @@ impl Resident {
     ) -> Result<Resident> {
         let (tx, rx) = std::sync::mpsc::channel();
         let blob_tx = (cfg.checkpoint_interval > 0).then_some(tx);
-        let (topology, queues, layout) = assemble_standing(
-            spec,
-            data,
-            cfg,
-            Some(coordinator),
-            restore.clone(),
-            blob_tx.clone(),
-        )?;
+        let (topology, queues, layout) =
+            assemble_standing(spec, cfg, Some(coordinator), restore.clone(), blob_tx.clone())?;
         let (handle, cluster) = crate::cluster::launch(
             topology,
             spec,
@@ -921,8 +906,10 @@ impl Resident {
     /// Feed one epoch: payload rows to their relations' queues, the epoch
     /// watermark to *every* queue.
     fn feed(&self, epoch: u64, rounds: &[DeltaRound]) {
+        let mut buf = Vec::new();
         for (rel, rows, mult) in rounds {
-            let tagged = rows.iter().map(|row| SpoutPoll::Tuple(tag_delta(row, *mult, epoch)));
+            let tagged = (0..rows.len())
+                .map(|k| SpoutPoll::Tuple(tag_delta(rows.row(k, &mut buf), *mult, epoch)));
             self.queues[*rel].push_all(tagged);
         }
         for q in &self.queues {
@@ -943,9 +930,9 @@ impl Resident {
 }
 
 /// Launch a resident topology for one standing view, locally or across
-/// the session's cluster. The returned handle feeds deltas, serves
-/// snapshots and tears the view down on drop of the view (via
-/// [`StandingHandle::shutdown`]).
+/// the session's cluster, and feed it `data`, the initial load, as epoch 1.
+/// The returned handle feeds deltas, serves snapshots and tears the view
+/// down on drop of the view (via [`StandingHandle::shutdown`]).
 pub fn launch_standing(
     spec: &MultiJoinSpec,
     data: Vec<impl Into<Source>>,
@@ -954,16 +941,23 @@ pub fn launch_standing(
     shared: Arc<ViewShared>,
 ) -> Result<StandingHandle> {
     debug_assert!(cfg.standing, "launch_standing needs cfg.standing");
+    if data.len() != spec.n_relations() {
+        return Err(SquallError::InvalidPlan(format!(
+            "{} relations but {} data streams",
+            spec.n_relations(),
+            data.len()
+        )));
+    }
     let plan = Arc::new(plan);
-    // Recovery replays the initial load from scratch when no checkpoint
-    // completed yet, so clustered runs keep a copy.
-    let data: Vec<Source> = data.into_iter().map(Into::into).collect();
-    let initial_data = if cfg.cluster.is_some() { data.clone() } else { Vec::new() };
-    let mut run =
-        Resident::boot(spec, data, cfg, (Arc::clone(&plan), Arc::clone(&shared)), None, None)?;
+    let mut run = Resident::boot(spec, cfg, (Arc::clone(&plan), Arc::clone(&shared)), None, None)?;
+    let load: Vec<DeltaRound> =
+        data.into_iter().map(Into::into).enumerate().map(|(rel, rows)| (rel, rows, 1)).collect();
+    run.layout.input_counts = load.iter().map(|(_, rows, _)| rows.len() as u64).collect();
+    run.feed(1, &load);
     let store = Arc::new(StoreSlot::new(CheckpointStore::new(run.layout.join_tasks)));
     let filer = Filer::spawn(&mut run, &store, &shared);
     Ok(StandingHandle {
+        replay: if run.cluster.is_some() { vec![(1, load)] } else { Vec::new() },
         run,
         shared,
         issued: 1,
@@ -971,8 +965,6 @@ pub fn launch_standing(
         spec: spec.clone(),
         cfg: cfg.clone(),
         plan,
-        initial_data,
-        replay: Vec::new(),
         store,
         filer,
     })
@@ -1056,9 +1048,9 @@ impl Filer {
 }
 
 /// One signed delta round for [`StandingHandle::apply`]: the relation
-/// index, the (already source-transformed) payload rows, and the weight
-/// (+1 append, −1 retract).
-pub type DeltaRound = (usize, Vec<Tuple>, i64);
+/// index, the (already source-transformed) payload rows as the scan selects
+/// them in place, and the weight (+1 append, −1 retract).
+pub type DeltaRound = (usize, Source, i64);
 
 /// The coordinator-side handle of one resident view topology.
 pub struct StandingHandle {
@@ -1071,11 +1063,10 @@ pub struct StandingHandle {
     spec: MultiJoinSpec,
     cfg: MultiwayConfig,
     plan: Arc<ViewPlan>,
-    /// Clustered runs only: the initial load, replayed when no checkpoint
-    /// completed before a failure.
-    initial_data: Vec<Source>,
-    /// Rounds issued since the last complete checkpoint, with their
-    /// epochs — the replay log of recovery.
+    /// Clustered runs only: the rounds issued since the last complete
+    /// checkpoint, the initial load (epoch 1) included, with their epochs —
+    /// the replay log of recovery. With checkpoints off it holds every
+    /// round.
     replay: Vec<(u64, Vec<DeltaRound>)>,
     store: Arc<StoreSlot>,
     /// Files the current run's blobs into `store`; `None` with checkpoints
@@ -1119,7 +1110,7 @@ impl StandingHandle {
         round.fetch_add(1, Ordering::Relaxed);
         // Clustered runs log every round until a checkpoint covers it —
         // the replay input of recovery.
-        if self.run.cluster.is_some() && self.cfg.checkpoint_interval > 0 {
+        if self.run.cluster.is_some() {
             self.replay.push((epoch, rounds));
         }
         if self.cfg.checkpoint_interval > 0 && epoch.is_multiple_of(self.cfg.checkpoint_interval) {
@@ -1181,13 +1172,13 @@ impl StandingHandle {
 
     /// Restart the view on `cluster` after a failure (typically a
     /// [`SquallError::WorkerLost`] from [`StandingHandle::error`]): tear
-    /// the dead run down, restore every operator from the freshest usable
-    /// checkpoint — completing a partial one from §5 peer replicas when
-    /// the scheme replicates — and replay the rounds issued since, with
-    /// their original epochs. The shared view state (rows, subscribers,
-    /// applied watermark) persists across the restart, and replayed
-    /// epochs dedup against it: subscribers see every change exactly
-    /// once.
+    /// the dead run down, restore every operator from one restore state —
+    /// the newest checkpoint re-routed from the surviving tasks' state
+    /// (§5), else the newest complete one, else nothing — and replay the
+    /// rounds of the log after it, with their original epochs. The shared
+    /// view state (rows, subscribers, applied watermark) persists across
+    /// the restart, and replayed epochs dedup against it: subscribers see
+    /// every change exactly once.
     pub fn recover(&mut self, cluster: ClusterSpec) -> Result<()> {
         if self.cfg.cluster.is_none() {
             return Err(SquallError::Runtime(
@@ -1205,40 +1196,34 @@ impl StandingHandle {
         }
         self.shared.recovering.store(false, Ordering::SeqCst);
 
-        // Prefer the newest checkpoint, completing a partial one from the
-        // surviving replicas when the partitioning makes that sound (§5).
-        // Not for a windowed view: each replica evicts on its own
-        // machine's watermark, so replicas of one row need not agree.
-        let n_rel = self.spec.n_relations();
-        let mut store = self.store.lock();
-        if n_rel > 1 && self.cfg.window.is_none() {
-            let machines = self.run.layout.join_tasks;
-            if let Ok(scheme) = build_scheme(self.cfg.scheme, &self.spec, machines, self.cfg.seed) {
-                store.reconstruct_newest(&scheme, n_rel);
-            }
-        }
-        let restore = store.latest_complete().and_then(|e| store.restore_state(e)).map(Arc::new);
-        let resume = restore.as_ref().map(|r| r.epoch).unwrap_or(0);
-        store.restart_at(resume);
+        // Re-route only a full-history view: each replica of a windowed
+        // view evicts on its own machine's watermark, so replicas of one
+        // row need not agree.
+        let (spec, cfg) = (&self.spec, &self.cfg);
+        let scheme = (spec.n_relations() > 1 && cfg.window.is_none())
+            .then(|| build_scheme(cfg.scheme, spec, self.run.layout.join_tasks, cfg.seed).ok())
+            .flatten();
+        let restore = self.store.lock().restart(scheme.as_ref());
+        let resume = restore.as_ref().map_or(0, |r| r.epoch);
         *self.store.complete() = resume;
-        drop(store);
 
-        // Relaunch on the new cluster, restored; no checkpoint yet means
-        // replaying everything from the initial load.
+        // Relaunch on the new cluster, restored, then replay every round
+        // after the restore state with its original epoch and watermark; no
+        // barriers — the rounds stay in the log until a fresh checkpoint
+        // covers them.
         self.cfg.cluster = Some(cluster);
-        let data = if restore.is_some() {
-            vec![Vec::new().into(); n_rel]
-        } else {
-            self.initial_data.clone()
-        };
         let coordinator = (Arc::clone(&self.plan), Arc::clone(&self.shared));
-        self.run = Resident::boot(&self.spec, data, &self.cfg, coordinator, restore, Some(resume))?;
+        let input_counts = std::mem::take(&mut self.run.layout.input_counts);
+        self.run = Resident::boot(
+            &self.spec,
+            &self.cfg,
+            coordinator,
+            restore.map(Arc::new),
+            Some(resume),
+        )?;
+        self.run.layout.input_counts = input_counts;
         self.filer = Filer::spawn(&mut self.run, &self.store, &self.shared);
         self.shared.counters.recoveries.fetch_add(1, Ordering::Relaxed);
-
-        // Replay every round after the restored checkpoint with its
-        // original epoch and watermark; no barriers — the rounds stay in
-        // the log until a fresh checkpoint covers them.
         self.replay.retain(|(e, _)| *e > resume);
         for (epoch, rounds) in &self.replay {
             self.run.feed(*epoch, rounds);
@@ -1428,6 +1413,81 @@ mod tests {
         assert_eq!(sealed(&restored), sealed(&bolt));
     }
 
+    /// Feed two sinks the same signed epochs and, after epoch `rebuild`,
+    /// replace the second by a sink restored from the first's barrier blob:
+    /// both must publish the same change batches to the end.
+    fn twin_sinks_publish_alike(plan: ViewPlan, epochs: &[Vec<(Tuple, i64)>], rebuild: u64) {
+        let plan = Arc::new(plan);
+        let sink = |shared: &Arc<ViewShared>| {
+            ViewSinkBolt::new(Arc::clone(&plan), Arc::clone(shared), 1, None)
+        };
+        let (a_shared, b_shared) = (Arc::new(ViewShared::new()), Arc::new(ViewShared::new()));
+        let (a_rx, b_rx) = (a_shared.subscribe(), b_shared.subscribe());
+        let (mut a, mut b) = (sink(&a_shared), sink(&b_shared));
+        for (epoch, deltas) in (1..).zip(epochs) {
+            for bolt in [&mut a, &mut b] {
+                bolt.pending.insert(epoch, deltas.clone());
+                bolt.apply_through(epoch).unwrap();
+            }
+            if epoch == rebuild {
+                b = sink(&b_shared);
+                b.restore(epoch, &a.blob()).unwrap();
+            }
+        }
+        let batches = |rx: Receiver<ChangeBatch>| -> Vec<(u64, Vec<(Tuple, i64)>)> {
+            rx.try_iter().map(|batch| (batch.epoch, batch.changes)).collect()
+        };
+        let (a, b) = (batches(a_rx), batches(b_rx));
+        assert!(a.iter().any(|(epoch, _)| *epoch > rebuild), "{a:?}");
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_sink_rebuilt_from_its_blob_publishes_what_the_original_does() {
+        use squall_expr::BinOp;
+        let count = |k: i64, m| (tuple![k, 0], m);
+
+        // COUNT(*) GROUP BY k HAVING COUNT(*) > 1: group 1 is dropped at
+        // the rebuild, with its aggregate still held, and re-admitted after.
+        let mut having = view_plan(vec![0], vec![AggSpec::count()], 2);
+        having.finalizer.having =
+            Some(ScalarExpr::bin(BinOp::Gt, ScalarExpr::col(1), ScalarExpr::lit(1)));
+        let epochs = [
+            vec![count(1, 1), count(1, 1), count(2, 1)],
+            vec![count(1, -1)],
+            vec![count(2, 1)],
+            vec![count(1, 1)],
+            vec![count(2, -2)],
+            vec![count(1, 1), count(3, 2)],
+        ];
+        twin_sinks_publish_alike(having, &epochs, 3);
+
+        // A global COUNT(*): an empty first epoch shows the empty row, and so
+        // does an input that becomes empty after the rebuild.
+        let mut global = view_plan(vec![], vec![AggSpec::count()], 1);
+        global.finalizer.emit_empty = true;
+        let epochs = [
+            vec![],
+            vec![count(1, 1), count(2, 1)],
+            vec![count(1, -1), count(2, -1)],
+            vec![count(3, 1)],
+        ];
+        twin_sinks_publish_alike(global.clone(), &epochs, 1);
+        twin_sinks_publish_alike(global, &epochs, 2);
+
+        // COUNT(*) per tumbling window of 10 and key, over rows `(k, ts)`.
+        let mut windowed = view_plan(vec![0, 1, 2], vec![AggSpec::count()], 4);
+        windowed.windowed =
+            Some(ViewWindow { spec: WindowSpec::Tumbling { width: 10 }, ts_cols: vec![1] });
+        let epochs = [
+            vec![(tuple![1, 3], 1), (tuple![1, 5], 1), (tuple![2, 12], 1)],
+            vec![(tuple![1, 14], 1)],
+            vec![(tuple![2, 15], 1), (tuple![1, 25], 1)],
+            vec![(tuple![1, 27], 1), (tuple![1, 3], -1)],
+        ];
+        twin_sinks_publish_alike(windowed, &epochs, 2);
+    }
+
     #[test]
     fn resident_join_view_applies_appends_and_retractions() {
         let spec = pair_spec();
@@ -1441,13 +1501,13 @@ mod tests {
         assert_eq!(rows, vec![tuple![1, 10, 1, 100]]);
 
         // Append a matching S row: one new join result.
-        h.apply(vec![(1, vec![tuple![1, 200]], 1)]).unwrap();
+        h.apply(vec![(1, vec![tuple![1, 200]].into(), 1)]).unwrap();
         let mut rows = h.snapshot(Duration::from_secs(5)).unwrap();
         rows.sort();
         assert_eq!(rows, vec![tuple![1, 10, 1, 100], tuple![1, 10, 1, 200]]);
 
         // Retract the original R row: both results vanish.
-        h.apply(vec![(0, vec![tuple![1, 10]], -1)]).unwrap();
+        h.apply(vec![(0, vec![tuple![1, 10]].into(), -1)]).unwrap();
         assert!(h.snapshot(Duration::from_secs(5)).unwrap().is_empty());
 
         let report = h.shutdown();
@@ -1472,7 +1532,7 @@ mod tests {
             launch_standing(&spec, data, &standing_cfg(), plan, Arc::clone(&shared)).unwrap();
         assert_eq!(h.snapshot(Duration::from_secs(5)).unwrap(), vec![tuple![1, 1]]);
 
-        h.apply(vec![(1, vec![tuple![2, 200], tuple![1, 101]], 1)]).unwrap();
+        h.apply(vec![(1, vec![tuple![2, 200], tuple![1, 101]].into(), 1)]).unwrap();
         let mut rows = h.snapshot(Duration::from_secs(5)).unwrap();
         rows.sort();
         assert_eq!(rows, vec![tuple![1, 2], tuple![2, 1]]);
@@ -1511,9 +1571,10 @@ mod tests {
         let shared = Arc::new(ViewShared::new());
         let mut h = launch_standing(&spec, data, &cfg, plain_plan(4), Arc::clone(&shared)).unwrap();
         assert_eq!(h.snapshot(Duration::from_secs(10)).unwrap(), vec![tuple![1, 10, 1, 100]]);
-        h.apply(vec![(1, vec![tuple![1, 200]], 1)]).unwrap();
-        h.apply(vec![(0, vec![tuple![1, 10]], -1)]).unwrap();
-        h.apply(vec![(0, vec![tuple![2, 20]], 1), (1, vec![tuple![2, 300]], 1)]).unwrap();
+        h.apply(vec![(1, vec![tuple![1, 200]].into(), 1)]).unwrap();
+        h.apply(vec![(0, vec![tuple![1, 10]].into(), -1)]).unwrap();
+        h.apply(vec![(0, vec![tuple![2, 20]].into(), 1), (1, vec![tuple![2, 300]].into(), 1)])
+            .unwrap();
         let mut rows = h.snapshot(Duration::from_secs(10)).unwrap();
         rows.sort();
         assert_eq!(rows, vec![tuple![2, 20, 2, 300]]);
@@ -1538,8 +1599,8 @@ mod tests {
             Arc::clone(&shared),
         )
         .unwrap();
-        h.apply(vec![(0, vec![tuple![3]], 1)]).unwrap();
-        h.apply(vec![(0, vec![tuple![2]], -1)]).unwrap();
+        h.apply(vec![(0, vec![tuple![3]].into(), 1)]).unwrap();
+        h.apply(vec![(0, vec![tuple![2]].into(), -1)]).unwrap();
         let mut rows = h.snapshot(Duration::from_secs(5)).unwrap();
         rows.sort();
         assert_eq!(rows, vec![tuple![1], tuple![3]]);

@@ -84,8 +84,9 @@ impl Default for ExecConfig {
 }
 
 /// Everything needed to launch a query as a resident materialized view:
-/// the join spec and prepared initial load, the (standing-flagged)
-/// topology configuration, and the view-maintenance plan the sink runs.
+/// the join spec and the initial load (the view's epoch 1, selected in
+/// place like every later round), the (standing-flagged) topology
+/// configuration, and the view-maintenance plan the sink runs.
 /// Produced by [`PhysicalQuery::prepare_standing`], consumed by
 /// [`squall_core::standing::launch_standing`].
 pub struct StandingPlan {
@@ -301,16 +302,16 @@ impl PhysicalQuery {
 
     /// What a signed batch of `source`'s rows is to a resident view of
     /// this query: per alias of the source in the FROM clause (a self-join
-    /// has several), `(relation, rows after that alias's pushed-down
-    /// filter, derived columns and projection, mult)` — the view's join
-    /// sees post-pushdown rows. Aliases whose filter keeps no row are left
-    /// out. Pure: the session runs it before it commits the batch.
+    /// has several), `(relation, the rows after that alias's pushed-down
+    /// filter, derived columns and projection as a selection in place,
+    /// mult)` — the view's join sees post-pushdown rows. Aliases whose
+    /// filter keeps no row are left out. Pure: run before the batch commits.
     pub fn delta_rounds(&self, source: &str, rows: &[Tuple], mult: i64) -> Result<Vec<DeltaRound>> {
         let (mut rounds, rows) = (Vec::new(), Arc::new(rows.to_vec()));
         for (t, scan) in self.scans.iter().enumerate().filter(|(_, s)| s.name == source) {
-            let transformed = scan.source(&rows)?.to_tuples();
-            if !transformed.is_empty() {
-                rounds.push((t, transformed, mult));
+            let selected = scan.source(&rows)?;
+            if !selected.is_empty() {
+                rounds.push((t, selected, mult));
             }
         }
         Ok(rounds)

@@ -348,10 +348,10 @@ impl ViewHandle {
     /// old and new `squall-worker` addresses).
     ///
     /// The topology is torn down, operator state is restored from the
-    /// last complete checkpoint — reconstructing a lost peer's join
-    /// blobs from surviving replicas first when the partitioning scheme
-    /// replicates (§5) — and every acked epoch since that checkpoint is
-    /// replayed from the coordinator's buffer. Epoch deduplication at
+    /// newest checkpoint re-routed from surviving replicas when the scheme
+    /// replicates (§5), else the last complete one, else nothing, and every
+    /// acked epoch after it (checkpoints off: every epoch) is replayed
+    /// from the coordinator's log. Epoch deduplication at
     /// the view sink makes the replay exactly-once: a post-recovery
     /// [`ViewHandle::snapshot`] equals the no-failure run's snapshot.
     ///

@@ -244,6 +244,43 @@ fn failure_before_first_checkpoint_replays_from_initial_load() {
     assert!(stats.replayed_epochs >= 1, "replay was deduplicated at the sink: {stats}");
 }
 
+/// With checkpoints off there is nothing to restore: recovery rebuilds the
+/// view from the initial load and every later round, so the rounds after
+/// the initial load must be replayed too — and a view that lost them
+/// counts groups twice once later rounds retract or extend them.
+#[test]
+fn checkpoints_off_recovery_replays_every_round() {
+    let mut w0 = Worker::spawn();
+    let w1 = Worker::spawn();
+    let mut s = chain_session(
+        Session::builder()
+            .machines(3)
+            .seed(7)
+            .worker_threads(2)
+            .cluster([w0.addr.clone(), w1.addr.clone()])
+            .checkpoint_interval(0)
+            .heartbeat_timeout_ms(400),
+    );
+    s.sql(&format!("CREATE MATERIALIZED VIEW counts AS {CHAIN_VIEW}")).unwrap();
+    let view = s.view("counts").unwrap();
+    s.append("R", vec![tuple![4, 20]]).unwrap();
+    s.retract("S", vec![tuple![20, 200]]).unwrap();
+    s.append("S", vec![tuple![10, 200]]).unwrap();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, CHAIN_VIEW), "before failure");
+
+    w0.kill();
+    assert!(matches!(await_worker_lost(&view), SquallError::WorkerLost { .. }));
+    let w2 = Worker::spawn();
+    view.recover([w2.addr.clone(), w1.addr.clone()]).unwrap();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, CHAIN_VIEW), "post-recovery snapshot");
+
+    s.append("R", vec![tuple![1, 20]]).unwrap();
+    s.append("T", vec![tuple![200, 5]]).unwrap();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, CHAIN_VIEW), "after post-recovery rounds");
+    let stats = s.drop_view("counts").unwrap().maintenance.expect("standing report");
+    assert_eq!((stats.checkpoints, stats.recoveries), (0, 1), "{stats}");
+}
+
 /// A long delta chain: with a checkpoint every epoch, 72 rounds of appends
 /// and retractions fold into the coordinator's store before a worker dies;
 /// the view restored from the folded state equals the recompute, keeps
