@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 use squall_common::{FxHashMap, Result, Schema, SquallError, Tuple};
 use squall_core::driver::{JoinReport, LocalJoinKind};
-use squall_core::operators::{JoinBolt, JoinEmit};
+use squall_core::operators::{AggBolt, JoinBolt};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
-use squall_join::{DBToasterJoin, LocalJoin, TraditionalJoin};
+use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin};
 use squall_partition::HypercubeScheme;
 use squall_runtime::{Grouping, IterSpoutVec, TopologyBuilder};
 
@@ -131,9 +131,8 @@ pub fn run_pipeline(
             Some(Arc::new(matrix_scheme(side, machines_per_stage / side, 77)))
         };
 
-        let last_stage = prefix.len() + 1 == n;
-        let emit =
-            if last_stage && !collect_results { JoinEmit::CountOnly } else { JoinEmit::Results };
+        // Count-only: the last stage folds its results into a COUNT(*).
+        let count_star = prefix.len() + 1 == n && !collect_results;
         let stage_spec_arc = Arc::new(stage_spec);
         let prev = prev_node;
         let next_src = source_nodes[next];
@@ -150,7 +149,12 @@ pub fn run_pipeline(
                 let mut map = FxHashMap::default();
                 map.insert(prev, 0usize);
                 map.insert(next_src, 1usize);
-                Box::new(JoinBolt::new(task, map, join, emit))
+                let bolt = JoinBolt::new(task, map, join);
+                Box::new(if count_star {
+                    bolt.with_aggregate(None, Vec::new(), vec![AggSpec::count()])
+                } else {
+                    bolt
+                })
             },
         );
         match one_bucket {
@@ -171,15 +175,20 @@ pub fn run_pipeline(
         prefix.push(next);
     }
 
+    let last = *stage_nodes.last().expect("≥1 stage");
+    // The sink the network factor divides by emits rows, not the folded
+    // results the last stage counts: in count-only mode, one COUNT(*) task.
+    let sink = if collect_results {
+        last
+    } else {
+        let sink =
+            b.add_bolt("count", 1, |_| Box::new(AggBolt::new(Vec::new(), vec![AggSpec::count()])));
+        b.connect(last, sink, Grouping::Global);
+        sink
+    };
     let outcome = b.build()?.run();
     let metrics = &outcome.metrics;
-    let last = *stage_nodes.last().expect("≥1 stage");
     let last_metrics = metrics.node(last);
-    let result_count = if collect_results {
-        last_metrics.total_emitted()
-    } else {
-        outcome.outputs.iter().map(|(_, t)| t.get(0).as_int().unwrap_or(0) as u64).sum()
-    };
     // Permute each result back to relation order so reports are comparable
     // with the multi-way driver.
     let mut results: Vec<Tuple> = Vec::new();
@@ -209,7 +218,7 @@ pub fn run_pipeline(
     let sources: Vec<usize> = source_nodes.clone();
     Ok(JoinReport {
         results,
-        result_count,
+        result_count: last_metrics.total_emitted(),
         input_count,
         input_counts: Vec::new(),
         loads: last_metrics.received.clone(),
@@ -225,7 +234,7 @@ pub fn run_pipeline(
             ],
         ),
         skew_degree: last_metrics.skew_degree(),
-        network_factor: metrics.intermediate_network_factor(&sources, &[last]),
+        network_factor: metrics.intermediate_network_factor(&sources, &[sink]),
         elapsed: outcome.elapsed,
         scheme_description: "pipeline-of-2-way".into(),
         scheduler: outcome.metrics.scheduler.clone(),

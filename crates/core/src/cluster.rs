@@ -562,7 +562,8 @@ mod tests {
         assert_eq!(a, b, "aggregate rows identical across the wire");
         assert_eq!(local.loads, dist.loads);
 
-        // Count-only: remote per-task counters ride SinkRow frames.
+        // Count-only: remote join tasks fold their results into COUNT(*)
+        // partials, and their folded counts ride the merged metrics.
         let mut count_cfg =
             MultiwayConfig::new(SchemeKind::Random, LocalJoinKind::DBToaster, 6).count_only();
         let local = crate::driver::run_multiway(&spec, data.clone(), &count_cfg).unwrap();

@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 
-use squall_common::{FxHashMap, Result, SquallError, Tuple, Value};
-use squall_expr::MultiJoinSpec;
+use squall_common::{FxHashMap, Result, SquallError, Tuple};
+use squall_expr::{AggFunc, MultiJoinSpec};
 use squall_join::dbtoaster::MAX_RELATIONS;
 use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowJoin, WindowSpec};
 use squall_partition::optimizer::{build_scheme, SchemeKind};
@@ -20,9 +20,7 @@ use squall_runtime::{
 };
 
 use crate::cluster::ClusterSpec;
-use crate::operators::{
-    AggBolt, JoinBolt, JoinEmit, JoinState, TaskJoin, WindowMergeBolt, WindowedAggBolt,
-};
+use crate::operators::{AggBolt, JoinBolt, JoinState, TaskJoin, WindowMergeBolt, WindowedAggBolt};
 
 /// Which local join algorithm each machine runs (§3.3 / Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,10 +61,11 @@ squall_common::wire_struct! { WindowPlan { spec, ts_cols } }
 /// `(window, group key)`, windows close on the minimum watermark across
 /// the join tasks, and the result rows are
 /// `(window_start, window_end, group…, agg…)` (bounds inclusive), emitted
-/// in window order. Both modes shard across `parallelism` tasks by
-/// group hash; per-window mode additionally runs a single ordered merge
-/// sink behind the shards, so the window-order contract holds at any
-/// parallelism with output byte-identical to a 1-task run.
+/// in window order. Both modes run in two phases: each join task folds
+/// its results into partial aggregates, and `parallelism` tasks, sharded
+/// by group hash, merge them. Per-window mode additionally runs a single
+/// ordered merge sink behind the shards, so the window-order contract
+/// holds at any parallelism with output byte-identical to a 1-task run.
 #[derive(Debug, Clone)]
 pub struct AggPlan {
     /// Group-by columns of the join output schema.
@@ -94,8 +93,10 @@ pub struct MultiwayConfig {
     pub agg: Option<AggPlan>,
     /// Windowed join semantics; `None` = full history.
     pub window: Option<WindowPlan>,
-    /// Collect full join results (`true`) or only per-machine counts
-    /// (`false`; large-output benchmarks). Ignored when `agg` is set.
+    /// Collect full join results (`true`) or only their count (`false`;
+    /// large-output benchmarks: the run is a `COUNT(*)` whose row the
+    /// stream discards, and [`JoinReport::result_count`] is the answer).
+    /// Ignored when `agg` is set.
     pub collect_results: bool,
     /// Worker pool size executing the topology; `None` = the machine's
     /// available parallelism. Machines (tasks) may far exceed this.
@@ -204,7 +205,8 @@ pub struct JoinReport {
     /// Join results (or aggregate rows when an [`AggPlan`] was set; or
     /// empty in count-only mode).
     pub results: Vec<Tuple>,
-    /// Join results produced (valid in every mode).
+    /// Join results produced, in every mode: the join tasks' emitted rows,
+    /// where a partial aggregate counts as the results it folds.
     pub result_count: u64,
     /// Input tuples fed by the sources.
     pub input_count: u64,
@@ -304,11 +306,14 @@ impl JoinReport {
     }
 }
 
-fn make_local(kind: LocalJoinKind, spec: &MultiJoinSpec, count_only: bool) -> Box<dyn LocalJoin> {
-    match (kind, count_only) {
+/// `kind`'s join over `spec`; `minimal` when the aggregate behind it reads
+/// no column.
+fn make_local(kind: LocalJoinKind, spec: &MultiJoinSpec, minimal: bool) -> Box<dyn LocalJoin> {
+    match (kind, minimal) {
         (LocalJoinKind::Traditional, _) => Box::new(TraditionalJoin::new(spec)),
-        // Count-only consumers let DBToaster run with aggregated views —
-        // the configuration the paper's Figure 8 measures.
+        // An aggregate that reads no column lets DBToaster run with
+        // aggregated views (§3.3) — the configuration the paper's Figure 8
+        // measures.
         (LocalJoinKind::DBToaster, true) => {
             Box::new(squall_join::dbtoaster::AggregatedDBToaster::minimal(spec))
         }
@@ -332,7 +337,8 @@ pub(crate) struct RunContext {
     /// Tuples per relation the run was launched with (a standing view's:
     /// its initial load).
     pub(crate) input_counts: Vec<u64>,
-    /// The sink emits per-task result counters instead of rows.
+    /// The sink's one row is a count-only run's `COUNT(*)`, which the
+    /// stream discards.
     count_only: bool,
 }
 
@@ -509,18 +515,26 @@ pub(crate) fn assemble(
     cfg: &MultiwayConfig,
 ) -> Result<(Topology, RunContext)> {
     let local = cfg.local;
+    // A count-only run is a `COUNT(*)`, whose one row the stream discards.
     let count_only = cfg.agg.is_none() && !cfg.collect_results;
+    let agg = cfg.agg.clone().or_else(|| {
+        let aggs = vec![AggSpec::count()];
+        count_only.then(|| AggPlan { group_cols: Vec::new(), aggs, parallelism: 1 })
+    });
     // Windowed joins always materialize result tuples inside the bolt
     // (the window predicate reads their event-time columns), so the
-    // aggregated count-only views — which elide those columns — are out.
-    let minimal_views = count_only && cfg.window.is_none();
-    let emit = if count_only { JoinEmit::CountOnly } else { JoinEmit::Results };
-    // A windowed aggregate's first phase runs in the join tasks, which
-    // forward their event-time watermarks behind their partials so the
-    // shards can close windows while the stream still runs. The join-output
-    // event-time columns are built in the task factory, after the plan
-    // checks that make them well defined.
-    let window_agg = cfg.window.clone().zip(cfg.agg.clone());
+    // aggregated views — which elide every column but the join keys —
+    // serve a full-history aggregate that reads no column.
+    let minimal_views = cfg.window.is_none()
+        && agg.as_ref().is_some_and(|a| {
+            a.group_cols.is_empty() && a.aggs.iter().all(|s| s.func == AggFunc::Count)
+        });
+    // Every aggregate's first phase runs in the join tasks; a windowed
+    // one's forward their event-time watermarks behind their partials so
+    // the shards can close windows while the stream still runs. The
+    // join-output event-time columns are built in the task factory, after
+    // the plan checks that make them well defined.
+    let (window, first_phase) = (cfg.window.clone(), agg.clone());
     let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
     let (mut b, mut ctx) = wire_join_stage(
         spec,
@@ -534,11 +548,12 @@ pub(crate) fn assemble(
         },
         move |spec| make_local(local, spec, minimal_views),
         move |join| {
-            let bolt = JoinBolt::over(join, emit);
-            Box::new(match &window_agg {
-                Some((w, agg)) => bolt.with_window_aggregate(
-                    w.spec,
-                    squall_join::output_ts_cols(&arities, &w.ts_cols),
+            let bolt = JoinBolt::over(join);
+            Box::new(match &first_phase {
+                Some(agg) => bolt.with_aggregate(
+                    window
+                        .as_ref()
+                        .map(|w| (w.spec, squall_join::output_ts_cols(&arities, &w.ts_cols))),
                     agg.group_cols.clone(),
                     agg.aggs.clone(),
                 ),
@@ -547,30 +562,28 @@ pub(crate) fn assemble(
         },
     )?;
     ctx.count_only = count_only;
-    let join_node = ctx.join_node;
 
-    // Optional aggregation.
-    if let Some(agg) = &cfg.agg {
-        let group_cols = agg.group_cols.clone();
-        let aggs = agg.aggs.clone();
+    // The second phase, group-hash sharded: partial rows lead with their
+    // group — after `(first, last)` under a window — so a `Fields` grouping
+    // on it gives each of the `parallelism` tasks a disjoint set of groups,
+    // and shard state and shard output never overlap. No group columns
+    // hashes every row to one shard; the others stay idle.
+    if let Some(agg) = agg {
+        let AggPlan { group_cols, aggs, parallelism: shards } = agg;
+        let lead = if cfg.window.is_some() { 2 } else { 0 };
+        let partial_groups = (lead..lead + group_cols.len()).collect();
         let node = match &cfg.window {
             Some(w) => {
-                // Per-window aggregation, group-hash sharded: a `Fields`
-                // grouping on the group columns gives each of the
-                // `parallelism` tasks a disjoint set of groups, so shard
-                // state and shard output never overlap. The event-time
-                // columns move to join-output coordinates (the same
-                // mapping the windowed join uses for its result
-                // predicate); every join task's watermark broadcasts to
-                // every shard, so each shard closes against the same
-                // cross-task minimum. A single merge task downstream
-                // restores the global window-order contract (see
-                // [`crate::operators::WindowMergeBolt`]).
+                // Per-window shards close against the minimum watermark
+                // across the join tasks (every join task's watermark
+                // broadcasts to every shard), and a single merge task
+                // downstream restores the global window-order contract
+                // (see [`crate::operators::WindowMergeBolt`]); idle shards
+                // still forward watermark boundaries, so the merge never
+                // waits on them.
                 let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
                 let ts_cols = squall_join::output_ts_cols(&arities, &w.ts_cols);
-                let wspec = w.spec;
-                let n_upstream = ctx.join_tasks;
-                let shards = agg.parallelism;
+                let (wspec, n_upstream) = (w.spec, ctx.join_tasks);
                 let node = b.add_bolt("agg", shards, move |_task| {
                     Box::new(WindowedAggBolt::new(
                         wspec,
@@ -580,33 +593,17 @@ pub(crate) fn assemble(
                         n_upstream,
                     ))
                 });
-                // No group columns hashes every row to one shard — the
-                // remaining shards stay idle but still forward watermark
-                // boundaries, so the merge never waits on them.
-                // Partial rows lead with `(first, last)`; equal group values
-                // hash equally, so a group lands where its raw results would.
-                let group_cols = (2..2 + agg.group_cols.len()).collect();
-                b.connect(join_node, node, Grouping::Fields(group_cols));
                 let merge =
                     b.add_bolt("agg-merge", 1, move |_task| Box::new(WindowMergeBolt::new(shards)));
                 b.connect(node, merge, Grouping::Global);
                 ctx.merge_node = Some(merge);
                 node
             }
-            None => {
-                let node = b.add_bolt("agg", agg.parallelism, move |_task| {
-                    Box::new(AggBolt::new(group_cols.clone(), aggs.clone()))
-                });
-                // Group-key partitioning; a global grouping if no keys.
-                let grouping = if agg.group_cols.is_empty() {
-                    Grouping::Global
-                } else {
-                    Grouping::Fields(agg.group_cols.clone())
-                };
-                b.connect(join_node, node, grouping);
-                node
-            }
+            None => b.add_bolt("agg", shards, move |_task| {
+                Box::new(AggBolt::new(group_cols.clone(), aggs.clone()))
+            }),
         };
+        b.connect(ctx.join_node, node, Grouping::Fields(partial_groups));
         ctx.agg_node = Some(node);
     }
 
@@ -615,24 +612,21 @@ pub(crate) fn assemble(
 
 /// Build the [`JoinReport`] of a drained run, one-shot or standing: the
 /// rows went to the stream's consumer (or into the view), so `results`
-/// starts empty, and `streamed` is the count-only tally of the sink's
-/// per-task counters. For distributed runs the remote peers' metric
+/// starts empty. For distributed runs the remote peers' metric
 /// snapshots must already be merged into `outcome.metrics` — the report
 /// then measures the whole cluster, and `loads` is identical to the
 /// single-process run.
 pub(crate) fn summarize(
     ctx: RunContext,
     outcome: RunOutcome,
-    streamed: u64,
     transport: Option<TransportStats>,
 ) -> JoinReport {
     let metrics = &outcome.metrics;
     let join_metrics = metrics.node(ctx.join_node);
-    let result_count = if ctx.count_only { streamed } else { join_metrics.total_emitted() };
     let sinks = [ctx.merge_node.or(ctx.agg_node).unwrap_or(ctx.join_node)];
     JoinReport {
         results: Vec::new(),
-        result_count,
+        result_count: join_metrics.total_emitted(),
         input_count: ctx.input_counts.iter().sum(),
         input_counts: ctx.input_counts,
         loads: join_metrics.received.clone(),
@@ -675,10 +669,10 @@ pub fn run_multiway(
 /// exhausted (or [`MultiwayStream::finish`] is called) the full
 /// [`JoinReport`] is available, with `results` left empty since the rows
 /// were handed to the consumer. In count-only mode the stream yields no
-/// rows (the sink's per-task counters are tallied into the report
-/// instead). A run that aborts mid-way ends the stream early; the
-/// report's `error` field records why. Each relation's input is an owned
-/// `Vec<Tuple>` or a [`Source`] read in place.
+/// rows: the report's `result_count` is the answer. A run that aborts
+/// mid-way ends the stream early; the report's `error` field records why.
+/// Each relation's input is an owned `Vec<Tuple>` or a [`Source`] read in
+/// place.
 pub fn run_multiway_stream(
     spec: &MultiJoinSpec,
     data: Vec<impl Into<Source>>,
@@ -686,14 +680,7 @@ pub fn run_multiway_stream(
 ) -> Result<MultiwayStream> {
     let (topology, ctx) = assemble(spec, data, cfg)?;
     let (handle, cluster) = crate::cluster::launch(topology, spec, cfg, None, None, None)?;
-    Ok(MultiwayStream {
-        handle: Some(handle),
-        cluster,
-        ctx: Some(ctx),
-        report: None,
-        streamed: 0,
-        malformed: None,
-    })
+    Ok(MultiwayStream { handle: Some(handle), cluster, ctx: Some(ctx), report: None })
 }
 
 /// Iterator over a running multi-way join's output tuples. See
@@ -705,10 +692,6 @@ pub struct MultiwayStream {
     cluster: Option<ClusterRun>,
     ctx: Option<RunContext>,
     report: Option<JoinReport>,
-    streamed: u64,
-    /// A count-only sink row that was not a counter (a peer's `SinkRow` is
-    /// wire input): the run's error if it has no other.
-    malformed: Option<SquallError>,
 }
 
 impl MultiwayStream {
@@ -734,9 +717,8 @@ impl MultiwayStream {
 
     fn complete(&mut self) {
         if let (Some(handle), Some(ctx)) = (self.handle.take(), self.ctx.take()) {
-            let (mut outcome, transport) = crate::cluster::finish(handle, self.cluster.take());
-            outcome.error = outcome.error.or(self.malformed.take());
-            self.report = Some(summarize(ctx, outcome, self.streamed, transport));
+            let (outcome, transport) = crate::cluster::finish(handle, self.cluster.take());
+            self.report = Some(summarize(ctx, outcome, transport));
         }
     }
 }
@@ -747,25 +729,8 @@ impl Iterator for MultiwayStream {
     fn next(&mut self) -> Option<Tuple> {
         loop {
             match self.handle.as_mut()?.recv() {
-                Some((_, tuple)) => {
-                    if self.ctx.as_ref().is_some_and(|ctx| ctx.count_only) {
-                        // Count-only sink emissions are per-task counters,
-                        // not join rows: tally them, never yield them.
-                        match tuple.values() {
-                            [Value::Int(n)] if *n >= 0 => {
-                                self.streamed = self.streamed.saturating_add(*n as u64)
-                            }
-                            _ => {
-                                self.malformed.get_or_insert(SquallError::Runtime(format!(
-                                    "count-only sink row {tuple:?} is not a result counter"
-                                )));
-                            }
-                        }
-                        continue;
-                    }
-                    self.streamed += 1;
-                    return Some(tuple);
-                }
+                Some(_) if self.ctx.as_ref().is_some_and(|ctx| ctx.count_only) => continue,
+                Some((_, tuple)) => return Some(tuple),
                 None => {
                     self.complete();
                     return None;
@@ -778,7 +743,7 @@ impl Iterator for MultiwayStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use squall_common::{tuple, DataType, Schema, SplitMix64};
+    use squall_common::{tuple, DataType, Schema, SplitMix64, Value};
     use squall_expr::{BinOp, JoinAtom, RelationDef, ScalarExpr};
     use squall_join::naive::{naive_join, same_multiset};
 
@@ -1274,43 +1239,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_count_only_rows_are_a_typed_run_error() {
-        // A peer's `SinkRow` is wire input. A count-only consumer fed an
-        // empty row and a negative counter beside good ones tallies the
-        // good ones and fails the run, instead of indexing past the row or
-        // wrapping the sign into a huge count.
-        let rows = Arc::new(vec![tuple![3], tuple![], tuple![-5], tuple![4]]);
-        let mut b = TopologyBuilder::new();
-        let src = b.add_spout("src", 1, move |_| -> Box<dyn Spout> {
-            Box::new(IterSpoutVec::strided(Arc::clone(&rows), 0, 1))
-        });
-        let ctx = RunContext {
-            join_node: src,
-            join_tasks: 1,
-            source_nodes: vec![src],
-            agg_node: None,
-            merge_node: None,
-            scheme_description: String::new(),
-            input_counts: vec![4],
-            count_only: true,
-        };
-        let stream = MultiwayStream {
-            handle: Some(b.build().unwrap().launch()),
-            cluster: None,
-            ctx: Some(ctx),
-            report: None,
-            streamed: 0,
-            malformed: None,
-        };
-        let report = stream.finish();
-        assert_eq!(report.result_count, 7);
-        match report.error {
-            Some(SquallError::Runtime(m)) => assert!(m.contains("not a result counter"), "{m}"),
-            other => panic!("expected a typed run error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn streaming_count_only_report_tallies_counters() {
         let spec = rst_spec(false);
         let data = rst_data(100, 10, 7);
@@ -1358,14 +1286,17 @@ mod tests {
         use std::collections::{BTreeMap, BTreeSet};
         let mut rng = SplitMix64::new(seed);
         let extent = rng.next_range(1, 16) as u64;
-        let wspec = match rng.next_below(2) {
-            0 => WindowSpec::Tumbling { width: extent },
-            _ => WindowSpec::Sliding { size: extent },
+        let wspec = match rng.next_below(3) {
+            0 => Some(WindowSpec::Tumbling { width: extent }),
+            1 => Some(WindowSpec::Sliding { size: extent }),
+            _ => None,
         };
         let machines = rng.next_range(1, 6) as usize;
         let shards = rng.next_range(1, 4) as usize;
         let batch_size = [1, 64][rng.next_below(2)];
-        let grouped = rng.next_below(4) > 0;
+        // Globally, by the join key (each group on one join task) or by
+        // A.v (a group's partials from several tasks, merged by one shard).
+        let group_cols = [vec![], vec![0], vec![1], vec![1]][rng.next_below(4)].clone();
         let (dom, n) = (rng.next_range(0, 4), rng.next_range(0, 40) as usize);
         // A(k, v, ts) and B(k, ts), each in event-time order.
         let mut stream = |with_v: bool| -> Vec<Tuple> {
@@ -1394,7 +1325,7 @@ mod tests {
         .unwrap();
         // Over the join output (A.k, A.v, A.ts, B.k, B.ts): COUNT, SUM(A.v),
         // SUM(2.0 · A.v) — a Float, but integer-valued, so exact however
-        // its additions are grouped — and AVG(A.v), by A.k or globally.
+        // its additions are grouped — and AVG(A.v).
         let double = ScalarExpr::bin(BinOp::Mul, ScalarExpr::lit(2.0), ScalarExpr::col(1));
         let aggs = vec![
             AggSpec::count(),
@@ -1402,16 +1333,16 @@ mod tests {
             AggSpec::sum(double),
             AggSpec::avg(ScalarExpr::col(1)),
         ];
-        let group_cols = if grouped { vec![0] } else { vec![] };
         let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, machines)
-            .with_window(WindowPlan { spec: wspec, ts_cols: vec![2, 1] })
-            .with_agg(AggPlan { group_cols, aggs, parallelism: shards });
+            .with_agg(AggPlan { group_cols: group_cols.clone(), aggs, parallelism: shards });
+        cfg.window = wspec.map(|spec| WindowPlan { spec, ts_cols: vec![2, 1] });
         cfg.batch_size = batch_size;
         cfg.worker_threads = Some(2);
 
         // The oracle: per (window, group) accumulators over the in-window
-        // pairs, and the join task of each pair — under the Hash scheme,
-        // the one machine both of its rows route to.
+        // pairs — under full history, per group over every pair, keyed as
+        // window 0 — and the join task of each pair: under the Hash
+        // scheme, the one machine both of its rows route to.
         let scheme = build_scheme(SchemeKind::Hash, &spec, machines, cfg.seed).unwrap();
         let targets = |rel: usize, row: &Tuple| {
             let mut out = Vec::new();
@@ -1426,12 +1357,12 @@ mod tests {
                 let ta = a.get(2).as_int().unwrap() as u64;
                 let tb = b.get(1).as_int().unwrap() as u64;
                 let (lo, hi) = (ta.min(tb), ta.max(tb));
-                if a.get(0) != b.get(0) || !wspec.contains(lo, hi) {
+                if a.get(0) != b.get(0) || wspec.is_some_and(|w| !w.contains(lo, hi)) {
                     continue;
                 }
                 results += 1;
-                let group: Vec<Value> = if grouped { vec![a.get(0).clone()] } else { vec![] };
-                let range = wspec.window_starts(lo, hi).unwrap();
+                let group: Vec<Value> = group_cols.iter().map(|&c| a.get(c).clone()).collect();
+                let range = wspec.map_or(0..=0, |w| w.window_starts(lo, hi).unwrap());
                 let on_b = targets(1, b);
                 let task = targets(0, a).into_iter().find(|t| on_b.contains(t));
                 let task = task.expect("a pair meets on one task");
@@ -1446,8 +1377,10 @@ mod tests {
         let oracle: Vec<Tuple> = windows
             .into_iter()
             .map(|((start, group), (count, sum))| {
-                let end = wspec.end_of(start) as i64;
-                let mut row = vec![Value::Int(start as i64), Value::Int(end)];
+                let mut row = match wspec {
+                    Some(w) => vec![Value::Int(start as i64), Value::Int(w.end_of(start) as i64)],
+                    None => Vec::new(),
+                };
                 row.extend(group);
                 row.extend([
                     Value::Int(count),
@@ -1467,25 +1400,30 @@ mod tests {
         );
         assert!(outcome.error.is_none(), "{case}: {:?}", outcome.error);
         let edge_rows = outcome.metrics.node(agg_node).total_received();
-        let rows: Vec<Tuple> =
+        let mut rows: Vec<Tuple> =
             std::mem::take(&mut outcome.outputs).into_iter().map(|(_, t)| t).collect();
+        if wspec.is_none() {
+            rows.sort(); // full-history shards finish in any order
+        }
         assert_eq!(rows, oracle, "{case}");
-        assert_eq!(summarize(ctx, outcome, 0, None).result_count, results, "{case}");
+        assert_eq!(summarize(ctx, outcome, None).result_count, results, "{case}");
         assert!(edge_rows <= results, "{case}: {edge_rows} partial rows, {results} join results");
-        if let WindowSpec::Tumbling { .. } = wspec {
+        if let None | Some(WindowSpec::Tumbling { .. }) = wspec {
             let bound = keys.len() as u64;
             assert!(edge_rows <= bound, "{case}: {edge_rows} partial rows, {bound} keys");
         }
     }
 
-    /// The two-phase windowed aggregate against a per-window oracle over
-    /// seeded cases: random two-stream inputs; tumbling and sliding windows
-    /// of width / size 1–16; COUNT, an Int SUM, a SUM over an
-    /// integer-valued Float expression and AVG; 1–6 machines, 1–4 shards,
-    /// batches of 1 and 64. The rows must equal the oracle's, in order;
-    /// `result_count` must be the in-window join count; the join →
-    /// aggregate edge must carry at most one row per join result, and
-    /// under tumbling windows at most one per distinct (join task, window,
+    /// The two-phase aggregate against a per-window oracle over seeded
+    /// cases: random two-stream inputs; tumbling and sliding windows of
+    /// width / size 1–16, and full history; COUNT, an Int SUM, a SUM over
+    /// an integer-valued Float expression and AVG, grouped globally, by the
+    /// join key or by a non-key column; 1–6 machines, 1–4 shards, batches
+    /// of 1 and 64. The rows must equal the oracle's, in
+    /// order under a window; `result_count` must be the (in-window) join
+    /// count; the join → aggregate edge must carry at most one row per join
+    /// result, under tumbling windows at most one per distinct (join task,
+    /// window, group), and under full history at most one per (join task,
     /// group). 2 000 seeds in release, 100 in debug; a failure names its
     /// seed.
     #[test]

@@ -122,19 +122,6 @@ impl Frontier {
     }
 }
 
-/// How a join task exposes its results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinEmit {
-    /// Emit every result tuple downstream (needed when an aggregate or
-    /// another operator consumes the join) — under a windowed aggregate,
-    /// folded into its partials ([`JoinBolt::with_window_aggregate`]).
-    Results,
-    /// Emit only a per-task `(count)` tuple at end-of-stream — the mode
-    /// used for result-count benchmarks where materializing output would
-    /// dominate.
-    CountOnly,
-}
-
 /// Full-history or event-time-windowed local join state.
 pub(crate) enum JoinState<J: LocalJoin> {
     Full(J),
@@ -231,19 +218,17 @@ impl<J: LocalJoin> TaskJoin<J> {
 /// operator of §3.4.
 pub struct JoinBolt {
     join: TaskJoin<Box<dyn LocalJoin>>,
-    emit: JoinEmit,
     /// The rows being inserted — a whole chunk under full history, one
     /// row under a window — reused from chunk to chunk.
     rows: Vec<Value>,
-    results: u64,
-    /// The first phase of a windowed aggregate downstream, which results
-    /// fold into instead of being emitted; `None` without one.
-    partials: Option<WindowPartials>,
+    /// The first phase of an aggregate downstream, which results fold into
+    /// instead of being emitted; `None` without one.
+    partials: Option<Partials>,
 }
 
 impl JoinBolt {
-    pub(crate) fn over(join: TaskJoin<Box<dyn LocalJoin>>, emit: JoinEmit) -> JoinBolt {
-        JoinBolt { join, emit, rows: Vec::new(), results: 0, partials: None }
+    pub(crate) fn over(join: TaskJoin<Box<dyn LocalJoin>>) -> JoinBolt {
+        JoinBolt { join, rows: Vec::new(), partials: None }
     }
 
     /// A full-history join bolt.
@@ -251,10 +236,9 @@ impl JoinBolt {
         machine: usize,
         origin_to_rel: FxHashMap<NodeId, usize>,
         join: Box<dyn LocalJoin>,
-        emit: JoinEmit,
     ) -> JoinBolt {
         let state = JoinState::Full(join);
-        JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None }, emit)
+        JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None })
     }
 
     /// A windowed join bolt under *event-time* semantics: `ts_cols[rel]`
@@ -268,50 +252,53 @@ impl JoinBolt {
         machine: usize,
         origin_to_rel: FxHashMap<NodeId, usize>,
         join: Box<dyn LocalJoin>,
-        emit: JoinEmit,
         spec: WindowSpec,
         ts_cols: Vec<usize>,
         arities: &[usize],
     ) -> JoinBolt {
         let join = WindowJoin::event_time(join, spec, arities, &ts_cols);
         let state = JoinState::Windowed { join, ts_cols };
-        JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None }, emit)
+        JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None })
     }
 
-    /// Run the first phase of a windowed aggregate in this task
-    /// ([`WindowedAggBolt`] runs the second): fold each in-window result,
-    /// with its weight, into a partial aggregate keyed by the result's
-    /// window-start range ([`WindowSpec::window_starts`]) and group,
-    /// instead of emitting it. Whenever the task's event-time watermark `w`
-    /// has moved a window length past the last one forwarded, every partial
-    /// whose first window start lies below `close_boundary(w)` ships — one
-    /// row `(first, last, group…, accumulators…)` per key, see
-    /// [`GroupByAggregator::drain_partials`] — and then `w` itself; at
+    /// Run the first phase of an aggregate in this task ([`AggBolt`] or
+    /// [`WindowedAggBolt`] runs the second): fold each result, with its
+    /// weight, into a partial aggregate instead of emitting it, and ship
+    /// one row per key — see [`GroupByAggregator::drain_partials`] — once
+    /// the key is final.
+    ///
+    /// Under full history (`window` is `None`) the key is the result's
+    /// group, and every key ships at end-of-stream.
+    ///
+    /// Under a window `(spec, ts_cols)` — the event-time columns in
+    /// join-output coordinates; windowed bolts only — the key is the
+    /// result's window-start range ([`WindowSpec::window_starts`]) and
+    /// group, and the row `(first, last, group…, accumulators…)`. Whenever
+    /// the task's event-time watermark `w` has moved a window length past
+    /// the last one forwarded, every partial whose first window start lies
+    /// below `close_boundary(w)` ships, and then `w` itself; at
     /// end-of-stream all of them, then `u64::MAX`. A shipped key is final:
     /// every later result has a constituent at or past `w`, so its first
     /// window start is at least `close_boundary(w)`. Nor is a shipped row
     /// ever late: a shard closes below the minimum watermark across the
-    /// join tasks, which is at most this task's. `ts_cols` are the
-    /// event-time columns in join-output coordinates. Windowed bolts only.
-    pub fn with_window_aggregate(
+    /// join tasks, which is at most this task's.
+    pub fn with_aggregate(
         mut self,
-        spec: WindowSpec,
-        ts_cols: Vec<usize>,
+        window: Option<(WindowSpec, Vec<usize>)>,
         group_cols: Vec<usize>,
         aggs: Vec<AggSpec>,
     ) -> JoinBolt {
         assert!(
-            matches!(self.join.state, JoinState::Windowed { .. }),
+            window.is_none() || matches!(self.join.state, JoinState::Windowed { .. }),
             "a windowed aggregate needs event-time windows"
         );
-        let granule = match spec {
-            WindowSpec::Tumbling { width } => width,
-            WindowSpec::Sliding { size } => size,
-            WindowSpec::FullHistory => 1,
+        let granule = match window {
+            Some((WindowSpec::Tumbling { width }, _)) => width,
+            Some((WindowSpec::Sliding { size }, _)) => size,
+            _ => 1,
         };
-        self.partials = Some(WindowPartials {
-            spec,
-            ts_cols,
+        self.partials = Some(Partials {
+            window,
             agg: GroupByAggregator::new(group_cols, aggs),
             granule: granule.max(1),
             next_wm: 0,
@@ -322,30 +309,24 @@ impl JoinBolt {
     /// Process the arrivals in `self.rows`, whose relation is already
     /// resolved.
     fn step(&mut self, rel: usize, out: &mut OutputCollector) -> Result<()> {
-        // Count-only sums the weights, so aggregated DBToaster views never
-        // materialize hot-key outputs (§3.3); partials fold a result once
-        // with its weight; otherwise `Results` emits a row per unit.
-        let (results, emit) = (&mut self.results, self.emit == JoinEmit::Results);
+        // Partials fold a result once with its weight, so aggregated
+        // DBToaster views never materialize hot-key outputs (§3.3);
+        // otherwise a row is emitted per unit.
         let (mut partials, mut failed) = (self.partials.as_mut(), None);
-        let mut sink = |row: &[Value], mult: i64| {
-            let n = mult.max(0) as u64;
-            *results += n;
-            match partials.as_mut() {
-                Some(p) if n > 0 && failed.is_none() => failed = p.fold(row, n as i64).err(),
-                Some(_) => {}
-                None if emit => (0..n).for_each(|_| out.emit_row(row)),
-                None => {}
-            }
+        let mut sink = |row: &[Value], mult: i64| match partials.as_mut() {
+            Some(p) if mult > 0 && failed.is_none() => failed = p.fold(row, mult).err(),
+            Some(_) => {}
+            None => (0..mult).for_each(|_| out.emit_row(row)),
         };
         self.join.insert_into(rel, &self.rows, &mut sink, |_, _, _| {})?;
         if let Some(e) = failed {
             return Err(e);
         }
-        if let Some(p) = &mut self.partials {
-            // The granule batches the promises, so buffers are not flushed
-            // on every arrival.
-            if let Some(w) = self.join.watermark().filter(|w| *w >= p.next_wm) {
-                let boundary = p.spec.close_boundary(w);
+        // Only a windowed join has a watermark; the granule batches the
+        // promises, so buffers are not flushed on every arrival.
+        if let (Some(p), Some(w)) = (&mut self.partials, self.join.watermark()) {
+            if let Some((spec, _)) = p.window.as_ref().filter(|_| w >= p.next_wm) {
+                let boundary = spec.close_boundary(w);
                 p.flush_below(boundary, out);
                 out.emit_watermark(w);
                 p.next_wm = w.saturating_add(p.granule);
@@ -388,28 +369,28 @@ impl Bolt for JoinBolt {
             // without this, windowed aggregation could only close windows
             // at its own finish).
             p.flush_below(u64::MAX, out);
-            out.emit_watermark(u64::MAX);
-        }
-        if self.emit == JoinEmit::CountOnly {
-            out.emit(squall_common::tuple![self.results as i64]);
+            if p.window.is_some() {
+                out.emit_watermark(u64::MAX);
+            }
         }
         Ok(())
     }
 }
 
-/// The first phase of a windowed aggregate, inside one join task: partial
-/// aggregates keyed by `(first, last, group…)`, the result's window-start
-/// range and its group. Keying by the range rather than by window serves
-/// both shapes with one path: under tumbling windows the range is one
-/// window, so a task ships at most one partial per (window, group); under
-/// sliding windows a result lies in up to `size + 1` windows, so
-/// per-window partials could outnumber the results, while per-range ones
-/// never do. All keys share one aggregator, so a new range costs one hash
-/// entry, as a new group does.
-struct WindowPartials {
-    spec: WindowSpec,
-    /// Each relation's event-time column in join-output coordinates.
-    ts_cols: Vec<usize>,
+/// The first phase of an aggregate, inside one join task: partial
+/// aggregates keyed by the result's group, and under a window by
+/// `(first, last, group…)`, the result's window-start range and its group.
+/// Keying by the range rather than by window serves both window shapes
+/// with one path: under tumbling windows the range is one window, so a
+/// task ships at most one partial per (window, group); under sliding
+/// windows a result lies in up to `size + 1` windows, so per-window
+/// partials could outnumber the results, while per-range ones never do.
+/// All keys share one aggregator, so a new range costs one hash entry, as
+/// a new group does.
+struct Partials {
+    /// The window and each relation's event-time column in join-output
+    /// coordinates; `None` under full history.
+    window: Option<(WindowSpec, Vec<usize>)>,
     agg: GroupByAggregator,
     /// Forward the watermark once it has moved this far (one window
     /// length) past the last forward.
@@ -418,36 +399,57 @@ struct WindowPartials {
     next_wm: u64,
 }
 
-impl WindowPartials {
-    /// Fold `weight` copies of one in-window result in.
+impl Partials {
+    /// Fold `weight` copies of one (in-window) result in.
     fn fold(&mut self, row: &[Value], weight: i64) -> Result<()> {
-        let (lo, hi) = event_time_range(row, &self.ts_cols, "in aggregate input")?;
-        let range = self.spec.window_starts(lo, hi)?;
+        let Some((spec, ts_cols)) = &self.window else {
+            return self.agg.fold_row(row, weight);
+        };
+        let (lo, hi) = event_time_range(row, ts_cols, "in aggregate input")?;
+        let range = spec.window_starts(lo, hi)?;
         // Both bounds fit an `Int`: `first ≤ lo`, and `window_starts`
         // checks `last`'s window end.
         let range = [Value::Int(*range.start() as i64), Value::Int(*range.end() as i64)];
         self.agg.fold_row_under(&range, row, weight)
     }
 
-    /// Ship every partial whose first window start lies below `boundary`,
-    /// each row counted as the join results it folds.
+    /// Ship every partial whose first window start lies below `boundary`
+    /// (under full history: every partial), each row counted as the join
+    /// results it folds.
     fn flush_below(&mut self, boundary: u64, out: &mut OutputCollector) {
+        let windowed = self.window.is_some();
         self.agg.drain_partials(
-            |key| matches!(key[0], Value::Int(first) if (first as u64) < boundary),
+            |key| !windowed || matches!(key[0], Value::Int(first) if (first as u64) < boundary),
             |row, folded| out.emit_folded(row, folded),
         );
     }
 }
 
-/// The aggregation task: folds every join result into its group and emits
-/// the snapshot at end-of-stream.
+/// The full-history aggregation shard, the second phase of
+/// [`JoinBolt::with_aggregate`]: merges the join tasks' partial rows
+/// `(group…, accumulators…)` into its groups and emits the snapshot at
+/// end-of-stream.
 pub struct AggBolt {
     agg: GroupByAggregator,
+    /// Scratch for one partial row.
+    partial: Vec<Value>,
 }
 
 impl AggBolt {
+    /// The aggregate the join tasks fold: `group_cols` (only their count
+    /// matters here, as each partial row leads with its group) and `aggs`.
     pub fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggBolt {
-        AggBolt { agg: GroupByAggregator::new(group_cols, aggs) }
+        AggBolt { agg: GroupByAggregator::new(group_cols, aggs), partial: Vec::new() }
+    }
+
+    /// Merge a chunk of partial rows; a row may come off the wire, so a
+    /// malformed one is a typed error.
+    fn merge_partials(&mut self, chunk: &Chunk) -> Result<()> {
+        for i in 0..chunk.n_rows() {
+            chunk.row_into(i, &mut self.partial);
+            self.agg.merge_partial(&self.partial)?;
+        }
+        Ok(())
     }
 }
 
@@ -458,8 +460,7 @@ impl Bolt for AggBolt {
         chunk: &Chunk,
         _out: &mut OutputCollector,
     ) -> Result<()> {
-        // Nothing reads the per-update output rows, so skip building them.
-        self.agg.update_chunk(chunk, None)
+        self.merge_partials(chunk)
     }
 
     fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
@@ -489,7 +490,7 @@ impl Bolt for AggBolt {
 /// computed on the machine that runs the join (§3.3). Each join task folds
 /// its results into partial aggregates per (window-start range, group) and
 /// ships one row per key once its watermark makes the key final
-/// ([`JoinBolt::with_window_aggregate`]); a hypercube sends each result to
+/// ([`JoinBolt::with_aggregate`]); a hypercube sends each result to
 /// exactly one join task, so the partials add up to the answer (DBSP's
 /// linearity of aggregation). This bolt's face is the second phase: it
 /// merges each partial `(first, last, group…, accumulators…)` into the
@@ -1005,6 +1006,21 @@ mod tests {
         }
         assert!(merge(sliding, 10, tuple![10, 12, 1, 1, 6, Value::Null]).is_ok());
         assert!(merge(tumbling, 64, tuple![64, 64, 1, 2, 6, 0.5]).is_ok());
+        // The full-history shard of the same aggregate reads the row
+        // without its windows: (k, count, int SUM, other SUM).
+        let merge = |row: Tuple| {
+            let mut bolt = AggBolt::new(vec![0], windowed_bolt(tumbling).aggs);
+            bolt.merge_partials(&Chunk::from_tuples(&[row]))
+        };
+        for (case, row) in [
+            ("short row", tuple![1, 1, 6]),
+            ("non-Int count", tuple![1, 1.5, 6, Value::Null]),
+            ("non-Int int_sum", tuple![1, 1, 6.5, Value::Null]),
+        ] {
+            let got = merge(row);
+            assert!(matches!(got, Err(SquallError::Runtime(_))), "{case}: {got:?}");
+        }
+        assert!(merge(tuple![1, 2, 6, 0.5]).is_ok());
     }
 
     #[test]

@@ -662,7 +662,8 @@ impl ViewSinkBolt {
 
     /// Apply and publish every pending epoch ≤ `w`, then advance the
     /// applied watermark to `w` itself (epochs with no deltas still
-    /// unblock snapshot waiters).
+    /// unblock snapshot waiters, and the first primes an aggregate view,
+    /// so a global aggregate over an empty join shows its empty row).
     fn apply_through(&mut self, w: u64) -> Result<()> {
         while let Some((&epoch, _)) = self.pending.first_key_value() {
             if epoch > w {
@@ -679,8 +680,9 @@ impl ViewSinkBolt {
             self.applied = epoch;
         }
         if self.applied < w {
+            let changes = self.apply_epoch(Vec::new())?;
             self.applied = w;
-            self.shared.publish(w, Vec::new());
+            self.shared.publish(w, changes);
         }
         Ok(())
     }
@@ -1239,7 +1241,7 @@ impl StandingHandle {
         if let Some(filer) = self.filer.take() {
             filer.finish();
         }
-        let mut report = summarize(self.run.layout, outcome, 0, transport);
+        let mut report = summarize(self.run.layout, outcome, transport);
         report.elapsed = self.start.elapsed();
         report.maintenance = Some(self.shared.stats());
         report

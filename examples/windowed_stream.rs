@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use squall::common::{tuple, DataType, FxHashMap, Schema, SplitMix64, Tuple};
-use squall::engine::operators::{JoinBolt, JoinEmit};
+use squall::engine::operators::JoinBolt;
 use squall::expr::{JoinAtom, MultiJoinSpec, RelationDef};
 use squall::join::{DBToasterJoin, WindowSpec};
 use squall::runtime::{Grouping, IterSpoutVec, TopologyBuilder};
@@ -134,7 +134,6 @@ fn main() {
             task,
             map,
             Box::new(DBToasterJoin::new(&spec2)),
-            JoinEmit::Results,
             WindowSpec::Sliding { size: WINDOW },
             vec![1, 1], // ts column of each relation
             &[2, 2],    // relation arities (locate ts in the join output)

@@ -1,5 +1,5 @@
-//! Allocation budgets for the windowed join path and for a one-shot
-//! skewed join, counted rather than timed: heap allocations do not vary
+//! Allocation budgets for the windowed and the full-history aggregate
+//! paths and for a one-shot skewed join, counted rather than timed: heap allocations do not vary
 //! from run to run or host to host, so a change that brings back a tuple
 //! per join result, a tuple per windowed arrival or per input row, or a
 //! scatter-buffer column regrown for every batch fails here on its first
@@ -78,18 +78,9 @@ fn streams(seed: u64) -> (Vec<Tuple>, Vec<Tuple>) {
     (a, b)
 }
 
-/// This query makes about 0.17 heap allocations per join result: each join
-/// task folds its results into partial aggregates and ships one row per
-/// (window, group) and window-start range, one aggregator for all ranges.
-/// A fresh aggregator per range cost about 0.30, emitting every result into
-/// a scatter buffer 0.39, and building each result as a tuple first 2.33.
-/// The budget sits below the first of those, so losing any of the three
-/// fails here.
-const BUDGET_PER_RESULT: f64 = 0.22;
-
-#[test]
-fn windowed_aggregation_stays_within_its_allocation_budget() {
-    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+/// A session on 8 machines, 2 aggregate shards and 1 worker thread, with
+/// [`streams`] registered as `A` and `B`.
+fn stream_session() -> Session {
     let mut session = Session::builder().machines(8).agg_parallelism(2).worker_threads(1).build();
     let (a, b) = streams(7);
     let schema_a = Schema::of(&[
@@ -101,20 +92,56 @@ fn windowed_aggregation_stays_within_its_allocation_budget() {
     let schema_b = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
     session.register_stream("A", schema_a, a, "ts").unwrap();
     session.register_stream("B", schema_b, b, "ts").unwrap();
-    let sql = "SELECT A.g, COUNT(*), SUM(A.v) FROM A, B WHERE A.k = B.k \
-               WINDOW TUMBLING 1024 ON ts GROUP BY A.g";
+    session
+}
+
+/// Run `sql` on [`stream_session`] and check its heap allocations per join
+/// result against `budget`; `count_col` is the `COUNT(*)` column of its
+/// rows.
+fn check_aggregate_budget(sql: &str, count_col: usize, budget: f64) {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let session = stream_session();
 
     let (rows, allocations) = count_allocations(|| session.sql(sql).unwrap().rows().to_vec());
 
-    // Each row is (window start, window end, g, COUNT(*), SUM(v)).
-    let results: i64 = rows.iter().map(|r| r.get(3).as_int().unwrap()).sum();
+    let results: i64 = rows.iter().map(|r| r.get(count_col).as_int().unwrap()).sum();
     assert!(results > 100_000, "the query joined only {results} pairs");
     let per_result = allocations as f64 / results as f64;
     eprintln!("{allocations} allocations for {results} join results: {per_result:.3} per result");
     assert!(
-        per_result <= BUDGET_PER_RESULT,
-        "{per_result:.3} allocations per join result, over the budget of {BUDGET_PER_RESULT}"
+        per_result <= budget,
+        "{per_result:.3} allocations per join result, over the budget of {budget}"
     );
+}
+
+/// This query makes about 0.17 heap allocations per join result: each join
+/// task folds its results into partial aggregates and ships one row per
+/// (window, group) and window-start range, one aggregator for all ranges.
+/// A fresh aggregator per range cost about 0.30, emitting every result into
+/// a scatter buffer 0.39, and building each result as a tuple first 2.33.
+/// The budget sits below the first of those, so losing any of the three
+/// fails here.
+const BUDGET_PER_RESULT: f64 = 0.22;
+
+#[test]
+fn windowed_aggregation_stays_within_its_allocation_budget() {
+    // Each row is (window start, window end, g, COUNT(*), SUM(v)).
+    let sql = "SELECT A.g, COUNT(*), SUM(A.v) FROM A, B WHERE A.k = B.k \
+               WINDOW TUMBLING 1024 ON ts GROUP BY A.g";
+    check_aggregate_budget(sql, 3, BUDGET_PER_RESULT);
+}
+
+/// The same query over the full history makes about 0.06 heap allocations
+/// per join result: each join task folds its results into one partial per
+/// group and ships them at end-of-stream. Emitting every result to the
+/// aggregate shards cost 0.17, so the budget sits between the two.
+const BUDGET_PER_FULL_HISTORY_RESULT: f64 = 0.10;
+
+#[test]
+fn full_history_aggregation_stays_within_its_allocation_budget() {
+    // Each row is (g, COUNT(*), SUM(v)).
+    let sql = "SELECT A.g, COUNT(*), SUM(A.v) FROM A, B WHERE A.k = B.k GROUP BY A.g";
+    check_aggregate_budget(sql, 1, BUDGET_PER_FULL_HISTORY_RESULT);
 }
 
 /// Rows per big relation of the skewed join, and per guard.

@@ -185,6 +185,27 @@ fn a_failed_write_changes_neither_the_catalog_nor_any_view() {
     }
 }
 
+/// A global aggregate view whose initial join is empty shows SQL's one
+/// row, `COUNT(*)` = 0, like the recompute — though no delta reaches its
+/// sink — and keeps agreeing once rows join and leave again.
+#[test]
+fn global_aggregate_view_over_an_empty_join_shows_its_empty_row() {
+    let mut s = Session::builder().machines(2).seed(3).build();
+    let schema = Schema::of(&[("a", DataType::Int)]);
+    s.register("R", schema.clone(), vec![tuple![1]]).unwrap();
+    s.register("S", schema, vec![tuple![2]]).unwrap();
+    let select = "SELECT COUNT(*) FROM R, S WHERE R.a = S.a";
+    let view = s.create_view("n", &squall::sql::parse(select).unwrap()).unwrap();
+    assert_eq!(recompute(&s, select), vec![tuple![0]]);
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, select), "initial load");
+    s.append("S", vec![tuple![1]]).unwrap();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, select), "after a match");
+    s.retract("S", vec![tuple![1]]).unwrap();
+    assert_eq!(view.snapshot().unwrap(), recompute(&s, select), "after its retraction");
+    drop(view);
+    s.drop_view("n").unwrap();
+}
+
 /// A windowed standing view over streams: post-launch appends extend the
 /// per-window aggregate exactly like a recompute (streams are
 /// append-only, so no retraction arm) — under tumbling windows and under
