@@ -72,7 +72,9 @@ pub struct AggPlan {
     pub group_cols: Vec<usize>,
     /// The aggregate columns, in output order.
     pub aggs: Vec<AggSpec>,
-    /// Task count of the aggregation component.
+    /// Task count of the aggregation component. A standing view's one sink
+    /// task reads the rest of the plan and not this; the planner sets it
+    /// to 1 there, so the one-shot shard knob never fails a view.
     pub parallelism: usize,
 }
 
@@ -89,7 +91,9 @@ pub struct MultiwayConfig {
     /// Per-machine stored-tuple budget (§7.3 memory overflow); `None` =
     /// unlimited.
     pub budget: Option<usize>,
-    /// Aggregate the join output (results are then the aggregate rows).
+    /// Aggregate the join output (results are then the aggregate rows). In
+    /// a standing topology the view sink folds by it and the join tasks
+    /// ignore it.
     pub agg: Option<AggPlan>,
     /// Windowed join semantics; `None` = full history.
     pub window: Option<WindowPlan>,

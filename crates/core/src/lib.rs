@@ -31,6 +31,4 @@ pub use driver::{
     MultiwayStream,
 };
 pub use operators::{AggBolt, Finalizer, JoinBolt, WindowMergeBolt, WindowedAggBolt};
-pub use standing::{
-    launch_standing, ChangeBatch, StandingHandle, ViewPlan, ViewShared, ViewWindow,
-};
+pub use standing::{launch_standing, ChangeBatch, StandingHandle, ViewShared};

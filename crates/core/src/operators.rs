@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use squall_common::array::Array;
 use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
-use squall_expr::{AggFunc, ScalarExpr};
+use squall_expr::ScalarExpr;
 use squall_join::{AggSpec, GroupByAggregator, LocalJoin, RowSink, WindowJoin, WindowSpec};
 use squall_runtime::{Bolt, NodeId, OutputCollector};
 
@@ -41,13 +41,9 @@ pub struct Finalizer {
     pub having: Option<ScalarExpr>,
     /// The SELECT list, in order, over the engine row.
     pub project: Vec<ScalarExpr>,
-    /// The aggregate columns of the raw row, in the coordinates of whichever
-    /// operator computes them; the finalizer itself reads only each `func`,
-    /// to shape the zero-rows row. Empty on non-aggregate queries.
-    pub aggs: Vec<AggSpec>,
-    /// A full-history global aggregate: zero input rows still answer with
-    /// one row (`COUNT` = 0, `NULL` sums and averages).
-    pub emit_empty: bool,
+    /// The raw aggregate row that answers for zero input rows (`COUNT` = 0,
+    /// `NULL` sums and averages): a full-history global aggregate's only.
+    pub empty: Option<Tuple>,
 }
 
 impl Finalizer {
@@ -70,26 +66,14 @@ impl Finalizer {
     }
 
     /// The row answering for zero input rows, when this query has one
-    /// ([`Finalizer::emit_empty`]) and HAVING keeps it. A HAVING predicate
-    /// that errors over the synthetic `COUNT` = 0 / `NULL` row drops it —
-    /// SQL's unknown-is-false; a *projection* error over it is a real
-    /// error, exactly like one over a produced row.
+    /// ([`Finalizer::empty`]) and HAVING keeps it. A HAVING predicate that
+    /// errors over it drops it — SQL's unknown-is-false; a *projection*
+    /// error over it is a real error, exactly like one over a produced row.
     pub fn empty_row(&self) -> Result<Option<Tuple>> {
-        if !self.emit_empty {
-            return Ok(None);
-        }
-        let raw = Tuple::new(
-            self.aggs
-                .iter()
-                .map(|a| match a.func {
-                    AggFunc::Count => Value::Int(0),
-                    _ => Value::Null,
-                })
-                .collect::<Vec<_>>(),
-        );
+        let Some(raw) = &self.empty else { return Ok(None) };
         match &self.having {
-            Some(h) if !h.eval_bool(&raw).unwrap_or(false) => Ok(None),
-            _ => self.select(&raw).map(Some),
+            Some(h) if !h.eval_bool(raw).unwrap_or(false) => Ok(None),
+            _ => self.select(raw).map(Some),
         }
     }
 }

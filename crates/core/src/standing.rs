@@ -86,38 +86,6 @@ use crate::operators::{event_time_range, Finalizer, Frontier, JoinState, TaskJoi
 /// last complete one, or completes this one from peer replicas).
 const CHECKPOINT_DEADLINE: Duration = Duration::from_secs(30);
 
-// ---------------------------------------------------------------------
-// Plan
-// ---------------------------------------------------------------------
-
-/// Windowed-aggregate shape of a standing view: the window spec plus the
-/// constituent event-time columns in join-output coordinates (what the
-/// sink reads to expand a join result into its windows).
-#[derive(Debug, Clone)]
-pub struct ViewWindow {
-    pub spec: WindowSpec,
-    pub ts_cols: Vec<usize>,
-}
-
-/// Everything the view sink needs to turn signed join deltas into
-/// materialized view rows. Built by the planner
-/// (`PhysicalQuery::prepare_standing` at the plan layer).
-#[derive(Debug, Clone)]
-pub struct ViewPlan {
-    /// Aggregate mode: group-by columns over the sink's input rows
-    /// (join-output coordinates; windowed mode prepends
-    /// `window_start`/`window_end`, so these are `[0, 1, orig+2…]`).
-    pub group_cols: Vec<usize>,
-    /// HAVING, the SELECT projection and the zero-rows row — over the raw
-    /// aggregate row in aggregate mode, over the join-output row
-    /// otherwise. Its `aggs` (input expressions in sink-input coordinates)
-    /// are the aggregate columns the sink maintains; with none the view is
-    /// a plain projected multiset.
-    pub finalizer: Finalizer,
-    /// Per-window aggregation (`None` = full-history).
-    pub windowed: Option<ViewWindow>,
-}
-
 /// One applied epoch's net effect on the view, as signed row changes.
 #[derive(Debug, Clone)]
 pub struct ChangeBatch {
@@ -496,9 +464,11 @@ enum SinkState {
     /// Plain projected multiset: nothing to keep locally, changes are
     /// netted per epoch and applied straight into the shared rows.
     Plain,
-    /// Aggregate view: the group-by state, the integral of every applied
-    /// epoch. A group's published row is what the finalizer makes of it
-    /// ([`ViewSinkBolt::group_row`]), so the sink keeps no copy of the view.
+    /// Aggregate view: the query's own [`crate::driver::AggPlan`], folded
+    /// under each window's `(start, end)` key prefix when windowed — the
+    /// integral of every applied epoch. A group's published row is what the
+    /// finalizer makes of it ([`ViewSinkBolt::group_row`]), so the sink
+    /// keeps no copy of the view.
     Agg {
         agg: GroupByAggregator,
         /// Whether an epoch was applied: before the first, nothing is
@@ -513,7 +483,7 @@ enum SinkState {
 /// watermark releases them, and publishes the netted changes into the
 /// [`ViewShared`] state.
 struct ViewSinkBolt {
-    plan: Arc<ViewPlan>,
+    finalizer: Arc<Finalizer>,
     shared: Arc<ViewShared>,
     /// Deltas awaiting their epoch's release, in epoch order.
     pending: BTreeMap<u64, Vec<(Tuple, i64)>>,
@@ -521,31 +491,46 @@ struct ViewSinkBolt {
     frontier: Frontier,
     applied: u64,
     state: SinkState,
+    /// An aggregate view's group-by columns and, windowed, its window and
+    /// each relation's event-time column, all in join-output coordinates.
+    group_cols: Vec<usize>,
+    window: Option<(WindowSpec, Vec<usize>)>,
+    /// The touched key `(start, end, group…)` of one delta and window.
+    key: Vec<Value>,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
 }
 
 impl ViewSinkBolt {
     fn new(
-        plan: Arc<ViewPlan>,
+        spec: &MultiJoinSpec,
+        cfg: &MultiwayConfig,
+        finalizer: Arc<Finalizer>,
         shared: Arc<ViewShared>,
         n_upstream: usize,
         blob_tx: Option<Sender<SnapshotBlobMsg>>,
     ) -> ViewSinkBolt {
-        let state = if !plan.finalizer.aggs.is_empty() {
-            SinkState::Agg {
-                agg: GroupByAggregator::new(plan.group_cols.clone(), plan.finalizer.aggs.clone()),
-                primed: false,
+        let (state, group_cols, window) = match &cfg.agg {
+            Some(a) => {
+                let agg = GroupByAggregator::new(a.group_cols.clone(), a.aggs.clone());
+                let window = cfg.window.as_ref().map(|w| {
+                    let arities: Vec<usize> =
+                        spec.relations.iter().map(|r| r.schema.arity()).collect();
+                    (w.spec, squall_join::output_ts_cols(&arities, &w.ts_cols))
+                });
+                (SinkState::Agg { agg, primed: false }, a.group_cols.clone(), window)
             }
-        } else {
-            SinkState::Plain
+            None => (SinkState::Plain, Vec::new(), None),
         };
         ViewSinkBolt {
-            plan,
+            finalizer,
             shared,
             pending: BTreeMap::new(),
             frontier: Frontier::new(n_upstream),
             applied: 0,
             state,
+            group_cols,
+            window,
+            key: Vec::new(),
             blob_tx,
         }
     }
@@ -584,40 +569,26 @@ impl ViewSinkBolt {
         }
     }
 
-    /// One windowed-sink input row per window the join result `row` folds
-    /// into: `(window_start, window_end, row…)`.
-    fn window_rows(w: &ViewWindow, row: &Tuple) -> Result<Vec<Tuple>> {
-        let (lo, hi) = event_time_range(row, &w.ts_cols, "in view sink input")?;
-        Ok(w.spec
-            .window_starts(lo, hi)?
-            .map(|start| {
-                let mut v = Vec::with_capacity(row.arity() + 2);
-                v.push(Value::Int(start as i64));
-                v.push(Value::Int(w.spec.end_of(start) as i64));
-                v.extend(row.values().iter().cloned());
-                Tuple::new(v)
-            })
-            .collect())
-    }
-
     /// The row the view shows for group `key` of `agg`: its finalized
     /// aggregate, or for a global aggregate with no rows the empty row.
-    fn group_row(plan: &ViewPlan, agg: &GroupByAggregator, key: &[Value]) -> Result<Option<Tuple>> {
+    fn group_row(fin: &Finalizer, agg: &GroupByAggregator, key: &[Value]) -> Result<Option<Tuple>> {
         match agg.group(key) {
-            Some(raw) => plan.finalizer.row(&raw),
-            None if key.is_empty() => plan.finalizer.empty_row(),
+            Some(raw) => fin.row(&raw),
+            None if key.is_empty() => fin.empty_row(),
             None => Ok(None),
         }
     }
 
-    /// Apply one epoch's deltas, returning the net row changes.
+    /// Apply one epoch's deltas, returning the net row changes. An
+    /// aggregate view folds each delta once per window it lies in (once
+    /// under full history), under the window's `(start, end)` key prefix.
     fn apply_epoch(&mut self, deltas: Vec<(Tuple, i64)>) -> Result<Vec<(Tuple, i64)>> {
-        let plan = Arc::clone(&self.plan);
+        let ViewSinkBolt { finalizer: fin, state, group_cols, window, key, .. } = self;
         let mut net: FxHashMap<Tuple, i64> = FxHashMap::default();
-        match &mut self.state {
+        match state {
             SinkState::Plain => {
                 for (base, m) in &deltas {
-                    if let Some(row) = plan.finalizer.row(base)? {
+                    if let Some(row) = fin.row(base)? {
                         *net.entry(row).or_insert(0) += m;
                     }
                 }
@@ -626,28 +597,38 @@ impl ViewSinkBolt {
                 // Each touched group's row before the epoch, taken before
                 // its first fold.
                 let mut touched: FxHashMap<Vec<Value>, Option<Tuple>> = FxHashMap::default();
-                if !*primed && plan.finalizer.emit_empty {
+                if !*primed && fin.empty.is_some() {
                     touched.insert(Vec::new(), None);
                 }
                 for (base, m) in &deltas {
-                    let inputs: Vec<Tuple> = match &plan.windowed {
-                        None => vec![base.clone()],
-                        Some(w) => Self::window_rows(w, base)?,
+                    let starts = match window {
+                        Some((spec, ts_cols)) => {
+                            let (lo, hi) = event_time_range(base, ts_cols, "in view sink input")?;
+                            spec.window_starts(lo, hi)?
+                        }
+                        None => 0..=0,
                     };
-                    for input in &inputs {
-                        if let Entry::Vacant(slot) = touched.entry(input.key(&plan.group_cols)) {
+                    for start in starts {
+                        key.clear();
+                        if let Some((spec, _)) = window {
+                            let end = spec.end_of(start);
+                            key.extend([Value::Int(start as i64), Value::Int(end as i64)]);
+                        }
+                        let lead = key.len();
+                        key.extend(group_cols.iter().map(|&c| base[c].clone()));
+                        if !touched.contains_key(key.as_slice()) {
                             let old = match primed {
-                                true => Self::group_row(&plan, agg, slot.key())?,
+                                true => Self::group_row(fin, agg, key)?,
                                 false => None,
                             };
-                            slot.insert(old);
+                            touched.insert(key.clone(), old);
                         }
-                        agg.fold_row(input, *m)?;
+                        agg.fold_row_under(&key[..lead], base, *m)?;
                     }
                 }
                 *primed = true;
                 for (key, old) in touched {
-                    let new = Self::group_row(&plan, agg, &key)?;
+                    let new = Self::group_row(fin, agg, &key)?;
                     if old == new {
                         continue;
                     }
@@ -769,7 +750,7 @@ fn tag_delta(row: &[Value], mult: i64, epoch: u64) -> Tuple {
 
 /// Build the resident topology for one standing view: the shared join
 /// stage ([`wire_join_stage`]) over empty live-queue spouts and the delta
-/// join, then the single view sink. `coordinator` carries the view plan and
+/// join, then the single view sink. `coordinator` carries the finalizer and
 /// shared state on the coordinator; workers pass `None` — their spout and
 /// sink factories are never invoked (spouts and parallelism-1 bolts are
 /// pinned to peer 0 by `plan_placement`).
@@ -780,7 +761,7 @@ fn tag_delta(row: &[Value], mult: i64, epoch: u64) -> Tuple {
 pub(crate) fn assemble_standing(
     spec: &MultiJoinSpec,
     cfg: &MultiwayConfig,
-    coordinator: Option<(Arc<ViewPlan>, Arc<ViewShared>)>,
+    coordinator: Option<(Arc<Finalizer>, Arc<ViewShared>)>,
     restore: Option<Arc<RestoreState>>,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
 ) -> Result<(Topology, Vec<Arc<LiveQueue>>, RunContext)> {
@@ -792,10 +773,6 @@ pub(crate) fn assemble_standing(
         let ts_cols = cfg.window.as_ref().map(|w| w.ts_cols.as_slice());
         for blob in rs.join.values() {
             check_join_blob(blob, &arities, ts_cols)?;
-        }
-        if let (Some(blob), Some((plan, shared))) = (&rs.sink, &coordinator) {
-            ViewSinkBolt::new(Arc::clone(plan), Arc::clone(shared), 0, None)
-                .restore(rs.epoch, blob)?;
         }
     }
     let mut queues = Vec::with_capacity(n_rel);
@@ -826,23 +803,23 @@ pub(crate) fn assemble_standing(
         },
     )?;
 
-    // The view sink: one task, pinned to the coordinator.
-    let machines = ctx.join_tasks;
-    let sink_node = b.add_bolt("view", 1, move |_task| match &coordinator {
-        Some((plan, shared)) => {
-            let mut bolt =
-                ViewSinkBolt::new(Arc::clone(plan), Arc::clone(shared), machines, blob_tx.clone());
-            if let Some(rs) = &restore {
-                if let Some(blob) = &rs.sink {
-                    bolt.restore(rs.epoch, blob)
-                        .expect("the sink restore blob is checked before assembly");
-                }
+    // The view sink: one task, pinned to the coordinator, built and
+    // restored here, after the plan checks that make it buildable.
+    let mut sink = None;
+    if let Some((fin, shared)) = coordinator {
+        let mut bolt = ViewSinkBolt::new(spec, cfg, fin, shared, ctx.join_tasks, blob_tx);
+        if let Some(rs) = &restore {
+            if let Some(blob) = &rs.sink {
+                bolt.restore(rs.epoch, blob)?;
             }
-            Box::new(bolt)
         }
-        None => unreachable!(
-            "view sink runs at parallelism 1, which plan_placement pins to the coordinator"
-        ),
+        sink = Some(bolt);
+    }
+    let sink = std::cell::Cell::new(sink);
+    let sink_node = b.add_bolt("view", 1, move |_task| -> Box<dyn Bolt> {
+        Box::new(sink.take().expect(
+            "view sink runs at parallelism 1, which plan_placement pins to the coordinator",
+        ))
     });
     b.connect(ctx.join_node, sink_node, Grouping::Global);
 
@@ -871,7 +848,7 @@ impl Resident {
     fn boot(
         spec: &MultiJoinSpec,
         cfg: &MultiwayConfig,
-        coordinator: (Arc<ViewPlan>, Arc<ViewShared>),
+        coordinator: (Arc<Finalizer>, Arc<ViewShared>),
         restore: Option<Arc<RestoreState>>,
         readmit: Option<u64>,
     ) -> Result<Resident> {
@@ -939,7 +916,7 @@ pub fn launch_standing(
     spec: &MultiJoinSpec,
     data: Vec<impl Into<Source>>,
     cfg: &MultiwayConfig,
-    plan: ViewPlan,
+    finalizer: Finalizer,
     shared: Arc<ViewShared>,
 ) -> Result<StandingHandle> {
     debug_assert!(cfg.standing, "launch_standing needs cfg.standing");
@@ -950,8 +927,9 @@ pub fn launch_standing(
             data.len()
         )));
     }
-    let plan = Arc::new(plan);
-    let mut run = Resident::boot(spec, cfg, (Arc::clone(&plan), Arc::clone(&shared)), None, None)?;
+    let finalizer = Arc::new(finalizer);
+    let mut run =
+        Resident::boot(spec, cfg, (Arc::clone(&finalizer), Arc::clone(&shared)), None, None)?;
     let load: Vec<DeltaRound> =
         data.into_iter().map(Into::into).enumerate().map(|(rel, rows)| (rel, rows, 1)).collect();
     run.layout.input_counts = load.iter().map(|(_, rows, _)| rows.len() as u64).collect();
@@ -966,7 +944,7 @@ pub fn launch_standing(
         start: Instant::now(),
         spec: spec.clone(),
         cfg: cfg.clone(),
-        plan,
+        finalizer,
         store,
         filer,
     })
@@ -1064,7 +1042,7 @@ pub struct StandingHandle {
     /// What recovery needs to re-assemble the topology.
     spec: MultiJoinSpec,
     cfg: MultiwayConfig,
-    plan: Arc<ViewPlan>,
+    finalizer: Arc<Finalizer>,
     /// Clustered runs only: the rounds issued since the last complete
     /// checkpoint, the initial load (epoch 1) included, with their epochs —
     /// the replay log of recovery. With checkpoints off it holds every
@@ -1214,7 +1192,7 @@ impl StandingHandle {
         // barriers — the rounds stay in the log until a fresh checkpoint
         // covers them.
         self.cfg.cluster = Some(cluster);
-        let coordinator = (Arc::clone(&self.plan), Arc::clone(&self.shared));
+        let coordinator = (Arc::clone(&self.finalizer), Arc::clone(&self.shared));
         let input_counts = std::mem::take(&mut self.run.layout.input_counts);
         self.run = Resident::boot(
             &self.spec,
@@ -1256,7 +1234,7 @@ mod tests {
     use squall_join::AggSpec;
     use squall_partition::optimizer::SchemeKind;
 
-    use crate::driver::LocalJoinKind;
+    use crate::driver::{AggPlan, LocalJoinKind, WindowPlan};
 
     fn pair_spec() -> MultiJoinSpec {
         let s = Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
@@ -1267,27 +1245,20 @@ mod tests {
         .unwrap()
     }
 
-    fn view_plan(group_cols: Vec<usize>, aggs: Vec<AggSpec>, arity: usize) -> ViewPlan {
-        ViewPlan {
-            group_cols,
-            finalizer: Finalizer {
-                having: None,
-                project: (0..arity).map(ScalarExpr::col).collect(),
-                aggs,
-                emit_empty: false,
-            },
-            windowed: None,
-        }
-    }
-
-    fn plain_plan(arity: usize) -> ViewPlan {
-        view_plan(vec![], vec![], arity)
+    /// A finalizer projecting the engine row's first `arity` columns.
+    fn project(arity: usize) -> Finalizer {
+        Finalizer { having: None, project: (0..arity).map(ScalarExpr::col).collect(), empty: None }
     }
 
     fn standing_cfg() -> MultiwayConfig {
         let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
         cfg.standing = true;
         cfg
+    }
+
+    /// `standing_cfg` aggregating `aggs` per `group_cols` in its view sink.
+    fn agg_cfg(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> MultiwayConfig {
+        standing_cfg().with_agg(AggPlan { group_cols, aggs, parallelism: 1 })
     }
 
     #[test]
@@ -1415,24 +1386,53 @@ mod tests {
         assert_eq!(sealed(&restored), sealed(&bolt));
     }
 
+    /// What a view sink is built from: the join spec, the standing
+    /// configuration and the finalizer.
+    type SinkPlan = (MultiJoinSpec, MultiwayConfig, Finalizer);
+
+    /// One relation `R(k, ts)`, the input of the sink-only tests.
+    fn keyed_spec() -> MultiJoinSpec {
+        let s = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
+        MultiJoinSpec::new(vec![RelationDef::new("R", s, 10)], vec![]).unwrap()
+    }
+
+    /// An aggregate view over `R(k, ts)`: `aggs` per key `k`, per window of
+    /// `window` on `ts` too when given, projecting the whole raw row.
+    fn keyed_view(aggs: Vec<AggSpec>, window: Option<WindowSpec>) -> SinkPlan {
+        let arity = 2 * usize::from(window.is_some()) + 1 + aggs.len();
+        let mut cfg = agg_cfg(vec![0], aggs);
+        cfg.window = window.map(|spec| WindowPlan { spec, ts_cols: vec![1] });
+        (keyed_spec(), cfg, project(arity))
+    }
+
+    /// A global `COUNT(*)`, which shows its zero-rows row.
+    fn global_count_view() -> SinkPlan {
+        let finalizer = Finalizer { empty: Some(tuple![0]), ..project(1) };
+        (keyed_spec(), agg_cfg(vec![], vec![AggSpec::count()]), finalizer)
+    }
+
+    fn sink_of((spec, cfg, finalizer): &SinkPlan, shared: &Arc<ViewShared>) -> ViewSinkBolt {
+        ViewSinkBolt::new(spec, cfg, Arc::new(finalizer.clone()), Arc::clone(shared), 1, None)
+    }
+
+    /// Apply `deltas` as the sink's next epoch, `epoch`.
+    fn apply(sink: &mut ViewSinkBolt, epoch: u64, deltas: &[(Tuple, i64)]) {
+        sink.pending.insert(epoch, deltas.to_vec());
+        sink.apply_through(epoch).unwrap();
+    }
+
     /// Feed two sinks the same signed epochs and, after epoch `rebuild`,
     /// replace the second by a sink restored from the first's barrier blob:
     /// both must publish the same change batches to the end.
-    fn twin_sinks_publish_alike(plan: ViewPlan, epochs: &[Vec<(Tuple, i64)>], rebuild: u64) {
-        let plan = Arc::new(plan);
-        let sink = |shared: &Arc<ViewShared>| {
-            ViewSinkBolt::new(Arc::clone(&plan), Arc::clone(shared), 1, None)
-        };
+    fn twin_sinks_publish_alike(plan: SinkPlan, epochs: &[Vec<(Tuple, i64)>], rebuild: u64) {
         let (a_shared, b_shared) = (Arc::new(ViewShared::new()), Arc::new(ViewShared::new()));
         let (a_rx, b_rx) = (a_shared.subscribe(), b_shared.subscribe());
-        let (mut a, mut b) = (sink(&a_shared), sink(&b_shared));
+        let (mut a, mut b) = (sink_of(&plan, &a_shared), sink_of(&plan, &b_shared));
         for (epoch, deltas) in (1..).zip(epochs) {
-            for bolt in [&mut a, &mut b] {
-                bolt.pending.insert(epoch, deltas.clone());
-                bolt.apply_through(epoch).unwrap();
-            }
+            apply(&mut a, epoch, deltas);
+            apply(&mut b, epoch, deltas);
             if epoch == rebuild {
-                b = sink(&b_shared);
+                b = sink_of(&plan, &b_shared);
                 b.restore(epoch, &a.blob()).unwrap();
             }
         }
@@ -1451,9 +1451,8 @@ mod tests {
 
         // COUNT(*) GROUP BY k HAVING COUNT(*) > 1: group 1 is dropped at
         // the rebuild, with its aggregate still held, and re-admitted after.
-        let mut having = view_plan(vec![0], vec![AggSpec::count()], 2);
-        having.finalizer.having =
-            Some(ScalarExpr::bin(BinOp::Gt, ScalarExpr::col(1), ScalarExpr::lit(1)));
+        let mut having = keyed_view(vec![AggSpec::count()], None);
+        having.2.having = Some(ScalarExpr::bin(BinOp::Gt, ScalarExpr::col(1), ScalarExpr::lit(1)));
         let epochs = [
             vec![count(1, 1), count(1, 1), count(2, 1)],
             vec![count(1, -1)],
@@ -1466,28 +1465,84 @@ mod tests {
 
         // A global COUNT(*): an empty first epoch shows the empty row, and so
         // does an input that becomes empty after the rebuild.
-        let mut global = view_plan(vec![], vec![AggSpec::count()], 1);
-        global.finalizer.emit_empty = true;
         let epochs = [
             vec![],
             vec![count(1, 1), count(2, 1)],
             vec![count(1, -1), count(2, -1)],
             vec![count(3, 1)],
         ];
-        twin_sinks_publish_alike(global.clone(), &epochs, 1);
-        twin_sinks_publish_alike(global, &epochs, 2);
+        twin_sinks_publish_alike(global_count_view(), &epochs, 1);
+        twin_sinks_publish_alike(global_count_view(), &epochs, 2);
 
-        // COUNT(*) per tumbling window of 10 and key, over rows `(k, ts)`.
-        let mut windowed = view_plan(vec![0, 1, 2], vec![AggSpec::count()], 4);
-        windowed.windowed =
-            Some(ViewWindow { spec: WindowSpec::Tumbling { width: 10 }, ts_cols: vec![1] });
+        // COUNT(*) per window and key over rows `(k, ts)`: tumbling windows
+        // of 10, and sliding windows of 3, where one delta folds into up to
+        // four windows and deltas a few apart share some.
         let epochs = [
             vec![(tuple![1, 3], 1), (tuple![1, 5], 1), (tuple![2, 12], 1)],
             vec![(tuple![1, 14], 1)],
             vec![(tuple![2, 15], 1), (tuple![1, 25], 1)],
             vec![(tuple![1, 27], 1), (tuple![1, 3], -1)],
         ];
-        twin_sinks_publish_alike(windowed, &epochs, 2);
+        for window in [WindowSpec::Tumbling { width: 10 }, WindowSpec::Sliding { size: 3 }] {
+            twin_sinks_publish_alike(keyed_view(vec![AggSpec::count()], Some(window)), &epochs, 2);
+        }
+    }
+
+    /// The sink blob's bytes, pinned: a checkpoint an older build took must
+    /// restore in this one.
+    #[test]
+    fn sink_blobs_match_golden_bytes() {
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let epochs = [
+            vec![(tuple![1, 3], 1), (tuple![1, 5], 1), (tuple![2, 12], 1)],
+            vec![(tuple![1, 14], 1), (tuple![2, 12], -1)],
+            vec![(tuple![3, 25], 2)],
+        ];
+        let count_sum = || vec![AggSpec::count(), AggSpec::sum_col(1)];
+        let cases = [
+            (
+                "group by",
+                keyed_view(count_sum(), None),
+                concat!(
+                    "0102000000010000000101000000000000000200000003000000000000000000",
+                    "0000000000000000000000000000010300000000000000160000000000000000",
+                    "0000000000000001010000000103000000000000000200000002000000000000",
+                    "0000000000000000000000000000000000010200000000000000320000000000",
+                    "000000000000000000000101"
+                ),
+            ),
+            (
+                "global count",
+                global_count_view(),
+                concat!(
+                    "0101000000000000000100000005000000000000000000000000000000000000",
+                    "00000000000101"
+                ),
+            ),
+            (
+                "tumbling",
+                keyed_view(count_sum(), Some(WindowSpec::Tumbling { width: 10 })),
+                concat!(
+                    "0103000000030000000100000000000000000109000000000000000101000000",
+                    "0000000002000000020000000000000000000000000000000000000000000000",
+                    "010200000000000000080000000000000000000000000000000103000000010a",
+                    "0000000000000001130000000000000001010000000000000002000000010000",
+                    "0000000000000000000000000000000000000000000101000000000000000e00",
+                    "00000000000000000000000000000103000000011400000000000000011d0000",
+                    "0000000000010300000000000000020000000200000000000000000000000000",
+                    "0000000000000000000001020000000000000032000000000000000000000000",
+                    "0000000101"
+                ),
+            ),
+        ];
+        for (what, plan, golden) in cases {
+            let shared = Arc::new(ViewShared::new());
+            let mut sink = sink_of(&plan, &shared);
+            for (epoch, deltas) in (1..).zip(&epochs) {
+                apply(&mut sink, epoch, deltas);
+            }
+            assert_eq!(hex(&sink.blob()), golden, "{what}");
+        }
     }
 
     #[test]
@@ -1496,8 +1551,7 @@ mod tests {
         let data = vec![vec![tuple![1, 10]], vec![tuple![1, 100]]];
         let shared = Arc::new(ViewShared::new());
         let mut h =
-            launch_standing(&spec, data, &standing_cfg(), plain_plan(4), Arc::clone(&shared))
-                .unwrap();
+            launch_standing(&spec, data, &standing_cfg(), project(4), Arc::clone(&shared)).unwrap();
         let mut rows = h.snapshot(Duration::from_secs(5)).unwrap();
         rows.sort();
         assert_eq!(rows, vec![tuple![1, 10, 1, 100]]);
@@ -1525,13 +1579,12 @@ mod tests {
     fn aggregate_view_diffs_published_groups() {
         let spec = pair_spec();
         // COUNT(*) GROUP BY R.a over the join; finalize = (key, count).
-        let plan = view_plan(vec![0], vec![AggSpec::count()], 2);
+        let cfg = agg_cfg(vec![0], vec![AggSpec::count()]);
         let data = vec![vec![tuple![1, 10], tuple![2, 20]], vec![tuple![1, 100]]];
         let shared = Arc::new(ViewShared::new());
         // Subscribe before launch so the epoch-1 batch is observed too.
         let rx = shared.subscribe();
-        let mut h =
-            launch_standing(&spec, data, &standing_cfg(), plan, Arc::clone(&shared)).unwrap();
+        let mut h = launch_standing(&spec, data, &cfg, project(2), Arc::clone(&shared)).unwrap();
         assert_eq!(h.snapshot(Duration::from_secs(5)).unwrap(), vec![tuple![1, 1]]);
 
         h.apply(vec![(1, vec![tuple![2, 200], tuple![1, 101]].into(), 1)]).unwrap();
@@ -1571,7 +1624,7 @@ mod tests {
         let mut cfg = standing_cfg();
         cfg.cluster = Some(ClusterSpec::new(addrs));
         let shared = Arc::new(ViewShared::new());
-        let mut h = launch_standing(&spec, data, &cfg, plain_plan(4), Arc::clone(&shared)).unwrap();
+        let mut h = launch_standing(&spec, data, &cfg, project(4), Arc::clone(&shared)).unwrap();
         assert_eq!(h.snapshot(Duration::from_secs(10)).unwrap(), vec![tuple![1, 10, 1, 100]]);
         h.apply(vec![(1, vec![tuple![1, 200]].into(), 1)]).unwrap();
         h.apply(vec![(0, vec![tuple![1, 10]].into(), -1)]).unwrap();
@@ -1597,7 +1650,7 @@ mod tests {
             &spec,
             vec![vec![tuple![1], tuple![2]]],
             &standing_cfg(),
-            plain_plan(1),
+            project(1),
             Arc::clone(&shared),
         )
         .unwrap();

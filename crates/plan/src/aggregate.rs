@@ -3,10 +3,8 @@
 //! group…, agg…)` rows behind an ordered merge — a mode, not a node.
 
 use squall_common::{DataType, Field, Result, SquallError};
-use squall_core::driver::{AggPlan, WindowPlan};
-use squall_core::operators::Finalizer;
-use squall_core::standing::{ViewPlan, ViewWindow};
-use squall_expr::{AggFunc, MultiJoinSpec, ScalarExpr};
+use squall_core::driver::AggPlan;
+use squall_expr::{AggFunc, ScalarExpr};
 use squall_join::AggSpec;
 
 use crate::logical::{Expr, Query};
@@ -102,9 +100,9 @@ impl Aggregate {
         Ok(row.remap_columns(&|c| self.shift(c)))
     }
 
-    /// Column `c` of the rows this node reads or builds, behind the window
-    /// bounds a windowed aggregate prepends — the one window shift, for the
-    /// rows it emits and for the rows a view sink aggregates.
+    /// Column `c` of the rows this node emits, behind the window bounds a
+    /// windowed aggregate prepends. Only the output shifts: the aggregate
+    /// reads its inputs in join-output coordinates in both planes.
     fn shift(&self, c: usize) -> usize {
         if self.windowed {
             c + 2
@@ -127,41 +125,10 @@ impl Aggregate {
         select
     }
 
-    /// The one-shot topology's aggregation stage.
-    pub(crate) fn agg_plan(&self, cfg: &ExecConfig) -> AggPlan {
-        AggPlan {
-            group_cols: self.group_cols.clone(),
-            aggs: self.aggs.clone(),
-            parallelism: cfg.agg_parallelism.max(1),
-        }
-    }
-
-    /// How a standing view's sink aggregates signed join deltas: a
-    /// windowed sink's rows lead with the window bounds too.
-    pub(crate) fn view_plan(
-        &self,
-        finalizer: Finalizer,
-        window: Option<&WindowPlan>,
-        spec: &MultiJoinSpec,
-    ) -> ViewPlan {
-        let shift = |e: &ScalarExpr| e.remap_columns(&|c| self.shift(c));
-        let aggs = self
-            .aggs
-            .iter()
-            .map(|a| AggSpec { func: a.func, input: a.input.as_ref().map(shift) })
-            .collect();
-        let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
-        ViewPlan {
-            group_cols: self
-                .bounds()
-                .chain(self.group_cols.iter().map(|&c| self.shift(c)))
-                .collect(),
-            finalizer: Finalizer { aggs, ..finalizer },
-            windowed: window.filter(|_| self.windowed).map(|w| ViewWindow {
-                spec: w.spec,
-                ts_cols: squall_join::output_ts_cols(&arities, &w.ts_cols),
-            }),
-        }
+    /// The aggregation stage, on `parallelism` group-hash shards: the
+    /// one-shot topology's, or a standing view's one sink task's.
+    pub(crate) fn agg_plan(&self, parallelism: usize) -> AggPlan {
+        AggPlan { group_cols: self.group_cols.clone(), aggs: self.aggs.clone(), parallelism }
     }
 
     /// Follow a relation reorder: `remap` moves a join-output column.
@@ -224,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn windowed_group_by_emits_per_window_rows() {
+    fn windowed_group_by_emits_a_row_per_window() {
         use crate::logical::Window;
         // SELECT A.k, COUNT(*) … WINDOW TUMBLING 10 GROUP BY A.k.
         // In-window pairs: (1@0,1@8) → bucket 0; (2@20,2@25) → bucket 2.

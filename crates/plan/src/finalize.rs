@@ -1,9 +1,9 @@
 //! The finalize node: HAVING, the projection, ORDER BY and LIMIT — run on
 //! the result stream (or in a view's sink), not as a component of its own.
 
-use squall_common::{DataType, Field, Result, Schema, SquallError, Tuple};
+use squall_common::{DataType, Field, Result, Schema, SquallError, Tuple, Value};
 use squall_core::operators::Finalizer;
-use squall_expr::ScalarExpr;
+use squall_expr::{AggFunc, ScalarExpr};
 
 use crate::aggregate::{AggOutput, Aggregate};
 use crate::logical::{Expr, Query};
@@ -79,16 +79,17 @@ impl Finalize {
         })
     }
 
-    /// The engine-side finalizer. A per-window global aggregate over zero
-    /// rows has no windows, hence no rows — the synthetic `COUNT = 0` row
-    /// is a full-history artifact.
+    /// The engine-side finalizer, with a full-history global aggregate's
+    /// raw zero-rows row: `COUNT` = 0, `NULL` sums and averages. A
+    /// per-window global aggregate over zero rows has no windows, hence no
+    /// rows.
     pub(crate) fn finalizer(&self, aggregate: Option<&Aggregate>) -> Finalizer {
-        Finalizer {
-            having: self.having.clone(),
-            project: self.project.clone(),
-            aggs: aggregate.map(|a| a.aggs.clone()).unwrap_or_default(),
-            emit_empty: aggregate.is_some_and(|a| a.group_cols.is_empty() && !a.windowed),
-        }
+        let global = aggregate.filter(|a| a.group_cols.is_empty() && !a.windowed);
+        let empty = global.map(|a| {
+            let zero = |func| if func == AggFunc::Count { Value::Int(0) } else { Value::Null };
+            Tuple::new(a.aggs.iter().map(|s| zero(s.func)).collect::<Vec<_>>())
+        });
+        Finalizer { having: self.having.clone(), project: self.project.clone(), empty }
     }
 
     /// Does the answer need every row first (ORDER BY or LIMIT)?

@@ -11,7 +11,7 @@ use squall_common::{Result, Schema, SquallError, Tuple};
 use squall_core::cluster::ClusterSpec;
 use squall_core::driver::{run_multiway_stream, JoinReport, LocalJoinKind, MultiwayConfig};
 use squall_core::operators::Finalizer;
-use squall_core::standing::{DeltaRound, ViewPlan};
+use squall_core::standing::DeltaRound;
 use squall_expr::{JoinAtom, MultiJoinSpec, ScalarExpr};
 use squall_partition::optimizer::SchemeKind;
 use squall_runtime::Source;
@@ -86,14 +86,15 @@ impl Default for ExecConfig {
 /// Everything needed to launch a query as a resident materialized view:
 /// the join spec and the initial load (the view's epoch 1, selected in
 /// place like every later round), the (standing-flagged) topology
-/// configuration, and the view-maintenance plan the sink runs.
+/// configuration, whose aggregate the view sink runs, and the finalizer
+/// that turns the sink's rows into the view's.
 /// Produced by [`PhysicalQuery::prepare_standing`], consumed by
 /// [`squall_core::standing::launch_standing`].
 pub struct StandingPlan {
     pub spec: MultiJoinSpec,
     pub data: Vec<Source>,
     pub mcfg: MultiwayConfig,
-    pub view: ViewPlan,
+    pub finalizer: Finalizer,
 }
 
 /// Relations' qualified columns concatenated into one row — the FROM
@@ -252,8 +253,9 @@ impl PhysicalQuery {
 
     /// Plan this query as a **standing view**: the same source-side work
     /// and scheme selection as [`PhysicalQuery::execute`], but producing a
-    /// resident-topology configuration plus the [`ViewPlan`] the
-    /// view-maintenance sink runs — instead of a one-shot run.
+    /// resident-topology configuration, with the aggregate the
+    /// view-maintenance sink runs, plus the finalizer — instead of a
+    /// one-shot run.
     ///
     /// Standing restrictions, rejected with typed errors: ORDER BY and
     /// LIMIT have no incremental meaning (a view is an unordered
@@ -290,14 +292,10 @@ impl PhysicalQuery {
         let spec = self.join.launch_spec(&self.scans, &mut data, None)?;
         let mut mcfg = self.multiway_config(SchemeKind::Hash, cfg)?;
         mcfg.standing = true;
-        // No `mcfg.agg`: in a standing topology the view sink aggregates,
-        // diffing published rows per epoch.
-        let finalizer = self.finalizer();
-        let view = match &self.aggregate {
-            Some(a) => a.view_plan(finalizer, mcfg.window.as_ref(), &spec),
-            None => ViewPlan { group_cols: Vec::new(), finalizer, windowed: None },
-        };
-        Ok(StandingPlan { spec, data, mcfg, view })
+        // The one-shot aggregate plan, run by the view's one sink task,
+        // which diffs published rows per epoch.
+        mcfg.agg = self.aggregate.as_ref().map(|a| a.agg_plan(1));
+        Ok(StandingPlan { spec, data, mcfg, finalizer: self.finalizer() })
     }
 
     /// What a signed batch of `source`'s rows is to a resident view of
@@ -363,7 +361,7 @@ impl PhysicalQuery {
         let spec = self.join.launch_spec(&self.scans, &mut data, skew)?;
         let mut mcfg = self.multiway_config(scheme, cfg)?;
         if let Some(a) = &self.aggregate {
-            mcfg = mcfg.with_agg(a.agg_plan(cfg));
+            mcfg = mcfg.with_agg(a.agg_plan(cfg.agg_parallelism.max(1)));
         }
         let (run, finalizer) = (run_multiway_stream(&spec, data, &mcfg)?, self.finalizer());
         Ok(ResultSet::streaming(self.finalize.schema.clone(), run, finalizer))

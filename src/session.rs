@@ -1297,6 +1297,21 @@ mod tests {
         assert!(s.view("rs").is_err(), "dropped view is gone");
     }
 
+    /// The aggregate shard count is a one-shot knob: past the task limit
+    /// it fails a one-shot aggregate, but a view, whose one sink task
+    /// aggregates, still launches.
+    #[test]
+    fn views_ignore_the_aggregate_shard_count() {
+        let mut s = session();
+        s.config_mut().agg_parallelism = 2000;
+        let sql = "SELECT R.a, COUNT(*) FROM R, S WHERE R.a = S.a GROUP BY R.a";
+        assert!(matches!(s.sql(sql), Err(SquallError::InvalidPlan(_))));
+        let view = s.create_view("n", &squall_sql::parse(sql).unwrap()).unwrap();
+        assert_eq!(view.snapshot().unwrap(), vec![tuple![2, 4], tuple![3, 1]]);
+        drop(view);
+        s.drop_view("n").unwrap();
+    }
+
     /// A source cannot be deregistered while a resident view reads it.
     #[test]
     fn deregister_refuses_source_read_by_view() {

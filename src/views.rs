@@ -194,10 +194,10 @@ impl Session {
             }
         }
         let plan = PhysicalQuery::plan(query, &self.catalog)?;
-        let StandingPlan { spec, data, mcfg, view } =
+        let StandingPlan { spec, data, mcfg, finalizer } =
             plan.prepare_standing(&self.catalog, &self.config)?;
         let shared = Arc::new(ViewShared::new());
-        let handle = launch_standing(&spec, data, &mcfg, view, Arc::clone(&shared))?;
+        let handle = launch_standing(&spec, data, &mcfg, finalizer, Arc::clone(&shared))?;
         let mut sources: Vec<String> = query.tables.iter().map(|(t, _)| t.clone()).collect();
         sources.sort();
         sources.dedup();

@@ -1,9 +1,10 @@
 //! Allocation budgets for the windowed and the full-history aggregate
-//! paths and for a one-shot skewed join, counted rather than timed: heap allocations do not vary
+//! paths, for a one-shot skewed join and for the sink of a standing
+//! aggregate view, counted rather than timed: heap allocations do not vary
 //! from run to run or host to host, so a change that brings back a tuple
-//! per join result, a tuple per windowed arrival or per input row, or a
-//! scatter-buffer column regrown for every batch fails here on its first
-//! run. This is its own test binary because the counting allocator is
+//! per join result, a tuple per windowed arrival, per input row or per
+//! view delta and window, or a scatter-buffer column regrown for every
+//! batch fails here on its first run. This is its own test binary because the counting allocator is
 //! process-wide, and the cases take one lock so that no two run at once;
 //! run it in release with
 //! `cargo test --release --test alloc_budget -- --nocapture`.
@@ -212,4 +213,108 @@ fn one_shot_skewed_join_stays_within_its_allocation_budget() {
         per_row <= BUDGET_PER_INPUT_ROW,
         "{per_row:.3} allocations per input row, over the budget of {BUDGET_PER_INPUT_ROW}"
     );
+}
+
+/// Event-time window of the standing-view cases, and the rows each stream
+/// starts with and gains per round.
+const VIEW_WIDTH: i64 = 64;
+const VIEW_INITIAL: usize = 2_000;
+const VIEW_ROUND: usize = 500;
+const VIEW_ROUNDS: usize = 20;
+
+/// Streams `A(k, g, ts)` and `B(k, ts)`, continued batch by batch: event
+/// time advances by one per row on average, and keys live in one window
+/// width each, so every row meets about eight partners.
+struct ViewStreams {
+    rng: SplitMix64,
+    ts: [i64; 2],
+}
+
+impl ViewStreams {
+    fn next(&mut self, rows: usize) -> (Vec<Tuple>, Vec<Tuple>) {
+        let mut side = |s: usize, rng: &mut SplitMix64| {
+            self.ts[s] += rng.next_range(0, 2);
+            let ts = self.ts[s];
+            (ts / VIEW_WIDTH * 8 + rng.next_range(0, 7), ts)
+        };
+        let rng = &mut self.rng;
+        let a = (0..rows)
+            .map(|_| {
+                let (k, ts) = side(0, rng);
+                tuple![k, rng.next_range(0, 7), ts]
+            })
+            .collect();
+        let b = (0..rows)
+            .map(|_| {
+                let (k, ts) = side(1, rng);
+                tuple![k, ts]
+            })
+            .collect();
+        (a, b)
+    }
+}
+
+/// Create a view of `sql` over [`ViewStreams`] on 4 machines and 1 worker
+/// thread, then count the heap allocations of [`VIEW_ROUNDS`] rounds that
+/// each append [`VIEW_ROUND`] rows per stream and take a snapshot, against
+/// `budget` per delta the view sink receives. Under appends alone the sink
+/// receives the same deltas whatever it does with them.
+fn check_view_budget(sql: &str, budget: f64) {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut session = Session::builder().machines(4).worker_threads(1).build();
+    let mut streams = ViewStreams { rng: SplitMix64::new(11), ts: [0, 0] };
+    let (a, b) = streams.next(VIEW_INITIAL);
+    let schema_a = Schema::of(&[("k", DataType::Int), ("g", DataType::Int), ("ts", DataType::Int)]);
+    let schema_b = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
+    session.register_stream("A", schema_a, a, "ts").unwrap();
+    session.register_stream("B", schema_b, b, "ts").unwrap();
+    let view = session.create_view("v", &squall::sql::parse(sql).unwrap()).unwrap();
+    view.snapshot().unwrap();
+    let rounds: Vec<_> = (0..VIEW_ROUNDS).map(|_| streams.next(VIEW_ROUND)).collect();
+    let before = view.maintenance().deltas_in;
+
+    let ((), allocations) = count_allocations(|| {
+        for (a, b) in rounds {
+            session.append("A", a).unwrap();
+            session.append("B", b).unwrap();
+            view.snapshot().unwrap();
+        }
+    });
+
+    let deltas = view.maintenance().deltas_in - before;
+    assert!(deltas > 40_000, "the rounds sent the sink only {deltas} deltas");
+    let per_delta = allocations as f64 / deltas as f64;
+    eprintln!("{allocations} allocations for {deltas} sink deltas: {per_delta:.3} per delta");
+    drop(view);
+    session.drop_view("v").unwrap();
+    assert!(
+        per_delta <= budget,
+        "{per_delta:.3} allocations per sink delta, over the budget of {budget}"
+    );
+}
+
+/// A full-history `GROUP BY` view makes about 3.91 heap allocations per
+/// delta its sink receives, counting the appends, the delta join and the
+/// snapshots around it: the sink folds each delta through reused key
+/// buffers. Cloning each delta into a fresh input row and building its
+/// group key cost 5.91, so the budget sits between the two.
+const BUDGET_PER_VIEW_DELTA: f64 = 4.5;
+
+#[test]
+fn aggregate_view_sink_stays_within_its_allocation_budget() {
+    let sql = "SELECT A.g, COUNT(*) FROM A, B WHERE A.k = B.k GROUP BY A.g";
+    check_view_budget(sql, BUDGET_PER_VIEW_DELTA);
+}
+
+/// Under `SLIDING 64` a delta lies in up to 65 windows. The sink folds it
+/// into each under the window's `(start, end)` key prefix, about 16.7 heap
+/// allocations per delta in all; building a `(start, end, row…)` tuple and
+/// a key per window cost 147.5.
+const BUDGET_PER_SLIDING_VIEW_DELTA: f64 = 25.0;
+
+#[test]
+fn sliding_aggregate_view_sink_stays_within_its_allocation_budget() {
+    let sql = "SELECT A.g, COUNT(*) FROM A, B WHERE A.k = B.k \
+               WINDOW SLIDING 64 ON ts GROUP BY A.g";
+    check_view_budget(sql, BUDGET_PER_SLIDING_VIEW_DELTA);
 }

@@ -256,13 +256,14 @@ fn standing_plan_with_out_of_range_ts_column_is_a_typed_error() {
     // What a worker assembles from a shipped standing `JobSpec` whose
     // window names a column its relations do not have (arity 2, column 2).
     // Unchecked, the `output_ts_cols` assert inside the join bolt factory
-    // panics the task instead of failing the launch.
+    // panics the task instead of failing the launch — and, for an
+    // aggregate view, the one inside the view sink, built at assembly.
     use squall::engine::driver::WindowPlan;
     use squall::engine::{
-        launch_standing, Finalizer, LocalJoinKind, MultiwayConfig, ViewPlan, ViewShared,
+        launch_standing, AggPlan, Finalizer, LocalJoinKind, MultiwayConfig, ViewShared,
     };
     use squall::expr::{JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
-    use squall::join::WindowSpec;
+    use squall::join::{AggSpec, WindowSpec};
     use squall::partition::optimizer::SchemeKind;
 
     let schema = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
@@ -271,24 +272,22 @@ fn standing_plan_with_out_of_range_ts_column_is_a_typed_error() {
         vec![JoinAtom::eq(0, 0, 1, 0)],
     )
     .unwrap();
-    let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2)
-        .with_window(WindowPlan { spec: WindowSpec::Tumbling { width: 10 }, ts_cols: vec![1, 2] });
-    cfg.standing = true;
-    let view = ViewPlan {
-        group_cols: vec![],
-        finalizer: Finalizer {
-            having: None,
-            project: (0..4).map(ScalarExpr::col).collect(),
-            aggs: vec![],
-            emit_empty: false,
-        },
-        windowed: None,
-    };
-    let data = vec![vec![tuple![1, 10]], vec![tuple![1, 11]]];
-    let err = launch_standing(&spec, data, &cfg, view, std::sync::Arc::new(ViewShared::new()))
-        .err()
-        .expect("an out-of-range ts column must be rejected");
-    assert!(matches!(err, squall::common::SquallError::InvalidPlan(_)), "{err}");
+    let count = AggPlan { group_cols: vec![], aggs: vec![AggSpec::count()], parallelism: 1 };
+    let window = WindowPlan { spec: WindowSpec::Tumbling { width: 10 }, ts_cols: vec![1, 2] };
+    for agg in [None, Some(count)] {
+        let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2)
+            .with_window(window.clone());
+        cfg.standing = true;
+        cfg.agg = agg;
+        let finalizer =
+            Finalizer { having: None, project: (0..4).map(ScalarExpr::col).collect(), empty: None };
+        let data = vec![vec![tuple![1, 10]], vec![tuple![1, 11]]];
+        let shared = std::sync::Arc::new(ViewShared::new());
+        let err = launch_standing(&spec, data, &cfg, finalizer, shared)
+            .err()
+            .expect("an out-of-range ts column must be rejected");
+        assert!(matches!(err, squall::common::SquallError::InvalidPlan(_)), "{err}");
+    }
 }
 
 /// One random mutation per step: append a random row to R or S, or
