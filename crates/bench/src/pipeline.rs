@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 use squall_common::{FxHashMap, Result, Schema, SquallError, Tuple};
 use squall_core::driver::{JoinReport, LocalJoinKind};
-use squall_core::operators::{AggBolt, JoinBolt};
+use squall_core::operators::{JoinBolt, WindowedAggBolt};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
-use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin};
+use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowSpec};
 use squall_partition::HypercubeScheme;
 use squall_runtime::{Grouping, IterSpoutVec, TopologyBuilder};
 
@@ -181,8 +181,11 @@ pub fn run_pipeline(
     let sink = if collect_results {
         last
     } else {
-        let sink =
-            b.add_bolt("count", 1, |_| Box::new(AggBolt::new(Vec::new(), vec![AggSpec::count()])));
+        let sink = b.add_bolt("count", 1, move |_| {
+            let count = vec![AggSpec::count()];
+            let spec = WindowSpec::FullHistory;
+            Box::new(WindowedAggBolt::new(spec, Vec::new(), Vec::new(), count, machines_per_stage))
+        });
         b.connect(last, sink, Grouping::Global);
         sink
     };

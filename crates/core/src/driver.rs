@@ -20,7 +20,7 @@ use squall_runtime::{
 };
 
 use crate::cluster::ClusterSpec;
-use crate::operators::{AggBolt, JoinBolt, JoinState, TaskJoin, WindowMergeBolt, WindowedAggBolt};
+use crate::operators::{JoinBolt, JoinState, TaskJoin, WindowMergeBolt, WindowedAggBolt};
 
 /// Which local join algorithm each machine runs (§3.3 / Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -395,9 +395,9 @@ fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -
     }
     if let Some(w) = &cfg.window {
         match w.spec {
-            // FullHistory is the *absence* of a window plan; under an
-            // aggregate it would panic inside the per-window bolt, so
-            // reject it as the typed planning error it is.
+            // FullHistory is spelled as the *absence* of a window plan
+            // (`window = None`); one meaning has one spelling, so a plan
+            // naming it is a typed planning error.
             WindowSpec::FullHistory => {
                 return Err(SquallError::InvalidPlan(
                     "a window plan must be tumbling or sliding (FullHistory = no window)".into(),
@@ -540,6 +540,7 @@ pub(crate) fn assemble(
     // the plan checks that make them well defined.
     let (window, first_phase) = (cfg.window.clone(), agg.clone());
     let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
+    let task_arities = arities.clone();
     let (mut b, mut ctx) = wire_join_stage(
         spec,
         data.into_iter().map(Into::into).collect(),
@@ -557,7 +558,7 @@ pub(crate) fn assemble(
                 Some(agg) => bolt.with_aggregate(
                     window
                         .as_ref()
-                        .map(|w| (w.spec, squall_join::output_ts_cols(&arities, &w.ts_cols))),
+                        .map(|w| (w.spec, squall_join::output_ts_cols(&task_arities, &w.ts_cols))),
                     agg.group_cols.clone(),
                     agg.aggs.clone(),
                 ),
@@ -574,39 +575,26 @@ pub(crate) fn assemble(
     // hashes every row to one shard; the others stay idle.
     if let Some(agg) = agg {
         let AggPlan { group_cols, aggs, parallelism: shards } = agg;
-        let lead = if cfg.window.is_some() { 2 } else { 0 };
-        let partial_groups = (lead..lead + group_cols.len()).collect();
-        let node = match &cfg.window {
-            Some(w) => {
-                // Per-window shards close against the minimum watermark
-                // across the join tasks (every join task's watermark
-                // broadcasts to every shard), and a single merge task
-                // downstream restores the global window-order contract
-                // (see [`crate::operators::WindowMergeBolt`]); idle shards
-                // still forward watermark boundaries, so the merge never
-                // waits on them.
-                let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
-                let ts_cols = squall_join::output_ts_cols(&arities, &w.ts_cols);
-                let (wspec, n_upstream) = (w.spec, ctx.join_tasks);
-                let node = b.add_bolt("agg", shards, move |_task| {
-                    Box::new(WindowedAggBolt::new(
-                        wspec,
-                        ts_cols.clone(),
-                        group_cols.clone(),
-                        aggs.clone(),
-                        n_upstream,
-                    ))
-                });
-                let merge =
-                    b.add_bolt("agg-merge", 1, move |_task| Box::new(WindowMergeBolt::new(shards)));
-                b.connect(node, merge, Grouping::Global);
-                ctx.merge_node = Some(merge);
-                node
-            }
-            None => b.add_bolt("agg", shards, move |_task| {
-                Box::new(AggBolt::new(group_cols.clone(), aggs.clone()))
-            }),
+        // Full history is the one window that closes at end-of-stream.
+        let (wspec, ts_cols, lead) = match &cfg.window {
+            Some(w) => (w.spec, squall_join::output_ts_cols(&arities, &w.ts_cols), 2),
+            None => (WindowSpec::FullHistory, Vec::new(), 0),
         };
+        let partial_groups = (lead..lead + group_cols.len()).collect();
+        let n_upstream = ctx.join_tasks;
+        let node = b.add_bolt("agg", shards, move |_task| {
+            let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
+            Box::new(WindowedAggBolt::new(wspec, ts_cols.clone(), group_cols, aggs, n_upstream))
+        });
+        if cfg.window.is_some() {
+            // Shards close windows against the minimum watermark across the
+            // join tasks and forward their boundaries, idle ones too; one
+            // merge task restores the global window order ([`WindowMergeBolt`]).
+            let merge =
+                b.add_bolt("agg-merge", 1, move |_task| Box::new(WindowMergeBolt::new(shards)));
+            b.connect(node, merge, Grouping::Global);
+            ctx.merge_node = Some(merge);
+        }
         b.connect(ctx.join_node, node, Grouping::Fields(partial_groups));
         ctx.agg_node = Some(node);
     }
@@ -1107,10 +1095,10 @@ mod tests {
 
     #[test]
     fn unbounded_or_empty_window_plan_rejected() {
-        // FullHistory would panic inside the per-window bolt; a zero width
-        // divides by zero at the first eviction, and nothing above
-        // `run_multiway` (the SQL planner has its own check) stands in
-        // the way of either.
+        // FullHistory is spelled as no window plan, so naming it is a typed
+        // error; a zero width or size divides by zero at the first
+        // eviction, and nothing above `run_multiway` (the SQL planner has
+        // its own check) stands in the way of it.
         let spec = two_stream_spec();
         for wspec in [
             WindowSpec::FullHistory,

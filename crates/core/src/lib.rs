@@ -30,5 +30,5 @@ pub use driver::{
     run_multiway, run_multiway_stream, AggPlan, JoinReport, LocalJoinKind, MultiwayConfig,
     MultiwayStream,
 };
-pub use operators::{AggBolt, Finalizer, JoinBolt, WindowMergeBolt, WindowedAggBolt};
+pub use operators::{Finalizer, JoinBolt, WindowMergeBolt, WindowedAggBolt};
 pub use standing::{launch_standing, ChangeBatch, StandingHandle, ViewShared};

@@ -245,11 +245,10 @@ impl JoinBolt {
         JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None })
     }
 
-    /// Run the first phase of an aggregate in this task ([`AggBolt`] or
-    /// [`WindowedAggBolt`] runs the second): fold each result, with its
-    /// weight, into a partial aggregate instead of emitting it, and ship
-    /// one row per key — see [`GroupByAggregator::drain_partials`] — once
-    /// the key is final.
+    /// Run the first phase of an aggregate in this task ([`WindowedAggBolt`]
+    /// runs the second): fold each result, with its weight, into a partial
+    /// aggregate instead of emitting it, and ship one row per key — see
+    /// [`GroupByAggregator::drain_partials`] — once the key is final.
     ///
     /// Under full history (`window` is `None`) the key is the result's
     /// group, and every key ships at end-of-stream.
@@ -409,55 +408,9 @@ impl Partials {
     }
 }
 
-/// The full-history aggregation shard, the second phase of
-/// [`JoinBolt::with_aggregate`]: merges the join tasks' partial rows
-/// `(group…, accumulators…)` into its groups and emits the snapshot at
-/// end-of-stream.
-pub struct AggBolt {
-    agg: GroupByAggregator,
-    /// Scratch for one partial row.
-    partial: Vec<Value>,
-}
-
-impl AggBolt {
-    /// The aggregate the join tasks fold: `group_cols` (only their count
-    /// matters here, as each partial row leads with its group) and `aggs`.
-    pub fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggBolt {
-        AggBolt { agg: GroupByAggregator::new(group_cols, aggs), partial: Vec::new() }
-    }
-
-    /// Merge a chunk of partial rows; a row may come off the wire, so a
-    /// malformed one is a typed error.
-    fn merge_partials(&mut self, chunk: &Chunk) -> Result<()> {
-        for i in 0..chunk.n_rows() {
-            chunk.row_into(i, &mut self.partial);
-            self.agg.merge_partial(&self.partial)?;
-        }
-        Ok(())
-    }
-}
-
-impl Bolt for AggBolt {
-    fn execute_chunk(
-        &mut self,
-        _origin: NodeId,
-        chunk: &Chunk,
-        _out: &mut OutputCollector,
-    ) -> Result<()> {
-        self.merge_partials(chunk)
-    }
-
-    fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
-        for row in self.agg.snapshot() {
-            out.emit(row);
-        }
-        Ok(())
-    }
-}
-
-/// Per-window aggregation: the windowed mode of the aggregation component
-/// (§2 "window semantics for its operators" — the window applied to the
-/// *aggregate*, not just the join).
+/// The aggregation shard. Per window, it is the windowed mode of the
+/// aggregation component (§2 "window semantics for its operators" — the
+/// window applied to the *aggregate*, not just the join).
 ///
 /// State is keyed by `(window_start, group key)`: each join result counts
 /// in every window it belongs to —
@@ -488,6 +441,13 @@ impl Bolt for AggBolt {
 /// windows are emitted in ascending `window_start` order, each row shaped
 /// `(window_start, window_end, group…, agg…)` with both bounds inclusive,
 /// and the remaining windows flush — still in order — at end-of-stream.
+///
+/// Under [`WindowSpec::FullHistory`] the bolt is the second phase of a
+/// full-history aggregate: full history is the one window, start 0, that
+/// closes only at end-of-stream (its `close_boundary` is 0, so a watermark
+/// closes and forwards nothing). Partial rows `(group…, accumulators…)`
+/// merge into it without a `(first, last)` lead, and its rows are
+/// `(group…, agg…)`, without a `(start, end)` prefix.
 ///
 /// The bolt runs **group-hash sharded**: a `Fields` grouping on the
 /// partial rows' group columns routes every partial of a group to one task, so each shard holds
@@ -521,8 +481,8 @@ pub struct WindowedAggBolt {
 }
 
 impl WindowedAggBolt {
-    /// `ts_cols` are the constituent event-time columns in join-output
-    /// coordinates; `n_upstream` is the join component's parallelism.
+    /// `ts_cols`: the event-time columns in join-output coordinates (none
+    /// under full history); `n_upstream`: the join component's parallelism.
     pub fn new(
         spec: WindowSpec,
         ts_cols: Vec<usize>,
@@ -530,11 +490,8 @@ impl WindowedAggBolt {
         aggs: Vec<AggSpec>,
         n_upstream: usize,
     ) -> WindowedAggBolt {
-        assert!(
-            !matches!(spec, WindowSpec::FullHistory),
-            "per-window aggregation needs a bounded window shape"
-        );
-        assert!(!ts_cols.is_empty(), "event-time columns required");
+        let full_history = matches!(spec, WindowSpec::FullHistory);
+        assert!(full_history || !ts_cols.is_empty(), "event-time columns required");
         assert!(n_upstream > 0);
         WindowedAggBolt {
             spec,
@@ -559,6 +516,10 @@ impl WindowedAggBolt {
                 break;
             }
             let (start, agg) = entry.remove_entry();
+            if matches!(self.spec, WindowSpec::FullHistory) {
+                rows.extend(agg.snapshot());
+                continue;
+            }
             let end = self.spec.end_of(start);
             for row in agg.snapshot() {
                 let mut values = Vec::with_capacity(2 + row.arity());
@@ -675,12 +636,16 @@ impl WindowedAggBolt {
 
     /// The second phase: merge a chunk of the join tasks' partial rows
     /// `(first, last, group…, accumulators…)` into the windows
-    /// `first..=last`.
+    /// `first..=last` — under full history `(group…, accumulators…)` into
+    /// window 0.
     fn merge_partials(&mut self, chunk: &Chunk) -> Result<()> {
         let mut row = std::mem::take(&mut self.partial);
         for i in 0..chunk.n_rows() {
             chunk.row_into(i, &mut row);
-            let range = self.partial_range(&row)?;
+            let (range, lead) = match self.spec {
+                WindowSpec::FullHistory => (0..=0, 0),
+                _ => (self.partial_range(&row)?, 2),
+            };
             // Open the missing windows, then walk the range once: a sliding
             // partial spans up to `size + 1` windows, mostly open already.
             let span = (range.end() - range.start() + 1) as usize;
@@ -692,7 +657,7 @@ impl WindowedAggBolt {
                 }
             }
             for agg in self.windows.range_mut(range).map(|(_, agg)| agg) {
-                agg.merge_partial(&row[2..])?;
+                agg.merge_partial(&row[lead..])?;
             }
         }
         self.partial = row;
@@ -825,7 +790,8 @@ impl WindowMergeBolt {
 
     /// Buffer one shard row (`window_start` in column 0).
     pub fn push(&mut self, tuple: Tuple) -> Result<()> {
-        let start = tuple.get(0).as_int()?;
+        let no_window = || SquallError::Runtime("a shard row without its window".into());
+        let start = tuple.values().first().ok_or_else(no_window)?.as_int()?;
         if start < 0 {
             return Err(SquallError::Runtime(format!(
                 "negative window start {start} at the merge sink"
@@ -905,8 +871,11 @@ impl Bolt for WindowMergeBolt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
+
     use squall_common::tuple;
     use squall_expr::{BinOp, ScalarExpr};
+    use squall_runtime::{Grouping, Spout, SpoutPoll, TopologyBuilder};
 
     fn windowed_bolt(spec: WindowSpec) -> WindowedAggBolt {
         // Join-output rows (k, ts_a, ts_b): group on k, COUNT + SUM(2·ts_a).
@@ -993,7 +962,7 @@ mod tests {
         // The full-history shard of the same aggregate reads the row
         // without its windows: (k, count, int SUM, other SUM).
         let merge = |row: Tuple| {
-            let mut bolt = AggBolt::new(vec![0], windowed_bolt(tumbling).aggs);
+            let mut bolt = windowed_bolt(WindowSpec::FullHistory);
             bolt.merge_partials(&Chunk::from_tuples(&[row]))
         };
         for (case, row) in [
@@ -1005,6 +974,66 @@ mod tests {
             assert!(matches!(got, Err(SquallError::Runtime(_))), "{case}: {got:?}");
         }
         assert!(merge(tuple![1, 2, 6, 0.5]).is_ok());
+    }
+
+    /// A spout replaying a script: `Some(row)` emits the row, `None` a
+    /// watermark at `u64::MAX`.
+    struct Script(std::vec::IntoIter<Option<Tuple>>);
+
+    impl Spout for Script {
+        fn poll(&mut self) -> SpoutPoll<'_> {
+            match self.0.next() {
+                Some(Some(row)) => SpoutPoll::Tuple(row),
+                Some(None) => SpoutPoll::Watermark(u64::MAX),
+                None => SpoutPoll::Eos,
+            }
+        }
+    }
+
+    /// A sink recording what reaches it the same way.
+    struct Probe(Arc<Mutex<Vec<Option<Tuple>>>>);
+
+    impl Bolt for Probe {
+        fn execute_chunk(
+            &mut self,
+            _: NodeId,
+            chunk: &Chunk,
+            _: &mut OutputCollector,
+        ) -> Result<()> {
+            self.0.lock().unwrap().extend(chunk.rows().map(Some));
+            Ok(())
+        }
+
+        fn watermark(
+            &mut self,
+            _: NodeId,
+            _: usize,
+            _: u64,
+            _: &mut OutputCollector,
+        ) -> Result<()> {
+            self.0.lock().unwrap().push(None);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn full_history_shard_closes_only_at_finish() {
+        // Full history is the one window that closes at end-of-stream: a
+        // stray watermark between two partials of one group closes nothing
+        // and forwards nothing, so the group finishes as one row, without a
+        // `(start, end)` prefix.
+        let script = vec![Some(tuple![1, 1, 2, Value::Null]), None, Some(tuple![1, 2, 6, 0.5])];
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let probe_seen = Arc::clone(&seen);
+        let mut b = TopologyBuilder::new();
+        let src = b.add_spout("partials", 1, move |_| Box::new(Script(script.clone().into_iter())));
+        let agg = b.add_bolt("agg", 1, |_| Box::new(windowed_bolt(WindowSpec::FullHistory)));
+        let probe = b.add_bolt("probe", 1, move |_| Box::new(Probe(Arc::clone(&probe_seen))));
+        b.connect(src, agg, Grouping::Global);
+        b.connect(agg, probe, Grouping::Global);
+        let error = b.build().unwrap().run().error;
+        assert!(error.is_none(), "{error:?}");
+        assert_eq!(*seen.lock().unwrap(), vec![Some(tuple![1, 3, 8.5])]);
     }
 
     #[test]
@@ -1022,6 +1051,8 @@ mod tests {
         assert_eq!(m.pending(), 2);
         // A row below the released boundary violates the shard promise.
         assert!(m.push(tuple![4, 13, 9, 9]).is_err());
+        // So does a row without its window, which may come off the wire.
+        assert!(matches!(m.push(Tuple::new(Vec::new())), Err(SquallError::Runtime(_))));
         m.release_below(u64::MAX, &mut out);
         assert_eq!(
             out[2..],

@@ -497,6 +497,8 @@ struct ViewSinkBolt {
     window: Option<(WindowSpec, Vec<usize>)>,
     /// The touched key `(start, end, group…)` of one delta and window.
     key: Vec<Value>,
+    /// The join output's arity, every delta's payload width.
+    arity: usize,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
 }
 
@@ -531,6 +533,7 @@ impl ViewSinkBolt {
             group_cols,
             window,
             key: Vec::new(),
+            arity: spec.relations.iter().map(|r| r.schema.arity()).sum(),
             blob_tx,
         }
     }
@@ -676,6 +679,14 @@ impl Bolt for ViewSinkBolt {
         chunk: &Chunk,
         _out: &mut OutputCollector,
     ) -> Result<()> {
+        // A worker's chunk comes off the wire: its payload must be as wide
+        // as a join result, or the fold would read past it.
+        let (n, arity) = (chunk.n_cols(), self.arity);
+        if n != arity + 2 {
+            return Err(SquallError::Runtime(format!(
+                "view delta of {n} columns, not {arity} + 2"
+            )));
+        }
         for i in 0..chunk.n_rows() {
             let (base, mult, epoch) = split_delta(chunk, i)?;
             let epoch = epoch as u64;
@@ -1542,6 +1553,32 @@ mod tests {
                 apply(&mut sink, epoch, deltas);
             }
             assert_eq!(hex(&sink.blob()), golden, "{what}");
+        }
+    }
+
+    #[test]
+    fn a_delta_narrower_or_wider_than_a_join_result_is_a_typed_error() {
+        // A worker's delta chunk comes off the wire into the sink task, so
+        // its payload width is checked against the join output's (here 2).
+        let tumbling = Some(WindowSpec::Tumbling { width: 10 });
+        for (case, plan, delta) in [
+            ("no ts column", keyed_view(vec![AggSpec::count()], tumbling), tuple![3, 1, 1]),
+            ("empty payload", keyed_view(vec![AggSpec::count()], None), tuple![1, 1]),
+            ("payload too wide", keyed_view(vec![AggSpec::count()], None), tuple![3, 4, 5, 1, 1]),
+        ] {
+            let shared = Arc::new(ViewShared::new());
+            let mut b = squall_runtime::TopologyBuilder::new();
+            let rows = Arc::new(vec![delta]);
+            let src = b.add_spout("deltas", 1, move |_| {
+                Box::new(squall_runtime::IterSpoutVec::strided(Arc::clone(&rows), 0, 1))
+            });
+            let sink = b.add_bolt("sink", 1, move |_| Box::new(sink_of(&plan, &shared)));
+            b.connect(src, sink, Grouping::Global);
+            let error = b.build().unwrap().run().error;
+            assert!(
+                matches!(&error, Some(SquallError::Runtime(m)) if m.contains("view delta")),
+                "{case}: {error:?}"
+            );
         }
     }
 
