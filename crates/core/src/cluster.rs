@@ -7,12 +7,13 @@
 //! ```text
 //!  coordinator                               worker 1..N
 //!  ───────────                               ───────────
-//!  bind ephemeral listener                   bind --listen addr
+//!                                            bind --listen addr
 //!  dial each worker, send Job ───────────▶   accept, decode JobSpec
 //!  (that stream stays as the                 rebuild the same topology
-//!   coordinator→worker data link)            from the plan (no data —
-//!  accept one Hello link per worker  ◀────── spouts live here), dial
-//!                                            every peer with Hello
+//!   coordinator↔worker data link,            from the plan (no data —
+//!   both ways; no listener here)             spouts live here); dial
+//!                                            every other worker with Hello
+//!  read each worker's Hello  ◀────────────── answer the Job with Hello
 //!  launch_cluster(slice 0)                   launch_cluster(slice i)
 //!  … Deliver/Abort frames flow both ways, SinkRow/Done flow to the
 //!    coordinator; see squall_runtime::transport for the data plane …
@@ -44,45 +45,19 @@ use crate::driver::{assemble, MultiwayConfig};
 
 /// Cluster membership for a session: the worker processes (listen
 /// addresses) that distributed runs split their topologies across. The
-/// driving process is always peer 0, the coordinator.
+/// driving process is always peer 0, the coordinator; it dials every
+/// worker and needs no reachable address of its own.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClusterSpec {
     pub workers: Vec<String>,
-    /// Address the coordinator binds its per-run listener on (default
-    /// `127.0.0.1:0` — right for loopback clusters). For LAN workers,
-    /// bind a reachable interface, e.g. `0.0.0.0:7400`.
-    pub coordinator_bind: Option<String>,
-    /// Address workers dial the coordinator at (default: the bound
-    /// listener's own address — right for loopback). Set it (host:port,
-    /// used verbatim) when binding a wildcard address, which is not
-    /// dialable as-is.
-    pub coordinator_advertise: Option<String>,
 }
 
 impl ClusterSpec {
     pub fn new(workers: impl IntoIterator<Item = impl Into<String>>) -> ClusterSpec {
-        ClusterSpec {
-            workers: workers.into_iter().map(Into::into).collect(),
-            coordinator_bind: None,
-            coordinator_advertise: None,
-        }
+        ClusterSpec { workers: workers.into_iter().map(Into::into).collect() }
     }
 
-    /// Bind the coordinator's listener on this address (see
-    /// [`ClusterSpec::coordinator_bind`]).
-    pub fn bind(mut self, addr: impl Into<String>) -> ClusterSpec {
-        self.coordinator_bind = Some(addr.into());
-        self
-    }
-
-    /// Tell workers to dial the coordinator at this address (see
-    /// [`ClusterSpec::coordinator_advertise`]).
-    pub fn advertise(mut self, addr: impl Into<String>) -> ClusterSpec {
-        self.coordinator_advertise = Some(addr.into());
-        self
-    }
-
-    /// Peer labels for placement display: coordinator + worker addresses.
+    /// Peer labels by peer index: `coordinator`, then the worker addresses.
     pub fn peer_labels(&self) -> Vec<String> {
         let mut labels = vec!["coordinator".to_string()];
         labels.extend(self.workers.iter().cloned());
@@ -95,8 +70,8 @@ impl ClusterSpec {
 pub struct JobSpec {
     /// This worker's peer index (1-based; 0 is the coordinator).
     pub me: usize,
-    /// Listen addresses by peer index; `peers[0]` is the coordinator's
-    /// ephemeral listener.
+    /// Peer labels by peer index: `"coordinator"` (never dialed: the job
+    /// connection is that link), then the workers' listen addresses.
     pub peers: Vec<String>,
     pub spec: MultiJoinSpec,
     pub cfg: MultiwayConfig,
@@ -132,9 +107,9 @@ impl JobSpec {
 // Coordinator side
 // ---------------------------------------------------------------------
 
-/// Bind the coordinator's ephemeral listener, ship a [`JobSpec`] to every
-/// worker and complete the link handshake. The returned placement is the
-/// same one every worker computes for itself.
+/// Ship a [`JobSpec`] to every worker over the connection that then
+/// carries its link both ways. The returned placement is the same one every
+/// worker computes for itself.
 ///
 /// On a recovery relaunch, `restore` ships the checkpoint's join blobs in
 /// every job (each worker restores its placed tasks) and `readmit`
@@ -151,14 +126,7 @@ fn boot_coordinator(
     if cluster.workers.is_empty() {
         return Err(SquallError::InvalidPlan("cluster with no workers".into()));
     }
-    let bind = cluster.coordinator_bind.as_deref().unwrap_or("127.0.0.1:0");
-    let listener = TcpListener::bind(bind)?;
-    let coordinator_addr = match &cluster.coordinator_advertise {
-        Some(addr) => addr.clone(),
-        None => listener.local_addr()?.to_string(),
-    };
-    let mut peers = vec![coordinator_addr];
-    peers.extend(cluster.workers.iter().cloned());
+    let peers = cluster.peer_labels();
 
     let (_, parallelism, is_spout) = layout;
     let placement = plan_placement(&parallelism, &is_spout, peers.len());
@@ -185,7 +153,7 @@ fn boot_coordinator(
             .encode()
         })
         .collect();
-    let links = ClusterLinks::coordinator(&listener, &cluster.workers, jobs, readmit)?;
+    let links = ClusterLinks::coordinator(peers, jobs, readmit)?;
     Ok((placement, links))
 }
 
@@ -254,7 +222,6 @@ pub(crate) fn finish(
 /// the job's run has fully drained.
 pub fn serve_job(listener: &TcpListener) -> Result<()> {
     let mut hellos: Vec<(usize, TcpStream)> = Vec::new();
-    let mut readmitted: Option<u64> = None;
     let (job_payload, job_conn) = loop {
         let (stream, _) = listener.accept().map_err(SquallError::from)?;
         stream.set_nodelay(true).ok();
@@ -263,23 +230,23 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
         // stream: a frame racing in behind the handshake must stay in
         // the socket for the recv pump.
         let deadline = std::time::Instant::now() + squall_runtime::transport::HANDSHAKE_TIMEOUT;
-        match squall_runtime::transport::read_frame_deadline(&stream, deadline)? {
+        let mut first = squall_runtime::transport::read_frame_deadline(&stream, deadline)?;
+        if let Some((Frame::Readmit { peer, epoch }, _)) = first {
+            // A recovering coordinator re-admits this worker: the Job frame
+            // follows on the same stream.
+            eprintln!("squall-worker: re-admitted as peer {peer} at epoch {epoch}");
+            first = match squall_runtime::transport::read_frame_deadline(&stream, deadline)? {
+                job @ Some((Frame::Job { .. }, _)) => job,
+                other => {
+                    return Err(SquallError::Runtime(format!(
+                        "expected Job after Readmit, got {other:?}"
+                    )))
+                }
+            };
+        }
+        match first {
             Some((Frame::Job { payload }, _)) => break (payload, stream),
             Some((Frame::Hello { peer }, _)) => hellos.push((peer, stream)),
-            Some((Frame::Readmit { peer, epoch }, _)) => {
-                // A recovering coordinator re-admits this worker: the Job
-                // frame follows on the same stream.
-                eprintln!("squall-worker: re-admitted as peer {peer} at epoch {epoch}");
-                readmitted = Some(epoch);
-                match squall_runtime::transport::read_frame_deadline(&stream, deadline)? {
-                    Some((Frame::Job { payload }, _)) => break (payload, stream),
-                    other => {
-                        return Err(SquallError::Runtime(format!(
-                            "expected Job after Readmit, got {other:?}"
-                        )))
-                    }
-                }
-            }
             other => {
                 return Err(SquallError::Runtime(format!(
                     "expected Job or Hello from a cluster peer, got {other:?}"
@@ -335,7 +302,7 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
     let (_, parallelism, is_spout) = topology.layout();
     let placement = plan_placement(&parallelism, &is_spout, job.peers.len());
 
-    let mut links = ClusterLinks::worker(listener, job.me, &job.peers, job_conn, hellos)?;
+    let mut links = ClusterLinks::worker(listener, job.me, job.peers, job_conn, hellos)?;
     links.heartbeat = heartbeat(&job.cfg);
     let (mut handle, cluster) = topology.launch_cluster(placement, links);
 
@@ -348,7 +315,6 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
             }
         });
     }
-    let _ = readmitted; // logged above; the run itself is epoch-agnostic
 
     // Local sink emissions stream to the coordinator as they happen.
     while let Some((node, tuple)) = handle.recv() {
@@ -549,8 +515,7 @@ mod tests {
             });
         let local = crate::driver::run_multiway(&spec, data.clone(), &agg_cfg).unwrap();
         let (addrs, handles) = spawn_workers(2);
-        // Exercise the explicit bind knob alongside the default.
-        agg_cfg.cluster = Some(ClusterSpec::new(addrs).bind("127.0.0.1:0"));
+        agg_cfg.cluster = Some(ClusterSpec::new(addrs));
         let dist = crate::driver::run_multiway(&spec, data.clone(), &agg_cfg).unwrap();
         for h in handles {
             h.join().unwrap();
@@ -662,6 +627,35 @@ mod tests {
         let worker = std::thread::spawn(move || serve_job(&listener));
         assert_serves_a_good_job(addr);
         worker.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_worker_that_hangs_up_on_its_job_fails_the_run_at_once() {
+        // The job connection is the coordinator's link to the worker both
+        // ways: a worker that closes it fails the run as soon as the
+        // coordinator reads end-of-stream, with no timeout to wait out.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let worker = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            let job = squall_runtime::transport::read_frame_deadline(&stream, deadline);
+            assert!(matches!(job, Ok(Some((Frame::Job { .. }, _)))), "{job:?}");
+        });
+        let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 4);
+        cfg.cluster = Some(ClusterSpec::new([addr]));
+        let start = std::time::Instant::now();
+        let error = match crate::driver::run_multiway(&rst_spec(), rst_data(50, 8, 1), &cfg) {
+            Ok(report) => report.error,
+            Err(e) => Some(e),
+        };
+        worker.join().unwrap();
+        match error {
+            Some(SquallError::WorkerLost { .. } | SquallError::Io(_)) => {}
+            other => panic!("expected the worker lost, got {other:?}"),
+        }
+        let waited = start.elapsed();
+        assert!(waited < squall_runtime::transport::HANDSHAKE_TIMEOUT, "{waited:?}");
     }
 
     #[test]

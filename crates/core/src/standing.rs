@@ -266,6 +266,10 @@ impl ViewShared {
 /// `[multiplicity, epoch]` columns, applies the signed delta to its
 /// local join state, re-emits each result with the triggering epoch, and
 /// forwards the minimum source-epoch watermark downstream.
+/// A run of deltas held for its turn: its relation, its payload rows back to
+/// back, and their weights.
+type HeldRun = (usize, Vec<Value>, Vec<i64>);
+
 struct ViewJoinBolt {
     /// Full-history: DBToaster's delta processing with signed weights.
     /// Windowed: insertions only (windowed standing views are append-only).
@@ -274,6 +278,12 @@ struct ViewJoinBolt {
     frontier: Frontier,
     /// Last minimum forwarded to the sink.
     forwarded: u64,
+    /// Runs of deltas that arrived ahead of their turn, by epoch. A result
+    /// delta carries its arrival's epoch, so a run of epoch `e` may join
+    /// only state through epoch `e`: it waits until every source has
+    /// promised `e - 1`. Spouts are separate tasks, so one relation's
+    /// later round can overtake another's earlier one.
+    held: BTreeMap<u64, Vec<HeldRun>>,
     /// One result delta with its `[multiplicity, epoch]` columns, reused
     /// from delta to delta.
     tagged: Vec<Value>,
@@ -302,7 +312,8 @@ impl ViewJoinBolt {
         ViewJoinBolt {
             join,
             frontier: Frontier::new(n_sources),
-            forwarded: 0,
+            forwarded: since,
+            held: BTreeMap::new(),
             tagged: Vec::new(),
             rows: Vec::new(),
             mults: Vec::new(),
@@ -327,14 +338,16 @@ impl ViewJoinBolt {
     /// Apply the signed deltas of a chunk of relation `rel`, handing each
     /// of their result deltas to `emit` as a row tagged with its delta's
     /// epoch. Each run of rows that share an epoch is read into reused
-    /// buffers and applied as one batch: under full history one call to the
-    /// delta body with per-row weights, under a window one insert per row
-    /// (an arrival's evictions depend on its timestamp). A base row enters
-    /// the delta log after the rows its arrival evicted, which are logged
-    /// with its epoch. The §7.3 budget is checked once per run.
-    fn apply(&mut self, rel: usize, chunk: &Chunk, emit: &mut dyn FnMut(&[Value])) -> Result<()> {
+    /// buffers and applied as one batch if its epoch is at most `turn`, or
+    /// held until its turn comes (see `held`).
+    fn apply_in_turn(
+        &mut self,
+        rel: usize,
+        chunk: &Chunk,
+        turn: u64,
+        emit: &mut dyn FnMut(&[Value]),
+    ) -> Result<()> {
         let (payload, tags) = delta_columns(chunk)?;
-        let (arity, logged) = (payload.len(), self.blob_tx.is_some());
         let mut next = 0;
         while next < chunk.n_rows() {
             let epoch = tags[1].value(next).as_int()?;
@@ -345,47 +358,77 @@ impl ViewJoinBolt {
                 self.mults.push(tags[0].value(next).as_int()?);
                 next += 1;
             }
-            let rows = (0..self.mults.len()).map(|k| &self.rows[k * arity..][..arity]);
-            // Each non-zero result delta goes out as its row with
-            // `[multiplicity, epoch]` appended, assembled in one reused buffer.
-            let buf = &mut self.tagged;
-            let mut tagged = |row: &[Value], mult: i64| {
-                if mult != 0 {
-                    buf.clear();
-                    buf.extend_from_slice(row);
-                    buf.extend([Value::Int(mult), Value::Int(epoch)]);
-                    emit(buf);
-                }
-            };
-            match &mut self.join.state {
-                JoinState::Full(j) => {
-                    j.delta_into(rel, &self.rows, &self.mults, Some(&mut tagged));
-                    if logged {
-                        for (row, &mult) in rows.zip(&self.mults) {
-                            self.log.push(rel, row, mult, epoch as u64);
-                        }
-                    }
-                }
-                JoinState::Windowed { .. } => {
+            if epoch as u64 > turn {
+                let run = (rel, self.rows.clone(), self.mults.clone());
+                self.held.entry(epoch as u64).or_default().push(run);
+            } else {
+                self.apply_run(rel, epoch, emit)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply the held runs of epochs through `epoch`, in epoch order.
+    fn release(&mut self, epoch: u64, emit: &mut dyn FnMut(&[Value])) -> Result<()> {
+        while let Some(turn) = self.held.first_entry().filter(|turn| *turn.key() <= epoch) {
+            let epoch = *turn.key() as i64;
+            for (rel, rows, mults) in turn.remove() {
+                (self.rows, self.mults) = (rows, mults);
+                self.apply_run(rel, epoch, emit)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply the run of relation `rel` in the reused buffers, all of epoch
+    /// `epoch`: under full history one call to the delta body with per-row
+    /// weights, under a window one insert per row (an arrival's evictions
+    /// depend on its timestamp). A base row enters the delta log after the
+    /// rows its arrival evicted, which are logged with its epoch. The §7.3
+    /// budget is checked once per run.
+    fn apply_run(&mut self, rel: usize, epoch: i64, emit: &mut dyn FnMut(&[Value])) -> Result<()> {
+        let logged = self.blob_tx.is_some();
+        let arity = self.rows.len() / self.mults.len().max(1); // one arity per run
+        let rows = (0..self.mults.len()).map(|k| &self.rows[k * arity..][..arity]);
+        // Each non-zero result delta goes out as its row with
+        // `[multiplicity, epoch]` appended, assembled in one reused buffer.
+        let buf = &mut self.tagged;
+        let mut tagged = |row: &[Value], mult: i64| {
+            if mult != 0 {
+                buf.clear();
+                buf.extend_from_slice(row);
+                buf.extend([Value::Int(mult), Value::Int(epoch)]);
+                emit(buf);
+            }
+        };
+        match &mut self.join.state {
+            JoinState::Full(j) => {
+                j.delta_into(rel, &self.rows, &self.mults, Some(&mut tagged));
+                if logged {
                     for (row, &mult) in rows.zip(&self.mults) {
-                        if mult != 1 {
-                            return Err(SquallError::Runtime(format!(
-                                "windowed standing views are append-only (got a weight-{mult} delta)"
-                            )));
-                        }
-                        self.join.insert_into(rel, row, &mut tagged, |r, row, m| {
-                            if logged {
-                                self.log.push(r, row, -m, epoch as u64);
-                            }
-                        })?;
-                        if logged {
-                            self.log.push(rel, row, mult, epoch as u64);
-                        }
+                        self.log.push(rel, row, mult, epoch as u64);
                     }
                 }
             }
-            self.join.check_budget()?;
+            JoinState::Windowed { .. } => {
+                for (row, &mult) in rows.zip(&self.mults) {
+                    if mult != 1 {
+                        return Err(SquallError::Runtime(format!(
+                            "windowed standing views are append-only (got a weight-{mult} delta)"
+                        )));
+                    }
+                    self.join.insert_into(rel, row, &mut tagged, |r, row, m| {
+                        if logged {
+                            self.log.push(r, row, -m, epoch as u64);
+                        }
+                    })?;
+                    if logged {
+                        self.log.push(rel, row, mult, epoch as u64);
+                    }
+                }
+            }
         }
+        self.join.check_budget()?;
         Ok(())
     }
 
@@ -425,7 +468,8 @@ impl Bolt for ViewJoinBolt {
         out: &mut OutputCollector,
     ) -> Result<()> {
         let rel = self.join.rel_of(origin)?;
-        self.apply(rel, chunk, &mut |row| out.emit_row(row))
+        let turn = self.forwarded.saturating_add(1);
+        self.apply_in_turn(rel, chunk, turn, &mut |row| out.emit_row(row))
     }
 
     fn watermark(
@@ -439,9 +483,16 @@ impl Bolt for ViewJoinBolt {
             self.frontier.advance(origin, from_task, ts).filter(|w| *w > self.forwarded)
         {
             self.forwarded = w;
+            self.release(w.saturating_add(1), &mut |row| out.emit_row(row))?;
             out.emit_watermark(w);
         }
         Ok(())
+    }
+
+    /// End of stream: every source has finished, so every held run's turn
+    /// has come.
+    fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
+        self.release(u64::MAX, &mut |row| out.emit_row(row))
     }
 
     /// Barrier alignment: ship this task's checkpoint blob and forward the
@@ -1247,6 +1298,18 @@ mod tests {
 
     use crate::driver::{AggPlan, LocalJoinKind, WindowPlan};
 
+    impl ViewJoinBolt {
+        /// Apply every run of the chunk now, whatever its epoch.
+        fn apply(
+            &mut self,
+            rel: usize,
+            chunk: &Chunk,
+            emit: &mut dyn FnMut(&[Value]),
+        ) -> Result<()> {
+            self.apply_in_turn(rel, chunk, u64::MAX, emit)
+        }
+    }
+
     fn pair_spec() -> MultiJoinSpec {
         let s = Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
         MultiJoinSpec::new(
@@ -1270,6 +1333,31 @@ mod tests {
     /// `standing_cfg` aggregating `aggs` per `group_cols` in its view sink.
     fn agg_cfg(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> MultiwayConfig {
         standing_cfg().with_agg(AggPlan { group_cols, aggs, parallelism: 1 })
+    }
+
+    #[test]
+    fn a_delta_ahead_of_its_turn_waits_for_the_earlier_epochs() {
+        // R's epoch-2 row overtakes S's epoch-1 row (their spouts are
+        // separate tasks). Their result is epoch 2's: the R row waits until
+        // every source has promised epoch 1, then joins the S row.
+        const R: usize = 0;
+        const S: usize = 1;
+        let join = TaskJoin {
+            state: JoinState::Full(DBToasterJoin::new(&pair_spec())),
+            origin_to_rel: FxHashMap::default(),
+            machine: 0,
+            budget: None,
+        };
+        let mut bolt = ViewJoinBolt::new(join, 2, None, 0);
+        let delta = |row: Tuple, epoch| Chunk::from_tuples(&[tag_delta(&row, 1, epoch)]);
+        let mut out: Vec<Tuple> = Vec::new();
+        let turn = bolt.forwarded + 1;
+        bolt.apply_in_turn(R, &delta(tuple![1, 10], 2), turn, &mut |t| out.push(t.into())).unwrap();
+        bolt.apply_in_turn(S, &delta(tuple![1, 100], 1), turn, &mut |t| out.push(t.into()))
+            .unwrap();
+        assert!(out.is_empty(), "nothing joins before epoch 1 is promised: {out:?}");
+        bolt.release(2, &mut |t| out.push(t.into())).unwrap();
+        assert_eq!(out, vec![tuple![1, 10, 1, 100, 1, 2]]);
     }
 
     #[test]

@@ -1060,6 +1060,13 @@ mod tests {
     use crate::topology::{FnBolt, IterSpout, TopologyBuilder};
     use squall_common::{tuple, Chunk, Result, Value};
 
+    impl<T> GateQueue<T> {
+        /// Is the consumer blocked in [`GateQueue::pop_wait`]?
+        pub(crate) fn consumer_waiting(&self) -> bool {
+            self.inner.lock().unwrap().consumer_waiting
+        }
+    }
+
     fn int_spout(lo: i64, hi: i64) -> impl Fn(usize) -> Box<dyn crate::topology::Spout> {
         move |_task| Box::new(IterSpout((lo..hi).map(|i| tuple![i])))
     }

@@ -15,6 +15,9 @@
 //!   an established TCP stream. A recv pump per inbound stream unwraps
 //!   each arriving `Deliver` and hands its message to the local backend.
 //!
+//! The send pump waits on wakeups, not timers: it flushes the moment its
+//! queue runs dry and blocks until a push.
+//!
 //! Backpressure composes across the wire: a task that overfills an egress
 //! queue parks exactly like one that overfills a local inbox (it is the
 //! same queue); the send pump blocks on the socket when the peer falls
@@ -199,7 +202,8 @@ pub type SnapshotBlobMsg = (u8, usize, u64, Vec<u8>);
 /// the data plane.
 #[derive(Debug, Clone)]
 pub enum Frame {
-    /// Connection handshake: which peer is dialing.
+    /// Link handshake: which worker is dialing (worker → worker), or is
+    /// ready to run its job (worker → coordinator, on the job connection).
     Hello { peer: usize },
     /// Coordinator → worker: the serialized query plan slice.
     Job { payload: Vec<u8> },
@@ -342,10 +346,10 @@ type Egress = GateQueue<Frame>;
 // ---------------------------------------------------------------------
 
 /// Established, handshaken sockets for one run: `outbound[p]` carries this
-/// peer's frames *to* `p`; `inbound[p]` carries `p`'s frames to us. Built
-/// by the driver's cluster handshake ([`ClusterLinks::coordinator`] /
-/// [`ClusterLinks::worker`]) and consumed by
-/// [`crate::Topology::launch_cluster`].
+/// peer's frames *to* `p`; `inbound[p]` carries `p`'s frames to us (on a
+/// coordinator↔worker link, one socket: the job connection). Built by the
+/// driver's cluster handshake ([`ClusterLinks::coordinator`] /
+/// [`ClusterLinks::worker`]), consumed by [`crate::Topology::launch_cluster`].
 pub struct ClusterLinks {
     pub me: usize,
     pub peer_labels: Vec<String>,
@@ -429,106 +433,107 @@ fn connect_with_retry(addr: &str, timeout: Duration) -> Result<TcpStream> {
     }
 }
 
-/// Accept `Hello`-opened inbound links until every peer but `me` has one
-/// (on the coordinator: one per worker; on a worker: the other workers
-/// dialing us — the coordinator's job connection is already in place).
-fn accept_hellos(
-    listener: &TcpListener,
-    me: usize,
-    inbound: &mut [Option<TcpStream>],
-) -> Result<()> {
-    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    while inbound.iter().enumerate().any(|(p, s)| p != me && s.is_none()) {
-        let stream = accept_with_deadline(listener, deadline)?;
-        // Read the handshake frame straight off the stream (exact reads,
-        // no buffering): frames racing in behind the Hello must stay in
-        // the socket for the recv pump.
-        match read_frame_deadline(&stream, deadline)? {
-            Some((Frame::Hello { peer }, _)) if peer < inbound.len() && peer != me => {
-                if inbound[peer].is_some() {
-                    return Err(SquallError::Runtime(format!("duplicate hello from {peer}")));
-                }
-                inbound[peer] = Some(stream);
-            }
-            other => {
-                return Err(SquallError::Runtime(format!(
-                    "expected Hello during cluster handshake, got {other:?}"
-                )))
-            }
-        }
-    }
-    Ok(())
-}
-
 impl ClusterLinks {
-    /// Coordinator-side handshake: dial every worker, send its `Job`
-    /// frame on the stream that then becomes our outbound data link, and
-    /// accept one `Hello`-opened inbound link per worker.
+    /// Coordinator-side handshake: dial every worker and send its `Job` frame
+    /// on the stream that then carries the data plane both ways. The
+    /// coordinator listens for nothing.
     ///
-    /// `peer_labels[0]` labels the coordinator; `worker_addrs` are dialed
-    /// in peer order (peer `i + 1` = `worker_addrs[i]`).
+    /// `peer_labels[0]` labels the coordinator; the rest are the workers'
+    /// addresses, dialed in peer order with `jobs[peer - 1]`.
     ///
     /// With `readmit_epoch` set (a recovery relaunch), each job is
     /// prefaced by a `Readmit` frame on the same stream so the worker can
     /// tell a re-admission from a fresh job.
     pub fn coordinator(
-        listener: &TcpListener,
-        worker_addrs: &[String],
+        peer_labels: Vec<String>,
         jobs: Vec<Vec<u8>>,
         readmit_epoch: Option<u64>,
     ) -> Result<ClusterLinks> {
-        assert_eq!(worker_addrs.len(), jobs.len());
-        let n_peers = worker_addrs.len() + 1;
+        let n_peers = peer_labels.len();
+        assert_eq!(n_peers, jobs.len() + 1);
         let mut outbound: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
         let mut inbound: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
-        for (i, (addr, job)) in worker_addrs.iter().zip(jobs).enumerate() {
-            let mut stream = connect_with_retry(addr, HANDSHAKE_TIMEOUT)?;
+        for (peer, job) in (1..n_peers).zip(jobs) {
+            let mut stream = connect_with_retry(&peer_labels[peer], HANDSHAKE_TIMEOUT)?;
             if let Some(epoch) = readmit_epoch {
-                Frame::Readmit { peer: i + 1, epoch }.write_to(&mut stream)?;
+                Frame::Readmit { peer, epoch }.write_to(&mut stream)?;
             }
             Frame::Job { payload: job }.write_to(&mut stream)?;
-            outbound[i + 1] = Some(stream);
+            outbound[peer] = Some(stream.try_clone()?);
+            inbound[peer] = Some(stream);
         }
-        accept_hellos(listener, 0, &mut inbound)?;
-        let mut peer_labels = vec!["coordinator".to_string()];
-        peer_labels.extend(worker_addrs.iter().cloned());
+        // Launch only once every worker has answered its job with `Hello`
+        // (sent once it has dialed the other workers): the link's heartbeat
+        // clock starts at launch, and a re-admitted worker may still be
+        // tearing down its last job.
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+        for (peer, stream) in inbound.iter().enumerate().skip(1) {
+            match read_frame_deadline(stream.as_ref().expect("dialed above"), deadline)? {
+                Some((Frame::Hello { peer: p }, _)) if p == peer => {}
+                other => {
+                    let addr = &peer_labels[peer];
+                    return Err(SquallError::Io(format!(
+                        "worker {addr} answered its job: {other:?}"
+                    )));
+                }
+            }
+        }
         Ok(ClusterLinks { me: 0, peer_labels, blob_tx: None, heartbeat: None, outbound, inbound })
     }
 
     /// Worker-side handshake. The coordinator's job connection (already
-    /// accepted, `Job` frame consumed by the caller) becomes `inbound[0]`;
-    /// `pre_accepted` are any `Hello` connections that raced ahead of the
-    /// job frame. Dials every other peer and accepts the rest.
+    /// accepted, `Job` frame consumed by the caller) is the link to peer 0
+    /// both ways. Dials every other worker, answers the job with `Hello`,
+    /// then takes the other workers' `Hello`-opened links: `pre_accepted`,
+    /// those that raced ahead of the job frame, then the rest off
+    /// `listener`.
     pub fn worker(
         listener: &TcpListener,
         me: usize,
-        peer_addrs: &[String],
+        peer_labels: Vec<String>,
         job_conn: TcpStream,
         pre_accepted: Vec<(usize, TcpStream)>,
     ) -> Result<ClusterLinks> {
-        let n_peers = peer_addrs.len();
+        let n_peers = peer_labels.len();
         assert!(me >= 1 && me < n_peers);
         let mut outbound: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
         let mut inbound: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
+        let mut to_coordinator = job_conn.try_clone()?;
         inbound[0] = Some(job_conn);
-        for (peer, stream) in pre_accepted {
-            if peer == me || peer >= n_peers || inbound[peer].is_some() {
-                return Err(SquallError::Runtime(format!("bad pre-accepted hello from {peer}")));
-            }
-            inbound[peer] = Some(stream);
-        }
-        // Dial everyone else (the coordinator and the other workers).
-        for (peer, addr) in peer_addrs.iter().enumerate() {
-            if peer == me {
-                continue;
-            }
-            let mut stream = connect_with_retry(addr, HANDSHAKE_TIMEOUT)?;
+        for peer in (1..n_peers).filter(|&peer| peer != me) {
+            let mut stream = connect_with_retry(&peer_labels[peer], HANDSHAKE_TIMEOUT)?;
             Frame::Hello { peer: me }.write_to(&mut stream)?;
             outbound[peer] = Some(stream);
         }
-        accept_hellos(listener, me, &mut inbound)?;
-        let mut peer_labels: Vec<String> = peer_addrs.to_vec();
-        peer_labels[0] = "coordinator".to_string();
+        Frame::Hello { peer: me }.write_to(&mut to_coordinator)?;
+        outbound[0] = Some(to_coordinator);
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+        let mut raced = pre_accepted.into_iter();
+        loop {
+            let missing = inbound.iter().enumerate().any(|(p, s)| p != me && s.is_none());
+            let (peer, stream) = match raced.next() {
+                Some(hello) => hello,
+                None if !missing => break,
+                None => {
+                    let stream = accept_with_deadline(listener, deadline)?;
+                    // Exact reads straight off the stream: frames racing in
+                    // behind the Hello must stay in the socket for the recv
+                    // pump.
+                    match read_frame_deadline(&stream, deadline)? {
+                        Some((Frame::Hello { peer }, _)) => (peer, stream),
+                        other => {
+                            return Err(SquallError::Runtime(format!(
+                                "expected Hello during cluster handshake, got {other:?}"
+                            )))
+                        }
+                    }
+                }
+            };
+            if peer == me || peer >= n_peers || inbound[peer].is_some() {
+                return Err(SquallError::Runtime(format!("bad or duplicate hello from {peer}")));
+            }
+            inbound[peer] = Some(stream);
+        }
         Ok(ClusterLinks { me, peer_labels, blob_tx: None, heartbeat: None, outbound, inbound })
     }
 }
@@ -540,6 +545,8 @@ pub(crate) struct PeerWire {
     pub(crate) bytes_sent: AtomicU64,
     pub(crate) batches_received: AtomicU64,
     pub(crate) bytes_received: AtomicU64,
+    pub(crate) flushes: AtomicU64,
+    pub(crate) recv_congested_ns: AtomicU64,
     /// Highest checkpoint epoch this peer has advertised (via heartbeats)
     /// — the "last seen alive at" epoch reported when the peer is lost.
     pub(crate) last_epoch: AtomicU64,
@@ -548,7 +555,8 @@ pub(crate) struct PeerWire {
 /// Frozen per-peer wire traffic for one run (the distributed analog of
 /// the paper's network-factor monitoring): batches are `Deliver` frames
 /// carrying a `Batch`; bytes count every frame on the link, punctuation
-/// included.
+/// included. `flushes` counts explicit flushes of a non-empty send buffer,
+/// `recv_congested_ns` the time the recv pump held a batch for a full inbox.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerWireStats {
     pub peer: usize,
@@ -557,6 +565,8 @@ pub struct PeerWireStats {
     pub bytes_sent: u64,
     pub batches_received: u64,
     pub bytes_received: u64,
+    pub flushes: u64,
+    pub recv_congested_ns: u64,
 }
 
 /// All peers' wire traffic as observed by this process.
@@ -582,10 +592,12 @@ impl TransportStats {
 impl std::fmt::Display for TransportStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for p in &self.peers {
+            let PeerWireStats { peer, label, flushes, recv_congested_ns, .. } = p;
             writeln!(
                 f,
-                "  peer {} ({}): sent {} batches / {} B, received {} batches / {} B",
-                p.peer, p.label, p.batches_sent, p.bytes_sent, p.batches_received, p.bytes_received
+                "  peer {peer} ({label}): sent {} batches / {} B in {flushes} flushes, received {} \
+                 batches / {} B ({recv_congested_ns} ns congested)",
+                p.batches_sent, p.bytes_sent, p.batches_received, p.bytes_received
             )?;
         }
         Ok(())
@@ -734,6 +746,8 @@ impl ClusterRun {
                         bytes_sent: w.bytes_sent.load(Ordering::Relaxed),
                         batches_received: w.batches_received.load(Ordering::Relaxed),
                         bytes_received: w.bytes_received.load(Ordering::Relaxed),
+                        flushes: w.flushes.load(Ordering::Relaxed),
+                        recv_congested_ns: w.recv_congested_ns.load(Ordering::Relaxed),
                     })
                     .collect(),
             },
@@ -868,11 +882,15 @@ fn send_pump(
     let mut last_beat = Instant::now();
     let mut w = BufWriter::new(stream);
     let counters = &wire[peer];
-    // Every frame this pump writes is counted on the link.
+    // Every frame written and every write-out of buffered ones is counted.
     let write = |frame: &Frame, w: &mut BufWriter<TcpStream>| -> Result<()> {
         let n = frame.write_to(w)?;
         counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
         Ok(())
+    };
+    let flush = |w: &mut BufWriter<TcpStream>| -> bool {
+        counters.flushes.fetch_add(u64::from(!w.buffer().is_empty()), Ordering::Relaxed);
+        w.flush().is_ok()
     };
     let mut abort_sent = false;
     let mut broken = false;
@@ -882,9 +900,17 @@ fn send_pump(
             let error =
                 shared.error_clone().unwrap_or_else(|| SquallError::Runtime("aborted".into()));
             abort_sent = true;
-            broken = write(&Frame::Abort { error }, &mut w).is_err() || w.flush().is_err();
+            broken = write(&Frame::Abort { error }, &mut w).is_err() || !flush(&mut w);
         }
-        let frame = q.pop_wait(Duration::from_millis(20), &mut wake);
+        // Under load frames coalesce in the buffer; the pop that finds the
+        // queue dry pushes them onto the wire before the pump blocks, so the
+        // last frame of a burst never waits. The blocking wait's timeout
+        // only polls the abort flag and the heartbeat: a push wakes it.
+        let mut frame = q.pop(&mut wake);
+        if frame.is_none() {
+            broken = broken || !flush(&mut w);
+            frame = q.pop_wait(Duration::from_millis(20), &mut wake);
+        }
         for t in wake.drain(..) {
             sched.notify(t);
         }
@@ -915,10 +941,9 @@ fn send_pump(
                 }
             }
             None => {
-                // Idle: push buffered bytes onto the wire so a quiet link
-                // never sits on latency, and beat if the failure detector
-                // is armed (data flowing counts as liveness by itself, so
-                // busy links skip the beacon).
+                // Idle for a whole poll: beat if the failure detector is
+                // armed (data flowing counts as liveness by itself, so busy
+                // links skip the beacon). The next pass flushes it.
                 if let Some(every) = beat_every {
                     if !broken && last_beat.elapsed() >= every {
                         last_beat = Instant::now();
@@ -926,13 +951,10 @@ fn send_pump(
                         broken = write(&Frame::Heartbeat { epoch }, &mut w).is_err();
                     }
                 }
-                if !broken && w.flush().is_err() {
-                    broken = true;
-                }
             }
         }
     }
-    let _ = w.flush();
+    flush(&mut w);
 }
 
 /// Everything one inbound-link pump owns (bundled so the spawn site stays
@@ -990,8 +1012,13 @@ impl RecvPump {
                             // punctuation never waits (the pump reads
                             // sequentially, so it still lands after the
                             // sender's earlier data).
-                            while is_batch && local.congested(to_task) && !shared.is_aborted() {
-                                std::thread::sleep(Duration::from_micros(200));
+                            if is_batch && local.congested(to_task) {
+                                let start = Instant::now();
+                                while local.congested(to_task) && !shared.is_aborted() {
+                                    std::thread::sleep(Duration::from_micros(200));
+                                }
+                                let waited = start.elapsed().as_nanos() as u64;
+                                counters.recv_congested_ns.fetch_add(waited, Ordering::Relaxed);
                             }
                             local.send(to_task, msg);
                         }
@@ -1348,6 +1375,131 @@ mod tests {
             Ok(Some((Frame::Hello { peer: 3 }, _))) => {}
             other => panic!("expected Hello, got {other:?}"),
         }
+    }
+
+    /// A scheduler of `n_tasks` with none hosted here: wakeups are no-ops.
+    fn idle_sched(n_tasks: usize) -> Arc<Sched> {
+        let counters = crate::metrics::MetricsRegistry::new(vec!["n".into()], &[n_tasks]).sched();
+        Arc::new(Sched::new(n_tasks, 1, counters, &[]))
+    }
+
+    /// Poll `cond` until it holds, failing after a 10 s backstop.
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+
+    #[test]
+    fn send_pump_flushes_before_it_blocks() {
+        // One frame, then a dry queue: the pump puts the frame on the wire
+        // before it blocks, not when its wait times out.
+        let (dialer, accepted) = loopback();
+        let q = Arc::new(Egress::new(4));
+        q.push(Frame::Deliver { to_task: 1, msg: every_kind()[0].clone() });
+        let wire = Arc::new(vec![PeerWire::default(), PeerWire::default()]);
+        let pump = {
+            let (q, wire) = (Arc::clone(&q), Arc::clone(&wire));
+            std::thread::spawn(move || {
+                send_pump(dialer, 1, &q, &idle_sched(2), &Shared::new(), &wire, None)
+            })
+        };
+        wait_until("the pump to block on its dry queue", || q.consumer_waiting());
+        accepted.set_read_timeout(Some(Duration::from_millis(5))).unwrap();
+        match Frame::read_from(&mut &accepted) {
+            Ok(Some((Frame::Deliver { to_task: 1, msg: Message::Batch { .. } }, _))) => {}
+            other => panic!("the frame was still buffered: {other:?}"),
+        }
+        q.push(Frame::Goodbye);
+        pump.join().unwrap();
+        assert!(wire[1].flushes.load(Ordering::Relaxed) >= 1);
+        assert_eq!(wire[1].batches_sent.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn recv_pump_holds_a_batch_for_a_full_inbox_until_a_pop() {
+        // Three batches for a capacity-1 inbox: the third finds it over
+        // capacity, and the pump holds it (its congested time counted)
+        // until a consumer's pop drains the inbox. All three land, in order.
+        let (mut dialer, stream) = loopback();
+        for origin in 0..3 {
+            let chunk = Chunk::from_tuples(&[tuple![origin as i64]]);
+            let msg = Message::Batch { origin, chunk };
+            Frame::Deliver { to_task: 0, msg }.write_to(&mut dialer).unwrap();
+        }
+        Frame::Goodbye.write_to(&mut dialer).unwrap();
+        let start = Instant::now();
+        let inbox = Arc::new(Inbox::new(1));
+        let wire = Arc::new(vec![PeerWire::default(), PeerWire::default()]);
+        let consumer = {
+            let (inbox, wire) = (Arc::clone(&inbox), Arc::clone(&wire));
+            std::thread::spawn(move || {
+                wait_until("the pump to read the third batch", || {
+                    wire[1].batches_received.load(Ordering::Relaxed) == 3
+                });
+                // The pump checks the inbox right after counting the batch;
+                // pop only once it is surely holding it.
+                std::thread::sleep(Duration::from_millis(50));
+                let mut origins = Vec::new();
+                wait_until("three batches", || {
+                    while let Some(Message::Batch { origin, .. }) = inbox.pop(&mut Vec::new()) {
+                        origins.push(origin);
+                    }
+                    origins.len() == 3
+                });
+                origins
+            })
+        };
+        RecvPump {
+            stream,
+            peer: 1,
+            peer_label: "worker".into(),
+            local: LocalTransport::new(vec![Some(Arc::clone(&inbox))], idle_sched(1)),
+            sink_tx: None,
+            blob_tx: None,
+            heartbeat: None,
+            eos_owed: Vec::new(),
+        }
+        .run(&Shared::new(), &Mutex::new(RemoteState::default()), &wire);
+        assert_eq!(consumer.join().unwrap(), vec![0, 1, 2]);
+        assert!(start.elapsed() < Duration::from_secs(1), "took {:?}", start.elapsed());
+        let congested = Duration::from_nanos(wire[1].recv_congested_ns.load(Ordering::Relaxed));
+        assert!(congested >= Duration::from_micros(200), "congested for {congested:?}");
+    }
+
+    #[test]
+    fn coordinator_link_is_the_job_connection_both_ways() {
+        // The coordinator dials a stand-in worker and ships its job; the
+        // worker answers on that same connection, which is the
+        // coordinator's inbound link from peer 1.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let worker = std::thread::spawn(move || {
+            let worker = accept_with_deadline(&listener, deadline).unwrap();
+            match read_frame_deadline(&worker, deadline) {
+                Ok(Some((Frame::Readmit { peer: 1, epoch: 3 }, _))) => {}
+                other => panic!("expected Readmit, got {other:?}"),
+            }
+            match read_frame_deadline(&worker, deadline) {
+                Ok(Some((Frame::Job { payload }, _))) => assert_eq!(payload, [7, 8]),
+                other => panic!("expected Job, got {other:?}"),
+            }
+            Frame::Hello { peer: 1 }.write_to(&mut &worker).unwrap();
+            Frame::Heartbeat { epoch: 5 }.write_to(&mut &worker).unwrap();
+            worker
+        });
+        let labels = vec!["coordinator".to_string(), addr];
+        let links = ClusterLinks::coordinator(labels, vec![vec![7, 8]], Some(3)).unwrap();
+        let inbound = links.inbound[1].as_ref().expect("inbound link from peer 1");
+        match read_frame_deadline(inbound, deadline) {
+            Ok(Some((Frame::Heartbeat { epoch: 5 }, _))) => {}
+            other => panic!("expected the worker's Heartbeat, got {other:?}"),
+        }
+        assert!(links.inbound[0].is_none() && links.outbound[0].is_none());
+        drop(worker.join().unwrap());
     }
 
     #[test]
