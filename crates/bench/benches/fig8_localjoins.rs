@@ -3,10 +3,11 @@
 //! aggregated DBToaster join fed one row at a time vs a chunk at a time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use squall_bench::{figure_session, google_tables, run_forced, tpch_tables, webgraph_table};
+use squall_bench::{REACHABILITY3, TASK_COUNT, TPCH9_PARTIAL, TPCH_Q3};
 use squall_common::{DataType, Schema, SplitMix64, Value};
-use squall_core::driver::{run_multiway, LocalJoinKind, MultiwayConfig};
+use squall_core::driver::LocalJoinKind;
 use squall_data::google_cluster;
-use squall_data::queries;
 use squall_data::tpch::TpchGen;
 use squall_data::webgraph::WebGraphGen;
 use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
@@ -16,27 +17,26 @@ use squall_partition::optimizer::{build_scheme, SchemeKind};
 
 fn bench(c: &mut Criterion) {
     let tpch = TpchGen::new(0.4, 2.0, 13).generate();
-    let q9 = queries::tpch9_partial(&tpch, true);
-    let q3 = queries::tpch_q3(&tpch);
     let gd = google_cluster::generate(3000, 14);
-    let qtc = queries::google_taskcount(&gd);
     let arcs = WebGraphGen::new(500, 3000, 15).generate();
-    let qreach = queries::reachability3(&arcs);
+    let mut sessions = [
+        figure_session(8, tpch_tables(&tpch)),
+        figure_session(8, google_tables(&gd)),
+        figure_session(8, [webgraph_table(arcs)]),
+    ];
 
     let mut g = c.benchmark_group("fig8");
     g.sample_size(10);
-    for (qname, q) in [
-        ("a_tpch9_partial", &q9),
-        ("b_tpch_q3", &q3),
-        ("c_google_taskcount", &qtc),
-        ("d_reachability_product_skew", &qreach),
+    for (qname, session, sql) in [
+        ("a_tpch9_partial", 0, TPCH9_PARTIAL),
+        ("b_tpch_q3", 0, TPCH_Q3),
+        ("c_google_taskcount", 1, TASK_COUNT),
+        ("d_reachability_product_skew", 2, REACHABILITY3),
     ] {
+        let session = &mut sessions[session];
         for local in [LocalJoinKind::DBToaster, LocalJoinKind::Traditional] {
-            g.bench_with_input(BenchmarkId::new(qname, local), q, |b, q| {
-                b.iter(|| {
-                    let cfg = MultiwayConfig::new(SchemeKind::Hybrid, local, 8).count_only();
-                    std::hint::black_box(run_multiway(&q.spec, q.data.clone(), &cfg).unwrap())
-                })
+            g.bench_with_input(BenchmarkId::new(qname, local), sql, |b, sql| {
+                b.iter(|| std::hint::black_box(run_forced(session, sql, SchemeKind::Hybrid, local)))
             });
         }
     }

@@ -23,7 +23,7 @@ fn main() {
     }
     if want("f5") {
         out.push_str(&render(
-            "Figure 5 — bottleneck decomposition, CUSTOMER ⋈ ORDERS (paper: sel(int) 1.6%, sel(date) ~16%, network ~60%, join ~14%)",
+            "Figure 5 — bottleneck decomposition, CUSTOMER ⋈ ORDERS (paper: sel(int) 1.6%, sel(date) ~16%, network ~60%, join ~14%; shares not comparable: the full join runs through Session, the stages through per-tuple bolts, see EXPERIMENTS.md)",
             &fig5_bottleneck(40.0, 8),
         ));
     }
@@ -44,7 +44,7 @@ fn main() {
     if want("f8") {
         for (title, rows) in fig8_all(2.0) {
             out.push_str(&render(
-                &format!("{title} (paper: DBToaster ~10x on TPC-H, 3–4x on TaskCount)"),
+                &format!("{title} (paper: DBToaster ~10x on TPC-H, 3–4x on TaskCount; Traditional folds duplicate rows under COUNT(*), so this is not the enumeration gap, see ROADMAP 1(a))"),
                 &rows,
             ));
         }

@@ -3,13 +3,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use squall_common::{DataType, Tuple, Value};
-use squall_core::driver::{run_multiway, LocalJoinKind, MultiwayConfig};
-use squall_data::queries::{self, QueryInstance};
-use squall_data::tpch::TpchGen;
-use squall_data::webgraph::WebGraphGen;
+use squall::{ResultSet, Session};
+use squall_common::{DataType, Schema, Tuple, Value};
+use squall_core::driver::LocalJoinKind;
+use squall_data::tpch::{self, TpchData, TpchGen};
+use squall_data::webgraph::{self, WebGraphGen};
 use squall_data::{crawlcontent, google_cluster, streams};
-use squall_expr::{BinOp, ScalarExpr};
+use squall_expr::{BinOp, JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
 use squall_partition::hypercube::{Dimension, HypercubeScheme, PartitionKind};
 use squall_partition::optimizer::SchemeKind;
 use squall_runtime::{
@@ -58,6 +58,107 @@ pub fn render(title: &str, rows: &[Row]) -> String {
 fn ms(d: Duration) -> String {
     format!("{:.1}ms", d.as_secs_f64() * 1e3)
 }
+
+// ---------------------------------------------------------------------------
+// The paper's queries (§7) as SQL, run through a `Session` over the
+// generated relations. Each figure counts its results, so each query is a
+// COUNT(*) of the paper's join.
+// ---------------------------------------------------------------------------
+
+/// §7.2 — 3-Reachability: 3-hop paths in WebGraph.
+pub const REACHABILITY3: &str = "SELECT COUNT(*) FROM WebGraph W1, WebGraph W2, WebGraph W3 \
+     WHERE W1.ToUrl = W2.FromUrl AND W2.ToUrl = W3.FromUrl";
+
+/// §7.3 — TPCH9-Partial, the join core of TPC-H Q9: LINEITEM joins
+/// PARTSUPP on (partkey, suppkey) and PART on partkey.
+pub const TPCH9_PARTIAL: &str = "SELECT COUNT(*) FROM LINEITEM L, PARTSUPP PS, PART P \
+     WHERE L.partkey = PS.partkey AND L.suppkey = PS.suppkey AND PS.partkey = P.partkey";
+
+/// §7.4 — the join core of TPC-H Q3 (the paper drops its LIMIT and
+/// ORDER BY).
+pub const TPCH_Q3: &str = "SELECT COUNT(*) FROM CUSTOMER C, ORDERS O, LINEITEM L \
+     WHERE C.custkey = O.custkey AND O.orderkey = L.orderkey";
+
+/// §7.3 — WebAnalytics: 2-hop paths through the hub
+/// ([`webgraph::HUB`], id 0) joined with CrawlContent.
+pub const WEB_ANALYTICS: &str = "SELECT COUNT(*) FROM WebGraph W1, WebGraph W2, CrawlContent C \
+     WHERE W1.ToUrl = 0 AND W2.FromUrl = 0 AND W1.ToUrl = W2.FromUrl AND W1.FromUrl = C.Url";
+
+/// §7.4 — Google TaskCount: failed tasks ([`google_cluster::FAIL`], code 3)
+/// joined with their job and machine.
+pub const TASK_COUNT: &str = "SELECT COUNT(*) FROM JOB_EVENTS J, TASK_EVENTS T, MACHINE_EVENTS M \
+     WHERE T.eventType = 3 AND J.jobID = T.jobID AND M.machineID = T.machineID";
+
+const _: () = assert!(webgraph::HUB == 0 && google_cluster::FAIL == 3, "the SQL above names them");
+
+/// A relation to register: name, schema and rows.
+pub type Table = (&'static str, Schema, Vec<Tuple>);
+
+/// The TPC-H relations under their TPC-H names.
+pub fn tpch_tables(d: &TpchData) -> Vec<Table> {
+    vec![
+        ("CUSTOMER", tpch::customer_schema(), d.customer.clone()),
+        ("ORDERS", tpch::orders_schema(), d.orders.clone()),
+        ("LINEITEM", tpch::lineitem_schema(), d.lineitem.clone()),
+        ("PARTSUPP", tpch::partsupp_schema(), d.partsupp.clone()),
+        ("PART", tpch::part_schema(), d.part.clone()),
+    ]
+}
+
+/// The WebGraph relation.
+pub fn webgraph_table(arcs: Vec<Tuple>) -> Table {
+    ("WebGraph", webgraph::webgraph_schema(), arcs)
+}
+
+/// The CrawlContent relation.
+pub fn crawlcontent_table(content: Vec<Tuple>) -> Table {
+    ("CrawlContent", crawlcontent::crawlcontent_schema(), content)
+}
+
+/// The Google cluster trace's three relations.
+pub fn google_tables(d: &google_cluster::GoogleClusterData) -> Vec<Table> {
+    vec![
+        ("JOB_EVENTS", google_cluster::job_events_schema(), d.job_events.clone()),
+        ("TASK_EVENTS", google_cluster::task_events_schema(), d.task_events.clone()),
+        ("MACHINE_EVENTS", google_cluster::machine_events_schema(), d.machine_events.clone()),
+    ]
+}
+
+/// A session on `machines` machines over `tables`, each registered and
+/// analyzed as a user loads them: the engine's statistics, not the figure,
+/// then set the skew marks, the join order and (unless forced) the scheme.
+pub fn figure_session(machines: usize, tables: impl IntoIterator<Item = Table>) -> Session {
+    let mut session = Session::builder().machines(machines).build();
+    for (name, schema, rows) in tables {
+        session.register(name, schema, rows).expect("distinct table names");
+        session.analyze(name).expect("registered above");
+    }
+    session
+}
+
+/// Run `sql` on `session` with the scheme and local join a figure column
+/// forces; returns the result (its report holds the loads) and the run's
+/// wall-clock time.
+pub fn run_forced(
+    session: &mut Session,
+    sql: &str,
+    scheme: SchemeKind,
+    local: LocalJoinKind,
+) -> (ResultSet, Duration) {
+    let cfg = session.config_mut();
+    cfg.scheme = Some(scheme);
+    cfg.local = local;
+    let start = Instant::now();
+    let rs = session.sql(sql).expect("figure query runs");
+    (rs, start.elapsed())
+}
+
+/// The three hypercube schemes, as Figures 7 and 8 label them.
+const SCHEMES: [(&str, SchemeKind); 3] = [
+    ("Hash-Hypercube", SchemeKind::Hash),
+    ("Random-Hypercube", SchemeKind::Random),
+    ("Hybrid-Hypercube", SchemeKind::Hybrid),
+];
 
 // ---------------------------------------------------------------------------
 // E0 — §3.1 worked example (analytic).
@@ -164,7 +265,7 @@ pub fn fig5_bottleneck(scale_units: f64, join_tasks: usize) -> Vec<Row> {
     let orders = Arc::new(data.orders.clone());
 
     // Best-of-3 to suppress thread-startup noise.
-    let time = |f: &dyn Fn()| -> Duration {
+    let time = |f: &mut dyn FnMut()| -> Duration {
         (0..3)
             .map(|_| {
                 let start = Instant::now();
@@ -176,7 +277,7 @@ pub fn fig5_bottleneck(scale_units: f64, join_tasks: usize) -> Vec<Row> {
     };
 
     // 1. ReadFile: sources into a local no-op sink (no repartitioning).
-    let rf = time(&|| {
+    let rf = time(&mut || {
         let mut b = TopologyBuilder::new();
         let (c, o) = fig5_spouts(&mut b, &customers, &orders);
         let sink_node = b.add_bolt("sink", 1, |_| fig5_sink());
@@ -185,7 +286,7 @@ pub fn fig5_bottleneck(scale_units: f64, join_tasks: usize) -> Vec<Row> {
         b.build().unwrap().run();
     });
     // 2. + no-op selection over an integer field.
-    let sel_int = time(&|| {
+    let sel_int = time(&mut || {
         fig5_sel_stage(&customers, &orders, &fig5_sel_int(), 1, false);
     });
     // 3. + no-op selection over the DATE field — the expensive Str→Date
@@ -195,19 +296,20 @@ pub fn fig5_bottleneck(scale_units: f64, join_tasks: usize) -> Vec<Row> {
         ScalarExpr::cast(ScalarExpr::col(2), DataType::Date),
         ScalarExpr::lit(Value::Date(squall_common::Date(0))),
     );
-    let sel_date = time(&|| {
+    let sel_date = time(&mut || {
         fig5_sel_stage(&customers, &orders, &sel_date_pred, 1, false);
     });
     // 4. + network: hash repartitioning over `join_tasks` tasks, no join.
-    let network = time(&|| {
+    let network = time(&mut || {
         fig5_sel_stage(&customers, &orders, &fig5_sel_int(), join_tasks, true);
     });
     // 5. Full join C ⋈ O (hash partitioned, DBToaster local).
-    let q = customer_orders_query(&data);
-    let full = time(&|| {
-        let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, join_tasks)
-            .count_only();
-        run_multiway(&q.spec, q.data.clone(), &cfg).unwrap();
+    let mut session = figure_session(
+        join_tasks,
+        tpch_tables(&data).into_iter().filter(|(name, ..)| matches!(*name, "CUSTOMER" | "ORDERS")),
+    );
+    let full = time(&mut || {
+        run_forced(&mut session, CUSTOMER_ORDERS, SchemeKind::Hash, LocalJoinKind::DBToaster);
     });
 
     let share = |d: Duration| format!("{:.0}%", 100.0 * d.as_secs_f64() / full.as_secs_f64());
@@ -282,61 +384,43 @@ fn fig5_sel_stage(
     b.build().unwrap().run().metrics.node(sel).total_emitted()
 }
 
-fn customer_orders_query(data: &squall_data::tpch::TpchData) -> QueryInstance {
-    use squall_data::tpch;
-    use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
-    let spec = MultiJoinSpec::new(
-        vec![
-            RelationDef::new("CUSTOMER", tpch::customer_schema(), data.customer.len() as u64),
-            RelationDef::new("ORDERS", tpch::orders_schema(), data.orders.len() as u64),
-        ],
-        vec![JoinAtom::eq(0, 0, 1, 1)],
-    )
-    .unwrap();
-    QueryInstance {
-        spec,
-        data: vec![data.customer.clone(), data.orders.clone()],
-        agg_group_cols: vec![],
-    }
-}
+/// Figure 5's join.
+const CUSTOMER_ORDERS: &str =
+    "SELECT COUNT(*) FROM CUSTOMER C, ORDERS O WHERE C.custkey = O.custkey";
 
 // ---------------------------------------------------------------------------
 // Figure 6 — 3-Reachability: multi-way vs pipeline of 2-way joins.
 // ---------------------------------------------------------------------------
 
 /// Figure 6: the 3-reachability self-join over a WebGraph sample, run as
-/// (a) Hash-Hypercube multi-way, (b) Hybrid-Hypercube multi-way (same
-/// partitioning — the query is a uniform equi-join), (c) pipeline of 2-way
-/// joins. Reports runtime and tuples shuffled.
+/// (a) Hash-Hypercube multi-way, (b) Hybrid-Hypercube multi-way, (c)
+/// pipeline of 2-way joins. Reports runtime, tuples shuffled, the
+/// multi-way runs' max load and replication factor, and the scheme.
 pub fn fig6_reachability(n_nodes: usize, n_arcs: usize, machines: usize) -> Vec<Row> {
     let arcs = WebGraphGen::new(n_nodes, n_arcs, 9).generate();
-    let q = queries::reachability3(&arcs);
+    let mut session = figure_session(machines, [webgraph_table(arcs.clone())]);
     let mut rows = Vec::new();
     for (name, kind) in
         [("Hash-Hypercube", SchemeKind::Hash), ("Hybrid-Hypercube", SchemeKind::Hybrid)]
     {
-        let cfg = MultiwayConfig::new(kind, LocalJoinKind::DBToaster, machines).count_only();
-        let start = Instant::now();
-        let rep = run_multiway(&q.spec, q.data.clone(), &cfg).unwrap();
-        let elapsed = start.elapsed();
+        let (mut rs, elapsed) =
+            run_forced(&mut session, REACHABILITY3, kind, LocalJoinKind::DBToaster);
+        let rep = rs.report().expect("a join reports its run");
         rows.push(
             Row::new(name)
                 .add("runtime", ms(elapsed))
                 .add("tuples shuffled", rep.loads.iter().sum::<u64>())
                 .add("results", rep.result_count)
-                .add("scheme", rep.scheme_description),
+                .add("max load", rep.max_load())
+                .add("replication factor", format!("{:.2}", rep.replication_factor))
+                .add("scheme", &rep.scheme_description),
         );
     }
+    let spec = reachability3_spec(arcs.len() as u64);
+    let data = vec![arcs.clone(), arcs.clone(), arcs];
     let start = Instant::now();
-    let pipe = run_pipeline(
-        &q.spec,
-        q.data.clone(),
-        &[0, 1, 2],
-        machines,
-        LocalJoinKind::DBToaster,
-        false,
-    )
-    .unwrap();
+    let pipe =
+        run_pipeline(&spec, data, &[0, 1, 2], machines, LocalJoinKind::DBToaster, false).unwrap();
     let elapsed = start.elapsed();
     // The pipeline's shuffled tuples include the intermediate stage: use
     // the network factor × query size for the comparable number.
@@ -345,132 +429,117 @@ pub fn fig6_reachability(n_nodes: usize, n_arcs: usize, machines: usize) -> Vec<
             .add("runtime", ms(elapsed))
             .add("tuples shuffled", format!("{:.0}", pipe.network_factor * pipe.input_count as f64))
             .add("results", pipe.result_count)
+            .add("max load", "–")
+            .add("replication factor", "–")
             .add("scheme", "hash per stage"),
     );
     rows
+}
+
+/// [`REACHABILITY3`] written by hand over three copies of an `arcs`-row
+/// WebGraph, for the pipeline comparator: `run_pipeline` takes a spec, not
+/// SQL.
+pub fn reachability3_spec(arcs: u64) -> MultiJoinSpec {
+    let w = |name: &str| RelationDef::new(name, webgraph::webgraph_schema(), arcs);
+    MultiJoinSpec::new(
+        vec![w("W1"), w("W2"), w("W3")],
+        vec![
+            JoinAtom::eq(0, 1, 1, 0), // W1.ToUrl = W2.FromUrl
+            JoinAtom::eq(1, 1, 2, 0), // W2.ToUrl = W3.FromUrl
+        ],
+    )
+    .expect("static spec")
+}
+
+/// [`TPCH9_PARTIAL`] written by hand over `d`'s LINEITEM, PARTSUPP and PART,
+/// with LINEITEM.partkey marked skewed so that Hybrid-Hypercube takes its
+/// skew path: for the kernel benches and the oracle tests, which take a
+/// spec, not SQL.
+pub fn tpch9_partial_spec(d: &TpchData) -> MultiJoinSpec {
+    let mut lineitem = tpch::lineitem_schema();
+    lineitem.set_skewed("partkey").expect("LINEITEM has partkey");
+    MultiJoinSpec::new(
+        vec![
+            RelationDef::new("LINEITEM", lineitem, d.lineitem.len() as u64),
+            RelationDef::new("PARTSUPP", tpch::partsupp_schema(), d.partsupp.len() as u64),
+            RelationDef::new("PART", tpch::part_schema(), d.part.len() as u64),
+        ],
+        vec![
+            JoinAtom::eq(0, 1, 1, 0), // L.partkey = PS.partkey
+            JoinAtom::eq(0, 2, 1, 1), // L.suppkey = PS.suppkey
+            JoinAtom::eq(1, 0, 2, 0), // PS.partkey = P.partkey
+        ],
+    )
+    .expect("static spec")
 }
 
 // ---------------------------------------------------------------------------
 // Figure 7 + Tables 1 & 2 — hypercube scheme comparison.
 // ---------------------------------------------------------------------------
 
-/// One Figure-7 configuration: run all three schemes over a query and
+/// One Figure-7 configuration: run `sql` under all three schemes and
 /// report runtime, max/avg load (Table 1), replication factor (Table 2).
-/// `budget` (stored tuples per machine) triggers the paper's
-/// Hash-Hypercube memory overflow on the skewed configurations; overflowed
-/// runs report extrapolated runtime.
-pub fn fig7_schemes(q: &QueryInstance, machines: usize, budget: Option<usize>) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (name, kind) in [
-        ("Hash-Hypercube", SchemeKind::Hash),
-        ("Random-Hypercube", SchemeKind::Random),
-        ("Hybrid-Hypercube", SchemeKind::Hybrid),
-    ] {
-        let mut cfg = MultiwayConfig::new(kind, LocalJoinKind::DBToaster, machines).count_only();
-        if let Some(b) = budget {
-            cfg = cfg.with_budget(b);
-        }
-        let start = Instant::now();
-        let rep = match run_multiway(&q.spec, q.data.clone(), &cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                rows.push(Row::new(name).add("runtime", format!("error: {e}")));
-                continue;
-            }
-        };
-        let elapsed = start.elapsed();
-        let (runtime, note) = match &rep.error {
-            Some(squall_common::SquallError::MemoryOverflow { .. }) => {
-                // Extrapolate from tuples processed before the overflow
-                // (§7.3 methodology).
-                let received: u64 = rep.loads.iter().sum();
-                let expected = (rep.input_count as f64 * rep.replication_factor.max(1.0)).max(1.0);
-                let frac = (received as f64 / expected).clamp(0.01, 1.0);
-                (
-                    format!(
-                        "{} (extrapolated)",
-                        ms(Duration::from_secs_f64(elapsed.as_secs_f64() / frac))
-                    ),
-                    "Memory Overflow".to_string(),
-                )
-            }
-            Some(e) => (format!("error: {e}"), String::new()),
-            None => (ms(elapsed), String::new()),
-        };
-        rows.push(
+pub fn fig7_schemes(session: &mut Session, sql: &str) -> Vec<Row> {
+    SCHEMES
+        .into_iter()
+        .map(|(name, kind)| {
+            let (mut rs, elapsed) = run_forced(session, sql, kind, LocalJoinKind::DBToaster);
+            let rep = rs.report().expect("a join reports its run");
             Row::new(name)
-                .add("runtime", runtime)
+                .add("runtime", ms(elapsed))
                 .add("max load", rep.max_load())
                 .add("avg load", format!("{:.0}", rep.avg_load()))
                 .add("skew degree", format!("{:.2}", rep.skew_degree))
                 .add("replication factor", format!("{:.2}", rep.replication_factor))
-                .add("scheme", rep.scheme_description)
-                .add("note", note),
-        );
-    }
-    rows
+                .add("scheme", &rep.scheme_description)
+        })
+        .collect()
 }
 
 /// The Figure 7 / Table 1 / Table 2 workloads at laptop scale.
 pub fn fig7_all(scale_small: f64, scale_big: f64) -> Vec<(String, Vec<Row>)> {
-    let mut out = Vec::new();
-    // TPCH9-Partial, zipf(2), "10G/8J" analog.
+    // TPCH9-Partial, zipf(2), "10G/8J" and "80G/100J" analogs.
     let small = TpchGen::new(scale_small, 2.0, 7).generate();
-    let q_small = queries::tpch9_partial(&small, true);
-    out.push((
-        format!("TPCH9-Partial {scale_small}u/8J (zipf 2)"),
-        fig7_schemes(&q_small, 8, None),
-    ));
-    // "80G/100J" analog with a per-machine budget so Hash overflows.
     let big = TpchGen::new(scale_big, 2.0, 8).generate();
-    let q_big = queries::tpch9_partial(&big, true);
-    // Sized so that only the Hash-Hypercube's hottest machine (which
-    // receives the zipf top key's entire mass, §7.3) exceeds it.
-    let budget = big.lineitem.len();
-    out.push((
-        format!("TPCH9-Partial {scale_big}u/16J (zipf 2, budget {budget})"),
-        fig7_schemes(&q_big, 16, Some(budget)),
-    ));
-    // WebAnalytics.
     let arcs = WebGraphGen::new(2500, 25_000, 11).generate();
     let content = crawlcontent::generate(2500, 12);
-    let q_web = queries::webanalytics(&arcs, &content);
-    out.push(("WebAnalytics (40 machines in paper; 8 here)".into(), fig7_schemes(&q_web, 8, None)));
-    out
+    let web = [webgraph_table(arcs), crawlcontent_table(content)];
+    vec![
+        (
+            format!("TPCH9-Partial {scale_small}u/8J (zipf 2)"),
+            fig7_schemes(&mut figure_session(8, tpch_tables(&small)), TPCH9_PARTIAL),
+        ),
+        (
+            format!("TPCH9-Partial {scale_big}u/16J (zipf 2)"),
+            fig7_schemes(&mut figure_session(16, tpch_tables(&big)), TPCH9_PARTIAL),
+        ),
+        (
+            "WebAnalytics (40 machines in paper; 8 here)".into(),
+            fig7_schemes(&mut figure_session(8, web), WEB_ANALYTICS),
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------------
 // Figure 8 — DBToaster vs traditional local joins.
 // ---------------------------------------------------------------------------
 
-/// Figure 8: the same multi-way join run with each local algorithm under
-/// each hypercube scheme; reports runtimes and the DBToaster speedup.
-pub fn fig8_localjoins(q: &QueryInstance, machines: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (sname, kind) in [
-        ("Hash-Hypercube", SchemeKind::Hash),
-        ("Random-Hypercube", SchemeKind::Random),
-        ("Hybrid-Hypercube", SchemeKind::Hybrid),
-    ] {
-        let mut vals: Vec<(String, String)> = Vec::new();
-        let mut times = Vec::new();
-        for local in [LocalJoinKind::DBToaster, LocalJoinKind::Traditional] {
-            let cfg = MultiwayConfig::new(kind, local, machines).count_only();
-            let start = Instant::now();
-            let rep = run_multiway(&q.spec, q.data.clone(), &cfg).unwrap();
-            let elapsed = start.elapsed();
-            assert!(rep.error.is_none(), "{sname}/{local}: {:?}", rep.error);
-            vals.push((local.to_string(), ms(elapsed)));
-            times.push(elapsed.as_secs_f64());
-        }
-        let speedup = times[1] / times[0];
-        let mut row = Row::new(sname);
-        for (k, v) in vals {
-            row = row.add(&k, v);
-        }
-        rows.push(row.add("DBToaster speedup", format!("{speedup:.1}x")));
-    }
-    rows
+/// Figure 8: `sql` run with each local algorithm under each hypercube
+/// scheme; reports runtimes and the DBToaster speedup.
+pub fn fig8_localjoins(session: &mut Session, sql: &str) -> Vec<Row> {
+    SCHEMES
+        .into_iter()
+        .map(|(sname, kind)| {
+            let mut row = Row::new(sname);
+            let mut times = Vec::new();
+            for local in [LocalJoinKind::DBToaster, LocalJoinKind::Traditional] {
+                let (_, elapsed) = run_forced(session, sql, kind, local);
+                row = row.add(&local.to_string(), ms(elapsed));
+                times.push(elapsed.as_secs_f64());
+            }
+            row.add("DBToaster speedup", format!("{:.1}x", times[1] / times[0]))
+        })
+        .collect()
 }
 
 /// All three Figure-8 workloads, plus a join-product-skew variant of the
@@ -482,26 +551,24 @@ pub fn fig8_localjoins(q: &QueryInstance, machines: usize) -> Vec<Row> {
 /// comparison cannot show (see EXPERIMENTS.md).
 pub fn fig8_all(scale: f64) -> Vec<(String, Vec<Row>)> {
     let tpch = TpchGen::new(scale, 2.0, 13).generate();
-    let mut out = Vec::new();
-    out.push((
-        format!("Fig 8a: TPCH9-Partial {scale}u/8J (zipf 2)"),
-        fig8_localjoins(&queries::tpch9_partial(&tpch, true), 8),
-    ));
-    out.push((
-        format!("Fig 8b: TPC-H Q3 {scale}u/8J (zipf 2)"),
-        fig8_localjoins(&queries::tpch_q3(&tpch), 8),
-    ));
+    let mut tpch = figure_session(8, tpch_tables(&tpch));
     let gd = google_cluster::generate((8000.0 * scale) as usize, 14);
-    out.push((
-        "Fig 8c: Google TaskCount 8J".into(),
-        fig8_localjoins(&queries::google_taskcount(&gd), 8),
-    ));
     let arcs = WebGraphGen::new(1200, 8_000, 15).generate();
-    out.push((
-        "Fig 8d (supplementary): 3-Reachability, hub graph (join product skew)".into(),
-        fig8_localjoins(&queries::reachability3(&arcs), 9),
-    ));
-    out
+    vec![
+        (
+            format!("Fig 8a: TPCH9-Partial {scale}u/8J (zipf 2)"),
+            fig8_localjoins(&mut tpch, TPCH9_PARTIAL),
+        ),
+        (format!("Fig 8b: TPC-H Q3 {scale}u/8J (zipf 2)"), fig8_localjoins(&mut tpch, TPCH_Q3)),
+        (
+            "Fig 8c: Google TaskCount 8J".into(),
+            fig8_localjoins(&mut figure_session(8, google_tables(&gd)), TASK_COUNT),
+        ),
+        (
+            "Fig 8d (supplementary): 3-Reachability, hub graph (join product skew)".into(),
+            fig8_localjoins(&mut figure_session(9, [webgraph_table(arcs)]), REACHABILITY3),
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -518,14 +585,13 @@ pub fn abl_hash_imperfection() -> Vec<Row> {
         .map(|d| {
             let keys: Vec<Value> = (0..d as i64).map(Value::Int).collect();
             let hash_max = hash_assignment_max_keys(keys.clone(), p);
-            let map = KeyMapGrouping::new(0, keys, p);
-            // Round-robin assigns ⌈d/p⌉ keys to the fullest machine —
-            // the §5 optimum; `imbalance` certifies the ≤1 spread.
+            let per_machine = KeyMapGrouping::new(0, keys, p).keys_per_machine(p);
+            let map_max = per_machine.into_iter().max().unwrap_or(0);
+            // ⌈d/p⌉ keys on the fullest machine is the §5 optimum.
             let optimal = d.div_ceil(p);
-            debug_assert!(map.imbalance(p) <= 1);
             Row::new(format!("d={d}, p={p}"))
                 .add("hash: max keys/machine", hash_max)
-                .add("key map: max keys/machine", optimal)
+                .add("key map: max keys/machine", map_max)
                 .add("optimal", optimal)
                 .add("hash overload", format!("{:.2}x", hash_max as f64 / optimal as f64))
         })
@@ -668,6 +734,10 @@ mod tests {
         assert_eq!(rows[0].values[1].1, "0.688");
         assert_eq!(rows[1].values[1].1, "0.750");
         assert_eq!(rows[2].values[1].1, "0.365");
+        // Uniform loads: hash 0.266, random 0.750, hybrid 0.365.
+        assert_eq!(rows[0].values[0].1, "0.266");
+        assert_eq!(rows[1].values[0].1, "0.750");
+        assert_eq!(rows[2].values[0].1, "0.365");
     }
 
     #[test]
@@ -706,13 +776,48 @@ mod tests {
         assert_eq!(results[0], results[2]);
     }
 
+    /// The value under column `key` of `row`, parsed.
+    fn value<T: std::str::FromStr>(row: &Row, key: &str) -> T
+    where
+        T::Err: std::fmt::Debug,
+    {
+        let (_, v) = row.values.iter().find(|(k, _)| k == key).expect("column");
+        v.parse().unwrap()
+    }
+
+    /// §7.3: Hybrid-Hypercube matches or beats both Hash and Random. On
+    /// every Figure 7 configuration, at `repro`'s scales, Hybrid's max load
+    /// is within 5 % of the better of the two, and it replicates no more
+    /// than Random.
     #[test]
-    fn fig7_small_hybrid_beats_hash_max_load() {
-        let data = TpchGen::new(0.3, 2.0, 7).generate();
-        let q = queries::tpch9_partial(&data, true);
-        let rows = fig7_schemes(&q, 8, None);
-        let max_load = |i: usize| rows[i].values[1].1.parse::<u64>().unwrap();
-        assert!(max_load(2) < max_load(0), "hybrid {} vs hash {}", max_load(2), max_load(0));
+    fn fig7_hybrid_matches_hash_and_random_max_load() {
+        for (title, rows) in fig7_all(0.5, 1.5) {
+            let max_load = |i: usize| value::<u64>(&rows[i], "max load");
+            let rf = |i: usize| value::<f64>(&rows[i], "replication factor");
+            let best = max_load(0).min(max_load(1)) as f64;
+            assert!(
+                max_load(2) as f64 <= best * 1.05,
+                "{title}: hybrid {} vs hash {} / random {}",
+                max_load(2),
+                max_load(0),
+                max_load(1)
+            );
+            assert!(rf(2) <= rf(1), "{title}: hybrid rf {} vs random {}", rf(2), rf(1));
+        }
+    }
+
+    /// §5: hashing d ≈ p keys overloads the fullest machine by 2.00× /
+    /// 3.00× / 1.50× / 1.25× at d = 5 / 7 / 15 / 25, p = 8; the key map
+    /// holds ⌈d/p⌉ keys on its fullest machine.
+    #[test]
+    fn a1_hash_overload_and_key_map_load() {
+        let rows = abl_hash_imperfection();
+        let overload: Vec<String> =
+            rows.iter().map(|r| value::<String>(r, "hash overload")).collect();
+        assert_eq!(overload, ["2.00x", "3.00x", "1.50x", "1.25x"]);
+        for (row, d) in rows.iter().zip([5usize, 7, 15, 25]) {
+            assert_eq!(value::<usize>(row, "key map: max keys/machine"), d.div_ceil(8), "d={d}");
+        }
     }
 
     #[test]

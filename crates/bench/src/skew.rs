@@ -45,16 +45,14 @@ impl KeyMapGrouping {
         KeyMapGrouping { column, map }
     }
 
-    /// Largest number of keys mapped to any one machine minus the smallest
-    /// — always 0 or 1 by construction (the §5 optimality criterion).
-    pub fn imbalance(&self, machines: usize) -> usize {
+    /// Keys mapped to each of `machines` machines: ⌈d/p⌉ on the fullest and
+    /// ⌊d/p⌋ on the emptiest for `d` keys by construction (the §5 optimum).
+    pub fn keys_per_machine(&self, machines: usize) -> Vec<usize> {
         let mut counts = vec![0usize; machines];
         for &m in self.map.values() {
             counts[m] += 1;
         }
-        let max = counts.iter().copied().max().unwrap_or(0);
-        let min = counts.iter().copied().min().unwrap_or(0);
-        max - min
+        counts
     }
 }
 
@@ -151,15 +149,17 @@ mod tests {
     #[test]
     fn round_robin_is_within_one() {
         for (d, p) in [(5usize, 8usize), (7, 8), (15, 8), (25, 8), (8, 8), (9, 8)] {
-            let g = KeyMapGrouping::new(0, (0..d as i64).map(Value::Int), p);
-            assert!(g.imbalance(p) <= 1, "d={d}, p={p}");
+            let counts =
+                KeyMapGrouping::new(0, (0..d as i64).map(Value::Int), p).keys_per_machine(p);
+            assert_eq!(counts.iter().max(), Some(&d.div_ceil(p)), "d={d}, p={p}");
+            assert_eq!(counts.iter().min(), Some(&(d / p)), "d={d}, p={p}");
         }
     }
 
     #[test]
     fn exact_multiple_is_perfectly_even() {
         let g = KeyMapGrouping::new(0, (0..16i64).map(Value::Int), 8);
-        assert_eq!(g.imbalance(8), 0);
+        assert_eq!(g.keys_per_machine(8), vec![2; 8]);
     }
 
     #[test]

@@ -16,15 +16,14 @@
 //!   FAIL events, preserving the trace's relative sizes ("the total size
 //!   of Machine_Events and Job_Events is only 14.5% of Task_Events").
 //! * [`streams`] — ordered/shuffled streams for the §5 temporal-skew ablation.
-//! * [`queries`] — the paper's evaluation queries as [`MultiJoinSpec`]s
-//!   (3-Reachability, TPCH9-Partial, TPC-H Q3, WebAnalytics, Google
-//!   TaskCount).
+//!
+//! The crate holds data only. The paper's queries are SQL text, run over
+//! these relations through a `Session` (the figure harness, `squall-bench`),
+//! so their skew marks, join order and scheme come from the engine's
+//! statistics and optimizer, as they do for a user.
 
 pub mod crawlcontent;
 pub mod google_cluster;
-pub mod queries;
 pub mod streams;
 pub mod tpch;
 pub mod webgraph;
-
-pub use squall_expr::MultiJoinSpec;

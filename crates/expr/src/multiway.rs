@@ -258,27 +258,6 @@ impl MultiJoinSpec {
         }
         seen.into_iter().all(|s| s)
     }
-
-    /// Is the relation graph acyclic (a tree/forest over relation pairs)?
-    /// The DBToaster local operator of §3.3 targets acyclic joins; cyclic
-    /// joins fall back to the traditional local operator.
-    pub fn is_acyclic(&self) -> bool {
-        // Count distinct relation-pair edges; a connected graph is a tree
-        // iff #edges == #nodes - 1.
-        let mut pairs: Vec<(usize, usize)> = self
-            .atoms
-            .iter()
-            .map(|a| {
-                let (x, y) = (a.left_rel.min(a.right_rel), a.left_rel.max(a.right_rel));
-                (x, y)
-            })
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        // A forest has edges <= nodes - components; with connectivity it's
-        // exactly nodes - 1.
-        pairs.len() < self.relations.len() || self.relations.len() == 1
-    }
 }
 
 #[cfg(test)]
@@ -365,12 +344,11 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_and_acyclicity() {
+    fn connectivity() {
         let spec = rst(1);
         assert!(spec.is_connected());
-        assert!(spec.is_acyclic());
 
-        // Triangle R-S, S-T, R-T is cyclic.
+        // Triangle R-S, S-T, R-T.
         let mk = |n: &str| RelationDef::new(n, Schema::of(&[("a", DataType::Int)]), 1);
         let tri = MultiJoinSpec::new(
             vec![mk("R"), mk("S"), mk("T")],
@@ -378,7 +356,6 @@ mod tests {
         )
         .unwrap();
         assert!(tri.is_connected());
-        assert!(!tri.is_acyclic());
 
         // Disconnected pair.
         let disc = MultiJoinSpec::new(vec![mk("R"), mk("S")], vec![]).unwrap();

@@ -4,15 +4,93 @@
 //! oracle — and checked SQL-vs-imperative: both interfaces must lower to
 //! the same plan and produce identical rows *and* identical run reports.
 
-use squall::common::{Tuple, Value};
-use squall::data::tpch::{self, TpchGen};
-use squall::data::webgraph::{WebGraphGen, HUB};
-use squall::data::{crawlcontent, google_cluster, queries};
+use squall::common::{Schema, Tuple, Value};
+use squall::data::crawlcontent;
+use squall::data::google_cluster::{self, GoogleClusterData, FAIL};
+use squall::data::tpch::{self, TpchData, TpchGen};
+use squall::data::webgraph::{webgraph_schema, WebGraphGen, HUB};
 use squall::engine::driver::{run_multiway, LocalJoinKind, MultiwayConfig};
+use squall::expr::{JoinAtom, MultiJoinSpec, RelationDef};
 use squall::join::naive::{naive_join, same_multiset};
 use squall::partition::optimizer::SchemeKind;
 use squall::session::JoinReport;
 use squall::{col, count, lit, sum, ResultSet, Session};
+use squall_bench::{
+    crawlcontent_table, figure_session, google_tables, reachability3_spec, tpch9_partial_spec,
+    webgraph_table,
+};
+
+/// A query written by hand: its spec and one input per relation. The
+/// oracle (`naive_join`) and the `run_multiway` cases read these, so they
+/// stay independent of the planner the SQL runs through. The figures'
+/// hand specs (`reachability3_spec`, `tpch9_partial_spec`) come from
+/// `squall_bench`.
+type HandQuery = (MultiJoinSpec, Vec<Vec<Tuple>>);
+
+fn hand_query(rels: Vec<(&str, Schema, Vec<Tuple>)>, atoms: Vec<JoinAtom>) -> HandQuery {
+    let defs = rels.iter().map(|(n, s, rows)| RelationDef::new(*n, s.clone(), rows.len() as u64));
+    let spec = MultiJoinSpec::new(defs.collect(), atoms).unwrap();
+    (spec, rels.into_iter().map(|(_, _, rows)| rows).collect())
+}
+
+/// §7.2 — 3-Reachability over three copies of `arcs`.
+fn reachability3(arcs: &[Tuple]) -> HandQuery {
+    (reachability3_spec(arcs.len() as u64), vec![arcs.to_vec(); 3])
+}
+
+/// §7.3 — TPCH9-Partial, LINEITEM.partkey marked skewed.
+fn tpch9_partial(d: &TpchData) -> HandQuery {
+    (tpch9_partial_spec(d), vec![d.lineitem.clone(), d.partsupp.clone(), d.part.clone()])
+}
+
+/// §7.4 — TPC-H Q3's join core.
+fn tpch_q3(d: &TpchData) -> HandQuery {
+    hand_query(
+        vec![
+            ("CUSTOMER", tpch::customer_schema(), d.customer.clone()),
+            ("ORDERS", tpch::orders_schema(), d.orders.clone()),
+            ("LINEITEM", tpch::lineitem_schema(), d.lineitem.clone()),
+        ],
+        vec![
+            JoinAtom::eq(0, 0, 1, 1), // C.custkey = O.custkey
+            JoinAtom::eq(1, 0, 2, 0), // O.orderkey = L.orderkey
+        ],
+    )
+}
+
+/// §7.3 — WebAnalytics' join, its hub selections applied to the inputs.
+/// Output columns 0 and 5 are W1.FromUrl and C.Score.
+fn webanalytics(arcs: &[Tuple], content: &[Tuple]) -> HandQuery {
+    let hub = |col: usize| arcs.iter().filter(move |t| t.get(col) == &Value::Int(HUB)).cloned();
+    hand_query(
+        vec![
+            ("W1", webgraph_schema(), hub(1).collect()),
+            ("W2", webgraph_schema(), hub(0).collect()),
+            ("C", crawlcontent::crawlcontent_schema(), content.to_vec()),
+        ],
+        vec![
+            JoinAtom::eq(0, 1, 1, 0), // W1.ToUrl = W2.FromUrl
+            JoinAtom::eq(0, 0, 2, 0), // W1.FromUrl = C.Url
+        ],
+    )
+}
+
+/// §7.4 — Google TaskCount's join, the FAIL selection applied to
+/// TASK_EVENTS. Output columns 6 and 7 are M.machineID and M.platform.
+fn google_taskcount(d: &GoogleClusterData) -> HandQuery {
+    let failed = d.task_events.iter().filter(|t| t.get(2) == &Value::Int(FAIL)).cloned();
+    hand_query(
+        vec![
+            ("JOB_EVENTS", google_cluster::job_events_schema(), d.job_events.clone()),
+            ("TASK_EVENTS", google_cluster::task_events_schema(), failed.collect()),
+            ("MACHINE_EVENTS", google_cluster::machine_events_schema(), d.machine_events.clone()),
+        ],
+        vec![
+            JoinAtom::eq(0, 0, 1, 0), // J.jobID = T.jobID
+            JoinAtom::eq(2, 0, 1, 1), // M.machineID = T.machineID
+        ],
+    )
+}
 
 /// Group-by-count oracle over join output.
 fn oracle_group_count(joined: &[Tuple], cols: &[usize]) -> Vec<Tuple> {
@@ -57,12 +135,12 @@ fn assert_equivalent(mut sql: ResultSet, mut imperative: ResultSet) {
 #[test]
 fn reachability3_all_schemes_agree_with_oracle() {
     let arcs = WebGraphGen::new(150, 900, 3).generate();
-    let q = queries::reachability3(&arcs);
-    let oracle = naive_join(&q.spec, &q.data);
+    let (spec, data) = reachability3(&arcs);
+    let oracle = naive_join(&spec, &data);
     assert!(!oracle.is_empty());
     for scheme in [SchemeKind::Hash, SchemeKind::Random, SchemeKind::Hybrid] {
         let cfg = MultiwayConfig::new(scheme, LocalJoinKind::DBToaster, 9).count_only();
-        let rep = run_multiway(&q.spec, q.data.clone(), &cfg).unwrap();
+        let rep = run_multiway(&spec, data.clone(), &cfg).unwrap();
         assert!(rep.error.is_none());
         assert_eq!(rep.result_count, oracle.len() as u64, "{scheme}");
     }
@@ -71,33 +149,19 @@ fn reachability3_all_schemes_agree_with_oracle() {
 #[test]
 fn tpch9_partial_counts_match_oracle_under_skew() {
     let data = TpchGen::new(0.2, 2.0, 5).generate();
-    let q = queries::tpch9_partial(&data, true);
-    let oracle = naive_join(&q.spec, &q.data);
+    let (spec, rels) = tpch9_partial(&data);
+    let oracle = naive_join(&spec, &rels);
     for scheme in [SchemeKind::Hash, SchemeKind::Random, SchemeKind::Hybrid] {
         for local in [LocalJoinKind::Traditional, LocalJoinKind::DBToaster] {
             let cfg = MultiwayConfig::new(scheme, local, 8).count_only();
-            let rep = run_multiway(&q.spec, q.data.clone(), &cfg).unwrap();
+            let rep = run_multiway(&spec, rels.clone(), &cfg).unwrap();
             assert_eq!(rep.result_count, oracle.len() as u64, "{scheme} {local}");
         }
     }
 }
 
-fn google_session(trace: &google_cluster::GoogleClusterData) -> Session {
-    let mut session = Session::builder().machines(4).build();
-    session
-        .register(
-            "MACHINE_EVENTS",
-            google_cluster::machine_events_schema(),
-            trace.machine_events.clone(),
-        )
-        .unwrap();
-    session
-        .register("JOB_EVENTS", google_cluster::job_events_schema(), trace.job_events.clone())
-        .unwrap();
-    session
-        .register("TASK_EVENTS", google_cluster::task_events_schema(), trace.task_events.clone())
-        .unwrap();
-    session
+fn google_session(trace: &GoogleClusterData) -> Session {
+    figure_session(4, google_tables(trace))
 }
 
 const GOOGLE_TASKCOUNT_SQL: &str =
@@ -128,10 +192,10 @@ fn google_taskcount_sql_end_to_end() {
     let session = google_session(&trace);
     let mut res = session.sql(GOOGLE_TASKCOUNT_SQL).unwrap();
 
-    // Oracle via the prepared query instance + group-count.
-    let q = queries::google_taskcount(&trace);
-    let joined = naive_join(&q.spec, &q.data);
-    let expected = oracle_group_count(&joined, &q.agg_group_cols);
+    // Oracle: the hand-written join, grouped and counted.
+    let (spec, rels) = google_taskcount(&trace);
+    let joined = naive_join(&spec, &rels);
+    let expected = oracle_group_count(&joined, &[6, 7]);
     assert_eq!(res.rows().len(), expected.len());
     assert!(same_multiset(res.rows(), &expected));
 }
@@ -146,12 +210,7 @@ fn google_taskcount_sql_equals_imperative() {
 }
 
 fn webanalytics_session(arcs: &[Tuple], content: &[Tuple]) -> Session {
-    let mut session = Session::builder().machines(4).build();
-    session.register("WebGraph", squall::data::webgraph::webgraph_schema(), arcs.to_vec()).unwrap();
-    session
-        .register("CrawlContent", crawlcontent::crawlcontent_schema(), content.to_vec())
-        .unwrap();
-    session
+    figure_session(4, [webgraph_table(arcs.to_vec()), crawlcontent_table(content.to_vec())])
 }
 
 // HUB is integer id 0 in the synthetic graph.
@@ -183,13 +242,12 @@ fn webanalytics_sql_end_to_end() {
     let session = webanalytics_session(&arcs, &content);
     let mut res = session.sql(WEBANALYTICS_SQL).unwrap();
 
-    let q = queries::webanalytics(&arcs, &content);
-    let joined = naive_join(&q.spec, &q.data);
-    let expected = oracle_group_count(&joined, &q.agg_group_cols);
+    let (spec, rels) = webanalytics(&arcs, &content);
+    let joined = naive_join(&spec, &rels);
+    let expected = oracle_group_count(&joined, &[0, 5]);
     assert_eq!(res.rows().len(), expected.len());
     assert!(same_multiset(res.rows(), &expected));
     assert!(!res.rows().is_empty(), "hub must have 2-hop paths");
-    let _ = HUB;
 }
 
 #[test]
@@ -241,8 +299,8 @@ fn q3_functional_interface_end_to_end() {
         .run()
         .unwrap();
 
-    let qi = queries::tpch_q3(&data);
-    let oracle = naive_join(&qi.spec, &qi.data);
+    let (spec, rels) = tpch_q3(&data);
+    let oracle = naive_join(&spec, &rels);
     assert_eq!(res.rows()[0].get(0).as_int().unwrap(), oracle.len() as i64);
 
     // And the SQL twin agrees, rows and report.
@@ -267,18 +325,18 @@ fn q3_functional_interface_end_to_end() {
 #[test]
 fn multiway_equals_pipeline_equals_oracle() {
     let arcs = WebGraphGen::new(120, 700, 21).generate();
-    let q = queries::reachability3(&arcs);
-    let oracle = naive_join(&q.spec, &q.data);
+    let (spec, data) = reachability3(&arcs);
+    let oracle = naive_join(&spec, &data);
     let multi = run_multiway(
-        &q.spec,
-        q.data.clone(),
+        &spec,
+        data.clone(),
         &MultiwayConfig::new(SchemeKind::Hybrid, LocalJoinKind::DBToaster, 4),
     )
     .unwrap();
     assert!(same_multiset(&multi.results, &oracle));
     let pipe = squall_bench::run_pipeline(
-        &q.spec,
-        q.data.clone(),
+        &spec,
+        data.clone(),
         &[0, 1, 2],
         4,
         LocalJoinKind::Traditional,
@@ -304,8 +362,8 @@ fn os_thread_count() -> Option<usize> {
 #[test]
 fn oversubscribed_pool_matches_baseline_results() {
     let arcs = WebGraphGen::new(150, 900, 3).generate();
-    let q = queries::reachability3(&arcs);
-    let oracle = naive_join(&q.spec, &q.data);
+    let (spec, data) = reachability3(&arcs);
+    let oracle = naive_join(&spec, &data);
     assert!(!oracle.is_empty());
 
     // 64 join machines + 3 spout tasks + sink work on a 2-thread pool.
@@ -315,7 +373,7 @@ fn oversubscribed_pool_matches_baseline_results() {
 
     let baseline = os_thread_count();
     let mut stream =
-        squall::engine::driver::run_multiway_stream(&q.spec, q.data.clone(), &tight).unwrap();
+        squall::engine::driver::run_multiway_stream(&spec, data.clone(), &tight).unwrap();
     let mut rows: Vec<Tuple> = Vec::new();
     rows.extend(stream.by_ref().take(1)); // the pool is definitely live now
 
@@ -341,7 +399,7 @@ fn oversubscribed_pool_matches_baseline_results() {
     // results or routing).
     let mut roomy = MultiwayConfig::new(SchemeKind::Hybrid, LocalJoinKind::DBToaster, 64);
     roomy.worker_threads = Some(8);
-    let baseline_report = run_multiway(&q.spec, q.data.clone(), &roomy).unwrap();
+    let baseline_report = run_multiway(&spec, data.clone(), &roomy).unwrap();
     let mut baseline_rows = baseline_report.results.clone();
     baseline_rows.sort();
     rows.sort();
@@ -354,12 +412,12 @@ fn oversubscribed_pool_matches_baseline_results() {
 #[test]
 fn oversubscribed_abort_drains_and_terminates() {
     let data = TpchGen::new(0.5, 2.0, 6).generate();
-    let q = queries::tpch9_partial(&data, true);
+    let (spec, rels) = tpch9_partial(&data);
     let mut cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 64)
         .count_only()
         .with_budget(50);
     cfg.worker_threads = Some(2);
-    let rep = run_multiway(&q.spec, q.data.clone(), &cfg).unwrap();
+    let rep = run_multiway(&spec, rels.clone(), &cfg).unwrap();
     assert!(matches!(rep.error, Some(squall::common::SquallError::MemoryOverflow { .. })));
     assert!(rep.loads.iter().sum::<u64>() > 0, "partial loads for extrapolation");
     assert_eq!(rep.scheduler.workers, 2);
@@ -368,11 +426,11 @@ fn oversubscribed_abort_drains_and_terminates() {
 #[test]
 fn memory_overflow_reports_partial_metrics() {
     let data = TpchGen::new(0.5, 2.0, 6).generate();
-    let q = queries::tpch9_partial(&data, true);
+    let (spec, rels) = tpch9_partial(&data);
     let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 8)
         .count_only()
         .with_budget(200);
-    let rep = run_multiway(&q.spec, q.data.clone(), &cfg).unwrap();
+    let rep = run_multiway(&spec, rels.clone(), &cfg).unwrap();
     assert!(matches!(rep.error, Some(squall::common::SquallError::MemoryOverflow { .. })));
     assert!(rep.loads.iter().sum::<u64>() > 0, "partial loads for extrapolation");
 }
