@@ -542,6 +542,44 @@ mod tests {
         assert!(dist.results.is_empty());
     }
 
+    /// A count-only run ships each source's join keys only: on sparse keys
+    /// (few results) its wire bytes stay under 0.65× those of the same join
+    /// collecting its rows. A byte count, not a timing.
+    #[test]
+    fn count_only_ships_join_keys_only() {
+        use squall_common::{tuple, SplitMix64, Tuple};
+        let three = |names: [&str; 3]| Schema::of(&names.map(|n| (n, DataType::Int)));
+        let spec = MultiJoinSpec::new(
+            vec![
+                RelationDef::new("R", three(["a", "b", "y"]), 300),
+                RelationDef::new("S", three(["y", "c", "z"]), 300),
+                RelationDef::new("T", three(["z", "d", "e"]), 300),
+            ],
+            vec![JoinAtom::eq(0, 2, 1, 0), JoinAtom::eq(1, 2, 2, 0)],
+        )
+        .unwrap();
+        let mut rng = SplitMix64::new(3);
+        let mut row =
+            || tuple![rng.next_range(0, 2000), rng.next_range(0, 2000), rng.next_range(0, 2000)];
+        let data: Vec<Vec<Tuple>> = (0..3).map(|_| (0..300).map(|_| row()).collect()).collect();
+        let run = |cfg: MultiwayConfig| {
+            let (addrs, handles) = spawn_workers(1);
+            let cfg = MultiwayConfig { cluster: Some(ClusterSpec::new(addrs)), ..cfg };
+            let report = crate::driver::run_multiway(&spec, data.clone(), &cfg).unwrap();
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert!(report.error.is_none(), "{:?}", report.error);
+            let wire = report.transport.expect("a clustered run reports its wire");
+            (report.result_count, wire.total_bytes_sent() + wire.total_bytes_received())
+        };
+        let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 4);
+        let (results, whole) = run(cfg.clone());
+        let (count, keys) = run(cfg.count_only());
+        assert!(results > 0 && count == results, "{count} counted vs {results} collected");
+        assert!(keys * 100 <= whole * 65, "count-only shipped {keys} B, whole rows {whole} B");
+    }
+
     #[test]
     fn loopback_cluster_abort_drains_with_typed_error() {
         let spec = rst_spec();

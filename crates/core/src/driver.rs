@@ -164,6 +164,9 @@ impl MultiwayConfig {
         self
     }
 
+    /// Count the join results, collect none (`collect_results = false`).
+    /// Without a window or an `agg`, every source then ships only its
+    /// join-key columns: the driver cuts them before routing.
     pub fn count_only(mut self) -> MultiwayConfig {
         self.collect_results = false;
         self
@@ -310,18 +313,12 @@ impl JoinReport {
     }
 }
 
-/// `kind`'s join over `spec`; `minimal` when the aggregate behind it reads
-/// no column.
-fn make_local(kind: LocalJoinKind, spec: &MultiJoinSpec, minimal: bool) -> Box<dyn LocalJoin> {
-    match (kind, minimal) {
-        (LocalJoinKind::Traditional, _) => Box::new(TraditionalJoin::new(spec)),
-        // An aggregate that reads no column lets DBToaster run with
-        // aggregated views (§3.3) — the configuration the paper's Figure 8
-        // measures.
-        (LocalJoinKind::DBToaster, true) => {
-            Box::new(squall_join::dbtoaster::AggregatedDBToaster::minimal(spec))
-        }
-        (LocalJoinKind::DBToaster, false) => Box::new(DBToasterJoin::new(spec)),
+/// `kind`'s join over `spec`. A count-only run's spec is already cut to its
+/// join keys ([`assemble`]), so no task projects its arrivals.
+fn make_local(kind: LocalJoinKind, spec: &MultiJoinSpec) -> Box<dyn LocalJoin> {
+    match kind {
+        LocalJoinKind::Traditional => Box::new(TraditionalJoin::new(spec)),
+        LocalJoinKind::DBToaster => Box::new(DBToasterJoin::new(spec)),
     }
 }
 
@@ -525,14 +522,25 @@ pub(crate) fn assemble(
         let aggs = vec![AggSpec::count()];
         count_only.then(|| AggPlan { group_cols: Vec::new(), aggs, parallelism: 1 })
     });
-    // Windowed joins always materialize result tuples inside the bolt
-    // (the window predicate reads their event-time columns), so the
-    // aggregated views — which elide every column but the join keys —
-    // serve a full-history aggregate that reads no column.
+    // A full-history aggregate that reads no column needs only each
+    // relation's join keys (§3.3's aggregated views): every source is cut to
+    // them before it is routed, and the scheme and the join tasks run over
+    // the cut spec (workers cut the shipped spec the same way). Windowed
+    // joins keep whole rows: the window predicate reads event-time columns.
     let minimal_views = cfg.window.is_none()
         && agg.as_ref().is_some_and(|a| {
             a.group_cols.is_empty() && a.aggs.iter().all(|s| s.func == AggFunc::Count)
         });
+    let mut data: Vec<Source> = data.into_iter().map(Into::into).collect();
+    let cut = minimal_views.then(|| spec.project(&vec![Vec::new(); spec.n_relations()]));
+    if let Some((_, kept)) = &cut {
+        for ((source, cols), def) in data.iter_mut().zip(kept).zip(&spec.relations) {
+            if cols.len() < def.schema.arity() {
+                source.narrow(cols);
+            }
+        }
+    }
+    let spec = cut.as_ref().map_or(spec, |(cut, _)| cut);
     // Every aggregate's first phase runs in the join tasks; a windowed
     // one's forward their event-time watermarks behind their partials so
     // the shards can close windows while the stream still runs. The
@@ -543,7 +551,7 @@ pub(crate) fn assemble(
     let task_arities = arities.clone();
     let (mut b, mut ctx) = wire_join_stage(
         spec,
-        data.into_iter().map(Into::into).collect(),
+        data,
         cfg,
         |_rel, source| {
             let shared = Arc::new(source);
@@ -551,7 +559,7 @@ pub(crate) fn assemble(
                 Box::new(IterSpoutVec::over(Arc::clone(&shared), 0, 1))
             })
         },
-        move |spec| make_local(local, spec, minimal_views),
+        move |spec| make_local(local, spec),
         move |join| {
             let bolt = JoinBolt::over(join);
             Box::new(match &first_phase {
@@ -736,7 +744,7 @@ impl Iterator for MultiwayStream {
 mod tests {
     use super::*;
     use squall_common::{tuple, DataType, Schema, SplitMix64, Value};
-    use squall_expr::{BinOp, JoinAtom, RelationDef, ScalarExpr};
+    use squall_expr::{BinOp, CmpOp, JoinAtom, RelationDef, ScalarExpr};
     use squall_join::naive::{naive_join, same_multiset};
 
     fn rst_spec(skew_z: bool) -> MultiJoinSpec {
@@ -800,6 +808,49 @@ mod tests {
         let report = run_multiway(&spec, data, &cfg).unwrap();
         assert!(report.results.is_empty());
         assert_eq!(report.result_count, oracle.len() as u64);
+    }
+
+    /// A count-only run cuts each source to its join keys before routing;
+    /// its count and loads equal a whole-row run's under every scheme and
+    /// local join. R's key is its second column, S and T each drop a column,
+    /// and under Random and Hybrid (Hash routes no theta atom) S and T also
+    /// compare through a theta atom.
+    #[test]
+    fn count_only_join_keys_match_whole_rows() {
+        let ints = |names: &[&str]| {
+            Schema::of(&names.iter().map(|&n| (n, DataType::Int)).collect::<Vec<_>>())
+        };
+        let relations = vec![
+            RelationDef::new("R", ints(&["pad", "k"]), 60),
+            RelationDef::new("S", ints(&["k", "v", "j", "x"]), 60),
+            RelationDef::new("T", ints(&["w", "j", "junk"]), 60),
+        ];
+        let mut rng = SplitMix64::new(11);
+        let mut row = |arity| Tuple::new((0..arity).map(|_| rng.next_range(0, 6).into()).collect());
+        let data: Vec<Vec<Tuple>> =
+            relations.iter().map(|r| (0..60).map(|_| row(r.schema.arity())).collect()).collect();
+        for scheme in [SchemeKind::Hash, SchemeKind::Random, SchemeKind::Hybrid] {
+            let mut atoms = vec![JoinAtom::eq(0, 1, 1, 0), JoinAtom::eq(1, 2, 2, 1)];
+            if scheme != SchemeKind::Hash {
+                atoms.push(JoinAtom {
+                    left_rel: 1,
+                    left_col: 3,
+                    op: CmpOp::Lt,
+                    right_rel: 2,
+                    right_col: 0,
+                });
+            }
+            let spec = MultiJoinSpec::new(relations.clone(), atoms).unwrap();
+            for local in [LocalJoinKind::Traditional, LocalJoinKind::DBToaster] {
+                let whole = MultiwayConfig::new(scheme, local, 8);
+                let rows = run_multiway(&spec, data.clone(), &whole).unwrap();
+                let counted = run_multiway(&spec, data.clone(), &whole.count_only()).unwrap();
+                assert!(rows.error.is_none() && counted.error.is_none(), "{scheme} {local}");
+                assert!(rows.results.len() > 100, "{scheme} {local}: too few results");
+                assert_eq!(counted.result_count, rows.results.len() as u64, "{scheme} {local}");
+                assert_eq!(counted.loads, rows.loads, "{scheme} {local}");
+            }
+        }
     }
 
     #[test]

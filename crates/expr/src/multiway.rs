@@ -230,6 +230,39 @@ impl MultiJoinSpec {
         out
     }
 
+    /// The spec cut to what a consumer of result multiplicities reads
+    /// (§3.3's aggregated views): each relation keeps its atom columns plus
+    /// `extra[rel]`, sorted (its first column when that leaves none), and
+    /// the atoms are relabelled onto them. Returns the cut spec and each
+    /// relation's kept columns. The join result's multiset cardinality per
+    /// kept-column combination is unchanged.
+    pub fn project(&self, extra: &[Vec<usize>]) -> (MultiJoinSpec, Vec<Vec<usize>>) {
+        assert_eq!(extra.len(), self.n_relations());
+        let mut kept = extra.to_vec();
+        for a in &self.atoms {
+            kept[a.left_rel].push(a.left_col);
+            kept[a.right_rel].push(a.right_col);
+        }
+        for (cols, def) in kept.iter_mut().zip(&self.relations) {
+            cols.sort_unstable();
+            cols.dedup();
+            if cols.is_empty() && def.schema.arity() > 0 {
+                cols.push(0);
+            }
+        }
+        let relations = std::iter::zip(&self.relations, &kept)
+            .map(|(def, cols)| RelationDef::new(&def.name, def.schema.project(cols), def.est_size))
+            .collect();
+        let at = |rel: usize, col: usize| kept[rel].binary_search(&col).expect("an atom column");
+        let relabel = |a: &JoinAtom| JoinAtom {
+            left_col: at(a.left_rel, a.left_col),
+            right_col: at(a.right_rel, a.right_col),
+            ..*a
+        };
+        let atoms = self.atoms.iter().map(relabel).collect();
+        (MultiJoinSpec { relations, atoms }, kept)
+    }
+
     /// Is the *relation graph* (relations as nodes, an edge per atom pair)
     /// connected? Disconnected join graphs imply Cartesian products, which
     /// Squall rejects in multi-way operators.

@@ -435,7 +435,9 @@ impl LocalJoin for DBToasterJoin {
 /// so duplicate keys collapse into multiplicities and a hot-key arrival
 /// probes O(distinct keys) instead of enumerating O(matches) stored
 /// tuples. Results come out as `(projected tuple, multiplicity)` — exactly
-/// what COUNT/SUM consumers need.
+/// what COUNT/SUM consumers need. It projects each arrival itself, for
+/// direct callers: the engine's count-only runs cut their sources to the
+/// same columns before routing and run a plain [`DBToasterJoin`].
 pub struct AggregatedDBToaster {
     inner: DBToasterJoin,
     /// Per relation: its arity, and the original columns retained (sorted).
@@ -447,58 +449,9 @@ pub struct AggregatedDBToaster {
 
 impl AggregatedDBToaster {
     /// Keep only join-key columns plus `extra[rel]` (columns the
-    /// downstream aggregate reads). Correctness: projection preserves the
-    /// join result's *multiset cardinality* per retained column
-    /// combination, which is exactly what weighted consumers use.
+    /// downstream aggregate reads), as [`MultiJoinSpec::project`] cuts them.
     pub fn new(spec: &MultiJoinSpec, extra: &[Vec<usize>]) -> AggregatedDBToaster {
-        use squall_expr::RelationDef;
-        assert_eq!(extra.len(), spec.n_relations());
-        let mut kept: Vec<Vec<usize>> = vec![Vec::new(); spec.n_relations()];
-        for a in &spec.atoms {
-            for &(r, c) in &[(a.left_rel, a.left_col), (a.right_rel, a.right_col)] {
-                if !kept[r].contains(&c) {
-                    kept[r].push(c);
-                }
-            }
-        }
-        for (r, cols) in extra.iter().enumerate() {
-            for &c in cols {
-                if !kept[r].contains(&c) {
-                    kept[r].push(c);
-                }
-            }
-        }
-        for cols in &mut kept {
-            if cols.is_empty() {
-                cols.push(0);
-            }
-            cols.sort_unstable();
-        }
-        // Projected spec: schemas narrowed, atoms remapped.
-        let relations: Vec<RelationDef> = spec
-            .relations
-            .iter()
-            .enumerate()
-            .map(|(r, def)| {
-                RelationDef::new(def.name.clone(), def.schema.project(&kept[r]), def.est_size)
-            })
-            .collect();
-        let narrowed = |rel: usize, col: usize| {
-            kept[rel].iter().position(|&c| c == col).expect("kept holds every atom column")
-        };
-        let atoms = spec
-            .atoms
-            .iter()
-            .map(|a| squall_expr::JoinAtom {
-                left_rel: a.left_rel,
-                left_col: narrowed(a.left_rel, a.left_col),
-                op: a.op,
-                right_rel: a.right_rel,
-                right_col: narrowed(a.right_rel, a.right_col),
-            })
-            .collect();
-        let projected =
-            MultiJoinSpec::new(relations, atoms).expect("projection preserves validity");
+        let (projected, kept) = spec.project(extra);
         AggregatedDBToaster {
             inner: DBToasterJoin::new(&projected),
             arities: spec.relations.iter().map(|r| r.schema.arity()).collect(),

@@ -743,7 +743,9 @@ impl RunHandle {
             .take()
             .unwrap_or_else(Instant::now);
         let elapsed = finished.duration_since(self.start);
-        let error = self.shared.error.lock().expect("error slot poisoned").take();
+        // Cloned, not taken: a cluster link's send pump may not have shipped
+        // the abort yet, and must ship this typed error, not an untyped one.
+        let error = self.shared.error_clone();
         RunOutcome { outputs, metrics: self.registry.snapshot(), elapsed, error }
     }
 }

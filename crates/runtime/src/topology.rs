@@ -144,6 +144,14 @@ impl Source {
         Source { data, ids, cols, derived, width }
     }
 
+    /// Cut every selected row further, to columns `cols` of its kept ones.
+    pub fn narrow(&mut self, cols: &[usize]) {
+        self.cols = Some(match &self.cols {
+            Some(kept) => cols.iter().map(|&c| kept[c]).collect(),
+            None => cols.to_vec(),
+        });
+    }
+
     /// Selected rows.
     pub fn len(&self) -> usize {
         self.ids.as_ref().map_or(self.data.len(), Vec::len)
