@@ -978,12 +978,12 @@ mod tests {
 
     /// A spout replaying a script: `Some(row)` emits the row, `None` a
     /// watermark at `u64::MAX`.
-    struct Script(std::vec::IntoIter<Option<Tuple>>);
+    struct Script(std::vec::IntoIter<Option<Tuple>>, Option<Tuple>);
 
     impl Spout for Script {
         fn poll(&mut self) -> SpoutPoll<'_> {
             match self.0.next() {
-                Some(Some(row)) => SpoutPoll::Tuple(row),
+                Some(Some(row)) => SpoutPoll::Row(self.1.insert(row)),
                 Some(None) => SpoutPoll::Watermark(u64::MAX),
                 None => SpoutPoll::Eos,
             }
@@ -1026,7 +1026,8 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let probe_seen = Arc::clone(&seen);
         let mut b = TopologyBuilder::new();
-        let src = b.add_spout("partials", 1, move |_| Box::new(Script(script.clone().into_iter())));
+        let src =
+            b.add_spout("partials", 1, move |_| Box::new(Script(script.clone().into_iter(), None)));
         let agg = b.add_bolt("agg", 1, |_| Box::new(windowed_bolt(WindowSpec::FullHistory)));
         let probe = b.add_bolt("probe", 1, move |_| Box::new(Probe(Arc::clone(&probe_seen))));
         b.connect(src, agg, Grouping::Global);

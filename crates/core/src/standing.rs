@@ -17,9 +17,10 @@
 //!   change of the join result multiset.
 //! * **epoch** — which `append()`/`retract()` round produced the delta.
 //!   The topology launches empty and the initial load is round 1, fed like
-//!   any other; every later round bumps the counter. A round pushes its
-//!   deltas to the owning relations' queues and an epoch watermark to
-//!   *all* queues.
+//!   any other; every later round bumps the counter. A round is queued
+//!   whole, one item per relation it touches, and an epoch watermark goes
+//!   to *all* queues; each spout appends the two columns as it reads the
+//!   round's rows in place.
 //!
 //! Trailing columns are invisible to routing: the partitioning scheme's
 //! groupings only read join-key columns, which sit below the original
@@ -68,8 +69,8 @@ use squall_join::{DBToasterJoin, GroupByAggregator, Snapshot, WindowSpec};
 use squall_partition::optimizer::build_scheme;
 use squall_runtime::transport::SnapshotBlobMsg;
 use squall_runtime::{
-    Bolt, ClusterRun, Grouping, LiveQueue, LiveSpout, NodeId, OutputCollector, RunHandle,
-    RunOutcome, Source, Spout, SpoutPoll, TaskWaker, Topology, TransportStats,
+    Bolt, ClusterRun, Grouping, LiveItem, LiveQueue, LiveSpout, NodeId, OutputCollector, RunHandle,
+    RunOutcome, Source, Spout, TaskWaker, Topology, TransportStats,
 };
 
 use crate::checkpoint::{
@@ -801,15 +802,6 @@ impl Bolt for ViewSinkBolt {
 // Assembly & launch
 // ---------------------------------------------------------------------
 
-/// Append the `[multiplicity, epoch]` bookkeeping columns to a payload
-/// row.
-fn tag_delta(row: &[Value], mult: i64, epoch: u64) -> Tuple {
-    let mut v = row.to_vec();
-    v.push(Value::Int(mult));
-    v.push(Value::Int(epoch as i64));
-    Tuple::new(v)
-}
-
 /// Build the resident topology for one standing view: the shared join
 /// stage ([`wire_join_stage`]) over empty live-queue spouts and the delta
 /// join, then the single view sink. `coordinator` carries the finalizer and
@@ -847,7 +839,7 @@ pub(crate) fn assemble_standing(
         // One live queue + one spout task per relation; every round, the
         // initial load included, arrives through the queue.
         |_rel, _source| {
-            let queue = Arc::new(LiveQueue::new());
+            let queue = Arc::new(LiveQueue::default());
             queues.push(Arc::clone(&queue));
             Box::new(move |_task| -> Box<dyn Spout> {
                 Box::new(LiveSpout::new(Arc::clone(&queue)))
@@ -944,17 +936,14 @@ impl Resident {
         }
     }
 
-    /// Feed one epoch: payload rows to their relations' queues, the epoch
+    /// Feed one epoch: each round to its relation's queue, the epoch
     /// watermark to *every* queue.
     fn feed(&self, epoch: u64, rounds: &[DeltaRound]) {
-        let mut buf = Vec::new();
         for (rel, rows, mult) in rounds {
-            let tagged = (0..rows.len())
-                .map(|k| SpoutPoll::Tuple(tag_delta(rows.row(k, &mut buf), *mult, epoch)));
-            self.queues[*rel].push_all(tagged);
+            self.queues[*rel].push(LiveItem::Round(Arc::clone(rows), *mult, epoch));
         }
         for q in &self.queues {
-            q.push(SpoutPoll::Watermark(epoch));
+            q.push(LiveItem::Watermark(epoch));
         }
         self.wake_sources();
     }
@@ -993,7 +982,7 @@ pub fn launch_standing(
     let mut run =
         Resident::boot(spec, cfg, (Arc::clone(&finalizer), Arc::clone(&shared)), None, None)?;
     let load: Vec<DeltaRound> =
-        data.into_iter().map(Into::into).enumerate().map(|(rel, rows)| (rel, rows, 1)).collect();
+        data.into_iter().enumerate().map(|(rel, rows)| (rel, Arc::new(rows.into()), 1)).collect();
     run.layout.input_counts = load.iter().map(|(_, rows, _)| rows.len() as u64).collect();
     run.feed(1, &load);
     let store = Arc::new(StoreSlot::new(CheckpointStore::new(run.layout.join_tasks)));
@@ -1091,8 +1080,9 @@ impl Filer {
 
 /// One signed delta round for [`StandingHandle::apply`]: the relation
 /// index, the (already source-transformed) payload rows as the scan selects
-/// them in place, and the weight (+1 append, −1 retract).
-pub type DeltaRound = (usize, Source, i64);
+/// them in place — shared by the queue and the replay log — and the weight
+/// (+1 append, −1 retract).
+pub type DeltaRound = (usize, Arc<Source>, i64);
 
 /// The coordinator-side handle of one resident view topology.
 pub struct StandingHandle {
@@ -1132,8 +1122,8 @@ impl StandingHandle {
         &self.run.layout.scheme_description
     }
 
-    /// Feed one round of signed deltas as a new epoch: payload rows go
-    /// to their relations' queues, the epoch watermark to *every* queue,
+    /// Feed one round of signed deltas as a new epoch: each relation's
+    /// rows go to its queue, the epoch watermark to *every* queue,
     /// and the (parked) spout tasks are woken. Returns the issued epoch;
     /// a subsequent [`StandingHandle::snapshot`] observes it.
     pub fn apply(&mut self, rounds: Vec<DeltaRound>) -> Result<u64> {
@@ -1171,7 +1161,7 @@ impl StandingHandle {
     fn checkpoint(&mut self, epoch: u64) {
         let Some(filer) = &self.filer else { return };
         for q in &self.run.queues {
-            q.push(SpoutPoll::Barrier(epoch));
+            q.push(LiveItem::Barrier(epoch));
         }
         self.run.wake_sources();
         let deadline = Instant::now() + CHECKPOINT_DEADLINE;
@@ -1335,6 +1325,12 @@ mod tests {
         standing_cfg().with_agg(AggPlan { group_cols, aggs, parallelism: 1 })
     }
 
+    /// `row ⊕ [1, epoch]` as a one-row chunk, the way a live spout ships it.
+    fn delta(row: Tuple, epoch: u64) -> Chunk {
+        let tag = [Value::Int(1), Value::Int(epoch as i64)];
+        Chunk::from_tuples(&[[&row[..], &tag].concat().into()])
+    }
+
     #[test]
     fn a_delta_ahead_of_its_turn_waits_for_the_earlier_epochs() {
         // R's epoch-2 row overtakes S's epoch-1 row (their spouts are
@@ -1349,7 +1345,6 @@ mod tests {
             budget: None,
         };
         let mut bolt = ViewJoinBolt::new(join, 2, None, 0);
-        let delta = |row: Tuple, epoch| Chunk::from_tuples(&[tag_delta(&row, 1, epoch)]);
         let mut out: Vec<Tuple> = Vec::new();
         let turn = bolt.forwarded + 1;
         bolt.apply_in_turn(R, &delta(tuple![1, 10], 2), turn, &mut |t| out.push(t.into())).unwrap();
@@ -1376,7 +1371,6 @@ mod tests {
         };
         let (tx, rx) = std::sync::mpsc::channel();
         let mut bolt = ViewJoinBolt::new(join, 2, Some(tx), 0);
-        let delta = |row: Tuple, epoch| Chunk::from_tuples(&[tag_delta(&row, 1, epoch)]);
         let discard = &mut |_: &[Value]| {};
         bolt.apply(R, &delta(tuple![1, 10], 16), discard).unwrap();
         bolt.apply(S, &delta(tuple![1, 100], 16), discard).unwrap();
@@ -1436,7 +1430,6 @@ mod tests {
         };
         let (tx, rx) = std::sync::mpsc::channel();
         let mut bolt = ViewJoinBolt::new(windowed(), 2, Some(tx), 0);
-        let delta = |row: Tuple, epoch| Chunk::from_tuples(&[tag_delta(&row, 1, epoch)]);
         let rounds = [
             vec![(R, tuple![1, 1]), (S, tuple![1, 2])],
             // S@13 lifts the watermark to 12: bucket [0, 10) closes.
@@ -1682,13 +1675,13 @@ mod tests {
         assert_eq!(rows, vec![tuple![1, 10, 1, 100]]);
 
         // Append a matching S row: one new join result.
-        h.apply(vec![(1, vec![tuple![1, 200]].into(), 1)]).unwrap();
+        h.apply(vec![(1, Arc::new(vec![tuple![1, 200]].into()), 1)]).unwrap();
         let mut rows = h.snapshot(Duration::from_secs(5)).unwrap();
         rows.sort();
         assert_eq!(rows, vec![tuple![1, 10, 1, 100], tuple![1, 10, 1, 200]]);
 
         // Retract the original R row: both results vanish.
-        h.apply(vec![(0, vec![tuple![1, 10]].into(), -1)]).unwrap();
+        h.apply(vec![(0, Arc::new(vec![tuple![1, 10]].into()), -1)]).unwrap();
         assert!(h.snapshot(Duration::from_secs(5)).unwrap().is_empty());
 
         let report = h.shutdown();
@@ -1712,7 +1705,7 @@ mod tests {
         let mut h = launch_standing(&spec, data, &cfg, project(2), Arc::clone(&shared)).unwrap();
         assert_eq!(h.snapshot(Duration::from_secs(5)).unwrap(), vec![tuple![1, 1]]);
 
-        h.apply(vec![(1, vec![tuple![2, 200], tuple![1, 101]].into(), 1)]).unwrap();
+        h.apply(vec![(1, Arc::new(vec![tuple![2, 200], tuple![1, 101]].into()), 1)]).unwrap();
         let mut rows = h.snapshot(Duration::from_secs(5)).unwrap();
         rows.sort();
         assert_eq!(rows, vec![tuple![1, 2], tuple![2, 1]]);
@@ -1751,10 +1744,13 @@ mod tests {
         let shared = Arc::new(ViewShared::new());
         let mut h = launch_standing(&spec, data, &cfg, project(4), Arc::clone(&shared)).unwrap();
         assert_eq!(h.snapshot(Duration::from_secs(10)).unwrap(), vec![tuple![1, 10, 1, 100]]);
-        h.apply(vec![(1, vec![tuple![1, 200]].into(), 1)]).unwrap();
-        h.apply(vec![(0, vec![tuple![1, 10]].into(), -1)]).unwrap();
-        h.apply(vec![(0, vec![tuple![2, 20]].into(), 1), (1, vec![tuple![2, 300]].into(), 1)])
-            .unwrap();
+        h.apply(vec![(1, Arc::new(vec![tuple![1, 200]].into()), 1)]).unwrap();
+        h.apply(vec![(0, Arc::new(vec![tuple![1, 10]].into()), -1)]).unwrap();
+        h.apply(vec![
+            (0, Arc::new(vec![tuple![2, 20]].into()), 1),
+            (1, Arc::new(vec![tuple![2, 300]].into()), 1),
+        ])
+        .unwrap();
         let mut rows = h.snapshot(Duration::from_secs(10)).unwrap();
         rows.sort();
         assert_eq!(rows, vec![tuple![2, 20, 2, 300]]);
@@ -1779,8 +1775,8 @@ mod tests {
             Arc::clone(&shared),
         )
         .unwrap();
-        h.apply(vec![(0, vec![tuple![3]].into(), 1)]).unwrap();
-        h.apply(vec![(0, vec![tuple![2]].into(), -1)]).unwrap();
+        h.apply(vec![(0, Arc::new(vec![tuple![3]].into()), 1)]).unwrap();
+        h.apply(vec![(0, Arc::new(vec![tuple![2]].into()), -1)]).unwrap();
         let mut rows = h.snapshot(Duration::from_secs(5)).unwrap();
         rows.sort();
         assert_eq!(rows, vec![tuple![1], tuple![3]]);

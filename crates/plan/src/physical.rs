@@ -309,7 +309,7 @@ impl PhysicalQuery {
         for (t, scan) in self.scans.iter().enumerate().filter(|(_, s)| s.name == source) {
             let selected = scan.source(&rows)?;
             if !selected.is_empty() {
-                rounds.push((t, selected, mult));
+                rounds.push((t, Arc::new(selected), mult));
             }
         }
         Ok(rounds)

@@ -450,7 +450,6 @@ impl TaskCell {
                 return Poll::Done;
             }
             match spout.poll() {
-                SpoutPoll::Tuple(t) => out.emit(t),
                 SpoutPoll::Row(row) => out.emit_row(row),
                 SpoutPoll::Watermark(ts) => out.emit_watermark(ts),
                 SpoutPoll::Barrier(epoch) => out.emit_barrier(epoch),
@@ -1059,7 +1058,7 @@ fn run_task(task: TaskId, pool: &Pool, shared: &Shared, counters: &SchedCounters
 mod tests {
     use super::*;
     use crate::grouping::Grouping;
-    use crate::topology::{FnBolt, IterSpout, TopologyBuilder};
+    use crate::topology::{FnBolt, TopologyBuilder};
     use squall_common::{tuple, Chunk, Result, Value};
 
     impl<T> GateQueue<T> {
@@ -1069,8 +1068,18 @@ mod tests {
         }
     }
 
+    /// A spout over an iterator, emitting each tuple as a borrowed row.
+    struct RowSpout<I>(I, Option<Tuple>);
+
+    impl<I: Iterator<Item = Tuple> + Send> Spout for RowSpout<I> {
+        fn poll(&mut self) -> SpoutPoll<'_> {
+            self.1 = self.0.next();
+            self.1.as_deref().map_or(SpoutPoll::Eos, SpoutPoll::Row)
+        }
+    }
+
     fn int_spout(lo: i64, hi: i64) -> impl Fn(usize) -> Box<dyn crate::topology::Spout> {
-        move |_task| Box::new(IterSpout((lo..hi).map(|i| tuple![i])))
+        move |_task| Box::new(RowSpout((lo..hi).map(|i| tuple![i]), None))
     }
 
     /// The lost wakeup: a push that lands after a worker's last empty
@@ -1273,7 +1282,7 @@ mod tests {
         let mut b = TopologyBuilder::new();
         let src = b.add_spout("src", 2, |task| {
             let lo = task as i64 * 500;
-            Box::new(IterSpout((lo..lo + 500).map(|i| tuple![i % 10, i])))
+            Box::new(RowSpout((lo..lo + 500).map(|i| tuple![i % 10, i]), None))
         });
         // Each task counts tuples per key; with Fields([0]) all tuples of a
         // key land on one task.
@@ -1545,7 +1554,7 @@ mod tests {
         let mut b = TopologyBuilder::new().worker_threads(2);
         let src = b.add_spout("src", 4, |task| {
             let lo = task as i64 * 1000;
-            Box::new(IterSpout((lo..lo + 1000).map(|i| tuple![i])))
+            Box::new(RowSpout((lo..lo + 1000).map(|i| tuple![i]), None))
         });
         let fan = b.add_bolt("fan", 64, |_| {
             Box::new(FnBolt(|_o, t: Tuple, out: &mut OutputCollector| {
@@ -1571,7 +1580,7 @@ mod tests {
             let mut b = TopologyBuilder::new().batch_size(batch);
             let src = b.add_spout("src", 2, |task| {
                 let lo = task as i64 * 200;
-                Box::new(IterSpout((lo..lo + 200).map(|i| tuple![i % 13, i])))
+                Box::new(RowSpout((lo..lo + 200).map(|i| tuple![i % 13, i]), None))
             });
             let key = b.add_bolt("key", 4, |_| {
                 Box::new(FnBolt(|_o, t: Tuple, out: &mut OutputCollector| {

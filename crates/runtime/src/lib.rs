@@ -49,12 +49,12 @@ pub mod transport;
 
 pub use executor::{RunHandle, RunOutcome, TaskId, TaskWaker};
 pub use grouping::{CustomGrouping, Grouping};
-pub use live::{LiveQueue, LiveSpout};
+pub use live::{LiveItem, LiveQueue, LiveSpout};
 pub use message::NodeId;
 pub use metrics::{MetricsSnapshot, NodeMetrics, SchedulerStats};
 pub use topology::{
-    sort_by_event_time, Bolt, FnBolt, IterSpout, IterSpoutVec, OutputCollector, Source, Spout,
-    SpoutPoll, Topology, TopologyBuilder, DEFAULT_BATCH_SIZE,
+    sort_by_event_time, Bolt, FnBolt, IterSpoutVec, OutputCollector, Source, Spout, SpoutPoll,
+    Topology, TopologyBuilder, DEFAULT_BATCH_SIZE,
 };
 pub use transport::{
     describe_placement, plan_placement, read_frame_deadline, ClusterLinks, ClusterRun,

@@ -14,14 +14,11 @@ use crate::metrics::TaskCounters;
 use crate::transport::Transport;
 
 /// What a spout produced on one poll. Bounded sources only ever report
-/// [`SpoutPoll::Tuple`] and [`SpoutPoll::Eos`]; *resident* sources —
-/// standing materialized views, whose [`crate::LiveQueue`] holds these
-/// items as pushed — additionally use [`SpoutPoll::Idle`] to park without
-/// terminating and [`SpoutPoll::Watermark`] / [`SpoutPoll::Barrier`] to
-/// punctuate epochs.
+/// [`SpoutPoll::Row`] and [`SpoutPoll::Eos`]; *resident* sources —
+/// standing materialized views, read from a [`crate::LiveQueue`] —
+/// additionally use [`SpoutPoll::Idle`] to park without terminating and
+/// [`SpoutPoll::Watermark`] / [`SpoutPoll::Barrier`] to punctuate epochs.
 pub enum SpoutPoll<'a> {
-    /// One data tuple to emit downstream.
-    Tuple(Tuple),
     /// One row to emit downstream, borrowed from the spout: no [`Tuple`]
     /// is built to ship it.
     Row(&'a [Value]),
@@ -95,15 +92,6 @@ pub trait Bolt: Send {
     fn barrier(&mut self, epoch: u64, out: &mut OutputCollector) -> Result<()> {
         out.emit_barrier(epoch);
         Ok(())
-    }
-}
-
-/// Blanket spout over an iterator.
-pub struct IterSpout<I: Iterator<Item = Tuple> + Send>(pub I);
-
-impl<I: Iterator<Item = Tuple> + Send> Spout for IterSpout<I> {
-    fn poll(&mut self) -> SpoutPoll<'_> {
-        self.0.next().map_or(SpoutPoll::Eos, SpoutPoll::Tuple)
     }
 }
 
