@@ -12,8 +12,9 @@
 //!  (that stream stays as the                 rebuild the same topology
 //!   coordinator↔worker data link,            from the plan (no data —
 //!   both ways; no listener here)             spouts live here); dial
-//!                                            every other worker with Hello
+//!                                            each higher worker with Hello
 //!  read each worker's Hello  ◀────────────── answer the Job with Hello
+//!                                            take each lower worker's Hello
 //!  launch_cluster(slice 0)                   launch_cluster(slice i)
 //!  … Deliver/Abort frames flow both ways, SinkRow/Done flow to the
 //!    coordinator; see squall_runtime::transport for the data plane …
@@ -27,8 +28,8 @@
 //! lives); join/aggregation task ranges are split across all peers by
 //! [`squall_runtime::plan_placement`].
 
-use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::Sender;
+use std::net::TcpListener;
+use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
 
 use squall_common::codec::Wire;
@@ -216,58 +217,58 @@ pub(crate) fn finish(
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Serve exactly one job on an already-bound listener: accept the
-/// coordinator's `Job` (plus any worker `Hello`s that race ahead of it),
-/// rebuild the topology slice, run it, and report `Done`. Returns once
-/// the job's run has fully drained.
+/// Serve exactly one job on an already-bound listener: take the
+/// coordinator's `Job` and the links of the workers below this one
+/// ([`ClusterLinks::worker`]), rebuild the topology slice, run it, and
+/// report `Done`. Returns once the job's run has fully drained.
 pub fn serve_job(listener: &TcpListener) -> Result<()> {
-    let mut hellos: Vec<(usize, TcpStream)> = Vec::new();
-    let (job_payload, job_conn) = loop {
-        let (stream, _) = listener.accept().map_err(SquallError::from)?;
-        stream.set_nodelay(true).ok();
-        // First frame with a deadline (a connection that sends nothing
-        // must not wedge the worker), exact reads straight off the
-        // stream: a frame racing in behind the handshake must stay in
-        // the socket for the recv pump.
-        let deadline = std::time::Instant::now() + squall_runtime::transport::HANDSHAKE_TIMEOUT;
-        let mut first = squall_runtime::transport::read_frame_deadline(&stream, deadline)?;
-        if let Some((Frame::Readmit { peer, epoch }, _)) = first {
-            // A recovering coordinator re-admits this worker: the Job frame
-            // follows on the same stream.
-            eprintln!("squall-worker: re-admitted as peer {peer} at epoch {epoch}");
-            first = match squall_runtime::transport::read_frame_deadline(&stream, deadline)? {
-                job @ Some((Frame::Job { .. }, _)) => job,
-                other => {
-                    return Err(SquallError::Runtime(format!(
-                        "expected Job after Readmit, got {other:?}"
-                    )))
-                }
-            };
-        }
-        match first {
-            Some((Frame::Job { payload }, _)) => break (payload, stream),
-            Some((Frame::Hello { peer }, _)) => hellos.push((peer, stream)),
-            other => {
-                return Err(SquallError::Runtime(format!(
-                    "expected Job or Hello from a cluster peer, got {other:?}"
-                )))
+    let (mut links, (job, topology, blob_rx)) =
+        ClusterLinks::worker(listener, |payload, readmit| {
+            if let Some((peer, epoch)) = readmit {
+                eprintln!("squall-worker: re-admitted as peer {peer} at epoch {epoch}");
             }
-        }
-    };
-    let job = JobSpec::decode(&job_payload)?;
-    eprintln!(
-        "squall-worker: accepted job as peer {} of {} ({}, checkpoint-interval {})",
-        job.me,
-        job.peers.len(),
-        if job.cfg.standing { "standing" } else { "batch" },
-        job.cfg.checkpoint_interval,
-    );
+            let job = JobSpec::decode(payload)?;
+            eprintln!(
+                "squall-worker: accepted job as peer {} of {} ({}, checkpoint-interval {})",
+                job.me,
+                job.peers.len(),
+                if job.cfg.standing { "standing" } else { "batch" },
+                job.cfg.checkpoint_interval,
+            );
+            let (topology, blob_rx) = rebuild(&job)?;
+            Ok((job.me, job.peers.clone(), (job, topology, blob_rx)))
+        })?;
+    let (_, parallelism, is_spout) = topology.layout();
+    let placement = plan_placement(&parallelism, &is_spout, job.peers.len());
+    links.heartbeat = heartbeat(&job.cfg);
+    let (mut handle, cluster) = topology.launch_cluster(placement, links);
 
-    // Rebuild the identical topology — without data: every spout task is
-    // placed on the coordinator, so the factories are never invoked here.
-    // Checkpoint plumbing: join bolts on this worker hand snapshot blobs
-    // to a local channel; a detached forwarder ships them to the
-    // coordinator as `SnapshotBlob` frames once the links are up.
+    // Forward checkpoint blobs to the coordinator in the background; the
+    // thread dies with the channel when the topology is torn down.
+    if let (Some(rx), Some(sender)) = (blob_rx, cluster.frame_sender()) {
+        std::thread::spawn(move || {
+            while let Ok((role, task, epoch, payload)) = rx.recv() {
+                sender.send(Frame::SnapshotBlob { role, task, epoch, payload });
+            }
+        });
+    }
+
+    // Local sink emissions stream to the coordinator as they happen.
+    while let Some((node, tuple)) = handle.recv() {
+        cluster.forward_sink(node, tuple);
+    }
+    let outcome = handle.finish();
+    let error = outcome.error;
+    cluster.finish(Some((outcome.metrics, error)));
+    Ok(())
+}
+
+/// Rebuild a job's topology — without data: every spout task is placed on
+/// the coordinator, so the factories are never invoked here. With
+/// checkpoints on, join bolts on this worker hand snapshot blobs to the
+/// returned channel; `serve_job` forwards them to the coordinator as
+/// `SnapshotBlob` frames once the links are up.
+fn rebuild(job: &JobSpec) -> Result<(Topology, Option<Receiver<SnapshotBlobMsg>>)> {
     let mut blob_rx = None;
     let (topology, restored) = if job.cfg.standing {
         let blob_tx = (job.cfg.checkpoint_interval > 0).then(|| {
@@ -299,31 +300,7 @@ pub fn serve_job(listener: &TcpListener) -> Result<()> {
             job.restore_join.len()
         );
     }
-    let (_, parallelism, is_spout) = topology.layout();
-    let placement = plan_placement(&parallelism, &is_spout, job.peers.len());
-
-    let mut links = ClusterLinks::worker(listener, job.me, job.peers, job_conn, hellos)?;
-    links.heartbeat = heartbeat(&job.cfg);
-    let (mut handle, cluster) = topology.launch_cluster(placement, links);
-
-    // Forward checkpoint blobs to the coordinator in the background; the
-    // thread dies with the channel when the topology is torn down.
-    if let (Some(rx), Some(sender)) = (blob_rx.take(), cluster.frame_sender()) {
-        std::thread::spawn(move || {
-            while let Ok((role, task, epoch, payload)) = rx.recv() {
-                sender.send(Frame::SnapshotBlob { role, task, epoch, payload });
-            }
-        });
-    }
-
-    // Local sink emissions stream to the coordinator as they happen.
-    while let Some((node, tuple)) = handle.recv() {
-        cluster.forward_sink(node, tuple);
-    }
-    let outcome = handle.finish();
-    let error = outcome.error;
-    cluster.finish(Some((outcome.metrics, error)));
-    Ok(())
+    Ok((topology, blob_rx))
 }
 
 /// Run a worker: serve jobs until `once` (then return after the first) or
@@ -368,6 +345,7 @@ mod tests {
     use squall_expr::{JoinAtom, RelationDef, ScalarExpr};
     use squall_join::{AggSpec, WindowSpec};
     use squall_partition::optimizer::SchemeKind;
+    use std::net::TcpStream;
 
     fn rst_spec() -> MultiJoinSpec {
         let mut s = Schema::of(&[("y", DataType::Int), ("z", DataType::Int)]);
@@ -478,27 +456,30 @@ mod tests {
         let local = crate::driver::run_multiway(&spec, data.clone(), &cfg).unwrap();
         assert!(local.error.is_none());
 
-        let (addrs, handles) = spawn_workers(2);
-        let mut dist_cfg = cfg.clone();
-        dist_cfg.cluster = Some(ClusterSpec::new(addrs));
-        let dist = crate::driver::run_multiway(&spec, data, &dist_cfg).unwrap();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(dist.error.is_none(), "{:?}", dist.error);
+        // Under three workers the middle one both dials and accepts a link.
+        for n_workers in [2, 3] {
+            let (addrs, handles) = spawn_workers(n_workers);
+            let mut dist_cfg = cfg.clone();
+            dist_cfg.cluster = Some(ClusterSpec::new(addrs));
+            let dist = crate::driver::run_multiway(&spec, data.clone(), &dist_cfg).unwrap();
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert!(dist.error.is_none(), "{:?}", dist.error);
 
-        let mut a = local.results.clone();
-        let mut b = dist.results.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "row-identical results across the wire");
-        assert_eq!(local.loads, dist.loads, "per-machine loads are placement-independent");
-        assert_eq!(local.result_count, dist.result_count);
-        assert_eq!(local.input_count, dist.input_count);
-        assert_eq!(local.scheme_description, dist.scheme_description);
-        let transport = dist.transport.expect("distributed run reports wire traffic");
-        assert!(transport.total_batches_sent() > 0, "{transport}");
-        assert!(transport.total_bytes_received() > 0, "{transport}");
+            let mut a = local.results.clone();
+            let mut b = dist.results.clone();
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "row-identical results across the wire");
+            assert_eq!(local.loads, dist.loads, "per-machine loads are placement-independent");
+            assert_eq!(local.result_count, dist.result_count);
+            assert_eq!(local.input_count, dist.input_count);
+            assert_eq!(local.scheme_description, dist.scheme_description);
+            let transport = dist.transport.expect("distributed run reports wire traffic");
+            assert!(transport.total_batches_sent() > 0, "{transport}");
+            assert!(transport.total_bytes_received() > 0, "{transport}");
+        }
         assert!(local.transport.is_none());
     }
 

@@ -12,8 +12,9 @@
 //!   message is wrapped as [`Frame::Deliver`] and pushed onto that peer's
 //!   bounded **egress queue** — the same `GateQueue` a local inbox is —
 //!   from which a send pump thread writes length-prefixed [`Frame`]s onto
-//!   an established TCP stream. A recv pump per inbound stream unwraps
-//!   each arriving `Deliver` and hands its message to the local backend.
+//!   that peer's link, one TCP socket carrying both directions. A recv
+//!   pump per link unwraps each arriving `Deliver` and hands its message
+//!   to the local backend.
 //!
 //! The send pump waits on wakeups, not timers: it flushes the moment its
 //! queue runs dry and blocks until a push.
@@ -202,8 +203,9 @@ pub type SnapshotBlobMsg = (u8, usize, u64, Vec<u8>);
 /// the data plane.
 #[derive(Debug, Clone)]
 pub enum Frame {
-    /// Link handshake: which worker is dialing (worker → worker), or is
-    /// ready to run its job (worker → coordinator, on the job connection).
+    /// Link handshake, always from a worker: its first frame on a link it
+    /// dialed to a worker above it (the lower index dials), naming itself,
+    /// or its answer to the coordinator's job (ready to run).
     Hello { peer: usize },
     /// Coordinator → worker: the serialized query plan slice.
     Job { payload: Vec<u8> },
@@ -236,7 +238,8 @@ pub enum Frame {
     Abort { error: SquallError },
     /// Worker → coordinator: final per-task metrics and first error.
     Done { metrics: MetricsSnapshot, error: Option<SquallError> },
-    /// Clean end of this direction's stream (distinguishes an orderly
+    /// Clean end of the sender's half of a shared link: it sends nothing
+    /// more, and its peer's recv pump stops (distinguishes an orderly
     /// close from a crashed peer).
     Goodbye,
 }
@@ -345,11 +348,13 @@ type Egress = GateQueue<Frame>;
 // TCP backend
 // ---------------------------------------------------------------------
 
-/// Established, handshaken sockets for one run: `outbound[p]` carries this
-/// peer's frames *to* `p`; `inbound[p]` carries `p`'s frames to us (on a
-/// coordinator↔worker link, one socket: the job connection). Built by the
-/// driver's cluster handshake ([`ClusterLinks::coordinator`] /
-/// [`ClusterLinks::worker`]), consumed by [`crate::Topology::launch_cluster`].
+/// Established, handshaken sockets for one run: `links[p]` is the one
+/// socket shared with peer `p`, carrying frames both ways. The lower peer
+/// index dialed it: the coordinator (peer 0) dialed every worker and sent
+/// the job on it; worker `i` dialed every worker above it and named itself
+/// with [`Frame::Hello`]. Built by the driver's cluster handshake
+/// ([`ClusterLinks::coordinator`] / [`ClusterLinks::worker`]), consumed by
+/// [`crate::Topology::launch_cluster`].
 pub struct ClusterLinks {
     pub me: usize,
     pub peer_labels: Vec<String>,
@@ -363,8 +368,7 @@ pub struct ClusterLinks {
     /// [`SquallError::WorkerLost`]. `None` (the default) keeps the
     /// pre-checkpointing behaviour: only a closed socket fails the run.
     pub heartbeat: Option<Duration>,
-    pub(crate) outbound: Vec<Option<TcpStream>>,
-    pub(crate) inbound: Vec<Option<TcpStream>>,
+    pub(crate) links: Vec<Option<TcpStream>>,
 }
 
 /// Handshake patience: how long the cluster handshake waits for an
@@ -451,23 +455,21 @@ impl ClusterLinks {
     ) -> Result<ClusterLinks> {
         let n_peers = peer_labels.len();
         assert_eq!(n_peers, jobs.len() + 1);
-        let mut outbound: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
-        let mut inbound: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
+        let mut links = vec![None];
         for (peer, job) in (1..n_peers).zip(jobs) {
             let mut stream = connect_with_retry(&peer_labels[peer], HANDSHAKE_TIMEOUT)?;
             if let Some(epoch) = readmit_epoch {
                 Frame::Readmit { peer, epoch }.write_to(&mut stream)?;
             }
             Frame::Job { payload: job }.write_to(&mut stream)?;
-            outbound[peer] = Some(stream.try_clone()?);
-            inbound[peer] = Some(stream);
+            links.push(Some(stream));
         }
         // Launch only once every worker has answered its job with `Hello`
-        // (sent once it has dialed the other workers): the link's heartbeat
-        // clock starts at launch, and a re-admitted worker may still be
-        // tearing down its last job.
+        // (sent once it has rebuilt its slice and dialed the workers above
+        // it): the link's heartbeat clock starts at launch, and a
+        // re-admitted worker may still be tearing down its last job.
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        for (peer, stream) in inbound.iter().enumerate().skip(1) {
+        for (peer, stream) in links.iter().enumerate().skip(1) {
             match read_frame_deadline(stream.as_ref().expect("dialed above"), deadline)? {
                 Some((Frame::Hello { peer: p }, _)) if p == peer => {}
                 other => {
@@ -478,63 +480,81 @@ impl ClusterLinks {
                 }
             }
         }
-        Ok(ClusterLinks { me: 0, peer_labels, blob_tx: None, heartbeat: None, outbound, inbound })
+        Ok(ClusterLinks { me: 0, peer_labels, blob_tx: None, heartbeat: None, links })
     }
 
-    /// Worker-side handshake. The coordinator's job connection (already
-    /// accepted, `Job` frame consumed by the caller) is the link to peer 0
-    /// both ways. Dials every other worker, answers the job with `Hello`,
-    /// then takes the other workers' `Hello`-opened links: `pre_accepted`,
-    /// those that raced ahead of the job frame, then the rest off
-    /// `listener`.
-    pub fn worker(
+    /// Worker-side handshake, one accept loop on `listener`: the
+    /// coordinator's job connection and the links the workers below this
+    /// one dialed, each named by its `Hello`, in whichever order they land.
+    /// When the `Job` lands, `on_job` gets its payload and the `Readmit`
+    /// that prefaced it, if any, and returns this worker's index, the peer
+    /// labels and what it built from the job. This worker then dials every
+    /// worker above it, naming itself with `Hello` on each, and answers the
+    /// job with `Hello` while the lower workers' links may still be on their
+    /// way. The job may take forever to come; after it, the lower workers
+    /// have the handshake budget. A `Hello` from the coordinator's index,
+    /// from this worker or one above it, or from a peer seen twice is a
+    /// typed error.
+    pub fn worker<T>(
         listener: &TcpListener,
-        me: usize,
-        peer_labels: Vec<String>,
-        job_conn: TcpStream,
-        pre_accepted: Vec<(usize, TcpStream)>,
-    ) -> Result<ClusterLinks> {
-        let n_peers = peer_labels.len();
-        assert!(me >= 1 && me < n_peers);
-        let mut outbound: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
-        let mut inbound: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
-        let mut to_coordinator = job_conn.try_clone()?;
-        inbound[0] = Some(job_conn);
-        for peer in (1..n_peers).filter(|&peer| peer != me) {
-            let mut stream = connect_with_retry(&peer_labels[peer], HANDSHAKE_TIMEOUT)?;
-            Frame::Hello { peer: me }.write_to(&mut stream)?;
-            outbound[peer] = Some(stream);
-        }
-        Frame::Hello { peer: me }.write_to(&mut to_coordinator)?;
-        outbound[0] = Some(to_coordinator);
-        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        let mut raced = pre_accepted.into_iter();
-        loop {
-            let missing = inbound.iter().enumerate().any(|(p, s)| p != me && s.is_none());
-            let (peer, stream) = match raced.next() {
-                Some(hello) => hello,
-                None if !missing => break,
-                None => {
-                    let stream = accept_with_deadline(listener, deadline)?;
-                    // Exact reads straight off the stream: frames racing in
-                    // behind the Hello must stay in the socket for the recv
-                    // pump.
-                    match read_frame_deadline(&stream, deadline)? {
-                        Some((Frame::Hello { peer }, _)) => (peer, stream),
-                        other => {
-                            return Err(SquallError::Runtime(format!(
-                                "expected Hello during cluster handshake, got {other:?}"
-                            )))
-                        }
-                    }
+        mut on_job: impl FnMut(&[u8], Option<(usize, u64)>) -> Result<(usize, Vec<String>, T)>,
+    ) -> Result<(ClusterLinks, T)> {
+        let mut lower: Vec<(usize, TcpStream)> = Vec::new();
+        let mut started: Option<(ClusterLinks, T, Instant)> = None;
+        let (mut links, built) = loop {
+            let stream = match started.take() {
+                Some((links, built, _)) if lower.len() + 1 >= links.me => break (links, built),
+                Some(job @ (.., deadline)) => {
+                    started = Some(job);
+                    accept_with_deadline(listener, deadline)?
                 }
+                None => listener.accept()?.0,
             };
-            if peer == me || peer >= n_peers || inbound[peer].is_some() {
+            stream.set_nodelay(true).ok();
+            // First frame with a deadline (a connection that sends nothing
+            // must not wedge the worker), exact reads straight off the
+            // stream: a frame racing in behind the handshake must stay in
+            // the socket for the recv pump.
+            let deadline =
+                started.as_ref().map_or_else(|| Instant::now() + HANDSHAKE_TIMEOUT, |job| job.2);
+            let (mut first, mut readmit) = (read_frame_deadline(&stream, deadline)?, None);
+            if let Some((Frame::Readmit { peer, epoch }, _)) = first {
+                // A recovering coordinator re-admits this worker: the Job
+                // frame follows on the same stream.
+                readmit = Some((peer, epoch));
+                first = read_frame_deadline(&stream, deadline)?;
+            }
+            match first {
+                Some((Frame::Job { payload }, _)) if started.is_none() => {
+                    let (me, peer_labels, built) = on_job(&payload, readmit)?;
+                    let n_peers = peer_labels.len();
+                    assert!(me >= 1 && me < n_peers);
+                    let mut links: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
+                    for peer in me + 1..n_peers {
+                        let mut link = connect_with_retry(&peer_labels[peer], HANDSHAKE_TIMEOUT)?;
+                        Frame::Hello { peer: me }.write_to(&mut link)?;
+                        links[peer] = Some(link);
+                    }
+                    Frame::Hello { peer: me }.write_to(&mut &stream)?;
+                    links[0] = Some(stream);
+                    let links =
+                        ClusterLinks { me, peer_labels, blob_tx: None, heartbeat: None, links };
+                    started = Some((links, built, Instant::now() + HANDSHAKE_TIMEOUT));
+                }
+                Some((Frame::Hello { peer }, _)) if readmit.is_none() => lower.push((peer, stream)),
+                other => {
+                    return Err(SquallError::Runtime(format!(
+                        "expected Job or Hello from a cluster peer, got {other:?}"
+                    )))
+                }
+            }
+        };
+        for (peer, stream) in lower {
+            if peer == 0 || peer >= links.me || links.links[peer].replace(stream).is_some() {
                 return Err(SquallError::Runtime(format!("bad or duplicate hello from {peer}")));
             }
-            inbound[peer] = Some(stream);
         }
-        Ok(ClusterLinks { me, peer_labels, blob_tx: None, heartbeat: None, outbound, inbound })
+        Ok((links, built))
     }
 }
 
@@ -799,33 +819,19 @@ pub(crate) fn spawn_cluster(
     placement: &Placement,
     wiring: ClusterWiring,
 ) -> (Arc<TcpTransport>, ClusterRun) {
-    let ClusterLinks { me, peer_labels, blob_tx, heartbeat, outbound, inbound } = links;
+    let ClusterLinks { me, peer_labels, blob_tx, heartbeat, links } = links;
     let n_peers = placement.n_peers;
     let wire: Arc<Vec<PeerWire>> = Arc::new((0..n_peers).map(|_| PeerWire::default()).collect());
     let remote: Arc<Mutex<RemoteState>> = Arc::new(Mutex::new(RemoteState::default()));
 
+    // Each link is one socket, shared by its send pump and its recv pump.
     let mut egress: Vec<Option<Arc<Egress>>> = (0..n_peers).map(|_| None).collect();
     let mut send_pumps = Vec::new();
-    for (peer, stream) in outbound.into_iter().enumerate() {
-        let Some(stream) = stream else { continue };
-        let q = Arc::new(Egress::new(wiring.channel_capacity));
-        egress[peer] = Some(Arc::clone(&q));
-        let sched = Arc::clone(&wiring.sched);
-        let shared = Arc::clone(&wiring.shared);
-        let wire = Arc::clone(&wire);
-        send_pumps.push(
-            std::thread::Builder::new()
-                .name(format!("squall-send-{me}-{peer}"))
-                .spawn(move || send_pump(stream, peer, &q, &sched, &shared, &wire, heartbeat))
-                .expect("spawn send pump"),
-        );
-    }
-
     let mut recv_pumps = Vec::new();
-    for (peer, stream) in inbound.into_iter().enumerate() {
-        let Some(stream) = stream else { continue };
+    for (peer, stream) in links.into_iter().enumerate() {
+        let Some(stream) = stream.map(Arc::new) else { continue };
         let pump = RecvPump {
-            stream,
+            stream: Arc::clone(&stream),
             peer,
             peer_label: peer_labels[peer].clone(),
             local: LocalTransport::new(wiring.inboxes.clone(), Arc::clone(&wiring.sched)),
@@ -836,13 +842,22 @@ pub(crate) fn spawn_cluster(
             heartbeat,
             eos_owed: wiring.eos_owed[peer].clone(),
         };
-        let shared = Arc::clone(&wiring.shared);
-        let remote = Arc::clone(&remote);
-        let wire = Arc::clone(&wire);
+        let q = Arc::new(Egress::new(wiring.channel_capacity));
+        egress[peer] = Some(Arc::clone(&q));
+        let (sched, shared) = (Arc::clone(&wiring.sched), Arc::clone(&wiring.shared));
+        let w = Arc::clone(&wire);
+        send_pumps.push(
+            std::thread::Builder::new()
+                .name(format!("squall-send-{me}-{peer}"))
+                .spawn(move || send_pump(stream, peer, &q, &sched, &shared, &w, heartbeat))
+                .expect("spawn send pump"),
+        );
+        let (shared, remote, w) =
+            (Arc::clone(&wiring.shared), Arc::clone(&remote), Arc::clone(&wire));
         recv_pumps.push(
             std::thread::Builder::new()
                 .name(format!("squall-recv-{me}-{peer}"))
-                .spawn(move || pump.run(&shared, &remote, &wire))
+                .spawn(move || pump.run(&shared, &remote, &w))
                 .expect("spawn recv pump"),
         );
     }
@@ -868,7 +883,7 @@ pub(crate) fn spawn_cluster(
 }
 
 fn send_pump(
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     peer: usize,
     q: &Egress,
     sched: &Sched,
@@ -880,15 +895,15 @@ fn send_pump(
     // never declared dead merely for being idle.
     let beat_every = heartbeat.map(|t| (t / 4).max(Duration::from_millis(5)));
     let mut last_beat = Instant::now();
-    let mut w = BufWriter::new(stream);
+    let mut w = BufWriter::new(&*stream);
     let counters = &wire[peer];
     // Every frame written and every write-out of buffered ones is counted.
-    let write = |frame: &Frame, w: &mut BufWriter<TcpStream>| -> Result<()> {
+    let write = |frame: &Frame, w: &mut BufWriter<&TcpStream>| -> Result<()> {
         let n = frame.write_to(w)?;
         counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
         Ok(())
     };
-    let flush = |w: &mut BufWriter<TcpStream>| -> bool {
+    let flush = |w: &mut BufWriter<&TcpStream>| -> bool {
         counters.flushes.fetch_add(u64::from(!w.buffer().is_empty()), Ordering::Relaxed);
         w.flush().is_ok()
     };
@@ -961,7 +976,7 @@ fn send_pump(
 /// under the argument-count lint and the failure path has the peer's
 /// label at hand).
 struct RecvPump {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     peer: usize,
     peer_label: String,
     /// Delivery to this process's inboxes: an arriving message takes the
@@ -983,7 +998,7 @@ impl RecvPump {
         if let Some(timeout) = heartbeat {
             stream.set_read_timeout(Some(timeout)).ok();
         }
-        let mut r = BufReader::new(stream);
+        let mut r = BufReader::new(&*stream);
         let counters = &wire[peer];
         let mut clean = false;
         loop {
@@ -1270,7 +1285,7 @@ mod tests {
             let counters = crate::metrics::MetricsRegistry::new(vec!["n".into()], &[2]).sched();
             let shared = Shared::new();
             RecvPump {
-                stream,
+                stream: Arc::new(stream),
                 peer: 1,
                 peer_label: "worker".into(),
                 local: LocalTransport::new(
@@ -1403,7 +1418,7 @@ mod tests {
         let pump = {
             let (q, wire) = (Arc::clone(&q), Arc::clone(&wire));
             std::thread::spawn(move || {
-                send_pump(dialer, 1, &q, &idle_sched(2), &Shared::new(), &wire, None)
+                send_pump(Arc::new(dialer), 1, &q, &idle_sched(2), &Shared::new(), &wire, None)
             })
         };
         wait_until("the pump to block on its dry queue", || q.consumer_waiting());
@@ -1453,7 +1468,7 @@ mod tests {
             })
         };
         RecvPump {
-            stream,
+            stream: Arc::new(stream),
             peer: 1,
             peer_label: "worker".into(),
             local: LocalTransport::new(vec![Some(Arc::clone(&inbox))], idle_sched(1)),
@@ -1493,13 +1508,104 @@ mod tests {
         });
         let labels = vec!["coordinator".to_string(), addr];
         let links = ClusterLinks::coordinator(labels, vec![vec![7, 8]], Some(3)).unwrap();
-        let inbound = links.inbound[1].as_ref().expect("inbound link from peer 1");
-        match read_frame_deadline(inbound, deadline) {
+        let link = links.links[1].as_ref().expect("link to peer 1");
+        match read_frame_deadline(link, deadline) {
             Ok(Some((Frame::Heartbeat { epoch: 5 }, _))) => {}
             other => panic!("expected the worker's Heartbeat, got {other:?}"),
         }
-        assert!(links.inbound[0].is_none() && links.outbound[0].is_none());
+        assert!(links.links[0].is_none());
         drop(worker.join().unwrap());
+    }
+
+    /// Peer labels for a coordinator and `n` workers, each worker's listener
+    /// bound.
+    fn cluster_of(n: usize) -> (Vec<String>, Vec<TcpListener>) {
+        let listeners: Vec<TcpListener> =
+            (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+        let mut labels = vec!["coordinator".to_string()];
+        labels.extend(listeners.iter().map(|l| l.local_addr().unwrap().to_string()));
+        (labels, listeners)
+    }
+
+    /// The worker handshake with a job payload of one byte: the worker's
+    /// index.
+    fn worker_links(listener: &TcpListener, labels: &[String]) -> Result<ClusterLinks> {
+        let on_job = |payload: &[u8], _| Ok((payload[0] as usize, labels.to_vec(), ()));
+        ClusterLinks::worker(listener, on_job).map(|(links, ())| links)
+    }
+
+    #[test]
+    fn every_peer_pair_shares_one_socket_dialed_by_the_lower_index() {
+        // A coordinator and three workers over loopback: the coordinator
+        // dials every worker, worker i dials the workers above it.
+        let (labels, listeners) = cluster_of(3);
+        let workers: Vec<_> = listeners
+            .into_iter()
+            .map(|listener| {
+                let labels = labels.clone();
+                std::thread::spawn(move || (worker_links(&listener, &labels).unwrap(), listener))
+            })
+            .collect();
+        let jobs = (1..4).map(|me| vec![me as u8]).collect();
+        let coordinator = ClusterLinks::coordinator(labels.clone(), jobs, None).unwrap();
+        let mut peers = vec![coordinator];
+        for worker in workers {
+            // Every worker has answered its job and linked its lower
+            // workers: worker k took exactly k - 1 worker connections.
+            let (links, listener) = worker.join().unwrap();
+            let after = Instant::now() + Duration::from_millis(50);
+            assert!(
+                accept_with_deadline(&listener, after).is_err(),
+                "peer {} was dialed",
+                links.me
+            );
+            peers.push(links);
+        }
+        let link = |a: usize, b: usize| peers[a].links[b].as_ref().expect("link");
+        for (a, peer) in peers.iter().enumerate() {
+            assert!(peer.links[a].is_none());
+            for b in a + 1..peers.len() {
+                // The two ends are one socket, and it carries both ways.
+                assert_eq!(link(a, b).local_addr().unwrap(), link(b, a).peer_addr().unwrap());
+                assert_eq!(link(a, b).peer_addr().unwrap(), link(b, a).local_addr().unwrap());
+                for (from, to) in [(a, b), (b, a)] {
+                    Frame::Heartbeat { epoch: from as u64 }.write_to(&mut link(from, to)).unwrap();
+                    match read_frame_deadline(
+                        link(to, from),
+                        Instant::now() + Duration::from_secs(5),
+                    ) {
+                        Ok(Some((Frame::Heartbeat { epoch }, _))) => assert_eq!(epoch, from as u64),
+                        other => panic!("expected Heartbeat from {from}, got {other:?}"),
+                    }
+                }
+            }
+        }
+
+        // A hello from the coordinator's index, from the worker itself, from
+        // a worker above it, or a second one from a worker below it is a
+        // typed error, not a link.
+        for (me, hellos) in [(2, vec![0]), (2, vec![2]), (2, vec![3]), (3, vec![1, 1])] {
+            let (labels, mut listeners) = cluster_of(3);
+            let listener = listeners.remove(me - 1);
+            let addr = labels[me].clone();
+            let worker = std::thread::spawn(move || worker_links(&listener, &labels).err());
+            let mut coordinator = TcpStream::connect(&addr).unwrap();
+            Frame::Job { payload: vec![me as u8] }.write_to(&mut coordinator).unwrap();
+            let _dialers: Vec<TcpStream> = hellos
+                .iter()
+                .map(|&peer| {
+                    let mut dialer = TcpStream::connect(&addr).unwrap();
+                    Frame::Hello { peer }.write_to(&mut dialer).unwrap();
+                    dialer
+                })
+                .collect();
+            match worker.join().unwrap() {
+                Some(SquallError::Runtime(m)) => {
+                    assert!(m.contains("bad or duplicate hello"), "{m}")
+                }
+                other => panic!("hellos {hellos:?} to worker {me}: {other:?}"),
+            }
+        }
     }
 
     #[test]
