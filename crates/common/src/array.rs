@@ -95,6 +95,13 @@ impl Bitmap {
         b.mask_tail();
         b
     }
+
+    /// Bits `rows`, in that order.
+    fn take(&self, rows: &[u32]) -> Bitmap {
+        let mut out = Bitmap { words: Vec::with_capacity(rows.len().div_ceil(64)), len: 0 };
+        rows.iter().for_each(|&i| out.push(self.get(i as usize)));
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -163,6 +170,14 @@ impl<T: Copy + Default> PrimitiveArray<T> {
             Some(self.values[i])
         } else {
             None
+        }
+    }
+
+    /// Rows `rows`, in that order.
+    fn take(&self, rows: &[u32]) -> PrimitiveArray<T> {
+        PrimitiveArray {
+            values: rows.iter().map(|&i| self.values[i as usize]).collect(),
+            validity: self.validity.as_ref().map(|bits| bits.take(rows)),
         }
     }
 
@@ -569,6 +584,30 @@ impl Chunk {
         buf.extend(self.columns.iter().map(|c| c.value(i)));
     }
 
+    /// Rows `rows` (each `< n_rows`, in the order given) as a new chunk,
+    /// column by column: typed columns gather their payloads, so no
+    /// [`Value`] is built.
+    pub fn take(&self, rows: &[u32]) -> Chunk {
+        let columns = self.columns.iter().map(|col| match col {
+            Array::Int(a) => Array::Int(a.take(rows)),
+            Array::Float(a) => Array::Float(a.take(rows)),
+            Array::Date(a) => Array::Date(a.take(rows)),
+            Array::Str(a) => {
+                let validity = a.validity.as_ref().map(|bits| bits.take(rows));
+                let mut out = Utf8Array { validity, ..Utf8Array::new() };
+                for &i in rows {
+                    let (lo, hi) = (a.offsets[i as usize], a.offsets[i as usize + 1]);
+                    out.bytes.extend_from_slice(&a.bytes[lo as usize..hi as usize]);
+                    out.offsets.push(out.bytes.len() as u32);
+                }
+                Array::Str(out)
+            }
+            Array::Null(_) => Array::Null(rows.len()),
+            Array::Mixed(v) => Array::Mixed(rows.iter().map(|&i| v[i as usize].clone()).collect()),
+        });
+        Chunk { columns: columns.collect(), rows: rows.len() }
+    }
+
     /// Iterate rows as freshly materialized [`Tuple`]s. Cold-path adapter:
     /// operators that want columns should read them directly.
     pub fn rows(&self) -> Rows<'_> {
@@ -746,6 +785,23 @@ mod tests {
         let c2 = b.finish();
         assert_eq!(c2.n_rows(), 1);
         assert_eq!(c2.n_cols(), 1);
+    }
+
+    #[test]
+    fn take_gathers_rows_of_every_column_kind() {
+        let ts = vec![
+            tuple![1i64, "alpha", 1.5f64, Date(3), Value::Null, 3i64],
+            tuple![2i64, Value::Null, 2.5f64, Value::Null, Value::Null, 3.0f64],
+            tuple![Value::Null, "gamma", Value::Null, Date(-1), Value::Null, "m"],
+        ];
+        let c = Chunk::from_tuples(&ts);
+        for rows in [vec![], vec![2], vec![2, 0, 1], vec![1, 1, 2, 0, 2]] {
+            let want: Vec<Tuple> = rows.iter().map(|&i| ts[i as usize].clone()).collect();
+            let got = c.take(&rows);
+            assert_eq!(got.n_rows(), rows.len());
+            assert_eq!(got.n_cols(), 6);
+            assert_eq!(got.to_tuples(), want, "rows {rows:?}");
+        }
     }
 
     #[test]

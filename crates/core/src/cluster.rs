@@ -561,6 +561,71 @@ mod tests {
         assert!(keys * 100 <= whole * 65, "count-only shipped {keys} B, whole rows {whole} B");
     }
 
+    /// The hypercube replicates a row to several join tasks; the coordinator
+    /// ships it once per remote peer that hosts any of them. Counted against
+    /// the scheme and `plan_placement`: on `hypercube3`'s `y:4 × z:4` cube
+    /// over a coordinator and one worker, the rows on the link are the
+    /// distinct (row, remote peer) pairs, fewer than the remote copies; with
+    /// one join task per peer there is nothing to share and no fan-out frame
+    /// is sent. The answer and every task's load match the in-process run.
+    #[test]
+    fn a_replicated_row_crosses_to_each_remote_peer_once() {
+        use squall_partition::optimizer::build_scheme;
+        let two = |a: &str, b: &str| Schema::of(&[(a, DataType::Int), (b, DataType::Int)]);
+        let rel = |name, schema| RelationDef::new(name, schema, 1000);
+        let spec = MultiJoinSpec::new(
+            vec![rel("R", two("x", "y")), rel("S", two("y", "z")), rel("T", two("z", "t"))],
+            vec![JoinAtom::eq(0, 1, 1, 0), JoinAtom::eq(1, 1, 2, 0)],
+        )
+        .unwrap();
+        let data = rst_data(300, 40, 5);
+        for machines in [16, 2] {
+            let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, machines);
+            let scheme = build_scheme(SchemeKind::Hash, &spec, machines, cfg.seed).unwrap();
+            let peer_of = plan_placement(&[machines], &[false], 2).peer_of_task;
+            let (mut pairs, mut copies) = (0, 0);
+            for (r, rows) in data.iter().enumerate() {
+                for row in rows {
+                    let mut tasks = Vec::new();
+                    scheme.route(r, row, &mut squall_common::SplitMix64::new(0), &mut tasks);
+                    let remote = tasks.iter().filter(|&&t| peer_of[t] == 1).count() as u64;
+                    pairs += u64::from(remote > 0);
+                    copies += remote;
+                }
+            }
+
+            let local = crate::driver::run_multiway(&spec, data.clone(), &cfg).unwrap();
+            let (addrs, handles) = spawn_workers(1);
+            let cluster = Some(ClusterSpec::new(addrs));
+            let dist = crate::driver::run_multiway(
+                &spec,
+                data.clone(),
+                &MultiwayConfig { cluster, ..cfg },
+            )
+            .unwrap();
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert!(dist.error.is_none(), "{:?}", dist.error);
+            assert_eq!(dist.scheme_description, scheme.describe());
+            let (mut a, mut b) = (local.results.clone(), dist.results.clone());
+            a.sort();
+            b.sort();
+            assert_eq!(a, b);
+            assert_eq!((local.loads, local.result_count), (dist.loads, dist.result_count));
+
+            let wire = dist.transport.expect("a clustered run reports its wire");
+            let link = &wire.peers[0];
+            assert_eq!(link.rows_sent, pairs, "{wire}");
+            if machines == 16 {
+                assert_eq!(scheme.describe().matches(":4(hash)").count(), 2);
+                assert!(copies > pairs && link.fanouts_sent > 0, "{copies} copies, {wire}");
+            } else {
+                assert_eq!((copies, link.fanouts_sent), (pairs, 0), "{wire}");
+            }
+        }
+    }
+
     #[test]
     fn loopback_cluster_abort_drains_with_typed_error() {
         let spec = rst_spec();
@@ -892,12 +957,13 @@ mod tests {
         vec![hash, random, hybrid, plain]
     }
 
-    /// One frame of every kind, a job frame carrying a corpus job, and a
-    /// data frame of every message kind (batches with dictionary, plain,
-    /// validity-bearing, mixed and null columns).
+    /// One frame of every kind, a job frame carrying a corpus job, a data
+    /// frame of every message kind (batches with dictionary, plain,
+    /// validity-bearing, mixed and null columns) and a fan-out frame.
     fn corpus_frames() -> Vec<Frame> {
         use squall_common::{tuple, Chunk, Date, Tuple, Value};
         use squall_runtime::message::Message;
+        use squall_runtime::transport::FanoutBatch;
         use squall_runtime::{MetricsSnapshot, NodeMetrics, SchedulerStats};
         let metrics = MetricsSnapshot {
             nodes: vec![NodeMetrics {
@@ -945,6 +1011,12 @@ mod tests {
             Message::Barrier { epoch: 5 },
         ];
         frames.extend(messages.map(|msg| Frame::Deliver { to_task: 3, msg }));
+        // A fan-out to 10 tasks: two mask bytes per row, the second with six
+        // bits no task owns (a flip that sets one is a codec error).
+        let mask = (0..64).flat_map(|i: u8| [i | 1, i % 4]).collect();
+        let chunk = Chunk::from_tuples(&dict);
+        let batch = FanoutBatch { first_task: 2, targets: 10, origin: 1, chunk, mask };
+        frames.push(Frame::Fanout(batch));
         frames
     }
 

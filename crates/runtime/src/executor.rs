@@ -73,9 +73,10 @@ use squall_common::{SquallError, Tuple};
 
 use crate::message::{Message, NodeId};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, SchedCounters};
-use crate::topology::{EdgeOut, EdgeTarget, NodeKind, OutputCollector, Spout, SpoutPoll, Topology};
+use crate::topology::{EdgeOut, NodeKind, OutputCollector, Spout, SpoutPoll, Topology};
 use crate::transport::{
-    spawn_cluster, ClusterLinks, ClusterRun, ClusterWiring, LocalTransport, Placement, Transport,
+    spawn_cluster, ClusterLinks, ClusterRun, ClusterWiring, LocalTransport, Placement,
+    TcpTransport, Transport,
 };
 
 /// Index of a task in the pool (dense over all `(node, task)` pairs).
@@ -871,8 +872,8 @@ impl Topology {
 
         // The transport: in-process inbox pushes, or the TCP data plane
         // bridging remote edges.
-        let (transport, cluster_run): (Arc<dyn Transport>, Option<ClusterRun>) = match cluster {
-            None => (Arc::new(LocalTransport::new(inboxes.clone(), Arc::clone(&sched))), None),
+        let (tcp, cluster_run): (Option<Arc<TcpTransport>>, Option<ClusterRun>) = match cluster {
+            None => (None, None),
             Some((placement, links)) => {
                 // Per peer: the punctuation its tasks owe our local tasks
                 // (used to fail fast, not hang, if that peer crashes).
@@ -905,8 +906,12 @@ impl Topology {
                     eos_owed,
                 };
                 let (transport, run) = spawn_cluster(links, &placement, wiring);
-                (transport, Some(run))
+                (Some(transport), Some(run))
             }
+        };
+        let transport: Arc<dyn Transport> = match &tcp {
+            None => Arc::new(LocalTransport::new(inboxes.clone(), Arc::clone(&sched))),
+            Some(tcp) => Arc::clone(tcp) as Arc<dyn Transport>,
         };
 
         let start = Instant::now();
@@ -918,19 +923,17 @@ impl Topology {
                     cells.push(Mutex::new(None));
                     continue;
                 }
+                // A remote peer hosting several targets of an edge gets one
+                // fan-out buffer, decided here once: in-process there is none.
                 let edges: Vec<EdgeOut> = self
                     .edges
                     .iter()
                     .filter(|e| e.from == node_id)
-                    .map(|e| EdgeOut {
-                        grouping: e.grouping.clone(),
-                        seq: 0,
-                        targets: (0..parallelism[e.to])
-                            .map(|t| EdgeTarget {
-                                task: first_task[e.to] + t,
-                                buffer: squall_common::ChunkBuilder::new(),
-                            })
-                            .collect(),
+                    .map(|e| {
+                        let (first, n) = (first_task[e.to], parallelism[e.to]);
+                        let fanouts =
+                            tcp.as_ref().map_or_else(Vec::new, |t| t.fanouts(node_id, first, n));
+                        EdgeOut::new(e.grouping.clone(), first, n, fanouts)
                     })
                     .collect();
                 let counters = registry.task(node_id, task);

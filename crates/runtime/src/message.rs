@@ -1,7 +1,9 @@
 //! The one message exchanged between tasks: what a bolt's inbox queues,
 //! what [`crate::Transport::send`] takes, and — behind a target task id, as
 //! [`crate::Frame::Deliver`] — what crosses the wire (its byte layout lives
-//! beside the frame's, in [`crate::transport`]).
+//! beside the frame's, in [`crate::transport`]). A batch for several tasks
+//! of one remote peer crosses as one [`crate::Frame::Fanout`] instead, which
+//! the receiving peer splits back into one `Batch` per task.
 
 use squall_common::Chunk;
 
@@ -15,12 +17,14 @@ pub type NodeId = usize;
 /// into per-target [`ChunkBuilder`](squall_common::ChunkBuilder) scatter
 /// buffers (see [`crate::topology::OutputCollector`]) and ship one
 /// `Batch` — a columnar [`Chunk`] — per `batch_size` rows (or whatever is
-/// buffered when the stream punctuates). Batching amortizes the
-/// per-message queue and scheduling costs without introducing micro-batch
-/// *barriers* — a batch is flushed the moment it fills, so pipelining is
-/// preserved (§8.1's argument against synchronized micro-batching still
-/// holds). Because routing happens per row *before* buffering, chunk
-/// boundaries never affect partitioning, loads, or results.
+/// buffered when the stream punctuates). The targets a remote peer hosts
+/// two or more of share one buffer that holds each row once and ships as a
+/// fan-out frame; the peer splits it back into these per-target batches.
+/// Batching amortizes the per-message queue and scheduling costs without
+/// introducing micro-batch *barriers* — a batch is flushed the moment it
+/// fills, so pipelining is preserved (§8.1's argument against synchronized
+/// micro-batching still holds). Because routing happens per row *before*
+/// buffering, chunk boundaries never affect partitioning, loads, or results.
 #[derive(Debug, Clone)]
 pub enum Message {
     /// A run of data rows in columnar layout, tagged with the node that

@@ -11,7 +11,7 @@ use crate::executor::{Sched, TaskId};
 use crate::grouping::Grouping;
 use crate::message::{Message, NodeId};
 use crate::metrics::TaskCounters;
-use crate::transport::Transport;
+use crate::transport::{PeerFanout, Transport};
 
 /// What a spout produced on one poll. Bounded sources only ever report
 /// [`SpoutPoll::Row`] and [`SpoutPoll::Eos`]; *resident* sources —
@@ -512,17 +512,42 @@ impl Topology {
 /// streams split into uniform chunks, which cannot change results because
 /// routing happened per row before buffering). Delivery goes through the
 /// run's [`Transport`] — the emitter neither knows nor cares whether the
-/// target task lives in this process.
+/// target task lives in this process. A target one of the edge's
+/// [`PeerFanout`]s ships for leaves its buffer empty.
 pub(crate) struct EdgeTarget {
-    pub(crate) task: TaskId,
-    pub(crate) buffer: ChunkBuilder,
+    task: TaskId,
+    buffer: ChunkBuilder,
+    /// Index of the edge's fan-out this target's rows go through.
+    fanout: Option<usize>,
 }
 
 /// One outgoing edge of a running task.
 pub(crate) struct EdgeOut {
-    pub(crate) grouping: Grouping,
-    pub(crate) seq: u64,
-    pub(crate) targets: Vec<EdgeTarget>,
+    grouping: Grouping,
+    seq: u64,
+    targets: Vec<EdgeTarget>,
+    /// Empty in-process, and for a peer hosting one target of the edge.
+    fanouts: Vec<PeerFanout>,
+}
+
+impl EdgeOut {
+    /// An edge into tasks `first..first + n`, whose targets in a fan-out's
+    /// run ship through it.
+    pub(crate) fn new(
+        grouping: Grouping,
+        first: TaskId,
+        n: usize,
+        fanouts: Vec<PeerFanout>,
+    ) -> EdgeOut {
+        let mut targets: Vec<EdgeTarget> = (first..first + n)
+            .map(|task| EdgeTarget { task, buffer: ChunkBuilder::new(), fanout: None })
+            .collect();
+        for (f, fan) in fanouts.iter().enumerate() {
+            let run = fan.tasks();
+            targets[run.start - first..run.end - first].iter_mut().for_each(|t| t.fanout = Some(f));
+        }
+        EdgeOut { grouping, seq: 0, targets, fanouts }
+    }
 }
 
 /// The emission interface handed to spout/bolt tasks.
@@ -623,18 +648,26 @@ impl OutputCollector {
         let batch_size = self.batch_size;
         let mut sent = 0u64;
         for edge in &mut self.edges {
-            edge.grouping.route(task, edge.seq, row, edge.targets.len(), &mut self.scratch);
+            let seq = edge.seq;
+            edge.grouping.route(task, seq, row, edge.targets.len(), &mut self.scratch);
             edge.seq += 1;
+            sent += self.scratch.len() as u64;
             for &t in &self.scratch {
                 let target = &mut edge.targets[t];
+                if let Some(f) = target.fanout {
+                    edge.fanouts[f].push(seq, target.task, row, &mut self.gated);
+                    continue;
+                }
                 if !target.buffer.accepts(row) {
                     flush_target(self.node, target, &*self.transport, &mut self.gated);
                 }
                 target.buffer.push(row);
-                sent += 1;
                 if target.buffer.len() >= batch_size {
                     flush_target(self.node, target, &*self.transport, &mut self.gated);
                 }
+            }
+            for fan in &mut edge.fanouts {
+                fan.flush_full(batch_size, &mut self.gated);
             }
         }
         self.counters.sent.fetch_add(sent, Ordering::Relaxed);
@@ -659,13 +692,16 @@ impl OutputCollector {
         self.flush_all(Some(Message::Barrier { epoch }));
     }
 
-    /// The one flush-then-send loop: ship every target's scatter buffer
-    /// and, behind it, that target's copy of `punctuation` if there is
-    /// one. With `None` it only flushes — resident spouts do that before
-    /// parking idle, so no delta sits in a half-full batch while the task
-    /// sleeps.
+    /// The one flush-then-send loop: ship every fan-out and every target's
+    /// scatter buffer and, behind them, each target's copy of `punctuation`
+    /// if there is one (a link is FIFO, so it lands after the data). With
+    /// `None` it only flushes — resident spouts do that before parking idle,
+    /// so no delta sits in a half-full batch while the task sleeps.
     pub(crate) fn flush_all(&mut self, punctuation: Option<Message>) {
         for edge in &mut self.edges {
+            for fan in &mut edge.fanouts {
+                fan.flush(&mut self.gated);
+            }
             for target in &mut edge.targets {
                 flush_target(self.node, target, &*self.transport, &mut self.gated);
                 if let Some(msg) = &punctuation {

@@ -16,6 +16,14 @@
 //!   pump per link unwraps each arriving `Deliver` and hands its message
 //!   to the local backend.
 //!
+//! A row the hypercube replicates to several tasks of one remote peer
+//! crosses that link once: where a peer hosts two or more targets of an
+//! edge, the sender's [`crate::OutputCollector`] buffers each routed row
+//! once for that peer, with a mask of its tasks (decided at wiring time —
+//! in-process runs have no such buffer), and pushes a [`Frame::Fanout`]
+//! straight onto the egress queue. The recv pump splits it into one
+//! [`Message::Batch`] per task, so inboxes and bolts never see it.
+//!
 //! The send pump waits on wakeups, not timers: it flushes the moment its
 //! queue runs dry and blocks until a push.
 //!
@@ -28,12 +36,13 @@
 //! can form.
 //!
 //! There is one task-to-task message, [`Message`], and one frame that
-//! carries it, so termination and progress punctuation travel the same
-//! path as data: a sender's `Eos`, `Watermark` and `Barrier` are delivered
-//! per (sender task → target task) edge, ordered after that sender's
-//! earlier data, so a bolt's end-of-stream count, a windowed aggregate's
-//! window-closing decisions and barrier alignment are identical to a
-//! single-process run. A raised abort (e.g.
+//! carries it to one task (a fan-out frame carries only batches), so
+//! termination and progress punctuation travel the same path as data: a
+//! sender's `Eos`, `Watermark` and `Barrier` are delivered per (sender task
+//! → target task) edge, ordered after that sender's earlier data, fan-out
+//! frames included, so a bolt's end-of-stream count, a windowed
+//! aggregate's window-closing decisions and barrier alignment are identical
+//! to a single-process run. A raised abort (e.g.
 //! [`SquallError::MemoryOverflow`]) is broadcast as an `Abort` frame by
 //! every send pump, so remote spouts stop and every slice drains exactly
 //! like the local abort path.
@@ -47,7 +56,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use squall_common::codec::{self, Reader, Wire};
-use squall_common::{Result, SquallError, Tuple};
+use squall_common::{Chunk, ChunkBuilder, Result, SquallError, Tuple, Value};
 
 use crate::executor::{GateQueue, Inbox, Sched, Shared, TaskId};
 use crate::message::{Message, NodeId};
@@ -217,6 +226,12 @@ pub enum Frame {
     /// earlier data and end-of-stream counts, window closing and barrier
     /// alignment across the wire are identical to a single-process run.
     Deliver { to_task: TaskId, msg: Message },
+    /// One sender task's rows for a run of target tasks that one peer
+    /// hosts: each row once, with the mask of the run's tasks it goes to.
+    /// The receiving recv pump splits it into one [`Message::Batch`] per
+    /// task, so a row the hypercube replicates to several tasks of one peer
+    /// crosses the wire once.
+    Fanout(FanoutBatch),
     /// Liveness beacon: the sender is alive and its bolts have aligned on
     /// checkpoint epochs up to `epoch`. Sent on otherwise-idle links when
     /// the failure detector is armed; receiving one refreshes the link's
@@ -256,6 +271,7 @@ squall_common::wire_tags! { Frame (buf, r) {
     10 => Heartbeat { epoch },
     11 => SnapshotBlob { role, task as u32, epoch, payload },
     12 => Readmit { peer as u32, epoch },
+    13 => Fanout(batch),
 } else {
     Frame::Deliver { to_task, msg } => msg.put(*to_task, buf),
     tag @ (MSG_BATCH | MSG_EOS | MSG_WATERMARK | MSG_BARRIER) => {
@@ -313,7 +329,150 @@ impl Message {
     }
 }
 
+/// The payload of [`Frame::Fanout`]: rows for tasks
+/// `first_task..first_task + targets`, all emitted by `origin`, and per row
+/// `targets.div_ceil(8)` mask bytes whose bit `j` (byte `j / 8`, bit
+/// `j % 8`) sends the row to task `first_task + j`.
+#[derive(Debug, Clone)]
+pub struct FanoutBatch {
+    pub first_task: TaskId,
+    pub targets: usize,
+    pub origin: NodeId,
+    pub chunk: Chunk,
+    pub mask: Vec<u8>,
+}
+
+squall_common::wire_struct! {
+    FanoutBatch { first_task as u32, targets as u32, origin as u32, chunk, mask }
+    check FanoutBatch::checked
+}
+
+impl FanoutBatch {
+    fn width(&self) -> usize {
+        self.targets.div_ceil(8)
+    }
+
+    /// A mask of exactly one row of `width` bytes per chunk row, with no
+    /// bit at or past `targets`: what a sender writes. Anything else is a
+    /// typed error here, not an out-of-range index in the recv pump.
+    fn checked(&self) -> Result<()> {
+        let (width, rows) = (self.width(), self.chunk.n_rows());
+        // The bits of a row's last byte that no target owns.
+        let past = u8::MAX.checked_shl((self.targets + 8 - width * 8) as u32).unwrap_or(0);
+        let fits = width > 0
+            && rows.checked_mul(width) == Some(self.mask.len())
+            && self.mask.chunks_exact(width).all(|row| row[width - 1] & past == 0);
+        match fits {
+            true => Ok(()),
+            false => Err(SquallError::Codec(format!(
+                "fan-out mask of {} bytes does not fit {rows} rows to {} tasks",
+                self.mask.len(),
+                self.targets
+            ))),
+        }
+    }
+
+    /// Split into one [`Message::Batch`] per task that takes rows, handed to
+    /// `deliver` in task order; each keeps the rows' order. `rows` is
+    /// scratch: one row list per target.
+    fn split(self, rows: &mut Vec<Vec<u32>>, mut deliver: impl FnMut(TaskId, Message)) {
+        rows.resize_with(rows.len().max(self.targets), Vec::new);
+        let rows = &mut rows[..self.targets];
+        rows.iter_mut().for_each(Vec::clear);
+        for (r, bytes) in self.mask.chunks_exact(self.width()).enumerate() {
+            for (byte, &bits) in bytes.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    rows[byte * 8 + bits.trailing_zeros() as usize].push(r as u32);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        for (j, taken) in rows.iter().enumerate().filter(|(_, taken)| !taken.is_empty()) {
+            let chunk = self.chunk.take(taken);
+            deliver(self.first_task + j, Message::Batch { origin: self.origin, chunk });
+        }
+    }
+}
+
+/// The sending side of [`Frame::Fanout`]: one sender task's scatter buffer
+/// for the target tasks `first_task..first_task + targets` of an edge, all
+/// on one remote peer. Each row routed to any of them is buffered once, with
+/// its mask bytes, and the buffer ships as one frame straight onto the
+/// peer's egress queue. It flushes at `batch_size` copies per target of the
+/// run, so each task's share still averages `batch_size` rows.
+pub(crate) struct PeerFanout {
+    origin: NodeId,
+    first_task: TaskId,
+    targets: usize,
+    link: Arc<Egress>,
+    buffer: ChunkBuilder,
+    mask: Vec<u8>,
+    /// Copies buffered: the set bits of `mask`.
+    copies: usize,
+    /// The edge's `seq` of the last row buffered, so a row several targets
+    /// of the run take is buffered once.
+    row: u64,
+}
+
+impl PeerFanout {
+    /// The target tasks this buffer ships for.
+    pub(crate) fn tasks(&self) -> std::ops::Range<TaskId> {
+        self.first_task..self.first_task + self.targets
+    }
+
+    /// Buffer the edge's row `seq` for `task`, one of [`PeerFanout::tasks`].
+    pub(crate) fn push(&mut self, seq: u64, task: TaskId, row: &[Value], gated: &mut bool) {
+        let width = self.targets.div_ceil(8);
+        if self.row != seq {
+            if !self.buffer.accepts(row) {
+                self.flush(gated);
+            }
+            self.row = seq;
+            self.buffer.push(row);
+            self.mask.resize(self.mask.len() + width, 0);
+        }
+        let j = task - self.first_task;
+        let at = self.mask.len() - width + j / 8;
+        self.mask[at] |= 1 << (j % 8);
+        self.copies += 1;
+    }
+
+    /// Ship the buffer once it holds `batch_size` copies per target.
+    pub(crate) fn flush_full(&mut self, batch_size: usize, gated: &mut bool) {
+        if self.copies >= batch_size * self.targets {
+            self.flush(gated);
+        }
+    }
+
+    /// Ship whatever is buffered; set `gated` if that overfills the link.
+    pub(crate) fn flush(&mut self, gated: &mut bool) {
+        if self.buffer.is_empty() {
+            return;
+        }
+        let next = Vec::with_capacity(self.mask.len());
+        let mask = std::mem::replace(&mut self.mask, next);
+        self.copies = 0;
+        let (origin, first_task, targets) = (self.origin, self.first_task, self.targets);
+        let chunk = self.buffer.finish();
+        self.link.push(Frame::Fanout(FanoutBatch { first_task, targets, origin, chunk, mask }));
+        if self.link.over_capacity() {
+            *gated = true;
+        }
+    }
+}
+
 impl Frame {
+    /// Rows a data frame carries (`None` for any other frame): one per row
+    /// of a fan-out batch, however many tasks it goes to.
+    fn data_rows(&self) -> Option<usize> {
+        match self {
+            Frame::Deliver { msg: Message::Batch { chunk, .. }, .. } => Some(chunk.n_rows()),
+            Frame::Fanout(batch) => Some(batch.chunk.n_rows()),
+            _ => None,
+        }
+    }
+
     /// Write this frame, length-prefixed. Returns the bytes written.
     pub fn write_to(&self, w: &mut impl Write) -> Result<usize> {
         let payload = self.encode();
@@ -381,6 +540,9 @@ pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// non-blocking mode and is restored to blocking either way).
 fn accept_with_deadline(listener: &TcpListener, deadline: Instant) -> Result<TcpStream> {
     listener.set_nonblocking(true).map_err(SquallError::from)?;
+    // Poll fast at first (a peer dialing right now lands within
+    // microseconds), backing off to 5 ms for one that is still starting.
+    let mut nap = Duration::from_micros(50);
     let outcome = loop {
         match listener.accept() {
             Ok((stream, _)) => break Ok(stream),
@@ -390,7 +552,8 @@ fn accept_with_deadline(listener: &TcpListener, deadline: Instant) -> Result<Tcp
                         "timed out waiting for a cluster peer to connect".into(),
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(nap);
+                nap = (nap * 2).min(Duration::from_millis(5));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => break Err(e.into()),
@@ -565,6 +728,9 @@ pub(crate) struct PeerWire {
     pub(crate) bytes_sent: AtomicU64,
     pub(crate) batches_received: AtomicU64,
     pub(crate) bytes_received: AtomicU64,
+    pub(crate) rows_sent: AtomicU64,
+    pub(crate) rows_received: AtomicU64,
+    pub(crate) fanouts_sent: AtomicU64,
     pub(crate) flushes: AtomicU64,
     pub(crate) recv_congested_ns: AtomicU64,
     /// Highest checkpoint epoch this peer has advertised (via heartbeats)
@@ -573,9 +739,11 @@ pub(crate) struct PeerWire {
 }
 
 /// Frozen per-peer wire traffic for one run (the distributed analog of
-/// the paper's network-factor monitoring): batches are `Deliver` frames
-/// carrying a `Batch`; bytes count every frame on the link, punctuation
-/// included. `flushes` counts explicit flushes of a non-empty send buffer,
+/// the paper's network-factor monitoring): batches are data frames — a
+/// `Deliver` carrying a `Batch`, or a `Fanout` (`fanouts_sent` of them) —
+/// and rows the rows they carry, a fan-out row once however many tasks it
+/// goes to; bytes count every frame on the link, punctuation included.
+/// `flushes` counts explicit flushes of a non-empty send buffer,
 /// `recv_congested_ns` the time the recv pump held a batch for a full inbox.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerWireStats {
@@ -585,6 +753,9 @@ pub struct PeerWireStats {
     pub bytes_sent: u64,
     pub batches_received: u64,
     pub bytes_received: u64,
+    pub rows_sent: u64,
+    pub rows_received: u64,
+    pub fanouts_sent: u64,
     pub flushes: u64,
     pub recv_congested_ns: u64,
 }
@@ -612,12 +783,15 @@ impl TransportStats {
 impl std::fmt::Display for TransportStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for p in &self.peers {
-            let PeerWireStats { peer, label, flushes, recv_congested_ns, .. } = p;
+            let PeerWireStats { peer, label, batches_sent, bytes_sent, rows_sent, .. } = p;
+            let PeerWireStats { batches_received, bytes_received, rows_received, .. } = p;
+            let PeerWireStats { fanouts_sent, flushes, recv_congested_ns, .. } = p;
             writeln!(
                 f,
-                "  peer {peer} ({label}): sent {} batches / {} B in {flushes} flushes, received {} \
-                 batches / {} B ({recv_congested_ns} ns congested)",
-                p.batches_sent, p.bytes_sent, p.batches_received, p.bytes_received
+                "  peer {peer} ({label}): sent {rows_sent} rows in {batches_sent} batches \
+                 ({fanouts_sent} fan-out) / {bytes_sent} B in {flushes} flushes, received \
+                 {rows_received} rows in {batches_received} batches / {bytes_received} B \
+                 ({recv_congested_ns} ns congested)"
             )?;
         }
         Ok(())
@@ -659,6 +833,29 @@ impl Transport for TcpTransport {
         } else {
             self.egress[peer].as_ref().expect("no link to peer").register_waiter(sender)
         }
+    }
+}
+
+impl TcpTransport {
+    /// The fan-out buffers of an edge from `origin` into tasks
+    /// `first..first + n`: one per run of two or more of them on one remote
+    /// peer (there is no link to this one). `plan_placement` keeps a node's
+    /// tasks on a peer contiguous, so that is one per peer hosting two or
+    /// more.
+    pub(crate) fn fanouts(&self, origin: NodeId, first: TaskId, n: usize) -> Vec<PeerFanout> {
+        let mut fanouts = Vec::new();
+        let mut first_task = first;
+        for run in self.peer_of_task[first..first + n].chunk_by(|a, b| a == b) {
+            if let (true, Some(link)) = (run.len() > 1, &self.egress[run[0]]) {
+                let (link, targets, copies, row) = (Arc::clone(link), run.len(), 0, u64::MAX);
+                let (buffer, mask) = (ChunkBuilder::new(), Vec::new());
+                let fanout =
+                    PeerFanout { origin, first_task, targets, link, buffer, mask, copies, row };
+                fanouts.push(fanout);
+            }
+            first_task += run.len();
+        }
+        fanouts
     }
 }
 
@@ -766,6 +963,9 @@ impl ClusterRun {
                         bytes_sent: w.bytes_sent.load(Ordering::Relaxed),
                         batches_received: w.batches_received.load(Ordering::Relaxed),
                         bytes_received: w.bytes_received.load(Ordering::Relaxed),
+                        rows_sent: w.rows_sent.load(Ordering::Relaxed),
+                        rows_received: w.rows_received.load(Ordering::Relaxed),
+                        fanouts_sent: w.fanouts_sent.load(Ordering::Relaxed),
                         flushes: w.flushes.load(Ordering::Relaxed),
                         recv_congested_ns: w.recv_congested_ns.load(Ordering::Relaxed),
                     })
@@ -940,8 +1140,12 @@ fn send_pump(
                 if !broken {
                     match write(&frame, &mut w) {
                         Ok(()) => {
-                            if matches!(frame, Frame::Deliver { msg: Message::Batch { .. }, .. }) {
+                            if let Some(rows) = frame.data_rows() {
                                 counters.batches_sent.fetch_add(1, Ordering::Relaxed);
+                                counters.rows_sent.fetch_add(rows as u64, Ordering::Relaxed);
+                            }
+                            if matches!(frame, Frame::Fanout(_)) {
+                                counters.fanouts_sent.fetch_add(1, Ordering::Relaxed);
                             }
                         }
                         Err(_) if last => {}
@@ -1000,42 +1204,50 @@ impl RecvPump {
         }
         let mut r = BufReader::new(&*stream);
         let counters = &wire[peer];
+        // Stop reading while the destination is over capacity: TCP flow
+        // control then pushes back on the sending peer. Abort lifts the
+        // gate so drain-to-terminate always progresses, and punctuation
+        // never waits (the pump reads sequentially, so it still lands after
+        // the sender's earlier data).
+        let deliver = |to_task: TaskId, msg: Message| {
+            if matches!(msg, Message::Batch { .. }) && local.congested(to_task) {
+                let start = Instant::now();
+                while local.congested(to_task) && !shared.is_aborted() {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                let waited = start.elapsed().as_nanos() as u64;
+                counters.recv_congested_ns.fetch_add(waited, Ordering::Relaxed);
+            }
+            local.send(to_task, msg);
+        };
+        // Data or punctuation, a message this peer has no task for would
+        // otherwise be waited on forever: fail the run.
+        let misaddressed = |to_task: TaskId| {
+            shared.raise(SquallError::Runtime(format!(
+                "peer {peer} addressed non-local task {to_task}"
+            )));
+        };
+        let mut split_rows = Vec::new();
         let mut clean = false;
         loop {
             match Frame::read_from(&mut r) {
                 Ok(Some((frame, n))) => {
                     counters.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
+                    if let Some(rows) = frame.data_rows() {
+                        counters.batches_received.fetch_add(1, Ordering::Relaxed);
+                        counters.rows_received.fetch_add(rows as u64, Ordering::Relaxed);
+                    }
                     match frame {
-                        Frame::Deliver { to_task, msg } => {
-                            let is_batch = matches!(msg, Message::Batch { .. });
-                            if is_batch {
-                                counters.batches_received.fetch_add(1, Ordering::Relaxed);
+                        Frame::Deliver { to_task, msg } if local.hosts(to_task) => {
+                            deliver(to_task, msg)
+                        }
+                        Frame::Deliver { to_task, .. } => misaddressed(to_task),
+                        Frame::Fanout(batch) => {
+                            let run = batch.first_task..batch.first_task + batch.targets;
+                            match run.into_iter().find(|&t| !local.hosts(t)) {
+                                Some(to_task) => misaddressed(to_task),
+                                None => batch.split(&mut split_rows, deliver),
                             }
-                            // Data or punctuation, a message this peer has
-                            // no task for would otherwise be waited on
-                            // forever: fail the run.
-                            if !local.hosts(to_task) {
-                                shared.raise(SquallError::Runtime(format!(
-                                    "peer {peer} addressed non-local task {to_task}"
-                                )));
-                                continue;
-                            }
-                            // Stop reading while the destination is over
-                            // capacity: TCP flow control then pushes back on
-                            // the sending peer. Abort lifts the gate so
-                            // drain-to-terminate always progresses, and
-                            // punctuation never waits (the pump reads
-                            // sequentially, so it still lands after the
-                            // sender's earlier data).
-                            if is_batch && local.congested(to_task) {
-                                let start = Instant::now();
-                                while local.congested(to_task) && !shared.is_aborted() {
-                                    std::thread::sleep(Duration::from_micros(200));
-                                }
-                                let waited = start.elapsed().as_nanos() as u64;
-                                counters.recv_congested_ns.fetch_add(waited, Ordering::Relaxed);
-                            }
-                            local.send(to_task, msg);
                         }
                         Frame::Heartbeat { epoch } => {
                             counters.last_epoch.fetch_max(epoch, Ordering::Relaxed);
@@ -1202,6 +1414,89 @@ mod tests {
         }
     }
 
+    /// Rows `[1, "x"]` and `[2, NULL]` for tasks 4..14 (two mask bytes per
+    /// row): the first to tasks 4, 6 and 13, the second to 11 and 12.
+    fn fanout_batch() -> FanoutBatch {
+        use squall_common::Value;
+        FanoutBatch {
+            first_task: 4,
+            targets: 10,
+            origin: 2,
+            chunk: Chunk::from_tuples(&[tuple![1, "x"], tuple![2, Value::Null]]),
+            mask: vec![0b101, 0b10, 0b1000_0000, 0b1],
+        }
+    }
+
+    #[test]
+    fn fanout_frames_match_golden_bytes() {
+        // Tag 13, first task, target count, origin, the columnar chunk, then
+        // the mask as a counted byte run.
+        let want = concat!(
+            "0d040000000a000000020000000200000002000000010000100000000100000000000000",
+            "020000000000000003000115000000010000000000000001000000780100000001000000",
+            "0400000005028001",
+        );
+        let frame = Frame::Fanout(fanout_batch());
+        let bytes = frame.encode();
+        assert_eq!(hex(&bytes), want);
+        assert_eq!(format!("{:?}", Frame::decode(&bytes).unwrap()), format!("{frame:?}"));
+        for cut in 0..bytes.len() {
+            assert!(matches!(Frame::decode(&bytes[..cut]), Err(SquallError::Codec(_))), "{cut}");
+        }
+    }
+
+    #[test]
+    fn hostile_fanout_masks_are_codec_errors() {
+        let short = FanoutBatch { mask: vec![0b101, 0b10, 0b1000_0000], ..fanout_batch() };
+        let long = FanoutBatch { mask: vec![0; 6], ..fanout_batch() };
+        let past_count =
+            FanoutBatch { mask: vec![0b101, 0b110, 0b1000_0000, 0b1], ..fanout_batch() };
+        let no_targets = FanoutBatch { targets: 0, mask: Vec::new(), ..fanout_batch() };
+        let whole_byte = FanoutBatch { targets: 8, mask: vec![0b1000_0001, 0b1], ..fanout_batch() };
+        for bad in [short, long, past_count, no_targets] {
+            match Frame::decode(&Frame::Fanout(bad.clone()).encode()) {
+                Err(SquallError::Codec(_)) => {}
+                other => panic!("{bad:?} decoded as {other:?}"),
+            }
+        }
+        assert!(Frame::decode(&Frame::Fanout(whole_byte).encode()).is_ok());
+    }
+
+    #[test]
+    fn recv_pump_splits_a_fanout_into_a_batch_per_task() {
+        let (mut dialer, stream) = loopback();
+        Frame::Fanout(fanout_batch()).write_to(&mut dialer).unwrap();
+        Frame::Goodbye.write_to(&mut dialer).unwrap();
+        let inboxes: Vec<Option<Arc<Inbox>>> =
+            (0..14).map(|t| (t >= 4).then(|| Arc::new(Inbox::new(4)))).collect();
+        let wire = [PeerWire::default(), PeerWire::default()];
+        let shared = Shared::new();
+        RecvPump {
+            stream: Arc::new(stream),
+            peer: 1,
+            peer_label: "worker".into(),
+            local: LocalTransport::new(inboxes.clone(), idle_sched(14)),
+            sink_tx: None,
+            blob_tx: None,
+            heartbeat: None,
+            eos_owed: Vec::new(),
+        }
+        .run(&shared, &Mutex::new(RemoteState::default()), &wire);
+        assert!(shared.error_clone().is_none());
+        let got: Vec<(usize, Vec<Tuple>)> = (4..14)
+            .filter_map(|t| match inboxes[t].as_ref().unwrap().pop(&mut Vec::new()) {
+                Some(Message::Batch { origin: 2, chunk }) => Some((t, chunk.to_tuples())),
+                Some(other) => panic!("task {t} got {other:?}"),
+                None => None,
+            })
+            .collect();
+        let (x, null) = (vec![tuple![1, "x"]], vec![tuple![2, squall_common::Value::Null]]);
+        let want = vec![(4, x.clone()), (6, x.clone()), (11, null.clone()), (12, null), (13, x)];
+        assert_eq!(got, want);
+        assert_eq!(wire[1].batches_received.load(Ordering::Relaxed), 1);
+        assert_eq!(wire[1].rows_received.load(Ordering::Relaxed), 2);
+    }
+
     #[test]
     fn control_frames_match_golden_bytes() {
         let metrics = MetricsSnapshot {
@@ -1307,6 +1602,37 @@ mod tests {
                 other => panic!("{msg:?} to a non-local task raised {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_fanout_to_a_non_local_task_fails_the_run() {
+        // Tasks 4..14 with task 9 hosted elsewhere: nothing is delivered.
+        let (mut dialer, stream) = loopback();
+        Frame::Fanout(fanout_batch()).write_to(&mut dialer).unwrap();
+        Frame::Goodbye.write_to(&mut dialer).unwrap();
+        let inboxes: Vec<Option<Arc<Inbox>>> =
+            (0..14).map(|t| (t >= 4 && t != 9).then(|| Arc::new(Inbox::new(4)))).collect();
+        let shared = Shared::new();
+        RecvPump {
+            stream: Arc::new(stream),
+            peer: 1,
+            peer_label: "worker".into(),
+            local: LocalTransport::new(inboxes.clone(), idle_sched(14)),
+            sink_tx: None,
+            blob_tx: None,
+            heartbeat: None,
+            eos_owed: Vec::new(),
+        }
+        .run(
+            &shared,
+            &Mutex::new(RemoteState::default()),
+            &[PeerWire::default(), PeerWire::default()],
+        );
+        match shared.error_clone() {
+            Some(SquallError::Runtime(m)) if m.contains("non-local task 9") => {}
+            other => panic!("a fan-out over a non-local task raised {other:?}"),
+        }
+        assert!(inboxes.iter().flatten().all(|inbox| inbox.pop(&mut Vec::new()).is_none()));
     }
 
     #[test]
