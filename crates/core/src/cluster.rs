@@ -626,6 +626,32 @@ mod tests {
         }
     }
 
+    /// A long stream crosses the link in full batches: over 20 000 routed
+    /// rows the coordinator's data frames average at least half of
+    /// `DEFAULT_BATCH_SIZE` rows, so a rule that flushes a target's buffer
+    /// before it fills (per row, or every few rows) fails it. A frame
+    /// count, not a timing.
+    #[test]
+    fn a_full_stream_ships_full_batches() {
+        let spec = rst_spec();
+        let data = rst_data(12_000, 1_000_000, 11);
+        let (addrs, handles) = spawn_workers(1);
+        let cfg = MultiwayConfig {
+            cluster: Some(ClusterSpec::new(addrs)),
+            ..MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2)
+        };
+        let dist = crate::driver::run_multiway(&spec, data, &cfg).unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(dist.error.is_none(), "{:?}", dist.error);
+        let wire = dist.transport.expect("a clustered run reports its wire");
+        let link = &wire.peers[0];
+        assert!(link.rows_sent >= 20_000, "{wire}");
+        let per_batch = squall_runtime::DEFAULT_BATCH_SIZE as u64 / 2;
+        assert!(link.rows_sent >= per_batch * link.batches_sent, "{wire}");
+    }
+
     #[test]
     fn loopback_cluster_abort_drains_with_typed_error() {
         let spec = rst_spec();

@@ -22,6 +22,7 @@
 //! so their skew marks, join order and scheme come from the engine's
 //! statistics and optimizer, as they do for a user.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 pub mod crawlcontent;
 pub mod google_cluster;
 pub mod streams;

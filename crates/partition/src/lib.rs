@@ -27,6 +27,7 @@
 //! 1-Bucket controller live with the figures that read them, in
 //! `crates/bench/src/{twoway, skew, adaptive}.rs`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 pub mod hypercube;
 pub mod optimizer;
 pub mod stats;

@@ -325,9 +325,7 @@ fn size_dimensions(
         })
         .collect();
 
-    let k = dims.len();
-    let mut best: Option<(f64, f64, Vec<usize>)> = None;
-    let mut current = vec![1usize; k];
+    let mut current = vec![1usize; dims.len()];
 
     // The load of an assignment: Σᵢ |Rᵢ| / ∏_{d ∋ i} p_d.
     let load = |assign: &[usize]| -> f64 {
@@ -362,7 +360,8 @@ fn size_dimensions(
             .sum()
     };
 
-    // DFS over size vectors with product ≤ machines.
+    // DFS over size vectors with product ≤ machines, from the all-ones one.
+    let mut best = (load(&current), total(&current), current.clone());
     fn dfs(dim: usize, budget: usize, current: &mut Vec<usize>, eval: &mut dyn FnMut(&[usize])) {
         if dim == current.len() {
             eval(current);
@@ -377,28 +376,19 @@ fn size_dimensions(
         current[dim] = 1;
     }
 
-    {
-        let mut eval = |assign: &[usize]| {
-            let l = load(assign);
-            let t = total(assign);
-            let better = match &best {
-                None => true,
-                Some((bl, bt, ba)) => {
-                    l < bl - 1e-12
-                        || ((l - bl).abs() <= 1e-12
-                            && (t < bt - 1e-9
-                                || ((t - bt).abs() <= 1e-9 && assign < ba.as_slice())))
-                }
-            };
-            if better {
-                best = Some((l, t, assign.to_vec()));
-            }
-        };
-        dfs(0, machines, &mut current, &mut eval);
-    }
+    let mut eval = |assign: &[usize]| {
+        let (l, t) = (load(assign), total(assign));
+        let (bl, bt, ba) = &best;
+        let better = l < bl - 1e-12
+            || ((l - bl).abs() <= 1e-12
+                && (t < bt - 1e-9 || ((t - bt).abs() <= 1e-9 && assign < ba.as_slice())));
+        if better {
+            best = (l, t, assign.to_vec());
+        }
+    };
+    dfs(0, machines, &mut current, &mut eval);
 
-    let (_, _, assignment) = best.expect("at least the all-ones assignment is evaluated");
-    for (d, s) in dims.iter_mut().zip(&assignment) {
+    for (d, s) in dims.iter_mut().zip(&best.2) {
         d.size = *s;
     }
     Ok(HypercubeScheme::new(spec.n_relations(), dims, seed))

@@ -373,9 +373,13 @@ impl Sched {
     }
 
     /// Record an observed inbox depth (messages) for the queue-pressure
-    /// metric.
+    /// metric. Every send calls this, so only a new high writes the shared
+    /// cache line.
     pub(crate) fn record_depth(&self, depth: usize) {
-        self.counters.max_queue_depth.fetch_max(depth as u64, Ordering::Relaxed);
+        let max = &self.counters.max_queue_depth;
+        if depth as u64 > max.load(Ordering::Relaxed) {
+            max.fetch_max(depth as u64, Ordering::Relaxed);
+        }
     }
 
     /// Record one backpressure park (a poll ended on a full downstream).

@@ -315,9 +315,11 @@ impl Default for TopologyBuilder {
     }
 }
 
-/// Default tuples per [`Message::Batch`] (see
-/// [`TopologyBuilder::batch_size`]).
-pub const DEFAULT_BATCH_SIZE: usize = 64;
+/// Default tuples per [`Message::Batch`] (see [`TopologyBuilder::batch_size`]).
+/// Each batch has a fixed cost: buffers allocated on one worker and freed
+/// on another, the inbox lock, the depth counter, a wake-up. 256 rows pay
+/// it a quarter as often as 64, while the join's work per row is the same.
+pub const DEFAULT_BATCH_SIZE: usize = 256;
 
 impl TopologyBuilder {
     pub fn new() -> TopologyBuilder {

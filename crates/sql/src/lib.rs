@@ -26,6 +26,7 @@
 //! assert_eq!(q.filters.len(), 2);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 mod lexer;
 mod parser;
 

@@ -144,9 +144,10 @@ impl SessionBuilder {
     }
 
     /// Tuples per data-plane batch (default
-    /// [`squall_runtime::DEFAULT_BATCH_SIZE`]; `1` = per-tuple messaging).
+    /// [`squall_runtime::DEFAULT_BATCH_SIZE`], 256; `1` = per-tuple messaging).
     /// A throughput knob: results and per-machine loads are batch-size
-    /// independent.
+    /// independent, while each batch's fixed cost (buffers freed across
+    /// threads, the inbox lock, a wake-up) is paid once per `n` rows.
     pub fn batch_size(mut self, n: usize) -> SessionBuilder {
         assert!(n > 0, "batch size must be positive");
         self.config.batch_size = n;

@@ -115,9 +115,10 @@ fn check_aggregate_budget(sql: &str, count_col: usize, budget: f64) {
     );
 }
 
-/// This query makes about 0.17 heap allocations per join result: each join
-/// task folds its results into partial aggregates and ships one row per
-/// (window, group) and window-start range, one aggregator for all ranges.
+/// This query makes about 0.16 heap allocations per join result (0.17 at
+/// 64-row batches): each join task folds its results into partial
+/// aggregates and ships one row per (window, group) and window-start
+/// range, one aggregator for all ranges.
 /// A fresh aggregator per range cost about 0.30, emitting every result into
 /// a scatter buffer 0.39, and building each result as a tuple first 2.33.
 /// The budget sits below the first of those, so losing any of the three
@@ -132,9 +133,9 @@ fn windowed_aggregation_stays_within_its_allocation_budget() {
     check_aggregate_budget(sql, 3, BUDGET_PER_RESULT);
 }
 
-/// The same query over the full history makes about 0.06 heap allocations
-/// per join result: each join task folds its results into one partial per
-/// group and ships them at end-of-stream. Emitting every result to the
+/// The same query over the full history makes about 0.055 heap allocations
+/// per join result (0.064 at 64-row batches): each join task folds its
+/// results into one partial per group and ships them at end-of-stream. Emitting every result to the
 /// aggregate shards cost 0.17, so the budget sits between the two.
 const BUDGET_PER_FULL_HISTORY_RESULT: f64 = 0.10;
 
@@ -183,12 +184,13 @@ fn skewed_tables(seed: u64) -> [(&'static str, Schema, Vec<Tuple>); 4] {
     ]
 }
 
-/// This query makes about 0.17 heap allocations per input row: each
+/// This query makes about 0.125 heap allocations per input row: each
 /// source reads its table in place and emits its rows borrowed, routes
-/// spread in place and the traditional join probes with pooled buffers. A
+/// spread in place and the traditional join probes with pooled buffers.
+/// Most of what is left is paid per batch: 64-row batches cost 0.17. A
 /// serial pass that built a tuple per kept row, with routing and probing
 /// that allocated per row, cost 5.06.
-const BUDGET_PER_INPUT_ROW: f64 = 0.25;
+const BUDGET_PER_INPUT_ROW: f64 = 0.15;
 
 #[test]
 fn one_shot_skewed_join_stays_within_its_allocation_budget() {
@@ -293,9 +295,9 @@ fn check_view_budget(sql: &str, budget: f64) {
     );
 }
 
-/// A full-history `GROUP BY` view makes about 2.62 heap allocations per
-/// delta its sink receives, counting the appends, the delta join and the
-/// snapshots around it: each round is queued whole and its spout reads
+/// A full-history `GROUP BY` view makes about 2.52 heap allocations per
+/// delta its sink receives (2.62 at 64-row batches), counting the appends,
+/// the delta join and the snapshots around it: each round is queued whole and its spout reads
 /// the rows in place, and the sink folds each delta through reused key
 /// buffers. Building a tagged tuple per appended row cost 3.91, so the
 /// budget sits between the two.
@@ -308,9 +310,9 @@ fn aggregate_view_sink_stays_within_its_allocation_budget() {
 }
 
 /// Under `SLIDING 64` a delta lies in up to 65 windows. The sink folds it
-/// into each under the window's `(start, end)` key prefix, about 15.98 heap
-/// allocations per delta in all; a tagged tuple per appended row made it
-/// 16.73, and building a `(start, end, row…)` tuple and a key per window
+/// into each under the window's `(start, end)` key prefix, about 15.85 heap
+/// allocations per delta in all (15.98 at 64-row batches); a tagged tuple
+/// per appended row made it 16.73, and building a `(start, end, row…)` tuple and a key per window
 /// 147.5.
 const BUDGET_PER_SLIDING_VIEW_DELTA: f64 = 16.3;
 

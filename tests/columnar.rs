@@ -19,6 +19,7 @@ use squall::expr::{JoinAtom, MultiJoinSpec, RelationDef, ScalarExpr};
 use squall::join::naive::same_multiset;
 use squall::join::{AggSpec, GroupByAggregator};
 use squall::partition::optimizer::SchemeKind;
+use squall::runtime::DEFAULT_BATCH_SIZE;
 
 /// One random value for column policy `policy` — each policy stresses a
 /// different array representation (typed, typed + validity, mixed,
@@ -235,7 +236,7 @@ proptest! {
         let by_row = run_multiway(&spec, data.clone(), &cfg).unwrap();
         prop_assert!(by_row.error.is_none());
 
-        for batch in [64usize, 1024] {
+        for batch in [64, DEFAULT_BATCH_SIZE, 1024] {
             let mut cfg = base_cfg();
             cfg.batch_size = batch;
             let chunked = run_multiway(&spec, data.clone(), &cfg).unwrap();
@@ -252,7 +253,7 @@ proptest! {
         // Same contract across the wire.
         let (cluster, handles) = loopback_workers(2);
         let mut cfg = base_cfg();
-        cfg.batch_size = 64;
+        cfg.batch_size = DEFAULT_BATCH_SIZE;
         cfg.cluster = Some(cluster);
         let dist = run_multiway(&spec, data, &cfg).unwrap();
         for h in handles { h.join().unwrap(); }
