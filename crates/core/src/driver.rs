@@ -479,7 +479,7 @@ pub(crate) fn wire_join_stage<J: LocalJoin + 'static>(
         let state = match &window {
             Some(w) => JoinState::Windowed {
                 join: WindowJoin::event_time(join, w.spec, &arities, &w.ts_cols),
-                ts_cols: w.ts_cols.clone(),
+                stamps: Vec::new(),
             },
             None => JoinState::Full(join),
         };

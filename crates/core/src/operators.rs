@@ -109,11 +109,11 @@ impl Frontier {
 /// Full-history or event-time-windowed local join state.
 pub(crate) enum JoinState<J: LocalJoin> {
     Full(J),
-    /// Behind the event-time window, with each relation's timestamp column
-    /// in the bolt's input coordinates.
+    /// Behind the event-time window, with the timestamps of the batch being
+    /// inserted, reused from batch to batch.
     Windowed {
         join: WindowJoin<J>,
-        ts_cols: Vec<usize>,
+        stamps: Vec<u64>,
     },
 }
 
@@ -132,8 +132,8 @@ pub(crate) struct TaskJoin<J: LocalJoin> {
     /// The join task (machine) index.
     pub(crate) machine: usize,
     /// Per-machine stored-tuple budget (the §7.3 memory-overflow
-    /// experiments); `None` = unlimited. A full-history task checks it once
-    /// per batch, so an overflow is detected at chunk granularity.
+    /// experiments); `None` = unlimited. A task checks it once per batch,
+    /// so an overflow is detected at chunk granularity.
     pub(crate) budget: Option<usize>,
 }
 
@@ -147,14 +147,11 @@ impl<J: LocalJoin> TaskJoin<J> {
             .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))
     }
 
-    fn event_time_of(ts_cols: &[usize], rel: usize, row: &[Value]) -> Result<u64> {
-        event_time(row[ts_cols[rel]].as_int()?, "in windowed join input")
-    }
-
-    /// Insert rows of `rel` — one or more under full history, one under a
-    /// window — pushing the (in-window) results into `out`; a windowed join
-    /// hands each row the arrival evicts to `evicted` as `(rel, row,
-    /// multiplicity)`.
+    /// Insert the `rows` of `rel`, back to back, pushing the (in-window)
+    /// results into `out`; a windowed join hands each row the batch evicts
+    /// to `evicted` as `(rel, row, multiplicity)`. A windowed batch is read
+    /// for its event times first: a row without a valid one is a typed
+    /// error, and then no row of the batch is inserted.
     pub(crate) fn insert_into(
         &mut self,
         rel: usize,
@@ -164,9 +161,13 @@ impl<J: LocalJoin> TaskJoin<J> {
     ) -> Result<()> {
         match &mut self.state {
             JoinState::Full(join) => join.insert_into(rel, rows, out),
-            JoinState::Windowed { join, ts_cols } => {
-                let ts = Self::event_time_of(ts_cols, rel, rows)?;
-                join.insert_into(rel, ts, rows, out, evicted)
+            JoinState::Windowed { join, stamps } => {
+                let (arity, col) = join.row_shape(rel);
+                stamps.clear();
+                for row in rows.chunks_exact(arity) {
+                    stamps.push(event_time(row[col].as_int()?, "in windowed join input")?);
+                }
+                join.insert_into(rel, stamps, rows, out, evicted)
             }
         }
         Ok(())
@@ -202,8 +203,7 @@ impl<J: LocalJoin> TaskJoin<J> {
 /// operator of §3.4.
 pub struct JoinBolt {
     join: TaskJoin<Box<dyn LocalJoin>>,
-    /// The rows being inserted — a whole chunk under full history, one
-    /// row under a window — reused from chunk to chunk.
+    /// The rows of the chunk being inserted, reused from chunk to chunk.
     rows: Vec<Value>,
     /// The first phase of an aggregate downstream, which results fold into
     /// instead of being emitted; `None` without one.
@@ -241,7 +241,7 @@ impl JoinBolt {
         arities: &[usize],
     ) -> JoinBolt {
         let join = WindowJoin::event_time(join, spec, arities, &ts_cols);
-        let state = JoinState::Windowed { join, ts_cols };
+        let state = JoinState::Windowed { join, stamps: Vec::new() };
         JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None })
     }
 
@@ -327,21 +327,18 @@ impl Bolt for JoinBolt {
         out: &mut OutputCollector,
     ) -> Result<()> {
         let rel = self.join.rel_of(origin)?;
-        // A full-history join takes the chunk whole (a zero-column chunk's
-        // rows would flatten to nothing, so they go one by one); a window
-        // evicts by each arrival's timestamp, so it takes one row at a time.
-        if matches!(self.join.state, JoinState::Full(_)) && chunk.n_cols() > 0 {
-            self.rows.clear();
-            for i in 0..chunk.n_rows() {
-                self.rows.extend(chunk.columns().iter().map(|c| c.value(i)));
-            }
-            return self.step(rel, out);
+        // The join takes the chunk whole — a window cuts it into runs
+        // between eviction boundaries itself. A zero-column chunk's rows
+        // would flatten to nothing (a zero-arity batch is one row), so they
+        // go one by one.
+        self.rows.clear();
+        if chunk.n_cols() == 0 {
+            return (0..chunk.n_rows()).try_for_each(|_| self.step(rel, out));
         }
         for i in 0..chunk.n_rows() {
-            chunk.row_into(i, &mut self.rows);
-            self.step(rel, out)?;
+            self.rows.extend(chunk.columns().iter().map(|c| c.value(i)));
         }
-        Ok(())
+        self.step(rel, out)
     }
 
     fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
@@ -1060,5 +1057,84 @@ mod tests {
             [tuple![10, 19, 1, 2], tuple![10, 19, 2, 7]],
             "equal starts order by the remaining row columns (disjoint group keys)"
         );
+    }
+
+    /// A task's stored and live tuples before and after each chunk.
+    type Seen = Arc<Mutex<Vec<[(usize, usize); 2]>>>;
+
+    /// A windowed join bolt, recording what it holds around each chunk it
+    /// executes.
+    struct Held(JoinBolt, Seen);
+
+    impl Held {
+        fn held(&self) -> (usize, usize) {
+            match &self.0.join.state {
+                JoinState::Windowed { join, .. } => (join.inner().stored(), join.live_tuples()),
+                JoinState::Full(_) => unreachable!("built windowed"),
+            }
+        }
+    }
+
+    impl Bolt for Held {
+        fn execute_chunk(
+            &mut self,
+            origin: NodeId,
+            chunk: &Chunk,
+            out: &mut OutputCollector,
+        ) -> Result<()> {
+            let before = self.held();
+            let done = self.0.execute_chunk(origin, chunk, out);
+            self.1.lock().unwrap().push([before, self.held()]);
+            done
+        }
+    }
+
+    #[test]
+    fn a_malformed_windowed_chunk_is_a_typed_error_and_inserts_nothing() {
+        // Two 4-row chunks of R (k, ts): the second holds a timestamp that
+        // is negative, NULL or a Float at row 2. Its rows 0 and 1 are fine,
+        // yet none of the chunk may enter the window.
+        use squall_common::{DataType, Schema};
+        use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
+        let schema = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
+        let spec = MultiJoinSpec::new(
+            vec![RelationDef::new("R", schema.clone(), 0), RelationDef::new("S", schema, 0)],
+            vec![JoinAtom::eq(0, 0, 1, 0)],
+        )
+        .unwrap();
+        for bad in [Value::Int(-1), Value::Null, Value::Float(6.0)] {
+            let mut script: Vec<Option<Tuple>> = (0..6).map(|i| Some(tuple![i % 2, i])).collect();
+            script.insert(6, Some(Tuple::new(vec![Value::Int(1), bad.clone()])));
+            script.push(Some(tuple![1, 7]));
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let held = Arc::clone(&seen);
+            let mut b = TopologyBuilder::new().batch_size(4);
+            let src =
+                b.add_spout("R", 1, move |_| Box::new(Script(script.clone().into_iter(), None)));
+            let spec = spec.clone();
+            let join = b.add_bolt("join", 1, move |machine| {
+                let origin_to_rel = [(src, 0)].into_iter().collect();
+                let local = Box::new(squall_join::DBToasterJoin::new(&spec));
+                let tumbling = WindowSpec::Tumbling { width: 10 };
+                let bolt = JoinBolt::new_windowed(
+                    machine,
+                    origin_to_rel,
+                    local,
+                    tumbling,
+                    vec![1, 1],
+                    &[2, 2],
+                );
+                Box::new(Held(bolt, Arc::clone(&held)))
+            });
+            b.connect(src, join, Grouping::Global);
+            let error = b.build().unwrap().run().error;
+            assert!(
+                matches!(error, Some(SquallError::Runtime(_) | SquallError::TypeMismatch { .. })),
+                "{bad:?}: {error:?}"
+            );
+            let seen = seen.lock().unwrap();
+            assert_eq!(seen[0], [(0, 0), (4, 4)], "{bad:?}: the first chunk enters whole");
+            assert_eq!(seen[1], [(4, 4), (4, 4)], "{bad:?}: the second not at all");
+        }
     }
 }

@@ -292,6 +292,9 @@ struct ViewJoinBolt {
     /// an epoch, reused from run to run.
     rows: Vec<Value>,
     mults: Vec<i64>,
+    /// The rows a windowed run evicts, as `(relation, row, −multiplicity)`,
+    /// held until the run's own rows are logged; reused from run to run.
+    gone: Vec<(usize, Tuple, i64)>,
     /// Checkpoint blob channel (local on the coordinator; forwarded as
     /// `SnapshotBlob` frames by the worker). `None` = checkpoints off.
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
@@ -318,6 +321,7 @@ impl ViewJoinBolt {
             tagged: Vec::new(),
             rows: Vec::new(),
             mults: Vec::new(),
+            gone: Vec::new(),
             blob_tx,
             log: DeltaLog::new(n_sources, since),
         }
@@ -382,11 +386,13 @@ impl ViewJoinBolt {
     }
 
     /// Apply the run of relation `rel` in the reused buffers, all of epoch
-    /// `epoch`: under full history one call to the delta body with per-row
-    /// weights, under a window one insert per row (an arrival's evictions
-    /// depend on its timestamp). A base row enters the delta log after the
-    /// rows its arrival evicted, which are logged with its epoch. The §7.3
-    /// budget is checked once per run.
+    /// `epoch`, in one call: under full history to the delta body with
+    /// per-row weights, under a window to its insert, which cuts the run
+    /// between eviction boundaries itself. The rows a windowed run evicts
+    /// are logged negated with its epoch, after the run's own rows: an
+    /// eviction may take a row of the same run, and the store's fold drops
+    /// a row's −1 that lands before its +1. The §7.3 budget is checked
+    /// once per run.
     fn apply_run(&mut self, rel: usize, epoch: i64, emit: &mut dyn FnMut(&[Value])) -> Result<()> {
         let logged = self.blob_tx.is_some();
         let arity = self.rows.len() / self.mults.len().max(1); // one arity per run
@@ -412,20 +418,20 @@ impl ViewJoinBolt {
                 }
             }
             JoinState::Windowed { .. } => {
-                for (row, &mult) in rows.zip(&self.mults) {
-                    if mult != 1 {
-                        return Err(SquallError::Runtime(format!(
-                            "windowed standing views are append-only (got a weight-{mult} delta)"
-                        )));
-                    }
-                    self.join.insert_into(rel, row, &mut tagged, |r, row, m| {
-                        if logged {
-                            self.log.push(r, row, -m, epoch as u64);
-                        }
-                    })?;
+                if let Some(&mult) = self.mults.iter().find(|&&m| m != 1) {
+                    return Err(SquallError::Runtime(format!(
+                        "windowed standing views are append-only (got a weight-{mult} delta)"
+                    )));
+                }
+                let gone = &mut self.gone;
+                self.join.insert_into(rel, &self.rows, &mut tagged, |r, row, m| {
                     if logged {
-                        self.log.push(rel, row, mult, epoch as u64);
+                        gone.push((r, Tuple::from(row), -m));
                     }
+                })?;
+                if logged {
+                    rows.for_each(|row| self.log.push(rel, row, 1, epoch as u64));
+                    gone.drain(..).for_each(|(r, row, m)| self.log.push(r, row, m, epoch as u64));
                 }
             }
         }
@@ -1413,21 +1419,6 @@ mod tests {
         // task that evicts and joins as the original does.
         const R: usize = 0;
         const S: usize = 1;
-        let spec = pair_spec();
-        let windowed = || TaskJoin {
-            state: JoinState::Windowed {
-                join: squall_join::WindowJoin::event_time(
-                    DBToasterJoin::new(&spec),
-                    WindowSpec::Tumbling { width: 10 },
-                    &[2, 2],
-                    &[1, 1],
-                ),
-                ts_cols: vec![1, 1],
-            },
-            origin_to_rel: FxHashMap::default(),
-            machine: 0,
-            budget: None,
-        };
         let (tx, rx) = std::sync::mpsc::channel();
         let mut bolt = ViewJoinBolt::new(windowed(), 2, Some(tx), 0);
         let rounds = [
@@ -1476,6 +1467,92 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(sealed(&restored), sealed(&bolt));
+    }
+
+    /// A windowed join task over `pair_spec`, tumbling by 10 on `b`.
+    fn windowed() -> TaskJoin<DBToasterJoin> {
+        TaskJoin {
+            state: JoinState::Windowed {
+                join: squall_join::WindowJoin::event_time(
+                    DBToasterJoin::new(&pair_spec()),
+                    WindowSpec::Tumbling { width: 10 },
+                    &[2, 2],
+                    &[1, 1],
+                ),
+                stamps: Vec::new(),
+            },
+            origin_to_rel: FxHashMap::default(),
+            machine: 0,
+            budget: None,
+        }
+    }
+
+    #[test]
+    fn a_run_that_evicts_its_own_row_logs_it_in_then_out() {
+        // S@100 is far ahead, so R@15 closes bucket [0, 10) and evicts
+        // R@5, which arrived in the same run. The store's fold drops a −1
+        // with nothing to take from: the +1 must be logged first, or the
+        // checkpoint would hold R@5 forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut bolt = ViewJoinBolt::new(windowed(), 2, Some(tx), 0);
+        bolt.apply(1, &delta(tuple![1, 100], 1), &mut |_| {}).unwrap();
+        let rows = [tuple![1, 5, 1, 1], tuple![1, 15, 1, 1]];
+        bolt.apply(0, &Chunk::from_tuples(&rows), &mut |_| {}).unwrap();
+        bolt.ship(1);
+        let mut store = CheckpointStore::new(1);
+        for (role, task, epoch, blob) in rx.try_iter() {
+            store.insert((role, task, epoch, blob));
+            store.insert((ROLE_SINK, 0, epoch, vec![0]));
+        }
+        let JoinState::Windowed { join, .. } = &bolt.join.state else {
+            unreachable!("built windowed")
+        };
+        let mut own = vec![JOIN_BLOB_FULL];
+        join.snapshot_state(&mut own);
+        assert_eq!(store.restore_state(1).unwrap().join[&0], own);
+    }
+
+    #[test]
+    fn a_malformed_windowed_chunk_is_a_typed_error_and_inserts_nothing() {
+        // A 4-row chunk of R deltas whose row 2 carries a negative, NULL or
+        // Float timestamp, or a weight other than 1: an error, and neither
+        // the window nor the checkpoint log takes any row of it.
+        use squall_join::LocalJoin;
+        let deltas = |rows: &[(Value, i64)]| {
+            let tagged: Vec<Tuple> =
+                (1..).zip(rows).map(|(k, (ts, w))| tuple![k, ts.clone(), *w, 1]).collect();
+            Chunk::from_tuples(&tagged)
+        };
+        let good = deltas(&[(Value::Int(1), 1), (Value::Int(2), 1)]);
+        let held = |bolt: &ViewJoinBolt| match &bolt.join.state {
+            JoinState::Windowed { join, .. } => (join.inner().stored(), join.live_tuples()),
+            JoinState::Full(_) => unreachable!("built windowed"),
+        };
+        let bad =
+            [(Value::Int(-1), 1), (Value::Null, 1), (Value::Float(4.0), 1), (Value::Int(4), 2)];
+        for (ts, w) in bad {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (mut bolt, mut twin) = (
+                ViewJoinBolt::new(windowed(), 2, Some(tx.clone()), 0),
+                ViewJoinBolt::new(windowed(), 2, Some(tx), 0),
+            );
+            for b in [&mut bolt, &mut twin] {
+                b.apply(0, &good, &mut |_| {}).unwrap();
+            }
+            let chunk = deltas(&[
+                (Value::Int(3), 1),
+                (Value::Int(3), 1),
+                (ts.clone(), w),
+                (Value::Int(5), 1),
+            ]);
+            let applied = bolt.apply(0, &chunk, &mut |_| {});
+            assert!(applied.is_err(), "{ts:?} weighing {w}");
+            assert_eq!(held(&bolt), (2, 2), "{ts:?} weighing {w}");
+            bolt.ship(1);
+            twin.ship(1);
+            let blobs: Vec<SnapshotBlobMsg> = rx.try_iter().collect();
+            assert_eq!(blobs[0].3, blobs[1].3, "{ts:?} weighing {w}: the logged rows");
+        }
     }
 
     /// What a view sink is built from: the join spec, the standing

@@ -93,6 +93,8 @@ pub struct DBToasterJoin {
     scratch_values: Vec<Value>,
     /// The batch rows one plan's screening pass keeps.
     scratch_rows: Vec<usize>,
+    /// The negated weights of the rows being removed.
+    scratch_mults: Vec<i64>,
 }
 
 /// The relations of `mask` reachable from `start` (a member of `mask`)
@@ -205,6 +207,7 @@ impl DBToasterJoin {
                     if m == i {
                         assembly.push(Segment::Delta);
                     } else {
+                        #[allow(clippy::expect_used)] // the components partition S minus i
                         let (ci, &cm) = comp_masks
                             .iter()
                             .enumerate()
@@ -231,6 +234,7 @@ impl DBToasterJoin {
             scratch_idx: Vec::new(),
             scratch_values: Vec::new(),
             scratch_rows: Vec::new(),
+            scratch_mults: Vec::new(),
         }
     }
 
@@ -420,8 +424,12 @@ impl LocalJoin for DBToasterJoin {
         self.delta_into(rel, rows, &[1], Some(out));
     }
 
-    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64) {
-        self.delta_into(rel, rows, &[-mult], None);
+    fn remove(&mut self, rel: usize, rows: &[Value], mults: &[i64]) {
+        let mut negated = std::mem::take(&mut self.scratch_mults);
+        negated.clear();
+        negated.extend(mults.iter().map(|m| -m));
+        self.delta_into(rel, rows, &negated, None);
+        self.scratch_mults = negated;
     }
 
     fn stored(&self) -> usize {
@@ -495,9 +503,9 @@ impl LocalJoin for AggregatedDBToaster {
         inner.insert_into(rel, rows, out)
     }
 
-    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64) {
+    fn remove(&mut self, rel: usize, rows: &[Value], mults: &[i64]) {
         let (inner, rows) = self.project(rel, rows);
-        inner.remove(rel, rows, mult)
+        inner.remove(rel, rows, mults)
     }
 
     fn stored(&self) -> usize {
@@ -700,7 +708,7 @@ mod tests {
         j.insert(0, &tuple![0, 1], &mut out);
         j.insert(1, &tuple![1, 2], &mut out);
         assert!(out.is_empty());
-        j.remove(0, &tuple![0, 1], 1);
+        j.remove(0, &tuple![0, 1], &[1]);
         j.insert(2, &tuple![2, 9], &mut out);
         assert!(out.is_empty(), "removed R tuple must not contribute");
         // Re-add: now the triple completes on the T side already present.
@@ -725,7 +733,7 @@ mod tests {
         // Remove everything; all views must drain to empty.
         for (rel, ts) in rels.iter().enumerate() {
             for t in ts {
-                j.remove(rel, t, 1);
+                j.remove(rel, t, &[1]);
             }
         }
         assert_eq!(j.stored(), 0, "views must be empty after removing all input");
@@ -924,7 +932,7 @@ mod tests {
             let t = &rels[rel][next[rel]];
             next[rel] += 1;
             let ts = t.get(1).as_int().unwrap() as u64;
-            into.insert_into(rel, ts, t, &mut sunk, |_, _, _| {});
+            into.insert_into(rel, &[ts], t, &mut sunk, |_, _, _| {});
             expand.insert(rel, ts, t, &mut expanded);
             weigh.insert_weighted(rel, ts, t, &mut weighted, |_, _| {});
         }

@@ -27,6 +27,8 @@
 //! adding the window expiration logic on top of the full-history engine",
 //! §2).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod agg;
 pub mod dbtoaster;
 pub mod naive;
@@ -94,10 +96,11 @@ pub trait LocalJoin: Send {
     /// outputs entirely — the source of its §3.3 advantage.
     fn insert_into(&mut self, rel: usize, rows: &[Value], out: &mut dyn RowSink);
 
-    /// Remove `mult` stored instances of each of `rows` from `rel` (window
-    /// expiration). No retractions are emitted: results already produced
-    /// were valid when their inputs co-existed in the window.
-    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64);
+    /// Remove stored instances of the `rows` of `rel` (window expiration):
+    /// `mults[i]` of row `i`, or `mults[0]` of every row when it holds one
+    /// weight. No retractions are emitted: results already produced were
+    /// valid when their inputs co-existed in the window.
+    fn remove(&mut self, rel: usize, rows: &[Value], mults: &[i64]);
 
     /// Stored tuples across all relations/views (memory accounting; drives
     /// the per-machine memory budget of §7.3).
@@ -119,8 +122,8 @@ impl<J: LocalJoin + ?Sized> LocalJoin for Box<J> {
         (**self).insert_into(rel, rows, out)
     }
 
-    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64) {
-        (**self).remove(rel, rows, mult)
+    fn remove(&mut self, rel: usize, rows: &[Value], mults: &[i64]) {
+        (**self).remove(rel, rows, mults)
     }
 
     fn stored(&self) -> usize {

@@ -64,56 +64,56 @@ pub fn same_multiset(a: &[Tuple], b: &[Tuple]) -> bool {
     a == b
 }
 
-/// `R(k) ⋈ S(k)` over keys of every kind, with the results the online
-/// joins must produce: their indexes compare keys as [`Value`] does. `NULL`
-/// meets `NULL`, an `Int` meets the `Float` of equal value (they compare
-/// and hash alike) but not one it merely rounds to (2^53 + 1, `i64::MAX`),
-/// strings meet by content whatever `Arc` holds them, and nothing else
-/// crosses types.
 #[cfg(test)]
-pub(crate) fn mixed_key_join() -> (MultiJoinSpec, [Vec<Tuple>; 2], Vec<Tuple>) {
-    use squall_common::{DataType, Schema, Value};
-    use squall_expr::{JoinAtom, RelationDef};
-    let rel = |n: &str| RelationDef::new(n, Schema::of(&[("k", DataType::Int)]), 0);
-    let spec =
-        MultiJoinSpec::new(vec![rel("R"), rel("S")], vec![JoinAtom::eq(0, 0, 1, 0)]).unwrap();
-    let row = |v: Value| Tuple::new(vec![v]);
-    let p53 = 1i64 << 53;
-    let r = vec![
-        row(Value::Null),
-        row(Value::Int(1)),
-        row(Value::str("k")),
-        row(Value::Float(2.5)),
-        row(Value::Int(7)),
-        row(Value::Int(p53 + 1)),
-        row(Value::Int(p53)),
-        row(Value::Int(i64::MAX)),
-    ];
-    let s = vec![
-        row(Value::Null),
-        row(Value::Float(1.0)),
-        row(Value::Str(String::from("k").into())),
-        row(Value::Float(2.5)),
-        row(Value::Int(2)),
-        row(Value::str("7")),
-        row(Value::Float(p53 as f64)),
-        row(Value::Float(i64::MAX as f64)),
-    ];
-    let expected = vec![
-        Tuple::new(vec![Value::Null, Value::Null]),
-        Tuple::new(vec![Value::Int(1), Value::Float(1.0)]),
-        Tuple::new(vec![Value::str("k"), Value::str("k")]),
-        Tuple::new(vec![Value::Float(2.5), Value::Float(2.5)]),
-        Tuple::new(vec![Value::Int(p53), Value::Float(p53 as f64)]),
-    ];
-    (spec, [r, s], expected)
-}
+pub(crate) use tests::mixed_key_join;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use squall_common::{tuple, DataType, Schema};
+    use squall_common::{tuple, DataType, Schema, Value};
     use squall_expr::{JoinAtom, RelationDef};
+
+    /// `R(k) ⋈ S(k)` over keys of every kind, with the results the online
+    /// joins must produce: their indexes compare keys as [`Value`] does. `NULL`
+    /// meets `NULL`, an `Int` meets the `Float` of equal value (they compare
+    /// and hash alike) but not one it merely rounds to (2^53 + 1, `i64::MAX`),
+    /// strings meet by content whatever `Arc` holds them, and nothing else
+    /// crosses types.
+    pub(crate) fn mixed_key_join() -> (MultiJoinSpec, [Vec<Tuple>; 2], Vec<Tuple>) {
+        let rel = |n: &str| RelationDef::new(n, Schema::of(&[("k", DataType::Int)]), 0);
+        let spec =
+            MultiJoinSpec::new(vec![rel("R"), rel("S")], vec![JoinAtom::eq(0, 0, 1, 0)]).unwrap();
+        let row = |v: Value| Tuple::new(vec![v]);
+        let p53 = 1i64 << 53;
+        let r = vec![
+            row(Value::Null),
+            row(Value::Int(1)),
+            row(Value::str("k")),
+            row(Value::Float(2.5)),
+            row(Value::Int(7)),
+            row(Value::Int(p53 + 1)),
+            row(Value::Int(p53)),
+            row(Value::Int(i64::MAX)),
+        ];
+        let s = vec![
+            row(Value::Null),
+            row(Value::Float(1.0)),
+            row(Value::Str(String::from("k").into())),
+            row(Value::Float(2.5)),
+            row(Value::Int(2)),
+            row(Value::str("7")),
+            row(Value::Float(p53 as f64)),
+            row(Value::Float(i64::MAX as f64)),
+        ];
+        let expected = vec![
+            Tuple::new(vec![Value::Null, Value::Null]),
+            Tuple::new(vec![Value::Int(1), Value::Float(1.0)]),
+            Tuple::new(vec![Value::str("k"), Value::str("k")]),
+            Tuple::new(vec![Value::Float(2.5), Value::Float(2.5)]),
+            Tuple::new(vec![Value::Int(p53), Value::Float(p53 as f64)]),
+        ];
+        (spec, [r, s], expected)
+    }
 
     #[test]
     fn two_way_equi() {

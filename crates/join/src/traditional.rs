@@ -71,29 +71,28 @@ impl TraditionalJoin {
             // BFS order from i so every probed relation touches the bound set.
             let mut order: Vec<usize> = Vec::new();
             let mut bound: Vec<usize> = vec![i];
-            while order.len() + 1 < n {
-                let next = (0..n)
-                    .filter(|r| !bound.contains(r))
-                    .find(|&r| {
-                        spec.atoms.iter().any(|a| {
-                            (a.left_rel == r && bound.contains(&a.right_rel))
-                                || (a.right_rel == r && bound.contains(&a.left_rel))
-                        })
+            loop {
+                let touches = |&r: &usize| {
+                    spec.atoms.iter().any(|a| {
+                        (a.left_rel == r && bound.contains(&a.right_rel))
+                            || (a.right_rel == r && bound.contains(&a.left_rel))
                     })
-                    // Disconnected specs degenerate to cross products;
-                    // take any remaining relation (scan probe).
-                    .unwrap_or_else(|| (0..n).find(|r| !bound.contains(r)).unwrap());
+                };
+                let mut unbound = (0..n).filter(|r| !bound.contains(r));
+                // Disconnected specs degenerate to cross products; take any
+                // remaining relation (scan probe).
+                let Some(next) = unbound.clone().find(touches).or_else(|| unbound.next()) else {
+                    break;
+                };
                 order.push(next);
                 bound.push(next);
             }
-            // Build the steps.
-            let slot_of = |rel: usize, order: &[usize]| -> Slot {
-                if rel == i {
-                    Slot::Delta
-                } else {
-                    Slot::Bound(order.iter().position(|&r| r == rel).expect("bound"))
-                }
-            };
+            // Where each relation's row comes from: the arrival, or the
+            // cascade step that binds it.
+            let mut slots = vec![Slot::Delta; n];
+            for (k, &r) in order.iter().enumerate() {
+                slots[r] = Slot::Bound(k);
+            }
             let mut steps = Vec::with_capacity(order.len());
             for (k, &j) in order.iter().enumerate() {
                 let mut key = Vec::new();
@@ -112,7 +111,7 @@ impl TraditionalJoin {
                     if !src_bound {
                         continue;
                     }
-                    let slot = slot_of(src_rel, &order);
+                    let slot = slots[src_rel];
                     if op == CmpOp::Eq {
                         key.push((slot, src_col));
                         index_cols.push(j_col);
@@ -128,18 +127,8 @@ impl TraditionalJoin {
                 };
                 steps.push(Step { rel: j, key, index_id, theta });
             }
-            // Output assembly order.
-            let emits: Vec<Slot> = (0..n)
-                .map(|r| {
-                    if r == i {
-                        Slot::Delta
-                    } else {
-                        Slot::Bound(order.iter().position(|&x| x == r).unwrap())
-                    }
-                })
-                .collect();
             plans.push(steps);
-            emit_order.push(emits);
+            emit_order.push(slots);
         }
         let scratch =
             Scratch { found: vec![Vec::new(); n.saturating_sub(1)], ..Scratch::default() };
@@ -216,9 +205,10 @@ impl LocalJoin for TraditionalJoin {
         self.scratch = sc;
     }
 
-    fn remove(&mut self, rel: usize, rows: &[Value], mult: i64) {
+    fn remove(&mut self, rel: usize, rows: &[Value], mults: &[i64]) {
         let arity = self.arities[rel];
         for i in 0..crate::batch_len(rows, arity) {
+            let mult = mults[if mults.len() == 1 { 0 } else { i }];
             self.bases[rel].update(&rows[i * arity..][..arity], -mult);
         }
     }
@@ -366,7 +356,7 @@ mod tests {
         let mut out = Vec::new();
         j.insert(0, &tuple![0, 7], &mut out);
         j.insert(0, &tuple![0, 7], &mut out);
-        j.remove(0, &tuple![0, 7], 1);
+        j.remove(0, &tuple![0, 7], &[1]);
         j.insert(1, &tuple![7, 1], &mut out);
         assert_eq!(out.len(), 1, "one R copy left after removal");
         assert_eq!(j.stored(), 2);
@@ -466,8 +456,8 @@ mod tests {
             let (mut a, mut b) = (Vec::new(), Vec::new());
             if remove {
                 removed = true;
-                batched.remove(rel, &rows, 1);
-                rows.chunks(arity).for_each(|row| single.remove(rel, row, 1));
+                batched.remove(rel, &rows, &[1]);
+                rows.chunks(arity).for_each(|row| single.remove(rel, row, &[1]));
             } else {
                 batched
                     .insert_into(rel, &rows, &mut |row: &[Value], m| a.push((Tuple::from(row), m)));

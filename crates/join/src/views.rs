@@ -165,6 +165,7 @@ impl Postings {
     }
 
     /// Swap `id` (listed under `hash` exactly once) out of its posting.
+    #[allow(clippy::expect_used)] // a stored row is listed under its key hash
     pub fn remove(&mut self, hash: u64, id: u32) {
         let Entry::Occupied(e) = self.map.entry(hash) else {
             unreachable!("a stored row is listed under its key hash");
@@ -245,6 +246,7 @@ impl View {
     }
 
     /// Column offset of member relation `rel` within rows of this view.
+    #[allow(clippy::expect_used)] // plans ask only for a view's own members
     pub fn offset_of(&self, rel: usize) -> usize {
         let i = self.members.iter().position(|&m| m == rel).expect("rel is a member");
         self.offsets[i]
@@ -289,6 +291,7 @@ impl View {
         };
         // The slot a new row would take, filed in the same identity lookup
         // that searches for the row.
+        #[allow(clippy::expect_used)] // row ids are u32: 2^32 distinct rows is past any budget
         let new = (mult > 0).then(|| match self.free.last() {
             Some(&id) => id,
             None => RowId::try_from(self.mults.len())

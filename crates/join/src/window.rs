@@ -5,7 +5,10 @@
 //! sliding windows, by adding the window expiration logic on top of the
 //! full-history engine." — [`WindowJoin`] wraps any [`LocalJoin`], keeps
 //! each relation's live rows in one flat buffer beside their timestamps and
-//! multiplicities, and removes expired state. Results reach the caller's
+//! multiplicities, and removes expired state. It takes runs, not rows: a
+//! batch of one relation is cut where its arrivals move the eviction
+//! boundary, each run enters the inner join as one batch, and each evicted
+//! run leaves it in one [`LocalJoin::remove`]. Results reach the caller's
 //! [`RowSink`] through the window predicate, as borrowed rows.
 //!
 //! Semantics are **event-time**: each relation's tuples *carry* their
@@ -130,32 +133,37 @@ pub fn output_ts_cols(arities: &[usize], ts_cols: &[usize]) -> Vec<usize> {
 }
 
 /// One relation's live arrivals, oldest first: live row `i` is
-/// `vals[i * arity..][..arity]`, and `meta[i]` its timestamp and
-/// multiplicity. Rows before `head` are evicted; their slots are reclaimed
+/// `vals[i * arity..][..arity]`, stamped `ts[i]` with multiplicity
+/// `mults[i]`. Rows before `head` are evicted; their slots are reclaimed
 /// once they are at least half of the buffer.
 struct Live {
     arity: usize,
     vals: Vec<Value>,
-    meta: Vec<(u64, i64)>,
+    ts: Vec<u64>,
+    mults: Vec<i64>,
     head: usize,
 }
 
 impl Live {
-    fn push(&mut self, ts: u64, row: &[Value], mult: i64) {
-        self.vals.extend_from_slice(row);
-        self.meta.push((ts, mult));
+    /// Append `rows`, back to back and stamped `ts`, each with weight `mult`.
+    fn push(&mut self, ts: &[u64], rows: &[Value], mult: i64) {
+        self.vals.extend_from_slice(rows);
+        self.ts.extend_from_slice(ts);
+        self.mults.resize(self.ts.len(), mult);
     }
 
-    /// Hand every live row older than `boundary` to `evict`, oldest first,
-    /// and drop it.
-    fn evict_below(&mut self, boundary: u64, mut evict: impl FnMut(&[Value], i64)) {
-        while let Some(&(_, m)) = self.meta.get(self.head).filter(|(ts, _)| *ts < boundary) {
-            evict(&self.vals[self.head * self.arity..][..self.arity], m);
-            self.head += 1;
+    /// Hand the live rows older than `boundary` at the head — one range,
+    /// back to back, with their multiplicities — to `evict`, and drop them.
+    fn evict_below(&mut self, boundary: u64, evict: impl FnOnce(&[Value], &[i64])) {
+        let (from, arity) = (self.head, self.arity);
+        self.head += self.ts[from..].iter().take_while(|&&ts| ts < boundary).count();
+        if self.head > from {
+            evict(&self.vals[from * arity..self.head * arity], &self.mults[from..self.head]);
         }
-        if self.head > 0 && 2 * self.head >= self.meta.len() {
-            self.meta.drain(..self.head);
-            self.vals.drain(..self.head * self.arity);
+        if self.head > 0 && 2 * self.head >= self.ts.len() {
+            self.ts.drain(..self.head);
+            self.mults.drain(..self.head);
+            self.vals.drain(..self.head * arity);
             self.head = 0;
         }
     }
@@ -189,7 +197,8 @@ impl<J: LocalJoin> WindowJoin<J> {
         arities: &[usize],
         ts_cols: &[usize],
     ) -> WindowJoin<J> {
-        let live = |&arity| Live { arity, vals: Vec::new(), meta: Vec::new(), head: 0 };
+        let live =
+            |&arity| Live { arity, vals: Vec::new(), ts: Vec::new(), mults: Vec::new(), head: 0 };
         WindowJoin {
             inner,
             spec,
@@ -200,36 +209,75 @@ impl<J: LocalJoin> WindowJoin<J> {
         }
     }
 
-    /// Insert a row stamped `ts`: expired state is evicted first — each
-    /// evicted row goes to `evicted` as `(rel, row, multiplicity)` — and
-    /// results are filtered by the window predicate, so `out` receives
-    /// exactly the in-window joins.
+    /// Insert the `rows` of relation `rel`, back to back, stamped `ts` (one
+    /// per row, in event-time order), cut into runs where an arrival moves
+    /// the close boundary. Each run evicts once — every evicted row goes to
+    /// `evicted` as `(rel, row, multiplicity)`, oldest first, and a
+    /// relation's evicted rows leave the inner join in one `remove` — then
+    /// enters it as one batch, its results reaching `out` through the
+    /// window predicate.
+    /// That is the row-at-a-time insert exactly: inside a run no arrival
+    /// evicts, as every row's timestamp is at least the boundary.
     pub fn insert_into(
         &mut self,
         rel: usize,
-        ts: u64,
-        row: &[Value],
+        ts: &[u64],
+        rows: &[Value],
         out: &mut dyn RowSink,
-        evicted: impl FnMut(usize, &[Value], i64),
+        mut evicted: impl FnMut(usize, &[Value], i64),
     ) {
-        self.expire(rel, ts, evicted);
-        self.live[rel].push(ts, row, 1);
-        let (spec, out_ts_cols) = (self.spec, &self.out_ts_cols);
-        self.inner.insert_into(rel, row, &mut |result: &[Value], mult| {
-            if in_window(spec, out_ts_cols, result) {
-                out.push(result, mult);
+        let arity = self.live[rel].arity;
+        debug_assert_eq!(rows.len(), ts.len() * arity, "one timestamp per {arity}-wide row");
+        // The watermark's other side: the oldest frontier of the other
+        // relations; nothing closes while one of them is unseen.
+        let others = (self.frontier.iter().enumerate())
+            .filter(|&(r, _)| r != rel)
+            .try_fold(u64::MAX, |m, (_, f)| f.map(|f| m.min(f)));
+        let spec = self.spec;
+        let boundary = |frontier: u64| others.map_or(0, |o| spec.close_boundary(o.min(frontier)));
+        let mut start = 0;
+        while start < ts.len() {
+            let mut frontier = self.frontier[rel].map_or(ts[start], |f| f.max(ts[start]));
+            let b = boundary(frontier);
+            // A row below the boundary (out of event-time order) also ends
+            // its run: the next arrival would evict it.
+            let mut end = start + 1;
+            while end < ts.len() && ts[end - 1] >= b && boundary(frontier.max(ts[end])) == b {
+                frontier = frontier.max(ts[end]);
+                end += 1;
             }
-        });
+            self.frontier[rel] = Some(frontier);
+            let inner = &mut self.inner;
+            for (r, live) in self.live.iter_mut().enumerate() {
+                let arity = live.arity;
+                live.evict_below(b, |rows, mults| {
+                    inner.remove(r, rows, mults);
+                    for (row, &m) in rows.chunks_exact(arity).zip(mults) {
+                        evicted(r, row, m);
+                    }
+                });
+            }
+            let run = &rows[start * arity..end * arity];
+            self.live[rel].push(&ts[start..end], run, 1);
+            let out_ts_cols = &self.out_ts_cols;
+            self.inner.insert_into(rel, run, &mut |result: &[Value], mult| {
+                if in_window(spec, out_ts_cols, result) {
+                    out.push(result, mult);
+                }
+            });
+            start = end;
+        }
     }
 
-    /// [`WindowJoin::insert_into`], each result expanded into tuples.
+    /// [`WindowJoin::insert_into`] of one row, each result expanded into
+    /// tuples.
     pub fn insert(&mut self, rel: usize, ts: u64, row: &[Value], out: &mut Vec<Tuple>) {
-        self.insert_into(rel, ts, row, out, |_, _, _| {})
+        self.insert_into(rel, &[ts], row, out, |_, _, _| {})
     }
 
-    /// [`WindowJoin::insert_into`] as `(tuple, multiplicity)` pairs, with
-    /// one `evicted(rel, row)` call per evicted copy: O(multiplicity), so
-    /// the engine evicts through `insert_into`.
+    /// [`WindowJoin::insert_into`] of one row as `(tuple, multiplicity)`
+    /// pairs, with one `evicted(rel, row)` call per evicted copy:
+    /// O(multiplicity), so the engine evicts through `insert_into`.
     pub fn insert_weighted(
         &mut self,
         rel: usize,
@@ -238,28 +286,12 @@ impl<J: LocalJoin> WindowJoin<J> {
         out: &mut Vec<(Tuple, i64)>,
         mut evicted: impl FnMut(usize, &[Value]),
     ) {
-        self.insert_into(rel, ts, row, out, |r, row, m| (0..m).for_each(|_| evicted(r, row)))
+        self.insert_into(rel, &[ts], row, out, |r, row, m| (0..m).for_each(|_| evicted(r, row)))
     }
 
-    /// Advance relation `rel`'s frontier to `now` and evict by the
-    /// watermark — only rows no *future* arrival (which must carry
-    /// ts ≥ watermark) can co-window with — handing each to `evicted`.
-    fn expire(&mut self, rel: usize, now: u64, mut evicted: impl FnMut(usize, &[Value], i64)) {
-        if matches!(self.spec, WindowSpec::FullHistory) {
-            return;
-        }
-        self.frontier[rel] = Some(self.frontier[rel].map_or(now, |f| f.max(now)));
-        let Some(watermark) = self.watermark() else {
-            return; // some relation unseen: no safe eviction yet
-        };
-        let boundary = self.spec.close_boundary(watermark);
-        let inner = &mut self.inner;
-        for (r, live) in self.live.iter_mut().enumerate() {
-            live.evict_below(boundary, |row, m| {
-                inner.remove(r, row, m);
-                evicted(r, row, m);
-            });
-        }
+    /// Relation `rel`'s row width and the column of its event time.
+    pub fn row_shape(&self, rel: usize) -> (usize, usize) {
+        (self.live[rel].arity, self.ts_cols[rel])
     }
 
     /// The event-time watermark: the minimum of the per-relation timestamp
@@ -272,7 +304,7 @@ impl<J: LocalJoin> WindowJoin<J> {
 
     /// Tuples currently held in the window (all relations).
     pub fn live_tuples(&self) -> usize {
-        self.live.iter().flat_map(|l| &l.meta[l.head..]).map(|&(_, m)| m as usize).sum()
+        self.live.iter().flat_map(|l| &l.mults[l.head..]).map(|&m| m as usize).sum()
     }
 
     pub fn inner(&self) -> &J {
@@ -314,7 +346,7 @@ impl<J: LocalJoin + Snapshot> Snapshot for WindowJoin<J> {
             }
             timed.sort_by_key(|(ts, ..)| *ts);
             for (ts, t, m) in timed {
-                self.live[rel].push(ts, t, m);
+                self.live[rel].push(&[ts], t, m);
                 self.frontier[rel] = Some(ts);
             }
         }
@@ -322,17 +354,18 @@ impl<J: LocalJoin + Snapshot> Snapshot for WindowJoin<J> {
     }
 }
 
-/// The window predicate over a result row's constituent timestamps.
+/// The window predicate over a result row's constituent timestamps. A
+/// result with a timestamp that is not an `Int` lies in no window (callers
+/// validate event time before it reaches the join).
 fn in_window(spec: WindowSpec, out_ts_cols: &[usize], result: &[Value]) -> bool {
     if matches!(spec, WindowSpec::FullHistory) {
         return true;
     }
     let (mut lo, mut hi) = (u64::MAX, 0u64);
     for &c in out_ts_cols {
-        let v = result[c].as_int().expect("window timestamp column must be Int (validated at plan)")
-            as u64;
-        lo = lo.min(v);
-        hi = hi.max(v);
+        let Value::Int(v) = result[c] else { return false };
+        lo = lo.min(v as u64);
+        hi = hi.max(v as u64);
     }
     spec.contains(lo, hi)
 }
@@ -342,7 +375,7 @@ mod tests {
     use super::*;
     use crate::dbtoaster::DBToasterJoin;
     use crate::traditional::TraditionalJoin;
-    use squall_common::{tuple, DataType, Schema};
+    use squall_common::{tuple, DataType, Schema, SplitMix64};
     use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
 
     /// Two-way spec where each side is (key, ts).
@@ -503,7 +536,7 @@ mod tests {
         // S@100 then R@100 lift the watermark past bucket [0, 10).
         let (mut out, mut evicted) = (Vec::<Tuple>::new(), Vec::new());
         for (rel, row) in [(1, tuple![2, 100]), (0, tuple![3, 100])] {
-            w.insert_into(rel, 100, &row, &mut out, |r, row, m| {
+            w.insert_into(rel, &[100], &row, &mut out, |r, row, m| {
                 evicted.push((r, Tuple::from(row), m))
             });
         }
@@ -550,5 +583,239 @@ mod tests {
         assert!(s.window_starts(top - 3, top - 3).is_err());
         assert!(WindowSpec::Tumbling { width: u64::MAX }.window_starts(0, 5).is_err());
         assert!(WindowSpec::FullHistory.window_starts(0, 5).is_err());
+    }
+
+    /// An `n`-way chain of `(key, ts)` relations on the key.
+    fn chain_ts(n: usize) -> MultiJoinSpec {
+        let schema = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
+        MultiJoinSpec::new(
+            (0..n).map(|r| RelationDef::new(format!("R{r}"), schema.clone(), 0)).collect(),
+            (1..n).map(|r| JoinAtom::eq(r - 1, 0, r, 0)).collect(),
+        )
+        .unwrap()
+    }
+
+    /// What a window join did with one batch: its results in order with
+    /// their weights, and its evictions in order.
+    type Fed = (Vec<(Tuple, i64)>, Vec<(usize, Tuple, i64)>);
+
+    fn feed<J: LocalJoin>(w: &mut WindowJoin<J>, rel: usize, ts: &[u64], rows: &[Value]) -> Fed {
+        let (mut results, mut evicted) = (Vec::new(), Vec::new());
+        let mut sink = |row: &[Value], m| results.push((Tuple::from(row), m));
+        w.insert_into(rel, ts, rows, &mut sink, |r, row, m| evicted.push((r, row.into(), m)));
+        (results, evicted)
+    }
+
+    /// Feed `chunks` — `(relation, timestamps, rows back to back)` — to
+    /// `batched` a chunk per call and to `single` a row per call. After
+    /// every chunk both must have produced the same results and evictions
+    /// in the same order, and hold the same live rows, inner state,
+    /// watermark and `snap` bytes — those of the live rows, when there are
+    /// any.
+    fn check_batches<J: LocalJoin>(
+        what: &str,
+        (mut batched, mut single): (WindowJoin<J>, WindowJoin<J>),
+        chunks: &[(usize, Vec<u64>, Vec<Value>)],
+        snap: impl Fn(&WindowJoin<J>) -> Vec<u8>,
+    ) {
+        for (c, (rel, ts, rows)) in chunks.iter().enumerate() {
+            let a = feed(&mut batched, *rel, ts, rows);
+            let mut b: Fed = (Vec::new(), Vec::new());
+            for (k, row) in rows.chunks(2).enumerate() {
+                let (results, evicted) = feed(&mut single, *rel, &ts[k..=k], row);
+                b.0.extend(results);
+                b.1.extend(evicted);
+            }
+            let what = format!("{what}, chunk {c} ({} rows of relation {rel})", ts.len());
+            assert_eq!(a.0, b.0, "{what}: results");
+            assert_eq!(a.1, b.1, "{what}: evictions");
+            assert_eq!(batched.live_tuples(), single.live_tuples(), "{what}: live");
+            assert_eq!(batched.inner().stored(), single.inner().stored(), "{what}: stored");
+            assert_eq!(batched.watermark(), single.watermark(), "{what}: watermark");
+            let held = snap(&batched);
+            assert_eq!(held, snap(&single), "{what}: snapshot bytes");
+            assert!(held.is_empty() || held == live_blob(&batched), "{what}: inner rows not live");
+        }
+    }
+
+    /// The join blob of a window's live rows, which the inner join's base
+    /// state must equal.
+    fn live_blob<J: LocalJoin>(w: &WindowJoin<J>) -> Vec<u8> {
+        let rels: Vec<Vec<(Tuple, i64)>> = (w.live.iter())
+            .map(|l| {
+                let mut rows = std::collections::BTreeMap::<Tuple, i64>::new();
+                for (row, &m) in l.vals[l.head * l.arity..].chunks(l.arity).zip(&l.mults[l.head..])
+                {
+                    *rows.entry(row.into()).or_default() += m;
+                }
+                rows.into_iter().collect()
+            })
+            .collect();
+        let mut buf = Vec::new();
+        rels.snapshot_state(&mut buf);
+        buf
+    }
+
+    /// One seed of the window batch model: a 2- or 3-way chain through a
+    /// tumbling or sliding window of width 1–16, over DBToaster or
+    /// Traditional. Each relation's timestamps never decrease, from a
+    /// random start and at a random pace, so relations drift apart; the
+    /// input arrives as chunks of 1–300 rows of one relation at a time,
+    /// whole to one join and row by row to its twin. One case in four
+    /// starts both from a restored blob whose rows weigh 2–5 (DBToaster
+    /// only: Traditional keeps no snapshot), so evictions remove several
+    /// copies of a row at once.
+    fn check_window_batches_equal_rows(seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let collide = rng.next_below(2) == 1;
+        crate::views::ALL_KEYS_COLLIDE.with(|c| c.set(collide));
+        let n = rng.next_range(2, 3) as usize;
+        let width = rng.next_range(1, 16) as u64;
+        let window = match rng.next_below(2) {
+            0 => WindowSpec::Tumbling { width },
+            _ => WindowSpec::Sliding { size: width },
+        };
+        let restored = rng.next_below(4) == 0;
+        let traditional = !restored && rng.next_below(2) == 0;
+        let spec = chain_ts(n);
+        let key = |rng: &mut SplitMix64| rng.next_range(0, 5);
+        // Restored rows: distinct timestamps below each relation's start.
+        let mut blob_rels = Vec::new();
+        let mut clock = Vec::new();
+        for _ in 0..n {
+            let start = rng.next_range(0, 40) as u64;
+            let held = if restored { rng.next_below(start as usize + 1).min(6) } else { 0 };
+            blob_rels.push(
+                (0..held as i64)
+                    .map(|ts| (tuple![key(&mut rng), ts], rng.next_range(2, 5)))
+                    .collect::<Vec<_>>(),
+            );
+            clock.push(start);
+        }
+        // A colliding hash makes every probe of a 3-way join's pair views
+        // a scan: fewer rows keep those seeds as fast as the rest.
+        let most = if collide && n == 3 { 80 } else { 300 };
+        let mut left: Vec<usize> = (0..n).map(|_| rng.next_range(1, most) as usize).collect();
+        let mut chunks = Vec::new();
+        loop {
+            let open: Vec<usize> = (0..n).filter(|&r| left[r] > 0).collect();
+            let Some(&rel) = open.get(rng.next_below(open.len().max(1))) else { break };
+            let len = (rng.next_range(1, 300) as usize).min(left[rel]);
+            left[rel] -= len;
+            let (mut ts, mut rows) = (Vec::new(), Vec::new());
+            for _ in 0..len {
+                clock[rel] += match rng.next_below(8) {
+                    0 => rng.next_range(0, 3 * width as i64) as u64,
+                    _ => rng.next_range(0, 2) as u64,
+                };
+                ts.push(clock[rel]);
+                rows.extend([Value::Int(key(&mut rng)), Value::Int(clock[rel] as i64)]);
+            }
+            chunks.push((rel, ts, rows));
+        }
+        let (arities, ts_cols) = (vec![2; n], vec![1; n]);
+        let what = format!(
+            "seed {seed} (colliding hash: {collide}, {n}-way {window:?}, traditional: \
+             {traditional}, restored: {restored})"
+        );
+        if traditional {
+            let mk =
+                || WindowJoin::event_time(TraditionalJoin::new(&spec), window, &arities, &ts_cols);
+            check_batches(&what, (mk(), mk()), &chunks, |_| Vec::new());
+        } else {
+            let mut blob = Vec::new();
+            blob_rels.snapshot_state(&mut blob);
+            let mk = || {
+                let mut w =
+                    WindowJoin::event_time(DBToasterJoin::new(&spec), window, &arities, &ts_cols);
+                if restored {
+                    w.restore_state(&mut Reader::new(&blob)).unwrap();
+                }
+                w
+            };
+            let snap = |w: &WindowJoin<DBToasterJoin>| {
+                let mut buf = Vec::new();
+                w.snapshot_state(&mut buf);
+                buf
+            };
+            check_batches(&what, (mk(), mk()), &chunks, snap);
+        }
+        crate::views::ALL_KEYS_COLLIDE.with(|c| c.set(false));
+    }
+
+    #[test]
+    fn window_batch_model() {
+        // More seeds in a release build (CI's "window batch model check").
+        for seed in 0..if cfg!(debug_assertions) { 200 } else { 5_000 } {
+            check_window_batches_equal_rows(seed);
+        }
+    }
+
+    /// A local join that counts the calls made to it.
+    struct Counted<J> {
+        inner: J,
+        inserts: usize,
+        removes: usize,
+    }
+
+    impl<J: LocalJoin> LocalJoin for Counted<J> {
+        fn insert_into(&mut self, rel: usize, rows: &[Value], out: &mut dyn RowSink) {
+            self.inserts += 1;
+            self.inner.insert_into(rel, rows, out)
+        }
+
+        fn remove(&mut self, rel: usize, rows: &[Value], mults: &[i64]) {
+            self.removes += 1;
+            self.inner.remove(rel, rows, mults)
+        }
+
+        fn stored(&self) -> usize {
+            self.inner.stored()
+        }
+    }
+
+    #[test]
+    fn a_chunk_costs_one_inner_call_per_run_and_one_remove_per_evicted_run() {
+        // Two relations of 4 096 rows, four per time unit, through a
+        // tumbling window of width 64 in alternating 256-row chunks. Row
+        // by row the inner join took one insert per row and one remove per
+        // evicted row; a chunk takes one insert per run between boundary
+        // crossings, and each crossing one remove per relation.
+        const ROWS: usize = 4_096;
+        let window = WindowSpec::Tumbling { width: 64 };
+        let inner = Counted { inner: DBToasterJoin::new(&two_way_ts()), inserts: 0, removes: 0 };
+        let mut w = WindowJoin::event_time(inner, window, &[2, 2], &[1, 1]);
+        let (mut chunks, mut crossings, mut evicted) = (0, 0, 0);
+        let (mut frontier, mut boundary) = ([None::<u64>; 2], None);
+        for start in (0..ROWS).step_by(256) {
+            for rel in 0..2 {
+                let ts: Vec<u64> = (start..start + 256).map(|i| (i / 4) as u64).collect();
+                let rows: Vec<Value> = ts
+                    .iter()
+                    .flat_map(|&t| [Value::Int(t as i64 % 5), Value::Int(t as i64)])
+                    .collect();
+                // The close boundary row by row, as the model of a crossing.
+                for &t in &ts {
+                    frontier[rel] = Some(t);
+                    let wm = frontier[0].zip(frontier[1]).map(|(a, b)| a.min(b));
+                    let b = wm.map(|wm| window.close_boundary(wm));
+                    crossings += usize::from(boundary.is_some() && b != boundary);
+                    boundary = b;
+                }
+                w.insert_into(rel, &ts, &rows, &mut |_: &[Value], _| {}, |_, _, _| evicted += 1);
+                chunks += 1;
+            }
+        }
+        let inner = &w.inner().inner;
+        let (inserts, removes) = (w.inner().inserts, w.inner().removes);
+        println!(
+            "{} rows in {chunks} chunks, {crossings} boundary crossings: {inserts} inner inserts \
+             and {removes} removes (row by row: {} and {evicted})",
+            2 * ROWS,
+            2 * ROWS,
+        );
+        assert!(evicted > 0 && inner.stored() > 0);
+        assert!(inserts <= chunks + crossings, "{inserts} inserts");
+        assert!(removes <= crossings * 2, "{removes} removes");
     }
 }
