@@ -216,20 +216,6 @@ impl MultiJoinSpec {
         })
     }
 
-    /// The atoms touching a given relation, as `(other_rel, my_col, op,
-    /// other_col)` with the operator oriented from `rel`'s side.
-    pub fn atoms_of(&self, rel: usize) -> Vec<(usize, usize, CmpOp, usize)> {
-        let mut out = Vec::new();
-        for a in &self.atoms {
-            if a.left_rel == rel {
-                out.push((a.right_rel, a.left_col, a.op, a.right_col));
-            } else if a.right_rel == rel {
-                out.push((a.left_rel, a.right_col, a.op.flip(), a.left_col));
-            }
-        }
-        out
-    }
-
     /// The spec cut to what a consumer of result multiplicities reads
     /// (§3.3's aggregated views): each relation keeps its atom columns plus
     /// `extra[rel]`, sorted (its first column when that leaves none), and
@@ -393,20 +379,6 @@ mod tests {
         // Disconnected pair.
         let disc = MultiJoinSpec::new(vec![mk("R"), mk("S")], vec![]).unwrap();
         assert!(!disc.is_connected());
-    }
-
-    #[test]
-    fn atoms_of_orients_operators() {
-        let mk = |n: &str| RelationDef::new(n, Schema::of(&[("a", DataType::Int)]), 1);
-        let spec = MultiJoinSpec::new(
-            vec![mk("R"), mk("S")],
-            vec![JoinAtom { left_rel: 0, left_col: 0, op: CmpOp::Lt, right_rel: 1, right_col: 0 }],
-        )
-        .unwrap();
-        // From R's perspective: R.a < S.a.
-        assert_eq!(spec.atoms_of(0), vec![(1, 0, CmpOp::Lt, 0)]);
-        // From S's perspective the operator flips: S.a > R.a.
-        assert_eq!(spec.atoms_of(1), vec![(0, 0, CmpOp::Gt, 0)]);
     }
 
     #[test]

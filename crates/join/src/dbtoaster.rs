@@ -1,39 +1,55 @@
-//! The DBToaster-style local multi-way join — higher-order incremental
-//! view maintenance (Ahmad, Kennedy, Koch & Nikolic \[9\]; §3.3).
+//! The local multi-way join (§3.3): one delta body over a view set fixed
+//! at build.
 //!
-//! "Instead of maintaining only the final result, DBToaster maintains all
-//! the intermediate (n−1)-, (n−2)-, …, and 2-way joins. When a new tuple
-//! comes, DBToaster updates the intermediate relations, and produces the
-//! (delta) result by joining the incoming tuple with the corresponding
-//! (n−1)-way materialized join."
-//!
-//! Concretely, for an acyclic join over relations `R₁..Rₙ`, a view `V_S`
-//! is kept for every **connected** subset `S` of relations. When a tuple
-//! `t` arrives at `Rᵢ`, for every connected `S ∋ i` (in any order — the
-//! probed views never contain `i`):
+//! DBToaster — higher-order incremental view maintenance (Ahmad, Kennedy,
+//! Koch & Nikolic \[9\]) — "maintains all the intermediate (n−1)-,
+//! (n−2)-, …, and 2-way joins. When a new tuple comes, DBToaster updates
+//! the intermediate relations, and produces the (delta) result by joining
+//! the incoming tuple with the corresponding (n−1)-way materialized join."
+//! The traditional join stores only the bases: "upon tuple arrival, we
+//! store the tuple, update all of its indexes, and lookup indexes on the
+//! opposite relation(s) in order to produce result tuples", re-deriving the
+//! (n−1)-way remainder on every arrival. Both are one algebra: a tuple `t`
+//! arriving at `Rᵢ` updates each target — a stored view `V_S` with `i ∈ S`,
+//! or the full relation set, whose delta is the emitted result — by
 //!
 //! ```text
 //! ΔV_S  =  t  ⋈  V_C₁ ⋈ … ⋈ V_Cₖ
 //! ```
 //!
-//! where `C₁..Cₖ` are the connected components of `S ∖ {i}` — the delta
-//! factorizes across components because they only connect *through* `Rᵢ`,
-//! so the join is `k` independent index probes plus a cross-combination,
-//! never a recomputation. The delta for the full relation set is the
-//! emitted result.
+//! where the `V_C` are stored views covering `S ∖ {i}`, none containing
+//! `i`. A target's plan is a sequence of probe **steps**, one per `V_C`,
+//! each binding one of its rows; a step's probe key and theta operands read
+//! the arrival or a row an earlier step bound. The two view sets:
+//!
+//! * **every connected proper subset** ([`DBToasterJoin::new`]): the `C`s
+//!   are the connected components of `S ∖ {i}`. They connect only through
+//!   `Rᵢ`, so every step reads the arrival alone — `k` independent probes
+//!   and a cross-combination, never a recomputation;
+//! * **the bases alone** ([`TraditionalJoin::new`]): each arrival updates
+//!   its base, and the one result plan binds the other relations one base
+//!   at a time, each touching the relations bound before it. A step that
+//!   reads an earlier step's row is probed again for each binding of it —
+//!   the recomputation DBToaster amortizes away, and the Figure 8 gap that
+//!   "deepens with the increase in the number of relations".
+//!
+//! A step that reads only the arrival is probed once per arrival; the
+//! bindings then nest in step order, the last step fastest.
 //!
 //! The delta body takes a **batch**: rows of one relation `Rᵢ`, each with
 //! its signed weight — one Z-set `ΔRᵢ` (a single row is a batch of one).
 //! The join is bilinear, and no view a plan for `Rᵢ` probes contains `Rᵢ`,
 //! so `ΔV_S = ΔRᵢ ⋈ V_C₁ ⋈ … ⋈ V_Cₖ` holds for the whole batch against the
 //! views as they stand. The loop is therefore plan-major: for each plan,
-//! one tight pass folds every row's key hash for the first indexed
-//! component and drops the rows with no posting there (a posting only
-//! shares a hash; keys are checked by the probe), then the survivors are
-//! probed, cross-combined and assembled in row order. Every target view
-//! receives its rows in the order the row-at-a-time loop gave them, and
-//! the one result plan emits in row order, so results, posting order and
-//! snapshot bytes are those of feeding the rows one by one.
+//! one tight pass folds every row's key hash for the first indexed step
+//! that reads only the arrival and drops the rows with no posting there (a
+//! posting only shares a hash; keys are checked by the probe), then the
+//! survivors are probed, bound and assembled in row order. Every target
+//! view receives its rows in the order the row-at-a-time loop gave them,
+//! and the one result plan emits in row order, so results, posting order
+//! and snapshot bytes are those of feeding the rows one by one.
+
+use std::ops::Range;
 
 use squall_common::codec::Reader;
 use squall_common::{FxHashMap, Result, Tuple, Value};
@@ -43,50 +59,55 @@ use squall_expr::MultiJoinSpec;
 use crate::views::{key_hash, RowId, View};
 use crate::{LocalJoin, RowSink, Snapshot};
 
-/// How one segment of a ΔV_S tuple is assembled.
+/// Where a probe operand, or a segment of an assembled row, is read from.
 #[derive(Debug, Clone, Copy)]
-enum Segment {
-    /// Copy the arriving delta tuple.
-    Delta,
-    /// Copy `len` columns starting at `start` from component `comp`'s
-    /// matched view tuple.
-    Comp { comp: usize, start: usize, len: usize },
+enum Src {
+    /// The arriving row.
+    Arrival,
+    /// The view row step `k` bound.
+    Step(usize),
 }
 
-/// A probe of one component view.
+/// A probe of one stored view.
 #[derive(Debug)]
-struct CompProbe {
+struct Step {
     view_id: usize,
-    /// Index on the component view (None ⇒ full scan — happens when only
-    /// theta atoms connect the arriving relation to this component).
+    /// Index on the view (None ⇒ full scan — no equi atom connects the view
+    /// to a bound row).
     index_id: Option<usize>,
-    /// Delta-tuple columns forming the probe key (parallel to the index
-    /// columns).
-    my_cols: Vec<usize>,
-    /// Theta filters: (delta column, op, view column).
-    theta: Vec<(usize, CmpOp, usize)>,
+    /// The probe key's operands, `(source, column)`, parallel to the index
+    /// columns.
+    key: Vec<(Src, usize)>,
+    /// Theta filters: (source, source column, op, view column).
+    theta: Vec<(Src, usize, CmpOp, usize)>,
+    /// Whether an operand reads an earlier step's row: probed again for
+    /// each binding of it, not once per arrival.
+    dependent: bool,
 }
 
-/// The maintenance work for one connected subset on one relation's arrival.
+/// The maintenance work for one target on one relation's arrival.
 #[derive(Debug)]
 struct SubsetPlan {
     /// Target view; `None` means this is the full relation set — deltas are
     /// emitted as query results instead of stored.
     view_id: Option<usize>,
-    comps: Vec<CompProbe>,
-    assembly: Vec<Segment>,
+    steps: Vec<Step>,
+    /// The target row: per member relation in order, the row its columns
+    /// are copied from and their range there.
+    assembly: Vec<(Src, Range<usize>)>,
 }
 
-/// The DBToaster local operator. Build once per machine from the join
-/// spec; see [`LocalJoin`].
+/// The local join. Build once per machine from the join spec — over every
+/// connected proper subset ([`DBToasterJoin::new`]) or the bases alone
+/// ([`TraditionalJoin::new`]); see [`LocalJoin`].
 pub struct DBToasterJoin {
     arities: Vec<usize>,
     views: Vec<View>,
     plans: Vec<Vec<SubsetPlan>>,
-    /// Pooled per-component match buffers (row id in the probed view,
+    /// Pooled per-step match buffers (row id in the probed view,
     /// multiplicity); they keep their capacity between arrivals.
     scratch_matches: Vec<Vec<(RowId, i64)>>,
-    /// Odometer scratch for the cross-combination loop.
+    /// The match each step has bound.
     scratch_idx: Vec<usize>,
     /// Assembly buffer for one ΔV_S row: handed to [`View::update`], or to
     /// the result sink, as a borrowed row.
@@ -116,12 +137,92 @@ fn reachable(adj: &[u32], mask: u32, start: usize) -> u32 {
     seen
 }
 
-/// The most relations a [`DBToasterJoin`] joins: relation sets are `u32`
-/// masks. Plans are checked against it before a join is built.
+/// The most relations the every-subset view set ([`DBToasterJoin::new`])
+/// joins: relation sets are `u32` masks. Plans are checked against it
+/// before a join is built; the bases-only set has no such bound.
 pub const MAX_RELATIONS: usize = 30;
 
+/// A step probing `views[view_id]`: keyed and filtered by every atom
+/// between one of the view's members and a relation `bound` locates among
+/// the rows bound so far (atoms in spec order, oriented bound side first).
+fn probe_step(
+    spec: &MultiJoinSpec,
+    views: &mut [View],
+    view_id: usize,
+    bound: impl Fn(usize) -> Option<Src>,
+) -> Step {
+    let view = &mut views[view_id];
+    let (mut key, mut index_cols, mut theta) = (Vec::new(), Vec::new(), Vec::new());
+    for a in &spec.atoms {
+        let (src, src_col, op, rel, col) = match (bound(a.left_rel), bound(a.right_rel)) {
+            (Some(src), None) if view.members.contains(&a.right_rel) => {
+                (src, a.left_col, a.op, a.right_rel, a.right_col)
+            }
+            (None, Some(src)) if view.members.contains(&a.left_rel) => {
+                (src, a.right_col, a.op.flip(), a.left_rel, a.left_col)
+            }
+            _ => continue,
+        };
+        let view_col = view.offset_of(rel) + col;
+        if op == CmpOp::Eq {
+            key.push((src, src_col));
+            index_cols.push(view_col);
+        } else {
+            theta.push((src, src_col, op, view_col));
+        }
+    }
+    let index_id = (!index_cols.is_empty()).then(|| view.ensure_index(index_cols));
+    let mut sources = key.iter().map(|&(src, _)| src).chain(theta.iter().map(|t| t.0));
+    let dependent = sources.any(|src| matches!(src, Src::Step(_)));
+    Step { view_id, index_id, key, theta, dependent }
+}
+
+/// The rows one arrival has bound so far: the arrival itself and, for
+/// each step before the one at hand, the match it has bound.
+struct Bound<'a> {
+    views: &'a [View],
+    steps: &'a [Step],
+    arrival: &'a [Value],
+    found: &'a [Vec<(RowId, i64)>],
+    idx: &'a [usize],
+}
+
+impl<'a> Bound<'a> {
+    fn row(&self, src: Src) -> &'a [Value] {
+        match src {
+            Src::Arrival => self.arrival,
+            Src::Step(k) => self.views[self.steps[k].view_id].row(self.found[k][self.idx[k]].0).0,
+        }
+    }
+}
+
+/// Fill `found` with the rows of `step`'s view that match the operands
+/// `operand(source, column)` reads, in posting (or slab) order.
+fn probe_view<'v>(
+    view: &View,
+    step: &Step,
+    operand: impl Fn(Src, usize) -> &'v Value + Copy,
+    found: &mut Vec<(RowId, i64)>,
+) {
+    let keep = move |id: RowId| {
+        let (t, m) = view.row(id);
+        let theta =
+            |&(src, c, op, vc): &(Src, usize, CmpOp, usize)| op.eval(operand(src, c), &t[vc]);
+        step.theta.iter().all(theta).then_some((id, m))
+    };
+    found.clear();
+    match step.index_id {
+        Some(ix) => {
+            let key = step.key.iter().map(move |&(src, c)| operand(src, c));
+            found.extend(view.probe_ids(ix, key).filter_map(keep));
+        }
+        None => found.extend(view.scan_ids().filter_map(keep)),
+    }
+}
+
 impl DBToasterJoin {
-    /// Precompute views, indexes and delta plans for the join.
+    /// Precompute views, indexes and delta plans for the join, a view kept
+    /// for every connected proper subset of its relations.
     ///
     /// Supports acyclic (and, conservatively, cyclic — extra atoms become
     /// filters on the probes) connected join graphs over up to
@@ -172,60 +273,30 @@ impl DBToasterJoin {
                 if mask & (1 << i) == 0 || !connected(mask) {
                     continue;
                 }
-                let rest = mask & !(1 << i);
-                let comp_masks = components(rest);
-                // Probes.
-                let mut comps = Vec::with_capacity(comp_masks.len());
-                for &cm in &comp_masks {
+                // One step per component of S minus i, listed last-first;
+                // each member's columns come from its component's row.
+                let mut slots = vec![(Src::Arrival, 0..arities[i]); n];
+                let mut steps = Vec::new();
+                for (s, cm) in components(mask & !(1 << i)).into_iter().rev().enumerate() {
                     let vid = view_of[&cm];
-                    let mut my_cols = Vec::new();
-                    let mut view_cols = Vec::new();
-                    let mut theta = Vec::new();
-                    for (other, my_col, op, other_col) in spec.atoms_of(i) {
-                        if cm & (1 << other) == 0 {
-                            continue;
-                        }
-                        let view_col = views[vid].offset_of(other) + other_col;
-                        if op == CmpOp::Eq {
-                            my_cols.push(my_col);
-                            view_cols.push(view_col);
-                        } else {
-                            theta.push((my_col, op, view_col));
-                        }
+                    for m in members_of(cm) {
+                        let start = views[vid].offset_of(m);
+                        slots[m] = (Src::Step(s), start..start + arities[m]);
                     }
-                    let index_id = if view_cols.is_empty() {
-                        None
-                    } else {
-                        Some(views[vid].ensure_index(view_cols))
-                    };
-                    comps.push(CompProbe { view_id: vid, index_id, my_cols, theta });
+                    steps.push(probe_step(spec, &mut views, vid, |r| {
+                        (r == i).then_some(Src::Arrival)
+                    }));
                 }
-                // Assembly: S's members in sorted order, each drawn from the
-                // delta or from its component's matched tuple.
-                let mut assembly = Vec::new();
-                for &m in &members_of(mask) {
-                    if m == i {
-                        assembly.push(Segment::Delta);
-                    } else {
-                        #[allow(clippy::expect_used)] // the components partition S minus i
-                        let (ci, &cm) = comp_masks
-                            .iter()
-                            .enumerate()
-                            .find(|(_, &cm)| cm & (1 << m) != 0)
-                            .expect("member belongs to a component");
-                        let comp_view = &views[view_of[&cm]];
-                        assembly.push(Segment::Comp {
-                            comp: ci,
-                            start: comp_view.offset_of(m),
-                            len: arities[m],
-                        });
-                    }
-                }
-                let view_id = if mask == full { None } else { Some(view_of[&mask]) };
-                rel_plans.push(SubsetPlan { view_id, comps, assembly });
+                let assembly = members_of(mask).into_iter().map(|m| slots[m].clone()).collect();
+                let view_id = (mask != full).then(|| view_of[&mask]);
+                rel_plans.push(SubsetPlan { view_id, steps, assembly });
             }
             plans.push(rel_plans);
         }
+        DBToasterJoin::over(arities, views, plans)
+    }
+
+    fn over(arities: Vec<usize>, views: Vec<View>, plans: Vec<Vec<SubsetPlan>>) -> DBToasterJoin {
         DBToasterJoin {
             arities,
             views,
@@ -256,6 +327,28 @@ impl DBToasterJoin {
         self.delta_into(rel, rows, &[mult], Some(out));
     }
 
+    /// Probe step `s` for `arrival`, under the matches `idx` binds for the
+    /// steps before it, into `found[s]`; whether anything matched. A step
+    /// that reads only the arrival gets a probe that reads nothing else.
+    fn probe(
+        views: &[View],
+        steps: &[Step],
+        arrival: &[Value],
+        found: &mut [Vec<(RowId, i64)>],
+        idx: &[usize],
+        s: usize,
+    ) -> bool {
+        let (done, rest) = found.split_at_mut(s);
+        let (step, view) = (&steps[s], &views[steps[s].view_id]);
+        if step.dependent {
+            let bound = &Bound { views, steps, arrival, found: done, idx };
+            probe_view(view, step, move |src, c| &bound.row(src)[c], &mut rest[0]);
+        } else {
+            probe_view(view, step, move |_, c| &arrival[c], &mut rest[0]);
+        }
+        !rest[0].is_empty()
+    }
+
     /// [`DBToasterJoin::delta`] into any sink, or into none — a result
     /// delta nobody reads is not even probed for — with `mults` holding
     /// one weight per row, or one for every row. This is the operator's one
@@ -279,7 +372,7 @@ impl DBToasterJoin {
         // Scratch buffers move out of `self` once per batch so the plan
         // iteration below can still borrow `self.plans`; they are restored
         // (capacity intact) on exit.
-        let mut match_bufs = std::mem::take(&mut self.scratch_matches);
+        let mut found = std::mem::take(&mut self.scratch_matches);
         let mut idx = std::mem::take(&mut self.scratch_idx);
         let mut values = std::mem::take(&mut self.scratch_values);
         let mut screened = std::mem::take(&mut self.scratch_rows);
@@ -287,7 +380,8 @@ impl DBToasterJoin {
             if plan.view_id.is_none() && out.is_none() {
                 continue; // a result delta nobody reads: not even probed
             }
-            if plan.comps.is_empty() {
+            let (steps, k) = (&plan.steps, plan.steps.len());
+            if k == 0 {
                 // ΔV_{rel} is the arrival itself.
                 for i in 0..n {
                     match (plan.view_id, &mut out) {
@@ -299,95 +393,141 @@ impl DBToasterJoin {
                 continue;
             }
             // Pass 1: keep the rows whose key has a posting in the first
-            // indexed component. A posting is only a shared hash, not an
-            // equal key: pass 2 checks the keys.
+            // indexed step that reads only the arrival. A posting is only a
+            // shared hash, not an equal key: pass 2 checks the keys.
             screened.clear();
-            match plan.comps.iter().find_map(|cp| Some((cp, cp.index_id?))) {
-                Some((cp, ix)) => {
-                    let postings = self.views[cp.view_id].postings(ix);
+            match steps.iter().find_map(|st| Some((st, st.index_id.filter(|_| !st.dependent)?))) {
+                Some((st, ix)) => {
+                    let postings = self.views[st.view_id].postings(ix);
                     screened.extend((0..n).filter(|&i| {
                         let row = row(i);
-                        !postings.get(key_hash(cp.my_cols.iter().map(|&c| &row[c]))).is_empty()
+                        !postings.get(key_hash(st.key.iter().map(|&(_, c)| &row[c]))).is_empty()
                     }));
                 }
                 None => screened.extend(0..n),
             }
-            // Pass 2, in row order: probe every component. Matches are kept
-            // as row ids: the probed views never contain `rel`, so they do
-            // not change while this plan updates its target.
-            if match_bufs.len() < plan.comps.len() {
-                match_bufs.resize_with(plan.comps.len(), Vec::new);
+            // Pass 2, in row order. Matches are kept as row ids: the probed
+            // views never contain `rel`, so they do not change while this
+            // plan updates its target.
+            if found.len() < k {
+                found.resize_with(k, Vec::new);
             }
-            let matches = &mut match_bufs[..plan.comps.len()];
+            idx.clear();
+            idx.resize(k, 0);
             'rows: for (row, mult) in screened.iter().map(|&i| (row(i), mult(i))) {
-                for (cp, found) in plan.comps.iter().zip(matches.iter_mut()) {
-                    let view = &self.views[cp.view_id];
-                    let keep = |id: RowId| {
-                        let (t, m) = view.row(id);
-                        cp.theta
-                            .iter()
-                            .all(|&(mc, op, vc)| op.eval(&row[mc], &t[vc]))
-                            .then_some((id, m))
-                    };
-                    found.clear();
-                    match cp.index_id {
-                        Some(ix) => {
-                            let key = cp.my_cols.iter().map(|&c| &row[c]);
-                            found.extend(view.probe_ids(ix, key).filter_map(keep));
-                        }
-                        None => found.extend(view.scan_ids().filter_map(keep)),
-                    }
-                    if found.is_empty() {
+                // The steps that read only the arrival: probed once for it.
+                for s in 0..k {
+                    if !steps[s].dependent
+                        && !Self::probe(&self.views, steps, row, &mut found, &idx, s)
+                    {
                         continue 'rows;
                     }
                 }
-                // Cross-combine the component matches.
-                idx.clear();
-                idx.resize(matches.len(), 0);
+                // Bind the steps in order, the last fastest; a dependent
+                // step is probed again for each binding before it.
+                let mut s = 0;
                 loop {
-                    let mut delta_mult = mult;
-                    for (c, &i) in idx.iter().enumerate() {
-                        delta_mult *= matches[c][i].1;
-                    }
-                    values.clear();
-                    for seg in &plan.assembly {
-                        match *seg {
-                            Segment::Delta => values.extend_from_slice(row),
-                            Segment::Comp { comp, start, len } => {
-                                let (t, _) = self.views[plan.comps[comp].view_id]
-                                    .row(matches[comp][idx[comp]].0);
-                                values.extend_from_slice(&t[start..start + len]);
-                            }
+                    if s < k {
+                        if !steps[s].dependent
+                            || Self::probe(&self.views, steps, row, &mut found, &idx, s)
+                        {
+                            idx[s] = 0;
+                            s += 1;
+                            continue;
+                        }
+                    } else {
+                        let delta_mult = idx.iter().zip(&found).fold(mult, |m, (&i, f)| m * f[i].1);
+                        let bound = Bound {
+                            views: &self.views,
+                            steps,
+                            arrival: row,
+                            found: &found,
+                            idx: &idx,
+                        };
+                        values.clear();
+                        for (src, cols) in &plan.assembly {
+                            values.extend_from_slice(&bound.row(*src)[cols.clone()]);
+                        }
+                        match (plan.view_id, &mut out) {
+                            (Some(vid), _) => self.views[vid].update(&values, delta_mult),
+                            (None, Some(out)) => out.push(&values, delta_mult),
+                            (None, None) => {}
                         }
                     }
-                    match (plan.view_id, &mut out) {
-                        (Some(vid), _) => self.views[vid].update(&values, delta_mult),
-                        (None, Some(out)) => out.push(&values, delta_mult),
-                        (None, None) => {}
-                    }
-                    // Advance the odometer.
-                    let mut c = 0;
+                    // Move to the next match of the deepest bound step that
+                    // has one; the row is done when none has.
                     loop {
-                        if c == idx.len() {
+                        let Some(prev) = s.checked_sub(1) else { continue 'rows };
+                        s = prev;
+                        idx[s] += 1;
+                        if idx[s] < found[s].len() {
+                            s += 1;
                             break;
                         }
-                        idx[c] += 1;
-                        if idx[c] < matches[c].len() {
-                            break;
-                        }
-                        idx[c] = 0;
-                        c += 1;
-                    }
-                    if c == idx.len() {
-                        break;
                     }
                 }
             }
         }
-        self.scratch_matches = match_bufs;
+        self.scratch_matches = found;
         self.scratch_idx = idx;
         self.scratch_values = values;
         self.scratch_rows = screened;
+    }
+}
+
+/// The traditional local join (§3.3): the one delta body over the bases
+/// alone.
+pub struct TraditionalJoin;
+
+impl TraditionalJoin {
+    /// Each arrival updates its base, and one result plan binds the other
+    /// relations a base at a time: next the lowest-numbered relation an atom
+    /// ties to those already bound (or, in a disconnected spec, any — a
+    /// cross product), its probe keyed and filtered by those atoms. Built
+    /// without relation masks, so it joins any number of relations. A
+    /// single relation's join stores nothing: its base is the full set.
+    #[allow(clippy::new_ret_no_self)] // perfbench builds Traditional as `TraditionalJoin::new(&spec)`
+    pub fn new(spec: &MultiJoinSpec) -> DBToasterJoin {
+        let n = spec.n_relations();
+        let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
+        let bases = if n > 1 { n } else { 0 };
+        let mut views: Vec<View> = (0..bases).map(|r| View::new(vec![r], &arities)).collect();
+        let mut plans = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut order: Vec<usize> = Vec::new();
+            let mut bound: Vec<usize> = vec![i];
+            loop {
+                let touches = |&r: &usize| {
+                    spec.atoms.iter().any(|a| {
+                        (a.left_rel == r && bound.contains(&a.right_rel))
+                            || (a.right_rel == r && bound.contains(&a.left_rel))
+                    })
+                };
+                let mut unbound = (0..n).filter(|r| !bound.contains(r));
+                let Some(next) = unbound.clone().find(touches).or_else(|| unbound.next()) else {
+                    break;
+                };
+                order.push(next);
+                bound.push(next);
+            }
+            // Where relation `r`'s row is once the first `done` steps bind.
+            let src_of = |r: usize, done: usize| match order[..done].iter().position(|&o| o == r) {
+                Some(s) => Some(Src::Step(s)),
+                None => (r == i).then_some(Src::Arrival),
+            };
+            let steps =
+                (0..order.len()).map(|s| probe_step(spec, &mut views, order[s], |r| src_of(r, s)));
+            let result = SubsetPlan {
+                view_id: None,
+                steps: steps.collect(),
+                assembly: (0..n)
+                    .map(|r| (src_of(r, order.len()).unwrap_or(Src::Arrival), 0..arities[r]))
+                    .collect(),
+            };
+            let base = SubsetPlan { view_id: Some(i), steps: Vec::new(), assembly: Vec::new() };
+            plans.push((i < bases).then_some(base).into_iter().chain([result]).collect());
+        }
+        DBToasterJoin::over(arities, views, plans)
     }
 }
 
@@ -537,19 +677,42 @@ mod tests {
         out
     }
 
-    fn chain3() -> MultiJoinSpec {
-        let mk = |n: &str| {
-            RelationDef::new(n, Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]), 0)
+    /// `R0(a, b) ⋈ R1(a, b) ⋈ …` on each `b` equal to the next `a`.
+    fn chain(n: usize) -> MultiJoinSpec {
+        let mk = |i: usize| {
+            RelationDef::new(
+                format!("R{i}"),
+                Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]),
+                0,
+            )
         };
         MultiJoinSpec::new(
-            vec![mk("R"), mk("S"), mk("T")],
-            vec![JoinAtom::eq(0, 1, 1, 0), JoinAtom::eq(1, 1, 2, 0)],
+            (0..n).map(mk).collect(),
+            (0..n - 1).map(|i| JoinAtom::eq(i, 1, i + 1, 0)).collect(),
         )
         .unwrap()
     }
 
+    type Build = fn(&MultiJoinSpec) -> DBToasterJoin;
+
+    /// The two view sets, each by its constructor.
+    const VIEW_SETS: [(&str, Build); 2] =
+        [("every connected subset", DBToasterJoin::new), ("bases only", TraditionalJoin::new)];
+
     fn rand_rel(n: usize, key_dom: i64, rng: &mut SplitMix64) -> Vec<Tuple> {
         (0..n).map(|_| tuple![rng.next_range(0, key_dom), rng.next_range(0, key_dom)]).collect()
+    }
+
+    /// Both view sets, fed `rels` in a seeded random order, answer the
+    /// nested loop; returns how many results that is.
+    fn both_match_oracle(spec: &MultiJoinSpec, rels: &[Vec<Tuple>], seed: u64) -> usize {
+        let oracle = naive_join(spec, rels);
+        for (name, new) in VIEW_SETS {
+            let online = run_online(&mut new(spec), rels, seed);
+            let what = format!("{name}: {} vs {}", online.len(), oracle.len());
+            assert!(same_multiset(&online, &oracle), "{what}");
+        }
+        oracle.len()
     }
 
     #[test]
@@ -565,31 +728,23 @@ mod tests {
         let mut rng = SplitMix64::new(1);
         let r: Vec<Tuple> = (0..60).map(|_| tuple![rng.next_range(0, 15)]).collect();
         let s: Vec<Tuple> = (0..60).map(|_| tuple![rng.next_range(0, 15)]).collect();
-        let mut j = DBToasterJoin::new(&spec);
-        let online = run_online(&mut j, &[r.clone(), s.clone()], 7);
-        let oracle = naive_join(&spec, &[r, s]);
-        assert!(same_multiset(&online, &oracle), "{} vs {}", online.len(), oracle.len());
-        assert!(!online.is_empty());
+        assert!(both_match_oracle(&spec, &[r, s], 7) > 0);
     }
 
     #[test]
     fn three_way_chain_matches_oracle() {
-        let spec = chain3();
+        let spec = chain(3);
         let mut rng = SplitMix64::new(2);
         let rels =
             vec![rand_rel(40, 8, &mut rng), rand_rel(40, 8, &mut rng), rand_rel(40, 8, &mut rng)];
-        let mut j = DBToasterJoin::new(&spec);
-        let online = run_online(&mut j, &rels, 9);
-        let oracle = naive_join(&spec, &rels);
-        assert!(same_multiset(&online, &oracle), "{} vs {}", online.len(), oracle.len());
-        assert!(!online.is_empty());
+        assert!(both_match_oracle(&spec, &rels, 9) > 0);
     }
 
     #[test]
     fn intermediate_views_are_materialized() {
         // For R ⋈ S ⋈ T, DBToaster keeps {R}, {S}, {T}, {R,S}, {S,T} —
         // and NOT the disconnected {R,T} (that would be a cross product).
-        let spec = chain3();
+        let spec = chain(3);
         let j = DBToasterJoin::new(&spec);
         let members: Vec<Vec<usize>> = j.view_sizes().into_iter().map(|(m, _)| m).collect();
         assert!(members.contains(&vec![0]));
@@ -611,17 +766,14 @@ mod tests {
         .unwrap();
         let mut rng = SplitMix64::new(5);
         let rels: Vec<Vec<Tuple>> = (0..4).map(|_| rand_rel(25, 5, &mut rng)).collect();
-        let mut j = DBToasterJoin::new(&spec);
-        let online = run_online(&mut j, &rels, 11);
-        let oracle = naive_join(&spec, &rels);
-        assert!(same_multiset(&online, &oracle), "{} vs {}", online.len(), oracle.len());
-        assert!(!online.is_empty());
+        assert!(both_match_oracle(&spec, &rels, 11) > 0);
     }
 
     #[test]
     fn star_join_cross_components() {
         // F(a,b) ⋈ D1(a) ⋈ D2(b): on an F arrival the rest {D1, D2} is
-        // disconnected — the delta must cross-combine two probes.
+        // disconnected — the delta must cross-combine two probes (DBToaster)
+        // or bind one dimension after the other (bases only).
         let spec = MultiJoinSpec::new(
             vec![
                 RelationDef::new("F", Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]), 0),
@@ -634,11 +786,7 @@ mod tests {
         let f = vec![tuple![1, 2], tuple![1, 3]];
         let d1 = vec![tuple![1], tuple![1]];
         let d2 = vec![tuple![2], tuple![3]];
-        let mut j = DBToasterJoin::new(&spec);
-        let online = run_online(&mut j, &[f.clone(), d1.clone(), d2.clone()], 13);
-        let oracle = naive_join(&spec, &[f, d1, d2]);
-        assert!(same_multiset(&online, &oracle), "{} vs {}", online.len(), oracle.len());
-        assert_eq!(online.len(), 4);
+        assert_eq!(both_match_oracle(&spec, &[f, d1, d2], 13), 4);
     }
 
     #[test]
@@ -657,28 +805,21 @@ mod tests {
         .unwrap();
         let mut rng = SplitMix64::new(21);
         let rels = vec![rand_rel(50, 6, &mut rng), rand_rel(50, 6, &mut rng)];
-        let mut j = DBToasterJoin::new(&spec);
-        let online = run_online(&mut j, &rels, 3);
-        let oracle = naive_join(&spec, &rels);
-        assert!(same_multiset(&online, &oracle), "{} vs {}", online.len(), oracle.len());
-        assert!(!online.is_empty());
+        assert!(both_match_oracle(&spec, &rels, 3) > 0);
     }
 
     #[test]
     fn pure_inequality_join_uses_scans() {
+        // Each operator both ways round: an arrival on either side reads it
+        // oriented from its own side.
         let mk = |n: &str| RelationDef::new(n, Schema::of(&[("a", DataType::Int)]), 0);
-        let spec = MultiJoinSpec::new(
-            vec![mk("R"), mk("S")],
-            vec![JoinAtom { left_rel: 0, left_col: 0, op: CmpOp::Lt, right_rel: 1, right_col: 0 }],
-        )
-        .unwrap();
-        let r: Vec<Tuple> = (0..20).map(|i| tuple![i]).collect();
-        let s: Vec<Tuple> = (0..20).map(|i| tuple![i]).collect();
-        let mut j = DBToasterJoin::new(&spec);
-        let online = run_online(&mut j, &[r.clone(), s.clone()], 17);
-        let oracle = naive_join(&spec, &[r, s]);
-        assert!(same_multiset(&online, &oracle));
-        assert_eq!(online.len(), 20 * 19 / 2);
+        for op in [CmpOp::Lt, CmpOp::Gt] {
+            let atom = JoinAtom { left_rel: 0, left_col: 0, op, right_rel: 1, right_col: 0 };
+            let spec = MultiJoinSpec::new(vec![mk("R"), mk("S")], vec![atom]).unwrap();
+            let r: Vec<Tuple> = (0..20).map(|i| tuple![i]).collect();
+            let s: Vec<Tuple> = (0..20).map(|i| tuple![i]).collect();
+            assert_eq!(both_match_oracle(&spec, &[r, s], 17), 20 * 19 / 2);
+        }
     }
 
     #[test]
@@ -691,18 +832,20 @@ mod tests {
             vec![JoinAtom::eq(0, 0, 1, 0)],
         )
         .unwrap();
-        let mut j = DBToasterJoin::new(&spec);
-        let mut out = Vec::new();
-        j.insert(0, &tuple![7], &mut out);
-        j.insert(0, &tuple![7], &mut out);
-        assert!(out.is_empty());
-        j.insert(1, &tuple![7], &mut out);
-        assert_eq!(out.len(), 2, "two stored R copies × one S arrival");
+        for (name, new) in VIEW_SETS {
+            let mut j = new(&spec);
+            let mut out = Vec::new();
+            j.insert(0, &tuple![7], &mut out);
+            j.insert(0, &tuple![7], &mut out);
+            assert!(out.is_empty(), "{name}: an arrival meets only stored rows");
+            j.insert(1, &tuple![7], &mut out);
+            assert_eq!(out.len(), 2, "{name}: two stored R copies × one S arrival");
+        }
     }
 
     #[test]
     fn removal_stops_future_matches() {
-        let spec = chain3();
+        let spec = chain(3);
         let mut j = DBToasterJoin::new(&spec);
         let mut out = Vec::new();
         j.insert(0, &tuple![0, 1], &mut out);
@@ -719,7 +862,7 @@ mod tests {
 
     #[test]
     fn removal_keeps_views_consistent() {
-        let spec = chain3();
+        let spec = chain(3);
         let mut rng = SplitMix64::new(33);
         let rels =
             [rand_rel(30, 5, &mut rng), rand_rel(30, 5, &mut rng), rand_rel(30, 5, &mut rng)];
@@ -742,10 +885,12 @@ mod tests {
     #[test]
     fn join_keys_compare_as_values_do() {
         let (spec, rels, expected) = crate::naive::mixed_key_join();
-        for seed in 0..4 {
-            let online = run_online(&mut DBToasterJoin::new(&spec), &rels, seed);
-            assert!(same_multiset(&online, &expected), "{online:?}");
-            assert!(same_multiset(&online, &naive_join(&spec, &rels)));
+        for (name, new) in VIEW_SETS {
+            for seed in 0..4 {
+                let online = run_online(&mut new(&spec), &rels, seed);
+                assert!(same_multiset(&online, &expected), "{name}: {online:?}");
+                assert!(same_multiset(&online, &naive_join(&spec, &rels)), "{name}");
+            }
         }
     }
 
@@ -787,8 +932,7 @@ mod tests {
         // DBToaster's signed deltas must also integrate to the nested loop
         // over what is left after retractions. The windowed joins below
         // must answer the window-filtered nested loop the same three ways.
-        use crate::traditional::TraditionalJoin;
-        let spec = chain3();
+        let spec = chain(3);
         let mut heaviest = 0;
         for seed in 0..24 {
             let mut rng = SplitMix64::new(seed);
@@ -960,7 +1104,7 @@ mod tests {
             right_col: rc,
         };
         [
-            (vec![rel("R", 2), rel("S", 2), rel("T", 2)], chain3().atoms),
+            (vec![rel("R", 2), rel("S", 2), rel("T", 2)], chain(3).atoms),
             (
                 vec![rel("F", 2), rel("D1", 1), rel("D2", 1)],
                 vec![JoinAtom::eq(0, 0, 1, 0), JoinAtom::eq(0, 1, 2, 0)],
@@ -973,33 +1117,37 @@ mod tests {
         .collect()
     }
 
-    /// One seed of the batch model: runs of one relation's rows, of random
-    /// length 1–70, go through the batch body — per-row ±1 weights, one
-    /// weight for the run, or the `LocalJoin` face — while a second join
-    /// takes the same rows one at a time. After every run both must have
-    /// emitted the same results in the same order with the same weights,
-    /// and hold the same state, down to the snapshot bytes; at the end the
-    /// results must integrate to the nested loop over the live rows. Keys
-    /// mix `Int` and equal `Float`s, rows repeat, and a retraction takes
-    /// back a live row.
+    /// One seed of the batch model, under both view sets: runs of one
+    /// relation's rows, of random length 1–70, go through the batch body —
+    /// per-row ±1 weights, one weight for the run, the `LocalJoin` insert
+    /// face, or its `remove` face under one weight — while a twin takes the
+    /// same rows one at a time through the signed face. After every run
+    /// each pair must have emitted the same results in the same order with
+    /// the same weights (a `remove` emits none), and hold the same state,
+    /// down to the snapshot bytes; the two view sets must have emitted the
+    /// same signed multiset and snapshot to the same base-rows bytes. At the
+    /// end each set's results (a `remove` run's taken from its twin) must
+    /// integrate to the nested loop over the live rows. Keys mix `Int` and
+    /// equal `Float`s, rows repeat, and a retraction takes back a live row.
     fn check_batches_equal_rows(seed: u64) {
         let mut rng = SplitMix64::new(seed);
         let collide = rng.next_below(2) == 1;
         crate::views::ALL_KEYS_COLLIDE.with(|c| c.set(collide));
         let spec = batch_shapes().swap_remove(rng.next_below(4));
-        let (mut batched, mut single) = (DBToasterJoin::new(&spec), DBToasterJoin::new(&spec));
+        let mut joins = VIEW_SETS.map(|(_, new)| (new(&spec), new(&spec)));
         let mut live: Vec<Vec<Tuple>> = vec![Vec::new(); spec.n_relations()];
-        let mut integral = Weights::default();
-        for run in 0..rng.next_range(1, 6) {
+        let mut integrals = [Weights::default(), Weights::default()];
+        for run in 0..rng.next_range(1, 8) {
             let rel = rng.next_below(spec.n_relations());
             let arity = spec.relations[rel].schema.arity();
-            // 0: per-row ±1 weights; 1: inserts; 2: retractions under one weight.
-            let form = rng.next_below(3);
+            // 0: per-row ±1 weights; 1: inserts; 2: retractions under one
+            // weight; 3: `remove` under one weight.
+            let form = rng.next_below(4);
             let (mut rows, mut mults) = (Vec::new(), Vec::new());
             for _ in 0..rng.next_range(1, 70) {
-                let retract = form == 2 || form == 0 && rng.next_below(3) == 0;
+                let retract = form >= 2 || form == 0 && rng.next_below(3) == 0;
                 let (row, mult) = match live[rel].len() {
-                    0 if form == 2 => break,
+                    0 if form >= 2 => break,
                     n if retract && n > 0 => (live[rel].swap_remove(rng.next_below(n)), -1),
                     n if n > 0 && rng.next_below(4) == 0 => {
                         (live[rel][rng.next_below(n)].clone(), 1)
@@ -1018,29 +1166,46 @@ mod tests {
                 rows.extend_from_slice(&row);
                 mults.push(mult);
             }
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            let mut into_a = |row: &[Value], m: i64| a.push((Tuple::from(row), m));
-            match form {
-                0 => batched.delta_into(rel, &rows, &mults, Some(&mut into_a)),
-                1 => batched.insert_into(rel, &rows, &mut into_a),
-                _ => batched.delta_into(rel, &rows, &[-1], Some(&mut into_a)),
-            }
-            let mut into_b = |row: &[Value], m: i64| b.push((Tuple::from(row), m));
-            for (row, &m) in rows.chunks(arity).zip(&mults) {
-                single.delta_into(rel, row, &[m], Some(&mut into_b));
-            }
             let what =
                 format!("seed {seed} (colliding hash: {collide}), run {run} of relation {rel}");
-            assert_eq!(a, b, "{what}: results");
-            assert_eq!(batched.stored(), single.stored(), "{what}: stored");
-            let (mut sa, mut sb) = (Vec::new(), Vec::new());
-            batched.snapshot_state(&mut sa);
-            single.snapshot_state(&mut sb);
-            assert_eq!(sa, sb, "{what}: snapshot bytes");
-            a.iter().for_each(|(t, m)| integral.push(t, *m));
+            let (mut emitted, mut snapshots) = (Vec::new(), Vec::new());
+            for ((name, _), (batched, single)) in VIEW_SETS.iter().zip(&mut joins) {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let mut into_a = |row: &[Value], m: i64| a.push((Tuple::from(row), m));
+                match form {
+                    0 => batched.delta_into(rel, &rows, &mults, Some(&mut into_a)),
+                    1 => batched.insert_into(rel, &rows, &mut into_a),
+                    2 => batched.delta_into(rel, &rows, &[-1], Some(&mut into_a)),
+                    _ => batched.remove(rel, &rows, &[1]),
+                }
+                let mut into_b = |row: &[Value], m: i64| b.push((Tuple::from(row), m));
+                for (row, &m) in rows.chunks(arity).zip(&mults) {
+                    single.delta_into(rel, row, &[m], Some(&mut into_b));
+                }
+                let what = format!("{what}, {name}");
+                match form {
+                    3 => assert_eq!(a, [], "{what}: remove emits nothing"),
+                    _ => assert_eq!(a, b, "{what}: results"),
+                }
+                assert_eq!(batched.stored(), single.stored(), "{what}: stored");
+                let (mut sa, mut sb) = (Vec::new(), Vec::new());
+                batched.snapshot_state(&mut sa);
+                single.snapshot_state(&mut sb);
+                assert_eq!(sa, sb, "{what}: snapshot bytes");
+                emitted.push(Weights::of(b.iter().map(|(t, m)| (t, *m))));
+                snapshots.push(sa);
+            }
+            assert_eq!(emitted[0], emitted[1], "{what}: the view sets' results");
+            assert_eq!(snapshots[0], snapshots[1], "{what}: the view sets' base rows");
+            for (integral, run) in integrals.iter_mut().zip(&emitted) {
+                run.0.iter().for_each(|(t, m)| integral.push(t, *m));
+            }
         }
         let nested = Weights::of(naive_join(&spec, &live).iter().map(|t| (t, 1)));
-        assert_eq!(integral, nested, "seed {seed} (colliding hash: {collide}): nested loop");
+        for ((name, _), integral) in VIEW_SETS.iter().zip(&integrals) {
+            let what = format!("seed {seed} (colliding hash: {collide}), {name}");
+            assert_eq!(integral, &nested, "{what}: nested loop");
+        }
         crate::views::ALL_KEYS_COLLIDE.with(|c| c.set(false));
     }
 
@@ -1054,15 +1219,19 @@ mod tests {
 
     #[test]
     fn single_relation_emits_identity() {
+        // The one relation is the full set: no view set stores it.
         let spec = MultiJoinSpec::new(
             vec![RelationDef::new("R", Schema::of(&[("a", DataType::Int)]), 0)],
             vec![],
         )
         .unwrap();
-        let mut j = DBToasterJoin::new(&spec);
-        let mut out = Vec::new();
-        j.insert(0, &tuple![5], &mut out);
-        assert_eq!(out, vec![tuple![5]]);
+        for (name, new) in VIEW_SETS {
+            let mut j = new(&spec);
+            let mut out = Vec::new();
+            j.insert(0, &tuple![5], &mut out);
+            assert_eq!(out, vec![tuple![5]], "{name}");
+            assert_eq!(j.stored(), 0, "{name}");
+        }
     }
 
     #[test]
@@ -1090,7 +1259,7 @@ mod tests {
 
     #[test]
     fn stored_counts_views() {
-        let spec = chain3();
+        let spec = chain(3);
         let mut j = DBToasterJoin::new(&spec);
         let mut out = Vec::new();
         j.insert(0, &tuple![0, 1], &mut out);
@@ -1098,5 +1267,18 @@ mod tests {
         j.insert(1, &tuple![1, 2], &mut out);
         // V{R}, V{S}, V{RS}.
         assert_eq!(j.stored(), 3);
+    }
+
+    #[test]
+    fn duplicates_and_removal() {
+        let spec = chain(2);
+        let mut j = TraditionalJoin::new(&spec);
+        let mut out = Vec::new();
+        j.insert(0, &tuple![0, 7], &mut out);
+        j.insert(0, &tuple![0, 7], &mut out);
+        j.remove(0, &tuple![0, 7], &[1]);
+        j.insert(1, &tuple![7, 1], &mut out);
+        assert_eq!(out.len(), 1, "one R copy left after removal");
+        assert_eq!(j.stored(), 2);
     }
 }

@@ -5,23 +5,27 @@
 //!
 //! Online local joins process one tuple at a time: "a new incoming tuple
 //! for a relation is joined with the stored tuples from the other
-//! relation(s), and stored for use by future tuples". Squall ships two
-//! families:
+//! relation(s), and stored for use by future tuples". Squall's two
+//! families are one delta body, [`DBToasterJoin`], over two view sets
+//! fixed at build:
 //!
-//! * [`TraditionalJoin`] — indexes on the *base* relations only (hash
-//!   indexes for equi conditions, tree/scan probes for band and inequality
-//!   conditions); every arrival recomputes the full (n−1)-way remainder, so
-//!   cost explodes with the number of relations;
-//! * [`DBToasterJoin`] — the higher-order incremental view maintenance
-//!   algorithm of Ahmad et al. \[9\]: every *connected sub-join* is kept
-//!   materialized, so an arrival only probes pre-joined views. "The savings
-//!   grow with the increase in the number of relations" — the Figure 8
-//!   experiments quantify exactly this gap.
+//! * **bases only** ([`TraditionalJoin::new`]) — indexes on the *base*
+//!   relations only (hash indexes for equi conditions, scan probes for
+//!   band and inequality conditions); every arrival recomputes the full
+//!   (n−1)-way remainder by a chain of probes, so cost explodes with the
+//!   number of relations;
+//! * **every connected proper subset** ([`DBToasterJoin::new`]) — the
+//!   higher-order incremental view maintenance algorithm of Ahmad et al.
+//!   \[9\]: every *connected sub-join* is kept materialized, so an arrival
+//!   only probes pre-joined views. "The savings grow with the increase in
+//!   the number of relations" — the Figure 8 experiments compare exactly
+//!   what each view set materializes.
 //!
-//! Both implement [`LocalJoin`], so any partitioning scheme can be paired
-//! with either (the separation of concerns behind the HyLD operator,
-//! §3.4). Each hands its results to a [`RowSink`] as borrowed rows with
-//! their multiplicities; none is built as a tuple unless a sink keeps it.
+//! The body implements [`LocalJoin`], so any partitioning scheme can be
+//! paired with either view set (the separation of concerns behind the HyLD
+//! operator, §3.4). It hands its results to a [`RowSink`] as borrowed rows
+//! with their multiplicities; none is built as a tuple unless a sink keeps
+//! it.
 //! The crate also provides the aggregate operators (SUM / COUNT / AVG with
 //! GROUP BY, §2) and window semantics (tumbling and sliding windows "by
 //! adding the window expiration logic on top of the full-history engine",
@@ -33,15 +37,13 @@ pub mod agg;
 pub mod dbtoaster;
 pub mod naive;
 pub mod snapshot;
-pub mod traditional;
 pub mod views;
 pub mod window;
 
 pub use agg::{AggSpec, GroupByAggregator};
-pub use dbtoaster::DBToasterJoin;
+pub use dbtoaster::{DBToasterJoin, TraditionalJoin};
 pub use naive::naive_join;
 pub use snapshot::Snapshot;
-pub use traditional::TraditionalJoin;
 pub use window::{output_ts_cols, WindowJoin, WindowSpec};
 
 use squall_common::{Tuple, Value};

@@ -373,8 +373,7 @@ fn in_window(spec: WindowSpec, out_ts_cols: &[usize], result: &[Value]) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbtoaster::DBToasterJoin;
-    use crate::traditional::TraditionalJoin;
+    use crate::dbtoaster::{DBToasterJoin, TraditionalJoin};
     use squall_common::{tuple, DataType, Schema, SplitMix64};
     use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
 

@@ -184,7 +184,7 @@ fn skewed_tables(seed: u64) -> [(&'static str, Schema, Vec<Tuple>); 4] {
     ]
 }
 
-/// This query makes about 0.125 heap allocations per input row: each
+/// This query makes about 0.126 heap allocations per input row: each
 /// source reads its table in place and emits its rows borrowed, routes
 /// spread in place and the traditional join probes with pooled buffers.
 /// Most of what is left is paid per batch: 64-row batches cost 0.17. A
