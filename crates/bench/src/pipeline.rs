@@ -15,7 +15,7 @@ use squall_core::driver::{JoinReport, LocalJoinKind};
 use squall_core::operators::{JoinBolt, WindowedAggBolt};
 use squall_expr::join_cond::CmpOp;
 use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
-use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowSpec};
+use squall_join::{AggSpec, DBToasterJoin, TraditionalJoin, WindowSpec};
 use squall_partition::HypercubeScheme;
 use squall_runtime::{Grouping, IterSpoutVec, TopologyBuilder};
 
@@ -142,9 +142,9 @@ pub fn run_pipeline(
             format!("join-{}", spec.relations[next].name),
             machines_per_stage,
             move |task| {
-                let join: Box<dyn LocalJoin> = match local_kind {
-                    LocalJoinKind::Traditional => Box::new(TraditionalJoin::new(&spec_for_bolt)),
-                    LocalJoinKind::DBToaster => Box::new(DBToasterJoin::new(&spec_for_bolt)),
+                let join = match local_kind {
+                    LocalJoinKind::Traditional => TraditionalJoin::new(&spec_for_bolt),
+                    LocalJoinKind::DBToaster => DBToasterJoin::new(&spec_for_bolt),
                 };
                 let mut map = FxHashMap::default();
                 map.insert(prev, 0usize);

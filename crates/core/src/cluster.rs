@@ -112,17 +112,14 @@ impl JobSpec {
 /// carries its link both ways. The returned placement is the same one every
 /// worker computes for itself.
 ///
-/// On a recovery relaunch, `restore` ships the checkpoint's join blobs in
-/// every job (each worker restores its placed tasks) and `readmit`
-/// prefaces each job with a `Readmit` frame carrying the resume epoch, so
-/// workers log the re-admission distinctly from a fresh job.
+/// On a recovery relaunch, `restore` ships the checkpoint's join blobs and
+/// its epoch in every job (each worker restores its placed tasks).
 fn boot_coordinator(
     layout: (Vec<String>, Vec<usize>, Vec<bool>),
     spec: &MultiJoinSpec,
     cfg: &MultiwayConfig,
     cluster: &ClusterSpec,
     restore: Option<&RestoreState>,
-    readmit: Option<u64>,
 ) -> Result<(Placement, ClusterLinks)> {
     if cluster.workers.is_empty() {
         return Err(SquallError::InvalidPlan("cluster with no workers".into()));
@@ -154,7 +151,7 @@ fn boot_coordinator(
             .encode()
         })
         .collect();
-    let links = ClusterLinks::coordinator(peers, jobs, readmit)?;
+    let links = ClusterLinks::coordinator(peers, jobs)?;
     Ok((placement, links))
 }
 
@@ -169,7 +166,7 @@ fn heartbeat(cfg: &MultiwayConfig) -> Option<Duration> {
 /// Launch an assembled topology where `cfg` says it runs: on this
 /// process's worker pool, or — with [`MultiwayConfig::cluster`] set — split
 /// across the cluster with this process as coordinator (see
-/// [`boot_coordinator`] for `restore` / `readmit`). `blob_tx` receives the
+/// [`boot_coordinator`] for `restore`). `blob_tx` receives the
 /// checkpoint blobs workers ship back.
 pub(crate) fn launch(
     topology: Topology,
@@ -177,13 +174,11 @@ pub(crate) fn launch(
     cfg: &MultiwayConfig,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
     restore: Option<&RestoreState>,
-    readmit: Option<u64>,
 ) -> Result<(RunHandle, Option<ClusterRun>)> {
     let Some(cluster) = &cfg.cluster else {
         return Ok((topology.launch(), None));
     };
-    let (placement, mut links) =
-        boot_coordinator(topology.layout(), spec, cfg, cluster, restore, readmit)?;
+    let (placement, mut links) = boot_coordinator(topology.layout(), spec, cfg, cluster, restore)?;
     links.blob_tx = blob_tx;
     links.heartbeat = heartbeat(cfg);
     let (handle, run) = topology.launch_cluster(placement, links);
@@ -222,22 +217,18 @@ pub(crate) fn finish(
 /// ([`ClusterLinks::worker`]), rebuild the topology slice, run it, and
 /// report `Done`. Returns once the job's run has fully drained.
 pub fn serve_job(listener: &TcpListener) -> Result<()> {
-    let (mut links, (job, topology, blob_rx)) =
-        ClusterLinks::worker(listener, |payload, readmit| {
-            if let Some((peer, epoch)) = readmit {
-                eprintln!("squall-worker: re-admitted as peer {peer} at epoch {epoch}");
-            }
-            let job = JobSpec::decode(payload)?;
-            eprintln!(
-                "squall-worker: accepted job as peer {} of {} ({}, checkpoint-interval {})",
-                job.me,
-                job.peers.len(),
-                if job.cfg.standing { "standing" } else { "batch" },
-                job.cfg.checkpoint_interval,
-            );
-            let (topology, blob_rx) = rebuild(&job)?;
-            Ok((job.me, job.peers.clone(), (job, topology, blob_rx)))
-        })?;
+    let (mut links, (job, topology, blob_rx)) = ClusterLinks::worker(listener, |payload| {
+        let job = JobSpec::decode(payload)?;
+        eprintln!(
+            "squall-worker: accepted job as peer {} of {} ({}, checkpoint-interval {})",
+            job.me,
+            job.peers.len(),
+            if job.cfg.standing { "standing" } else { "batch" },
+            job.cfg.checkpoint_interval,
+        );
+        let (topology, blob_rx) = rebuild(&job)?;
+        Ok((job.me, job.peers.clone(), (job, topology, blob_rx)))
+    })?;
     let (_, parallelism, is_spout) = topology.layout();
     let placement = plan_placement(&parallelism, &is_spout, job.peers.len());
     links.heartbeat = heartbeat(&job.cfg);
@@ -1016,7 +1007,6 @@ mod tests {
             Frame::Job { payload: corpus_jobs()[1].encode() },
             Frame::Heartbeat { epoch: 5 },
             Frame::SnapshotBlob { role: 0, task: 3, epoch: 5, payload: vec![4, 5, 6] },
-            Frame::Readmit { peer: 1, epoch: 5 },
             Frame::SinkRow { node: 2, tuple: tuple![1, "x", 2.5, Value::Null, Date(6)] },
             Frame::Abort {
                 error: SquallError::MemoryOverflow { machine: 1, stored: 9, budget: 8 },

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use squall_common::{FxHashMap, Result, SquallError, Tuple};
 use squall_expr::{AggFunc, MultiJoinSpec};
 use squall_join::dbtoaster::MAX_RELATIONS;
-use squall_join::{AggSpec, DBToasterJoin, LocalJoin, TraditionalJoin, WindowJoin, WindowSpec};
+use squall_join::{AggSpec, DBToasterJoin, TraditionalJoin, WindowJoin, WindowSpec};
 use squall_partition::optimizer::{build_scheme, SchemeKind};
 use squall_runtime::{
     Bolt, ClusterRun, Grouping, IterSpoutVec, NodeId, RunHandle, RunOutcome, SchedulerStats,
@@ -313,15 +313,6 @@ impl JoinReport {
     }
 }
 
-/// `kind`'s join over `spec`. A count-only run's spec is already cut to its
-/// join keys ([`assemble`]), so no task projects its arrivals.
-fn make_local(kind: LocalJoinKind, spec: &MultiJoinSpec) -> Box<dyn LocalJoin> {
-    match kind {
-        LocalJoinKind::Traditional => Box::new(TraditionalJoin::new(spec)),
-        LocalJoinKind::DBToaster => Box::new(DBToasterJoin::new(spec)),
-    }
-}
-
 /// Everything [`summarize`] needs to turn a finished (or drained) run —
 /// one-shot or standing — into a [`JoinReport`]: node ids, the chosen
 /// scheme, and the run mode. [`wire_join_stage`] fills in the join stage;
@@ -348,6 +339,12 @@ pub(crate) struct RunContext {
 /// at the bound on every count still launches in seconds.
 const MAX_TASKS: usize = 1024;
 
+/// Whether `cfg`'s join tasks keep a view of every connected subset: under
+/// DBToaster, and in every standing view.
+fn every_subset(cfg: &MultiwayConfig) -> bool {
+    cfg.local == LocalJoinKind::DBToaster || cfg.standing
+}
+
 /// The plan checks [`wire_join_stage`] runs before building anything: one
 /// data stream per relation, no more relations than a DBToaster join (which
 /// every standing view runs) holds, every task count in `1..=MAX_TASKS`,
@@ -364,8 +361,7 @@ fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -
             n_streams
         )));
     }
-    let dbtoaster = cfg.local == LocalJoinKind::DBToaster || cfg.standing;
-    if dbtoaster && spec.n_relations() > MAX_RELATIONS {
+    if every_subset(cfg) && spec.n_relations() > MAX_RELATIONS {
         return Err(SquallError::InvalidPlan(format!(
             "a DBToaster join holds at most {MAX_RELATIONS} relations, not {}",
             spec.n_relations()
@@ -432,19 +428,19 @@ pub(crate) type SpoutFactory = Box<dyn Fn(usize) -> Box<dyn Spout> + Send>;
 /// one task keeps a relation's arrival order, which windowed joins and
 /// epoch-tagged deltas both need), the
 /// upstream-node → relation map, the partitioning scheme, one
-/// [`TaskJoin`] per machine over `local`'s join (windowed and budgeted as
-/// `cfg` says) wrapped by `bolt`, and the scheme's source → join
-/// groupings. Returns the builder for the caller to hang its sink stage on.
+/// [`TaskJoin`] per machine over `cfg`'s view set (every connected subset
+/// where [`every_subset`] says so, else the bases alone), windowed and
+/// budgeted as `cfg` says and wrapped by `bolt`, and the scheme's source →
+/// join groupings. Returns the builder for the caller to hang its sink stage on.
 ///
 /// A single relation needs no partitioning scheme — a one-relation "join"
 /// emits its input — so it runs on one task behind a global grouping.
-pub(crate) fn wire_join_stage<J: LocalJoin + 'static>(
+pub(crate) fn wire_join_stage(
     spec: &MultiJoinSpec,
     data: Vec<Source>,
     cfg: &MultiwayConfig,
     mut spout: impl FnMut(usize, Source) -> SpoutFactory,
-    local: impl Fn(&MultiJoinSpec) -> J + Send + 'static,
-    bolt: impl Fn(TaskJoin<J>) -> Box<dyn Bolt> + Send + 'static,
+    bolt: impl Fn(TaskJoin) -> Box<dyn Bolt> + Send + 'static,
 ) -> Result<(TopologyBuilder, RunContext)> {
     validate_plan(spec, data.len(), cfg)?;
     let n_rel = spec.n_relations();
@@ -473,9 +469,13 @@ pub(crate) fn wire_join_stage<J: LocalJoin + 'static>(
     let spec_arc = Arc::new(spec.clone());
     let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
     let window = cfg.window.clone();
-    let budget = cfg.budget;
+    let (budget, every_subset) = (cfg.budget, every_subset(cfg));
     let join_node = b.add_bolt("join", machines, move |machine| {
-        let join = local(&spec_arc);
+        let join = if every_subset {
+            DBToasterJoin::new(&spec_arc)
+        } else {
+            TraditionalJoin::new(&spec_arc)
+        };
         let state = match &window {
             Some(w) => JoinState::Windowed {
                 join: WindowJoin::event_time(join, w.spec, &arities, &w.ts_cols),
@@ -515,7 +515,6 @@ pub(crate) fn assemble(
     data: Vec<impl Into<Source>>,
     cfg: &MultiwayConfig,
 ) -> Result<(Topology, RunContext)> {
-    let local = cfg.local;
     // A count-only run is a `COUNT(*)`, whose one row the stream discards.
     let count_only = cfg.agg.is_none() && !cfg.collect_results;
     let agg = cfg.agg.clone().or_else(|| {
@@ -559,7 +558,6 @@ pub(crate) fn assemble(
                 Box::new(IterSpoutVec::over(Arc::clone(&shared), 0, 1))
             })
         },
-        move |spec| make_local(local, spec),
         move |join| {
             let bolt = JoinBolt::over(join);
             Box::new(match &first_phase {
@@ -679,7 +677,7 @@ pub fn run_multiway_stream(
     cfg: &MultiwayConfig,
 ) -> Result<MultiwayStream> {
     let (topology, ctx) = assemble(spec, data, cfg)?;
-    let (handle, cluster) = crate::cluster::launch(topology, spec, cfg, None, None, None)?;
+    let (handle, cluster) = crate::cluster::launch(topology, spec, cfg, None, None)?;
     Ok(MultiwayStream { handle: Some(handle), cluster, ctx: Some(ctx), report: None })
 }
 
@@ -795,6 +793,36 @@ mod tests {
                     oracle.len(),
                     report.scheme_description,
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn unjoined_relation_crosses_the_join() {
+        // R ⋈ S on `a`, and T tied to neither: two matches × three T rows.
+        let ints = |n: &str| Schema::of(&[(n, DataType::Int)]);
+        let spec = MultiJoinSpec::new(
+            vec![
+                RelationDef::new("R", ints("a"), 2),
+                RelationDef::new("S", ints("a"), 2),
+                RelationDef::new("T", ints("b"), 3),
+            ],
+            vec![JoinAtom::eq(0, 0, 1, 0)],
+        )
+        .unwrap();
+        let data = vec![
+            vec![tuple![1], tuple![2]],
+            vec![tuple![1], tuple![2]],
+            vec![tuple![7], tuple![8], tuple![9]],
+        ];
+        let oracle = naive_join(&spec, &data);
+        assert_eq!(oracle.len(), 6);
+        for scheme in [SchemeKind::Hash, SchemeKind::Random, SchemeKind::Hybrid] {
+            for local in [LocalJoinKind::Traditional, LocalJoinKind::DBToaster] {
+                let cfg = MultiwayConfig::new(scheme, local, 4);
+                let report = run_multiway(&spec, data.clone(), &cfg).unwrap();
+                assert!(report.error.is_none(), "{scheme} {local}: {:?}", report.error);
+                assert!(same_multiset(&report.results, &oracle), "{scheme} {local}");
             }
         }
     }

@@ -6,7 +6,9 @@ use std::collections::{BTreeMap, BinaryHeap};
 use squall_common::array::Array;
 use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::ScalarExpr;
-use squall_join::{AggSpec, GroupByAggregator, LocalJoin, RowSink, WindowJoin, WindowSpec};
+use squall_join::{
+    AggSpec, DBToasterJoin, GroupByAggregator, LocalJoin, RowSink, WindowJoin, WindowSpec,
+};
 use squall_runtime::{Bolt, NodeId, OutputCollector};
 
 /// An event-time column value as a timestamp. A negative one is a typed
@@ -107,26 +109,26 @@ impl Frontier {
 }
 
 /// Full-history or event-time-windowed local join state.
-pub(crate) enum JoinState<J: LocalJoin> {
-    Full(J),
+pub(crate) enum JoinState {
+    Full(DBToasterJoin),
     /// Behind the event-time window, with the timestamps of the batch being
     /// inserted, reused from batch to batch.
     Windowed {
-        join: WindowJoin<J>,
+        join: WindowJoin<DBToasterJoin>,
         stamps: Vec<u64>,
     },
 }
 
 /// What every join task holds, whichever plane it serves — the one-shot
-/// [`JoinBolt`] over a `Box<dyn LocalJoin>`, the standing view's delta join
-/// over a [`squall_join::DBToasterJoin`]: the local join state (full-history
+/// [`JoinBolt`] or the standing view's delta join, each over a
+/// [`DBToasterJoin`] of either view set: the local join state (full-history
 /// or windowed), the event-time read in front of a windowed insert, the
 /// upstream-node → relation lookup, and the §7.3 per-machine budget check.
 /// What the planes do *around* an insert (result counts and event-time
 /// watermarks vs delta tags, epochs and checkpoint barriers) stays in their
 /// bolts.
-pub(crate) struct TaskJoin<J: LocalJoin> {
-    pub(crate) state: JoinState<J>,
+pub(crate) struct TaskJoin {
+    pub(crate) state: JoinState,
     /// Maps the upstream node that emitted a tuple to its relation index.
     pub(crate) origin_to_rel: FxHashMap<NodeId, usize>,
     /// The join task (machine) index.
@@ -137,7 +139,7 @@ pub(crate) struct TaskJoin<J: LocalJoin> {
     pub(crate) budget: Option<usize>,
 }
 
-impl<J: LocalJoin> TaskJoin<J> {
+impl TaskJoin {
     /// The relation fed by upstream node `origin` (once per chunk: every
     /// tuple of a batch shares its origin node).
     pub(crate) fn rel_of(&self, origin: NodeId) -> Result<usize> {
@@ -197,12 +199,12 @@ impl<J: LocalJoin> TaskJoin<J> {
     }
 }
 
-/// The distributed join task: one [`LocalJoin`] instance per machine
-/// (task), fed by the partitioning scheme's groupings. With a hypercube
-/// grouping and a [`squall_join::DBToasterJoin`] inside, this is the HyLD
-/// operator of §3.4.
+/// The distributed join task: one local join, a [`DBToasterJoin`] over
+/// either view set, per machine (task), fed by the partitioning scheme's
+/// groupings. With a hypercube grouping and every connected subset's view
+/// inside, this is the HyLD operator of §3.4.
 pub struct JoinBolt {
-    join: TaskJoin<Box<dyn LocalJoin>>,
+    join: TaskJoin,
     /// The rows of the chunk being inserted, reused from chunk to chunk.
     rows: Vec<Value>,
     /// The first phase of an aggregate downstream, which results fold into
@@ -211,7 +213,7 @@ pub struct JoinBolt {
 }
 
 impl JoinBolt {
-    pub(crate) fn over(join: TaskJoin<Box<dyn LocalJoin>>) -> JoinBolt {
+    pub(crate) fn over(join: TaskJoin) -> JoinBolt {
         JoinBolt { join, rows: Vec::new(), partials: None }
     }
 
@@ -219,7 +221,7 @@ impl JoinBolt {
     pub fn new(
         machine: usize,
         origin_to_rel: FxHashMap<NodeId, usize>,
-        join: Box<dyn LocalJoin>,
+        join: DBToasterJoin,
     ) -> JoinBolt {
         let state = JoinState::Full(join);
         JoinBolt::over(TaskJoin { state, origin_to_rel, machine, budget: None })
@@ -235,7 +237,7 @@ impl JoinBolt {
     pub fn new_windowed(
         machine: usize,
         origin_to_rel: FxHashMap<NodeId, usize>,
-        join: Box<dyn LocalJoin>,
+        join: DBToasterJoin,
         spec: WindowSpec,
         ts_cols: Vec<usize>,
         arities: &[usize],
@@ -1114,7 +1116,7 @@ mod tests {
             let spec = spec.clone();
             let join = b.add_bolt("join", 1, move |machine| {
                 let origin_to_rel = [(src, 0)].into_iter().collect();
-                let local = Box::new(squall_join::DBToasterJoin::new(&spec));
+                let local = DBToasterJoin::new(&spec);
                 let tumbling = WindowSpec::Tumbling { width: 10 };
                 let bolt = JoinBolt::new_windowed(
                     machine,

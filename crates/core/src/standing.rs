@@ -13,8 +13,8 @@
 //!
 //! * **multiplicity** — Z-set-style signed weight (+1 insert, −1
 //!   retract, |m|>1 for collapsed duplicates). The join applies it with
-//!   [`DBToasterJoin::delta`], whose output weights are the exact signed
-//!   change of the join result multiset.
+//!   [`squall_join::DBToasterJoin::delta`], whose output weights are the
+//!   exact signed change of the join result multiset.
 //! * **epoch** — which `append()`/`retract()` round produced the delta.
 //!   The topology launches empty and the initial load is round 1, fed like
 //!   any other; every later round bumps the counter. A round is queued
@@ -65,7 +65,7 @@ use squall_common::array::Array;
 use squall_common::codec::{self, Reader};
 use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::MultiJoinSpec;
-use squall_join::{DBToasterJoin, GroupByAggregator, Snapshot, WindowSpec};
+use squall_join::{GroupByAggregator, Snapshot, WindowSpec};
 use squall_partition::optimizer::build_scheme;
 use squall_runtime::transport::SnapshotBlobMsg;
 use squall_runtime::{
@@ -274,7 +274,7 @@ type HeldRun = (usize, Vec<Value>, Vec<i64>);
 struct ViewJoinBolt {
     /// Full-history: DBToaster's delta processing with signed weights.
     /// Windowed: insertions only (windowed standing views are append-only).
-    join: TaskJoin<DBToasterJoin>,
+    join: TaskJoin,
     /// The minimum epoch watermark across the source spouts.
     frontier: Frontier,
     /// Last minimum forwarded to the sink.
@@ -308,7 +308,7 @@ impl ViewJoinBolt {
     /// `since` is the epoch the task's state starts at: its restore epoch,
     /// or 0.
     fn new(
-        join: TaskJoin<DBToasterJoin>,
+        join: TaskJoin,
         n_sources: usize,
         blob_tx: Option<Sender<SnapshotBlobMsg>>,
         since: u64,
@@ -851,7 +851,6 @@ pub(crate) fn assemble_standing(
                 Box::new(LiveSpout::new(Arc::clone(&queue)))
             })
         },
-        DBToasterJoin::new,
         move |join| {
             let task = join.machine;
             let since = join_restore.as_ref().map_or(0, |rs| rs.epoch);
@@ -903,27 +902,19 @@ struct Resident {
 impl Resident {
     /// Assemble and launch an empty topology, locally or across `cfg`'s
     /// cluster. A recovery relaunch passes the checkpoint to rebuild
-    /// operators from (`restore`) and the epoch workers are re-admitted at
-    /// (`readmit`).
+    /// operators from (`restore`).
     fn boot(
         spec: &MultiJoinSpec,
         cfg: &MultiwayConfig,
         coordinator: (Arc<Finalizer>, Arc<ViewShared>),
         restore: Option<Arc<RestoreState>>,
-        readmit: Option<u64>,
     ) -> Result<Resident> {
         let (tx, rx) = std::sync::mpsc::channel();
         let blob_tx = (cfg.checkpoint_interval > 0).then_some(tx);
         let (topology, queues, layout) =
             assemble_standing(spec, cfg, Some(coordinator), restore.clone(), blob_tx.clone())?;
-        let (handle, cluster) = crate::cluster::launch(
-            topology,
-            spec,
-            cfg,
-            blob_tx.clone(),
-            restore.as_deref(),
-            readmit,
-        )?;
+        let (handle, cluster) =
+            crate::cluster::launch(topology, spec, cfg, blob_tx.clone(), restore.as_deref())?;
         Ok(Resident {
             queues,
             waker: handle.waker(),
@@ -985,8 +976,7 @@ pub fn launch_standing(
         )));
     }
     let finalizer = Arc::new(finalizer);
-    let mut run =
-        Resident::boot(spec, cfg, (Arc::clone(&finalizer), Arc::clone(&shared)), None, None)?;
+    let mut run = Resident::boot(spec, cfg, (Arc::clone(&finalizer), Arc::clone(&shared)), None)?;
     let load: Vec<DeltaRound> =
         data.into_iter().enumerate().map(|(rel, rows)| (rel, Arc::new(rows.into()), 1)).collect();
     run.layout.input_counts = load.iter().map(|(_, rows, _)| rows.len() as u64).collect();
@@ -1252,13 +1242,7 @@ impl StandingHandle {
         self.cfg.cluster = Some(cluster);
         let coordinator = (Arc::clone(&self.finalizer), Arc::clone(&self.shared));
         let input_counts = std::mem::take(&mut self.run.layout.input_counts);
-        self.run = Resident::boot(
-            &self.spec,
-            &self.cfg,
-            coordinator,
-            restore.map(Arc::new),
-            Some(resume),
-        )?;
+        self.run = Resident::boot(&self.spec, &self.cfg, coordinator, restore.map(Arc::new))?;
         self.run.layout.input_counts = input_counts;
         self.filer = Filer::spawn(&mut self.run, &self.store, &self.shared);
         self.shared.counters.recoveries.fetch_add(1, Ordering::Relaxed);
@@ -1289,7 +1273,7 @@ mod tests {
     use super::*;
     use squall_common::{tuple, DataType, Schema};
     use squall_expr::{JoinAtom, RelationDef, ScalarExpr};
-    use squall_join::AggSpec;
+    use squall_join::{AggSpec, DBToasterJoin};
     use squall_partition::optimizer::SchemeKind;
 
     use crate::driver::{AggPlan, LocalJoinKind, WindowPlan};
@@ -1470,7 +1454,7 @@ mod tests {
     }
 
     /// A windowed join task over `pair_spec`, tumbling by 10 on `b`.
-    fn windowed() -> TaskJoin<DBToasterJoin> {
+    fn windowed() -> TaskJoin {
         TaskJoin {
             state: JoinState::Windowed {
                 join: squall_join::WindowJoin::event_time(

@@ -20,18 +20,25 @@
 //! where the `V_C` are stored views covering `S ∖ {i}`, none containing
 //! `i`. A target's plan is a sequence of probe **steps**, one per `V_C`,
 //! each binding one of its rows; a step's probe key and theta operands read
-//! the arrival or a row an earlier step bound. The two view sets:
+//! the arrival or a row an earlier step bound.
 //!
-//! * **every connected proper subset** ([`DBToasterJoin::new`]): the `C`s
-//!   are the connected components of `S ∖ {i}`. They connect only through
-//!   `Rᵢ`, so every step reads the arrival alone — `k` independent probes
-//!   and a cross-combination, never a recomputation;
+//! A view set is a list of member lists, and one builder plans them all:
+//! a target binds `S ∖ {i}` one connected component at a time, the last
+//! first. A component the set stores is one probe of its view; any other
+//! binds its bases one at a time, next the first base an atom ties to a
+//! relation already bound (the first, a cross product, if none is). The
+//! two view sets:
+//!
+//! * **every connected proper subset** ([`DBToasterJoin::new`]): every
+//!   component is stored, and components connect only through `Rᵢ`, so
+//!   every step reads the arrival alone — `k` independent probes and a
+//!   cross-combination, never a recomputation;
 //! * **the bases alone** ([`TraditionalJoin::new`]): each arrival updates
-//!   its base, and the one result plan binds the other relations one base
-//!   at a time, each touching the relations bound before it. A step that
-//!   reads an earlier step's row is probed again for each binding of it —
-//!   the recomputation DBToaster amortizes away, and the Figure 8 gap that
-//!   "deepens with the increase in the number of relations".
+//!   its base, and the result plan binds the other relations a base at a
+//!   time. A step that reads an earlier step's row is probed again for each
+//!   binding of it — the recomputation DBToaster amortizes away, and the
+//!   Figure 8 gap that "deepens with the increase in the number of
+//!   relations".
 //!
 //! A step that reads only the arrival is probed once per arrival; the
 //! bindings then nest in step order, the last step fastest.
@@ -220,83 +227,99 @@ fn probe_view<'v>(
     }
 }
 
+/// Whether an atom ties relation `r` to one that `other` holds.
+fn tied(spec: &MultiJoinSpec, r: usize, other: impl Fn(usize) -> bool) -> bool {
+    spec.atoms
+        .iter()
+        .any(|a| (a.left_rel == r && other(a.right_rel)) || (a.right_rel == r && other(a.left_rel)))
+}
+
+/// The connected components of `members` (ascending) under the atoms
+/// between them: each ascending, in order of its lowest member.
+fn components(spec: &MultiJoinSpec, members: &[usize]) -> Vec<Vec<usize>> {
+    let (mut rest, mut comps) = (members.to_vec(), Vec::new());
+    while !rest.is_empty() {
+        let mut comp = vec![rest.remove(0)];
+        while let Some(k) = rest.iter().position(|&r| tied(spec, r, |o| comp.contains(&o))) {
+            comp.push(rest.remove(k));
+        }
+        comp.sort_unstable();
+        comps.push(comp);
+    }
+    comps
+}
+
 impl DBToasterJoin {
     /// Precompute views, indexes and delta plans for the join, a view kept
     /// for every connected proper subset of its relations.
     ///
     /// Supports acyclic (and, conservatively, cyclic — extra atoms become
-    /// filters on the probes) connected join graphs over up to
-    /// [`MAX_RELATIONS`] relations; practical queries use 2–6.
+    /// filters on the probes) join graphs over up to [`MAX_RELATIONS`]
+    /// relations; practical queries use 2–6. A disconnected graph's result
+    /// crosses its components.
     pub fn new(spec: &MultiJoinSpec) -> DBToasterJoin {
         let n = spec.n_relations();
         assert!((1..=MAX_RELATIONS).contains(&n), "unsupported relation count {n}");
-        let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
-        let full: u32 = (1u32 << n) - 1;
-
-        // Adjacency from atoms.
         let mut adj = vec![0u32; n];
         for a in &spec.atoms {
             adj[a.left_rel] |= 1 << a.right_rel;
             adj[a.right_rel] |= 1 << a.left_rel;
         }
-        let connected = |mask: u32| -> bool {
-            mask != 0 && reachable(&adj, mask, mask.trailing_zeros() as usize) == mask
-        };
-        let components = |mask: u32| -> Vec<u32> {
-            let mut rest = mask;
-            let mut comps = Vec::new();
-            while rest != 0 {
-                let comp = reachable(&adj, mask, rest.trailing_zeros() as usize);
-                comps.push(comp);
-                rest &= !comp;
-            }
-            comps
-        };
-        let members_of =
-            |mask: u32| -> Vec<usize> { (0..n).filter(|&r| mask & (1 << r) != 0).collect() };
-
-        // Views for every connected proper subset.
-        let mut views: Vec<View> = Vec::new();
-        let mut view_of: FxHashMap<u32, usize> = FxHashMap::default();
-        for mask in 1..full {
-            if connected(mask) {
-                view_of.insert(mask, views.len());
-                views.push(View::new(members_of(mask), &arities));
-            }
-        }
-
-        // Delta plans per arriving relation.
-        let mut plans: Vec<Vec<SubsetPlan>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut rel_plans = Vec::new();
-            for mask in 1..=full {
-                if mask & (1 << i) == 0 || !connected(mask) {
-                    continue;
-                }
-                // One step per component of S minus i, listed last-first;
-                // each member's columns come from its component's row.
-                let mut slots = vec![(Src::Arrival, 0..arities[i]); n];
-                let mut steps = Vec::new();
-                for (s, cm) in components(mask & !(1 << i)).into_iter().rev().enumerate() {
-                    let vid = view_of[&cm];
-                    for m in members_of(cm) {
-                        let start = views[vid].offset_of(m);
-                        slots[m] = (Src::Step(s), start..start + arities[m]);
-                    }
-                    steps.push(probe_step(spec, &mut views, vid, |r| {
-                        (r == i).then_some(Src::Arrival)
-                    }));
-                }
-                let assembly = members_of(mask).into_iter().map(|m| slots[m].clone()).collect();
-                let view_id = (mask != full).then(|| view_of[&mask]);
-                rel_plans.push(SubsetPlan { view_id, steps, assembly });
-            }
-            plans.push(rel_plans);
-        }
-        DBToasterJoin::over(arities, views, plans)
+        let full: u32 = (1u32 << n) - 1;
+        let connected = (1..full).filter(|&m| reachable(&adj, m, m.trailing_zeros() as usize) == m);
+        let stored = connected.map(|m| (0..n).filter(|&r| m & (1 << r) != 0).collect());
+        DBToasterJoin::over(spec, stored.collect())
     }
 
-    fn over(arities: Vec<usize>, views: Vec<View>, plans: Vec<Vec<SubsetPlan>>) -> DBToasterJoin {
+    /// The join over the view set `stored`, each view's relations listed
+    /// ascending; with two or more relations every base must be one. An
+    /// arrival at `i` updates every stored view holding `i`, in list order,
+    /// and then the full relation set, each planned as the module doc says.
+    fn over(spec: &MultiJoinSpec, stored: Vec<Vec<usize>>) -> DBToasterJoin {
+        let n = spec.n_relations();
+        let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
+        let mut views: Vec<View> = stored.iter().map(|m| View::new(m.clone(), &arities)).collect();
+        let view_of: FxHashMap<&[usize], usize> =
+            stored.iter().enumerate().map(|(vid, v)| (v.as_slice(), vid)).collect();
+        let all: Vec<usize> = (0..n).collect();
+        let mut plans = Vec::with_capacity(n);
+        for i in 0..n {
+            let holding = stored.iter().enumerate().filter(|(_, v)| v.contains(&i));
+            let targets = holding.map(|(vid, v)| (Some(vid), v)).chain([(None, &all)]);
+            let rel_plans = targets.map(|(view_id, target)| {
+                // Where each bound relation's row is: the arrival, or a step's.
+                let mut src = vec![None; n];
+                src[i] = Some(Src::Arrival);
+                let mut steps: Vec<Step> = Vec::new();
+                let rest: Vec<usize> = target.iter().copied().filter(|&r| r != i).collect();
+                for comp in components(spec, &rest).into_iter().rev() {
+                    let mut parts: Vec<Vec<usize>> = if view_of.contains_key(comp.as_slice()) {
+                        vec![comp]
+                    } else {
+                        comp.into_iter().map(|r| vec![r]).collect()
+                    };
+                    while !parts.is_empty() {
+                        let is_bound = |o: usize| src[o].is_some();
+                        let next = parts.iter().position(|p| tied(spec, p[0], is_bound));
+                        let part = parts.remove(next.unwrap_or(0));
+                        let vid = view_of[part.as_slice()];
+                        steps.push(probe_step(spec, &mut views, vid, |r| src[r]));
+                        for &m in &part {
+                            src[m] = Some(Src::Step(steps.len() - 1));
+                        }
+                    }
+                }
+                let assembly = target.iter().map(|&m| match src[m] {
+                    Some(Src::Step(s)) => {
+                        let start = views[steps[s].view_id].offset_of(m);
+                        (Src::Step(s), start..start + arities[m])
+                    }
+                    _ => (Src::Arrival, 0..arities[m]),
+                });
+                SubsetPlan { view_id, assembly: assembly.collect(), steps }
+            });
+            plans.push(rel_plans.collect());
+        }
         DBToasterJoin {
             arities,
             views,
@@ -480,54 +503,15 @@ impl DBToasterJoin {
 pub struct TraditionalJoin;
 
 impl TraditionalJoin {
-    /// Each arrival updates its base, and one result plan binds the other
-    /// relations a base at a time: next the lowest-numbered relation an atom
-    /// ties to those already bound (or, in a disconnected spec, any — a
-    /// cross product), its probe keyed and filtered by those atoms. Built
-    /// without relation masks, so it joins any number of relations. A
-    /// single relation's join stores nothing: its base is the full set.
+    /// The join over its bases alone: each arrival updates its base, and
+    /// the result plan binds the other relations a base at a time, each
+    /// probe keyed and filtered by the atoms to relations already bound.
+    /// Built without relation masks, so it joins any number of relations.
+    /// A single relation's join stores nothing: its base is the full set.
     #[allow(clippy::new_ret_no_self)] // perfbench builds Traditional as `TraditionalJoin::new(&spec)`
     pub fn new(spec: &MultiJoinSpec) -> DBToasterJoin {
         let n = spec.n_relations();
-        let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
-        let bases = if n > 1 { n } else { 0 };
-        let mut views: Vec<View> = (0..bases).map(|r| View::new(vec![r], &arities)).collect();
-        let mut plans = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut order: Vec<usize> = Vec::new();
-            let mut bound: Vec<usize> = vec![i];
-            loop {
-                let touches = |&r: &usize| {
-                    spec.atoms.iter().any(|a| {
-                        (a.left_rel == r && bound.contains(&a.right_rel))
-                            || (a.right_rel == r && bound.contains(&a.left_rel))
-                    })
-                };
-                let mut unbound = (0..n).filter(|r| !bound.contains(r));
-                let Some(next) = unbound.clone().find(touches).or_else(|| unbound.next()) else {
-                    break;
-                };
-                order.push(next);
-                bound.push(next);
-            }
-            // Where relation `r`'s row is once the first `done` steps bind.
-            let src_of = |r: usize, done: usize| match order[..done].iter().position(|&o| o == r) {
-                Some(s) => Some(Src::Step(s)),
-                None => (r == i).then_some(Src::Arrival),
-            };
-            let steps =
-                (0..order.len()).map(|s| probe_step(spec, &mut views, order[s], |r| src_of(r, s)));
-            let result = SubsetPlan {
-                view_id: None,
-                steps: steps.collect(),
-                assembly: (0..n)
-                    .map(|r| (src_of(r, order.len()).unwrap_or(Src::Arrival), 0..arities[r]))
-                    .collect(),
-            };
-            let base = SubsetPlan { view_id: Some(i), steps: Vec::new(), assembly: Vec::new() };
-            plans.push((i < bases).then_some(base).into_iter().chain([result]).collect());
-        }
-        DBToasterJoin::over(arities, views, plans)
+        DBToasterJoin::over(spec, (0..n).filter(|_| n > 1).map(|r| vec![r]).collect())
     }
 }
 
@@ -1088,8 +1072,10 @@ mod tests {
     }
 
     /// The shapes the batch model runs: the 3-chain, the star (an `F`
-    /// arrival probes two components), equi plus theta atoms, and the
-    /// scan-only inequality join.
+    /// arrival probes two components), equi plus theta atoms, the
+    /// scan-only inequality join, a cross product (no atom at all), and the
+    /// 4-chain (a middle arrival's two-relation component is one probe of
+    /// its view, or a chain of two base probes).
     fn batch_shapes() -> Vec<MultiJoinSpec> {
         let rel = |name: &str, arity: usize| {
             let cols: Vec<(&str, DataType)> =
@@ -1111,6 +1097,8 @@ mod tests {
             ),
             (vec![rel("R", 2), rel("S", 2)], vec![JoinAtom::eq(0, 0, 1, 0), lt(0, 1, 1, 1)]),
             (vec![rel("R", 1), rel("S", 1)], vec![lt(0, 0, 1, 0)]),
+            (vec![rel("R", 1), rel("S", 1)], vec![]),
+            (chain(4).relations, chain(4).atoms),
         ]
         .into_iter()
         .map(|(rels, atoms)| MultiJoinSpec::new(rels, atoms).unwrap())
@@ -1133,7 +1121,8 @@ mod tests {
         let mut rng = SplitMix64::new(seed);
         let collide = rng.next_below(2) == 1;
         crate::views::ALL_KEYS_COLLIDE.with(|c| c.set(collide));
-        let spec = batch_shapes().swap_remove(rng.next_below(4));
+        let mut shapes = batch_shapes();
+        let spec = shapes.swap_remove(rng.next_below(shapes.len()));
         let mut joins = VIEW_SETS.map(|(_, new)| (new(&spec), new(&spec)));
         let mut live: Vec<Vec<Tuple>> = vec![Vec::new(); spec.n_relations()];
         let mut integrals = [Weights::default(), Weights::default()];

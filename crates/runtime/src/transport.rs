@@ -242,11 +242,6 @@ pub enum Frame {
     /// the operator kind (0 = join bolt, 1 = view sink); `task` is the
     /// task index *within* that role's node.
     SnapshotBlob { role: u8, task: usize, epoch: u64, payload: Vec<u8> },
-    /// Coordinator → worker, ahead of a recovery `Job`: this connection
-    /// re-admits the worker as peer `peer` into a run being restored from
-    /// checkpoint `epoch` (lets the worker log the re-admission and
-    /// distinguish it from a fresh job).
-    Readmit { peer: usize, epoch: u64 },
     /// A sink emission forwarded to the coordinator.
     SinkRow { node: NodeId, tuple: Tuple },
     /// A peer raised the run-abort flag; the error is the cause.
@@ -270,7 +265,6 @@ squall_common::wire_tags! { Frame (buf, r) {
     7 => Goodbye,
     10 => Heartbeat { epoch },
     11 => SnapshotBlob { role, task as u32, epoch, payload },
-    12 => Readmit { peer as u32, epoch },
     13 => Fanout(batch),
 } else {
     Frame::Deliver { to_task, msg } => msg.put(*to_task, buf),
@@ -607,23 +601,12 @@ impl ClusterLinks {
     ///
     /// `peer_labels[0]` labels the coordinator; the rest are the workers'
     /// addresses, dialed in peer order with `jobs[peer - 1]`.
-    ///
-    /// With `readmit_epoch` set (a recovery relaunch), each job is
-    /// prefaced by a `Readmit` frame on the same stream so the worker can
-    /// tell a re-admission from a fresh job.
-    pub fn coordinator(
-        peer_labels: Vec<String>,
-        jobs: Vec<Vec<u8>>,
-        readmit_epoch: Option<u64>,
-    ) -> Result<ClusterLinks> {
+    pub fn coordinator(peer_labels: Vec<String>, jobs: Vec<Vec<u8>>) -> Result<ClusterLinks> {
         let n_peers = peer_labels.len();
         assert_eq!(n_peers, jobs.len() + 1);
         let mut links = vec![None];
         for (peer, job) in (1..n_peers).zip(jobs) {
             let mut stream = connect_with_retry(&peer_labels[peer], HANDSHAKE_TIMEOUT)?;
-            if let Some(epoch) = readmit_epoch {
-                Frame::Readmit { peer, epoch }.write_to(&mut stream)?;
-            }
             Frame::Job { payload: job }.write_to(&mut stream)?;
             links.push(Some(stream));
         }
@@ -649,9 +632,8 @@ impl ClusterLinks {
     /// Worker-side handshake, one accept loop on `listener`: the
     /// coordinator's job connection and the links the workers below this
     /// one dialed, each named by its `Hello`, in whichever order they land.
-    /// When the `Job` lands, `on_job` gets its payload and the `Readmit`
-    /// that prefaced it, if any, and returns this worker's index, the peer
-    /// labels and what it built from the job. This worker then dials every
+    /// When the `Job` lands, `on_job` gets its payload and returns this
+    /// worker's index, the peer labels and what it built from the job. This worker then dials every
     /// worker above it, naming itself with `Hello` on each, and answers the
     /// job with `Hello` while the lower workers' links may still be on their
     /// way. The job may take forever to come; after it, the lower workers
@@ -660,7 +642,7 @@ impl ClusterLinks {
     /// typed error.
     pub fn worker<T>(
         listener: &TcpListener,
-        mut on_job: impl FnMut(&[u8], Option<(usize, u64)>) -> Result<(usize, Vec<String>, T)>,
+        mut on_job: impl FnMut(&[u8]) -> Result<(usize, Vec<String>, T)>,
     ) -> Result<(ClusterLinks, T)> {
         let mut lower: Vec<(usize, TcpStream)> = Vec::new();
         let mut started: Option<(ClusterLinks, T, Instant)> = None;
@@ -680,16 +662,9 @@ impl ClusterLinks {
             // the socket for the recv pump.
             let deadline =
                 started.as_ref().map_or_else(|| Instant::now() + HANDSHAKE_TIMEOUT, |job| job.2);
-            let (mut first, mut readmit) = (read_frame_deadline(&stream, deadline)?, None);
-            if let Some((Frame::Readmit { peer, epoch }, _)) = first {
-                // A recovering coordinator re-admits this worker: the Job
-                // frame follows on the same stream.
-                readmit = Some((peer, epoch));
-                first = read_frame_deadline(&stream, deadline)?;
-            }
-            match first {
+            match read_frame_deadline(&stream, deadline)? {
                 Some((Frame::Job { payload }, _)) if started.is_none() => {
-                    let (me, peer_labels, built) = on_job(&payload, readmit)?;
+                    let (me, peer_labels, built) = on_job(&payload)?;
                     let n_peers = peer_labels.len();
                     assert!(me >= 1 && me < n_peers);
                     let mut links: Vec<Option<TcpStream>> = (0..n_peers).map(|_| None).collect();
@@ -704,7 +679,7 @@ impl ClusterLinks {
                         ClusterLinks { me, peer_labels, blob_tx: None, heartbeat: None, links };
                     started = Some((links, built, Instant::now() + HANDSHAKE_TIMEOUT));
                 }
-                Some((Frame::Hello { peer }, _)) if readmit.is_none() => lower.push((peer, stream)),
+                Some((Frame::Hello { peer }, _)) => lower.push((peer, stream)),
                 other => {
                     return Err(SquallError::Runtime(format!(
                         "expected Job or Hello from a cluster peer, got {other:?}"
@@ -1277,7 +1252,7 @@ impl RecvPump {
                             clean = true;
                             break;
                         }
-                        Frame::Hello { .. } | Frame::Job { .. } | Frame::Readmit { .. } => {
+                        Frame::Hello { .. } | Frame::Job { .. } => {
                             shared.raise(SquallError::Runtime(format!(
                                 "unexpected handshake frame from peer {peer} mid-run"
                             )));
@@ -1348,7 +1323,6 @@ mod tests {
             Frame::Job { payload: vec![1, 2, 3] },
             Frame::Heartbeat { epoch: 17 },
             Frame::SnapshotBlob { role: 1, task: 3, epoch: 9, payload: vec![9, 8, 7] },
-            Frame::Readmit { peer: 2, epoch: 4 },
             Frame::SinkRow { node: 4, tuple: tuple![42] },
             Frame::Abort {
                 error: SquallError::MemoryOverflow { machine: 1, stored: 10, budget: 5 },
@@ -1367,6 +1341,15 @@ mod tests {
                     other => panic!("{f:?} cut at {cut}: {other:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn retired_readmit_tag_is_unknown() {
+        // Tag 12 was a recovery preface that repeated the job's own fields.
+        match Frame::decode(&[12, 2, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0]) {
+            Err(SquallError::Codec(m)) => assert_eq!(m, "unknown Frame tag 12"),
+            other => panic!("expected an unknown-tag error, got {other:?}"),
         }
     }
 
@@ -1523,7 +1506,6 @@ mod tests {
                 Frame::SnapshotBlob { role: 1, task: 3, epoch: 9, payload: vec![9, 8, 7] },
                 "0b0103000000090000000000000003000000090807",
             ),
-            (Frame::Readmit { peer: 2, epoch: 4 }, "0c020000000400000000000000"),
             (
                 Frame::SinkRow { node: 4, tuple: tuple![42, "x"] },
                 "040400000002000000012a00000000000000030100000078",
@@ -1821,10 +1803,6 @@ mod tests {
         let worker = std::thread::spawn(move || {
             let worker = accept_with_deadline(&listener, deadline).unwrap();
             match read_frame_deadline(&worker, deadline) {
-                Ok(Some((Frame::Readmit { peer: 1, epoch: 3 }, _))) => {}
-                other => panic!("expected Readmit, got {other:?}"),
-            }
-            match read_frame_deadline(&worker, deadline) {
                 Ok(Some((Frame::Job { payload }, _))) => assert_eq!(payload, [7, 8]),
                 other => panic!("expected Job, got {other:?}"),
             }
@@ -1833,7 +1811,7 @@ mod tests {
             worker
         });
         let labels = vec!["coordinator".to_string(), addr];
-        let links = ClusterLinks::coordinator(labels, vec![vec![7, 8]], Some(3)).unwrap();
+        let links = ClusterLinks::coordinator(labels, vec![vec![7, 8]]).unwrap();
         let link = links.links[1].as_ref().expect("link to peer 1");
         match read_frame_deadline(link, deadline) {
             Ok(Some((Frame::Heartbeat { epoch: 5 }, _))) => {}
@@ -1856,7 +1834,7 @@ mod tests {
     /// The worker handshake with a job payload of one byte: the worker's
     /// index.
     fn worker_links(listener: &TcpListener, labels: &[String]) -> Result<ClusterLinks> {
-        let on_job = |payload: &[u8], _| Ok((payload[0] as usize, labels.to_vec(), ()));
+        let on_job = |payload: &[u8]| Ok((payload[0] as usize, labels.to_vec(), ()));
         ClusterLinks::worker(listener, on_job).map(|(links, ())| links)
     }
 
@@ -1873,7 +1851,7 @@ mod tests {
             })
             .collect();
         let jobs = (1..4).map(|me| vec![me as u8]).collect();
-        let coordinator = ClusterLinks::coordinator(labels.clone(), jobs, None).unwrap();
+        let coordinator = ClusterLinks::coordinator(labels.clone(), jobs).unwrap();
         let mut peers = vec![coordinator];
         for worker in workers {
             // Every worker has answered its job and linked its lower

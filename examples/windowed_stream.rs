@@ -133,7 +133,7 @@ fn main() {
         Box::new(JoinBolt::new_windowed(
             task,
             map,
-            Box::new(DBToasterJoin::new(&spec2)),
+            DBToasterJoin::new(&spec2),
             WindowSpec::Sliding { size: WINDOW },
             vec![1, 1], // ts column of each relation
             &[2, 2],    // relation arities (locate ts in the join output)
