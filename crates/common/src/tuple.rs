@@ -114,6 +114,13 @@ impl std::ops::Deref for Tuple {
     }
 }
 
+impl AsRef<[Value]> for Tuple {
+    #[inline]
+    fn as_ref(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 /// Convenience macro: `tuple![1, 2.5, "x"]`.
 #[macro_export]
 macro_rules! tuple {

@@ -32,9 +32,9 @@
 
 use std::collections::BTreeMap;
 
-use squall_common::codec::{self, Reader};
-use squall_common::{FxHashMap, Result, SplitMix64, SquallError, Tuple, Value};
-use squall_join::Snapshot;
+use squall_common::codec::{self, Reader, Wire};
+use squall_common::{FxHashMap, Result, SplitMix64, SquallError, Value};
+use squall_join::views::View;
 use squall_partition::hypercube::DimRole;
 use squall_partition::HypercubeScheme;
 use squall_runtime::transport::SnapshotBlobMsg;
@@ -53,28 +53,101 @@ pub const JOIN_BLOB_FULL: u8 = 0;
 /// grammar, unsorted. Only the store reads it.
 pub const JOIN_BLOB_DELTA: u8 = 3;
 
+/// One relation's signed rows, back to back: row `i` is
+/// `vals[i * width..][..width]`, at multiplicity `mults[i]`.
+#[derive(Debug, Default)]
+struct Rows {
+    width: usize,
+    vals: Vec<Value>,
+    mults: Vec<i64>,
+}
+
+impl Rows {
+    fn push(&mut self, row: &[Value], mult: i64) {
+        if self.mults.is_empty() {
+            self.width = row.len();
+        }
+        debug_assert_eq!(row.len(), self.width, "a relation's rows are of one width");
+        self.vals.extend_from_slice(row);
+        self.mults.push(mult);
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        &self.vals[i * self.width..][..self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&[Value], i64)> {
+        self.mults.iter().enumerate().map(|(i, &m)| (self.row(i), m))
+    }
+
+    /// One relation of the row grammar: `u32 n · (row, i64 multiplicity)*`.
+    fn read(r: &mut Reader<'_>) -> Result<Rows> {
+        let n = r.len()?;
+        let mut rows = Rows { mults: Vec::with_capacity(n), ..Rows::default() };
+        for i in 0..n {
+            let width = r.len()?;
+            if i == 0 {
+                rows.width = width;
+                rows.vals.reserve(n.saturating_mul(width).min(r.remaining()));
+            } else if width != rows.width {
+                return Err(SquallError::Codec(
+                    "a join blob relation's rows differ in width".into(),
+                ));
+            }
+            for _ in 0..width {
+                rows.vals.push(Value::get(r)?);
+            }
+            rows.mults.push(r.i64()?);
+        }
+        Ok(rows)
+    }
+}
+
+/// Append one row of the row grammar: the row as a counted run of values,
+/// then its multiplicity — what `codec::put_tuple` and `codec::put_i64`
+/// write for a `(Tuple, i64)`.
+fn put_row(buf: &mut Vec<u8>, row: &[Value], mult: i64) {
+    Value::put_run(row, buf);
+    codec::put_i64(buf, mult);
+}
+
 /// A join task's half of the delta chain: the signed base rows it applied
 /// since its last barrier, each with its epoch.
 pub(crate) struct DeltaLog {
     /// The epoch the next blob continues from.
     since: u64,
-    /// Per relation, `(base row, multiplicity, epoch)` in the order applied.
-    rels: Vec<Vec<(Tuple, i64, u64)>>,
+    /// Per relation, the rows in the order applied and their epochs.
+    rels: Vec<(Rows, Vec<u64>)>,
 }
 
 impl DeltaLog {
     /// An empty log for a join of `n_rels` relations whose state is that
     /// of epoch `since` (its restore epoch, or 0).
     pub(crate) fn new(n_rels: usize, since: u64) -> DeltaLog {
-        DeltaLog { since, rels: vec![Vec::new(); n_rels] }
+        DeltaLog { since, rels: (0..n_rels).map(|_| Default::default()).collect() }
     }
 
-    /// Log one delta the task applied, building its row's tuple here. A
-    /// one-relation DBToaster join keeps no base view — its snapshot holds
-    /// no rows — so it logs nothing.
-    pub(crate) fn push(&mut self, rel: usize, row: impl Into<Tuple>, mult: i64, epoch: u64) {
+    /// Log one delta the task applied, its values copied in beside the
+    /// relation's other rows. A one-relation DBToaster join keeps no base
+    /// view — its snapshot holds no rows — so it logs nothing.
+    pub(crate) fn push(&mut self, rel: usize, row: impl AsRef<[Value]>, mult: i64, epoch: u64) {
         if self.rels.len() > 1 {
-            self.rels[rel].push((row.into(), mult, epoch));
+            let (rows, epochs) = &mut self.rels[rel];
+            rows.push(row.as_ref(), mult);
+            epochs.push(epoch);
+        }
+    }
+
+    /// Move every row of `other` behind this log's rows, leaving `other`
+    /// empty with its capacity.
+    pub(crate) fn append(&mut self, other: &mut DeltaLog) {
+        for ((rows, epochs), (more, later)) in self.rels.iter_mut().zip(&mut other.rels) {
+            if rows.mults.is_empty() {
+                rows.width = more.width;
+            }
+            rows.vals.append(&mut more.vals);
+            rows.mults.append(&mut more.mults);
+            epochs.append(later);
         }
     }
 
@@ -83,17 +156,31 @@ impl DeltaLog {
     /// stay for the next barrier — a source whose barrier arrived early
     /// keeps sending, so a task may apply them before it aligns.
     pub(crate) fn seal(&mut self, epoch: u64) -> Vec<u8> {
-        let mut buf = vec![JOIN_BLOB_DELTA];
+        // Room for every row if its values are `Int`s, as join keys are.
+        let bytes = |(rows, _): &(Rows, Vec<u64>)| 4 + 9 * rows.vals.len() + 12 * rows.mults.len();
+        let mut buf = Vec::with_capacity(13 + self.rels.iter().map(bytes).sum::<usize>());
+        buf.push(JOIN_BLOB_DELTA);
         codec::put_u64(&mut buf, self.since);
         codec::put_u32(&mut buf, self.rels.len() as u32);
-        for rows in &mut self.rels {
-            let sealed = |row: &&(Tuple, i64, u64)| row.2 <= epoch;
-            codec::put_u32(&mut buf, rows.iter().filter(sealed).count() as u32);
-            for (t, m, _) in rows.iter().filter(sealed) {
-                codec::put_tuple(&mut buf, t);
-                codec::put_i64(&mut buf, *m);
+        for (rows, epochs) in &mut self.rels {
+            codec::put_u32(&mut buf, epochs.iter().filter(|&&e| e <= epoch).count() as u32);
+            // Sealed rows are written; later ones move down over them.
+            let (width, mut kept) = (rows.width, 0);
+            for i in 0..epochs.len() {
+                if epochs[i] <= epoch {
+                    put_row(&mut buf, rows.row(i), rows.mults[i]);
+                    continue;
+                }
+                for c in 0..width {
+                    rows.vals.swap(kept * width + c, i * width + c);
+                }
+                rows.mults[kept] = rows.mults[i];
+                epochs[kept] = epochs[i];
+                kept += 1;
             }
-            rows.retain(|row| row.2 > epoch);
+            rows.vals.truncate(kept * width);
+            rows.mults.truncate(kept);
+            epochs.truncate(kept);
         }
         self.since = epoch;
         buf
@@ -106,13 +193,14 @@ impl DeltaLog {
 #[derive(Debug)]
 struct JoinBlob {
     since: Option<u64>,
-    rels: Vec<Vec<(Tuple, i64)>>,
+    rels: Vec<Rows>,
 }
 
 impl JoinBlob {
-    /// A typed error for a payload of neither grammar or one that does not
-    /// parse to its end; the store files no blob for it, so the task's
-    /// chain has a gap at its epoch.
+    /// A typed error for a payload of neither grammar, one that does not
+    /// parse to its end, or one with rows of two widths in one relation;
+    /// the store files no blob for it, so the task's chain has a gap at its
+    /// epoch.
     fn parse(payload: &[u8]) -> Result<JoinBlob> {
         let mut r = Reader::new(payload);
         let since = match r.u8()? {
@@ -120,8 +208,11 @@ impl JoinBlob {
             JOIN_BLOB_DELTA => Some(r.u64()?),
             tag => return Err(SquallError::Codec(format!("unknown join blob tag {tag}"))),
         };
-        let mut rels = Vec::new();
-        rels.restore_state(&mut r)?;
+        let n_rels = r.len()?;
+        let mut rels = Vec::with_capacity(n_rels);
+        for _ in 0..n_rels {
+            rels.push(Rows::read(&mut r)?);
+        }
         r.finish()?;
         Ok(JoinBlob { since, rels })
     }
@@ -133,47 +224,49 @@ impl JoinBlob {
     }
 }
 
-/// One join task's state as the store holds it: per relation, base row →
-/// multiplicity, no zero entries — the integral of the task's blobs.
+/// One join task's state as the store holds it: per relation, a [`View`]
+/// of its base rows (none before the relation's first row) — the integral
+/// of the task's blobs, folded by [`View::update`]'s rule: a retraction
+/// takes away at most what is stored, and a row at zero is not kept.
 #[derive(Debug, Clone, Default)]
-struct TaskState(Vec<FxHashMap<Tuple, i64>>);
+struct TaskState(Vec<Option<View>>);
 
 impl TaskState {
-    /// Fold the next blob of the task's chain in.
+    /// Add `mult` to relation `rel`'s row `row`.
+    fn update(&mut self, rel: usize, row: &[Value], mult: i64) {
+        let view = self.0[rel].get_or_insert_with(|| View::new(vec![0], &[row.len()]));
+        view.update(row, mult);
+    }
+
+    /// Fold the next blob of the task's chain in. The store files only
+    /// blobs whose relations agree on their row widths.
     fn fold(&mut self, blob: &JoinBlob) {
-        let integral = &mut self.0;
         if blob.since.is_none() {
-            integral.clear();
+            self.0.clear();
         }
-        if integral.len() < blob.rels.len() {
-            integral.resize_with(blob.rels.len(), FxHashMap::default);
+        if self.0.len() < blob.rels.len() {
+            self.0.resize_with(blob.rels.len(), || None);
         }
-        for (acc, rows) in integral.iter_mut().zip(&blob.rels) {
-            for (tuple, d) in rows {
-                // `View::update`'s rule: a retraction takes away at most
-                // what is stored, and a row at zero is not kept.
-                match acc.get_mut(tuple) {
-                    Some(m) => {
-                        *m = m.saturating_add(*d).max(0);
-                        if *m == 0 {
-                            acc.remove(tuple);
-                        }
-                    }
-                    None if *d > 0 => {
-                        acc.insert(tuple.clone(), *d);
-                    }
-                    None => {}
-                }
+        for (rel, rows) in blob.rels.iter().enumerate() {
+            for (row, mult) in rows.iter() {
+                self.update(rel, row, mult);
             }
         }
     }
 
-    /// The canonical [`JOIN_BLOB_FULL`] bytes a restore reads.
+    /// The canonical [`JOIN_BLOB_FULL`] bytes a restore reads: each
+    /// relation's rows in row order, so equal state means equal bytes.
     fn blob(&self) -> Vec<u8> {
-        let rels: Vec<Vec<(Tuple, i64)>> =
-            self.0.iter().map(|rows| rows.iter().map(|(t, &m)| (t.clone(), m)).collect()).collect();
         let mut buf = vec![JOIN_BLOB_FULL];
-        rels.snapshot_state(&mut buf);
+        codec::put_u32(&mut buf, self.0.len() as u32);
+        for view in &self.0 {
+            let mut rows: Vec<(&[Value], i64)> = view.iter().flat_map(View::scan).collect();
+            rows.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            codec::put_u32(&mut buf, rows.len() as u32);
+            for (row, mult) in rows {
+                put_row(&mut buf, row, mult);
+            }
+        }
         buf
     }
 }
@@ -219,6 +312,9 @@ pub struct CheckpointStore {
     sink: Option<Vec<u8>>,
     /// Blobs of epochs above `base`, waiting to be folded.
     pending: BTreeMap<u64, EpochBlobs>,
+    /// Join-task id → each relation's row width, from the first rows filed
+    /// for it.
+    widths: FxHashMap<usize, Vec<Option<usize>>>,
 }
 
 impl CheckpointStore {
@@ -230,22 +326,41 @@ impl CheckpointStore {
 
     /// File one blob. Unknown roles are ignored (forward compatibility);
     /// re-sent blobs overwrite, and blobs at or below the folded epoch
-    /// change nothing.
+    /// change nothing. A join blob that does not parse, or whose rows of a
+    /// relation are not as wide as those filed before, is filed as a gap.
     pub fn insert(&mut self, (role, task, epoch, payload): SnapshotBlobMsg) {
         if epoch <= self.base {
             return;
         }
+        let blob = match role {
+            ROLE_JOIN => JoinBlob::parse(&payload).ok().filter(|blob| self.fits(task, blob)),
+            _ => None,
+        };
         let slot = self.pending.entry(epoch).or_default();
         match role {
             ROLE_JOIN => {
                 slot.join.remove(&task);
-                if let Ok(blob) = JoinBlob::parse(&payload) {
+                if let Some(blob) = blob {
                     slot.join.insert(task, blob);
                 }
             }
             ROLE_SINK => slot.sink = Some(payload),
             _ => {}
         }
+    }
+
+    /// Whether `blob`'s relations are as wide as those `task` filed before,
+    /// recording the widths of relations new to it: a task's integral keeps
+    /// each relation's rows at one width.
+    fn fits(&mut self, task: usize, blob: &JoinBlob) -> bool {
+        let widths = self.widths.entry(task).or_default();
+        widths.resize(widths.len().max(blob.rels.len()), None);
+        let rels = || blob.rels.iter().enumerate().filter(|(_, rows)| !rows.mults.is_empty());
+        if !rels().all(|(rel, rows)| widths[rel].is_none_or(|w| w == rows.width)) {
+            return false;
+        }
+        rels().for_each(|(rel, rows)| widths[rel] = Some(rows.width));
+        true
     }
 
     /// The blobs on `task`'s chain from the base through `epoch`, oldest
@@ -337,7 +452,8 @@ impl CheckpointStore {
         let restore = scheme
             .and_then(|s| self.reroute(s))
             .or_else(|| self.latest_complete().and_then(|e| self.restore_state(e)));
-        *self = CheckpointStore::new(self.n_join_tasks);
+        let widths = std::mem::take(&mut self.widths);
+        *self = CheckpointStore { widths, ..CheckpointStore::new(self.n_join_tasks) };
         if let Some(rs) = &restore {
             for (&task, blob) in &rs.join {
                 if let Ok(blob) = JoinBlob::parse(blob) {
@@ -384,21 +500,22 @@ impl CheckpointStore {
         if !(0..n_rels).all(|rel| replica_groups_covered(scheme, rel, &missing, survivors())) {
             return None;
         }
-        let mut union: FxHashMap<(usize, &Tuple), i64> = FxHashMap::default();
+        let mut union: FxHashMap<(usize, &[Value]), i64> = FxHashMap::default();
         for (_, state) in &present {
-            for (rel, rows) in state.0.iter().enumerate().take(n_rels) {
-                for (tuple, &mult) in rows {
-                    union.entry((rel, tuple)).or_insert(mult);
+            for (rel, view) in state.0.iter().enumerate().take(n_rels) {
+                for (row, mult) in view.iter().flat_map(View::scan) {
+                    union.entry((rel, row)).or_insert(mult);
                 }
             }
         }
-        let mut tasks = vec![TaskState(vec![FxHashMap::default(); n_rels]); self.n_join_tasks];
+        let empty = || TaskState((0..n_rels).map(|_| None).collect());
+        let mut tasks: Vec<TaskState> = (0..self.n_join_tasks).map(|_| empty()).collect();
         let (mut rng, mut route) = (SplitMix64::new(0), Vec::new());
-        for ((rel, tuple), mult) in union {
-            scheme.route(rel, tuple, &mut rng, &mut route);
+        for ((rel, row), mult) in union {
+            scheme.route(rel, row, &mut rng, &mut route);
             for &task in &route {
                 if let Some(state) = tasks.get_mut(task) {
-                    state.0[rel].insert(tuple.clone(), mult);
+                    state.update(rel, row, mult);
                 }
             }
         }
@@ -425,15 +542,14 @@ pub(crate) fn check_join_blob(
     };
     // No writer of a whole state keeps a row at a multiplicity ≤ 0.
     let fits = rels.len() == arities.len()
-        && rels
-            .iter()
-            .zip(arities)
-            .all(|(rows, &a)| rows.iter().all(|(t, m)| t.arity() == a && *m > 0));
+        && rels.iter().zip(arities).all(|(rows, &a)| {
+            (rows.mults.is_empty() || rows.width == a) && rows.mults.iter().all(|&m| m > 0)
+        });
     if !fits {
         return Err(SquallError::Codec("join checkpoint blob does not fit the join".into()));
     }
-    let timed = |(rows, &c): (&Vec<(Tuple, i64)>, &usize)| {
-        rows.iter().all(|(t, _)| matches!(t.values().get(c), Some(&Value::Int(ts)) if ts >= 0))
+    let timed = |(rows, &c): (&Rows, &usize)| {
+        rows.iter().all(|(row, _)| matches!(row.get(c), Some(&Value::Int(ts)) if ts >= 0))
     };
     if ts_cols.is_some_and(|cols| !rels.iter().zip(cols).all(timed)) {
         return Err(SquallError::Codec("windowed join checkpoint row: no event time".into()));
@@ -487,9 +603,9 @@ fn coords(scheme: &HypercubeScheme, machine: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use proptest::{prop_assert, prop_assert_eq};
-    use squall_common::{tuple, DataType, Schema};
+    use squall_common::{tuple, DataType, Schema, Tuple};
     use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
-    use squall_join::{DBToasterJoin, WindowJoin, WindowSpec};
+    use squall_join::{DBToasterJoin, Snapshot, WindowJoin, WindowSpec};
     use squall_partition::hypercube::{Dimension, PartitionKind};
 
     fn chain3() -> MultiJoinSpec {
@@ -602,15 +718,11 @@ mod tests {
             discard.clear();
         }
         let blob = join_blob(&j);
-        let rels = JoinBlob::parse(&blob).unwrap().rels;
-        // Through hash maps and back: row order within a relation is lost.
-        let maps: Vec<FxHashMap<Tuple, i64>> =
-            rels.into_iter().map(|rows| rows.into_iter().collect()).collect();
-        let rels: Vec<Vec<(Tuple, i64)>> =
-            maps.into_iter().map(|rows| rows.into_iter().collect()).collect();
-        let mut again = vec![JOIN_BLOB_FULL];
-        rels.snapshot_state(&mut again);
-        assert_eq!(again, blob, "byte-identical re-serialization");
+        // Through the store's views and back: row order within a relation
+        // is lost, and the blob sorts it back.
+        let mut state = TaskState::default();
+        state.fold(&JoinBlob::parse(&blob).unwrap());
+        assert_eq!(state.blob(), blob, "byte-identical re-serialization");
     }
 
     #[test]
@@ -802,6 +914,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_join_blob_of_rows_wider_than_its_tasks_is_a_gap() {
+        // The store folds each relation's rows into one view of one width:
+        // a blob whose rows of a relation are not as wide as those its task
+        // filed before, or whose rows of a relation differ in width, is a
+        // gap like one that does not parse.
+        let wide = |rows: &[Tuple]| {
+            let mut log = DeltaLog::new(3, 1);
+            for row in rows {
+                log.push(0, row, 1, 2);
+            }
+            log.seal(2)
+        };
+        let mut mixed = vec![JOIN_BLOB_DELTA];
+        codec::put_u64(&mut mixed, 1);
+        vec![vec![(tuple![1, 2], 1), (tuple![3], 1)], vec![], vec![]].snapshot_state(&mut mixed);
+        for garbage in [wide(&[tuple![1, 2, 3]]), mixed] {
+            let (join, mut log) = fixed_task();
+            let mut store = CheckpointStore::new(1);
+            store.insert((ROLE_JOIN, 0, 1, log.seal(1)));
+            store.insert((ROLE_SINK, 0, 1, vec![1]));
+            store.insert((ROLE_JOIN, 0, 2, garbage));
+            store.insert((ROLE_SINK, 0, 2, vec![2]));
+            assert_eq!(store.latest_complete(), Some(1), "the wide blob is a gap");
+            assert_eq!(store.restore_state(1).unwrap().join[&0], join_blob(&join));
+        }
+    }
+
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
@@ -836,6 +976,47 @@ mod tests {
         }
         (join, log)
     }
+
+    #[test]
+    fn join_blob_delta_matches_golden_bytes() {
+        // The delta blob a join task ships: `fixed_task`'s log sealed at
+        // epoch 1, then a log that keeps a row of a later epoch for the
+        // next barrier.
+        let (_, mut log) = fixed_task();
+        let mut later = DeltaLog::new(3, 4);
+        later.push(1, tuple![5, "s"], 1, 6);
+        later.push(1, tuple![6, 6], -2, 5);
+        later.push(0, tuple![Value::Null, 7.5], 1, 5);
+        let blobs = [log.seal(1), later.seal(5), later.seal(6)];
+        let hexes: Vec<String> = blobs.iter().map(|b| hex(b)).collect();
+        assert_eq!(hexes, GOLDEN_DELTA);
+    }
+
+    /// [`join_blob_delta_matches_golden_bytes`]'s three blobs.
+    const GOLDEN_DELTA: [&str; 3] = [
+        concat!(
+            "030000000000000000030000000500000002000000030100000078010100000000000000",
+            "010000000000000002000000030100000078010100000000000000010000000000000002",
+            "0000000002000000000000f03f0100000000000000020000000301000000780101000000",
+            "00000000ffffffffffffffff0200000003010000007a0101000000000000000100000000",
+            "000000040000000200000001010000000000000001020000000000000002000000000000",
+            "000200000002000000000000f03f01020000000000000001000000000000000200000002",
+            "000000000000f03f01030000000000000001000000000000000200000001040000000000",
+            "0000010400000000000000ffffffffffffffff0400000002000000010200000000000000",
+            "020000000000000440010000000000000002000000010300000000000000030100000079",
+            "010000000000000002000000010200000000000000020000000000000440fdffffffffff",
+            "ffff02000000010300000000000000000100000000000000",
+        ),
+        concat!(
+            "03040000000000000003000000010000000200000000020000000000001e400100000000",
+            "0000000100000002000000010600000000000000010600000000000000feffffffffffff",
+            "ff00000000",
+        ),
+        concat!(
+            "030500000000000000030000000000000001000000020000000105000000000000000301",
+            "00000073010000000000000000000000",
+        ),
+    ];
 
     #[test]
     fn join_blob_full_matches_golden_bytes_and_restores() {

@@ -50,7 +50,7 @@ pub struct Finalizer {
 
 impl Finalizer {
     /// HAVING-gate and project one engine row; `None` when HAVING drops it.
-    pub fn row(&self, raw: &Tuple) -> Result<Option<Tuple>> {
+    pub fn row(&self, raw: &[Value]) -> Result<Option<Tuple>> {
         if let Some(h) = &self.having {
             if !h.eval_bool(raw)? {
                 return Ok(None);
@@ -59,12 +59,20 @@ impl Finalizer {
         self.select(raw).map(Some)
     }
 
-    fn select(&self, raw: &Tuple) -> Result<Tuple> {
-        let mut values = Vec::with_capacity(self.project.len());
-        for e in &self.project {
-            values.push(e.eval(raw)?);
-        }
-        Ok(Tuple::new(values))
+    /// The SELECT list over `raw`, built in one allocation: the list's
+    /// length is known, so the tuple is collected in place, and the first
+    /// error, if any, is returned instead.
+    fn select(&self, raw: &[Value]) -> Result<Tuple> {
+        let mut failed = None;
+        let row = (self.project.iter())
+            .map(|e| {
+                e.eval(raw).unwrap_or_else(|e| {
+                    failed.get_or_insert(e);
+                    Value::Null
+                })
+            })
+            .collect();
+        failed.map_or(Ok(row), Err)
     }
 
     /// The row answering for zero input rows, when this query has one

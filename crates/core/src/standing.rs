@@ -233,7 +233,7 @@ impl ViewShared {
             st = guard;
         }
         self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(st.rows.values().map(|&m| m.max(0) as usize).sum());
         for (row, &m) in &st.rows {
             for _ in 0..m.max(0) {
                 out.push(row.clone());
@@ -292,9 +292,9 @@ struct ViewJoinBolt {
     /// an epoch, reused from run to run.
     rows: Vec<Value>,
     mults: Vec<i64>,
-    /// The rows a windowed run evicts, as `(relation, row, −multiplicity)`,
-    /// held until the run's own rows are logged; reused from run to run.
-    gone: Vec<(usize, Tuple, i64)>,
+    /// The rows a windowed run evicts, logged negated, held until the
+    /// run's own rows are logged; reused from run to run.
+    gone: DeltaLog,
     /// Checkpoint blob channel (local on the coordinator; forwarded as
     /// `SnapshotBlob` frames by the worker). `None` = checkpoints off.
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
@@ -321,7 +321,7 @@ impl ViewJoinBolt {
             tagged: Vec::new(),
             rows: Vec::new(),
             mults: Vec::new(),
-            gone: Vec::new(),
+            gone: DeltaLog::new(n_sources, since),
             blob_tx,
             log: DeltaLog::new(n_sources, since),
         }
@@ -364,7 +364,7 @@ impl ViewJoinBolt {
                 next += 1;
             }
             if epoch as u64 > turn {
-                let run = (rel, self.rows.clone(), self.mults.clone());
+                let run = (rel, std::mem::take(&mut self.rows), std::mem::take(&mut self.mults));
                 self.held.entry(epoch as u64).or_default().push(run);
             } else {
                 self.apply_run(rel, epoch, emit)?;
@@ -426,12 +426,12 @@ impl ViewJoinBolt {
                 let gone = &mut self.gone;
                 self.join.insert_into(rel, &self.rows, &mut tagged, |r, row, m| {
                     if logged {
-                        gone.push((r, Tuple::from(row), -m));
+                        gone.push(r, row, -m, epoch as u64);
                     }
                 })?;
                 if logged {
                     rows.for_each(|row| self.log.push(rel, row, 1, epoch as u64));
-                    gone.drain(..).for_each(|(r, row, m)| self.log.push(r, row, m, epoch as u64));
+                    self.log.append(gone);
                 }
             }
         }
@@ -457,14 +457,6 @@ fn delta_columns(chunk: &Chunk) -> Result<(&[Array], &[Array])> {
         )));
     }
     Ok(chunk.columns().split_at(n - 2))
-}
-
-/// Row `i` of a delta-plane chunk as `(payload, multiplicity, epoch)`, the
-/// payload tuple built straight from the chunk's payload columns.
-fn split_delta(chunk: &Chunk, i: usize) -> Result<(Tuple, i64, i64)> {
-    let (payload, tags) = delta_columns(chunk)?;
-    let (mult, epoch) = (tags[0].value(i).as_int()?, tags[1].value(i).as_int()?);
-    Ok((payload.iter().map(|c| c.value(i)).collect(), mult, epoch))
 }
 
 impl Bolt for ViewJoinBolt {
@@ -518,22 +510,113 @@ impl Bolt for ViewJoinBolt {
 // The view sink bolt
 // ---------------------------------------------------------------------
 
-enum SinkState {
-    /// Plain projected multiset: nothing to keep locally, changes are
-    /// netted per epoch and applied straight into the shared rows.
-    Plain,
-    /// Aggregate view: the query's own [`crate::driver::AggPlan`], folded
-    /// under each window's `(start, end)` key prefix when windowed — the
-    /// integral of every applied epoch. A group's published row is what the
-    /// finalizer makes of it ([`ViewSinkBolt::group_row`]), so the sink
-    /// keeps no copy of the view.
-    Agg {
-        agg: GroupByAggregator,
-        /// Whether an epoch was applied: before the first, nothing is
-        /// published, and the first evaluates the global-aggregate empty
-        /// row even if its input is empty.
-        primed: bool,
-    },
+/// An aggregate view's sink state: the query's own
+/// [`crate::driver::AggPlan`], folded under each window's `(start, end)`
+/// key prefix when windowed — the integral of every applied epoch — and
+/// the row each group shows.
+struct AggSink {
+    agg: GroupByAggregator,
+    /// Whether an epoch was applied: before the first, nothing is
+    /// published, and the first evaluates the global-aggregate empty row
+    /// even if its input is empty.
+    primed: bool,
+    /// Each group's row as last published (absent: none), and the last
+    /// epoch that touched the group. An epoch diffs each group it touches
+    /// against this row; only a restore derives it from `agg`.
+    shown: FxHashMap<Vec<Value>, (Option<Tuple>, u64)>,
+    /// The keys of the groups the applying epoch touched, back to back
+    /// (every key of a view is of one width), and how many there are.
+    touched: Vec<Value>,
+    n_touched: usize,
+    /// One group's raw aggregate row, reused from group to group.
+    raw: Vec<Value>,
+}
+
+impl AggSink {
+    fn new(agg: GroupByAggregator) -> AggSink {
+        AggSink {
+            agg,
+            primed: false,
+            shown: FxHashMap::default(),
+            touched: Vec::new(),
+            n_touched: 0,
+            raw: Vec::new(),
+        }
+    }
+
+    /// The row the view shows for group `key` of `agg`: its finalized
+    /// aggregate, or for a global aggregate with no rows the empty row.
+    fn group_row(
+        fin: &Finalizer,
+        agg: &GroupByAggregator,
+        key: &[Value],
+        raw: &mut Vec<Value>,
+    ) -> Result<Option<Tuple>> {
+        if agg.group_into(key, raw) {
+            fin.row(raw)
+        } else if key.is_empty() {
+            fin.empty_row()
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// List group `key` as touched by `epoch`, once.
+    fn touch(&mut self, key: &[Value], epoch: u64) {
+        match self.shown.get_mut(key) {
+            Some((_, at)) if *at == epoch => return,
+            Some((_, at)) => *at = epoch,
+            None => {
+                self.shown.insert(key.to_vec(), (None, epoch));
+            }
+        }
+        self.touched.extend_from_slice(key);
+        self.n_touched += 1;
+    }
+
+    /// End an epoch: net each touched group's row against the one it
+    /// showed into `net`, and show the new one.
+    fn diff(&mut self, fin: &Finalizer, net: &mut FxHashMap<Tuple, i64>) -> Result<()> {
+        let AggSink { agg, shown, touched, n_touched, raw, .. } = self;
+        let width = touched.len() / (*n_touched).max(1);
+        for i in 0..std::mem::take(n_touched) {
+            let key = &touched[i * width..][..width];
+            let new = Self::group_row(fin, agg, key, raw)?;
+            let old = match &new {
+                Some(row) => shown.get_mut(key).and_then(|(was, _)| was.replace(row.clone())),
+                None => shown.remove(key).and_then(|(was, _)| was),
+            };
+            if old != new {
+                for (row, m) in old.map(|o| (o, -1)).into_iter().chain(new.map(|n| (n, 1))) {
+                    *net.entry(row).or_insert(0) += m;
+                }
+            }
+        }
+        touched.clear();
+        Ok(())
+    }
+
+    /// Derive every group's shown row from the aggregate state, as a
+    /// restore must.
+    fn reshow(&mut self, fin: &Finalizer) -> Result<()> {
+        let AggSink { agg, primed, shown, raw, .. } = self;
+        shown.clear();
+        let global = primed.then(Vec::new);
+        for key in agg.keys().map(<[Value]>::to_vec).chain(global) {
+            if let Some(row) = Self::group_row(fin, agg, &key, raw)? {
+                shown.insert(key, (Some(row), 0));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One epoch's deltas, back to back: delta `i`'s payload is
+/// `vals[i * arity..][..arity]`, its weight `mults[i]`.
+#[derive(Default)]
+struct Deltas {
+    vals: Vec<Value>,
+    mults: Vec<i64>,
 }
 
 /// The single sink task of a resident topology: buffers signed join
@@ -544,11 +627,16 @@ struct ViewSinkBolt {
     finalizer: Arc<Finalizer>,
     shared: Arc<ViewShared>,
     /// Deltas awaiting their epoch's release, in epoch order.
-    pending: BTreeMap<u64, Vec<(Tuple, i64)>>,
+    pending: BTreeMap<u64, Deltas>,
+    /// Applied epochs' buffers, kept for their capacity.
+    spare: Vec<Deltas>,
     /// The minimum epoch watermark across the upstream join tasks.
     frontier: Frontier,
     applied: u64,
-    state: SinkState,
+    /// An aggregate view's state; `None` for a plain projected multiset,
+    /// which keeps nothing: its changes are netted per epoch and applied
+    /// straight into the shared rows.
+    agg: Option<AggSink>,
     /// An aggregate view's group-by columns and, windowed, its window and
     /// each relation's event-time column, all in join-output coordinates.
     group_cols: Vec<usize>,
@@ -557,6 +645,11 @@ struct ViewSinkBolt {
     key: Vec<Value>,
     /// The join output's arity, every delta's payload width.
     arity: usize,
+    /// One chunk's `(multiplicity, epoch)` tags, checked before any row
+    /// is queued; reused from chunk to chunk.
+    tags: Vec<(i64, u64)>,
+    /// One epoch's net row changes, reused from epoch to epoch.
+    net: FxHashMap<Tuple, i64>,
     blob_tx: Option<Sender<SnapshotBlobMsg>>,
 }
 
@@ -569,7 +662,7 @@ impl ViewSinkBolt {
         n_upstream: usize,
         blob_tx: Option<Sender<SnapshotBlobMsg>>,
     ) -> ViewSinkBolt {
-        let (state, group_cols, window) = match &cfg.agg {
+        let (agg, group_cols, window) = match &cfg.agg {
             Some(a) => {
                 let agg = GroupByAggregator::new(a.group_cols.clone(), a.aggs.clone());
                 let window = cfg.window.as_ref().map(|w| {
@@ -577,21 +670,24 @@ impl ViewSinkBolt {
                         spec.relations.iter().map(|r| r.schema.arity()).collect();
                     (w.spec, squall_join::output_ts_cols(&arities, &w.ts_cols))
                 });
-                (SinkState::Agg { agg, primed: false }, a.group_cols.clone(), window)
+                (Some(AggSink::new(agg)), a.group_cols.clone(), window)
             }
-            None => (SinkState::Plain, Vec::new(), None),
+            None => (None, Vec::new(), None),
         };
         ViewSinkBolt {
             finalizer,
             shared,
             pending: BTreeMap::new(),
+            spare: Vec::new(),
             frontier: Frontier::new(n_upstream),
             applied: 0,
-            state,
+            agg,
             group_cols,
             window,
             key: Vec::new(),
             arity: spec.relations.iter().map(|r| r.schema.arity()).sum(),
+            tags: Vec::new(),
+            net: FxHashMap::default(),
             blob_tx,
         }
     }
@@ -603,11 +699,12 @@ impl ViewSinkBolt {
     fn restore(&mut self, epoch: u64, blob: &[u8]) -> Result<()> {
         let mut r = Reader::new(blob);
         let kind = r.u8()?;
-        match (&mut self.state, kind) {
-            (SinkState::Plain, 0) => {}
-            (SinkState::Agg { agg, primed }, 1) => {
-                agg.restore_state(&mut r)?;
-                *primed = r.bool()?;
+        match (&mut self.agg, kind) {
+            (None, 0) => {}
+            (Some(sink), 1) => {
+                sink.agg.restore_state(&mut r)?;
+                sink.primed = r.bool()?;
+                sink.reshow(&self.finalizer)?;
             }
             _ => return Err(SquallError::Codec("sink checkpoint blob kind mismatch".into())),
         }
@@ -619,49 +716,38 @@ impl ViewSinkBolt {
     /// The checkpoint blob [`ViewSinkBolt::restore`] reads: the kind byte,
     /// then an aggregate view's group-by state and `primed`.
     fn blob(&self) -> Vec<u8> {
-        match &self.state {
-            SinkState::Plain => vec![0],
-            SinkState::Agg { agg, primed } => {
+        match &self.agg {
+            None => vec![0],
+            Some(sink) => {
                 let mut buf = vec![1];
-                agg.snapshot_state(&mut buf);
-                codec::put_bool(&mut buf, *primed);
+                sink.agg.snapshot_state(&mut buf);
+                codec::put_bool(&mut buf, sink.primed);
                 buf
             }
         }
     }
 
-    /// The row the view shows for group `key` of `agg`: its finalized
-    /// aggregate, or for a global aggregate with no rows the empty row.
-    fn group_row(fin: &Finalizer, agg: &GroupByAggregator, key: &[Value]) -> Result<Option<Tuple>> {
-        match agg.group(key) {
-            Some(raw) => fin.row(&raw),
-            None if key.is_empty() => fin.empty_row(),
-            None => Ok(None),
-        }
-    }
-
-    /// Apply one epoch's deltas, returning the net row changes. An
+    /// Apply epoch `epoch`'s deltas, returning the net row changes. An
     /// aggregate view folds each delta once per window it lies in (once
-    /// under full history), under the window's `(start, end)` key prefix.
-    fn apply_epoch(&mut self, deltas: Vec<(Tuple, i64)>) -> Result<Vec<(Tuple, i64)>> {
-        let ViewSinkBolt { finalizer: fin, state, group_cols, window, key, .. } = self;
-        let mut net: FxHashMap<Tuple, i64> = FxHashMap::default();
-        match state {
-            SinkState::Plain => {
-                for (base, m) in &deltas {
+    /// under full history), under the window's `(start, end)` key prefix,
+    /// then diffs each group it touched against the row the group showed:
+    /// one tuple per changed group.
+    fn apply_epoch(&mut self, epoch: u64, deltas: &Deltas) -> Result<Vec<(Tuple, i64)>> {
+        let ViewSinkBolt { finalizer: fin, agg, group_cols, window, key, arity, net, .. } = self;
+        let rows = (0..deltas.mults.len()).map(|i| &deltas.vals[i * *arity..][..*arity]);
+        match agg {
+            None => {
+                for (base, m) in rows.zip(&deltas.mults) {
                     if let Some(row) = fin.row(base)? {
                         *net.entry(row).or_insert(0) += m;
                     }
                 }
             }
-            SinkState::Agg { agg, primed } => {
-                // Each touched group's row before the epoch, taken before
-                // its first fold.
-                let mut touched: FxHashMap<Vec<Value>, Option<Tuple>> = FxHashMap::default();
-                if !*primed && fin.empty.is_some() {
-                    touched.insert(Vec::new(), None);
+            Some(sink) => {
+                if !sink.primed && fin.empty.is_some() {
+                    sink.touch(&[], epoch);
                 }
-                for (base, m) in &deltas {
+                for (base, &m) in rows.zip(&deltas.mults) {
                     let starts = match window {
                         Some((spec, ts_cols)) => {
                             let (lo, hi) = event_time_range(base, ts_cols, "in view sink input")?;
@@ -677,29 +763,15 @@ impl ViewSinkBolt {
                         }
                         let lead = key.len();
                         key.extend(group_cols.iter().map(|&c| base[c].clone()));
-                        if !touched.contains_key(key.as_slice()) {
-                            let old = match primed {
-                                true => Self::group_row(fin, agg, key)?,
-                                false => None,
-                            };
-                            touched.insert(key.clone(), old);
-                        }
-                        agg.fold_row_under(&key[..lead], base, *m)?;
+                        sink.touch(key, epoch);
+                        sink.agg.fold_row_under(&key[..lead], base, m)?;
                     }
                 }
-                *primed = true;
-                for (key, old) in touched {
-                    let new = Self::group_row(fin, agg, &key)?;
-                    if old == new {
-                        continue;
-                    }
-                    for (row, m) in old.into_iter().map(|o| (o, -1)).chain(new.map(|n| (n, 1))) {
-                        *net.entry(row).or_insert(0) += m;
-                    }
-                }
+                sink.primed = true;
+                sink.diff(fin, net)?;
             }
         }
-        Ok(net.into_iter().filter(|(_, m)| *m != 0).collect())
+        Ok(net.drain().filter(|(_, m)| *m != 0).collect())
     }
 
     /// Apply and publish every pending epoch ≤ `w`, then advance the
@@ -707,12 +779,12 @@ impl ViewSinkBolt {
     /// unblock snapshot waiters, and the first primes an aggregate view,
     /// so a global aggregate over an empty join shows its empty row).
     fn apply_through(&mut self, w: u64) -> Result<()> {
-        while let Some((&epoch, _)) = self.pending.first_key_value() {
-            if epoch > w {
-                break;
-            }
-            let deltas = self.pending.remove(&epoch).expect("first key present");
-            let changes = self.apply_epoch(deltas)?;
+        while let Some(first) = self.pending.first_entry().filter(|e| *e.key() <= w) {
+            let (epoch, mut deltas) = first.remove_entry();
+            let changes = self.apply_epoch(epoch, &deltas)?;
+            deltas.vals.clear();
+            deltas.mults.clear();
+            self.spare.push(deltas);
             let counter = if self.shared.publish(epoch, changes) {
                 &self.shared.counters.epochs_applied
             } else {
@@ -722,10 +794,50 @@ impl ViewSinkBolt {
             self.applied = epoch;
         }
         if self.applied < w {
-            let changes = self.apply_epoch(Vec::new())?;
+            let changes = self.apply_epoch(w, &Deltas::default())?;
             self.applied = w;
             self.shared.publish(w, changes);
         }
+        Ok(())
+    }
+
+    /// Queue a chunk of deltas under their epochs. A worker's chunk comes
+    /// off the wire, so its shape is checked whole first: a payload as wide
+    /// as a join result (or the fold would read past it), `Int` weights and
+    /// epochs, and no epoch already applied. A chunk that fails queues
+    /// nothing.
+    fn queue_chunk(&mut self, chunk: &Chunk) -> Result<()> {
+        let (n, arity) = (chunk.n_cols(), self.arity);
+        if n != arity + 2 {
+            return Err(SquallError::Runtime(format!(
+                "view delta of {n} columns, not {arity} + 2"
+            )));
+        }
+        let (payload, tags) = chunk.columns().split_at(arity);
+        self.tags.clear();
+        for i in 0..chunk.n_rows() {
+            let (mult, epoch) = (tags[0].value(i).as_int()?, tags[1].value(i).as_int()? as u64);
+            if epoch <= self.applied {
+                return Err(SquallError::Runtime(format!(
+                    "late delta for already-applied epoch {epoch} (applied {})",
+                    self.applied
+                )));
+            }
+            self.tags.push((mult, epoch));
+        }
+        // Each run of rows that share an epoch joins that epoch's buffers.
+        let (tagged, mut i) = (&self.tags, 0);
+        while let Some(&(_, epoch)) = tagged.get(i) {
+            let spare = &mut self.spare;
+            let deltas =
+                self.pending.entry(epoch).or_insert_with(|| spare.pop().unwrap_or_default());
+            while let Some(&(mult, _)) = tagged.get(i).filter(|t| t.1 == epoch) {
+                deltas.vals.extend(payload.iter().map(|c| c.value(i)));
+                deltas.mults.push(mult);
+                i += 1;
+            }
+        }
+        self.shared.counters.deltas_in.fetch_add(chunk.n_rows() as u64, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -737,27 +849,7 @@ impl Bolt for ViewSinkBolt {
         chunk: &Chunk,
         _out: &mut OutputCollector,
     ) -> Result<()> {
-        // A worker's chunk comes off the wire: its payload must be as wide
-        // as a join result, or the fold would read past it.
-        let (n, arity) = (chunk.n_cols(), self.arity);
-        if n != arity + 2 {
-            return Err(SquallError::Runtime(format!(
-                "view delta of {n} columns, not {arity} + 2"
-            )));
-        }
-        for i in 0..chunk.n_rows() {
-            let (base, mult, epoch) = split_delta(chunk, i)?;
-            let epoch = epoch as u64;
-            if epoch <= self.applied {
-                return Err(SquallError::Runtime(format!(
-                    "late delta for already-applied epoch {epoch} (applied {})",
-                    self.applied
-                )));
-            }
-            self.shared.counters.deltas_in.fetch_add(1, Ordering::Relaxed);
-            self.pending.entry(epoch).or_default().push((base, mult));
-        }
-        Ok(())
+        self.queue_chunk(chunk)
     }
 
     fn watermark(
@@ -1570,7 +1662,11 @@ mod tests {
 
     /// Apply `deltas` as the sink's next epoch, `epoch`.
     fn apply(sink: &mut ViewSinkBolt, epoch: u64, deltas: &[(Tuple, i64)]) {
-        sink.pending.insert(epoch, deltas.to_vec());
+        let queued = sink.pending.entry(epoch).or_default();
+        for (row, m) in deltas {
+            queued.vals.extend_from_slice(row);
+            queued.mults.push(*m);
+        }
         sink.apply_through(epoch).unwrap();
     }
 
@@ -1721,6 +1817,35 @@ mod tests {
                 matches!(&error, Some(SquallError::Runtime(m)) if m.contains("view delta")),
                 "{case}: {error:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_delta_chunk_with_a_bad_tag_queues_none_of_its_rows() {
+        // Row 0 is a good delta of epoch `at`; row 1 carries a `Float`
+        // epoch, a `Float` weight or an epoch already applied. The chunk is
+        // refused whole, typed: once epoch `at` is released, row 0 shows
+        // nowhere.
+        let at = 2;
+        for (case, bad) in [
+            ("Float epoch", tuple![8, 2, 1, 2.0]),
+            ("Float weight", tuple![8, 2, 1.0, 2]),
+            ("late epoch", tuple![8, 2, 1, 1]),
+        ] {
+            let shared = Arc::new(ViewShared::new());
+            let mut sink = sink_of(&keyed_view(vec![AggSpec::count()], None), &shared);
+            sink.apply_through(1).unwrap();
+            let rx = shared.subscribe();
+            let chunk = Chunk::from_tuples(&[tuple![7, 1, 1, at], bad]);
+            let err = sink.queue_chunk(&chunk).unwrap_err();
+            assert!(
+                matches!(err, SquallError::TypeMismatch { .. } | SquallError::Runtime(_)),
+                "{case}: {err}"
+            );
+            sink.apply_through(at as u64).unwrap();
+            assert!(rx.try_iter().all(|batch| batch.changes.is_empty()), "{case}");
+            let rows = shared.snapshot_rows(at as u64, Duration::ZERO, || None).unwrap();
+            assert!(rows.is_empty(), "{case}: {rows:?}");
         }
     }
 

@@ -16,6 +16,8 @@
 //!   input the Hash-, Random- and Hybrid-Hypercube optimization algorithms
 //!   of §4 take.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod join_cond;
 pub mod multiway;
 pub mod scalar;

@@ -239,7 +239,9 @@ impl MultiJoinSpec {
         let relations = std::iter::zip(&self.relations, &kept)
             .map(|(def, cols)| RelationDef::new(&def.name, def.schema.project(cols), def.est_size))
             .collect();
-        let at = |rel: usize, col: usize| kept[rel].binary_search(&col).expect("an atom column");
+        // Every atom column is kept, so its new index is the count of kept
+        // columns below it.
+        let at = |rel: usize, col: usize| kept[rel].partition_point(|&c| c < col);
         let relabel = |a: &JoinAtom| JoinAtom {
             left_col: at(a.left_rel, a.left_col),
             right_col: at(a.right_rel, a.right_col),

@@ -197,7 +197,9 @@ impl ScalarExpr {
             }
             ScalarExpr::Literal(v) => Ok(broadcast(v, chunk.n_rows())),
             ScalarExpr::Bin { op, lhs, rhs } => match op {
-                BinOp::And | BinOp::Or => eval_logical_chunk(*op, self, lhs, rhs, chunk),
+                BinOp::And | BinOp::Or => {
+                    eval_logical_chunk(*op == BinOp::And, self, lhs, rhs, chunk)
+                }
                 _ => {
                     let l = lhs.eval_chunk(chunk)?;
                     let r = rhs.eval_chunk(chunk)?;
@@ -300,7 +302,7 @@ fn broadcast(v: &Value, rows: usize) -> Array {
 /// the whole expression (so errors surface for precisely the rows that
 /// would reach them row-at-a-time).
 fn eval_logical_chunk(
-    op: BinOp,
+    and: bool,
     whole: &ScalarExpr,
     lhs: &ScalarExpr,
     rhs: &ScalarExpr,
@@ -312,39 +314,18 @@ fn eval_logical_chunk(
     for i in 0..rows {
         lmask.push(truthy(&l.value(i))?);
     }
-    let needs_rhs = match op {
-        BinOp::And => lmask.iter().any(|&b| b),
-        BinOp::Or => lmask.iter().any(|&b| !b),
-        _ => unreachable!("eval_logical_chunk only handles AND/OR"),
-    };
-    if !needs_rhs {
-        let decided = match op {
-            BinOp::And => 0,
-            _ => 1,
-        };
+    // A row's left side decides it unless it is true under AND, false
+    // under OR.
+    if !lmask.contains(&and) {
+        let decided = i64::from(!and);
         return Ok(Array::Int(I64Array::from_values(vec![decided; rows])));
     }
     match rhs.eval_chunk(chunk) {
         Ok(r) => {
             let mut out = Vec::with_capacity(rows);
             for (i, &lv) in lmask.iter().enumerate() {
-                let v = match op {
-                    BinOp::And => {
-                        if lv {
-                            truthy(&r.value(i))? as i64
-                        } else {
-                            0
-                        }
-                    }
-                    _ => {
-                        if lv {
-                            1
-                        } else {
-                            truthy(&r.value(i))? as i64
-                        }
-                    }
-                };
-                out.push(v);
+                let v = if lv == and { truthy(&r.value(i))? } else { lv };
+                out.push(i64::from(v));
             }
             Ok(Array::Int(I64Array::from_values(out)))
         }
@@ -420,7 +401,7 @@ fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
             Le => ord != std::cmp::Ordering::Greater,
             Gt => ord == std::cmp::Ordering::Greater,
             Ge => ord != std::cmp::Ordering::Less,
-            _ => unreachable!(),
+            _ => return Err(not_arithmetic(op)),
         };
         return Ok(Value::Int(b as i64));
     }
@@ -443,7 +424,7 @@ fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                     }
                     a.wrapping_rem(*b)
                 }
-                _ => unreachable!(),
+                _ => return Err(not_arithmetic(op)),
             };
             Ok(Value::Int(v))
         }
@@ -456,11 +437,17 @@ fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                 Mul => a * b,
                 Div => a / b,
                 Mod => a % b,
-                _ => unreachable!(),
+                _ => return Err(not_arithmetic(op)),
             };
             Ok(Value::Float(v))
         }
     }
+}
+
+/// What [`eval_bin`] answers for AND and OR, which its callers evaluate
+/// themselves (they short-circuit): a typed error, not a value.
+fn not_arithmetic(op: BinOp) -> SquallError {
+    SquallError::InvalidPlan(format!("{op} is neither a comparison nor arithmetic"))
 }
 
 fn cast_value(v: Value, to: DataType) -> Result<Value> {

@@ -13,7 +13,7 @@
 //! `i64` is a typed error, never a wrapped value.
 
 use squall_common::array::Array;
-use squall_common::codec::{self, Reader};
+use squall_common::codec::{self, Reader, Wire};
 use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::{AggFunc, ScalarExpr};
 
@@ -289,9 +289,15 @@ impl GroupByAggregator {
         Tuple::new(row)
     }
 
-    /// Current value of one group.
-    pub fn group(&self, key: &[Value]) -> Option<Tuple> {
-        self.groups.contains_key(key).then(|| self.current_row(key))
+    /// Read group `key`'s output row into `row` (cleared first), the way
+    /// [`GroupByAggregator::update`] returns it; `false`, with `row` left
+    /// empty, when there is no such group.
+    pub fn group_into(&self, key: &[Value], row: &mut Vec<Value>) -> bool {
+        row.clear();
+        let Some(states) = self.groups.get(key) else { return false };
+        row.extend_from_slice(key);
+        row.extend(states.iter().zip(&self.aggs).map(|(st, a)| st.value(a.func)));
+        true
     }
 
     /// Snapshot all groups (deterministic order: sorted by key).
@@ -299,6 +305,11 @@ impl GroupByAggregator {
         let mut keys: Vec<&Vec<Value>> = self.groups.keys().collect();
         keys.sort();
         keys.into_iter().map(|k| self.current_row(k)).collect()
+    }
+
+    /// Every group's key, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = &[Value]> {
+        self.groups.keys().map(Vec::as_slice)
     }
 
     pub fn n_groups(&self) -> usize {
@@ -382,7 +393,7 @@ impl Snapshot for GroupByAggregator {
         keys.sort();
         codec::put_u32(buf, keys.len() as u32);
         for key in keys {
-            codec::put_tuple(buf, &Tuple::new(key.clone()));
+            Value::put_run(key, buf);
             let states = &self.groups[key];
             codec::put_u32(buf, states.len() as u32);
             for st in states {

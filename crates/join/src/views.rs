@@ -34,7 +34,7 @@ use squall_common::{FxHashMap, Value};
 pub(crate) type RowId = u32;
 
 /// A multiset of rows with optional hash indexes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct View {
     /// Relations whose concatenation forms this view's rows (sorted).
     pub members: Vec<usize>,
@@ -55,7 +55,7 @@ pub struct View {
 }
 
 /// One hash index: key hash → ids of the rows whose `cols` have that hash.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Index {
     cols: Vec<usize>,
     postings: Postings,
@@ -276,7 +276,8 @@ impl View {
     }
 
     /// Apply a delta: multiplicity `mult` (±) for `row`. A retraction
-    /// takes away at most what is stored. A new row's values are copied
+    /// takes away at most what is stored, and a multiplicity stops at
+    /// `i64::MAX` rather than wrapping. A new row's values are copied
     /// into the slab — into a freed slot when there is one.
     pub fn update(&mut self, row: &[Value], mult: i64) {
         debug_assert_eq!(row.len(), self.width, "row width");
@@ -303,8 +304,8 @@ impl View {
             Filed::Found(id) => {
                 let stored = &mut self.mults[id as usize];
                 let applied = mult.max(-*stored);
-                *stored += applied;
-                self.count += applied;
+                *stored = stored.saturating_add(applied);
+                self.count = self.count.saturating_add(applied);
                 if *stored == 0 {
                     self.free.push(id);
                     for (i, ix) in self.indexes.iter_mut().enumerate() {
@@ -321,7 +322,7 @@ impl View {
                     self.vals.extend_from_slice(row);
                     self.mults.push(mult);
                 }
-                self.count += mult;
+                self.count = self.count.saturating_add(mult);
                 for (i, ix) in self.indexes.iter_mut().enumerate().skip(1) {
                     ix.postings.insert(hash_of(ix, i), id);
                 }

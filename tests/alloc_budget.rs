@@ -1,9 +1,9 @@
 //! Allocation budgets for the windowed and the full-history aggregate
-//! paths, for a one-shot skewed join and for the sink of a standing
-//! aggregate view, counted rather than timed: heap allocations do not vary
-//! from run to run or host to host, so a change that brings back a tuple
-//! per join result, a tuple per windowed arrival, per input row or per
-//! view delta and window, or a scatter-buffer column regrown for every
+//! paths, for a one-shot skewed join and for standing aggregate views,
+//! counted rather than timed: heap allocations do not vary from run to run
+//! or host to host, so a change that brings back a tuple per join result,
+//! a tuple per windowed arrival, per input row, per view delta and window
+//! or per checkpointed row, or a scatter-buffer column regrown for every
 //! batch fails here on its first run. This is its own test binary because the counting allocator is
 //! process-wide, and the cases take one lock so that no two run at once;
 //! run it in release with
@@ -295,13 +295,16 @@ fn check_view_budget(sql: &str, budget: f64) {
     );
 }
 
-/// A full-history `GROUP BY` view makes about 2.52 heap allocations per
-/// delta its sink receives (2.62 at 64-row batches), counting the appends,
-/// the delta join and the snapshots around it: each round is queued whole and its spout reads
-/// the rows in place, and the sink folds each delta through reused key
-/// buffers. Building a tagged tuple per appended row cost 3.91, so the
-/// budget sits between the two.
-const BUDGET_PER_VIEW_DELTA: f64 = 3.0;
+/// A full-history `GROUP BY` view makes about 0.169 heap allocations per
+/// delta its sink receives, counting the appends, the delta join and the
+/// snapshots around it: each round is queued whole and its spout reads the
+/// rows in place, the sink queues each delta flat, folds it through reused
+/// key buffers and diffs each touched group against the row it last
+/// showed, building one tuple per changed group. Building a tuple per
+/// queued delta and a group's row before and after each epoch cost 2.52,
+/// and a tagged tuple per appended row 3.91, so the budget sits just above
+/// the flat sink.
+const BUDGET_PER_VIEW_DELTA: f64 = 0.2;
 
 #[test]
 fn aggregate_view_sink_stays_within_its_allocation_budget() {
@@ -310,15 +313,96 @@ fn aggregate_view_sink_stays_within_its_allocation_budget() {
 }
 
 /// Under `SLIDING 64` a delta lies in up to 65 windows. The sink folds it
-/// into each under the window's `(start, end)` key prefix, about 15.85 heap
-/// allocations per delta in all (15.98 at 64-row batches); a tagged tuple
-/// per appended row made it 16.73, and building a `(start, end, row…)` tuple and a key per window
-/// 147.5.
-const BUDGET_PER_SLIDING_VIEW_DELTA: f64 = 16.3;
+/// into each under the window's `(start, end)` key prefix, about 4.29 heap
+/// allocations per delta in all, most of them for the groups each new
+/// window opens; a tuple per queued delta and a group's row before and
+/// after each epoch made it 15.85, a tagged tuple per appended row 16.73,
+/// and building a `(start, end, row…)` tuple and a key per window 147.5.
+const BUDGET_PER_SLIDING_VIEW_DELTA: f64 = 4.5;
 
 #[test]
 fn sliding_aggregate_view_sink_stays_within_its_allocation_budget() {
     let sql = "SELECT A.g, COUNT(*) FROM A, B WHERE A.k = B.k \
                WINDOW SLIDING 64 ON ts GROUP BY A.g";
     check_view_budget(sql, BUDGET_PER_SLIDING_VIEW_DELTA);
+}
+
+/// Group-by domain, initial rows per relation and rows per round of the
+/// `view3`-shaped case; join keys are drawn from as many values as a
+/// relation starts with, so each row meets about one partner per hop.
+const VIEW3_GROUPS: i64 = 1024;
+const VIEW3_INITIAL: usize = 2_000;
+const VIEW3_ROUND: usize = 100;
+const VIEW3_CYCLES: usize = 8;
+
+/// `R(a, b)`, `S(b, c)` or `T(c, d)` rows: `R.a` over the group domain,
+/// every other column over the join-key domain.
+fn view3_rows(rng: &mut SplitMix64, rel: usize, rows: usize) -> Vec<Tuple> {
+    let dom = VIEW3_INITIAL as i64 - 1;
+    let first = |rng: &mut SplitMix64| match rel {
+        0 => rng.next_range(0, VIEW3_GROUPS - 1),
+        _ => rng.next_range(0, dom),
+    };
+    (0..rows).map(|_| tuple![first(rng), rng.next_range(0, dom)]).collect()
+}
+
+/// A full-history `GROUP BY` view over a 3-way chain makes about 2.78 heap
+/// allocations per row it is sent, appended or retracted, counting the
+/// rounds, the delta join, the view sink, the checkpoints every 16 epochs
+/// and the snapshots after each round; most of them are paid per batch and
+/// per epoch, not per row. The sink queues each delta flat and diffs each
+/// touched group against the row it last showed, and the join tasks log
+/// their rows flat for the checkpoint store, which folds them into views.
+/// Building a tuple per queued delta, per logged row, per filed row and
+/// per group row before and after each epoch cost 24.11, so the budget
+/// sits just above the flat design.
+const BUDGET_PER_VIEW3_ROW: f64 = 3.0;
+
+#[test]
+fn view3_shaped_view_stays_within_its_allocation_budget() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut session = Session::builder().machines(4).worker_threads(1).build();
+    let mut rng = SplitMix64::new(7);
+    let tables = [("R", ["a", "b"]), ("S", ["b", "c"]), ("T", ["c", "d"])];
+    for (rel, (name, cols)) in tables.iter().enumerate() {
+        let schema = Schema::of(&[(cols[0], DataType::Int), (cols[1], DataType::Int)]);
+        session.register(*name, schema, view3_rows(&mut rng, rel, VIEW3_INITIAL)).unwrap();
+    }
+    let sql = "SELECT R.a, COUNT(*) FROM R, S, T WHERE R.b = S.b AND S.c = T.c GROUP BY R.a";
+    let view = session.create_view("v", &squall::sql::parse(sql).unwrap()).unwrap();
+    view.snapshot().unwrap();
+    // Cycles of three appended rounds, then the retraction of the oldest
+    // round still standing.
+    let appended: Vec<[Vec<Tuple>; 3]> = (0..3 * VIEW3_CYCLES)
+        .map(|_| [0, 1, 2].map(|rel| view3_rows(&mut rng, rel, VIEW3_ROUND)))
+        .collect();
+    let mut rounds = Vec::new();
+    for (i, round) in appended.iter().enumerate() {
+        rounds.push((1, round.clone()));
+        if i % 3 == 2 {
+            rounds.push((-1, appended[i / 3].clone()));
+        }
+    }
+    let applied: usize = rounds.iter().flat_map(|(_, round)| round).map(Vec::len).sum();
+
+    let ((), allocations) = count_allocations(|| {
+        for (sign, round) in rounds {
+            for ((name, _), rows) in tables.iter().zip(round) {
+                match sign {
+                    1 => session.append(name, rows).unwrap(),
+                    _ => session.retract(name, rows).unwrap(),
+                };
+            }
+            view.snapshot().unwrap();
+        }
+    });
+
+    let per_row = allocations as f64 / applied as f64;
+    eprintln!("{allocations} allocations for {applied} applied rows: {per_row:.3} per row");
+    drop(view);
+    session.drop_view("v").unwrap();
+    assert!(
+        per_row <= BUDGET_PER_VIEW3_ROW,
+        "{per_row:.3} allocations per applied row, over the budget of {BUDGET_PER_VIEW3_ROW}"
+    );
 }
