@@ -348,7 +348,8 @@ fn every_subset(cfg: &MultiwayConfig) -> bool {
 /// The plan checks [`wire_join_stage`] runs before building anything: one
 /// data stream per relation, no more relations than a DBToaster join (which
 /// every standing view runs) holds, every task count in `1..=MAX_TASKS`,
-/// group-by columns the join output has, and a window plan that is bounded,
+/// at least one aggregate, group-by and aggregate input columns the join
+/// output has, and a window plan that is bounded,
 /// non-empty and names an in-range event-time column for every relation. A
 /// plan that fails here would otherwise panic — in the topology builder's
 /// asserts, inside a bolt factory, routing by a missing column, or dividing
@@ -383,6 +384,19 @@ fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -
         if let Some(c) = agg.group_cols.iter().find(|&&c| c >= arity) {
             return Err(SquallError::InvalidPlan(format!(
                 "group-by column {c} out of range for a join output of {arity} columns"
+            )));
+        }
+        if agg.aggs.is_empty() {
+            return Err(SquallError::InvalidPlan("an aggregate plan with no aggregates".into()));
+        }
+        let mut read = Vec::new();
+        agg.aggs
+            .iter()
+            .filter_map(|a| a.input.as_ref())
+            .for_each(|e| e.referenced_columns(&mut read));
+        if let Some(c) = read.iter().find(|&&c| c >= arity) {
+            return Err(SquallError::InvalidPlan(format!(
+                "aggregate input column {c} out of range for a join output of {arity} columns"
             )));
         }
     }
@@ -1218,6 +1232,40 @@ mod tests {
             }
             other => panic!("expected InvalidPlan, got {other}"),
         }
+    }
+
+    /// `run_multiway` under an aggregate plan of `aggs`, grouped by column 0.
+    fn run_aggregate(aggs: Vec<AggSpec>) -> Result<JoinReport> {
+        let cfg = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2)
+            .with_agg(AggPlan { group_cols: vec![0], aggs, parallelism: 1 });
+        run_multiway(&two_stream_spec(), event_streams(10, 3, 2, 1), &cfg)
+    }
+
+    #[test]
+    fn an_aggregate_plan_with_no_aggregates_is_invalid() {
+        // The join tasks' aggregator asserts it has an aggregate; a decoded
+        // `JobSpec` would reach that assert on a worker.
+        match run_aggregate(vec![]) {
+            Err(SquallError::InvalidPlan(m)) => assert!(m.contains("no aggregates"), "{m}"),
+            other => panic!("expected InvalidPlan, got {:?}", other.map(|r| r.error)),
+        }
+    }
+
+    #[test]
+    fn an_aggregate_reading_past_the_join_output_is_invalid() {
+        // A bare column input is read in place, so the plan check is what
+        // stands between it and an index past the row; a column inside an
+        // expression is checked the same way.
+        let past = ScalarExpr::bin(BinOp::Add, ScalarExpr::lit(1), ScalarExpr::col(4));
+        for aggs in [vec![AggSpec::sum_col(99)], vec![AggSpec::count(), AggSpec::avg(past)]] {
+            match run_aggregate(aggs) {
+                Err(SquallError::InvalidPlan(m)) => {
+                    assert!(m.contains("out of range") && m.contains("4 columns"), "{m}")
+                }
+                other => panic!("expected InvalidPlan, got {:?}", other.map(|r| r.error)),
+            }
+        }
+        assert!(run_aggregate(vec![AggSpec::sum_col(3)]).unwrap().error.is_none());
     }
 
     #[test]

@@ -375,8 +375,8 @@ impl Bolt for JoinBolt {
 /// task ships at most one partial per (window, group); under sliding
 /// windows a result lies in up to `size + 1` windows, so per-window
 /// partials could outnumber the results, while per-range ones never do.
-/// All keys share one aggregator, so a new range costs one hash entry, as
-/// a new group does.
+/// All keys share one aggregator, so a new range costs one slot of its
+/// group table, as a new group does.
 struct Partials {
     /// The window and each relation's event-time column in join-output
     /// coordinates; `None` under full history.

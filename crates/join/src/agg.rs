@@ -11,12 +11,25 @@
 //! where its inputs are produced and summed downstream (DBSP's linearity of
 //! aggregation). `Int` arithmetic is checked: a count or sum that leaves
 //! `i64` is a typed error, never a wrapped value.
+//!
+//! The groups live in one flat table, stored the way [`crate::views::View`]
+//! stores rows: the keys back to back in one slab, each group's
+//! accumulators back to back in a second, a free list of emptied slots and
+//! a posting table from key hash to slot. A fold first checks the slot the
+//! last fold took (the results of one arrival often share their group),
+//! else hashes the key straight from the prefix and the row's group
+//! columns and checks it against the slot in place; each aggregate's input
+//! is compiled once, at
+//! [`GroupByAggregator::new`]: COUNT reads nothing and a bare column is
+//! read by reference, so folding a row builds no key and no input value,
+//! and once the slabs have grown, a new group allocates nothing either.
 
 use squall_common::array::Array;
 use squall_common::codec::{self, Reader, Wire};
-use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
+use squall_common::{Chunk, Result, SquallError, Tuple, Value};
 use squall_expr::{AggFunc, ScalarExpr};
 
+use crate::views::{key_hash, Filed, Postings};
 use crate::Snapshot;
 
 fn overflow() -> SquallError {
@@ -114,38 +127,180 @@ impl AggState {
     }
 }
 
-type Groups = FxHashMap<Vec<Value>, Vec<AggState>>;
+/// Where one aggregate reads its input from a row, compiled from its
+/// [`AggSpec`] once.
+#[derive(Debug)]
+enum Input {
+    /// COUNT reads nothing.
+    Nothing,
+    /// A bare column, read in place.
+    Column(usize),
+    /// Any other expression, evaluated per row.
+    Expr(ScalarExpr),
+    /// A SUM or AVG with no input: a typed error at the first fold.
+    Missing(AggFunc),
+}
+
+impl Input {
+    fn compile(spec: &AggSpec) -> Input {
+        match (spec.func, &spec.input) {
+            (AggFunc::Count, _) => Input::Nothing,
+            (_, Some(ScalarExpr::Column(c))) => Input::Column(*c),
+            (_, Some(e)) => Input::Expr(e.clone()),
+            (func, None) => Input::Missing(func),
+        }
+    }
+}
+
+fn needs_input(func: AggFunc) -> SquallError {
+    SquallError::InvalidPlan(format!("{func:?} needs an input"))
+}
+
+/// The group table: slot `id`'s key is `keys[id * width..][..width]` and
+/// its accumulators `states[id * n_aggs..][..n_aggs]`, one per aggregate.
+#[derive(Debug, Default)]
+struct Groups {
+    /// Values per key, fixed by the first key filed into a table with no
+    /// slots.
+    width: usize,
+    n_aggs: usize,
+    keys: Vec<Value>,
+    states: Vec<AggState>,
+    /// Whether slot `id` holds a group; an empty one is listed in `free`,
+    /// and its stale key is under no posting.
+    live: Vec<bool>,
+    free: Vec<u32>,
+    /// Key hash → the slots filed under it.
+    postings: Postings,
+    /// The slot [`Groups::slot`] returned last, checked before the
+    /// postings: the results of one arrival often share their group.
+    last: usize,
+}
+
+impl Groups {
+    fn key(&self, id: usize) -> &[Value] {
+        &self.keys[id * self.width..][..self.width]
+    }
+
+    fn states(&self, id: usize) -> &[AggState] {
+        &self.states[id * self.n_aggs..][..self.n_aggs]
+    }
+
+    fn states_mut(&mut self, id: usize) -> &mut [AggState] {
+        &mut self.states[id * self.n_aggs..][..self.n_aggs]
+    }
+
+    /// The groups' slots, in slab order.
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.live.len()).filter(|&id| self.live[id])
+    }
+
+    /// The groups' slots, by key.
+    fn sorted(&self) -> Vec<usize> {
+        let mut ids: Vec<usize> = self.ids().collect();
+        ids.sort_unstable_by(|&a, &b| self.key(a).cmp(self.key(b)));
+        ids
+    }
+
+    /// The slot of group `key`, if there is one.
+    fn find(&self, key: &[Value]) -> Option<usize> {
+        let ids = self.postings.get(key_hash(key.iter()));
+        ids.iter().map(|&id| id as usize).find(|&id| self.key(id) == key)
+    }
+
+    /// The slot of group `prefix ++ cols of row`, filed with fresh
+    /// accumulators — into an emptied slot when there is one — if new.
+    fn slot(&mut self, prefix: &[Value], cols: &[usize], row: &[Value]) -> Result<usize> {
+        let (lead, len) = (prefix.len(), prefix.len() + cols.len());
+        let key = || prefix.iter().chain(cols.iter().map(|&c| &row[c]));
+        if self.live.is_empty() {
+            self.width = len;
+        } else if len != self.width {
+            return Err(SquallError::Runtime(format!(
+                "a group key of {len} values in a table of {}-value keys",
+                self.width
+            )));
+        }
+        let (keys, width) = (&self.keys, self.width);
+        let is_key = |id: usize| {
+            let (head, tail) = keys[id * width..][..width].split_at(lead);
+            head == prefix && tail.iter().zip(cols).all(|(v, &c)| *v == row[c])
+        };
+        if self.live.get(self.last) == Some(&true) && is_key(self.last) {
+            return Ok(self.last);
+        }
+        let new = match self.free.last() {
+            Some(&id) => id,
+            None => u32::try_from(self.live.len())
+                .map_err(|_| SquallError::Runtime("a group table of 2^32 groups".into()))?,
+        };
+        // With a new id to file, a lookup that matches nothing files it.
+        let is_key = |id: u32| is_key(id as usize);
+        if let Filed::Found(id) = self.postings.find_or_file(key_hash(key()), is_key, Some(new)) {
+            self.last = id as usize;
+            return Ok(self.last);
+        }
+        let id = new as usize;
+        self.last = id;
+        if self.free.pop().is_some() {
+            for (at, v) in self.keys[id * width..][..width].iter_mut().zip(key()) {
+                at.clone_from(v);
+            }
+            self.states_mut(id).fill(AggState::new());
+            self.live[id] = true;
+        } else {
+            self.keys.extend(key().cloned());
+            self.states.resize(self.states.len() + self.n_aggs, AggState::new());
+            self.live.push(true);
+        }
+        Ok(id)
+    }
+
+    /// Empty slot `id`.
+    fn release(&mut self, id: usize) {
+        let hash = key_hash(self.key(id).iter());
+        self.postings.remove(hash, id as u32);
+        self.live[id] = false;
+        self.free.push(id as u32);
+    }
+
+    /// Empty slot `id` if a fold has taken every count in it to zero, so
+    /// that retraction-heavy windows don't leak.
+    fn settle(&mut self, id: usize) {
+        if self.states(id).iter().all(|s| s.count == 0) {
+            self.release(id);
+        }
+    }
+}
 
 /// Hash GROUP BY with online updates.
 #[derive(Debug)]
 pub struct GroupByAggregator {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
+    /// Each aggregate's input, compiled from `aggs`.
+    inputs: Vec<Input>,
+    /// The fewest columns a folded row may have: one past the last group
+    /// column or bare input column.
+    reads: usize,
     groups: Groups,
-    /// One row's group key and aggregate inputs, reused from row to row so
-    /// that folding into an existing group allocates nothing.
-    key: Vec<Value>,
-    inputs: Vec<Option<Value>>,
-    /// The key and states of each group [`GroupByAggregator::drain_partials`]
-    /// shipped, kept for their capacity: a new group takes a pair from here
-    /// before it allocates.
-    spare: Spare,
+    /// One partial row, reused from group to group by
+    /// [`GroupByAggregator::drain_partials`].
+    partial: Vec<Value>,
 }
-
-type Spare = Vec<(Vec<Value>, Vec<AggState>)>;
 
 impl GroupByAggregator {
     /// `group_cols` may be empty (a single global group).
     pub fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> GroupByAggregator {
         assert!(!aggs.is_empty(), "at least one aggregate");
-        GroupByAggregator {
-            group_cols,
-            aggs,
-            groups: FxHashMap::default(),
-            key: Vec::new(),
-            inputs: Vec::new(),
-            spare: Vec::new(),
-        }
+        let inputs: Vec<Input> = aggs.iter().map(Input::compile).collect();
+        let columns = inputs.iter().filter_map(|i| match i {
+            Input::Column(c) => Some(c),
+            _ => None,
+        });
+        let reads = group_cols.iter().chain(columns).map(|c| c + 1).max().unwrap_or(0);
+        let groups = Groups { n_aggs: aggs.len(), ..Groups::default() };
+        GroupByAggregator { group_cols, aggs, inputs, reads, groups, partial: Vec::new() }
     }
 
     /// Fold one tuple in and return the group's refreshed output row
@@ -161,26 +316,39 @@ impl GroupByAggregator {
     }
 
     /// Fold `weight` copies of one borrowed row in (a negative weight
-    /// retracts them); a group the fold empties is dropped. The row's key
-    /// and inputs go through reused scratch, so only a new group allocates.
+    /// retracts them); a group the fold empties is dropped. The key and
+    /// the inputs are read from the row in place, so only a new group
+    /// allocates, and only while the table grows.
     pub fn fold_row(&mut self, row: &[Value], weight: i64) -> Result<()> {
         self.fold_row_under(&[], row, weight)
     }
 
     /// [`GroupByAggregator::fold_row`] into the group `prefix ++ group key`:
     /// one aggregator keeps many sets of groups apart — a join task's
-    /// partials per window-start range — at the cost of one hash entry per
-    /// key, not one aggregator per set.
+    /// partials per window-start range — at the cost of one slot per key,
+    /// not one aggregator per set. Every fold into one aggregator takes
+    /// prefixes of one width.
     pub fn fold_row_under(&mut self, prefix: &[Value], row: &[Value], weight: i64) -> Result<()> {
-        let GroupByAggregator { group_cols, aggs, groups, key, inputs, spare } = self;
-        key.clear();
-        key.extend_from_slice(prefix);
-        key.extend(group_cols.iter().map(|&c| row[c].clone()));
-        inputs.clear();
-        for a in aggs.iter() {
-            inputs.push(a.input.as_ref().map(|e| e.eval(row)).transpose()?);
+        if row.len() < self.reads {
+            return Err(SquallError::InvalidPlan(format!(
+                "column {} out of range for arity {}",
+                self.reads - 1,
+                row.len()
+            )));
         }
-        Self::fold(groups, spare, aggs, key, inputs, weight)
+        let GroupByAggregator { group_cols, inputs, groups, .. } = self;
+        let id = groups.slot(prefix, group_cols, row)?;
+        let folded =
+            groups.states_mut(id).iter_mut().zip(inputs.iter()).try_for_each(|(st, input)| {
+                match input {
+                    Input::Nothing => st.add(None, weight),
+                    Input::Column(c) => st.add(Some(&row[*c]), weight),
+                    Input::Expr(e) => st.add(Some(&e.eval(row)?), weight),
+                    Input::Missing(func) => Err(needs_input(*func)),
+                }
+            });
+        groups.settle(id);
+        folded
     }
 
     /// Fold a whole columnar chunk in. Aggregate input expressions are
@@ -201,18 +369,18 @@ impl GroupByAggregator {
         for a in &self.aggs {
             inputs.push(a.input.as_ref().map(|e| e.eval_chunk(chunk)).transpose()?);
         }
-        let (mut key, mut vals) = (std::mem::take(&mut self.key), std::mem::take(&mut self.inputs));
+        let mut key = Vec::with_capacity(self.group_cols.len());
+        let mut vals = Vec::with_capacity(self.aggs.len());
         for i in 0..chunk.n_rows() {
             key.clear();
             key.extend(self.group_cols.iter().map(|&c| chunk.column(c).value(i)));
             vals.clear();
             vals.extend(inputs.iter().map(|a| a.as_ref().map(|arr| arr.value(i))));
-            Self::fold(&mut self.groups, &mut self.spare, &self.aggs, &key, &vals, 1)?;
+            self.accumulate(&key, &vals)?;
             if let Some(emit) = on_row.as_mut() {
                 emit(self.current_row(&key));
             }
         }
-        (self.key, self.inputs) = (key, vals);
         Ok(())
     }
 
@@ -225,68 +393,40 @@ impl GroupByAggregator {
     pub fn accumulate(&mut self, key: &[Value], inputs: &[Option<Value>]) -> Result<()> {
         debug_assert_eq!(key.len(), self.group_cols.len());
         debug_assert_eq!(inputs.len(), self.aggs.len());
-        Self::fold(&mut self.groups, &mut self.spare, &self.aggs, key, inputs, 1)
-    }
-
-    /// The one fold: `weight` copies of a row, given as its group key and
-    /// one input per aggregate, into its group. Borrow-first, so the owned
-    /// key is only built for a new group, from `spare` when it has one; a
-    /// group whose counts all reach zero is dropped, so retraction-heavy
-    /// windows don't leak.
-    fn fold(
-        groups: &mut Groups,
-        spare: &mut Spare,
-        aggs: &[AggSpec],
-        key: &[Value],
-        inputs: &[Option<Value>],
-        weight: i64,
-    ) -> Result<()> {
-        let states = match groups.get_mut(key) {
-            Some(s) => s,
-            None => {
-                let (mut owned, mut states) = spare.pop().unwrap_or_default();
-                owned.clear();
-                owned.extend_from_slice(key);
-                states.clear();
-                states.resize(aggs.len(), AggState::new());
-                groups.entry(owned).or_insert(states)
-            }
-        };
-        for (st, (a, input)) in states.iter_mut().zip(aggs.iter().zip(inputs)) {
-            let v = match (a.func, input) {
-                (AggFunc::Count, _) => None,
-                (_, Some(v)) => Some(v),
-                (func, None) => {
-                    return Err(SquallError::InvalidPlan(format!("{func:?} needs an input")))
+        let id = self.groups.slot(key, &[], &[])?;
+        let states = self.groups.states_mut(id).iter_mut();
+        let folded =
+            states.zip(self.aggs.iter().zip(inputs)).try_for_each(|(st, (a, input))| {
+                match (a.func, input) {
+                    (AggFunc::Count, _) => st.add(None, 1),
+                    (_, Some(v)) => st.add(Some(v), 1),
+                    (func, None) => Err(needs_input(func)),
                 }
-            };
-            st.add(v, weight)?;
-        }
-        if states.iter().all(|s| s.count == 0) {
-            groups.remove(key);
-        }
-        Ok(())
+            });
+        self.groups.settle(id);
+        folded
     }
 
     fn apply(&mut self, tuple: &Tuple, sign: i64) -> Result<Tuple> {
         self.fold_row(tuple, sign)?;
-        Ok(self.current_row(&self.key))
+        let key: Vec<Value> = self.group_cols.iter().map(|&c| tuple[c].clone()).collect();
+        Ok(self.current_row(&key))
     }
 
     /// `key`'s output row; a group that does not exist (or a retraction
     /// emptied) reads as fresh — `COUNT` 0, `NULL` averages.
     fn current_row(&self, key: &[Value]) -> Tuple {
-        let fresh;
-        let states = match self.groups.get(key) {
-            Some(states) => states,
-            None => {
-                fresh = vec![AggState::new(); self.aggs.len()];
-                &fresh
-            }
-        };
         let mut row = key.to_vec();
-        row.extend(states.iter().zip(&self.aggs).map(|(st, a)| st.value(a.func)));
+        match self.groups.find(key) {
+            Some(id) => self.values_into(id, &mut row),
+            None => row.extend(self.aggs.iter().map(|a| AggState::new().value(a.func))),
+        }
         Tuple::new(row)
+    }
+
+    /// Append slot `id`'s aggregate values to `row`.
+    fn values_into(&self, id: usize, row: &mut Vec<Value>) {
+        row.extend(self.groups.states(id).iter().zip(&self.aggs).map(|(st, a)| st.value(a.func)));
     }
 
     /// Read group `key`'s output row into `row` (cleared first), the way
@@ -294,26 +434,29 @@ impl GroupByAggregator {
     /// empty, when there is no such group.
     pub fn group_into(&self, key: &[Value], row: &mut Vec<Value>) -> bool {
         row.clear();
-        let Some(states) = self.groups.get(key) else { return false };
+        let Some(id) = self.groups.find(key) else { return false };
         row.extend_from_slice(key);
-        row.extend(states.iter().zip(&self.aggs).map(|(st, a)| st.value(a.func)));
+        self.values_into(id, row);
         true
     }
 
     /// Snapshot all groups (deterministic order: sorted by key).
     pub fn snapshot(&self) -> Vec<Tuple> {
-        let mut keys: Vec<&Vec<Value>> = self.groups.keys().collect();
-        keys.sort();
-        keys.into_iter().map(|k| self.current_row(k)).collect()
+        let rows = self.groups.sorted().into_iter().map(|id| {
+            let mut row = self.groups.key(id).to_vec();
+            self.values_into(id, &mut row);
+            Tuple::new(row)
+        });
+        rows.collect()
     }
 
     /// Every group's key, in no particular order.
     pub fn keys(&self) -> impl Iterator<Item = &[Value]> {
-        self.groups.keys().map(Vec::as_slice)
+        self.groups.ids().map(|id| self.groups.key(id))
     }
 
     pub fn n_groups(&self) -> usize {
-        self.groups.len()
+        self.groups.live.len() - self.groups.free.len()
     }
 
     /// Remove every group whose key passes `take` and hand it to `emit` as
@@ -329,10 +472,14 @@ impl GroupByAggregator {
         mut take: impl FnMut(&[Value]) -> bool,
         mut emit: impl FnMut(&[Value], u64),
     ) {
-        let GroupByAggregator { aggs, groups, key: row, spare, .. } = self;
-        for (key, states) in groups.extract_if(|key, _| take(key)) {
+        let GroupByAggregator { aggs, groups, partial: row, .. } = self;
+        for id in 0..groups.live.len() {
+            if !groups.live[id] || !take(groups.key(id)) {
+                continue;
+            }
+            let states = groups.states(id);
             row.clear();
-            row.extend_from_slice(&key);
+            row.extend_from_slice(groups.key(id));
             row.push(Value::Int(states[0].count));
             for (st, a) in states.iter().zip(aggs.iter()) {
                 if a.func != AggFunc::Count {
@@ -341,7 +488,7 @@ impl GroupByAggregator {
                 }
             }
             emit(row, states[0].count.max(0) as u64);
-            spare.push((key, states));
+            groups.release(id);
         }
     }
 
@@ -361,14 +508,8 @@ impl GroupByAggregator {
         let typed = |e: SquallError| SquallError::Runtime(e.to_string());
         let (key, count) = (&row[..g], row[g].as_int().map_err(typed)?);
         let mut sums = row[g + 1..].chunks_exact(2);
-        let states = match self.groups.get_mut(key) {
-            Some(s) => s,
-            None => self
-                .groups
-                .entry(key.to_vec())
-                .or_insert_with(|| vec![AggState::new(); self.aggs.len()]),
-        };
-        for (st, a) in states.iter_mut().zip(&self.aggs) {
+        let id = self.groups.slot(key, &[], &[])?;
+        for (st, a) in self.groups.states_mut(id).iter_mut().zip(&self.aggs) {
             let mut part = AggState { count, ..AggState::new() };
             if let Some([int_sum, other]) =
                 (a.func != AggFunc::Count).then(|| sums.next()).flatten()
@@ -389,12 +530,11 @@ impl Snapshot for GroupByAggregator {
     /// rows, so the state ships as-is. Groups are sorted by key so equal
     /// state means equal bytes.
     fn snapshot_state(&self, buf: &mut Vec<u8>) {
-        let mut keys: Vec<&Vec<Value>> = self.groups.keys().collect();
-        keys.sort();
-        codec::put_u32(buf, keys.len() as u32);
-        for key in keys {
-            Value::put_run(key, buf);
-            let states = &self.groups[key];
+        let ids = self.groups.sorted();
+        codec::put_u32(buf, ids.len() as u32);
+        for id in ids {
+            Value::put_run(self.groups.key(id), buf);
+            let states = self.groups.states(id);
             codec::put_u32(buf, states.len() as u32);
             for st in states {
                 codec::put_i64(buf, st.count);
@@ -406,21 +546,26 @@ impl Snapshot for GroupByAggregator {
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        self.groups.clear();
+        self.groups = Groups { n_aggs: self.aggs.len(), ..Groups::default() };
         let n_groups = r.len()?;
         for _ in 0..n_groups {
-            let key = codec::get_tuple(r)?.values().to_vec();
+            let key = Value::get_run(r)?;
             let n_states = r.len()?;
-            let mut states = Vec::with_capacity(n_states);
-            for _ in 0..n_states {
-                states.push(AggState {
+            if n_states != self.aggs.len() {
+                return Err(SquallError::Runtime(format!(
+                    "a snapshot group of {n_states} aggregates, not {}",
+                    self.aggs.len()
+                )));
+            }
+            let id = self.groups.slot(&key, &[], &[])?;
+            for st in self.groups.states_mut(id) {
+                *st = AggState {
                     count: r.i64()?,
                     int_sum: r.i64()?,
                     float_sum: r.f64()?,
                     all_int: r.bool()?,
-                });
+                };
             }
-            self.groups.insert(key, states);
         }
         Ok(())
     }
@@ -429,8 +574,10 @@ impl Snapshot for GroupByAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use squall_common::tuple;
+    use crate::views::ALL_KEYS_COLLIDE;
+    use squall_common::{tuple, SplitMix64};
     use squall_expr::BinOp;
+    use std::collections::BTreeMap;
 
     #[test]
     fn global_count_and_sum() {
@@ -583,5 +730,216 @@ mod tests {
         max.drain_partials(|_| true, |row, _| assert!(overflowed(merged.merge_partial(row))));
         let chunk = Chunk::from_tuples(&[tuple![i64::MAX], tuple![1]]);
         assert!(overflowed(sum().update_chunk(&chunk, None)), "the columnar path");
+    }
+
+    /// One key value of the model check's domain: every kind a key may
+    /// hold, with `Int(1)` and `Float(1.0)` equal values, so one key.
+    fn key_cell(i: usize) -> Value {
+        [Value::Null, Value::Int(1), Value::Float(1.0), Value::str("k"), Value::Float(2.5)][i % 5]
+            .clone()
+    }
+
+    /// COUNT, a bare-column SUM and AVG, and a SUM of an expression, over
+    /// rows `(g0, g1, v)` grouped by `(g0, g1)`.
+    fn model_specs() -> Vec<AggSpec> {
+        let twice = ScalarExpr::bin(BinOp::Mul, ScalarExpr::lit(2), ScalarExpr::col(2));
+        vec![
+            AggSpec::count(),
+            AggSpec::sum_col(2),
+            AggSpec::avg(ScalarExpr::col(2)),
+            AggSpec::sum(twice),
+        ]
+    }
+
+    /// A group table and the `BTreeMap` it must agree with.
+    struct Modeled {
+        agg: GroupByAggregator,
+        model: BTreeMap<Vec<Value>, Vec<AggState>>,
+    }
+
+    impl Modeled {
+        fn new() -> Modeled {
+            Modeled {
+                agg: GroupByAggregator::new(vec![0, 1], model_specs()),
+                model: BTreeMap::new(),
+            }
+        }
+
+        /// The model's `fold_row_under`: a group whose counts reach zero
+        /// goes.
+        fn fold(&mut self, prefix: &[Value], row: &[Value], weight: i64) {
+            self.agg.fold_row_under(prefix, row, weight).unwrap();
+            let key: Vec<Value> = prefix.iter().chain(&row[..2]).cloned().collect();
+            let states = self.model.entry(key.clone()).or_insert_with(|| vec![AggState::new(); 4]);
+            let doubled = Value::Float(2.0 * row[2].as_float().unwrap());
+            let doubled = if let Value::Int(v) = row[2] { Value::Int(2 * v) } else { doubled };
+            for (st, input) in
+                states.iter_mut().zip([None, Some(&row[2]), Some(&row[2]), Some(&doubled)])
+            {
+                st.add(input, weight).unwrap();
+            }
+            if states.iter().all(|s| s.count == 0) {
+                self.model.remove(&key);
+            }
+        }
+
+        /// The model's `merge_partial`: a group is kept even at count zero.
+        fn merge(&mut self, key: &[Value], parts: &[AggState]) {
+            let states = self.model.entry(key.to_vec()).or_insert_with(|| vec![AggState::new(); 4]);
+            for (st, part) in states.iter_mut().zip(parts) {
+                st.merge(part).unwrap();
+            }
+        }
+
+        /// Every face of the table against the model.
+        fn check(&self, at: &str) {
+            let (agg, model) = (&self.agg, &self.model);
+            assert_eq!(agg.n_groups(), model.len(), "{at}: n_groups");
+            let mut keys: Vec<Vec<Value>> = agg.keys().map(<[Value]>::to_vec).collect();
+            keys.sort();
+            assert_eq!(keys, model.keys().cloned().collect::<Vec<_>>(), "{at}: keys");
+            let rows: Vec<Tuple> = model
+                .iter()
+                .map(|(key, states)| {
+                    let values = states.iter().zip(&agg.aggs).map(|(st, a)| st.value(a.func));
+                    key.iter().cloned().chain(values).collect()
+                })
+                .collect();
+            assert_eq!(agg.snapshot(), rows, "{at}: snapshot");
+            let mut row = Vec::new();
+            for expected in &rows {
+                let key = &expected[..expected.arity() - 4];
+                assert!(agg.group_into(key, &mut row), "{at}: group_into {key:?}");
+                assert_eq!(row, expected.values(), "{at}: group_into");
+            }
+            let mut bytes = Vec::new();
+            codec::put_u32(&mut bytes, model.len() as u32);
+            for (key, states) in model {
+                Value::put_run(key, &mut bytes);
+                codec::put_u32(&mut bytes, states.len() as u32);
+                for st in states {
+                    codec::put_i64(&mut bytes, st.count);
+                    codec::put_i64(&mut bytes, st.int_sum);
+                    codec::put_f64(&mut bytes, st.float_sum);
+                    codec::put_bool(&mut bytes, st.all_int);
+                }
+            }
+            let mut blob = Vec::new();
+            agg.snapshot_state(&mut blob);
+            assert_eq!(blob, bytes, "{at}: blob bytes");
+        }
+    }
+
+    /// Prints the seed of a group-table case that panics anywhere, so it
+    /// replays with `check_group_table_seed(seed)`.
+    struct Replay(u64);
+
+    impl Drop for Replay {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("group table model check failed at seed {}", self.0);
+            }
+        }
+    }
+
+    /// One seed of the group-table model check: random folds into an
+    /// upstream table under a prefix of `0` or `2` values, partials drained
+    /// from it under random predicates and merged into a downstream table
+    /// (which folds rows and merges made-up partials of its own too), and
+    /// snapshot → restore round trips, each table checked against its
+    /// model after every step.
+    fn check_group_table_seed(seed: u64) {
+        let _replay = Replay(seed);
+        let mut rng = SplitMix64::new(seed);
+        ALL_KEYS_COLLIDE.with(|c| c.set(rng.next_below(2) == 1));
+        let lead = 2 * rng.next_below(2);
+        let (mut up, mut down) = (Modeled::new(), Modeled::new());
+        for step in 0..rng.next_range(1, 120) {
+            let at = format!("seed {seed}, step {step}");
+            let cell = |rng: &mut SplitMix64, n: usize| key_cell(rng.next_below(n));
+            let prefix: Vec<Value> = (0..lead).map(|_| cell(&mut rng, 2)).collect();
+            let key = [cell(&mut rng, 4), cell(&mut rng, 4)];
+            let v = match rng.next_below(3) {
+                0 => Value::Float(rng.next_range(-4, 4) as f64 + 0.5),
+                _ => Value::Int(rng.next_range(-5, 5)),
+            };
+            let weight = rng.next_range(1, 3) * if rng.next_below(2) == 0 { 1 } else { -1 };
+            let row = [key[0].clone(), key[1].clone(), v];
+            match rng.next_below(8) {
+                0..=2 => up.fold(&prefix, &row, weight),
+                3 => down.fold(&[], &row, weight),
+                4 | 5 => {
+                    // Drain the groups whose column `col` is (or is not)
+                    // `probe`, merging each partial downstream.
+                    let (col, probe, is) =
+                        (rng.next_below(lead + 2), cell(&mut rng, 5), rng.next_below(2) == 0);
+                    let take = |key: &[Value]| (key[col] == probe) == is;
+                    let mut drained: BTreeMap<Vec<Value>, Vec<AggState>> =
+                        up.model.extract_if(.., |key, _| take(key)).collect();
+                    let gone: Vec<Vec<Value>> = drained.keys().cloned().collect();
+                    // The downstream model merges in the order the table
+                    // ships: the first partial of a group files its key,
+                    // and `Int(1)` and `Float(1.0)` are one key.
+                    up.agg.drain_partials(take, |partial, folded| {
+                        let key = &partial[..lead + 2];
+                        let states = drained.remove(key).expect("a drained group ships once");
+                        let mut expected = key.to_vec();
+                        expected.push(Value::Int(states[0].count));
+                        for st in &states[1..] {
+                            let other =
+                                if st.all_int { Value::Null } else { Value::Float(st.float_sum) };
+                            expected.extend([Value::Int(st.int_sum), other]);
+                        }
+                        assert_eq!(
+                            (partial, folded),
+                            (&expected[..], states[0].count.max(0) as u64)
+                        );
+                        down.agg.merge_partial(&partial[lead..]).unwrap();
+                        down.merge(&partial[lead..lead + 2], &states);
+                    });
+                    assert!(drained.is_empty(), "{at}: groups left undrained");
+                    let mut row = Vec::new();
+                    assert!(!gone.iter().any(|key| up.agg.group_into(key, &mut row)), "{at}");
+                }
+                6 => {
+                    // A partial of any count, zero included, and any sums.
+                    let count = rng.next_range(-2, 2);
+                    let mut partial = key.to_vec();
+                    partial.push(Value::Int(count));
+                    let mut parts = vec![AggState { count, ..AggState::new() }];
+                    for _ in 1..4 {
+                        let int_sum = rng.next_range(-9, 9);
+                        let float =
+                            (rng.next_below(2) == 0).then(|| rng.next_range(-4, 4) as f64 + 0.5);
+                        partial
+                            .extend([Value::Int(int_sum), float.map_or(Value::Null, Value::Float)]);
+                        let (float_sum, all_int) = (float.unwrap_or(0.0), float.is_none());
+                        parts.push(AggState { count, int_sum, float_sum, all_int });
+                    }
+                    down.agg.merge_partial(&partial).unwrap();
+                    down.merge(&key, &parts);
+                }
+                _ => {
+                    for table in [&mut up, &mut down] {
+                        let mut blob = Vec::new();
+                        table.agg.snapshot_state(&mut blob);
+                        let mut restored = GroupByAggregator::new(vec![0, 1], model_specs());
+                        restored.restore_state(&mut Reader::new(&blob)).unwrap();
+                        table.agg = restored;
+                    }
+                }
+            }
+            up.check(&format!("{at}, upstream"));
+            down.check(&format!("{at}, downstream"));
+        }
+        ALL_KEYS_COLLIDE.with(|c| c.set(false));
+    }
+
+    #[test]
+    fn group_table_model() {
+        // More seeds in a release build (CI's "group table model check").
+        for seed in 0..if cfg!(debug_assertions) { 300 } else { 5_000 } {
+            check_group_table_seed(seed);
+        }
     }
 }

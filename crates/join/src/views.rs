@@ -84,7 +84,7 @@ enum Ids {
 }
 
 /// What [`Postings::find_or_file`] did.
-enum Filed {
+pub(crate) enum Filed {
     /// An id already filed matched.
     Found(u32),
     /// None matched, and the new id is filed.
@@ -115,7 +115,7 @@ impl Postings {
 
     /// With one map lookup: the id under `hash` that `is_match` accepts,
     /// or else `new` (if any) filed under `hash`.
-    fn find_or_file(
+    pub(crate) fn find_or_file(
         &mut self,
         hash: u64,
         is_match: impl Fn(u32) -> bool,
@@ -194,9 +194,7 @@ pub fn key_hash<'k>(key: impl Iterator<Item = &'k Value>) -> u64 {
         return 0;
     }
     let mut h = FxHasher::default();
-    for v in key {
-        v.hash(&mut h);
-    }
+    key.for_each(|v| v.hash(&mut h));
     h.finish()
 }
 

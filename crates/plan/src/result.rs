@@ -258,13 +258,14 @@ mod tests {
         let spj = join(Query::from_tables([("R", "R"), ("S", "S")])).select([col("S.c")]);
         let mut finalizer_fails = PhysicalQuery::plan(&spj, &catalog()).unwrap();
         finalizer_fails.finalize.project[0] = ScalarExpr::col(99);
-        // An aggregate input addressing such a column: the aggregation
-        // bolt fails mid-run, inside the topology.
+        // An aggregate input the fold cannot sum (a column past the join
+        // output is a plan error since the plan check reads aggregate
+        // inputs): the aggregation fails mid-run, inside the topology.
         let grouped = join(Query::from_tables([("R", "R"), ("S", "S")]))
             .group_by([col("R.a")])
             .select([col("R.a"), agg(AggFunc::Sum, Some(col("S.c")))]);
         let mut operator_fails = PhysicalQuery::plan(&grouped, &catalog()).unwrap();
-        operator_fails.aggregate.as_mut().unwrap().aggs[0].input = Some(ScalarExpr::col(99));
+        operator_fails.aggregate.as_mut().unwrap().aggs[0].input = Some(ScalarExpr::lit("x"));
 
         for (what, p) in [("finalizer", finalizer_fails), ("operator", operator_fails)] {
             let err = p.execute(&catalog(), &ExecConfig::default()).expect_err(what);
