@@ -1,9 +1,10 @@
 //! Physical operators: the bolts Squall installs into topologies.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
+use std::ops::RangeInclusive;
 
-use squall_common::array::Array;
 use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::ScalarExpr;
 use squall_join::{
@@ -19,16 +20,31 @@ pub(crate) fn event_time(ts: i64, at: &str) -> Result<u64> {
         .map_err(|_| SquallError::Runtime(format!("negative event-time timestamp {ts} {at}")))
 }
 
-/// The extrema `(lo, hi)` of a join result's constituent timestamps, read
-/// from its event-time columns `ts_cols`.
-pub(crate) fn event_time_range(row: &[Value], ts_cols: &[usize], at: &str) -> Result<(u64, u64)> {
+/// The starts of the windows a join result folds into
+/// ([`WindowSpec::window_starts`] of the extrema of its constituent
+/// timestamps, read from its event-time columns `ts_cols`): the window
+/// geometry every aggregate body shares — a join task's partials, the
+/// shard's raw-row face and the standing view's sink.
+pub(crate) fn result_windows(
+    spec: WindowSpec,
+    ts_cols: &[usize],
+    row: &[Value],
+    at: &str,
+) -> Result<RangeInclusive<u64>> {
     let (mut lo, mut hi) = (u64::MAX, 0u64);
     for &c in ts_cols {
         let ts = event_time(row[c].as_int()?, at)?;
         lo = lo.min(ts);
         hi = hi.max(ts);
     }
-    Ok((lo, hi))
+    spec.window_starts(lo, hi)
+}
+
+/// Window `start`'s `(start, end)`, both inclusive: the key prefix of its
+/// groups in a shard's or a view sink's group table, and so the lead of
+/// each of its rows.
+pub(crate) fn window_key(spec: WindowSpec, start: u64) -> [Value; 2] {
+    [Value::Int(start as i64), Value::Int(spec.end_of(start) as i64)]
 }
 
 /// How an engine row — a join result, or a raw aggregate row (group keys ++
@@ -395,8 +411,7 @@ impl Partials {
         let Some((spec, ts_cols)) = &self.window else {
             return self.agg.fold_row(row, weight);
         };
-        let (lo, hi) = event_time_range(row, ts_cols, "in aggregate input")?;
-        let range = spec.window_starts(lo, hi)?;
+        let range = result_windows(*spec, ts_cols, row, "in aggregate input")?;
         // Both bounds fit an `Int`: `first ≤ lo`, and `window_starts`
         // checks `last`'s window end.
         let range = [Value::Int(*range.start() as i64), Value::Int(*range.end() as i64)];
@@ -419,8 +434,7 @@ impl Partials {
 /// aggregation component (§2 "window semantics for its operators" — the
 /// window applied to the *aggregate*, not just the join).
 ///
-/// State is keyed by `(window_start, group key)`: each join result counts
-/// in every window it belongs to —
+/// Each join result counts in every window it belongs to —
 ///
 /// * **tumbling `width`** — exactly one window, `[k·width, (k+1)·width)`
 ///   where `k = ⌊ts/width⌋` (the window predicate upstream guarantees all
@@ -430,6 +444,11 @@ impl Partials {
 ///   constituent timestamps: `s ∈ [max−size, min]`, one window per time
 ///   unit, so adjacent windows overlap.
 ///
+/// Every open window's groups sit in one group table, keyed by
+/// `(window_start, window_end, group…)` (`window_key`), as the view
+/// sink keys its own: a new window costs slots, not a table, and a closed
+/// window's slots are retaken by later ones.
+///
 /// The aggregate runs in **two phases** — the paper's aggregated views,
 /// computed on the machine that runs the join (§3.3). Each join task folds
 /// its results into partial aggregates per (window-start range, group) and
@@ -437,11 +456,11 @@ impl Partials {
 /// ([`JoinBolt::with_aggregate`]); a hypercube sends each result to
 /// exactly one join task, so the partials add up to the answer (DBSP's
 /// linearity of aggregation). This bolt's face is the second phase: it
-/// merges each partial `(first, last, group…, accumulators…)` into the
-/// windows `first..=last`. [`WindowedAggBolt::insert_chunk`] keeps the
-/// one-phase kernel over raw join results.
+/// merges each partial `(first, last, group…, accumulators…)` under the
+/// key of each window `first..=last`. [`WindowedAggBolt::insert_chunk`]
+/// keeps the one-phase kernel over raw join results.
 ///
-/// A window is **closed** — its rows finalized and emitted, its state
+/// A window is **closed** — its rows finalized and emitted, its groups
 /// dropped — once the minimum watermark across every upstream join task
 /// guarantees no further result can fall into it (tumbling: watermark
 /// reached the next bucket; sliding: `start < watermark − size`). Closed
@@ -452,9 +471,10 @@ impl Partials {
 /// Under [`WindowSpec::FullHistory`] the bolt is the second phase of a
 /// full-history aggregate: full history is the one window, start 0, that
 /// closes only at end-of-stream (its `close_boundary` is 0, so a watermark
-/// closes and forwards nothing). Partial rows `(group…, accumulators…)`
-/// merge into it without a `(first, last)` lead, and its rows are
-/// `(group…, agg…)`, without a `(start, end)` prefix.
+/// closes and forwards nothing). Its groups are keyed by the group alone:
+/// partial rows `(group…, accumulators…)` merge without a `(first, last)`
+/// lead, and its rows are `(group…, agg…)`, without a `(start, end)`
+/// prefix.
 ///
 /// The bolt runs **group-hash sharded**: a `Fields` grouping on the
 /// partial rows' group columns routes every partial of a group to one task, so each shard holds
@@ -469,10 +489,9 @@ pub struct WindowedAggBolt {
     /// Positions of each relation's event-time column in the join-output
     /// row (results are concatenated in relation order).
     ts_cols: Vec<usize>,
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    /// Open windows by start, each with its own group-by state.
-    windows: BTreeMap<u64, GroupByAggregator>,
+    /// Every open window's groups, under the window's `window_key`
+    /// (under full history, the groups alone).
+    agg: GroupByAggregator,
     /// The minimum event-time watermark across the upstream join tasks.
     frontier: Frontier,
     /// Every window with `start` below this has been emitted; a data row
@@ -483,8 +502,8 @@ pub struct WindowedAggBolt {
     forwarded: u64,
     /// Scratch for closed-window rows between close and emit.
     drain: Vec<Tuple>,
-    /// Scratch for one partial row.
-    partial: Vec<Value>,
+    /// Scratch for one partial or raw row.
+    row: Vec<Value>,
 }
 
 impl WindowedAggBolt {
@@ -503,55 +522,31 @@ impl WindowedAggBolt {
         WindowedAggBolt {
             spec,
             ts_cols,
-            group_cols,
-            aggs,
-            windows: BTreeMap::new(),
+            agg: GroupByAggregator::new(group_cols, aggs),
             frontier: Frontier::new(n_upstream),
             closed_before: 0,
             forwarded: 0,
             drain: Vec::new(),
-            partial: Vec::new(),
+            row: Vec::new(),
         }
     }
 
     /// Close every window with `start < boundary` into `rows`, in window
-    /// order — the collector-free face of the close path, shared by the
-    /// runtime wrapper below and by benchmarks driving the bare kernel.
+    /// order, each window's groups sorted — the collector-free face of the
+    /// close path, shared by the runtime wrapper below and by benchmarks
+    /// driving the bare kernel.
     pub fn close_into(&mut self, boundary: u64, rows: &mut Vec<Tuple>) {
-        while let Some(entry) = self.windows.first_entry() {
-            if *entry.key() >= boundary {
-                break;
-            }
-            let (start, agg) = entry.remove_entry();
-            if matches!(self.spec, WindowSpec::FullHistory) {
-                rows.extend(agg.snapshot());
-                continue;
-            }
-            let end = self.spec.end_of(start);
-            for row in agg.snapshot() {
-                let mut values = Vec::with_capacity(2 + row.arity());
-                values.push(Value::Int(start as i64));
-                values.push(Value::Int(end as i64));
-                values.extend(row.values().iter().cloned());
-                rows.push(Tuple::new(values));
-            }
+        // Every window below `closed_before` is gone already, and most
+        // watermarks do not move the boundary.
+        if boundary <= self.closed_before {
+            return;
         }
-        self.closed_before = self.closed_before.max(boundary);
-    }
-
-    /// Open windows.
-    #[cfg(test)]
-    fn open_windows(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// The window starts a result with constituent-timestamp extrema
-    /// `[lo, hi]` folds into ([`WindowSpec::window_starts`]), with the
-    /// late-data check.
-    fn fold_range(&self, lo: u64, hi: u64) -> Result<std::ops::RangeInclusive<u64>> {
-        let range = self.spec.window_starts(lo, hi)?;
-        self.check_open(*range.start())?;
-        Ok(range)
+        let full_history = matches!(self.spec, WindowSpec::FullHistory);
+        self.agg.drain_rows(
+            |key| full_history || matches!(key[0], Value::Int(start) if (start as u64) < boundary),
+            |row| rows.push(Tuple::from(row)),
+        );
+        self.closed_before = boundary;
     }
 
     /// Data for the windows from `first` on must not arrive once window
@@ -566,115 +561,57 @@ impl WindowedAggBolt {
         Ok(())
     }
 
-    /// Fold one join result row into every window it belongs to, the
-    /// obvious way — the reference [`WindowedAggBolt::insert_chunk`] is
-    /// tested against.
-    #[cfg(test)]
-    fn insert_row(&mut self, tuple: &Tuple) -> Result<()> {
-        let (lo, hi) = event_time_range(tuple, &self.ts_cols, "in aggregate input")?;
-        for start in self.fold_range(lo, hi)? {
-            self.windows
-                .entry(start)
-                .or_insert_with(|| {
-                    GroupByAggregator::new(self.group_cols.clone(), self.aggs.clone())
-                })
-                .update(tuple)?;
-        }
-        Ok(())
+    /// Fold one columnar chunk of join results in, each row once per
+    /// window it belongs to, through [`GroupByAggregator::fold_row_under`].
+    pub fn insert_chunk(&mut self, chunk: &Chunk) -> Result<()> {
+        self.each_row(chunk, Self::insert_row)
     }
 
-    /// Fold one columnar chunk of join results in without materializing a
-    /// single per-row [`Tuple`]: window bounds run over the timestamp
-    /// columns (straight over the i64 slice when fully-valid Int),
-    /// aggregate input expressions evaluate once per chunk, and each row
-    /// folds into its windows from the resulting arrays via
-    /// [`GroupByAggregator::accumulate`].
-    pub fn insert_chunk(&mut self, chunk: &Chunk) -> Result<()> {
-        let rows = chunk.n_rows();
-        if rows == 0 {
-            return Ok(());
-        }
-        let mut lo = vec![u64::MAX; rows];
-        let mut hi = vec![0u64; rows];
-        for &c in &self.ts_cols {
-            let col = chunk.column(c);
-            let plain = col.as_i64().filter(|a| a.validity().is_none()).map(|a| a.values());
-            for i in 0..rows {
-                let v = match plain {
-                    Some(vals) => vals[i],
-                    None => col.value(i).as_int()?,
-                };
-                let v = event_time(v, "in aggregate input")?;
-                lo[i] = lo[i].min(v);
-                hi[i] = hi[i].max(v);
-            }
-        }
-        // Aggregate inputs, column-at-a-time, once per chunk.
-        let mut inputs: Vec<Option<Array>> = Vec::with_capacity(self.aggs.len());
-        for a in &self.aggs {
-            inputs.push(match &a.input {
-                Some(e) => Some(e.eval_chunk(chunk)?),
-                None => None,
-            });
-        }
-        let mut key: Vec<Value> = Vec::with_capacity(self.group_cols.len());
-        let mut vals: Vec<Option<Value>> = Vec::with_capacity(self.aggs.len());
-        for i in 0..rows {
-            let range = self.fold_range(lo[i], hi[i])?;
-            key.clear();
-            for &c in &self.group_cols {
-                key.push(chunk.column(c).value(i));
-            }
-            vals.clear();
-            for a in &inputs {
-                vals.push(a.as_ref().map(|arr| arr.value(i)));
-            }
-            for start in range {
-                self.windows
-                    .entry(start)
-                    .or_insert_with(|| {
-                        GroupByAggregator::new(self.group_cols.clone(), self.aggs.clone())
-                    })
-                    .accumulate(&key, &vals)?;
-            }
+    /// Run `f` over each row of `chunk`, read into the reused row buffer,
+    /// up to the first error.
+    fn each_row(&mut self, chunk: &Chunk, f: fn(&mut Self, &[Value]) -> Result<()>) -> Result<()> {
+        let mut row = std::mem::take(&mut self.row);
+        let done = (0..chunk.n_rows()).try_for_each(|i| {
+            chunk.row_into(i, &mut row);
+            f(self, &row)
+        });
+        self.row = row;
+        done
+    }
+
+    /// Fold one join result into every window it belongs to.
+    fn insert_row(&mut self, row: &[Value]) -> Result<()> {
+        let starts = result_windows(self.spec, &self.ts_cols, row, "in aggregate input")?;
+        self.check_open(*starts.start())?;
+        for start in starts {
+            self.agg.fold_row_under(&window_key(self.spec, start), row, 1)?;
         }
         Ok(())
     }
 
     /// The second phase: merge a chunk of the join tasks' partial rows
-    /// `(first, last, group…, accumulators…)` into the windows
-    /// `first..=last` — under full history `(group…, accumulators…)` into
-    /// window 0.
+    /// `(first, last, group…, accumulators…)` under the key of each window
+    /// `first..=last` — under full history `(group…, accumulators…)` under
+    /// none.
     fn merge_partials(&mut self, chunk: &Chunk) -> Result<()> {
-        let mut row = std::mem::take(&mut self.partial);
-        for i in 0..chunk.n_rows() {
-            chunk.row_into(i, &mut row);
-            let (range, lead) = match self.spec {
-                WindowSpec::FullHistory => (0..=0, 0),
-                _ => (self.partial_range(&row)?, 2),
-            };
-            // Open the missing windows, then walk the range once: a sliding
-            // partial spans up to `size + 1` windows, mostly open already.
-            let span = (range.end() - range.start() + 1) as usize;
-            if self.windows.range(range.clone()).count() != span {
-                for start in range.clone() {
-                    self.windows.entry(start).or_insert_with(|| {
-                        GroupByAggregator::new(self.group_cols.clone(), self.aggs.clone())
-                    });
-                }
-            }
-            for agg in self.windows.range_mut(range).map(|(_, agg)| agg) {
-                agg.merge_partial(&row[lead..])?;
-            }
+        self.each_row(chunk, Self::merge_partial)
+    }
+
+    /// Merge one partial row into its windows.
+    fn merge_partial(&mut self, row: &[Value]) -> Result<()> {
+        if matches!(self.spec, WindowSpec::FullHistory) {
+            return self.agg.merge_partial(&[], row);
         }
-        self.partial = row;
+        for start in self.partial_range(row)? {
+            self.agg.merge_partial(&window_key(self.spec, start), &row[2..])?;
+        }
         Ok(())
     }
 
     /// The windows a partial row merges into: a range some result's
     /// [`WindowSpec::window_starts`] can be — the row may come off the
     /// wire, so any other is a typed error — none of them closed.
-    fn partial_range(&self, row: &[Value]) -> Result<std::ops::RangeInclusive<u64>> {
+    fn partial_range(&self, row: &[Value]) -> Result<RangeInclusive<u64>> {
         let bound = |i: usize| match row.get(i) {
             Some(v) => event_time(v.as_int()?, "in a partial aggregate"),
             None => Err(SquallError::Runtime("a partial aggregate without its windows".into())),
@@ -818,11 +755,8 @@ impl WindowMergeBolt {
     /// Release every buffered row with `window_start < boundary` into
     /// `rows`, in `(window_start, row)` order.
     pub fn release_below(&mut self, boundary: u64, rows: &mut Vec<Tuple>) {
-        while let Some(Reverse((start, _))) = self.heap.peek() {
-            if *start >= boundary {
-                break;
-            }
-            let Reverse((_, t)) = self.heap.pop().expect("peeked");
+        while let Some(top) = self.heap.peek_mut().filter(|top| top.0 .0 < boundary) {
+            let Reverse((_, t)) = PeekMut::pop(top);
             rows.push(t);
         }
         self.released_below = self.released_below.max(boundary);
@@ -878,6 +812,7 @@ impl Bolt for WindowMergeBolt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
 
     use squall_common::tuple;
@@ -903,29 +838,54 @@ mod tests {
     }
 
     #[test]
-    fn columnar_insert_kernel_matches_row_path() {
-        // insert_chunk must leave byte-identical state to per-row
-        // insert_row — same windows, same groups, same accumulators.
+    fn insert_chunk_matches_a_per_window_fold() {
+        // `insert_chunk` against the fold written out: per (window start, k),
+        // COUNT and SUM(2·ts_a) over every window a row's timestamps share,
+        // closed in two steps, each in (start, k) order.
         for spec in [WindowSpec::Tumbling { width: 64 }, WindowSpec::Sliding { size: 5 }] {
             let spread = match spec {
                 WindowSpec::Tumbling { .. } => 1, // same bucket per row
                 _ => 4,
             };
             let rows = windowed_rows(200, spread);
-            let mut by_row = windowed_bolt(spec);
-            let mut by_chunk = windowed_bolt(spec);
+            let mut model: BTreeMap<(u64, i64), (i64, i64)> = BTreeMap::new();
             for t in &rows {
-                by_row.insert_row(t).unwrap();
+                let (ts_a, ts_b) = (t[1].as_int().unwrap() as u64, t[2].as_int().unwrap() as u64);
+                let (lo, hi) = (ts_a.min(ts_b), ts_a.max(ts_b));
+                let starts: Vec<u64> = match spec {
+                    WindowSpec::Tumbling { width } => vec![hi / width * width],
+                    _ => (hi.saturating_sub(5)..=lo).collect(),
+                };
+                for start in starts {
+                    let (count, sum) = model.entry((start, t[0].as_int().unwrap())).or_default();
+                    (*count, *sum) = (*count + 1, *sum + 2 * ts_a as i64);
+                }
             }
+            let extent = match spec {
+                WindowSpec::Tumbling { width } => width - 1,
+                _ => 5,
+            };
+            let expected = |closed: std::ops::Range<u64>| -> Vec<Tuple> {
+                let end = |start: u64| start + extent;
+                (model.iter())
+                    .filter(|((start, _), _)| closed.contains(start))
+                    .map(|(&(start, k), &(count, sum))| {
+                        tuple![start as i64, end(start) as i64, k, count, sum]
+                    })
+                    .collect()
+            };
+            let mut bolt = windowed_bolt(spec);
             for batch in rows.chunks(64) {
-                by_chunk.insert_chunk(&Chunk::from_tuples(batch)).unwrap();
+                bolt.insert_chunk(&Chunk::from_tuples(batch)).unwrap();
             }
-            assert_eq!(by_row.open_windows(), by_chunk.open_windows());
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            by_row.close_into(u64::MAX, &mut a);
-            by_chunk.close_into(u64::MAX, &mut b);
-            assert!(!a.is_empty());
-            assert_eq!(a, b, "{spec:?}");
+            bolt.close_into(100, &mut a);
+            bolt.close_into(50, &mut b);
+            assert!(b.is_empty(), "{spec:?}: a lower boundary closes nothing");
+            bolt.close_into(u64::MAX, &mut b);
+            assert_eq!(a, expected(0..100), "{spec:?}");
+            assert_eq!(b, expected(100..u64::MAX), "{spec:?}");
+            assert!(!a.is_empty() && !b.is_empty());
         }
     }
 

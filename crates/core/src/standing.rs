@@ -80,7 +80,7 @@ use crate::cluster::ClusterSpec;
 use crate::driver::{
     summarize, wire_join_stage, JoinReport, MaintenanceStats, MultiwayConfig, RunContext,
 };
-use crate::operators::{event_time_range, Finalizer, Frontier, JoinState, TaskJoin};
+use crate::operators::{result_windows, window_key, Finalizer, Frontier, JoinState, TaskJoin};
 
 /// How long a synchronous checkpoint round waits for all blobs before
 /// proceeding with a partial checkpoint (recovery then falls back to the
@@ -750,16 +750,14 @@ impl ViewSinkBolt {
                 for (base, &m) in rows.zip(&deltas.mults) {
                     let starts = match window {
                         Some((spec, ts_cols)) => {
-                            let (lo, hi) = event_time_range(base, ts_cols, "in view sink input")?;
-                            spec.window_starts(lo, hi)?
+                            result_windows(*spec, ts_cols, base, "in view sink input")?
                         }
                         None => 0..=0,
                     };
                     for start in starts {
                         key.clear();
                         if let Some((spec, _)) = window {
-                            let end = spec.end_of(start);
-                            key.extend([Value::Int(start as i64), Value::Int(end as i64)]);
+                            key.extend(window_key(*spec, start));
                         }
                         let lead = key.len();
                         key.extend(group_cols.iter().map(|&c| base[c].clone()));

@@ -1,16 +1,19 @@
 //! Aggregation operators: SUM, COUNT, AVG with GROUP BY (§2: "we currently
 //! support sum, count and average aggregates").
 //!
-//! Squall's aggregates are *online*: every input updates the group state
-//! and the operator can emit the refreshed row immediately (full-history
-//! incremental view maintenance). All three aggregates are also
-//! *subtractable*, which the sliding-window variants exploit, and
+//! A [`GroupByAggregator`] folds rows into groups, each with a signed
+//! weight: the aggregates are *subtractable*, so a retraction is a fold of
+//! weight −1 and a group whose counts all reach zero goes. They are also
 //! *mergeable*: a group's raw accumulators ship as a partial row
 //! ([`GroupByAggregator::drain_partials`]) that another aggregator folds in
 //! ([`GroupByAggregator::merge_partial`]), so an aggregate can be computed
 //! where its inputs are produced and summed downstream (DBSP's linearity of
-//! aggregation). `Int` arithmetic is checked: a count or sum that leaves
-//! `i64` is a typed error, never a wrapped value.
+//! aggregation). A fold and a merge may file their group under a key
+//! prefix, so one aggregator keeps many sets of groups apart — every window
+//! of a windowed aggregate — and a sorted drain
+//! ([`GroupByAggregator::drain_rows`]) hands out the finished rows of the
+//! sets that are done, in key order. `Int` arithmetic is checked: a count
+//! or sum that leaves `i64` is a typed error, never a wrapped value.
 //!
 //! The groups live in one flat table, stored the way [`crate::views::View`]
 //! stores rows: the keys back to back in one slab, each group's
@@ -24,7 +27,6 @@
 //! read by reference, so folding a row builds no key and no input value,
 //! and once the slabs have grown, a new group allocates nothing either.
 
-use squall_common::array::Array;
 use squall_common::codec::{self, Reader, Wire};
 use squall_common::{Chunk, Result, SquallError, Tuple, Value};
 use squall_expr::{AggFunc, ScalarExpr};
@@ -195,9 +197,9 @@ impl Groups {
         (0..self.live.len()).filter(|&id| self.live[id])
     }
 
-    /// The groups' slots, by key.
-    fn sorted(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.ids().collect();
+    /// The slots of the groups whose key passes `take`, by key.
+    fn sorted(&self, mut take: impl FnMut(&[Value]) -> bool) -> Vec<usize> {
+        let mut ids: Vec<usize> = self.ids().filter(|&id| take(self.key(id))).collect();
         ids.sort_unstable_by(|&a, &b| self.key(a).cmp(self.key(b)));
         ids
     }
@@ -208,11 +210,15 @@ impl Groups {
         ids.iter().map(|&id| id as usize).find(|&id| self.key(id) == key)
     }
 
-    /// The slot of group `prefix ++ cols of row`, filed with fresh
-    /// accumulators — into an emptied slot when there is one — if new.
-    fn slot(&mut self, prefix: &[Value], cols: &[usize], row: &[Value]) -> Result<usize> {
-        let (lead, len) = (prefix.len(), prefix.len() + cols.len());
-        let key = || prefix.iter().chain(cols.iter().map(|&c| &row[c]));
+    /// The slot of group `prefix ++ tail`, filed with fresh accumulators —
+    /// into an emptied slot when there is one — if new.
+    fn slot<'a>(
+        &mut self,
+        prefix: &'a [Value],
+        tail: impl ExactSizeIterator<Item = &'a Value> + Clone,
+    ) -> Result<usize> {
+        let (lead, len) = (prefix.len(), prefix.len() + tail.len());
+        let key = || prefix.iter().chain(tail.clone());
         if self.live.is_empty() {
             self.width = len;
         } else if len != self.width {
@@ -223,8 +229,8 @@ impl Groups {
         }
         let (keys, width) = (&self.keys, self.width);
         let is_key = |id: usize| {
-            let (head, tail) = keys[id * width..][..width].split_at(lead);
-            head == prefix && tail.iter().zip(cols).all(|(v, &c)| *v == row[c])
+            let (head, rest) = keys[id * width..][..width].split_at(lead);
+            head == prefix && rest.iter().eq(tail.clone())
         };
         if self.live.get(self.last) == Some(&true) && is_key(self.last) {
             return Ok(self.last);
@@ -273,7 +279,7 @@ impl Groups {
     }
 }
 
-/// Hash GROUP BY with online updates.
+/// Hash GROUP BY over signed folds and merged partials.
 #[derive(Debug)]
 pub struct GroupByAggregator {
     group_cols: Vec<usize>,
@@ -284,9 +290,10 @@ pub struct GroupByAggregator {
     /// column or bare input column.
     reads: usize,
     groups: Groups,
-    /// One partial row, reused from group to group by
-    /// [`GroupByAggregator::drain_partials`].
-    partial: Vec<Value>,
+    /// One partial or finished row, reused from group to group by
+    /// [`GroupByAggregator::drain_partials`] and
+    /// [`GroupByAggregator::drain_rows`].
+    row: Vec<Value>,
 }
 
 impl GroupByAggregator {
@@ -300,19 +307,7 @@ impl GroupByAggregator {
         });
         let reads = group_cols.iter().chain(columns).map(|c| c + 1).max().unwrap_or(0);
         let groups = Groups { n_aggs: aggs.len(), ..Groups::default() };
-        GroupByAggregator { group_cols, aggs, inputs, reads, groups, partial: Vec::new() }
-    }
-
-    /// Fold one tuple in and return the group's refreshed output row
-    /// (group key columns followed by aggregate values) — the online
-    /// emission of incremental view maintenance.
-    pub fn update(&mut self, tuple: &Tuple) -> Result<Tuple> {
-        self.apply(tuple, 1)
-    }
-
-    /// Retract one tuple (sliding windows).
-    pub fn retract(&mut self, tuple: &Tuple) -> Result<Tuple> {
-        self.apply(tuple, -1)
+        GroupByAggregator { group_cols, aggs, inputs, reads, groups, row: Vec::new() }
     }
 
     /// Fold `weight` copies of one borrowed row in (a negative weight
@@ -325,9 +320,9 @@ impl GroupByAggregator {
 
     /// [`GroupByAggregator::fold_row`] into the group `prefix ++ group key`:
     /// one aggregator keeps many sets of groups apart — a join task's
-    /// partials per window-start range — at the cost of one slot per key,
-    /// not one aggregator per set. Every fold into one aggregator takes
-    /// prefixes of one width.
+    /// partials per window-start range, a shard's or a view's groups per
+    /// window — at the cost of one slot per key, not one aggregator per
+    /// set. Every key of one aggregator is of one width.
     pub fn fold_row_under(&mut self, prefix: &[Value], row: &[Value], weight: i64) -> Result<()> {
         if row.len() < self.reads {
             return Err(SquallError::InvalidPlan(format!(
@@ -337,7 +332,7 @@ impl GroupByAggregator {
             )));
         }
         let GroupByAggregator { group_cols, inputs, groups, .. } = self;
-        let id = groups.slot(prefix, group_cols, row)?;
+        let id = groups.slot(prefix, group_cols.iter().map(|&c| &row[c]))?;
         let folded =
             groups.states_mut(id).iter_mut().zip(inputs.iter()).try_for_each(|(st, input)| {
                 match input {
@@ -351,77 +346,33 @@ impl GroupByAggregator {
         folded
     }
 
-    /// Fold a whole columnar chunk in. Aggregate input expressions are
-    /// evaluated column-at-a-time over the chunk; only the group-key
-    /// lookup and accumulator bump happen per row (the state boundary).
+    /// Fold a whole columnar chunk in, each row once through
+    /// [`GroupByAggregator::fold_row`].
     ///
-    /// `on_row`, when given, receives each group's refreshed output row in
-    /// input order — exactly what per-row [`GroupByAggregator::update`]
-    /// returns (online emission). Pass `None` for final-mode aggregation
-    /// to skip building output rows entirely, which per-row updates cannot
-    /// avoid.
+    /// `on_row`, when given, receives each row's group as it stands after
+    /// the fold — the row's group columns followed by the aggregate values,
+    /// a group the fold emptied reading as fresh (`COUNT` 0, `NULL`
+    /// averages) — in input order: the online emission of incremental view
+    /// maintenance. Pass `None` to build no output rows.
     pub fn update_chunk(
         &mut self,
         chunk: &Chunk,
         mut on_row: Option<&mut dyn FnMut(Tuple)>,
     ) -> Result<()> {
-        let mut inputs: Vec<Option<Array>> = Vec::with_capacity(self.aggs.len());
-        for a in &self.aggs {
-            inputs.push(a.input.as_ref().map(|e| e.eval_chunk(chunk)).transpose()?);
-        }
-        let mut key = Vec::with_capacity(self.group_cols.len());
-        let mut vals = Vec::with_capacity(self.aggs.len());
+        let mut row = Vec::with_capacity(chunk.n_cols());
         for i in 0..chunk.n_rows() {
-            key.clear();
-            key.extend(self.group_cols.iter().map(|&c| chunk.column(c).value(i)));
-            vals.clear();
-            vals.extend(inputs.iter().map(|a| a.as_ref().map(|arr| arr.value(i))));
-            self.accumulate(&key, &vals)?;
+            chunk.row_into(i, &mut row);
+            self.fold_row(&row, 1)?;
             if let Some(emit) = on_row.as_mut() {
-                emit(self.current_row(&key));
+                let mut out: Vec<Value> = self.group_cols.iter().map(|&c| row[c].clone()).collect();
+                match self.groups.find(&out) {
+                    Some(id) => self.values_into(id, &mut out),
+                    None => out.extend(self.aggs.iter().map(|a| AggState::new().value(a.func))),
+                }
+                emit(Tuple::new(out));
             }
         }
         Ok(())
-    }
-
-    /// Fold one row in from *precomputed* values — the group key and one
-    /// input value per aggregate (`None` for COUNT) — without building an
-    /// output row. This is the columnar windowed-insert kernel: the caller
-    /// evaluates agg inputs and key columns column-at-a-time over a chunk
-    /// and folds each row into (possibly several) window states, so no
-    /// per-row [`Tuple`] and no expression re-evaluation per window.
-    pub fn accumulate(&mut self, key: &[Value], inputs: &[Option<Value>]) -> Result<()> {
-        debug_assert_eq!(key.len(), self.group_cols.len());
-        debug_assert_eq!(inputs.len(), self.aggs.len());
-        let id = self.groups.slot(key, &[], &[])?;
-        let states = self.groups.states_mut(id).iter_mut();
-        let folded =
-            states.zip(self.aggs.iter().zip(inputs)).try_for_each(|(st, (a, input))| {
-                match (a.func, input) {
-                    (AggFunc::Count, _) => st.add(None, 1),
-                    (_, Some(v)) => st.add(Some(v), 1),
-                    (func, None) => Err(needs_input(func)),
-                }
-            });
-        self.groups.settle(id);
-        folded
-    }
-
-    fn apply(&mut self, tuple: &Tuple, sign: i64) -> Result<Tuple> {
-        self.fold_row(tuple, sign)?;
-        let key: Vec<Value> = self.group_cols.iter().map(|&c| tuple[c].clone()).collect();
-        Ok(self.current_row(&key))
-    }
-
-    /// `key`'s output row; a group that does not exist (or a retraction
-    /// emptied) reads as fresh — `COUNT` 0, `NULL` averages.
-    fn current_row(&self, key: &[Value]) -> Tuple {
-        let mut row = key.to_vec();
-        match self.groups.find(key) {
-            Some(id) => self.values_into(id, &mut row),
-            None => row.extend(self.aggs.iter().map(|a| AggState::new().value(a.func))),
-        }
-        Tuple::new(row)
     }
 
     /// Append slot `id`'s aggregate values to `row`.
@@ -429,9 +380,9 @@ impl GroupByAggregator {
         row.extend(self.groups.states(id).iter().zip(&self.aggs).map(|(st, a)| st.value(a.func)));
     }
 
-    /// Read group `key`'s output row into `row` (cleared first), the way
-    /// [`GroupByAggregator::update`] returns it; `false`, with `row` left
-    /// empty, when there is no such group.
+    /// Read group `key`'s output row — the key followed by the aggregate
+    /// values — into `row` (cleared first); `false`, with `row` left empty,
+    /// when there is no such group.
     pub fn group_into(&self, key: &[Value], row: &mut Vec<Value>) -> bool {
         row.clear();
         let Some(id) = self.groups.find(key) else { return false };
@@ -442,7 +393,7 @@ impl GroupByAggregator {
 
     /// Snapshot all groups (deterministic order: sorted by key).
     pub fn snapshot(&self) -> Vec<Tuple> {
-        let rows = self.groups.sorted().into_iter().map(|id| {
+        let rows = self.groups.sorted(|_| true).into_iter().map(|id| {
             let mut row = self.groups.key(id).to_vec();
             self.values_into(id, &mut row);
             Tuple::new(row)
@@ -459,6 +410,27 @@ impl GroupByAggregator {
         self.groups.live.len() - self.groups.free.len()
     }
 
+    /// Remove every group whose key passes `take` and hand `emit` its
+    /// finished row — the key, a prefix included, then the aggregate
+    /// values — in key order: a window-prefixed table's closed windows
+    /// come out window by window, each window's groups sorted. The emptied
+    /// slots are retaken by later groups.
+    pub fn drain_rows(
+        &mut self,
+        take: impl FnMut(&[Value]) -> bool,
+        mut emit: impl FnMut(&[Value]),
+    ) {
+        let mut row = std::mem::take(&mut self.row);
+        for id in self.groups.sorted(take) {
+            row.clear();
+            row.extend_from_slice(self.groups.key(id));
+            self.values_into(id, &mut row);
+            emit(&row);
+            self.groups.release(id);
+        }
+        self.row = row;
+    }
+
     /// Remove every group whose key passes `take` and hand it to `emit` as
     /// a partial row, with the number of rows the group folded. A partial
     /// row is the key (a [`GroupByAggregator::fold_row_under`] prefix
@@ -472,7 +444,7 @@ impl GroupByAggregator {
         mut take: impl FnMut(&[Value]) -> bool,
         mut emit: impl FnMut(&[Value], u64),
     ) {
-        let GroupByAggregator { aggs, groups, partial: row, .. } = self;
+        let GroupByAggregator { aggs, groups, row, .. } = self;
         for id in 0..groups.live.len() {
             if !groups.live[id] || !take(groups.key(id)) {
                 continue;
@@ -493,10 +465,12 @@ impl GroupByAggregator {
     }
 
     /// Merge one partial row — a [`GroupByAggregator::drain_partials`] row
-    /// without its prefix — into its group, with the same checked `Int`
-    /// arithmetic as a fold. A row of another shape is a typed error (it
-    /// may come off the wire).
-    pub fn merge_partial(&mut self, row: &[Value]) -> Result<()> {
+    /// without its prefix — into its group under `prefix`, as
+    /// [`GroupByAggregator::fold_row_under`] files a fold, with the same
+    /// checked `Int` arithmetic as a fold; a merged group is kept even at
+    /// count zero. A row of another shape is a typed error (it may come
+    /// off the wire).
+    pub fn merge_partial(&mut self, prefix: &[Value], row: &[Value]) -> Result<()> {
         let g = self.group_cols.len();
         let width = g + 1 + 2 * self.aggs.iter().filter(|a| a.func != AggFunc::Count).count();
         if row.len() != width {
@@ -506,9 +480,9 @@ impl GroupByAggregator {
             )));
         }
         let typed = |e: SquallError| SquallError::Runtime(e.to_string());
-        let (key, count) = (&row[..g], row[g].as_int().map_err(typed)?);
+        let count = row[g].as_int().map_err(typed)?;
         let mut sums = row[g + 1..].chunks_exact(2);
-        let id = self.groups.slot(key, &[], &[])?;
+        let id = self.groups.slot(prefix, row[..g].iter())?;
         for (st, a) in self.groups.states_mut(id).iter_mut().zip(&self.aggs) {
             let mut part = AggState { count, ..AggState::new() };
             if let Some([int_sum, other]) =
@@ -530,7 +504,7 @@ impl Snapshot for GroupByAggregator {
     /// rows, so the state ships as-is. Groups are sorted by key so equal
     /// state means equal bytes.
     fn snapshot_state(&self, buf: &mut Vec<u8>) {
-        let ids = self.groups.sorted();
+        let ids = self.groups.sorted(|_| true);
         codec::put_u32(buf, ids.len() as u32);
         for id in ids {
             Value::put_run(self.groups.key(id), buf);
@@ -557,7 +531,7 @@ impl Snapshot for GroupByAggregator {
                     self.aggs.len()
                 )));
             }
-            let id = self.groups.slot(&key, &[], &[])?;
+            let id = self.groups.slot(&[], key.iter())?;
             for st in self.groups.states_mut(id) {
                 *st = AggState {
                     count: r.i64()?,
@@ -579,21 +553,28 @@ mod tests {
     use squall_expr::BinOp;
     use std::collections::BTreeMap;
 
+    /// Group `key`'s output row, which must exist.
+    fn group(agg: &GroupByAggregator, key: &[Value]) -> Tuple {
+        let mut row = Vec::new();
+        assert!(agg.group_into(key, &mut row), "no group {key:?}");
+        Tuple::new(row)
+    }
+
     #[test]
     fn global_count_and_sum() {
         let mut agg = GroupByAggregator::new(vec![], vec![AggSpec::count(), AggSpec::sum_col(0)]);
-        agg.update(&tuple![10]).unwrap();
-        let row = agg.update(&tuple![5]).unwrap();
-        assert_eq!(row, tuple![2, 15]);
+        agg.fold_row(&tuple![10], 1).unwrap();
+        agg.fold_row(&tuple![5], 1).unwrap();
+        assert_eq!(group(&agg, &[]), tuple![2, 15]);
     }
 
     #[test]
     fn group_by_key() {
         let mut agg = GroupByAggregator::new(vec![0], vec![AggSpec::sum_col(1)]);
-        agg.update(&tuple!["a", 1]).unwrap();
-        agg.update(&tuple!["b", 10]).unwrap();
-        let row = agg.update(&tuple!["a", 2]).unwrap();
-        assert_eq!(row, tuple!["a", 3]);
+        agg.fold_row(&tuple!["a", 1], 1).unwrap();
+        agg.fold_row(&tuple!["b", 10], 1).unwrap();
+        agg.fold_row(&tuple!["a", 2], 1).unwrap();
+        assert_eq!(group(&agg, &[Value::str("a")]), tuple!["a", 3]);
         let snap = agg.snapshot();
         assert_eq!(snap, vec![tuple!["a", 3], tuple!["b", 10]]);
         assert_eq!(agg.n_groups(), 2);
@@ -602,10 +583,10 @@ mod tests {
     #[test]
     fn avg_mixes_ints_and_floats() {
         let mut agg = GroupByAggregator::new(vec![], vec![AggSpec::avg(ScalarExpr::col(0))]);
-        agg.update(&tuple![1]).unwrap();
-        agg.update(&tuple![2.0]).unwrap();
-        let row = agg.update(&tuple![3]).unwrap();
-        assert_eq!(row, tuple![2.0]);
+        agg.fold_row(&tuple![1], 1).unwrap();
+        agg.fold_row(&tuple![2.0], 1).unwrap();
+        agg.fold_row(&tuple![3], 1).unwrap();
+        assert_eq!(group(&agg, &[]), tuple![2.0]);
     }
 
     #[test]
@@ -614,19 +595,19 @@ mod tests {
         // (TPC-H revenue-style aggregates).
         let e = ScalarExpr::bin(BinOp::Mul, ScalarExpr::lit(2), ScalarExpr::col(1));
         let mut agg = GroupByAggregator::new(vec![0], vec![AggSpec::sum(e)]);
-        agg.update(&tuple![1, 10]).unwrap();
-        let row = agg.update(&tuple![1, 5]).unwrap();
-        assert_eq!(row, tuple![1, 30]);
+        agg.fold_row(&tuple![1, 10], 1).unwrap();
+        agg.fold_row(&tuple![1, 5], 1).unwrap();
+        assert_eq!(group(&agg, &[Value::Int(1)]), tuple![1, 30]);
     }
 
     #[test]
     fn retraction_inverts_and_drops_empty_groups() {
         let mut agg = GroupByAggregator::new(vec![0], vec![AggSpec::count(), AggSpec::sum_col(1)]);
-        agg.update(&tuple![7, 100]).unwrap();
-        agg.update(&tuple![7, 50]).unwrap();
-        let row = agg.retract(&tuple![7, 100]).unwrap();
-        assert_eq!(row, tuple![7, 1, 50]);
-        agg.retract(&tuple![7, 50]).unwrap();
+        agg.fold_row(&tuple![7, 100], 1).unwrap();
+        agg.fold_row(&tuple![7, 50], 1).unwrap();
+        agg.fold_row(&tuple![7, 100], -1).unwrap();
+        assert_eq!(group(&agg, &[Value::Int(7)]), tuple![7, 1, 50]);
+        agg.fold_row(&tuple![7, 50], -1).unwrap();
         assert_eq!(agg.n_groups(), 0, "empty groups must not leak");
     }
 
@@ -634,40 +615,23 @@ mod tests {
     fn integer_sums_stay_integer() {
         let mut agg = GroupByAggregator::new(vec![], vec![AggSpec::sum_col(0)]);
         for i in 0..100i64 {
-            agg.update(&tuple![i]).unwrap();
+            agg.fold_row(&tuple![i], 1).unwrap();
         }
         assert_eq!(agg.snapshot()[0], tuple![4950]);
     }
 
     #[test]
-    fn accumulate_matches_update() {
-        // The precomputed-inputs kernel must leave identical state to the
-        // per-row update path (snapshot is byte-comparable: sorted keys).
-        let specs = || {
-            vec![
-                AggSpec::count(),
-                AggSpec::sum(ScalarExpr::bin(BinOp::Mul, ScalarExpr::lit(2), ScalarExpr::col(1))),
-                AggSpec::avg(ScalarExpr::col(1)),
-            ]
-        };
-        let mut by_update = GroupByAggregator::new(vec![0], specs());
-        let mut by_accumulate = GroupByAggregator::new(vec![0], specs());
-        for (k, v) in [(1i64, 10i64), (2, 20), (1, 5), (3, 7), (2, 1)] {
-            let t = tuple![k, v];
-            by_update.update(&t).unwrap();
-            let key = [Value::Int(k)];
-            let inputs = [None, Some(Value::Int(2 * v)), Some(Value::Int(v))];
-            by_accumulate.accumulate(&key, &inputs).unwrap();
-        }
-        assert_eq!(by_update.snapshot(), by_accumulate.snapshot());
-    }
-
-    #[test]
     fn avg_of_empty_group_is_null_after_retractions() {
         let mut agg = GroupByAggregator::new(vec![], vec![AggSpec::avg(ScalarExpr::col(0))]);
-        agg.update(&tuple![4]).unwrap();
-        let row = agg.retract(&tuple![4]).unwrap();
-        assert_eq!(row, tuple![Value::Null]);
+        agg.fold_row(&tuple![4], 1).unwrap();
+        agg.fold_row(&tuple![4], -1).unwrap();
+        assert!(!agg.group_into(&[], &mut Vec::new()), "the emptied group is gone");
+        // A chunk's fold that empties its group emits the group as fresh.
+        agg.fold_row(&tuple![4], -1).unwrap();
+        let mut rows = Vec::new();
+        agg.update_chunk(&Chunk::from_tuples(&[tuple![4]]), Some(&mut |r| rows.push(r))).unwrap();
+        assert_eq!(rows, vec![tuple![Value::Null]]);
+        assert_eq!(agg.n_groups(), 0);
     }
 
     #[test]
@@ -683,13 +647,14 @@ mod tests {
                 AggSpec::avg(ScalarExpr::col(1)),
             ]
         };
+        // The merges file under the prefix the partials carry.
         let rows = [(1, tuple![1, 4], 2), (2, tuple![2, 7], 1), (0, tuple![1, 1.5], 3)];
         let mut whole = GroupByAggregator::new(vec![0], specs());
         let mut merged = GroupByAggregator::new(vec![0], specs());
         let mut parts: Vec<GroupByAggregator> =
             (0..3).map(|_| GroupByAggregator::new(vec![0], specs())).collect();
         for (part, row, weight) in &rows {
-            whole.fold_row(row, *weight).unwrap();
+            whole.fold_row_under(&[Value::Int(-1)], row, *weight).unwrap();
             parts[*part].fold_row_under(&[Value::Int(-1)], row, *weight).unwrap();
         }
         let mut shipped = 0;
@@ -699,17 +664,19 @@ mod tests {
                 |partial, folded| {
                     assert_eq!(partial[0], Value::Int(-1), "the prefix is kept");
                     shipped += folded;
-                    merged.merge_partial(&partial[1..]).unwrap();
+                    merged.merge_partial(&partial[..1], &partial[1..]).unwrap();
                 },
             );
         }
         assert_eq!(shipped, 5, "each partial counts the rows it folded");
         assert_eq!(parts.iter().map(|p| p.n_groups()).sum::<usize>(), 1, "group 2 stays");
-        parts[2]
-            .drain_partials(|_| true, |partial, _| merged.merge_partial(&partial[1..]).unwrap());
+        parts[2].drain_partials(
+            |_| true,
+            |partial, _| merged.merge_partial(&partial[..1], &partial[1..]).unwrap(),
+        );
         assert_eq!(merged.snapshot(), whole.snapshot());
-        assert_eq!(merged.snapshot()[0], tuple![1, 5, 12.5, 6.25, 2.5]);
-        assert!(merged.merge_partial(&[Value::Int(1)]).is_err(), "a mis-shaped partial");
+        assert_eq!(merged.snapshot()[0], tuple![-1, 1, 5, 12.5, 6.25, 2.5]);
+        assert!(merged.merge_partial(&[], &[Value::Int(1)]).is_err(), "a mis-shaped partial");
     }
 
     #[test]
@@ -724,10 +691,10 @@ mod tests {
         assert!(overflowed(sum().fold_row(&[Value::Int(i64::MIN)], -1)), "−1 × i64::MIN");
         // Merging two partials that each fit.
         let mut merged = sum();
-        merged.merge_partial(&[Value::Int(1), Value::Int(1), Value::Null]).unwrap();
+        merged.merge_partial(&[], &[Value::Int(1), Value::Int(1), Value::Null]).unwrap();
         let mut max = sum();
         max.fold_row(&[Value::Int(i64::MAX)], 1).unwrap();
-        max.drain_partials(|_| true, |row, _| assert!(overflowed(merged.merge_partial(row))));
+        max.drain_partials(|_| true, |row, _| assert!(overflowed(merged.merge_partial(&[], row))));
         let chunk = Chunk::from_tuples(&[tuple![i64::MAX], tuple![1]]);
         assert!(overflowed(sum().update_chunk(&chunk, None)), "the columnar path");
     }
@@ -800,10 +767,7 @@ mod tests {
             assert_eq!(keys, model.keys().cloned().collect::<Vec<_>>(), "{at}: keys");
             let rows: Vec<Tuple> = model
                 .iter()
-                .map(|(key, states)| {
-                    let values = states.iter().zip(&agg.aggs).map(|(st, a)| st.value(a.func));
-                    key.iter().cloned().chain(values).collect()
-                })
+                .map(|(key, states)| model_row(key, states, &agg.aggs).into())
                 .collect();
             assert_eq!(agg.snapshot(), rows, "{at}: snapshot");
             let mut row = Vec::new();
@@ -842,22 +806,30 @@ mod tests {
         }
     }
 
+    /// The finished row of a model group: its key, then its values.
+    fn model_row(key: &[Value], states: &[AggState], aggs: &[AggSpec]) -> Vec<Value> {
+        let values = states.iter().zip(aggs).map(|(st, a)| st.value(a.func));
+        key.iter().cloned().chain(values).collect()
+    }
+
     /// One seed of the group-table model check: random folds into an
     /// upstream table under a prefix of `0` or `2` values, partials drained
-    /// from it under random predicates and merged into a downstream table
-    /// (which folds rows and merges made-up partials of its own too), and
-    /// snapshot → restore round trips, each table checked against its
-    /// model after every step.
+    /// from it under random predicates and merged, under a prefix of `0` or
+    /// `2` values of its own, into a downstream table (which folds rows and
+    /// merges made-up partials of its own too), sorted drains of either
+    /// table's finished rows, and snapshot → restore round trips, each table
+    /// checked against its model after every step.
     fn check_group_table_seed(seed: u64) {
         let _replay = Replay(seed);
         let mut rng = SplitMix64::new(seed);
         ALL_KEYS_COLLIDE.with(|c| c.set(rng.next_below(2) == 1));
-        let lead = 2 * rng.next_below(2);
+        let (lead, down_lead) = (2 * rng.next_below(2), 2 * rng.next_below(2));
         let (mut up, mut down) = (Modeled::new(), Modeled::new());
         for step in 0..rng.next_range(1, 120) {
             let at = format!("seed {seed}, step {step}");
             let cell = |rng: &mut SplitMix64, n: usize| key_cell(rng.next_below(n));
             let prefix: Vec<Value> = (0..lead).map(|_| cell(&mut rng, 2)).collect();
+            let down_prefix: Vec<Value> = (0..down_lead).map(|_| cell(&mut rng, 2)).collect();
             let key = [cell(&mut rng, 4), cell(&mut rng, 4)];
             let v = match rng.next_below(3) {
                 0 => Value::Float(rng.next_range(-4, 4) as f64 + 0.5),
@@ -865,15 +837,19 @@ mod tests {
             };
             let weight = rng.next_range(1, 3) * if rng.next_below(2) == 0 { 1 } else { -1 };
             let row = [key[0].clone(), key[1].clone(), v];
-            match rng.next_below(8) {
+            // A predicate on a key: its column `col` is (or is not) `probe`.
+            let (col, probe, is) = (
+                rng.next_below(lead.max(down_lead) + 2),
+                cell(&mut rng, 5),
+                rng.next_below(2) == 0,
+            );
+            let take = |key: &[Value]| (key.get(col) == Some(&probe)) == is;
+            match rng.next_below(9) {
                 0..=2 => up.fold(&prefix, &row, weight),
-                3 => down.fold(&[], &row, weight),
+                3 => down.fold(&down_prefix, &row, weight),
                 4 | 5 => {
-                    // Drain the groups whose column `col` is (or is not)
-                    // `probe`, merging each partial downstream.
-                    let (col, probe, is) =
-                        (rng.next_below(lead + 2), cell(&mut rng, 5), rng.next_below(2) == 0);
-                    let take = |key: &[Value]| (key[col] == probe) == is;
+                    // Drain the upstream groups `take` passes, merging each
+                    // partial downstream.
                     let mut drained: BTreeMap<Vec<Value>, Vec<AggState>> =
                         up.model.extract_if(.., |key, _| take(key)).collect();
                     let gone: Vec<Vec<Value>> = drained.keys().cloned().collect();
@@ -894,8 +870,9 @@ mod tests {
                             (partial, folded),
                             (&expected[..], states[0].count.max(0) as u64)
                         );
-                        down.agg.merge_partial(&partial[lead..]).unwrap();
-                        down.merge(&partial[lead..lead + 2], &states);
+                        down.agg.merge_partial(&down_prefix, &partial[lead..]).unwrap();
+                        let down_key = [&down_prefix[..], &partial[lead..lead + 2]].concat();
+                        down.merge(&down_key, &states);
                     });
                     assert!(drained.is_empty(), "{at}: groups left undrained");
                     let mut row = Vec::new();
@@ -916,8 +893,26 @@ mod tests {
                         let (float_sum, all_int) = (float.unwrap_or(0.0), float.is_none());
                         parts.push(AggState { count, int_sum, float_sum, all_int });
                     }
-                    down.agg.merge_partial(&partial).unwrap();
-                    down.merge(&key, &parts);
+                    down.agg.merge_partial(&down_prefix, &partial).unwrap();
+                    down.merge(&[&down_prefix[..], &key[..]].concat(), &parts);
+                }
+                7 => {
+                    // Drain the finished rows of the groups `take` passes,
+                    // from either table: the model's, in key order.
+                    let table = if rng.next_below(2) == 0 { &mut up } else { &mut down };
+                    let drained: Vec<(Vec<Value>, Vec<AggState>)> =
+                        table.model.extract_if(.., |key, _| take(key)).collect();
+                    let expected: Vec<Vec<Value>> = (drained.iter())
+                        .map(|(key, states)| model_row(key, states, &table.agg.aggs))
+                        .collect();
+                    let mut rows = Vec::new();
+                    table.agg.drain_rows(take, |row| rows.push(row.to_vec()));
+                    assert_eq!(rows, expected, "{at}: drained rows");
+                    let mut row = Vec::new();
+                    assert!(
+                        !drained.iter().any(|(key, _)| table.agg.group_into(key, &mut row)),
+                        "{at}: a drained group is left"
+                    );
                 }
                 _ => {
                     for table in [&mut up, &mut down] {

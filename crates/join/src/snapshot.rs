@@ -79,8 +79,9 @@ mod tests {
     use crate::agg::AggSpec;
     use crate::window::WindowSpec;
     use crate::{DBToasterJoin, GroupByAggregator, LocalJoin, WindowJoin};
-    use squall_common::{tuple, DataType, Schema, SplitMix64, Tuple};
+    use squall_common::{tuple, DataType, Schema, SplitMix64, Tuple, Value};
     use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
+    use std::collections::BTreeMap;
 
     fn chain3() -> MultiJoinSpec {
         let mk = |n: &str| {
@@ -243,20 +244,35 @@ mod tests {
                 ],
             )
         };
+        // The fold, written out: (count, sum) per key.
+        let mut model = BTreeMap::new();
         let mut agg = mk();
+        type Model = BTreeMap<i64, (i64, i64)>;
+        fn fold(agg: &mut GroupByAggregator, model: &mut Model, k: i64, v: i64, weight: i64) {
+            agg.fold_row(&tuple![k, v], weight).unwrap();
+            let (count, sum) = model.entry(k).or_default();
+            (*count, *sum) = (*count + weight, *sum + weight * v);
+        }
         let mut rng = SplitMix64::new(11);
         for _ in 0..50 {
-            agg.update(&tuple![rng.next_range(0, 4), rng.next_range(0, 100)]).unwrap();
+            fold(&mut agg, &mut model, rng.next_range(0, 4), rng.next_range(0, 100), 1);
         }
-        agg.retract(&tuple![1, 5]).unwrap();
+        fold(&mut agg, &mut model, 1, 5, -1);
         let bytes = snap(&agg);
         let mut restored = mk();
         restore(&mut restored, &bytes);
         assert_eq!(snap(&restored), bytes);
-        assert_eq!(agg.snapshot(), restored.snapshot());
-        // Continued updates agree (AVG needs the raw sums, not the rows).
-        let a = agg.update(&tuple![2, 7]).unwrap();
-        let b = restored.update(&tuple![2, 7]).unwrap();
-        assert_eq!(a, b);
+        let row = |k: i64, (count, sum): (i64, i64)| {
+            tuple![k, count, sum, Value::Float(sum as f64 / count as f64)]
+        };
+        let rows: Vec<Tuple> = model.iter().map(|(&k, &acc)| row(k, acc)).collect();
+        assert_eq!(restored.snapshot(), rows);
+        // Continued folds agree (AVG needs the raw sums, not the rows).
+        fold(&mut agg, &mut model, 2, 7, 1);
+        restored.fold_row(&tuple![2, 7], 1).unwrap();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert!(agg.group_into(&[Value::Int(2)], &mut a));
+        assert!(restored.group_into(&[Value::Int(2)], &mut b));
+        assert_eq!((Tuple::new(a), Tuple::new(b)), (row(2, model[&2]), row(2, model[&2])));
     }
 }

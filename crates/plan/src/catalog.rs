@@ -176,9 +176,13 @@ impl Catalog {
         if src.kind != SourceKind::Table {
             return Err(invalid(name, "streams are append-only; cannot retract".to_string()));
         }
+        if u32::try_from(src.data.len()).is_err() {
+            return Err(invalid(name, "cannot retract from a table of 2^32 rows".to_string()));
+        }
+        // Every position fits the `u32` the index files it as (checked above).
         let (data, index) = (Arc::make_mut(&mut src.data), &mut src.index);
         for (at, row) in data.iter().enumerate().skip(src.posted) {
-            index.insert(row_hash(row), posting(at));
+            index.insert(row_hash(row), at as u32);
         }
         src.posted = data.len();
         let mut left: FxHashMap<&Tuple, usize> = FxHashMap::default();
@@ -192,12 +196,13 @@ impl Catalog {
         let staged = stage(&rows)?;
         for row in &rows {
             let hash = row_hash(row);
+            #[allow(clippy::expect_used)] // the count above left every row a copy
             let at = copies(data, index, hash, row).next().expect("counted above");
             index.remove(hash, at);
             data.swap_remove(at as usize);
             // The last row now sits where the removed one was.
             if let Some(moved) = data.get(at as usize) {
-                index.remove(row_hash(moved), posting(data.len()));
+                index.remove(row_hash(moved), data.len() as u32);
                 index.insert(row_hash(moved), at);
             }
         }
@@ -225,8 +230,7 @@ impl Catalog {
     pub fn analyze(&mut self, name: &str, sample_cap: usize, seed: u64) -> Result<&TableStats> {
         let src = self.get(name)?;
         let stats = collect_table_stats(&src.data, src.schema.arity(), sample_cap, seed);
-        self.stats.insert(name.to_string(), stats);
-        Ok(self.stats.get(name).expect("just inserted"))
+        Ok(self.stats.entry(name.to_string()).insert_entry(stats).into_mut())
     }
 
     /// Statistics previously collected by [`Catalog::analyze`], if any.
@@ -260,12 +264,17 @@ fn check_arity(name: &str, schema: &Schema, rows: &[Tuple]) -> Result<()> {
 /// at registration, the stored maximum after it), in event-time order — so
 /// windowed queries need no per-run sort and spouts emit in order for free.
 fn time_ordered(name: &str, mut rows: Vec<Tuple>, col: usize, floor: i64) -> Result<Vec<Tuple>> {
-    let ok = |v: &Value| matches!(v, Value::Int(t) if *t >= floor);
-    if let Some(bad) = rows.iter().map(|t| t.get(col)).find(|v| !ok(v)) {
-        let reason = format!("event time must be an Int at or past {floor}, found {bad:?}");
+    let time = |t: &Tuple| match t.get(col) {
+        Value::Int(ts) if *ts >= floor => Some(*ts),
+        _ => None,
+    };
+    if let Some(bad) = rows.iter().find(|t| time(t).is_none()) {
+        let reason =
+            format!("event time must be an Int at or past {floor}, found {:?}", bad.get(col));
         return Err(invalid(name, reason));
     }
-    rows.sort_by_key(|t| t.get(col).as_int().expect("validated above"));
+    // Every key is `Some`, so this is the order of the event times.
+    rows.sort_by_key(time);
     Ok(rows)
 }
 
@@ -278,11 +287,6 @@ fn copies<'a>(
     row: &'a Tuple,
 ) -> impl Iterator<Item = u32> + 'a {
     index.get(hash).iter().copied().filter(move |&at| data[at as usize] == *row)
-}
-
-/// A stored position as the index files it.
-fn posting(at: usize) -> u32 {
-    u32::try_from(at).expect("a table holds fewer than 2^32 rows")
 }
 
 #[cfg(test)]

@@ -23,6 +23,8 @@
 //! [`physical::PhysicalQuery::execute`] runs the result on the
 //! `squall-runtime` substrate via `squall-core`'s driver.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 mod aggregate;
 pub mod catalog;
 mod finalize;

@@ -119,6 +119,7 @@ impl Scope {
 
     /// The relation column `g` belongs to, and its column there.
     pub(crate) fn split(&self, g: usize) -> (usize, usize) {
+        #[allow(clippy::expect_used)] // a scope's first relation starts at 0
         let t = self.starts.iter().rposition(|&o| o <= g).expect("the first relation starts at 0");
         (t, g - self.starts[t])
     }

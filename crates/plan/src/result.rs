@@ -127,7 +127,8 @@ impl ResultSet {
         self.materialize();
         match &self.inner {
             ResultsInner::Rows { rows, cursor } => &rows[*cursor..],
-            ResultsInner::Stream(_) => unreachable!("materialized above"),
+            // `materialize` leaves no live stream.
+            ResultsInner::Stream(_) => &[],
         }
     }
 

@@ -128,6 +128,7 @@ impl Scan {
         };
         let mut refs = Vec::new();
         filter.referenced_columns(&mut refs);
+        #[allow(clippy::expect_used)] // the remap asks only for the filter's own columns
         let slot = |c: usize| refs.iter().position(|&r| r == c).expect("a column the filter reads");
         let block_filter = filter.remap_columns(&slot);
         let mut columns: Vec<ArrayBuilder> = refs.iter().map(|_| ArrayBuilder::new()).collect();

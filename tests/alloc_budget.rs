@@ -1,8 +1,9 @@
-//! Allocation budgets for the windowed and the full-history aggregate
+//! Allocation budgets for the tumbling, sliding and full-history aggregate
 //! paths, for a one-shot skewed join and for standing aggregate views,
 //! counted rather than timed: heap allocations do not vary from run to run
 //! or host to host, so a change that brings back a tuple per join result,
-//! a tuple per windowed arrival, per input row, per view delta and window
+//! an aggregator per window, a tuple per windowed arrival, per input row,
+//! per view delta and window
 //! or per checkpointed row, or a scatter-buffer column regrown for every
 //! batch fails here on its first run. This is its own test binary because the counting allocator is
 //! process-wide, and the cases take one lock so that no two run at once;
@@ -115,16 +116,17 @@ fn check_aggregate_budget(sql: &str, count_col: usize, budget: f64) {
     );
 }
 
-/// This query makes about 0.130 heap allocations per join result: each join
+/// This query makes about 0.092 heap allocations per join result: each join
 /// task folds its results into partial aggregates and ships one row per
 /// (window, group) and window-start range, one aggregator for all ranges,
-/// whose groups sit in one flat table.
-/// A hash map of owned keys and accumulator vectors per group cost 0.152, a
-/// fresh aggregator per range about 0.30, emitting every result into a
-/// scatter buffer 0.39, and building each result as a tuple first 2.33.
-/// The budget sits below the first of those, so losing any of the four
-/// fails here.
-const BUDGET_PER_RESULT: f64 = 0.14;
+/// whose groups sit in one flat table, and each aggregate shard merges the
+/// partials into one such table for all its windows.
+/// A fresh aggregator per window in the shards cost 0.130, a hash map of
+/// owned keys and accumulator vectors per group 0.152, a fresh aggregator
+/// per range about 0.30, emitting every result into a scatter buffer 0.39,
+/// and building each result as a tuple first 2.33. The budget sits below
+/// the first of those, so losing any of the five fails here.
+const BUDGET_PER_RESULT: f64 = 0.10;
 
 #[test]
 fn windowed_aggregation_stays_within_its_allocation_budget() {
@@ -134,18 +136,48 @@ fn windowed_aggregation_stays_within_its_allocation_budget() {
     check_aggregate_budget(sql, 3, BUDGET_PER_RESULT);
 }
 
-/// The same query over the full history makes about 0.051 heap allocations
+/// The same query over the full history makes about 0.0505 heap allocations
 /// per join result: each join task folds its results into one partial per
-/// group, in a flat group table, and ships them at end-of-stream. A hash
-/// map of owned keys per group cost 0.055 and emitting every result to the
-/// aggregate shards 0.17, so the budget sits just above the flat table.
-const BUDGET_PER_FULL_HISTORY_RESULT: f64 = 0.053;
+/// group, in a flat group table, and ships them at end-of-stream, and each
+/// shard drains its finished rows from its table in one sorted pass. A
+/// snapshot of tuples rebuilt per row cost 0.0510, a hash map of owned keys
+/// per group 0.055 and emitting every result to the aggregate shards 0.17,
+/// so the budget sits just above the flat table.
+const BUDGET_PER_FULL_HISTORY_RESULT: f64 = 0.051;
 
 #[test]
 fn full_history_aggregation_stays_within_its_allocation_budget() {
     // Each row is (g, COUNT(*), SUM(v)).
     let sql = "SELECT A.g, COUNT(*), SUM(A.v) FROM A, B WHERE A.k = B.k GROUP BY A.g";
     check_aggregate_budget(sql, 1, BUDGET_PER_FULL_HISTORY_RESULT);
+}
+
+/// The same query under `SLIDING 64` makes about 3.08 heap allocations per
+/// output row. A join result lies in up to 65 windows, so each join task
+/// ships one partial per (window-start range, group), and the shards merge
+/// it under the key of every window in the range, all windows in one group
+/// table whose closed windows' slots later windows retake. A fresh
+/// aggregator per open window, with each closed window's rows built twice,
+/// cost 8.82 per output row.
+const BUDGET_PER_SLIDING_ROW: f64 = 3.1;
+
+#[test]
+fn sliding_aggregation_stays_within_its_allocation_budget() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let session = stream_session();
+    // Each row is (window start, window end, g, COUNT(*), SUM(v)).
+    let sql = "SELECT A.g, COUNT(*), SUM(A.v) FROM A, B WHERE A.k = B.k \
+               WINDOW SLIDING 64 ON ts GROUP BY A.g";
+
+    let (rows, allocations) = count_allocations(|| session.sql(sql).unwrap().rows().to_vec());
+
+    assert!(rows.len() > 100_000, "the query made only {} rows", rows.len());
+    let per_row = allocations as f64 / rows.len() as f64;
+    eprintln!("{allocations} allocations for {} output rows: {per_row:.3} per row", rows.len());
+    assert!(
+        per_row <= BUDGET_PER_SLIDING_ROW,
+        "{per_row:.3} allocations per output row, over the budget of {BUDGET_PER_SLIDING_ROW}"
+    );
 }
 
 /// Rows per big relation of the skewed join, and per guard.

@@ -8,7 +8,9 @@
 //! * chunked execution is observationally identical to row-at-a-time
 //!   execution (batch size 1) on the 3-way join + GROUP BY scenario,
 //!   locally and over real loopback TCP;
-//! * `GroupByAggregator::update_chunk` matches per-row `update`.
+//! * `GroupByAggregator::update_chunk` matches a per-row fold written out.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use squall::common::codec::{self, Reader};
@@ -142,8 +144,9 @@ proptest! {
         assert_exact(&back.to_tuples(), &tuples);
     }
 
-    /// `GroupByAggregator::update_chunk` is observationally identical to
-    /// per-row `update`: same online output rows, same final snapshot.
+    /// `GroupByAggregator::update_chunk` folds like a per-row fold written
+    /// out as a `BTreeMap` of (COUNT, SUM) per key: same online output
+    /// rows, same final snapshot, in either mode.
     #[test]
     fn group_by_update_chunk_matches_rows(
         seed in 0u64..5_000,
@@ -163,12 +166,24 @@ proptest! {
             AggSpec::sum(ScalarExpr::col(1)),
             AggSpec::avg(ScalarExpr::col(1)),
         ];
-        let mut by_row = GroupByAggregator::new(vec![0], aggs());
-        let mut by_chunk = GroupByAggregator::new(vec![0], aggs());
+        let row = |k: i64, (count, sum): (i64, i64)| {
+            Tuple::new(vec![
+                Value::Int(k),
+                Value::Int(count),
+                Value::Int(sum),
+                Value::Float(sum as f64 / count as f64),
+            ])
+        };
+        let mut model: BTreeMap<i64, (i64, i64)> = BTreeMap::new();
         let mut row_out = Vec::new();
         for t in &tuples {
-            row_out.push(by_row.update(t).unwrap());
+            let k = t.get(0).as_int().unwrap();
+            let acc = model.entry(k).or_default();
+            *acc = (acc.0 + 1, acc.1 + t.get(1).as_int().unwrap());
+            row_out.push(row(k, *acc));
         }
+        let final_rows: Vec<Tuple> = model.iter().map(|(&k, &acc)| row(k, acc)).collect();
+        let mut by_chunk = GroupByAggregator::new(vec![0], aggs());
         let mut chunk_out = Vec::new();
         for batch in tuples.chunks(chunk_rows) {
             let chunk = Chunk::from_tuples(batch);
@@ -176,11 +191,11 @@ proptest! {
             by_chunk.update_chunk(&chunk, Some(&mut emit)).unwrap();
         }
         prop_assert_eq!(&chunk_out, &row_out, "online rows diverge");
-        prop_assert_eq!(by_chunk.snapshot(), by_row.snapshot());
+        prop_assert_eq!(&by_chunk.snapshot(), &final_rows);
         // Final-mode path (no row building) reaches the same state too.
         let mut by_final = GroupByAggregator::new(vec![0], aggs());
         by_final.update_chunk(&Chunk::from_tuples(&tuples), None).unwrap();
-        prop_assert_eq!(by_final.snapshot(), by_row.snapshot());
+        prop_assert_eq!(&by_final.snapshot(), &final_rows);
     }
 }
 
