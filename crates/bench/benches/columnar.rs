@@ -1,5 +1,5 @@
-//! Columnar data-plane microbenchmark: the columnar chunk codec vs the row
-//! codec. The windowed-aggregation insert kernel is measured by
+//! Wire codec microbenchmark: the chunk codec, which builds each column from
+//! the chunk's rows and decodes columns back into rows, vs the row codec. The windowed-aggregation insert kernel is measured by
 //! `squall-bench` (`core.window_insert_tps`).
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,19 +1,19 @@
-//! Columnar batches: typed arrays, validity bitmaps, and [`Chunk`]s.
+//! Batches and the typed columns of their wire layout.
 //!
-//! The data plane moves batches of rows between tasks. Storing a batch as
-//! `Vec<Tuple>` forces every consumer — filters, join-key hashing, the wire
-//! codec — through one `Value` enum dispatch per cell. A [`Chunk`] stores the
-//! same rows as *columns*: each column is a typed array ([`I64Array`],
-//! [`Utf8Array`], …) holding primitive values contiguously, with an optional
-//! [`Bitmap`] marking NULL rows. Hot paths (scalar expressions, the codec)
-//! then run tight loops over primitive slices; cold paths use the
-//! [`Chunk::rows`] adapter, which rebuilds row [`Tuple`]s on demand.
+//! The data plane moves batches of rows between tasks. A [`Chunk`] holds
+//! its rows back to back in one `Vec<Value>`, and every operator reads each
+//! row in place as a `&[Value]` slice. Columns exist where a columnar
+//! layout is read: the wire codec builds one typed array ([`I64Array`],
+//! [`Utf8Array`], …, with an optional [`Bitmap`] marking NULL rows) per
+//! column of a chunk it ships, and the scan's pushed filter evaluates
+//! blocks of such columns.
 //!
 //! One invariant matters for correctness — **round-trip exactness**:
 //! `Chunk::from_tuples(&ts).to_tuples() == ts` with the *same `Value`
-//! variants* — an `Int(3)` must never come back as `Float(3.0)` even though
-//! the two compare equal. Builders therefore degrade a column to the
-//! [`Array::Mixed`] fallback on any variant conflict instead of coercing.
+//! variants*, through the wire too — an `Int(3)` must never come back as
+//! `Float(3.0)` even though the two compare equal. Builders therefore
+//! degrade a column to the [`Array::Mixed`] fallback on any variant
+//! conflict instead of coercing.
 
 use crate::tuple::Tuple;
 use crate::value::{Date, Value};
@@ -33,11 +33,6 @@ pub struct Bitmap {
 }
 
 impl Bitmap {
-    /// An empty bitmap.
-    pub fn new() -> Bitmap {
-        Bitmap::default()
-    }
-
     /// A bitmap of `len` bits, all set.
     fn all_valid(len: usize) -> Bitmap {
         let mut b = Bitmap { words: vec![u64::MAX; len.div_ceil(64)], len };
@@ -87,21 +82,6 @@ impl Bitmap {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-
-    /// Rebuild from raw words and a bit length (wire decoding).
-    pub fn from_words(words: Vec<u64>, len: usize) -> Bitmap {
-        assert_eq!(words.len(), len.div_ceil(64), "bitmap word count mismatch");
-        let mut b = Bitmap { words, len };
-        b.mask_tail();
-        b
-    }
-
-    /// Bits `rows`, in that order.
-    fn take(&self, rows: &[u32]) -> Bitmap {
-        let mut out = Bitmap { words: Vec::with_capacity(rows.len().div_ceil(64)), len: 0 };
-        rows.iter().for_each(|&i| out.push(self.get(i as usize)));
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -127,14 +107,6 @@ impl<T: Copy + Default> PrimitiveArray<T> {
     /// A column where every row is valid.
     pub fn from_values(values: Vec<T>) -> PrimitiveArray<T> {
         PrimitiveArray { values, validity: None }
-    }
-
-    /// A column with an explicit validity bitmap (must match `values` length).
-    pub fn with_validity(values: Vec<T>, validity: Option<Bitmap>) -> PrimitiveArray<T> {
-        if let Some(v) = &validity {
-            assert_eq!(v.len(), values.len(), "validity length mismatch");
-        }
-        PrimitiveArray { values, validity }
     }
 
     /// Number of rows.
@@ -173,14 +145,6 @@ impl<T: Copy + Default> PrimitiveArray<T> {
         }
     }
 
-    /// Rows `rows`, in that order.
-    fn take(&self, rows: &[u32]) -> PrimitiveArray<T> {
-        PrimitiveArray {
-            values: rows.iter().map(|&i| self.values[i as usize]).collect(),
-            validity: self.validity.as_ref().map(|bits| bits.take(rows)),
-        }
-    }
-
     fn push(&mut self, v: Option<T>) {
         match v {
             Some(x) => {
@@ -214,17 +178,6 @@ impl Utf8Array {
     /// An empty string column.
     pub fn new() -> Utf8Array {
         Utf8Array { offsets: vec![0], bytes: Vec::new(), validity: None }
-    }
-
-    /// Rebuild from wire parts. `offsets` must be monotone starting at 0 and
-    /// end at `bytes.len()`.
-    pub fn from_parts(offsets: Vec<u32>, bytes: Vec<u8>, validity: Option<Bitmap>) -> Utf8Array {
-        assert!(!offsets.is_empty() && offsets[0] == 0, "offsets must start at 0");
-        assert_eq!(*offsets.last().unwrap() as usize, bytes.len(), "offsets/bytes mismatch");
-        if let Some(v) = &validity {
-            assert_eq!(v.len(), offsets.len() - 1, "validity length mismatch");
-        }
-        Utf8Array { offsets, bytes, validity }
     }
 
     /// Number of rows.
@@ -289,10 +242,10 @@ impl Utf8Array {
 }
 
 // ---------------------------------------------------------------------------
-// Array: one column of a chunk
+// Array: one column of rows
 // ---------------------------------------------------------------------------
 
-/// One column of a [`Chunk`]: typed when every non-NULL row shares a `Value`
+/// One column of rows: typed when every non-NULL row shares a `Value`
 /// variant, degraded otherwise.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Array {
@@ -507,40 +460,46 @@ impl ArrayBuilder {
 // Chunk
 // ---------------------------------------------------------------------------
 
-/// A columnar batch: `n_cols` equal-length [`Array`]s plus an explicit row
-/// count (needed because zero-column chunks still carry rows).
-#[derive(Debug, Clone, PartialEq)]
+/// The most values one [`Chunk`] holds: a sender ships its buffer before a
+/// row would take it past this, and a decoder refuses a chunk above it
+/// before sizing its row buffer. A zero-width row counts as one value, so
+/// a chunk's row count is bounded too.
+pub const MAX_CHUNK_CELLS: usize = 1 << 20;
+
+/// A batch of rows of one width, laid back to back: row `i` is
+/// `values()[i * width..][..width]`. The row count is kept apart, so a
+/// zero-width chunk still counts its rows.
+///
+/// A chunk is also the scatter buffer of the batched data plane: rows are
+/// pushed into it borrowed, a row of another width only once it is empty
+/// ([`Chunk::accepts`]), so ragged streams split into uniform chunks.
+/// Splitting at any boundary never changes results: routing happens per
+/// row before buffering, and consumers only see row multisets.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Chunk {
-    columns: Vec<Array>,
     rows: usize,
+    width: usize,
+    vals: Vec<Value>,
 }
 
 impl Chunk {
-    /// Assemble a chunk from columns; every column must have `rows` rows.
-    pub fn new(columns: Vec<Array>, rows: usize) -> Chunk {
-        for (i, c) in columns.iter().enumerate() {
-            assert_eq!(c.len(), rows, "column {i} length {} != rows {rows}", c.len());
-        }
-        Chunk { columns, rows }
-    }
-
     /// A chunk with no rows and no columns.
     pub fn empty() -> Chunk {
-        Chunk { columns: Vec::new(), rows: 0 }
+        Chunk::default()
     }
 
-    /// Columnarize a slice of row tuples. All tuples must share one arity.
+    /// `rows` rows of `width` values each, laid back to back in `vals`.
+    pub(crate) fn from_parts(rows: usize, width: usize, vals: Vec<Value>) -> Chunk {
+        debug_assert_eq!(vals.len(), rows * width, "{rows} rows of {width} values");
+        Chunk { rows, width, vals }
+    }
+
+    /// The rows of `tuples`, which must share one arity.
     pub fn from_tuples(tuples: &[Tuple]) -> Chunk {
-        let Some(first) = tuples.first() else { return Chunk::empty() };
-        let arity = first.arity();
-        let mut builders: Vec<ArrayBuilder> = (0..arity).map(|_| ArrayBuilder::new()).collect();
-        for t in tuples {
-            assert_eq!(t.arity(), arity, "ragged tuple arity in chunk");
-            for (b, v) in builders.iter_mut().zip(t.values()) {
-                b.push(v);
-            }
-        }
-        Chunk { columns: builders.iter_mut().map(|b| b.finish()).collect(), rows: tuples.len() }
+        let cells = tuples.first().map_or(0, |t| tuples.len() * t.arity());
+        let mut chunk = Chunk { vals: Vec::with_capacity(cells), ..Chunk::empty() };
+        tuples.iter().for_each(|t| chunk.push(t));
+        chunk
     }
 
     /// Number of rows.
@@ -548,9 +507,9 @@ impl Chunk {
         self.rows
     }
 
-    /// Number of columns (row arity).
+    /// Number of columns (row width).
     pub fn n_cols(&self) -> usize {
-        self.columns.len()
+        self.width
     }
 
     /// True when the chunk holds no rows.
@@ -558,159 +517,70 @@ impl Chunk {
         self.rows == 0
     }
 
-    /// Column `i`.
-    pub fn column(&self, i: usize) -> &Array {
-        &self.columns[i]
+    /// Every row's values, back to back.
+    pub fn values(&self) -> &[Value] {
+        &self.vals
     }
 
-    /// All columns.
-    pub fn columns(&self) -> &[Array] {
-        &self.columns
-    }
-
-    /// Materialize row `i` as a [`Tuple`] (the row-view fallback).
-    pub fn row(&self, i: usize) -> Tuple {
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[Value] {
         assert!(i < self.rows, "row {i} out of range {}", self.rows);
-        // Collecting straight into the tuple's shared slice allocates once
-        // (the column iterator has a trusted length).
-        self.columns.iter().map(|c| c.value(i)).collect()
+        &self.vals[i * self.width..][..self.width]
     }
 
-    /// Row `i`'s values into `buf`, replacing what it held: [`Chunk::row`]
-    /// for a caller that only borrows the row.
-    pub fn row_into(&self, i: usize, buf: &mut Vec<Value>) {
-        assert!(i < self.rows, "row {i} out of range {}", self.rows);
-        buf.clear();
-        buf.extend(self.columns.iter().map(|c| c.value(i)));
+    /// Every row, in order, read in place.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> {
+        (0..self.rows).map(|i| self.row(i))
     }
 
-    /// Rows `rows` (each `< n_rows`, in the order given) as a new chunk,
-    /// column by column: typed columns gather their payloads, so no
-    /// [`Value`] is built.
-    pub fn take(&self, rows: &[u32]) -> Chunk {
-        let columns = self.columns.iter().map(|col| match col {
-            Array::Int(a) => Array::Int(a.take(rows)),
-            Array::Float(a) => Array::Float(a.take(rows)),
-            Array::Date(a) => Array::Date(a.take(rows)),
-            Array::Str(a) => {
-                let validity = a.validity.as_ref().map(|bits| bits.take(rows));
-                let mut out = Utf8Array { validity, ..Utf8Array::new() };
-                for &i in rows {
-                    let (lo, hi) = (a.offsets[i as usize], a.offsets[i as usize + 1]);
-                    out.bytes.extend_from_slice(&a.bytes[lo as usize..hi as usize]);
-                    out.offsets.push(out.bytes.len() as u32);
-                }
-                Array::Str(out)
-            }
-            Array::Null(_) => Array::Null(rows.len()),
-            Array::Mixed(v) => Array::Mixed(rows.iter().map(|&i| v[i as usize].clone()).collect()),
-        });
-        Chunk { columns: columns.collect(), rows: rows.len() }
+    /// Every row as a [`Tuple`] of its own.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Tuple> + '_ {
+        self.iter().map(Tuple::from)
     }
 
-    /// Iterate rows as freshly materialized [`Tuple`]s. Cold-path adapter:
-    /// operators that want columns should read them directly.
-    pub fn rows(&self) -> Rows<'_> {
-        Rows { chunk: self, next: 0 }
-    }
-
-    /// Materialize every row.
+    /// Every row as a [`Tuple`] of its own.
     pub fn to_tuples(&self) -> Vec<Tuple> {
         self.rows().collect()
     }
-}
 
-/// Iterator over a [`Chunk`]'s rows as materialized [`Tuple`]s.
-#[derive(Debug)]
-pub struct Rows<'a> {
-    chunk: &'a Chunk,
-    next: usize,
-}
-
-impl Iterator for Rows<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        if self.next >= self.chunk.rows {
-            return None;
-        }
-        let t = self.chunk.row(self.next);
-        self.next += 1;
-        Some(t)
+    /// Rows `rows` (each `< n_rows`, in the order given) as a new chunk.
+    pub fn take(&self, rows: &[u32]) -> Chunk {
+        let mut vals = Vec::with_capacity(rows.len() * self.width);
+        rows.iter().for_each(|&i| vals.extend_from_slice(self.row(i as usize)));
+        Chunk { rows: rows.len(), width: self.width, vals }
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.chunk.rows - self.next;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for Rows<'_> {}
-
-// ---------------------------------------------------------------------------
-// ChunkBuilder
-// ---------------------------------------------------------------------------
-
-/// Accumulates rows into a [`Chunk`] — the per-target scatter buffer of the
-/// batched data plane.
-///
-/// The builder is arity-locked to its first row; callers must check
-/// [`ChunkBuilder::accepts`] and flush on a mismatch so ragged streams (e.g.
-/// punctuation-adjacent control rows) split into uniform chunks. Splitting at
-/// an arbitrary boundary never changes results: routing happens per row
-/// before buffering, and consumers only see row multisets. Each chunk's
-/// columns are allocated once, at the row count the previous chunk reached.
-#[derive(Debug, Default)]
-pub struct ChunkBuilder {
-    builders: Vec<ArrayBuilder>,
-    rows: usize,
-    arity: Option<usize>,
-}
-
-impl ChunkBuilder {
-    /// A fresh, empty builder.
-    pub fn new() -> ChunkBuilder {
-        ChunkBuilder::default()
-    }
-
-    /// Number of buffered rows.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// True when no rows are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Whether `row` can be appended without an arity flush.
+    /// Whether `row` can be pushed without a flush first: the chunk is
+    /// empty, or `row` is as wide as its rows and fits under
+    /// [`MAX_CHUNK_CELLS`].
     pub fn accepts(&self, row: &[Value]) -> bool {
-        self.arity.is_none_or(|a| a == row.len())
+        self.is_empty()
+            || (row.len() == self.width && (self.rows + 1) * self.width.max(1) <= MAX_CHUNK_CELLS)
     }
 
-    /// Append one row (panics on arity mismatch — check [`Self::accepts`]).
+    /// Append one row (panics on a width mismatch — check [`Self::accepts`]).
     pub fn push(&mut self, row: &[Value]) {
-        match self.arity {
-            None => {
-                self.arity = Some(row.len());
-                self.builders.resize_with(row.len(), ArrayBuilder::new);
-            }
-            Some(a) => assert_eq!(a, row.len(), "ragged arity pushed into ChunkBuilder"),
+        if self.is_empty() {
+            self.width = row.len();
         }
-        for (b, v) in self.builders.iter_mut().zip(row) {
-            b.push(v);
-        }
+        assert_eq!(
+            row.len(),
+            self.width,
+            "a {}-wide row pushed into a chunk of {}",
+            row.len(),
+            self.width
+        );
+        self.vals.extend_from_slice(row);
         self.rows += 1;
     }
 
-    /// Finish the buffered rows as a [`Chunk`] and reset.
+    /// The rows pushed so far as a chunk of their own, leaving this one
+    /// empty with room for as many values, so a steady stream allocates
+    /// once per batch.
     pub fn finish(&mut self) -> Chunk {
-        let rows = self.rows;
-        let n = self.arity.unwrap_or(0);
-        let columns = self.builders[..n].iter_mut().map(|b| b.finish()).collect();
-        self.rows = 0;
-        self.arity = None;
-        Chunk { columns, rows }
+        let room = Vec::with_capacity(self.vals.len());
+        let vals = std::mem::replace(&mut self.vals, room);
+        Chunk { rows: std::mem::take(&mut self.rows), width: self.width, vals }
     }
 }
 
@@ -736,24 +606,26 @@ mod tests {
         assert_eq!(c.to_tuples(), ts);
     }
 
+    /// One column built from `vals`.
+    fn column(vals: &[Value]) -> Array {
+        let mut b = ArrayBuilder::new();
+        vals.iter().for_each(|v| b.push(v));
+        b.finish()
+    }
+
     #[test]
     fn mixed_column_preserves_int_vs_float() {
         // Int(3) == Float(3.0) under Value equality; the column must still
         // give back the exact variants.
-        let ts = vec![tuple![3i64], tuple![3.0f64]];
-        let c = Chunk::from_tuples(&ts);
-        assert!(matches!(c.column(0), Array::Mixed(_)));
-        let back = c.to_tuples();
-        assert!(matches!(back[0].get(0), Value::Int(3)));
-        assert!(matches!(back[1].get(0), Value::Float(f) if *f == 3.0));
+        let col = column(&[Value::Int(3), Value::Float(3.0)]);
+        assert!(matches!(col, Array::Mixed(_)));
+        assert!(matches!(col.value(0), Value::Int(3)));
+        assert!(matches!(col.value(1), Value::Float(f) if f == 3.0));
     }
 
     #[test]
     fn all_null_column() {
-        let ts = vec![tuple![Value::Null], tuple![Value::Null]];
-        let c = Chunk::from_tuples(&ts);
-        assert!(matches!(c.column(0), Array::Null(2)));
-        assert_eq!(c.to_tuples(), ts);
+        assert!(matches!(column(&[Value::Null, Value::Null]), Array::Null(2)));
     }
 
     #[test]
@@ -766,25 +638,34 @@ mod tests {
 
     #[test]
     fn nulls_before_type_adoption() {
-        let ts = vec![tuple![Value::Null], tuple![7i64], tuple![Value::Null]];
-        let c = Chunk::from_tuples(&ts);
-        assert!(matches!(c.column(0), Array::Int(_)));
-        assert_eq!(c.to_tuples(), ts);
+        let vals = [Value::Null, Value::Int(7), Value::Null];
+        let col = column(&vals);
+        assert!(matches!(col, Array::Int(_)));
+        assert_eq!((0..3).map(|i| col.value(i)).collect::<Vec<_>>(), vals);
     }
 
     #[test]
-    fn chunk_builder_flush_and_reuse() {
-        let mut b = ChunkBuilder::new();
+    fn chunk_buffer_flush_and_reuse() {
+        let mut b = Chunk::empty();
         b.push(&tuple![1i64, 2i64]);
         b.push(&tuple![3i64, 4i64]);
         assert!(!b.accepts(&tuple![1i64]));
         let c1 = b.finish();
-        assert_eq!(c1.n_rows(), 2);
-        assert!(b.accepts(&tuple![1i64]));
+        assert_eq!((c1.n_rows(), c1.values().len()), (2, 4));
+        assert!(b.is_empty() && b.accepts(&tuple![1i64]));
         b.push(&tuple![9i64]);
         let c2 = b.finish();
-        assert_eq!(c2.n_rows(), 1);
-        assert_eq!(c2.n_cols(), 1);
+        assert_eq!((c2.n_rows(), c2.n_cols()), (1, 1));
+        assert_eq!(c2.row(0), &[Value::Int(9)]);
+        // A row that would take the buffer past the cell cap needs a flush.
+        let wide = vec![Value::Int(0); MAX_CHUNK_CELLS / 2];
+        b.push(&wide);
+        assert!(b.accepts(&wide));
+        b.push(&wide);
+        assert!(!b.accepts(&wide));
+        let mut empty_rows = Chunk::empty();
+        (0..MAX_CHUNK_CELLS).for_each(|_| empty_rows.push(&[]));
+        assert!(!empty_rows.accepts(&[]));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use crate::array::{Array, Bitmap, Chunk, PrimitiveArray, Utf8Array};
+use crate::array::{Array, ArrayBuilder, Bitmap, Chunk, PrimitiveArray, MAX_CHUNK_CELLS};
 use crate::error::{Result, SquallError};
 use crate::tuple::Tuple;
 use crate::value::{Date, Value};
@@ -497,17 +497,22 @@ const DICT_MIN_ROWS: usize = 64;
 /// blob   := [validity words] payload
 /// ```
 ///
+/// Each column is built from the chunk's rows through an [`ArrayBuilder`].
 /// Fixed-width columns ship their payload as one contiguous little-endian
-/// slab (no per-value tag bytes — the big win over per-row `put_tuple`); `Int`
-/// columns with few distinct values (hot Zipf keys) switch to dictionary
-/// encoding (`u32 n_dict · i64 dict[] · u8 code_width · code[]`) when that
-/// is strictly smaller. The `blob_len` prefix lets a reader skip or
+/// slab (no per-value tag bytes — the big win over per-row `put_tuple`);
+/// `Int` columns with few distinct values (hot Zipf keys) switch to
+/// dictionary encoding (`u32 n_dict · i64 dict[] · u8 code_width · code[]`)
+/// when that is strictly smaller; a `Str` column ships `u32 len · bytes ·
+/// u32 end-offsets[rows]`. The `blob_len` prefix lets a reader skip or
 /// validate each column independently.
 pub fn put_chunk(buf: &mut Vec<u8>, chunk: &Chunk) {
     put_u32(buf, chunk.n_rows() as u32);
     put_u32(buf, chunk.n_cols() as u32);
-    for col in chunk.columns() {
-        let (tag, encoding, validity) = match col {
+    let mut column = ArrayBuilder::new();
+    for c in 0..chunk.n_cols() {
+        chunk.values()[c..].iter().step_by(chunk.n_cols()).for_each(|v| column.push(v));
+        let col = column.finish();
+        let (tag, encoding, validity): (u8, u8, Option<&Bitmap>) = match &col {
             Array::Null(_) => (COL_NULL, ENC_PLAIN, None),
             Array::Int(a) => {
                 let enc = if int_dict_wins(a.values()) { ENC_DICT } else { ENC_PLAIN };
@@ -528,24 +533,12 @@ pub fn put_chunk(buf: &mut Vec<u8>, chunk: &Chunk) {
                 put_u64(buf, *w);
             }
         }
-        match col {
+        match &col {
             Array::Null(_) => {}
             Array::Int(a) if encoding == ENC_DICT => put_int_dict(buf, a.values()),
-            Array::Int(a) => {
-                for v in a.values() {
-                    put_i64(buf, *v);
-                }
-            }
-            Array::Float(a) => {
-                for v in a.values() {
-                    put_f64(buf, *v);
-                }
-            }
-            Array::Date(a) => {
-                for v in a.values() {
-                    put_i32(buf, *v);
-                }
-            }
+            Array::Int(a) => put_values(buf, a, put_i64),
+            Array::Float(a) => put_values(buf, a, put_f64),
+            Array::Date(a) => put_values(buf, a, put_i32),
             Array::Str(a) => {
                 put_bytes(buf, a.bytes());
                 // offsets[0] is always 0; ship the rows trailing end-offsets.
@@ -562,6 +555,16 @@ pub fn put_chunk(buf: &mut Vec<u8>, chunk: &Chunk) {
         let blob_len = (buf.len() - len_at - 4) as u32;
         buf[len_at..len_at + 4].copy_from_slice(&blob_len.to_le_bytes());
     }
+}
+
+/// A fixed-width column's payload: its values back to back, each as `put`
+/// writes it (NULL rows hold the type's default).
+fn put_values<T: Copy + Default>(
+    buf: &mut Vec<u8>,
+    col: &PrimitiveArray<T>,
+    put: impl Fn(&mut Vec<u8>, T),
+) {
+    col.values().iter().for_each(|&v| put(buf, v));
 }
 
 /// Whether dictionary encoding shrinks this integer payload. Counts
@@ -632,16 +635,122 @@ fn put_int_dict(buf: &mut Vec<u8>, values: &[i64]) {
     }
 }
 
-/// Decode one [`Chunk`] written by [`put_chunk`], validating each column's
-/// declared blob length.
+/// Decode one [`Chunk`] written by [`put_chunk`]: each column straight
+/// into its stride of the row buffer, each column's declared blob length
+/// validated. The buffer is sized only once [`chunk_cells`] has checked
+/// that the payload backs it.
 pub fn get_chunk(r: &mut Reader<'_>) -> Result<Chunk> {
     let rows = r.u32()? as usize;
     let n_cols = r.len()?; // plausibility-checked: ≥3 bytes per column header
-    let mut columns = Vec::with_capacity(n_cols);
+    let mut vals = vec![Value::Null; chunk_cells(r.clone(), rows, n_cols)?];
     for c in 0..n_cols {
         let tag = r.u8()?;
         let encoding = r.u8()?;
         let has_validity = r.bool()?;
+        let blob_len = r.u32()? as usize;
+        let before = r.remaining();
+        let validity = if has_validity { Some(r.need(rows.div_ceil(64) * 8)?) } else { None };
+        let cells = vals[c..].iter_mut().step_by(n_cols);
+        match (tag, encoding) {
+            (COL_NULL, ENC_PLAIN) => {}
+            (COL_INT, ENC_PLAIN) => {
+                let ints = slab::<8>(r, rows)?.map(|b| Ok(Value::Int(i64::from_le_bytes(b))));
+                fill(cells, validity, ints)?
+            }
+            (COL_INT, ENC_DICT) => {
+                let (dict, width) = get_int_dict_header(r)?;
+                let codes = r.need(rows * width)?.chunks_exact(width);
+                let code =
+                    |b: &[u8]| b.iter().rev().fold(0, |code, &byte| code << 8 | byte as usize);
+                let ints = codes.map(code).map(|code| match dict.get(code) {
+                    Some(&v) => Ok(Value::Int(v)),
+                    None => Err(SquallError::Codec(format!("dictionary code {code} out of range"))),
+                });
+                fill(cells, validity, ints)?
+            }
+            (COL_FLOAT, ENC_PLAIN) => {
+                let floats = slab::<8>(r, rows)?.map(|b| Ok(Value::Float(f64::from_le_bytes(b))));
+                fill(cells, validity, floats)?
+            }
+            (COL_DATE, ENC_PLAIN) => {
+                let dates =
+                    slab::<4>(r, rows)?.map(|b| Ok(Value::Date(Date(i32::from_le_bytes(b)))));
+                fill(cells, validity, dates)?
+            }
+            (COL_STR, ENC_PLAIN) => {
+                let n = r.u32()? as usize;
+                let text = std::str::from_utf8(r.need(n)?)
+                    .map_err(|_| SquallError::Codec("invalid utf-8 in string column".into()))?;
+                let mut start = 0;
+                let strs = slab::<4>(r, rows)?.map(|b| {
+                    let end = u32::from_le_bytes(b) as usize;
+                    let s = text.get(start..end).ok_or_else(|| {
+                        SquallError::Codec(format!("column {c} has a bad string offset {end}"))
+                    })?;
+                    start = end;
+                    Ok(Value::Str(s.into()))
+                });
+                fill(cells, validity, strs)?;
+                if start != text.len() {
+                    return Err(SquallError::Codec(format!(
+                        "column {c} string offsets do not cover payload"
+                    )));
+                }
+            }
+            (COL_MIXED, ENC_PLAIN) => fill(cells, validity, (0..rows).map(|_| Value::get(r)))?,
+            (t, e) => {
+                return Err(SquallError::Codec(format!("unknown column tag {t} / encoding {e}")))
+            }
+        }
+        let consumed = before - r.remaining();
+        if consumed != blob_len {
+            return Err(SquallError::Codec(format!(
+                "column {c} blob declared {blob_len} bytes but decoded {consumed}"
+            )));
+        }
+    }
+    Ok(Chunk::from_parts(rows, n_cols, vals))
+}
+
+/// The next `rows` values of `N` bytes each.
+fn slab<'a, const N: usize>(
+    r: &mut Reader<'a>,
+    rows: usize,
+) -> Result<impl Iterator<Item = [u8; N]> + 'a> {
+    let bytes = r.need(rows * N)?;
+    Ok(bytes.chunks_exact(N).map(|b| {
+        let mut v = [0; N];
+        v.copy_from_slice(b);
+        v
+    }))
+}
+
+/// Write one decoded value per row into the cell of each valid row, up to
+/// the first error. Bit `i` of the validity words (little-endian) is bit
+/// `i % 8` of byte `i / 8`.
+fn fill<'v>(
+    cells: impl Iterator<Item = &'v mut Value>,
+    validity: Option<&[u8]>,
+    vals: impl Iterator<Item = Result<Value>>,
+) -> Result<()> {
+    for (i, (cell, v)) in cells.zip(vals).enumerate() {
+        let v = v?;
+        if validity.is_none_or(|bits| bits[i / 8] >> (i % 8) & 1 == 1) {
+            *cell = v;
+        }
+    }
+    Ok(())
+}
+
+/// The values a chunk of `rows` rows and the `n_cols` columns ahead of `r`
+/// holds — once its payload is seen to back them: each column's blob lies
+/// within the payload, every column but an all-NULL one spends at least a
+/// byte per row, and the chunk stays within [`MAX_CHUNK_CELLS`], a
+/// zero-width row counting as one value.
+fn chunk_cells(mut r: Reader<'_>, rows: usize, n_cols: usize) -> Result<usize> {
+    for c in 0..n_cols {
+        let tag = r.u8()?;
+        r.need(2)?; // encoding and validity flag
         let blob_len = r.u32()? as usize;
         if blob_len > r.remaining() {
             return Err(SquallError::Codec(format!(
@@ -649,104 +758,23 @@ pub fn get_chunk(r: &mut Reader<'_>) -> Result<Chunk> {
                 r.remaining()
             )));
         }
-        let before = r.remaining();
-        let validity = if has_validity {
-            let n_words = plausible(r, rows.div_ceil(64), 8)?;
-            let mut words = Vec::with_capacity(n_words);
-            for _ in 0..n_words {
-                words.push(r.u64()?);
-            }
-            Some(Bitmap::from_words(words, rows))
-        } else {
-            None
-        };
-        let col = match (tag, encoding) {
-            (COL_NULL, ENC_PLAIN) => Array::Null(rows),
-            (COL_INT, ENC_PLAIN) => {
-                Array::Int(PrimitiveArray::with_validity(get_i64_slab(r, rows)?, validity))
-            }
-            (COL_INT, ENC_DICT) => {
-                Array::Int(PrimitiveArray::with_validity(get_int_dict(r, rows)?, validity))
-            }
-            (COL_FLOAT, ENC_PLAIN) => {
-                let mut vals = Vec::with_capacity(plausible(r, rows, 8)?);
-                for _ in 0..rows {
-                    vals.push(r.f64()?);
-                }
-                Array::Float(PrimitiveArray::with_validity(vals, validity))
-            }
-            (COL_DATE, ENC_PLAIN) => {
-                let mut vals = Vec::with_capacity(plausible(r, rows, 4)?);
-                for _ in 0..rows {
-                    vals.push(r.i32()?);
-                }
-                Array::Date(PrimitiveArray::with_validity(vals, validity))
-            }
-            (COL_STR, ENC_PLAIN) => {
-                let bytes = r.bytes()?;
-                let mut offsets = Vec::with_capacity(plausible(r, rows, 4)? + 1);
-                offsets.push(0u32);
-                for _ in 0..rows {
-                    let off = r.u32()?;
-                    if (off as usize) > bytes.len() || off < *offsets.last().unwrap() {
-                        return Err(SquallError::Codec(format!(
-                            "column {c} has non-monotone string offset {off}"
-                        )));
-                    }
-                    offsets.push(off);
-                }
-                if *offsets.last().unwrap() as usize != bytes.len() {
-                    return Err(SquallError::Codec(format!(
-                        "column {c} string offsets do not cover payload"
-                    )));
-                }
-                std::str::from_utf8(&bytes)
-                    .map_err(|_| SquallError::Codec("invalid utf-8 in string column".into()))?;
-                Array::Str(Utf8Array::from_parts(offsets, bytes, validity))
-            }
-            (COL_MIXED, ENC_PLAIN) => {
-                let mut vals = Vec::with_capacity(plausible(r, rows, 1)?);
-                for _ in 0..rows {
-                    vals.push(Value::get(r)?);
-                }
-                Array::Mixed(vals)
-            }
-            (t, e) => {
-                return Err(SquallError::Codec(format!("unknown column tag {t} / encoding {e}")))
-            }
-        };
-        let consumed = before - r.remaining();
-        if consumed != blob_len {
+        if tag != COL_NULL && rows > blob_len {
             return Err(SquallError::Codec(format!(
-                "column {c} blob declared {blob_len} bytes but decoded {consumed}"
+                "implausible column row count {rows} ({blob_len} bytes in column {c})"
             )));
         }
-        columns.push(col);
+        r.need(blob_len)?;
     }
-    Ok(Chunk::new(columns, rows))
+    match rows.checked_mul(n_cols.max(1)).filter(|&cells| cells <= MAX_CHUNK_CELLS) {
+        Some(_) => Ok(rows * n_cols),
+        None => Err(SquallError::Codec(format!(
+            "a chunk of {rows} rows × {n_cols} columns exceeds {MAX_CHUNK_CELLS} values"
+        ))),
+    }
 }
 
-/// Reject a row count whose minimum encoding exceeds the remaining bytes
-/// *before* any allocation sized from it.
-fn plausible(r: &Reader<'_>, rows: usize, min_bytes: usize) -> Result<usize> {
-    if rows.saturating_mul(min_bytes) > r.remaining() {
-        return Err(SquallError::Codec(format!(
-            "implausible column row count {rows} ({} bytes remain)",
-            r.remaining()
-        )));
-    }
-    Ok(rows)
-}
-
-fn get_i64_slab(r: &mut Reader<'_>, rows: usize) -> Result<Vec<i64>> {
-    let mut vals = Vec::with_capacity(plausible(r, rows, 8)?);
-    for _ in 0..rows {
-        vals.push(r.i64()?);
-    }
-    Ok(vals)
-}
-
-fn get_int_dict(r: &mut Reader<'_>, rows: usize) -> Result<Vec<i64>> {
+/// A dictionary column's dictionary and code width.
+fn get_int_dict_header(r: &mut Reader<'_>) -> Result<(Vec<i64>, usize)> {
     let n_dict = r.len()?;
     let mut dict = Vec::with_capacity(n_dict);
     for _ in 0..n_dict {
@@ -756,19 +784,7 @@ fn get_int_dict(r: &mut Reader<'_>, rows: usize) -> Result<Vec<i64>> {
     if !matches!(width, 1 | 2 | 4) {
         return Err(SquallError::Codec(format!("bad dictionary code width {width}")));
     }
-    let mut vals = Vec::with_capacity(plausible(r, rows, width)?);
-    for _ in 0..rows {
-        let code = match width {
-            1 => r.u8()? as usize,
-            2 => u16::from_le_bytes(r.need(2)?.try_into().expect("2 bytes")) as usize,
-            _ => r.u32()? as usize,
-        };
-        let v = dict.get(code).ok_or_else(|| {
-            SquallError::Codec(format!("dictionary code {code} out of range {n_dict}"))
-        })?;
-        vals.push(*v);
-    }
-    Ok(vals)
+    Ok((dict, width))
 }
 
 // ---------------------------------------------------------------------
@@ -948,6 +964,45 @@ mod tests {
         // tag/enc/validity bytes = 11).
         buf[11] ^= 0x04;
         assert!(matches!(get_chunk(&mut Reader::new(&buf)), Err(SquallError::Codec(_))));
+    }
+
+    #[test]
+    fn forged_row_counts_are_refused_before_the_rows_are_sized() {
+        let header = |buf: &mut Vec<u8>, tag: u8, blob_len: usize| {
+            buf.extend_from_slice(&[tag, ENC_PLAIN, 0]);
+            put_u32(buf, blob_len as u32);
+        };
+        // `rows` rows of one plain Int column holding `ints` values, beside
+        // `nulls` all-NULL columns.
+        let forged = |rows: u32, ints: usize, nulls: usize| {
+            let mut buf = Vec::new();
+            put_u32(&mut buf, rows);
+            put_u32(&mut buf, 1 + nulls as u32);
+            header(&mut buf, COL_INT, ints * 8);
+            (0..ints as i64).for_each(|v| put_i64(&mut buf, v));
+            (0..nulls).for_each(|_| header(&mut buf, COL_NULL, 0));
+            buf
+        };
+        let refused = |buf: &[u8], why: &str| match get_chunk(&mut Reader::new(buf)) {
+            Err(SquallError::Codec(m)) => assert!(m.contains(why), "{m}"),
+            other => panic!("{other:?}"),
+        };
+        // No byte backs an all-NULL column's rows, nor a zero-width chunk's:
+        // the cell cap bounds them.
+        for cols in [0, 1] {
+            let mut null_rows = Vec::new();
+            put_u32(&mut null_rows, u32::MAX);
+            put_u32(&mut null_rows, cols);
+            (0..cols).for_each(|_| header(&mut null_rows, COL_NULL, 0));
+            refused(&null_rows, "exceeds");
+        }
+        // One payload column backs 256 rows, but not 256 × 4 097 values.
+        refused(&forged(256, 256, 4_096), "exceeds");
+        // A payload column spends a byte per row at least.
+        refused(&forged(4_096, 256, 3), "implausible");
+        let chunk = get_chunk(&mut Reader::new(&forged(256, 256, 3))).unwrap();
+        assert_eq!((chunk.n_rows(), chunk.n_cols()), (256, 4));
+        assert_eq!(chunk.row(7), [Value::Int(7), Value::Null, Value::Null, Value::Null]);
     }
 
     #[test]

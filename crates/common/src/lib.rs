@@ -9,8 +9,8 @@
 //! schemes, so [`Tuple`] is a cheaply clonable reference-counted slice of
 //! values, and strings are stored as shared buffers (the paper's Trove-style
 //! "primitive collections" optimization, §3.3). Batches move between tasks as
-//! columnar [`Chunk`]s (typed arrays + validity bitmaps, see [`mod@array`]), with
-//! [`Chunk::rows`] as the row-view fallback for cold paths.
+//! [`Chunk`]s, rows laid back to back and read in place; their columns
+//! (typed arrays + validity bitmaps, see [`mod@array`]) exist only on the wire.
 
 pub mod array;
 pub mod codec;
@@ -22,7 +22,7 @@ pub mod tuple;
 pub mod value;
 pub mod zipf;
 
-pub use array::{Array, ArrayBuilder, Bitmap, Chunk, ChunkBuilder};
+pub use array::{Array, ArrayBuilder, Bitmap, Chunk, MAX_CHUNK_CELLS};
 pub use error::{Result, SquallError};
 pub use hash::{FxHashMap, FxHashSet};
 pub use rng::SplitMix64;

@@ -18,8 +18,7 @@ pub struct Tuple {
 
 impl FromIterator<Value> for Tuple {
     /// Collect values directly into the shared slice — one allocation,
-    /// no intermediate `Vec` (the hot path when materializing rows out of
-    /// a columnar chunk).
+    /// no intermediate `Vec`.
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Tuple {
         Tuple { values: iter.into_iter().collect() }
     }

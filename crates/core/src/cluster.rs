@@ -805,9 +805,9 @@ mod tests {
 
     #[test]
     fn dbtoaster_join_past_its_relation_limit_is_a_typed_error_on_the_worker() {
-        // A `Job` frame for a 31-relation DBToaster join — a batch one, or a
-        // standing one, which runs DBToaster whatever its local kind — must
-        // fail the job, not panic the worker building the join's views.
+        // A `Job` frame for a 31-relation DBToaster join — a batch one or a
+        // standing one — must fail the job, not panic the worker building
+        // the join's views.
         let n = squall_join::dbtoaster::MAX_RELATIONS + 1;
         let rel = |i: usize| {
             let schema = Schema::of(&[("a", DataType::Int), ("b", DataType::Int)]);
@@ -816,7 +816,7 @@ mod tests {
         let atoms = (1..n).map(|i| JoinAtom::eq(i - 1, 1, i, 0)).collect();
         let spec = MultiJoinSpec::new((0..n).map(rel).collect(), atoms).unwrap();
         let batch = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::DBToaster, 2);
-        let mut standing = MultiwayConfig::new(SchemeKind::Hash, LocalJoinKind::Traditional, 2);
+        let mut standing = batch.clone();
         standing.standing = true;
         for cfg in [batch, standing] {
             let job = JobSpec {

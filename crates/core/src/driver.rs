@@ -339,17 +339,12 @@ pub(crate) struct RunContext {
 /// at the bound on every count still launches in seconds.
 const MAX_TASKS: usize = 1024;
 
-/// Whether `cfg`'s join tasks keep a view of every connected subset: under
-/// DBToaster, and in every standing view.
-fn every_subset(cfg: &MultiwayConfig) -> bool {
-    cfg.local == LocalJoinKind::DBToaster || cfg.standing
-}
-
 /// The plan checks [`wire_join_stage`] runs before building anything: one
-/// data stream per relation, no more relations than a DBToaster join (which
-/// every standing view runs) holds, every task count in `1..=MAX_TASKS`,
-/// at least one aggregate, group-by and aggregate input columns the join
-/// output has, and a window plan that is bounded,
+/// data stream per relation, no more relations than a DBToaster join holds
+/// where `cfg.local` asks for one (one-shot or standing alike; a
+/// `Traditional` join keeps the bases only and has no such cap), every task
+/// count in `1..=MAX_TASKS`, at least one aggregate, group-by and aggregate
+/// input columns the join output has, and a window plan that is bounded,
 /// non-empty and names an in-range event-time column for every relation. A
 /// plan that fails here would otherwise panic — in the topology builder's
 /// asserts, inside a bolt factory, routing by a missing column, or dividing
@@ -362,7 +357,7 @@ fn validate_plan(spec: &MultiJoinSpec, n_streams: usize, cfg: &MultiwayConfig) -
             n_streams
         )));
     }
-    if every_subset(cfg) && spec.n_relations() > MAX_RELATIONS {
+    if cfg.local == LocalJoinKind::DBToaster && spec.n_relations() > MAX_RELATIONS {
         return Err(SquallError::InvalidPlan(format!(
             "a DBToaster join holds at most {MAX_RELATIONS} relations, not {}",
             spec.n_relations()
@@ -443,7 +438,7 @@ pub(crate) type SpoutFactory = Box<dyn Fn(usize) -> Box<dyn Spout> + Send>;
 /// epoch-tagged deltas both need), the
 /// upstream-node → relation map, the partitioning scheme, one
 /// [`TaskJoin`] per machine over `cfg`'s view set (every connected subset
-/// where [`every_subset`] says so, else the bases alone), windowed and
+/// under [`LocalJoinKind::DBToaster`], else the bases alone), windowed and
 /// budgeted as `cfg` says and wrapped by `bolt`, and the scheme's source →
 /// join groupings. Returns the builder for the caller to hang its sink stage on.
 ///
@@ -483,7 +478,7 @@ pub(crate) fn wire_join_stage(
     let spec_arc = Arc::new(spec.clone());
     let arities: Vec<usize> = spec.relations.iter().map(|r| r.schema.arity()).collect();
     let window = cfg.window.clone();
-    let (budget, every_subset) = (cfg.budget, every_subset(cfg));
+    let (budget, every_subset) = (cfg.budget, cfg.local == LocalJoinKind::DBToaster);
     let join_node = b.add_bolt("join", machines, move |machine| {
         let join = if every_subset {
             DBToasterJoin::new(&spec_arc)

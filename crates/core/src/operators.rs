@@ -173,6 +173,23 @@ impl TaskJoin {
             .ok_or_else(|| SquallError::Runtime(format!("unknown origin node {origin}")))
     }
 
+    /// Check, once per chunk, that `chunk`'s rows are as wide as relation
+    /// `rel`'s plus `tags` trailing columns: a chunk may come off the wire,
+    /// and one of another width would join shifted values.
+    pub(crate) fn check_width(&self, rel: usize, chunk: &Chunk, tags: usize) -> Result<()> {
+        let arity = match &self.state {
+            JoinState::Full(join) => join.arity(rel),
+            JoinState::Windowed { join, .. } => join.row_shape(rel).0,
+        };
+        if chunk.n_cols() != arity + tags {
+            return Err(SquallError::Runtime(format!(
+                "a chunk of {} columns for relation {rel}, whose rows are {arity} + {tags} wide",
+                chunk.n_cols()
+            )));
+        }
+        Ok(())
+    }
+
     /// Insert the `rows` of `rel`, back to back, pushing the (in-window)
     /// results into `out`; a windowed join hands each row the batch evicts
     /// to `evicted` as `(rel, row, multiplicity)`. A windowed batch is read
@@ -229,8 +246,6 @@ impl TaskJoin {
 /// inside, this is the HyLD operator of §3.4.
 pub struct JoinBolt {
     join: TaskJoin,
-    /// The rows of the chunk being inserted, reused from chunk to chunk.
-    rows: Vec<Value>,
     /// The first phase of an aggregate downstream, which results fold into
     /// instead of being emitted; `None` without one.
     partials: Option<Partials>,
@@ -238,7 +253,7 @@ pub struct JoinBolt {
 
 impl JoinBolt {
     pub(crate) fn over(join: TaskJoin) -> JoinBolt {
-        JoinBolt { join, rows: Vec::new(), partials: None }
+        JoinBolt { join, partials: None }
     }
 
     /// A full-history join bolt.
@@ -315,9 +330,8 @@ impl JoinBolt {
         self
     }
 
-    /// Process the arrivals in `self.rows`, whose relation is already
-    /// resolved.
-    fn step(&mut self, rel: usize, out: &mut OutputCollector) -> Result<()> {
+    /// Process the arrivals `rows` of relation `rel`, laid back to back.
+    fn step(&mut self, rel: usize, rows: &[Value], out: &mut OutputCollector) -> Result<()> {
         // Partials fold a result once with its weight, so aggregated
         // DBToaster views never materialize hot-key outputs (§3.3);
         // otherwise a row is emitted per unit.
@@ -327,7 +341,7 @@ impl JoinBolt {
             Some(_) => {}
             None => (0..mult).for_each(|_| out.emit_row(row)),
         };
-        self.join.insert_into(rel, &self.rows, &mut sink, |_, _, _| {})?;
+        self.join.insert_into(rel, rows, &mut sink, |_, _, _| {})?;
         if let Some(e) = failed {
             return Err(e);
         }
@@ -353,18 +367,15 @@ impl Bolt for JoinBolt {
         out: &mut OutputCollector,
     ) -> Result<()> {
         let rel = self.join.rel_of(origin)?;
-        // The join takes the chunk whole — a window cuts it into runs
-        // between eviction boundaries itself. A zero-column chunk's rows
-        // would flatten to nothing (a zero-arity batch is one row), so they
-        // go one by one.
-        self.rows.clear();
+        self.join.check_width(rel, chunk, 0)?;
+        // The join takes the chunk's rows whole, in place — a window cuts
+        // them into runs between eviction boundaries itself. A zero-column
+        // chunk's rows would flatten to nothing (a zero-arity batch is one
+        // row), so they go one by one.
         if chunk.n_cols() == 0 {
-            return (0..chunk.n_rows()).try_for_each(|_| self.step(rel, out));
+            return (0..chunk.n_rows()).try_for_each(|_| self.step(rel, &[], out));
         }
-        for i in 0..chunk.n_rows() {
-            self.rows.extend(chunk.columns().iter().map(|c| c.value(i)));
-        }
-        self.step(rel, out)
+        self.step(rel, chunk.values(), out)
     }
 
     fn finish(&mut self, out: &mut OutputCollector) -> Result<()> {
@@ -502,8 +513,6 @@ pub struct WindowedAggBolt {
     forwarded: u64,
     /// Scratch for closed-window rows between close and emit.
     drain: Vec<Tuple>,
-    /// Scratch for one partial or raw row.
-    row: Vec<Value>,
 }
 
 impl WindowedAggBolt {
@@ -527,7 +536,6 @@ impl WindowedAggBolt {
             closed_before: 0,
             forwarded: 0,
             drain: Vec::new(),
-            row: Vec::new(),
         }
     }
 
@@ -561,22 +569,10 @@ impl WindowedAggBolt {
         Ok(())
     }
 
-    /// Fold one columnar chunk of join results in, each row once per
-    /// window it belongs to, through [`GroupByAggregator::fold_row_under`].
+    /// Fold one chunk of join results in, each row once per window it
+    /// belongs to, through [`GroupByAggregator::fold_row_under`].
     pub fn insert_chunk(&mut self, chunk: &Chunk) -> Result<()> {
-        self.each_row(chunk, Self::insert_row)
-    }
-
-    /// Run `f` over each row of `chunk`, read into the reused row buffer,
-    /// up to the first error.
-    fn each_row(&mut self, chunk: &Chunk, f: fn(&mut Self, &[Value]) -> Result<()>) -> Result<()> {
-        let mut row = std::mem::take(&mut self.row);
-        let done = (0..chunk.n_rows()).try_for_each(|i| {
-            chunk.row_into(i, &mut row);
-            f(self, &row)
-        });
-        self.row = row;
-        done
+        chunk.iter().try_for_each(|row| self.insert_row(row))
     }
 
     /// Fold one join result into every window it belongs to.
@@ -594,7 +590,7 @@ impl WindowedAggBolt {
     /// `first..=last` — under full history `(group…, accumulators…)` under
     /// none.
     fn merge_partials(&mut self, chunk: &Chunk) -> Result<()> {
-        self.each_row(chunk, Self::merge_partial)
+        chunk.iter().try_for_each(|row| self.merge_partial(row))
     }
 
     /// Merge one partial row into its windows.
@@ -1040,7 +1036,7 @@ mod tests {
         fn held(&self) -> (usize, usize) {
             match &self.0.join.state {
                 JoinState::Windowed { join, .. } => (join.inner().stored(), join.live_tuples()),
-                JoinState::Full(_) => unreachable!("built windowed"),
+                JoinState::Full(join) => (join.stored(), 0),
             }
         }
     }
@@ -1056,6 +1052,56 @@ mod tests {
             let done = self.0.execute_chunk(origin, chunk, out);
             self.1.lock().unwrap().push([before, self.held()]);
             done
+        }
+    }
+
+    #[test]
+    fn a_chunk_of_the_wrong_width_is_a_typed_error_and_inserts_nothing() {
+        // R(k, ts) fed 3-wide rows, as a forged chunk off the wire would
+        // hold: an error, and no row of the chunk may reach the join state,
+        // full-history or windowed.
+        use squall_common::{DataType, Schema};
+        use squall_expr::{JoinAtom, MultiJoinSpec, RelationDef};
+        let schema = Schema::of(&[("k", DataType::Int), ("ts", DataType::Int)]);
+        let spec = MultiJoinSpec::new(
+            vec![RelationDef::new("R", schema.clone(), 0), RelationDef::new("S", schema, 0)],
+            vec![JoinAtom::eq(0, 0, 1, 0)],
+        )
+        .unwrap();
+        for windowed in [false, true] {
+            let script: Vec<Option<Tuple>> = vec![Some(tuple![1, 2, 3]), Some(tuple![1, 5, 6])];
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let held = Arc::clone(&seen);
+            let mut b = TopologyBuilder::new().batch_size(4);
+            let src =
+                b.add_spout("R", 1, move |_| Box::new(Script(script.clone().into_iter(), None)));
+            let spec = spec.clone();
+            let join = b.add_bolt("join", 1, move |machine| {
+                let origin_to_rel = [(src, 0)].into_iter().collect();
+                let local = DBToasterJoin::new(&spec);
+                let bolt = match windowed {
+                    false => JoinBolt::new(machine, origin_to_rel, local),
+                    true => {
+                        let tumbling = WindowSpec::Tumbling { width: 10 };
+                        JoinBolt::new_windowed(
+                            machine,
+                            origin_to_rel,
+                            local,
+                            tumbling,
+                            vec![1, 1],
+                            &[2, 2],
+                        )
+                    }
+                };
+                Box::new(Held(bolt, Arc::clone(&held)))
+            });
+            b.connect(src, join, Grouping::Global);
+            let error = b.build().unwrap().run().error;
+            assert!(
+                matches!(&error, Some(SquallError::Runtime(m)) if m.contains("a chunk of 3 columns")),
+                "windowed {windowed}: {error:?}"
+            );
+            assert_eq!(*seen.lock().unwrap(), [[(0, 0), (0, 0)]], "windowed {windowed}");
         }
     }
 

@@ -61,7 +61,6 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use squall_common::array::Array;
 use squall_common::codec::{self, Reader};
 use squall_common::{Chunk, FxHashMap, Result, SquallError, Tuple, Value};
 use squall_expr::MultiJoinSpec;
@@ -340,11 +339,13 @@ impl ViewJoinBolt {
         r.finish()
     }
 
-    /// Apply the signed deltas of a chunk of relation `rel`, handing each
-    /// of their result deltas to `emit` as a row tagged with its delta's
-    /// epoch. Each run of rows that share an epoch is read into reused
-    /// buffers and applied as one batch if its epoch is at most `turn`, or
-    /// held until its turn comes (see `held`).
+    /// Apply the signed deltas of a chunk of relation `rel`, each row its
+    /// payload followed by `[multiplicity, epoch]`, handing each of their
+    /// result deltas to `emit` as a row tagged with its delta's epoch. Each
+    /// run of rows that share an epoch is copied into reused buffers and
+    /// applied as one batch if its epoch is at most `turn`, or held until
+    /// its turn comes (see `held`). A chunk of another width applies
+    /// nothing and is a typed error.
     fn apply_in_turn(
         &mut self,
         rel: usize,
@@ -352,15 +353,18 @@ impl ViewJoinBolt {
         turn: u64,
         emit: &mut dyn FnMut(&[Value]),
     ) -> Result<()> {
-        let (payload, tags) = delta_columns(chunk)?;
+        self.join.check_width(rel, chunk, 2)?;
+        let arity = chunk.n_cols() - 2;
+        let epoch_of = |i: usize| chunk.row(i)[arity + 1].as_int();
         let mut next = 0;
         while next < chunk.n_rows() {
-            let epoch = tags[1].value(next).as_int()?;
+            let epoch = epoch_of(next)?;
             self.rows.clear();
             self.mults.clear();
-            while next < chunk.n_rows() && tags[1].value(next).as_int()? == epoch {
-                self.rows.extend(payload.iter().map(|c| c.value(next)));
-                self.mults.push(tags[0].value(next).as_int()?);
+            while next < chunk.n_rows() && epoch_of(next)? == epoch {
+                let (payload, tags) = chunk.row(next).split_at(arity);
+                self.rows.extend_from_slice(payload);
+                self.mults.push(tags[0].as_int()?);
                 next += 1;
             }
             if epoch as u64 > turn {
@@ -445,18 +449,6 @@ impl ViewJoinBolt {
         let Some(tx) = &self.blob_tx else { return };
         let _ = tx.send((ROLE_JOIN, self.join.machine, epoch, self.log.seal(epoch)));
     }
-}
-
-/// A delta-plane chunk's payload columns, and its `[multiplicity, epoch]`
-/// columns.
-fn delta_columns(chunk: &Chunk) -> Result<(&[Array], &[Array])> {
-    let n = chunk.n_cols();
-    if n < 2 {
-        return Err(SquallError::Runtime(format!(
-            "delta-plane tuple too narrow ({n} columns; needs payload + mult + epoch)"
-        )));
-    }
-    Ok(chunk.columns().split_at(n - 2))
 }
 
 impl Bolt for ViewJoinBolt {
@@ -811,10 +803,9 @@ impl ViewSinkBolt {
                 "view delta of {n} columns, not {arity} + 2"
             )));
         }
-        let (payload, tags) = chunk.columns().split_at(arity);
         self.tags.clear();
-        for i in 0..chunk.n_rows() {
-            let (mult, epoch) = (tags[0].value(i).as_int()?, tags[1].value(i).as_int()? as u64);
+        for row in chunk.iter() {
+            let (mult, epoch) = (row[arity].as_int()?, row[arity + 1].as_int()? as u64);
             if epoch <= self.applied {
                 return Err(SquallError::Runtime(format!(
                     "late delta for already-applied epoch {epoch} (applied {})",
@@ -830,7 +821,7 @@ impl ViewSinkBolt {
             let deltas =
                 self.pending.entry(epoch).or_insert_with(|| spare.pop().unwrap_or_default());
             while let Some(&(mult, _)) = tagged.get(i).filter(|t| t.1 == epoch) {
-                deltas.vals.extend(payload.iter().map(|c| c.value(i)));
+                deltas.vals.extend_from_slice(&chunk.row(i)[..arity]);
                 deltas.mults.push(mult);
                 i += 1;
             }
@@ -1626,6 +1617,33 @@ mod tests {
             twin.ship(1);
             let blobs: Vec<SnapshotBlobMsg> = rx.try_iter().collect();
             assert_eq!(blobs[0].3, blobs[1].3, "{ts:?} weighing {w}: the logged rows");
+        }
+    }
+
+    #[test]
+    fn a_delta_chunk_of_the_wrong_width_is_a_typed_error_and_applies_nothing() {
+        // R(a, b) deltas tagged `[1, 1]`: three payload columns, or one,
+        // instead of two. Neither may reach the join state, windowed or not.
+        use squall_join::LocalJoin;
+        let full = || {
+            let state = JoinState::Full(DBToasterJoin::new(&pair_spec()));
+            TaskJoin { state, origin_to_rel: FxHashMap::default(), machine: 0, budget: None }
+        };
+        let stored = |bolt: &ViewJoinBolt| match &bolt.join.state {
+            JoinState::Windowed { join, .. } => join.inner().stored(),
+            JoinState::Full(join) => join.stored(),
+        };
+        for forged in [tuple![1, 2, 3, 1, 1], tuple![1, 1, 1]] {
+            for join in [full(), windowed()] {
+                let mut bolt = ViewJoinBolt::new(join, 2, None, 0);
+                let chunk = Chunk::from_tuples(&[forged.clone(), forged.clone()]);
+                let applied = bolt.apply(0, &chunk, &mut |_| panic!("no result may come of it"));
+                assert!(
+                    matches!(&applied, Err(SquallError::Runtime(m)) if m.contains("2 + 2 wide")),
+                    "{forged:?}: {applied:?}"
+                );
+                assert_eq!(stored(&bolt), 0, "{forged:?}");
+            }
         }
     }
 

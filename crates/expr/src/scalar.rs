@@ -1,9 +1,9 @@
-//! Scalar expressions over tuples and columnar chunks.
+//! Scalar expressions over rows, and over blocks of typed columns.
 
 use std::fmt;
 
 use squall_common::array::{Array, ArrayBuilder, I64Array, Utf8Array};
-use squall_common::{Chunk, DataType, Date, Result, SquallError, Value};
+use squall_common::{DataType, Date, Result, SquallError, Value};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,7 +171,8 @@ impl ScalarExpr {
         truthy(&self.eval(tuple)?)
     }
 
-    /// Evaluate against every row of a chunk, column-at-a-time.
+    /// Evaluate against `rows` rows given column by column, `cols[c]` the
+    /// rows' column `c`, column-at-a-time.
     ///
     /// Column references clone the input column, comparisons and integer
     /// arithmetic over fully-valid `Int` columns run as tight loops over
@@ -184,30 +185,28 @@ impl ScalarExpr {
     /// short-circuit contract: the right side is not evaluated at all
     /// unless some row needs it, and if its vectorized evaluation fails,
     /// evaluation degrades to exact per-row semantics.
-    pub fn eval_chunk(&self, chunk: &Chunk) -> Result<Array> {
+    pub fn eval_chunk(&self, cols: &[Array], rows: usize) -> Result<Array> {
         match self {
-            ScalarExpr::Column(i) => {
-                if *i >= chunk.n_cols() {
-                    return Err(SquallError::InvalidPlan(format!(
-                        "column {i} out of range for arity {}",
-                        chunk.n_cols()
-                    )));
-                }
-                Ok(chunk.column(*i).clone())
-            }
-            ScalarExpr::Literal(v) => Ok(broadcast(v, chunk.n_rows())),
+            ScalarExpr::Column(i) => match cols.get(*i) {
+                Some(col) => Ok(col.clone()),
+                None => Err(SquallError::InvalidPlan(format!(
+                    "column {i} out of range for arity {}",
+                    cols.len()
+                ))),
+            },
+            ScalarExpr::Literal(v) => Ok(broadcast(v, rows)),
             ScalarExpr::Bin { op, lhs, rhs } => match op {
                 BinOp::And | BinOp::Or => {
-                    eval_logical_chunk(*op == BinOp::And, self, lhs, rhs, chunk)
+                    eval_logical_chunk(*op == BinOp::And, self, lhs, rhs, cols, rows)
                 }
                 _ => {
-                    let l = lhs.eval_chunk(chunk)?;
-                    let r = rhs.eval_chunk(chunk)?;
+                    let l = lhs.eval_chunk(cols, rows)?;
+                    let r = rhs.eval_chunk(cols, rows)?;
                     eval_bin_arrays(*op, &l, &r)
                 }
             },
             ScalarExpr::Not(e) => {
-                let a = e.eval_chunk(chunk)?;
+                let a = e.eval_chunk(cols, rows)?;
                 let mut out = Vec::with_capacity(a.len());
                 for i in 0..a.len() {
                     out.push(!truthy(&a.value(i))? as i64);
@@ -215,7 +214,7 @@ impl ScalarExpr {
                 Ok(Array::Int(I64Array::from_values(out)))
             }
             ScalarExpr::Cast { expr, to } => {
-                let a = expr.eval_chunk(chunk)?;
+                let a = expr.eval_chunk(cols, rows)?;
                 let mut b = ArrayBuilder::new();
                 for i in 0..a.len() {
                     b.push(&cast_value(a.value(i), *to)?);
@@ -306,10 +305,10 @@ fn eval_logical_chunk(
     whole: &ScalarExpr,
     lhs: &ScalarExpr,
     rhs: &ScalarExpr,
-    chunk: &Chunk,
+    cols: &[Array],
+    rows: usize,
 ) -> Result<Array> {
-    let l = lhs.eval_chunk(chunk)?;
-    let rows = l.len();
+    let l = lhs.eval_chunk(cols, rows)?;
     let mut lmask = Vec::with_capacity(rows);
     for i in 0..rows {
         lmask.push(truthy(&l.value(i))?);
@@ -320,7 +319,7 @@ fn eval_logical_chunk(
         let decided = i64::from(!and);
         return Ok(Array::Int(I64Array::from_values(vec![decided; rows])));
     }
-    match rhs.eval_chunk(chunk) {
+    match rhs.eval_chunk(cols, rows) {
         Ok(r) => {
             let mut out = Vec::with_capacity(rows);
             for (i, &lv) in lmask.iter().enumerate() {
@@ -332,9 +331,11 @@ fn eval_logical_chunk(
         Err(_) => {
             // Exact row semantics: rows whose left side decides never touch
             // the failing right side.
-            let mut b = ArrayBuilder::new();
+            let (mut b, mut row) = (ArrayBuilder::new(), Vec::with_capacity(cols.len()));
             for i in 0..rows {
-                b.push(&whole.eval(&chunk.row(i))?);
+                row.clear();
+                row.extend(cols.iter().map(|c| c.value(i)));
+                b.push(&whole.eval(&row)?);
             }
             Ok(b.finish())
         }
@@ -492,7 +493,7 @@ impl fmt::Display for ScalarExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use squall_common::tuple;
+    use squall_common::{tuple, Tuple};
 
     #[test]
     fn column_and_literal() {
@@ -594,6 +595,18 @@ mod tests {
         assert!(r.eval_bool(&t).unwrap());
     }
 
+    /// The columns of `ts`, as the scan's block filter builds them.
+    fn columns(ts: &[Tuple]) -> Vec<Array> {
+        let mut b = ArrayBuilder::new();
+        let arity = ts.first().map_or(0, |t| t.arity());
+        (0..arity)
+            .map(|c| {
+                ts.iter().for_each(|t| b.push(t.get(c)));
+                b.finish()
+            })
+            .collect()
+    }
+
     #[test]
     fn eval_chunk_matches_row_eval() {
         let ts = vec![
@@ -601,7 +614,7 @@ mod tests {
             tuple![0, 0, 4.0, " 42 ", 8],
             tuple![-5, 9, 1.0, "0", Value::Null],
         ];
-        let chunk = Chunk::from_tuples(&ts);
+        let cols = columns(&ts);
         let exprs = vec![
             ScalarExpr::col(0),
             ScalarExpr::lit(9),
@@ -624,7 +637,7 @@ mod tests {
             ScalarExpr::bin(BinOp::Le, ScalarExpr::col(4), ScalarExpr::col(0)),
         ];
         for e in &exprs {
-            let col = e.eval_chunk(&chunk).unwrap();
+            let col = e.eval_chunk(&cols, ts.len()).unwrap();
             for (i, t) in ts.iter().enumerate() {
                 assert_eq!(col.value(i), e.eval(t).unwrap(), "expr {e} row {i}");
             }
@@ -636,16 +649,14 @@ mod tests {
         // Every row's lhs is false, so the erroring rhs must never run —
         // same contract as the row path.
         let ts = vec![tuple![0], tuple![0]];
-        let chunk = Chunk::from_tuples(&ts);
         let e = ScalarExpr::and(ScalarExpr::col(0), ScalarExpr::col(99));
-        let col = e.eval_chunk(&chunk).unwrap();
+        let col = e.eval_chunk(&columns(&ts), 2).unwrap();
         assert_eq!(col.value(0), Value::Int(0));
         assert_eq!(col.value(1), Value::Int(0));
         // Mixed: one row needs the rhs → the error must surface, exactly as
         // the row path would at that row.
         let ts = vec![tuple![0], tuple![1]];
-        let chunk = Chunk::from_tuples(&ts);
-        assert!(e.eval_chunk(&chunk).is_err());
+        assert!(e.eval_chunk(&columns(&ts), 2).is_err());
     }
 
     #[test]

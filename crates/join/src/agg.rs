@@ -346,7 +346,7 @@ impl GroupByAggregator {
         folded
     }
 
-    /// Fold a whole columnar chunk in, each row once through
+    /// Fold a whole chunk in, each row once, read in place, through
     /// [`GroupByAggregator::fold_row`].
     ///
     /// `on_row`, when given, receives each row's group as it stands after
@@ -359,10 +359,8 @@ impl GroupByAggregator {
         chunk: &Chunk,
         mut on_row: Option<&mut dyn FnMut(Tuple)>,
     ) -> Result<()> {
-        let mut row = Vec::with_capacity(chunk.n_cols());
-        for i in 0..chunk.n_rows() {
-            chunk.row_into(i, &mut row);
-            self.fold_row(&row, 1)?;
+        for row in chunk.iter() {
+            self.fold_row(row, 1)?;
             if let Some(emit) = on_row.as_mut() {
                 let mut out: Vec<Value> = self.group_cols.iter().map(|&c| row[c].clone()).collect();
                 match self.groups.find(&out) {
@@ -696,7 +694,7 @@ mod tests {
         max.fold_row(&[Value::Int(i64::MAX)], 1).unwrap();
         max.drain_partials(|_| true, |row, _| assert!(overflowed(merged.merge_partial(&[], row))));
         let chunk = Chunk::from_tuples(&[tuple![i64::MAX], tuple![1]]);
-        assert!(overflowed(sum().update_chunk(&chunk, None)), "the columnar path");
+        assert!(overflowed(sum().update_chunk(&chunk, None)), "the chunk path");
     }
 
     /// One key value of the model check's domain: every kind a key may

@@ -372,6 +372,11 @@ impl DBToasterJoin {
         !rest[0].is_empty()
     }
 
+    /// Relation `rel`'s row width.
+    pub fn arity(&self, rel: usize) -> usize {
+        self.arities[rel]
+    }
+
     /// [`DBToasterJoin::delta`] into any sink, or into none — a result
     /// delta nobody reads is not even probed for — with `mults` holding
     /// one weight per row, or one for every row. This is the operator's one

@@ -6,9 +6,7 @@
 
 use std::sync::Arc;
 
-use squall_common::{
-    Array, ArrayBuilder, Chunk, DataType, Field, Result, Schema, SquallError, Tuple,
-};
+use squall_common::{Array, ArrayBuilder, DataType, Field, Result, Schema, SquallError, Tuple};
 use squall_expr::ScalarExpr;
 use squall_partition::ColumnStats;
 use squall_runtime::Source;
@@ -140,8 +138,8 @@ impl Scan {
                     for row in block {
                         columns.iter_mut().zip(&refs).for_each(|(b, &c)| b.push(&row[c]));
                     }
-                    let cols = columns.iter_mut().map(ArrayBuilder::finish).collect();
-                    block_filter.eval_chunk(&Chunk::new(cols, block.len()))
+                    let cols: Vec<Array> = columns.iter_mut().map(ArrayBuilder::finish).collect();
+                    block_filter.eval_chunk(&cols, block.len())
                 }
                 false => Ok(Array::Null(0)),
             };

@@ -1246,11 +1246,9 @@ mod tests {
                 out: &mut OutputCollector,
             ) -> Result<()> {
                 self.0.lock().unwrap().push((chunk.n_rows(), chunk.n_cols()));
-                let mut row = Vec::new();
-                for i in 0..chunk.n_rows() {
-                    chunk.row_into(i, &mut row);
-                    out.emit(chunk.row(i));
-                    out.emit_row(&row);
+                for row in chunk.iter() {
+                    out.emit(row.into());
+                    out.emit_row(row);
                 }
                 Ok(())
             }

@@ -13,11 +13,14 @@ pub type NodeId = usize;
 
 /// A task-to-task message.
 ///
-/// The data plane is *batched and columnar*: senders route tuples per-row
-/// into per-target [`ChunkBuilder`](squall_common::ChunkBuilder) scatter
-/// buffers (see [`crate::topology::OutputCollector`]) and ship one
-/// `Batch` — a columnar [`Chunk`] — per `batch_size` rows (or whatever is
-/// buffered when the stream punctuates). The targets a remote peer hosts
+/// The data plane is *batched*: senders route rows one by one into
+/// per-target scatter buffers, each a [`Chunk`] the rows are pushed into
+/// back to back (see [`crate::topology::OutputCollector`]), and ship one
+/// `Batch` per `batch_size` rows (or whatever is buffered when the stream
+/// punctuates, or before a chunk would pass
+/// [`MAX_CHUNK_CELLS`](squall_common::MAX_CHUNK_CELLS)). Columns exist
+/// only on the wire: the codec lays a crossing chunk out column by column
+/// and decodes it back into rows. The targets a remote peer hosts
 /// two or more of share one buffer that holds each row once and ships as a
 /// fan-out frame; the peer splits it back into these per-target batches.
 /// Batching amortizes the per-message queue and scheduling costs without
@@ -27,7 +30,7 @@ pub type NodeId = usize;
 /// buffering, chunk boundaries never affect partitioning, loads, or results.
 #[derive(Debug, Clone)]
 pub enum Message {
-    /// A run of data rows in columnar layout, tagged with the node that
+    /// A run of data rows, laid back to back, tagged with the node that
     /// emitted them (bolts with several upstream streams — e.g. joiners —
     /// dispatch on the origin, exactly like Storm bolts dispatch on the
     /// source component id). All rows of a batch share one origin (and one
@@ -35,7 +38,7 @@ pub enum Message {
     Batch {
         /// The node that emitted the rows.
         origin: NodeId,
-        /// The rows, as a columnar chunk.
+        /// The rows.
         chunk: Chunk,
     },
     /// End-of-stream punctuation from one upstream *task*. A task finishes

@@ -5,7 +5,7 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use squall_common::{Chunk, ChunkBuilder, Result, SquallError, Tuple, Value};
+use squall_common::{Chunk, Result, SquallError, Tuple, Value};
 
 use crate::executor::{Sched, TaskId};
 use crate::grouping::Grouping;
@@ -46,13 +46,14 @@ pub trait Spout: Send {
 
 /// A computation node. Each task owns one `Bolt` instance.
 pub trait Bolt: Send {
-    /// Process one columnar batch of input rows — the only way data
-    /// reaches a bolt. `origin` is the upstream node that emitted the
+    /// Process one batch of input rows — the only way data reaches a
+    /// bolt. `origin` is the upstream node that emitted the
     /// batch (joiners dispatch on it to tell their relations apart); every
     /// row of a chunk shares it. Emissions and errors must follow the
     /// chunk's row order, so results do not depend on how the data plane
-    /// happened to batch the stream. Operators with per-row logic iterate
-    /// [`Chunk::rows`]; [`FnBolt`] does that on behalf of a row closure.
+    /// happened to batch the stream. Operators read each row in place
+    /// ([`Chunk::iter`]); [`FnBolt`] hands a row closure a [`Tuple`] of
+    /// each.
     fn execute_chunk(
         &mut self,
         origin: NodeId,
@@ -257,8 +258,8 @@ fn event_time_order<T>(
 }
 
 /// A bolt defined by a per-row closure (handy in tests and examples) — the
-/// one row adapter: it materializes each row of the chunk and hands it to
-/// the closure, stopping at the first error.
+/// one row adapter: it copies each row of the chunk into a [`Tuple`] and
+/// hands it to the closure, stopping at the first error.
 pub struct FnBolt<F>(pub F);
 
 impl<F> Bolt for FnBolt<F>
@@ -508,9 +509,9 @@ impl Topology {
 }
 
 /// One receiving task of an outgoing edge, with its scatter buffer: rows
-/// routed to this target accumulate *columnarly* in a [`ChunkBuilder`] and
-/// ship as one [`Message::Batch`] when `batch_size` rows are reached (or on
-/// punctuation, or when a row of a different arity arrives — ragged
+/// routed to this target are pushed into a [`Chunk`] and ship as one
+/// [`Message::Batch`] when `batch_size` rows are reached (or on
+/// punctuation, or when a row the chunk does not accept arrives — ragged
 /// streams split into uniform chunks, which cannot change results because
 /// routing happened per row before buffering). Delivery goes through the
 /// run's [`Transport`] — the emitter neither knows nor cares whether the
@@ -518,7 +519,7 @@ impl Topology {
 /// [`PeerFanout`]s ships for leaves its buffer empty.
 pub(crate) struct EdgeTarget {
     task: TaskId,
-    buffer: ChunkBuilder,
+    buffer: Chunk,
     /// Index of the edge's fan-out this target's rows go through.
     fanout: Option<usize>,
 }
@@ -542,7 +543,7 @@ impl EdgeOut {
         fanouts: Vec<PeerFanout>,
     ) -> EdgeOut {
         let mut targets: Vec<EdgeTarget> = (first..first + n)
-            .map(|task| EdgeTarget { task, buffer: ChunkBuilder::new(), fanout: None })
+            .map(|task| EdgeTarget { task, buffer: Chunk::empty(), fanout: None })
             .collect();
         for (f, fan) in fanouts.iter().enumerate() {
             let run = fan.tasks();
@@ -664,7 +665,7 @@ impl OutputCollector {
                     flush_target(self.node, target, &*self.transport, &mut self.gated);
                 }
                 target.buffer.push(row);
-                if target.buffer.len() >= batch_size {
+                if target.buffer.n_rows() >= batch_size {
                     flush_target(self.node, target, &*self.transport, &mut self.gated);
                 }
             }

@@ -56,7 +56,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use squall_common::codec::{self, Reader, Wire};
-use squall_common::{Chunk, ChunkBuilder, Result, SquallError, Tuple, Value};
+use squall_common::{Chunk, Result, SquallError, Tuple, Value};
 
 use crate::executor::{GateQueue, Inbox, Sched, Shared, TaskId};
 use crate::message::{Message, NodeId};
@@ -400,7 +400,7 @@ pub(crate) struct PeerFanout {
     first_task: TaskId,
     targets: usize,
     link: Arc<Egress>,
-    buffer: ChunkBuilder,
+    buffer: Chunk,
     mask: Vec<u8>,
     /// Copies buffered: the set bits of `mask`.
     copies: usize,
@@ -823,7 +823,7 @@ impl TcpTransport {
         for run in self.peer_of_task[first..first + n].chunk_by(|a, b| a == b) {
             if let (true, Some(link)) = (run.len() > 1, &self.egress[run[0]]) {
                 let (link, targets, copies, row) = (Arc::clone(link), run.len(), 0, u64::MAX);
-                let (buffer, mask) = (ChunkBuilder::new(), Vec::new());
+                let (buffer, mask) = (Chunk::empty(), Vec::new());
                 let fanout =
                     PeerFanout { origin, first_task, targets, link, buffer, mask, copies, row };
                 fanouts.push(fanout);

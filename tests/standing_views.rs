@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use squall::common::{tuple, DataType, Schema, SplitMix64, Tuple, Value};
 use squall::engine::cluster::serve_job;
-use squall::{Session, SessionBuilder};
+use squall::{LocalJoinKind, Session, SessionBuilder};
 
 /// In-process `squall-worker`s over real loopback TCP sockets; each
 /// serves exactly one job (a resident view is one job for its whole
@@ -114,6 +114,15 @@ fn three_way_group_by_view_stays_resident_over_tcp() {
     for h in handles {
         h.join().unwrap();
     }
+}
+
+/// A view takes the session's view set: under `local(Traditional)` its
+/// join tasks keep the bases only, and with a checkpoint every epoch its
+/// snapshots still equal the recompute through appends and retractions.
+#[test]
+fn traditional_view_stays_resident_with_a_checkpoint_every_epoch() {
+    let traditional = Session::builder().machines(4).seed(11).local(LocalJoinKind::Traditional);
+    chain_view_stays_resident(traditional.checkpoint_interval(1));
 }
 
 /// Read-your-writes: the snapshot taken immediately after `append`
